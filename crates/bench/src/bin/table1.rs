@@ -10,7 +10,7 @@ fn main() {
     let rows = vec![
         vec![
             "Near-Field Interactions".into(),
-            "Dense".into(),
+            "Block-Toeplitz (dense in the paper)".into(),
             c.near_field_types.to_string(),
             "9".into(),
         ],

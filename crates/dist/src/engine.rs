@@ -9,6 +9,7 @@
 
 use crate::partition::{ExchangePlan, SubtreePartition};
 use ffw_geometry::{morton_decode, morton_encode, LEAF_PIXELS};
+use ffw_mlfma::near::SPECTRUM_LEN;
 use ffw_mlfma::{offset_index, MlfmaPlan};
 use ffw_mpi::{Comm, ComputeFault, FaultError, FaultEvent, Payload};
 use ffw_numerics::{c64, C64};
@@ -387,33 +388,8 @@ impl<'c> DistMlfma<'c> {
         for halo in &mut x_halos {
             halo.sort_by_key(|(leaf, _)| *leaf);
         }
-        for (col, (x_local, y_local)) in xs_local.iter().zip(ys_local.iter_mut()).enumerate() {
-            let x_halo = &x_halos[col];
-            let leaf_block = |leaf: usize| -> Option<&[C64]> {
-                let range = &self.part.pixel_range;
-                let off = leaf * LEAF_PIXELS;
-                if off >= range.start && off < range.end {
-                    Some(&x_local[off - range.start..off - range.start + LEAF_PIXELS])
-                } else {
-                    x_halo
-                        .binary_search_by_key(&leaf, |(l, _)| *l)
-                        .ok()
-                        .map(|i| x_halo[i].1.as_slice())
-                }
-            };
-            let leaf_range = self.part.leaf_range();
-            for c in leaf_range.clone() {
-                let (ix, iy) = morton_decode(c as u32);
-                let out =
-                    &mut y_local[c * LEAF_PIXELS - px_start..(c + 1) * LEAF_PIXELS - px_start];
-                out.iter_mut().for_each(|v| *v = C64::ZERO);
-                for (sx, sy, off) in plan.tree.near_list(ix as usize, iy as usize) {
-                    let s = morton_encode(sx as u32, sy as u32) as usize;
-                    let block = leaf_block(s).expect("halo covers all near leaves");
-                    let oi = ((off.1 + 1) as usize) * 3 + (off.0 + 1) as usize;
-                    plan.near[oi].matvec_acc(block, out);
-                }
-            }
+        for ((x_local, y_local), x_halo) in xs_local.iter().zip(ys_local.iter_mut()).zip(&x_halos) {
+            self.near_field(x_local, x_halo, y_local);
         }
 
         // --- 5. receive fused far-field patterns ---
@@ -497,24 +473,51 @@ impl<'c> DistMlfma<'c> {
                     }
                 }
             }
-            let lp = plan.leaf_plan();
-            let q = lp.q;
-            let coupling = plan.kernel.coupling;
-            let w = coupling * (1.0 / q as f64);
-            let e = &plan.expansion;
+            let q = plan.leaf_plan().q;
             let leaf_pat = incoming.last().expect("non-empty");
             let mut far = vec![C64::ZERO; LEAF_PIXELS];
             for c in self.part.leaf_range() {
-                far.iter_mut().for_each(|v| *v = C64::ZERO);
-                e.matvec_adjoint_acc(&leaf_pat[c * q..(c + 1) * q], &mut far);
+                plan.local_expansion
+                    .receive(&leaf_pat[c * q..(c + 1) * q], &mut far);
                 let out =
                     &mut y_local[c * LEAF_PIXELS - px_start..(c + 1) * LEAF_PIXELS - px_start];
                 for (o, f) in out.iter_mut().zip(&far) {
-                    *o += *f * w;
+                    *o += *f;
                 }
             }
         }
         Ok(())
+    }
+
+    /// The near field of one column, overwriting `y_local`: spectra of the
+    /// local leaves and of the halo leaves (`x_halo`, sorted by leaf), then
+    /// per local observer leaf the neighbours' diagonal products in
+    /// `near_list` order — the serial engine's kernel, leaf for leaf.
+    fn near_field(&self, x_local: &[C64], x_halo: &[(usize, Vec<C64>)], y_local: &mut [C64]) {
+        let plan = &self.plan;
+        let near = &plan.near_field;
+        let leaf_range = self.part.leaf_range();
+        let n_local = leaf_range.len();
+        let mut spectra = vec![0.0; (n_local + x_halo.len()) * SPECTRUM_LEN];
+        let blocks = x_local
+            .chunks(LEAF_PIXELS)
+            .chain(x_halo.iter().map(|(_, block)| block.as_slice()));
+        for (block, spectrum) in blocks.zip(spectra.chunks_mut(SPECTRUM_LEN)) {
+            near.forward(block, spectrum);
+        }
+        let spectrum_of = |leaf: usize| {
+            let slot = if leaf_range.contains(&leaf) {
+                leaf - leaf_range.start
+            } else {
+                let at = x_halo.binary_search_by_key(&leaf, |(l, _)| *l);
+                n_local + at.expect("halo covers all near leaves")
+            };
+            &spectra[slot * SPECTRUM_LEN..(slot + 1) * SPECTRUM_LEN]
+        };
+        for (c, out) in leaf_range.clone().zip(y_local.chunks_mut(LEAF_PIXELS)) {
+            out.fill(C64::ZERO);
+            near.accumulate_leaf(&plan.tree, c, spectrum_of, out);
+        }
     }
 
     /// Checked variant of [`DistMlfma::apply`]: a dead peer or a message
@@ -651,33 +654,7 @@ impl<'c> DistMlfma<'c> {
             }
         }
         x_halo.sort_by_key(|(leaf, _)| *leaf);
-        let leaf_block = |leaf: usize| -> Option<&[C64]> {
-            let range = &self.part.pixel_range;
-            let off = leaf * LEAF_PIXELS;
-            if off >= range.start && off < range.end {
-                Some(&x_local[off - range.start..off - range.start + LEAF_PIXELS])
-            } else {
-                x_halo
-                    .binary_search_by_key(&leaf, |(l, _)| *l)
-                    .ok()
-                    .map(|i| x_halo[i].1.as_slice())
-            }
-        };
-        {
-            let leaf_range = self.part.leaf_range();
-            for c in leaf_range.clone() {
-                let (ix, iy) = morton_decode(c as u32);
-                let out =
-                    &mut y_local[c * LEAF_PIXELS - px_start..(c + 1) * LEAF_PIXELS - px_start];
-                out.iter_mut().for_each(|v| *v = C64::ZERO);
-                for (sx, sy, off) in plan.tree.near_list(ix as usize, iy as usize) {
-                    let s = morton_encode(sx as u32, sy as u32) as usize;
-                    let block = leaf_block(s).expect("halo covers all near leaves");
-                    let oi = ((off.1 + 1) as usize) * 3 + (off.0 + 1) as usize;
-                    plan.near[oi].matvec_acc(block, out);
-                }
-            }
-        }
+        self.near_field(x_local, &x_halo, y_local);
 
         // --- 5. receive far-field patterns ---
         for peer_slot in 0..self.n_slots() {
@@ -777,20 +754,16 @@ impl<'c> DistMlfma<'c> {
 
         // --- 8. leaf receive: add the far field into y ---
         {
-            let lp = plan.leaf_plan();
-            let q = lp.q;
-            let coupling = plan.kernel.coupling;
-            let w = coupling * (1.0 / q as f64);
-            let e = &plan.expansion;
+            let q = plan.leaf_plan().q;
             let leaf_pat = incoming.last().expect("non-empty");
             let mut far = vec![C64::ZERO; LEAF_PIXELS];
             for c in self.part.leaf_range() {
-                far.iter_mut().for_each(|v| *v = C64::ZERO);
-                e.matvec_adjoint_acc(&leaf_pat[c * q..(c + 1) * q], &mut far);
+                plan.local_expansion
+                    .receive(&leaf_pat[c * q..(c + 1) * q], &mut far);
                 let out =
                     &mut y_local[c * LEAF_PIXELS - px_start..(c + 1) * LEAF_PIXELS - px_start];
                 for (o, f) in out.iter_mut().zip(&far) {
-                    *o += *f * w;
+                    *o += *f;
                 }
             }
         }

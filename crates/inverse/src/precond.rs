@@ -36,8 +36,7 @@ impl LeafBlockJacobi {
 
     fn build(plan: &MlfmaPlan, object: &[C64], adjoint: bool) -> Self {
         assert_eq!(object.len(), plan.n_pixels());
-        let self_idx = 4; // NEAR_OFFSETS position of (0, 0)
-        let n_self = &plan.near[self_idx];
+        let n_self = plan.near_field.dense_block((0, 0));
         let n_leaves = plan.tree.n_leaves();
         let blocks = (0..n_leaves)
             .map(|c| {

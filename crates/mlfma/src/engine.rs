@@ -13,11 +13,13 @@
 //!
 //! [`MlfmaEngine::apply_block`] additionally folds the paper's illumination
 //! dimension into a single traversal: a panel of `B` right-hand sides shares
-//! one pass over the operators (expansion matrices, translators, near-field
-//! blocks), with chunking over `(cluster x rhs)` slots so levels with few
-//! clusters still saturate the pool. Column-wise arithmetic is identical to
-//! the single-RHS path, so each column is bit-identical to a plain `apply`.
+//! one pass over the far-field operators (expansion matrices, translators),
+//! with chunking over `(cluster x rhs)` slots so levels with few clusters
+//! still saturate the pool. Column-wise arithmetic is identical to the
+//! single-RHS path, so each column is bit-identical to a plain `apply`; the
+//! near field ([`crate::near`]) runs one column at a time in both.
 
+use crate::near::{FORWARD_FLOPS, INVERSE_FLOPS, PAIR_FLOPS, SPECTRUM_LEN};
 use crate::plan::{offset_index, MlfmaPlan};
 use ffw_geometry::{morton_decode, morton_encode, LEAF_PIXELS};
 use ffw_numerics::C64;
@@ -59,9 +61,6 @@ struct BlockWorkspace {
     outgoing: Vec<Vec<C64>>,
     /// incoming[li]: translated local patterns, same layout.
     incoming: Vec<Vec<C64>>,
-    /// Panel-major output fields: slot `(leaf c, column b)` holds that leaf's
-    /// 64 pixels of column `b`; unpacked into per-column vectors at the end.
-    y_panel: Vec<C64>,
 }
 
 impl BlockWorkspace {
@@ -70,7 +69,6 @@ impl BlockWorkspace {
             width: 0,
             outgoing: Vec::new(),
             incoming: Vec::new(),
-            y_panel: Vec::new(),
         }
     }
 
@@ -86,7 +84,6 @@ impl BlockWorkspace {
         };
         self.outgoing = (0..plan.levels.len()).map(alloc).collect();
         self.incoming = (0..plan.levels.len()).map(alloc).collect();
-        self.y_panel = vec![C64::ZERO; plan.n_pixels() * width];
         self.width = width;
     }
 }
@@ -155,6 +152,9 @@ impl ObsHooks {
     }
 }
 
+/// Bytes of one leaf spectrum.
+const SPECTRUM_BYTES: u64 = 8 * SPECTRUM_LEN as u64;
+
 /// Builds the per-stage cost model from the plan: complex multiply-adds
 /// counted as 8 flops, bytes as the pattern/field data each stage reads and
 /// writes (16 bytes per `C64`). Interpolation is modeled as one MAC per
@@ -210,7 +210,8 @@ fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
         dis.bytes += n_parents * (q_parent + 4 * q_child) * C;
     }
 
-    // near: adjoint leaf expansion + 9-ish dense blocks per leaf
+    // near: adjoint leaf expansion, then per leaf one forward and one inverse
+    // 16 x 16 transform and one 256-sample diagonal product per neighbour
     let mut near = StageCost {
         flops: n_leaves * q_leaf * npx * 8,
         bytes: n_leaves * (q_leaf + npx) * C,
@@ -222,15 +223,20 @@ fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
             n_near += plan.tree.near_list(ix, iy).len() as u64;
         }
     }
-    near.flops += n_near * npx * npx * 8;
-    near.bytes += n_near * npx * C + n_leaves * npx * C;
+    near.flops += n_leaves * (FORWARD_FLOPS + INVERSE_FLOPS) + n_near * PAIR_FLOPS;
+    // pixels in and spectrum out per leaf; source and kernel spectrum in per
+    // neighbour (the kernel spectra are read per column, not per panel);
+    // window added onto the pixels per leaf
+    near.bytes += n_leaves * (npx * C + SPECTRUM_BYTES)
+        + n_near * 2 * SPECTRUM_BYTES
+        + n_leaves * 2 * npx * C;
 
     [agg, tra, dis, near]
 }
 
 /// Bytes of *operator* data (expansion matrices, interpolation weights
 /// modeled as one `f64` per output sample per child, shift and translation
-/// diagonals, dense near-field blocks) streamed by one tree traversal.
+/// diagonals) streamed by one tree traversal.
 ///
 /// This is the part of the `B>1` cost model that does *not* scale with the
 /// panel width: a fused `apply_block` reads each operator once for all `B`
@@ -277,14 +283,9 @@ fn operator_bytes(plan: &MlfmaPlan) -> [u64; 4] {
         dis += n_parents * 4 * q_parent * (W + C);
     }
 
-    // near: adjoint expansion matrix per leaf + 9-ish dense blocks
-    let mut near = n_leaves * q_leaf * npx * C;
-    let leaf_side = plan.tree.clusters_per_side(plan.tree.leaf_level());
-    for iy in 0..leaf_side {
-        for ix in 0..leaf_side {
-            near += plan.tree.near_list(ix, iy).len() as u64 * npx * npx * C;
-        }
-    }
+    // near: adjoint expansion matrix per leaf (the kernel spectra are charged
+    // per column in `apply_cost`)
+    let near = n_leaves * q_leaf * npx * C;
 
     [agg, tra, dis, near]
 }
@@ -295,6 +296,10 @@ pub struct MlfmaEngine {
     pool: Arc<Pool>,
     workspace: Mutex<Workspace>,
     block_ws: Mutex<BlockWorkspace>,
+    /// One column of leaf spectra for the near field (`n_leaves` x
+    /// [`SPECTRUM_LEN`]), shared by the scalar and the block path — never
+    /// one per panel column.
+    near_spectra: Mutex<Vec<f64>>,
     /// Clusters-per-level threshold below which translation switches from
     /// cluster-parallel to sample-parallel.
     sample_parallel_below: usize,
@@ -305,6 +310,7 @@ impl MlfmaEngine {
     /// Creates an engine bound to a plan and a thread pool.
     pub fn new(plan: Arc<MlfmaPlan>, pool: Arc<Pool>) -> Self {
         let workspace = Mutex::new(Workspace::new(&plan));
+        let near_spectra = Mutex::new(vec![0.0; plan.tree.n_leaves() * SPECTRUM_LEN]);
         let sample_parallel_below = 4 * pool.n_threads();
         let obs = ObsHooks::new(&plan);
         MlfmaEngine {
@@ -312,6 +318,7 @@ impl MlfmaEngine {
             pool,
             workspace,
             block_ws: Mutex::new(BlockWorkspace::empty()),
+            near_spectra,
             sample_parallel_below,
             obs,
         }
@@ -349,16 +356,17 @@ impl MlfmaEngine {
         }
         {
             let _s = ffw_obs::span("near");
-            self.receive_and_near(x, &ws.incoming, y);
+            self.receive_and_near(x, &ws.incoming, 1, 0, y);
         }
     }
 
     /// Computes `ys[b] = G0 xs[b]` for a panel of `B` right-hand sides in a
-    /// *single* tree traversal: every expansion matrix, interpolator,
-    /// shift/translation diagonal and near-field block is loaded once and
-    /// applied to all columns of the panel, and the chunk loops dispatch over
-    /// `(cluster x rhs)` slots so even levels with a handful of clusters
-    /// expose `n_clusters * B` units of parallelism.
+    /// *single* tree traversal: every expansion matrix, interpolator and
+    /// shift/translation diagonal is loaded once and applied to all columns
+    /// of the panel, and the chunk loops dispatch over `(cluster x rhs)`
+    /// slots so even levels with a handful of clusters expose
+    /// `n_clusters * B` units of parallelism. The leaf receive and the near
+    /// field then run column by column, straight into `ys`.
     ///
     /// Column-wise the arithmetic is identical (same operations, in the same
     /// order) to [`Self::apply`], so each `ys[b]` is bit-identical to a
@@ -397,14 +405,8 @@ impl MlfmaEngine {
         }
         {
             let _s = ffw_obs::span("near");
-            self.receive_and_near_block(xs, &ws.incoming, &mut ws.y_panel, width);
-        }
-        // Unpack the panel-major output into the per-column vectors.
-        for (col, y) in ys.iter_mut().enumerate() {
-            for c in 0..n / LEAF_PIXELS {
-                let src = (c * width + col) * LEAF_PIXELS;
-                y[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS]
-                    .copy_from_slice(&ws.y_panel[src..src + LEAF_PIXELS]);
+            for (col, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
+                self.receive_and_near(x, &ws.incoming, width, col, y);
             }
         }
     }
@@ -422,7 +424,11 @@ impl MlfmaEngine {
                 let first_leaf = start / q_leaf;
                 for (i, out) in chunk.chunks_mut(q_leaf).enumerate() {
                     let c = first_leaf + i;
-                    expansion.matvec(&x[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS], out);
+                    // zero + accumulate, as the panel kernel of the block
+                    // path does (`acc` and `0 + acc` differ in the sign of
+                    // an exact zero)
+                    out.fill(C64::ZERO);
+                    expansion.matvec_acc(&x[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS], out);
                 }
             });
         // Upward pass: parent patterns from child patterns.
@@ -555,38 +561,43 @@ impl MlfmaEngine {
         }
     }
 
-    /// Phases 5+6: convert leaf local expansions back to fields (local
+    /// Phases 5+6 for column `col` of a `width`-column panel (`1, 0` on the
+    /// scalar path): convert leaf local expansions back to fields (local
     /// expansion = quadrature-weighted adjoint of the multipole expansion)
-    /// and add the near-field interactions, writing `y` in one pass per leaf.
-    fn receive_and_near(&self, x: &[C64], incoming: &[Vec<C64>], y: &mut [C64]) {
+    /// and add the near-field interactions. Per column the work is the same
+    /// whatever the panel width — the spectra of `x`'s leaves first, then
+    /// per observer leaf the local expansion and the neighbours' diagonal
+    /// products in `near_list` order — so a block column is bit-identical
+    /// to `apply`.
+    fn receive_and_near(
+        &self,
+        x: &[C64],
+        incoming: &[Vec<C64>],
+        width: usize,
+        col: usize,
+        y: &mut [C64],
+    ) {
         let plan = &self.plan;
         let leaf_pat = incoming.last().expect("non-empty");
-        let lp = plan.leaf_plan();
-        let q = lp.q;
-        let coupling = plan.kernel.coupling;
-        let inv_q = 1.0 / q as f64;
-        let expansion = &plan.expansion;
-        let near = &plan.near;
-        let leaf_side = plan.tree.clusters_per_side(plan.tree.leaf_level());
+        let q = plan.leaf_plan().q;
+        let local = &plan.local_expansion;
+        let near = &plan.near_field;
+        let mut spectra = self.near_spectra.lock();
+        self.pool
+            .for_each_chunk_mut(&mut spectra, 8 * SPECTRUM_LEN, |start, chunk| {
+                let first_leaf = start / SPECTRUM_LEN;
+                for (i, spectrum) in chunk.chunks_mut(SPECTRUM_LEN).enumerate() {
+                    let c = first_leaf + i;
+                    near.forward(&x[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS], spectrum);
+                }
+            });
+        let spectra = &*spectra;
         self.pool.for_each_chunk_mut(y, LEAF_PIXELS, |start, out| {
             let c = start / LEAF_PIXELS;
-            let (ix, iy) = morton_decode(c as u32);
-            // Far field: y_j = coupling * (1/Q) sum_q conj(E[q,j]) G_c[q]
-            for v in out.iter_mut() {
-                *v = C64::ZERO;
-            }
-            expansion.matvec_adjoint_acc(&leaf_pat[c * q..(c + 1) * q], out);
-            let w = coupling * inv_q;
-            for v in out.iter_mut() {
-                *v *= w;
-            }
-            // Near field: 9 dense blocks
-            let _ = leaf_side;
-            for (sx, sy, off) in plan.tree.near_list(ix as usize, iy as usize) {
-                let s = morton_encode(sx as u32, sy as u32) as usize;
-                let oi = near_offset_index(off);
-                near[oi].matvec_acc(&x[s * LEAF_PIXELS..(s + 1) * LEAF_PIXELS], out);
-            }
+            let slot = c * width + col;
+            local.receive(&leaf_pat[slot * q..(slot + 1) * q], out);
+            let spectrum_of = |s: usize| &spectra[s * SPECTRUM_LEN..(s + 1) * SPECTRUM_LEN];
+            near.accumulate_leaf(&plan.tree, c, spectrum_of, out);
         });
     }
 
@@ -597,14 +608,23 @@ impl MlfmaEngine {
         let n_levels = plan.levels.len();
         let q_leaf = plan.leaf_plan().q;
         let expansion = &plan.expansion;
-        // Leaf expansions over (leaf x rhs) slots, 8 slots per task.
+        // Leaf expansions: one leaf across all columns per panel sweep (the
+        // `(c * B + b) * q` slots of a leaf are the kernel's column-blocked
+        // output), 8 leaves per task.
+        let leaf_len = width * q_leaf;
         self.pool
-            .for_each_chunk_mut(&mut outgoing[n_levels - 1], 8 * q_leaf, |start, chunk| {
-                let first_slot = start / q_leaf;
-                for (i, out) in chunk.chunks_mut(q_leaf).enumerate() {
-                    let slot = first_slot + i;
-                    let (c, col) = (slot / width, slot % width);
-                    expansion.matvec(&xs[col][c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS], out);
+            .for_each_chunk_mut(&mut outgoing[n_levels - 1], 8 * leaf_len, |start, chunk| {
+                let first_leaf = start / leaf_len;
+                let mut srcs: Vec<&[C64]> = Vec::with_capacity(width);
+                for (i, out) in chunk.chunks_mut(leaf_len).enumerate() {
+                    let c = first_leaf + i;
+                    srcs.clear();
+                    srcs.extend(
+                        xs.iter()
+                            .map(|x| &x[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS]),
+                    );
+                    out.fill(C64::ZERO);
+                    expansion.matvec_acc_panel(&srcs, out);
                 }
             });
         // Upward pass over (parent x rhs) slots.
@@ -708,69 +728,6 @@ impl MlfmaEngine {
                 });
         }
     }
-
-    /// Block receive + near field: each work item owns one whole leaf across
-    /// all `B` columns (a contiguous `B * LEAF_PIXELS` panel region), so every
-    /// near-field block is loaded *once* per leaf and swept across the panel
-    /// by [`ffw_numerics::Matrix::matvec_acc_panel`]. This is where the fused
-    /// path's speedup lives — the dense near blocks dominate apply time, and
-    /// the single-accumulator matvec chain they run per column in the scalar
-    /// path is floating-point-latency-bound. Per column the operation order
-    /// (zero, adjoint receive, scale, near blocks in `near_list` order, each
-    /// an `r`-outer `k`-inner fma chain) is unchanged, so columns stay
-    /// bit-identical to `apply`.
-    fn receive_and_near_block(
-        &self,
-        xs: &[&[C64]],
-        incoming: &[Vec<C64>],
-        y_panel: &mut [C64],
-        width: usize,
-    ) {
-        let plan = &self.plan;
-        let leaf_pat = incoming.last().expect("non-empty");
-        let q = plan.leaf_plan().q;
-        let coupling = plan.kernel.coupling;
-        let inv_q = 1.0 / q as f64;
-        let expansion = &plan.expansion;
-        let near = &plan.near;
-        self.pool
-            .for_each_chunk_mut(y_panel, width * LEAF_PIXELS, |start, out| {
-                let c = start / (width * LEAF_PIXELS);
-                let (ix, iy) = morton_decode(c as u32);
-                for v in out.iter_mut() {
-                    *v = C64::ZERO;
-                }
-                // Far-field receive, column by column (small q x 64 adjoint).
-                let w = coupling * inv_q;
-                for col in 0..width {
-                    let ocol = &mut out[col * LEAF_PIXELS..(col + 1) * LEAF_PIXELS];
-                    let poff = (c * width + col) * q;
-                    expansion.matvec_adjoint_acc(&leaf_pat[poff..poff + q], ocol);
-                    for v in ocol.iter_mut() {
-                        *v *= w;
-                    }
-                }
-                // Near field: 9-ish dense blocks, each applied to the whole
-                // panel in one pass over its rows.
-                let mut srcs: Vec<&[C64]> = Vec::with_capacity(width);
-                for (sx, sy, off) in plan.tree.near_list(ix as usize, iy as usize) {
-                    let s = morton_encode(sx as u32, sy as u32) as usize;
-                    let oi = near_offset_index(off);
-                    srcs.clear();
-                    srcs.extend(
-                        xs.iter()
-                            .map(|x| &x[s * LEAF_PIXELS..(s + 1) * LEAF_PIXELS]),
-                    );
-                    near[oi].matvec_acc_panel(&srcs, out);
-                }
-            });
-    }
-}
-
-/// Index of a near-field offset in `NEAR_OFFSETS` order.
-#[inline]
-fn near_offset_index(off: ffw_geometry::Offset) -> usize {
-    ((off.1 + 1) as usize) * 3 + (off.0 + 1) as usize
 }
 
 #[cfg(test)]

@@ -12,13 +12,18 @@
 //! the `O(N)` kernel that scales to millions of unknowns.
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod engine;
 pub mod interp;
+pub mod local;
+pub mod near;
 pub mod params;
 pub mod plan;
 
 pub use engine::MlfmaEngine;
 pub use interp::lagrange_interp_matrix;
+pub use local::LocalExpansion;
+pub use near::NearField;
 pub use params::Accuracy;
 pub use plan::{offset_index, translator, LevelPlan, MlfmaPlan, OperatorCensus, PlanStats};

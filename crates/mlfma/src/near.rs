@@ -1,0 +1,587 @@
+//! The near field as nine pixel-level diagonal translations.
+//!
+//! On the regular grid every near-field block (one per neighbour offset,
+//! Table I) is block-Toeplitz: the interaction of observer pixel `(mx, my)`
+//! with source pixel `(nx, ny)` of the leaf at offset `(ox, oy)` depends only
+//! on `(mx - nx, my - ny)`, so a 64 x 64 block holds 15 x 15 = 225 distinct
+//! entries and its product with a leaf is a 2-D convolution. Embedded
+//! circularly in 16 x 16 that convolution is diagonal in the discrete Fourier
+//! basis — the same shape as the far-field translation stage, one level
+//! below the leaves:
+//!
+//! * **phase A** ([`NearField::forward`]): zero-pad a leaf's 8 x 8 block to
+//!   16 x 16 and transform it — one 256-sample spectrum per leaf;
+//! * **phase B** ([`NearField::accumulate`]): per observer leaf, accumulate
+//!   `K_off[k] * S_src[k]` over its (at most nine) neighbours, transform back
+//!   and add the 8 x 8 window onto the output.
+//!
+//! Spectra are split re/im planes of 256 `f64` each. The 2-D transforms are
+//! two passes of a length-16 radix-2 FFT down the rows of a 16-row array
+//! whose other axis is 8 or 16 contiguous lanes — plain elementwise
+//! arithmetic that the compiler vectorises across the lanes. The forward
+//! (decimation-in-frequency) pass leaves bit-reversed order and the inverse
+//! (decimation-in-time) pass consumes it, so no permutation pass exists; both
+//! are pruned for the zero half of the padded input and the discarded half of
+//! the output. Nothing here contracts to fused multiply-add, so the portable
+//! and the AVX2-compiled instance of the same code are bit-identical.
+
+use ffw_geometry::{
+    morton_decode, morton_encode, Offset, QuadTree, LEAF_PIXELS, LEAF_SIDE, NEAR_OFFSETS,
+};
+use ffw_greens::Kernel;
+use ffw_numerics::linalg::Matrix;
+use ffw_numerics::C64;
+
+/// Side of the zero-padded transform.
+const N: usize = 2 * LEAF_SIDE;
+/// Samples per spectrum plane.
+const BINS: usize = N * N;
+/// Side of one offset's table of distinct entries (`dx, dy` in `-7..=7`).
+const TABLE_SIDE: usize = 2 * LEAF_SIDE - 1;
+const TABLE_LEN: usize = TABLE_SIDE * TABLE_SIDE;
+
+/// `f64` words of one leaf spectrum: the 256-sample re plane, then the im
+/// plane, both indexed `[kx][ky]` in bit-reversed order.
+pub const SPECTRUM_LEN: usize = 2 * BINS;
+
+/// Flops executed per lane by the pruned forward pass: the first stage is
+/// six general twiddle products (6 flops; `w^0` and `w^4` are a copy and a
+/// swap), the second 2 x (4 + 10 + 4 + 10), the last two 8 x 4 each.
+const FORWARD_LANE_FLOPS: u64 = 36 + 56 + 32 + 32;
+/// Same for the pruned inverse pass, whose last stage computes sums only
+/// (2 flops, or 6 + 2 with a general twiddle).
+const INVERSE_LANE_FLOPS: u64 = 32 + 32 + 56 + (2 + 2 + 6 * 8);
+/// Flops of [`NearField::forward`]: an 8-lane and a 16-lane pass.
+pub const FORWARD_FLOPS: u64 = (LEAF_SIDE + N) as u64 * FORWARD_LANE_FLOPS;
+/// Flops of the transform back in [`NearField::accumulate`], window add
+/// included.
+pub const INVERSE_FLOPS: u64 = (N + LEAF_SIDE) as u64 * INVERSE_LANE_FLOPS + 2 * LEAF_PIXELS as u64;
+/// Flops of one `K_off[k] * S_src[k]` accumulation (8 per complex MAC).
+pub const PAIR_FLOPS: u64 = 8 * BINS as u64;
+
+const C1: f64 = 0.923_879_532_511_286_7; // cos(pi/8)
+const S1: f64 = 0.382_683_432_365_089_8; // sin(pi/8)
+const R2: f64 = std::f64::consts::FRAC_1_SQRT_2;
+/// `w^k = e^{-2 pi i k / 16}` for `k` in `0..8`.
+const TWIDDLE: [(f64, f64); 8] = [
+    (1.0, 0.0),
+    (C1, -S1),
+    (R2, -R2),
+    (S1, -C1),
+    (0.0, -1.0),
+    (-S1, -C1),
+    (-R2, -R2),
+    (-C1, -S1),
+];
+
+/// Position of a near offset in `NEAR_OFFSETS` order.
+#[inline]
+fn near_index(off: Offset) -> usize {
+    ((off.1 + 1) as usize) * 3 + (off.0 + 1) as usize
+}
+
+/// `(re, im) * w^K`, or `* conj(w)^K` when `INV` — the two trivial twiddles
+/// cost no arithmetic.
+#[inline(always)]
+fn twiddle<const K: usize, const INV: bool>(re: f64, im: f64) -> (f64, f64) {
+    let (wr, wi) = TWIDDLE[K];
+    let wi = if INV { -wi } else { wi };
+    match K {
+        0 => (re, im),
+        4 if INV => (-im, re),
+        4 => (im, -re),
+        _ => (re * wr - im * wi, re * wi + im * wr),
+    }
+}
+
+/// Rows `i < j` of a plane, both mutable.
+#[inline(always)]
+fn rows<const L: usize>(
+    plane: &mut [[f64; L]; N],
+    i: usize,
+    j: usize,
+) -> (&mut [f64; L], &mut [f64; L]) {
+    let (lo, hi) = plane.split_at_mut(j);
+    (&mut lo[i], &mut hi[0])
+}
+
+/// Decimation-in-frequency butterfly on rows `i`, `j` across `L` lanes:
+/// `a' = a + b`, `b' = (a - b) w^K`. `PRUNED` takes `b = 0` and leaves `a`.
+#[inline(always)]
+fn dif<const L: usize, const K: usize, const PRUNED: bool>(
+    re: &mut [[f64; L]; N],
+    im: &mut [[f64; L]; N],
+    i: usize,
+    j: usize,
+) {
+    let (ar, br) = rows(re, i, j);
+    let (ai, bi) = rows(im, i, j);
+    for l in 0..L {
+        let (dr, di) = if PRUNED {
+            (ar[l], ai[l])
+        } else {
+            let d = (ar[l] - br[l], ai[l] - bi[l]);
+            ar[l] += br[l];
+            ai[l] += bi[l];
+            d
+        };
+        (br[l], bi[l]) = twiddle::<K, false>(dr, di);
+    }
+}
+
+/// Decimation-in-time inverse butterfly: `t = b conj(w)^K`, `a' = a + t`,
+/// `b' = a - t`. `PRUNED` skips `b'`.
+#[inline(always)]
+fn dit<const L: usize, const K: usize, const PRUNED: bool>(
+    re: &mut [[f64; L]; N],
+    im: &mut [[f64; L]; N],
+    i: usize,
+    j: usize,
+) {
+    let (ar, br) = rows(re, i, j);
+    let (ai, bi) = rows(im, i, j);
+    for l in 0..L {
+        let (tr, ti) = twiddle::<K, true>(br[l], bi[l]);
+        if !PRUNED {
+            br[l] = ar[l] - tr;
+            bi[l] = ai[l] - ti;
+        }
+        ar[l] += tr;
+        ai[l] += ti;
+    }
+}
+
+/// Forward length-16 transform down the rows, natural order in, bit-reversed
+/// out. `PRUNED`: rows 8.. of the input are zero (and are not read).
+#[inline(always)]
+fn dif16<const L: usize, const PRUNED: bool>(re: &mut [[f64; L]; N], im: &mut [[f64; L]; N]) {
+    dif::<L, 0, PRUNED>(re, im, 0, 8);
+    dif::<L, 1, PRUNED>(re, im, 1, 9);
+    dif::<L, 2, PRUNED>(re, im, 2, 10);
+    dif::<L, 3, PRUNED>(re, im, 3, 11);
+    dif::<L, 4, PRUNED>(re, im, 4, 12);
+    dif::<L, 5, PRUNED>(re, im, 5, 13);
+    dif::<L, 6, PRUNED>(re, im, 6, 14);
+    dif::<L, 7, PRUNED>(re, im, 7, 15);
+    for b in [0, 8] {
+        dif::<L, 0, false>(re, im, b, b + 4);
+        dif::<L, 2, false>(re, im, b + 1, b + 5);
+        dif::<L, 4, false>(re, im, b + 2, b + 6);
+        dif::<L, 6, false>(re, im, b + 3, b + 7);
+    }
+    for b in [0, 4, 8, 12] {
+        dif::<L, 0, false>(re, im, b, b + 2);
+        dif::<L, 4, false>(re, im, b + 1, b + 3);
+    }
+    for b in [0, 2, 4, 6, 8, 10, 12, 14] {
+        dif::<L, 0, false>(re, im, b, b + 1);
+    }
+}
+
+/// Unnormalised inverse of [`dif16`]: bit-reversed order in, natural order
+/// out. `PRUNED`: only rows ..8 of the output are produced.
+#[inline(always)]
+fn dit16<const L: usize, const PRUNED: bool>(re: &mut [[f64; L]; N], im: &mut [[f64; L]; N]) {
+    for b in [0, 2, 4, 6, 8, 10, 12, 14] {
+        dit::<L, 0, false>(re, im, b, b + 1);
+    }
+    for b in [0, 4, 8, 12] {
+        dit::<L, 0, false>(re, im, b, b + 2);
+        dit::<L, 4, false>(re, im, b + 1, b + 3);
+    }
+    for b in [0, 8] {
+        dit::<L, 0, false>(re, im, b, b + 4);
+        dit::<L, 2, false>(re, im, b + 1, b + 5);
+        dit::<L, 4, false>(re, im, b + 2, b + 6);
+        dit::<L, 6, false>(re, im, b + 3, b + 7);
+    }
+    dit::<L, 0, PRUNED>(re, im, 0, 8);
+    dit::<L, 1, PRUNED>(re, im, 1, 9);
+    dit::<L, 2, PRUNED>(re, im, 2, 10);
+    dit::<L, 3, PRUNED>(re, im, 3, 11);
+    dit::<L, 4, PRUNED>(re, im, 4, 12);
+    dit::<L, 5, PRUNED>(re, im, 5, 13);
+    dit::<L, 6, PRUNED>(re, im, 6, 14);
+    dit::<L, 7, PRUNED>(re, im, 7, 15);
+}
+
+/// `dst[c][r] = src[r][c]` for every row of `src`.
+#[inline(always)]
+fn transpose<const A: usize, const B: usize>(src: &[[f64; A]], dst: &mut [[f64; B]; N]) {
+    for (r, row) in src.iter().enumerate() {
+        for (c, v) in row.iter().enumerate() {
+            dst[c][r] = *v;
+        }
+    }
+}
+
+/// A 256-sample plane of a spectrum as 16 rows of 16 lanes.
+#[inline(always)]
+fn plane_mut(plane: &mut [f64]) -> &mut [[f64; N]; N] {
+    plane
+        .as_chunks_mut::<N>()
+        .0
+        .try_into()
+        .expect("a spectrum plane holds 16 x 16 samples")
+}
+
+/// Full 2-D forward transform of a 16 x 16 array `[y][x]`, result `[kx][ky]`.
+fn forward_full(re: &mut [[f64; N]; N], im: &mut [[f64; N]; N]) {
+    dif16::<N, false>(re, im);
+    let (src_re, src_im) = (*re, *im);
+    transpose(&src_re[..], re);
+    transpose(&src_im[..], im);
+    dif16::<N, false>(re, im);
+}
+
+#[inline(always)]
+fn forward_body(x: &[C64; LEAF_PIXELS], spectrum: &mut [f64; SPECTRUM_LEN]) {
+    let mut re = [[0.0; LEAF_SIDE]; N];
+    let mut im = [[0.0; LEAF_SIDE]; N];
+    for (j, v) in x.iter().enumerate() {
+        re[j / LEAF_SIDE][j % LEAF_SIDE] = v.re;
+        im[j / LEAF_SIDE][j % LEAF_SIDE] = v.im;
+    }
+    dif16::<LEAF_SIDE, true>(&mut re, &mut im); // along y: [ky][x]
+    let (sre, sim) = spectrum.split_at_mut(BINS);
+    let (sre, sim) = (plane_mut(sre), plane_mut(sim));
+    transpose(&re[..], sre); // rows ..8 = [x][ky]
+    transpose(&im[..], sim);
+    dif16::<N, true>(sre, sim); // along x: [kx][ky]
+}
+
+#[inline(always)]
+fn accumulate_body(kernels: &[f64], sources: &[(Offset, &[f64])], out: &mut [C64; LEAF_PIXELS]) {
+    let mut re = [[0.0; N]; N];
+    let mut im = [[0.0; N]; N];
+    // One row of 16 bins at a time, summed in locals so the sums stay in
+    // registers across the neighbours.
+    for (r, (row_re, row_im)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+        let row = r * N..(r + 1) * N;
+        let (mut acc_re, mut acc_im) = ([0.0; N], [0.0; N]);
+        for &(off, src) in sources {
+            let k = &kernels[near_index(off) * SPECTRUM_LEN..][..SPECTRUM_LEN];
+            let (kre, kim) = (&k[row.clone()], &k[BINS..][row.clone()]);
+            let (sre, sim) = (&src[row.clone()], &src[BINS..][row.clone()]);
+            for i in 0..N {
+                acc_re[i] += kre[i] * sre[i] - kim[i] * sim[i];
+                acc_im[i] += kre[i] * sim[i] + kim[i] * sre[i];
+            }
+        }
+        (*row_re, *row_im) = (acc_re, acc_im);
+    }
+    dit16::<N, true>(&mut re, &mut im); // along kx: rows ..8 = [x][ky]
+    let mut wre = [[0.0; LEAF_SIDE]; N];
+    let mut wim = [[0.0; LEAF_SIDE]; N];
+    transpose(&re[..LEAF_SIDE], &mut wre); // [ky][x]
+    transpose(&im[..LEAF_SIDE], &mut wim);
+    dit16::<LEAF_SIDE, true>(&mut wre, &mut wim); // along ky: rows ..8 = [y][x]
+    for (j, o) in out.iter_mut().enumerate() {
+        o.re += wre[j / LEAF_SIDE][j % LEAF_SIDE];
+        o.im += wim[j / LEAF_SIDE][j % LEAF_SIDE];
+    }
+}
+
+// The AVX2 instances are compiled out under Miri: the interpreter has no
+// cpuid, and the portable instance is the bit-identical reference anyway.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
+// single call site); the body is the safe portable code, recompiled.
+unsafe fn forward_avx2(x: &[C64; LEAF_PIXELS], spectrum: &mut [f64; SPECTRUM_LEN]) {
+    forward_body(x, spectrum);
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
+// single call site); the body is the safe portable code, recompiled.
+unsafe fn accumulate_avx2(
+    kernels: &[f64],
+    sources: &[(Offset, &[f64])],
+    out: &mut [C64; LEAF_PIXELS],
+) {
+    accumulate_body(kernels, sources, out);
+}
+
+/// The near-field operator of one plan: nine 15 x 15 tables of distinct
+/// block entries and their 16 x 16 spectra.
+pub struct NearField {
+    /// `table[oi * 225 + (dy + 7) * 15 + (dx + 7)]`: interaction of an
+    /// observer pixel with the source pixel `(dx, dy)` pixels *before* it in
+    /// the leaf at offset `NEAR_OFFSETS[oi]`.
+    table: Vec<C64>,
+    /// Per offset one spectrum ([`SPECTRUM_LEN`] words, the `1/256` of the
+    /// inverse transform folded in).
+    kernels: Vec<f64>,
+}
+
+impl NearField {
+    /// Evaluates the nine tables on a grid of pixel size `px` and transforms
+    /// them.
+    pub fn new(kernel: &Kernel, px: f64) -> Self {
+        let span = LEAF_SIDE as i32 - 1;
+        let mut table = Vec::with_capacity(NEAR_OFFSETS.len() * TABLE_LEN);
+        let mut kernels = Vec::with_capacity(NEAR_OFFSETS.len() * SPECTRUM_LEN);
+        for (ox, oy) in NEAR_OFFSETS {
+            let mut re = [[0.0; N]; N];
+            let mut im = [[0.0; N]; N];
+            for dy in -span..=span {
+                for dx in -span..=span {
+                    // observer minus source, the source leaf displaced by
+                    // the offset
+                    let rx = (dx - ox as i32 * LEAF_SIDE as i32) as f64 * px;
+                    let ry = (dy - oy as i32 * LEAF_SIDE as i32) as f64 * px;
+                    let t = kernel.g0_element(rx.hypot(ry));
+                    table.push(t);
+                    let (iy, ix) = (dy.rem_euclid(N as i32), dx.rem_euclid(N as i32));
+                    re[iy as usize][ix as usize] = t.re;
+                    im[iy as usize][ix as usize] = t.im;
+                }
+            }
+            forward_full(&mut re, &mut im);
+            let scale = 1.0 / BINS as f64;
+            for plane in [&re, &im] {
+                kernels.extend(plane.as_flattened().iter().map(|v| v * scale));
+            }
+        }
+        NearField { table, kernels }
+    }
+
+    /// Number of neighbour offsets (Table I's near-field types).
+    pub fn n_offsets(&self) -> usize {
+        self.table.len() / TABLE_LEN
+    }
+
+    /// Rebuilds the dense 64 x 64 block of one offset from its table (row =
+    /// observer pixel, column = source pixel, both row-major in the leaf).
+    pub fn dense_block(&self, off: Offset) -> Matrix {
+        let t = &self.table[near_index(off) * TABLE_LEN..][..TABLE_LEN];
+        let span = LEAF_SIDE - 1;
+        Matrix::from_fn(LEAF_PIXELS, LEAF_PIXELS, |m, n| {
+            let dx = m % LEAF_SIDE + span - n % LEAF_SIDE;
+            let dy = m / LEAF_SIDE + span - n / LEAF_SIDE;
+            t[dy * TABLE_SIDE + dx]
+        })
+    }
+
+    /// Phase A: the spectrum of one leaf's 64 pixels.
+    pub fn forward(&self, x: &[C64], spectrum: &mut [f64]) {
+        let x: &[C64; LEAF_PIXELS] = x.try_into().expect("one leaf of pixels");
+        let spectrum: &mut [f64; SPECTRUM_LEN] = spectrum.try_into().expect("one leaf spectrum");
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime AVX2 check above.
+            unsafe { forward_avx2(x, spectrum) };
+            return;
+        }
+        forward_body(x, spectrum);
+    }
+
+    /// Phase B: adds onto `out` (one observer leaf's 64 pixels) the near
+    /// field of `sources` — each neighbour's offset and spectrum, summed in
+    /// the order given.
+    pub fn accumulate(&self, sources: &[(Offset, &[f64])], out: &mut [C64]) {
+        let out: &mut [C64; LEAF_PIXELS] = out.try_into().expect("one leaf of pixels");
+        for (_, s) in sources {
+            assert_eq!(s.len(), SPECTRUM_LEN, "one leaf spectrum");
+        }
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime AVX2 check above.
+            unsafe { accumulate_avx2(&self.kernels, sources, out) };
+            return;
+        }
+        accumulate_body(&self.kernels, sources, out);
+    }
+
+    /// Phase B for observer leaf `c` (Morton index) of `tree`: its in-bounds
+    /// neighbours in `near_list` order — the order every engine's
+    /// bit-identity rests on — each looked up by Morton index through
+    /// `spectrum_of`.
+    pub fn accumulate_leaf<'a>(
+        &self,
+        tree: &QuadTree,
+        c: usize,
+        spectrum_of: impl Fn(usize) -> &'a [f64],
+        out: &mut [C64],
+    ) {
+        let (ix, iy) = morton_decode(c as u32);
+        let sources: Vec<_> = tree
+            .near_list(ix as usize, iy as usize)
+            .into_iter()
+            .map(|(sx, sy, off)| {
+                (
+                    off,
+                    spectrum_of(morton_encode(sx as u32, sy as u32) as usize),
+                )
+            })
+            .collect();
+        self.accumulate(&sources, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ffw_geometry::Domain;
+    use ffw_numerics::c64;
+    use ffw_numerics::fft::dft_naive;
+    use ffw_numerics::vecops::rel_diff;
+
+    fn random_x(n: usize, seed: u64) -> Vec<C64> {
+        let mut s = seed;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        };
+        (0..n).map(|_| c64(next(), next())).collect()
+    }
+
+    fn scene() -> (Domain, Kernel, NearField) {
+        let domain = Domain::new(32, 1.0);
+        let kernel = Kernel::new(domain.k0(), domain.equivalent_radius());
+        let near = NearField::new(&kernel, domain.pixel_size());
+        (domain, kernel, near)
+    }
+
+    fn bit_reverse(k: usize) -> usize {
+        (k as u8).reverse_bits() as usize >> 4
+    }
+
+    #[test]
+    fn dense_blocks_match_kernel_elements() {
+        let (domain, kernel, near) = scene();
+        let px = domain.pixel_size();
+        assert_eq!(near.n_offsets(), 9);
+        for (ox, oy) in NEAR_OFFSETS {
+            let block = near.dense_block((ox, oy));
+            for m in 0..LEAF_PIXELS {
+                for n in 0..LEAF_PIXELS {
+                    // observation pixel m in the leaf at the origin, source
+                    // pixel n in the leaf offset by (ox, oy) leaf widths
+                    let mx = (m % LEAF_SIDE) as f64;
+                    let my = (m / LEAF_SIDE) as f64;
+                    let nx = (n % LEAF_SIDE) as f64 + ox as f64 * LEAF_SIDE as f64;
+                    let ny = (n / LEAF_SIDE) as f64 + oy as f64 * LEAF_SIDE as f64;
+                    let r = ((mx - nx) * px).hypot((my - ny) * px);
+                    assert_eq!(
+                        block.at(m, n),
+                        kernel.g0_element(r),
+                        "({ox},{oy}) [{m},{n}]"
+                    );
+                }
+            }
+        }
+        let own = near.dense_block((0, 0));
+        for d in 0..LEAF_PIXELS {
+            assert_eq!(own.at(d, d), kernel.self_term);
+        }
+    }
+
+    #[test]
+    fn every_offset_matches_its_dense_block() {
+        let (_, _, near) = scene();
+        let x = random_x(LEAF_PIXELS, 7);
+        let mut spectrum = vec![0.0; SPECTRUM_LEN];
+        near.forward(&x, &mut spectrum);
+        for off in NEAR_OFFSETS {
+            let mut y = random_x(LEAF_PIXELS, 8);
+            let mut y_ref = y.clone();
+            near.accumulate(&[(off, &spectrum)], &mut y);
+            near.dense_block(off).matvec_acc(&x, &mut y_ref);
+            let err = rel_diff(&y, &y_ref);
+            assert!(err <= 1e-13, "offset {off:?}: {err:e}");
+        }
+    }
+
+    #[test]
+    fn corner_edge_and_interior_leaves_match_the_dense_sum() {
+        let (domain, _, near) = scene();
+        let tree = QuadTree::new(&domain);
+        let x = random_x(tree.n_pixels(), 11);
+        let mut spectra = vec![0.0; tree.n_leaves() * SPECTRUM_LEN];
+        for (c, spectrum) in spectra.chunks_mut(SPECTRUM_LEN).enumerate() {
+            near.forward(&x[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS], spectrum);
+        }
+        let blocks: Vec<Matrix> = NEAR_OFFSETS.iter().map(|&o| near.dense_block(o)).collect();
+        let mut neighbours = Vec::new();
+        for c in 0..tree.n_leaves() {
+            let (ix, iy) = morton_decode(c as u32);
+            let list = tree.near_list(ix as usize, iy as usize);
+            neighbours.push(list.len());
+            let mut y = vec![C64::ZERO; LEAF_PIXELS];
+            let mut y_ref = y.clone();
+            let spectrum_of = |s: usize| &spectra[s * SPECTRUM_LEN..(s + 1) * SPECTRUM_LEN];
+            near.accumulate_leaf(&tree, c, spectrum_of, &mut y);
+            for (sx, sy, off) in list {
+                let s = morton_encode(sx as u32, sy as u32) as usize;
+                blocks[near_index(off)]
+                    .matvec_acc(&x[s * LEAF_PIXELS..(s + 1) * LEAF_PIXELS], &mut y_ref);
+            }
+            let err = rel_diff(&y, &y_ref);
+            assert!(err <= 1e-13, "leaf {c} ({ix},{iy}): {err:e}");
+        }
+        for n in [4, 6, 9] {
+            assert!(neighbours.contains(&n), "no leaf with {n} neighbours");
+        }
+    }
+
+    #[test]
+    fn pruned_transform_matches_naive_dft_and_round_trips() {
+        let x = random_x(LEAF_PIXELS, 3);
+        let mut spectrum = [0.0; SPECTRUM_LEN];
+        forward_body(x.as_slice().try_into().unwrap(), &mut spectrum);
+
+        // 2-D DFT of the zero-padded block: along x, then along y.
+        let mut padded = vec![vec![C64::ZERO; N]; N];
+        for (j, v) in x.iter().enumerate() {
+            padded[j / LEAF_SIDE][j % LEAF_SIDE] = *v;
+        }
+        let rows: Vec<Vec<C64>> = padded.iter().map(|row| dft_naive(row)).collect();
+        for kx in 0..N {
+            let column: Vec<C64> = rows.iter().map(|row| row[kx]).collect();
+            for (ky, want) in dft_naive(&column).into_iter().enumerate() {
+                let at = bit_reverse(kx) * N + bit_reverse(ky);
+                let got = c64(spectrum[at], spectrum[BINS + at]);
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "[{kx}][{ky}] {got:?} vs {want:?}"
+                );
+            }
+        }
+
+        // A unit impulse at the origin has the all-ones spectrum: with it as
+        // the (0, 0) kernel, accumulate is forward followed by inverse.
+        let mut kernels = vec![0.0; NEAR_OFFSETS.len() * SPECTRUM_LEN];
+        kernels[near_index((0, 0)) * SPECTRUM_LEN..][..BINS].fill(1.0 / BINS as f64);
+        let mut back = [C64::ZERO; LEAF_PIXELS];
+        accumulate_body(&kernels, &[((0, 0), &spectrum)], &mut back);
+        assert!(rel_diff(&back, &x) < 1e-15);
+    }
+
+    #[test]
+    fn dispatched_path_is_bit_identical_to_portable() {
+        let (_, _, near) = scene();
+        let x = random_x(3 * LEAF_PIXELS, 19);
+        let mut spectra = vec![0.0; 3 * SPECTRUM_LEN];
+        for (leaf, spectrum) in x.chunks(LEAF_PIXELS).zip(spectra.chunks_mut(SPECTRUM_LEN)) {
+            near.forward(leaf, spectrum);
+            let mut portable = [0.0; SPECTRUM_LEN];
+            forward_body(leaf.try_into().unwrap(), &mut portable);
+            assert_eq!(spectrum, portable);
+        }
+        let sources: Vec<_> = [(-1, 0), (0, 0), (1, 1)]
+            .into_iter()
+            .zip(spectra.chunks(SPECTRUM_LEN))
+            .collect();
+        let seed = random_x(LEAF_PIXELS, 23);
+        let mut y = seed.clone();
+        near.accumulate(&sources, &mut y);
+        let mut portable: [C64; LEAF_PIXELS] = seed.as_slice().try_into().unwrap();
+        accumulate_body(&near.kernels, &sources, &mut portable);
+        assert_eq!(y, portable);
+    }
+}

@@ -1,20 +1,22 @@
 //! MLFMA setup: precomputes every operator of the paper's Table I.
 //!
-//! | operator                | structure     | types                      |
-//! |-------------------------|---------------|----------------------------|
-//! | near-field interactions | dense         | 9 (neighbour offsets)      |
-//! | multipole expansion     | dense         | 1 (shared by all leaves)   |
-//! | interpolations          | band-diagonal | 1 per level pair           |
-//! | multipole shiftings     | diagonal      | 4 per level (child pos.)   |
-//! | translations            | diagonal      | 40 per level (offsets)     |
-//! | local shiftings         | diagonal      | 4 per level                |
-//! | anterpolations          | band-diagonal | transpose of interpolation |
-//! | local expansions        | dense         | adjoint of expansion       |
+//! | operator                | structure      | types                      |
+//! |-------------------------|----------------|----------------------------|
+//! | near-field interactions | block-Toeplitz | 9 x 256-sample spectra     |
+//! | multipole expansion     | dense          | 1 (shared by all leaves)   |
+//! | interpolations          | band-diagonal  | 1 per level pair           |
+//! | multipole shiftings     | diagonal       | 4 per level (child pos.)   |
+//! | translations            | diagonal       | 40 per level (offsets)     |
+//! | local shiftings         | diagonal       | 4 per level                |
+//! | anterpolations          | band-diagonal  | transpose of interpolation |
+//! | local expansions        | dense          | adjoint of expansion       |
 //!
 //! The regular pixel/cluster grid is what makes this reuse possible
 //! (Section IV-D): every leaf shares one expansion matrix, every neighbour
-//! pair with the same offset shares one near-field matrix, and every cluster
-//! pair with the same level and offset shares one diagonal translator.
+//! pair with the same offset shares one near-field operator, and every cluster
+//! pair with the same level and offset shares one diagonal translator. The
+//! same grid makes each near-field block block-Toeplitz, which [`NearField`]
+//! turns into a diagonal product per neighbour, one level below the leaves.
 //!
 //! Diagonal translator (2-D Rokhlin form): for observation cluster center
 //! `Co = Cs + X`,
@@ -24,8 +26,10 @@
 //! `e^{-i k khat . (r - C)}` and receive patterns the conjugate phase.
 
 use crate::interp::lagrange_interp_matrix;
+use crate::local::LocalExpansion;
+use crate::near::NearField;
 use crate::params::{Accuracy, InterpKind};
-use ffw_geometry::{Domain, Offset, QuadTree, LEAF_PIXELS, LEAF_SIDE, NEAR_OFFSETS, TOP_LEVEL};
+use ffw_geometry::{Domain, Offset, QuadTree, LEAF_PIXELS, LEAF_SIDE, TOP_LEVEL};
 use ffw_greens::Kernel;
 use ffw_numerics::bessel::hankel1_array;
 use ffw_numerics::fft::{resample_with_plans, Fft};
@@ -136,8 +140,10 @@ pub struct MlfmaPlan {
     pub levels: Vec<LevelPlan>,
     /// Multipole expansion matrix (leaf Q x 64), shared by all leaves.
     pub expansion: Matrix,
-    /// The 9 near-field matrices (64 x 64), ordered like `NEAR_OFFSETS`.
-    pub near: Vec<Matrix>,
+    /// Local expansion (the weighted adjoint of `expansion`), shared too.
+    pub local_expansion: LocalExpansion,
+    /// The near-field operator: one spectrum per neighbour offset.
+    pub near_field: NearField,
 }
 
 impl MlfmaPlan {
@@ -244,24 +250,8 @@ impl MlfmaPlan {
             C64::cis(-k * (a.cos() * lx * px + a.sin() * ly * px))
         });
 
-        // --- the 9 near-field matrices ---
-        let w_leaf = leaf.width;
-        let near = NEAR_OFFSETS
-            .iter()
-            .map(|&(ox, oy)| {
-                Matrix::from_fn(LEAF_PIXELS, LEAF_PIXELS, |m, n| {
-                    // observation pixel m in leaf at origin; source pixel n in
-                    // leaf offset by (ox, oy) * w_leaf
-                    let mx = (m % LEAF_SIDE) as f64;
-                    let my = (m / LEAF_SIDE) as f64;
-                    let nx = (n % LEAF_SIDE) as f64 + ox as f64 * LEAF_SIDE as f64;
-                    let ny = (n / LEAF_SIDE) as f64 + oy as f64 * LEAF_SIDE as f64;
-                    let r = ((mx - nx) * px).hypot((my - ny) * px);
-                    let _ = w_leaf;
-                    kernel.g0_element(r)
-                })
-            })
-            .collect();
+        let local_expansion = LocalExpansion::new(&expansion, kernel.coupling);
+        let near_field = NearField::new(&kernel, px);
 
         MlfmaPlan {
             domain: domain.clone(),
@@ -270,7 +260,8 @@ impl MlfmaPlan {
             accuracy,
             levels,
             expansion,
-            near,
+            local_expansion,
+            near_field,
         }
     }
 
@@ -292,7 +283,7 @@ impl MlfmaPlan {
     /// Realized operator census (the paper's Table I).
     pub fn census(&self) -> OperatorCensus {
         OperatorCensus {
-            near_field_types: self.near.len(),
+            near_field_types: self.near_field.n_offsets(),
             expansion_types: 1,
             interpolation_types: self.levels.len() - 1,
             multipole_shift_types: 4 * (self.levels.len() - 1),
@@ -322,13 +313,11 @@ impl MlfmaPlan {
             }
             translation_flops += pairs as f64 * lp.q as f64 * cmul;
             if idx + 1 < self.levels.len() {
-                let q_child = self.levels[idx + 1].q;
                 let children = 4 * n_clusters;
                 // interp (band p) + shift per child
                 let per_child =
                     lp.q as f64 * self.accuracy.interp_order as f64 * cmul + lp.q as f64 * cmul;
                 aggregation_flops += children as f64 * per_child;
-                let _ = q_child;
                 disaggregation_flops += children as f64 * per_child;
             }
             level_stats.push(LevelStats {
@@ -423,7 +412,10 @@ pub struct PlanStats {
     pub translation_flops: f64,
     /// Disaggregation flops.
     pub disaggregation_flops: f64,
-    /// Near-field flops.
+    /// Near-field flops of the paper's dense form (one 64 x 64 block per
+    /// neighbour pair): this feeds `ffw-perf`'s model of the GPU near field
+    /// and Table III, not the block-Toeplitz stage this crate executes — the
+    /// engine's `mlfma.flops.near` counter charges that.
     pub nearfield_flops: f64,
 }
 
@@ -551,29 +543,6 @@ mod tests {
             for j in 0..e.cols() {
                 assert!((e.at(q, j).abs() - 1.0).abs() < 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn near_matrices_match_kernel_elements() {
-        let plan = small_plan();
-        let px = plan.domain.pixel_size();
-        // offset (1, 0): source leaf to the right; pixel (0,0) obs vs (0,0) src
-        let idx_10 = NEAR_OFFSETS
-            .iter()
-            .position(|&o| o == (1, 0))
-            .expect("offset");
-        let m = &plan.near[idx_10];
-        let expect = plan.kernel.g0_element(8.0 * px);
-        assert!((m.at(0, 0) - expect).abs() < 1e-14);
-        // self matrix diagonal = self term
-        let idx_00 = NEAR_OFFSETS
-            .iter()
-            .position(|&o| o == (0, 0))
-            .expect("offset");
-        let s = &plan.near[idx_00];
-        for d in 0..LEAF_PIXELS {
-            assert!((s.at(d, d) - plan.kernel.self_term).abs() < 1e-15);
         }
     }
 

@@ -129,3 +129,46 @@ fn mlfma_and_dense_forward_agree() {
     let err = rel_diff(&phi_fast, &phi_dense);
     assert!(err < 1e-4, "MLFMA vs dense forward solution: {err:e}");
 }
+
+/// The block-Toeplitz near field through both engines: the serial 64 x 64
+/// `apply` against the direct `O(N^2)` product, and a 1 x 2 distributed
+/// apply of the same plan against the serial one.
+#[test]
+fn near_field_operator_through_serial_and_distributed_engines() {
+    let domain = Domain::new(64, 1.0);
+    let tree = ffw::geometry::QuadTree::new(&domain);
+    let plan = Arc::new(MlfmaPlan::new(&domain, Accuracy::default()));
+    let n = plan.n_pixels();
+    let mut s = 12u64;
+    let mut next = move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+    };
+    let x: Vec<C64> = (0..n).map(|_| ffw::numerics::c64(next(), next())).collect();
+
+    let engine = MlfmaEngine::new(Arc::clone(&plan), Arc::new(Pool::new(2)));
+    let mut y = vec![C64::ZERO; n];
+    engine.apply(&x, &mut y);
+
+    let kernel = Kernel::new(domain.k0(), domain.equivalent_radius());
+    let positions = tree_positions(&domain, &tree);
+    let mut y_direct = vec![C64::ZERO; n];
+    ffw::greens::DirectG0::new(kernel, &positions).apply(&x, &mut y_direct);
+    let err = rel_diff(&y, &y_direct);
+    assert!(err < 1e-5, "MLFMA vs direct product: {err:e}");
+
+    let per = n / 2;
+    let (slices, _) = ffw::mpi::run(2, |comm| {
+        let members: Vec<usize> = (0..comm.size()).collect();
+        let lo = comm.rank() * per;
+        let g0 = ffw::dist::DistMlfma::new(&comm, Arc::clone(&plan), members, true);
+        let mut y_local = vec![C64::ZERO; per];
+        g0.apply(&x[lo..lo + per], &mut y_local);
+        y_local
+    });
+    let y_dist: Vec<C64> = slices.into_iter().flatten().collect();
+    let gap = rel_diff(&y_dist, &y);
+    assert!(gap <= 1e-10, "1 x 2 distributed vs serial apply: {gap:e}");
+}
