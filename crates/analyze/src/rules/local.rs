@@ -272,11 +272,7 @@ pub fn r8_single_rhs_apply(f: &SourceFile, out: &mut Vec<Diag>) {
     let code = code_tokens(f);
     for w in code.windows(4) {
         let recv_ok = SINGLE_RHS_RECEIVERS.iter().any(|r| w[0].is_ident(r));
-        if recv_ok
-            && w[1].is_punct(".")
-            && (w[2].is_ident("apply") || w[2].is_ident("try_apply"))
-            && w[3].is_punct("(")
-        {
+        if recv_ok && w[1].is_punct(".") && w[2].is_ident("apply") && w[3].is_punct("(") {
             let li = (w[2].line as usize) - 1;
             if !f.is_test_line(li) && !f.index.waived(li, "lint:single-rhs-ok") {
                 out.push(diag(

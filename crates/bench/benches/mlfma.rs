@@ -101,7 +101,7 @@ fn bench_forward_solve(c: &mut Criterion) {
 /// dependency cycle.
 mod ffw_bench_adapter {
     use super::*;
-    use ffw_solver::LinOp;
+    use ffw_solver::{BlockLinOp, LinOp};
     pub struct Adapter<'a>(pub &'a MlfmaEngine);
     impl LinOp for Adapter<'_> {
         fn dim_out(&self) -> usize {
@@ -114,6 +114,7 @@ mod ffw_bench_adapter {
             self.0.apply(x, y);
         }
     }
+    impl BlockLinOp for Adapter<'_> {}
 }
 
 criterion_group!(

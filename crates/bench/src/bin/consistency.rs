@@ -2,7 +2,7 @@
 //! IV-B buffer-aggregation ablation, on the real message-passing runtime.
 
 use ffw_bench::{print_table, write_json};
-use ffw_dist::{dist_dbim, DistMlfma};
+use ffw_dist::{run_dbim_ft, DistMlfma, FtConfig};
 use ffw_geometry::{Domain, Point2, TransducerArray};
 use ffw_inverse::{dbim, synthesize_measurements, DbimConfig, ImagingSetup, MlfmaG0};
 use ffw_mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
@@ -134,27 +134,12 @@ fn main() {
         ..Default::default()
     };
     let serial_result = dbim(&setup, &g0, &measured, &cfg).expect("dbim");
-    let (groups, subtree) = (2usize, 2usize);
-    let plan2 = Arc::clone(&plan);
-    let setup_ref = &setup;
-    let measured_ref = &measured;
-    let cfg_ref = &cfg;
-    let (results, _) = ffw_mpi::run(groups * subtree, move |comm| {
-        dist_dbim(
-            &comm,
-            setup_ref,
-            Arc::clone(&plan2),
-            measured_ref,
-            groups,
-            subtree,
-            cfg_ref,
-        )
-    });
-    let mut image = vec![C64::ZERO; setup.n_pixels()];
-    for r in results.iter().take(subtree) {
-        image[r.pixel_range.clone()].copy_from_slice(&r.object_local);
-    }
-    let dbim_diff = rel_diff(&image, &serial_result.object);
+    let ft = FtConfig {
+        dbim: cfg,
+        ..FtConfig::new(2, 2)
+    };
+    let parallel = run_dbim_ft(&setup, Arc::clone(&plan), &measured, &ft).expect("2x2 dbim");
+    let dbim_diff = rel_diff(&parallel.object, &serial_result.object);
     println!(
         "\n2-D-parallel DBIM (2 groups x 2 sub-trees) vs serial image difference: {dbim_diff:.2e}"
     );

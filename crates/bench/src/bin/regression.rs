@@ -63,7 +63,7 @@ impl BenchRecord {
 
 const STAGES: [&str; 4] = ["aggregate", "translate", "disaggregate", "near"];
 
-/// Absolute tolerance on stage shares (fractions in [0,1]).
+/// Absolute tolerance on stage shares (fractions in `[0, 1]`).
 const SHARE_TOL: f64 = 0.15;
 /// Relative tolerance on comm volume.
 const COMM_TOL: f64 = 0.01;

@@ -66,13 +66,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
                 cli.tx
             ));
         }
-        if cli.precondition {
-            return Err(
-                "--batch cannot be combined with --precondition (the leaf-block \
-                 Jacobi path is single-RHS)"
-                    .into(),
-            );
-        }
     }
     if cli.backend != BackendChoice::Bicgstab {
         if cli.precondition {
@@ -356,8 +349,8 @@ fn parse_args() -> Result<Cli, String> {
                      with --precondition.\n\n\
                      --batch B solves B transmitter systems per fused multi-RHS \
                      MLFMA traversal (1 <= B <= --tx; default min(tx, 8)); every \
-                     batch width gives the bit-identical reconstruction. Not \
-                     compatible with --precondition (that path is single-RHS).\n\n\
+                     batch width gives the bit-identical reconstruction, \
+                     --precondition included.\n\n\
                      --backend selects the forward engine for every forward and \
                      adjoint solve: bicgstab (default, the paper's Krylov solver) \
                      or born-series (the convergent Born series — a fixed-point \

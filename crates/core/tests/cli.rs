@@ -76,12 +76,40 @@ fn batch_must_not_exceed_tx() {
     );
 }
 
+/// The leaf-block Jacobi pair rides into the one batched kernel like every
+/// other solve, so the panel width cannot show in a preconditioned image.
 #[test]
-fn batch_rejects_preconditioned_mode() {
-    assert_cli_error(
-        &["--batch", "2", "--precondition"],
-        "--batch cannot be combined with --precondition",
-    );
+fn preconditioned_run_is_byte_identical_across_batch_widths() {
+    let dir = std::env::temp_dir().join(format!("ffw-cli-precond-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create tmp dir");
+    let image = |batch: &str| {
+        let prefix = dir.join(format!("batch{batch}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_ffw-reconstruct"))
+            .args([
+                "--size",
+                "32",
+                "--tx",
+                "4",
+                "--rx",
+                "8",
+                "--iterations",
+                "2",
+            ])
+            .args(["--precondition", "--batch", batch])
+            .args(["--out", prefix.to_str().expect("utf8 path")])
+            .env("FFW_THREADS", "2")
+            .output()
+            .expect("spawn ffw-reconstruct");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "--precondition --batch {batch} failed\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(format!("{}_reconstruction.pgm", prefix.display())).expect("image")
+    };
+    assert_eq!(image("1"), image("4"), "batch width changed the image");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -140,30 +140,38 @@ impl<'c> DistMlfma<'c> {
         &self.plan
     }
 
-    /// Distributed `y_local = (G0 x)_local`.
+    /// Distributed `y_local = (G0 x)_local`: [`DistMlfma::try_apply_block`]
+    /// at panel width 1, panicking on a communication failure (tests and
+    /// benches; fault-tolerant drivers call the checked block form).
+    pub fn apply(&self, x_local: &[C64], y_local: &mut [C64]) {
+        let mut ys = [vec![C64::ZERO; y_local.len()]];
+        if let Err(e) = self.try_apply_block(&[x_local], &mut ys) {
+            panic!("ffw-dist: {e}");
+        }
+        y_local.copy_from_slice(&ys[0]);
+    }
+
+    /// Checked matvec of a panel of `B` right-hand sides:
+    /// `ys_local[b] = (G0 xs[b])_local`. This is the engine's only
+    /// traversal; a single right-hand side is a panel of width 1.
     ///
     /// Schedule (paper Fig. 8): send the near-field halo first, aggregate the
     /// local sub-trees while it is in flight, send far-field patterns, compute
     /// the near field while *they* are in flight, then receive and translate.
     ///
-    /// Communication failures panic; fault-tolerant drivers should call
-    /// [`DistMlfma::try_apply`] instead.
-    pub fn apply(&self, x_local: &[C64], y_local: &mut [C64]) {
-        if let Err(e) = self.try_apply(x_local, y_local) {
-            panic!("ffw-dist: {e}");
-        }
-    }
-
-    /// Checked block (multi-RHS) matvec: `ys_local[b] = (G0 xs[b])_local`
-    /// for a panel of `B` right-hand sides, with the halo and far-field
-    /// traffic of all columns *fused into one message per peer* — the
+    /// With `aggregate_buffers` on, the halo and far-field traffic of all
+    /// columns and all levels is *fused into one message per peer* — the
     /// paper's buffer aggregation (Section IV-B) extended along the
-    /// illumination dimension. Per-column arithmetic is identical to
-    /// [`DistMlfma::try_apply`], so each column's output is bit-identical
-    /// to a single-RHS apply.
+    /// illumination dimension. With it off (the ablation baseline) the same
+    /// traversal posts one halo message per column and one far-field message
+    /// per column, level and cluster. Per-column arithmetic never depends on
+    /// the packing or the panel width, so each column's output is
+    /// bit-identical either way.
     ///
-    /// Fusion piggybacks on buffer aggregation; with `aggregate_buffers`
-    /// off (the ablation baseline) columns are applied one at a time.
+    /// A dead peer or a message lost beyond the retry budget surfaces as a
+    /// typed [`FaultError`], letting the rank unwind cleanly. With
+    /// verification enabled ([`DistMlfma::with_verify`]) every panel, width
+    /// 1 included, carries the checksum column.
     pub fn try_apply_block(
         &self,
         xs_local: &[&[C64]],
@@ -265,10 +273,7 @@ impl<'c> DistMlfma<'c> {
     ) -> Result<(), FaultError> {
         let width = xs_local.len();
         assert_eq!(ys_local.len(), width, "block width mismatch");
-        if width <= 1 || !self.aggregate_buffers {
-            for (x, y) in xs_local.iter().zip(ys_local.iter_mut()) {
-                self.apply_inner(x, y)?;
-            }
+        if width == 0 {
             return Ok(());
         }
         let n_local = self.n_local();
@@ -282,24 +287,34 @@ impl<'c> DistMlfma<'c> {
         let slot = self.slot();
         let px_start = self.part.pixel_range.start;
 
-        // --- 1. post fused near-field halo sends (all columns, one message
-        // per peer, column-major: col 0's leaf blocks, then col 1's, ...) ---
+        // Columns sharing one halo message: the whole panel when buffers are
+        // aggregated, one column each in the ablation baseline.
+        let halo_cols = if self.aggregate_buffers { width } else { 1 };
+
+        // --- 1. post near-field halo sends (per message column-major: col
+        // 0's leaf blocks, then col 1's, ...) ---
         for (peer_slot, leaves) in self.exch.halo_send.iter().enumerate() {
             if leaves.is_empty() {
                 continue;
             }
-            let mut buf = Vec::with_capacity(width * leaves.len() * LEAF_PIXELS);
-            for x_local in xs_local {
-                for &leaf in leaves {
-                    let off = leaf * LEAF_PIXELS - px_start;
-                    buf.extend_from_slice(&x_local[off..off + LEAF_PIXELS]);
+            for group in xs_local.chunks(halo_cols) {
+                let mut buf = Vec::with_capacity(group.len() * leaves.len() * LEAF_PIXELS);
+                for x_local in group {
+                    for &leaf in leaves {
+                        let off = leaf * LEAF_PIXELS - px_start;
+                        buf.extend_from_slice(&x_local[off..off + LEAF_PIXELS]);
+                    }
                 }
+                self.comm.send_checked(
+                    self.members[peer_slot],
+                    TAG_HALO,
+                    Payload::C64(pack(&buf)),
+                )?;
             }
-            self.comm
-                .send_checked(self.members[peer_slot], TAG_HALO, Payload::C64(pack(&buf)))?;
         }
 
-        // --- 2. aggregation, column by column (identical per-column math) ---
+        // --- 2. aggregation over local sub-trees, column by column
+        // (overlaps halo transit) ---
         let mut outgoing_cols: Vec<Vec<Vec<C64>>> = Vec::with_capacity(width);
         for x_local in xs_local {
             let mut outgoing: Vec<Vec<C64>> = plan
@@ -340,7 +355,8 @@ impl<'c> DistMlfma<'c> {
             outgoing_cols.push(outgoing);
         }
 
-        // --- 3. post fused far-field pattern sends ---
+        // --- 3. post far-field pattern sends: one message per peer, or (the
+        // ablation baseline) one per column, level and cluster ---
         for peer_slot in 0..self.n_slots() {
             if peer_slot == slot {
                 continue;
@@ -350,7 +366,16 @@ impl<'c> DistMlfma<'c> {
                 for (li, out_l) in outgoing.iter().enumerate() {
                     let q = plan.levels[li].q;
                     for &cl in &self.exch.send[peer_slot][li] {
-                        buf.extend_from_slice(&out_l[cl * q..(cl + 1) * q]);
+                        let pattern = &out_l[cl * q..(cl + 1) * q];
+                        if self.aggregate_buffers {
+                            buf.extend_from_slice(pattern);
+                        } else {
+                            self.comm.send_checked(
+                                self.members[peer_slot],
+                                TAG_FARFIELD_LEVEL_BASE + li as u32,
+                                Payload::C64(pack(pattern)),
+                            )?;
+                        }
                     }
                 }
             }
@@ -363,25 +388,27 @@ impl<'c> DistMlfma<'c> {
             }
         }
 
-        // --- 4. receive fused halo, then near field per column ---
-        // x_halos[col] mirrors the scalar path's x_halo for that column.
+        // --- 4. receive the halo, then compute the near field into y,
+        // column by column. x_halos[col]: that column's halo leaf blocks. ---
         let mut x_halos: Vec<Vec<(usize, Vec<C64>)>> = vec![Vec::new(); width];
         for (peer_slot, leaves) in self.exch.halo_recv.iter().enumerate() {
             if leaves.is_empty() {
                 continue;
             }
-            let data = self
-                .comm
-                .recv_checked(self.members[peer_slot], TAG_HALO)?
-                .into_c64();
-            assert_eq!(data.len(), width * leaves.len() * LEAF_PIXELS);
-            for (col, halo) in x_halos.iter_mut().enumerate() {
-                let base = col * leaves.len() * LEAF_PIXELS;
-                for (i, &leaf) in leaves.iter().enumerate() {
-                    let mut block = vec![C64::ZERO; LEAF_PIXELS];
-                    let lo = base + i * LEAF_PIXELS;
-                    unpack_into(&data[lo..lo + LEAF_PIXELS], &mut block);
-                    halo.push((leaf, block));
+            for group in x_halos.chunks_mut(halo_cols) {
+                let data = self
+                    .comm
+                    .recv_checked(self.members[peer_slot], TAG_HALO)?
+                    .into_c64();
+                assert_eq!(data.len(), group.len() * leaves.len() * LEAF_PIXELS);
+                for (k, halo) in group.iter_mut().enumerate() {
+                    let base = k * leaves.len() * LEAF_PIXELS;
+                    for (i, &leaf) in leaves.iter().enumerate() {
+                        let mut block = vec![C64::ZERO; LEAF_PIXELS];
+                        let lo = base + i * LEAF_PIXELS;
+                        unpack_into(&data[lo..lo + LEAF_PIXELS], &mut block);
+                        halo.push((leaf, block));
+                    }
                 }
             }
         }
@@ -392,7 +419,7 @@ impl<'c> DistMlfma<'c> {
             self.near_field(x_local, x_halo, y_local);
         }
 
-        // --- 5. receive fused far-field patterns ---
+        // --- 5. receive far-field patterns, in the order they were sent ---
         for peer_slot in 0..self.n_slots() {
             if peer_slot == slot {
                 continue;
@@ -403,24 +430,40 @@ impl<'c> DistMlfma<'c> {
             if expect_col == 0 {
                 continue;
             }
-            let data = self
-                .comm
-                .recv_checked(self.members[peer_slot], TAG_FARFIELD)?
-                .into_c64();
-            assert_eq!(data.len(), width * expect_col);
+            let fused = if self.aggregate_buffers {
+                let data = self
+                    .comm
+                    .recv_checked(self.members[peer_slot], TAG_FARFIELD)?
+                    .into_c64();
+                assert_eq!(data.len(), width * expect_col);
+                data
+            } else {
+                Vec::new()
+            };
             let mut cursor = 0usize;
             for outgoing in &mut outgoing_cols {
                 for (li, out_l) in outgoing.iter_mut().enumerate() {
                     let q = plan.levels[li].q;
                     for &cl in &self.exch.recv[peer_slot][li] {
-                        unpack_into(&data[cursor..cursor + q], &mut out_l[cl * q..(cl + 1) * q]);
-                        cursor += q;
+                        let dst = &mut out_l[cl * q..(cl + 1) * q];
+                        if self.aggregate_buffers {
+                            unpack_into(&fused[cursor..cursor + q], dst);
+                            cursor += q;
+                        } else {
+                            let data = self.comm.recv_checked(
+                                self.members[peer_slot],
+                                TAG_FARFIELD_LEVEL_BASE + li as u32,
+                            )?;
+                            unpack_into(&data.into_c64(), dst);
+                        }
                     }
                 }
             }
         }
 
-        // --- 6–8. translate, downward pass and leaf receive per column ---
+        // --- 6–8. translations over local observation clusters, downward
+        // pass over local sub-trees, and leaf receive (add the far field
+        // into y), per column ---
         for (col, y_local) in ys_local.iter_mut().enumerate() {
             let outgoing = &outgoing_cols[col];
             let mut incoming: Vec<Vec<C64>> = plan
@@ -518,256 +561,6 @@ impl<'c> DistMlfma<'c> {
             out.fill(C64::ZERO);
             near.accumulate_leaf(&plan.tree, c, spectrum_of, out);
         }
-    }
-
-    /// Checked variant of [`DistMlfma::apply`]: a dead peer or a message
-    /// lost beyond the retry budget surfaces as a typed [`FaultError`]
-    /// instead of a panic, letting the rank unwind cleanly. With
-    /// verification enabled ([`DistMlfma::with_verify`]) the apply routes
-    /// through the checksum-carrying panel path as a width-1 panel.
-    pub fn try_apply(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        match &self.verify {
-            Some(v) => {
-                let mut ys = vec![y_local.to_vec()];
-                let r = self.apply_block_verified(v, &[x_local], &mut ys);
-                y_local.copy_from_slice(&ys[0]);
-                r
-            }
-            None => self.apply_inner(x_local, y_local),
-        }
-    }
-
-    fn apply_inner(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        let n_local = self.n_local();
-        assert_eq!(x_local.len(), n_local);
-        assert_eq!(y_local.len(), n_local);
-        let plan = &self.plan;
-        let n_levels = plan.levels.len();
-        let q_leaf = plan.leaf_plan().q;
-        let slot = self.slot();
-        let px_start = self.part.pixel_range.start;
-
-        // --- 1. post near-field halo sends (leaf pixel blocks) ---
-        for (peer_slot, leaves) in self.exch.halo_send.iter().enumerate() {
-            if leaves.is_empty() {
-                continue;
-            }
-            let mut buf = Vec::with_capacity(leaves.len() * LEAF_PIXELS);
-            for &leaf in leaves {
-                let off = leaf * LEAF_PIXELS - px_start;
-                buf.extend_from_slice(&x_local[off..off + LEAF_PIXELS]);
-            }
-            self.comm
-                .send_checked(self.members[peer_slot], TAG_HALO, Payload::C64(pack(&buf)))?;
-        }
-
-        // --- 2. aggregation over local sub-trees (overlaps halo transit) ---
-        let mut outgoing: Vec<Vec<C64>> = plan
-            .levels
-            .iter()
-            .map(|lp| vec![C64::ZERO; lp.n_side * lp.n_side * lp.q])
-            .collect();
-        {
-            // leaf expansions over the local leaf range
-            let leaf_range = self.part.leaf_range();
-            let e = &plan.expansion;
-            for c in leaf_range.clone() {
-                let off = c * LEAF_PIXELS - px_start;
-                e.matvec(
-                    &x_local[off..off + LEAF_PIXELS],
-                    &mut outgoing[n_levels - 1][c * q_leaf..(c + 1) * q_leaf],
-                );
-            }
-            // upward
-            for li in (0..n_levels - 1).rev() {
-                let (up, down) = outgoing.split_at_mut(li + 1);
-                let parents = &mut up[li];
-                let children = &down[0];
-                let lp = &plan.levels[li];
-                let q_parent = lp.q;
-                let q_child = plan.levels[li + 1].q;
-                let interp = lp.interp.as_ref().expect("non-leaf");
-                let mut tmp = vec![C64::ZERO; q_parent];
-                for p in self.part.cluster_ranges[li].clone() {
-                    let out = &mut parents[p * q_parent..(p + 1) * q_parent];
-                    for pos in 0..4usize {
-                        let ch = 4 * p + pos;
-                        interp.up(&children[ch * q_child..(ch + 1) * q_child], &mut tmp);
-                        let shift = &lp.shift_out[pos];
-                        for ((o, t), s) in out.iter_mut().zip(&tmp).zip(shift) {
-                            *o = t.mul_add(*s, *o);
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- 3. post far-field pattern sends ---
-        for peer_slot in 0..self.n_slots() {
-            if peer_slot == slot {
-                continue;
-            }
-            if self.aggregate_buffers {
-                let mut buf = Vec::new();
-                for (li, out_l) in outgoing.iter().enumerate() {
-                    let q = plan.levels[li].q;
-                    for &cl in &self.exch.send[peer_slot][li] {
-                        buf.extend_from_slice(&out_l[cl * q..(cl + 1) * q]);
-                    }
-                }
-                if !buf.is_empty() {
-                    self.comm.send_checked(
-                        self.members[peer_slot],
-                        TAG_FARFIELD,
-                        Payload::C64(pack(&buf)),
-                    )?;
-                }
-            } else {
-                for (li, out_l) in outgoing.iter().enumerate() {
-                    let q = plan.levels[li].q;
-                    for &cl in &self.exch.send[peer_slot][li] {
-                        self.comm.send_checked(
-                            self.members[peer_slot],
-                            TAG_FARFIELD_LEVEL_BASE + li as u32,
-                            Payload::C64(pack(&out_l[cl * q..(cl + 1) * q])),
-                        )?;
-                    }
-                }
-            }
-        }
-
-        // --- 4. receive halo, then compute the near field into y ---
-        let mut x_halo: Vec<(usize, Vec<C64>)> = Vec::new();
-        for (peer_slot, leaves) in self.exch.halo_recv.iter().enumerate() {
-            if leaves.is_empty() {
-                continue;
-            }
-            let data = self
-                .comm
-                .recv_checked(self.members[peer_slot], TAG_HALO)?
-                .into_c64();
-            assert_eq!(data.len(), leaves.len() * LEAF_PIXELS);
-            for (i, &leaf) in leaves.iter().enumerate() {
-                let mut block = vec![C64::ZERO; LEAF_PIXELS];
-                unpack_into(&data[i * LEAF_PIXELS..(i + 1) * LEAF_PIXELS], &mut block);
-                x_halo.push((leaf, block));
-            }
-        }
-        x_halo.sort_by_key(|(leaf, _)| *leaf);
-        self.near_field(x_local, &x_halo, y_local);
-
-        // --- 5. receive far-field patterns ---
-        for peer_slot in 0..self.n_slots() {
-            if peer_slot == slot {
-                continue;
-            }
-            let expect: usize = (0..n_levels)
-                .map(|li| self.exch.recv[peer_slot][li].len() * plan.levels[li].q)
-                .sum();
-            if expect == 0 {
-                continue;
-            }
-            if self.aggregate_buffers {
-                let data = self
-                    .comm
-                    .recv_checked(self.members[peer_slot], TAG_FARFIELD)?
-                    .into_c64();
-                assert_eq!(data.len(), expect);
-                let mut cursor = 0usize;
-                for (li, out_l) in outgoing.iter_mut().enumerate() {
-                    let q = plan.levels[li].q;
-                    for &cl in &self.exch.recv[peer_slot][li] {
-                        unpack_into(&data[cursor..cursor + q], &mut out_l[cl * q..(cl + 1) * q]);
-                        cursor += q;
-                    }
-                }
-            } else {
-                for (li, out_l) in outgoing.iter_mut().enumerate() {
-                    let q = plan.levels[li].q;
-                    for &cl in &self.exch.recv[peer_slot][li] {
-                        let data = self
-                            .comm
-                            .recv_checked(
-                                self.members[peer_slot],
-                                TAG_FARFIELD_LEVEL_BASE + li as u32,
-                            )?
-                            .into_c64();
-                        unpack_into(&data, &mut out_l[cl * q..(cl + 1) * q]);
-                    }
-                }
-            }
-        }
-
-        // --- 6. translations over local observation clusters ---
-        let mut incoming: Vec<Vec<C64>> = plan
-            .levels
-            .iter()
-            .map(|lp| vec![C64::ZERO; lp.n_side * lp.n_side * lp.q])
-            .collect();
-        for (li, lp) in plan.levels.iter().enumerate() {
-            let q = lp.q;
-            for obs in self.part.cluster_ranges[li].clone() {
-                let (ix, iy) = morton_decode(obs as u32);
-                let (head, tail) = incoming[li].split_at_mut(obs * q);
-                let _ = head;
-                let out = &mut tail[..q];
-                for (sx, sy, off) in plan
-                    .tree
-                    .interaction_list(lp.level, ix as usize, iy as usize)
-                {
-                    let s = morton_encode(sx as u32, sy as u32) as usize;
-                    let t = lp.translations[offset_index(off)].as_ref().expect("t");
-                    let src = &outgoing[li][s * q..(s + 1) * q];
-                    for qi in 0..q {
-                        out[qi] = t[qi].mul_add(src[qi], out[qi]);
-                    }
-                }
-            }
-        }
-
-        // --- 7. downward pass over local sub-trees ---
-        for li in 0..n_levels - 1 {
-            let (up, down) = incoming.split_at_mut(li + 1);
-            let parents = &up[li];
-            let children = &mut down[0];
-            let lp = &plan.levels[li];
-            let q_parent = lp.q;
-            let q_child = plan.levels[li + 1].q;
-            let interp = lp.interp.as_ref().expect("non-leaf");
-            let mut tmp = vec![C64::ZERO; q_parent];
-            for p in self.part.cluster_ranges[li].clone() {
-                let parent = &parents[p * q_parent..(p + 1) * q_parent];
-                for pos in 0..4usize {
-                    let shift = &lp.shift_in[pos];
-                    for ((t, g), s) in tmp.iter_mut().zip(parent).zip(shift) {
-                        *t = *g * *s;
-                    }
-                    let ch = 4 * p + pos;
-                    interp.down_add(
-                        &tmp,
-                        lp.anterp_scale,
-                        &mut children[ch * q_child..(ch + 1) * q_child],
-                    );
-                }
-            }
-        }
-
-        // --- 8. leaf receive: add the far field into y ---
-        {
-            let q = plan.leaf_plan().q;
-            let leaf_pat = incoming.last().expect("non-empty");
-            let mut far = vec![C64::ZERO; LEAF_PIXELS];
-            for c in self.part.leaf_range() {
-                plan.local_expansion
-                    .receive(&leaf_pat[c * q..(c + 1) * q], &mut far);
-                let out =
-                    &mut y_local[c * LEAF_PIXELS - px_start..(c + 1) * LEAF_PIXELS - px_start];
-                for (o, f) in out.iter_mut().zip(&far) {
-                    *o += *f;
-                }
-            }
-        }
-        Ok(())
     }
 }
 

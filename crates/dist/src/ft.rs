@@ -1,8 +1,9 @@
 //! Fault-tolerant distributed DBIM: checkpoint/restart plus zero-data-loss
 //! elastic recovery on rank death.
 //!
-//! The driver [`run_dbim_ft`] runs the same two-dimensional parallel DBIM as
-//! [`crate::dist_dbim`], but every rank uses the *checked* communication and
+//! The driver [`run_dbim_ft`] runs the paper's two-dimensional parallel DBIM
+//! (illumination groups x MLFMA sub-trees, the same iteration as the serial
+//! `ffw_inverse::dbim`); every rank uses the *checked* communication and
 //! solver paths, so a dead peer, a message lost beyond the retry budget, a
 //! payload that fails integrity verification, or a Krylov breakdown unwinds
 //! the rank with a typed [`FaultError`] instead of a panic or a hang.
@@ -224,9 +225,8 @@ fn lost_of(alive: &[Vec<usize>], n_tx: usize) -> Vec<usize> {
 
 /// Runs the fault-tolerant distributed DBIM reconstruction.
 ///
-/// On a clean run this computes the same iteration as [`crate::dist_dbim`]
-/// (and hence matches the serial `ffw_inverse::dbim` to near machine
-/// precision). Under faults it recovers per the module docs, and returns
+/// On a clean run this computes the same iteration as the serial
+/// `ffw_inverse::dbim` and matches it to near machine precision. Under faults it recovers per the module docs, and returns
 /// [`FaultError`] only when no recovery is possible: the restart budget is
 /// spent, every group is lost, the checkpoint is unusable, or a non-fault
 /// typed error (e.g. a Krylov breakdown that survived its restart) occurred.
@@ -524,8 +524,8 @@ struct FtRankOut {
     stopped: Option<u32>,
 }
 
-/// The per-rank body: the same iteration as `dist_dbim`, on the checked
-/// communication paths, with an optional state gather + checkpoint write at
+/// The per-rank body: one DBIM iteration loop on the checked communication
+/// paths, with an optional state gather + checkpoint write at
 /// the end of every outer iteration.
 #[allow(clippy::too_many_arguments)]
 fn ft_rank(

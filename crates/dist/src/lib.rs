@@ -8,18 +8,16 @@
 #![warn(missing_docs)]
 
 pub mod control;
-pub mod dbim_dist;
 pub mod engine;
 pub mod ft;
 pub mod partition;
 pub mod solver;
 
 pub use control::{IterProgress, JobControl};
-pub use dbim_dist::{dist_dbim, DistDbimResult};
 pub use engine::DistMlfma;
 pub use ft::{run_dbim_ft, FtConfig, FtDbimResult};
 pub use partition::{ExchangePlan, SubtreePartition, MAX_SUBTREE_RANKS};
 pub use solver::{
-    allreduce_scalars, dist_bicgstab, try_allreduce_scalars, try_dist_bicgstab,
-    DistAdjointScatteringOp, DistG0Op, DistOp, DistScatteringOp,
+    allreduce_scalars, try_allreduce_scalars, try_dist_bicgstab_block, DistAdjointScatteringOp,
+    DistG0Op, DistOp, DistScatteringOp,
 };

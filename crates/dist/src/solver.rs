@@ -96,34 +96,19 @@ pub fn try_allreduce_scalars(
     Ok(())
 }
 
-/// A distributed operator: applies to local slices, communicating internally.
+/// A distributed operator: applies to panels of local slices, communicating
+/// internally. A single right-hand side is a panel of width 1.
 pub trait DistOp {
     /// Local slice length.
     fn n_local(&self) -> usize;
-    /// `y_local = (A x)_local`.
-    fn apply_local(&self, x_local: &[C64], y_local: &mut [C64]);
-    /// Checked apply: communication failure surfaces as a typed error.
-    /// Operators without internal communication may keep the default, which
-    /// delegates to [`DistOp::apply_local`].
-    fn try_apply_local(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        self.apply_local(x_local, y_local);
-        Ok(())
-    }
     /// Checked block apply: `ys[b] = (A xs[b])_local` for a panel of `B`
-    /// columns. The default loops the scalar path (trivially bit-identical
-    /// per column); operators over a [`DistMlfma`] override it to fuse the
-    /// panel's communication into one message per peer.
+    /// columns, column-wise independent. Communication failure surfaces as a
+    /// typed error.
     fn try_apply_block_local(
         &self,
         xs_local: &[&[C64]],
         ys_local: &mut [Vec<C64>],
-    ) -> Result<(), FaultError> {
-        assert_eq!(xs_local.len(), ys_local.len(), "block width mismatch");
-        for (x, y) in xs_local.iter().zip(ys_local.iter_mut()) {
-            self.try_apply_local(x, y)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), FaultError>;
 }
 
 /// Distributed `A = I - G0 diag(O)` over a [`DistMlfma`].
@@ -138,31 +123,13 @@ impl DistOp for DistScatteringOp<'_, '_> {
     fn n_local(&self) -> usize {
         self.object_local.len()
     }
-    fn apply_local(&self, x_local: &[C64], y_local: &mut [C64]) {
-        self.try_apply_local(x_local, y_local)
-            .unwrap_or_else(|e| panic!("ffw-dist: {e}"));
-    }
-    fn try_apply_local(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        let ox: Vec<C64> = self
-            .object_local
-            .iter()
-            .zip(x_local)
-            .map(|(o, x)| *o * *x)
-            .collect();
-        self.g0.try_apply(&ox, y_local)?; // lint:single-rhs-ok the op's scalar building block
-        for (y, x) in y_local.iter_mut().zip(x_local) {
-            *y = *x - *y;
-        }
-        Ok(())
-    }
     fn try_apply_block_local(
         &self,
         xs_local: &[&[C64]],
         ys_local: &mut [Vec<C64>],
     ) -> Result<(), FaultError> {
         assert_eq!(xs_local.len(), ys_local.len(), "block width mismatch");
-        // Per-column scaling (same op order as the scalar path), one fused
-        // G0 traversal for the whole panel.
+        // Per-column scaling, one fused G0 traversal for the whole panel.
         let oxs: Vec<Vec<C64>> = xs_local
             .iter()
             .map(|x| {
@@ -196,18 +163,6 @@ impl DistOp for DistAdjointScatteringOp<'_, '_> {
     fn n_local(&self) -> usize {
         self.object_local.len()
     }
-    fn apply_local(&self, x_local: &[C64], y_local: &mut [C64]) {
-        self.try_apply_local(x_local, y_local)
-            .unwrap_or_else(|e| panic!("ffw-dist: {e}"));
-    }
-    fn try_apply_local(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        let xc: Vec<C64> = x_local.iter().map(|v| v.conj()).collect();
-        self.g0.try_apply(&xc, y_local)?; // lint:single-rhs-ok the op's scalar building block
-        for ((y, x), o) in y_local.iter_mut().zip(x_local).zip(self.object_local) {
-            *y = *x - o.conj() * y.conj();
-        }
-        Ok(())
-    }
     fn try_apply_block_local(
         &self,
         xs_local: &[&[C64]],
@@ -236,12 +191,6 @@ impl DistOp for DistG0Op<'_, '_> {
     fn n_local(&self) -> usize {
         self.0.n_local()
     }
-    fn apply_local(&self, x_local: &[C64], y_local: &mut [C64]) {
-        self.0.apply(x_local, y_local);
-    }
-    fn try_apply_local(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        self.0.try_apply(x_local, y_local)
-    }
     fn try_apply_block_local(
         &self,
         xs_local: &[&[C64]],
@@ -255,197 +204,6 @@ fn finite_c(v: C64) -> bool {
     v.re.is_finite() && v.im.is_finite()
 }
 
-/// How one distributed BiCGStab cycle ended. Breakdown decisions are made
-/// from *reduced* scalars, which are bit-identical on every member rank, so
-/// all ranks of the communicator take the same branch and stay in lockstep.
-enum DistCycleEnd {
-    Converged(f64),
-    MaxIters(f64),
-    Breakdown { res: f64, detail: String },
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dist_bicgstab_cycle<A: DistOp + ?Sized>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    b_norm: f64,
-    iters: &mut usize,
-    matvecs: &mut usize,
-) -> Result<DistCycleEnd, FaultError> {
-    let n = b.len();
-    let reduce1 = |v: f64| -> Result<f64, FaultError> {
-        let mut s = [c64(v, 0.0)];
-        try_allreduce_scalars(comm, members, &mut s)?;
-        Ok(s[0].re)
-    };
-    let mut r = vec![C64::ZERO; n];
-    a.try_apply_local(x, &mut r)?;
-    *matvecs += 1;
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = *bi - *ri; // r = b - A x
-    }
-    let r_hat = r.clone();
-    let mut rho = C64::ONE;
-    let mut alpha = C64::ONE;
-    let mut omega = C64::ONE;
-    let mut v = vec![C64::ZERO; n];
-    let mut p = vec![C64::ZERO; n];
-    let mut s = vec![C64::ZERO; n];
-    let mut t = vec![C64::ZERO; n];
-    let mut x_prev = vec![C64::ZERO; n];
-
-    let mut res = reduce1(norm2_sqr(&r))?.sqrt() / b_norm;
-    if !res.is_finite() {
-        return Ok(DistCycleEnd::Breakdown {
-            res: f64::NAN,
-            detail: "initial residual is not finite".into(),
-        });
-    }
-    if res < cfg.tol {
-        return Ok(DistCycleEnd::Converged(res));
-    }
-    loop {
-        if *iters >= cfg.max_iters {
-            return Ok(DistCycleEnd::MaxIters(res));
-        }
-        let mut dots = [zdotc(&r_hat, &r)];
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        let rho_new = dots[0];
-        if !finite_c(rho_new) {
-            return Ok(DistCycleEnd::Breakdown {
-                res,
-                detail: "rho inner product is not finite".into(),
-            });
-        }
-        if rho_new.abs() < 1e-300 {
-            return Ok(DistCycleEnd::Breakdown {
-                res,
-                detail: "rho underflow".into(),
-            });
-        }
-        *iters += 1;
-        let beta = (rho_new / rho) * (alpha / omega);
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        a.try_apply_local(&p, &mut v)?;
-        *matvecs += 1;
-        let mut dots = [zdotc(&r_hat, &v)];
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        alpha = rho_new / dots[0];
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        let s_norm = reduce1(norm2_sqr(&s))?.sqrt() / b_norm;
-        if s_norm < cfg.tol {
-            for i in 0..n {
-                x[i] += alpha * p[i];
-            }
-            return Ok(DistCycleEnd::Converged(s_norm));
-        }
-        a.try_apply_local(&s, &mut t)?;
-        *matvecs += 1;
-        let mut dots = [zdotc(&t, &s), zdotc(&t, &t)];
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        omega = dots[0] / dots[1];
-        // Snapshot x so a non-finite update can be rolled back instead of
-        // poisoning the iterate (NaN fails every `<` comparison, so the old
-        // loop silently ran to max_iters with a NaN x).
-        x_prev.copy_from_slice(x);
-        for i in 0..n {
-            x[i] += alpha * p[i] + omega * s[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        let res_new = reduce1(norm2_sqr(&r))?.sqrt() / b_norm;
-        if !res_new.is_finite() {
-            // Rolled-back step is not counted: `iterations` means update
-            // steps reflected in the returned iterate (SolveStats contract).
-            x.copy_from_slice(&x_prev);
-            *iters -= 1;
-            return Ok(DistCycleEnd::Breakdown {
-                res,
-                detail: "residual became non-finite".into(),
-            });
-        }
-        res = res_new;
-        if res < cfg.tol {
-            return Ok(DistCycleEnd::Converged(res));
-        }
-        rho = rho_new;
-    }
-}
-
-/// Distributed BiCGStab over local slices, with inner products reduced among
-/// `members`. The algorithm is numerically identical to the serial
-/// `ffw_solver::bicgstab` — enabling the paper's serial-vs-parallel
-/// consistency check.
-///
-/// Communication failures panic (use [`try_dist_bicgstab`] for typed
-/// errors); a breakdown returns honest unconverged stats with `x` at the
-/// last finite iterate.
-pub fn dist_bicgstab<A: DistOp>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-) -> SolveStats {
-    // lint:backend-ok the distributed Krylov entry points wrap their own impl
-    match dist_bicgstab_impl(a, comm, members, b, x, cfg, 0) {
-        Ok(stats) => stats,
-        Err(DistSolveFailure::Breakdown {
-            iterations,
-            matvecs,
-            rel_residual,
-            ..
-        }) => SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations,
-            matvecs,
-            rel_residual,
-            converged: false,
-        },
-        Err(DistSolveFailure::Comm(e)) => panic!("ffw-dist: {e}"),
-    }
-}
-
-/// Checked distributed BiCGStab: a dead peer or lost message surfaces as the
-/// originating [`FaultError`]; a Krylov breakdown retries once from the last
-/// finite iterate (all member ranks take the same decision, since it is made
-/// from reduced scalars) and then surfaces
-/// [`FaultError::KrylovBreakdown`].
-pub fn try_dist_bicgstab<A: DistOp>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-) -> Result<SolveStats, FaultError> {
-    // lint:backend-ok the distributed Krylov entry points wrap their own impl
-    match dist_bicgstab_impl(a, comm, members, b, x, cfg, 1) {
-        Ok(stats) => Ok(stats),
-        Err(DistSolveFailure::Comm(e)) => Err(e),
-        Err(DistSolveFailure::Breakdown {
-            iterations,
-            rel_residual,
-            detail,
-            ..
-        }) => Err(FaultError::KrylovBreakdown {
-            rank: comm.rank(),
-            iterations,
-            rel_residual,
-            detail,
-        }),
-    }
-}
-
 /// Fused `dst[c] = A src[c]` over the active columns of a panel, counting
 /// one matvec per column.
 fn block_apply_active<A: DistOp + ?Sized>(
@@ -453,7 +211,7 @@ fn block_apply_active<A: DistOp + ?Sized>(
     active: &[usize],
     src: &[Vec<C64>],
     dst: &mut [Vec<C64>],
-    matvecs: &mut [usize],
+    cols: &mut [Column],
 ) -> Result<(), FaultError> {
     let refs: Vec<&[C64]> = active.iter().map(|&c| src[c].as_slice()).collect();
     let mut outs: Vec<Vec<C64>> = active
@@ -463,28 +221,57 @@ fn block_apply_active<A: DistOp + ?Sized>(
     let result = a.try_apply_block_local(&refs, &mut outs);
     for (k, &c) in active.iter().enumerate() {
         dst[c] = std::mem::take(&mut outs[k]);
-        matvecs[c] += 1;
+        cols[c].matvecs += 1;
     }
     result
+}
+
+/// What one column carries through a lockstep sweep and, if it breaks down,
+/// into its retry: the iteration budget is shared across both.
+#[derive(Clone)]
+struct Column {
+    /// Reduced `||b||`, identical on every member rank.
+    b_norm: f64,
+    iters: usize,
+    matvecs: usize,
+    /// Last finite relative residual.
+    res: f64,
+    /// Set once the column converged or ran out of budget.
+    stats: Option<SolveStats>,
+}
+
+impl Column {
+    fn finish(&mut self, rel_residual: f64, converged: bool) {
+        self.stats = Some(SolveStats {
+            verify_matvecs: 0,
+            rolled_back: 0,
+            iterations: self.iters,
+            matvecs: self.matvecs,
+            rel_residual,
+            converged,
+        });
+    }
 }
 
 /// Batched distributed BiCGStab: iterates `B` right-hand sides in lockstep,
 /// so every matvec is a fused [`DistOp::try_apply_block_local`] over the
 /// still-active columns and every inner product for the panel rides in ONE
 /// allreduce instead of `B` — this is the paper's message-fusion idea
-/// extended along the illumination dimension.
+/// extended along the illumination dimension. A single system is a panel of
+/// width 1; this is the only distributed Krylov recurrence.
 ///
-/// Per-column arithmetic follows [`try_dist_bicgstab`]'s exact op order and
-/// never mixes columns, so each column's trajectory (iterates, residuals,
-/// stats) is bit-identical to a scalar solve of that column alone. Converged
-/// or broken-down columns are frozen out of subsequent fused applies; every
-/// freeze decision is made from *reduced* scalars, which are bit-identical on
-/// all member ranks, so ranks narrow the active set identically and stay in
-/// lockstep. Columns that break down are retried once from their last finite
-/// iterate after the lockstep sweep (matching [`try_dist_bicgstab`]'s
-/// `max_restarts = 1`); an exhausted column surfaces
-/// [`FaultError::KrylovBreakdown`], a communication failure aborts the whole
-/// batch with the originating error.
+/// Per-column arithmetic never mixes columns, so each column's trajectory
+/// (iterates, residuals, stats) is bit-identical at every panel width.
+/// Converged or broken-down columns are frozen out of subsequent fused
+/// applies; every freeze decision is made from *reduced* scalars, which are
+/// bit-identical on all member ranks, so ranks narrow the active set
+/// identically and stay in lockstep. A column that breaks down (rho
+/// underflow, NaN/Inf) is retried once from its last finite iterate after
+/// the lockstep sweep — a fresh width-1 sweep, which re-derives `r` and
+/// `r_hat` from the current `x` and so leaves the degenerate Krylov
+/// directions behind while keeping the progress made; a column whose retry
+/// breaks down too surfaces [`FaultError::KrylovBreakdown`], a
+/// communication failure aborts the whole batch with the originating error.
 pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
     a: &A,
     comm: &Comm,
@@ -504,37 +291,80 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
         assert_eq!(x.len(), n, "ragged initial guesses");
     }
 
-    // One fused reduction for all B norms (the scalar path pays B messages).
+    // One fused reduction for all B norms.
     let mut b_sqr: Vec<C64> = bs.iter().map(|b| c64(norm2_sqr(b), 0.0)).collect();
     try_allreduce_scalars(comm, members, &mut b_sqr)?;
-    let b_norm: Vec<f64> = b_sqr.iter().map(|v| v.re.sqrt()).collect();
-
-    let mut stats: Vec<SolveStats> = vec![
-        SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
+    let mut cols: Vec<Column> = b_sqr
+        .iter()
+        .map(|v| Column {
+            b_norm: v.re.sqrt(),
+            iters: 0,
             matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        };
-        width
-    ];
-    let mut iters = vec![0usize; width];
-    let mut matvecs = vec![0usize; width];
-    let mut res = vec![0f64; width];
-    // Columns that broke down in the lockstep sweep, retried afterwards.
-    let mut broken: Vec<(usize, String)> = Vec::new();
-
-    let mut active: Vec<usize> = Vec::new();
-    for c in 0..width {
-        if b_norm[c] == 0.0 {
-            // zero RHS short-circuits exactly like the scalar path
-            xs[c].iter_mut().for_each(|v| *v = C64::ZERO);
-        } else {
-            active.push(c);
+            res: 0.0,
+            stats: None,
+        })
+        .collect();
+    for (col, x) in cols.iter_mut().zip(xs.iter_mut()) {
+        if col.b_norm == 0.0 {
+            // a zero right-hand side is solved exactly by x = 0
+            x.iter_mut().for_each(|v| *v = C64::ZERO);
+            col.finish(0.0, true);
         }
     }
+
+    // Every rank derives `broken` from the same reduced scalars, so the
+    // per-column retries below stay collective across the communicator.
+    let mut broken = lockstep_sweep(a, comm, members, bs, xs, cfg, &mut cols)?;
+    broken.sort_by_key(|b| b.0);
+    let breakdown = |col: &Column, detail: String, restarts: u32| FaultError::KrylovBreakdown {
+        rank: comm.rank(),
+        iterations: col.iters,
+        rel_residual: col.res,
+        detail: format!("{detail} ({restarts} restart(s) attempted)"),
+    };
+    for (c, detail) in broken {
+        let x_finite = xs[c].iter().all(|v| finite_c(*v));
+        if !(cols[c].iters < cfg.max_iters && x_finite) {
+            return Err(breakdown(&cols[c], detail, 0));
+        }
+        let again = lockstep_sweep(
+            a,
+            comm,
+            members,
+            &bs[c..=c],
+            &mut xs[c..=c],
+            cfg,
+            &mut cols[c..=c],
+        )?;
+        if let Some((_, detail)) = again.into_iter().next() {
+            return Err(breakdown(&cols[c], detail, 1));
+        }
+    }
+    Ok(cols
+        .into_iter()
+        .map(|col| col.stats.expect("every column finalized"))
+        .collect())
+}
+
+/// One lockstep BiCGStab sweep over the unfinished columns of a panel: fresh
+/// residuals from the current `xs`, then iterate until every column has
+/// converged, spent the budget in `cfg` (counted from `cols[c].iters`), or
+/// broken down. Returns the broken columns with the reason; their `xs[c]` is
+/// left at the last finite iterate and `cols[c].res` at the last finite
+/// residual.
+fn lockstep_sweep<A: DistOp + ?Sized>(
+    a: &A,
+    comm: &Comm,
+    members: &[usize],
+    bs: &[&[C64]],
+    xs: &mut [Vec<C64>],
+    cfg: IterConfig,
+    cols: &mut [Column],
+) -> Result<Vec<(usize, String)>, FaultError> {
+    let width = bs.len();
+    let n = bs[0].len();
+    let mut broken: Vec<(usize, String)> = Vec::new();
+    let mut active: Vec<usize> = (0..width).filter(|&c| cols[c].stats.is_none()).collect();
 
     let mut r = vec![vec![C64::ZERO; n]; width];
     let mut r_hat = vec![Vec::new(); width];
@@ -550,7 +380,7 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
 
     if !active.is_empty() {
         // r = b - A x, one fused traversal for the panel
-        block_apply_active(a, &active, &*xs, &mut r, &mut matvecs)?;
+        block_apply_active(a, &active, &*xs, &mut r, cols)?;
         for &c in &active {
             for (ri, bi) in r[c].iter_mut().zip(bs[c]) {
                 *ri = *bi - *ri;
@@ -561,19 +391,15 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
         try_allreduce_scalars(comm, members, &mut rn)?;
         let mut survivors = Vec::with_capacity(active.len());
         for (k, &c) in active.iter().enumerate() {
-            res[c] = rn[k].re.sqrt() / b_norm[c];
-            if !res[c].is_finite() {
-                res[c] = f64::NAN;
+            let res = rn[k].re.sqrt() / cols[c].b_norm;
+            if !res.is_finite() {
+                cols[c].res = f64::NAN;
                 broken.push((c, "initial residual is not finite".into()));
-            } else if res[c] < cfg.tol {
-                stats[c] = SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: 0,
-                    matvecs: matvecs[c],
-                    rel_residual: res[c],
-                    converged: true,
-                };
+                continue;
+            }
+            cols[c].res = res;
+            if res < cfg.tol {
+                cols[c].finish(res, true);
             } else {
                 survivors.push(c);
             }
@@ -584,19 +410,12 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
     while !active.is_empty() {
         // budget check (iters is deterministic and identical on every rank)
         active.retain(|&c| {
-            if iters[c] >= cfg.max_iters {
-                stats[c] = SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: res[c],
-                    converged: false,
-                };
-                false
-            } else {
-                true
+            let in_budget = cols[c].iters < cfg.max_iters;
+            if !in_budget {
+                let res = cols[c].res;
+                cols[c].finish(res, false);
             }
+            in_budget
         });
         if active.is_empty() {
             break;
@@ -616,7 +435,7 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
                 broken.push((c, "rho underflow".into()));
                 continue;
             }
-            iters[c] += 1;
+            cols[c].iters += 1;
             let beta = (rho_new / rho[c]) * (alpha[c] / omega[c]);
             for i in 0..n {
                 p[c][i] = r[c][i] + beta * (p[c][i] - omega[c] * v[c][i]);
@@ -629,7 +448,7 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
             break;
         }
 
-        block_apply_active(a, &active, &p, &mut v, &mut matvecs)?;
+        block_apply_active(a, &active, &p, &mut v, cols)?;
         // phase 2: alpha and the early s-norm exit
         let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &v[c])).collect();
         try_allreduce_scalars(comm, members, &mut dots)?;
@@ -643,19 +462,12 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
         try_allreduce_scalars(comm, members, &mut sn)?;
         let mut survivors = Vec::with_capacity(active.len());
         for (k, &c) in active.iter().enumerate() {
-            let s_norm = sn[k].re.sqrt() / b_norm[c];
+            let s_norm = sn[k].re.sqrt() / cols[c].b_norm;
             if s_norm < cfg.tol {
                 for i in 0..n {
                     xs[c][i] += alpha[c] * p[c][i];
                 }
-                stats[c] = SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: s_norm,
-                    converged: true,
-                };
+                cols[c].finish(s_norm, true);
             } else {
                 survivors.push(c);
             }
@@ -665,7 +477,7 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
             break;
         }
 
-        block_apply_active(a, &active, &s, &mut t, &mut matvecs)?;
+        block_apply_active(a, &active, &s, &mut t, cols)?;
         // phase 3: omega, the x/r update and the residual check — the two
         // omega dots for every column ride in one reduction
         let mut dots: Vec<C64> = Vec::with_capacity(2 * active.len());
@@ -676,6 +488,9 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
         try_allreduce_scalars(comm, members, &mut dots)?;
         for (k, &c) in active.iter().enumerate() {
             omega[c] = dots[2 * k] / dots[2 * k + 1];
+            // Snapshot x so a non-finite update can be rolled back instead
+            // of poisoning the iterate (NaN fails every `<` comparison, so
+            // an unguarded loop silently runs to max_iters with a NaN x).
             x_prev[c].copy_from_slice(&xs[c]);
             for i in 0..n {
                 xs[c][i] += alpha[c] * p[c][i] + omega[c] * s[c][i];
@@ -686,26 +501,19 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
         try_allreduce_scalars(comm, members, &mut rn)?;
         let mut survivors = Vec::with_capacity(active.len());
         for (k, &c) in active.iter().enumerate() {
-            let res_new = rn[k].re.sqrt() / b_norm[c];
+            let res_new = rn[k].re.sqrt() / cols[c].b_norm;
             if !res_new.is_finite() {
                 // Roll back to the last finite iterate, keep the old res.
                 // The uncounted step follows the SolveStats contract:
                 // iterations = update steps reflected in the iterate.
                 xs[c].copy_from_slice(&x_prev[c]);
-                iters[c] -= 1;
+                cols[c].iters -= 1;
                 broken.push((c, "residual became non-finite".into()));
                 continue;
             }
-            res[c] = res_new;
+            cols[c].res = res_new;
             if res_new < cfg.tol {
-                stats[c] = SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: res_new,
-                    converged: true,
-                };
+                cols[c].finish(res_new, true);
             } else {
                 rho[c] = rho_next[c];
                 survivors.push(c);
@@ -713,168 +521,7 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
         }
         active = survivors;
     }
-
-    // Broken columns retry once from the last finite iterate, exactly like
-    // try_dist_bicgstab (max_restarts = 1). Every rank derived `broken` from
-    // the same reduced scalars, so the per-column cycles below stay
-    // collective across the communicator.
-    broken.sort_by_key(|a| a.0);
-    for (c, mut detail) in broken {
-        let mut restarts = 0u32;
-        loop {
-            let x_finite = xs[c].iter().all(|v| finite_c(*v));
-            if !(restarts < 1 && iters[c] < cfg.max_iters && x_finite) {
-                return Err(FaultError::KrylovBreakdown {
-                    rank: comm.rank(),
-                    iterations: iters[c],
-                    rel_residual: res[c],
-                    detail: format!("{detail} ({restarts} restart(s) attempted)"),
-                });
-            }
-            restarts += 1;
-            // lint:backend-ok restart loop inside the distributed Krylov implementation
-            match dist_bicgstab_cycle(
-                a,
-                comm,
-                members,
-                bs[c],
-                &mut xs[c],
-                cfg,
-                b_norm[c],
-                &mut iters[c],
-                &mut matvecs[c],
-            )? {
-                DistCycleEnd::Converged(r2) => {
-                    stats[c] = SolveStats {
-                        verify_matvecs: 0,
-                        rolled_back: 0,
-                        iterations: iters[c],
-                        matvecs: matvecs[c],
-                        rel_residual: r2,
-                        converged: true,
-                    };
-                    break;
-                }
-                DistCycleEnd::MaxIters(r2) => {
-                    stats[c] = SolveStats {
-                        verify_matvecs: 0,
-                        rolled_back: 0,
-                        iterations: iters[c],
-                        matvecs: matvecs[c],
-                        rel_residual: r2,
-                        converged: false,
-                    };
-                    break;
-                }
-                DistCycleEnd::Breakdown {
-                    res: r2,
-                    detail: d2,
-                } => {
-                    res[c] = r2;
-                    detail = d2;
-                }
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// Internal failure of the distributed solve core.
-enum DistSolveFailure {
-    /// A peer died or a message was lost mid-solve.
-    Comm(FaultError),
-    /// The Krylov recurrence broke down and the restart budget is spent.
-    Breakdown {
-        iterations: usize,
-        matvecs: usize,
-        rel_residual: f64,
-        detail: String,
-    },
-}
-
-impl From<FaultError> for DistSolveFailure {
-    fn from(e: FaultError) -> Self {
-        DistSolveFailure::Comm(e)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dist_bicgstab_impl<A: DistOp>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    max_restarts: u32,
-) -> Result<SolveStats, DistSolveFailure> {
-    let n = b.len();
-    assert_eq!(x.len(), n);
-    let mut b_sqr = [c64(norm2_sqr(b), 0.0)];
-    try_allreduce_scalars(comm, members, &mut b_sqr)?;
-    let b_norm = b_sqr[0].re.sqrt();
-    if b_norm == 0.0 {
-        x.iter_mut().for_each(|v| *v = C64::ZERO);
-        return Ok(SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        });
-    }
-    let mut iters = 0usize;
-    let mut matvecs = 0usize;
-    let mut restarts = 0u32;
-    loop {
-        // lint:backend-ok restart loop inside the distributed Krylov implementation
-        match dist_bicgstab_cycle(
-            a,
-            comm,
-            members,
-            b,
-            x,
-            cfg,
-            b_norm,
-            &mut iters,
-            &mut matvecs,
-        )? {
-            DistCycleEnd::Converged(res) => {
-                return Ok(SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    converged: true,
-                })
-            }
-            DistCycleEnd::MaxIters(res) => {
-                return Ok(SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    converged: false,
-                })
-            }
-            DistCycleEnd::Breakdown { res, detail } => {
-                let x_finite = x.iter().all(|v| finite_c(*v));
-                if restarts < max_restarts && iters < cfg.max_iters && x_finite {
-                    restarts += 1;
-                    continue;
-                }
-                return Err(DistSolveFailure::Breakdown {
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    detail: format!("{detail} ({restarts} restart(s) attempted)"),
-                });
-            }
-        }
-    }
+    Ok(broken)
 }
 
 #[cfg(test)]
@@ -956,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn dist_bicgstab_solves_distributed_scattering_system() {
+    fn width_one_solve_of_the_distributed_scattering_system() {
         let domain = Domain::new(32, 1.0);
         let plan = Arc::new(MlfmaPlan::new(&domain, Accuracy::low()));
         let n = plan.n_pixels();
@@ -974,20 +621,21 @@ mod tests {
                 g0: &g0,
                 object_local: &obj_ref[r * per..(r + 1) * per],
             };
-            let mut x = vec![C64::ZERO; per];
-            let stats = dist_bicgstab(
+            let mut xs = vec![vec![C64::ZERO; per]];
+            let stats = try_dist_bicgstab_block(
                 &a,
                 &comm,
                 &members,
-                &b_ref[r * per..(r + 1) * per],
-                &mut x,
+                &[&b_ref[r * per..(r + 1) * per]],
+                &mut xs,
                 ffw_solver::IterConfig {
                     tol: 1e-9,
                     max_iters: 500,
                 },
-            );
-            assert!(stats.converged, "{stats:?}");
-            x
+            )
+            .expect("solve");
+            assert!(stats[0].converged, "{stats:?}");
+            xs.remove(0)
         });
         let x: Vec<C64> = slices.into_iter().flatten().collect();
         // verify the residual with an independent single-rank apply
@@ -999,17 +647,17 @@ mod tests {
                 g0: &g0,
                 object_local: obj_ref,
             };
-            let mut y = vec![C64::ZERO; x_ref.len()];
-            a.apply_local(x_ref, &mut y);
-            y
+            let mut ys = vec![vec![C64::ZERO; x_ref.len()]];
+            a.try_apply_block_local(&[x_ref], &mut ys).expect("apply");
+            ys.remove(0)
         });
         assert!(rel_diff(&ys[0], &b) < 1e-7, "{}", rel_diff(&ys[0], &b));
     }
 
-    /// The batched distributed solver must reproduce the scalar distributed
-    /// solver bit-for-bit per column — iterates AND stats — at width 1 and
-    /// at a width that exercises real lockstep narrowing, including a zero
-    /// right-hand side column riding along.
+    /// A column of the batched distributed solver must reproduce its own
+    /// width-1 solve bit-for-bit — iterates AND stats — at a width that
+    /// exercises real lockstep narrowing, including a zero right-hand side
+    /// column riding along.
     #[test]
     fn block_solver_bit_identical_to_scalar_per_column() {
         let domain = Domain::new(32, 1.0);
@@ -1020,7 +668,7 @@ mod tests {
             tol: 1e-8,
             max_iters: 400,
         };
-        for width in [1usize, 3] {
+        for width in [2usize, 3] {
             let bs_full: Vec<Vec<C64>> = (0..width)
                 .map(|c| {
                     if width > 1 && c == 1 {
@@ -1048,12 +696,13 @@ mod tests {
                 let mut xs = vec![vec![C64::ZERO; per]; width];
                 let stats = try_dist_bicgstab_block(&a, &comm, &members, &b_locals, &mut xs, cfg)
                     .expect("block solve");
-                // scalar reference, one column at a time
+                // width-1 reference, one column at a time
                 for (c, b_local) in b_locals.iter().enumerate() {
-                    let mut x1 = vec![C64::ZERO; per];
-                    let s1 = try_dist_bicgstab(&a, &comm, &members, b_local, &mut x1, cfg)
-                        .expect("scalar solve");
-                    assert_eq!(xs[c], x1, "column {c} of width {width} drifted");
+                    let mut x1 = vec![vec![C64::ZERO; per]];
+                    let s1 = try_dist_bicgstab_block(&a, &comm, &members, &[b_local], &mut x1, cfg)
+                        .expect("width-1 solve")
+                        .remove(0);
+                    assert_eq!(xs[c], x1[0], "column {c} of width {width} drifted");
                     assert_eq!(
                         (stats[c].iterations, stats[c].matvecs, stats[c].converged),
                         (s1.iterations, s1.matvecs, s1.converged),
@@ -1070,6 +719,100 @@ mod tests {
             for per_rank in results {
                 assert!(per_rank.iter().all(|&ok| ok), "width {width} not converged");
             }
+        }
+    }
+
+    /// A dense single-rank operator whose column 0 returns NaN on the block
+    /// applies selected by `poison` (1-based call index).
+    struct FlakyOp<F: Fn(usize) -> bool> {
+        m: ffw_numerics::linalg::Matrix,
+        calls: std::sync::atomic::AtomicUsize,
+        poison: F,
+    }
+
+    impl<F: Fn(usize) -> bool> DistOp for FlakyOp<F> {
+        fn n_local(&self) -> usize {
+            self.m.rows()
+        }
+        fn try_apply_block_local(
+            &self,
+            xs: &[&[C64]],
+            ys: &mut [Vec<C64>],
+        ) -> Result<(), FaultError> {
+            let call = self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                + 1;
+            for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                self.m.matvec(x, y);
+            }
+            if (self.poison)(call) {
+                ys[0].iter_mut().for_each(|v| *v = c64(f64::NAN, f64::NAN));
+            }
+            Ok(())
+        }
+    }
+
+    fn flaky<F: Fn(usize) -> bool>(n: usize, poison: F) -> FlakyOp<F> {
+        let noise = random_x(n * n, 7);
+        let m = ffw_numerics::linalg::Matrix::from_fn(n, n, |r, c| {
+            noise[r * n + c] + if r == c { c64(6.0, 0.0) } else { C64::ZERO }
+        });
+        FlakyOp {
+            m,
+            calls: std::sync::atomic::AtomicUsize::new(0),
+            poison,
+        }
+    }
+
+    /// The breakdown contract of the distributed kernel: a column that goes
+    /// non-finite is rolled back to its last finite iterate and retried once
+    /// as a width-1 panel (siblings untouched); if the retry breaks down too
+    /// the solve surfaces `KrylovBreakdown` naming one restart.
+    #[test]
+    fn broken_column_retries_once_then_surfaces_breakdown() {
+        let n = 24;
+        let cfg = ffw_solver::IterConfig {
+            tol: 1e-10,
+            max_iters: 100,
+        };
+        let bs = [random_x(n, 31), random_x(n, 33)];
+        let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
+        let (results, _) = ffw_mpi::run(1, |comm| {
+            let solve = |op: &dyn DistOp| {
+                let mut xs = vec![vec![C64::ZERO; n]; 2];
+                let out = try_dist_bicgstab_block(op, &comm, &[0], &b_refs, &mut xs, cfg);
+                (out, xs)
+            };
+            let (clean, x_clean) = solve(&flaky(n, |_| false));
+            // block apply 4 is the `A p` of the panel's second iteration
+            let (transient, x_transient) = solve(&flaky(n, |call| call == 4));
+            let (persistent, _) = solve(&flaky(n, |call| call >= 4));
+            (clean, x_clean, transient, x_transient, persistent)
+        });
+        let (clean, x_clean, transient, x_transient, persistent) =
+            results.into_iter().next().expect("one rank");
+        let clean = clean.expect("clean solve");
+        let transient = transient.expect("one retry recovers a transient breakdown");
+        assert!(clean.iter().chain(&transient).all(|s| s.converged));
+        assert!(
+            clean[0].iterations > 2,
+            "the poisoned apply must be reached"
+        );
+        assert_eq!(transient[1], clean[1], "sibling column stats untouched");
+        assert_eq!(
+            x_transient[1], x_clean[1],
+            "sibling column iterate untouched"
+        );
+        assert!(
+            rel_diff(&x_transient[0], &x_clean[0]) < 1e-8,
+            "same solution"
+        );
+        match persistent {
+            Err(FaultError::KrylovBreakdown { detail, .. }) => {
+                assert!(detail.contains("1 restart(s) attempted)"), "{detail}")
+            }
+            other => panic!("expected KrylovBreakdown, got {other:?}"),
         }
     }
 
@@ -1098,13 +841,15 @@ mod tests {
                 g0: &g0,
                 object_local: ol,
             };
-            let mut ax = vec![C64::ZERO; per];
-            a.apply_local(&x_ref[r * per..(r + 1) * per], &mut ax);
-            let mut ahy = vec![C64::ZERO; per];
-            ah.apply_local(&y_ref[r * per..(r + 1) * per], &mut ahy);
+            let mut ax = vec![vec![C64::ZERO; per]];
+            a.try_apply_block_local(&[&x_ref[r * per..(r + 1) * per]], &mut ax)
+                .expect("forward apply");
+            let mut ahy = vec![vec![C64::ZERO; per]];
+            ah.try_apply_block_local(&[&y_ref[r * per..(r + 1) * per]], &mut ahy)
+                .expect("adjoint apply");
             let mut d = [
-                zdotc(&ax, &y_ref[r * per..(r + 1) * per]),
-                zdotc(&x_ref[r * per..(r + 1) * per], &ahy),
+                zdotc(&ax[0], &y_ref[r * per..(r + 1) * per]),
+                zdotc(&x_ref[r * per..(r + 1) * per], &ahy[0]),
             ];
             allreduce_scalars(&comm, &members, &mut d);
             d

@@ -28,10 +28,9 @@ use ffw_mlfma::MlfmaPlan;
 use ffw_numerics::vecops::{axpy_real, norm2, norm2_sqr, zdotc};
 use ffw_numerics::C64;
 use ffw_solver::{
-    bicgstab_precond, estimate_g0_norm, g0_adjoint_apply_block, make_backend, make_backend_guarded,
-    AdjointScatteringOp, BackendChoice, BackendError, BlockLinOp, CountingOp, DriftGuard,
-    ForwardBackend, IterConfig, LinOp, ScatteringOp, VerifiedBlockOp, VerifyConfig,
-    NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
+    estimate_g0_norm, g0_adjoint_apply_block, make_backend, BackendChoice, BackendError,
+    BlockLinOp, CountingOp, DriftGuard, ForwardBackend, IterConfig, PrecondPair, VerifiedBlockOp,
+    VerifyConfig, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
 use std::sync::Arc;
 
@@ -54,7 +53,7 @@ pub struct DbimConfig {
     /// the Tikhonov / seeded-smoothness / hybrid wGCV-LSQR families.
     /// `wgcv-lsqr` replaces the gradient and step passes with a
     /// Golub–Kahan hybrid projection and is incompatible with
-    /// `precondition` (that path is single-RHS nonlinear-CG specific).
+    /// `precondition` (admission pins the two apart).
     pub regularizer: Regularizer,
     /// Project the reconstruction onto nonnegative real contrasts after each
     /// step (physical prior for lossless dielectrics).
@@ -69,9 +68,8 @@ pub struct DbimConfig {
     /// Transmitters per batched forward/adjoint solve: each batch shares one
     /// fused MLFMA traversal per Krylov iteration (the paper's illumination
     /// parallelism, Section IV-B, realized as multi-RHS blocking).
-    /// `None` picks `min(n_tx, 8)`. Ignored (scalar solves) when
-    /// `precondition` is set — the leaf-block Jacobi path is single-RHS.
-    /// Per-column results are bit-identical for every batch size.
+    /// `None` picks `min(n_tx, 8)`. Per-column results are bit-identical for
+    /// every batch size, preconditioned or not.
     pub batch: Option<usize>,
     /// Forward engine for the (batched) forward/adjoint solves. The choice
     /// is config, not code path: `dbim` routes every solve through the
@@ -79,7 +77,7 @@ pub struct DbimConfig {
     /// `make_backend` arm, never a `dbim` change. The Born-series engine
     /// validates its contrast bound against each object iterate and fails
     /// typed ([`DbimError::Backend`]) instead of diverging. Incompatible
-    /// with `precondition` (the leaf-block Jacobi path is BiCGStab-specific).
+    /// with `precondition` (leaf-block Jacobi rides into the BiCGStab kernel).
     pub backend: BackendChoice,
     /// End-to-end compute-integrity verification. `Some` wraps every `G0`
     /// apply in an ABFT checksum window ([`VerifiedBlockOp`], calibrate
@@ -322,13 +320,11 @@ fn dbim_inner<G: BlockLinOp + ?Sized, P: Fn() -> Option<FaultError>>(
                 LeafBlockJacobi::new_adjoint(plan, &object),
             )
         });
+        let precond_pair = preconds.as_ref().map(|(m, mh)| -> PrecondPair { (m, mh) });
         // (re)build the forward engine against the current object iterate;
         // admission (e.g. the Born-series contrast bound, which depends on
         // max|O| of *this* iterate) happens here, before any solve runs.
-        let backend = match guard {
-            None => make_backend(cfg.backend, g0, &object, g0_norm)?,
-            Some(gd) => make_backend_guarded(cfg.backend, g0, &object, g0_norm, gd)?,
-        };
+        let backend = make_backend(cfg.backend, g0, &object, g0_norm, guard, precond_pair)?;
         // --- pass 1: fields and residuals ---
         let fields_span = ffw_obs::span("fields");
         if !cfg.warm_start {
@@ -336,28 +332,14 @@ fn dbim_inner<G: BlockLinOp + ?Sized, P: Fn() -> Option<FaultError>>(
                 f.iter_mut().for_each(|v| *v = C64::ZERO);
             }
         }
-        match &preconds {
-            // The leaf-block Jacobi path stays single-RHS.
-            Some((m, _)) => {
-                for (t, field) in fields.iter_mut().enumerate() {
-                    let a = ScatteringOp::new(g0, &object);
-                    // lint:backend-ok leaf-block Jacobi is BiCGStab-specific
-                    let stats = bicgstab_precond(&a, m, setup.incident(t), field, cfg.forward);
-                    forward_solves += 1;
-                    solver_iters += stats.iterations;
-                }
-            }
-            // Batched: each chunk of transmitters shares fused traversals,
-            // with per-column convergence masking inside the block solver.
-            None => {
-                for t0 in (0..n_tx).step_by(batch) {
-                    let t1 = (t0 + batch).min(n_tx);
-                    let incs: Vec<&[C64]> = (t0..t1).map(|t| setup.incident(t)).collect();
-                    let stats = backend.solve_block(&incs, &mut fields[t0..t1], cfg.forward);
-                    forward_solves += t1 - t0;
-                    solver_iters += stats.iter().map(|s| s.iterations).sum::<usize>();
-                }
-            }
+        // Batched: each chunk of transmitters shares fused traversals, with
+        // per-column convergence masking inside the block solver.
+        for t0 in (0..n_tx).step_by(batch) {
+            let t1 = (t0 + batch).min(n_tx);
+            let incs: Vec<&[C64]> = (t0..t1).map(|t| setup.incident(t)).collect();
+            let stats = backend.solve_block(&incs, &mut fields[t0..t1], cfg.forward);
+            forward_solves += t1 - t0;
+            solver_iters += stats.iter().map(|s| s.iterations).sum::<usize>();
         }
         for t in 0..n_tx {
             let mut r = vec![C64::ZERO; setup.n_rx()];
@@ -427,47 +409,20 @@ fn dbim_inner<G: BlockLinOp + ?Sized, P: Fn() -> Option<FaultError>>(
 
         // --- pass 2: gradient ---
         let gradient_span = ffw_obs::span("gradient");
-        let mut grad = vec![C64::ZERO; n];
-        match &preconds {
-            Some((_, mh)) => {
-                let mut y = vec![C64::ZERO; n];
-                let mut g0hz = vec![C64::ZERO; n];
-                for t in 0..n_tx {
-                    setup.gr_adjoint_apply(&residuals[t], &mut y);
-                    let rhs: Vec<C64> = object
-                        .iter()
-                        .zip(&y)
-                        .map(|(o, yi)| o.conj() * *yi)
-                        .collect();
-                    let mut z = vec![C64::ZERO; n];
-                    let ah = AdjointScatteringOp::new(g0, &object);
-                    // lint:backend-ok leaf-block Jacobi is BiCGStab-specific
-                    let stats = bicgstab_precond(&ah, mh, &rhs, &mut z, cfg.forward);
-                    forward_solves += 1;
-                    solver_iters += stats.iterations;
-                    ffw_solver::g0_adjoint_apply(g0, &z, &mut g0hz);
-                    for i in 0..n {
-                        grad[i] += fields[t][i].conj() * (y[i] + g0hz[i]);
-                    }
-                }
-            }
-            None => {
-                let mut counters = (0usize, 0usize);
-                grad = frechet_adjoint_apply_block(
-                    setup,
-                    g0,
-                    backend.as_ref(),
-                    &fields,
-                    &object,
-                    &residuals,
-                    cfg.forward,
-                    batch,
-                    &mut counters,
-                );
-                forward_solves += counters.0;
-                solver_iters += counters.1;
-            }
-        }
+        let mut counters = (0usize, 0usize);
+        let mut grad = frechet_adjoint_apply_block(
+            setup,
+            g0,
+            backend.as_ref(),
+            &fields,
+            &object,
+            &residuals,
+            cfg.forward,
+            batch,
+            &mut counters,
+        );
+        forward_solves += counters.0;
+        solver_iters += counters.1;
         if tik_lambda > 0.0 {
             for (g, o) in grad.iter_mut().zip(&object) {
                 *g += *o * tik_lambda;
@@ -520,54 +475,23 @@ fn dbim_inner<G: BlockLinOp + ?Sized, P: Fn() -> Option<FaultError>>(
         let step_span = ffw_obs::span("step");
         let mut num = 0.0f64;
         let mut den = 0.0f64;
-        match &preconds {
-            Some((m, _)) => {
-                let mut w = vec![C64::ZERO; n];
-                let mut g0w = vec![C64::ZERO; n];
-                for t in 0..n_tx {
-                    for i in 0..n {
-                        w[i] = fields[t][i] * dir[i];
-                    }
-                    g0.apply(&w, &mut g0w); // lint:single-rhs-ok preconditioned path is scalar
-                    let mut u = vec![C64::ZERO; n];
-                    let a = ScatteringOp::new(g0, &object);
-                    // lint:backend-ok leaf-block Jacobi is BiCGStab-specific
-                    let stats = bicgstab_precond(&a, m, &g0w, &mut u, cfg.forward);
-                    forward_solves += 1;
-                    solver_iters += stats.iterations;
-                    // F_t d = GR (w + O u)
-                    let src: Vec<C64> = w
-                        .iter()
-                        .zip(&u)
-                        .zip(&object)
-                        .map(|((wi, ui), oi)| *wi + *oi * *ui)
-                        .collect();
-                    let mut fd = vec![C64::ZERO; setup.n_rx()];
-                    setup.gr_apply(&src, &mut fd);
-                    num -= zdotc(&fd, &residuals[t]).re;
-                    den += norm2_sqr(&fd);
-                }
-            }
-            None => {
-                let mut counters = (0usize, 0usize);
-                let fds = frechet_apply_block(
-                    setup,
-                    g0,
-                    backend.as_ref(),
-                    &fields,
-                    &object,
-                    &dir,
-                    cfg.forward,
-                    batch,
-                    &mut counters,
-                );
-                forward_solves += counters.0;
-                solver_iters += counters.1;
-                for (fd, r) in fds.iter().zip(&residuals) {
-                    num -= zdotc(fd, r).re;
-                    den += norm2_sqr(fd);
-                }
-            }
+        let mut counters = (0usize, 0usize);
+        let fds = frechet_apply_block(
+            setup,
+            g0,
+            backend.as_ref(),
+            &fields,
+            &object,
+            &dir,
+            cfg.forward,
+            batch,
+            &mut counters,
+        );
+        forward_solves += counters.0;
+        solver_iters += counters.1;
+        for (fd, r) in fds.iter().zip(&residuals) {
+            num -= zdotc(fd, r).re;
+            den += norm2_sqr(fd);
         }
         if tik_lambda > 0.0 {
             // minimize ||b + alpha F d||^2 + lambda ||O + alpha d||^2
@@ -619,10 +543,7 @@ fn dbim_inner<G: BlockLinOp + ?Sized, P: Fn() -> Option<FaultError>>(
     // --- final residual pass (always unpreconditioned, batched) ---
     let _final_span = ffw_obs::span("final");
     let mut cost = 0.0f64;
-    let backend = match guard {
-        None => make_backend(cfg.backend, g0, &object, g0_norm)?,
-        Some(gd) => make_backend_guarded(cfg.backend, g0, &object, g0_norm, gd)?,
-    };
+    let backend = make_backend(cfg.backend, g0, &object, g0_norm, guard, None)?;
     for t0 in (0..n_tx).step_by(batch) {
         let t1 = (t0 + batch).min(n_tx);
         let incs: Vec<&[C64]> = (t0..t1).map(|t| setup.incident(t)).collect();
@@ -707,7 +628,7 @@ fn frechet_apply_block<G: BlockLinOp + ?Sized>(
 /// `out = sum_t F_t^H r_t`, batched exactly like the gradient pass:
 /// `y_t = GR^H r_t`, `A^H z_t = conj(O) . y_t`,
 /// `F_t^H r_t = conj(phi_t) . (y_t + G0^H z_t)` (E3, E4), accumulated in
-/// ascending `t` order (matches the scalar path bit-for-bit).
+/// ascending `t` order at every batch width.
 #[allow(clippy::too_many_arguments)]
 fn frechet_adjoint_apply_block<G: BlockLinOp + ?Sized>(
     setup: &ImagingSetup,
@@ -945,7 +866,7 @@ mod tests {
 
     /// Batching the per-transmitter solves is a pure scheduling change:
     /// every batch width must give the bit-identical reconstruction, history
-    /// and solve accounting (per-column trajectories equal the scalar path).
+    /// and solve accounting (per-column trajectories equal a width-1 solve).
     #[test]
     fn batch_width_does_not_change_the_reconstruction() {
         let (setup, g0, measured) = small_problem();

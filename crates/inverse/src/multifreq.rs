@@ -1,8 +1,8 @@
 //! Multi-frequency (frequency-hopping) DBIM.
 //!
 //! A standard extension in the DBIM literature the paper builds on (e.g.
-//! Lavarello & Oelze's multiple-frequency DBIM, paper ref. [6]; Yu, Yuan &
-//! Liu's multi-frequency DBIM-BCGS, ref. [24]): reconstruct at a low
+//! Lavarello & Oelze's multiple-frequency DBIM, paper ref. \[6\]; Yu, Yuan &
+//! Liu's multi-frequency DBIM-BCGS, ref. \[24\]): reconstruct at a low
 //! frequency first — where the cost functional is nearly convex — and use
 //! the recovered *permittivity contrast* as the initial guess at the next
 //! frequency, where resolution is higher but local minima abound.

@@ -95,7 +95,18 @@ mod tests {
     use ffw_greens::{assemble_g0, tree_positions, Kernel};
     use ffw_mlfma::Accuracy;
     use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
-    use ffw_solver::{bicgstab, bicgstab_precond, IterConfig, ScatteringOp};
+    use ffw_solver::{bicgstab, bicgstab_block_with, IterConfig, ScatteringOp, SolveStats};
+
+    fn solve_preconditioned(
+        a: &ScatteringOp<Matrix>,
+        m: &LeafBlockJacobi,
+        b: &[C64],
+        cfg: IterConfig,
+    ) -> (Vec<C64>, SolveStats) {
+        let mut xs = vec![vec![C64::ZERO; b.len()]];
+        let stats = bicgstab_block_with(a, &[b], &mut xs, cfg, None, Some(m)).remove(0);
+        (xs.remove(0), stats)
+    }
 
     fn scene(contrast: f64) -> (MlfmaPlan, Vec<C64>, Matrix) {
         let domain = Domain::new(32, 1.0);
@@ -126,8 +137,7 @@ mod tests {
         let mut x_plain = vec![C64::ZERO; n];
         let plain = bicgstab(&a, &b, &mut x_plain, cfg);
         let m = LeafBlockJacobi::new(&plan, &object);
-        let mut x_pre = vec![C64::ZERO; n];
-        let pre = bicgstab_precond(&a, &m, &b, &mut x_pre, cfg);
+        let (x_pre, pre) = solve_preconditioned(&a, &m, &b, cfg);
         assert!(plain.converged && pre.converged);
         assert!(
             ffw_numerics::vecops::rel_diff(&x_pre, &x_plain) < 1e-6,
@@ -148,8 +158,7 @@ mod tests {
         let mut x1 = vec![C64::ZERO; n];
         let plain = bicgstab(&a, &b, &mut x1, cfg);
         let m = LeafBlockJacobi::new(&plan, &object);
-        let mut x2 = vec![C64::ZERO; n];
-        let pre = bicgstab_precond(&a, &m, &b, &mut x2, cfg);
+        let (_, pre) = solve_preconditioned(&a, &m, &b, cfg);
         assert!(pre.converged);
         assert!(
             pre.iterations < plain.iterations,

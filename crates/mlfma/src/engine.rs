@@ -6,18 +6,16 @@
 //! computed is the full discretized Green's operator `y = G0 x`, including
 //! near-field self terms, with `O(N)` work and storage.
 //!
-//! Intra-node parallelization follows the paper's Section IV-C: levels with
-//! many clusters parallelize over clusters, levels with few clusters and many
-//! samples parallelize over samples. Both map onto `ffw_par::Pool` chunk
-//! loops.
-//!
-//! [`MlfmaEngine::apply_block`] additionally folds the paper's illumination
-//! dimension into a single traversal: a panel of `B` right-hand sides shares
+//! There is one traversal. [`MlfmaEngine::apply_block`] folds the paper's
+//! illumination dimension into it: a panel of `B` right-hand sides shares
 //! one pass over the far-field operators (expansion matrices, translators),
-//! with chunking over `(cluster x rhs)` slots so levels with few clusters
-//! still saturate the pool. Column-wise arithmetic is identical to the
-//! single-RHS path, so each column is bit-identical to a plain `apply`; the
-//! near field ([`crate::near`]) runs one column at a time in both.
+//! and every `ffw_par::Pool` chunk loop dispatches over `(cluster x column)`
+//! slots, so levels with few clusters still expose `n_clusters * B` units of
+//! work (the paper's Section IV-C switches such levels to sample
+//! parallelism instead; see DESIGN.md §1 for why that schedule was retired).
+//! [`MlfmaEngine::apply`] is the same traversal at panel width 1. Columns
+//! never mix, so a column's output is bit-identical at every panel width;
+//! the near field ([`crate::near`]) runs one column at a time.
 
 use crate::near::{FORWARD_FLOPS, INVERSE_FLOPS, PAIR_FLOPS, SPECTRUM_LEN};
 use crate::plan::{offset_index, MlfmaPlan};
@@ -27,64 +25,53 @@ use ffw_par::Pool;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Scratch buffers reused across matvecs: one outgoing and one incoming
-/// pattern array per computed level.
-struct Workspace {
-    /// outgoing[li][c * q .. (c+1) * q]: radiated far-field pattern of cluster c.
-    outgoing: Vec<Vec<C64>>,
-    /// incoming[li]: translated local pattern, same layout.
-    incoming: Vec<Vec<C64>>,
-}
-
-impl Workspace {
-    fn new(plan: &MlfmaPlan) -> Self {
-        let alloc = |li: usize| {
-            let lp = &plan.levels[li];
-            vec![C64::ZERO; lp.n_side * lp.n_side * lp.q]
-        };
-        Workspace {
-            outgoing: (0..plan.levels.len()).map(alloc).collect(),
-            incoming: (0..plan.levels.len()).map(alloc).collect(),
-        }
-    }
-}
-
-/// Panel-major scratch for the block (multi-RHS) path. The pattern slot of
+/// Panel-major scratch reused across applies: one outgoing and one incoming
+/// pattern array per computed level. The pattern slot of
 /// `(cluster c, column b)` at a level of width `B` lives at
 /// `(c * B + b) * q .. (c * B + b + 1) * q`: all columns of one cluster are
-/// adjacent, so a fused traversal streams each per-cluster operator once
-/// while sweeping the whole panel (see DESIGN.md "Block data layout").
+/// adjacent, so the traversal streams each per-cluster operator once while
+/// sweeping the whole panel (see DESIGN.md "Block data layout").
+///
+/// Buffers keep the capacity of the widest panel seen and are never
+/// cleared: convergence masking narrows panels step by step and width-1
+/// audits interleave with wide solves, so resizing per width would
+/// reallocate and zero-fill on nearly every apply. Stale contents are
+/// harmless because aggregation overwrites every outgoing slot and
+/// translation every incoming slot before anything reads them
+/// (`workspace_reuse_across_widths_is_bit_identical` pins that).
+#[derive(Default)]
 struct BlockWorkspace {
-    /// Panel width the buffers are currently sized for (0 = unallocated).
-    width: usize,
-    /// outgoing[li]: radiated patterns, `n_clusters * width * q` per level.
+    /// outgoing[li]: radiated patterns, `n_clusters * width * q` in use.
     outgoing: Vec<Vec<C64>>,
     /// incoming[li]: translated local patterns, same layout.
     incoming: Vec<Vec<C64>>,
 }
 
 impl BlockWorkspace {
-    fn empty() -> Self {
-        BlockWorkspace {
-            width: 0,
-            outgoing: Vec::new(),
-            incoming: Vec::new(),
+    /// Grows the buffers to hold a `width`-column panel if they do not
+    /// already, and returns the in-use windows `(outgoing, incoming)`.
+    fn windows(&mut self, plan: &MlfmaPlan, width: usize) -> (Vec<&mut [C64]>, Vec<&mut [C64]>) {
+        fn grow<'a>(
+            bufs: &'a mut Vec<Vec<C64>>,
+            plan: &MlfmaPlan,
+            width: usize,
+        ) -> Vec<&'a mut [C64]> {
+            bufs.resize(plan.levels.len(), Vec::new());
+            bufs.iter_mut()
+                .zip(&plan.levels)
+                .map(|(buf, lp)| {
+                    let len = lp.n_side * lp.n_side * width * lp.q;
+                    if buf.len() < len {
+                        buf.resize(len, C64::ZERO);
+                    }
+                    &mut buf[..len]
+                })
+                .collect()
         }
-    }
-
-    /// (Re)allocates for panel width `width`. Buffers are kept between
-    /// applies of the same width — the common case inside a batched solve.
-    fn ensure(&mut self, plan: &MlfmaPlan, width: usize) {
-        if self.width == width {
-            return;
-        }
-        let alloc = |li: usize| {
-            let lp = &plan.levels[li];
-            vec![C64::ZERO; lp.n_side * lp.n_side * width * lp.q]
-        };
-        self.outgoing = (0..plan.levels.len()).map(alloc).collect();
-        self.incoming = (0..plan.levels.len()).map(alloc).collect();
-        self.width = width;
+        (
+            grow(&mut self.outgoing, plan, width),
+            grow(&mut self.incoming, plan, width),
+        )
     }
 }
 
@@ -106,8 +93,8 @@ struct ObsHooks {
     bytes: [ffw_obs::Counter; 4],
     cost: [StageCost; 4],
     /// Bytes of *operator* data streamed by one traversal, per stage —
-    /// charged once per apply and once per fused block apply, which is where
-    /// the panel path's arithmetic-intensity win shows up in the model.
+    /// charged once per apply whatever its width, which is where the panel
+    /// path's arithmetic-intensity win shows up in the model.
     op_bytes: [u64; 4],
 }
 
@@ -125,23 +112,13 @@ impl ObsHooks {
         }
     }
 
-    /// Charges one apply's worth of modeled work to the counters. No-op
-    /// (4 branch-predicted loads) while the recorder is off.
+    /// Charges a `width`-column traversal: `mlfma.applies` advances by one
+    /// *per column* (so "applies" counts matvecs at any batching), pattern
+    /// flops/bytes scale with the panel width, but operator bytes are
+    /// charged once — that is the fused traversal's whole point. No-op (a
+    /// handful of branch-predicted loads) while the recorder is off.
     #[inline]
-    fn charge_apply(&self) {
-        self.applies.inc();
-        for i in 0..4 {
-            self.flops[i].add(self.cost[i].flops);
-            self.bytes[i].add(self.cost[i].bytes + self.op_bytes[i]);
-        }
-    }
-
-    /// Charges a `width`-column fused traversal: `mlfma.applies` advances by
-    /// one *per column* (so "applies" stays comparable to the single-RHS
-    /// path), pattern flops/bytes scale with the panel width, but operator
-    /// bytes are charged once — that is the fused path's whole point.
-    #[inline]
-    fn charge_apply_block(&self, width: u64) {
+    fn charge_apply(&self, width: u64) {
         self.applies.add(width);
         self.block_applies.inc();
         ffw_obs::histogram("mlfma.panel_width").record(width);
@@ -238,9 +215,9 @@ fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
 /// modeled as one `f64` per output sample per child, shift and translation
 /// diagonals) streamed by one tree traversal.
 ///
-/// This is the part of the `B>1` cost model that does *not* scale with the
-/// panel width: a fused `apply_block` reads each operator once for all `B`
-/// columns, while `B` single applies read them `B` times.
+/// This is the part of the cost model that does *not* scale with the panel
+/// width: one `apply_block` reads each operator once for all `B` columns,
+/// while `B` width-1 applies read them `B` times.
 fn operator_bytes(plan: &MlfmaPlan) -> [u64; 4] {
     const C: u64 = 16; // bytes per C64
     const W: u64 = 8; // bytes per interpolation weight (f64)
@@ -294,32 +271,23 @@ fn operator_bytes(plan: &MlfmaPlan) -> [u64; 4] {
 pub struct MlfmaEngine {
     plan: Arc<MlfmaPlan>,
     pool: Arc<Pool>,
-    workspace: Mutex<Workspace>,
-    block_ws: Mutex<BlockWorkspace>,
+    workspace: Mutex<BlockWorkspace>,
     /// One column of leaf spectra for the near field (`n_leaves` x
-    /// [`SPECTRUM_LEN`]), shared by the scalar and the block path — never
-    /// one per panel column.
+    /// [`SPECTRUM_LEN`]) — never one per panel column.
     near_spectra: Mutex<Vec<f64>>,
-    /// Clusters-per-level threshold below which translation switches from
-    /// cluster-parallel to sample-parallel.
-    sample_parallel_below: usize,
     obs: ObsHooks,
 }
 
 impl MlfmaEngine {
     /// Creates an engine bound to a plan and a thread pool.
     pub fn new(plan: Arc<MlfmaPlan>, pool: Arc<Pool>) -> Self {
-        let workspace = Mutex::new(Workspace::new(&plan));
         let near_spectra = Mutex::new(vec![0.0; plan.tree.n_leaves() * SPECTRUM_LEN]);
-        let sample_parallel_below = 4 * pool.n_threads();
         let obs = ObsHooks::new(&plan);
         MlfmaEngine {
             plan,
             pool,
-            workspace,
-            block_ws: Mutex::new(BlockWorkspace::empty()),
+            workspace: Mutex::new(BlockWorkspace::default()),
             near_spectra,
-            sample_parallel_below,
             obs,
         }
     }
@@ -334,30 +302,10 @@ impl MlfmaEngine {
         self.plan.n_pixels()
     }
 
-    /// Computes `y = G0 x` (both in tree order) in `O(N)`.
+    /// Computes `y = G0 x` (both in tree order) in `O(N)`: the traversal of
+    /// [`Self::apply_block`] at panel width 1.
     pub fn apply(&self, x: &[C64], y: &mut [C64]) {
-        assert_eq!(x.len(), self.n());
-        assert_eq!(y.len(), self.n());
-        let _apply = ffw_obs::span("mlfma.apply");
-        self.obs.charge_apply();
-        let mut ws = self.workspace.lock();
-        let ws = &mut *ws;
-        {
-            let _s = ffw_obs::span("aggregate");
-            self.aggregate(x, &mut ws.outgoing);
-        }
-        {
-            let _s = ffw_obs::span("translate");
-            self.translate(&ws.outgoing, &mut ws.incoming);
-        }
-        {
-            let _s = ffw_obs::span("disaggregate");
-            self.disaggregate(&mut ws.incoming);
-        }
-        {
-            let _s = ffw_obs::span("near");
-            self.receive_and_near(x, &ws.incoming, 1, 0, y);
-        }
+        self.apply_panel(&[x], &mut [y]);
     }
 
     /// Computes `ys[b] = G0 xs[b]` for a panel of `B` right-hand sides in a
@@ -368,17 +316,19 @@ impl MlfmaEngine {
     /// `n_clusters * B` units of parallelism. The leaf receive and the near
     /// field then run column by column, straight into `ys`.
     ///
-    /// Column-wise the arithmetic is identical (same operations, in the same
-    /// order) to [`Self::apply`], so each `ys[b]` is bit-identical to a
-    /// single-RHS apply of `xs[b]`. A panel of one delegates to `apply`.
+    /// Columns never mix (same operations, in the same order, at every
+    /// width), so each `ys[b]` is bit-identical whatever panel `xs[b]` rides
+    /// in — alone included.
     pub fn apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) {
+        let mut ys: Vec<&mut [C64]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+        self.apply_panel(xs, &mut ys);
+    }
+
+    /// The one traversal behind [`Self::apply`] and [`Self::apply_block`].
+    fn apply_panel(&self, xs: &[&[C64]], ys: &mut [&mut [C64]]) {
         let width = xs.len();
         assert_eq!(ys.len(), width, "block width mismatch");
         if width == 0 {
-            return;
-        }
-        if width == 1 {
-            self.apply(xs[0], &mut ys[0]);
             return;
         }
         let n = self.n();
@@ -387,192 +337,40 @@ impl MlfmaEngine {
             assert_eq!(y.len(), n);
         }
         let _apply = ffw_obs::span("mlfma.apply");
-        self.obs.charge_apply_block(width as u64);
-        let mut ws = self.block_ws.lock();
-        ws.ensure(&self.plan, width);
-        let ws = &mut *ws;
+        self.obs.charge_apply(width as u64);
+        let mut ws = self.workspace.lock();
+        let (mut outgoing, mut incoming) = ws.windows(&self.plan, width);
         {
             let _s = ffw_obs::span("aggregate");
-            self.aggregate_block(xs, &mut ws.outgoing, width);
+            self.aggregate_block(xs, &mut outgoing, width);
         }
         {
             let _s = ffw_obs::span("translate");
-            self.translate_block(&ws.outgoing, &mut ws.incoming, width);
+            self.translate_block(&outgoing, &mut incoming, width);
         }
         {
             let _s = ffw_obs::span("disaggregate");
-            self.disaggregate_block(&mut ws.incoming, width);
+            self.disaggregate_block(&mut incoming, width);
         }
         {
             let _s = ffw_obs::span("near");
             for (col, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
-                self.receive_and_near(x, &ws.incoming, width, col, y);
+                self.receive_and_near(x, &incoming, width, col, y);
             }
         }
     }
 
-    /// Phase 1+2 of Fig. 4's MLFMA box: leaf multipole expansions, then
-    /// upward interpolation + shift to every coarser level.
-    fn aggregate(&self, x: &[C64], outgoing: &mut [Vec<C64>]) {
-        let plan = &self.plan;
-        let n_levels = plan.levels.len();
-        // Leaf expansions: F_c = E x_c, grouped so each task does whole leaves.
-        let q_leaf = plan.leaf_plan().q;
-        let expansion = &plan.expansion;
-        self.pool
-            .for_each_chunk_mut(&mut outgoing[n_levels - 1], 8 * q_leaf, |start, chunk| {
-                let first_leaf = start / q_leaf;
-                for (i, out) in chunk.chunks_mut(q_leaf).enumerate() {
-                    let c = first_leaf + i;
-                    // zero + accumulate, as the panel kernel of the block
-                    // path does (`acc` and `0 + acc` differ in the sign of
-                    // an exact zero)
-                    out.fill(C64::ZERO);
-                    expansion.matvec_acc(&x[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS], out);
-                }
-            });
-        // Upward pass: parent patterns from child patterns.
-        for li in (0..n_levels - 1).rev() {
-            let _lvl = ffw_obs::span(format!("L{}", plan.levels[li].level));
-            let (parents, children) = {
-                let (a, b) = outgoing.split_at_mut(li + 1);
-                (&mut a[li], &b[0])
-            };
-            let lp = &plan.levels[li];
-            let q_parent = lp.q;
-            let q_child = plan.levels[li + 1].q;
-            let interp = lp.interp.as_ref().expect("non-leaf has interp");
-            self.pool
-                .for_each_chunk_mut(parents, q_parent, |start, out| {
-                    let p = start / q_parent;
-                    let mut tmp = vec![C64::ZERO; q_parent];
-                    for v in out.iter_mut() {
-                        *v = C64::ZERO;
-                    }
-                    for pos in 0..4usize {
-                        let c = 4 * p + pos; // Morton: children contiguous
-                        interp.up(&children[c * q_child..(c + 1) * q_child], &mut tmp);
-                        let shift = &lp.shift_out[pos];
-                        for ((o, t), s) in out.iter_mut().zip(&tmp).zip(shift) {
-                            *o = t.mul_add(*s, *o);
-                        }
-                    }
-                });
-        }
-    }
-
-    /// Phase 3: diagonal translations along every level's interaction lists.
-    fn translate(&self, outgoing: &[Vec<C64>], incoming: &mut [Vec<C64>]) {
-        let plan = &self.plan;
-        for (li, lp) in plan.levels.iter().enumerate() {
-            let _lvl = ffw_obs::span(format!("L{}", lp.level));
-            let q = lp.q;
-            let n_side = lp.n_side;
-            let n_clusters = n_side * n_side;
-            let src_pat = &outgoing[li];
-            let translate_one = |obs: usize, out: &mut [C64], q_range: std::ops::Range<usize>| {
-                let (ix, iy) = morton_decode(obs as u32);
-                for v in out[q_range.clone()].iter_mut() {
-                    *v = C64::ZERO;
-                }
-                for (sx, sy, off) in plan
-                    .tree
-                    .interaction_list(lp.level, ix as usize, iy as usize)
-                {
-                    let s = morton_encode(sx as u32, sy as u32) as usize;
-                    let t = lp.translations[offset_index(off)]
-                        .as_ref()
-                        .expect("translator");
-                    let src = &src_pat[s * q..(s + 1) * q];
-                    for qi in q_range.clone() {
-                        out[qi] = t[qi].mul_add(src[qi], out[qi]);
-                    }
-                }
-            };
-            if n_clusters >= self.sample_parallel_below {
-                // Cluster-parallel: each task owns whole clusters.
-                self.pool
-                    .for_each_chunk_mut(&mut incoming[li], q, |start, chunk| {
-                        let obs = start / q;
-                        translate_one(obs, chunk, 0..q);
-                    });
-            } else {
-                // Sample-parallel: few clusters, many samples per cluster.
-                for obs in 0..n_clusters {
-                    let slice = &mut incoming[li][obs * q..(obs + 1) * q];
-                    let grain = q.div_ceil(self.pool.n_threads().max(1)).max(16);
-                    // Copy out to satisfy the chunk API, operating on ranges.
-                    self.pool.for_each_chunk_mut(slice, grain, |qstart, sub| {
-                        let range = 0..sub.len();
-                        let mut local = vec![C64::ZERO; sub.len()];
-                        // translate only this sample window
-                        let (ix, iy) = morton_decode(obs as u32);
-                        for (sx, sy, off) in
-                            plan.tree
-                                .interaction_list(lp.level, ix as usize, iy as usize)
-                        {
-                            let s = morton_encode(sx as u32, sy as u32) as usize;
-                            let t = lp.translations[offset_index(off)]
-                                .as_ref()
-                                .expect("translator");
-                            let src = &src_pat[s * q..(s + 1) * q];
-                            for j in range.clone() {
-                                local[j] = t[qstart + j].mul_add(src[qstart + j], local[j]);
-                            }
-                        }
-                        sub.copy_from_slice(&local);
-                    });
-                }
-            }
-        }
-    }
-
-    /// Phase 4: downward pass — shift parent local expansions into children
-    /// and anterpolate onto the child sampling.
-    fn disaggregate(&self, incoming: &mut [Vec<C64>]) {
-        let plan = &self.plan;
-        let n_levels = plan.levels.len();
-        for li in 0..n_levels - 1 {
-            let _lvl = ffw_obs::span(format!("L{}", plan.levels[li].level));
-            let (parents, children) = {
-                let (a, b) = incoming.split_at_mut(li + 1);
-                (&a[li], &mut b[0])
-            };
-            let lp = &plan.levels[li];
-            let q_parent = lp.q;
-            let q_child = plan.levels[li + 1].q;
-            let interp = lp.interp.as_ref().expect("non-leaf");
-            let anterp_scale = lp.anterp_scale;
-            // Each task owns one parent => its 4 children (disjoint).
-            self.pool
-                .for_each_chunk_mut(children, 4 * q_child, |start, kids| {
-                    let p = start / (4 * q_child);
-                    let parent = &parents[p * q_parent..(p + 1) * q_parent];
-                    let mut tmp = vec![C64::ZERO; q_parent];
-                    for pos in 0..4usize {
-                        let shift = &lp.shift_in[pos];
-                        for ((t, g), s) in tmp.iter_mut().zip(parent).zip(shift) {
-                            *t = *g * *s;
-                        }
-                        let child = &mut kids[pos * q_child..(pos + 1) * q_child];
-                        interp.down_add(&tmp, anterp_scale, child);
-                    }
-                });
-        }
-    }
-
-    /// Phases 5+6 for column `col` of a `width`-column panel (`1, 0` on the
-    /// scalar path): convert leaf local expansions back to fields (local
-    /// expansion = quadrature-weighted adjoint of the multipole expansion)
-    /// and add the near-field interactions. Per column the work is the same
-    /// whatever the panel width — the spectra of `x`'s leaves first, then
-    /// per observer leaf the local expansion and the neighbours' diagonal
-    /// products in `near_list` order — so a block column is bit-identical
-    /// to `apply`.
+    /// Phases 5+6 for column `col` of a `width`-column panel: convert leaf
+    /// local expansions back to fields (local expansion =
+    /// quadrature-weighted adjoint of the multipole expansion) and add the
+    /// near-field interactions. Per column the work is the same whatever the
+    /// panel width — the spectra of `x`'s leaves first, then per observer
+    /// leaf the local expansion and the neighbours' diagonal products in
+    /// `near_list` order.
     fn receive_and_near(
         &self,
         x: &[C64],
-        incoming: &[Vec<C64>],
+        incoming: &[&mut [C64]],
         width: usize,
         col: usize,
         y: &mut [C64],
@@ -601,9 +399,11 @@ impl MlfmaEngine {
         });
     }
 
-    /// Block aggregation: one slot = one `(cluster, column)` pair, laid out
-    /// panel-major so the chunk loops below get contiguous disjoint windows.
-    fn aggregate_block(&self, xs: &[&[C64]], outgoing: &mut [Vec<C64>], width: usize) {
+    /// Phase 1+2 of Fig. 4's MLFMA box: leaf multipole expansions, then
+    /// upward interpolation + shift to every coarser level. One slot = one
+    /// `(cluster, column)` pair, laid out panel-major so the chunk loops
+    /// below get contiguous disjoint windows.
+    fn aggregate_block(&self, xs: &[&[C64]], outgoing: &mut [&mut [C64]], width: usize) {
         let plan = &self.plan;
         let n_levels = plan.levels.len();
         let q_leaf = plan.leaf_plan().q;
@@ -613,7 +413,7 @@ impl MlfmaEngine {
         // output), 8 leaves per task.
         let leaf_len = width * q_leaf;
         self.pool
-            .for_each_chunk_mut(&mut outgoing[n_levels - 1], 8 * leaf_len, |start, chunk| {
+            .for_each_chunk_mut(outgoing[n_levels - 1], 8 * leaf_len, |start, chunk| {
                 let first_leaf = start / leaf_len;
                 let mut srcs: Vec<&[C64]> = Vec::with_capacity(width);
                 for (i, out) in chunk.chunks_mut(leaf_len).enumerate() {
@@ -659,46 +459,43 @@ impl MlfmaEngine {
         }
     }
 
-    /// Block translation: `(cluster x rhs)` slot parallelism makes the
-    /// sample-parallel fallback unnecessary — even the coarsest level offers
-    /// `n_clusters * B` independent slots.
-    fn translate_block(&self, outgoing: &[Vec<C64>], incoming: &mut [Vec<C64>], width: usize) {
+    /// Phase 3: diagonal translations along every level's interaction
+    /// lists, one task per `(cluster, column)` slot.
+    fn translate_block(&self, outgoing: &[&mut [C64]], incoming: &mut [&mut [C64]], width: usize) {
         let plan = &self.plan;
         for (li, lp) in plan.levels.iter().enumerate() {
             let _lvl = ffw_obs::span(format!("L{}", lp.level));
             let q = lp.q;
             let src_pat = &outgoing[li];
-            self.pool
-                .for_each_chunk_mut(&mut incoming[li], q, |start, out| {
-                    let slot = start / q;
-                    let (obs, col) = (slot / width, slot % width);
-                    let (ix, iy) = morton_decode(obs as u32);
-                    for v in out.iter_mut() {
-                        *v = C64::ZERO;
+            self.pool.for_each_chunk_mut(incoming[li], q, |start, out| {
+                let slot = start / q;
+                let (obs, col) = (slot / width, slot % width);
+                let (ix, iy) = morton_decode(obs as u32);
+                for v in out.iter_mut() {
+                    *v = C64::ZERO;
+                }
+                for (sx, sy, off) in plan
+                    .tree
+                    .interaction_list(lp.level, ix as usize, iy as usize)
+                {
+                    let s = morton_encode(sx as u32, sy as u32) as usize;
+                    let t = lp.translations[offset_index(off)]
+                        .as_ref()
+                        .expect("translator");
+                    let soff = (s * width + col) * q;
+                    let src = &src_pat[soff..soff + q];
+                    for ((o, tv), sv) in out.iter_mut().zip(t.iter()).zip(src) {
+                        *o = tv.mul_add(*sv, *o);
                     }
-                    for (sx, sy, off) in
-                        plan.tree
-                            .interaction_list(lp.level, ix as usize, iy as usize)
-                    {
-                        let s = morton_encode(sx as u32, sy as u32) as usize;
-                        let t = lp.translations[offset_index(off)]
-                            .as_ref()
-                            .expect("translator");
-                        let soff = (s * width + col) * q;
-                        let src = &src_pat[soff..soff + q];
-                        for ((o, tv), sv) in out.iter_mut().zip(t.iter()).zip(src) {
-                            *o = tv.mul_add(*sv, *o);
-                        }
-                    }
-                });
+                }
+            });
         }
     }
 
-    /// Block downward pass: one slot = one `(child cluster, column)` pair.
-    /// This is finer-grained than the scalar path's one-parent-per-task
-    /// split, but computes the same `tmp = parent .* shift` product per
-    /// child, in the same order — per-column results stay bit-identical.
-    fn disaggregate_block(&self, incoming: &mut [Vec<C64>], width: usize) {
+    /// Phase 4: downward pass — shift parent local expansions into children
+    /// and anterpolate onto the child sampling. One slot = one
+    /// `(child cluster, column)` pair.
+    fn disaggregate_block(&self, incoming: &mut [&mut [C64]], width: usize) {
         let plan = &self.plan;
         let n_levels = plan.levels.len();
         for li in 0..n_levels - 1 {

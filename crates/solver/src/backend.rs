@@ -5,35 +5,34 @@
 //! the DBIM driver, the CLI, the service — talks to a [`ForwardBackend`]
 //! and names no solver. Two engines implement the trait today:
 //!
-//! * [`BicgstabBackend`] — the paper's MLFMA+BiCGStab Krylov path
-//!   (wrapping [`crate::forward`]);
+//! * [`BicgstabBackend`] — the paper's MLFMA+BiCGStab Krylov path (the
+//!   one kernel, [`crate::bicgstab_block_with`], on the forward or the
+//!   adjoint scattering operator);
 //! * [`crate::bornseries::BornSeriesBackend`] — the convergent Born-series
 //!   fixed-point engine (no Krylov recurrence at all), admissible whenever
 //!   the contrast bound `kappa = ||G0|| * max|O| < 1` holds.
 //!
-//! A third backend drops in by implementing the four `solve*` methods and
+//! A third backend drops in by implementing the two block methods and
 //! adding one arm to [`make_backend`]; `dbim()` and every caller above it
 //! are untouched. The trait contract:
 //!
-//! * `solve`/`solve_block` solve `A x = b`; `solve_adjoint*` solve
-//!   `A^H x = b`. `x` carries the initial guess (zero or a warm start) and
-//!   is overwritten with the solution.
-//! * The block variants iterate all columns against one shared operator so
-//!   applies fuse into [`crate::op::BlockLinOp::apply_block`] panels, with
-//!   per-RHS convergence masking; each column's trajectory must be
-//!   bit-identical to the scalar solve of that column alone, at any panel
-//!   width.
+//! * `solve_block` solves `A x = b`, `solve_adjoint_block` solves
+//!   `A^H x = b`, column by column. `x` carries the initial guess (zero or
+//!   a warm start) and is overwritten with the solution. The scalar
+//!   `solve`/`solve_adjoint` are provided: a panel of width 1.
+//! * All columns iterate against one shared operator so applies fuse into
+//!   [`crate::op::BlockLinOp::apply_block`] panels, with per-RHS
+//!   convergence masking; each column's trajectory must be bit-identical
+//!   at any panel width.
 //! * Returned [`SolveStats`] follow one shared meaning: `iterations` counts
 //!   the update steps reflected in the returned iterate, `matvecs` the
 //!   operator applications performed on the column's behalf.
 
-use crate::block::bicgstab_block_guarded;
-use crate::forward::{
-    solve_adjoint, solve_adjoint_block, solve_forward, solve_forward_block, AdjointScatteringOp,
-    ScatteringOp,
-};
-use crate::krylov::{IterConfig, SolveStats};
+use crate::block::bicgstab_block_with;
+use crate::forward::{AdjointScatteringOp, ScatteringOp};
+use crate::krylov::{width_one, IterConfig, SolveStats};
 use crate::op::{BlockLinOp, LinOp};
+use crate::precond::Precond;
 use crate::verify::DriftGuard;
 use ffw_numerics::vecops::norm2;
 use ffw_numerics::{c64, C64};
@@ -120,10 +119,6 @@ pub const KAPPA_LIMIT: f64 = 0.95;
 pub trait ForwardBackend: Sync {
     /// Stable engine name (matches [`BackendChoice::as_str`]).
     fn name(&self) -> &'static str;
-    /// Solves `A x = b` for one right-hand side.
-    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats;
-    /// Solves `A^H x = b` for one right-hand side.
-    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats;
     /// Solves `A xs[c] = bs[c]` for a panel of columns in lockstep.
     fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats>;
     /// Solves `A^H xs[c] = bs[c]` for a panel of columns in lockstep.
@@ -133,18 +128,32 @@ pub trait ForwardBackend: Sync {
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Vec<SolveStats>;
+    /// Solves `A x = b` for one right-hand side: a panel of width 1.
+    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
+        width_one(b, x, |bs, xs| self.solve_block(bs, xs, cfg))
+    }
+    /// Solves `A^H x = b` for one right-hand side: a panel of width 1.
+    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
+        width_one(b, x, |bs, xs| self.solve_adjoint_block(bs, xs, cfg))
+    }
 }
 
-/// The MLFMA+BiCGStab engine: wraps [`crate::forward`]'s solve entry points
-/// behind the backend seam.
+/// A right preconditioner for the forward system `A` and one for its
+/// adjoint `A^H`, in that order (see [`make_backend`]).
+pub type PrecondPair<'a> = (&'a dyn Precond, &'a dyn Precond);
+
+/// The MLFMA+BiCGStab engine: [`crate::bicgstab_block_with`] on the
+/// forward or adjoint scattering operator, behind the backend seam.
 pub struct BicgstabBackend<'a, G: BlockLinOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
     guard: Option<&'a DriftGuard>,
+    precond: Option<PrecondPair<'a>>,
 }
 
 impl<'a, G: BlockLinOp + ?Sized> BicgstabBackend<'a, G> {
-    /// Binds the engine to one `(G0, object)` pair.
+    /// Binds the plain engine (no guard, no preconditioner — those ride in
+    /// through [`make_backend`]) to one `(G0, object)` pair.
     pub fn new(g0: &'a G, object: &'a [C64]) -> Self {
         assert_eq!(g0.dim_in(), object.len());
         assert_eq!(g0.dim_out(), object.len());
@@ -152,18 +161,8 @@ impl<'a, G: BlockLinOp + ?Sized> BicgstabBackend<'a, G> {
             g0,
             object,
             guard: None,
+            precond: None,
         }
-    }
-
-    /// Attaches a [`DriftGuard`]: every solve audits the Krylov recurrence's
-    /// recursive residual against the true `b - A x` and rolls back to the
-    /// last verified iterate on divergence (see
-    /// [`crate::bicgstab_block_guarded`]). An escalated column surfaces as
-    /// `converged: false` in its [`SolveStats`]; callers inspect the guard's
-    /// counters to distinguish escalation from a plain budget freeze.
-    pub fn with_guard(mut self, guard: &'a DriftGuard) -> Self {
-        self.guard = Some(guard);
-        self
     }
 }
 
@@ -171,38 +170,9 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BicgstabBackend<'_, G> {
     fn name(&self) -> &'static str {
         BackendChoice::Bicgstab.as_str()
     }
-    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-        match self.guard {
-            None => solve_forward(self.g0, self.object, b, x, cfg),
-            Some(g) => {
-                let a = ScatteringOp::new(self.g0, self.object);
-                let mut xs = vec![x.to_vec()];
-                let stats = bicgstab_block_guarded(&a, &[b], &mut xs, cfg, g);
-                x.copy_from_slice(&xs[0]);
-                stats.into_iter().next().expect("one column")
-            }
-        }
-    }
-    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-        match self.guard {
-            None => solve_adjoint(self.g0, self.object, b, x, cfg),
-            Some(g) => {
-                let a = AdjointScatteringOp::new(self.g0, self.object);
-                let mut xs = vec![x.to_vec()];
-                let stats = bicgstab_block_guarded(&a, &[b], &mut xs, cfg, g);
-                x.copy_from_slice(&xs[0]);
-                stats.into_iter().next().expect("one column")
-            }
-        }
-    }
     fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats> {
-        match self.guard {
-            None => solve_forward_block(self.g0, self.object, bs, xs, cfg),
-            Some(g) => {
-                let a = ScatteringOp::new(self.g0, self.object);
-                bicgstab_block_guarded(&a, bs, xs, cfg, g)
-            }
-        }
+        let a = ScatteringOp::new(self.g0, self.object);
+        bicgstab_block_with(&a, bs, xs, cfg, self.guard, self.precond.map(|p| p.0))
     }
     fn solve_adjoint_block(
         &self,
@@ -210,13 +180,8 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BicgstabBackend<'_, G> {
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Vec<SolveStats> {
-        match self.guard {
-            None => solve_adjoint_block(self.g0, self.object, bs, xs, cfg),
-            Some(g) => {
-                let a = AdjointScatteringOp::new(self.g0, self.object);
-                bicgstab_block_guarded(&a, bs, xs, cfg, g)
-            }
-        }
+        let a = AdjointScatteringOp::new(self.g0, self.object);
+        bicgstab_block_with(&a, bs, xs, cfg, self.guard, self.precond.map(|p| p.1))
     }
 }
 
@@ -227,39 +192,40 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BicgstabBackend<'_, G> {
 /// contrast), so bicgstab callers may pass `0.0`. The estimate is a property
 /// of `G0` alone — compute it once per run and reuse it across outer
 /// iterations while the *object* changes underneath.
+///
+/// With a `guard`, both engines audit their recursive residual against the
+/// true `b - A x` every [`DriftGuard::period`] steps and at every would-be
+/// convergence, rolling back to the last verified iterate on divergence and
+/// escalating (column surfaced unconverged, guard counter bumped) once the
+/// rollback budget is spent; clean solves are bit-identical to unguarded
+/// ones. `precond` rides into the BiCGStab kernel only — the Born series
+/// has no Krylov recurrence to precondition, so passing one with that
+/// choice is a caller bug.
 pub fn make_backend<'a, G: BlockLinOp + ?Sized>(
     choice: BackendChoice,
     g0: &'a G,
     object: &'a [C64],
     g0_norm: f64,
+    guard: Option<&'a DriftGuard>,
+    precond: Option<PrecondPair<'a>>,
 ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
     match choice {
-        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend::new(g0, object))),
-        BackendChoice::BornSeries => Ok(Box::new(crate::bornseries::BornSeriesBackend::new(
-            g0, object, g0_norm,
-        )?)),
-    }
-}
-
-/// [`make_backend`] with a [`DriftGuard`] attached: both engines audit
-/// their recursive residual against the true `b - A x` every
-/// [`DriftGuard::period`] steps and at every would-be convergence, rolling
-/// back to the last verified iterate on divergence and escalating (column
-/// surfaced unconverged, guard counter bumped) once the rollback budget is
-/// spent. Clean solves are bit-identical to the unguarded backend's block
-/// path.
-pub fn make_backend_guarded<'a, G: BlockLinOp + ?Sized>(
-    choice: BackendChoice,
-    g0: &'a G,
-    object: &'a [C64],
-    g0_norm: f64,
-    guard: &'a DriftGuard,
-) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
-    match choice {
-        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend::new(g0, object).with_guard(guard))),
-        BackendChoice::BornSeries => Ok(Box::new(
-            crate::bornseries::BornSeriesBackend::new(g0, object, g0_norm)?.with_guard(guard),
-        )),
+        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend {
+            guard,
+            precond,
+            ..BicgstabBackend::new(g0, object)
+        })),
+        BackendChoice::BornSeries => {
+            assert!(
+                precond.is_none(),
+                "preconditioning is specific to the BiCGStab backend"
+            );
+            let mut born = crate::bornseries::BornSeriesBackend::new(g0, object, g0_norm)?;
+            if let Some(gd) = guard {
+                born = born.with_guard(gd);
+            }
+            Ok(Box::new(born))
+        }
     }
 }
 
@@ -402,13 +368,13 @@ mod tests {
         let object: Vec<C64> = (0..n)
             .map(|_| c64(2.0 * KAPPA_LIMIT / g0_norm.max(1e-12), 0.0))
             .collect();
-        let err = make_backend(BackendChoice::BornSeries, &g0, &object, g0_norm)
+        let err = make_backend(BackendChoice::BornSeries, &g0, &object, g0_norm, None, None)
             .err()
             .expect("over-contrast object must be rejected");
         let BackendError::ContrastTooHigh { kappa, limit } = err;
         assert!(kappa >= limit);
         assert_eq!(limit, KAPPA_LIMIT);
         // ...while the Krylov backend accepts the same object
-        assert!(make_backend(BackendChoice::Bicgstab, &g0, &object, g0_norm).is_ok());
+        assert!(make_backend(BackendChoice::Bicgstab, &g0, &object, g0_norm, None, None).is_ok());
     }
 }

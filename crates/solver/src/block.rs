@@ -7,19 +7,24 @@
 //! applied to `B` different vectors — exactly what
 //! [`BlockLinOp::apply_block`] fuses into one tree traversal.
 //!
-//! Numerics contract: each column runs the *identical* floating-point
-//! recurrence as the scalar [`crate::bicgstab`] — per-column scalars, per
-//! column inner products, same branch structure — so a column's trajectory
+//! This is the only serial BiCGStab recurrence in the workspace: a single
+//! right-hand side is a panel of width 1 ([`crate::bicgstab`]), and the
+//! drift guard and the right preconditioner are optional arguments of the
+//! one kernel, [`bicgstab_block_with`].
+//!
+//! Numerics contract: columns never mix — per-column scalars, per-column
+//! inner products, same branch structure — so a column's trajectory
 //! (iterates, residuals, iteration count) is bit-identical to solving it
-//! alone, provided the operator's `apply_block` is column-wise identical to
-//! `apply` (true for the default loop implementation and for the MLFMA
-//! engine's fused panel path). Convergence masking: a column that converges
-//! (or breaks down) *freezes* — its iterate is never touched again and it is
-//! excluded from subsequent block applies — while the remaining columns keep
-//! iterating until all are done.
+//! alone at any panel width, provided the operator's `apply_block` is
+//! column-wise independent (true for the default loop implementation and for
+//! the MLFMA engine's fused panel path). Convergence masking: a column that
+//! converges (or breaks down) *freezes* — its iterate is never touched again
+//! and it is excluded from subsequent block applies — while the remaining
+//! columns keep iterating until all are done.
 
-use crate::krylov::{finite_c, BreakdownKind, IterConfig, SolveError, SolveStats};
+use crate::krylov::{finite_c, BreakdownKind, IterConfig, SolveStats};
 use crate::op::BlockLinOp;
+use crate::precond::Precond;
 use crate::verify::DriftGuard;
 use ffw_numerics::vecops::{axpy, norm2, zdotc};
 use ffw_numerics::C64;
@@ -142,8 +147,7 @@ fn guard_recover(
 /// per-column convergence masking. Each `xs[c]` carries its initial guess
 /// (zero, or a warm start) and is overwritten with that column's solution.
 ///
-/// Per-column semantics match the scalar [`crate::bicgstab`] exactly: a
-/// breakdown (rho underflow, NaN/Inf iterate) freezes *only* that column,
+/// A breakdown (rho underflow, NaN/Inf iterate) freezes *only* that column,
 /// which reports honest unconverged [`SolveStats`] with its iterate left at
 /// the last finite value; sibling columns are unaffected and keep iterating.
 pub fn bicgstab_block<A: BlockLinOp + ?Sized>(
@@ -152,69 +156,53 @@ pub fn bicgstab_block<A: BlockLinOp + ?Sized>(
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
 ) -> Vec<SolveStats> {
-    bicgstab_block_impl(a, bs, xs, cfg, None)
+    bicgstab_block_with(a, bs, xs, cfg, None, None)
 }
 
-/// [`bicgstab_block`] with a [`DriftGuard`] auditing every column: the true
-/// residual `b - A x` is recomputed every [`DriftGuard::period`] update
-/// steps *and* at every would-be convergence, and recursive-vs-true
-/// divergence beyond [`DriftGuard::rel_tol`] rolls the column back to its
-/// last verified snapshot and replays. Transient corruption replays clean
-/// (the final iterate is bit-identical to an uncorrupted solve);
-/// deterministic corruption re-detects until [`DriftGuard::max_rollbacks`]
-/// is exhausted, at which point the guard escalates
-/// (`guard.escalated() > 0`) and the column is surfaced unconverged at its
-/// last verified iterate — never silently converged.
-///
-/// On a clean run the audits touch no recurrence state, so every column's
-/// trajectory — iterates, residuals, `iterations`, `matvecs` — is
-/// bit-identical to the unguarded solve; the audit applies are reported in
-/// `verify_matvecs`.
-pub fn bicgstab_block_guarded<A: BlockLinOp + ?Sized>(
-    a: &A,
-    bs: &[&[C64]],
-    xs: &mut [Vec<C64>],
-    cfg: IterConfig,
-    guard: &DriftGuard,
-) -> Vec<SolveStats> {
-    bicgstab_block_impl(a, bs, xs, cfg, Some(guard))
-}
-
-/// Scalar guarded BiCGStab: a width-1 [`bicgstab_block_guarded`] (the block
-/// solver's columns are bit-identical to scalar solves), with drift
-/// escalation surfaced as a typed [`SolveError::Breakdown`] of kind
-/// [`BreakdownKind::Drift`] instead of a counter the caller must poll.
-pub fn bicgstab_guarded<A: BlockLinOp + ?Sized>(
-    a: &A,
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    guard: &DriftGuard,
-) -> Result<SolveStats, SolveError> {
-    let escalated_before = guard.escalated();
-    let mut xs = vec![x.to_vec()];
-    let stats = bicgstab_block_impl(a, &[b], &mut xs, cfg, Some(guard))
-        .pop()
-        .expect("one column");
-    x.copy_from_slice(&xs[0]);
-    if guard.escalated() > escalated_before {
-        return Err(SolveError::Breakdown {
-            kind: BreakdownKind::Drift,
-            iterations: stats.iterations,
-            matvecs: stats.matvecs,
-            rel_residual: stats.rel_residual,
-            restarts: guard.max_rollbacks,
-        });
+/// Picks the vectors an apply consumes: the preconditioned copies when a
+/// preconditioner is attached, the recurrence vectors themselves otherwise.
+fn applied<'a>(
+    precond: Option<&dyn Precond>,
+    plain: &'a [Vec<C64>],
+    hat: &'a [Vec<C64>],
+) -> &'a [Vec<C64>] {
+    if precond.is_some() {
+        hat
+    } else {
+        plain
     }
-    Ok(stats)
 }
 
-fn bicgstab_block_impl<A: BlockLinOp + ?Sized>(
+/// The BiCGStab kernel behind every serial solve: [`bicgstab_block`] plus
+/// two optional riders.
+///
+/// **`guard`** — a [`DriftGuard`] audits every column: the true residual
+/// `b - A x` is recomputed every [`DriftGuard::period`] update steps *and*
+/// at every would-be convergence, and recursive-vs-true divergence beyond
+/// [`DriftGuard::rel_tol`] rolls the column back to its last verified
+/// snapshot and replays. Transient corruption replays clean (the final
+/// iterate is bit-identical to an uncorrupted solve); deterministic
+/// corruption re-detects until [`DriftGuard::max_rollbacks`] is exhausted,
+/// at which point the guard escalates (`guard.escalated() > 0`) and the
+/// column is surfaced unconverged at its last verified iterate — never
+/// silently converged. On a clean run the audits touch no recurrence state,
+/// so every column's trajectory — iterates, residuals, `iterations`,
+/// `matvecs` — is bit-identical to the unguarded solve; the audit applies
+/// are reported in `verify_matvecs`.
+///
+/// **`precond`** — right preconditioning in the form that updates `x`
+/// directly (Templates, ch. 2.3.8): the applies see `M p` and `M s`, the
+/// residuals stay true residuals of `A x = b`, so convergence reporting,
+/// the non-finite/rho freezes and the drift audits are the same code as the
+/// plain solve. With `None` the applies read `p` and `s` by reference and
+/// the arithmetic is that of the unpreconditioned recurrence.
+pub fn bicgstab_block_with<A: BlockLinOp + ?Sized>(
     a: &A,
     bs: &[&[C64]],
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
     guard: Option<&DriftGuard>,
+    precond: Option<&dyn Precond>,
 ) -> Vec<SolveStats> {
     let nb = bs.len();
     assert_eq!(xs.len(), nb, "solution block width mismatch");
@@ -247,6 +235,10 @@ fn bicgstab_block_impl<A: BlockLinOp + ?Sized>(
     let mut p: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
     let mut s: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
     let mut t: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
+    // M p and M s: only a preconditioned solve owns (and fills) them.
+    let hat_cols = if precond.is_some() { nb } else { 0 };
+    let mut p_hat: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; hat_cols];
+    let mut s_hat: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; hat_cols];
     let mut x_prev = vec![C64::ZERO; n];
 
     // Drift-guard bookkeeping (all zeros / unused when `guard` is None).
@@ -277,7 +269,7 @@ fn bicgstab_block_impl<A: BlockLinOp + ?Sized>(
         }
     };
 
-    // Zero right-hand sides are solved exactly by x = 0 (scalar semantics).
+    // Zero right-hand sides are solved exactly by x = 0.
     let mut live: Vec<usize> = Vec::with_capacity(nb);
     for c in 0..nb {
         b_norm[c] = norm2(bs[c]);
@@ -402,8 +394,13 @@ fn bicgstab_block_impl<A: BlockLinOp + ?Sized>(
         }
         active = after_rho;
 
-        // v = A p, fused.
-        apply_cols(a, &active, &p, &mut v);
+        // v = A (M p), fused.
+        if let Some(m) = precond {
+            for &c in &active {
+                m.apply(&p[c], &mut p_hat[c]);
+            }
+        }
+        apply_cols(a, &active, applied(precond, &p, &p_hat), &mut v);
         let mut after_s = Vec::with_capacity(active.len());
         for &c in &active {
             matvecs[c] += 1;
@@ -413,7 +410,7 @@ fn bicgstab_block_impl<A: BlockLinOp + ?Sized>(
             }
             let s_norm = norm2(&s[c]) / b_norm[c];
             if s_norm < cfg.tol {
-                axpy(alpha[c], &p[c], &mut xs[c]);
+                axpy(alpha[c], &applied(precond, &p, &p_hat)[c], &mut xs[c]);
                 if let Some(g) = guard {
                     // Audit the would-be convergence: the recursive residual
                     // here is `s` and the candidate iterate is x + alpha p.
@@ -468,18 +465,29 @@ fn bicgstab_block_impl<A: BlockLinOp + ?Sized>(
         }
         active = after_s;
 
-        // t = A s, fused.
-        apply_cols(a, &active, &s, &mut t);
+        // t = A (M s), fused.
+        if let Some(m) = precond {
+            for &c in &active {
+                m.apply(&s[c], &mut s_hat[c]);
+            }
+        }
+        apply_cols(a, &active, applied(precond, &s, &s_hat), &mut t);
         let mut after_update = Vec::with_capacity(active.len());
         for &c in &active {
             matvecs[c] += 1;
             let tt = zdotc(&t[c], &t[c]);
             omega[c] = zdotc(&t[c], &s[c]) / tt;
             // Snapshot x first so a non-finite update rolls back instead of
-            // poisoning the iterate (same contract as the scalar cycle).
+            // poisoning the iterate (the historical silent-divergence bug:
+            // NaN residuals fail every `<` comparison, so the loop ran to
+            // max_iters and reported a NaN x as if it were a best effort).
             x_prev.copy_from_slice(&xs[c]);
+            let (dp, ds) = (
+                &applied(precond, &p, &p_hat)[c],
+                &applied(precond, &s, &s_hat)[c],
+            );
             for i in 0..n {
-                xs[c][i] += alpha[c] * p[c][i] + omega[c] * s[c][i];
+                xs[c][i] += alpha[c] * dp[i] + omega[c] * ds[i];
                 r[c][i] = s[c][i] - omega[c] * t[c][i];
             }
             let res_new = norm2(&r[c]) / b_norm[c];
@@ -661,28 +669,42 @@ mod tests {
     }
 
     #[test]
-    fn width_one_is_bit_identical_to_scalar_path() {
+    fn a_column_is_bit_identical_at_every_panel_width() {
+        // Width 1 is a panel like any other: column `b` solved alone, in a
+        // panel of 3, of 8 and of 9 must come out bit-for-bit the same, with
+        // the same stats.
         let n = 48;
         let a = random_mat(n, 3, 7.0);
-        let b = random_vec(n, 11);
         let cfg = IterConfig {
             tol: 1e-9,
             max_iters: 300,
         };
-        let mut x_scalar = vec![C64::ZERO; n];
-        let scalar = bicgstab(&a, &b, &mut x_scalar, cfg);
-        let mut xs = vec![vec![C64::ZERO; n]];
-        let block = bicgstab_block(&a, &[&b], &mut xs, cfg);
-        assert_eq!(block.len(), 1);
-        assert_eq!(block[0], scalar);
-        assert_eq!(xs[0], x_scalar, "B=1 iterates must match bit-for-bit");
+        let bs: Vec<Vec<C64>> = (0..9).map(|i| random_vec(n, 11 + i)).collect();
+        let solve = |width: usize| {
+            let b_refs: Vec<&[C64]> = bs[..width].iter().map(|b| b.as_slice()).collect();
+            let mut xs = vec![vec![C64::ZERO; n]; width];
+            let stats = bicgstab_block(&a, &b_refs, &mut xs, cfg);
+            (xs, stats)
+        };
+        let (x1, s1) = solve(1);
+        assert_eq!(s1.len(), 1);
+        let (x9, s9) = solve(9);
+        for width in [3usize, 8] {
+            let (xs, stats) = solve(width);
+            for c in 0..width {
+                assert_eq!(stats[c], s9[c], "column {c} stats at width {width}");
+                assert_eq!(xs[c], x9[c], "column {c} iterate at width {width}");
+            }
+        }
+        assert_eq!(s1[0], s9[0]);
+        assert_eq!(x1[0], x9[0], "B=1 iterates must match bit-for-bit");
     }
 
     #[test]
     fn breakdown_iteration_count_reproduces_the_returned_iterate() {
-        // Same SolveStats contract as the scalar path: a phase-3 rollback
-        // must not be counted, so a clean width-1 replay capped at the
-        // reported `iterations` lands on the identical iterate.
+        // SolveStats contract: a phase-3 rollback must not be counted, so a
+        // clean replay capped at the reported `iterations` lands on the
+        // identical iterate.
         use std::sync::atomic::{AtomicUsize, Ordering};
         let n = 24;
         let m = random_mat(n, 77, 6.0);
@@ -841,7 +863,7 @@ mod tests {
         let plain = bicgstab_block(&a, &b_refs, &mut xs_plain, cfg);
         let guard = DriftGuard::new(4, 1e-8, 2);
         let mut xs_guarded = vec![vec![C64::ZERO; n]; 3];
-        let guarded = bicgstab_block_guarded(&a, &b_refs, &mut xs_guarded, cfg, &guard);
+        let guarded = bicgstab_block_with(&a, &b_refs, &mut xs_guarded, cfg, Some(&guard), None);
         assert_eq!(guard.detected(), 0, "clean run must not trip the guard");
         for c in 0..3 {
             assert_eq!(xs_guarded[c], xs_plain[c], "column {c} iterate");
@@ -881,7 +903,7 @@ mod tests {
         });
         let guard = DriftGuard::new(4, 1e-8, 3);
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_guarded(&corrupting, &[&b], &mut xs, cfg, &guard);
+        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), None);
         assert!(guard.detected() >= 1, "corruption must be detected");
         assert!(guard.rolled_back() >= 1, "steps must be discarded");
         assert_eq!(guard.escalated(), 0, "transient fault must recover");
@@ -920,7 +942,7 @@ mod tests {
         });
         let guard = DriftGuard::new(4, 1e-8, 2);
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_guarded(&corrupting, &[&b], &mut xs, cfg, &guard);
+        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), None);
         assert_eq!(guard.escalated(), 1, "budget exhausted must escalate");
         assert!(
             !stats[0].converged,
@@ -931,17 +953,74 @@ mod tests {
             xs[0].iter().all(|v| v.re.is_finite() && v.im.is_finite()),
             "escalated column freezes at the last verified iterate"
         );
+    }
 
-        // The scalar wrapper surfaces the same outcome as a typed breakdown.
-        calls.store(0, Ordering::Relaxed);
-        let guard2 = DriftGuard::new(4, 1e-8, 2);
-        let mut x = vec![C64::ZERO; n];
-        let err = bicgstab_guarded(&corrupting, &b, &mut x, cfg, &guard2)
-            .expect_err("persistent corruption must not yield Ok");
-        match err {
-            SolveError::Breakdown { kind, .. } => {
-                assert_eq!(kind, BreakdownKind::Drift, "typed as drift corruption")
+    #[test]
+    fn identity_preconditioner_is_bit_identical_to_none() {
+        // `precond = None` reads p and s by reference, `IdentityPrecond`
+        // copies them: the trajectories must not differ by a bit.
+        use crate::precond::IdentityPrecond;
+        let n = 40;
+        let a = random_mat(n, 171, 7.0);
+        let bs: Vec<Vec<C64>> = (0..3).map(|i| random_vec(n, 180 + i)).collect();
+        let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
+        let cfg = IterConfig {
+            tol: 1e-9,
+            max_iters: 300,
+        };
+        let mut xs_plain = vec![vec![C64::ZERO; n]; 3];
+        let plain = bicgstab_block(&a, &b_refs, &mut xs_plain, cfg);
+        let mut xs_id = vec![vec![C64::ZERO; n]; 3];
+        let id = bicgstab_block_with(&a, &b_refs, &mut xs_id, cfg, None, Some(&IdentityPrecond));
+        assert_eq!(id, plain);
+        assert_eq!(xs_id, xs_plain);
+        assert!(plain.iter().all(|s| s.converged && s.iterations > 0));
+    }
+
+    #[test]
+    fn preconditioned_breakdown_freezes_at_the_last_finite_iterate() {
+        // The preconditioned twin of
+        // `breakdown_iteration_count_reproduces_the_returned_iterate`: the
+        // separate preconditioned loop this kernel replaced had no
+        // non-finite guard, ran to `max_iters` and returned a NaN iterate.
+        use crate::precond::JacobiPrecond;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let n = 24;
+        let m = random_mat(n, 77, 6.0);
+        let b = random_vec(n, 79);
+        let jacobi = JacobiPrecond((0..n).map(|i| m.at(i, i)).collect());
+        let calls = AtomicUsize::new(0);
+        let poisoned = crate::op::FnOp::new(n, n, |v: &[C64], out: &mut [C64]| {
+            // Applies 1..=5 healthy; apply 6 (the `A M p` of iteration 3)
+            // poisons the step with NaN, forcing the phase-3 rollback.
+            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= 6 {
+                out.iter_mut().for_each(|o| *o = c64(f64::NAN, f64::NAN));
+            } else {
+                m.matvec(v, out);
             }
-        }
+        });
+        let cfg = IterConfig {
+            tol: 1e-14,
+            max_iters: 50,
+        };
+        let mut xs = vec![vec![C64::ZERO; n]];
+        let stats = bicgstab_block_with(&poisoned, &[&b], &mut xs, cfg, None, Some(&jacobi));
+        assert!(!stats[0].converged);
+        assert_eq!(stats[0].iterations, 2, "rolled-back step must not count");
+        assert!(stats[0].rel_residual.is_finite());
+        assert!(
+            xs[0].iter().all(|v| finite_c(*v)),
+            "iterate must stay finite"
+        );
+
+        let replay_cfg = IterConfig {
+            tol: 1e-14,
+            max_iters: stats[0].iterations,
+        };
+        let mut xs_replay = vec![vec![C64::ZERO; n]];
+        let replay =
+            bicgstab_block_with(&m, &[&b], &mut xs_replay, replay_cfg, None, Some(&jacobi));
+        assert_eq!(replay[0].iterations, stats[0].iterations);
+        assert_eq!(xs_replay[0], xs[0], "replay at the reported count differs");
     }
 }

@@ -117,22 +117,6 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BornSeriesBackend<'_, G> {
     fn name(&self) -> &'static str {
         crate::backend::BackendChoice::BornSeries.as_str()
     }
-    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-        let a = ScatteringOp::new(self.g0, self.object);
-        let mut xs = vec![x.to_vec()];
-        let stats = richardson_impl(&a, self.gamma, &[b], &mut xs, cfg, self.guard);
-        x.copy_from_slice(&xs[0]);
-        stats.into_iter().next().expect("one column")
-    }
-    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-        let a = AdjointScatteringOp::new(self.g0, self.object);
-        // (I - gamma' A^H)^H = I - conj(gamma') A: taking gamma' = conj(gamma)
-        // gives the adjoint sweep the same contraction norm as the forward one.
-        let mut xs = vec![x.to_vec()];
-        let stats = richardson_impl(&a, self.gamma.conj(), &[b], &mut xs, cfg, self.guard);
-        x.copy_from_slice(&xs[0]);
-        stats.into_iter().next().expect("one column")
-    }
     fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats> {
         let a = ScatteringOp::new(self.g0, self.object);
         richardson_impl(&a, self.gamma, bs, xs, cfg, self.guard)
@@ -144,6 +128,8 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BornSeriesBackend<'_, G> {
         cfg: IterConfig,
     ) -> Vec<SolveStats> {
         let a = AdjointScatteringOp::new(self.g0, self.object);
+        // (I - gamma' A^H)^H = I - conj(gamma') A: taking gamma' = conj(gamma)
+        // gives the adjoint sweep the same contraction norm as the forward one.
         richardson_impl(&a, self.gamma.conj(), bs, xs, cfg, self.guard)
     }
 }

@@ -11,7 +11,7 @@
 //! same MLFMA engine serves both systems without any new operators.
 
 use crate::block::bicgstab_block;
-use crate::krylov::{bicgstab, IterConfig, SolveStats};
+use crate::krylov::{width_one, IterConfig, SolveStats};
 use crate::op::{BlockLinOp, LinOp};
 use ffw_numerics::C64;
 
@@ -147,30 +147,34 @@ pub fn g0_adjoint_apply_block<G: BlockLinOp + ?Sized>(g0: &G, xs: &[&[C64]], ys:
     }
 }
 
-/// Solves the forward problem `[I - G0 diag(O)] phi = phi_inc` with BiCGStab.
-/// `phi` should carry the initial guess (zero, or a previous field for warm
-/// starts); it is overwritten with the solution.
-pub fn solve_forward<G: LinOp + ?Sized>(
+/// Solves the forward problem `[I - G0 diag(O)] phi = phi_inc` with BiCGStab:
+/// [`solve_forward_block`] at panel width 1. `phi` should carry the initial
+/// guess (zero, or a previous field for warm starts); it is overwritten with
+/// the solution.
+pub fn solve_forward<G: BlockLinOp + ?Sized>(
     g0: &G,
     object: &[C64],
     phi_inc: &[C64],
     phi: &mut [C64],
     cfg: IterConfig,
 ) -> SolveStats {
-    let a = ScatteringOp::new(g0, object);
-    bicgstab(&a, phi_inc, phi, cfg)
+    width_one(phi_inc, phi, |bs, xs| {
+        solve_forward_block(g0, object, bs, xs, cfg)
+    })
 }
 
-/// Solves the adjoint problem `A^H z = rhs`.
-pub fn solve_adjoint<G: LinOp + ?Sized>(
+/// Solves the adjoint problem `A^H z = rhs`: [`solve_adjoint_block`] at
+/// panel width 1.
+pub fn solve_adjoint<G: BlockLinOp + ?Sized>(
     g0: &G,
     object: &[C64],
     rhs: &[C64],
     z: &mut [C64],
     cfg: IterConfig,
 ) -> SolveStats {
-    let a = AdjointScatteringOp::new(g0, object);
-    bicgstab(&a, rhs, z, cfg)
+    width_one(rhs, z, |bs, xs| {
+        solve_adjoint_block(g0, object, bs, xs, cfg)
+    })
 }
 
 /// Batched forward solve: all transmitter systems share the same scattering

@@ -2,19 +2,21 @@
 //!
 //! The paper's forward solver is the biconjugate gradient stabilized method
 //! (BiCGStab, Section III-A), terminated at 1e-4 relative residual
-//! (Section V-B). CG is provided for Hermitian positive-definite systems and
-//! CGNR (CG on the normal equations) solves the least-squares problems of the
-//! linear Born inversion baseline.
+//! (Section V-B); its one recurrence lives in [`crate::block`] and
+//! [`bicgstab`] here is that kernel at panel width 1. CGNR (CG on the normal
+//! equations) solves the least-squares problems of the linear Born inversion
+//! baseline.
 
-use crate::op::LinOp;
-use ffw_numerics::vecops::{axpy, norm2, sub_into, zdotc};
+use crate::block::bicgstab_block;
+use crate::op::{BlockLinOp, LinOp};
+use ffw_numerics::vecops::{norm2, sub_into, zdotc};
 use ffw_numerics::C64;
 use std::fmt;
 
 /// Outcome of an iterative solve.
 ///
-/// These semantics are shared by every engine in the workspace (scalar and
-/// block BiCGStab, the distributed solvers, and the Born-series backend) so
+/// These semantics are shared by every engine in the workspace (block
+/// BiCGStab, the distributed solver, and the Born-series backend) so
 /// cross-backend comparisons are apples-to-apples:
 ///
 /// - `iterations` counts the update steps *reflected in the returned
@@ -53,18 +55,13 @@ pub struct SolveStats {
 
 /// What broke a Krylov iteration down.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakdownKind {
+pub(crate) enum BreakdownKind {
     /// The BiCGStab rho inner product underflowed to (numerical) zero, so
     /// the recurrence cannot continue.
     RhoZero,
     /// The iterate or residual became NaN/Inf (division by a vanishing
     /// inner product, singular operator, overflow).
     NonFinite,
-    /// A [`crate::DriftGuard`] audit found the recursive residual diverged
-    /// from the true residual `b - A x` and the rollback budget could not
-    /// repair it — suspected compute corruption, surfaced instead of a
-    /// silently wrong convergence.
-    Drift,
 }
 
 impl fmt::Display for BreakdownKind {
@@ -72,62 +69,12 @@ impl fmt::Display for BreakdownKind {
         match self {
             BreakdownKind::RhoZero => f.write_str("rho underflow"),
             BreakdownKind::NonFinite => f.write_str("non-finite residual"),
-            BreakdownKind::Drift => {
-                f.write_str("unresolved residual drift (suspected compute corruption)")
-            }
         }
     }
 }
-
-/// Typed failure of a checked Krylov solve. Surfaced only after the solver
-/// has already attempted its automatic restart budget; the iterate `x` is
-/// left at the last finite value, never poisoned with NaN.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SolveError {
-    /// The iteration broke down and restarts did not recover it.
-    Breakdown {
-        /// What broke down.
-        kind: BreakdownKind,
-        /// Iterations completed before the (final) breakdown.
-        iterations: usize,
-        /// Operator applications performed.
-        matvecs: usize,
-        /// Last finite relative residual observed.
-        rel_residual: f64,
-        /// Automatic restarts attempted before giving up.
-        restarts: u32,
-    },
-}
-
-impl fmt::Display for SolveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolveError::Breakdown {
-                kind,
-                iterations,
-                rel_residual,
-                restarts,
-                ..
-            } => write!(
-                f,
-                "Krylov breakdown ({kind}) after {iterations} iterations and \
-                 {restarts} restart(s); last finite relative residual {rel_residual:.3e}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SolveError {}
 
 pub(crate) fn finite_c(v: C64) -> bool {
     v.re.is_finite() && v.im.is_finite()
-}
-
-/// How one BiCGStab cycle (fresh residual to termination) ended.
-enum CycleEnd {
-    Converged(f64),
-    MaxIters(f64),
-    Breakdown { kind: BreakdownKind, res: f64 },
 }
 
 /// Solver configuration.
@@ -149,322 +96,36 @@ impl Default for IterConfig {
     }
 }
 
-/// One BiCGStab cycle: build a fresh residual from the current `x` and
-/// iterate until convergence, the (shared) iteration budget, or a breakdown.
-/// On breakdown `x` is restored to the last finite iterate.
-fn bicgstab_cycle<A: LinOp + ?Sized>(
-    a: &A,
+/// Runs a block solve as a width-1 panel around `x`: the scalar entry points
+/// of this crate are this call and nothing else.
+pub(crate) fn width_one(
     b: &[C64],
     x: &mut [C64],
-    cfg: IterConfig,
-    b_norm: f64,
-    iters: &mut usize,
-    matvecs: &mut usize,
-) -> CycleEnd {
-    let n = b.len();
-    let mut r = vec![C64::ZERO; n];
-    a.apply(x, &mut r);
-    *matvecs += 1;
-    sub_into(b, &r.clone(), &mut r); // r = b - A x
-    let r_hat = r.clone();
-    let mut rho = C64::ONE;
-    let mut alpha = C64::ONE;
-    let mut omega = C64::ONE;
-    let mut v = vec![C64::ZERO; n];
-    let mut p = vec![C64::ZERO; n];
-    let mut s = vec![C64::ZERO; n];
-    let mut t = vec![C64::ZERO; n];
-    let mut x_prev = vec![C64::ZERO; n];
-
-    let mut res = norm2(&r) / b_norm;
-    if !res.is_finite() {
-        return CycleEnd::Breakdown {
-            kind: BreakdownKind::NonFinite,
-            res: f64::NAN,
-        };
-    }
-    ffw_obs::series_push("solver.bicgstab.residual", res);
-    if res < cfg.tol {
-        return CycleEnd::Converged(res);
-    }
-
-    loop {
-        if *iters >= cfg.max_iters {
-            return CycleEnd::MaxIters(res);
-        }
-        let rho_new = zdotc(&r_hat, &r);
-        if !finite_c(rho_new) {
-            return CycleEnd::Breakdown {
-                kind: BreakdownKind::NonFinite,
-                res,
-            };
-        }
-        if rho_new.abs() < 1e-300 {
-            return CycleEnd::Breakdown {
-                kind: BreakdownKind::RhoZero,
-                res,
-            };
-        }
-        *iters += 1;
-        let beta = (rho_new / rho) * (alpha / omega);
-        // p = r + beta (p - omega v)
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        a.apply(&p, &mut v);
-        *matvecs += 1;
-        alpha = rho_new / zdotc(&r_hat, &v);
-        // s = r - alpha v
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        let s_norm = norm2(&s) / b_norm;
-        if s_norm < cfg.tol {
-            axpy(alpha, &p, x);
-            ffw_obs::series_push("solver.bicgstab.residual", s_norm);
-            return CycleEnd::Converged(s_norm);
-        }
-        a.apply(&s, &mut t);
-        *matvecs += 1;
-        let tt = zdotc(&t, &t);
-        omega = zdotc(&t, &s) / tt;
-        // x += alpha p + omega s; r = s - omega t. Snapshot x first so a
-        // non-finite update can be rolled back instead of poisoning the
-        // iterate (the historical silent-divergence bug: NaN residuals fail
-        // every `<` comparison, so the loop ran to max_iters and reported a
-        // NaN x as if it were a best effort).
-        x_prev.copy_from_slice(x);
-        for i in 0..n {
-            x[i] += alpha * p[i] + omega * s[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        let res_new = norm2(&r) / b_norm;
-        if !res_new.is_finite() {
-            // The rolled-back iterate does not contain this step's update,
-            // so the step must not be counted: `iterations` means "update
-            // steps reflected in the returned iterate".
-            x.copy_from_slice(&x_prev);
-            *iters -= 1;
-            return CycleEnd::Breakdown {
-                kind: BreakdownKind::NonFinite,
-                res,
-            };
-        }
-        res = res_new;
-        ffw_obs::series_push("solver.bicgstab.residual", res);
-        if res < cfg.tol {
-            return CycleEnd::Converged(res);
-        }
-        rho = rho_new;
-    }
-}
-
-fn bicgstab_impl<A: LinOp + ?Sized>(
-    a: &A,
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    max_restarts: u32,
-) -> Result<SolveStats, SolveError> {
-    let _span = ffw_obs::span("solver.bicgstab");
-    let out = bicgstab_impl_inner(a, b, x, cfg, max_restarts);
-    if ffw_obs::enabled() {
-        let (it, mv) = match &out {
-            Ok(s) => (s.iterations, s.matvecs),
-            Err(SolveError::Breakdown {
-                iterations,
-                matvecs,
-                ..
-            }) => (*iterations, *matvecs),
-        };
-        ffw_obs::counter("solver.bicgstab.solves").inc();
-        ffw_obs::counter("solver.bicgstab.iters").add(it as u64);
-        ffw_obs::counter("solver.bicgstab.matvecs").add(mv as u64);
-        ffw_obs::histogram("solver.bicgstab.iters_per_solve").record(it as u64);
-        if let Err(e) = &out {
-            ffw_obs::event("solver.breakdown", &format!("bicgstab: {e}"));
-        }
-    }
-    out
-}
-
-fn bicgstab_impl_inner<A: LinOp + ?Sized>(
-    a: &A,
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    max_restarts: u32,
-) -> Result<SolveStats, SolveError> {
-    let n = b.len();
-    assert_eq!(a.dim_in(), n);
-    assert_eq!(a.dim_out(), n);
-    assert_eq!(x.len(), n);
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        x.iter_mut().for_each(|v| *v = C64::ZERO);
-        return Ok(SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        });
-    }
-    let mut iters = 0usize;
-    let mut matvecs = 0usize;
-    let mut restarts = 0u32;
-    loop {
-        match bicgstab_cycle(a, b, x, cfg, b_norm, &mut iters, &mut matvecs) {
-            CycleEnd::Converged(res) => {
-                return Ok(SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    converged: true,
-                })
-            }
-            CycleEnd::MaxIters(res) => {
-                return Ok(SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    converged: false,
-                })
-            }
-            CycleEnd::Breakdown { kind, res } => {
-                let x_finite = x.iter().all(|v| finite_c(*v));
-                if restarts < max_restarts && iters < cfg.max_iters && x_finite {
-                    // Restart from the last finite iterate: the next cycle
-                    // re-derives r and r_hat from the current x, which breaks
-                    // the degenerate Krylov directions that caused the
-                    // breakdown while keeping the progress made so far.
-                    restarts += 1;
-                    ffw_obs::event(
-                        "solver.restart",
-                        &format!("bicgstab restart {restarts} after {kind} at iter {iters}"),
-                    );
-                    continue;
-                }
-                return Err(SolveError::Breakdown {
-                    kind,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    restarts,
-                });
-            }
-        }
-    }
+    solve: impl FnOnce(&[&[C64]], &mut [Vec<C64>]) -> Vec<SolveStats>,
+) -> SolveStats {
+    let mut xs = [x.to_vec()];
+    let stats = solve(&[b], &mut xs).pop().expect("one column");
+    x.copy_from_slice(&xs[0]);
+    stats
 }
 
 /// Unpreconditioned BiCGStab: solves `A x = b`, starting from the provided
-/// `x` (commonly zero). Two matvecs per iteration — the dominant cost the
-/// MLFMA accelerates (paper Fig. 4).
+/// `x` (commonly zero) — [`bicgstab_block`] at panel width 1. Two matvecs
+/// per iteration, the dominant cost the MLFMA accelerates (paper Fig. 4).
 ///
 /// On a rho-underflow or NaN/Inf breakdown this returns honest unconverged
-/// stats with `x` left at the last *finite* iterate (never NaN). Callers
-/// that need to distinguish breakdown from slow convergence should use
-/// [`bicgstab_checked`], which also retries once before giving up.
-pub fn bicgstab<A: LinOp + ?Sized>(a: &A, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-    match bicgstab_impl(a, b, x, cfg, 0) {
-        Ok(stats) => stats,
-        Err(SolveError::Breakdown {
-            iterations,
-            matvecs,
-            rel_residual,
-            ..
-        }) => SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations,
-            matvecs,
-            rel_residual,
-            converged: false,
-        },
-    }
-}
-
-/// BiCGStab with typed breakdown reporting: on rho underflow or a NaN/Inf
-/// iterate the solve automatically restarts once from the last finite
-/// iterate (fresh residual and shadow residual), and only if the restarted
-/// cycle breaks down too does it surface [`SolveError::Breakdown`]. The
-/// iteration budget in `cfg` is shared across restarts.
-pub fn bicgstab_checked<A: LinOp + ?Sized>(
+/// stats with `x` left at the last *finite* iterate (never NaN).
+pub fn bicgstab<A: BlockLinOp + ?Sized>(
     a: &A,
     b: &[C64],
     x: &mut [C64],
     cfg: IterConfig,
-) -> Result<SolveStats, SolveError> {
-    bicgstab_impl(a, b, x, cfg, 1)
+) -> SolveStats {
+    width_one(b, x, |bs, xs| bicgstab_block(a, bs, xs, cfg))
 }
 
-/// Conjugate gradients for Hermitian positive-definite `A`.
-pub fn cg<A: LinOp + ?Sized>(a: &A, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-    let n = b.len();
-    assert_eq!(x.len(), n);
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        x.iter_mut().for_each(|v| *v = C64::ZERO);
-        return SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        };
-    }
-    let mut r = vec![C64::ZERO; n];
-    let mut matvecs = 0usize;
-    a.apply(x, &mut r);
-    matvecs += 1;
-    sub_into(b, &r.clone(), &mut r);
-    let mut p = r.clone();
-    let mut ap = vec![C64::ZERO; n];
-    let mut rs = zdotc(&r, &r);
-    let mut res = rs.re.sqrt() / b_norm;
-    for iter in 1..=cfg.max_iters {
-        if res < cfg.tol {
-            return SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: iter - 1,
-                matvecs,
-                rel_residual: res,
-                converged: true,
-            };
-        }
-        a.apply(&p, &mut ap);
-        matvecs += 1;
-        let alpha = rs / zdotc(&p, &ap);
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rs_new = zdotc(&r, &r);
-        let beta = rs_new / rs;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rs = rs_new;
-        res = rs.re.sqrt() / b_norm;
-    }
-    SolveStats {
-        verify_matvecs: 0,
-        rolled_back: 0,
-        iterations: cfg.max_iters,
-        matvecs,
-        rel_residual: res,
-        converged: res < cfg.tol,
-    }
-}
-
-/// CGNR: least-squares `min ||A x - b||` via CG on `A^H A x = A^H b`.
+/// CGNR: least-squares `min ||A x - b||` via conjugate gradients on the
+/// Hermitian positive-semidefinite normal equations `A^H A x = A^H b`.
 ///
 /// `a` maps `n -> m`, `a_adj` maps `m -> n` and must be the true adjoint.
 pub fn cgnr<A: LinOp + ?Sized, AH: LinOp + ?Sized>(
@@ -480,14 +141,52 @@ pub fn cgnr<A: LinOp + ?Sized, AH: LinOp + ?Sized>(
     assert_eq!(x.len(), n);
     let mut rhs = vec![C64::ZERO; n];
     a_adj.apply(b, &mut rhs);
-    let normal = crate::op::FnOp::new(n, n, |v: &[C64], out: &mut [C64]| {
-        let mut mid = vec![C64::ZERO; m];
+    let mut mid = vec![C64::ZERO; m];
+    let mut normal = |v: &[C64], out: &mut [C64]| {
         a.apply(v, &mut mid);
         a_adj.apply(&mid, out);
-    });
-    let mut stats = cg(&normal, &rhs, x, cfg);
-    stats.matvecs *= 2; // each normal-equation apply is two operator applies
-    stats
+    };
+    let done = |iterations, applies, rel_residual, converged| SolveStats {
+        verify_matvecs: 0,
+        rolled_back: 0,
+        iterations,
+        matvecs: 2 * applies, // each normal-equation apply is two operator applies
+        rel_residual,
+        converged,
+    };
+    let rhs_norm = norm2(&rhs);
+    if rhs_norm == 0.0 {
+        x.iter_mut().for_each(|v| *v = C64::ZERO);
+        return done(0, 0, 0.0, true);
+    }
+    let mut r = vec![C64::ZERO; n];
+    normal(x, &mut r);
+    let mut applies = 1usize;
+    sub_into(&rhs, &r.clone(), &mut r);
+    let mut p = r.clone();
+    let mut ap = vec![C64::ZERO; n];
+    let mut rs = zdotc(&r, &r);
+    let mut res = rs.re.sqrt() / rhs_norm;
+    for iter in 1..=cfg.max_iters {
+        if res < cfg.tol {
+            return done(iter - 1, applies, res, true);
+        }
+        normal(&p, &mut ap);
+        applies += 1;
+        let alpha = rs / zdotc(&p, &ap);
+        for i in 0..n {
+            x[i] += alpha * p[i];
+            r[i] -= alpha * ap[i];
+        }
+        let rs_new = zdotc(&r, &r);
+        let beta = rs_new / rs;
+        for i in 0..n {
+            p[i] = r[i] + beta * p[i];
+        }
+        rs = rs_new;
+        res = rs.re.sqrt() / rhs_norm;
+    }
+    done(cfg.max_iters, applies, res, res < cfg.tol)
 }
 
 #[cfg(test)]
@@ -586,32 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_solves_hermitian_pd() {
-        // A = B^H B + 2I is Hermitian positive definite.
-        let n = 30;
-        let b_mat = random_mat(n, n, 7, 0.0);
-        let mut a = b_mat.adjoint().matmul(&b_mat);
-        for i in 0..n {
-            *a.at_mut(i, i) += 2.0;
-        }
-        let x_true = random_vec(n, 9);
-        let mut rhs = vec![C64::ZERO; n];
-        a.matvec(&x_true, &mut rhs);
-        let mut x = vec![C64::ZERO; n];
-        let stats = cg(
-            &a,
-            &rhs,
-            &mut x,
-            IterConfig {
-                tol: 1e-12,
-                max_iters: 500,
-            },
-        );
-        assert!(stats.converged);
-        assert!(rel_diff(&x, &x_true) < 1e-9);
-    }
-
-    #[test]
     fn cgnr_solves_overdetermined_least_squares() {
         // 50 equations, 20 unknowns: residual must be orthogonal to range(A).
         let m = 50;
@@ -663,98 +336,23 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_on_singular_operator_is_typed_not_silent() {
+    fn breakdown_on_singular_operator_is_honest_not_silent() {
         // Regression test for the silent-divergence bug: with a singular
         // operator, alpha = rho / <r_hat, A p> divides by zero and poisons
         // the iterate with NaN. NaN fails every `<` comparison, so the old
         // loop ran on and "reported the iterate" even though the residual
-        // was NaN. The zero operator is maximally singular.
+        // was NaN. The zero operator is maximally singular: the solve must
+        // report honest unconverged stats with a finite residual and iterate.
         let n = 8;
         let zero_op = crate::op::FnOp::new(n, n, |_v: &[C64], out: &mut [C64]| {
             out.iter_mut().for_each(|o| *o = C64::ZERO);
         });
         let b = vec![c64(1.0, 0.5); n];
-
         let mut x = vec![C64::ZERO; n];
-        let err = bicgstab_checked(&zero_op, &b, &mut x, IterConfig::default())
-            .expect_err("singular operator must surface a typed breakdown");
-        let SolveError::Breakdown { kind, restarts, .. } = err;
-        assert_eq!(kind, BreakdownKind::NonFinite);
-        assert_eq!(restarts, 1, "one automatic restart before surfacing");
-        assert!(
-            x.iter().all(|v| v.re.is_finite() && v.im.is_finite()),
-            "iterate must be rolled back to the last finite value"
-        );
-
-        // The plain entry point must now report honest unconverged stats
-        // with a finite residual, instead of a NaN iterate.
-        let mut x2 = vec![C64::ZERO; n];
-        let stats = bicgstab(&zero_op, &b, &mut x2, IterConfig::default());
+        let stats = bicgstab(&zero_op, &b, &mut x, IterConfig::default());
         assert!(!stats.converged);
         assert!(stats.rel_residual.is_finite());
-        assert!(x2.iter().all(|v| v.re.is_finite() && v.im.is_finite()));
-    }
-
-    #[test]
-    fn breakdown_iteration_count_reproduces_the_returned_iterate() {
-        // SolveStats contract: after a phase-3 rollback, `iterations` must
-        // equal the number of update steps actually present in the returned
-        // iterate — so a clean re-run capped at that count is bit-identical.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let n = 24;
-        let m = random_mat(n, n, 77, 6.0);
-        let b = random_vec(n, 79);
-        // Applies 1..=5 are healthy (init residual + two full iterations);
-        // apply 6 is the `A p` of iteration 3 and poisons it with NaN,
-        // forcing the phase-3 rollback.
-        let calls = AtomicUsize::new(0);
-        let poisoned = crate::op::FnOp::new(n, n, |v: &[C64], out: &mut [C64]| {
-            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= 6 {
-                out.iter_mut().for_each(|o| *o = c64(f64::NAN, f64::NAN));
-            } else {
-                m.apply(v, out);
-            }
-        });
-        let cfg = IterConfig {
-            tol: 1e-14,
-            max_iters: 50,
-        };
-        let mut x_broken = vec![C64::ZERO; n];
-        let stats = bicgstab(&poisoned, &b, &mut x_broken, cfg);
-        assert!(!stats.converged);
-        assert_eq!(stats.iterations, 2, "rolled-back step must not count");
-        assert!(x_broken.iter().all(|v| finite_c(*v)));
-
-        let mut x_replay = vec![C64::ZERO; n];
-        let replay = bicgstab(
-            &m,
-            &b,
-            &mut x_replay,
-            IterConfig {
-                tol: 1e-14,
-                max_iters: stats.iterations,
-            },
-        );
-        assert_eq!(replay.iterations, stats.iterations);
-        assert_eq!(x_replay, x_broken, "replay at the reported count differs");
-    }
-
-    #[test]
-    fn checked_solve_matches_plain_on_healthy_system() {
-        let n = 40;
-        let a = random_mat(n, n, 41, 7.0);
-        let b = random_vec(n, 43);
-        let cfg = IterConfig {
-            tol: 1e-9,
-            max_iters: 300,
-        };
-        let mut x_plain = vec![C64::ZERO; n];
-        let plain = bicgstab(&a, &b, &mut x_plain, cfg);
-        let mut x_checked = vec![C64::ZERO; n];
-        let checked = bicgstab_checked(&a, &b, &mut x_checked, cfg).expect("healthy system");
-        assert_eq!(plain, checked);
-        assert_eq!(x_plain, x_checked);
-        assert!(checked.converged);
+        assert!(x.iter().all(|v| v.re.is_finite() && v.im.is_finite()));
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Preconditioning for the Krylov solvers — the paper's Section VIII
+//! Preconditioners for the BiCGStab kernel — the paper's Section VIII
 //! future-work item ("preconditioning of the system to address situations
 //! where the problem goes into resonance and near-resonance frequencies").
+//! The recurrence itself is [`crate::bicgstab_block_with`]; a preconditioner
+//! is one of its optional arguments.
 
-use crate::krylov::{IterConfig, SolveStats};
-use crate::op::LinOp;
-use ffw_numerics::vecops::{norm2, norm2_sqr, sub_into, zdotc};
 use ffw_numerics::C64;
 
 /// An (approximate) inverse `z ~ A^{-1} r` applied as `z = M r`.
@@ -33,131 +32,26 @@ impl Precond for JacobiPrecond {
     }
 }
 
-/// Right-preconditioned BiCGStab: solves `A M y = b`, `x = M y`, but in the
-/// standard formulation that updates `x` directly (Templates, ch. 2.3.8).
-/// Residuals are true residuals of `A x = b`, so convergence reporting is
-/// comparable to the unpreconditioned solver.
-pub fn bicgstab_precond<A: LinOp + ?Sized, M: Precond + ?Sized>(
-    a: &A,
-    m: &M,
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-) -> SolveStats {
-    let n = b.len();
-    assert_eq!(x.len(), n);
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        x.iter_mut().for_each(|v| *v = C64::ZERO);
-        return SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        };
-    }
-    let mut matvecs = 0usize;
-    let mut r = vec![C64::ZERO; n];
-    a.apply(x, &mut r);
-    matvecs += 1;
-    sub_into(b, &r.clone(), &mut r);
-    let r_hat = r.clone();
-    let mut rho = C64::ONE;
-    let mut alpha = C64::ONE;
-    let mut omega = C64::ONE;
-    let mut v = vec![C64::ZERO; n];
-    let mut p = vec![C64::ZERO; n];
-    let mut p_hat = vec![C64::ZERO; n];
-    let mut s = vec![C64::ZERO; n];
-    let mut s_hat = vec![C64::ZERO; n];
-    let mut t = vec![C64::ZERO; n];
-    let mut res = norm2(&r) / b_norm;
-    if res < cfg.tol {
-        return SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs,
-            rel_residual: res,
-            converged: true,
-        };
-    }
-    for iter in 1..=cfg.max_iters {
-        let rho_new = zdotc(&r_hat, &r);
-        if rho_new.abs() < 1e-300 {
-            return SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: iter - 1,
-                matvecs,
-                rel_residual: res,
-                converged: false,
-            };
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        m.apply(&p, &mut p_hat);
-        a.apply(&p_hat, &mut v);
-        matvecs += 1;
-        alpha = rho_new / zdotc(&r_hat, &v);
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        if norm2_sqr(&s).sqrt() / b_norm < cfg.tol {
-            for i in 0..n {
-                x[i] += alpha * p_hat[i];
-            }
-            return SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: iter,
-                matvecs,
-                rel_residual: norm2(&s) / b_norm,
-                converged: true,
-            };
-        }
-        m.apply(&s, &mut s_hat);
-        a.apply(&s_hat, &mut t);
-        matvecs += 1;
-        omega = zdotc(&t, &s) / zdotc(&t, &t);
-        for i in 0..n {
-            x[i] += alpha * p_hat[i] + omega * s_hat[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        res = norm2(&r) / b_norm;
-        if res < cfg.tol {
-            return SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: iter,
-                matvecs,
-                rel_residual: res,
-                converged: true,
-            };
-        }
-        rho = rho_new;
-    }
-    SolveStats {
-        verify_matvecs: 0,
-        rolled_back: 0,
-        iterations: cfg.max_iters,
-        matvecs,
-        rel_residual: res,
-        converged: false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::krylov::bicgstab;
+    use crate::block::bicgstab_block_with;
+    use crate::krylov::{bicgstab, width_one, IterConfig, SolveStats};
     use ffw_numerics::c64;
     use ffw_numerics::linalg::Matrix;
-    use ffw_numerics::vecops::rel_diff;
+    use ffw_numerics::vecops::{norm2, rel_diff};
+
+    fn solve_preconditioned(
+        a: &Matrix,
+        m: &dyn Precond,
+        b: &[C64],
+        x: &mut [C64],
+        cfg: IterConfig,
+    ) -> SolveStats {
+        width_one(b, x, |bs, xs| {
+            bicgstab_block_with(a, bs, xs, cfg, None, Some(m))
+        })
+    }
 
     fn ill_conditioned(n: usize, seed: u64) -> Matrix {
         // strongly varying diagonal + small random coupling
@@ -189,7 +83,7 @@ mod tests {
         let mut x1 = vec![C64::ZERO; n];
         let s1 = bicgstab(&a, &b, &mut x1, cfg);
         let mut x2 = vec![C64::ZERO; n];
-        let s2 = bicgstab_precond(&a, &IdentityPrecond, &b, &mut x2, cfg);
+        let s2 = solve_preconditioned(&a, &IdentityPrecond, &b, &mut x2, cfg);
         assert!(s1.converged && s2.converged);
         assert!(rel_diff(&x1, &x2) < 1e-7);
     }
@@ -208,7 +102,7 @@ mod tests {
         let diag: Vec<C64> = (0..n).map(|i| a.at(i, i)).collect();
         let m = JacobiPrecond(diag);
         let mut x_pre = vec![C64::ZERO; n];
-        let pre = bicgstab_precond(&a, &m, &b, &mut x_pre, cfg);
+        let pre = solve_preconditioned(&a, &m, &b, &mut x_pre, cfg);
         assert!(pre.converged);
         assert!(
             pre.iterations < plain.iterations,
@@ -227,7 +121,7 @@ mod tests {
         let b: Vec<C64> = (0..n).map(|i| c64(0.5, -(i as f64) * 0.05)).collect();
         let diag: Vec<C64> = (0..n).map(|i| a.at(i, i)).collect();
         let mut x = vec![C64::ZERO; n];
-        let stats = bicgstab_precond(
+        let stats = solve_preconditioned(
             &a,
             &JacobiPrecond(diag),
             &b,

@@ -107,9 +107,17 @@ fn rel_err(a: &[C64], b: &[C64]) -> f64 {
 /// `cfg` and returns the worst relative field disagreement.
 fn worst_field_gap(p: &Problem, cfg: IterConfig) -> f64 {
     let g0_norm = estimate_g0_norm(&p.g0, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED);
-    let krylov = make_backend(BackendChoice::Bicgstab, &p.g0, &p.object, 0.0).expect("krylov");
-    let born =
-        make_backend(BackendChoice::BornSeries, &p.g0, &p.object, g0_norm).expect("born admission");
+    let krylov =
+        make_backend(BackendChoice::Bicgstab, &p.g0, &p.object, 0.0, None, None).expect("krylov");
+    let born = make_backend(
+        BackendChoice::BornSeries,
+        &p.g0,
+        &p.object,
+        g0_norm,
+        None,
+        None,
+    )
+    .expect("born admission");
     let n = p.setup.n_pixels();
     let mut worst: f64 = 0.0;
     for t in 0..p.setup.n_tx() {
@@ -198,7 +206,14 @@ fn dbim_reconstructions_agree_across_backends() {
 fn over_contrast_is_a_typed_admission_error() {
     let p = problem(Shape::Annulus, 0.15);
     let g0_norm = estimate_g0_norm(&p.g0, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED);
-    match make_backend(BackendChoice::BornSeries, &p.g0, &p.object, g0_norm) {
+    match make_backend(
+        BackendChoice::BornSeries,
+        &p.g0,
+        &p.object,
+        g0_norm,
+        None,
+        None,
+    ) {
         Err(BackendError::ContrastTooHigh { kappa, limit }) => {
             assert!(kappa >= limit, "kappa {kappa} should exceed limit {limit}");
         }
@@ -206,7 +221,7 @@ fn over_contrast_is_a_typed_admission_error() {
     }
     // The same object sails through the Krylov arm, which accepts any
     // contrast — the bound is a Born-series property, not a problem property.
-    assert!(make_backend(BackendChoice::Bicgstab, &p.g0, &p.object, 0.0).is_ok());
+    assert!(make_backend(BackendChoice::Bicgstab, &p.g0, &p.object, 0.0, None, None).is_ok());
 }
 
 /// DBIM with an inadmissible contrast surfaces the same typed error through

@@ -9,8 +9,8 @@ use ffw_numerics::linalg::Matrix;
 use ffw_numerics::vecops::rel_diff;
 use ffw_numerics::{c64, C64};
 use ffw_solver::{
-    bicgstab, cg, estimate_g0_norm, solve_adjoint, solve_forward, BornSeriesBackend,
-    ForwardBackend, IterConfig, LinOp, ScatteringOp, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
+    bicgstab, estimate_g0_norm, solve_adjoint, solve_forward, BornSeriesBackend, ForwardBackend,
+    IterConfig, LinOp, ScatteringOp, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
 use proptest::prelude::*;
 
@@ -48,22 +48,6 @@ proptest! {
         let stats = bicgstab(&a, &b, &mut x, IterConfig { tol: 1e-10, max_iters: 400 });
         prop_assert!(stats.converged);
         prop_assert!(rel_diff(&x, &x_true) < 1e-7, "err {}", rel_diff(&x, &x_true));
-    }
-
-    #[test]
-    fn cg_solves_random_hpd_systems(seed in 0u64..5000, n in 5usize..40) {
-        let b_mat = random_mat(n, n, seed, 0.0);
-        let mut a = b_mat.adjoint().matmul(&b_mat);
-        for i in 0..n {
-            *a.at_mut(i, i) += 1.5;
-        }
-        let x_true = random_vec(n, seed ^ 0x1234);
-        let mut rhs = vec![C64::ZERO; n];
-        a.matvec(&x_true, &mut rhs);
-        let mut x = vec![C64::ZERO; n];
-        let stats = cg(&a, &rhs, &mut x, IterConfig { tol: 1e-11, max_iters: 500 });
-        prop_assert!(stats.converged);
-        prop_assert!(rel_diff(&x, &x_true) < 1e-8);
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! cargo run --release --example distributed
 //! ```
 
-use ffw::dist::dist_dbim;
+use ffw::dist::{run_dbim_ft, FtConfig};
 use ffw::geometry::{Domain, Point2, QuadTree, TransducerArray};
 use ffw::inverse::{dbim, synthesize_measurements, DbimConfig, ImagingSetup, MlfmaG0};
 use ffw::mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
 use ffw::numerics::vecops::rel_diff;
-use ffw::numerics::C64;
 use ffw::par::Pool;
 use ffw::phantom::{object_from_contrast, Cylinder, Phantom};
 use std::sync::Arc;
@@ -49,32 +48,23 @@ fn main() {
         100.0 * serial.final_residual
     );
 
+    // the runtime publishes its per-launch message accounting through ffw-obs
+    ffw_obs::set_enabled(true);
+    let messages = ffw_obs::counter("mpi.messages.total");
+    let bytes = ffw_obs::counter("mpi.bytes.total");
     for (groups, subtree) in [(4usize, 2usize), (2, 4)] {
-        let plan2 = Arc::clone(&plan);
-        let setup_ref = &setup;
-        let measured_ref = &measured;
-        let cfg_ref = &cfg;
-        let (results, handle) = ffw::mpi::run(groups * subtree, move |comm| {
-            dist_dbim(
-                &comm,
-                setup_ref,
-                Arc::clone(&plan2),
-                measured_ref,
-                groups,
-                subtree,
-                cfg_ref,
-            )
-        });
-        let mut image = vec![C64::ZERO; setup.n_pixels()];
-        for r in results.iter().take(subtree) {
-            image[r.pixel_range.clone()].copy_from_slice(&r.object_local);
-        }
+        let (m0, b0) = (messages.get(), bytes.get());
+        let ft = FtConfig {
+            dbim: cfg.clone(),
+            ..FtConfig::new(groups, subtree)
+        };
+        let parallel = run_dbim_ft(&setup, Arc::clone(&plan), &measured, &ft).expect("dbim");
         println!(
             "{groups} illumination groups x {subtree} sub-tree ranks: image diff vs serial {:.2e}, \
              {} messages / {} KiB exchanged",
-            rel_diff(&image, &serial.object),
-            handle.stats().total_messages(),
-            handle.stats().total_bytes() / 1024,
+            rel_diff(&parallel.object, &serial.object),
+            messages.get() - m0,
+            (bytes.get() - b0) / 1024,
         );
     }
     println!("(the paper's analogous CPU-vs-GPU consistency figure is 7.15e-13)");

@@ -6,6 +6,7 @@ use ffw::geometry::Point2;
 use ffw::inverse::{add_noise, BornConfig, DbimConfig};
 use ffw::mlfma::Accuracy;
 use ffw::phantom::{image_rel_error, Annulus, Phantom};
+use ffw::solver::VerifyConfig;
 use ffw::tomo::{Reconstruction, SceneConfig};
 use std::sync::Arc;
 
@@ -119,6 +120,43 @@ fn preconditioned_dbim_matches_unpreconditioned_image() {
         pre_iters <= plain_iters,
         "preconditioner must not increase iterations: {pre_iters} vs {plain_iters}"
     );
+}
+
+/// Batching is scheduling, not arithmetic: one transmitter per solve, four,
+/// or all of them give the bit-equal object — plain and preconditioned, with
+/// compute verification on and off (there is one BiCGStab kernel and a
+/// single system is its width-1 panel, so no mode has a path of its own).
+#[test]
+fn batch_width_never_changes_the_object() {
+    let (recon, truth, _) = scene();
+    let measured = recon.synthesize(&truth);
+    let n_tx = measured.len();
+    for precondition in [None, Some(Arc::clone(&recon.plan))] {
+        for verify in [
+            None,
+            Some(VerifyConfig::with_rel_tol(
+                recon.plan.accuracy.checksum_rel_tol(),
+            )),
+        ] {
+            let run = |batch: usize| {
+                let cfg = DbimConfig {
+                    iterations: 2,
+                    batch: Some(batch),
+                    precondition: precondition.clone(),
+                    verify: verify.clone(),
+                    ..Default::default()
+                };
+                recon.run_dbim_with(&measured, &cfg).expect("dbim")
+            };
+            let one = run(1);
+            for batch in [4, n_tx] {
+                let r = run(batch);
+                let mode = (precondition.is_some(), verify.is_some());
+                assert_eq!(r.object, one.object, "batch {batch}, {mode:?}");
+                assert_eq!(r.final_residual, one.final_residual, "{mode:?}");
+            }
+        }
+    }
 }
 
 #[test]
