@@ -20,9 +20,10 @@
 //! (over)writes the committed baseline. Wall times are recorded, never
 //! gated.
 
+use ffw_dist::FtConfig;
 use ffw_inverse::{DbimConfig, HopSchedule, Regularizer};
 use ffw_serve::json::Json;
-use ffw_tomo::{HopPipeline, Reconstruction, SceneConfig};
+use ffw_tomo::{reconstruct, HopPipeline, Reconstruction, SceneConfig};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
@@ -132,15 +133,17 @@ fn run_hop() -> Leg {
         steps: WGCV_STEPS,
         omega: WGCV_OMEGA,
     };
-    let cfg = DbimConfig {
-        regularizer,
-        ..Default::default()
+    let ft = FtConfig {
+        dbim: DbimConfig {
+            iterations: ITERATIONS,
+            regularizer,
+            ..Default::default()
+        },
+        ..FtConfig::new(1, 1)
     };
-    let fp = pipeline.fingerprint(&scene, ITERATIONS);
     let sw = ffw_obs::Stopwatch::start();
-    let result = pipeline
-        .run(&measured, ITERATIONS, &cfg, None, false, fp, None)
-        .expect("hop dbim");
+    let result =
+        reconstruct(&scene, &schedule, &pipeline.stages, &measured, &ft, None).expect("hop dbim");
     let secs = sw.elapsed_secs();
     let final_stage = pipeline.final_stage();
     let lambda = result

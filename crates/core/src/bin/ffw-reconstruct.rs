@@ -9,17 +9,31 @@
 //! Writes `<out>_truth.pgm` and `<out>_reconstruction.pgm` and prints the
 //! reconstruction metrics.
 
-use ffw_dist::{run_dbim_ft, FtConfig, JobControl};
+use ffw_dist::{FtConfig, JobControl};
 use ffw_geometry::Point2;
-use ffw_inverse::{add_noise, BornConfig, DbimConfig, DbimError};
+use ffw_inverse::{BornConfig, DbimConfig};
 use ffw_mpi::FaultPlan;
 use ffw_phantom::{image_rel_error, Annulus, Cylinder, Phantom, RandomBlobs, SheppLogan};
 use ffw_solver::{BackendChoice, VerifyConfig};
-use ffw_tomo::exit::{exit_code_for, EXIT_BREAKDOWN, EXIT_BUDGET, EXIT_INTERRUPTED};
+use ffw_tomo::exit::{exit_code_for, EXIT_INTERRUPTED};
 use ffw_tomo::viz::write_pgm;
-use ffw_tomo::{HopPipeline, HopSchedule, Reconstruction, Regularizer, SceneConfig};
+use ffw_tomo::{
+    grid_admission, reconstruct, synthesize_noisy, HopPipeline, HopSchedule, Regularizer,
+    SceneConfig,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+impl Cli {
+    /// The `groups x subtree` rank grid: 1 x 1 (the serial context) unless
+    /// `--groups` asks for a launch.
+    fn grid(&self) -> (usize, usize) {
+        match self.groups {
+            Some(groups) => (groups, self.subtree),
+            None => (1, 1),
+        }
+    }
+}
 
 struct Cli {
     size: usize,
@@ -83,13 +97,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
                 cli.backend
             ));
         }
-        if cli.groups.is_some() {
-            return Err(format!(
-                "--backend {} is not supported in distributed mode (--groups); \
-                 the fault-tolerant pipeline currently runs BiCGStab only",
-                cli.backend
-            ));
-        }
     }
     if let Some(groups) = cli.groups {
         if groups == 0 {
@@ -115,37 +122,18 @@ fn validate(cli: &Cli) -> Result<(), String> {
                 cli.min_groups
             ));
         }
-    } else {
-        if cli.chaos_seed.is_some() {
-            return Err("--chaos-seed requires --groups (distributed mode)".into());
-        }
-        if cli.hops.is_none() {
-            for (set, flag) in [
-                (cli.checkpoint.is_some(), "--checkpoint"),
-                (cli.resume, "--resume"),
-            ] {
-                if set {
-                    return Err(format!(
-                        "{flag} requires --groups (distributed mode) or --hops \
-                         (hop-boundary checkpoints)"
-                    ));
-                }
-            }
-        }
+    } else if cli.chaos_seed.is_some() {
+        return Err("--chaos-seed requires --groups (distributed mode)".into());
     }
+    // The only two settings that do not run on every rank grid.
+    let (groups, subtree) = cli.grid();
+    grid_admission(cli.backend, cli.regularizer, groups, subtree)
+        .map_err(|why| format!("--groups {groups} --subtree {subtree}: {why}"))?;
     if let Some(schedule) = &cli.hops {
         if cli.born {
             return Err(
                 "--hops cannot be combined with --born (the hop carry is a DBIM \
                  initial guess; the linear Born baseline takes none)"
-                    .into(),
-            );
-        }
-        if cli.groups.is_some() {
-            return Err(
-                "--hops cannot be combined with --groups (hop schedules run the \
-                 serial driver; distributed mode has its own outer-iteration \
-                 checkpoints)"
                     .into(),
             );
         }
@@ -168,21 +156,12 @@ fn validate(cli: &Cli) -> Result<(), String> {
     if cli.resume && cli.checkpoint.is_none() {
         return Err("--resume requires --checkpoint (the path to resume from)".into());
     }
-    if cli.regularizer != Regularizer::default() {
-        if cli.born {
-            return Err(
-                "--regularizer has no effect on --born (the linear Born baseline \
-                 has its own truncated-SVD regularization)"
-                    .into(),
-            );
-        }
-        if cli.groups.is_some() {
-            return Err(
-                "--regularizer is not supported in distributed mode (--groups); \
-                 the fault-tolerant pipeline runs the plain linear step"
-                    .into(),
-            );
-        }
+    if cli.regularizer != Regularizer::default() && cli.born {
+        return Err(
+            "--regularizer has no effect on --born (the linear Born baseline \
+             has its own truncated-SVD regularization)"
+                .into(),
+        );
     }
     if matches!(cli.regularizer, Regularizer::WgcvLsqr { .. }) && cli.precondition {
         return Err(
@@ -335,8 +314,8 @@ fn parse_args() -> Result<Cli, String> {
                      ratio). --iterations is the total budget, split across \
                      stages with the remainder on the later, higher-resolution \
                      stages. --checkpoint/--resume save and restore at hop \
-                     boundaries. Not compatible with --born, --groups, or \
-                     --precondition.\n\n\
+                     boundaries and run on any --groups grid. Not compatible \
+                     with --born or --precondition.\n\n\
                      --regularizer selects the DBIM linear-step regularizer: \
                      'tikhonov[:lambda]' (default, lambda 0 = unregularized), \
                      'smoothness[:lambda]' (seeded spatial prior penalizing the \
@@ -345,8 +324,10 @@ fn parse_args() -> Result<Cli, String> {
                      LSQR with automatic weighted-GCV lambda selection on a \
                      projected bidiagonal problem; steps = Golub-Kahan \
                      dimension, default 4; omega in (0, 1.5], default 0.8). \
-                     Serial and --hops modes only; wgcv-lsqr is incompatible \
-                     with --precondition.\n\n\
+                     Every family runs on every --groups grid except \
+                     smoothness, which needs --subtree 1 (its stencil crosses \
+                     sub-tree boundaries); wgcv-lsqr is incompatible with \
+                     --precondition.\n\n\
                      --batch B solves B transmitter systems per fused multi-RHS \
                      MLFMA traversal (1 <= B <= --tx; default min(tx, 8)); every \
                      batch width gives the bit-identical reconstruction, \
@@ -357,19 +338,27 @@ fn parse_args() -> Result<Cli, String> {
                      iteration with a guaranteed contraction, admitted only while \
                      the contrast bound ||G0||*max|O| stays under the limit; an \
                      over-contrast scene exits with code 3 instead of diverging). \
-                     Not compatible with --precondition (BiCGStab-specific).\n\n\
-                     --groups switches to the fault-tolerant distributed DBIM on a \
-                     G x P in-process rank grid (G must divide --tx, P must divide \
-                     16): outer-iteration checkpoints (--checkpoint), bit-identical \
-                     restart (--resume), seeded fault injection (--chaos-seed), and \
+                     Not compatible with --precondition (BiCGStab-specific); \
+                     born-series needs the 1 x 1 grid (its contrast admission is \
+                     a max over the whole object).\n\n\
+                     Every DBIM run is one loop on a G x P rank grid; without \
+                     --groups that grid is 1 x 1 — the serial run, no ranks \
+                     launched. --groups G launches the fault-tolerant distributed \
+                     DBIM on G x P in-process ranks (G must divide --tx, P must \
+                     divide 16; --positivity, --precondition, --hops and the \
+                     regularizers apply on every grid): outer-iteration \
+                     checkpoints (--checkpoint, hop boundaries with --hops), \
+                     bit-identical restart (--resume), seeded fault injection \
+                     (--chaos-seed), and \
                      elastic recovery when ranks die (up to --max-restarts \
                      relaunches; dead groups' transmitters are redistributed over \
                      the survivors while at least --min-groups groups remain, and \
                      dropped only below that).\n\n\
-                     --verify-compute (default on) guards serial DBIM runs against \
+                     --verify-compute (default on) guards DBIM runs against \
                      silent data corruption: every MLFMA panel apply is checked \
                      against an ABFT checksum column and the Krylov recurrences \
-                     are audited against the true residual. A detected flip is \
+                     are audited against the true residual (on a rank grid a \
+                     checksum mismatch retires the detecting rank instead). A detected flip is \
                      recomputed (checksum) or rolled back (drift) bit-identically; \
                      corruption that survives the recovery budget aborts with exit \
                      code 4 before any image is written — never a silently wrong \
@@ -382,9 +371,9 @@ fn parse_args() -> Result<Cli, String> {
                      the recorder on.\n\n\
                      exit codes: 0 success; 1 generic failure; 2 invalid usage; \
                      3 Krylov breakdown; 4 recovery budget exhausted; 5 interrupted \
-                     by SIGTERM/SIGINT with the checkpoint flushed (distributed \
-                     runs stop at the next outer-iteration boundary and --resume \
-                     continues bit-identically)."
+                     by SIGTERM/SIGINT with the checkpoint flushed (runs stop at \
+                     the next outer-iteration boundary — hop boundary with --hops \
+                     — and --resume continues bit-identically)."
                 );
                 std::process::exit(0);
             }
@@ -428,9 +417,9 @@ fn main() {
     if observing {
         ffw_obs::set_enabled(true);
         if cli.groups.is_none() {
-            // Serial run: one in-process "rank" that never communicates.
-            // Register the per-rank comm counters anyway so the metrics JSON
-            // always carries them (at zero) regardless of run mode.
+            // No ranks are launched: one in-process "rank" that never
+            // communicates. Register the per-rank comm counters anyway so the
+            // metrics JSON always carries them (at zero) regardless of mode.
             ffw_obs::counter("mpi.bytes.rank0");
             ffw_obs::counter("mpi.messages.rank0");
             ffw_obs::counter("mpi.bytes.total");
@@ -443,21 +432,14 @@ fn main() {
         let span = deg.to_radians();
         scene = scene.with_arc(-span / 2.0, span);
     }
+    // One pipeline per frequency stage (shared pool and pixel grid); a
+    // single-frequency run is the one-stage schedule "1.0". The factor-1.0
+    // stage doubles as the imaging pipeline.
+    let schedule = cli.hops.clone().unwrap_or_else(HopSchedule::single);
     let setup_span = ffw_obs::span("setup");
-    // Hop mode builds one pipeline per frequency stage (shared pool and
-    // pixel grid); the factor-1.0 stage doubles as the imaging pipeline.
-    let hop = cli.hops.as_ref().map(|s| HopPipeline::new(&scene, s));
-    let recon_single = if hop.is_none() {
-        Some(Reconstruction::new(&scene))
-    } else {
-        None
-    };
-    let recon: &Reconstruction = hop
-        .as_ref()
-        .map(HopPipeline::final_stage)
-        .or(recon_single.as_ref())
-        .expect("one of the pipelines is always built");
+    let pipeline = HopPipeline::new(&scene, &schedule);
     drop(setup_span);
+    let recon = pipeline.final_stage();
     let phantom = build_phantom(&cli, recon.domain().side());
     let truth_raster = phantom.rasterize(recon.domain());
 
@@ -470,69 +452,87 @@ fn main() {
         cli.phantom,
         cli.contrast
     );
-    let mut measured = Vec::new();
-    if hop.is_none() {
-        let synth_span = ffw_obs::span("synthesize");
-        measured = recon.synthesize(phantom.as_ref());
-        drop(synth_span);
-        if let Some(db) = cli.noise_db {
-            add_noise(&mut measured, db, 1);
-            println!("added {db} dB SNR noise");
-        }
+    let synth_span = ffw_obs::span("synthesize");
+    let measured = synthesize_noisy(&pipeline.stages, phantom.as_ref(), cli.noise_db);
+    drop(synth_span);
+    if let Some(db) = cli.noise_db {
+        println!("added {db} dB SNR noise");
     }
 
-    let (image, label) = if let Some(h) = &hop {
-        // Frequency-hopping DBIM: per-stage measurement synthesis, the hop
-        // carry between stages, checkpoint/resume at hop boundaries, and a
-        // cooperative SIGTERM stop between stages (exit code 5).
-        let synth_span = ffw_obs::span("synthesize");
-        let mut staged = h.synthesize(phantom.as_ref());
-        drop(synth_span);
-        if let Some(db) = cli.noise_db {
-            HopPipeline::add_noise(&mut staged, db, 1);
-            println!("added {db} dB SNR noise (independent per-stage streams)");
-        }
+    let (image, label) = if cli.born {
+        let result = recon.run_born(&measured[0], &BornConfig::default());
+        println!("Born (single scattering): {:?}", result.stats);
+        (recon.image(&result.object), "Born")
+    } else {
+        // SIGTERM/SIGINT stop the run cooperatively at the next checkpoint
+        // boundary (outer iteration; hop stage with --hops), *after* that
+        // boundary's checkpoint is flushed, so a `--resume` continues
+        // bit-identically (exit code 5).
         ffw_fault::install_shutdown_handler();
-        let cfg = DbimConfig {
-            positivity: cli.positivity,
-            batch: cli.batch,
-            backend: cli.backend,
-            regularizer: cli.regularizer,
-            verify: cli
-                .verify_compute
-                .then(|| VerifyConfig::with_rel_tol(recon.plan.accuracy.checksum_rel_tol())),
-            ..Default::default()
+        let (groups, subtree) = cli.grid();
+        let ft = FtConfig {
+            dbim: DbimConfig {
+                iterations: cli.iterations,
+                positivity: cli.positivity,
+                precondition: cli.precondition.then(|| Arc::clone(&recon.plan)),
+                batch: cli.batch,
+                backend: cli.backend,
+                regularizer: cli.regularizer,
+                // Every G0 panel carries the ABFT checksum. In process a
+                // mismatch is recomputed; a grid rank that detects one
+                // escalates (its halo inputs are consumed, so there is
+                // nothing local to recompute) and the driver recovers
+                // through checkpoint-restart.
+                verify: cli.verify_compute.then(|| {
+                    let mut vc = VerifyConfig::with_rel_tol(recon.plan.accuracy.checksum_rel_tol());
+                    if let Some(seed) = cli.chaos_compute {
+                        // Per-panel verification so a recoverable seeded flip
+                        // is repaired in place before its outputs are
+                        // released, instead of escalating from an
+                        // already-consumed panel of the amortized window.
+                        vc = vc.immediate();
+                        let faults = ffw_fault::FaultPlan::seeded_compute(seed, 1).activate(1);
+                        vc.injector = Some(Arc::new(move |_panel| faults.on_apply(0)));
+                    }
+                    vc
+                }),
+                ..Default::default()
+            },
+            checkpoint: cli.checkpoint.clone(),
+            resume: cli.resume,
+            max_restarts: cli.max_restarts,
+            min_groups: cli.min_groups,
+            fault_plan: cli
+                .chaos_seed
+                .filter(|_| groups * subtree >= 2)
+                .map(|s| FaultPlan::seeded(s, groups * subtree)),
+            control: Some(JobControl::new().with_shutdown()),
+            ..FtConfig::new(groups, subtree)
         };
-        let fingerprint = h.fingerprint(&scene, cli.iterations);
         let stop = ffw_fault::shutdown_requested;
-        let result = match h.run(
-            &staged,
-            cli.iterations,
-            &cfg,
-            cli.checkpoint.clone(),
-            cli.resume,
-            fingerprint,
+        let result = match reconstruct(
+            &scene,
+            &schedule,
+            &pipeline.stages,
+            &measured,
+            &ft,
             Some(&stop),
         ) {
             Ok(r) => r,
-            Err(ffw_tomo::HopError::Dbim(e @ DbimError::Backend(_))) => {
-                eprintln!("hop stage failed: {e}");
-                std::process::exit(EXIT_BREAKDOWN);
-            }
-            Err(ffw_tomo::HopError::Dbim(e @ DbimError::ComputeCorruption(_))) => {
-                eprintln!("hop stage aborted: {e}");
-                std::process::exit(EXIT_BUDGET);
-            }
-            Err(e @ ffw_tomo::HopError::Checkpoint(_)) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
+            Err(e) => {
+                eprintln!("fault-tolerant DBIM failed: {e}");
+                std::process::exit(exit_code_for(&e));
             }
         };
-        if let Some(stage) = result.interrupted {
+        if let Some(done) = result.interrupted {
             eprintln!(
-                "interrupted: stopped before hop stage {stage} with every \
-                 completed stage checkpointed{}; rerun with --resume to \
-                 continue bit-identically",
+                "interrupted: stopped after {done} completed {} with the checkpoint \
+                 flushed{}; rerun with --resume to continue bit-identically",
+                if schedule.len() > 1 {
+                    "hop stage(s)"
+                } else {
+                    "outer iteration(s)"
+                },
                 match &cli.checkpoint {
                     Some(p) => format!(" to {}", p.display()),
                     None => String::new(),
@@ -540,11 +540,15 @@ fn main() {
             );
             std::process::exit(EXIT_INTERRUPTED);
         }
+        // A single-frequency run is the schedule "1.0": "DBIM (1 stage: 1; ...)".
         println!(
-            "hop DBIM ({} stages: {}; {} resumed): final residual {:.3}%",
+            "{}DBIM ({} stage{}: {schedule}; {} resumed) on {groups} groups x {subtree} \
+             sub-trees ({}): final residual {:.3}%",
+            if schedule.len() > 1 { "hop " } else { "" },
             result.completed,
-            h.schedule(),
+            if result.completed == 1 { "" } else { "s" },
             result.resumed,
+            cli.backend,
             100.0 * result.stages.last().map_or(f64::NAN, |s| s.final_residual)
         );
         for (stage, r) in result.stages.iter().enumerate() {
@@ -554,124 +558,15 @@ fn main() {
                 .map(|l| format!(", lambda {l:.3e}"))
                 .unwrap_or_default();
             println!(
-                "  stage {}: residual {:.3}%, {} forward solves{lambda}",
+                "  stage {}: residual {:.2}% -> {:.3}%{lambda}, lost illuminations {:?}, \
+                 restarts {}",
                 result.resumed + stage,
+                100.0 * r.residual_history.first().copied().unwrap_or(f64::NAN),
                 100.0 * r.final_residual,
-                r.forward_solves
+                r.lost_txs,
+                r.restarts
             );
         }
-        (recon.image(&result.object), "DBIM (hop)")
-    } else if cli.born {
-        let result = recon.run_born(&measured, &BornConfig::default());
-        println!("Born (single scattering): {:?}", result.stats);
-        (recon.image(&result.object), "Born")
-    } else if let Some(groups) = cli.groups {
-        // SIGTERM/SIGINT stop the run cooperatively at the next
-        // outer-iteration boundary, *after* that iteration's checkpoint is
-        // flushed, so a `--resume` continues bit-identically (exit code 5).
-        ffw_fault::install_shutdown_handler();
-        let ft = FtConfig {
-            dbim: DbimConfig {
-                iterations: cli.iterations,
-                positivity: cli.positivity,
-                batch: cli.batch,
-                backend: cli.backend,
-                // Every rank's G0 panels carry the ABFT checksum column; a
-                // rank that detects corruption escalates (its halo inputs
-                // are consumed, so there is nothing local to recompute) and
-                // the driver recovers through checkpoint-restart.
-                verify: cli
-                    .verify_compute
-                    .then(|| VerifyConfig::with_rel_tol(recon.plan.accuracy.checksum_rel_tol())),
-                ..Default::default()
-            },
-            groups,
-            subtree_ranks: cli.subtree,
-            checkpoint: cli.checkpoint.clone(),
-            resume: cli.resume,
-            max_restarts: cli.max_restarts,
-            min_groups: cli.min_groups,
-            fault_plan: cli
-                .chaos_seed
-                .map(|s| FaultPlan::seeded(s, groups * cli.subtree)),
-            deadlock_timeout: None,
-            control: Some(JobControl::new().with_shutdown()),
-        };
-        let result = match run_dbim_ft(&recon.setup, Arc::clone(&recon.plan), &measured, &ft) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fault-tolerant DBIM failed: {e}");
-                std::process::exit(exit_code_for(&e));
-            }
-        };
-        if let Some(next_iter) = result.interrupted {
-            eprintln!(
-                "interrupted: stopped after outer iteration {} with checkpoint \
-                 flushed{}; rerun with --resume to continue bit-identically",
-                next_iter,
-                match &cli.checkpoint {
-                    Some(p) => format!(" to {}", p.display()),
-                    None => String::new(),
-                }
-            );
-            std::process::exit(EXIT_INTERRUPTED);
-        }
-        println!(
-            "fault-tolerant DBIM ({groups} groups x {} sub-trees): residual {:.3}%, \
-             lost illuminations {:?}, restarts {}",
-            cli.subtree,
-            100.0 * result.final_residual,
-            result.lost_txs,
-            result.restarts
-        );
-        (recon.image(&result.object), "DBIM (distributed)")
-    } else {
-        let cfg = DbimConfig {
-            iterations: cli.iterations,
-            positivity: cli.positivity,
-            precondition: cli.precondition.then(|| Arc::clone(&recon.plan)),
-            batch: cli.batch,
-            backend: cli.backend,
-            regularizer: cli.regularizer,
-            verify: cli.verify_compute.then(|| {
-                let mut vc = VerifyConfig::with_rel_tol(recon.plan.accuracy.checksum_rel_tol());
-                if let Some(seed) = cli.chaos_compute {
-                    // Per-panel verification so a recoverable seeded flip is
-                    // repaired in place before its outputs are released,
-                    // instead of escalating from an already-consumed panel
-                    // of the amortized window.
-                    vc = vc.immediate();
-                    let faults = ffw_fault::FaultPlan::seeded_compute(seed, 1).activate(1);
-                    vc.injector = Some(Arc::new(move |_panel| faults.on_apply(0)));
-                }
-                vc
-            }),
-            ..Default::default()
-        };
-        let result = match recon.run_dbim_with(&measured, &cfg) {
-            Ok(r) => r,
-            Err(e @ DbimError::Backend(_)) => {
-                // Same exit class as a Krylov breakdown: the scene is too
-                // hard for this engine — perturb it or pick another backend.
-                eprintln!("DBIM failed: {e}");
-                std::process::exit(EXIT_BREAKDOWN);
-            }
-            Err(e @ DbimError::ComputeCorruption(_)) => {
-                // The recovery budget is spent and the iterate cannot be
-                // trusted; abort before any image is written rather than
-                // emit a silently corrupted reconstruction.
-                eprintln!("DBIM aborted: {e}");
-                std::process::exit(EXIT_BUDGET);
-            }
-        };
-        println!(
-            "DBIM ({}): residual {:.2}% -> {:.3}%, {:.1} MLFMA mults/solve, {} forward solves",
-            cli.backend,
-            100.0 * result.history[0].rel_residual,
-            100.0 * result.final_residual,
-            result.mlfma_mults_per_solve(),
-            result.forward_solves
-        );
         (recon.image(&result.object), "DBIM")
     };
     let err = image_rel_error(&image, &truth_raster);

@@ -25,21 +25,22 @@
 pub mod exit;
 pub mod viz;
 
-use ffw_fault::Fingerprint;
+use ffw_dist::{run_dbim_ft, run_dbim_local, FtConfig, FtDbimResult};
+use ffw_fault::{FaultError, Fingerprint};
 use ffw_geometry::{Domain, QuadTree, TransducerArray};
 use ffw_inverse::{
-    born_inversion, dbim, multi_frequency_dbim_with, synthesize_measurements, BornConfig,
-    DbimConfig, DbimError, DbimResult, FrequencyHop, ImagingSetup, MlfmaG0, MultiFreqConfig,
-    MultiFreqError, MultiFreqResult,
+    add_noise, born_inversion, dbim, hop_stages, synthesize_measurements, BackendChoice,
+    BornConfig, DbimConfig, DbimError, DbimResult, HopCheckpoint, ImagingSetup, MlfmaG0,
+    MultiFreqResult,
 };
 use ffw_mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
 use ffw_numerics::C64;
 use ffw_par::Pool;
 use ffw_phantom::{contrast_from_object, object_from_contrast, NoiseModel, Phantom};
-use std::path::PathBuf;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-pub use ffw_inverse::{BornResult, HopSchedule, MultiFreqError as HopError, Regularizer};
+pub use ffw_inverse::{BornResult, HopSchedule, Regularizer};
 
 /// Scene description: domain size and transducer layout.
 #[derive(Clone, Debug)]
@@ -265,7 +266,7 @@ impl HopPipeline {
     /// object is frequency-invariant contrast, so each stage solves its own
     /// forward problem at its own wavenumber.
     pub fn synthesize(&self, phantom: &dyn Phantom) -> Vec<Vec<Vec<C64>>> {
-        self.stages.iter().map(|s| s.synthesize(phantom)).collect()
+        synthesize_noisy(&self.stages, phantom, None)
     }
 
     /// Adds seeded measurement noise to every stage. Stages get independent
@@ -281,65 +282,154 @@ impl HopPipeline {
             .apply(stage);
         }
     }
+}
 
-    /// The scene + schedule fingerprint hop checkpoints are bound to: a
-    /// resume against a different scene, schedule, or iteration budget is
-    /// rejected instead of silently mixing incompatible carries.
-    pub fn fingerprint(&self, scene: &SceneConfig, iterations: usize) -> u64 {
-        self.schedule
-            .fold_fingerprint(
-                Fingerprint::new()
-                    .u64(scene.n_side_px as u64)
-                    .u64(scene.n_tx as u64)
-                    .u64(scene.n_rx as u64)
-                    .f64(scene.wavelength)
-                    .f64(scene.ring_radius_factor)
-                    .f64(scene.arc.map_or(-1.0, |(s, _)| s))
-                    .f64(scene.arc.map_or(-1.0, |(_, sp)| sp))
-                    .u64(iterations as u64),
-            )
-            .finish()
+/// Per-stage measurements of one physical phantom (each stage solves its own
+/// forward problem at its own wavenumber), plus optional seeded measurement
+/// noise at `snr_db`. A schedule gets independent per-stage realizations
+/// ([`HopPipeline::add_noise`]); a single-frequency job keeps the
+/// single-frequency stream ([`ffw_inverse::add_noise`]), so its data does not
+/// depend on being phrased as the one-stage schedule `"1.0"`.
+pub fn synthesize_noisy<S: Borrow<Reconstruction>>(
+    stages: &[S],
+    phantom: &dyn Phantom,
+    snr_db: Option<f64>,
+) -> Vec<Vec<Vec<C64>>> {
+    let mut measured: Vec<Vec<Vec<C64>>> = stages
+        .iter()
+        .map(|s| s.borrow().synthesize(phantom))
+        .collect();
+    match (snr_db, measured.as_mut_slice()) {
+        (None, _) => {}
+        (Some(db), [single]) => add_noise(single, db, 1),
+        (Some(db), _) => HopPipeline::add_noise(&mut measured, db, 1),
     }
+    measured
+}
 
-    /// Runs the schedule: `iterations` is the *total* DBIM budget, split
-    /// across stages by [`HopSchedule::split_iterations`] (later stages get
-    /// the remainder). `base` supplies all other DBIM settings — notably the
-    /// [`Regularizer`]. With a checkpoint path the driver saves at every hop
-    /// boundary and `resume` skips completed stages bit-identically; `stop`
-    /// is polled between stages (SIGTERM handling).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        &self,
-        measured: &[Vec<Vec<C64>>],
-        iterations: usize,
-        base: &DbimConfig,
-        checkpoint: Option<PathBuf>,
-        resume: bool,
-        fingerprint: u64,
-        stop: Option<&dyn Fn() -> bool>,
-    ) -> Result<MultiFreqResult, MultiFreqError> {
-        assert_eq!(measured.len(), self.stages.len(), "one dataset per stage");
-        let split = self.schedule.split_iterations(iterations);
-        let hops: Vec<FrequencyHop<'_, MlfmaG0>> = self
-            .stages
-            .iter()
-            .zip(measured)
-            .zip(&split)
-            .map(|((stage, mea), &its)| FrequencyHop {
-                setup: &stage.setup,
-                g0: stage.g0(),
-                measured: mea,
-                iterations: its,
-            })
-            .collect();
-        let cfg = MultiFreqConfig {
-            base: base.clone(),
-            checkpoint,
-            resume,
-            fingerprint,
+/// The scene + schedule part of the fingerprint hop checkpoints are bound
+/// to: a resume against a different scene or schedule is rejected instead of
+/// silently mixing incompatible carries.
+fn scene_fingerprint(scene: &SceneConfig, schedule: &HopSchedule) -> Fingerprint {
+    schedule.fold_fingerprint(
+        Fingerprint::new()
+            .u64(scene.n_side_px as u64)
+            .u64(scene.n_tx as u64)
+            .u64(scene.n_rx as u64)
+            .f64(scene.wavelength)
+            .f64(scene.ring_radius_factor)
+            .f64(scene.arc.map_or(-1.0, |(s, _)| s))
+            .f64(scene.arc.map_or(-1.0, |(_, sp)| sp)),
+    )
+}
+
+/// The two settings that do not run on every `groups x subtree` rank grid,
+/// with the reason — shared by the CLI and the service so both refuse the
+/// same configurations in the same words. Everything else (`--hops`, the
+/// other regularizers, positivity, preconditioning, an initial guess) runs
+/// on any grid.
+pub fn grid_admission(
+    backend: BackendChoice,
+    regularizer: Regularizer,
+    groups: usize,
+    subtree: usize,
+) -> Result<(), String> {
+    if backend == BackendChoice::BornSeries && (groups, subtree) != (1, 1) {
+        return Err(format!(
+            "backend born-series requires groups = subtree = 1 (got {groups} x {subtree}): \
+             its contrast admission is a max over the whole object and a power \
+             iteration over the whole G0, which a rank grid does not reduce"
+        ));
+    }
+    if matches!(regularizer, Regularizer::Smoothness { .. }) && subtree != 1 {
+        return Err(format!(
+            "regularizer smoothness requires subtree = 1 (got {subtree}): its Laplacian \
+             stencil crosses sub-tree boundaries and there is no pixel halo"
+        ));
+    }
+    Ok(())
+}
+
+/// Runs one reconstruction job — the front door the CLI and the service
+/// share. A job is a hop schedule on a `groups x subtree` rank grid; a
+/// single-frequency job is the one-stage schedule `"1.0"`.
+///
+/// `stages[h]` / `measured[h]` are the pipeline and data of stage `h`
+/// (lowest frequency first), `ft.dbim.iterations` the *total* budget, split
+/// by [`HopSchedule::split_iterations`]. This is the only place that maps
+/// `(groups, subtree)` to a context: `1 x 1` runs the serial context on the
+/// stage's own `G0` engine with no rank launch
+/// ([`ffw_dist::run_dbim_local`]), anything larger launches the rank grid
+/// ([`ffw_dist::run_dbim_ft`]).
+///
+/// Checkpoint, progress and stop granularity is the finest boundary the job
+/// has. A single-frequency job checkpoints to `ft.checkpoint`, reports to
+/// and is stopped by `ft.control` at every outer iteration, and
+/// `interrupted` counts completed iterations. A schedule checkpoints its
+/// carry at hop boundaries, reports a completed stage to `ft.control`, polls
+/// `stop` between stages, and `interrupted` counts completed stages. Either
+/// way a resume continues bit-identically, and the checkpoint is bound to
+/// the scene, the schedule and every setting that changes the iterate.
+pub fn reconstruct<S: Borrow<Reconstruction>>(
+    scene: &SceneConfig,
+    schedule: &HopSchedule,
+    stages: &[S],
+    measured: &[Vec<Vec<C64>>],
+    ft: &FtConfig,
+    stop: Option<&dyn Fn() -> bool>,
+) -> Result<MultiFreqResult<FtDbimResult>, FaultError> {
+    assert_eq!(stages.len(), schedule.len(), "one pipeline per stage");
+    assert_eq!(measured.len(), stages.len(), "one dataset per stage");
+    let single = stages.len() == 1;
+    let split = schedule.split_iterations(ft.dbim.iterations);
+    let k0s: Vec<f64> = stages
+        .iter()
+        .map(|s| s.borrow().setup.domain.k0())
+        .collect();
+    let hop_checkpoint = ft
+        .checkpoint
+        .as_deref()
+        .filter(|_| !single)
+        .map(|path| HopCheckpoint {
+            path,
+            resume: ft.resume,
+            fingerprint: ft
+                .dbim
+                .fold_fingerprint(scene_fingerprint(scene, schedule))
+                .finish(),
+        });
+    // Injected faults hit the first launch of the job only.
+    let mut fault_plan = ft.fault_plan.clone();
+    let n_pixels = stages[0].borrow().setup.n_pixels();
+    hop_stages(&k0s, n_pixels, hop_checkpoint, stop, |h, carry| {
+        let stage: &Reconstruction = stages[h].borrow();
+        let stage_ft = FtConfig {
+            dbim: DbimConfig {
+                iterations: split[h],
+                initial: carry.or_else(|| ft.dbim.initial.clone()),
+                ..ft.dbim.clone()
+            },
+            checkpoint: ft.checkpoint.clone().filter(|_| single),
+            resume: ft.resume && single,
+            control: ft.control.clone().filter(|_| single),
+            fault_plan: fault_plan.take(),
+            groups: ft.groups,
+            subtree_ranks: ft.subtree_ranks,
+            max_restarts: ft.max_restarts,
+            min_groups: ft.min_groups,
+            deadlock_timeout: ft.deadlock_timeout,
         };
-        multi_frequency_dbim_with(&hops, &cfg, stop)
-    }
+        let result = if (ft.groups, ft.subtree_ranks) == (1, 1) {
+            run_dbim_local(&stage.setup, stage.g0(), &measured[h], &stage_ft)
+        } else {
+            let plan = Arc::clone(&stage.plan);
+            run_dbim_ft(&stage.setup, plan, &measured[h], &stage_ft)
+        }?;
+        if let (false, Some(ctl)) = (single, &ft.control) {
+            ctl.progress((h + 1) as u32, result.final_residual);
+        }
+        Ok(result)
+    })
 }
 
 #[cfg(test)]

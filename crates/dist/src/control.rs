@@ -79,21 +79,15 @@ impl JobControl {
     }
 
     /// Emits a progress event to the observer (no-op without a channel or
-    /// receiver). Public so drivers hosted outside this crate — the serve
-    /// layer's serial hop/regularizer path — can stream the same progress
-    /// frames the fault-tolerant driver emits.
+    /// receiver): `completed` outer iterations — hop stages, when the front
+    /// door reports a schedule — and the residual measured there.
     pub fn progress(&self, completed: u32, residual: f64) {
-        self.emit(IterProgress {
-            completed,
-            residual,
-        });
-    }
-
-    /// Emits a progress event (no-op without a channel or receiver).
-    pub(crate) fn emit(&self, p: IterProgress) {
         if let Some(tx) = &self.progress {
             // lint:unchecked-ok in-process progress channel, not rank comm; a dropped receiver just mutes progress
-            let _ = tx.send(p);
+            let _ = tx.send(IterProgress {
+                completed,
+                residual,
+            });
         }
     }
 }
@@ -128,10 +122,7 @@ mod tests {
         let (tx, rx) = crossbeam_channel::unbounded();
         let ctl = JobControl::new().with_progress(tx);
         drop(rx);
-        ctl.emit(IterProgress {
-            completed: 1,
-            residual: 0.5,
-        });
+        ctl.progress(1, 0.5);
     }
 
     #[test]

@@ -115,6 +115,16 @@ impl<'c> DistMlfma<'c> {
         self
     }
 
+    /// The communicator this engine is bound to.
+    pub(crate) fn comm(&self) -> &'c Comm {
+        self.comm
+    }
+
+    /// Members of the sub-tree communicator (global rank ids, slot order).
+    pub fn members(&self) -> &[usize] {
+        &self.members
+    }
+
     /// This rank's slot in the sub-tree communicator.
     pub fn slot(&self) -> usize {
         self.part.rank

@@ -2,12 +2,15 @@
 //! elastic recovery on rank death.
 //!
 //! The driver [`run_dbim_ft`] runs the paper's two-dimensional parallel DBIM
-//! (illumination groups x MLFMA sub-trees, the same iteration as the serial
-//! `ffw_inverse::dbim`); every rank uses the *checked* communication and
-//! solver paths, so a dead peer, a message lost beyond the retry budget, a
-//! payload that fails integrity verification, or a Krylov breakdown unwinds
-//! the rank with a typed [`FaultError`] instead of a panic or a hang.
-//! Recovery happens at launch granularity:
+//! (illumination groups x MLFMA sub-trees): every rank runs the one DBIM
+//! loop, [`ffw_inverse::dbim_loop`], on its `GridContext` — the same code
+//! the serial `ffw_inverse::dbim` runs on the 1×1 grid — over the *checked*
+//! communication paths, so a dead peer, a message lost beyond the retry
+//! budget, a payload that fails integrity verification, or a Krylov
+//! breakdown unwinds the rank with a typed [`FaultError`] instead of a panic
+//! or a hang. This module holds the grid context, its end-of-iteration hook
+//! (checkpoint gather + collective stop) and the recovery loop; it contains
+//! no reconstruction arithmetic. Recovery happens at launch granularity:
 //!
 //! 1. After every completed outer iteration the full reconstruction state
 //!    (contrast vector, conjugate-direction state, warm-start fields,
@@ -37,17 +40,18 @@
 //! the checkpoint carries everything the iteration boundary depends on, and
 //! a config fingerprint guards against resuming someone else's state.
 
-use crate::control::{IterProgress, JobControl};
+use crate::control::JobControl;
 use crate::engine::DistMlfma;
-use crate::solver::{
-    try_allreduce_scalars, try_dist_bicgstab_block, DistAdjointScatteringOp, DistScatteringOp,
-};
+use crate::solver::try_allreduce_scalars;
 use ffw_fault::{Checkpoint, Fingerprint};
-use ffw_inverse::{BackendChoice, DbimConfig, ImagingSetup};
+use ffw_inverse::{
+    dbim_loop, BackendChoice, BackendError, DbimConfig, DbimResult, Flow, ImagingSetup, LoopState,
+    RankContext, Regularizer, StageResult,
+};
 use ffw_mlfma::MlfmaPlan;
 use ffw_mpi::{Comm, FaultError, FaultPlan, Payload, RankOutcome, Runtime};
-use ffw_numerics::vecops::{norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
+use ffw_solver::{BicgstabBackend, DriftGuard, ForwardBackend, PrecondPair, VerifyConfig};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -143,73 +147,45 @@ pub struct FtDbimResult {
     /// the same config continues bit-identically. `None` on a run that
     /// finished all its iterations.
     pub interrupted: Option<u32>,
+    /// The wGCV-chosen regularization parameter of every outer iteration
+    /// the final launch ran (empty for the fixed-lambda regularizers).
+    pub lambdas: Vec<f64>,
 }
 
-/// In-memory reconstruction state restored from a checkpoint.
-struct FtState {
-    next_iter: usize,
-    object: Vec<C64>,
-    grad_prev: Vec<C64>,
-    dir: Vec<C64>,
-    fields: Vec<(usize, Vec<C64>)>,
-    residual_history: Vec<f64>,
-}
-
-fn unpack(v: &[(f64, f64)]) -> Vec<C64> {
-    v.iter().map(|&(re, im)| c64(re, im)).collect()
+impl StageResult for FtDbimResult {
+    fn object(&self) -> &[C64] {
+        &self.object
+    }
+    fn final_residual(&self) -> f64 {
+        self.final_residual
+    }
+    fn interrupted(&self) -> Option<u32> {
+        self.interrupted
+    }
 }
 
 fn pack(v: &[C64]) -> Vec<(f64, f64)> {
     v.iter().map(|c| (c.re, c.im)).collect()
 }
 
-impl FtState {
-    fn from_checkpoint(c: &Checkpoint) -> Self {
-        FtState {
-            next_iter: c.next_iter as usize,
-            object: unpack(&c.object),
-            grad_prev: unpack(&c.grad_prev),
-            dir: unpack(&c.dir),
-            fields: c
-                .fields
-                .iter()
-                .map(|(tx, f)| (*tx as usize, unpack(f)))
-                .collect(),
-            residual_history: c.residual_history.clone(),
-        }
-    }
-
-    fn field_for(&self, tx: usize) -> Option<&[C64]> {
-        self.fields
-            .iter()
-            .find(|(t, _)| *t == tx)
-            .map(|(_, f)| f.as_slice())
-    }
-}
-
 /// Fingerprint of everything the checkpointed state depends on: scene
-/// dimensions, rank grid, iteration settings and the measured data itself.
-fn run_fingerprint(
+/// dimensions, rank grid, every iteration setting that changes the iterate
+/// ([`DbimConfig::fold_fingerprint`]) and the measured data itself.
+pub fn run_fingerprint(
     setup: &ImagingSetup,
-    plan: &MlfmaPlan,
     cfg: &DbimConfig,
     groups: usize,
     subtree_ranks: usize,
     measured: &[Vec<C64>],
 ) -> u64 {
-    let mut fp = Fingerprint::new()
-        .u64(plan.n_pixels() as u64)
-        .u64(setup.n_tx() as u64)
-        .u64(setup.n_rx() as u64)
-        .u64(groups as u64)
-        .u64(subtree_ranks as u64)
-        .u64(cfg.iterations as u64)
-        .f64(cfg.forward.tol)
-        .u64(cfg.forward.max_iters as u64)
-        .flag(cfg.real_object)
-        .flag(cfg.warm_start)
-        .flag(cfg.conjugate)
-        .u64(cfg.backend as u64);
+    let mut fp = cfg.fold_fingerprint(
+        Fingerprint::new()
+            .u64(setup.n_pixels() as u64)
+            .u64(setup.n_tx() as u64)
+            .u64(setup.n_rx() as u64)
+            .u64(groups as u64)
+            .u64(subtree_ranks as u64),
+    );
     for m in measured {
         for v in m {
             fp = fp.f64(v.re).f64(v.im);
@@ -225,11 +201,21 @@ fn lost_of(alive: &[Vec<usize>], n_tx: usize) -> Vec<usize> {
 
 /// Runs the fault-tolerant distributed DBIM reconstruction.
 ///
-/// On a clean run this computes the same iteration as the serial
-/// `ffw_inverse::dbim` and matches it to near machine precision. Under faults it recovers per the module docs, and returns
-/// [`FaultError`] only when no recovery is possible: the restart budget is
-/// spent, every group is lost, the checkpoint is unusable, or a non-fault
-/// typed error (e.g. a Krylov breakdown that survived its restart) occurred.
+/// On a clean run this is the serial `ffw_inverse::dbim` — the same loop on
+/// another context — and matches it to near machine precision (bit for bit
+/// on the 1×1 grid). Under faults it recovers per the module docs, and
+/// returns [`FaultError`] only when no recovery is possible: the restart
+/// budget is spent, every group is lost, the checkpoint is unusable, or a
+/// non-fault typed error (e.g. a Krylov breakdown that survived its restart)
+/// occurred.
+///
+/// Two settings do not run on every grid and are refused typed (admission
+/// layers reject them before this point, so reaching here means a config was
+/// constructed by hand): the Born-series backend needs the 1×1 grid (its
+/// contrast admission is a *max* over the whole object and a power iteration
+/// over the whole `G0`), and the smoothness regularizer needs
+/// `subtree_ranks == 1` (its Laplacian stencil crosses sub-tree boundaries
+/// and there is no pixel halo).
 pub fn run_dbim_ft(
     setup: &ImagingSetup,
     plan: Arc<MlfmaPlan>,
@@ -243,18 +229,23 @@ pub fn run_dbim_ft(
     assert_eq!(n_tx % groups, 0, "transmitters must divide among groups");
     assert!(cfg.min_groups >= 1, "min_groups must be at least 1");
     if cfg.dbim.backend != BackendChoice::Bicgstab {
-        // The fault-tolerant pipeline pins BiCGStab (see the lint:backend-ok
-        // waivers below); admission layers reject other backends before this
-        // point, so reaching here means a config was constructed by hand.
         return Err(FaultError::Unrecoverable {
             detail: format!(
-                "backend {} is not supported by the distributed driver",
+                "backend {} is not supported on a rank grid",
                 cfg.dbim.backend
             ),
         });
     }
+    if matches!(cfg.dbim.regularizer, Regularizer::Smoothness { .. }) && p != 1 {
+        return Err(FaultError::Unrecoverable {
+            detail: format!(
+                "the smoothness regularizer needs subtree_ranks == 1, got {p}: its \
+                 stencil crosses sub-tree boundaries"
+            ),
+        });
+    }
     let tx_per_group = n_tx / groups;
-    let fingerprint = run_fingerprint(setup, &plan, &cfg.dbim, groups, p, measured);
+    let fingerprint = run_fingerprint(setup, &cfg.dbim, groups, p, measured);
 
     // Transmitter sets per surviving group. Initially one contiguous block
     // per group; as ranks die the dead groups' transmitters are
@@ -263,7 +254,7 @@ pub fn run_dbim_ft(
     let mut alive: Vec<Vec<usize>> = (0..groups)
         .map(|g| (g * tx_per_group..(g + 1) * tx_per_group).collect())
         .collect();
-    let mut state: Option<FtState> = None;
+    let mut state: Option<Checkpoint> = None;
 
     if cfg.resume {
         let path = cfg
@@ -279,7 +270,7 @@ pub fn run_dbim_ft(
         );
         let lost: BTreeSet<usize> = ckpt.lost_txs.iter().map(|&t| t as usize).collect();
         alive.retain(|txs| !txs.iter().any(|t| lost.contains(t)));
-        state = Some(FtState::from_checkpoint(&ckpt));
+        state = Some(ckpt);
     }
 
     let mut fault_plan = cfg.fault_plan.clone();
@@ -305,20 +296,20 @@ pub fn run_dbim_ft(
         let ckpt_path = cfg.checkpoint.as_deref();
         let launch_span = ffw_obs::span("dist.launch");
         let launch = rt.launch(move |comm| {
-            ft_rank(
+            let ctx = GridContext::new(
                 &comm,
-                setup,
                 Arc::clone(&plan2),
-                measured,
                 alive_ref,
                 p,
                 &cfg.dbim,
-                ckpt_path,
-                state_ref,
-                fingerprint,
-                lost_ref,
-                control_ref,
-            )
+                GridHook {
+                    ckpt_path,
+                    fingerprint,
+                    lost_txs: lost_ref,
+                    control: control_ref,
+                },
+            );
+            ctx.run(setup, measured, &cfg.dbim, state_ref)
         });
         drop(launch_span);
         launch.stats.stats().record_obs();
@@ -372,7 +363,7 @@ pub fn run_dbim_ft(
         if dead.is_empty() {
             // No rank died: either full success, or a typed non-fault error
             // (Krylov breakdown, checkpoint I/O) that recovery cannot fix.
-            let mut outs: Vec<Option<FtRankOut>> = Vec::with_capacity(n_ranks);
+            let mut outs: Vec<Option<DbimResult>> = Vec::with_capacity(n_ranks);
             let mut first_err: Option<FaultError> = None;
             for out in launch.outcomes {
                 match out {
@@ -396,40 +387,32 @@ pub fn run_dbim_ft(
             }
             // Assemble the object from group 0 (slots 0..p own contiguous
             // pixel ranges covering the whole domain, in slot order).
-            let mut object = Vec::with_capacity(plan.n_pixels());
-            let mut residual_history = Vec::new();
-            let mut final_residual = 0.0;
-            let mut interrupted = None;
-            for (s, slot_out) in outs.into_iter().take(p).enumerate() {
-                let o = slot_out.expect("checked above: every rank returned Ok");
-                if s == 0 {
-                    residual_history = o.residual_history;
-                    final_residual = o.final_residual;
-                    interrupted = o.stopped;
-                }
-                object.extend_from_slice(&o.object_local);
+            let mut slots = outs
+                .into_iter()
+                .take(p)
+                .map(|o| o.expect("checked above: every rank returned Ok"));
+            let lead = slots.next().expect("at least one slot");
+            let mut object = lead.object;
+            for o in slots {
+                object.extend_from_slice(&o.object);
             }
-            if let Some(next) = interrupted {
+            if let Some(next) = lead.stopped {
                 ffw_obs::event(
                     "dist.stop",
                     &format!("run stopped at outer-iteration boundary {next}"),
                 );
             }
-            for &r in &residual_history {
-                ffw_obs::series_push("dbim.residual", r);
-            }
-            ffw_obs::series_push("dbim.residual", final_residual);
             if ffw_obs::enabled() {
-                ffw_obs::gauge("dbim.final_residual").set(final_residual);
                 ffw_obs::counter("dist.restarts").add(restarts as u64);
             }
             return Ok(FtDbimResult {
                 object,
-                residual_history,
-                final_residual,
+                residual_history: lead.residual_history,
+                final_residual: lead.final_residual,
                 lost_txs,
                 restarts,
-                interrupted,
+                interrupted: lead.stopped,
+                lambdas: lead.lambdas,
             });
         }
 
@@ -507,304 +490,174 @@ pub fn run_dbim_ft(
                     "dist.checkpoint.load",
                     &format!("recovery from iter {} ({})", ckpt.next_iter, path.display()),
                 );
-                Some(FtState::from_checkpoint(&ckpt))
+                Some(ckpt)
             }
             _ => None, // no checkpoint yet: relaunch from scratch
         };
     }
 }
 
-/// One rank's slice of a completed fault-tolerant run.
-struct FtRankOut {
-    object_local: Vec<C64>,
-    residual_history: Vec<f64>,
-    final_residual: f64,
-    /// `Some(next_iter)` when the collective stop protocol ended the run
-    /// early; identical across ranks because the decision is an allreduce.
-    stopped: Option<u32>,
+/// What the grid context's end-of-iteration hook works with.
+struct GridHook<'a> {
+    ckpt_path: Option<&'a Path>,
+    fingerprint: u64,
+    lost_txs: &'a [usize],
+    control: Option<&'a JobControl>,
 }
 
-/// The per-rank body: one DBIM iteration loop on the checked communication
-/// paths, with an optional state gather + checkpoint write at
-/// the end of every outer iteration.
-#[allow(clippy::too_many_arguments)]
-fn ft_rank(
-    comm: &Comm,
-    setup: &ImagingSetup,
-    plan: Arc<MlfmaPlan>,
-    measured: &[Vec<C64>],
-    group_txs: &[Vec<usize>],
+/// One rank of the illumination-group × sub-tree grid as the DBIM loop sees
+/// it: rank `r` is slot `r % p` of group `r / p`, owns the slot's pixel range
+/// of the group's transmitters, and reaches its three kinds of peers through
+/// `group_members` (inside the distributed `G0`), `slot_siblings` and
+/// `all_members`.
+struct GridContext<'a, 'c> {
+    comm: &'c Comm,
+    g0: DistMlfma<'c>,
+    group_txs: &'a [Vec<usize>],
+    run_txs: Vec<usize>,
     subtree_ranks: usize,
-    cfg: &DbimConfig,
-    ckpt_path: Option<&Path>,
-    init: Option<&FtState>,
-    fingerprint: u64,
-    lost_txs: &[usize],
-    control: Option<&JobControl>,
-) -> Result<FtRankOut, FaultError> {
-    let groups = group_txs.len();
-    assert_eq!(comm.size(), groups * subtree_ranks, "rank grid mismatch");
-    let rank = comm.rank();
-    let group = rank / subtree_ranks;
-    let slot = rank % subtree_ranks;
-    let group_members: Vec<usize> = (0..subtree_ranks)
-        .map(|s| group * subtree_ranks + s)
-        .collect();
-    let slot_siblings: Vec<usize> = (0..groups).map(|g| g * subtree_ranks + slot).collect();
-    let all_members: Vec<usize> = (0..comm.size()).collect();
-    let my_txs = &group_txs[group];
+    /// The ranks holding this rank's pixels in the other groups.
+    slot_siblings: Vec<usize>,
+    all_members: Vec<usize>,
+    warm_start: bool,
+    hook: GridHook<'a>,
+}
 
-    let mut g0 = DistMlfma::new(comm, Arc::clone(&plan), group_members.clone(), true);
-    if let Some(vc) = &cfg.verify {
-        g0 = g0.with_verify(vc.rel_tol, vc.abs_floor);
+impl<'a, 'c> GridContext<'a, 'c> {
+    fn new(
+        comm: &'c Comm,
+        plan: Arc<MlfmaPlan>,
+        group_txs: &'a [Vec<usize>],
+        subtree_ranks: usize,
+        cfg: &DbimConfig,
+        hook: GridHook<'a>,
+    ) -> Self {
+        let groups = group_txs.len();
+        assert_eq!(comm.size(), groups * subtree_ranks, "rank grid mismatch");
+        let (group, slot) = (comm.rank() / subtree_ranks, comm.rank() % subtree_ranks);
+        let group_members: Vec<usize> = (0..subtree_ranks)
+            .map(|s| group * subtree_ranks + s)
+            .collect();
+        let mut g0 = DistMlfma::new(comm, plan, group_members, true);
+        if let Some(vc) = &cfg.verify {
+            g0 = g0.with_verify(vc.rel_tol, vc.abs_floor);
+        }
+        GridContext {
+            comm,
+            g0,
+            group_txs,
+            run_txs: group_txs.iter().flatten().copied().collect(),
+            subtree_ranks,
+            slot_siblings: (0..groups).map(|g| g * subtree_ranks + slot).collect(),
+            all_members: (0..comm.size()).collect(),
+            warm_start: cfg.warm_start,
+            hook,
+        }
     }
-    let cols = g0.partition().pixel_range.clone();
-    let n_local = cols.len();
 
-    let (mut object, mut grad_prev, mut dir, mut fields, mut residual_history, start_iter) =
-        match init {
-            Some(st) => {
-                assert_eq!(st.object.len(), plan.n_pixels(), "checkpoint dimension");
-                let fields: Vec<Vec<C64>> = my_txs
-                    .iter()
-                    .map(|&t| match st.field_for(t) {
-                        Some(f) => f[cols.clone()].to_vec(),
-                        None => vec![C64::ZERO; n_local],
-                    })
-                    .collect();
-                (
-                    st.object[cols.clone()].to_vec(),
-                    st.grad_prev[cols.clone()].to_vec(),
-                    st.dir[cols.clone()].to_vec(),
-                    fields,
-                    st.residual_history.clone(),
-                    st.next_iter,
-                )
+    /// Runs the loop on this rank, from the rank's slice of `init`.
+    fn run(
+        &self,
+        setup: &ImagingSetup,
+        measured: &[Vec<C64>],
+        cfg: &DbimConfig,
+        init: Option<&Checkpoint>,
+    ) -> Result<DbimResult, FaultError> {
+        let init = init.map(|c| {
+            assert_eq!(c.object.len(), setup.n_pixels(), "checkpoint dimension");
+            LoopState::from_checkpoint(c, self.pixels(), self.txs())
+        });
+        let rank = self.comm.rank();
+        // Escalations the loop raises on this rank's behalf (a drift guard
+        // out of rollbacks) must name this rank: the driver reads the rank
+        // of a `ComputeCorruption` as primary death evidence.
+        let own;
+        let cfg = match &cfg.verify {
+            Some(vc) if vc.rank != rank => {
+                own = DbimConfig {
+                    verify: Some(VerifyConfig { rank, ..vc.clone() }),
+                    ..cfg.clone()
+                };
+                &own
             }
-            None => (
-                vec![C64::ZERO; n_local],
-                vec![C64::ZERO; n_local],
-                vec![C64::ZERO; n_local],
-                vec![vec![C64::ZERO; n_local]; my_txs.len()],
-                Vec::new(),
-                0,
-            ),
+            _ => cfg,
         };
+        dbim_loop(setup, self, measured, cfg, init).map_err(|e| match FaultError::from(e) {
+            FaultError::KrylovBreakdown {
+                iterations,
+                rel_residual,
+                detail,
+                ..
+            } => FaultError::KrylovBreakdown {
+                rank,
+                iterations,
+                rel_residual,
+                detail,
+            },
+            e => e,
+        })
+    }
+}
 
-    // Measured norm over the *surviving* transmitters only: losing a group
-    // reweights the residual to what is actually still being fit.
-    let measured_norm_sqr: f64 = group_txs
-        .iter()
-        .flatten()
-        .map(|&t| norm2_sqr(&measured[t]))
-        .sum();
+impl<'c> RankContext for GridContext<'_, 'c> {
+    type G0 = DistMlfma<'c>;
+    fn g0(&self) -> &Self::G0 {
+        &self.g0
+    }
+    fn backend<'a>(
+        &'a self,
+        choice: BackendChoice,
+        object: &'a [C64],
+        guard: Option<&'a DriftGuard>,
+        precond: Option<PrecondPair<'a>>,
+    ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
+        assert_eq!(
+            choice,
+            BackendChoice::Bicgstab,
+            "run_dbim_ft refuses other backends before launching"
+        );
+        Ok(Box::new(BicgstabBackend::new(
+            &self.g0, object, guard, precond,
+        )))
+    }
+    fn pixels(&self) -> Range<usize> {
+        self.g0.partition().pixel_range.clone()
+    }
+    fn txs(&self) -> &[usize] {
+        &self.group_txs[self.comm.rank() / self.subtree_ranks]
+    }
+    fn run_txs(&self) -> &[usize] {
+        &self.run_txs
+    }
+    fn grid_pos(&self) -> (usize, usize) {
+        let rank = self.comm.rank();
+        (rank / self.subtree_ranks, rank % self.subtree_ranks)
+    }
+    fn sum_groups(&self, vals: &mut [C64]) -> Result<(), FaultError> {
+        try_allreduce_scalars(self.comm, &self.slot_siblings, vals)
+    }
+    fn sum_all(&self, vals: &mut [C64]) -> Result<(), FaultError> {
+        try_allreduce_scalars(self.comm, &self.all_members, vals)
+    }
 
-    // Each group batches its local transmitters: every chunk of `batch`
-    // systems shares one lockstep multi-RHS solve (fused matvec traversals,
-    // fused reductions) and one fused receiver-data allreduce. Per-column
-    // arithmetic order is unchanged, so the reconstruction is bit-identical
-    // at every batch width.
-    let batch = cfg.batch.unwrap_or_else(|| my_txs.len().min(8)).max(1);
-    let n_rx = setup.n_rx();
-
-    let compute_residuals = |object: &[C64],
-                             fields: &mut [Vec<C64>]|
-     -> Result<(Vec<Vec<C64>>, f64), FaultError> {
-        let mut residuals = Vec::with_capacity(my_txs.len());
-        let mut cost_local = 0.0f64;
-        let a = DistScatteringOp {
-            g0: &g0,
-            object_local: object,
-        };
-        for (chunk_idx, chunk) in my_txs.chunks(batch).enumerate() {
-            let lo = chunk_idx * batch;
-            let fields_chunk = &mut fields[lo..lo + chunk.len()];
-            if !cfg.warm_start {
-                for f in fields_chunk.iter_mut() {
-                    f.iter_mut().for_each(|v| *v = C64::ZERO);
-                }
-            }
-            let incs: Vec<&[C64]> = chunk
-                .iter()
-                .map(|&t| &setup.incident(t)[cols.clone()])
-                .collect();
-            // lint:backend-ok distributed mode is Krylov-only; admission rejects other backends
-            try_dist_bicgstab_block(&a, comm, &group_members, &incs, fields_chunk, cfg.forward)?;
-            // the whole chunk's receiver data rides in one allreduce
-            let mut rs = vec![C64::ZERO; chunk.len() * n_rx];
-            for (k, f) in fields_chunk.iter().enumerate() {
-                let w: Vec<C64> = object.iter().zip(f).map(|(o, p)| *o * *p).collect();
-                setup.gr_apply_cols(cols.clone(), &w, &mut rs[k * n_rx..(k + 1) * n_rx]);
-            }
-            try_allreduce_scalars(comm, &group_members, &mut rs)?;
-            for (k, &t) in chunk.iter().enumerate() {
-                let mut r = rs[k * n_rx..(k + 1) * n_rx].to_vec();
-                for (ri, mi) in r.iter_mut().zip(&measured[t]) {
-                    *ri -= *mi;
-                }
-                if slot == 0 {
-                    cost_local += norm2_sqr(&r);
-                }
-                residuals.push(r);
-            }
-        }
-        let mut c = [c64(cost_local, 0.0)];
-        try_allreduce_scalars(comm, &all_members, &mut c)?;
-        Ok((residuals, c[0].re))
-    };
-
-    for it in start_iter..cfg.iterations {
-        // --- pass 1: fields + residuals ---
-        let (residuals, cost) = compute_residuals(&object, &mut fields)?;
-        residual_history.push((cost / measured_norm_sqr).sqrt());
-
-        // --- pass 2: gradient (adjoint solves batched per chunk) ---
-        let mut grad = vec![C64::ZERO; n_local];
-        for (chunk_idx, chunk) in my_txs.chunks(batch).enumerate() {
-            let lo = chunk_idx * batch;
-            let mut ys: Vec<Vec<C64>> = Vec::with_capacity(chunk.len());
-            let mut rhss: Vec<Vec<C64>> = Vec::with_capacity(chunk.len());
-            for k in 0..chunk.len() {
-                let mut y = vec![C64::ZERO; n_local];
-                setup.gr_adjoint_apply_cols(cols.clone(), &residuals[lo + k], &mut y);
-                rhss.push(
-                    object
-                        .iter()
-                        .zip(&y)
-                        .map(|(o, yi)| o.conj() * *yi)
-                        .collect(),
-                );
-                ys.push(y);
-            }
-            let rhs_refs: Vec<&[C64]> = rhss.iter().map(|v| v.as_slice()).collect();
-            let mut zs = vec![vec![C64::ZERO; n_local]; chunk.len()];
-            let ah = DistAdjointScatteringOp {
-                g0: &g0,
-                object_local: &object,
-            };
-            // lint:backend-ok distributed mode is Krylov-only; admission rejects other backends
-            try_dist_bicgstab_block(&ah, comm, &group_members, &rhs_refs, &mut zs, cfg.forward)?;
-            let zcs: Vec<Vec<C64>> = zs
-                .iter()
-                .map(|z| z.iter().map(|v| v.conj()).collect())
-                .collect();
-            let zc_refs: Vec<&[C64]> = zcs.iter().map(|v| v.as_slice()).collect();
-            let mut g0hzs = vec![vec![C64::ZERO; n_local]; chunk.len()];
-            g0.try_apply_block(&zc_refs, &mut g0hzs)?;
-            for k in 0..chunk.len() {
-                let i = lo + k;
-                for j in 0..n_local {
-                    grad[j] += fields[i][j].conj() * (ys[k][j] + g0hzs[k][j].conj());
-                }
-            }
-        }
-        try_allreduce_scalars(comm, &slot_siblings, &mut grad)?;
-        if cfg.real_object {
-            grad.iter_mut().for_each(|v| v.im = 0.0);
-        }
-
-        // --- conjugate direction ---
-        let mut dots = [
-            c64(norm2_sqr(&grad), 0.0),
-            zdotc(
-                &grad,
-                &grad_prev
-                    .iter()
-                    .zip(&grad)
-                    .map(|(gp, g)| *g - *gp)
-                    .collect::<Vec<_>>(),
-            ),
-            c64(norm2_sqr(&grad_prev), 0.0),
-        ];
-        try_allreduce_scalars(comm, &group_members, &mut dots)?;
-        let g_norm_sqr = dots[0].re;
-        if g_norm_sqr == 0.0 {
-            break;
-        }
-        let beta = if cfg.conjugate && it > 0 && dots[2].re > 0.0 {
-            (dots[1].re / dots[2].re).max(0.0)
-        } else {
-            0.0
-        };
-        for j in 0..n_local {
-            dir[j] = -grad[j] + beta * dir[j];
-        }
-        grad_prev.copy_from_slice(&grad);
-
-        // --- pass 3: step size (forward solves batched per chunk) ---
-        let mut num_local = 0.0f64;
-        let mut den_local = 0.0f64;
-        for (chunk_idx, chunk) in my_txs.chunks(batch).enumerate() {
-            let lo = chunk_idx * batch;
-            let ws: Vec<Vec<C64>> = (0..chunk.len())
-                .map(|k| (0..n_local).map(|j| fields[lo + k][j] * dir[j]).collect())
-                .collect();
-            let w_refs: Vec<&[C64]> = ws.iter().map(|v| v.as_slice()).collect();
-            let mut g0ws = vec![vec![C64::ZERO; n_local]; chunk.len()];
-            g0.try_apply_block(&w_refs, &mut g0ws)?;
-            let g0w_refs: Vec<&[C64]> = g0ws.iter().map(|v| v.as_slice()).collect();
-            let mut us = vec![vec![C64::ZERO; n_local]; chunk.len()];
-            let a = DistScatteringOp {
-                g0: &g0,
-                object_local: &object,
-            };
-            // lint:backend-ok distributed mode is Krylov-only; admission rejects other backends
-            try_dist_bicgstab_block(&a, comm, &group_members, &g0w_refs, &mut us, cfg.forward)?;
-            // fused receiver-data allreduce for the whole chunk
-            let mut fds = vec![C64::ZERO; chunk.len() * n_rx];
-            for k in 0..chunk.len() {
-                let src: Vec<C64> = ws[k]
-                    .iter()
-                    .zip(&us[k])
-                    .zip(&object)
-                    .map(|((wi, ui), oi)| *wi + *oi * *ui)
-                    .collect();
-                setup.gr_apply_cols(cols.clone(), &src, &mut fds[k * n_rx..(k + 1) * n_rx]);
-            }
-            try_allreduce_scalars(comm, &group_members, &mut fds)?;
-            if slot == 0 {
-                for k in 0..chunk.len() {
-                    let fd = &fds[k * n_rx..(k + 1) * n_rx];
-                    num_local -= zdotc(fd, &residuals[lo + k]).re;
-                    den_local += norm2_sqr(fd);
-                }
-            }
-        }
-        let mut nd = [c64(num_local, 0.0), c64(den_local, 0.0)];
-        try_allreduce_scalars(comm, &all_members, &mut nd)?;
-        let alpha = if nd[1].re > 0.0 {
-            nd[0].re / nd[1].re
-        } else {
-            0.0
-        };
-        for j in 0..n_local {
-            object[j] += alpha * dir[j];
-        }
-        if cfg.real_object {
-            object.iter_mut().for_each(|v| v.im = 0.0);
-        }
-
-        // --- checkpoint the completed iteration ---
-        if let Some(path) = ckpt_path {
+    /// Checkpoints the completed iteration, then takes the collective stop
+    /// decision.
+    fn end_of_iteration(&self, st: &LoopState) -> Result<Flow, FaultError> {
+        let hook = &self.hook;
+        if let Some(path) = hook.ckpt_path {
             gather_and_save(
-                comm,
+                self.comm,
                 path,
-                fingerprint,
-                it + 1,
-                group_txs,
-                subtree_ranks,
-                cfg.warm_start,
-                &cols,
-                plan.n_pixels(),
-                &object,
-                &grad_prev,
-                &dir,
-                &fields,
-                &residual_history,
-                lost_txs,
+                hook.fingerprint,
+                self.group_txs,
+                self.subtree_ranks,
+                self.warm_start,
+                &self.pixels(),
+                self.g0.plan().n_pixels(),
+                st,
+                hook.lost_txs,
             )?;
         }
-
         // --- controlled stop (cancel / pause / shutdown drain) ---
         // The decision must be collective: ranks read the stop intent at
         // different moments, so a raced local read would leave some ranks
@@ -812,39 +665,24 @@ fn ft_rank(
         // One extra allreduce per iteration, only when a control handle is
         // attached — uncontrolled runs keep their comm volume unchanged
         // (the BENCH_pr3 comm gate counts every message).
-        if let Some(ctl) = control {
-            if rank == 0 {
-                ctl.emit(IterProgress {
-                    completed: (it + 1) as u32,
-                    residual: residual_history.last().copied().unwrap_or(f64::NAN),
-                });
-            }
-            let intent = if ctl.stop_requested() { 1.0 } else { 0.0 };
-            let mut flag = [c64(intent, 0.0)];
-            try_allreduce_scalars(comm, &all_members, &mut flag)?;
-            if flag[0].re > 0.0 {
-                // Iterations 0..=it are complete (and checkpointed when a
-                // path is configured); report the last measured residual.
-                return Ok(FtRankOut {
-                    object_local: object,
-                    residual_history: residual_history.clone(),
-                    final_residual: residual_history.last().copied().unwrap_or(f64::NAN),
-                    stopped: Some((it + 1) as u32),
-                });
-            }
+        let Some(ctl) = hook.control else {
+            return Ok(Flow::Continue);
+        };
+        if self.comm.rank() == 0 {
+            ctl.progress(
+                st.next_iter as u32,
+                st.residual_history.last().copied().unwrap_or(f64::NAN),
+            );
         }
+        let intent = if ctl.stop_requested() { 1.0 } else { 0.0 };
+        let mut flag = [c64(intent, 0.0)];
+        self.sum_all(&mut flag)?;
+        Ok(if flag[0].re > 0.0 {
+            Flow::Stop
+        } else {
+            Flow::Continue
+        })
     }
-
-    // --- final residual ---
-    let (_, cost) = compute_residuals(&object, &mut fields)?;
-    let final_residual = (cost / measured_norm_sqr).sqrt();
-
-    Ok(FtRankOut {
-        object_local: object,
-        residual_history,
-        final_residual,
-        stopped: None,
-    })
 }
 
 /// Gathers the full reconstruction state to rank 0 and writes the
@@ -858,19 +696,22 @@ fn gather_and_save(
     comm: &Comm,
     path: &Path,
     fingerprint: u64,
-    next_iter: usize,
     group_txs: &[Vec<usize>],
     subtree_ranks: usize,
     warm_start: bool,
     cols: &Range<usize>,
     n_pixels: usize,
-    object: &[C64],
-    grad_prev: &[C64],
-    dir: &[C64],
-    fields: &[Vec<C64>],
-    residual_history: &[f64],
+    st: &LoopState,
     lost_txs: &[usize],
 ) -> Result<(), FaultError> {
+    let LoopState {
+        next_iter,
+        object,
+        grad_prev,
+        dir,
+        fields,
+        residual_history,
+    } = st;
     let rank = comm.rank();
     let p = subtree_ranks;
     let per = n_pixels / p;
@@ -931,9 +772,9 @@ fn gather_and_save(
 
     let ckpt = Checkpoint {
         fingerprint,
-        next_iter: next_iter as u32,
+        next_iter: *next_iter as u32,
         lost_txs: lost_txs.iter().map(|&t| t as u32).collect(),
-        residual_history: residual_history.to_vec(),
+        residual_history: residual_history.clone(),
         object: full_object,
         grad_prev: full_grad,
         dir: full_dir,

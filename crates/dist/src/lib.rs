@@ -10,14 +10,13 @@
 pub mod control;
 pub mod engine;
 pub mod ft;
+pub mod local;
 pub mod partition;
 pub mod solver;
 
 pub use control::{IterProgress, JobControl};
 pub use engine::DistMlfma;
-pub use ft::{run_dbim_ft, FtConfig, FtDbimResult};
+pub use ft::{run_dbim_ft, run_fingerprint, FtConfig, FtDbimResult};
+pub use local::run_dbim_local;
 pub use partition::{ExchangePlan, SubtreePartition, MAX_SUBTREE_RANKS};
-pub use solver::{
-    allreduce_scalars, try_allreduce_scalars, try_dist_bicgstab_block, DistAdjointScatteringOp,
-    DistG0Op, DistOp, DistScatteringOp,
-};
+pub use solver::try_allreduce_scalars;

@@ -1,17 +1,18 @@
-//! Distributed forward/adjoint solves over sub-tree-partitioned vectors.
-//!
-//! Vectors are split across the sub-tree communicator members exactly like
-//! the MLFMA pixel ranges; BiCGStab runs with *local* vector arithmetic and
-//! communicator-wide inner products.
+//! The distributed `G0` behind the solver seam: a sub-tree rank of
+//! [`DistMlfma`] is a [`DistOp`], so the one BiCGStab kernel
+//! (`ffw_solver::try_bicgstab_block`) and the scattering operators over it
+//! run with *local* vector arithmetic on the rank's pixel slice and
+//! communicator-wide inner products through [`try_allreduce_scalars`].
 
 use crate::engine::DistMlfma;
 use ffw_mpi::{Comm, FaultError};
-use ffw_numerics::vecops::{norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
-use ffw_solver::{IterConfig, SolveStats};
+use ffw_solver::DistOp;
 
 /// Sum-allreduce of complex scalars among an explicit member list (global
-/// rank ids; `members[0]` acts as the root).
+/// rank ids; `members[0]` acts as the root). A dead or unreachable peer
+/// surfaces as a typed [`FaultError`], so fault-tolerant drivers can unwind
+/// the rank cleanly and relaunch.
 ///
 /// Misuse is diagnosed rather than hung: the member list is validated up
 /// front (every caller must appear in its own list, members must be valid
@@ -19,15 +20,6 @@ use ffw_solver::{IterConfig, SolveStats};
 /// rank waits for a contribution that never comes — the `ffw-mpi` deadlock
 /// watchdog reconstructs the wait-for graph and fails the run with a report
 /// naming the stuck ranks.
-pub fn allreduce_scalars(comm: &Comm, members: &[usize], vals: &mut [C64]) {
-    if let Err(e) = try_allreduce_scalars(comm, members, vals) {
-        panic!("ffw-dist: {e}");
-    }
-}
-
-/// Checked variant of [`allreduce_scalars`]: a dead or unreachable peer
-/// surfaces as a typed [`FaultError`] instead of a panic, so fault-tolerant
-/// drivers can unwind the rank cleanly and relaunch.
 pub fn try_allreduce_scalars(
     comm: &Comm,
     members: &[usize],
@@ -96,432 +88,24 @@ pub fn try_allreduce_scalars(
     Ok(())
 }
 
-/// A distributed operator: applies to panels of local slices, communicating
-/// internally. A single right-hand side is a panel of width 1.
-pub trait DistOp {
-    /// Local slice length.
-    fn n_local(&self) -> usize;
-    /// Checked block apply: `ys[b] = (A xs[b])_local` for a panel of `B`
-    /// columns, column-wise independent. Communication failure surfaces as a
-    /// typed error.
-    fn try_apply_block_local(
-        &self,
-        xs_local: &[&[C64]],
-        ys_local: &mut [Vec<C64>],
-    ) -> Result<(), FaultError>;
-}
-
-/// Distributed `A = I - G0 diag(O)` over a [`DistMlfma`].
-pub struct DistScatteringOp<'a, 'c> {
-    /// The distributed Green's operator.
-    pub g0: &'a DistMlfma<'c>,
-    /// Local slice of the object vector.
-    pub object_local: &'a [C64],
-}
-
-impl DistOp for DistScatteringOp<'_, '_> {
+/// A sub-tree rank of the distributed `G0`: panels of local slices in,
+/// local slices out, and `reduce` sums over the sub-tree communicator — the
+/// ranks holding the other pixels of the same vectors.
+impl DistOp for DistMlfma<'_> {
+    type Error = FaultError;
     fn n_local(&self) -> usize {
-        self.object_local.len()
+        DistMlfma::n_local(self)
     }
     fn try_apply_block_local(
         &self,
         xs_local: &[&[C64]],
         ys_local: &mut [Vec<C64>],
     ) -> Result<(), FaultError> {
-        assert_eq!(xs_local.len(), ys_local.len(), "block width mismatch");
-        // Per-column scaling, one fused G0 traversal for the whole panel.
-        let oxs: Vec<Vec<C64>> = xs_local
-            .iter()
-            .map(|x| {
-                self.object_local
-                    .iter()
-                    .zip(*x)
-                    .map(|(o, xi)| *o * *xi)
-                    .collect()
-            })
-            .collect();
-        let ox_refs: Vec<&[C64]> = oxs.iter().map(|v| v.as_slice()).collect();
-        self.g0.try_apply_block(&ox_refs, ys_local)?;
-        for (y, x) in ys_local.iter_mut().zip(xs_local) {
-            for (yi, xi) in y.iter_mut().zip(*x) {
-                *yi = *xi - *yi;
-            }
-        }
-        Ok(())
+        self.try_apply_block(xs_local, ys_local)
     }
-}
-
-/// Distributed adjoint `A^H = I - diag(conj O) G0^H` (conjugation trick).
-pub struct DistAdjointScatteringOp<'a, 'c> {
-    /// The distributed Green's operator.
-    pub g0: &'a DistMlfma<'c>,
-    /// Local slice of the object vector.
-    pub object_local: &'a [C64],
-}
-
-impl DistOp for DistAdjointScatteringOp<'_, '_> {
-    fn n_local(&self) -> usize {
-        self.object_local.len()
+    fn reduce(&self, vals: &mut [C64]) -> Result<(), FaultError> {
+        try_allreduce_scalars(self.comm(), self.members(), vals)
     }
-    fn try_apply_block_local(
-        &self,
-        xs_local: &[&[C64]],
-        ys_local: &mut [Vec<C64>],
-    ) -> Result<(), FaultError> {
-        assert_eq!(xs_local.len(), ys_local.len(), "block width mismatch");
-        let xcs: Vec<Vec<C64>> = xs_local
-            .iter()
-            .map(|x| x.iter().map(|v| v.conj()).collect())
-            .collect();
-        let xc_refs: Vec<&[C64]> = xcs.iter().map(|v| v.as_slice()).collect();
-        self.g0.try_apply_block(&xc_refs, ys_local)?;
-        for (y, x) in ys_local.iter_mut().zip(xs_local) {
-            for ((yi, xi), o) in y.iter_mut().zip(*x).zip(self.object_local) {
-                *yi = *xi - o.conj() * yi.conj();
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Raw distributed `G0` as a [`DistOp`].
-pub struct DistG0Op<'a, 'c>(pub &'a DistMlfma<'c>);
-
-impl DistOp for DistG0Op<'_, '_> {
-    fn n_local(&self) -> usize {
-        self.0.n_local()
-    }
-    fn try_apply_block_local(
-        &self,
-        xs_local: &[&[C64]],
-        ys_local: &mut [Vec<C64>],
-    ) -> Result<(), FaultError> {
-        self.0.try_apply_block(xs_local, ys_local)
-    }
-}
-
-fn finite_c(v: C64) -> bool {
-    v.re.is_finite() && v.im.is_finite()
-}
-
-/// Fused `dst[c] = A src[c]` over the active columns of a panel, counting
-/// one matvec per column.
-fn block_apply_active<A: DistOp + ?Sized>(
-    a: &A,
-    active: &[usize],
-    src: &[Vec<C64>],
-    dst: &mut [Vec<C64>],
-    cols: &mut [Column],
-) -> Result<(), FaultError> {
-    let refs: Vec<&[C64]> = active.iter().map(|&c| src[c].as_slice()).collect();
-    let mut outs: Vec<Vec<C64>> = active
-        .iter()
-        .map(|&c| std::mem::take(&mut dst[c]))
-        .collect();
-    let result = a.try_apply_block_local(&refs, &mut outs);
-    for (k, &c) in active.iter().enumerate() {
-        dst[c] = std::mem::take(&mut outs[k]);
-        cols[c].matvecs += 1;
-    }
-    result
-}
-
-/// What one column carries through a lockstep sweep and, if it breaks down,
-/// into its retry: the iteration budget is shared across both.
-#[derive(Clone)]
-struct Column {
-    /// Reduced `||b||`, identical on every member rank.
-    b_norm: f64,
-    iters: usize,
-    matvecs: usize,
-    /// Last finite relative residual.
-    res: f64,
-    /// Set once the column converged or ran out of budget.
-    stats: Option<SolveStats>,
-}
-
-impl Column {
-    fn finish(&mut self, rel_residual: f64, converged: bool) {
-        self.stats = Some(SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: self.iters,
-            matvecs: self.matvecs,
-            rel_residual,
-            converged,
-        });
-    }
-}
-
-/// Batched distributed BiCGStab: iterates `B` right-hand sides in lockstep,
-/// so every matvec is a fused [`DistOp::try_apply_block_local`] over the
-/// still-active columns and every inner product for the panel rides in ONE
-/// allreduce instead of `B` — this is the paper's message-fusion idea
-/// extended along the illumination dimension. A single system is a panel of
-/// width 1; this is the only distributed Krylov recurrence.
-///
-/// Per-column arithmetic never mixes columns, so each column's trajectory
-/// (iterates, residuals, stats) is bit-identical at every panel width.
-/// Converged or broken-down columns are frozen out of subsequent fused
-/// applies; every freeze decision is made from *reduced* scalars, which are
-/// bit-identical on all member ranks, so ranks narrow the active set
-/// identically and stay in lockstep. A column that breaks down (rho
-/// underflow, NaN/Inf) is retried once from its last finite iterate after
-/// the lockstep sweep — a fresh width-1 sweep, which re-derives `r` and
-/// `r_hat` from the current `x` and so leaves the degenerate Krylov
-/// directions behind while keeping the progress made; a column whose retry
-/// breaks down too surfaces [`FaultError::KrylovBreakdown`], a
-/// communication failure aborts the whole batch with the originating error.
-pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    bs: &[&[C64]],
-    xs: &mut [Vec<C64>],
-    cfg: IterConfig,
-) -> Result<Vec<SolveStats>, FaultError> {
-    let width = bs.len();
-    assert_eq!(xs.len(), width, "bs/xs width mismatch");
-    if width == 0 {
-        return Ok(Vec::new());
-    }
-    let n = bs[0].len();
-    for (b, x) in bs.iter().zip(xs.iter()) {
-        assert_eq!(b.len(), n, "ragged right-hand sides");
-        assert_eq!(x.len(), n, "ragged initial guesses");
-    }
-
-    // One fused reduction for all B norms.
-    let mut b_sqr: Vec<C64> = bs.iter().map(|b| c64(norm2_sqr(b), 0.0)).collect();
-    try_allreduce_scalars(comm, members, &mut b_sqr)?;
-    let mut cols: Vec<Column> = b_sqr
-        .iter()
-        .map(|v| Column {
-            b_norm: v.re.sqrt(),
-            iters: 0,
-            matvecs: 0,
-            res: 0.0,
-            stats: None,
-        })
-        .collect();
-    for (col, x) in cols.iter_mut().zip(xs.iter_mut()) {
-        if col.b_norm == 0.0 {
-            // a zero right-hand side is solved exactly by x = 0
-            x.iter_mut().for_each(|v| *v = C64::ZERO);
-            col.finish(0.0, true);
-        }
-    }
-
-    // Every rank derives `broken` from the same reduced scalars, so the
-    // per-column retries below stay collective across the communicator.
-    let mut broken = lockstep_sweep(a, comm, members, bs, xs, cfg, &mut cols)?;
-    broken.sort_by_key(|b| b.0);
-    let breakdown = |col: &Column, detail: String, restarts: u32| FaultError::KrylovBreakdown {
-        rank: comm.rank(),
-        iterations: col.iters,
-        rel_residual: col.res,
-        detail: format!("{detail} ({restarts} restart(s) attempted)"),
-    };
-    for (c, detail) in broken {
-        let x_finite = xs[c].iter().all(|v| finite_c(*v));
-        if !(cols[c].iters < cfg.max_iters && x_finite) {
-            return Err(breakdown(&cols[c], detail, 0));
-        }
-        let again = lockstep_sweep(
-            a,
-            comm,
-            members,
-            &bs[c..=c],
-            &mut xs[c..=c],
-            cfg,
-            &mut cols[c..=c],
-        )?;
-        if let Some((_, detail)) = again.into_iter().next() {
-            return Err(breakdown(&cols[c], detail, 1));
-        }
-    }
-    Ok(cols
-        .into_iter()
-        .map(|col| col.stats.expect("every column finalized"))
-        .collect())
-}
-
-/// One lockstep BiCGStab sweep over the unfinished columns of a panel: fresh
-/// residuals from the current `xs`, then iterate until every column has
-/// converged, spent the budget in `cfg` (counted from `cols[c].iters`), or
-/// broken down. Returns the broken columns with the reason; their `xs[c]` is
-/// left at the last finite iterate and `cols[c].res` at the last finite
-/// residual.
-fn lockstep_sweep<A: DistOp + ?Sized>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    bs: &[&[C64]],
-    xs: &mut [Vec<C64>],
-    cfg: IterConfig,
-    cols: &mut [Column],
-) -> Result<Vec<(usize, String)>, FaultError> {
-    let width = bs.len();
-    let n = bs[0].len();
-    let mut broken: Vec<(usize, String)> = Vec::new();
-    let mut active: Vec<usize> = (0..width).filter(|&c| cols[c].stats.is_none()).collect();
-
-    let mut r = vec![vec![C64::ZERO; n]; width];
-    let mut r_hat = vec![Vec::new(); width];
-    let mut v = vec![vec![C64::ZERO; n]; width];
-    let mut p = vec![vec![C64::ZERO; n]; width];
-    let mut s = vec![vec![C64::ZERO; n]; width];
-    let mut t = vec![vec![C64::ZERO; n]; width];
-    let mut x_prev = vec![vec![C64::ZERO; n]; width];
-    let mut rho = vec![C64::ONE; width];
-    let mut rho_next = vec![C64::ONE; width];
-    let mut alpha = vec![C64::ONE; width];
-    let mut omega = vec![C64::ONE; width];
-
-    if !active.is_empty() {
-        // r = b - A x, one fused traversal for the panel
-        block_apply_active(a, &active, &*xs, &mut r, cols)?;
-        for &c in &active {
-            for (ri, bi) in r[c].iter_mut().zip(bs[c]) {
-                *ri = *bi - *ri;
-            }
-            r_hat[c] = r[c].clone();
-        }
-        let mut rn: Vec<C64> = active.iter().map(|&c| c64(norm2_sqr(&r[c]), 0.0)).collect();
-        try_allreduce_scalars(comm, members, &mut rn)?;
-        let mut survivors = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            let res = rn[k].re.sqrt() / cols[c].b_norm;
-            if !res.is_finite() {
-                cols[c].res = f64::NAN;
-                broken.push((c, "initial residual is not finite".into()));
-                continue;
-            }
-            cols[c].res = res;
-            if res < cfg.tol {
-                cols[c].finish(res, true);
-            } else {
-                survivors.push(c);
-            }
-        }
-        active = survivors;
-    }
-
-    while !active.is_empty() {
-        // budget check (iters is deterministic and identical on every rank)
-        active.retain(|&c| {
-            let in_budget = cols[c].iters < cfg.max_iters;
-            if !in_budget {
-                let res = cols[c].res;
-                cols[c].finish(res, false);
-            }
-            in_budget
-        });
-        if active.is_empty() {
-            break;
-        }
-
-        // phase 1: rho = <r_hat, r>, one fused reduction for the panel
-        let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &r[c])).collect();
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        let mut survivors = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            let rho_new = dots[k];
-            if !finite_c(rho_new) {
-                broken.push((c, "rho inner product is not finite".into()));
-                continue;
-            }
-            if rho_new.abs() < 1e-300 {
-                broken.push((c, "rho underflow".into()));
-                continue;
-            }
-            cols[c].iters += 1;
-            let beta = (rho_new / rho[c]) * (alpha[c] / omega[c]);
-            for i in 0..n {
-                p[c][i] = r[c][i] + beta * (p[c][i] - omega[c] * v[c][i]);
-            }
-            rho_next[c] = rho_new;
-            survivors.push(c);
-        }
-        active = survivors;
-        if active.is_empty() {
-            break;
-        }
-
-        block_apply_active(a, &active, &p, &mut v, cols)?;
-        // phase 2: alpha and the early s-norm exit
-        let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &v[c])).collect();
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        for (k, &c) in active.iter().enumerate() {
-            alpha[c] = rho_next[c] / dots[k];
-            for i in 0..n {
-                s[c][i] = r[c][i] - alpha[c] * v[c][i];
-            }
-        }
-        let mut sn: Vec<C64> = active.iter().map(|&c| c64(norm2_sqr(&s[c]), 0.0)).collect();
-        try_allreduce_scalars(comm, members, &mut sn)?;
-        let mut survivors = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            let s_norm = sn[k].re.sqrt() / cols[c].b_norm;
-            if s_norm < cfg.tol {
-                for i in 0..n {
-                    xs[c][i] += alpha[c] * p[c][i];
-                }
-                cols[c].finish(s_norm, true);
-            } else {
-                survivors.push(c);
-            }
-        }
-        active = survivors;
-        if active.is_empty() {
-            break;
-        }
-
-        block_apply_active(a, &active, &s, &mut t, cols)?;
-        // phase 3: omega, the x/r update and the residual check — the two
-        // omega dots for every column ride in one reduction
-        let mut dots: Vec<C64> = Vec::with_capacity(2 * active.len());
-        for &c in &active {
-            dots.push(zdotc(&t[c], &s[c]));
-            dots.push(zdotc(&t[c], &t[c]));
-        }
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        for (k, &c) in active.iter().enumerate() {
-            omega[c] = dots[2 * k] / dots[2 * k + 1];
-            // Snapshot x so a non-finite update can be rolled back instead
-            // of poisoning the iterate (NaN fails every `<` comparison, so
-            // an unguarded loop silently runs to max_iters with a NaN x).
-            x_prev[c].copy_from_slice(&xs[c]);
-            for i in 0..n {
-                xs[c][i] += alpha[c] * p[c][i] + omega[c] * s[c][i];
-                r[c][i] = s[c][i] - omega[c] * t[c][i];
-            }
-        }
-        let mut rn: Vec<C64> = active.iter().map(|&c| c64(norm2_sqr(&r[c]), 0.0)).collect();
-        try_allreduce_scalars(comm, members, &mut rn)?;
-        let mut survivors = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            let res_new = rn[k].re.sqrt() / cols[c].b_norm;
-            if !res_new.is_finite() {
-                // Roll back to the last finite iterate, keep the old res.
-                // The uncounted step follows the SolveStats contract:
-                // iterations = update steps reflected in the iterate.
-                xs[c].copy_from_slice(&x_prev[c]);
-                cols[c].iters -= 1;
-                broken.push((c, "residual became non-finite".into()));
-                continue;
-            }
-            cols[c].res = res_new;
-            if res_new < cfg.tol {
-                cols[c].finish(res_new, true);
-            } else {
-                rho[c] = rho_next[c];
-                survivors.push(c);
-            }
-        }
-        active = survivors;
-    }
-    Ok(broken)
 }
 
 #[cfg(test)]
@@ -530,8 +114,13 @@ mod tests {
     use crate::engine::DistMlfma;
     use ffw_geometry::Domain;
     use ffw_mlfma::{Accuracy, MlfmaPlan};
-    use ffw_numerics::vecops::rel_diff;
+    use ffw_numerics::vecops::{rel_diff, zdotc};
+    use ffw_solver::{try_bicgstab_block, AdjointScatteringOp, ScatteringOp};
     use std::sync::Arc;
+
+    fn allreduce(comm: &Comm, members: &[usize], vals: &mut [C64]) {
+        try_allreduce_scalars(comm, members, vals).expect("allreduce");
+    }
 
     fn random_x(n: usize, seed: u64) -> Vec<C64> {
         let mut s = seed;
@@ -558,7 +147,7 @@ mod tests {
                 c64(comm.rank() as f64, 1.0),
                 c64(2.0, -(comm.rank() as f64)),
             ];
-            allreduce_scalars(&comm, &members, &mut vals);
+            allreduce(&comm, &members, &mut vals);
             vals
         });
         for r in results {
@@ -574,7 +163,7 @@ mod tests {
             let group = comm.rank() % 2;
             let members: Vec<usize> = vec![group, group + 2];
             let mut v = [c64((comm.rank() + 1) as f64, 0.0)];
-            allreduce_scalars(&comm, &members, &mut v);
+            allreduce(&comm, &members, &mut v);
             v[0].re
         });
         assert_eq!(results, vec![4.0, 6.0, 4.0, 6.0]); // 1+3, 2+4
@@ -591,7 +180,7 @@ mod tests {
                 // it does not belong to.
                 let members = vec![0, 1];
                 let mut v = [c64(1.0, 0.0)];
-                allreduce_scalars(&comm, &members, &mut v);
+                allreduce(&comm, &members, &mut v);
             });
         });
         let msg = result
@@ -617,21 +206,18 @@ mod tests {
             let members: Vec<usize> = (0..comm.size()).collect();
             let r = comm.rank();
             let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members.clone(), true);
-            let a = DistScatteringOp {
-                g0: &g0,
-                object_local: &obj_ref[r * per..(r + 1) * per],
-            };
+            let a = ScatteringOp::new(&g0, &obj_ref[r * per..(r + 1) * per]);
             let mut xs = vec![vec![C64::ZERO; per]];
-            let stats = try_dist_bicgstab_block(
+            let stats = try_bicgstab_block(
                 &a,
-                &comm,
-                &members,
                 &[&b_ref[r * per..(r + 1) * per]],
                 &mut xs,
                 ffw_solver::IterConfig {
                     tol: 1e-9,
                     max_iters: 500,
                 },
+                None,
+                None,
             )
             .expect("solve");
             assert!(stats[0].converged, "{stats:?}");
@@ -643,10 +229,7 @@ mod tests {
         let x_ref = &x;
         let (ys, _) = ffw_mpi::run(1, move |comm| {
             let g0 = DistMlfma::new(&comm, Arc::clone(&plan3), vec![0], true);
-            let a = DistScatteringOp {
-                g0: &g0,
-                object_local: obj_ref,
-            };
+            let a = ScatteringOp::new(&g0, obj_ref);
             let mut ys = vec![vec![C64::ZERO; x_ref.len()]];
             a.try_apply_block_local(&[x_ref], &mut ys).expect("apply");
             ys.remove(0)
@@ -686,20 +269,17 @@ mod tests {
                 let members: Vec<usize> = (0..comm.size()).collect();
                 let r = comm.rank();
                 let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members.clone(), true);
-                let a = DistScatteringOp {
-                    g0: &g0,
-                    object_local: &obj_ref[r * per..(r + 1) * per],
-                };
+                let a = ScatteringOp::new(&g0, &obj_ref[r * per..(r + 1) * per]);
                 let b_locals: Vec<&[C64]> =
                     bs_ref.iter().map(|b| &b[r * per..(r + 1) * per]).collect();
                 // batched solve
                 let mut xs = vec![vec![C64::ZERO; per]; width];
-                let stats = try_dist_bicgstab_block(&a, &comm, &members, &b_locals, &mut xs, cfg)
+                let stats = try_bicgstab_block(&a, &b_locals, &mut xs, cfg, None, None)
                     .expect("block solve");
                 // width-1 reference, one column at a time
                 for (c, b_local) in b_locals.iter().enumerate() {
                     let mut x1 = vec![vec![C64::ZERO; per]];
-                    let s1 = try_dist_bicgstab_block(&a, &comm, &members, &[b_local], &mut x1, cfg)
+                    let s1 = try_bicgstab_block(&a, &[b_local], &mut x1, cfg, None, None)
                         .expect("width-1 solve")
                         .remove(0);
                     assert_eq!(xs[c], x1[0], "column {c} of width {width} drifted");
@@ -731,6 +311,10 @@ mod tests {
     }
 
     impl<F: Fn(usize) -> bool> DistOp for FlakyOp<F> {
+        type Error = FaultError;
+        fn reduce(&self, _vals: &mut [C64]) -> Result<(), FaultError> {
+            Ok(())
+        }
         fn n_local(&self) -> usize {
             self.m.rows()
         }
@@ -765,10 +349,12 @@ mod tests {
         }
     }
 
-    /// The breakdown contract of the distributed kernel: a column that goes
-    /// non-finite is rolled back to its last finite iterate and retried once
-    /// as a width-1 panel (siblings untouched); if the retry breaks down too
-    /// the solve surfaces `KrylovBreakdown` naming one restart.
+    /// The breakdown contract of the kernel on a fallible operator: a column
+    /// that goes non-finite is rolled back to its last finite iterate and
+    /// retried once as a width-1 panel (siblings untouched); if the retry
+    /// breaks down too the solve surfaces `KrylovBreakdown` naming one
+    /// restart. (`ffw-solver` runs the same scenario on an in-process
+    /// operator.)
     #[test]
     fn broken_column_retries_once_then_surfaces_breakdown() {
         let n = 24;
@@ -778,20 +364,15 @@ mod tests {
         };
         let bs = [random_x(n, 31), random_x(n, 33)];
         let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
-        let (results, _) = ffw_mpi::run(1, |comm| {
-            let solve = |op: &dyn DistOp| {
-                let mut xs = vec![vec![C64::ZERO; n]; 2];
-                let out = try_dist_bicgstab_block(op, &comm, &[0], &b_refs, &mut xs, cfg);
-                (out, xs)
-            };
-            let (clean, x_clean) = solve(&flaky(n, |_| false));
-            // block apply 4 is the `A p` of the panel's second iteration
-            let (transient, x_transient) = solve(&flaky(n, |call| call == 4));
-            let (persistent, _) = solve(&flaky(n, |call| call >= 4));
-            (clean, x_clean, transient, x_transient, persistent)
-        });
-        let (clean, x_clean, transient, x_transient, persistent) =
-            results.into_iter().next().expect("one rank");
+        let solve = |op: &dyn DistOp<Error = FaultError>| {
+            let mut xs = vec![vec![C64::ZERO; n]; 2];
+            let out = try_bicgstab_block(op, &b_refs, &mut xs, cfg, None, None);
+            (out, xs)
+        };
+        let (clean, x_clean) = solve(&flaky(n, |_| false));
+        // block apply 4 is the `A p` of the panel's second iteration
+        let (transient, x_transient) = solve(&flaky(n, |call| call == 4));
+        let (persistent, _) = solve(&flaky(n, |call| call >= 4));
         let clean = clean.expect("clean solve");
         let transient = transient.expect("one retry recovers a transient breakdown");
         assert!(clean.iter().chain(&transient).all(|s| s.converged));
@@ -833,14 +414,8 @@ mod tests {
             let r = comm.rank();
             let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members.clone(), true);
             let ol = &o_ref[r * per..(r + 1) * per];
-            let a = DistScatteringOp {
-                g0: &g0,
-                object_local: ol,
-            };
-            let ah = DistAdjointScatteringOp {
-                g0: &g0,
-                object_local: ol,
-            };
+            let a = ScatteringOp::new(&g0, ol);
+            let ah = AdjointScatteringOp::new(&g0, ol);
             let mut ax = vec![vec![C64::ZERO; per]];
             a.try_apply_block_local(&[&x_ref[r * per..(r + 1) * per]], &mut ax)
                 .expect("forward apply");
@@ -851,7 +426,7 @@ mod tests {
                 zdotc(&ax[0], &y_ref[r * per..(r + 1) * per]),
                 zdotc(&x_ref[r * per..(r + 1) * per], &ahy[0]),
             ];
-            allreduce_scalars(&comm, &members, &mut d);
+            allreduce(&comm, &members, &mut d);
             d
         });
         let (lhs, rhs) = (dots[0][0], dots[0][1]);

@@ -169,6 +169,14 @@ impl From<CheckpointError> for FaultError {
     }
 }
 
+/// An operator that cannot fail converts vacuously, so code written against
+/// a fallible operator seam returns `FaultError` on every implementor.
+impl From<std::convert::Infallible> for FaultError {
+    fn from(e: std::convert::Infallible) -> Self {
+        match e {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,15 +23,17 @@
 use crate::precond::LeafBlockJacobi;
 use crate::problem::ImagingSetup;
 use crate::regularize::{laplacian_tree, Bidiag, ProjectedProblem, Regularizer};
-use ffw_fault::FaultError;
+use ffw_fault::{Checkpoint, FaultError, Fingerprint};
 use ffw_mlfma::MlfmaPlan;
-use ffw_numerics::vecops::{axpy_real, norm2, norm2_sqr, zdotc};
-use ffw_numerics::C64;
+use ffw_numerics::vecops::{axpy_real, norm2_sqr, zdotc};
+use ffw_numerics::{c64, C64};
 use ffw_solver::{
     estimate_g0_norm, g0_adjoint_apply_block, make_backend, BackendChoice, BackendError,
-    BlockLinOp, CountingOp, DriftGuard, ForwardBackend, IterConfig, PrecondPair, VerifiedBlockOp,
-    VerifyConfig, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
+    BlockLinOp, CountingOp, DistOp, DriftGuard, ForwardBackend, IterConfig, PrecondPair,
+    SolveStats, VerifiedBlockOp, VerifyConfig, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
+use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// DBIM configuration.
@@ -111,6 +113,37 @@ impl std::fmt::Debug for DbimConfig {
     }
 }
 
+impl DbimConfig {
+    /// Folds every field that changes the iterate into a checkpoint
+    /// fingerprint, so a resume under a different configuration is rejected
+    /// instead of silently mixing two runs. `batch` and `verify` stay out:
+    /// they change the schedule and the auditing, never the iterate, and
+    /// resuming at another batch width must keep working.
+    pub fn fold_fingerprint(&self, fp: Fingerprint) -> Fingerprint {
+        let fp = fp
+            .u64(self.iterations as u64)
+            .f64(self.forward.tol)
+            .u64(self.forward.max_iters as u64)
+            .flag(self.real_object)
+            .flag(self.warm_start)
+            .flag(self.conjugate)
+            .u64(self.backend as u64)
+            .flag(self.positivity)
+            .flag(self.precondition.is_some());
+        let fp = match self.regularizer {
+            Regularizer::Tikhonov { lambda } => fp.u64(0).f64(lambda),
+            Regularizer::Smoothness { lambda } => fp.u64(1).f64(lambda),
+            Regularizer::WgcvLsqr { steps, omega } => fp.u64(2).u64(steps as u64).f64(omega),
+        };
+        match &self.initial {
+            None => fp.flag(false),
+            Some(o) => o.iter().fold(fp.flag(true).u64(o.len() as u64), |fp, v| {
+                fp.f64(v.re).f64(v.im)
+            }),
+        }
+    }
+}
+
 impl Default for DbimConfig {
     fn default() -> Self {
         DbimConfig {
@@ -141,6 +174,10 @@ pub enum DbimError {
     /// rollback budget — the reconstruction cannot be trusted and no object
     /// is returned.
     ComputeCorruption(FaultError),
+    /// Any other typed fault of the loop: a Krylov breakdown that survived
+    /// its one retry (every context), or a communication failure (a rank
+    /// grid, where the fault-tolerant driver recovers from it).
+    Fault(FaultError),
 }
 
 impl std::fmt::Display for DbimError {
@@ -150,6 +187,33 @@ impl std::fmt::Display for DbimError {
             DbimError::ComputeCorruption(e) => {
                 write!(f, "unrecoverable compute corruption: {e}")
             }
+            DbimError::Fault(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl From<FaultError> for DbimError {
+    fn from(e: FaultError) -> Self {
+        match e {
+            FaultError::ComputeCorruption { .. } => DbimError::ComputeCorruption(e),
+            e => DbimError::Fault(e),
+        }
+    }
+}
+
+/// The fault taxonomy supervisors classify by (exit codes, retry classes):
+/// a backend rejection is terminal like a Krylov breakdown — the scene is
+/// too hard for this engine.
+impl From<DbimError> for FaultError {
+    fn from(e: DbimError) -> Self {
+        match e {
+            DbimError::ComputeCorruption(f) | DbimError::Fault(f) => f,
+            DbimError::Backend(b) => FaultError::KrylovBreakdown {
+                rank: 0,
+                iterations: 0,
+                rel_residual: f64::INFINITY,
+                detail: b.to_string(),
+            },
         }
     }
 }
@@ -179,16 +243,23 @@ pub struct IterationRecord {
 /// Result of a DBIM reconstruction.
 #[derive(Clone, Debug)]
 pub struct DbimResult {
-    /// Reconstructed object (tree order, includes the k0^2 factor).
+    /// Reconstructed object (tree order, includes the k0^2 factor). From
+    /// [`dbim_loop`] on a rank grid: the rank's owned pixels.
     pub object: Vec<C64>,
-    /// Convergence history.
+    /// Convergence history of the iterations run in this call.
     pub history: Vec<IterationRecord>,
-    /// Relative residual after the final update.
+    /// Relative residual at the start of every completed iteration,
+    /// including those restored from a checkpoint.
+    pub residual_history: Vec<f64>,
+    /// Relative residual after the final update (on a stopped run: the last
+    /// measured one).
     pub final_residual: f64,
     /// Total forward-class solves (3 per tx per iteration + final pass).
     pub forward_solves: usize,
-    /// Total `G0` (MLFMA) applications.
+    /// Total `G0` (MLFMA) applications (counted by the serial context).
     pub g0_applies: usize,
+    /// `Some(next_iter)` when an end-of-iteration hook stopped the run early.
+    pub stopped: Option<u32>,
     /// Per-iteration regularization parameter chosen by the hybrid
     /// wGCV-LSQR update (empty for the Tikhonov/smoothness families, whose
     /// lambda is fixed up front).
@@ -200,6 +271,189 @@ impl DbimResult {
     /// 13.4 for the Fig. 13 run.
     pub fn mlfma_mults_per_solve(&self) -> f64 {
         self.g0_applies as f64 / self.forward_solves as f64
+    }
+}
+
+/// What an end-of-iteration hook tells the loop to do next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flow {
+    /// Run the next outer iteration.
+    Continue,
+    /// Stop at this boundary; the iterations so far are complete.
+    Stop,
+}
+
+/// This rank's slice of the DBIM loop state at an outer-iteration boundary —
+/// what the end-of-iteration hook sees, what a checkpoint stores, and what a
+/// resumed run starts from.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LoopState {
+    /// Next outer iteration to run (iterations `0..next_iter` are done).
+    pub next_iter: usize,
+    /// The object iterate on the owned pixels.
+    pub object: Vec<C64>,
+    /// Previous gradient (Polak–Ribière) on the owned pixels.
+    pub grad_prev: Vec<C64>,
+    /// Current search direction on the owned pixels.
+    pub dir: Vec<C64>,
+    /// Warm-start total fields, one per owned transmitter, owned pixels.
+    pub fields: Vec<Vec<C64>>,
+    /// Relative residual at the start of each completed iteration.
+    pub residual_history: Vec<f64>,
+}
+
+fn unpack(v: &[(f64, f64)]) -> Vec<C64> {
+    v.iter().map(|&(re, im)| c64(re, im)).collect()
+}
+
+fn pack(v: &[C64]) -> Vec<(f64, f64)> {
+    v.iter().map(|c| (c.re, c.im)).collect()
+}
+
+impl LoopState {
+    /// The slice of a whole-domain checkpoint owned by a rank holding
+    /// `pixels` and `txs`. A transmitter the checkpoint has no field for
+    /// (adopted after a redistribution) restarts its solve from zero.
+    pub fn from_checkpoint(c: &Checkpoint, pixels: Range<usize>, txs: &[usize]) -> Self {
+        let slice = |v: &[(f64, f64)]| unpack(&v[pixels.clone()]);
+        LoopState {
+            next_iter: c.next_iter as usize,
+            object: slice(&c.object),
+            grad_prev: slice(&c.grad_prev),
+            dir: slice(&c.dir),
+            fields: txs
+                .iter()
+                .map(
+                    |&t| match c.fields.iter().find(|(ct, _)| *ct as usize == t) {
+                        Some((_, f)) => slice(f),
+                        None => vec![C64::ZERO; pixels.len()],
+                    },
+                )
+                .collect(),
+            residual_history: c.residual_history.clone(),
+        }
+    }
+
+    /// The checkpoint of a rank that owns the whole domain and the
+    /// transmitters `txs`; the warm-start fields are kept only if the run
+    /// uses them.
+    pub fn to_checkpoint(&self, fingerprint: u64, txs: &[usize], warm_start: bool) -> Checkpoint {
+        Checkpoint {
+            fingerprint,
+            next_iter: self.next_iter as u32,
+            lost_txs: Vec::new(),
+            residual_history: self.residual_history.clone(),
+            object: pack(&self.object),
+            grad_prev: pack(&self.grad_prev),
+            dir: pack(&self.dir),
+            fields: if warm_start {
+                txs.iter()
+                    .zip(&self.fields)
+                    .map(|(&t, f)| (t as u32, pack(f)))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
+/// What the one DBIM loop needs to know about the rank it runs on. The
+/// paper's Fig. 6 only changes *which rank owns which transmitters and
+/// pixels*; this trait is that ownership plus the three sums it implies.
+///
+/// Two implementors: the serial context (any [`BlockLinOp`]: whole pixel
+/// range, every transmitter, sums with nobody) and `ffw-dist`'s grid context
+/// (one rank of the illumination-group × sub-tree grid).
+pub trait RankContext {
+    /// The rank-local Green's operator. Its [`DistOp::reduce`] sums over the
+    /// ranks holding the *other pixels* of this rank's illumination group.
+    type G0: DistOp + ?Sized;
+    /// The rank-local Green's operator.
+    fn g0(&self) -> &Self::G0;
+    /// Builds the forward engine for the object iterate `object` (this
+    /// rank's slice). Admission — e.g. the Born-series contrast bound —
+    /// happens here, before any solve runs.
+    fn backend<'a>(
+        &'a self,
+        choice: BackendChoice,
+        object: &'a [C64],
+        guard: Option<&'a DriftGuard>,
+        precond: Option<PrecondPair<'a>>,
+    ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError>;
+    /// The owned pixel range (tree order).
+    fn pixels(&self) -> Range<usize>;
+    /// The transmitters this rank's group solves for, ascending.
+    fn txs(&self) -> &[usize];
+    /// Every transmitter any rank of the run solves for, ascending.
+    fn run_txs(&self) -> &[usize] {
+        self.txs()
+    }
+    /// `(group, slot)` of this rank. Slot 0 leads its group: it alone
+    /// contributes the group's measurement-space scalars, which every slot
+    /// of the group holds in full. `(0, 0)` reports the loop-level obs.
+    fn grid_pos(&self) -> (usize, usize) {
+        (0, 0)
+    }
+    /// Sums over the ranks holding this rank's pixels in the other groups.
+    fn sum_groups(&self, _vals: &mut [C64]) -> Result<(), FaultError> {
+        Ok(())
+    }
+    /// Sums over all ranks.
+    fn sum_all(&self, _vals: &mut [C64]) -> Result<(), FaultError> {
+        Ok(())
+    }
+    /// Closes any pending integrity window at an iteration boundary and
+    /// surfaces an escalation that is waiting.
+    fn poll_corruption(&self) -> Option<FaultError> {
+        None
+    }
+    /// Called with the loop state after every completed outer iteration
+    /// (checkpointing, progress, the stop decision).
+    fn end_of_iteration(&self, state: &LoopState) -> Result<Flow, FaultError>;
+}
+
+/// The hook type of the serial context.
+pub type IterationHook<'a> = &'a dyn Fn(&LoopState) -> Result<Flow, FaultError>;
+
+/// The trivial [`RankContext`]: one rank that owns everything.
+struct SerialContext<'a, G: BlockLinOp + ?Sized> {
+    /// Counts `G0` applications ("MLFMA multiplications per forward
+    /// solution", the paper's Fig. 13 statistic).
+    g0: CountingOp<'a, G>,
+    /// `||G0||` for the Born-series admission (0 when unused).
+    g0_norm: f64,
+    txs: Vec<usize>,
+    n_pixels: usize,
+    poll: &'a dyn Fn() -> Option<FaultError>,
+    hook: IterationHook<'a>,
+}
+
+impl<'s, G: BlockLinOp + ?Sized> RankContext for SerialContext<'s, G> {
+    type G0 = CountingOp<'s, G>;
+    fn g0(&self) -> &Self::G0 {
+        &self.g0
+    }
+    fn backend<'a>(
+        &'a self,
+        choice: BackendChoice,
+        object: &'a [C64],
+        guard: Option<&'a DriftGuard>,
+        precond: Option<PrecondPair<'a>>,
+    ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
+        make_backend(choice, &self.g0, object, self.g0_norm, guard, precond)
+    }
+    fn pixels(&self) -> Range<usize> {
+        0..self.n_pixels
+    }
+    fn txs(&self) -> &[usize] {
+        &self.txs
+    }
+    fn poll_corruption(&self) -> Option<FaultError> {
+        (self.poll)()
+    }
+    fn end_of_iteration(&self, state: &LoopState) -> Result<Flow, FaultError> {
+        (self.hook)(state)
     }
 }
 
@@ -220,44 +474,394 @@ impl DbimResult {
 /// `g0_applies` then *includes* the verification applies (checksum columns
 /// and drift audits) — they are real MLFMA work spent on the
 /// reconstruction's behalf.
+///
+/// This is [`dbim_loop`] on the serial context — the 1×1 rank grid.
 pub fn dbim<G: BlockLinOp + ?Sized>(
     setup: &ImagingSetup,
     g0: &G,
     measured: &[Vec<C64>],
     cfg: &DbimConfig,
 ) -> Result<DbimResult, DbimError> {
+    dbim_hooked(setup, g0, measured, cfg, None, &|_| Ok(Flow::Continue))
+}
+
+/// [`dbim`] with the two things a supervised run adds: a start state (a
+/// resumed checkpoint) and an end-of-iteration hook that sees the loop state
+/// and answers continue / stop.
+pub fn dbim_hooked<G: BlockLinOp + ?Sized>(
+    setup: &ImagingSetup,
+    g0: &G,
+    measured: &[Vec<C64>],
+    cfg: &DbimConfig,
+    init: Option<LoopState>,
+    hook: IterationHook<'_>,
+) -> Result<DbimResult, DbimError> {
     match &cfg.verify {
-        None => dbim_inner(setup, g0, measured, cfg, None, &|| None),
+        None => run_serial(setup, g0, measured, cfg, init, &|| None, hook),
         Some(vc) => {
             let vop = VerifiedBlockOp::new(g0, vc.clone());
-            let guard = DriftGuard::default();
             let poll = || {
                 // Close the pending checksum window, then surface whatever
                 // escalation is waiting (flush itself may set it).
                 let flushed = vop.flush().err();
                 flushed.or_else(|| vop.take_corruption())
             };
-            dbim_inner(setup, &vop, measured, cfg, Some(&guard), &poll)
+            run_serial(setup, &vop, measured, cfg, init, &poll, hook)
         }
     }
 }
 
-/// The generic DBIM loop: `g0` is either the raw Green's operator or its
-/// checksum-verified wrapper; `guard`/`poll` are the drift guard attached to
-/// the forward engine and the per-iteration corruption poll (no-ops on the
-/// unverified path).
-fn dbim_inner<G: BlockLinOp + ?Sized, P: Fn() -> Option<FaultError>>(
+/// Runs the loop on the serial context over `g0` (the raw Green's operator
+/// or its checksum-verified wrapper).
+fn run_serial<G: BlockLinOp + ?Sized>(
     setup: &ImagingSetup,
     g0: &G,
     measured: &[Vec<C64>],
     cfg: &DbimConfig,
-    guard: Option<&DriftGuard>,
-    poll: &P,
+    init: Option<LoopState>,
+    poll: &dyn Fn() -> Option<FaultError>,
+    hook: IterationHook<'_>,
 ) -> Result<DbimResult, DbimError> {
-    let _span = ffw_obs::span("dbim");
-    let n = setup.n_pixels();
-    let n_tx = setup.n_tx();
-    assert_eq!(measured.len(), n_tx);
+    // The Green's-operator norm is a per-run constant (the object never
+    // changes G0): estimate it once, before the counting wrapper, so
+    // `g0_applies` keeps meaning "MLFMA applications spent reconstructing".
+    let g0_norm = if cfg.backend == BackendChoice::BornSeries {
+        estimate_g0_norm(g0, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED)
+    } else {
+        0.0
+    };
+    let ctx = SerialContext {
+        g0: CountingOp::new(g0),
+        g0_norm,
+        txs: (0..setup.n_tx()).collect(),
+        n_pixels: setup.n_pixels(),
+        poll,
+        hook,
+    };
+    let mut result = dbim_loop(setup, &ctx, measured, cfg, init)?;
+    result.g0_applies = ctx.g0.count();
+    Ok(result)
+}
+
+/// The passes of one outer iteration: the rank, the forward engine bound to
+/// the current object iterate, and the solve accounting they share.
+struct Passes<'a, C: RankContext> {
+    setup: &'a ImagingSetup,
+    ctx: &'a C,
+    backend: &'a dyn ForwardBackend,
+    forward: IterConfig,
+    /// Transmitters per fused multi-RHS solve.
+    batch: usize,
+    /// `(forward-class solves, solver iterations)` so far.
+    solves: &'a Cell<(usize, usize)>,
+}
+
+impl<C: RankContext> Passes<'_, C>
+where
+    FaultError: From<<C::G0 as DistOp>::Error>,
+{
+    fn count(&self, stats: &[SolveStats]) {
+        let (solves, iters) = self.solves.get();
+        let spent: usize = stats.iter().map(|s| s.iterations).sum();
+        self.solves.set((solves + stats.len(), iters + spent));
+    }
+
+    /// `sum_t ||v_t||^2` over the run's transmitters, for per-transmitter
+    /// measurement-space vectors every slot of a group holds in full: the
+    /// group leaders contribute, one sum over all ranks.
+    fn meas_norm_sqr(&self, vs: &[Vec<C64>]) -> Result<f64, FaultError> {
+        let local = if self.ctx.grid_pos().1 == 0 {
+            vs.iter().map(|v| norm2_sqr(v)).sum::<f64>()
+        } else {
+            0.0
+        };
+        let mut sum = [c64(local, 0.0)];
+        self.ctx.sum_all(&mut sum)?;
+        Ok(sum[0].re)
+    }
+
+    /// `||v||` of an object-space vector partitioned over the group.
+    fn obj_norm(&self, v: &[C64]) -> Result<f64, FaultError> {
+        let mut sum = [c64(norm2_sqr(v), 0.0)];
+        self.ctx.g0().reduce(&mut sum)?;
+        Ok(sum[0].re.sqrt())
+    }
+
+    /// `GR` applied to one batch of owned-pixel source vectors, the whole
+    /// batch's receiver data riding in one group reduction.
+    fn to_receivers(
+        &self,
+        sources: impl Iterator<Item = Vec<C64>>,
+    ) -> Result<Vec<Vec<C64>>, FaultError> {
+        let n_rx = self.setup.n_rx();
+        let mut data = Vec::new();
+        for w in sources {
+            let at = data.len();
+            data.resize(at + n_rx, C64::ZERO);
+            self.setup
+                .gr_apply_cols(self.ctx.pixels(), &w, &mut data[at..]);
+        }
+        self.ctx.g0().reduce(&mut data)?;
+        Ok(data.chunks(n_rx).map(|r| r.to_vec()).collect())
+    }
+
+    /// Pass 1 (and the final pass): forward-solve the owned transmitters
+    /// from their warm starts, batched, and form
+    /// `r_t = GR (O . phi_t) - phi_mea_t`. Returns the residuals and the
+    /// run-wide cost `sum_t ||r_t||^2`.
+    fn residuals(
+        &self,
+        measured: &[Vec<C64>],
+        object: &[C64],
+        fields: &mut [Vec<C64>],
+    ) -> Result<(Vec<Vec<C64>>, f64), FaultError> {
+        let cols = self.ctx.pixels();
+        let mut residuals = Vec::with_capacity(fields.len());
+        let txs = self.ctx.txs().chunks(self.batch);
+        for (chunk, fields_chunk) in txs.zip(fields.chunks_mut(self.batch)) {
+            let incs: Vec<&[C64]> = chunk
+                .iter()
+                .map(|&t| &self.setup.incident(t)[cols.clone()])
+                .collect();
+            self.count(
+                &self
+                    .backend
+                    .solve_block(&incs, fields_chunk, self.forward)?,
+            );
+            let scattered = self.to_receivers(
+                fields_chunk
+                    .iter()
+                    .map(|f| object.iter().zip(f).map(|(o, p)| *o * *p).collect()),
+            )?;
+            for (&t, mut r) in chunk.iter().zip(scattered) {
+                for (ri, mi) in r.iter_mut().zip(&measured[t]) {
+                    *ri -= *mi;
+                }
+                residuals.push(r);
+            }
+        }
+        let cost = self.meas_norm_sqr(&residuals)?;
+        Ok((residuals, cost))
+    }
+
+    /// `out[t] = F_t d` for the owned transmitters, batched exactly like the
+    /// step pass: `w_t = phi_t . d`, `u_t = A^{-1} G0 w_t`,
+    /// `F_t d = GR (w_t + O u_t)` (E3, E5).
+    fn frechet(
+        &self,
+        fields: &[Vec<C64>],
+        object: &[C64],
+        d: &[C64],
+    ) -> Result<Vec<Vec<C64>>, FaultError> {
+        let n = object.len();
+        let mut out = Vec::with_capacity(fields.len());
+        for fields_chunk in fields.chunks(self.batch) {
+            let nb = fields_chunk.len();
+            let ws: Vec<Vec<C64>> = fields_chunk
+                .iter()
+                .map(|f| f.iter().zip(d).map(|(f, di)| *f * *di).collect())
+                .collect();
+            let w_refs: Vec<&[C64]> = ws.iter().map(|v| v.as_slice()).collect();
+            let mut g0ws = vec![vec![C64::ZERO; n]; nb];
+            self.ctx.g0().try_apply_block_local(&w_refs, &mut g0ws)?;
+            let g0w_refs: Vec<&[C64]> = g0ws.iter().map(|v| v.as_slice()).collect();
+            let mut us = vec![vec![C64::ZERO; n]; nb];
+            self.count(&self.backend.solve_block(&g0w_refs, &mut us, self.forward)?);
+            // F_t d = GR (w + O u)
+            out.extend(self.to_receivers(ws.iter().zip(&us).map(|(w, u)| {
+                w.iter()
+                    .zip(u)
+                    .zip(object)
+                    .map(|((wi, ui), oi)| *wi + *oi * *ui)
+                    .collect()
+            }))?);
+        }
+        Ok(out)
+    }
+
+    /// `out = sum_t F_t^H r_t` on the owned pixels, batched exactly like the
+    /// gradient pass: `y_t = GR^H r_t`, `A^H z_t = conj(O) . y_t`,
+    /// `F_t^H r_t = conj(phi_t) . (y_t + G0^H z_t)` (E3, E4), accumulated in
+    /// ascending `t` order at every batch width, then summed over the
+    /// groups.
+    fn frechet_adjoint(
+        &self,
+        fields: &[Vec<C64>],
+        object: &[C64],
+        rs: &[Vec<C64>],
+    ) -> Result<Vec<C64>, FaultError> {
+        let cols = self.ctx.pixels();
+        let n = object.len();
+        let mut grad = vec![C64::ZERO; n];
+        for (fields_chunk, rs_chunk) in fields.chunks(self.batch).zip(rs.chunks(self.batch)) {
+            let nb = rs_chunk.len();
+            let mut ys = Vec::with_capacity(nb);
+            let mut rhss = Vec::with_capacity(nb);
+            for r in rs_chunk {
+                let mut y = vec![C64::ZERO; n];
+                self.setup.gr_adjoint_apply_cols(cols.clone(), r, &mut y);
+                let rhs: Vec<C64> = object
+                    .iter()
+                    .zip(&y)
+                    .map(|(o, yi)| o.conj() * *yi)
+                    .collect();
+                ys.push(y);
+                rhss.push(rhs);
+            }
+            let rhs_refs: Vec<&[C64]> = rhss.iter().map(|v| v.as_slice()).collect();
+            let mut zs = vec![vec![C64::ZERO; n]; nb];
+            self.count(
+                &self
+                    .backend
+                    .solve_adjoint_block(&rhs_refs, &mut zs, self.forward)?,
+            );
+            let z_refs: Vec<&[C64]> = zs.iter().map(|v| v.as_slice()).collect();
+            let mut g0hzs = vec![vec![C64::ZERO; n]; nb];
+            g0_adjoint_apply_block(self.ctx.g0(), &z_refs, &mut g0hzs)?;
+            for ((f, y), g0hz) in fields_chunk.iter().zip(&ys).zip(&g0hzs) {
+                for i in 0..n {
+                    grad[i] += f[i].conj() * (y[i] + g0hz[i]);
+                }
+            }
+        }
+        self.ctx.sum_groups(&mut grad)?;
+        Ok(grad)
+    }
+
+    /// One hybrid-projection update (the wgcv-lsqr regularizer's whole inner
+    /// step): `steps` Golub–Kahan bidiagonalization steps of the stacked
+    /// Fréchet operator seeded by the stacked residual, wGCV-selected lambda
+    /// on the projected bidiagonal problem, and the lift `delta = V y`.
+    /// Returns `(delta, lambda, step_norm)`: the object update on the owned
+    /// pixels, the chosen regularization parameter, and the norm of the
+    /// projected solution (== `||delta||` for the orthonormal Krylov basis;
+    /// reported as the iteration's step length).
+    fn wgcv_lsqr_update(
+        &self,
+        fields: &[Vec<C64>],
+        residuals: &[Vec<C64>],
+        object: &[C64],
+        real_object: bool,
+        steps: usize,
+        omega: f64,
+    ) -> Result<(Vec<C64>, f64, f64), FaultError> {
+        let zero = (vec![C64::ZERO; object.len()], 0.0, 0.0);
+        // Linearized subproblem: min_d ||F d + r||^2, i.e. rhs b = -r
+        // (stacked over transmitters). beta_1 u_1 = b.
+        let beta1 = self.meas_norm_sqr(residuals)?.sqrt();
+        if beta1 == 0.0 {
+            return Ok(zero);
+        }
+        let mut u: Vec<Vec<C64>> = residuals
+            .iter()
+            .map(|r| r.iter().map(|v| -*v / beta1).collect())
+            .collect();
+        // When the object is constrained real, the Fréchet operator acts on
+        // real perturbations; its adjoint then carries the real projection
+        // `P` — applying P inside the recurrence keeps (F, P F^H) an exact
+        // adjoint pair over the real inner product.
+        let project = |w: &mut Vec<C64>| {
+            if real_object {
+                for v in w.iter_mut() {
+                    v.im = 0.0;
+                }
+            }
+        };
+        // alpha_1 v_1 = P F^H u_1
+        let mut v = self.frechet_adjoint(fields, object, &u)?;
+        project(&mut v);
+        let alpha1 = self.obj_norm(&v)?;
+        if alpha1 == 0.0 {
+            return Ok(zero);
+        }
+        for x in v.iter_mut() {
+            *x = *x / alpha1;
+        }
+        let mut alphas = vec![alpha1];
+        let mut betas: Vec<f64> = Vec::with_capacity(steps);
+        let mut vs = vec![v.clone()];
+        for i in 0..steps {
+            // beta_{i+1} u_{i+1} = F v_i - alpha_i u_i
+            let mut fu = self.frechet(fields, object, &v)?;
+            for (f, ui) in fu.iter_mut().zip(&u) {
+                for (fj, uj) in f.iter_mut().zip(ui) {
+                    *fj -= alphas[i] * *uj;
+                }
+            }
+            let beta = self.meas_norm_sqr(&fu)?.sqrt();
+            betas.push(beta);
+            if beta <= f64::EPSILON * alpha1 || i + 1 == steps {
+                break;
+            }
+            for f in fu.iter_mut() {
+                for x in f.iter_mut() {
+                    *x = *x / beta;
+                }
+            }
+            u = fu;
+            // alpha_{i+1} v_{i+1} = P F^H u_{i+1} - beta_{i+1} v_i
+            let mut w = self.frechet_adjoint(fields, object, &u)?;
+            project(&mut w);
+            for (wj, vj) in w.iter_mut().zip(&v) {
+                *wj -= beta * *vj;
+            }
+            let alpha = self.obj_norm(&w)?;
+            if alpha <= f64::EPSILON * alpha1 {
+                break;
+            }
+            for x in w.iter_mut() {
+                *x = *x / alpha;
+            }
+            alphas.push(alpha);
+            vs.push(w.clone());
+            v = w;
+        }
+        let bidiag = Bidiag { alphas, betas };
+        let proj = ProjectedProblem::new(&bidiag, beta1);
+        let lambda = proj.wgcv_lambda(omega);
+        let y = proj.solve(lambda);
+        let mut delta = zero.0;
+        for (yi, vi) in y.iter().zip(&vs) {
+            axpy_real(*yi, vi, &mut delta);
+        }
+        let step_norm = y.iter().map(|c| c * c).sum::<f64>().sqrt();
+        Ok((delta, lambda, step_norm))
+    }
+}
+
+/// The DBIM outer loop — the only one in the workspace — on the rank
+/// described by `ctx`. `measured[t]` is indexed by global transmitter id;
+/// `init` resumes from a checkpointed boundary (`None` starts from
+/// [`DbimConfig::initial`] or the zero background).
+///
+/// Every rank of a grid runs this same code on its slice: the passes use the
+/// column-sliced receiver operator, every measurement-space scalar (cost,
+/// step numerator / denominator, wGCV beta) and object-space scalar
+/// (Polak–Ribière dots, wGCV alpha) goes through the context's sums, and the
+/// loop-level obs is emitted by rank `(0, 0)` only. With `cfg.verify` set
+/// the forward engine carries a Krylov [`DriftGuard`] on every context.
+pub fn dbim_loop<C: RankContext>(
+    setup: &ImagingSetup,
+    ctx: &C,
+    measured: &[Vec<C64>],
+    cfg: &DbimConfig,
+    init: Option<LoopState>,
+) -> Result<DbimResult, DbimError>
+where
+    FaultError: From<<C::G0 as DistOp>::Error>,
+{
+    let reports = ctx.grid_pos() == (0, 0);
+    let span = |name: &'static str| reports.then(|| ffw_obs::span(name));
+    let series = |name: &str, v: f64| {
+        if reports {
+            ffw_obs::series_push(name, v);
+        }
+    };
+    let _span = span("dbim");
+    let cols = ctx.pixels();
+    let n = cols.len();
+    let n_own = ctx.txs().len();
+    assert_eq!(measured.len(), setup.n_tx());
     assert!(
         cfg.precondition.is_none() || cfg.backend == BackendChoice::Bicgstab,
         "leaf-block Jacobi preconditioning is specific to the BiCGStab backend"
@@ -267,32 +871,32 @@ fn dbim_inner<G: BlockLinOp + ?Sized, P: Fn() -> Option<FaultError>>(
         "the wgcv-lsqr hybrid projection replaces the nonlinear-CG passes and \
          is incompatible with leaf-block Jacobi preconditioning"
     );
-    // The Green's-operator norm is a per-run constant (the object never
-    // changes G0): estimate it once, before the counting wrapper, so
-    // `g0_applies` keeps meaning "MLFMA applications spent reconstructing".
-    let g0_norm = if cfg.backend == BackendChoice::BornSeries {
-        estimate_g0_norm(g0, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED)
-    } else {
-        0.0
-    };
-    let g0c = CountingOp::new(g0);
-    let g0 = &g0c;
-    let batch = cfg.batch.unwrap_or_else(|| n_tx.min(8)).max(1);
+    let guard = cfg.verify.as_ref().map(|_| DriftGuard::default());
+    let guard = guard.as_ref();
 
-    let mut object = match &cfg.initial {
-        Some(o) => {
-            assert_eq!(o.len(), n, "initial guess dimension");
-            o.clone()
-        }
-        None => vec![C64::ZERO; n],
-    };
-    let mut fields: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; n_tx]; // warm starts
-    let mut grad_prev = vec![C64::ZERO; n];
-    let mut dir = vec![C64::ZERO; n];
-    let mut history = Vec::with_capacity(cfg.iterations);
-    let mut forward_solves = 0usize;
+    let mut st = init.unwrap_or_else(|| LoopState {
+        next_iter: 0,
+        object: match &cfg.initial {
+            Some(o) => {
+                assert_eq!(o.len(), setup.n_pixels(), "initial guess dimension");
+                o[cols.clone()].to_vec()
+            }
+            None => vec![C64::ZERO; n],
+        },
+        grad_prev: vec![C64::ZERO; n],
+        dir: vec![C64::ZERO; n],
+        fields: vec![vec![C64::ZERO; n]; n_own], // warm starts
+        residual_history: Vec::new(),
+    });
+    assert_eq!(st.object.len(), n, "start state dimension");
+    assert_eq!(st.fields.len(), n_own, "start state transmitters");
+    let mut history = Vec::with_capacity(cfg.iterations.saturating_sub(st.next_iter));
+    let solves = Cell::new((0usize, 0usize));
+    let batch = cfg.batch.unwrap_or_else(|| n_own.min(8)).max(1);
 
-    let measured_norm_sqr: f64 = measured.iter().map(|m| norm2_sqr(m)).sum();
+    // Measured norm over the run's transmitters only: losing a group
+    // reweights the residual to what is actually still being fit.
+    let measured_norm_sqr: f64 = ctx.run_txs().iter().map(|&t| norm2_sqr(&measured[t])).sum();
 
     // Fixed penalty weights for the closed-form families. The smoothness
     // prior's relative weight is seeded from the measured-data power so one
@@ -305,529 +909,247 @@ fn dbim_inner<G: BlockLinOp + ?Sized, P: Fn() -> Option<FaultError>>(
         Regularizer::Smoothness { lambda } => lambda * measured_norm_sqr,
         _ => 0.0,
     };
+    assert!(
+        smooth_lambda == 0.0 || n == setup.n_pixels(),
+        "the smoothness stencil crosses sub-tree boundaries: it needs the whole pixel range"
+    );
     let mut lambdas: Vec<f64> = Vec::new();
+    let mut stopped = None;
 
-    for it in 0..cfg.iterations {
-        let _iter_span = ffw_obs::span("iter");
-        ffw_obs::counter("dbim.outer_iters").inc();
-        let mut cost = 0.0f64;
-        let mut solver_iters = 0usize;
-        let mut residuals: Vec<Vec<C64>> = Vec::with_capacity(n_tx);
+    for it in st.next_iter..cfg.iterations {
+        let _iter_span = span("iter");
+        if reports {
+            ffw_obs::counter("dbim.outer_iters").inc();
+        }
+        let iters_before = solves.get().1;
         // (re)build the block-Jacobi preconditioners for the current object
         let preconds = cfg.precondition.as_ref().map(|plan| {
             (
-                LeafBlockJacobi::new(plan, &object),
-                LeafBlockJacobi::new_adjoint(plan, &object),
+                LeafBlockJacobi::new(plan, &st.object),
+                LeafBlockJacobi::new_adjoint(plan, &st.object),
             )
         });
         let precond_pair = preconds.as_ref().map(|(m, mh)| -> PrecondPair { (m, mh) });
         // (re)build the forward engine against the current object iterate;
         // admission (e.g. the Born-series contrast bound, which depends on
         // max|O| of *this* iterate) happens here, before any solve runs.
-        let backend = make_backend(cfg.backend, g0, &object, g0_norm, guard, precond_pair)?;
+        // The engine borrows the iterate, so the update is applied once the
+        // passes are done with it.
+        let backend = ctx.backend(cfg.backend, &st.object, guard, precond_pair)?;
+        let pass = Passes {
+            setup,
+            ctx,
+            backend: backend.as_ref(),
+            forward: cfg.forward,
+            batch,
+            solves: &solves,
+        };
+
         // --- pass 1: fields and residuals ---
-        let fields_span = ffw_obs::span("fields");
+        let fields_span = span("fields");
         if !cfg.warm_start {
-            for f in fields.iter_mut() {
+            for f in st.fields.iter_mut() {
                 f.iter_mut().for_each(|v| *v = C64::ZERO);
             }
         }
-        // Batched: each chunk of transmitters shares fused traversals, with
-        // per-column convergence masking inside the block solver.
-        for t0 in (0..n_tx).step_by(batch) {
-            let t1 = (t0 + batch).min(n_tx);
-            let incs: Vec<&[C64]> = (t0..t1).map(|t| setup.incident(t)).collect();
-            let stats = backend.solve_block(&incs, &mut fields[t0..t1], cfg.forward);
-            forward_solves += t1 - t0;
-            solver_iters += stats.iter().map(|s| s.iterations).sum::<usize>();
-        }
-        for t in 0..n_tx {
-            let mut r = vec![C64::ZERO; setup.n_rx()];
-            setup.scattered(&object, &fields[t], &mut r);
-            for (ri, mi) in r.iter_mut().zip(&measured[t]) {
-                *ri -= *mi;
-            }
-            cost += norm2_sqr(&r);
-            residuals.push(r);
-        }
+        let (residuals, cost) = pass.residuals(measured, &st.object, &mut st.fields)?;
         drop(fields_span);
         let rel_residual = (cost / measured_norm_sqr).sqrt();
-        ffw_obs::series_push("dbim.residual", rel_residual);
+        st.residual_history.push(rel_residual);
+        series("dbim.residual", rel_residual);
+        let record = |step: f64| IterationRecord {
+            cost,
+            rel_residual,
+            step,
+            solver_iters: solves.get().1 - iters_before,
+        };
 
-        if let Regularizer::WgcvLsqr { steps, omega } = cfg.regularizer {
+        let (step, delta) = if let Regularizer::WgcvLsqr { steps, omega } = cfg.regularizer {
             // --- hybrid-projection update (replaces the gradient and step
             // passes): Golub–Kahan bidiagonalization of the Fréchet operator,
             // wGCV lambda on the projected problem, lift, project. ---
-            let wgcv_span = ffw_obs::span("wgcv");
-            let mut counters = (0usize, 0usize);
-            let up = wgcv_lsqr_update(
-                setup,
-                g0,
-                backend.as_ref(),
-                &fields,
+            let _wgcv_span = span("wgcv");
+            let (delta, lambda, step_norm) = pass.wgcv_lsqr_update(
+                &st.fields,
                 &residuals,
-                &object,
+                &st.object,
                 cfg.real_object,
                 steps,
                 omega,
-                cfg.forward,
-                batch,
-                &mut counters,
-            );
-            forward_solves += counters.0;
-            solver_iters += counters.1;
-            drop(wgcv_span);
-            drop(backend);
-            for (o, d) in object.iter_mut().zip(&up.delta) {
-                *o += *d;
+            )?;
+            series("dbim.lambda", lambda);
+            lambdas.push(lambda);
+            (step_norm, delta)
+        } else {
+            // --- pass 2: gradient ---
+            let gradient_span = span("gradient");
+            let mut grad = pass.frechet_adjoint(&st.fields, &st.object, &residuals)?;
+            if tik_lambda > 0.0 {
+                for (g, o) in grad.iter_mut().zip(&st.object) {
+                    *g += *o * tik_lambda;
+                }
+            }
+            if smooth_lambda > 0.0 {
+                // gradient of lambda ||L O||^2 is lambda L^T L O = lambda L(L O)
+                let llo = laplacian_tree(&setup.tree, &laplacian_tree(&setup.tree, &st.object));
+                for (g, l) in grad.iter_mut().zip(&llo) {
+                    *g += *l * smooth_lambda;
+                }
             }
             if cfg.real_object {
-                for v in object.iter_mut() {
+                for v in grad.iter_mut() {
                     v.im = 0.0;
                 }
             }
-            if cfg.positivity {
-                for v in object.iter_mut() {
-                    if v.re < 0.0 {
-                        v.re = 0.0;
-                    }
-                    v.im = 0.0;
+            drop(gradient_span);
+
+            // --- conjugate direction (Polak–Ribière+, restart on negative):
+            // the three object-space dots ride in one reduction ---
+            let mut dots = [
+                c64(norm2_sqr(&grad), 0.0),
+                grad.iter()
+                    .zip(&st.grad_prev)
+                    .map(|(g, gp)| g.conj() * (*g - *gp))
+                    .sum::<C64>(),
+                c64(norm2_sqr(&st.grad_prev), 0.0),
+            ];
+            ctx.g0().reduce(&mut dots).map_err(FaultError::from)?;
+            if dots[0].re == 0.0 {
+                history.push(record(0.0));
+                break;
+            }
+            let beta = if cfg.conjugate && it > 0 {
+                (dots[1].re / dots[2].re).max(0.0)
+            } else {
+                0.0
+            };
+            for (d, g) in st.dir.iter_mut().zip(&grad) {
+                *d = -*g + beta * *d;
+            }
+            st.grad_prev.copy_from_slice(&grad);
+
+            // --- pass 3: step size via the Fréchet operator ---
+            let _step_span = span("step");
+            let fds = pass.frechet(&st.fields, &st.object, &st.dir)?;
+            let mut nd = [C64::ZERO; 2];
+            if ctx.grid_pos().1 == 0 {
+                for (fd, r) in fds.iter().zip(&residuals) {
+                    nd[0].re -= zdotc(fd, r).re;
+                    nd[1].re += norm2_sqr(fd);
                 }
             }
-            ffw_obs::series_push("dbim.lambda", up.lambda);
-            ffw_obs::series_push("dbim.step", up.step_norm);
-            lambdas.push(up.lambda);
-            history.push(IterationRecord {
-                cost,
-                rel_residual,
-                step: up.step_norm,
-                solver_iters,
-            });
-            check_integrity(guard, poll, cfg, it as u64 + 1)?;
-            continue;
-        }
-
-        // --- pass 2: gradient ---
-        let gradient_span = ffw_obs::span("gradient");
-        let mut counters = (0usize, 0usize);
-        let mut grad = frechet_adjoint_apply_block(
-            setup,
-            g0,
-            backend.as_ref(),
-            &fields,
-            &object,
-            &residuals,
-            cfg.forward,
-            batch,
-            &mut counters,
-        );
-        forward_solves += counters.0;
-        solver_iters += counters.1;
-        if tik_lambda > 0.0 {
-            for (g, o) in grad.iter_mut().zip(&object) {
-                *g += *o * tik_lambda;
+            ctx.sum_all(&mut nd)?;
+            let (mut num, mut den) = (nd[0].re, nd[1].re);
+            if tik_lambda > 0.0 {
+                // minimize ||b + alpha F d||^2 + lambda ||O + alpha d||^2
+                let mut od = [zdotc(&st.dir, &st.object), c64(norm2_sqr(&st.dir), 0.0)];
+                ctx.g0().reduce(&mut od).map_err(FaultError::from)?;
+                num -= tik_lambda * od[0].re;
+                den += tik_lambda * od[1].re;
             }
-        }
-        if smooth_lambda > 0.0 {
-            // gradient of lambda ||L O||^2 is lambda L^T L O = lambda L(L O)
-            let llo = laplacian_tree(&setup.tree, &laplacian_tree(&setup.tree, &object));
-            for (g, l) in grad.iter_mut().zip(&llo) {
-                *g += *l * smooth_lambda;
+            if smooth_lambda > 0.0 {
+                // minimize ||b + alpha F d||^2 + lambda ||L (O + alpha d)||^2
+                let lo = laplacian_tree(&setup.tree, &st.object);
+                let ld = laplacian_tree(&setup.tree, &st.dir);
+                num -= smooth_lambda * zdotc(&ld, &lo).re;
+                den += smooth_lambda * norm2_sqr(&ld);
             }
-        }
-        if cfg.real_object {
-            for v in grad.iter_mut() {
-                v.im = 0.0;
-            }
-        }
-        drop(gradient_span);
-
-        // --- conjugate direction (Polak–Ribière+, restart on negative) ---
-        let g_norm_sqr = norm2_sqr(&grad);
-        if g_norm_sqr == 0.0 {
-            history.push(IterationRecord {
-                cost,
-                rel_residual,
-                step: 0.0,
-                solver_iters,
-            });
-            break;
-        }
-        let beta = if cfg.conjugate && it > 0 {
-            let prev_sqr = norm2_sqr(&grad_prev);
-            let pr = grad
-                .iter()
-                .zip(&grad_prev)
-                .map(|(g, gp)| g.conj() * (*g - *gp))
-                .sum::<C64>()
-                .re
-                / prev_sqr;
-            pr.max(0.0)
-        } else {
-            0.0
+            let alpha = if den > 0.0 { num / den } else { 0.0 };
+            (alpha, st.dir.iter().map(|d| alpha * *d).collect())
         };
-        for i in 0..n {
-            dir[i] = -grad[i] + beta * dir[i];
-        }
-        grad_prev.copy_from_slice(&grad);
-
-        // --- pass 3: step size via the Fréchet operator ---
-        let step_span = ffw_obs::span("step");
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        let mut counters = (0usize, 0usize);
-        let fds = frechet_apply_block(
-            setup,
-            g0,
-            backend.as_ref(),
-            &fields,
-            &object,
-            &dir,
-            cfg.forward,
-            batch,
-            &mut counters,
-        );
-        forward_solves += counters.0;
-        solver_iters += counters.1;
-        for (fd, r) in fds.iter().zip(&residuals) {
-            num -= zdotc(fd, r).re;
-            den += norm2_sqr(fd);
-        }
-        if tik_lambda > 0.0 {
-            // minimize ||b + alpha F d||^2 + lambda ||O + alpha d||^2
-            num -= tik_lambda * zdotc(&dir, &object).re;
-            den += tik_lambda * norm2_sqr(&dir);
-        }
-        if smooth_lambda > 0.0 {
-            // minimize ||b + alpha F d||^2 + lambda ||L (O + alpha d)||^2
-            let lo = laplacian_tree(&setup.tree, &object);
-            let ld = laplacian_tree(&setup.tree, &dir);
-            num -= smooth_lambda * zdotc(&ld, &lo).re;
-            den += smooth_lambda * norm2_sqr(&ld);
-        }
-        drop(step_span);
-        // Release the backend's borrow of the object before updating it; the
+        history.push(record(step));
+        // Release the engine's borrow of the object before updating it; the
         // next iteration re-admits the updated iterate from scratch.
         drop(backend);
-        let alpha = if den > 0.0 { num / den } else { 0.0 };
-        ffw_obs::series_push("dbim.step", alpha);
-        for i in 0..n {
-            object[i] += alpha * dir[i];
+        for (o, d) in st.object.iter_mut().zip(&delta) {
+            *o += *d;
         }
         if cfg.real_object {
-            for v in object.iter_mut() {
+            for v in st.object.iter_mut() {
                 v.im = 0.0;
             }
         }
         if cfg.positivity {
-            for v in object.iter_mut() {
+            for v in st.object.iter_mut() {
                 if v.re < 0.0 {
                     v.re = 0.0;
                 }
                 v.im = 0.0;
             }
         }
-
-        history.push(IterationRecord {
-            cost,
-            rel_residual,
-            step: alpha,
-            solver_iters,
-        });
+        series("dbim.step", step);
 
         // Iteration boundary: close the checksum window and surface any
-        // escalated corruption before the next pass builds on this update.
-        check_integrity(guard, poll, cfg, it as u64 + 1)?;
-    }
-
-    // --- final residual pass (always unpreconditioned, batched) ---
-    let _final_span = ffw_obs::span("final");
-    let mut cost = 0.0f64;
-    let backend = make_backend(cfg.backend, g0, &object, g0_norm, guard, None)?;
-    for t0 in (0..n_tx).step_by(batch) {
-        let t1 = (t0 + batch).min(n_tx);
-        let incs: Vec<&[C64]> = (t0..t1).map(|t| setup.incident(t)).collect();
-        let stats = backend.solve_block(&incs, &mut fields[t0..t1], cfg.forward);
-        forward_solves += t1 - t0;
-        let _ = stats;
-    }
-    drop(backend);
-    for t in 0..n_tx {
-        let mut r = vec![C64::ZERO; setup.n_rx()];
-        setup.scattered(&object, &fields[t], &mut r);
-        for (ri, mi) in r.iter_mut().zip(&measured[t]) {
-            *ri -= *mi;
+        // escalated corruption before the hook (checkpoint) or the next pass
+        // builds on this update.
+        check_integrity(guard, ctx, cfg, it as u64 + 1)?;
+        st.next_iter = it + 1;
+        if ctx.end_of_iteration(&st)? == Flow::Stop {
+            stopped = Some(st.next_iter as u32);
+            break;
         }
-        cost += norm2_sqr(&r);
-    }
-    check_integrity(guard, poll, cfg, cfg.iterations as u64 + 1)?;
-    let final_residual = (cost / measured_norm_sqr).sqrt();
-    ffw_obs::series_push("dbim.residual", final_residual);
-    if ffw_obs::enabled() {
-        ffw_obs::gauge("dbim.final_residual").set(final_residual);
     }
 
+    // --- final residual pass (always unpreconditioned, batched); a stopped
+    // run reports the last measured residual instead ---
+    let final_residual = match stopped {
+        Some(_) => st.residual_history.last().copied().unwrap_or(f64::NAN),
+        None => {
+            let _final_span = span("final");
+            let backend = ctx.backend(cfg.backend, &st.object, guard, None)?;
+            let pass = Passes {
+                setup,
+                ctx,
+                backend: backend.as_ref(),
+                forward: cfg.forward,
+                batch,
+                solves: &solves,
+            };
+            let (_, cost) = pass.residuals(measured, &st.object, &mut st.fields)?;
+            drop(backend);
+            check_integrity(guard, ctx, cfg, cfg.iterations as u64 + 1)?;
+            let final_residual = (cost / measured_norm_sqr).sqrt();
+            series("dbim.residual", final_residual);
+            if reports && ffw_obs::enabled() {
+                ffw_obs::gauge("dbim.final_residual").set(final_residual);
+            }
+            final_residual
+        }
+    };
     Ok(DbimResult {
-        object,
+        object: st.object,
         history,
+        residual_history: st.residual_history,
         final_residual,
-        forward_solves,
-        g0_applies: g0c.count(),
+        forward_solves: solves.get().0,
+        g0_applies: 0,
         lambdas,
+        stopped,
     })
 }
 
-/// `out[t] = F_t d` for all transmitters, batched exactly like the step
-/// pass: `w_t = phi_t . d`, `u_t = A^{-1} G0 w_t`, `F_t d = GR (w_t + O u_t)`
-/// (E3, E5). `counters` accumulates `(forward_solves, solver_iters)`.
-#[allow(clippy::too_many_arguments)]
-fn frechet_apply_block<G: BlockLinOp + ?Sized>(
-    setup: &ImagingSetup,
-    g0: &G,
-    backend: &dyn ForwardBackend,
-    fields: &[Vec<C64>],
-    object: &[C64],
-    d: &[C64],
-    forward: IterConfig,
-    batch: usize,
-    counters: &mut (usize, usize),
-) -> Vec<Vec<C64>> {
-    let n = object.len();
-    let n_tx = fields.len();
-    let mut out = Vec::with_capacity(n_tx);
-    for t0 in (0..n_tx).step_by(batch) {
-        let t1 = (t0 + batch).min(n_tx);
-        let nb = t1 - t0;
-        let ws: Vec<Vec<C64>> = (t0..t1)
-            .map(|t| fields[t].iter().zip(d).map(|(f, di)| *f * *di).collect())
-            .collect();
-        let w_refs: Vec<&[C64]> = ws.iter().map(|v| v.as_slice()).collect();
-        let mut g0ws = vec![vec![C64::ZERO; n]; nb];
-        g0.apply_block(&w_refs, &mut g0ws);
-        let g0w_refs: Vec<&[C64]> = g0ws.iter().map(|v| v.as_slice()).collect();
-        let mut us = vec![vec![C64::ZERO; n]; nb];
-        let stats = backend.solve_block(&g0w_refs, &mut us, forward);
-        counters.0 += nb;
-        counters.1 += stats.iter().map(|s| s.iterations).sum::<usize>();
-        for k in 0..nb {
-            // F_t d = GR (w + O u)
-            let src: Vec<C64> = ws[k]
-                .iter()
-                .zip(&us[k])
-                .zip(object)
-                .map(|((wi, ui), oi)| *wi + *oi * *ui)
-                .collect();
-            let mut fd = vec![C64::ZERO; setup.n_rx()];
-            setup.gr_apply(&src, &mut fd);
-            out.push(fd);
-        }
-    }
-    out
-}
-
-/// `out = sum_t F_t^H r_t`, batched exactly like the gradient pass:
-/// `y_t = GR^H r_t`, `A^H z_t = conj(O) . y_t`,
-/// `F_t^H r_t = conj(phi_t) . (y_t + G0^H z_t)` (E3, E4), accumulated in
-/// ascending `t` order at every batch width.
-#[allow(clippy::too_many_arguments)]
-fn frechet_adjoint_apply_block<G: BlockLinOp + ?Sized>(
-    setup: &ImagingSetup,
-    g0: &G,
-    backend: &dyn ForwardBackend,
-    fields: &[Vec<C64>],
-    object: &[C64],
-    rs: &[Vec<C64>],
-    forward: IterConfig,
-    batch: usize,
-    counters: &mut (usize, usize),
-) -> Vec<C64> {
-    let n = object.len();
-    let n_tx = fields.len();
-    let mut grad = vec![C64::ZERO; n];
-    for t0 in (0..n_tx).step_by(batch) {
-        let t1 = (t0 + batch).min(n_tx);
-        let nb = t1 - t0;
-        let mut ys = Vec::with_capacity(nb);
-        let mut rhss = Vec::with_capacity(nb);
-        for r in &rs[t0..t1] {
-            let mut y = vec![C64::ZERO; n];
-            setup.gr_adjoint_apply(r, &mut y);
-            let rhs: Vec<C64> = object
-                .iter()
-                .zip(&y)
-                .map(|(o, yi)| o.conj() * *yi)
-                .collect();
-            ys.push(y);
-            rhss.push(rhs);
-        }
-        let rhs_refs: Vec<&[C64]> = rhss.iter().map(|v| v.as_slice()).collect();
-        let mut zs = vec![vec![C64::ZERO; n]; nb];
-        let stats = backend.solve_adjoint_block(&rhs_refs, &mut zs, forward);
-        counters.0 += nb;
-        counters.1 += stats.iter().map(|s| s.iterations).sum::<usize>();
-        let z_refs: Vec<&[C64]> = zs.iter().map(|v| v.as_slice()).collect();
-        let mut g0hzs = vec![vec![C64::ZERO; n]; nb];
-        g0_adjoint_apply_block(g0, &z_refs, &mut g0hzs);
-        for (k, t) in (t0..t1).enumerate() {
-            for i in 0..n {
-                grad[i] += fields[t][i].conj() * (ys[k][i] + g0hzs[k][i]);
-            }
-        }
-    }
-    grad
-}
-
-/// One hybrid-projection update (the wgcv-lsqr regularizer's whole inner
-/// step): `steps` Golub–Kahan bidiagonalization steps of the stacked Fréchet
-/// operator seeded by the stacked residual, wGCV-selected lambda on the
-/// projected bidiagonal problem, and the lift `delta = V y`.
-struct WgcvUpdate {
-    /// Object update in tree order.
-    delta: Vec<C64>,
-    /// The wGCV-chosen regularization parameter.
-    lambda: f64,
-    /// Norm of the projected solution (== `||delta||` for the orthonormal
-    /// Krylov basis; reported as the iteration's step length).
-    step_norm: f64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn wgcv_lsqr_update<G: BlockLinOp + ?Sized>(
-    setup: &ImagingSetup,
-    g0: &G,
-    backend: &dyn ForwardBackend,
-    fields: &[Vec<C64>],
-    residuals: &[Vec<C64>],
-    object: &[C64],
-    real_object: bool,
-    steps: usize,
-    omega: f64,
-    forward: IterConfig,
-    batch: usize,
-    counters: &mut (usize, usize),
-) -> WgcvUpdate {
-    let n = object.len();
-    let zero = WgcvUpdate {
-        delta: vec![C64::ZERO; n],
-        lambda: 0.0,
-        step_norm: 0.0,
-    };
-    // Linearized subproblem: min_d ||F d + r||^2, i.e. rhs b = -r (stacked
-    // over transmitters). beta_1 u_1 = b.
-    let beta1 = residuals.iter().map(|r| norm2_sqr(r)).sum::<f64>().sqrt();
-    if beta1 == 0.0 {
-        return zero;
-    }
-    let mut u: Vec<Vec<C64>> = residuals
-        .iter()
-        .map(|r| r.iter().map(|v| -*v / beta1).collect())
-        .collect();
-    // When the object is constrained real, the Fréchet operator acts on real
-    // perturbations; its adjoint then carries the real projection `P` —
-    // applying P inside the recurrence keeps (F, P F^H) an exact adjoint
-    // pair over the real inner product.
-    let project = |w: &mut Vec<C64>| {
-        if real_object {
-            for v in w.iter_mut() {
-                v.im = 0.0;
-            }
-        }
-    };
-    // alpha_1 v_1 = P F^H u_1
-    let mut v = frechet_adjoint_apply_block(
-        setup, g0, backend, fields, object, &u, forward, batch, counters,
-    );
-    project(&mut v);
-    let alpha1 = norm2(&v);
-    if alpha1 == 0.0 {
-        return zero;
-    }
-    for x in v.iter_mut() {
-        *x = *x / alpha1;
-    }
-    let mut alphas = vec![alpha1];
-    let mut betas: Vec<f64> = Vec::with_capacity(steps);
-    let mut vs = vec![v.clone()];
-    for i in 0..steps {
-        // beta_{i+1} u_{i+1} = F v_i - alpha_i u_i
-        let mut fu = frechet_apply_block(
-            setup, g0, backend, fields, object, &v, forward, batch, counters,
-        );
-        for (f, ui) in fu.iter_mut().zip(&u) {
-            for (fj, uj) in f.iter_mut().zip(ui) {
-                *fj -= alphas[i] * *uj;
-            }
-        }
-        let beta = fu.iter().map(|r| norm2_sqr(r)).sum::<f64>().sqrt();
-        betas.push(beta);
-        if beta <= f64::EPSILON * alpha1 || i + 1 == steps {
-            break;
-        }
-        for f in fu.iter_mut() {
-            for x in f.iter_mut() {
-                *x = *x / beta;
-            }
-        }
-        u = fu;
-        // alpha_{i+1} v_{i+1} = P F^H u_{i+1} - beta_{i+1} v_i
-        let mut w = frechet_adjoint_apply_block(
-            setup, g0, backend, fields, object, &u, forward, batch, counters,
-        );
-        project(&mut w);
-        for (wj, vj) in w.iter_mut().zip(&v) {
-            *wj -= beta * *vj;
-        }
-        let alpha = norm2(&w);
-        if alpha <= f64::EPSILON * alpha1 {
-            break;
-        }
-        for x in w.iter_mut() {
-            *x = *x / alpha;
-        }
-        alphas.push(alpha);
-        vs.push(w.clone());
-        v = w;
-    }
-    let bidiag = Bidiag { alphas, betas };
-    let proj = ProjectedProblem::new(&bidiag, beta1);
-    let lambda = proj.wgcv_lambda(omega);
-    let y = proj.solve(lambda);
-    let mut delta = vec![C64::ZERO; n];
-    for (yi, vi) in y.iter().zip(&vs) {
-        axpy_real(*yi, vi, &mut delta);
-    }
-    let step_norm = y.iter().map(|c| c * c).sum::<f64>().sqrt();
-    WgcvUpdate {
-        delta,
-        lambda,
-        step_norm,
-    }
-}
-
 /// Surfaces escalated compute corruption at an iteration boundary: a
-/// checksum escalation reported by `poll`, or a drift-guard column whose
-/// rollback budget was exhausted mid-solve (the solver already froze it at
-/// the last verified iterate; the reconstruction must not continue on it).
-fn check_integrity<P: Fn() -> Option<FaultError>>(
+/// checksum escalation reported by the context, or a drift-guard column
+/// whose rollback budget was exhausted mid-solve (the solver already froze
+/// it at the last verified iterate; the reconstruction must not continue on
+/// it).
+fn check_integrity<C: RankContext>(
     guard: Option<&DriftGuard>,
-    poll: &P,
+    ctx: &C,
     cfg: &DbimConfig,
     iteration: u64,
-) -> Result<(), DbimError> {
-    if let Some(e) = poll() {
-        return Err(DbimError::ComputeCorruption(e));
+) -> Result<(), FaultError> {
+    if let Some(e) = ctx.poll_corruption() {
+        return Err(e);
     }
     if let Some(gd) = guard {
         if gd.escalated() > 0 {
-            let rank = cfg.verify.as_ref().map_or(0, |v| v.rank);
-            return Err(DbimError::ComputeCorruption(
-                FaultError::ComputeCorruption {
-                    rank,
-                    stage: "krylov.drift".into(),
-                    panel: iteration,
-                    attempts: gd.max_rollbacks + 1,
-                },
-            ));
+            return Err(FaultError::ComputeCorruption {
+                rank: cfg.verify.as_ref().map_or(0, |v| v.rank),
+                stage: "krylov.drift".into(),
+                panel: iteration,
+                attempts: gd.max_rollbacks + 1,
+            });
         }
     }
     Ok(())

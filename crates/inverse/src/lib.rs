@@ -16,11 +16,14 @@ pub mod problem;
 pub mod regularize;
 
 pub use born::{born_inversion, BornConfig, BornResult};
-pub use dbim::{dbim, DbimConfig, DbimError, DbimResult, IterationRecord};
+pub use dbim::{
+    dbim, dbim_hooked, dbim_loop, DbimConfig, DbimError, DbimResult, Flow, IterationHook,
+    IterationRecord, LoopState, RankContext,
+};
 pub use ffw_solver::{BackendChoice, BackendError};
 pub use multifreq::{
-    multi_frequency_dbim, multi_frequency_dbim_with, FrequencyHop, HopSchedule, MultiFreqConfig,
-    MultiFreqError, MultiFreqResult,
+    hop_stages, multi_frequency_dbim, multi_frequency_dbim_with, FrequencyHop, HopCheckpoint,
+    HopSchedule, MultiFreqConfig, MultiFreqError, MultiFreqResult, StageResult,
 };
 pub use ops::MlfmaG0;
 pub use precond::LeafBlockJacobi;

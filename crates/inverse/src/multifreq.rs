@@ -12,20 +12,22 @@
 //! object function `O = k0^2 delta_eps` between wavenumbers, since the
 //! contrast `delta_eps` is the frequency-invariant unknown.
 //!
-//! Two drivers: [`multi_frequency_dbim`] runs a schedule in memory;
-//! [`multi_frequency_dbim_with`] adds the first-class surface — per-hop obs
+//! One stage loop, [`hop_stages`]: the carry, its rescale, per-hop obs
 //! spans/counters, crash-consistent checkpoints at hop boundaries (riding
 //! the [`ffw_fault::Checkpoint`] machinery), resume that skips completed
-//! stages bit-identically, and a cooperative stop poll between hops.
-//! Schedules arriving from the CLI or serve spec are parsed and validated
-//! by [`HopSchedule`].
+//! stages bit-identically, and a cooperative stop poll between hops. "Run
+//! one stage from this initial object" is its only varying part, so a
+//! schedule runs on any driver and rank grid; [`multi_frequency_dbim_with`]
+//! is the loop over the serial [`dbim`], [`multi_frequency_dbim`] the same
+//! in memory. Schedules arriving from the CLI or serve spec are parsed and
+//! validated by [`HopSchedule`].
 
 use crate::dbim::{dbim, DbimConfig, DbimError, DbimResult};
 use crate::problem::ImagingSetup;
 use ffw_fault::{Checkpoint, CheckpointError, Fingerprint};
 use ffw_numerics::{c64, C64};
 use ffw_solver::BlockLinOp;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Maximum wavelength factor a hop schedule may start at. Beyond this the
 /// lowest-frequency grid is so oversampled that the stage carries no
@@ -89,6 +91,11 @@ impl HopSchedule {
             }
             None => Err("hop schedule is empty".into()),
         }
+    }
+
+    /// The one-stage schedule `"1.0"`: a single-frequency run.
+    pub fn single() -> HopSchedule {
+        HopSchedule(vec![1.0])
     }
 
     /// The wavelength factors, descending to 1.0.
@@ -158,21 +165,46 @@ pub struct FrequencyHop<'a, G: BlockLinOp + ?Sized> {
     pub iterations: usize,
 }
 
-/// Result of a multi-frequency reconstruction.
+/// What the stage loop reads off one stage's result.
+pub trait StageResult {
+    /// The stage's reconstructed object over the whole domain (tree order).
+    fn object(&self) -> &[C64];
+    /// Relative residual after the stage's final update.
+    fn final_residual(&self) -> f64;
+    /// `Some(n)` when the stage itself was stopped early (after `n` of its
+    /// outer iterations) by a control the stage runner attached.
+    fn interrupted(&self) -> Option<u32> {
+        None
+    }
+}
+
+impl StageResult for DbimResult {
+    fn object(&self) -> &[C64] {
+        &self.object
+    }
+    fn final_residual(&self) -> f64 {
+        self.final_residual
+    }
+}
+
+/// Result of a multi-frequency reconstruction; `R` is the per-stage result
+/// of whichever driver ran the stages.
 #[derive(Debug)]
-pub struct MultiFreqResult {
+pub struct MultiFreqResult<R = DbimResult> {
     /// Final object at the last completed frequency (tree order).
     pub object: Vec<C64>,
-    /// Per-stage DBIM results for the stages *run in this process* (resumed
+    /// Per-stage results for the stages *run in this process* (resumed
     /// stages were restored from the checkpoint and have no in-memory
     /// result).
-    pub stages: Vec<DbimResult>,
+    pub stages: Vec<R>,
     /// Total completed stages, including stages restored from a checkpoint.
     pub completed: usize,
     /// Stages skipped because the checkpoint already covered them.
     pub resumed: usize,
     /// `Some(h)` if a cooperative stop fired before stage `h` ran; the
     /// object is then the carry at the last completed stage's frequency.
+    /// When the last stage in `stages` was itself stopped early, this is
+    /// that stage's [`StageResult::interrupted`] instead.
     pub interrupted: Option<u32>,
 }
 
@@ -262,46 +294,91 @@ pub fn multi_frequency_dbim<G: BlockLinOp + ?Sized>(
     })
 }
 
-/// The first-class hop driver: [`multi_frequency_dbim`] plus per-hop obs,
-/// checkpoint/resume at hop boundaries, and a cooperative `stop` poll
-/// between stages (a pending stop returns the carry with
-/// [`MultiFreqResult::interrupted`] set instead of discarding completed
-/// work — the checkpoint for every completed stage is already on disk).
+/// [`hop_stages`] over the serial [`dbim`]: one `G0` operator per stage,
+/// every stage's DBIM settings taken from `cfg.base`.
 pub fn multi_frequency_dbim_with<G: BlockLinOp + ?Sized>(
     hops: &[FrequencyHop<'_, G>],
     cfg: &MultiFreqConfig,
     stop: Option<&dyn Fn() -> bool>,
 ) -> Result<MultiFreqResult, MultiFreqError> {
     validate_hops(hops);
+    assert!(
+        !cfg.resume || cfg.checkpoint.is_some(),
+        "resume requires a checkpoint path"
+    );
+    let k0s: Vec<f64> = hops.iter().map(|h| h.setup.domain.k0()).collect();
+    let checkpoint = cfg.checkpoint.as_deref().map(|path| HopCheckpoint {
+        path,
+        resume: cfg.resume,
+        fingerprint: cfg.fingerprint,
+    });
+    hop_stages(
+        &k0s,
+        hops[0].setup.n_pixels(),
+        checkpoint,
+        stop,
+        |h, initial| {
+            let hop = &hops[h];
+            let stage_cfg = DbimConfig {
+                iterations: hop.iterations,
+                initial,
+                ..cfg.base.clone()
+            };
+            Ok(dbim(hop.setup, hop.g0, hop.measured, &stage_cfg)?)
+        },
+    )
+}
+
+/// Where [`hop_stages`] checkpoints the carry after every completed stage.
+#[derive(Clone, Copy, Debug)]
+pub struct HopCheckpoint<'a> {
+    /// The checkpoint file (saved atomically after every completed stage).
+    pub path: &'a Path,
+    /// Resume from `path` if it exists: completed stages are skipped and the
+    /// carry restored bit-identically.
+    pub resume: bool,
+    /// Scene/schedule/config fingerprint the checkpoint must match.
+    pub fingerprint: u64,
+}
+
+/// The hop stage loop: runs stage `h` (wavenumber `k0s[h]`, ascending) from
+/// the rescaled carry of stage `h - 1` through `run_stage(h, initial)`, with
+/// per-hop obs, checkpoint/resume at hop boundaries, and a cooperative
+/// `stop` poll between stages (a pending stop returns the carry with
+/// [`MultiFreqResult::interrupted`] set instead of discarding completed work
+/// — the checkpoint for every completed stage is already on disk). A stage
+/// that reports itself interrupted ends the loop the same way, without a hop
+/// checkpoint: its own runner checkpointed it.
+pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
+    k0s: &[f64],
+    n_pixels: usize,
+    checkpoint: Option<HopCheckpoint<'_>>,
+    stop: Option<&dyn Fn() -> bool>,
+    mut run_stage: impl FnMut(usize, Option<Vec<C64>>) -> Result<R, E>,
+) -> Result<MultiFreqResult<R>, E> {
+    assert!(!k0s.is_empty());
     let _span = ffw_obs::span("multifreq");
     let mut start_stage = 0usize;
     let mut carry: Option<Vec<C64>> = None;
     let mut residual_history: Vec<f64> = Vec::new();
-    if cfg.resume {
-        let path = cfg
-            .checkpoint
-            .as_ref()
-            .expect("resume requires a checkpoint path");
-        if path.exists() {
-            let ckpt = Checkpoint::load(path, cfg.fingerprint)?;
+    if let Some(ck) = checkpoint.filter(|ck| ck.resume) {
+        if ck.path.exists() {
+            let ckpt = Checkpoint::load(ck.path, ck.fingerprint)?;
             let done = ckpt.next_iter as usize;
-            if done > hops.len() {
-                return Err(MultiFreqError::Checkpoint(CheckpointError::Malformed(
-                    format!(
-                        "checkpoint covers {done} stages, schedule has {}",
-                        hops.len()
-                    ),
-                )));
+            if done > k0s.len() {
+                return Err(CheckpointError::Malformed(format!(
+                    "checkpoint covers {done} stages, schedule has {}",
+                    k0s.len()
+                ))
+                .into());
             }
             if done > 0 {
-                let n = hops[0].setup.n_pixels();
-                if ckpt.object.len() != n {
-                    return Err(MultiFreqError::Checkpoint(CheckpointError::Malformed(
-                        format!(
-                            "checkpoint object has {} pixels, grid has {n}",
-                            ckpt.object.len()
-                        ),
-                    )));
+                if ckpt.object.len() != n_pixels {
+                    return Err(CheckpointError::Malformed(format!(
+                        "checkpoint object has {} pixels, grid has {n_pixels}",
+                        ckpt.object.len()
+                    ))
+                    .into());
                 }
                 carry = Some(ckpt.object.iter().map(|&(re, im)| c64(re, im)).collect());
                 residual_history = ckpt.residual_history;
@@ -311,8 +388,8 @@ pub fn multi_frequency_dbim_with<G: BlockLinOp + ?Sized>(
         }
     }
 
-    let mut stages = Vec::with_capacity(hops.len().saturating_sub(start_stage));
-    for (h, hop) in hops.iter().enumerate().skip(start_stage) {
+    let mut stages = Vec::with_capacity(k0s.len().saturating_sub(start_stage));
+    for h in start_stage..k0s.len() {
         if let Some(stop) = stop {
             if stop() {
                 return Ok(MultiFreqResult {
@@ -326,52 +403,50 @@ pub fn multi_frequency_dbim_with<G: BlockLinOp + ?Sized>(
         }
         let _hop_span = ffw_obs::span("hop");
         ffw_obs::counter("multifreq.hops").inc();
-        let k0sq = hop.setup.domain.k0().powi(2);
         let initial = carry.take().map(|obj| {
             // rescale O = k_prev^2 delta_eps  ->  k_new^2 delta_eps; the
             // previous stage's k0 comes from the schedule itself, so a
             // resumed carry rescales bit-identically to an in-process one
-            let prev_k0sq = hops[h - 1].setup.domain.k0().powi(2);
-            let s = k0sq / prev_k0sq;
+            let s = k0s[h].powi(2) / k0s[h - 1].powi(2);
             obj.into_iter().map(|v| v * s).collect::<Vec<C64>>()
         });
-        let stage_cfg = DbimConfig {
-            iterations: hop.iterations,
-            initial,
-            ..cfg.base.clone()
-        };
-        let result = dbim(hop.setup, hop.g0, hop.measured, &stage_cfg)?;
-        ffw_obs::series_push("multifreq.stage_residual", result.final_residual);
-        residual_history.push(result.final_residual);
-        carry = Some(result.object.clone());
+        let result = run_stage(h, initial)?;
+        let object = result.object().to_vec();
+        if let Some(done) = result.interrupted() {
+            stages.push(result);
+            return Ok(MultiFreqResult {
+                object,
+                stages,
+                completed: h,
+                resumed: start_stage,
+                interrupted: Some(done),
+            });
+        }
+        ffw_obs::series_push("multifreq.stage_residual", result.final_residual());
+        residual_history.push(result.final_residual());
         stages.push(result);
-        if let Some(path) = &cfg.checkpoint {
-            let object: Vec<(f64, f64)> = carry
-                .as_ref()
-                .expect("carry set above")
-                .iter()
-                .map(|v| (v.re, v.im))
-                .collect();
+        if let Some(ck) = checkpoint {
             // The carry is the entire cross-stage state; grad_prev/dir are
             // per-stage and restart fresh, but the decoder requires them to
             // match the object length.
             let zeros = vec![(0.0, 0.0); object.len()];
             let ckpt = Checkpoint {
-                fingerprint: cfg.fingerprint,
+                fingerprint: ck.fingerprint,
                 next_iter: (h + 1) as u32,
                 residual_history: residual_history.clone(),
-                object,
+                object: object.iter().map(|v| (v.re, v.im)).collect(),
                 grad_prev: zeros.clone(),
                 dir: zeros,
                 ..Default::default()
             };
-            ckpt.save(path)?;
+            ckpt.save(ck.path)?;
         }
+        carry = Some(object);
     }
     Ok(MultiFreqResult {
         object: carry.expect("non-empty schedule"),
         stages,
-        completed: hops.len(),
+        completed: k0s.len(),
         resumed: start_stage,
         interrupted: None,
     })
@@ -722,7 +797,10 @@ mod tests {
         assert_eq!(s.factors(), &[2.0, 1.5, 1.0]);
         assert_eq!(s.to_string(), "2,1.5,1");
         assert_eq!("2,1.5,1".parse::<HopSchedule>().expect("roundtrip"), s);
-        assert_eq!(HopSchedule::parse("1.0").expect("degenerate").len(), 1);
+        assert_eq!(
+            HopSchedule::parse("1.0").expect("degenerate"),
+            HopSchedule::single()
+        );
         for bad in [
             "",
             "1.0,2.0",           // ascending wavelength = descending frequency

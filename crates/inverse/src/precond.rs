@@ -21,9 +21,10 @@ pub struct LeafBlockJacobi {
 }
 
 impl LeafBlockJacobi {
-    /// Builds the preconditioner for the current object (tree order).
-    /// Singular blocks (possible only at exact resonances) fall back to
-    /// identity.
+    /// Builds the preconditioner for the current object (tree order) — or
+    /// for a rank's slice of it: leaf blocks are rank-local, so any whole
+    /// number of leaves works. Singular blocks (possible only at exact
+    /// resonances) fall back to identity.
     pub fn new(plan: &MlfmaPlan, object: &[C64]) -> Self {
         Self::build(plan, object, false)
     }
@@ -35,9 +36,12 @@ impl LeafBlockJacobi {
     }
 
     fn build(plan: &MlfmaPlan, object: &[C64], adjoint: bool) -> Self {
-        assert_eq!(object.len(), plan.n_pixels());
+        assert!(
+            object.len().is_multiple_of(LEAF_PIXELS) && object.len() <= plan.n_pixels(),
+            "the object slice must be a whole number of leaves"
+        );
         let n_self = plan.near_field.dense_block((0, 0));
-        let n_leaves = plan.tree.n_leaves();
+        let n_leaves = object.len() / LEAF_PIXELS;
         let blocks = (0..n_leaves)
             .map(|c| {
                 let o = &object[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS];

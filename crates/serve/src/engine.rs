@@ -24,12 +24,12 @@ use crate::proto;
 use crate::spec::JobSpec;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use ffw_check::{validate_job_log, JobTransition};
-use ffw_dist::{run_dbim_ft, FtConfig, FtDbimResult, IterProgress, JobControl};
+use ffw_dist::{FtConfig, IterProgress, JobControl};
 use ffw_fault::fnv1a64;
-use ffw_inverse::{add_noise, DbimConfig, DbimError, Regularizer};
+use ffw_inverse::DbimConfig;
 use ffw_mpi::{FaultError, FaultPlan};
 use ffw_par::Pool;
-use ffw_tomo::{HopError, HopPipeline, Reconstruction};
+use ffw_tomo::{reconstruct, synthesize_noisy, HopPipeline, HopSchedule, Reconstruction};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
@@ -705,13 +705,8 @@ fn run_job(inner: &Inner, id: &str) {
     };
 
     match outcome {
-        Ok((result, image)) => {
-            if let Some(completed) = result.interrupted {
-                finish_interrupted(inner, id, completed);
-            } else {
-                finish_done(inner, id, &spec, &result, &image);
-            }
-        }
+        Ok(Executed::Interrupted(completed)) => finish_interrupted(inner, id, completed),
+        Ok(Executed::Done { residual, image }) => finish_done(inner, id, residual, &image),
         Err(err) => {
             let code = failure_code(&err);
             let detail = err.to_string();
@@ -774,7 +769,7 @@ fn finish_interrupted(inner: &Inner, id: &str, completed: u32) {
     }
 }
 
-fn finish_done(inner: &Inner, id: &str, spec: &JobSpec, result: &FtDbimResult, image: &[f64]) {
+fn finish_done(inner: &Inner, id: &str, residual: f64, image: &[f64]) {
     match write_output(inner, id, image) {
         Ok(digest) => {
             set_state(inner, id, JobState::Done);
@@ -782,7 +777,7 @@ fn finish_done(inner: &Inner, id: &str, spec: &JobSpec, result: &FtDbimResult, i
                 inner,
                 &JobEvent::Done {
                     id: id.into(),
-                    residual: result.final_residual,
+                    residual,
                     digest,
                 },
             );
@@ -794,14 +789,8 @@ fn finish_done(inner: &Inner, id: &str, spec: &JobSpec, result: &FtDbimResult, i
             reply_line(
                 inner,
                 id,
-                proto::done(
-                    id,
-                    result.final_residual,
-                    digest,
-                    &out.display().to_string(),
-                ),
+                proto::done(id, residual, digest, &out.display().to_string()),
             );
-            let _ = spec;
         }
         Err(e) => {
             set_state(inner, id, JobState::Failed);
@@ -827,184 +816,83 @@ fn set_state(inner: &Inner, id: &str, state: JobState) {
     }
 }
 
-/// Maps a serial-driver failure into the engine's fault taxonomy so retry
-/// classification and failure codes behave identically across drivers: a
-/// backend rejection is a Krylov breakdown (terminal, like the distributed
-/// driver's), and detected compute corruption keeps its own `FaultError`.
-fn dbim_fault(e: DbimError) -> FaultError {
-    match e {
-        DbimError::ComputeCorruption(fe) => fe,
-        DbimError::Backend(b) => FaultError::KrylovBreakdown {
-            rank: 0,
-            iterations: 0,
-            rel_residual: f64::INFINITY,
-            detail: b.to_string(),
-        },
-    }
+/// What one attempt of a job came to.
+enum Executed {
+    /// Finished: the final relative residual and the contrast raster.
+    Done { residual: f64, image: Vec<f64> },
+    /// Stopped at a checkpoint boundary with this many units complete
+    /// (outer iterations; hop stages for a schedule).
+    Interrupted(u32),
 }
 
-/// Like [`dbim_fault`] for the multi-frequency driver. A hop-checkpoint
-/// failure is classified unrecoverable: a retry would replay against the
-/// same on-disk state and fail identically.
-fn serial_fault(e: HopError) -> FaultError {
-    match e {
-        HopError::Dbim(d) => dbim_fault(d),
-        HopError::Checkpoint(c) => FaultError::Unrecoverable {
-            detail: format!("hop checkpoint: {c}"),
-        },
-    }
-}
-
-/// Runs a frequency-hopping or non-default-regularizer job on the serial
-/// driver (admission pins `groups == subtree == 1` for these, so no
-/// distributed launch exists to route them through). Hop jobs checkpoint at
-/// hop-stage boundaries under the same `job-<id>.ckpt` path the distributed
-/// driver uses, so drain/SIGTERM parking and journal-replay recovery resume
-/// them exactly like distributed jobs; single-frequency regularizer jobs
-/// are short serial solves that simply recompute on a restart.
-fn execute_serial(
-    inner: &Inner,
-    spec: &JobSpec,
-    control: &JobControl,
-) -> Result<(FtDbimResult, Vec<f64>), FaultError> {
+/// The pipelines of a job, one per stage of its schedule. The plan cache
+/// holds scene-frequency `Reconstruction`s keyed by geometry, which is what
+/// a one-stage schedule runs on; a longer schedule builds its stages fresh
+/// on the shared pool each attempt.
+fn stages_of(inner: &Inner, spec: &JobSpec, schedule: &HopSchedule) -> Vec<Arc<Reconstruction>> {
     let scene = spec.scene();
-    let dbim_cfg = DbimConfig {
-        iterations: spec.iterations,
-        backend: spec.backend,
-        regularizer: spec.regularizer,
-        ..Default::default()
-    };
-    if let Some(schedule) = &spec.hops {
-        // One pipeline per frequency stage: the plan cache holds single
-        // `Reconstruction`s keyed by geometry, so hop jobs build their
-        // stages fresh on the shared pool each attempt.
-        let pipeline = HopPipeline::with_pool(&scene, schedule, Arc::clone(&inner.pool));
-        let phantom = spec.build_phantom(pipeline.final_stage().domain().side());
-        let mut measured = pipeline.synthesize(phantom.as_ref());
-        if let Some(db) = spec.noise_db {
-            HopPipeline::add_noise(&mut measured, db, 1);
-        }
-        let ckpt = inner.cfg.dir.join(format!("job-{}.ckpt", spec.id));
-        let resume = ckpt.exists();
-        let fingerprint = pipeline.fingerprint(&scene, spec.iterations);
-        let stop = || control.stop_requested();
-        let result = pipeline
-            .run(
-                &measured,
-                spec.iterations,
-                &dbim_cfg,
-                Some(ckpt),
-                resume,
-                fingerprint,
-                Some(&stop),
-            )
-            .map_err(serial_fault)?;
-        // Best-effort stage progress (resumed stages were reported by the
-        // attempt that computed them; `completed` counts across attempts).
-        for (i, st) in result.stages.iter().enumerate() {
-            control.progress((result.resumed + i + 1) as u32, st.final_residual);
-        }
-        let residual_history: Vec<f64> = result.stages.iter().map(|s| s.final_residual).collect();
-        let image = pipeline.final_stage().image(&result.object);
-        let ft = FtDbimResult {
-            final_residual: residual_history.last().copied().unwrap_or(f64::NAN),
-            residual_history,
-            object: result.object,
-            lost_txs: Vec::new(),
-            restarts: 0,
-            interrupted: result.interrupted,
-        };
-        return Ok((ft, image));
+    if schedule.len() == 1 {
+        return vec![inner.cache.get_or_build(spec.geometry_fingerprint(), || {
+            Arc::new(Reconstruction::with_pool(&scene, Arc::clone(&inner.pool)))
+        })];
     }
-    let recon = inner.cache.get_or_build(spec.geometry_fingerprint(), || {
-        Arc::new(Reconstruction::with_pool(
-            &spec.scene(),
-            Arc::clone(&inner.pool),
-        ))
-    });
-    let phantom = spec.build_phantom(recon.domain().side());
-    let mut measured = recon.synthesize(phantom.as_ref());
-    if let Some(db) = spec.noise_db {
-        add_noise(&mut measured, db, 1);
-    }
-    let result = recon
-        .run_dbim_with(&measured, &dbim_cfg)
-        .map_err(dbim_fault)?;
-    // `history[i]` records the residual at the *start* of iteration `i`;
-    // shift by one and close with the final residual so each progress/
-    // history entry reports the residual *after* a completed iteration,
-    // matching the distributed driver's convention.
-    let mut residual_history: Vec<f64> = result
-        .history
-        .iter()
-        .skip(1)
-        .map(|r| r.rel_residual)
-        .collect();
-    residual_history.push(result.final_residual);
-    for (i, r) in residual_history.iter().enumerate() {
-        control.progress((i + 1) as u32, *r);
-    }
-    let image = recon.image(&result.object);
-    let ft = FtDbimResult {
-        final_residual: result.final_residual,
-        residual_history,
-        object: result.object,
-        lost_txs: Vec::new(),
-        restarts: 0,
-        interrupted: None,
-    };
-    Ok((ft, image))
+    HopPipeline::with_pool(&scene, schedule, Arc::clone(&inner.pool))
+        .stages
+        .into_iter()
+        .map(Arc::new)
+        .collect()
 }
 
-/// Runs one attempt of a job. Setup is deterministic in the spec, so a
-/// resumed attempt reproduces the exact run the checkpoint fingerprints.
-fn execute(
-    inner: &Inner,
-    spec: &JobSpec,
-    control: JobControl,
-) -> Result<(FtDbimResult, Vec<f64>), FaultError> {
-    if spec.hops.is_some() || spec.regularizer != Regularizer::default() {
-        return execute_serial(inner, spec, &control);
-    }
-    let recon = inner.cache.get_or_build(spec.geometry_fingerprint(), || {
-        Arc::new(Reconstruction::with_pool(
-            &spec.scene(),
-            Arc::clone(&inner.pool),
-        ))
-    });
-    let phantom = spec.build_phantom(recon.domain().side());
-    let mut measured = recon.synthesize(phantom.as_ref());
-    if let Some(db) = spec.noise_db {
-        add_noise(&mut measured, db, 1);
-    }
+/// Runs one attempt of a job through the one front door
+/// ([`ffw_tomo::reconstruct`]): a hop schedule — `"1.0"` for a
+/// single-frequency job — on the spec's `groups x subtree` grid, where 1 x 1
+/// is the serial context on the cached pipeline's own engine (no rank
+/// launch). Setup is deterministic in the spec, so a resumed attempt
+/// reproduces the exact run the checkpoint fingerprints. Every job
+/// checkpoints under `job-<id>.ckpt` (outer-iteration boundaries; hop
+/// boundaries for a schedule), so drain/SIGTERM parking, retries and
+/// journal-replay recovery resume it bit-identically.
+fn execute(inner: &Inner, spec: &JobSpec, control: JobControl) -> Result<Executed, FaultError> {
+    let scene = spec.scene();
+    let schedule = spec.schedule();
+    let stages = stages_of(inner, spec, &schedule);
+    let last = stages.last().expect("schedules are never empty");
+    let phantom = spec.build_phantom(last.domain().side());
+    let measured = synthesize_noisy(&stages, phantom.as_ref(), spec.noise_db);
     let ckpt = inner.cfg.dir.join(format!("job-{}.ckpt", spec.id));
     let resume = ckpt.exists();
+    let ranks = spec.groups * spec.subtree;
     let ft = FtConfig {
         dbim: DbimConfig {
             iterations: spec.iterations,
             backend: spec.backend,
+            regularizer: spec.regularizer,
             ..Default::default()
         },
-        groups: spec.groups,
-        subtree_ranks: spec.subtree,
         checkpoint: Some(ckpt),
         resume,
         max_restarts: spec.max_restarts,
         min_groups: spec.min_groups,
-        control: Some(control),
         // Injected faults apply to the first fresh launch only; a resumed
-        // attempt must run clean or it could never make progress.
-        fault_plan: match (resume, spec.chaos_seed, spec.groups * spec.subtree) {
-            // Seeded plans need >= 2 ranks; a single-rank job ignores the
-            // seed rather than panicking.
-            (false, Some(s), ranks) if ranks >= 2 => Some(FaultPlan::seeded(s, ranks)),
-            _ => None,
-        },
-        deadlock_timeout: None,
+        // attempt must run clean or it could never make progress. Seeded
+        // plans need >= 2 ranks; a single-rank job ignores the seed rather
+        // than panicking.
+        fault_plan: spec
+            .chaos_seed
+            .filter(|_| !resume && ranks >= 2)
+            .map(|s| FaultPlan::seeded(s, ranks)),
+        control: Some(control.clone()),
+        ..FtConfig::new(spec.groups, spec.subtree)
     };
-    let result = run_dbim_ft(&recon.setup, Arc::clone(&recon.plan), &measured, &ft)?;
-    let image = recon.image(&result.object);
-    Ok((result, image))
+    let stop = || control.stop_requested();
+    let result = reconstruct(&scene, &schedule, &stages, &measured, &ft, Some(&stop))?;
+    Ok(match result.interrupted {
+        Some(completed) => Executed::Interrupted(completed),
+        None => Executed::Done {
+            residual: result.stages.last().map_or(f64::NAN, |s| s.final_residual),
+            image: last.image(&result.object),
+        },
+    })
 }
 
 /// Writes the reconstructed image as little-endian `f64`s, atomically

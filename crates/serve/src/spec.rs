@@ -46,9 +46,10 @@ pub struct JobSpec {
     /// MLFMA accuracy preset (`low` / `default` / `high`).
     pub accuracy: String,
     /// Forward-solver backend (`bicgstab` / `born-series`). Parsed and
-    /// validated at admission; the fault-tolerant engine currently accepts
-    /// only `bicgstab`, so `born-series` jobs are rejected here rather than
-    /// failing mid-run.
+    /// validated at admission: `born-series` runs on the 1 x 1 grid only
+    /// (its contrast admission is a max over the whole object), so a job
+    /// asking for it on a larger grid is rejected here rather than failing
+    /// mid-run.
     pub backend: BackendChoice,
     /// Illumination groups for the fault-tolerant distributed driver.
     pub groups: usize,
@@ -65,13 +66,13 @@ pub struct JobSpec {
     /// Seeded fault injection into the first launch (test harness hook).
     pub chaos_seed: Option<u64>,
     /// Frequency-hop schedule as a wavelength-factor string (`"2.0,1.0"`);
-    /// `None` = single-frequency. Hop jobs run on the serial
-    /// multi-frequency driver, so they require `groups == 1` and
-    /// `subtree == 1`, and checkpoint/resume at hop-stage boundaries.
+    /// `None` = single-frequency. Hop jobs run on any grid and
+    /// checkpoint/resume at hop-stage boundaries.
     pub hops: Option<HopSchedule>,
     /// Regularizer on the DBIM linear step (`"tikhonov[:L]"`,
-    /// `"smoothness[:L]"`, `"wgcv-lsqr[:STEPS[:OMEGA]]"`). Non-default
-    /// choices run on the serial driver (`groups == 1`).
+    /// `"smoothness[:L]"`, `"wgcv-lsqr[:STEPS[:OMEGA]]"`). Every family runs
+    /// on every grid except `smoothness`, which needs `subtree == 1` (its
+    /// stencil crosses sub-tree boundaries).
     pub regularizer: Regularizer,
 }
 
@@ -206,12 +207,6 @@ impl JobSpec {
                 self.accuracy
             ));
         }
-        if self.backend != BackendChoice::Bicgstab {
-            return Err(format!(
-                "'backend' {} is not supported by the fault-tolerant engine                  (the distributed driver pins bicgstab); run it through                  ffw-reconstruct --backend instead",
-                self.backend
-            ));
-        }
         if self.groups == 0 || !self.tx.is_multiple_of(self.groups) {
             return Err(format!(
                 "'groups' {} must be >= 1 and divide 'tx' {}",
@@ -237,23 +232,15 @@ impl JobSpec {
                 return Err("'max_flops' must be positive".into());
             }
         }
-        // The serial multi-frequency driver handles hop and non-default
-        // regularizer jobs; it is single-launch, so the distributed layout
-        // and chaos hooks must stay at their defaults.
-        let serial = self.hops.is_some() || self.regularizer != Regularizer::default();
-        if serial && (self.groups != 1 || self.subtree != 1) {
-            return Err(format!(
-                "'hops'/'regularizer' jobs run on the serial driver: \
-                 'groups' {} and 'subtree' {} must both be 1",
-                self.groups, self.subtree
-            ));
-        }
+        // The only two settings that do not run on every rank grid.
+        ffw_tomo::grid_admission(self.backend, self.regularizer, self.groups, self.subtree)
+            .map_err(|why| {
+                format!(
+                    "'groups' {} x 'subtree' {}: {why}",
+                    self.groups, self.subtree
+                )
+            })?;
         if let Some(schedule) = &self.hops {
-            if self.chaos_seed.is_some() {
-                return Err("'chaos_seed' applies to distributed launches only; \
-                     'hops' jobs run the serial driver"
-                    .into());
-            }
             if self.iterations < schedule.len() {
                 return Err(format!(
                     "'iterations' {} must give each of the {} hop stage(s) \
@@ -303,6 +290,12 @@ impl JobSpec {
             ),
             ("regularizer", Json::Str(self.regularizer.to_spec_string())),
         ])
+    }
+
+    /// The hop schedule this job runs: a single-frequency job is the
+    /// one-stage schedule `"1.0"`.
+    pub fn schedule(&self) -> HopSchedule {
+        self.hops.clone().unwrap_or_else(HopSchedule::single)
     }
 
     /// The scene this job reconstructs. `threads` is left at 0; the engine
@@ -435,7 +428,10 @@ mod tests {
             (r#"{"id":"a","phantom":"pineapple"}"#, "phantom"),
             (r#"{"id":"a","accuracy":"extreme"}"#, "accuracy"),
             (r#"{"id":"a","backend":"gmres"}"#, "'backend'"),
-            (r#"{"id":"a","backend":"born-series"}"#, "'backend'"),
+            (
+                r#"{"id":"a","backend":"born-series","tx":4,"groups":2}"#,
+                "born-series requires groups = subtree = 1",
+            ),
             (r#"{"id":"a","tx":4,"groups":3}"#, "'groups'"),
             (r#"{"id":"a","subtree":3}"#, "'subtree'"),
             (
@@ -452,21 +448,33 @@ mod tests {
                 r#"{"id":"a","hops":"2.0,1.0","iterations":1}"#,
                 "'iterations'",
             ),
-            (r#"{"id":"a","hops":"2.0,1.0","tx":4,"groups":2}"#, "serial"),
-            (
-                r#"{"id":"a","hops":"2.0,1.0","chaos_seed":7}"#,
-                "'chaos_seed'",
-            ),
             (r#"{"id":"a","regularizer":"ridge"}"#, "'regularizer'"),
             (r#"{"id":"a","regularizer":"wgcv-lsqr:0"}"#, "'regularizer'"),
             (
-                r#"{"id":"a","regularizer":"smoothness:1e-4","tx":4,"groups":2}"#,
-                "serial",
+                r#"{"id":"a","regularizer":"smoothness:1e-4","subtree":2}"#,
+                "smoothness requires subtree = 1",
             ),
         ] {
             let j = Json::parse(patch).expect(patch);
             let err = JobSpec::from_json(&j).expect_err(patch);
             assert!(err.contains(needle), "{patch}: {err}");
+        }
+    }
+
+    /// What used to be pinned to the serial driver now runs on every grid:
+    /// admission only refuses the two settings a grid cannot reduce.
+    #[test]
+    fn hops_and_regularizers_are_admitted_on_rank_grids() {
+        for patch in [
+            r#"{"id":"a","hops":"2.0,1.0","tx":4,"groups":2}"#,
+            r#"{"id":"a","hops":"2.0,1.0","tx":4,"groups":2,"chaos_seed":7}"#,
+            r#"{"id":"a","regularizer":"smoothness:1e-4","tx":4,"groups":2}"#,
+            r#"{"id":"a","regularizer":"wgcv-lsqr","tx":4,"groups":2,"subtree":2}"#,
+            r#"{"id":"a","regularizer":"tikhonov:1e-3","subtree":2}"#,
+            r#"{"id":"a","backend":"born-series"}"#,
+        ] {
+            let j = Json::parse(patch).expect(patch);
+            JobSpec::from_json(&j).unwrap_or_else(|e| panic!("{patch}: {e}"));
         }
     }
 

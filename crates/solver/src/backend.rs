@@ -6,8 +6,10 @@
 //! and names no solver. Two engines implement the trait today:
 //!
 //! * [`BicgstabBackend`] — the paper's MLFMA+BiCGStab Krylov path (the
-//!   one kernel, [`crate::bicgstab_block_with`], on the forward or the
-//!   adjoint scattering operator);
+//!   one kernel under its breakdown policy, [`crate::try_bicgstab_block`],
+//!   on the forward or the adjoint scattering operator). It binds the
+//!   [`DistOp`] seam, not [`BlockLinOp`], so the same engine serves an
+//!   in-process `G0` and a sub-tree rank of the distributed one;
 //! * [`crate::bornseries::BornSeriesBackend`] — the convergent Born-series
 //!   fixed-point engine (no Krylov recurrence at all), admissible whenever
 //!   the contrast bound `kappa = ||G0|| * max|O| < 1` holds.
@@ -27,13 +29,17 @@
 //! * Returned [`SolveStats`] follow one shared meaning: `iterations` counts
 //!   the update steps reflected in the returned iterate, `matvecs` the
 //!   operator applications performed on the column's behalf.
+//! * A solve fails typed ([`FaultError`]) when the operator fails (a dead
+//!   peer, a corrupted panel on a rank grid) or a Krylov breakdown survives
+//!   its one retry; an engine without those modes always returns `Ok`.
 
-use crate::block::bicgstab_block_with;
+use crate::block::try_bicgstab_block;
 use crate::forward::{AdjointScatteringOp, ScatteringOp};
 use crate::krylov::{width_one, IterConfig, SolveStats};
-use crate::op::{BlockLinOp, LinOp};
+use crate::op::{BlockLinOp, DistOp, LinOp};
 use crate::precond::Precond;
 use crate::verify::DriftGuard;
+use ffw_fault::FaultError;
 use ffw_numerics::vecops::norm2;
 use ffw_numerics::{c64, C64};
 
@@ -116,24 +122,34 @@ pub const KAPPA_LIMIT: f64 = 0.95;
 
 /// A forward engine bound to one `(G0, object)` pair. See the module docs
 /// for the trait contract.
-pub trait ForwardBackend: Sync {
+pub trait ForwardBackend {
     /// Stable engine name (matches [`BackendChoice::as_str`]).
     fn name(&self) -> &'static str;
     /// Solves `A xs[c] = bs[c]` for a panel of columns in lockstep.
-    fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats>;
+    fn solve_block(
+        &self,
+        bs: &[&[C64]],
+        xs: &mut [Vec<C64>],
+        cfg: IterConfig,
+    ) -> Result<Vec<SolveStats>, FaultError>;
     /// Solves `A^H xs[c] = bs[c]` for a panel of columns in lockstep.
     fn solve_adjoint_block(
         &self,
         bs: &[&[C64]],
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
-    ) -> Vec<SolveStats>;
+    ) -> Result<Vec<SolveStats>, FaultError>;
     /// Solves `A x = b` for one right-hand side: a panel of width 1.
-    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
+    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> Result<SolveStats, FaultError> {
         width_one(b, x, |bs, xs| self.solve_block(bs, xs, cfg))
     }
     /// Solves `A^H x = b` for one right-hand side: a panel of width 1.
-    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
+    fn solve_adjoint(
+        &self,
+        b: &[C64],
+        x: &mut [C64],
+        cfg: IterConfig,
+    ) -> Result<SolveStats, FaultError> {
         width_one(b, x, |bs, xs| self.solve_adjoint_block(bs, xs, cfg))
     }
 }
@@ -142,50 +158,65 @@ pub trait ForwardBackend: Sync {
 /// adjoint `A^H`, in that order (see [`make_backend`]).
 pub type PrecondPair<'a> = (&'a dyn Precond, &'a dyn Precond);
 
-/// The MLFMA+BiCGStab engine: [`crate::bicgstab_block_with`] on the
-/// forward or adjoint scattering operator, behind the backend seam.
-pub struct BicgstabBackend<'a, G: BlockLinOp + ?Sized> {
+/// The MLFMA+BiCGStab engine: [`crate::try_bicgstab_block`] on the forward
+/// or adjoint scattering operator, behind the backend seam. `object` is this
+/// rank's slice of the contrast function.
+pub struct BicgstabBackend<'a, G: DistOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
     guard: Option<&'a DriftGuard>,
     precond: Option<PrecondPair<'a>>,
 }
 
-impl<'a, G: BlockLinOp + ?Sized> BicgstabBackend<'a, G> {
-    /// Binds the plain engine (no guard, no preconditioner — those ride in
-    /// through [`make_backend`]) to one `(G0, object)` pair.
-    pub fn new(g0: &'a G, object: &'a [C64]) -> Self {
-        assert_eq!(g0.dim_in(), object.len());
-        assert_eq!(g0.dim_out(), object.len());
+impl<'a, G: DistOp + ?Sized> BicgstabBackend<'a, G> {
+    /// Binds the engine to one `(G0, object)` pair, with the optional drift
+    /// guard and preconditioner pair riding into every solve.
+    pub fn new(
+        g0: &'a G,
+        object: &'a [C64],
+        guard: Option<&'a DriftGuard>,
+        precond: Option<PrecondPair<'a>>,
+    ) -> Self {
+        assert_eq!(g0.n_local(), object.len());
         BicgstabBackend {
             g0,
             object,
-            guard: None,
-            precond: None,
+            guard,
+            precond,
         }
     }
 }
 
-impl<G: BlockLinOp + ?Sized> ForwardBackend for BicgstabBackend<'_, G> {
+impl<G: DistOp + ?Sized> ForwardBackend for BicgstabBackend<'_, G>
+where
+    FaultError: From<G::Error>,
+{
     fn name(&self) -> &'static str {
         BackendChoice::Bicgstab.as_str()
     }
-    fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats> {
+    fn solve_block(
+        &self,
+        bs: &[&[C64]],
+        xs: &mut [Vec<C64>],
+        cfg: IterConfig,
+    ) -> Result<Vec<SolveStats>, FaultError> {
         let a = ScatteringOp::new(self.g0, self.object);
-        bicgstab_block_with(&a, bs, xs, cfg, self.guard, self.precond.map(|p| p.0))
+        try_bicgstab_block(&a, bs, xs, cfg, self.guard, self.precond.map(|p| p.0))
     }
     fn solve_adjoint_block(
         &self,
         bs: &[&[C64]],
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
-    ) -> Vec<SolveStats> {
+    ) -> Result<Vec<SolveStats>, FaultError> {
         let a = AdjointScatteringOp::new(self.g0, self.object);
-        bicgstab_block_with(&a, bs, xs, cfg, self.guard, self.precond.map(|p| p.1))
+        try_bicgstab_block(&a, bs, xs, cfg, self.guard, self.precond.map(|p| p.1))
     }
 }
 
-/// Builds the chosen backend for one `(G0, object)` pair.
+/// Builds the chosen backend for one in-process `(G0, object)` pair. (A
+/// rank grid runs [`BicgstabBackend`] only: the Born-series admission below
+/// needs `max|O|` and `||G0||` over the whole domain.)
 ///
 /// `g0_norm` is the spectral-norm estimate from [`estimate_g0_norm`]; it is
 /// only consulted by the Born-series arm (the Krylov arm accepts any
@@ -210,11 +241,7 @@ pub fn make_backend<'a, G: BlockLinOp + ?Sized>(
     precond: Option<PrecondPair<'a>>,
 ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
     match choice {
-        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend {
-            guard,
-            precond,
-            ..BicgstabBackend::new(g0, object)
-        })),
+        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend::new(g0, object, guard, precond))),
         BackendChoice::BornSeries => {
             assert!(
                 precond.is_none(),

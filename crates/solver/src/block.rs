@@ -2,53 +2,84 @@
 //! in lockstep so every operator application is a fused block apply.
 //!
 //! The paper's first parallel dimension is independent illuminations; this
-//! solver is how the serial code exploits it. All `B` transmitter systems
-//! share `A = I - G0 diag(O)`, so each Krylov step needs the *same* operator
-//! applied to `B` different vectors — exactly what
-//! [`BlockLinOp::apply_block`] fuses into one tree traversal.
+//! solver is how the code exploits it. All `B` transmitter systems share
+//! `A = I - G0 diag(O)`, so each Krylov step needs the *same* operator
+//! applied to `B` different vectors — exactly what one fused panel apply
+//! does in a single tree traversal.
 //!
-//! This is the only serial BiCGStab recurrence in the workspace: a single
-//! right-hand side is a panel of width 1 ([`crate::bicgstab`]), and the
-//! drift guard and the right preconditioner are optional arguments of the
-//! one kernel, [`bicgstab_block_with`].
+//! This is the only BiCGStab recurrence in the workspace. It is written
+//! against the [`DistOp`] seam: on an in-process operator the whole vector
+//! is local and [`DistOp::reduce`] is a no-op; on a sub-tree rank of the
+//! distributed `G0` the vectors are slices and every norm and inner product
+//! of a phase — for the whole active panel — rides in ONE reduction, the
+//! paper's message fusion extended along the illumination dimension. A
+//! single right-hand side is a panel of width 1 ([`crate::bicgstab`]), and
+//! the drift guard and the right preconditioner are optional arguments.
 //!
 //! Numerics contract: columns never mix — per-column scalars, per-column
 //! inner products, same branch structure — so a column's trajectory
 //! (iterates, residuals, iteration count) is bit-identical to solving it
-//! alone at any panel width, provided the operator's `apply_block` is
-//! column-wise independent (true for the default loop implementation and for
-//! the MLFMA engine's fused panel path). Convergence masking: a column that
-//! converges (or breaks down) *freezes* — its iterate is never touched again
-//! and it is excluded from subsequent block applies — while the remaining
-//! columns keep iterating until all are done.
+//! alone at any panel width, provided the operator's panel apply is
+//! column-wise independent. Convergence masking: a column that converges
+//! (or breaks down) *freezes* — its iterate is never touched again and it is
+//! excluded from subsequent block applies — while the remaining columns keep
+//! iterating until all are done. Every freeze decision is taken from
+//! *reduced* scalars, which are bit-identical on all ranks sharing the
+//! vectors, so those ranks narrow the active set identically and stay in
+//! lockstep.
 
 use crate::krylov::{finite_c, BreakdownKind, IterConfig, SolveStats};
-use crate::op::BlockLinOp;
+use crate::op::DistOp;
 use crate::precond::Precond;
 use crate::verify::DriftGuard;
-use ffw_numerics::vecops::{axpy, norm2, zdotc};
-use ffw_numerics::C64;
+use ffw_fault::FaultError;
+use ffw_numerics::vecops::{axpy, norm2_sqr, zdotc};
+use ffw_numerics::{c64, C64};
+use std::convert::Infallible;
 
 /// Applies `a` to the selected columns of `input`, writing the matching
 /// columns of `output`, via one fused block apply.
-pub(crate) fn apply_cols<A: BlockLinOp + ?Sized>(
+pub(crate) fn apply_cols<A: DistOp + ?Sized>(
     a: &A,
     cols: &[usize],
     input: &[Vec<C64>],
     output: &mut [Vec<C64>],
-) {
+) -> Result<(), A::Error> {
     if cols.is_empty() {
-        return;
+        return Ok(());
     }
     let xs: Vec<&[C64]> = cols.iter().map(|&c| input[c].as_slice()).collect();
     let mut ys: Vec<Vec<C64>> = cols
         .iter()
         .map(|&c| std::mem::take(&mut output[c]))
         .collect();
-    a.apply_block(&xs, &mut ys);
+    let applied = a.try_apply_block_local(&xs, &mut ys);
     for (&c, y) in cols.iter().zip(ys) {
         output[c] = y;
     }
+    applied
+}
+
+/// One reduction for a whole phase: the per-column scalars of the active
+/// panel ride in a single call. An empty panel reduces nothing (and sends
+/// nothing).
+fn reduce_cols<A: DistOp + ?Sized>(a: &A, vals: &mut [C64]) -> Result<(), A::Error> {
+    if vals.is_empty() {
+        Ok(())
+    } else {
+        a.reduce(vals)
+    }
+}
+
+/// Reduced `‖v[c]‖²` of the selected columns, one reduction for all of them.
+fn norms_sqr<A: DistOp + ?Sized>(
+    a: &A,
+    cols: &[usize],
+    v: &[Vec<C64>],
+) -> Result<Vec<C64>, A::Error> {
+    let mut sq: Vec<C64> = cols.iter().map(|&c| c64(norm2_sqr(&v[c]), 0.0)).collect();
+    reduce_cols(a, &mut sq)?;
+    Ok(sq)
 }
 
 /// A per-column recurrence snapshot taken at a passed drift audit. Every
@@ -68,77 +99,135 @@ struct ColSnap {
 }
 
 /// `‖r_rec - (b - A x)‖ / ‖b‖`: how far the recursive residual has drifted
-/// from the truth. One extra operator apply (charged to `verify_matvecs`).
-pub(crate) fn residual_drift<A: BlockLinOp + ?Sized>(
+/// from the truth. One extra operator apply (charged to `verify_matvecs`)
+/// and one reduction; its trigger is a reduced scalar, so on a rank grid the
+/// audit is collective.
+pub(crate) fn residual_drift<A: DistOp + ?Sized>(
     a: &A,
     b: &[C64],
     x: &[C64],
     r_rec: &[C64],
     b_norm: f64,
-) -> f64 {
+) -> Result<f64, A::Error> {
     let n = b.len();
-    let mut r_true = vec![C64::ZERO; n];
-    a.apply(x, &mut r_true);
+    let mut r_true = [vec![C64::ZERO; n]];
+    a.try_apply_block_local(&[x], &mut r_true)?;
     let mut diff2 = 0.0f64;
     for i in 0..n {
-        let d = r_rec[i] - (b[i] - r_true[i]);
+        let d = r_rec[i] - (b[i] - r_true[0][i]);
         diff2 += d.norm_sqr();
     }
-    diff2.sqrt() / b_norm
+    let mut sum = [c64(diff2, 0.0)];
+    a.reduce(&mut sum)?;
+    Ok(sum[0].re.sqrt() / b_norm)
 }
 
-/// Restores column `c` to its last verified snapshot after a failed audit.
-/// Applies spent on the discarded segment move from `matvecs` to
-/// `verify_matvecs`; the discarded steps are counted in `rolled`. Returns
-/// `true` if the column may replay (rollback budget left), `false` if the
-/// guard escalated (caller freezes the column unconverged at the restored —
-/// last verified — iterate).
-#[allow(clippy::too_many_arguments)]
-fn guard_recover(
-    g: &DriftGuard,
-    c: usize,
-    snap: &ColSnap,
-    x: &mut [C64],
-    r: &mut [C64],
-    p: &mut [C64],
-    v: &mut [C64],
-    rho: &mut C64,
-    alpha: &mut C64,
-    omega: &mut C64,
-    res: &mut f64,
-    iters: &mut usize,
-    matvecs: &mut usize,
-    verify_mv: &mut usize,
-    rolled: &mut usize,
-    rollbacks: &mut u32,
-) -> bool {
-    g.record_detected();
-    let steps = *iters - snap.iters;
-    *verify_mv += *matvecs - snap.matvecs;
-    *rolled += steps;
-    x.copy_from_slice(&snap.x);
-    r.copy_from_slice(&snap.r);
-    p.copy_from_slice(&snap.p);
-    v.copy_from_slice(&snap.v);
-    *rho = snap.rho;
-    *alpha = snap.alpha;
-    *omega = snap.omega;
-    *res = snap.res;
-    *iters = snap.iters;
-    *matvecs = snap.matvecs;
-    if *rollbacks < g.max_rollbacks {
-        *rollbacks += 1;
-        g.record_rollback(steps as u64);
-        true
-    } else {
+/// Per-column recurrence state of one sweep: everything the freeze, snapshot
+/// and rollback bookkeeping touches, so those are written once.
+struct Panel<'x> {
+    xs: &'x mut [Vec<C64>],
+    r: Vec<Vec<C64>>,
+    p: Vec<Vec<C64>>,
+    v: Vec<Vec<C64>>,
+    rho: Vec<C64>,
+    alpha: Vec<C64>,
+    omega: Vec<C64>,
+    /// Last finite relative residual.
+    res: Vec<f64>,
+    iters: Vec<usize>,
+    matvecs: Vec<usize>,
+    // Drift-guard bookkeeping (all zeros / `None` without a guard).
+    verify_mv: Vec<usize>,
+    rolled: Vec<usize>,
+    rollbacks: Vec<u32>,
+    snaps: Vec<Option<ColSnap>>,
+    stats: Vec<Option<SolveStats>>,
+    /// Columns frozen by a breakdown, with the reason.
+    broken: Vec<(usize, BreakdownKind)>,
+}
+
+impl Panel<'_> {
+    /// Freezes column `c` with the given outcome.
+    fn finish(&mut self, c: usize, rel_residual: f64, converged: bool) {
+        self.stats[c] = Some(SolveStats {
+            verify_matvecs: self.verify_mv[c],
+            rolled_back: self.rolled[c],
+            iterations: self.iters[c],
+            matvecs: self.matvecs[c],
+            rel_residual,
+            converged,
+        });
+    }
+
+    /// Freezes column `c` unconverged at its last finite iterate and
+    /// residual after a breakdown.
+    fn break_down(&mut self, c: usize, kind: BreakdownKind) {
+        ffw_obs::event(
+            "solver.breakdown",
+            &format!(
+                "bicgstab_block column {c}: {kind} at iter {}",
+                self.iters[c]
+            ),
+        );
+        self.broken.push((c, kind));
+        self.finish(c, self.res[c], false);
+    }
+
+    /// Records column `c`'s top-of-loop state as its rollback target.
+    fn snapshot(&mut self, c: usize) {
+        self.snaps[c] = Some(ColSnap {
+            x: self.xs[c].clone(),
+            r: self.r[c].clone(),
+            p: self.p[c].clone(),
+            v: self.v[c].clone(),
+            rho: self.rho[c],
+            alpha: self.alpha[c],
+            omega: self.omega[c],
+            res: self.res[c],
+            iters: self.iters[c],
+            matvecs: self.matvecs[c],
+        });
+    }
+
+    /// Restores column `c` to its last verified snapshot after a failed
+    /// audit. Applies spent on the discarded segment move from `matvecs` to
+    /// `verify_matvecs`; the discarded steps are counted in `rolled`.
+    /// Returns `true` if the column may replay (rollback budget left); with
+    /// the budget spent the guard escalates and the column is frozen
+    /// unconverged at the restored — last verified — iterate.
+    fn recover(&mut self, g: &DriftGuard, c: usize) -> bool {
+        g.record_detected();
+        let snap = self.snaps[c]
+            .as_ref()
+            .expect("guarded columns have a snapshot");
+        let steps = self.iters[c] - snap.iters;
+        self.verify_mv[c] += self.matvecs[c] - snap.matvecs;
+        self.rolled[c] += steps;
+        self.xs[c].copy_from_slice(&snap.x);
+        self.r[c].copy_from_slice(&snap.r);
+        self.p[c].copy_from_slice(&snap.p);
+        self.v[c].copy_from_slice(&snap.v);
+        self.rho[c] = snap.rho;
+        self.alpha[c] = snap.alpha;
+        self.omega[c] = snap.omega;
+        self.res[c] = snap.res;
+        self.iters[c] = snap.iters;
+        self.matvecs[c] = snap.matvecs;
+        if self.rollbacks[c] < g.max_rollbacks {
+            self.rollbacks[c] += 1;
+            g.record_rollback(steps as u64);
+            return true;
+        }
         g.record_escalated();
         ffw_obs::event(
             "solver.breakdown",
             &format!(
                 "bicgstab_block column {c}: residual drift persisted through \
-                 {rollbacks} rollback(s); surfacing unconverged"
+                 {} rollback(s); surfacing unconverged",
+                self.rollbacks[c]
             ),
         );
+        self.finish(c, self.res[c], false);
         false
     }
 }
@@ -150,7 +239,7 @@ fn guard_recover(
 /// A breakdown (rho underflow, NaN/Inf iterate) freezes *only* that column,
 /// which reports honest unconverged [`SolveStats`] with its iterate left at
 /// the last finite value; sibling columns are unaffected and keep iterating.
-pub fn bicgstab_block<A: BlockLinOp + ?Sized>(
+pub fn bicgstab_block<A: DistOp<Error = Infallible> + ?Sized>(
     a: &A,
     bs: &[&[C64]],
     xs: &mut [Vec<C64>],
@@ -173,8 +262,9 @@ fn applied<'a>(
     }
 }
 
-/// The BiCGStab kernel behind every serial solve: [`bicgstab_block`] plus
-/// two optional riders.
+/// [`bicgstab_block`] plus the kernel's two optional riders, on an operator
+/// that cannot fail. A broken-down column is frozen and reported
+/// unconverged; [`try_bicgstab_block`] adds the retry policy on top.
 ///
 /// **`guard`** — a [`DriftGuard`] audits every column: the true residual
 /// `b - A x` is recomputed every [`DriftGuard::period`] update steps *and*
@@ -195,8 +285,9 @@ fn applied<'a>(
 /// residuals stay true residuals of `A x = b`, so convergence reporting,
 /// the non-finite/rho freezes and the drift audits are the same code as the
 /// plain solve. With `None` the applies read `p` and `s` by reference and
-/// the arithmetic is that of the unpreconditioned recurrence.
-pub fn bicgstab_block_with<A: BlockLinOp + ?Sized>(
+/// the arithmetic is that of the unpreconditioned recurrence. On a rank
+/// grid the preconditioner acts on this rank's slice.
+pub fn bicgstab_block_with<A: DistOp<Error = Infallible> + ?Sized>(
     a: &A,
     bs: &[&[C64]],
     xs: &mut [Vec<C64>],
@@ -204,13 +295,85 @@ pub fn bicgstab_block_with<A: BlockLinOp + ?Sized>(
     guard: Option<&DriftGuard>,
     precond: Option<&dyn Precond>,
 ) -> Vec<SolveStats> {
+    let Ok((stats, _broken)) = sweep(a, bs, xs, cfg, guard, precond);
+    stats
+}
+
+/// The kernel under the breakdown policy every DBIM solve runs with, on any
+/// [`DistOp`]: a column that breaks down (rho underflow, NaN/Inf) is
+/// retried once from its last finite iterate after the lockstep sweep — a
+/// fresh width-1 sweep on the remaining iteration budget, which re-derives
+/// `r` and `r_hat` from the current `x` and so leaves the degenerate Krylov
+/// directions behind while keeping the progress made; a column whose retry
+/// breaks down too surfaces [`FaultError::KrylovBreakdown`] (rank 0; a rank
+/// grid stamps its own). The broken set derives from reduced scalars, so the
+/// retries stay collective across the ranks sharing the vectors. An operator
+/// failure aborts the whole panel with the originating error.
+pub fn try_bicgstab_block<A: DistOp + ?Sized>(
+    a: &A,
+    bs: &[&[C64]],
+    xs: &mut [Vec<C64>],
+    cfg: IterConfig,
+    guard: Option<&DriftGuard>,
+    precond: Option<&dyn Precond>,
+) -> Result<Vec<SolveStats>, FaultError>
+where
+    FaultError: From<A::Error>,
+{
+    let (mut stats, mut broken) = sweep(a, bs, xs, cfg, guard, precond)?;
+    broken.sort_by_key(|b| b.0);
+    let breakdown =
+        |st: &SolveStats, kind: BreakdownKind, restarts: u32| FaultError::KrylovBreakdown {
+            rank: 0,
+            iterations: st.iterations,
+            rel_residual: st.rel_residual,
+            detail: format!("{kind} ({restarts} restart(s) attempted)"),
+        };
+    for (c, kind) in broken {
+        let first = stats[c].clone();
+        let x_finite = xs[c].iter().all(|v| finite_c(*v));
+        if !(first.iterations < cfg.max_iters && x_finite) {
+            return Err(breakdown(&first, kind, 0));
+        }
+        let rest = IterConfig {
+            max_iters: cfg.max_iters - first.iterations,
+            ..cfg
+        };
+        let (again, broken_again) = sweep(a, &bs[c..=c], &mut xs[c..=c], rest, guard, precond)?;
+        let total = SolveStats {
+            iterations: first.iterations + again[0].iterations,
+            matvecs: first.matvecs + again[0].matvecs,
+            verify_matvecs: first.verify_matvecs + again[0].verify_matvecs,
+            rolled_back: first.rolled_back + again[0].rolled_back,
+            ..again[0].clone()
+        };
+        if let Some(&(_, kind)) = broken_again.first() {
+            return Err(breakdown(&total, kind, 1));
+        }
+        stats[c] = total;
+    }
+    Ok(stats)
+}
+
+/// One lockstep sweep over a panel: fresh residuals from the current `xs`,
+/// then iterate until every column has converged, spent the budget in `cfg`,
+/// or broken down. Returns the per-column stats and the broken columns with
+/// the reason; a broken column's `xs[c]` is left at its last finite iterate.
+#[allow(clippy::type_complexity)]
+fn sweep<A: DistOp + ?Sized>(
+    a: &A,
+    bs: &[&[C64]],
+    xs: &mut [Vec<C64>],
+    cfg: IterConfig,
+    guard: Option<&DriftGuard>,
+    precond: Option<&dyn Precond>,
+) -> Result<(Vec<SolveStats>, Vec<(usize, BreakdownKind)>), A::Error> {
     let nb = bs.len();
     assert_eq!(xs.len(), nb, "solution block width mismatch");
     if nb == 0 {
-        return Vec::new();
+        return Ok((Vec::new(), Vec::new()));
     }
-    let n = a.dim_in();
-    assert_eq!(a.dim_out(), n);
+    let n = a.n_local();
     for (b, x) in bs.iter().zip(xs.iter()) {
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
@@ -220,124 +383,79 @@ pub fn bicgstab_block_with<A: BlockLinOp + ?Sized>(
         ffw_obs::histogram("solver.bicgstab.panel_width").record(nb as u64);
     }
 
-    let mut stats: Vec<Option<SolveStats>> = vec![None; nb];
+    let zeros = || vec![vec![C64::ZERO; n]; nb];
+    let mut st = Panel {
+        xs,
+        r: zeros(),
+        p: zeros(),
+        v: zeros(),
+        rho: vec![C64::ONE; nb],
+        alpha: vec![C64::ONE; nb],
+        omega: vec![C64::ONE; nb],
+        res: vec![0.0; nb],
+        iters: vec![0; nb],
+        matvecs: vec![0; nb],
+        verify_mv: vec![0; nb],
+        rolled: vec![0; nb],
+        rollbacks: vec![0; nb],
+        snaps: (0..nb).map(|_| None).collect(),
+        stats: vec![None; nb],
+        broken: Vec::new(),
+    };
     let mut b_norm = vec![0.0f64; nb];
-    let mut iters = vec![0usize; nb];
-    let mut matvecs = vec![0usize; nb];
-    let mut res = vec![0.0f64; nb];
-    let mut rho = vec![C64::ONE; nb];
-    let mut alpha = vec![C64::ONE; nb];
-    let mut omega = vec![C64::ONE; nb];
     let mut rho_new = vec![C64::ZERO; nb];
-    let mut r: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
     let mut r_hat: Vec<Vec<C64>> = vec![Vec::new(); nb];
-    let mut v: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
-    let mut p: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
-    let mut s: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
-    let mut t: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
+    let mut s = zeros();
+    let mut t = zeros();
     // M p and M s: only a preconditioned solve owns (and fills) them.
     let hat_cols = if precond.is_some() { nb } else { 0 };
     let mut p_hat: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; hat_cols];
     let mut s_hat: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; hat_cols];
-    let mut x_prev = vec![C64::ZERO; n];
 
-    // Drift-guard bookkeeping (all zeros / unused when `guard` is None).
-    let mut verify_mv = vec![0usize; nb];
-    let mut rolled = vec![0usize; nb];
-    let mut rollbacks = vec![0u32; nb];
-    let mut snaps: Vec<Option<ColSnap>> = (0..nb).map(|_| None).collect();
-
-    let freeze_breakdown = |c: usize,
-                            kind: BreakdownKind,
-                            iters: usize,
-                            matvecs: usize,
-                            verify_matvecs: usize,
-                            rolled_back: usize,
-                            last_res: f64|
-     -> SolveStats {
-        ffw_obs::event(
-            "solver.breakdown",
-            &format!("bicgstab_block column {c}: {kind} at iter {iters}"),
-        );
-        SolveStats {
-            verify_matvecs,
-            rolled_back,
-            iterations: iters,
-            matvecs,
-            rel_residual: last_res,
-            converged: false,
-        }
-    };
-
-    // Zero right-hand sides are solved exactly by x = 0.
+    // ‖b‖ of every column in one reduction; zero right-hand sides are
+    // solved exactly by x = 0.
+    let mut b_sq: Vec<C64> = bs.iter().map(|b| c64(norm2_sqr(b), 0.0)).collect();
+    a.reduce(&mut b_sq)?;
     let mut live: Vec<usize> = Vec::with_capacity(nb);
     for c in 0..nb {
-        b_norm[c] = norm2(bs[c]);
+        b_norm[c] = b_sq[c].re.sqrt();
         if b_norm[c] == 0.0 {
-            xs[c].iter_mut().for_each(|v| *v = C64::ZERO);
-            stats[c] = Some(SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: 0,
-                matvecs: 0,
-                rel_residual: 0.0,
-                converged: true,
-            });
+            st.xs[c].iter_mut().for_each(|v| *v = C64::ZERO);
+            st.finish(c, 0.0, true);
         } else {
             live.push(c);
         }
     }
 
     // Fresh residuals r = b - A x, one fused apply over all live columns.
-    apply_cols(a, &live, xs, &mut r);
-    let mut active: Vec<usize> = Vec::with_capacity(live.len());
+    apply_cols(a, &live, st.xs, &mut st.r)?;
     for &c in &live {
-        matvecs[c] += 1;
-        for i in 0..n {
-            r[c][i] = bs[c][i] - r[c][i];
+        st.matvecs[c] += 1;
+        for (ri, bi) in st.r[c].iter_mut().zip(bs[c]) {
+            *ri = *bi - *ri;
         }
-        r_hat[c] = r[c].clone();
-        res[c] = norm2(&r[c]) / b_norm[c];
-        if !res[c].is_finite() {
-            stats[c] = Some(freeze_breakdown(
-                c,
-                BreakdownKind::NonFinite,
-                0,
-                matvecs[c],
-                0,
-                0,
-                f64::NAN,
-            ));
+        r_hat[c] = st.r[c].clone();
+    }
+    let r_sq = norms_sqr(a, &live, &st.r)?;
+    let mut active: Vec<usize> = Vec::with_capacity(live.len());
+    for (k, &c) in live.iter().enumerate() {
+        let res = r_sq[k].re.sqrt() / b_norm[c];
+        if !res.is_finite() {
+            st.res[c] = f64::NAN;
+            st.break_down(c, BreakdownKind::NonFinite);
             continue;
         }
-        ffw_obs::series_push("solver.bicgstab.residual", res[c]);
-        if res[c] < cfg.tol {
-            stats[c] = Some(SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: 0,
-                matvecs: matvecs[c],
-                rel_residual: res[c],
-                converged: true,
-            });
+        st.res[c] = res;
+        ffw_obs::series_push("solver.bicgstab.residual", res);
+        if res < cfg.tol {
+            st.finish(c, res, true);
             continue;
         }
         if guard.is_some() {
             // Baseline snapshot: the fresh residual *is* the true residual,
             // so the cycle-start state is verified by construction and is
             // the rollback target until the first periodic audit passes.
-            snaps[c] = Some(ColSnap {
-                x: xs[c].clone(),
-                r: r[c].clone(),
-                p: p[c].clone(),
-                v: v[c].clone(),
-                rho: rho[c],
-                alpha: alpha[c],
-                omega: omega[c],
-                res: res[c],
-                iters: iters[c],
-                matvecs: matvecs[c],
-            });
+            st.snapshot(c);
         }
         active.push(c);
     }
@@ -345,276 +463,161 @@ pub fn bicgstab_block_with<A: BlockLinOp + ?Sized>(
     while !active.is_empty() {
         // Columns rolled back mid-pass re-enter the lockstep loop here.
         let mut resumed: Vec<usize> = Vec::new();
-        // Budget + rho checks; columns freezing here skip the fused applies.
-        let mut after_rho = Vec::with_capacity(active.len());
-        for &c in &active {
-            if iters[c] >= cfg.max_iters {
-                stats[c] = Some(SolveStats {
-                    verify_matvecs: verify_mv[c],
-                    rolled_back: rolled[c],
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: res[c],
-                    converged: false,
-                });
-                continue;
+        // Budget check (deterministic, identical on every rank); columns
+        // freezing here or at the rho check skip the fused applies.
+        active.retain(|&c| {
+            let in_budget = st.iters[c] < cfg.max_iters;
+            if !in_budget {
+                st.finish(c, st.res[c], false);
             }
-            let rn = zdotc(&r_hat[c], &r[c]);
+            in_budget
+        });
+
+        // rho = <r_hat, r>, one reduction for the panel.
+        let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &st.r[c])).collect();
+        reduce_cols(a, &mut dots)?;
+        let mut after_rho = Vec::with_capacity(active.len());
+        for (k, &c) in active.iter().enumerate() {
+            let rn = dots[k];
             if !finite_c(rn) {
-                stats[c] = Some(freeze_breakdown(
-                    c,
-                    BreakdownKind::NonFinite,
-                    iters[c],
-                    matvecs[c],
-                    verify_mv[c],
-                    rolled[c],
-                    res[c],
-                ));
+                st.break_down(c, BreakdownKind::NonFinite);
                 continue;
             }
             if rn.abs() < 1e-300 {
-                stats[c] = Some(freeze_breakdown(
-                    c,
-                    BreakdownKind::RhoZero,
-                    iters[c],
-                    matvecs[c],
-                    verify_mv[c],
-                    rolled[c],
-                    res[c],
-                ));
+                st.break_down(c, BreakdownKind::RhoZero);
                 continue;
             }
             rho_new[c] = rn;
-            iters[c] += 1;
-            let beta = (rn / rho[c]) * (alpha[c] / omega[c]);
+            st.iters[c] += 1;
+            let beta = (rn / st.rho[c]) * (st.alpha[c] / st.omega[c]);
             for i in 0..n {
-                p[c][i] = r[c][i] + beta * (p[c][i] - omega[c] * v[c][i]);
+                st.p[c][i] = st.r[c][i] + beta * (st.p[c][i] - st.omega[c] * st.v[c][i]);
             }
             after_rho.push(c);
         }
         active = after_rho;
 
-        // v = A (M p), fused.
+        // v = A (M p), fused; then alpha and the early s-norm exit.
         if let Some(m) = precond {
             for &c in &active {
-                m.apply(&p[c], &mut p_hat[c]);
+                m.apply(&st.p[c], &mut p_hat[c]);
             }
         }
-        apply_cols(a, &active, applied(precond, &p, &p_hat), &mut v);
-        let mut after_s = Vec::with_capacity(active.len());
-        for &c in &active {
-            matvecs[c] += 1;
-            alpha[c] = rho_new[c] / zdotc(&r_hat[c], &v[c]);
-            for i in 0..n {
-                s[c][i] = r[c][i] - alpha[c] * v[c][i];
+        apply_cols(a, &active, applied(precond, &st.p, &p_hat), &mut st.v)?;
+        let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &st.v[c])).collect();
+        reduce_cols(a, &mut dots)?;
+        for (k, &c) in active.iter().enumerate() {
+            st.matvecs[c] += 1;
+            st.alpha[c] = rho_new[c] / dots[k];
+            for (si, (ri, vi)) in s[c].iter_mut().zip(st.r[c].iter().zip(&st.v[c])) {
+                *si = *ri - st.alpha[c] * *vi;
             }
-            let s_norm = norm2(&s[c]) / b_norm[c];
-            if s_norm < cfg.tol {
-                axpy(alpha[c], &applied(precond, &p, &p_hat)[c], &mut xs[c]);
-                if let Some(g) = guard {
-                    // Audit the would-be convergence: the recursive residual
-                    // here is `s` and the candidate iterate is x + alpha p.
-                    verify_mv[c] += 1;
-                    let drift = residual_drift(a, bs[c], &xs[c], &s[c], b_norm[c]);
-                    if !(drift.is_finite() && drift <= g.rel_tol) {
-                        let snap = snaps[c].as_ref().expect("guarded columns have a snapshot");
-                        if guard_recover(
-                            g,
-                            c,
-                            snap,
-                            &mut xs[c],
-                            &mut r[c],
-                            &mut p[c],
-                            &mut v[c],
-                            &mut rho[c],
-                            &mut alpha[c],
-                            &mut omega[c],
-                            &mut res[c],
-                            &mut iters[c],
-                            &mut matvecs[c],
-                            &mut verify_mv[c],
-                            &mut rolled[c],
-                            &mut rollbacks[c],
-                        ) {
-                            resumed.push(c);
-                        } else {
-                            stats[c] = Some(SolveStats {
-                                verify_matvecs: verify_mv[c],
-                                rolled_back: rolled[c],
-                                iterations: iters[c],
-                                matvecs: matvecs[c],
-                                rel_residual: res[c],
-                                converged: false,
-                            });
-                        }
-                        continue;
-                    }
-                }
-                ffw_obs::series_push("solver.bicgstab.residual", s_norm);
-                stats[c] = Some(SolveStats {
-                    verify_matvecs: verify_mv[c],
-                    rolled_back: rolled[c],
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: s_norm,
-                    converged: true,
-                });
+        }
+        let s_sq = norms_sqr(a, &active, &s)?;
+        let mut after_s = Vec::with_capacity(active.len());
+        for (k, &c) in active.iter().enumerate() {
+            let s_norm = s_sq[k].re.sqrt() / b_norm[c];
+            if s_norm >= cfg.tol || s_norm.is_nan() {
+                after_s.push(c);
                 continue;
             }
-            after_s.push(c);
+            axpy(
+                st.alpha[c],
+                &applied(precond, &st.p, &p_hat)[c],
+                &mut st.xs[c],
+            );
+            if let Some(g) = guard {
+                // Audit the would-be convergence: the recursive residual
+                // here is `s` and the candidate iterate is x + alpha p.
+                st.verify_mv[c] += 1;
+                let drift = residual_drift(a, bs[c], &st.xs[c], &s[c], b_norm[c])?;
+                if !(drift.is_finite() && drift <= g.rel_tol) {
+                    if st.recover(g, c) {
+                        resumed.push(c);
+                    }
+                    continue;
+                }
+            }
+            ffw_obs::series_push("solver.bicgstab.residual", s_norm);
+            st.finish(c, s_norm, true);
         }
         active = after_s;
 
-        // t = A (M s), fused.
+        // t = A (M s), fused; then omega (both dots of every column in one
+        // reduction), the residual update and check, then the x update.
         if let Some(m) = precond {
             for &c in &active {
                 m.apply(&s[c], &mut s_hat[c]);
             }
         }
-        apply_cols(a, &active, applied(precond, &s, &s_hat), &mut t);
-        let mut after_update = Vec::with_capacity(active.len());
+        apply_cols(a, &active, applied(precond, &s, &s_hat), &mut t)?;
+        let mut dots: Vec<C64> = Vec::with_capacity(2 * active.len());
         for &c in &active {
-            matvecs[c] += 1;
-            let tt = zdotc(&t[c], &t[c]);
-            omega[c] = zdotc(&t[c], &s[c]) / tt;
-            // Snapshot x first so a non-finite update rolls back instead of
-            // poisoning the iterate (the historical silent-divergence bug:
-            // NaN residuals fail every `<` comparison, so the loop ran to
-            // max_iters and reported a NaN x as if it were a best effort).
-            x_prev.copy_from_slice(&xs[c]);
+            dots.push(zdotc(&t[c], &s[c]));
+            dots.push(zdotc(&t[c], &t[c]));
+        }
+        reduce_cols(a, &mut dots)?;
+        for (k, &c) in active.iter().enumerate() {
+            st.matvecs[c] += 1;
+            st.omega[c] = dots[2 * k] / dots[2 * k + 1];
+            for (ri, (si, ti)) in st.r[c].iter_mut().zip(s[c].iter().zip(&t[c])) {
+                *ri = *si - st.omega[c] * *ti;
+            }
+        }
+        let r_sq = norms_sqr(a, &active, &st.r)?;
+        let mut after_update = Vec::with_capacity(active.len());
+        for (k, &c) in active.iter().enumerate() {
+            let res_new = r_sq[k].re.sqrt() / b_norm[c];
+            if !res_new.is_finite() {
+                // The step is judged by its residual *before* x moves, so a
+                // non-finite update never poisons the iterate (the
+                // historical silent-divergence bug: NaN residuals fail every
+                // `<` comparison, so the loop ran to max_iters and reported
+                // a NaN x as if it were a best effort). The iterate does not
+                // contain this step, so the step is not counted
+                // (`SolveStats` contract: iterations = update steps
+                // reflected in the iterate).
+                st.iters[c] -= 1;
+                st.break_down(c, BreakdownKind::NonFinite);
+                continue;
+            }
             let (dp, ds) = (
-                &applied(precond, &p, &p_hat)[c],
+                &applied(precond, &st.p, &p_hat)[c],
                 &applied(precond, &s, &s_hat)[c],
             );
-            for i in 0..n {
-                xs[c][i] += alpha[c] * dp[i] + omega[c] * ds[i];
-                r[c][i] = s[c][i] - omega[c] * t[c][i];
+            for (xi, (pi, si)) in st.xs[c].iter_mut().zip(dp.iter().zip(ds)) {
+                *xi += st.alpha[c] * *pi + st.omega[c] * *si;
             }
-            let res_new = norm2(&r[c]) / b_norm[c];
-            if !res_new.is_finite() {
-                // The rolled-back iterate does not contain this step's
-                // update, so the step is not counted (`SolveStats` contract:
-                // iterations = update steps reflected in the iterate).
-                xs[c].copy_from_slice(&x_prev);
-                iters[c] -= 1;
-                stats[c] = Some(freeze_breakdown(
-                    c,
-                    BreakdownKind::NonFinite,
-                    iters[c],
-                    matvecs[c],
-                    verify_mv[c],
-                    rolled[c],
-                    res[c],
-                ));
-                continue;
-            }
-            res[c] = res_new;
+            st.res[c] = res_new;
             ffw_obs::series_push("solver.bicgstab.residual", res_new);
-            if res_new < cfg.tol {
-                if let Some(g) = guard {
-                    verify_mv[c] += 1;
-                    let drift = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
-                    if !(drift.is_finite() && drift <= g.rel_tol) {
-                        let snap = snaps[c].as_ref().expect("guarded columns have a snapshot");
-                        if guard_recover(
-                            g,
-                            c,
-                            snap,
-                            &mut xs[c],
-                            &mut r[c],
-                            &mut p[c],
-                            &mut v[c],
-                            &mut rho[c],
-                            &mut alpha[c],
-                            &mut omega[c],
-                            &mut res[c],
-                            &mut iters[c],
-                            &mut matvecs[c],
-                            &mut verify_mv[c],
-                            &mut rolled[c],
-                            &mut rollbacks[c],
-                        ) {
-                            resumed.push(c);
-                        } else {
-                            stats[c] = Some(SolveStats {
-                                verify_matvecs: verify_mv[c],
-                                rolled_back: rolled[c],
-                                iterations: iters[c],
-                                matvecs: matvecs[c],
-                                rel_residual: res[c],
-                                converged: false,
-                            });
-                        }
-                        continue;
-                    }
-                }
-                stats[c] = Some(SolveStats {
-                    verify_matvecs: verify_mv[c],
-                    rolled_back: rolled[c],
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: res_new,
-                    converged: true,
-                });
-                continue;
+            let converged = res_new < cfg.tol;
+            if !converged {
+                st.rho[c] = rho_new[c];
             }
-            rho[c] = rho_new[c];
+            // Audits: every would-be convergence, and every `period` steps
+            // at a top-of-loop state. A pass at a periodic audit refreshes
+            // the rollback snapshot; a failure rolls back (or, with the
+            // budget exhausted, escalates and freezes).
             if let Some(g) = guard {
-                if iters[c].is_multiple_of(g.period) {
-                    // Periodic audit at a top-of-loop state: pass refreshes
-                    // the rollback snapshot, failure rolls back (or, with
-                    // the budget exhausted, escalates and freezes).
-                    verify_mv[c] += 1;
-                    let drift = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
-                    if drift.is_finite() && drift <= g.rel_tol {
-                        snaps[c] = Some(ColSnap {
-                            x: xs[c].clone(),
-                            r: r[c].clone(),
-                            p: p[c].clone(),
-                            v: v[c].clone(),
-                            rho: rho[c],
-                            alpha: alpha[c],
-                            omega: omega[c],
-                            res: res[c],
-                            iters: iters[c],
-                            matvecs: matvecs[c],
-                        });
-                    } else {
-                        let snap = snaps[c].as_ref().expect("guarded columns have a snapshot");
-                        if guard_recover(
-                            g,
-                            c,
-                            snap,
-                            &mut xs[c],
-                            &mut r[c],
-                            &mut p[c],
-                            &mut v[c],
-                            &mut rho[c],
-                            &mut alpha[c],
-                            &mut omega[c],
-                            &mut res[c],
-                            &mut iters[c],
-                            &mut matvecs[c],
-                            &mut verify_mv[c],
-                            &mut rolled[c],
-                            &mut rollbacks[c],
-                        ) {
+                if converged || st.iters[c].is_multiple_of(g.period) {
+                    st.verify_mv[c] += 1;
+                    let drift = residual_drift(a, bs[c], &st.xs[c], &st.r[c], b_norm[c])?;
+                    if !(drift.is_finite() && drift <= g.rel_tol) {
+                        if st.recover(g, c) {
                             resumed.push(c);
-                        } else {
-                            stats[c] = Some(SolveStats {
-                                verify_matvecs: verify_mv[c],
-                                rolled_back: rolled[c],
-                                iterations: iters[c],
-                                matvecs: matvecs[c],
-                                rel_residual: res[c],
-                                converged: false,
-                            });
                         }
                         continue;
                     }
+                    if !converged {
+                        st.snapshot(c);
+                    }
                 }
             }
-            after_update.push(c);
+            if converged {
+                st.finish(c, res_new, true);
+            } else {
+                after_update.push(c);
+            }
         }
         active = after_update;
         if !resumed.is_empty() {
@@ -623,19 +626,20 @@ pub fn bicgstab_block_with<A: BlockLinOp + ?Sized>(
         }
     }
 
-    let out: Vec<SolveStats> = stats
+    let out: Vec<SolveStats> = st
+        .stats
         .into_iter()
         .map(|s| s.expect("every column finalized"))
         .collect();
     if ffw_obs::enabled() {
-        for st in &out {
+        for col in &out {
             ffw_obs::counter("solver.bicgstab.solves").inc();
-            ffw_obs::counter("solver.bicgstab.iters").add(st.iterations as u64);
-            ffw_obs::counter("solver.bicgstab.matvecs").add(st.matvecs as u64);
-            ffw_obs::histogram("solver.bicgstab.iters_per_solve").record(st.iterations as u64);
+            ffw_obs::counter("solver.bicgstab.iters").add(col.iterations as u64);
+            ffw_obs::counter("solver.bicgstab.matvecs").add(col.matvecs as u64);
+            ffw_obs::histogram("solver.bicgstab.iters_per_solve").record(col.iterations as u64);
         }
     }
-    out
+    Ok((out, st.broken))
 }
 
 #[cfg(test)]
@@ -821,6 +825,92 @@ mod tests {
         let scalar = bicgstab(&a, &b_good, &mut x_scalar, cfg);
         assert_eq!(stats[1], scalar, "sibling stats unaffected by breakdown");
         assert_eq!(xs[1], x_scalar, "sibling iterate unaffected by breakdown");
+    }
+
+    /// The breakdown policy on an in-process operator (the serial context):
+    /// a column that goes non-finite is rolled back to its last finite
+    /// iterate and retried once as a width-1 panel, siblings untouched; if
+    /// the retry breaks down too the solve surfaces `KrylovBreakdown` naming
+    /// one restart. (`ffw-dist` runs the same scenario on a fallible
+    /// operator.)
+    #[test]
+    fn broken_column_retries_once_then_surfaces_breakdown() {
+        use ffw_numerics::vecops::rel_diff;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// A dense operator whose column 0 returns NaN on the block applies
+        /// selected by `poison` (1-based call index).
+        struct Flaky<F: Fn(usize) -> bool + Sync> {
+            m: Matrix,
+            calls: AtomicUsize,
+            poison: F,
+        }
+        impl<F: Fn(usize) -> bool + Sync> crate::op::LinOp for Flaky<F> {
+            fn dim_out(&self) -> usize {
+                self.m.rows()
+            }
+            fn dim_in(&self) -> usize {
+                self.m.cols()
+            }
+            fn apply(&self, x: &[C64], y: &mut [C64]) {
+                let mut ys = [vec![C64::ZERO; y.len()]];
+                crate::op::BlockLinOp::apply_block(self, &[x], &mut ys);
+                y.copy_from_slice(&ys[0]);
+            }
+        }
+        impl<F: Fn(usize) -> bool + Sync> crate::op::BlockLinOp for Flaky<F> {
+            fn apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) {
+                let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+                for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                    self.m.matvec(x, y);
+                }
+                if (self.poison)(call) {
+                    ys[0].iter_mut().for_each(|v| *v = c64(f64::NAN, f64::NAN));
+                }
+            }
+        }
+        let n = 24;
+        let cfg = IterConfig {
+            tol: 1e-10,
+            max_iters: 100,
+        };
+        let bs = [random_vec(n, 31), random_vec(n, 33)];
+        let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
+        let solve = |poison: fn(usize) -> bool| {
+            let op = Flaky {
+                m: random_mat(n, 7, 6.0),
+                calls: AtomicUsize::new(0),
+                poison,
+            };
+            let mut xs = vec![vec![C64::ZERO; n]; 2];
+            let out = try_bicgstab_block(&op, &b_refs, &mut xs, cfg, None, None);
+            (out, xs)
+        };
+        let (clean, x_clean) = solve(|_| false);
+        // block apply 4 is the `A p` of the panel's second iteration
+        let (transient, x_transient) = solve(|call| call == 4);
+        let (persistent, _) = solve(|call| call >= 4);
+        let clean = clean.expect("clean solve");
+        let transient = transient.expect("one retry recovers a transient breakdown");
+        assert!(clean.iter().chain(&transient).all(|s| s.converged));
+        assert!(
+            clean[0].iterations > 2,
+            "the poisoned apply must be reached"
+        );
+        assert_eq!(transient[1], clean[1], "sibling column stats untouched");
+        assert_eq!(
+            x_transient[1], x_clean[1],
+            "sibling column iterate untouched"
+        );
+        assert!(
+            rel_diff(&x_transient[0], &x_clean[0]) < 1e-8,
+            "same solution"
+        );
+        match persistent {
+            Err(FaultError::KrylovBreakdown { detail, .. }) => {
+                assert!(detail.contains("1 restart(s) attempted)"), "{detail}")
+            }
+            other => panic!("expected KrylovBreakdown, got {other:?}"),
+        }
     }
 
     #[test]

@@ -34,8 +34,9 @@ use crate::backend::{BackendError, ForwardBackend, KAPPA_LIMIT};
 use crate::block::{apply_cols, residual_drift};
 use crate::forward::{AdjointScatteringOp, ScatteringOp};
 use crate::krylov::{IterConfig, SolveStats};
-use crate::op::BlockLinOp;
+use crate::op::{BlockLinOp, DistOp};
 use crate::verify::DriftGuard;
+use ffw_fault::FaultError;
 use ffw_numerics::vecops::norm2;
 use ffw_numerics::{c64, C64};
 
@@ -117,20 +118,32 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BornSeriesBackend<'_, G> {
     fn name(&self) -> &'static str {
         crate::backend::BackendChoice::BornSeries.as_str()
     }
-    fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats> {
+    fn solve_block(
+        &self,
+        bs: &[&[C64]],
+        xs: &mut [Vec<C64>],
+        cfg: IterConfig,
+    ) -> Result<Vec<SolveStats>, FaultError> {
         let a = ScatteringOp::new(self.g0, self.object);
-        richardson_impl(&a, self.gamma, bs, xs, cfg, self.guard)
+        Ok(richardson_impl(&a, self.gamma, bs, xs, cfg, self.guard))
     }
     fn solve_adjoint_block(
         &self,
         bs: &[&[C64]],
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
-    ) -> Vec<SolveStats> {
+    ) -> Result<Vec<SolveStats>, FaultError> {
         let a = AdjointScatteringOp::new(self.g0, self.object);
         // (I - gamma' A^H)^H = I - conj(gamma') A: taking gamma' = conj(gamma)
         // gives the adjoint sweep the same contraction norm as the forward one.
-        richardson_impl(&a, self.gamma.conj(), bs, xs, cfg, self.guard)
+        Ok(richardson_impl(
+            &a,
+            self.gamma.conj(),
+            bs,
+            xs,
+            cfg,
+            self.guard,
+        ))
     }
 }
 
@@ -159,7 +172,7 @@ struct BornSnap {
 /// update steps. With a [`DriftGuard`] attached, the iteration audits the
 /// recursive residual against the true `b - A x` every `period` steps and
 /// at every would-be convergence; a clean run's trajectory is unchanged.
-fn richardson_impl<A: BlockLinOp + ?Sized>(
+fn richardson_impl<A: DistOp<Error = std::convert::Infallible> + ?Sized>(
     a: &A,
     gamma: C64,
     bs: &[&[C64]],
@@ -172,8 +185,7 @@ fn richardson_impl<A: BlockLinOp + ?Sized>(
     if nb == 0 {
         return Vec::new();
     }
-    let n = a.dim_in();
-    assert_eq!(a.dim_out(), n);
+    let n = a.n_local();
     for (b, x) in bs.iter().zip(xs.iter()) {
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
@@ -216,7 +228,7 @@ fn richardson_impl<A: BlockLinOp + ?Sized>(
     }
 
     // Fresh residuals r = b - A x, one fused apply over all live columns.
-    apply_cols(a, &live, xs, &mut r);
+    let Ok(()) = apply_cols(a, &live, xs, &mut r);
     let mut active: Vec<usize> = Vec::with_capacity(live.len());
     for &c in &live {
         matvecs[c] += 1;
@@ -289,7 +301,7 @@ fn richardson_impl<A: BlockLinOp + ?Sized>(
 
         // ar = A r, fused over the active columns, then per column:
         // x += gamma r;  r -= gamma ar  (i.e. r_{n+1} = (I - gamma A) r_n).
-        apply_cols(a, &active, &r, &mut ar);
+        let Ok(()) = apply_cols(a, &active, &r, &mut ar);
         let mut still_active = Vec::with_capacity(active.len());
         for &c in &active {
             matvecs[c] += 1;
@@ -330,7 +342,7 @@ fn richardson_impl<A: BlockLinOp + ?Sized>(
                 // snapshot — the trajectory stays bit-identical to the
                 // unguarded run.
                 if converging || iters[c].is_multiple_of(g.period) {
-                    let drift = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
+                    let Ok(drift) = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
                     verify_mv[c] += 1;
                     if drift > g.rel_tol {
                         g.record_detected();
@@ -490,16 +502,18 @@ mod tests {
         let a = ScatteringOp::new(&g0, &object);
         let x_true = random_vec(n, 17);
         let mut b = vec![C64::ZERO; n];
-        a.apply(&x_true, &mut b);
+        let Ok(()) = a.try_apply_block_local(&[&x_true], std::slice::from_mut(&mut b));
         let mut x = vec![C64::ZERO; n];
-        let stats = backend.solve(
-            &b,
-            &mut x,
-            IterConfig {
-                tol: 1e-12,
-                max_iters: 500,
-            },
-        );
+        let stats = backend
+            .solve(
+                &b,
+                &mut x,
+                IterConfig {
+                    tol: 1e-12,
+                    max_iters: 500,
+                },
+            )
+            .expect("solve");
         assert!(stats.converged, "{stats:?}");
         assert!(
             rel_diff(&x, &x_true) < 1e-10,
@@ -522,9 +536,14 @@ mod tests {
         let b = random_vec(n, 21);
         let c = random_vec(n, 23);
         let mut x = vec![C64::ZERO; n];
-        assert!(backend.solve(&b, &mut x, cfg).converged);
+        assert!(backend.solve(&b, &mut x, cfg).expect("solve").converged);
         let mut z = vec![C64::ZERO; n];
-        assert!(backend.solve_adjoint(&c, &mut z, cfg).converged);
+        assert!(
+            backend
+                .solve_adjoint(&c, &mut z, cfg)
+                .expect("solve")
+                .converged
+        );
         let lhs = ffw_numerics::vecops::zdotc(&x, &c);
         let rhs = ffw_numerics::vecops::zdotc(&b, &z);
         assert!(
@@ -541,15 +560,15 @@ mod tests {
         let a = ScatteringOp::new(&g0, &object);
         let x_true = random_vec(n, 33);
         let mut b = vec![C64::ZERO; n];
-        a.apply(&x_true, &mut b);
+        let Ok(()) = a.try_apply_block_local(&[&x_true], std::slice::from_mut(&mut b));
         let cfg = IterConfig {
             tol: 1e-10,
             max_iters: 500,
         };
         let mut cold = vec![C64::ZERO; n];
-        let cold_stats = backend.solve(&b, &mut cold, cfg);
+        let cold_stats = backend.solve(&b, &mut cold, cfg).expect("solve");
         let mut warm: Vec<C64> = x_true.iter().map(|v| *v * 1.0001).collect();
-        let warm_stats = backend.solve(&b, &mut warm, cfg);
+        let warm_stats = backend.solve(&b, &mut warm, cfg).expect("solve");
         assert!(warm_stats.converged && cold_stats.converged);
         assert!(warm_stats.iterations < cold_stats.iterations);
     }
@@ -561,7 +580,9 @@ mod tests {
         let backend = BornSeriesBackend::new(&g0, &object, g0_norm).expect("admissible");
         let b = vec![C64::ZERO; n];
         let mut x = random_vec(n, 43);
-        let stats = backend.solve(&b, &mut x, IterConfig::default());
+        let stats = backend
+            .solve(&b, &mut x, IterConfig::default())
+            .expect("solve");
         assert!(stats.converged);
         assert_eq!(stats.iterations, 0);
         assert_eq!(stats.matvecs, 0);
@@ -580,10 +601,10 @@ mod tests {
         let bs: Vec<Vec<C64>> = (0..5).map(|i| random_vec(n, 100 + i)).collect();
         let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
         let mut xs = vec![vec![C64::ZERO; n]; 5];
-        let block = backend.solve_block(&b_refs, &mut xs, cfg);
+        let block = backend.solve_block(&b_refs, &mut xs, cfg).expect("solve");
         for (c, b) in bs.iter().enumerate() {
             let mut x_scalar = vec![C64::ZERO; n];
-            let scalar = backend.solve(b, &mut x_scalar, cfg);
+            let scalar = backend.solve(b, &mut x_scalar, cfg).expect("solve");
             assert_eq!(block[c], scalar, "column {c} stats");
             assert_eq!(xs[c], x_scalar, "column {c} iterate");
         }
@@ -593,7 +614,9 @@ mod tests {
     fn empty_block_is_a_noop() {
         let (g0, object, g0_norm) = admissible_problem(8, 61);
         let backend = BornSeriesBackend::new(&g0, &object, g0_norm).expect("admissible");
-        let stats = backend.solve_block(&[], &mut [], IterConfig::default());
+        let stats = backend
+            .solve_block(&[], &mut [], IterConfig::default())
+            .expect("solve");
         assert!(stats.is_empty());
     }
 
@@ -612,13 +635,17 @@ mod tests {
         let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
         let plain_backend = BornSeriesBackend::new(&g0, &object, g0_norm).expect("admissible");
         let mut xs_plain = vec![vec![C64::ZERO; n]; 3];
-        let plain = plain_backend.solve_block(&b_refs, &mut xs_plain, cfg);
+        let plain = plain_backend
+            .solve_block(&b_refs, &mut xs_plain, cfg)
+            .expect("solve");
         let guard = crate::verify::DriftGuard::new(8, 1e-8, 2);
         let guarded_backend = BornSeriesBackend::new(&g0, &object, g0_norm)
             .expect("admissible")
             .with_guard(&guard);
         let mut xs_guarded = vec![vec![C64::ZERO; n]; 3];
-        let guarded = guarded_backend.solve_block(&b_refs, &mut xs_guarded, cfg);
+        let guarded = guarded_backend
+            .solve_block(&b_refs, &mut xs_guarded, cfg)
+            .expect("solve");
         assert_eq!(guard.detected(), 0, "clean run must not trip the guard");
         for c in 0..3 {
             assert_eq!(xs_guarded[c], xs_plain[c], "column {c} iterate");
@@ -647,7 +674,7 @@ mod tests {
         let b = random_vec(n, 210);
         let clean_backend = BornSeriesBackend::new(&g0, &object, g0_norm).expect("admissible");
         let mut x_clean = vec![C64::ZERO; n];
-        let clean = clean_backend.solve(&b, &mut x_clean, cfg);
+        let clean = clean_backend.solve(&b, &mut x_clean, cfg).expect("solve");
         assert!(clean.converged);
 
         let calls = AtomicUsize::new(0);
@@ -662,7 +689,7 @@ mod tests {
             .expect("admissible")
             .with_guard(&guard);
         let mut x = vec![C64::ZERO; n];
-        let stats = backend.solve(&b, &mut x, cfg);
+        let stats = backend.solve(&b, &mut x, cfg).expect("solve");
         assert!(guard.detected() >= 1, "corruption must be detected");
         assert_eq!(guard.escalated(), 0, "transient fault must recover");
         assert!(stats.converged, "{stats:?}");
@@ -702,7 +729,7 @@ mod tests {
             .expect("admissible")
             .with_guard(&guard);
         let mut x = vec![C64::ZERO; n];
-        let stats = backend.solve(&b, &mut x, cfg);
+        let stats = backend.solve(&b, &mut x, cfg).expect("solve");
         assert_eq!(guard.escalated(), 1, "budget exhausted must escalate");
         assert!(!stats.converged, "never report convergence: {stats:?}");
         assert!(

@@ -9,50 +9,40 @@
 //! (`G0^T = G0`, a property of the reciprocal Green's function), its
 //! Hermitian transpose is its conjugate: `G0^H x = conj(G0 conj(x))` — so the
 //! same MLFMA engine serves both systems without any new operators.
+//!
+//! Both operators are written over the [`DistOp`] seam: `diag(O)` acts on
+//! this rank's slice, the `G0` product and the reductions are whatever the
+//! wrapped operator does, so one pair serves the in-process engine and a
+//! sub-tree rank of the distributed one.
 
 use crate::block::bicgstab_block;
 use crate::krylov::{width_one, IterConfig, SolveStats};
-use crate::op::{BlockLinOp, LinOp};
+use crate::op::{DistOp, LinOp};
 use ffw_numerics::C64;
+use std::convert::Infallible;
 
 /// `A = I - G0 diag(O)`: the forward-scattering operator.
-pub struct ScatteringOp<'a, G: LinOp + ?Sized> {
+pub struct ScatteringOp<'a, G: DistOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
 }
 
-impl<'a, G: LinOp + ?Sized> ScatteringOp<'a, G> {
-    /// Builds the operator for the object contrast function `O` (tree order).
+impl<'a, G: DistOp + ?Sized> ScatteringOp<'a, G> {
+    /// Builds the operator for this rank's slice of the object contrast
+    /// function `O` (tree order).
     pub fn new(g0: &'a G, object: &'a [C64]) -> Self {
-        assert_eq!(g0.dim_in(), object.len());
-        assert_eq!(g0.dim_out(), object.len());
+        assert_eq!(g0.n_local(), object.len());
         ScatteringOp { g0, object }
     }
 }
 
-impl<G: LinOp + ?Sized> LinOp for ScatteringOp<'_, G> {
-    fn dim_out(&self) -> usize {
+impl<G: DistOp + ?Sized> DistOp for ScatteringOp<'_, G> {
+    type Error = G::Error;
+    fn n_local(&self) -> usize {
         self.object.len()
     }
-    fn dim_in(&self) -> usize {
-        self.object.len()
-    }
-    fn apply(&self, x: &[C64], y: &mut [C64]) {
-        let n = x.len();
-        let mut ox = vec![C64::ZERO; n];
-        for ((o, xi), oi) in ox.iter_mut().zip(x).zip(self.object) {
-            *o = *xi * *oi;
-        }
-        self.g0.apply(&ox, y);
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi = *xi - *yi;
-        }
-    }
-}
-
-impl<G: BlockLinOp + ?Sized> BlockLinOp for ScatteringOp<'_, G> {
-    /// Column-wise identical to [`LinOp::apply`]; the `G0` product is fused.
-    fn apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) {
+    /// Per-column scaling, one fused `G0` traversal for the whole panel.
+    fn try_apply_block_local(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) -> Result<(), G::Error> {
         assert_eq!(xs.len(), ys.len(), "block width mismatch");
         let oxs: Vec<Vec<C64>> = xs
             .iter()
@@ -64,61 +54,56 @@ impl<G: BlockLinOp + ?Sized> BlockLinOp for ScatteringOp<'_, G> {
             })
             .collect();
         let ox_refs: Vec<&[C64]> = oxs.iter().map(|v| v.as_slice()).collect();
-        self.g0.apply_block(&ox_refs, ys);
+        self.g0.try_apply_block_local(&ox_refs, ys)?;
         for (y, x) in ys.iter_mut().zip(xs) {
             for (yi, xi) in y.iter_mut().zip(*x) {
                 *yi = *xi - *yi;
             }
         }
+        Ok(())
+    }
+    fn reduce(&self, vals: &mut [C64]) -> Result<(), G::Error> {
+        self.g0.reduce(vals)
     }
 }
 
 /// `A^H = I - diag(conj(O)) G0^H`, realized via the conjugation trick.
-pub struct AdjointScatteringOp<'a, G: LinOp + ?Sized> {
+pub struct AdjointScatteringOp<'a, G: DistOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
 }
 
-impl<'a, G: LinOp + ?Sized> AdjointScatteringOp<'a, G> {
+impl<'a, G: DistOp + ?Sized> AdjointScatteringOp<'a, G> {
     /// Builds the adjoint operator.
     pub fn new(g0: &'a G, object: &'a [C64]) -> Self {
-        assert_eq!(g0.dim_in(), object.len());
+        assert_eq!(g0.n_local(), object.len());
         AdjointScatteringOp { g0, object }
     }
 }
 
-impl<G: LinOp + ?Sized> LinOp for AdjointScatteringOp<'_, G> {
-    fn dim_out(&self) -> usize {
+impl<G: DistOp + ?Sized> DistOp for AdjointScatteringOp<'_, G> {
+    type Error = G::Error;
+    fn n_local(&self) -> usize {
         self.object.len()
     }
-    fn dim_in(&self) -> usize {
-        self.object.len()
-    }
-    fn apply(&self, x: &[C64], y: &mut [C64]) {
-        // G0^H x = conj(G0 conj(x))
-        let xc: Vec<C64> = x.iter().map(|v| v.conj()).collect();
-        self.g0.apply(&xc, y);
-        for ((yi, xi), oi) in y.iter_mut().zip(x).zip(self.object) {
-            *yi = *xi - oi.conj() * yi.conj();
-        }
-    }
-}
-
-impl<G: BlockLinOp + ?Sized> BlockLinOp for AdjointScatteringOp<'_, G> {
-    /// Column-wise identical to [`LinOp::apply`]; the `G0` product is fused.
-    fn apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) {
+    /// `G0^H x = conj(G0 conj(x))`, the `G0` product fused over the panel.
+    fn try_apply_block_local(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) -> Result<(), G::Error> {
         assert_eq!(xs.len(), ys.len(), "block width mismatch");
         let xcs: Vec<Vec<C64>> = xs
             .iter()
             .map(|x| x.iter().map(|v| v.conj()).collect())
             .collect();
         let xc_refs: Vec<&[C64]> = xcs.iter().map(|v| v.as_slice()).collect();
-        self.g0.apply_block(&xc_refs, ys);
+        self.g0.try_apply_block_local(&xc_refs, ys)?;
         for (y, x) in ys.iter_mut().zip(xs) {
             for ((yi, xi), oi) in y.iter_mut().zip(*x).zip(self.object) {
                 *yi = *xi - oi.conj() * yi.conj();
             }
         }
+        Ok(())
+    }
+    fn reduce(&self, vals: &mut [C64]) -> Result<(), G::Error> {
+        self.g0.reduce(vals)
     }
 }
 
@@ -133,54 +118,61 @@ pub fn g0_adjoint_apply<G: LinOp + ?Sized>(g0: &G, x: &[C64], y: &mut [C64]) {
 
 /// Block form of [`g0_adjoint_apply`]: `ys[b] = G0^H xs[b]` fused into one
 /// block apply of the symmetric `G0`.
-pub fn g0_adjoint_apply_block<G: BlockLinOp + ?Sized>(g0: &G, xs: &[&[C64]], ys: &mut [Vec<C64>]) {
+pub fn g0_adjoint_apply_block<G: DistOp + ?Sized>(
+    g0: &G,
+    xs: &[&[C64]],
+    ys: &mut [Vec<C64>],
+) -> Result<(), G::Error> {
     let xcs: Vec<Vec<C64>> = xs
         .iter()
         .map(|x| x.iter().map(|v| v.conj()).collect())
         .collect();
     let xc_refs: Vec<&[C64]> = xcs.iter().map(|v| v.as_slice()).collect();
-    g0.apply_block(&xc_refs, ys);
+    g0.try_apply_block_local(&xc_refs, ys)?;
     for y in ys.iter_mut() {
         for v in y.iter_mut() {
             *v = v.conj();
         }
     }
+    Ok(())
 }
 
 /// Solves the forward problem `[I - G0 diag(O)] phi = phi_inc` with BiCGStab:
 /// [`solve_forward_block`] at panel width 1. `phi` should carry the initial
 /// guess (zero, or a previous field for warm starts); it is overwritten with
 /// the solution.
-pub fn solve_forward<G: BlockLinOp + ?Sized>(
+pub fn solve_forward<G: DistOp<Error = Infallible> + ?Sized>(
     g0: &G,
     object: &[C64],
     phi_inc: &[C64],
     phi: &mut [C64],
     cfg: IterConfig,
 ) -> SolveStats {
-    width_one(phi_inc, phi, |bs, xs| {
-        solve_forward_block(g0, object, bs, xs, cfg)
-    })
+    let Ok(stats) = width_one(phi_inc, phi, |bs, xs| {
+        Ok::<_, Infallible>(solve_forward_block(g0, object, bs, xs, cfg))
+    });
+    stats
 }
 
 /// Solves the adjoint problem `A^H z = rhs`: [`solve_adjoint_block`] at
 /// panel width 1.
-pub fn solve_adjoint<G: BlockLinOp + ?Sized>(
+pub fn solve_adjoint<G: DistOp<Error = Infallible> + ?Sized>(
     g0: &G,
     object: &[C64],
     rhs: &[C64],
     z: &mut [C64],
     cfg: IterConfig,
 ) -> SolveStats {
-    width_one(rhs, z, |bs, xs| {
-        solve_adjoint_block(g0, object, bs, xs, cfg)
-    })
+    let Ok(stats) = width_one(rhs, z, |bs, xs| {
+        Ok::<_, Infallible>(solve_adjoint_block(g0, object, bs, xs, cfg))
+    });
+    stats
 }
 
 /// Batched forward solve: all transmitter systems share the same scattering
 /// operator and iterate in lockstep (one fused `G0` block apply per Krylov
 /// step). `phis[b]` carries each column's initial guess and is overwritten.
-pub fn solve_forward_block<G: BlockLinOp + ?Sized>(
+pub fn solve_forward_block<G: DistOp<Error = Infallible> + ?Sized>(
     g0: &G,
     object: &[C64],
     phi_incs: &[&[C64]],
@@ -192,7 +184,7 @@ pub fn solve_forward_block<G: BlockLinOp + ?Sized>(
 }
 
 /// Batched adjoint solve `A^H zs[b] = rhss[b]`, lockstep across columns.
-pub fn solve_adjoint_block<G: BlockLinOp + ?Sized>(
+pub fn solve_adjoint_block<G: DistOp<Error = Infallible> + ?Sized>(
     g0: &G,
     object: &[C64],
     rhss: &[&[C64]],
@@ -207,6 +199,11 @@ pub fn solve_adjoint_block<G: BlockLinOp + ?Sized>(
 mod tests {
     use super::*;
     use ffw_numerics::c64;
+
+    /// `y = A x` through the seam, for an operator that cannot fail.
+    fn apply<A: DistOp<Error = Infallible>>(a: &A, x: &[C64], y: &mut Vec<C64>) {
+        let Ok(()) = a.try_apply_block_local(&[x], std::slice::from_mut(y));
+    }
     use ffw_numerics::linalg::Matrix;
     use ffw_numerics::vecops::{rel_diff, zdotc};
 
@@ -265,7 +262,7 @@ mod tests {
         let x = random_vec(n, 3);
         let mut y1 = vec![C64::ZERO; n];
         let mut y2 = vec![C64::ZERO; n];
-        a_op.apply(&x, &mut y1);
+        apply(&a_op, &x, &mut y1);
         assembled.matvec(&x, &mut y2);
         assert!(rel_diff(&y1, &y2) < 1e-13);
     }
@@ -281,8 +278,8 @@ mod tests {
         let y = random_vec(n, 8);
         let mut ax = vec![C64::ZERO; n];
         let mut ahy = vec![C64::ZERO; n];
-        a.apply(&x, &mut ax);
-        ah.apply(&y, &mut ahy);
+        apply(&a, &x, &mut ax);
+        apply(&ah, &y, &mut ahy);
         let lhs = zdotc(&ax, &y);
         let rhs = zdotc(&x, &ahy);
         assert!(
@@ -300,7 +297,7 @@ mod tests {
         // phi_inc = A phi_true
         let a = ScatteringOp::new(&g0, &o);
         let mut phi_inc = vec![C64::ZERO; n];
-        a.apply(&phi_true, &mut phi_inc);
+        apply(&a, &phi_true, &mut phi_inc);
         let mut phi = vec![C64::ZERO; n];
         let stats = solve_forward(
             &g0,

@@ -8,9 +8,10 @@
 //! baseline.
 
 use crate::block::bicgstab_block;
-use crate::op::{BlockLinOp, LinOp};
+use crate::op::{DistOp, LinOp};
 use ffw_numerics::vecops::{norm2, sub_into, zdotc};
 use ffw_numerics::C64;
+use std::convert::Infallible;
 use std::fmt;
 
 /// Outcome of an iterative solve.
@@ -98,15 +99,15 @@ impl Default for IterConfig {
 
 /// Runs a block solve as a width-1 panel around `x`: the scalar entry points
 /// of this crate are this call and nothing else.
-pub(crate) fn width_one(
+pub(crate) fn width_one<E>(
     b: &[C64],
     x: &mut [C64],
-    solve: impl FnOnce(&[&[C64]], &mut [Vec<C64>]) -> Vec<SolveStats>,
-) -> SolveStats {
+    solve: impl FnOnce(&[&[C64]], &mut [Vec<C64>]) -> Result<Vec<SolveStats>, E>,
+) -> Result<SolveStats, E> {
     let mut xs = [x.to_vec()];
-    let stats = solve(&[b], &mut xs).pop().expect("one column");
+    let stats = solve(&[b], &mut xs)?.pop().expect("one column");
     x.copy_from_slice(&xs[0]);
-    stats
+    Ok(stats)
 }
 
 /// Unpreconditioned BiCGStab: solves `A x = b`, starting from the provided
@@ -115,13 +116,16 @@ pub(crate) fn width_one(
 ///
 /// On a rho-underflow or NaN/Inf breakdown this returns honest unconverged
 /// stats with `x` left at the last *finite* iterate (never NaN).
-pub fn bicgstab<A: BlockLinOp + ?Sized>(
+pub fn bicgstab<A: DistOp<Error = Infallible> + ?Sized>(
     a: &A,
     b: &[C64],
     x: &mut [C64],
     cfg: IterConfig,
 ) -> SolveStats {
-    width_one(b, x, |bs, xs| bicgstab_block(a, bs, xs, cfg))
+    let Ok(stats) = width_one(b, x, |bs, xs| {
+        Ok::<_, Infallible>(bicgstab_block(a, bs, xs, cfg))
+    });
+    stats
 }
 
 /// CGNR: least-squares `min ||A x - b||` via conjugate gradients on the

@@ -24,14 +24,14 @@ pub use backend::{
     estimate_g0_norm, make_backend, max_object_abs, BackendChoice, BackendError, BicgstabBackend,
     ForwardBackend, PrecondPair, KAPPA_LIMIT, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
-pub use block::{bicgstab_block, bicgstab_block_with};
+pub use block::{bicgstab_block, bicgstab_block_with, try_bicgstab_block};
 pub use bornseries::{choose_gamma, BornSeriesBackend};
 pub use forward::{
     g0_adjoint_apply, g0_adjoint_apply_block, solve_adjoint, solve_adjoint_block, solve_forward,
     solve_forward_block, AdjointScatteringOp, ScatteringOp,
 };
 pub use krylov::{bicgstab, cgnr, IterConfig, SolveStats};
-pub use op::{BlockLinOp, CountingOp, DiagonalOp, FnOp, IdentityOp, LinOp};
+pub use op::{BlockLinOp, CountingOp, DiagonalOp, DistOp, FnOp, IdentityOp, LinOp};
 pub use precond::{IdentityPrecond, JacobiPrecond, Precond};
 pub use verify::{
     flip_panel_bit, flip_panel_bit_detectable, ComputeInjector, DriftGuard, VerifiedBlockOp,

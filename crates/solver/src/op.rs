@@ -50,6 +50,52 @@ pub trait BlockLinOp: LinOp {
 
 impl BlockLinOp for Matrix {}
 
+/// The operator seam the BiCGStab kernel and the DBIM loop are written
+/// against: this rank's slice of a square operator whose vectors may be
+/// partitioned over several ranks.
+///
+/// It has exactly two implementors. Every [`BlockLinOp`] is the one-rank
+/// case — the whole vector is local, nothing can fail
+/// (`Error = Infallible`) and [`DistOp::reduce`] has nobody to sum with —
+/// and `ffw_dist::DistMlfma` is a sub-tree rank of the distributed `G0`.
+/// Operators composed over a `DistOp` (the scattering operators) inherit
+/// the error type and the reduction of what they wrap.
+pub trait DistOp {
+    /// What a failed apply or reduction surfaces (a dead peer, a corrupted
+    /// panel); uninhabited for in-process operators.
+    type Error;
+    /// Length of this rank's slice.
+    fn n_local(&self) -> usize;
+    /// `ys[b] = (A xs[b])_local` for a panel of columns, column-wise
+    /// independent. A single right-hand side is a panel of width 1.
+    fn try_apply_block_local(
+        &self,
+        xs_local: &[&[C64]],
+        ys_local: &mut [Vec<C64>],
+    ) -> Result<(), Self::Error>;
+    /// Sums `vals` elementwise over the ranks that share this operator's
+    /// vectors, leaving the identical result on each of them.
+    fn reduce(&self, vals: &mut [C64]) -> Result<(), Self::Error>;
+}
+
+impl<A: BlockLinOp + ?Sized> DistOp for A {
+    type Error = std::convert::Infallible;
+    fn n_local(&self) -> usize {
+        self.dim_in()
+    }
+    fn try_apply_block_local(
+        &self,
+        xs_local: &[&[C64]],
+        ys_local: &mut [Vec<C64>],
+    ) -> Result<(), Self::Error> {
+        self.apply_block(xs_local, ys_local);
+        Ok(())
+    }
+    fn reduce(&self, _vals: &mut [C64]) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
 /// The identity operator.
 pub struct IdentityOp(pub usize);
 

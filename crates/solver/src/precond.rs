@@ -48,9 +48,10 @@ mod tests {
         x: &mut [C64],
         cfg: IterConfig,
     ) -> SolveStats {
-        width_one(b, x, |bs, xs| {
-            bicgstab_block_with(a, bs, xs, cfg, None, Some(m))
-        })
+        let Ok(stats) = width_one(b, x, |bs, xs| {
+            Ok::<_, std::convert::Infallible>(bicgstab_block_with(a, bs, xs, cfg, None, Some(m)))
+        });
+        stats
     }
 
     fn ill_conditioned(n: usize, seed: u64) -> Matrix {

@@ -124,8 +124,8 @@ fn worst_field_gap(p: &Problem, cfg: IterConfig) -> f64 {
         let b = p.setup.incident(t);
         let mut xk = vec![C64::ZERO; n];
         let mut xb = vec![C64::ZERO; n];
-        let sk = krylov.solve(b, &mut xk, cfg);
-        let sb = born.solve(b, &mut xb, cfg);
+        let sk = krylov.solve(b, &mut xk, cfg).expect("solve");
+        let sb = born.solve(b, &mut xb, cfg).expect("solve");
         assert!(sk.converged, "krylov failed to converge (tx {t})");
         assert!(sb.converged, "born series failed to converge (tx {t})");
         worst = worst.max(rel_err(&xb, &xk));
@@ -133,8 +133,17 @@ fn worst_field_gap(p: &Problem, cfg: IterConfig) -> f64 {
         // Adjoint solves must agree too — the DBIM gradient is built on them.
         let mut zk = vec![C64::ZERO; n];
         let mut zb = vec![C64::ZERO; n];
-        assert!(krylov.solve_adjoint(b, &mut zk, cfg).converged);
-        assert!(born.solve_adjoint(b, &mut zb, cfg).converged);
+        assert!(
+            krylov
+                .solve_adjoint(b, &mut zk, cfg)
+                .expect("solve")
+                .converged
+        );
+        assert!(
+            born.solve_adjoint(b, &mut zb, cfg)
+                .expect("solve")
+                .converged
+        );
         worst = worst.max(rel_err(&zb, &zk));
     }
     worst

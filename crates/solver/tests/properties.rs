@@ -9,8 +9,8 @@ use ffw_numerics::linalg::Matrix;
 use ffw_numerics::vecops::rel_diff;
 use ffw_numerics::{c64, C64};
 use ffw_solver::{
-    bicgstab, estimate_g0_norm, solve_adjoint, solve_forward, BornSeriesBackend, ForwardBackend,
-    IterConfig, LinOp, ScatteringOp, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
+    bicgstab, estimate_g0_norm, solve_adjoint, solve_forward, BornSeriesBackend, DistOp,
+    ForwardBackend, IterConfig, ScatteringOp, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
 use proptest::prelude::*;
 
@@ -74,7 +74,7 @@ proptest! {
         prop_assert!(stats.converged);
         let a = ScatteringOp::new(&g0, &object);
         let mut back = vec![C64::ZERO; n];
-        a.apply(&phi, &mut back);
+        let Ok(()) = a.try_apply_block_local(&[&phi], std::slice::from_mut(&mut back));
         prop_assert!(rel_diff(&back, &phi_inc) < 1e-8);
     }
 
@@ -131,7 +131,7 @@ fn admissible_system(n: usize, seed: u64, target_kappa: f64) -> (Matrix, Vec<C64
 fn true_residual(g0: &Matrix, object: &[C64], b: &[C64], x: &[C64]) -> f64 {
     let a = ScatteringOp::new(g0, object);
     let mut ax = vec![C64::ZERO; b.len()];
-    a.apply(x, &mut ax);
+    let Ok(()) = a.try_apply_block_local(&[x], std::slice::from_mut(&mut ax));
     let num: f64 = b
         .iter()
         .zip(&ax)
@@ -161,7 +161,7 @@ proptest! {
         for m in 1..=8usize {
             let mut x = vec![C64::ZERO; n];
             // tol 0 disables the convergence exit, so exactly m update steps run.
-            let stats = backend.solve(&b, &mut x, IterConfig { tol: 0.0, max_iters: m });
+            let stats = backend.solve(&b, &mut x, IterConfig { tol: 0.0, max_iters: m }).expect("solve");
             prop_assert_eq!(stats.iterations, m);
             let res = true_residual(&g0, &object, &b, &x);
             prop_assert!(
@@ -192,9 +192,9 @@ proptest! {
         let mut ref_x = Vec::new();
         for b in &bs {
             let mut x = vec![C64::ZERO; n];
-            let s1 = backend.solve(b, &mut x, cfg);
+            let s1 = backend.solve(b, &mut x, cfg).expect("solve");
             let mut x2 = vec![C64::ZERO; n];
-            let s2 = backend.solve(b, &mut x2, cfg);
+            let s2 = backend.solve(b, &mut x2, cfg).expect("solve");
             prop_assert_eq!(s1.iterations, s2.iterations);
             prop_assert_eq!(s1.matvecs, s2.matvecs);
             prop_assert_eq!(&x, &x2);
@@ -208,7 +208,7 @@ proptest! {
             let chunk_end = (chunk_start + width).min(cols);
             let refs: Vec<&[C64]> = bs[chunk_start..chunk_end].iter().map(Vec::as_slice).collect();
             let mut xs = vec![vec![C64::ZERO; n]; refs.len()];
-            let stats = backend.solve_block(&refs, &mut xs, cfg);
+            let stats = backend.solve_block(&refs, &mut xs, cfg).expect("solve");
             for (k, s) in stats.iter().enumerate() {
                 let c = chunk_start + k;
                 prop_assert_eq!(

@@ -5,7 +5,7 @@
 //! parallel code path performs the same arithmetic through entirely different
 //! schedules and communication, so agreement at ~1e-12 certifies both.
 
-use ffw::dist::{run_dbim_ft, try_dist_bicgstab_block, DistMlfma, DistScatteringOp, FtConfig};
+use ffw::dist::{run_dbim_ft, DistMlfma, FtConfig};
 use ffw::geometry::{Domain, Point2, QuadTree, TransducerArray};
 use ffw::inverse::{dbim, synthesize_measurements, DbimConfig, ImagingSetup, MlfmaG0};
 use ffw::mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
@@ -13,7 +13,7 @@ use ffw::numerics::vecops::rel_diff;
 use ffw::numerics::C64;
 use ffw::par::Pool;
 use ffw::phantom::{object_from_contrast, Cylinder, Phantom};
-use ffw::solver::{solve_forward, IterConfig};
+use ffw::solver::{solve_forward, try_bicgstab_block, IterConfig, ScatteringOp};
 use std::sync::Arc;
 
 fn scene() -> (Domain, QuadTree, Arc<MlfmaPlan>, ImagingSetup, Vec<C64>) {
@@ -63,16 +63,12 @@ fn distributed_forward_solve_matches_serial() {
         let (slices, _) = ffw::mpi::run(n_ranks, move |comm| {
             let members: Vec<usize> = (0..comm.size()).collect();
             let rank = comm.rank();
-            let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members.clone(), true);
-            let obj_local = &object2[rank * per..(rank + 1) * per];
-            let a = DistScatteringOp {
-                g0: &g0,
-                object_local: obj_local,
-            };
+            let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members, true);
+            let a = ScatteringOp::new(&g0, &object2[rank * per..(rank + 1) * per]);
             let inc = &setup_ref.incident(0)[rank * per..(rank + 1) * per];
             // one system is a panel of width 1
             let mut phi = vec![vec![C64::ZERO; per]];
-            let stats = try_dist_bicgstab_block(&a, &comm, &members, &[inc], &mut phi, cfg)
+            let stats = try_bicgstab_block(&a, &[inc], &mut phi, cfg, None, None)
                 .expect("distributed solve");
             assert!(stats[0].converged);
             phi.remove(0)
