@@ -69,7 +69,6 @@ fn main() {
         let acc = Accuracy {
             digits,
             interp_order: band,
-            ..Accuracy::default()
         };
         let plan = Arc::new(MlfmaPlan::new(&domain, acc));
         let eng = MlfmaEngine::new(plan, pool());

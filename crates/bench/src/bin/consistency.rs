@@ -60,11 +60,12 @@ fn main() {
             let members: Vec<usize> = (0..comm.size()).collect();
             let r = comm.rank();
             let eng = DistMlfma::new(&comm, Arc::clone(&plan2), members, true);
-            let mut y = vec![C64::ZERO; per];
-            eng.apply(&xr[r * per..(r + 1) * per], &mut y);
-            y
+            let mut ys = [vec![C64::ZERO; per]];
+            eng.try_apply_block(&[&xr[r * per..(r + 1) * per]], &mut ys)
+                .expect("fault-free run");
+            ys
         });
-        let y: Vec<C64> = slices.into_iter().flatten().collect();
+        let y: Vec<C64> = slices.into_iter().flatten().flatten().collect();
         let d = rel_diff(&y, &y_ref);
         rows.push(vec![n_ranks.to_string(), format!("{d:.2e}")]);
         matvec_diffs.push((n_ranks, d));
@@ -86,8 +87,9 @@ fn main() {
             let members: Vec<usize> = (0..comm.size()).collect();
             let r = comm.rank();
             let eng = DistMlfma::new(&comm, Arc::clone(&plan2), members, aggregate);
-            let mut y = vec![C64::ZERO; per];
-            eng.apply(&xr[r * per..(r + 1) * per], &mut y);
+            let mut ys = [vec![C64::ZERO; per]];
+            eng.try_apply_block(&[&xr[r * per..(r + 1) * per]], &mut ys)
+                .expect("fault-free run");
         });
         msg_counts[i] = handle.stats().total_messages();
         byte_counts[i] = handle.stats().total_bytes();

@@ -6,13 +6,20 @@
 //! The matvec operates on *local* vector slices: rank `r` holds pixels
 //! `[r N/P, (r+1) N/P)` in tree order. Aggregation and disaggregation stay
 //! rank-local because owned clusters form whole sub-trees.
+//!
+//! The tree stages themselves are `ffw_mlfma::FarField`'s — the serial
+//! engine's traversal, run over this rank's cluster ranges (one task pool of
+//! one thread: ranks are the parallelism here). What this module owns is
+//! the schedule around them and the wire format: a pattern travels as `q`
+//! `(re, im)` pairs whatever the workspace layout.
 
 use crate::partition::{ExchangePlan, SubtreePartition};
-use ffw_geometry::{morton_decode, morton_encode, LEAF_PIXELS};
+use ffw_geometry::LEAF_PIXELS;
 use ffw_mlfma::near::SPECTRUM_LEN;
-use ffw_mlfma::{offset_index, MlfmaPlan};
+use ffw_mlfma::{FarField, MlfmaPlan};
 use ffw_mpi::{Comm, ComputeFault, FaultError, FaultEvent, Payload};
 use ffw_numerics::{c64, C64};
+use ffw_par::Pool;
 use ffw_solver::flip_panel_bit_detectable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,8 +41,21 @@ pub struct DistMlfma<'c> {
     aggregate_buffers: bool,
     /// Members of this sub-tree communicator (global rank ids), index = slot.
     members: Vec<usize>,
+    /// Runs the tree stages inline on this rank's thread.
+    pool: Pool,
+    /// Scratch reused across applies, grown on first use.
+    work: Mutex<Workspace>,
     /// Opt-in ABFT compute-integrity state ([`DistMlfma::with_verify`]).
     verify: Option<DistVerify>,
+}
+
+struct Workspace {
+    /// Far-field patterns, indexed by global cluster: owned clusters are
+    /// aggregated here, remote ones land here off the wire.
+    far: FarField,
+    /// One column of leaf spectra for the near field: local leaves, then
+    /// halo leaves.
+    spectra: Vec<f64>,
 }
 
 /// Per-rank state of the opt-in ABFT compute-integrity mode: every panel
@@ -66,6 +86,22 @@ fn unpack_into(src: &[(f64, f64)], dst: &mut [C64]) {
     }
 }
 
+/// Appends a pattern slot (`q` re samples, then `q` im samples) to a message
+/// in wire order.
+fn pack_pattern(slot: &[f64], wire: &mut Vec<(f64, f64)>) {
+    let (re, im) = slot.split_at(slot.len() / 2);
+    wire.extend(re.iter().copied().zip(im.iter().copied()));
+}
+
+/// Inverse of [`pack_pattern`].
+fn unpack_pattern(wire: &[(f64, f64)], slot: &mut [f64]) {
+    assert_eq!(2 * wire.len(), slot.len(), "one pattern");
+    let (re, im) = slot.split_at_mut(wire.len());
+    for ((s, re), im) in wire.iter().zip(re).zip(im) {
+        (*re, *im) = *s;
+    }
+}
+
 impl<'c> DistMlfma<'c> {
     /// Creates the engine for this rank's slot within `members` (the global
     /// rank ids of the sub-tree communicator, in slot order). For a solver
@@ -83,6 +119,10 @@ impl<'c> DistMlfma<'c> {
         let n_ranks = members.len();
         let part = SubtreePartition::new(&plan, n_ranks, slot);
         let exch = ExchangePlan::new(&plan, n_ranks, slot);
+        let work = Workspace {
+            far: FarField::new(Arc::clone(&plan)),
+            spectra: Vec::new(),
+        };
         DistMlfma {
             comm,
             plan,
@@ -90,6 +130,8 @@ impl<'c> DistMlfma<'c> {
             exch,
             aggregate_buffers,
             members,
+            pool: Pool::new(1),
+            work: Mutex::new(work),
             verify: None,
         }
     }
@@ -148,17 +190,6 @@ impl<'c> DistMlfma<'c> {
     /// The underlying plan.
     pub fn plan(&self) -> &MlfmaPlan {
         &self.plan
-    }
-
-    /// Distributed `y_local = (G0 x)_local`: [`DistMlfma::try_apply_block`]
-    /// at panel width 1, panicking on a communication failure (tests and
-    /// benches; fault-tolerant drivers call the checked block form).
-    pub fn apply(&self, x_local: &[C64], y_local: &mut [C64]) {
-        let mut ys = [vec![C64::ZERO; y_local.len()]];
-        if let Err(e) = self.try_apply_block(&[x_local], &mut ys) {
-            panic!("ffw-dist: {e}");
-        }
-        y_local.copy_from_slice(&ys[0]);
     }
 
     /// Checked matvec of a panel of `B` right-hand sides:
@@ -293,9 +324,11 @@ impl<'c> DistMlfma<'c> {
         }
         let plan = &self.plan;
         let n_levels = plan.levels.len();
-        let q_leaf = plan.leaf_plan().q;
         let slot = self.slot();
         let px_start = self.part.pixel_range.start;
+        let ranges = &self.part.cluster_ranges;
+        let mut work = self.work.lock().expect("an earlier apply panicked");
+        let Workspace { far, spectra } = &mut *work;
 
         // Columns sharing one halo message: the whole panel when buffers are
         // aggregated, one column each in the ablation baseline.
@@ -323,47 +356,9 @@ impl<'c> DistMlfma<'c> {
             }
         }
 
-        // --- 2. aggregation over local sub-trees, column by column
-        // (overlaps halo transit) ---
-        let mut outgoing_cols: Vec<Vec<Vec<C64>>> = Vec::with_capacity(width);
-        for x_local in xs_local {
-            let mut outgoing: Vec<Vec<C64>> = plan
-                .levels
-                .iter()
-                .map(|lp| vec![C64::ZERO; lp.n_side * lp.n_side * lp.q])
-                .collect();
-            let leaf_range = self.part.leaf_range();
-            let e = &plan.expansion;
-            for c in leaf_range.clone() {
-                let off = c * LEAF_PIXELS - px_start;
-                e.matvec(
-                    &x_local[off..off + LEAF_PIXELS],
-                    &mut outgoing[n_levels - 1][c * q_leaf..(c + 1) * q_leaf],
-                );
-            }
-            for li in (0..n_levels - 1).rev() {
-                let (up, down) = outgoing.split_at_mut(li + 1);
-                let parents = &mut up[li];
-                let children = &down[0];
-                let lp = &plan.levels[li];
-                let q_parent = lp.q;
-                let q_child = plan.levels[li + 1].q;
-                let interp = lp.interp.as_ref().expect("non-leaf");
-                let mut tmp = vec![C64::ZERO; q_parent];
-                for p in self.part.cluster_ranges[li].clone() {
-                    let out = &mut parents[p * q_parent..(p + 1) * q_parent];
-                    for pos in 0..4usize {
-                        let ch = 4 * p + pos;
-                        interp.up(&children[ch * q_child..(ch + 1) * q_child], &mut tmp);
-                        let shift = &lp.shift_out[pos];
-                        for ((o, t), s) in out.iter_mut().zip(&tmp).zip(shift) {
-                            *o = t.mul_add(*s, *o);
-                        }
-                    }
-                }
-            }
-            outgoing_cols.push(outgoing);
-        }
+        // --- 2. aggregation over local sub-trees (overlaps halo transit) ---
+        far.begin(width);
+        far.aggregate(&self.pool, ranges, xs_local, px_start);
 
         // --- 3. post far-field pattern sends: one message per peer, or (the
         // ablation baseline) one per column, level and cluster ---
@@ -372,29 +367,23 @@ impl<'c> DistMlfma<'c> {
                 continue;
             }
             let mut buf = Vec::new();
-            for outgoing in &outgoing_cols {
-                for (li, out_l) in outgoing.iter().enumerate() {
-                    let q = plan.levels[li].q;
+            for col in 0..width {
+                for li in 0..n_levels {
                     for &cl in &self.exch.send[peer_slot][li] {
-                        let pattern = &out_l[cl * q..(cl + 1) * q];
-                        if self.aggregate_buffers {
-                            buf.extend_from_slice(pattern);
-                        } else {
+                        pack_pattern(far.outgoing(li, cl, col), &mut buf);
+                        if !self.aggregate_buffers {
                             self.comm.send_checked(
                                 self.members[peer_slot],
                                 TAG_FARFIELD_LEVEL_BASE + li as u32,
-                                Payload::C64(pack(pattern)),
+                                Payload::C64(std::mem::take(&mut buf)),
                             )?;
                         }
                     }
                 }
             }
             if !buf.is_empty() {
-                self.comm.send_checked(
-                    self.members[peer_slot],
-                    TAG_FARFIELD,
-                    Payload::C64(pack(&buf)),
-                )?;
+                self.comm
+                    .send_checked(self.members[peer_slot], TAG_FARFIELD, Payload::C64(buf))?;
             }
         }
 
@@ -426,7 +415,7 @@ impl<'c> DistMlfma<'c> {
             halo.sort_by_key(|(leaf, _)| *leaf);
         }
         for ((x_local, y_local), x_halo) in xs_local.iter().zip(ys_local.iter_mut()).zip(&x_halos) {
-            self.near_field(x_local, x_halo, y_local);
+            self.near_field(x_local, x_halo, spectra, y_local);
         }
 
         // --- 5. receive far-field patterns, in the order they were sent ---
@@ -451,90 +440,36 @@ impl<'c> DistMlfma<'c> {
                 Vec::new()
             };
             let mut cursor = 0usize;
-            for outgoing in &mut outgoing_cols {
-                for (li, out_l) in outgoing.iter_mut().enumerate() {
+            for col in 0..width {
+                for li in 0..n_levels {
                     let q = plan.levels[li].q;
                     for &cl in &self.exch.recv[peer_slot][li] {
-                        let dst = &mut out_l[cl * q..(cl + 1) * q];
+                        let dst = far.outgoing_mut(li, cl, col);
                         if self.aggregate_buffers {
-                            unpack_into(&fused[cursor..cursor + q], dst);
+                            unpack_pattern(&fused[cursor..cursor + q], dst);
                             cursor += q;
                         } else {
                             let data = self.comm.recv_checked(
                                 self.members[peer_slot],
                                 TAG_FARFIELD_LEVEL_BASE + li as u32,
                             )?;
-                            unpack_into(&data.into_c64(), dst);
+                            unpack_pattern(&data.into_c64(), dst);
                         }
                     }
                 }
             }
         }
 
-        // --- 6–8. translations over local observation clusters, downward
+        // --- 6–8. translations into local observation clusters, downward
         // pass over local sub-trees, and leaf receive (add the far field
-        // into y), per column ---
+        // into y) ---
+        far.translate(&self.pool, ranges);
+        far.disaggregate(&self.pool, ranges);
+        let mut field = [C64::ZERO; LEAF_PIXELS];
         for (col, y_local) in ys_local.iter_mut().enumerate() {
-            let outgoing = &outgoing_cols[col];
-            let mut incoming: Vec<Vec<C64>> = plan
-                .levels
-                .iter()
-                .map(|lp| vec![C64::ZERO; lp.n_side * lp.n_side * lp.q])
-                .collect();
-            for (li, lp) in plan.levels.iter().enumerate() {
-                let q = lp.q;
-                for obs in self.part.cluster_ranges[li].clone() {
-                    let (ix, iy) = morton_decode(obs as u32);
-                    let (head, tail) = incoming[li].split_at_mut(obs * q);
-                    let _ = head;
-                    let out = &mut tail[..q];
-                    for (sx, sy, off) in
-                        plan.tree
-                            .interaction_list(lp.level, ix as usize, iy as usize)
-                    {
-                        let s = morton_encode(sx as u32, sy as u32) as usize;
-                        let t = lp.translations[offset_index(off)].as_ref().expect("t");
-                        let src = &outgoing[li][s * q..(s + 1) * q];
-                        for qi in 0..q {
-                            out[qi] = t[qi].mul_add(src[qi], out[qi]);
-                        }
-                    }
-                }
-            }
-            for li in 0..n_levels - 1 {
-                let (up, down) = incoming.split_at_mut(li + 1);
-                let parents = &up[li];
-                let children = &mut down[0];
-                let lp = &plan.levels[li];
-                let q_parent = lp.q;
-                let q_child = plan.levels[li + 1].q;
-                let interp = lp.interp.as_ref().expect("non-leaf");
-                let mut tmp = vec![C64::ZERO; q_parent];
-                for p in self.part.cluster_ranges[li].clone() {
-                    let parent = &parents[p * q_parent..(p + 1) * q_parent];
-                    for pos in 0..4usize {
-                        let shift = &lp.shift_in[pos];
-                        for ((t, g), s) in tmp.iter_mut().zip(parent).zip(shift) {
-                            *t = *g * *s;
-                        }
-                        let ch = 4 * p + pos;
-                        interp.down_add(
-                            &tmp,
-                            lp.anterp_scale,
-                            &mut children[ch * q_child..(ch + 1) * q_child],
-                        );
-                    }
-                }
-            }
-            let q = plan.leaf_plan().q;
-            let leaf_pat = incoming.last().expect("non-empty");
-            let mut far = vec![C64::ZERO; LEAF_PIXELS];
-            for c in self.part.leaf_range() {
-                plan.local_expansion
-                    .receive(&leaf_pat[c * q..(c + 1) * q], &mut far);
-                let out =
-                    &mut y_local[c * LEAF_PIXELS - px_start..(c + 1) * LEAF_PIXELS - px_start];
-                for (o, f) in out.iter_mut().zip(&far) {
+            for (c, out) in self.part.leaf_range().zip(y_local.chunks_mut(LEAF_PIXELS)) {
+                far.receive(c, col, &mut field);
+                for (o, f) in out.iter_mut().zip(&field) {
                     *o += *f;
                 }
             }
@@ -542,16 +477,28 @@ impl<'c> DistMlfma<'c> {
         Ok(())
     }
 
-    /// The near field of one column, overwriting `y_local`: spectra of the
-    /// local leaves and of the halo leaves (`x_halo`, sorted by leaf), then
-    /// per local observer leaf the neighbours' diagonal products in
-    /// `near_list` order — the serial engine's kernel, leaf for leaf.
-    fn near_field(&self, x_local: &[C64], x_halo: &[(usize, Vec<C64>)], y_local: &mut [C64]) {
+    /// The near field of one column, overwriting `y_local`: spectra (into
+    /// the reused `spectra`) of the local leaves and of the halo leaves
+    /// (`x_halo`, sorted by leaf), then per local observer leaf the
+    /// neighbours' diagonal products in `near_list` order — the serial
+    /// engine's kernel, leaf for leaf.
+    fn near_field(
+        &self,
+        x_local: &[C64],
+        x_halo: &[(usize, Vec<C64>)],
+        spectra: &mut Vec<f64>,
+        y_local: &mut [C64],
+    ) {
         let plan = &self.plan;
         let near = &plan.near_field;
         let leaf_range = self.part.leaf_range();
         let n_local = leaf_range.len();
-        let mut spectra = vec![0.0; (n_local + x_halo.len()) * SPECTRUM_LEN];
+        // every spectrum in use is overwritten below before it is read
+        let in_use = (n_local + x_halo.len()) * SPECTRUM_LEN;
+        if spectra.len() < in_use {
+            spectra.resize(in_use, 0.0);
+        }
+        let spectra = &mut spectra[..in_use];
         let blocks = x_local
             .chunks(LEAF_PIXELS)
             .chain(x_halo.iter().map(|(_, block)| block.as_slice()));
@@ -579,7 +526,6 @@ mod tests {
     use super::*;
     use ffw_geometry::Domain;
     use ffw_mlfma::{Accuracy, MlfmaEngine};
-    use ffw_numerics::vecops::rel_diff;
     use ffw_par::Pool;
 
     fn random_x(n: usize, seed: u64) -> Vec<C64> {
@@ -599,126 +545,84 @@ mod tests {
             .collect()
     }
 
-    fn serial_reference(plan: &Arc<MlfmaPlan>, x: &[C64]) -> Vec<C64> {
-        let eng = MlfmaEngine::new(Arc::clone(plan), Arc::new(Pool::new(1)));
-        let mut y = vec![C64::ZERO; x.len()];
-        eng.apply(x, &mut y);
-        y
-    }
-
-    fn dist_apply(plan: &Arc<MlfmaPlan>, x: &[C64], n_ranks: usize, aggregate: bool) -> Vec<C64> {
-        let n = x.len();
-        let per = n / n_ranks;
-        let (slices, _) = ffw_mpi::run(n_ranks, |comm| {
+    /// Applies `xs` as one panel on `n_ranks` ranks; returns the reassembled
+    /// columns and the run's message and byte totals.
+    fn dist_panel(
+        plan: &Arc<MlfmaPlan>,
+        xs: &[Vec<C64>],
+        n_ranks: usize,
+        aggregate: bool,
+    ) -> (Vec<Vec<C64>>, u64, u64) {
+        let per = plan.n_pixels() / n_ranks;
+        let (slices, handle) = ffw_mpi::run(n_ranks, |comm| {
             let members: Vec<usize> = (0..comm.size()).collect();
-            let rank = comm.rank();
+            let lo = comm.rank() * per;
             let eng = DistMlfma::new(&comm, Arc::clone(plan), members, aggregate);
-            let mut y_local = vec![C64::ZERO; per];
-            eng.apply(&x[rank * per..(rank + 1) * per], &mut y_local);
-            y_local
+            let refs: Vec<&[C64]> = xs.iter().map(|x| &x[lo..lo + per]).collect();
+            let mut ys = vec![vec![C64::ZERO; per]; xs.len()];
+            eng.try_apply_block(&refs, &mut ys).expect("fault-free run");
+            ys
         });
-        slices.into_iter().flatten().collect()
+        let mut cols = vec![Vec::new(); xs.len()];
+        for rank_ys in slices {
+            for (col, y) in cols.iter_mut().zip(rank_ys) {
+                col.extend(y);
+            }
+        }
+        let stats = handle.stats();
+        (cols, stats.total_messages(), stats.total_bytes())
     }
 
     /// The paper's consistency check (Section V-E: serial-vs-parallel output
-    /// differs by ~1e-13): our distributed matvec must match the serial
-    /// engine to near machine precision.
+    /// differs by ~1e-13) holds here with no difference at all: both engines
+    /// run the same traversal, so at every rank count, panel width and
+    /// message packing the owned slices equal the serial columns bit for bit.
+    /// The traffic is pinned too: per column `(ranks, fused messages,
+    /// per-pattern messages, bytes)` as measured before the engines shared
+    /// their traversal — fused messages do not grow with the width, the
+    /// other two grow linearly.
     #[test]
-    fn distributed_matches_serial_all_rank_counts() {
+    fn distributed_is_bit_identical_to_serial_with_pinned_traffic() {
         let domain = Domain::new(64, 1.0);
         let plan = Arc::new(MlfmaPlan::new(&domain, Accuracy::low()));
-        let x = random_x(plan.n_pixels(), 99);
-        let y_ref = serial_reference(&plan, &x);
-        for n_ranks in [1usize, 2, 4, 8, 16] {
-            let y = dist_apply(&plan, &x, n_ranks, true);
-            let err = rel_diff(&y, &y_ref);
-            assert!(err < 1e-12, "ranks={n_ranks}: err={err:e}");
-        }
-    }
-
-    /// The distributed block path must match per-column scalar applies
-    /// bit-for-bit (compute is per-column identical; only messages fuse),
-    /// while sending ~B x fewer messages.
-    #[test]
-    fn block_apply_is_bit_identical_and_fuses_messages() {
-        let domain = Domain::new(64, 1.0);
-        let plan = Arc::new(MlfmaPlan::new(&domain, Accuracy::low()));
+        let serial = MlfmaEngine::new(Arc::clone(&plan), Arc::new(Pool::new(1)));
         let n = plan.n_pixels();
-        let width = 3usize;
-        let xs: Vec<Vec<C64>> = (0..width).map(|b| random_x(n, 60 + b as u64)).collect();
-        let n_ranks = 4;
-        let per = n / n_ranks;
-        let mut messages = Vec::new();
-        let mut results: Vec<Vec<Vec<C64>>> = Vec::new();
-        for fused in [true, false] {
-            let plan2 = Arc::clone(&plan);
-            let xs2 = xs.clone();
-            let (slices, handle) = ffw_mpi::run(n_ranks, move |comm| {
-                let members: Vec<usize> = (0..comm.size()).collect();
-                let rank = comm.rank();
-                let eng = DistMlfma::new(&comm, Arc::clone(&plan2), members, true);
-                let lo = rank * per;
-                let mut ys = vec![vec![C64::ZERO; per]; width];
-                if fused {
-                    let refs: Vec<&[C64]> = xs2.iter().map(|x| &x[lo..lo + per]).collect();
-                    eng.try_apply_block(&refs, &mut ys).unwrap();
-                } else {
-                    for (x, y) in xs2.iter().zip(ys.iter_mut()) {
-                        eng.apply(&x[lo..lo + per], y);
-                    }
-                }
-                ys
-            });
-            // reassemble per-column full vectors
-            let mut cols = vec![Vec::new(); width];
-            for rank_ys in slices {
-                for (c, y) in rank_ys.into_iter().enumerate() {
-                    cols[c].extend(y);
+        for width in [1usize, 3, 8, 9] {
+            let xs: Vec<Vec<C64>> = (0..width).map(|b| random_x(n, 60 + b as u64)).collect();
+            let refs: Vec<&[C64]> = xs.iter().map(|v| v.as_slice()).collect();
+            let mut want = vec![vec![C64::ZERO; n]; width];
+            serial.apply_block(&refs, &mut want);
+            let w = width as u64;
+            for (n_ranks, fused, per_pattern, bytes) in [
+                (1usize, 0u64, 0u64, 0u64),
+                (2, 4, 50, 44_800),
+                (4, 24, 140, 114_176),
+                (16, 324, 576, 424_128),
+            ] {
+                for (aggregate, messages) in [(true, fused), (false, w * per_pattern)] {
+                    let got = dist_panel(&plan, &xs, n_ranks, aggregate);
+                    let case = format!("ranks={n_ranks} width={width} aggregate={aggregate}");
+                    assert_eq!(got.0, want, "{case}");
+                    assert_eq!((got.1, got.2), (messages, w * bytes), "{case}");
                 }
             }
-            results.push(cols);
-            messages.push(handle.stats().total_messages());
         }
-        for (c, (a, b)) in results[0].iter().zip(&results[1]).enumerate() {
-            assert_eq!(a, b, "column {c} differs between fused and scalar");
-        }
-        assert!(
-            messages[0] < messages[1],
-            "fused panel must reduce handshakes: {} vs {}",
-            messages[0],
-            messages[1]
-        );
     }
 
+    /// A column rides in any panel unchanged: the distributed block path
+    /// matches per-column applies bit for bit (only messages fuse).
     #[test]
-    fn buffer_aggregation_does_not_change_result_but_reduces_messages() {
+    fn block_apply_is_bit_identical_per_column() {
         let domain = Domain::new(64, 1.0);
         let plan = Arc::new(MlfmaPlan::new(&domain, Accuracy::low()));
-        let x = random_x(plan.n_pixels(), 5);
-        let n_ranks = 4;
-        let per = plan.n_pixels() / n_ranks;
-        let mut results = Vec::new();
-        let mut messages = Vec::new();
-        for aggregate in [true, false] {
-            let plan2 = Arc::clone(&plan);
-            let x2 = x.clone();
-            let (slices, handle) = ffw_mpi::run(n_ranks, move |comm| {
-                let members: Vec<usize> = (0..comm.size()).collect();
-                let rank = comm.rank();
-                let eng = DistMlfma::new(&comm, Arc::clone(&plan2), members, aggregate);
-                let mut y_local = vec![C64::ZERO; per];
-                eng.apply(&x2[rank * per..(rank + 1) * per], &mut y_local);
-                y_local
-            });
-            results.push(slices.into_iter().flatten().collect::<Vec<C64>>());
-            messages.push(handle.stats().total_messages());
+        let xs: Vec<Vec<C64>> = (0..3).map(|b| random_x(plan.n_pixels(), 60 + b)).collect();
+        let (panel, ..) = dist_panel(&plan, &xs, 4, true);
+        for (b, x) in xs.iter().enumerate() {
+            let (single, ..) = dist_panel(&plan, std::slice::from_ref(x), 4, true);
+            assert_eq!(
+                panel[b], single[0],
+                "column {b} differs between fused and scalar"
+            );
         }
-        assert!(rel_diff(&results[1], &results[0]) < 1e-13);
-        assert!(
-            messages[0] < messages[1],
-            "aggregation reduces handshakes: {} vs {}",
-            messages[0],
-            messages[1]
-        );
     }
 }

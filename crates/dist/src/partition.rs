@@ -109,12 +109,8 @@ impl ExchangePlan {
             let mut recv_sets: Vec<std::collections::BTreeSet<usize>> =
                 vec![Default::default(); n_ranks];
             for c in range.clone() {
-                let (ix, iy) = morton_decode(c as u32);
-                for (sx, sy, _off) in plan
-                    .tree
-                    .interaction_list(lp.level, ix as usize, iy as usize)
-                {
-                    let s = morton_encode(sx as u32, sy as u32) as usize;
+                for &(s, _translator) in lp.pairs_of(c) {
+                    let s = s as usize;
                     let owner = SubtreePartition::owner_of(plan, n_ranks, li, s);
                     if owner != rank {
                         recv_sets[owner].insert(s);

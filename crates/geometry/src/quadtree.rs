@@ -246,19 +246,25 @@ impl QuadTree {
         out
     }
 
-    /// Near-field neighbour list of leaf cluster `(ix, iy)`: in-bounds subset
-    /// of the 9 offsets, as `(src_ix, src_iy, offset)`.
-    pub fn near_list(&self, ix: usize, iy: usize) -> Vec<(usize, usize, Offset)> {
+    /// Near-field neighbours of leaf cluster `(ix, iy)`: the in-bounds subset
+    /// of the 9 offsets in `NEAR_OFFSETS` order, as `(src_ix, src_iy, offset)`.
+    pub fn near_neighbours(
+        &self,
+        ix: usize,
+        iy: usize,
+    ) -> impl Iterator<Item = (usize, usize, Offset)> {
         let n = self.clusters_per_side(self.leaf_level) as i64;
-        let mut out = Vec::with_capacity(9);
-        for (dx, dy) in NEAR_OFFSETS {
+        NEAR_OFFSETS.into_iter().filter_map(move |(dx, dy)| {
             let sx = ix as i64 + dx as i64;
             let sy = iy as i64 + dy as i64;
-            if sx >= 0 && sx < n && sy >= 0 && sy < n {
-                out.push((sx as usize, sy as usize, (dx, dy)));
-            }
-        }
-        out
+            let inside = sx >= 0 && sx < n && sy >= 0 && sy < n;
+            inside.then_some((sx as usize, sy as usize, (dx, dy)))
+        })
+    }
+
+    /// [`Self::near_neighbours`], collected.
+    pub fn near_list(&self, ix: usize, iy: usize) -> Vec<(usize, usize, Offset)> {
+        self.near_neighbours(ix, iy).collect()
     }
 }
 

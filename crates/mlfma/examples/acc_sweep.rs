@@ -48,7 +48,6 @@ fn main() {
         let acc = Accuracy {
             digits: d,
             interp_order: p,
-            ..Accuracy::default()
         };
         let plan = Arc::new(MlfmaPlan::new(&domain, acc));
         let eng = MlfmaEngine::new(plan, Arc::new(Pool::new(1)));

@@ -15,15 +15,18 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod engine;
+pub mod farfield;
 pub mod interp;
+pub mod kernels;
 pub mod local;
 pub mod near;
 pub mod params;
 pub mod plan;
 
 pub use engine::MlfmaEngine;
+pub use farfield::FarField;
 pub use interp::lagrange_interp_matrix;
-pub use local::LocalExpansion;
+pub use local::{LocalExpansion, MultipoleExpansion};
 pub use near::NearField;
 pub use params::Accuracy;
 pub use plan::{offset_index, translator, LevelPlan, MlfmaPlan, OperatorCensus, PlanStats};

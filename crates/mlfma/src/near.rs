@@ -407,17 +407,16 @@ impl NearField {
         out: &mut [C64],
     ) {
         let (ix, iy) = morton_decode(c as u32);
-        let sources: Vec<_> = tree
-            .near_list(ix as usize, iy as usize)
-            .into_iter()
-            .map(|(sx, sy, off)| {
-                (
-                    off,
-                    spectrum_of(morton_encode(sx as u32, sy as u32) as usize),
-                )
-            })
-            .collect();
-        self.accumulate(&sources, out);
+        let mut sources: [(Offset, &[f64]); NEAR_OFFSETS.len()] =
+            [((0, 0), &[]); NEAR_OFFSETS.len()];
+        let mut n = 0;
+        for (sx, sy, off) in tree.near_neighbours(ix as usize, iy as usize) {
+            let s = morton_encode(sx as u32, sy as u32) as usize;
+            sources[n] = (off, spectrum_of(s));
+            n += 1;
+        }
+        let sources = &sources[..n];
+        self.accumulate(sources, out);
     }
 }
 

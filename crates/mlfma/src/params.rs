@@ -1,16 +1,5 @@
 //! Truncation and sampling parameters of the multipole expansions.
 
-/// How patterns are resampled between levels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InterpKind {
-    /// Local Lagrange interpolation: band-diagonal matrices (the paper's
-    /// choice, Table I).
-    BandDiagonal,
-    /// Exact spectral resampling via FFT zero-padding/truncation — the
-    /// validation path; O(Q log Q) instead of O(Q p) per cluster.
-    Spectral,
-}
-
 /// Accuracy controls for the MLFMA factorization.
 ///
 /// `digits` drives the excess-bandwidth truncation formula; `interp_order` is
@@ -23,8 +12,6 @@ pub struct Accuracy {
     pub digits: f64,
     /// Lagrange interpolation order (points per band row).
     pub interp_order: usize,
-    /// Inter-level resampling scheme.
-    pub interp_kind: InterpKind,
 }
 
 impl Default for Accuracy {
@@ -34,24 +21,16 @@ impl Default for Accuracy {
         Accuracy {
             digits: 7.0,
             interp_order: 16,
-            interp_kind: InterpKind::BandDiagonal,
         }
     }
 }
 
 impl Accuracy {
-    /// Switches to exact spectral (FFT) inter-level resampling.
-    pub fn spectral(mut self) -> Self {
-        self.interp_kind = InterpKind::Spectral;
-        self
-    }
-
     /// Cheaper settings (~1e-3) for quick experiments.
     pub fn low() -> Self {
         Accuracy {
             digits: 3.0,
             interp_order: 6,
-            interp_kind: InterpKind::BandDiagonal,
         }
     }
 
@@ -60,7 +39,6 @@ impl Accuracy {
         Accuracy {
             digits: 8.0,
             interp_order: 14,
-            interp_kind: InterpKind::BandDiagonal,
         }
     }
 

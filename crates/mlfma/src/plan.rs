@@ -26,13 +26,14 @@
 //! `e^{-i k khat . (r - C)}` and receive patterns the conjugate phase.
 
 use crate::interp::lagrange_interp_matrix;
-use crate::local::LocalExpansion;
+use crate::local::{LocalExpansion, MultipoleExpansion};
 use crate::near::NearField;
-use crate::params::{Accuracy, InterpKind};
-use ffw_geometry::{Domain, Offset, QuadTree, LEAF_PIXELS, LEAF_SIDE, TOP_LEVEL};
+use crate::params::Accuracy;
+use ffw_geometry::{
+    morton_decode, morton_encode, Domain, Offset, QuadTree, LEAF_PIXELS, LEAF_SIDE, TOP_LEVEL,
+};
 use ffw_greens::Kernel;
 use ffw_numerics::bessel::hankel1_array;
-use ffw_numerics::fft::{resample_with_plans, Fft};
 use ffw_numerics::linalg::{Matrix, PeriodicBandMatrix};
 use ffw_numerics::C64;
 
@@ -44,63 +45,14 @@ pub fn offset_index(off: Offset) -> usize {
     ((off.1 + 3) as usize) * 7 + (off.0 + 3) as usize
 }
 
-/// Inter-level resampling operator: the paper's band-diagonal Lagrange
-/// matrices, or the exact spectral (FFT) alternative.
-pub enum InterpOp {
-    /// Band-diagonal local Lagrange interpolation (Table I).
-    Band(PeriodicBandMatrix),
-    /// Exact zero-padding/truncation resampling with cached FFT plans.
-    Spectral {
-        /// FFT plan at the child sampling rate.
-        fft_child: Fft,
-        /// FFT plan at the parent sampling rate.
-        fft_parent: Fft,
-    },
-}
+/// Number of [`offset_index`] slots.
+const OFFSET_SLOTS: usize = 49;
 
-impl InterpOp {
-    /// Upsamples a child pattern onto the parent sampling (overwrites `out`).
-    pub fn up(&self, child: &[C64], out: &mut [C64]) {
-        match self {
-            InterpOp::Band(m) => m.apply(child, out),
-            InterpOp::Spectral {
-                fft_child,
-                fft_parent,
-            } => {
-                let v = resample_with_plans(fft_child, fft_parent, child);
-                out.copy_from_slice(&v);
-            }
-        }
-    }
+/// Lanes of the sample-major shift tables: four child positions x (re, im).
+pub const SIBLING_LANES: usize = 8;
 
-    /// Anterpolates a parent pattern into the child sampling, accumulating
-    /// into `out`. `band_scale` is the quadrature factor `Q_child / Q_parent`
-    /// used by the transpose form; the spectral path is exact as-is.
-    pub fn down_add(&self, parent: &[C64], band_scale: f64, out: &mut [C64]) {
-        match self {
-            InterpOp::Band(m) => m.apply_transpose_scaled(parent, band_scale, out),
-            InterpOp::Spectral {
-                fft_child,
-                fft_parent,
-            } => {
-                let v = resample_with_plans(fft_parent, fft_child, parent);
-                for (o, x) in out.iter_mut().zip(v) {
-                    *o += x;
-                }
-            }
-        }
-    }
-
-    /// Stored nonzeros (band path) for the memory census.
-    pub fn nnz(&self) -> usize {
-        match self {
-            InterpOp::Band(m) => m.nnz(),
-            InterpOp::Spectral { .. } => 0,
-        }
-    }
-}
-
-/// Per-level precomputed operators.
+/// Per-level precomputed operators. Diagonals are split re/im planes: a
+/// `q`-sample diagonal is `q` re samples followed by `q` im samples.
 pub struct LevelPlan {
     /// Tree level (TOP_LEVEL..=leaf).
     pub level: u8,
@@ -112,18 +64,40 @@ pub struct LevelPlan {
     pub l_trunc: usize,
     /// Angular samples Q = 2L + 1.
     pub q: usize,
-    /// Diagonal translators by [`offset_index`]; `None` at near offsets.
-    pub translations: Vec<Option<Vec<C64>>>,
-    /// Outgoing (multipole) shifts child -> this level, one per child
-    /// position, sampled on this level's Q. Empty at the leaf level.
-    pub shift_out: Vec<Vec<C64>>,
-    /// Incoming (local) shifts this level -> child: conjugates of `shift_out`.
-    pub shift_in: Vec<Vec<C64>>,
+    /// Diagonal translators: the one for offset `off` occupies
+    /// `offset_index(off) * 2q ..` (the nine near slots stay zero).
+    pub translations: Vec<f64>,
+    /// CSR rows of `pairs`: observer cluster `c` (Morton) owns
+    /// `pairs[pair_start[c]..pair_start[c + 1]]`.
+    pub pair_start: Vec<u32>,
+    /// Every in-bounds far-field interaction as `(source cluster, translator
+    /// slot)`, per observer in `QuadTree::interaction_list` order — the
+    /// order every engine's bit-identity rests on.
+    pub pairs: Vec<(u32, u32)>,
+    /// Outgoing (multipole) shifts child -> this level, sampled on this
+    /// level's Q and stored sample-major, `[i * 8 + pos * 2 + {re, im}]`, so
+    /// the four siblings of one sample are adjacent. Empty at the leaf level.
+    pub shift_out: Vec<f64>,
+    /// Incoming (local) shifts this level -> child: conjugates of
+    /// `shift_out`, same layout.
+    pub shift_in: Vec<f64>,
     /// Interpolation from the child sampling to this level's sampling.
     /// `None` at the leaf level.
-    pub interp: Option<InterpOp>,
+    pub interp: Option<PeriodicBandMatrix>,
     /// Anterpolation scale `Q_child / Q_this` applied with `interp^T`.
     pub anterp_scale: f64,
+}
+
+impl LevelPlan {
+    /// The translator of one offset, as its planes `[re; q][im; q]`.
+    pub fn translator(&self, off: Offset) -> &[f64] {
+        &self.translations[offset_index(off) * 2 * self.q..][..2 * self.q]
+    }
+
+    /// The interaction pairs of observer cluster `c`.
+    pub fn pairs_of(&self, c: usize) -> &[(u32, u32)] {
+        &self.pairs[self.pair_start[c] as usize..self.pair_start[c + 1] as usize]
+    }
 }
 
 /// The complete MLFMA factorization plan for one domain.
@@ -138,8 +112,8 @@ pub struct MlfmaPlan {
     pub accuracy: Accuracy,
     /// Computed levels, `[0]` = TOP_LEVEL, last = leaf.
     pub levels: Vec<LevelPlan>,
-    /// Multipole expansion matrix (leaf Q x 64), shared by all leaves.
-    pub expansion: Matrix,
+    /// Multipole expansion (leaf Q x 64), shared by all leaves.
+    pub expansion: MultipoleExpansion,
     /// Local expansion (the weighted adjoint of `expansion`), shared too.
     pub local_expansion: LocalExpansion,
     /// The near-field operator: one spectrum per neighbour offset.
@@ -166,26 +140,40 @@ impl MlfmaPlan {
         let mut levels = Vec::with_capacity(level_params.len());
         for (idx, &(level, l_trunc, q, width)) in level_params.iter().enumerate() {
             // --- translators: 40 offsets ---
-            let mut translations = vec![None; 49];
+            let mut translations = vec![0.0; OFFSET_SLOTS * 2 * q];
             for off in QuadTree::all_interaction_offsets() {
-                let xx = -(off.0 as f64) * width;
-                let xy = -(off.1 as f64) * width;
-                let dist = xx.hypot(xy);
-                let phi_x = xy.atan2(xx);
-                let h = hankel1_array(l_trunc, k * dist);
-                let t: Vec<C64> = (0..q)
-                    .map(|qi| {
-                        let theta = 2.0 * std::f64::consts::PI * qi as f64 / q as f64 - phi_x;
-                        let mut acc = h[0];
-                        for (m, &hm) in h.iter().enumerate().skip(1) {
-                            // i^m H_m (e^{im t} + e^{-im t}) = i^m H_m 2 cos(m t)
-                            acc += C64::i_pow(m as i64) * hm * (2.0 * (m as f64 * theta).cos());
-                        }
-                        acc
-                    })
-                    .collect();
-                translations[offset_index(off)] = Some(t);
+                let x_vec = (-(off.0 as f64) * width, -(off.1 as f64) * width);
+                let (re, im) = translations[offset_index(off) * 2 * q..][..2 * q].split_at_mut(q);
+                for (qi, t) in translator(k, x_vec, l_trunc, q).into_iter().enumerate() {
+                    (re[qi], im[qi]) = (t.re, t.im);
+                }
             }
+
+            // --- interaction pairs, once, in list order ---
+            let n_side = tree.clusters_per_side(level);
+            let n_clusters = n_side * n_side;
+            let mut pair_start = Vec::with_capacity(n_clusters + 1);
+            let mut pairs = Vec::with_capacity(27 * n_clusters);
+            // the four parity classes of a level share their offset lists
+            let offsets: Vec<Vec<Offset>> = (0..4u32)
+                .map(|parity| match level {
+                    TOP_LEVEL => QuadTree::all_interaction_offsets(),
+                    _ => QuadTree::interaction_offsets_for_parity(parity & 1, parity >> 1),
+                })
+                .collect();
+            let inside = 0..n_side as i64;
+            for c in 0..n_clusters as u32 {
+                pair_start.push(pairs.len() as u32);
+                let (ix, iy) = morton_decode(c);
+                for &(dx, dy) in &offsets[((ix & 1) + 2 * (iy & 1)) as usize] {
+                    let (sx, sy) = (ix as i64 + dx as i64, iy as i64 + dy as i64);
+                    if inside.contains(&sx) && inside.contains(&sy) {
+                        let src = morton_encode(sx as u32, sy as u32);
+                        pairs.push((src, offset_index((dx, dy)) as u32));
+                    }
+                }
+            }
+            pair_start.push(pairs.len() as u32);
 
             // --- shifts and interpolation (absent at the leaf level) ---
             let is_leaf = idx + 1 == level_params.len();
@@ -194,42 +182,34 @@ impl MlfmaPlan {
             } else {
                 let (_, _, q_child, _) = level_params[idx + 1];
                 let w_child = width * 0.5;
-                let mut shift_out = Vec::with_capacity(4);
-                let mut shift_in = Vec::with_capacity(4);
-                for pos in 0..4u32 {
+                let mut shift_out = vec![0.0; q * SIBLING_LANES];
+                let mut shift_in = vec![0.0; q * SIBLING_LANES];
+                for pos in 0..4usize {
                     // Morton child position: bit 0 = x parity, bit 1 = y parity.
                     let cx = ((pos & 1) as f64 - 0.5) * w_child;
                     let cy = (((pos >> 1) & 1) as f64 - 0.5) * w_child;
-                    let out: Vec<C64> = (0..q)
-                        .map(|qi| {
-                            let a = 2.0 * std::f64::consts::PI * qi as f64 / q as f64;
-                            // e^{-i k khat . (C_child - C_parent)}
-                            C64::cis(-k * (a.cos() * cx + a.sin() * cy))
-                        })
-                        .collect();
-                    let inn: Vec<C64> = out.iter().map(|v| v.conj()).collect();
-                    shift_out.push(out);
-                    shift_in.push(inn);
-                }
-                let interp = match accuracy.interp_kind {
-                    InterpKind::BandDiagonal => {
-                        InterpOp::Band(lagrange_interp_matrix(q_child, q, accuracy.interp_order))
+                    for qi in 0..q {
+                        let a = 2.0 * std::f64::consts::PI * qi as f64 / q as f64;
+                        // e^{-i k khat . (C_child - C_parent)}
+                        let out = C64::cis(-k * (a.cos() * cx + a.sin() * cy));
+                        let at = qi * SIBLING_LANES + pos * 2;
+                        (shift_out[at], shift_out[at + 1]) = (out.re, out.im);
+                        (shift_in[at], shift_in[at + 1]) = (out.re, -out.im);
                     }
-                    InterpKind::Spectral => InterpOp::Spectral {
-                        fft_child: Fft::new(q_child),
-                        fft_parent: Fft::new(q),
-                    },
-                };
+                }
+                let interp = lagrange_interp_matrix(q_child, q, accuracy.interp_order);
                 (shift_out, shift_in, Some(interp), q_child as f64 / q as f64)
             };
 
             levels.push(LevelPlan {
                 level,
-                n_side: tree.clusters_per_side(level),
+                n_side,
                 width,
                 l_trunc,
                 q,
                 translations,
+                pair_start,
+                pairs,
                 shift_out,
                 shift_in,
                 interp,
@@ -259,7 +239,7 @@ impl MlfmaPlan {
             kernel,
             accuracy,
             levels,
-            expansion,
+            expansion: MultipoleExpansion::new(&expansion),
             local_expansion,
             near_field,
         }
@@ -305,12 +285,7 @@ impl MlfmaPlan {
         for (idx, lp) in self.levels.iter().enumerate() {
             let n_clusters = lp.n_side * lp.n_side;
             // exact count of in-bounds translation pairs
-            let mut pairs = 0usize;
-            for iy in 0..lp.n_side {
-                for ix in 0..lp.n_side {
-                    pairs += self.tree.interaction_list(lp.level, ix, iy).len();
-                }
-            }
+            let pairs = lp.pairs.len();
             translation_flops += pairs as f64 * lp.q as f64 * cmul;
             if idx + 1 < self.levels.len() {
                 let children = 4 * n_clusters;
@@ -436,8 +411,8 @@ impl PlanStats {
     }
 }
 
-/// Builds a translator vector directly (exposed for the accuracy ablation
-/// benchmark, which sweeps L independently of the plan).
+/// Builds one translator diagonal (the plan's own; also exposed for the
+/// accuracy ablation benchmark, which sweeps L independently of the plan).
 pub fn translator(k: f64, x_vec: (f64, f64), l_trunc: usize, q: usize) -> Vec<C64> {
     let dist = x_vec.0.hypot(x_vec.1);
     let phi_x = x_vec.1.atan2(x_vec.0);
@@ -473,8 +448,12 @@ mod tests {
         assert_eq!(c.multipole_shift_types, 4 * (plan.levels.len() - 1));
         // every level has all 40 translators realized
         for lp in &plan.levels {
-            let realized = lp.translations.iter().filter(|t| t.is_some()).count();
+            let realized = QuadTree::all_interaction_offsets()
+                .into_iter()
+                .filter(|&off| lp.translator(off).iter().any(|v| *v != 0.0))
+                .count();
             assert_eq!(realized, 40, "level {}", lp.level);
+            assert_eq!(lp.translations.len(), OFFSET_SLOTS * 2 * lp.q);
         }
     }
 
@@ -487,10 +466,8 @@ mod tests {
         let leaf = plan.leaf_plan();
         let k = plan.kernel.k;
         let w = leaf.width;
-        let t = leaf.translations[offset_index((2, 0))]
-            .as_ref()
-            .expect("translator exists");
         let q = leaf.q;
+        let (t_re, t_im) = leaf.translator((2, 0)).split_at(q);
         // source at Cs + ds, obs at Co + do; offset (2,0): Cs = Co + (2w, 0)
         // Tolerance depends on how close the pair sits to the separation
         // boundary: the cluster-corner worst case of the one-buffer scheme is
@@ -506,7 +483,8 @@ mod tests {
             let dy = doy - dsy;
             let exact = hankel1_0(k * dx.hypot(dy));
             let mut acc = C64::ZERO;
-            for (qi, &tq) in t.iter().enumerate() {
+            for qi in 0..q {
+                let tq = ffw_numerics::c64(t_re[qi], t_im[qi]);
                 let a = 2.0 * std::f64::consts::PI * qi as f64 / q as f64;
                 // e^{i k khat . d}, d = (do - ds) relative to centers:
                 let d_dot = a.cos() * (dox - dsx) + a.sin() * (doy - dsy);
@@ -519,28 +497,55 @@ mod tests {
         }
     }
 
+    /// The pair table is `QuadTree::interaction_list`, cluster by cluster
+    /// and in its order (the plan builds it from the four per-parity offset
+    /// lists of a level instead of one list per cluster).
+    #[test]
+    fn pair_table_is_the_tree_interaction_lists() {
+        let plan = MlfmaPlan::new(&Domain::new(128, 1.0), Accuracy::low());
+        for lp in &plan.levels {
+            for c in 0..lp.n_side * lp.n_side {
+                let (ix, iy) = morton_decode(c as u32);
+                let want: Vec<(u32, u32)> = plan
+                    .tree
+                    .interaction_list(lp.level, ix as usize, iy as usize)
+                    .into_iter()
+                    .map(|(sx, sy, off)| {
+                        (
+                            morton_encode(sx as u32, sy as u32),
+                            offset_index(off) as u32,
+                        )
+                    })
+                    .collect();
+                assert_eq!(lp.pairs_of(c), want, "level {} cluster {c}", lp.level);
+            }
+        }
+    }
+
     #[test]
     fn shifts_are_unit_modulus_conjugate_pairs() {
         let plan = small_plan();
         for lp in &plan.levels[..plan.levels.len() - 1] {
-            assert_eq!(lp.shift_out.len(), 4);
-            for pos in 0..4 {
-                for (o, i) in lp.shift_out[pos].iter().zip(&lp.shift_in[pos]) {
-                    assert!((o.abs() - 1.0).abs() < 1e-12);
-                    assert!((o.conj() - *i).abs() < 1e-15);
-                }
+            assert_eq!(lp.shift_out.len(), lp.q * SIBLING_LANES);
+            let pairs = lp
+                .shift_out
+                .chunks_exact(2)
+                .zip(lp.shift_in.chunks_exact(2));
+            for (o, i) in pairs {
+                assert!((o[0].hypot(o[1]) - 1.0).abs() < 1e-12);
+                assert_eq!((o[0], -o[1]), (i[0], i[1]));
             }
         }
+        assert!(plan.leaf_plan().shift_out.is_empty());
     }
 
     #[test]
     fn expansion_matrix_shape_and_modulus() {
         let plan = small_plan();
         let e = &plan.expansion;
-        assert_eq!(e.rows(), plan.leaf_plan().q);
-        assert_eq!(e.cols(), LEAF_PIXELS);
-        for q in 0..e.rows() {
-            for j in 0..e.cols() {
+        assert_eq!(e.q(), plan.leaf_plan().q);
+        for q in 0..e.q() {
+            for j in 0..LEAF_PIXELS {
                 assert!((e.at(q, j).abs() - 1.0).abs() < 1e-12);
             }
         }

@@ -176,41 +176,6 @@ pub fn ifft(x: &[C64]) -> Vec<C64> {
     v
 }
 
-/// Like [`resample_periodic`] but with caller-provided FFT plans (hot paths:
-/// the spectral-interpolation option of the MLFMA reuses per-level plans).
-pub fn resample_with_plans(fft_in: &Fft, fft_out: &Fft, x: &[C64]) -> Vec<C64> {
-    let q_in = fft_in.len();
-    let q_out = fft_out.len();
-    assert_eq!(x.len(), q_in);
-    if q_in == q_out {
-        return x.to_vec();
-    }
-    let mut spec = x.to_vec();
-    fft_in.forward(&mut spec);
-    let mut out_spec = vec![C64::ZERO; q_out];
-    let half_keep = (q_in.min(q_out) - 1) / 2;
-    out_spec[..=half_keep].copy_from_slice(&spec[..=half_keep]);
-    for k in 1..=half_keep {
-        out_spec[q_out - k] = spec[q_in - k];
-    }
-    if q_in.min(q_out).is_multiple_of(2) {
-        let nyq = q_in.min(q_out) / 2;
-        if q_out > q_in {
-            out_spec[nyq] = spec[nyq].scale(0.5);
-            out_spec[q_out - nyq] = spec[nyq].scale(0.5);
-        } else {
-            out_spec[nyq] = (spec[nyq] + spec[q_in - nyq]).scale(0.5);
-        }
-    }
-    let mut out = out_spec;
-    fft_out.inverse(&mut out);
-    let s = q_out as f64 / q_in as f64;
-    for v in out.iter_mut() {
-        *v = v.scale(s);
-    }
-    out
-}
-
 /// Naive O(N^2) DFT used as a test oracle.
 pub fn dft_naive(x: &[C64]) -> Vec<C64> {
     let n = x.len();

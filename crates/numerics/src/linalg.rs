@@ -3,7 +3,7 @@
 //! The MLFMA realizes its operators as matrices (paper Table I): multipole /
 //! local expansions and near-field interactions are *dense*, interpolation /
 //! anterpolation are *band-diagonal* with real weights, and shifts /
-//! translations are diagonal (stored as plain `Vec<C64>` by the MLFMA crate).
+//! translations are diagonal (stored as split re/im planes by the MLFMA crate).
 
 use crate::complex::C64;
 
@@ -386,6 +386,16 @@ impl PeriodicBandMatrix {
     /// Number of stored nonzero coefficients.
     pub fn nnz(&self) -> usize {
         self.weights.len()
+    }
+
+    /// First column of every row's band.
+    pub fn start(&self) -> &[u32] {
+        &self.start
+    }
+
+    /// The band weights, `rows * band`, row-major.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
     /// `y = B x` (overwrites `y`).

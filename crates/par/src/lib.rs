@@ -168,13 +168,22 @@ impl Pool {
 
     /// Runs `f` over `0..n_items` split into chunks of `grain`, in parallel.
     /// Blocks until every chunk has run. Panics (after all chunks finish) if
-    /// any chunk panicked.
+    /// any chunk panicked. A one-thread pool runs the chunks inline, in
+    /// order, without allocating.
     pub fn parallel_chunks(&self, n_items: usize, grain: usize, f: impl Fn(Range<usize>) + Sync) {
         if n_items == 0 {
             return;
         }
         let grain = grain.max(1);
         let total_chunks = n_items.div_ceil(grain);
+        if self.n_threads == 1 {
+            // Nobody to share with: the chunks in order, no job state to
+            // allocate (a panic then propagates as it is).
+            for start in (0..n_items).step_by(grain) {
+                f(start..(start + grain).min(n_items));
+            }
+            return;
+        }
         let (done_tx, done_rx) = crossbeam_channel::bounded(1);
         let state = Arc::new(JobState {
             n_items,
@@ -196,7 +205,7 @@ impl Pool {
             >(f_ref)
         };
         // Wake the workers only if there is enough work to share.
-        if self.n_threads > 1 && total_chunks > 1 {
+        if total_chunks > 1 {
             let copies = (self.n_threads - 1).min(total_chunks - 1);
             for _ in 0..copies {
                 let job = Job {

@@ -318,7 +318,9 @@ fn deadline_exceeded_is_a_typed_failure() {
     let engine = Engine::open(cfg(dir.clone())).expect("open");
     let (ack, rx) = submit_watched(
         &engine,
-        &job("slow", r#""iterations":50,"deadline_ms":200"#),
+        // the most iterations a spec may ask for: seconds of work whatever
+        // the engine's speed (50 stopped taking 200 ms in PR 16)
+        &job("slow", r#""iterations":1000,"deadline_ms":200"#),
     );
     assert!(ack.contains("accepted"));
     assert_eq!(wait_terminal(&engine, "slow"), JobState::Failed);

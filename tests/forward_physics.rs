@@ -164,11 +164,12 @@ fn near_field_operator_through_serial_and_distributed_engines() {
         let members: Vec<usize> = (0..comm.size()).collect();
         let lo = comm.rank() * per;
         let g0 = ffw::dist::DistMlfma::new(&comm, Arc::clone(&plan), members, true);
-        let mut y_local = vec![C64::ZERO; per];
-        g0.apply(&x[lo..lo + per], &mut y_local);
-        y_local
+        let mut ys_local = [vec![C64::ZERO; per]];
+        g0.try_apply_block(&[&x[lo..lo + per]], &mut ys_local)
+            .expect("fault-free run");
+        ys_local
     });
-    let y_dist: Vec<C64> = slices.into_iter().flatten().collect();
+    let y_dist: Vec<C64> = slices.into_iter().flatten().flatten().collect();
     let gap = rel_diff(&y_dist, &y);
     assert!(gap <= 1e-10, "1 x 2 distributed vs serial apply: {gap:e}");
 }
