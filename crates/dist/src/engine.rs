@@ -357,7 +357,10 @@ impl<'c> DistMlfma<'c> {
         }
 
         // --- 2. aggregation over local sub-trees (overlaps halo transit) ---
-        far.begin(width);
+        // Every column rides, an all-zero slice included: the peers' slices
+        // of that column may not be zero, and finding out would cost the
+        // message the skipped traversal saves.
+        far.begin(0..width);
         far.aggregate(&self.pool, ranges, xs_local, px_start);
 
         // --- 3. post far-field pattern sends: one message per peer, or (the

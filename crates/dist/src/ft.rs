@@ -51,7 +51,9 @@ use ffw_inverse::{
 use ffw_mlfma::MlfmaPlan;
 use ffw_mpi::{Comm, FaultError, FaultPlan, Payload, RankOutcome, Runtime};
 use ffw_numerics::{c64, C64};
-use ffw_solver::{BicgstabBackend, DriftGuard, ForwardBackend, PrecondPair, VerifyConfig};
+use ffw_solver::{
+    BicgstabBackend, DriftGuard, ForwardBackend, PrecondPair, VerifyConfig, Workspace,
+};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -513,6 +515,7 @@ struct GridHook<'a> {
 struct GridContext<'a, 'c> {
     comm: &'c Comm,
     g0: DistMlfma<'c>,
+    ws: Workspace,
     group_txs: &'a [Vec<usize>],
     run_txs: Vec<usize>,
     subtree_ranks: usize,
@@ -545,6 +548,7 @@ impl<'a, 'c> GridContext<'a, 'c> {
         GridContext {
             comm,
             g0,
+            ws: Workspace::new(),
             group_txs,
             run_txs: group_txs.iter().flatten().copied().collect(),
             subtree_ranks,
@@ -604,6 +608,9 @@ impl<'c> RankContext for GridContext<'_, 'c> {
     fn g0(&self) -> &Self::G0 {
         &self.g0
     }
+    fn workspace(&self) -> &Workspace {
+        &self.ws
+    }
     fn backend<'a>(
         &'a self,
         choice: BackendChoice,
@@ -617,7 +624,7 @@ impl<'c> RankContext for GridContext<'_, 'c> {
             "run_dbim_ft refuses other backends before launching"
         );
         Ok(Box::new(BicgstabBackend::new(
-            &self.g0, object, guard, precond,
+            &self.g0, object, guard, precond, &self.ws,
         )))
     }
     fn pixels(&self) -> Range<usize> {
@@ -645,6 +652,8 @@ impl<'c> RankContext for GridContext<'_, 'c> {
     fn end_of_iteration(&self, st: &LoopState) -> Result<Flow, FaultError> {
         let hook = &self.hook;
         if let Some(path) = hook.ckpt_path {
+            // the gathered state and its encoding take the idle vectors' place
+            self.ws.release();
             gather_and_save(
                 self.comm,
                 path,

@@ -12,7 +12,7 @@ use crate::ft::{run_fingerprint, FtConfig, FtDbimResult};
 use ffw_fault::{Checkpoint, FaultError};
 use ffw_inverse::{dbim_hooked, Flow, ImagingSetup, LoopState};
 use ffw_numerics::C64;
-use ffw_solver::BlockLinOp;
+use ffw_solver::{BlockLinOp, Workspace};
 
 /// Runs `cfg.dbim` on the serial context over `g0`. Of `cfg`, the grid
 /// (which must be 1×1), `dbim`, `checkpoint`, `resume` and `control` apply;
@@ -46,10 +46,13 @@ pub fn run_dbim_local<G: BlockLinOp + ?Sized>(
     } else {
         None
     };
+    let ws = Workspace::new();
     // The stop is taken *after* the iteration's checkpoint is on disk, so a
     // stopped run always resumes bit-identically.
     let hook = |st: &LoopState| -> Result<Flow, FaultError> {
         if let Some(path) = &cfg.checkpoint {
+            // the packed state and its encoding take the idle vectors' place
+            ws.release();
             st.to_checkpoint(fingerprint, &txs, cfg.dbim.warm_start)
                 .save(path)?;
             ffw_obs::event(
@@ -70,7 +73,7 @@ pub fn run_dbim_local<G: BlockLinOp + ?Sized>(
             Flow::Continue
         })
     };
-    let run = dbim_hooked(setup, g0, measured, &cfg.dbim, init, &hook)?;
+    let run = dbim_hooked(setup, g0, measured, &cfg.dbim, init, &hook, &ws)?;
     if let Some(next) = run.stopped {
         ffw_obs::event(
             "dist.stop",

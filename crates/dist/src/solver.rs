@@ -115,7 +115,7 @@ mod tests {
     use ffw_geometry::Domain;
     use ffw_mlfma::{Accuracy, MlfmaPlan};
     use ffw_numerics::vecops::{rel_diff, zdotc};
-    use ffw_solver::{try_bicgstab_block, AdjointScatteringOp, ScatteringOp};
+    use ffw_solver::{try_bicgstab_block, AdjointScatteringOp, ScatteringOp, Workspace};
     use std::sync::Arc;
 
     fn allreduce(comm: &Comm, members: &[usize], vals: &mut [C64]) {
@@ -206,7 +206,8 @@ mod tests {
             let members: Vec<usize> = (0..comm.size()).collect();
             let r = comm.rank();
             let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members.clone(), true);
-            let a = ScatteringOp::new(&g0, &obj_ref[r * per..(r + 1) * per]);
+            let ws = Workspace::new();
+            let a = ScatteringOp::new(&g0, &obj_ref[r * per..(r + 1) * per], &ws);
             let mut xs = vec![vec![C64::ZERO; per]];
             let stats = try_bicgstab_block(
                 &a,
@@ -218,6 +219,7 @@ mod tests {
                 },
                 None,
                 None,
+                &ws,
             )
             .expect("solve");
             assert!(stats[0].converged, "{stats:?}");
@@ -229,7 +231,8 @@ mod tests {
         let x_ref = &x;
         let (ys, _) = ffw_mpi::run(1, move |comm| {
             let g0 = DistMlfma::new(&comm, Arc::clone(&plan3), vec![0], true);
-            let a = ScatteringOp::new(&g0, obj_ref);
+            let ws = Workspace::new();
+            let a = ScatteringOp::new(&g0, obj_ref, &ws);
             let mut ys = vec![vec![C64::ZERO; x_ref.len()]];
             a.try_apply_block_local(&[x_ref], &mut ys).expect("apply");
             ys.remove(0)
@@ -269,17 +272,18 @@ mod tests {
                 let members: Vec<usize> = (0..comm.size()).collect();
                 let r = comm.rank();
                 let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members.clone(), true);
-                let a = ScatteringOp::new(&g0, &obj_ref[r * per..(r + 1) * per]);
+                let ws = Workspace::new();
+                let a = ScatteringOp::new(&g0, &obj_ref[r * per..(r + 1) * per], &ws);
                 let b_locals: Vec<&[C64]> =
                     bs_ref.iter().map(|b| &b[r * per..(r + 1) * per]).collect();
                 // batched solve
                 let mut xs = vec![vec![C64::ZERO; per]; width];
-                let stats = try_bicgstab_block(&a, &b_locals, &mut xs, cfg, None, None)
+                let stats = try_bicgstab_block(&a, &b_locals, &mut xs, cfg, None, None, &ws)
                     .expect("block solve");
                 // width-1 reference, one column at a time
                 for (c, b_local) in b_locals.iter().enumerate() {
                     let mut x1 = vec![vec![C64::ZERO; per]];
-                    let s1 = try_bicgstab_block(&a, &[b_local], &mut x1, cfg, None, None)
+                    let s1 = try_bicgstab_block(&a, &[b_local], &mut x1, cfg, None, None, &ws)
                         .expect("width-1 solve")
                         .remove(0);
                     assert_eq!(xs[c], x1[0], "column {c} of width {width} drifted");
@@ -366,7 +370,7 @@ mod tests {
         let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
         let solve = |op: &dyn DistOp<Error = FaultError>| {
             let mut xs = vec![vec![C64::ZERO; n]; 2];
-            let out = try_bicgstab_block(op, &b_refs, &mut xs, cfg, None, None);
+            let out = try_bicgstab_block(op, &b_refs, &mut xs, cfg, None, None, &Workspace::new());
             (out, xs)
         };
         let (clean, x_clean) = solve(&flaky(n, |_| false));
@@ -414,8 +418,9 @@ mod tests {
             let r = comm.rank();
             let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members.clone(), true);
             let ol = &o_ref[r * per..(r + 1) * per];
-            let a = ScatteringOp::new(&g0, ol);
-            let ah = AdjointScatteringOp::new(&g0, ol);
+            let ws = Workspace::new();
+            let a = ScatteringOp::new(&g0, ol, &ws);
+            let ah = AdjointScatteringOp::new(&g0, ol, &ws);
             let mut ax = vec![vec![C64::ZERO; per]];
             a.try_apply_block_local(&[&x_ref[r * per..(r + 1) * per]], &mut ax)
                 .expect("forward apply");

@@ -30,7 +30,7 @@ use ffw_numerics::{c64, C64};
 use ffw_solver::{
     estimate_g0_norm, g0_adjoint_apply_block, make_backend, BackendChoice, BackendError,
     BlockLinOp, CountingOp, DistOp, DriftGuard, ForwardBackend, IterConfig, PrecondPair,
-    SolveStats, VerifiedBlockOp, VerifyConfig, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
+    SolveStats, VerifiedBlockOp, VerifyConfig, Workspace, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
 use std::cell::Cell;
 use std::ops::Range;
@@ -371,6 +371,11 @@ pub trait RankContext {
     type G0: DistOp + ?Sized;
     /// The rank-local Green's operator.
     fn g0(&self) -> &Self::G0;
+    /// The rank's N-vectors for the run: the forward engine, the scattering
+    /// operators and the passes of every outer iteration lease from it, so
+    /// after the first iteration nothing between the `G0` applies allocates
+    /// one.
+    fn workspace(&self) -> &Workspace;
     /// Builds the forward engine for the object iterate `object` (this
     /// rank's slice). Admission — e.g. the Born-series contrast bound —
     /// happens here, before any solve runs.
@@ -423,6 +428,7 @@ struct SerialContext<'a, G: BlockLinOp + ?Sized> {
     g0: CountingOp<'a, G>,
     /// `||G0||` for the Born-series admission (0 when unused).
     g0_norm: f64,
+    ws: &'a Workspace,
     txs: Vec<usize>,
     n_pixels: usize,
     poll: &'a dyn Fn() -> Option<FaultError>,
@@ -434,6 +440,9 @@ impl<'s, G: BlockLinOp + ?Sized> RankContext for SerialContext<'s, G> {
     fn g0(&self) -> &Self::G0 {
         &self.g0
     }
+    fn workspace(&self) -> &Workspace {
+        self.ws
+    }
     fn backend<'a>(
         &'a self,
         choice: BackendChoice,
@@ -441,7 +450,8 @@ impl<'s, G: BlockLinOp + ?Sized> RankContext for SerialContext<'s, G> {
         guard: Option<&'a DriftGuard>,
         precond: Option<PrecondPair<'a>>,
     ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
-        make_backend(choice, &self.g0, object, self.g0_norm, guard, precond)
+        let g0_norm = self.g0_norm;
+        make_backend(choice, &self.g0, object, g0_norm, guard, precond, self.ws)
     }
     fn pixels(&self) -> Range<usize> {
         0..self.n_pixels
@@ -482,12 +492,15 @@ pub fn dbim<G: BlockLinOp + ?Sized>(
     measured: &[Vec<C64>],
     cfg: &DbimConfig,
 ) -> Result<DbimResult, DbimError> {
-    dbim_hooked(setup, g0, measured, cfg, None, &|_| Ok(Flow::Continue))
+    let ws = Workspace::new();
+    dbim_hooked(setup, g0, measured, cfg, None, &|_| Ok(Flow::Continue), &ws)
 }
 
-/// [`dbim`] with the two things a supervised run adds: a start state (a
-/// resumed checkpoint) and an end-of-iteration hook that sees the loop state
-/// and answers continue / stop.
+/// [`dbim`] with what a supervised run adds: a start state (a resumed
+/// checkpoint), an end-of-iteration hook that sees the loop state and
+/// answers continue / stop, and the run's [`Workspace`] in the caller's
+/// hands — nothing is on lease while the hook runs, so a hook that is about
+/// to pack a checkpoint can [`Workspace::release`] it first.
 pub fn dbim_hooked<G: BlockLinOp + ?Sized>(
     setup: &ImagingSetup,
     g0: &G,
@@ -495,9 +508,10 @@ pub fn dbim_hooked<G: BlockLinOp + ?Sized>(
     cfg: &DbimConfig,
     init: Option<LoopState>,
     hook: IterationHook<'_>,
+    ws: &Workspace,
 ) -> Result<DbimResult, DbimError> {
     match &cfg.verify {
-        None => run_serial(setup, g0, measured, cfg, init, &|| None, hook),
+        None => run_serial(setup, g0, measured, cfg, init, &|| None, hook, ws),
         Some(vc) => {
             let vop = VerifiedBlockOp::new(g0, vc.clone());
             let poll = || {
@@ -506,13 +520,14 @@ pub fn dbim_hooked<G: BlockLinOp + ?Sized>(
                 let flushed = vop.flush().err();
                 flushed.or_else(|| vop.take_corruption())
             };
-            run_serial(setup, &vop, measured, cfg, init, &poll, hook)
+            run_serial(setup, &vop, measured, cfg, init, &poll, hook, ws)
         }
     }
 }
 
 /// Runs the loop on the serial context over `g0` (the raw Green's operator
 /// or its checksum-verified wrapper).
+#[allow(clippy::too_many_arguments)]
 fn run_serial<G: BlockLinOp + ?Sized>(
     setup: &ImagingSetup,
     g0: &G,
@@ -521,6 +536,7 @@ fn run_serial<G: BlockLinOp + ?Sized>(
     init: Option<LoopState>,
     poll: &dyn Fn() -> Option<FaultError>,
     hook: IterationHook<'_>,
+    ws: &Workspace,
 ) -> Result<DbimResult, DbimError> {
     // The Green's-operator norm is a per-run constant (the object never
     // changes G0): estimate it once, before the counting wrapper, so
@@ -533,6 +549,7 @@ fn run_serial<G: BlockLinOp + ?Sized>(
     let ctx = SerialContext {
         g0: CountingOp::new(g0),
         g0_norm,
+        ws,
         txs: (0..setup.n_tx()).collect(),
         n_pixels: setup.n_pixels(),
         poll,
@@ -587,19 +604,21 @@ where
         Ok(sum[0].re.sqrt())
     }
 
-    /// `GR` applied to one batch of owned-pixel source vectors, the whole
-    /// batch's receiver data riding in one group reduction.
+    /// `GR` applied to one batch of `count` owned-pixel source vectors, the
+    /// whole batch's receiver data riding in one group reduction. `source`
+    /// writes source `k` into the scratch vector it is given.
     fn to_receivers(
         &self,
-        sources: impl Iterator<Item = Vec<C64>>,
+        count: usize,
+        mut source: impl FnMut(usize, &mut [C64]),
     ) -> Result<Vec<Vec<C64>>, FaultError> {
         let n_rx = self.setup.n_rx();
-        let mut data = Vec::new();
-        for w in sources {
-            let at = data.len();
-            data.resize(at + n_rx, C64::ZERO);
-            self.setup
-                .gr_apply_cols(self.ctx.pixels(), &w, &mut data[at..]);
+        let cols = self.ctx.pixels();
+        let mut w = self.ctx.workspace().lease(cols.len(), 1);
+        let mut data = vec![C64::ZERO; count * n_rx];
+        for (k, rx) in data.chunks_mut(n_rx).enumerate() {
+            source(k, &mut w[0]);
+            self.setup.gr_apply_cols(cols.clone(), &w[0], rx);
         }
         self.ctx.g0().reduce(&mut data)?;
         Ok(data.chunks(n_rx).map(|r| r.to_vec()).collect())
@@ -628,11 +647,11 @@ where
                     .backend
                     .solve_block(&incs, fields_chunk, self.forward)?,
             );
-            let scattered = self.to_receivers(
-                fields_chunk
-                    .iter()
-                    .map(|f| object.iter().zip(f).map(|(o, p)| *o * *p).collect()),
-            )?;
+            let scattered = self.to_receivers(chunk.len(), |k, w| {
+                for ((wi, o), p) in w.iter_mut().zip(object).zip(&fields_chunk[k]) {
+                    *wi = *o * *p;
+                }
+            })?;
             for (&t, mut r) in chunk.iter().zip(scattered) {
                 for (ri, mi) in r.iter_mut().zip(&measured[t]) {
                     *ri -= *mi;
@@ -654,33 +673,34 @@ where
         d: &[C64],
     ) -> Result<Vec<Vec<C64>>, FaultError> {
         let n = object.len();
+        let ws = self.ctx.workspace();
         let mut out = Vec::with_capacity(fields.len());
         for fields_chunk in fields.chunks(self.batch) {
             let nb = fields_chunk.len();
-            let ws: Vec<Vec<C64>> = fields_chunk
-                .iter()
-                .map(|f| f.iter().zip(d).map(|(f, di)| *f * *di).collect())
-                .collect();
-            let w_refs: Vec<&[C64]> = ws.iter().map(|v| v.as_slice()).collect();
-            let mut g0ws = vec![vec![C64::ZERO; n]; nb];
+            let mut wds = ws.lease(n, nb);
+            for (w, f) in wds.iter_mut().zip(fields_chunk) {
+                for ((wi, fi), di) in w.iter_mut().zip(f).zip(d) {
+                    *wi = *fi * *di;
+                }
+            }
+            let w_refs: Vec<&[C64]> = wds.iter().map(|v| v.as_slice()).collect();
+            let mut g0ws = ws.lease(n, nb);
             self.ctx.g0().try_apply_block_local(&w_refs, &mut g0ws)?;
             let g0w_refs: Vec<&[C64]> = g0ws.iter().map(|v| v.as_slice()).collect();
-            let mut us = vec![vec![C64::ZERO; n]; nb];
+            let mut us = ws.lease_zeroed(n, nb);
             self.count(&self.backend.solve_block(&g0w_refs, &mut us, self.forward)?);
             // F_t d = GR (w + O u)
-            out.extend(self.to_receivers(ws.iter().zip(&us).map(|(w, u)| {
-                w.iter()
-                    .zip(u)
-                    .zip(object)
-                    .map(|((wi, ui), oi)| *wi + *oi * *ui)
-                    .collect()
-            }))?);
+            out.extend(self.to_receivers(nb, |k, src| {
+                for (((si, wi), ui), oi) in src.iter_mut().zip(&wds[k]).zip(&us[k]).zip(object) {
+                    *si = *wi + *oi * *ui;
+                }
+            })?);
         }
         Ok(out)
     }
 
-    /// `out = sum_t F_t^H r_t` on the owned pixels, batched exactly like the
-    /// gradient pass: `y_t = GR^H r_t`, `A^H z_t = conj(O) . y_t`,
+    /// `grad = sum_t F_t^H r_t` on the owned pixels, batched exactly like
+    /// the gradient pass: `y_t = GR^H r_t`, `A^H z_t = conj(O) . y_t`,
     /// `F_t^H r_t = conj(phi_t) . (y_t + G0^H z_t)` (E3, E4), accumulated in
     /// ascending `t` order at every batch width, then summed over the
     /// groups.
@@ -689,53 +709,51 @@ where
         fields: &[Vec<C64>],
         object: &[C64],
         rs: &[Vec<C64>],
-    ) -> Result<Vec<C64>, FaultError> {
+        grad: &mut [C64],
+    ) -> Result<(), FaultError> {
         let cols = self.ctx.pixels();
         let n = object.len();
-        let mut grad = vec![C64::ZERO; n];
+        let ws = self.ctx.workspace();
+        grad.fill(C64::ZERO);
         for (fields_chunk, rs_chunk) in fields.chunks(self.batch).zip(rs.chunks(self.batch)) {
             let nb = rs_chunk.len();
-            let mut ys = Vec::with_capacity(nb);
-            let mut rhss = Vec::with_capacity(nb);
-            for r in rs_chunk {
-                let mut y = vec![C64::ZERO; n];
-                self.setup.gr_adjoint_apply_cols(cols.clone(), r, &mut y);
-                let rhs: Vec<C64> = object
-                    .iter()
-                    .zip(&y)
-                    .map(|(o, yi)| o.conj() * *yi)
-                    .collect();
-                ys.push(y);
-                rhss.push(rhs);
+            let mut ys = ws.lease(n, nb);
+            let mut rhss = ws.lease(n, nb);
+            for ((y, rhs), r) in ys.iter_mut().zip(rhss.iter_mut()).zip(rs_chunk) {
+                self.setup.gr_adjoint_apply_cols(cols.clone(), r, y);
+                for ((ri, o), yi) in rhs.iter_mut().zip(object).zip(y.iter()) {
+                    *ri = o.conj() * *yi;
+                }
             }
             let rhs_refs: Vec<&[C64]> = rhss.iter().map(|v| v.as_slice()).collect();
-            let mut zs = vec![vec![C64::ZERO; n]; nb];
+            let mut zs = ws.lease_zeroed(n, nb);
             self.count(
                 &self
                     .backend
                     .solve_adjoint_block(&rhs_refs, &mut zs, self.forward)?,
             );
             let z_refs: Vec<&[C64]> = zs.iter().map(|v| v.as_slice()).collect();
-            let mut g0hzs = vec![vec![C64::ZERO; n]; nb];
-            g0_adjoint_apply_block(self.ctx.g0(), &z_refs, &mut g0hzs)?;
-            for ((f, y), g0hz) in fields_chunk.iter().zip(&ys).zip(&g0hzs) {
+            let mut g0hzs = ws.lease(n, nb);
+            g0_adjoint_apply_block(self.ctx.g0(), &z_refs, &mut g0hzs, ws)?;
+            for ((f, y), g0hz) in fields_chunk.iter().zip(ys.iter()).zip(g0hzs.iter()) {
                 for i in 0..n {
                     grad[i] += f[i].conj() * (y[i] + g0hz[i]);
                 }
             }
         }
-        self.ctx.sum_groups(&mut grad)?;
-        Ok(grad)
+        self.ctx.sum_groups(grad)?;
+        Ok(())
     }
 
     /// One hybrid-projection update (the wgcv-lsqr regularizer's whole inner
     /// step): `steps` Golub–Kahan bidiagonalization steps of the stacked
     /// Fréchet operator seeded by the stacked residual, wGCV-selected lambda
     /// on the projected bidiagonal problem, and the lift `delta = V y`.
-    /// Returns `(delta, lambda, step_norm)`: the object update on the owned
-    /// pixels, the chosen regularization parameter, and the norm of the
-    /// projected solution (== `||delta||` for the orthonormal Krylov basis;
-    /// reported as the iteration's step length).
+    /// Writes the object update on the owned pixels into `delta` and returns
+    /// `(lambda, step_norm)`: the chosen regularization parameter and the
+    /// norm of the projected solution (== `||delta||` for the orthonormal
+    /// Krylov basis; reported as the iteration's step length).
+    #[allow(clippy::too_many_arguments)]
     fn wgcv_lsqr_update(
         &self,
         fields: &[Vec<C64>],
@@ -744,13 +762,14 @@ where
         real_object: bool,
         steps: usize,
         omega: f64,
-    ) -> Result<(Vec<C64>, f64, f64), FaultError> {
-        let zero = (vec![C64::ZERO; object.len()], 0.0, 0.0);
+        delta: &mut [C64],
+    ) -> Result<(f64, f64), FaultError> {
+        delta.fill(C64::ZERO);
         // Linearized subproblem: min_d ||F d + r||^2, i.e. rhs b = -r
         // (stacked over transmitters). beta_1 u_1 = b.
         let beta1 = self.meas_norm_sqr(residuals)?.sqrt();
         if beta1 == 0.0 {
-            return Ok(zero);
+            return Ok((0.0, 0.0));
         }
         let mut u: Vec<Vec<C64>> = residuals
             .iter()
@@ -760,29 +779,33 @@ where
         // real perturbations; its adjoint then carries the real projection
         // `P` — applying P inside the recurrence keeps (F, P F^H) an exact
         // adjoint pair over the real inner product.
-        let project = |w: &mut Vec<C64>| {
+        let project = |w: &mut [C64]| {
             if real_object {
                 for v in w.iter_mut() {
                     v.im = 0.0;
                 }
             }
         };
+        // The Krylov basis v_1, v_2, ...: one vector per entry of `alphas`,
+        // `steps` at most; the next one is built in place behind them.
+        let mut basis = self.ctx.workspace().lease(object.len(), steps.max(1));
         // alpha_1 v_1 = P F^H u_1
-        let mut v = self.frechet_adjoint(fields, object, &u)?;
-        project(&mut v);
-        let alpha1 = self.obj_norm(&v)?;
+        self.frechet_adjoint(fields, object, &u, &mut basis[0])?;
+        project(&mut basis[0]);
+        let alpha1 = self.obj_norm(&basis[0])?;
         if alpha1 == 0.0 {
-            return Ok(zero);
+            return Ok((0.0, 0.0));
         }
-        for x in v.iter_mut() {
+        for x in basis[0].iter_mut() {
             *x = *x / alpha1;
         }
         let mut alphas = vec![alpha1];
         let mut betas: Vec<f64> = Vec::with_capacity(steps);
-        let mut vs = vec![v.clone()];
         for i in 0..steps {
+            let (built, next) = basis.split_at_mut(alphas.len());
+            let v = &built[i];
             // beta_{i+1} u_{i+1} = F v_i - alpha_i u_i
-            let mut fu = self.frechet(fields, object, &v)?;
+            let mut fu = self.frechet(fields, object, v)?;
             for (f, ui) in fu.iter_mut().zip(&u) {
                 for (fj, uj) in f.iter_mut().zip(ui) {
                     *fj -= alphas[i] * *uj;
@@ -800,12 +823,13 @@ where
             }
             u = fu;
             // alpha_{i+1} v_{i+1} = P F^H u_{i+1} - beta_{i+1} v_i
-            let mut w = self.frechet_adjoint(fields, object, &u)?;
-            project(&mut w);
-            for (wj, vj) in w.iter_mut().zip(&v) {
+            let w = &mut next[0];
+            self.frechet_adjoint(fields, object, &u, w)?;
+            project(w);
+            for (wj, vj) in w.iter_mut().zip(v) {
                 *wj -= beta * *vj;
             }
-            let alpha = self.obj_norm(&w)?;
+            let alpha = self.obj_norm(w)?;
             if alpha <= f64::EPSILON * alpha1 {
                 break;
             }
@@ -813,19 +837,17 @@ where
                 *x = *x / alpha;
             }
             alphas.push(alpha);
-            vs.push(w.clone());
-            v = w;
         }
+        let built = alphas.len();
         let bidiag = Bidiag { alphas, betas };
         let proj = ProjectedProblem::new(&bidiag, beta1);
         let lambda = proj.wgcv_lambda(omega);
         let y = proj.solve(lambda);
-        let mut delta = zero.0;
-        for (yi, vi) in y.iter().zip(&vs) {
-            axpy_real(*yi, vi, &mut delta);
+        for (yi, vi) in y.iter().zip(&basis[..built]) {
+            axpy_real(*yi, vi, delta);
         }
         let step_norm = y.iter().map(|c| c * c).sum::<f64>().sqrt();
-        Ok((delta, lambda, step_norm))
+        Ok((lambda, step_norm))
     }
 }
 
@@ -858,6 +880,7 @@ where
         }
     };
     let _span = span("dbim");
+    let ws = ctx.workspace();
     let cols = ctx.pixels();
     let n = cols.len();
     let n_own = ctx.txs().len();
@@ -969,13 +992,15 @@ where
             // passes): Golub–Kahan bidiagonalization of the Fréchet operator,
             // wGCV lambda on the projected problem, lift, project. ---
             let _wgcv_span = span("wgcv");
-            let (delta, lambda, step_norm) = pass.wgcv_lsqr_update(
+            let mut delta = ws.lease(n, 1);
+            let (lambda, step_norm) = pass.wgcv_lsqr_update(
                 &st.fields,
                 &residuals,
                 &st.object,
                 cfg.real_object,
                 steps,
                 omega,
+                &mut delta[0],
             )?;
             series("dbim.lambda", lambda);
             lambdas.push(lambda);
@@ -983,7 +1008,9 @@ where
         } else {
             // --- pass 2: gradient ---
             let gradient_span = span("gradient");
-            let mut grad = pass.frechet_adjoint(&st.fields, &st.object, &residuals)?;
+            let mut grad_lease = ws.lease(n, 1);
+            let grad = &mut grad_lease[0];
+            pass.frechet_adjoint(&st.fields, &st.object, &residuals, grad)?;
             if tik_lambda > 0.0 {
                 for (g, o) in grad.iter_mut().zip(&st.object) {
                     *g += *o * tik_lambda;
@@ -1006,7 +1033,7 @@ where
             // --- conjugate direction (Polak–Ribière+, restart on negative):
             // the three object-space dots ride in one reduction ---
             let mut dots = [
-                c64(norm2_sqr(&grad), 0.0),
+                c64(norm2_sqr(grad), 0.0),
                 grad.iter()
                     .zip(&st.grad_prev)
                     .map(|(g, gp)| g.conj() * (*g - *gp))
@@ -1023,10 +1050,11 @@ where
             } else {
                 0.0
             };
-            for (d, g) in st.dir.iter_mut().zip(&grad) {
+            for (d, g) in st.dir.iter_mut().zip(grad.iter()) {
                 *d = -*g + beta * *d;
             }
-            st.grad_prev.copy_from_slice(&grad);
+            st.grad_prev.copy_from_slice(grad);
+            drop(grad_lease);
 
             // --- pass 3: step size via the Fréchet operator ---
             let _step_span = span("step");
@@ -1055,13 +1083,17 @@ where
                 den += smooth_lambda * norm2_sqr(&ld);
             }
             let alpha = if den > 0.0 { num / den } else { 0.0 };
-            (alpha, st.dir.iter().map(|d| alpha * *d).collect())
+            let mut delta = ws.lease(n, 1);
+            for (dl, d) in delta[0].iter_mut().zip(&st.dir) {
+                *dl = alpha * *d;
+            }
+            (alpha, delta)
         };
         history.push(record(step));
         // Release the engine's borrow of the object before updating it; the
         // next iteration re-admits the updated iterate from scratch.
         drop(backend);
-        for (o, d) in st.object.iter_mut().zip(&delta) {
+        for (o, d) in st.object.iter_mut().zip(&delta[0]) {
             *o += *d;
         }
         if cfg.real_object {

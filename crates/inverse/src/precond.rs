@@ -99,7 +99,9 @@ mod tests {
     use ffw_greens::{assemble_g0, tree_positions, Kernel};
     use ffw_mlfma::Accuracy;
     use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
-    use ffw_solver::{bicgstab, bicgstab_block_with, IterConfig, ScatteringOp, SolveStats};
+    use ffw_solver::{
+        bicgstab, bicgstab_block_with, IterConfig, ScatteringOp, SolveStats, Workspace,
+    };
 
     fn solve_preconditioned(
         a: &ScatteringOp<Matrix>,
@@ -108,7 +110,8 @@ mod tests {
         cfg: IterConfig,
     ) -> (Vec<C64>, SolveStats) {
         let mut xs = vec![vec![C64::ZERO; b.len()]];
-        let stats = bicgstab_block_with(a, &[b], &mut xs, cfg, None, Some(m)).remove(0);
+        let ws = Workspace::new();
+        let stats = bicgstab_block_with(a, &[b], &mut xs, cfg, None, Some(m), &ws).remove(0);
         (xs.remove(0), stats)
     }
 
@@ -132,7 +135,8 @@ mod tests {
     fn preconditioned_solution_matches_plain() {
         let (plan, object, g0) = scene(0.3);
         let n = object.len();
-        let a = ScatteringOp::new(&g0, &object);
+        let ws = Workspace::new();
+        let a = ScatteringOp::new(&g0, &object, &ws);
         let b: Vec<C64> = (0..n).map(|i| C64::cis(0.1 * i as f64)).collect();
         let cfg = IterConfig {
             tol: 1e-10,
@@ -153,7 +157,8 @@ mod tests {
     fn preconditioner_reduces_iterations_at_high_contrast() {
         let (plan, object, g0) = scene(0.8);
         let n = object.len();
-        let a = ScatteringOp::new(&g0, &object);
+        let ws = Workspace::new();
+        let a = ScatteringOp::new(&g0, &object, &ws);
         let b: Vec<C64> = (0..n).map(|i| C64::cis(0.37 * i as f64)).collect();
         let cfg = IterConfig {
             tol: 1e-8,

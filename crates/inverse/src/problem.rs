@@ -128,21 +128,31 @@ pub fn synthesize_measurements<G: BlockLinOp + ?Sized>(
     let n = setup.n_pixels();
     let n_tx = setup.n_tx();
     let batch = n_tx.clamp(1, 8);
+    let ws = ffw_solver::Workspace::new();
+    let krylov = ffw_solver::BackendChoice::Bicgstab;
+    let backend = ffw_solver::make_backend(krylov, g0, object, 0.0, None, None, &ws)
+        .expect("the Krylov backend admits every object");
     let mut out = Vec::with_capacity(n_tx);
     for t0 in (0..n_tx).step_by(batch) {
         let t1 = (t0 + batch).min(n_tx);
         let incs: Vec<&[C64]> = (t0..t1).map(|t| setup.incident(t)).collect();
         // cold starts: each column solved from zero, as the scalar loop did
-        let mut phis = vec![vec![C64::ZERO; n]; t1 - t0];
-        let stats = ffw_solver::solve_forward_block(g0, object, &incs, &mut phis, forward);
+        let mut phis = ws.lease_zeroed(n, t1 - t0);
+        let stats = backend
+            .solve_block(&incs, &mut phis, forward)
+            .expect("synthesis forward solve broke down");
+        let mut w = ws.lease(n, 1);
         for (k, t) in (t0..t1).enumerate() {
             assert!(
                 stats[k].converged,
                 "synthesis forward solve failed for tx {t}: {:?}",
                 stats[k]
             );
+            for ((wi, o), p) in w[0].iter_mut().zip(object).zip(&phis[k]) {
+                *wi = *o * *p;
+            }
             let mut rx = vec![C64::ZERO; setup.n_rx()];
-            setup.scattered(object, &phis[k], &mut rx);
+            setup.gr_apply(&w[0], &mut rx);
             out.push(rx);
         }
     }
@@ -175,20 +185,37 @@ impl ImagingSetup {
     /// `out = GR[:, cols] w_local`: the column-sliced receiver operator used
     /// by the sub-tree-distributed solver (each rank contributes its pixel
     /// range; the group reduces the partial receiver vectors).
+    ///
+    /// Four receivers share one pass over `w_local`: a receiver's sum is one
+    /// dependent chain of complex multiply-adds, so four chains in flight
+    /// hide the latency one alone is bound by. Each receiver still adds its
+    /// pixels in ascending order.
     pub fn gr_apply_cols(&self, cols: std::ops::Range<usize>, w_local: &[C64], out: &mut [C64]) {
         assert_eq!(w_local.len(), cols.len());
         assert_eq!(out.len(), self.n_rx());
-        for (r, o) in out.iter_mut().enumerate() {
-            let mut acc = C64::ZERO;
-            let row = &self.gr.row(r)[cols.clone()];
-            for (g, w) in row.iter().zip(w_local) {
-                acc = g.mul_add(*w, acc);
+        for (block, outs) in out.chunks_mut(GR_ROWS).enumerate() {
+            let row = |j: usize| &self.gr.row(block * GR_ROWS + j)[cols.clone()];
+            if let [o0, o1, o2, o3] = outs {
+                let rows = row(0).iter().zip(row(1)).zip(row(2)).zip(row(3));
+                let mut acc = [C64::ZERO; GR_ROWS];
+                for ((((g0, g1), g2), g3), w) in rows.zip(w_local) {
+                    acc[0] = g0.mul_add(*w, acc[0]);
+                    acc[1] = g1.mul_add(*w, acc[1]);
+                    acc[2] = g2.mul_add(*w, acc[2]);
+                    acc[3] = g3.mul_add(*w, acc[3]);
+                }
+                [*o0, *o1, *o2, *o3] = acc;
+            } else {
+                for (j, o) in outs.iter_mut().enumerate() {
+                    let sum = row(j).iter().zip(w_local);
+                    *o = sum.fold(C64::ZERO, |acc, (g, w)| g.mul_add(*w, acc));
+                }
             }
-            *o = acc;
         }
     }
 
-    /// `out_local = (GR^H b)[cols]`: column-sliced adjoint.
+    /// `out_local = (GR^H b)[cols]`: column-sliced adjoint. Four receivers
+    /// are added per pass over `out_local`, in ascending receiver order.
     pub fn gr_adjoint_apply_cols(
         &self,
         cols: std::ops::Range<usize>,
@@ -198,14 +225,29 @@ impl ImagingSetup {
         assert_eq!(b.len(), self.n_rx());
         assert_eq!(out_local.len(), cols.len());
         out_local.iter_mut().for_each(|v| *v = C64::ZERO);
-        for (r, br) in b.iter().enumerate() {
-            let row = &self.gr.row(r)[cols.clone()];
-            for (o, g) in out_local.iter_mut().zip(row) {
-                *o = g.conj().mul_add(*br, *o);
+        for (block, bs) in b.chunks(GR_ROWS).enumerate() {
+            let row = |j: usize| &self.gr.row(block * GR_ROWS + j)[cols.clone()];
+            if let [b0, b1, b2, b3] = bs {
+                let rows = row(0).iter().zip(row(1)).zip(row(2)).zip(row(3));
+                for (o, (((g0, g1), g2), g3)) in out_local.iter_mut().zip(rows) {
+                    let sum = g0.conj().mul_add(*b0, *o);
+                    let sum = g1.conj().mul_add(*b1, sum);
+                    let sum = g2.conj().mul_add(*b2, sum);
+                    *o = g3.conj().mul_add(*b3, sum);
+                }
+            } else {
+                for (j, br) in bs.iter().enumerate() {
+                    for (o, g) in out_local.iter_mut().zip(row(j)) {
+                        *o = g.conj().mul_add(*br, *o);
+                    }
+                }
             }
         }
     }
 }
+
+/// Receivers per pass of the column-sliced receiver products.
+const GR_ROWS: usize = 4;
 
 #[cfg(test)]
 mod tests {

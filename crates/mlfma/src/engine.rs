@@ -16,6 +16,11 @@
 //! retired). [`MlfmaEngine::apply`] is the same traversal at panel width 1.
 //! Columns never mix, so a column's output is bit-identical at every panel
 //! width; the near field ([`crate::near`]) runs one column at a time.
+//!
+//! `G0 0 = 0`: a column that is identically zero (the whole first DBIM
+//! iteration multiplies `G0` by `O x` with `O = 0`) gets `+0.0` written to
+//! its output and stays out of the traversal. The scan that finds such
+//! columns stops at a column's first non-zero word.
 
 use crate::farfield::FarField;
 use crate::near::{FORWARD_FLOPS, INVERSE_FLOPS, PAIR_FLOPS, SPECTRUM_LEN};
@@ -41,6 +46,7 @@ struct StageCost {
 struct ObsHooks {
     applies: ffw_obs::Counter,
     block_applies: ffw_obs::Counter,
+    zero_columns: ffw_obs::Counter,
     panel_width: ffw_obs::Histogram,
     flops: [ffw_obs::Counter; 4],
     bytes: [ffw_obs::Counter; 4],
@@ -58,6 +64,7 @@ impl ObsHooks {
         ObsHooks {
             applies: ffw_obs::counter("mlfma.applies"),
             block_applies: ffw_obs::counter("mlfma.block_applies"),
+            zero_columns: ffw_obs::counter("mlfma.zero_columns"),
             panel_width: ffw_obs::histogram("mlfma.panel_width"),
             flops: STAGES.map(|s| ffw_obs::counter(&format!("mlfma.flops.{s}"))),
             bytes: STAGES.map(|s| ffw_obs::counter(&format!("mlfma.bytes.{s}"))),
@@ -66,19 +73,25 @@ impl ObsHooks {
         }
     }
 
-    /// Charges a `width`-column traversal: `mlfma.applies` advances by one
-    /// *per column* (so "applies" counts matvecs at any batching), pattern
-    /// flops/bytes scale with the panel width, but operator bytes are
-    /// charged once — that is the fused traversal's whole point. No-op (a
-    /// handful of branch-predicted loads) while the recorder is off.
+    /// Charges a `width`-column apply of which `live` columns are
+    /// traversed: `mlfma.applies` advances by one *per column asked for* (so
+    /// "applies" counts matvecs at any batching, as callers count them from
+    /// outside), pattern flops/bytes scale with the traversed columns only,
+    /// and operator bytes are charged once per traversal — that is the fused
+    /// traversal's whole point. No-op (a handful of branch-predicted loads)
+    /// while the recorder is off.
     #[inline]
-    fn charge_apply(&self, width: u64) {
+    fn charge_apply(&self, width: u64, live: u64) {
         self.applies.add(width);
         self.block_applies.inc();
         self.panel_width.record(width);
+        self.zero_columns.add(width - live);
+        if live == 0 {
+            return;
+        }
         for i in 0..4 {
-            self.flops[i].add(self.cost[i].flops * width);
-            self.bytes[i].add(self.cost[i].bytes * width + self.op_bytes[i]);
+            self.flops[i].add(self.cost[i].flops * live);
+            self.bytes[i].add(self.cost[i].bytes * live + self.op_bytes[i]);
         }
     }
 }
@@ -259,7 +272,8 @@ impl MlfmaEngine {
     ///
     /// Columns never mix (same operations, in the same order, at every
     /// width), so each `ys[b]` is bit-identical whatever panel `xs[b]` rides
-    /// in — alone included.
+    /// in — alone included. An all-zero `xs[b]` is answered with `+0.0`
+    /// without being traversed.
     pub fn apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) {
         let mut ys: Vec<&mut [C64]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
         self.apply_panel(xs, &mut ys);
@@ -278,15 +292,25 @@ impl MlfmaEngine {
             assert_eq!(y.len(), n);
         }
         let _apply = ffw_obs::span("mlfma.apply");
-        self.obs.charge_apply(width as u64);
+        let is_zero = |x: &[C64]| x.iter().all(|v| v.re == 0.0 && v.im == 0.0);
         let mut far = self.far.lock();
-        far.begin(width);
+        far.begin((0..width).filter(|&b| !is_zero(xs[b])));
+        let live = far.columns();
+        self.obs.charge_apply(width as u64, live.len() as u64);
+        for (b, y) in ys.iter_mut().enumerate() {
+            if !live.contains(&b) {
+                y.fill(C64::ZERO);
+            }
+        }
+        if live.is_empty() {
+            return;
+        }
         far.aggregate(&self.pool, &self.ranges, xs, 0);
         far.translate(&self.pool, &self.ranges);
         far.disaggregate(&self.pool, &self.ranges);
         let _s = ffw_obs::span("near");
-        for (col, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
-            self.receive_and_near(x, &far, col, y);
+        for (col, &b) in far.columns().iter().enumerate() {
+            self.receive_and_near(xs[b], &far, col, ys[b]);
         }
     }
 
@@ -461,6 +485,34 @@ mod tests {
             assert_eq!(cost.map(|c| c.flops), flops, "{n_px}");
             assert_eq!(cost.map(|c| c.bytes), bytes, "{n_px}");
             assert_eq!(operator_bytes(&plan), op_bytes, "{n_px}");
+        }
+    }
+
+    /// The column map of a panel with zero columns, at the smallest tree the
+    /// plan accepts (this one runs under Miri): the live columns land in the
+    /// leaf-expansion kernel's slots in panel order and come out as they do
+    /// alone; the zero columns come out `+0.0`.
+    #[test]
+    fn zero_columns_are_skipped_and_their_neighbours_unmoved() {
+        let (eng, _) = engine(32, Accuracy::low(), 1);
+        let n = eng.n();
+        let xs = [
+            vec![C64::ZERO; n],
+            random_x(n, 61),
+            vec![C64::ZERO; n],
+            random_x(n, 62),
+        ];
+        let refs: Vec<&[C64]> = xs.iter().map(|x| x.as_slice()).collect();
+        let mut ys = vec![vec![c64(f64::NAN, 1.0); n]; 4];
+        eng.apply_block(&refs, &mut ys);
+        for b in [0, 2] {
+            let plus_zero = |v: &C64| v.re.to_bits() == 0 && v.im.to_bits() == 0;
+            assert!(ys[b].iter().all(plus_zero), "zero column {b}");
+        }
+        for b in [1, 3] {
+            let mut alone = vec![C64::ZERO; n];
+            eng.apply(&xs[b], &mut alone);
+            assert_eq!(ys[b], alone, "live column {b}");
         }
     }
 

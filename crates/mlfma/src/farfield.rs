@@ -80,10 +80,14 @@ fn for_each_cluster(
 /// aggregation overwrites every outgoing slot of its ranges and translation
 /// every incoming slot before anything reads them
 /// (`workspace_reuse_across_widths_is_bit_identical` pins that).
+///
+/// The panel need not be every column the caller holds: [`Self::begin`]
+/// names the caller's columns that ride in it, so an engine that knows a
+/// column's answer (`G0 0 = 0`) leaves it out of the traversal altogether.
 pub struct FarField {
     plan: Arc<MlfmaPlan>,
-    /// Columns of the panel being traversed.
-    width: usize,
+    /// The caller's column behind each column of the panel being traversed.
+    columns: Vec<usize>,
     /// outgoing[li]: radiated patterns, `n_clusters * width` slots in use.
     outgoing: Vec<Vec<f64>>,
     /// incoming[li]: translated local patterns, same layout.
@@ -96,7 +100,7 @@ impl FarField {
         let empty = vec![Vec::new(); plan.levels.len()];
         FarField {
             plan,
-            width: 0,
+            columns: Vec::new(),
             outgoing: empty.clone(),
             incoming: empty,
         }
@@ -109,10 +113,13 @@ impl FarField {
         levels.map(|lp| 0..lp.n_side * lp.n_side).collect()
     }
 
-    /// Starts a `width`-column panel: grows the buffers if they do not hold
-    /// one already.
-    pub fn begin(&mut self, width: usize) {
-        self.width = width;
+    /// Starts a panel of the caller's columns `columns` (ascending indices
+    /// into the `xs` later given to [`Self::aggregate`]): grows the buffers
+    /// if they do not hold a panel that wide already.
+    pub fn begin(&mut self, columns: impl IntoIterator<Item = usize>) {
+        self.columns.clear();
+        self.columns.extend(columns);
+        let width = self.columns.len();
         for bufs in [&mut self.outgoing, &mut self.incoming] {
             for (buf, lp) in bufs.iter_mut().zip(&self.plan.levels) {
                 let len = lp.n_side * lp.n_side * width * 2 * lp.q;
@@ -123,15 +130,20 @@ impl FarField {
         }
     }
 
+    /// The caller's column behind each panel column, in panel order.
+    pub fn columns(&self) -> &[usize] {
+        &self.columns
+    }
+
     /// Words of one cluster (all columns) at level index `li`.
     fn cluster_len(&self, li: usize) -> usize {
-        self.width * 2 * self.plan.levels[li].q
+        self.columns.len() * 2 * self.plan.levels[li].q
     }
 
     /// Position of the slot of `(cluster c, column col)` at level index `li`.
     fn slot(&self, li: usize, c: usize, col: usize) -> Range<usize> {
-        let slot = 2 * self.plan.levels[li].q;
-        (c * self.width + col) * slot..(c * self.width + col + 1) * slot
+        let (slot, width) = (2 * self.plan.levels[li].q, self.columns.len());
+        (c * width + col) * slot..(c * width + col + 1) * slot
     }
 
     /// The outgoing pattern of `(cluster c, column col)` at level index `li`.
@@ -147,8 +159,9 @@ impl FarField {
     }
 
     /// Phases 1+2 of Fig. 4's MLFMA box over `ranges`: leaf multipole
-    /// expansions of `xs` (whose pixel 0 is tree pixel `first_pixel`), then
-    /// upward interpolation + shift to every coarser level.
+    /// expansions of the panel's columns of `xs` (whose pixel 0 is tree pixel
+    /// `first_pixel`), then upward interpolation + shift to every coarser
+    /// level.
     pub fn aggregate(
         &mut self,
         pool: &Pool,
@@ -158,16 +171,19 @@ impl FarField {
     ) {
         let _stage = ffw_obs::span("aggregate");
         let plan = &*self.plan;
-        let width = self.width;
-        assert_eq!(xs.len(), width, "panel width mismatch");
+        let columns = &self.columns;
+        assert!(
+            columns.iter().all(|&b| b < xs.len()),
+            "panel column outside the block"
+        );
         let leaf_li = plan.levels.len() - 1;
         let slot = 2 * plan.leaf_plan().q;
         let leaf_len = self.cluster_len(leaf_li);
         let leaves = &mut self.outgoing[leaf_li];
         for_each_cluster(pool, leaves, leaf_len, &ranges[leaf_li], 8, |c, slots| {
             let at = c * LEAF_PIXELS - first_pixel;
-            for (x, out) in xs.iter().zip(slots.chunks_exact_mut(slot)) {
-                plan.expansion.radiate(&x[at..at + LEAF_PIXELS], out);
+            for (&b, out) in columns.iter().zip(slots.chunks_exact_mut(slot)) {
+                plan.expansion.radiate(&xs[b][at..at + LEAF_PIXELS], out);
             }
         });
         for li in (0..leaf_li).rev() {

@@ -122,25 +122,44 @@ fn block_apply_is_bit_identical_per_column() {
 
 /// The engine's one workspace keeps the widest panel's capacity and is never
 /// cleared, so a narrower (or re-widened) panel runs over stale patterns laid
-/// out for another width. Every stage overwrites its slots before reading
-/// them: whatever was applied before, a panel's output equals that of a
-/// fresh engine, bit for bit.
+/// out for another width — and a zero column, which is left out of the
+/// traversal, leaves its slots of the previous panel behind. Every stage
+/// overwrites the slots of the columns it traverses before reading them and
+/// reads no others: whatever was applied before, a panel's output equals
+/// that of a fresh engine, bit for bit.
 #[test]
 fn workspace_reuse_across_widths_is_bit_identical() {
     let reused = engine(32, 2);
     let n = reused.n();
     let xs: Vec<Vec<C64>> = (0..9).map(|b| random_x(n, 40 + b as u64)).collect();
-    let run = |eng: &MlfmaEngine, width: usize| {
-        let refs: Vec<&[C64]> = xs[..width].iter().map(|v| v.as_slice()).collect();
+    let run = |eng: &MlfmaEngine, width: usize, zero: Option<usize>| {
+        let mut panel = xs[..width].to_vec();
+        if let Some(b) = zero {
+            panel[b] = vec![C64::ZERO; n];
+        }
+        let refs: Vec<&[C64]> = panel.iter().map(|v| v.as_slice()).collect();
         let mut ys = vec![vec![C64::ZERO; n]; width];
         eng.apply_block(&refs, &mut ys);
         ys
     };
-    for width in [8usize, 1, 8, 3, 9, 2] {
+    let schedule = [
+        (8usize, None),
+        (1, None),
+        (8, None),
+        // a zero column between two wide panels, in the middle and at an end
+        (8, Some(3)),
+        (8, None),
+        (9, Some(0)),
+        (3, None),
+        (9, None),
+        (2, Some(1)),
+        (2, None),
+    ];
+    for (width, zero) in schedule {
         assert_eq!(
-            run(&reused, width),
-            run(&engine(32, 2), width),
-            "width {width} read stale workspace contents"
+            run(&reused, width, zero),
+            run(&engine(32, 2), width, zero),
+            "width {width} (zero column {zero:?}) read stale workspace contents"
         );
     }
 }

@@ -39,6 +39,7 @@ use crate::krylov::{width_one, IterConfig, SolveStats};
 use crate::op::{BlockLinOp, DistOp, LinOp};
 use crate::precond::Precond;
 use crate::verify::DriftGuard;
+use crate::workspace::Workspace;
 use ffw_fault::FaultError;
 use ffw_numerics::vecops::norm2;
 use ffw_numerics::{c64, C64};
@@ -160,12 +161,14 @@ pub type PrecondPair<'a> = (&'a dyn Precond, &'a dyn Precond);
 
 /// The MLFMA+BiCGStab engine: [`crate::try_bicgstab_block`] on the forward
 /// or adjoint scattering operator, behind the backend seam. `object` is this
-/// rank's slice of the contrast function.
+/// rank's slice of the contrast function; every N-vector a solve needs is on
+/// lease from `ws`, the run's workspace.
 pub struct BicgstabBackend<'a, G: DistOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
     guard: Option<&'a DriftGuard>,
     precond: Option<PrecondPair<'a>>,
+    ws: &'a Workspace,
 }
 
 impl<'a, G: DistOp + ?Sized> BicgstabBackend<'a, G> {
@@ -176,6 +179,7 @@ impl<'a, G: DistOp + ?Sized> BicgstabBackend<'a, G> {
         object: &'a [C64],
         guard: Option<&'a DriftGuard>,
         precond: Option<PrecondPair<'a>>,
+        ws: &'a Workspace,
     ) -> Self {
         assert_eq!(g0.n_local(), object.len());
         BicgstabBackend {
@@ -183,6 +187,7 @@ impl<'a, G: DistOp + ?Sized> BicgstabBackend<'a, G> {
             object,
             guard,
             precond,
+            ws,
         }
     }
 }
@@ -200,8 +205,9 @@ where
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Result<Vec<SolveStats>, FaultError> {
-        let a = ScatteringOp::new(self.g0, self.object);
-        try_bicgstab_block(&a, bs, xs, cfg, self.guard, self.precond.map(|p| p.0))
+        let a = ScatteringOp::new(self.g0, self.object, self.ws);
+        let precond = self.precond.map(|p| p.0);
+        try_bicgstab_block(&a, bs, xs, cfg, self.guard, precond, self.ws)
     }
     fn solve_adjoint_block(
         &self,
@@ -209,8 +215,9 @@ where
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Result<Vec<SolveStats>, FaultError> {
-        let a = AdjointScatteringOp::new(self.g0, self.object);
-        try_bicgstab_block(&a, bs, xs, cfg, self.guard, self.precond.map(|p| p.1))
+        let a = AdjointScatteringOp::new(self.g0, self.object, self.ws);
+        let precond = self.precond.map(|p| p.1);
+        try_bicgstab_block(&a, bs, xs, cfg, self.guard, precond, self.ws)
     }
 }
 
@@ -231,7 +238,8 @@ where
 /// rollback budget is spent; clean solves are bit-identical to unguarded
 /// ones. `precond` rides into the BiCGStab kernel only — the Born series
 /// has no Krylov recurrence to precondition, so passing one with that
-/// choice is a caller bug.
+/// choice is a caller bug. `ws` is the run's workspace: build it once and
+/// hand it to every backend of the run (the Born series keeps its own).
 pub fn make_backend<'a, G: BlockLinOp + ?Sized>(
     choice: BackendChoice,
     g0: &'a G,
@@ -239,9 +247,12 @@ pub fn make_backend<'a, G: BlockLinOp + ?Sized>(
     g0_norm: f64,
     guard: Option<&'a DriftGuard>,
     precond: Option<PrecondPair<'a>>,
+    ws: &'a Workspace,
 ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
     match choice {
-        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend::new(g0, object, guard, precond))),
+        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend::new(
+            g0, object, guard, precond, ws,
+        ))),
         BackendChoice::BornSeries => {
             assert!(
                 precond.is_none(),
@@ -395,13 +406,16 @@ mod tests {
         let object: Vec<C64> = (0..n)
             .map(|_| c64(2.0 * KAPPA_LIMIT / g0_norm.max(1e-12), 0.0))
             .collect();
-        let err = make_backend(BackendChoice::BornSeries, &g0, &object, g0_norm, None, None)
+        let ws = Workspace::new();
+        let born = BackendChoice::BornSeries;
+        let err = make_backend(born, &g0, &object, g0_norm, None, None, &ws)
             .err()
             .expect("over-contrast object must be rejected");
         let BackendError::ContrastTooHigh { kappa, limit } = err;
         assert!(kappa >= limit);
         assert_eq!(limit, KAPPA_LIMIT);
         // ...while the Krylov backend accepts the same object
-        assert!(make_backend(BackendChoice::Bicgstab, &g0, &object, g0_norm, None, None).is_ok());
+        let krylov = BackendChoice::Bicgstab;
+        assert!(make_backend(krylov, &g0, &object, g0_norm, None, None, &ws).is_ok());
     }
 }

@@ -27,11 +27,18 @@
 //! *reduced* scalars, which are bit-identical on all ranks sharing the
 //! vectors, so those ranks narrow the active set identically and stay in
 //! lockstep.
+//!
+//! Between the applies the kernel costs its memory traffic: every N-vector
+//! is on lease from the caller's [`Workspace`], and the passes that walk the
+//! same data are one loop (`s` with `‖s‖²`; `⟨t,s⟩` with `⟨t,t⟩`; `r` with
+//! `‖r‖²`, the next `ρ` and the `x` update). Each sum keeps its own
+//! accumulator and its element order, so fusing moves no bit.
 
 use crate::krylov::{finite_c, BreakdownKind, IterConfig, SolveStats};
 use crate::op::DistOp;
 use crate::precond::Precond;
 use crate::verify::DriftGuard;
+use crate::workspace::{Leased, Workspace};
 use ffw_fault::FaultError;
 use ffw_numerics::vecops::{axpy, norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
@@ -71,25 +78,18 @@ fn reduce_cols<A: DistOp + ?Sized>(a: &A, vals: &mut [C64]) -> Result<(), A::Err
     }
 }
 
-/// Reduced `‖v[c]‖²` of the selected columns, one reduction for all of them.
-fn norms_sqr<A: DistOp + ?Sized>(
-    a: &A,
-    cols: &[usize],
-    v: &[Vec<C64>],
-) -> Result<Vec<C64>, A::Error> {
-    let mut sq: Vec<C64> = cols.iter().map(|&c| c64(norm2_sqr(&v[c]), 0.0)).collect();
-    reduce_cols(a, &mut sq)?;
-    Ok(sq)
-}
-
 /// A per-column recurrence snapshot taken at a passed drift audit. Every
 /// snapshot is a *top-of-loop* state (the next action is the rho inner
 /// product), so a rolled-back column resumes the lockstep loop directly.
-struct ColSnap {
-    x: Vec<C64>,
-    r: Vec<C64>,
-    p: Vec<C64>,
-    v: Vec<C64>,
+struct ColSnap<'w> {
+    /// The iterate; a column's later snapshots overwrite its first in
+    /// place.
+    x: Leased<'w>,
+    /// `r, p, v`, in that order — `None` in the snapshot of the start
+    /// state, which is `r = r_hat`, `p = v = 0` by construction (most
+    /// solves converge before their first periodic audit and never hold
+    /// these).
+    rpv: Option<Leased<'w>>,
     rho: C64,
     alpha: C64,
     omega: C64,
@@ -108,9 +108,10 @@ pub(crate) fn residual_drift<A: DistOp + ?Sized>(
     x: &[C64],
     r_rec: &[C64],
     b_norm: f64,
+    ws: &Workspace,
 ) -> Result<f64, A::Error> {
     let n = b.len();
-    let mut r_true = [vec![C64::ZERO; n]];
+    let mut r_true = ws.lease(n, 1);
     a.try_apply_block_local(&[x], &mut r_true)?;
     let mut diff2 = 0.0f64;
     for i in 0..n {
@@ -124,14 +125,20 @@ pub(crate) fn residual_drift<A: DistOp + ?Sized>(
 
 /// Per-column recurrence state of one sweep: everything the freeze, snapshot
 /// and rollback bookkeeping touches, so those are written once.
-struct Panel<'x> {
+struct Panel<'x, 'w> {
+    ws: &'w Workspace,
     xs: &'x mut [Vec<C64>],
-    r: Vec<Vec<C64>>,
-    p: Vec<Vec<C64>>,
-    v: Vec<Vec<C64>>,
+    r: Leased<'w>,
+    /// The shadow residual: `r` as it was at the start of the sweep.
+    r_hat: Leased<'w>,
+    p: Leased<'w>,
+    v: Leased<'w>,
     rho: Vec<C64>,
     alpha: Vec<C64>,
     omega: Vec<C64>,
+    /// This rank's share of the next `⟨r̂, r⟩`, left by the pass that wrote
+    /// `r`; `None` when `r` came from anywhere else.
+    rho_next: Vec<Option<C64>>,
     /// Last finite relative residual.
     res: Vec<f64>,
     iters: Vec<usize>,
@@ -140,13 +147,13 @@ struct Panel<'x> {
     verify_mv: Vec<usize>,
     rolled: Vec<usize>,
     rollbacks: Vec<u32>,
-    snaps: Vec<Option<ColSnap>>,
+    snaps: Vec<Option<ColSnap<'w>>>,
     stats: Vec<Option<SolveStats>>,
     /// Columns frozen by a breakdown, with the reason.
     broken: Vec<(usize, BreakdownKind)>,
 }
 
-impl Panel<'_> {
+impl Panel<'_, '_> {
     /// Freezes column `c` with the given outcome.
     fn finish(&mut self, c: usize, rel_residual: f64, converged: bool) {
         self.stats[c] = Some(SolveStats {
@@ -175,18 +182,31 @@ impl Panel<'_> {
 
     /// Records column `c`'s top-of-loop state as its rollback target.
     fn snapshot(&mut self, c: usize) {
-        self.snaps[c] = Some(ColSnap {
-            x: self.xs[c].clone(),
-            r: self.r[c].clone(),
-            p: self.p[c].clone(),
-            v: self.v[c].clone(),
-            rho: self.rho[c],
-            alpha: self.alpha[c],
-            omega: self.omega[c],
-            res: self.res[c],
-            iters: self.iters[c],
-            matvecs: self.matvecs[c],
+        let (ws, n) = (self.ws, self.xs[c].len());
+        let snap = self.snaps[c].get_or_insert_with(|| ColSnap {
+            x: ws.lease(n, 1),
+            rpv: None,
+            rho: C64::ZERO,
+            alpha: C64::ZERO,
+            omega: C64::ZERO,
+            res: 0.0,
+            iters: 0,
+            matvecs: 0,
         });
+        snap.x[0].copy_from_slice(&self.xs[c]);
+        if self.iters[c] > 0 {
+            let rpv = snap.rpv.get_or_insert_with(|| ws.lease(n, 3));
+            let state = [&self.r[c], &self.p[c], &self.v[c]];
+            for (kept, live) in rpv.iter_mut().zip(state) {
+                kept.copy_from_slice(live);
+            }
+        }
+        snap.rho = self.rho[c];
+        snap.alpha = self.alpha[c];
+        snap.omega = self.omega[c];
+        snap.res = self.res[c];
+        snap.iters = self.iters[c];
+        snap.matvecs = self.matvecs[c];
     }
 
     /// Restores column `c` to its last verified snapshot after a failed
@@ -203,13 +223,24 @@ impl Panel<'_> {
         let steps = self.iters[c] - snap.iters;
         self.verify_mv[c] += self.matvecs[c] - snap.matvecs;
         self.rolled[c] += steps;
-        self.xs[c].copy_from_slice(&snap.x);
-        self.r[c].copy_from_slice(&snap.r);
-        self.p[c].copy_from_slice(&snap.p);
-        self.v[c].copy_from_slice(&snap.v);
+        self.xs[c].copy_from_slice(&snap.x[0]);
+        match &snap.rpv {
+            Some(rpv) => {
+                let state = [&mut self.r[c], &mut self.p[c], &mut self.v[c]];
+                for (live, kept) in state.into_iter().zip(rpv.iter()) {
+                    live.copy_from_slice(kept);
+                }
+            }
+            None => {
+                self.r[c].copy_from_slice(&self.r_hat[c]);
+                self.p[c].fill(C64::ZERO);
+                self.v[c].fill(C64::ZERO);
+            }
+        }
         self.rho[c] = snap.rho;
         self.alpha[c] = snap.alpha;
         self.omega[c] = snap.omega;
+        self.rho_next[c] = None;
         self.res[c] = snap.res;
         self.iters[c] = snap.iters;
         self.matvecs[c] = snap.matvecs;
@@ -239,13 +270,16 @@ impl Panel<'_> {
 /// A breakdown (rho underflow, NaN/Inf iterate) freezes *only* that column,
 /// which reports honest unconverged [`SolveStats`] with its iterate left at
 /// the last finite value; sibling columns are unaffected and keep iterating.
+///
+/// The solve runs in a [`Workspace`] of its own; callers with more than one
+/// solve to do hold one and call [`bicgstab_block_with`].
 pub fn bicgstab_block<A: DistOp<Error = Infallible> + ?Sized>(
     a: &A,
     bs: &[&[C64]],
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
 ) -> Vec<SolveStats> {
-    bicgstab_block_with(a, bs, xs, cfg, None, None)
+    bicgstab_block_with(a, bs, xs, cfg, None, None, &Workspace::new())
 }
 
 /// Picks the vectors an apply consumes: the preconditioned copies when a
@@ -263,8 +297,9 @@ fn applied<'a>(
 }
 
 /// [`bicgstab_block`] plus the kernel's two optional riders, on an operator
-/// that cannot fail. A broken-down column is frozen and reported
-/// unconverged; [`try_bicgstab_block`] adds the retry policy on top.
+/// that cannot fail and in the caller's workspace. A broken-down column is
+/// frozen and reported unconverged; [`try_bicgstab_block`] adds the retry
+/// policy on top.
 ///
 /// **`guard`** — a [`DriftGuard`] audits every column: the true residual
 /// `b - A x` is recomputed every [`DriftGuard::period`] update steps *and*
@@ -294,8 +329,9 @@ pub fn bicgstab_block_with<A: DistOp<Error = Infallible> + ?Sized>(
     cfg: IterConfig,
     guard: Option<&DriftGuard>,
     precond: Option<&dyn Precond>,
+    ws: &Workspace,
 ) -> Vec<SolveStats> {
-    let Ok((stats, _broken)) = sweep(a, bs, xs, cfg, guard, precond);
+    let Ok((stats, _broken)) = sweep(a, bs, xs, cfg, guard, precond, ws);
     stats
 }
 
@@ -316,11 +352,12 @@ pub fn try_bicgstab_block<A: DistOp + ?Sized>(
     cfg: IterConfig,
     guard: Option<&DriftGuard>,
     precond: Option<&dyn Precond>,
+    ws: &Workspace,
 ) -> Result<Vec<SolveStats>, FaultError>
 where
     FaultError: From<A::Error>,
 {
-    let (mut stats, mut broken) = sweep(a, bs, xs, cfg, guard, precond)?;
+    let (mut stats, mut broken) = sweep(a, bs, xs, cfg, guard, precond, ws)?;
     broken.sort_by_key(|b| b.0);
     let breakdown =
         |st: &SolveStats, kind: BreakdownKind, restarts: u32| FaultError::KrylovBreakdown {
@@ -339,7 +376,7 @@ where
             max_iters: cfg.max_iters - first.iterations,
             ..cfg
         };
-        let (again, broken_again) = sweep(a, &bs[c..=c], &mut xs[c..=c], rest, guard, precond)?;
+        let (again, broken_again) = sweep(a, &bs[c..=c], &mut xs[c..=c], rest, guard, precond, ws)?;
         let total = SolveStats {
             iterations: first.iterations + again[0].iterations,
             matvecs: first.matvecs + again[0].matvecs,
@@ -355,6 +392,12 @@ where
     Ok(stats)
 }
 
+/// Largest `‖s‖ + |ω| ‖t‖` for which the fused residual pass may move `x`
+/// before the new residual is known: below it every term of `r = s − ωt` is
+/// finite and `‖r‖²` (at most the bound squared) cannot overflow, so the
+/// step is certain to be judged finite.
+const SAFE_STEP_NORM: f64 = 1e150;
+
 /// One lockstep sweep over a panel: fresh residuals from the current `xs`,
 /// then iterate until every column has converged, spent the budget in `cfg`,
 /// or broken down. Returns the per-column stats and the broken columns with
@@ -367,6 +410,7 @@ fn sweep<A: DistOp + ?Sized>(
     cfg: IterConfig,
     guard: Option<&DriftGuard>,
     precond: Option<&dyn Precond>,
+    ws: &Workspace,
 ) -> Result<(Vec<SolveStats>, Vec<(usize, BreakdownKind)>), A::Error> {
     let nb = bs.len();
     assert_eq!(xs.len(), nb, "solution block width mismatch");
@@ -383,15 +427,25 @@ fn sweep<A: DistOp + ?Sized>(
         ffw_obs::histogram("solver.bicgstab.panel_width").record(nb as u64);
     }
 
-    let zeros = || vec![vec![C64::ZERO; n]; nb];
+    // ‖b‖ of every column in one reduction; zero right-hand sides are
+    // solved exactly by x = 0. A panel of nothing else (the adjoint solves
+    // of a first DBIM iteration) holds no vector at all.
+    let mut b_sq: Vec<C64> = bs.iter().map(|b| c64(norm2_sqr(b), 0.0)).collect();
+    a.reduce(&mut b_sq)?;
+    let b_norm: Vec<f64> = b_sq.iter().map(|sq| sq.re.sqrt()).collect();
+    let live: Vec<usize> = (0..nb).filter(|&c| b_norm[c] != 0.0).collect();
+    let held = if live.is_empty() { 0 } else { nb };
     let mut st = Panel {
+        ws,
         xs,
-        r: zeros(),
-        p: zeros(),
-        v: zeros(),
+        r: ws.lease(n, held),
+        r_hat: ws.lease(n, held),
+        p: ws.lease(n, held),
+        v: ws.lease(n, held),
         rho: vec![C64::ONE; nb],
         alpha: vec![C64::ONE; nb],
         omega: vec![C64::ONE; nb],
+        rho_next: vec![None; nb],
         res: vec![0.0; nb],
         iters: vec![0; nb],
         matvecs: vec![0; nb],
@@ -402,41 +456,42 @@ fn sweep<A: DistOp + ?Sized>(
         stats: vec![None; nb],
         broken: Vec::new(),
     };
-    let mut b_norm = vec![0.0f64; nb];
     let mut rho_new = vec![C64::ZERO; nb];
-    let mut r_hat: Vec<Vec<C64>> = vec![Vec::new(); nb];
-    let mut s = zeros();
-    let mut t = zeros();
+    let mut s_norm = vec![0.0f64; nb];
+    // Whether the last residual pass of a column moved its x as well.
+    let mut moved = vec![false; nb];
+    let mut s = ws.lease(n, held);
+    let mut t = ws.lease(n, held);
     // M p and M s: only a preconditioned solve owns (and fills) them.
-    let hat_cols = if precond.is_some() { nb } else { 0 };
-    let mut p_hat: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; hat_cols];
-    let mut s_hat: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; hat_cols];
-
-    // ‖b‖ of every column in one reduction; zero right-hand sides are
-    // solved exactly by x = 0.
-    let mut b_sq: Vec<C64> = bs.iter().map(|b| c64(norm2_sqr(b), 0.0)).collect();
-    a.reduce(&mut b_sq)?;
-    let mut live: Vec<usize> = Vec::with_capacity(nb);
-    for c in 0..nb {
-        b_norm[c] = b_sq[c].re.sqrt();
-        if b_norm[c] == 0.0 {
-            st.xs[c].iter_mut().for_each(|v| *v = C64::ZERO);
-            st.finish(c, 0.0, true);
-        } else {
-            live.push(c);
-        }
+    let hat_cols = if precond.is_some() { held } else { 0 };
+    let mut p_hat = ws.lease(n, hat_cols);
+    let mut s_hat = ws.lease(n, hat_cols);
+    for c in (0..nb).filter(|c| !live.contains(c)) {
+        st.xs[c].fill(C64::ZERO);
+        st.finish(c, 0.0, true);
     }
 
-    // Fresh residuals r = b - A x, one fused apply over all live columns.
+    // Fresh residuals r = b - A x, one fused apply over all live columns;
+    // then r_hat = r, ‖r‖² and the first ρ in one pass per column. Leased
+    // vectors hold what their last user left, and the first p-update reads
+    // p and v.
     apply_cols(a, &live, st.xs, &mut st.r)?;
+    let mut r_sq: Vec<C64> = Vec::with_capacity(live.len());
     for &c in &live {
         st.matvecs[c] += 1;
-        for (ri, bi) in st.r[c].iter_mut().zip(bs[c]) {
+        st.p[c].fill(C64::ZERO);
+        st.v[c].fill(C64::ZERO);
+        let (mut sq, mut rho) = (0.0f64, C64::ZERO);
+        for ((ri, hi), bi) in st.r[c].iter_mut().zip(st.r_hat[c].iter_mut()).zip(bs[c]) {
             *ri = *bi - *ri;
+            *hi = *ri;
+            sq += ri.norm_sqr();
+            rho = hi.conj().mul_add(*ri, rho);
         }
-        r_hat[c] = st.r[c].clone();
+        st.rho_next[c] = Some(rho);
+        r_sq.push(c64(sq, 0.0));
     }
-    let r_sq = norms_sqr(a, &live, &st.r)?;
+    reduce_cols(a, &mut r_sq)?;
     let mut active: Vec<usize> = Vec::with_capacity(live.len());
     for (k, &c) in live.iter().enumerate() {
         let res = r_sq[k].re.sqrt() / b_norm[c];
@@ -473,8 +528,16 @@ fn sweep<A: DistOp + ?Sized>(
             in_budget
         });
 
-        // rho = <r_hat, r>, one reduction for the panel.
-        let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &st.r[c])).collect();
+        // rho = <r_hat, r>, one reduction for the panel; the pass that
+        // wrote r already summed this rank's share of it.
+        let mut dots: Vec<C64> = active
+            .iter()
+            .map(|&c| {
+                st.rho_next[c]
+                    .take()
+                    .unwrap_or_else(|| zdotc(&st.r_hat[c], &st.r[c]))
+            })
+            .collect();
         reduce_cols(a, &mut dots)?;
         let mut after_rho = Vec::with_capacity(active.len());
         for (k, &c) in active.iter().enumerate() {
@@ -497,27 +560,36 @@ fn sweep<A: DistOp + ?Sized>(
         }
         active = after_rho;
 
-        // v = A (M p), fused; then alpha and the early s-norm exit.
+        // v = A (M p), fused; then alpha, s = r - alpha v with ‖s‖² in the
+        // same pass, and the early s-norm exit.
         if let Some(m) = precond {
             for &c in &active {
                 m.apply(&st.p[c], &mut p_hat[c]);
             }
         }
         apply_cols(a, &active, applied(precond, &st.p, &p_hat), &mut st.v)?;
-        let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &st.v[c])).collect();
+        let mut dots: Vec<C64> = active
+            .iter()
+            .map(|&c| zdotc(&st.r_hat[c], &st.v[c]))
+            .collect();
         reduce_cols(a, &mut dots)?;
+        let mut s_sq: Vec<C64> = Vec::with_capacity(active.len());
         for (k, &c) in active.iter().enumerate() {
             st.matvecs[c] += 1;
             st.alpha[c] = rho_new[c] / dots[k];
+            let mut sq = 0.0f64;
             for (si, (ri, vi)) in s[c].iter_mut().zip(st.r[c].iter().zip(&st.v[c])) {
                 *si = *ri - st.alpha[c] * *vi;
+                sq += si.norm_sqr();
             }
+            s_sq.push(c64(sq, 0.0));
         }
-        let s_sq = norms_sqr(a, &active, &s)?;
+        reduce_cols(a, &mut s_sq)?;
         let mut after_s = Vec::with_capacity(active.len());
         for (k, &c) in active.iter().enumerate() {
-            let s_norm = s_sq[k].re.sqrt() / b_norm[c];
-            if s_norm >= cfg.tol || s_norm.is_nan() {
+            s_norm[c] = s_sq[k].re.sqrt();
+            let rel = s_norm[c] / b_norm[c];
+            if rel >= cfg.tol || rel.is_nan() {
                 after_s.push(c);
                 continue;
             }
@@ -530,7 +602,7 @@ fn sweep<A: DistOp + ?Sized>(
                 // Audit the would-be convergence: the recursive residual
                 // here is `s` and the candidate iterate is x + alpha p.
                 st.verify_mv[c] += 1;
-                let drift = residual_drift(a, bs[c], &st.xs[c], &s[c], b_norm[c])?;
+                let drift = residual_drift(a, bs[c], &st.xs[c], &s[c], b_norm[c], ws)?;
                 if !(drift.is_finite() && drift <= g.rel_tol) {
                     if st.recover(g, c) {
                         resumed.push(c);
@@ -538,13 +610,14 @@ fn sweep<A: DistOp + ?Sized>(
                     continue;
                 }
             }
-            ffw_obs::series_push("solver.bicgstab.residual", s_norm);
-            st.finish(c, s_norm, true);
+            ffw_obs::series_push("solver.bicgstab.residual", rel);
+            st.finish(c, rel, true);
         }
         active = after_s;
 
-        // t = A (M s), fused; then omega (both dots of every column in one
-        // reduction), the residual update and check, then the x update.
+        // t = A (M s), fused; then omega (both dots of every column from one
+        // pass, in one reduction), the residual update and check, and the x
+        // update.
         if let Some(m) = precond {
             for &c in &active {
                 m.apply(&s[c], &mut s_hat[c]);
@@ -553,40 +626,75 @@ fn sweep<A: DistOp + ?Sized>(
         apply_cols(a, &active, applied(precond, &s, &s_hat), &mut t)?;
         let mut dots: Vec<C64> = Vec::with_capacity(2 * active.len());
         for &c in &active {
-            dots.push(zdotc(&t[c], &s[c]));
-            dots.push(zdotc(&t[c], &t[c]));
+            let (mut ts, mut tt) = (C64::ZERO, C64::ZERO);
+            for (ti, si) in t[c].iter().zip(&s[c]) {
+                ts = ti.conj().mul_add(*si, ts);
+                tt = ti.conj().mul_add(*ti, tt);
+            }
+            dots.push(ts);
+            dots.push(tt);
         }
         reduce_cols(a, &mut dots)?;
+        // The step is judged by its residual *before* x moves, so a
+        // non-finite update never poisons the iterate (the historical
+        // silent-divergence bug: NaN residuals fail every `<` comparison, so
+        // the loop ran to max_iters and reported a NaN x as if it were a
+        // best effort). Where the reduced scalars already prove the new
+        // residual finite, x moves in the pass that writes r; otherwise it
+        // waits for the judgement.
+        let mut r_sq: Vec<C64> = Vec::with_capacity(active.len());
         for (k, &c) in active.iter().enumerate() {
             st.matvecs[c] += 1;
             st.omega[c] = dots[2 * k] / dots[2 * k + 1];
-            for (ri, (si, ti)) in st.r[c].iter_mut().zip(s[c].iter().zip(&t[c])) {
-                *ri = *si - st.omega[c] * *ti;
-            }
-        }
-        let r_sq = norms_sqr(a, &active, &st.r)?;
-        let mut after_update = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            let res_new = r_sq[k].re.sqrt() / b_norm[c];
-            if !res_new.is_finite() {
-                // The step is judged by its residual *before* x moves, so a
-                // non-finite update never poisons the iterate (the
-                // historical silent-divergence bug: NaN residuals fail every
-                // `<` comparison, so the loop ran to max_iters and reported
-                // a NaN x as if it were a best effort). The iterate does not
-                // contain this step, so the step is not counted
-                // (`SolveStats` contract: iterations = update steps
-                // reflected in the iterate).
-                st.iters[c] -= 1;
-                st.break_down(c, BreakdownKind::NonFinite);
-                continue;
-            }
+            let (alpha, omega) = (st.alpha[c], st.omega[c]);
+            moved[c] = s_norm[c] + omega.abs() * dots[2 * k + 1].re.sqrt() < SAFE_STEP_NORM;
             let (dp, ds) = (
                 &applied(precond, &st.p, &p_hat)[c],
                 &applied(precond, &s, &s_hat)[c],
             );
-            for (xi, (pi, si)) in st.xs[c].iter_mut().zip(dp.iter().zip(ds)) {
-                *xi += st.alpha[c] * *pi + st.omega[c] * *si;
+            let (mut sq, mut rho) = (0.0f64, C64::ZERO);
+            let mut residual = |ri: &mut C64, si: &C64, ti: &C64, hi: &C64| {
+                *ri = *si - omega * *ti;
+                sq += ri.norm_sqr();
+                rho = hi.conj().mul_add(*ri, rho);
+            };
+            let rows = st.r[c].iter_mut().zip(s[c].iter().zip(&t[c]));
+            let rows = rows.zip(&st.r_hat[c]);
+            if moved[c] {
+                let steps = st.xs[c].iter_mut().zip(dp.iter().zip(ds));
+                for (((ri, (si, ti)), hi), (xi, (pi, di))) in rows.zip(steps) {
+                    residual(ri, si, ti, hi);
+                    *xi += alpha * *pi + omega * *di;
+                }
+            } else {
+                for ((ri, (si, ti)), hi) in rows {
+                    residual(ri, si, ti, hi);
+                }
+            }
+            st.rho_next[c] = Some(rho);
+            r_sq.push(c64(sq, 0.0));
+        }
+        reduce_cols(a, &mut r_sq)?;
+        let mut after_update = Vec::with_capacity(active.len());
+        for (k, &c) in active.iter().enumerate() {
+            let res_new = r_sq[k].re.sqrt() / b_norm[c];
+            if !res_new.is_finite() {
+                // The iterate does not contain this step, so the step is
+                // not counted (`SolveStats` contract: iterations = update
+                // steps reflected in the iterate).
+                debug_assert!(!moved[c], "a step proven finite was judged non-finite");
+                st.iters[c] -= 1;
+                st.break_down(c, BreakdownKind::NonFinite);
+                continue;
+            }
+            if !moved[c] {
+                let (dp, ds) = (
+                    &applied(precond, &st.p, &p_hat)[c],
+                    &applied(precond, &s, &s_hat)[c],
+                );
+                for (xi, (pi, si)) in st.xs[c].iter_mut().zip(dp.iter().zip(ds)) {
+                    *xi += st.alpha[c] * *pi + st.omega[c] * *si;
+                }
             }
             st.res[c] = res_new;
             ffw_obs::series_push("solver.bicgstab.residual", res_new);
@@ -601,7 +709,7 @@ fn sweep<A: DistOp + ?Sized>(
             if let Some(g) = guard {
                 if converged || st.iters[c].is_multiple_of(g.period) {
                     st.verify_mv[c] += 1;
-                    let drift = residual_drift(a, bs[c], &st.xs[c], &st.r[c], b_norm[c])?;
+                    let drift = residual_drift(a, bs[c], &st.xs[c], &st.r[c], b_norm[c], ws)?;
                     if !(drift.is_finite() && drift <= g.rel_tol) {
                         if st.recover(g, c) {
                             resumed.push(c);
@@ -676,7 +784,8 @@ mod tests {
     fn a_column_is_bit_identical_at_every_panel_width() {
         // Width 1 is a panel like any other: column `b` solved alone, in a
         // panel of 3, of 8 and of 9 must come out bit-for-bit the same, with
-        // the same stats.
+        // the same stats — on one workspace, so a narrower panel runs in
+        // the vectors a wider one left behind, and twice over.
         let n = 48;
         let a = random_mat(n, 3, 7.0);
         let cfg = IterConfig {
@@ -684,24 +793,26 @@ mod tests {
             max_iters: 300,
         };
         let bs: Vec<Vec<C64>> = (0..9).map(|i| random_vec(n, 11 + i)).collect();
+        let ws = Workspace::new();
         let solve = |width: usize| {
             let b_refs: Vec<&[C64]> = bs[..width].iter().map(|b| b.as_slice()).collect();
             let mut xs = vec![vec![C64::ZERO; n]; width];
-            let stats = bicgstab_block(&a, &b_refs, &mut xs, cfg);
+            let stats = bicgstab_block_with(&a, &b_refs, &mut xs, cfg, None, None, &ws);
             (xs, stats)
         };
-        let (x1, s1) = solve(1);
-        assert_eq!(s1.len(), 1);
         let (x9, s9) = solve(9);
-        for width in [3usize, 8] {
+        for width in [1usize, 3, 8, 9, 1, 8, 3] {
             let (xs, stats) = solve(width);
+            assert_eq!(stats.len(), width);
             for c in 0..width {
                 assert_eq!(stats[c], s9[c], "column {c} stats at width {width}");
                 assert_eq!(xs[c], x9[c], "column {c} iterate at width {width}");
             }
         }
-        assert_eq!(s1[0], s9[0]);
-        assert_eq!(x1[0], x9[0], "B=1 iterates must match bit-for-bit");
+        let mut fresh = vec![vec![C64::ZERO; n]];
+        let alone = bicgstab_block(&a, &[&bs[0]], &mut fresh, cfg);
+        assert_eq!(alone[0], s9[0]);
+        assert_eq!(fresh[0], x9[0], "a fresh workspace gives the same bits");
     }
 
     #[test]
@@ -882,7 +993,7 @@ mod tests {
                 poison,
             };
             let mut xs = vec![vec![C64::ZERO; n]; 2];
-            let out = try_bicgstab_block(&op, &b_refs, &mut xs, cfg, None, None);
+            let out = try_bicgstab_block(&op, &b_refs, &mut xs, cfg, None, None, &Workspace::new());
             (out, xs)
         };
         let (clean, x_clean) = solve(|_| false);
@@ -953,7 +1064,15 @@ mod tests {
         let plain = bicgstab_block(&a, &b_refs, &mut xs_plain, cfg);
         let guard = DriftGuard::new(4, 1e-8, 2);
         let mut xs_guarded = vec![vec![C64::ZERO; n]; 3];
-        let guarded = bicgstab_block_with(&a, &b_refs, &mut xs_guarded, cfg, Some(&guard), None);
+        let guarded = bicgstab_block_with(
+            &a,
+            &b_refs,
+            &mut xs_guarded,
+            cfg,
+            Some(&guard),
+            None,
+            &Workspace::new(),
+        );
         assert_eq!(guard.detected(), 0, "clean run must not trip the guard");
         for c in 0..3 {
             assert_eq!(xs_guarded[c], xs_plain[c], "column {c} iterate");
@@ -992,8 +1111,9 @@ mod tests {
             }
         });
         let guard = DriftGuard::new(4, 1e-8, 3);
+        let ws = Workspace::new();
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), None);
+        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), None, &ws);
         assert!(guard.detected() >= 1, "corruption must be detected");
         assert!(guard.rolled_back() >= 1, "steps must be discarded");
         assert_eq!(guard.escalated(), 0, "transient fault must recover");
@@ -1005,6 +1125,14 @@ mod tests {
         );
         assert_eq!(stats[0].iterations, clean[0].iterations);
         assert_eq!(stats[0].matvecs, clean[0].matvecs);
+
+        // The workspace now holds a rolled-back column's vectors and its
+        // snapshots: a clean guarded solve in it must not see them.
+        let mut x_again = vec![vec![C64::ZERO; n]];
+        let again = bicgstab_block_with(&m, &[&b], &mut x_again, cfg, Some(&guard), None, &ws);
+        assert_eq!(x_again[0], x_clean[0], "reused workspace leaked state");
+        assert_eq!(again[0].iterations, clean[0].iterations);
+        assert_eq!(again[0].rolled_back, 0);
     }
 
     #[test]
@@ -1031,8 +1159,9 @@ mod tests {
             }
         });
         let guard = DriftGuard::new(4, 1e-8, 2);
+        let ws = Workspace::new();
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), None);
+        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), None, &ws);
         assert_eq!(guard.escalated(), 1, "budget exhausted must escalate");
         assert!(
             !stats[0].converged,
@@ -1043,6 +1172,14 @@ mod tests {
             xs[0].iter().all(|v| v.re.is_finite() && v.im.is_finite()),
             "escalated column freezes at the last verified iterate"
         );
+
+        // An escalated column's workspace serves the next solve unchanged.
+        let mut x_clean = vec![vec![C64::ZERO; n]];
+        let clean = bicgstab_block(&m, &[&b], &mut x_clean, cfg);
+        let mut x_again = vec![vec![C64::ZERO; n]];
+        let again = bicgstab_block_with(&m, &[&b], &mut x_again, cfg, None, None, &ws);
+        assert_eq!(again, clean);
+        assert_eq!(x_again, x_clean, "reused workspace leaked state");
     }
 
     #[test]
@@ -1061,7 +1198,15 @@ mod tests {
         let mut xs_plain = vec![vec![C64::ZERO; n]; 3];
         let plain = bicgstab_block(&a, &b_refs, &mut xs_plain, cfg);
         let mut xs_id = vec![vec![C64::ZERO; n]; 3];
-        let id = bicgstab_block_with(&a, &b_refs, &mut xs_id, cfg, None, Some(&IdentityPrecond));
+        let id = bicgstab_block_with(
+            &a,
+            &b_refs,
+            &mut xs_id,
+            cfg,
+            None,
+            Some(&IdentityPrecond),
+            &Workspace::new(),
+        );
         assert_eq!(id, plain);
         assert_eq!(xs_id, xs_plain);
         assert!(plain.iter().all(|s| s.converged && s.iterations > 0));
@@ -1093,8 +1238,9 @@ mod tests {
             tol: 1e-14,
             max_iters: 50,
         };
+        let ws = Workspace::new();
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_with(&poisoned, &[&b], &mut xs, cfg, None, Some(&jacobi));
+        let stats = bicgstab_block_with(&poisoned, &[&b], &mut xs, cfg, None, Some(&jacobi), &ws);
         assert!(!stats[0].converged);
         assert_eq!(stats[0].iterations, 2, "rolled-back step must not count");
         assert!(stats[0].rel_residual.is_finite());
@@ -1107,9 +1253,18 @@ mod tests {
             tol: 1e-14,
             max_iters: stats[0].iterations,
         };
+        // The replay runs in the workspace the broken-down column left full
+        // of NaN: nothing of it may reach the clean solve.
         let mut xs_replay = vec![vec![C64::ZERO; n]];
-        let replay =
-            bicgstab_block_with(&m, &[&b], &mut xs_replay, replay_cfg, None, Some(&jacobi));
+        let replay = bicgstab_block_with(
+            &m,
+            &[&b],
+            &mut xs_replay,
+            replay_cfg,
+            None,
+            Some(&jacobi),
+            &ws,
+        );
         assert_eq!(replay[0].iterations, stats[0].iterations);
         assert_eq!(xs_replay[0], xs[0], "replay at the reported count differs");
     }

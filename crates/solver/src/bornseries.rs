@@ -36,6 +36,7 @@ use crate::forward::{AdjointScatteringOp, ScatteringOp};
 use crate::krylov::{IterConfig, SolveStats};
 use crate::op::{BlockLinOp, DistOp};
 use crate::verify::DriftGuard;
+use crate::workspace::Workspace;
 use ffw_fault::FaultError;
 use ffw_numerics::vecops::norm2;
 use ffw_numerics::{c64, C64};
@@ -67,6 +68,8 @@ pub struct BornSeriesBackend<'a, G: BlockLinOp + ?Sized> {
     gamma: C64,
     kappa: f64,
     guard: Option<&'a DriftGuard>,
+    /// Scratch of the scattering operators and the drift audits.
+    ws: Workspace,
 }
 
 impl<'a, G: BlockLinOp + ?Sized> BornSeriesBackend<'a, G> {
@@ -91,6 +94,7 @@ impl<'a, G: BlockLinOp + ?Sized> BornSeriesBackend<'a, G> {
             gamma: choose_gamma(kappa),
             kappa,
             guard: None,
+            ws: Workspace::new(),
         })
     }
 
@@ -124,8 +128,10 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BornSeriesBackend<'_, G> {
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Result<Vec<SolveStats>, FaultError> {
-        let a = ScatteringOp::new(self.g0, self.object);
-        Ok(richardson_impl(&a, self.gamma, bs, xs, cfg, self.guard))
+        let a = ScatteringOp::new(self.g0, self.object, &self.ws);
+        Ok(richardson_impl(
+            &a, self.gamma, bs, xs, cfg, self.guard, &self.ws,
+        ))
     }
     fn solve_adjoint_block(
         &self,
@@ -133,7 +139,7 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BornSeriesBackend<'_, G> {
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Result<Vec<SolveStats>, FaultError> {
-        let a = AdjointScatteringOp::new(self.g0, self.object);
+        let a = AdjointScatteringOp::new(self.g0, self.object, &self.ws);
         // (I - gamma' A^H)^H = I - conj(gamma') A: taking gamma' = conj(gamma)
         // gives the adjoint sweep the same contraction norm as the forward one.
         Ok(richardson_impl(
@@ -143,6 +149,7 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BornSeriesBackend<'_, G> {
             xs,
             cfg,
             self.guard,
+            &self.ws,
         ))
     }
 }
@@ -179,6 +186,7 @@ fn richardson_impl<A: DistOp<Error = std::convert::Infallible> + ?Sized>(
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
     guard: Option<&DriftGuard>,
+    ws: &Workspace,
 ) -> Vec<SolveStats> {
     let nb = bs.len();
     assert_eq!(xs.len(), nb, "solution block width mismatch");
@@ -342,7 +350,7 @@ fn richardson_impl<A: DistOp<Error = std::convert::Infallible> + ?Sized>(
                 // snapshot — the trajectory stays bit-identical to the
                 // unguarded run.
                 if converging || iters[c].is_multiple_of(g.period) {
-                    let Ok(drift) = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
+                    let Ok(drift) = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c], ws);
                     verify_mv[c] += 1;
                     if drift > g.rel_tol {
                         g.record_detected();
@@ -499,7 +507,8 @@ mod tests {
         let n = 32;
         let (g0, object, g0_norm) = admissible_problem(n, 3);
         let backend = BornSeriesBackend::new(&g0, &object, g0_norm).expect("admissible");
-        let a = ScatteringOp::new(&g0, &object);
+        let ws = Workspace::new();
+        let a = ScatteringOp::new(&g0, &object, &ws);
         let x_true = random_vec(n, 17);
         let mut b = vec![C64::ZERO; n];
         let Ok(()) = a.try_apply_block_local(&[&x_true], std::slice::from_mut(&mut b));
@@ -557,7 +566,8 @@ mod tests {
         let n = 28;
         let (g0, object, g0_norm) = admissible_problem(n, 31);
         let backend = BornSeriesBackend::new(&g0, &object, g0_norm).expect("admissible");
-        let a = ScatteringOp::new(&g0, &object);
+        let ws = Workspace::new();
+        let a = ScatteringOp::new(&g0, &object, &ws);
         let x_true = random_vec(n, 33);
         let mut b = vec![C64::ZERO; n];
         let Ok(()) = a.try_apply_block_local(&[&x_true], std::slice::from_mut(&mut b));

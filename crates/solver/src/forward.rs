@@ -13,11 +13,14 @@
 //! Both operators are written over the [`DistOp`] seam: `diag(O)` acts on
 //! this rank's slice, the `G0` product and the reductions are whatever the
 //! wrapped operator does, so one pair serves the in-process engine and a
-//! sub-tree rank of the distributed one.
+//! sub-tree rank of the distributed one. The panel `G0` reads (`O . x`, or
+//! `conj x`) is on lease from the caller's [`Workspace`] for the length of
+//! one apply.
 
-use crate::block::bicgstab_block;
+use crate::block::bicgstab_block_with;
 use crate::krylov::{width_one, IterConfig, SolveStats};
 use crate::op::{DistOp, LinOp};
+use crate::workspace::{Leased, Workspace};
 use ffw_numerics::C64;
 use std::convert::Infallible;
 
@@ -25,14 +28,15 @@ use std::convert::Infallible;
 pub struct ScatteringOp<'a, G: DistOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
+    ws: &'a Workspace,
 }
 
 impl<'a, G: DistOp + ?Sized> ScatteringOp<'a, G> {
     /// Builds the operator for this rank's slice of the object contrast
     /// function `O` (tree order).
-    pub fn new(g0: &'a G, object: &'a [C64]) -> Self {
+    pub fn new(g0: &'a G, object: &'a [C64], ws: &'a Workspace) -> Self {
         assert_eq!(g0.n_local(), object.len());
-        ScatteringOp { g0, object }
+        ScatteringOp { g0, object, ws }
     }
 }
 
@@ -44,15 +48,12 @@ impl<G: DistOp + ?Sized> DistOp for ScatteringOp<'_, G> {
     /// Per-column scaling, one fused `G0` traversal for the whole panel.
     fn try_apply_block_local(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) -> Result<(), G::Error> {
         assert_eq!(xs.len(), ys.len(), "block width mismatch");
-        let oxs: Vec<Vec<C64>> = xs
-            .iter()
-            .map(|x| {
-                x.iter()
-                    .zip(self.object)
-                    .map(|(xi, oi)| *xi * *oi)
-                    .collect()
-            })
-            .collect();
+        let mut oxs = self.ws.lease(self.object.len(), xs.len());
+        for (ox, x) in oxs.iter_mut().zip(xs) {
+            for ((oxi, xi), oi) in ox.iter_mut().zip(*x).zip(self.object) {
+                *oxi = *xi * *oi;
+            }
+        }
         let ox_refs: Vec<&[C64]> = oxs.iter().map(|v| v.as_slice()).collect();
         self.g0.try_apply_block_local(&ox_refs, ys)?;
         for (y, x) in ys.iter_mut().zip(xs) {
@@ -71,14 +72,26 @@ impl<G: DistOp + ?Sized> DistOp for ScatteringOp<'_, G> {
 pub struct AdjointScatteringOp<'a, G: DistOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
+    ws: &'a Workspace,
 }
 
 impl<'a, G: DistOp + ?Sized> AdjointScatteringOp<'a, G> {
     /// Builds the adjoint operator.
-    pub fn new(g0: &'a G, object: &'a [C64]) -> Self {
+    pub fn new(g0: &'a G, object: &'a [C64], ws: &'a Workspace) -> Self {
         assert_eq!(g0.n_local(), object.len());
-        AdjointScatteringOp { g0, object }
+        AdjointScatteringOp { g0, object, ws }
     }
+}
+
+/// `conj xs[b]` for a panel, on lease from `ws`.
+fn conj_panel<'w>(xs: &[&[C64]], ws: &'w Workspace) -> Leased<'w> {
+    let mut xcs = ws.lease(xs.first().map_or(0, |x| x.len()), xs.len());
+    for (xc, x) in xcs.iter_mut().zip(xs) {
+        for (ci, xi) in xc.iter_mut().zip(*x) {
+            *ci = xi.conj();
+        }
+    }
+    xcs
 }
 
 impl<G: DistOp + ?Sized> DistOp for AdjointScatteringOp<'_, G> {
@@ -89,10 +102,7 @@ impl<G: DistOp + ?Sized> DistOp for AdjointScatteringOp<'_, G> {
     /// `G0^H x = conj(G0 conj(x))`, the `G0` product fused over the panel.
     fn try_apply_block_local(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) -> Result<(), G::Error> {
         assert_eq!(xs.len(), ys.len(), "block width mismatch");
-        let xcs: Vec<Vec<C64>> = xs
-            .iter()
-            .map(|x| x.iter().map(|v| v.conj()).collect())
-            .collect();
+        let xcs = conj_panel(xs, self.ws);
         let xc_refs: Vec<&[C64]> = xcs.iter().map(|v| v.as_slice()).collect();
         self.g0.try_apply_block_local(&xc_refs, ys)?;
         for (y, x) in ys.iter_mut().zip(xs) {
@@ -122,11 +132,9 @@ pub fn g0_adjoint_apply_block<G: DistOp + ?Sized>(
     g0: &G,
     xs: &[&[C64]],
     ys: &mut [Vec<C64>],
+    ws: &Workspace,
 ) -> Result<(), G::Error> {
-    let xcs: Vec<Vec<C64>> = xs
-        .iter()
-        .map(|x| x.iter().map(|v| v.conj()).collect())
-        .collect();
+    let xcs = conj_panel(xs, ws);
     let xc_refs: Vec<&[C64]> = xcs.iter().map(|v| v.as_slice()).collect();
     g0.try_apply_block_local(&xc_refs, ys)?;
     for y in ys.iter_mut() {
@@ -179,8 +187,9 @@ pub fn solve_forward_block<G: DistOp<Error = Infallible> + ?Sized>(
     phis: &mut [Vec<C64>],
     cfg: IterConfig,
 ) -> Vec<SolveStats> {
-    let a = ScatteringOp::new(g0, object);
-    bicgstab_block(&a, phi_incs, phis, cfg)
+    let ws = Workspace::new();
+    let a = ScatteringOp::new(g0, object, &ws);
+    bicgstab_block_with(&a, phi_incs, phis, cfg, None, None, &ws)
 }
 
 /// Batched adjoint solve `A^H zs[b] = rhss[b]`, lockstep across columns.
@@ -191,8 +200,9 @@ pub fn solve_adjoint_block<G: DistOp<Error = Infallible> + ?Sized>(
     zs: &mut [Vec<C64>],
     cfg: IterConfig,
 ) -> Vec<SolveStats> {
-    let a = AdjointScatteringOp::new(g0, object);
-    bicgstab_block(&a, rhss, zs, cfg)
+    let ws = Workspace::new();
+    let a = AdjointScatteringOp::new(g0, object, &ws);
+    bicgstab_block_with(&a, rhss, zs, cfg, None, None, &ws)
 }
 
 #[cfg(test)]
@@ -249,7 +259,8 @@ mod tests {
         let n = 24;
         let g0 = symmetric_g0(n, 1);
         let o = random_vec(n, 2);
-        let a_op = ScatteringOp::new(&g0, &o);
+        let ws = Workspace::new();
+        let a_op = ScatteringOp::new(&g0, &o, &ws);
         // assemble I - G0 diag(O)
         let assembled = Matrix::from_fn(n, n, |r, c| {
             let v = -(g0.at(r, c) * o[c]);
@@ -272,8 +283,9 @@ mod tests {
         let n = 20;
         let g0 = symmetric_g0(n, 5);
         let o = random_vec(n, 6);
-        let a = ScatteringOp::new(&g0, &o);
-        let ah = AdjointScatteringOp::new(&g0, &o);
+        let ws = Workspace::new();
+        let a = ScatteringOp::new(&g0, &o, &ws);
+        let ah = AdjointScatteringOp::new(&g0, &o, &ws);
         let x = random_vec(n, 7);
         let y = random_vec(n, 8);
         let mut ax = vec![C64::ZERO; n];
@@ -295,7 +307,8 @@ mod tests {
         let o: Vec<C64> = random_vec(n, 10).iter().map(|v| *v * 0.5).collect();
         let phi_true = random_vec(n, 11);
         // phi_inc = A phi_true
-        let a = ScatteringOp::new(&g0, &o);
+        let ws = Workspace::new();
+        let a = ScatteringOp::new(&g0, &o, &ws);
         let mut phi_inc = vec![C64::ZERO; n];
         apply(&a, &phi_true, &mut phi_inc);
         let mut phi = vec![C64::ZERO; n];

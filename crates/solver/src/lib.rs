@@ -10,6 +10,8 @@
 //! trait and [`make_backend`] — not by naming a solver function.
 
 #![warn(missing_docs)]
+// The crate itself has no unsafe code; `tests/alloc.rs` wraps the global allocator.
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod backend;
 pub mod block;
@@ -19,6 +21,7 @@ pub mod krylov;
 pub mod op;
 pub mod precond;
 pub mod verify;
+pub mod workspace;
 
 pub use backend::{
     estimate_g0_norm, make_backend, max_object_abs, BackendChoice, BackendError, BicgstabBackend,
@@ -38,3 +41,4 @@ pub use verify::{
     VerifyConfig, DEFAULT_CHECKSUM_REL_TOL, DEFAULT_DRIFT_PERIOD, DEFAULT_DRIFT_REL_TOL,
     DEFAULT_VERIFY_PERIOD,
 };
+pub use workspace::{Leased, Workspace};

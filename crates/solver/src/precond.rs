@@ -49,7 +49,16 @@ mod tests {
         cfg: IterConfig,
     ) -> SolveStats {
         let Ok(stats) = width_one(b, x, |bs, xs| {
-            Ok::<_, std::convert::Infallible>(bicgstab_block_with(a, bs, xs, cfg, None, Some(m)))
+            let ws = crate::Workspace::new();
+            Ok::<_, std::convert::Infallible>(bicgstab_block_with(
+                a,
+                bs,
+                xs,
+                cfg,
+                None,
+                Some(m),
+                &ws,
+            ))
         });
         stats
     }

@@ -33,10 +33,26 @@
 //! The window form exists for performance: a fused width-`B` panel costs far
 //! less than `B` single applies, so a per-panel ride-along checksum column
 //! would cost `~1/B` of the panel *plus* the SIMD-remainder penalty of an
-//! odd width — measured ~36% at `B = 8` on the pinned workload. Amortizing
-//! one checksum apply over a `period`-panel window brings the measured
-//! overhead under the 5% budget (`ffw-bench --bin sdc_overhead` gates this)
-//! while still covering every column of every panel.
+//! odd width — measured ~36% at `B = 8` on a 32² workload. Amortizing one
+//! checksum apply over a `period`-panel window is what `ffw-bench --bin
+//! sdc_overhead` gates under 5% (it reads 1–2%) — for back-to-back width-8
+//! panels at 32², the checksum window alone. A reconstruction pays more,
+//! and the ladder says how much (EXPERIMENTS.md, PR 17): with the drift
+//! guard on as well, `recon_s` on `serial-256` (batch 4, one outer
+//! iteration) is 1.24–1.35× the unverified run — of the +0.08 s, 0.055 s are
+//! the six width-1 audit and checksum applies (of fourteen; the others are
+//! of zero columns) that traverse the tree — every would-be convergence is
+//! audited, and a window is closed at every iteration boundary however few
+//! panels it holds — and
+//! 0.025 s are the fold, snapshot and audit passes between the applies —
+//! and 1.12–1.21× on `hop-wgcv-64`. Short solves and short windows are what
+//! make it expensive: the price falls with the iterations per solve and the
+//! panels per window, not with the panel width.
+//!
+//! The window's sums are walked once per panel, a cache block at a time,
+//! and the panel that closes a window is verified *in hand* — its outputs
+//! join the comparison on the fly instead of being folded in first — so a
+//! recompute has nothing to undo and a boundary keeps no copy of the sums.
 
 use crate::op::{BlockLinOp, LinOp};
 use ffw_fault::{ComputeFault, FaultError, RetryPolicy};
@@ -57,12 +73,15 @@ pub const DEFAULT_CHECKSUM_REL_TOL: f64 = 1e-9;
 
 /// Default number of panels folded into one checksum verification.
 ///
-/// One checksum apply costs roughly a third of a fused width-8 panel on the
-/// pinned workload, so amortizing it over 16 panels keeps the steady-state
-/// verification overhead near 2% — comfortably inside the 5% budget gated by
-/// `ffw-bench --bin sdc_overhead`. Detection latency is bounded by the
-/// window: corruption in a consumed panel is caught at most `period - 1`
-/// panels later and escalated for rollback/retry recovery.
+/// One checksum apply costs roughly a third of a fused width-8 panel at
+/// 32², so amortizing it over 16 panels keeps the *window's* steady-state
+/// cost at 1–2% of back-to-back width-8 panels (`ffw-bench --bin
+/// sdc_overhead` gates it under 5%). That is not what a reconstruction
+/// pays: a DBIM run closes its window at every iteration boundary and
+/// audits every solve, and reads 1.24–1.35× on `serial-256` (module docs).
+/// Detection latency is bounded by the window: corruption in a consumed
+/// panel is caught at most `period - 1` panels later and escalated for
+/// rollback/retry recovery.
 pub const DEFAULT_VERIFY_PERIOD: usize = 16;
 
 /// Default relative recursive-vs-true residual divergence tolerated by
@@ -163,6 +182,9 @@ struct Window {
     /// (1-norm `|re| + |im|` — within `√2` of the modulus and sqrt-free,
     /// since this accumulates on every lane of every panel).
     abs_acc: Vec<f64>,
+    /// The checksum apply's output, kept for the wrapper's life so a
+    /// verification allocates nothing.
+    y_cs: Vec<C64>,
 }
 
 impl Window {
@@ -172,6 +194,7 @@ impl Window {
             x_cs: vec![C64::ZERO; n],
             y_sum: vec![C64::ZERO; n],
             abs_acc: vec![0.0; n],
+            y_cs: vec![C64::ZERO; n],
         }
     }
 
@@ -302,8 +325,6 @@ impl<'a, A: BlockLinOp + ?Sized> VerifiedBlockOp<'a, A> {
         panel: u64,
         mut pending: Option<PendingPanel<'_, '_>>,
     ) -> WindowOutcome {
-        let n = w.y_sum.len();
-        let mut y_cs = vec![C64::ZERO; n];
         let mut repaired = false;
         let attempts = self.cfg.max_recomputes + 1;
         for attempt in 0..attempts {
@@ -311,11 +332,12 @@ impl<'a, A: BlockLinOp + ?Sized> VerifiedBlockOp<'a, A> {
                 // Recompute whatever is still in hand: always the checksum
                 // apply, plus the pending data panel when there is one.
                 if let Some(p) = pending.as_mut() {
-                    p.recompute(self.inner, attempt, w);
+                    p.recompute(self.inner, attempt);
                 }
             }
-            self.inner.apply(&w.x_cs, &mut y_cs);
-            match checksum_mismatch(&y_cs, &w.y_sum, &w.abs_acc, &self.cfg) {
+            self.inner.apply(&w.x_cs, &mut w.y_cs);
+            let in_hand: &[Vec<C64>] = pending.as_ref().map_or(&[], |p| &*p.ys);
+            match checksum_mismatch(&w.y_cs, &w.y_sum, &w.abs_acc, in_hand, &self.cfg) {
                 None => {
                     if attempt > 0 {
                         repaired = true;
@@ -377,22 +399,20 @@ enum WindowOutcome {
     Escalated(FaultError),
 }
 
-/// The panel still in hand during `apply_block`, recomputable in place.
+/// The panel still in hand during `apply_block`, recomputable in place. Its
+/// inputs are in the window's checksum column; its outputs are not folded
+/// into the window's sums — the comparison adds them on the fly — so a
+/// recompute has nothing to undo.
 struct PendingPanel<'x, 'y> {
     xs: &'x [&'x [C64]],
     ys: &'y mut [Vec<C64>],
     fault: Option<ComputeFault>,
-    /// Window sums *before* this panel was folded in, so a recompute can
-    /// re-fold cleanly.
-    y_sum_before: Vec<C64>,
-    abs_before: Vec<f64>,
 }
 
 impl PendingPanel<'_, '_> {
     /// Re-applies the panel (the injector corrupts the first
-    /// `fault.times` attempts, so attempt `times` onward is clean), then
-    /// re-folds its contribution into the window sums.
-    fn recompute<A: BlockLinOp + ?Sized>(&mut self, inner: &A, attempt: u32, w: &mut Window) {
+    /// `fault.times` attempts, so attempt `times` onward is clean).
+    fn recompute<A: BlockLinOp + ?Sized>(&mut self, inner: &A, attempt: u32) {
         inner.apply_block(self.xs, self.ys);
         if let Some(f) = self.fault {
             if attempt < f.times {
@@ -402,35 +422,58 @@ impl PendingPanel<'_, '_> {
                 flip_panel_bit_detectable(self.ys, f.slot, f.bit);
             }
         }
-        w.y_sum.copy_from_slice(&self.y_sum_before);
-        w.abs_acc.copy_from_slice(&self.abs_before);
-        fold_outputs(self.ys, &mut w.y_sum, &mut w.abs_acc);
     }
 }
 
-/// Folds a panel's outputs into the running expected-sum and scale vectors.
-fn fold_outputs(ys: &[Vec<C64>], y_sum: &mut [C64], abs_acc: &mut [f64]) {
-    for y in ys {
-        for (i, v) in y.iter().enumerate() {
-            y_sum[i] += *v;
-            abs_acc[i] += v.re.abs() + v.im.abs();
+/// Elements of the window a fold keeps in cache while every column of the
+/// panel is added to them.
+const FOLD_BLOCK: usize = 256;
+
+/// Folds a panel into the window — inputs into the checksum column, outputs
+/// into the expected sum and the scale. The window is walked once, a block
+/// at a time, and each block takes its columns in panel order, as a sweep
+/// per column over the whole window would add them.
+fn fold_panel(xs: &[&[C64]], ys: &[Vec<C64>], w: &mut Window) {
+    for start in (0..w.x_cs.len()).step_by(FOLD_BLOCK) {
+        let block = start..(start + FOLD_BLOCK).min(w.x_cs.len());
+        for (x, y) in xs.iter().zip(ys) {
+            let sums = w.x_cs[block.clone()]
+                .iter_mut()
+                .zip(&mut w.y_sum[block.clone()])
+                .zip(&mut w.abs_acc[block.clone()]);
+            for (((cs, sum), abs), (xi, yi)) in
+                sums.zip(x[block.clone()].iter().zip(&y[block.clone()]))
+            {
+                *cs += *xi;
+                *sum += *yi;
+                *abs += yi.re.abs() + yi.im.abs();
+            }
         }
     }
 }
 
-/// Elementwise checksum check: returns the first failing element and its
-/// residual, or `None` if the window verifies. Non-finite residuals fail
+/// Elementwise checksum check of the window plus the panel still in hand
+/// (`pending`, empty when there is none): returns the first failing element
+/// and its residual, or `None` if the window verifies. The pending outputs
+/// join the expected sum and the scale here, in panel order, exactly as a
+/// fold into the window would have added them. Non-finite residuals fail
 /// explicitly (`NaN > tol` is false, so the comparison alone cannot be
 /// trusted to catch them).
 fn checksum_mismatch(
     y_cs: &[C64],
     y_sum: &[C64],
     abs_acc: &[f64],
+    pending: &[Vec<C64>],
     cfg: &VerifyConfig,
 ) -> Option<(usize, f64)> {
     for i in 0..y_cs.len() {
-        let d = (y_cs[i] - y_sum[i]).abs();
-        let scale = cfg.abs_floor + y_cs[i].re.abs() + y_cs[i].im.abs() + abs_acc[i];
+        let (mut sum, mut abs) = (y_sum[i], abs_acc[i]);
+        for y in pending {
+            sum += y[i];
+            abs += y[i].re.abs() + y[i].im.abs();
+        }
+        let d = (y_cs[i] - sum).abs();
+        let scale = cfg.abs_floor + y_cs[i].re.abs() + y_cs[i].im.abs() + abs;
         if !d.is_finite() || d > cfg.rel_tol * scale {
             return Some((i, d));
         }
@@ -563,28 +606,20 @@ impl<A: BlockLinOp + ?Sized> BlockLinOp for VerifiedBlockOp<'_, A> {
 
         let mut guard = self.window.lock().unwrap();
         let w = &mut *guard;
-        // The pre-fold snapshot is only needed when this call reaches the
-        // window boundary (a recompute must be able to re-fold the pending
-        // panel cleanly) — interior panels skip the two O(n) clones.
-        let boundary = w.panels + 1 >= self.cfg.period;
-        let before = boundary.then(|| (w.y_sum.clone(), w.abs_acc.clone()));
-        for x in xs {
-            for (acc, v) in w.x_cs.iter_mut().zip(x.iter()) {
-                *acc += *v;
-            }
-        }
-        fold_outputs(ys, &mut w.y_sum, &mut w.abs_acc);
+        // The panel that reaches the window boundary is verified in hand:
+        // only its inputs join the window, so a recompute has no fold to
+        // undo (and the window is reset by the verification either way).
         w.panels += 1;
-
-        if let Some((y_sum_before, abs_before)) = before {
-            let pending = PendingPanel {
-                xs,
-                ys,
-                fault,
-                y_sum_before,
-                abs_before,
-            };
+        if w.panels >= self.cfg.period {
+            for x in xs {
+                for (acc, v) in w.x_cs.iter_mut().zip(x.iter()) {
+                    *acc += *v;
+                }
+            }
+            let pending = PendingPanel { xs, ys, fault };
             self.verify_window(w, panel, Some(pending));
+        } else {
+            fold_panel(xs, ys, w);
         }
     }
 }

@@ -22,8 +22,8 @@ use ffw_numerics::C64;
 use ffw_par::Pool;
 use ffw_phantom::{object_from_contrast, Annulus, Cylinder, Phantom};
 use ffw_solver::{
-    estimate_g0_norm, make_backend, BackendChoice, BackendError, IterConfig, NORM_ESTIMATE_ITERS,
-    NORM_ESTIMATE_SEED,
+    estimate_g0_norm, make_backend, BackendChoice, BackendError, IterConfig, Workspace,
+    NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
 use std::sync::Arc;
 
@@ -107,8 +107,17 @@ fn rel_err(a: &[C64], b: &[C64]) -> f64 {
 /// `cfg` and returns the worst relative field disagreement.
 fn worst_field_gap(p: &Problem, cfg: IterConfig) -> f64 {
     let g0_norm = estimate_g0_norm(&p.g0, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED);
-    let krylov =
-        make_backend(BackendChoice::Bicgstab, &p.g0, &p.object, 0.0, None, None).expect("krylov");
+    let ws = Workspace::new();
+    let krylov = make_backend(
+        BackendChoice::Bicgstab,
+        &p.g0,
+        &p.object,
+        0.0,
+        None,
+        None,
+        &ws,
+    )
+    .expect("krylov");
     let born = make_backend(
         BackendChoice::BornSeries,
         &p.g0,
@@ -116,6 +125,7 @@ fn worst_field_gap(p: &Problem, cfg: IterConfig) -> f64 {
         g0_norm,
         None,
         None,
+        &ws,
     )
     .expect("born admission");
     let n = p.setup.n_pixels();
@@ -215,6 +225,7 @@ fn dbim_reconstructions_agree_across_backends() {
 fn over_contrast_is_a_typed_admission_error() {
     let p = problem(Shape::Annulus, 0.15);
     let g0_norm = estimate_g0_norm(&p.g0, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED);
+    let ws = Workspace::new();
     match make_backend(
         BackendChoice::BornSeries,
         &p.g0,
@@ -222,6 +233,7 @@ fn over_contrast_is_a_typed_admission_error() {
         g0_norm,
         None,
         None,
+        &ws,
     ) {
         Err(BackendError::ContrastTooHigh { kappa, limit }) => {
             assert!(kappa >= limit, "kappa {kappa} should exceed limit {limit}");
@@ -230,7 +242,8 @@ fn over_contrast_is_a_typed_admission_error() {
     }
     // The same object sails through the Krylov arm, which accepts any
     // contrast — the bound is a Born-series property, not a problem property.
-    assert!(make_backend(BackendChoice::Bicgstab, &p.g0, &p.object, 0.0, None, None).is_ok());
+    let krylov = BackendChoice::Bicgstab;
+    assert!(make_backend(krylov, &p.g0, &p.object, 0.0, None, None, &ws).is_ok());
 }
 
 /// DBIM with an inadmissible contrast surfaces the same typed error through

@@ -10,7 +10,7 @@ use ffw_numerics::vecops::rel_diff;
 use ffw_numerics::{c64, C64};
 use ffw_solver::{
     bicgstab, estimate_g0_norm, solve_adjoint, solve_forward, BornSeriesBackend, DistOp,
-    ForwardBackend, IterConfig, ScatteringOp, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
+    ForwardBackend, IterConfig, ScatteringOp, Workspace, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
 use proptest::prelude::*;
 
@@ -72,7 +72,8 @@ proptest! {
         let mut phi = vec![C64::ZERO; n];
         let stats = solve_forward(&g0, &object, &phi_inc, &mut phi, IterConfig { tol: 1e-10, max_iters: 500 });
         prop_assert!(stats.converged);
-        let a = ScatteringOp::new(&g0, &object);
+        let ws = Workspace::new();
+        let a = ScatteringOp::new(&g0, &object, &ws);
         let mut back = vec![C64::ZERO; n];
         let Ok(()) = a.try_apply_block_local(&[&phi], std::slice::from_mut(&mut back));
         prop_assert!(rel_diff(&back, &phi_inc) < 1e-8);
@@ -129,7 +130,8 @@ fn admissible_system(n: usize, seed: u64, target_kappa: f64) -> (Matrix, Vec<C64
 
 /// True residual `||b - A x|| / ||b||` under the scattering operator.
 fn true_residual(g0: &Matrix, object: &[C64], b: &[C64], x: &[C64]) -> f64 {
-    let a = ScatteringOp::new(g0, object);
+    let ws = Workspace::new();
+    let a = ScatteringOp::new(g0, object, &ws);
     let mut ax = vec![C64::ZERO; b.len()];
     let Ok(()) = a.try_apply_block_local(&[x], std::slice::from_mut(&mut ax));
     let num: f64 = b

@@ -13,7 +13,7 @@ use ffw::numerics::vecops::rel_diff;
 use ffw::numerics::C64;
 use ffw::par::Pool;
 use ffw::phantom::{object_from_contrast, Cylinder, Phantom};
-use ffw::solver::{solve_forward, try_bicgstab_block, IterConfig, ScatteringOp};
+use ffw::solver::{solve_forward, try_bicgstab_block, IterConfig, ScatteringOp, Workspace};
 use std::sync::Arc;
 
 fn scene() -> (Domain, QuadTree, Arc<MlfmaPlan>, ImagingSetup, Vec<C64>) {
@@ -64,11 +64,12 @@ fn distributed_forward_solve_matches_serial() {
             let members: Vec<usize> = (0..comm.size()).collect();
             let rank = comm.rank();
             let g0 = DistMlfma::new(&comm, Arc::clone(&plan2), members, true);
-            let a = ScatteringOp::new(&g0, &object2[rank * per..(rank + 1) * per]);
+            let ws = Workspace::new();
+            let a = ScatteringOp::new(&g0, &object2[rank * per..(rank + 1) * per], &ws);
             let inc = &setup_ref.incident(0)[rank * per..(rank + 1) * per];
             // one system is a panel of width 1
             let mut phi = vec![vec![C64::ZERO; per]];
-            let stats = try_bicgstab_block(&a, &[inc], &mut phi, cfg, None, None)
+            let stats = try_bicgstab_block(&a, &[inc], &mut phi, cfg, None, None, &ws)
                 .expect("distributed solve");
             assert!(stats[0].converged);
             phi.remove(0)

@@ -18,7 +18,7 @@ use ffw::numerics::linalg::Matrix;
 use ffw::numerics::vecops::rel_diff;
 use ffw::numerics::{c64, C64};
 use ffw::phantom::Cylinder;
-use ffw::solver::{bicgstab_block, try_bicgstab_block, DistOp, IterConfig};
+use ffw::solver::{bicgstab_block, try_bicgstab_block, DistOp, IterConfig, Workspace};
 use ffw::tomo::{reconstruct, HopPipeline, HopSchedule, Reconstruction, SceneConfig};
 use std::convert::Infallible;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
@@ -460,7 +460,8 @@ fn the_kernel_is_width_invariant_on_a_two_rank_operator() {
                             .map(|b| &b[half * h..(half + 1) * h])
                             .collect();
                         let mut xs = vec![vec![C64::ZERO; h]; width];
-                        let stats = try_bicgstab_block(&op, &b_refs, &mut xs, cfg, None, None)
+                        let ws = Workspace::new();
+                        let stats = try_bicgstab_block(&op, &b_refs, &mut xs, cfg, None, None, &ws)
                             .expect("two-half solve");
                         assert!(stats.iter().all(|s| s.converged), "{stats:?}");
                         xs
