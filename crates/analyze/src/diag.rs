@@ -1,6 +1,6 @@
 //! Diagnostics and the stable rule catalog.
 //!
-//! Every rule has a stable machine code (`FFW001`…`FFW013`) that tooling
+//! Every rule has a stable machine code (`FFW001`…`FFW012`) that tooling
 //! can match on, plus the historical `R`-number the workspace docs use.
 //! Diagnostic ordering is deterministic: file, then line, then column, then
 //! code — so reports diff cleanly across runs.
@@ -52,7 +52,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule catalog, in rule order.
-pub const RULES: [RuleInfo; 13] = [
+pub const RULES: [RuleInfo; 12] = [
     RuleInfo {
         code: "FFW001",
         rule: "R1",
@@ -125,13 +125,6 @@ pub const RULES: [RuleInfo; 13] = [
         rule: "R12",
         waiver: "",
         summary: "every waiver is registered in WAIVERS.md and every ledger entry is live",
-    },
-    RuleInfo {
-        code: "FFW013",
-        rule: "R13",
-        waiver: "lint:backend-ok",
-        summary: "no direct BiCGStab call outside crates/solver — forward solves go through \
-                  the ForwardBackend trait",
     },
 ];
 

@@ -291,51 +291,6 @@ pub fn r8_single_rhs_apply(f: &SourceFile, out: &mut Vec<Diag>) {
     }
 }
 
-/// R13: no code outside `crates/solver/` names BiCGStab to perform a solve.
-///
-/// The forward-solver choice is config ([`BackendChoice`] through the
-/// `ForwardBackend` trait), not a code path: a caller that invokes a
-/// `*bicgstab*` function directly has hard-wired one engine and silently
-/// bypasses `--backend`. Definitions and re-exports stay legal (the token
-/// before the identifier being `fn`, or no `(` after it); only *call sites*
-/// are flagged. Krylov implementation internals that legitimately live
-/// outside the solver crate (the distributed solvers) are waived with
-/// `// lint:backend-ok`.
-pub fn r13_backend_seam(f: &SourceFile, out: &mut Vec<Diag>) {
-    if f.member_dir != "crates" || f.rel_path.starts_with("crates/solver/") || f.is_test_file {
-        return;
-    }
-    let code = code_tokens(f);
-    for i in 0..code.len() {
-        let t = code[i];
-        if !(t.kind == crate::lexer::TokKind::Ident && t.text.to_lowercase().contains("bicgstab")) {
-            continue;
-        }
-        // call site = identifier immediately followed by `(`…
-        let is_call = code.get(i + 1).is_some_and(|n| n.is_punct("("));
-        // …that is not the name in a `fn` definition.
-        let is_def = i > 0 && code[i - 1].is_ident("fn");
-        if !is_call || is_def {
-            continue;
-        }
-        let li = (t.line as usize) - 1;
-        if !f.is_test_line(li) && !f.index.waived(li, "lint:backend-ok") {
-            out.push(diag(
-                "R13",
-                f,
-                t.line,
-                t.col,
-                format!(
-                    "direct `{}` call outside crates/solver — forward solves go through the \
-                     `ForwardBackend` trait (`make_backend`) so `--backend` covers them; waive a \
-                     solver-internal building block with `// lint:backend-ok`",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

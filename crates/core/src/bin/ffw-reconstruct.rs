@@ -14,7 +14,7 @@ use ffw_geometry::Point2;
 use ffw_inverse::{BornConfig, DbimConfig};
 use ffw_mpi::FaultPlan;
 use ffw_phantom::{image_rel_error, Annulus, Cylinder, Phantom, RandomBlobs, SheppLogan};
-use ffw_solver::{BackendChoice, VerifyConfig};
+use ffw_solver::VerifyConfig;
 use ffw_tomo::exit::{exit_code_for, EXIT_INTERRUPTED};
 use ffw_tomo::viz::write_pgm;
 use ffw_tomo::{
@@ -48,7 +48,6 @@ struct Cli {
     precondition: bool,
     positivity: bool,
     batch: Option<usize>,
-    backend: BackendChoice,
     hops: Option<HopSchedule>,
     regularizer: Regularizer,
     out: Option<String>,
@@ -81,23 +80,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
             ));
         }
     }
-    if cli.backend != BackendChoice::Bicgstab {
-        if cli.precondition {
-            return Err(format!(
-                "--backend {} cannot be combined with --precondition (the \
-                 leaf-block Jacobi preconditioner is specific to the BiCGStab \
-                 backend)",
-                cli.backend
-            ));
-        }
-        if cli.born {
-            return Err(format!(
-                "--backend {} has no effect on --born (the linear Born baseline \
-                 performs no forward solves)",
-                cli.backend
-            ));
-        }
-    }
     if let Some(groups) = cli.groups {
         if groups == 0 {
             return Err("--groups must be at least 1".into());
@@ -125,9 +107,9 @@ fn validate(cli: &Cli) -> Result<(), String> {
     } else if cli.chaos_seed.is_some() {
         return Err("--chaos-seed requires --groups (distributed mode)".into());
     }
-    // The only two settings that do not run on every rank grid.
+    // The only setting that does not run on every rank grid.
     let (groups, subtree) = cli.grid();
-    grid_admission(cli.backend, cli.regularizer, groups, subtree)
+    grid_admission(cli.regularizer, subtree)
         .map_err(|why| format!("--groups {groups} --subtree {subtree}: {why}"))?;
     if let Some(schedule) = &cli.hops {
         if cli.born {
@@ -210,7 +192,6 @@ fn parse_args() -> Result<Cli, String> {
         precondition: false,
         positivity: false,
         batch: None,
-        backend: BackendChoice::default(),
         hops: None,
         regularizer: Regularizer::default(),
         out: None,
@@ -253,7 +234,6 @@ fn parse_args() -> Result<Cli, String> {
             "--precondition" => cli.precondition = true,
             "--positivity" => cli.positivity = true,
             "--batch" => cli.batch = Some(val("--batch")?.parse().map_err(|e| format!("{e}"))?),
-            "--backend" => cli.backend = val("--backend")?.parse()?,
             "--hops" => {
                 cli.hops = Some(val("--hops")?.parse().map_err(|e| format!("--hops: {e}"))?)
             }
@@ -298,7 +278,7 @@ fn parse_args() -> Result<Cli, String> {
                      [--phantom cylinder|annulus|shepp-logan|blobs] [--contrast C] \
                      [--iterations K] [--noise-db D] [--arc-deg A] [--born] \
                      [--precondition] [--positivity] [--batch B] \
-                     [--backend bicgstab|born-series] [--hops F1,F2,...,1.0] \
+                     [--hops F1,F2,...,1.0] \
                      [--regularizer SPEC] [--out PREFIX] \
                      [--groups G [--subtree P] [--chaos-seed S] \
                      [--max-restarts N] [--min-groups M]] \
@@ -332,15 +312,6 @@ fn parse_args() -> Result<Cli, String> {
                      MLFMA traversal (1 <= B <= --tx; default min(tx, 8)); every \
                      batch width gives the bit-identical reconstruction, \
                      --precondition included.\n\n\
-                     --backend selects the forward engine for every forward and \
-                     adjoint solve: bicgstab (default, the paper's Krylov solver) \
-                     or born-series (the convergent Born series — a fixed-point \
-                     iteration with a guaranteed contraction, admitted only while \
-                     the contrast bound ||G0||*max|O| stays under the limit; an \
-                     over-contrast scene exits with code 3 instead of diverging). \
-                     Not compatible with --precondition (BiCGStab-specific); \
-                     born-series needs the 1 x 1 grid (its contrast admission is \
-                     a max over the whole object).\n\n\
                      Every DBIM run is one loop on a G x P rank grid; without \
                      --groups that grid is 1 x 1 — the serial run, no ranks \
                      launched. --groups G launches the fault-tolerant distributed \
@@ -476,7 +447,6 @@ fn main() {
                 positivity: cli.positivity,
                 precondition: cli.precondition.then(|| Arc::clone(&recon.plan)),
                 batch: cli.batch,
-                backend: cli.backend,
                 regularizer: cli.regularizer,
                 // Every G0 panel carries the ABFT checksum. In process a
                 // mismatch is recomputed; a grid rank that detects one
@@ -543,12 +513,11 @@ fn main() {
         // A single-frequency run is the schedule "1.0": "DBIM (1 stage: 1; ...)".
         println!(
             "{}DBIM ({} stage{}: {schedule}; {} resumed) on {groups} groups x {subtree} \
-             sub-trees ({}): final residual {:.3}%",
+             sub-trees: final residual {:.3}%",
             if schedule.len() > 1 { "hop " } else { "" },
             result.completed,
             if result.completed == 1 { "" } else { "s" },
             result.resumed,
-            cli.backend,
             100.0 * result.stages.last().map_or(f64::NAN, |s| s.final_residual)
         );
         for (stage, r) in result.stages.iter().enumerate() {

@@ -18,9 +18,8 @@ pub const EXIT_FAILURE: i32 = 1;
 pub const EXIT_USAGE: i32 = 2;
 /// A forward solve could not be completed: an iterative Krylov solve broke
 /// down (rho underflow / non-finite residual) and did not recover after its
-/// automatic restart, or the selected backend rejected the scene outright
-/// (the Born-series engine's contrast bound). Either way the response is the
-/// same — perturb the scene, or pick another engine.
+/// automatic restart. The scene is too hard for the solver as configured —
+/// perturb it, or loosen the tolerance.
 pub const EXIT_BREAKDOWN: i32 = 3;
 /// A recovery budget was exhausted: the relaunch/retry budget was spent or
 /// no further recovery is possible (e.g. every illumination group lost).

@@ -29,9 +29,8 @@ use ffw_dist::{run_dbim_ft, run_dbim_local, FtConfig, FtDbimResult};
 use ffw_fault::{FaultError, Fingerprint};
 use ffw_geometry::{Domain, QuadTree, TransducerArray};
 use ffw_inverse::{
-    add_noise, born_inversion, dbim, hop_stages, synthesize_measurements, BackendChoice,
-    BornConfig, DbimConfig, DbimError, DbimResult, HopCheckpoint, ImagingSetup, MlfmaG0,
-    MultiFreqResult,
+    add_noise, born_inversion, dbim, hop_stages, synthesize_measurements, BornConfig, DbimConfig,
+    DbimError, DbimResult, HopCheckpoint, ImagingSetup, MlfmaG0, MultiFreqResult,
 };
 use ffw_mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
 use ffw_numerics::C64;
@@ -180,10 +179,6 @@ impl Reconstruction {
     }
 
     /// Runs the nonlinear multiple-scattering DBIM reconstruction.
-    ///
-    /// Fails typed when the configured forward backend rejects the problem
-    /// (e.g. the Born-series contrast bound); the default BiCGStab backend
-    /// never rejects.
     pub fn run_dbim(
         &self,
         measured: &[Vec<C64>],
@@ -323,24 +318,12 @@ fn scene_fingerprint(scene: &SceneConfig, schedule: &HopSchedule) -> Fingerprint
     )
 }
 
-/// The two settings that do not run on every `groups x subtree` rank grid,
+/// The one setting that does not run on every `groups x subtree` rank grid,
 /// with the reason — shared by the CLI and the service so both refuse the
-/// same configurations in the same words. Everything else (`--hops`, the
+/// same configuration in the same words. Everything else (`--hops`, the
 /// other regularizers, positivity, preconditioning, an initial guess) runs
 /// on any grid.
-pub fn grid_admission(
-    backend: BackendChoice,
-    regularizer: Regularizer,
-    groups: usize,
-    subtree: usize,
-) -> Result<(), String> {
-    if backend == BackendChoice::BornSeries && (groups, subtree) != (1, 1) {
-        return Err(format!(
-            "backend born-series requires groups = subtree = 1 (got {groups} x {subtree}): \
-             its contrast admission is a max over the whole object and a power \
-             iteration over the whole G0, which a rank grid does not reduce"
-        ));
-    }
+pub fn grid_admission(regularizer: Regularizer, subtree: usize) -> Result<(), String> {
     if matches!(regularizer, Regularizer::Smoothness { .. }) && subtree != 1 {
         return Err(format!(
             "regularizer smoothness requires subtree = 1 (got {subtree}): its Laplacian \

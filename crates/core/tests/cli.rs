@@ -394,15 +394,13 @@ fn regularizer_rejects_born_mode() {
     );
 }
 
-/// The only two settings a rank grid refuses, each with its reason; the
-/// neighbouring combinations that used to be pinned to the serial driver are
-/// admitted (`--help` exits 0 only after validation passed).
+/// The only setting a rank grid refuses, with its reason. The forward engine
+/// is not a setting: `--backend`, whatever its value, is an unknown flag.
 #[test]
-fn the_two_grid_pins_are_typed_and_narrow() {
-    assert_cli_error(
-        &["--backend", "born-series", "--tx", "16", "--groups", "2"],
-        "born-series requires groups = subtree = 1",
-    );
+fn the_grid_pin_is_typed_and_the_engine_is_not_a_flag() {
+    for value in ["born-series", "bicgstab"] {
+        assert_cli_error(&["--backend", value], "unknown flag --backend");
+    }
     assert_cli_error(
         &[
             "--regularizer",

@@ -45,15 +45,13 @@ use crate::engine::DistMlfma;
 use crate::solver::try_allreduce_scalars;
 use ffw_fault::{Checkpoint, Fingerprint};
 use ffw_inverse::{
-    dbim_loop, BackendChoice, BackendError, DbimConfig, DbimResult, Flow, ImagingSetup, LoopState,
-    RankContext, Regularizer, StageResult,
+    dbim_loop, DbimConfig, DbimResult, Flow, ImagingSetup, LoopState, RankContext, Regularizer,
+    StageResult,
 };
 use ffw_mlfma::MlfmaPlan;
 use ffw_mpi::{Comm, FaultError, FaultPlan, Payload, RankOutcome, Runtime};
 use ffw_numerics::{c64, C64};
-use ffw_solver::{
-    BicgstabBackend, DriftGuard, ForwardBackend, PrecondPair, VerifyConfig, Workspace,
-};
+use ffw_solver::{VerifyConfig, Workspace};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -211,11 +209,9 @@ fn lost_of(alive: &[Vec<usize>], n_tx: usize) -> Vec<usize> {
 /// non-fault typed error (e.g. a Krylov breakdown that survived its restart)
 /// occurred.
 ///
-/// Two settings do not run on every grid and are refused typed (admission
-/// layers reject them before this point, so reaching here means a config was
-/// constructed by hand): the Born-series backend needs the 1×1 grid (its
-/// contrast admission is a *max* over the whole object and a power iteration
-/// over the whole `G0`), and the smoothness regularizer needs
+/// One setting does not run on every grid and is refused typed (admission
+/// layers reject it before this point, so reaching here means a config was
+/// constructed by hand): the smoothness regularizer needs
 /// `subtree_ranks == 1` (its Laplacian stencil crosses sub-tree boundaries
 /// and there is no pixel halo).
 pub fn run_dbim_ft(
@@ -230,14 +226,6 @@ pub fn run_dbim_ft(
     assert_eq!(measured.len(), n_tx);
     assert_eq!(n_tx % groups, 0, "transmitters must divide among groups");
     assert!(cfg.min_groups >= 1, "min_groups must be at least 1");
-    if cfg.dbim.backend != BackendChoice::Bicgstab {
-        return Err(FaultError::Unrecoverable {
-            detail: format!(
-                "backend {} is not supported on a rank grid",
-                cfg.dbim.backend
-            ),
-        });
-    }
     if matches!(cfg.dbim.regularizer, Regularizer::Smoothness { .. }) && p != 1 {
         return Err(FaultError::Unrecoverable {
             detail: format!(
@@ -610,22 +598,6 @@ impl<'c> RankContext for GridContext<'_, 'c> {
     }
     fn workspace(&self) -> &Workspace {
         &self.ws
-    }
-    fn backend<'a>(
-        &'a self,
-        choice: BackendChoice,
-        object: &'a [C64],
-        guard: Option<&'a DriftGuard>,
-        precond: Option<PrecondPair<'a>>,
-    ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
-        assert_eq!(
-            choice,
-            BackendChoice::Bicgstab,
-            "run_dbim_ft refuses other backends before launching"
-        );
-        Ok(Box::new(BicgstabBackend::new(
-            &self.g0, object, guard, precond, &self.ws,
-        )))
     }
     fn pixels(&self) -> Range<usize> {
         self.g0.partition().pixel_range.clone()

@@ -28,9 +28,8 @@ use ffw_mlfma::MlfmaPlan;
 use ffw_numerics::vecops::{axpy_real, norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
 use ffw_solver::{
-    estimate_g0_norm, g0_adjoint_apply_block, make_backend, BackendChoice, BackendError,
-    BlockLinOp, CountingOp, DistOp, DriftGuard, ForwardBackend, IterConfig, PrecondPair,
-    SolveStats, VerifiedBlockOp, VerifyConfig, Workspace, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
+    g0_adjoint_apply_block, BicgstabBackend, BlockLinOp, CountingOp, DistOp, DriftGuard,
+    IterConfig, PrecondPair, SolveStats, VerifiedBlockOp, VerifyConfig, Workspace,
 };
 use std::cell::Cell;
 use std::ops::Range;
@@ -73,14 +72,6 @@ pub struct DbimConfig {
     /// `None` picks `min(n_tx, 8)`. Per-column results are bit-identical for
     /// every batch size, preconditioned or not.
     pub batch: Option<usize>,
-    /// Forward engine for the (batched) forward/adjoint solves. The choice
-    /// is config, not code path: `dbim` routes every solve through the
-    /// [`ffw_solver::ForwardBackend`] trait, so a new engine needs only a
-    /// `make_backend` arm, never a `dbim` change. The Born-series engine
-    /// validates its contrast bound against each object iterate and fails
-    /// typed ([`DbimError::Backend`]) instead of diverging. Incompatible
-    /// with `precondition` (leaf-block Jacobi rides into the BiCGStab kernel).
-    pub backend: BackendChoice,
     /// End-to-end compute-integrity verification. `Some` wraps every `G0`
     /// apply in an ABFT checksum window ([`VerifiedBlockOp`], calibrate
     /// `rel_tol` from `Accuracy::checksum_rel_tol()`) and attaches a Krylov
@@ -107,7 +98,6 @@ impl std::fmt::Debug for DbimConfig {
             .field("initial", &self.initial.as_ref().map(|v| v.len()))
             .field("precondition", &self.precondition.is_some())
             .field("batch", &self.batch)
-            .field("backend", &self.backend)
             .field("verify", &self.verify)
             .finish()
     }
@@ -127,7 +117,10 @@ impl DbimConfig {
             .flag(self.real_object)
             .flag(self.warm_start)
             .flag(self.conjugate)
-            .u64(self.backend as u64)
+            // The slot of the removed forward-engine choice: BiCGStab, the
+            // only engine left, always folded 0 here, so the checkpoints it
+            // wrote still resume.
+            .u64(0)
             .flag(self.positivity)
             .flag(self.precondition.is_some());
         let fp = match self.regularizer {
@@ -157,7 +150,6 @@ impl Default for DbimConfig {
             initial: None,
             precondition: None,
             batch: None,
-            backend: BackendChoice::default(),
             verify: None,
         }
     }
@@ -166,9 +158,6 @@ impl Default for DbimConfig {
 /// Typed failure of a DBIM reconstruction.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DbimError {
-    /// The selected forward backend rejected the problem — e.g. the
-    /// Born-series contrast bound was exceeded by an object iterate.
-    Backend(BackendError),
     /// Silent data corruption was detected by the compute-integrity layer
     /// ([`DbimConfig::verify`]) and survived the bounded recompute /
     /// rollback budget — the reconstruction cannot be trusted and no object
@@ -183,7 +172,6 @@ pub enum DbimError {
 impl std::fmt::Display for DbimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DbimError::Backend(e) => write!(f, "forward backend rejected the problem: {e}"),
             DbimError::ComputeCorruption(e) => {
                 write!(f, "unrecoverable compute corruption: {e}")
             }
@@ -201,30 +189,16 @@ impl From<FaultError> for DbimError {
     }
 }
 
-/// The fault taxonomy supervisors classify by (exit codes, retry classes):
-/// a backend rejection is terminal like a Krylov breakdown — the scene is
-/// too hard for this engine.
+/// The fault taxonomy supervisors classify by (exit codes, retry classes).
 impl From<DbimError> for FaultError {
     fn from(e: DbimError) -> Self {
         match e {
             DbimError::ComputeCorruption(f) | DbimError::Fault(f) => f,
-            DbimError::Backend(b) => FaultError::KrylovBreakdown {
-                rank: 0,
-                iterations: 0,
-                rel_residual: f64::INFINITY,
-                detail: b.to_string(),
-            },
         }
     }
 }
 
 impl std::error::Error for DbimError {}
-
-impl From<BackendError> for DbimError {
-    fn from(e: BackendError) -> Self {
-        DbimError::Backend(e)
-    }
-}
 
 /// Per-iteration convergence record.
 #[derive(Clone, Debug)]
@@ -235,8 +209,7 @@ pub struct IterationRecord {
     pub rel_residual: f64,
     /// Step length taken.
     pub step: f64,
-    /// Forward-solver iterations spent this DBIM iteration (all solves,
-    /// whichever backend performed them).
+    /// Forward-solver iterations spent this DBIM iteration (all solves).
     pub solver_iters: usize,
 }
 
@@ -376,16 +349,6 @@ pub trait RankContext {
     /// after the first iteration nothing between the `G0` applies allocates
     /// one.
     fn workspace(&self) -> &Workspace;
-    /// Builds the forward engine for the object iterate `object` (this
-    /// rank's slice). Admission — e.g. the Born-series contrast bound —
-    /// happens here, before any solve runs.
-    fn backend<'a>(
-        &'a self,
-        choice: BackendChoice,
-        object: &'a [C64],
-        guard: Option<&'a DriftGuard>,
-        precond: Option<PrecondPair<'a>>,
-    ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError>;
     /// The owned pixel range (tree order).
     fn pixels(&self) -> Range<usize>;
     /// The transmitters this rank's group solves for, ascending.
@@ -426,8 +389,6 @@ struct SerialContext<'a, G: BlockLinOp + ?Sized> {
     /// Counts `G0` applications ("MLFMA multiplications per forward
     /// solution", the paper's Fig. 13 statistic).
     g0: CountingOp<'a, G>,
-    /// `||G0||` for the Born-series admission (0 when unused).
-    g0_norm: f64,
     ws: &'a Workspace,
     txs: Vec<usize>,
     n_pixels: usize,
@@ -442,16 +403,6 @@ impl<'s, G: BlockLinOp + ?Sized> RankContext for SerialContext<'s, G> {
     }
     fn workspace(&self) -> &Workspace {
         self.ws
-    }
-    fn backend<'a>(
-        &'a self,
-        choice: BackendChoice,
-        object: &'a [C64],
-        guard: Option<&'a DriftGuard>,
-        precond: Option<PrecondPair<'a>>,
-    ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
-        let g0_norm = self.g0_norm;
-        make_backend(choice, &self.g0, object, g0_norm, guard, precond, self.ws)
     }
     fn pixels(&self) -> Range<usize> {
         0..self.n_pixels
@@ -469,11 +420,6 @@ impl<'s, G: BlockLinOp + ?Sized> RankContext for SerialContext<'s, G> {
 
 /// Runs the DBIM reconstruction. `measured[t]` holds receiver samples for
 /// transmitter `t`. Returns the reconstructed object in tree order.
-///
-/// Forward and adjoint solves go through the [`ffw_solver::ForwardBackend`]
-/// selected by `cfg.backend`; a backend may reject an object iterate (the
-/// Born series enforces its contrast bound at construction), which surfaces
-/// as a typed [`DbimError`] instead of a silent divergence.
 ///
 /// With [`DbimConfig::verify`] set, every `G0` apply routes through an ABFT
 /// checksum window and the forward engine carries a Krylov drift guard; the
@@ -538,17 +484,8 @@ fn run_serial<G: BlockLinOp + ?Sized>(
     hook: IterationHook<'_>,
     ws: &Workspace,
 ) -> Result<DbimResult, DbimError> {
-    // The Green's-operator norm is a per-run constant (the object never
-    // changes G0): estimate it once, before the counting wrapper, so
-    // `g0_applies` keeps meaning "MLFMA applications spent reconstructing".
-    let g0_norm = if cfg.backend == BackendChoice::BornSeries {
-        estimate_g0_norm(g0, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED)
-    } else {
-        0.0
-    };
     let ctx = SerialContext {
         g0: CountingOp::new(g0),
-        g0_norm,
         ws,
         txs: (0..setup.n_tx()).collect(),
         n_pixels: setup.n_pixels(),
@@ -565,7 +502,7 @@ fn run_serial<G: BlockLinOp + ?Sized>(
 struct Passes<'a, C: RankContext> {
     setup: &'a ImagingSetup,
     ctx: &'a C,
-    backend: &'a dyn ForwardBackend,
+    engine: BicgstabBackend<'a, C::G0>,
     forward: IterConfig,
     /// Transmitters per fused multi-RHS solve.
     batch: usize,
@@ -642,11 +579,7 @@ where
                 .iter()
                 .map(|&t| &self.setup.incident(t)[cols.clone()])
                 .collect();
-            self.count(
-                &self
-                    .backend
-                    .solve_block(&incs, fields_chunk, self.forward)?,
-            );
+            self.count(&self.engine.solve_block(&incs, fields_chunk, self.forward)?);
             let scattered = self.to_receivers(chunk.len(), |k, w| {
                 for ((wi, o), p) in w.iter_mut().zip(object).zip(&fields_chunk[k]) {
                     *wi = *o * *p;
@@ -688,7 +621,7 @@ where
             self.ctx.g0().try_apply_block_local(&w_refs, &mut g0ws)?;
             let g0w_refs: Vec<&[C64]> = g0ws.iter().map(|v| v.as_slice()).collect();
             let mut us = ws.lease_zeroed(n, nb);
-            self.count(&self.backend.solve_block(&g0w_refs, &mut us, self.forward)?);
+            self.count(&self.engine.solve_block(&g0w_refs, &mut us, self.forward)?);
             // F_t d = GR (w + O u)
             out.extend(self.to_receivers(nb, |k, src| {
                 for (((si, wi), ui), oi) in src.iter_mut().zip(&wds[k]).zip(&us[k]).zip(object) {
@@ -729,7 +662,7 @@ where
             let mut zs = ws.lease_zeroed(n, nb);
             self.count(
                 &self
-                    .backend
+                    .engine
                     .solve_adjoint_block(&rhs_refs, &mut zs, self.forward)?,
             );
             let z_refs: Vec<&[C64]> = zs.iter().map(|v| v.as_slice()).collect();
@@ -886,10 +819,6 @@ where
     let n_own = ctx.txs().len();
     assert_eq!(measured.len(), setup.n_tx());
     assert!(
-        cfg.precondition.is_none() || cfg.backend == BackendChoice::Bicgstab,
-        "leaf-block Jacobi preconditioning is specific to the BiCGStab backend"
-    );
-    assert!(
         cfg.precondition.is_none() || !matches!(cfg.regularizer, Regularizer::WgcvLsqr { .. }),
         "the wgcv-lsqr hybrid projection replaces the nonlinear-CG passes and \
          is incompatible with leaf-block Jacobi preconditioning"
@@ -953,16 +882,12 @@ where
             )
         });
         let precond_pair = preconds.as_ref().map(|(m, mh)| -> PrecondPair { (m, mh) });
-        // (re)build the forward engine against the current object iterate;
-        // admission (e.g. the Born-series contrast bound, which depends on
-        // max|O| of *this* iterate) happens here, before any solve runs.
-        // The engine borrows the iterate, so the update is applied once the
-        // passes are done with it.
-        let backend = ctx.backend(cfg.backend, &st.object, guard, precond_pair)?;
+        // Bind the forward engine to the current object iterate. It borrows
+        // the iterate, so the update is applied after the last pass.
         let pass = Passes {
             setup,
             ctx,
-            backend: backend.as_ref(),
+            engine: BicgstabBackend::new(ctx.g0(), &st.object, guard, precond_pair, ws),
             forward: cfg.forward,
             batch,
             solves: &solves,
@@ -1090,9 +1015,6 @@ where
             (alpha, delta)
         };
         history.push(record(step));
-        // Release the engine's borrow of the object before updating it; the
-        // next iteration re-admits the updated iterate from scratch.
-        drop(backend);
         for (o, d) in st.object.iter_mut().zip(&delta[0]) {
             *o += *d;
         }
@@ -1128,17 +1050,15 @@ where
         Some(_) => st.residual_history.last().copied().unwrap_or(f64::NAN),
         None => {
             let _final_span = span("final");
-            let backend = ctx.backend(cfg.backend, &st.object, guard, None)?;
             let pass = Passes {
                 setup,
                 ctx,
-                backend: backend.as_ref(),
+                engine: BicgstabBackend::new(ctx.g0(), &st.object, guard, None, ws),
                 forward: cfg.forward,
                 batch,
                 solves: &solves,
             };
             let (_, cost) = pass.residuals(measured, &st.object, &mut st.fields)?;
-            drop(backend);
             check_integrity(guard, ctx, cfg, cfg.iterations as u64 + 1)?;
             let final_residual = (cost / measured_norm_sqr).sqrt();
             series("dbim.residual", final_residual);
@@ -1221,6 +1141,26 @@ mod tests {
     /// Batching the per-transmitter solves is a pure scheduling change:
     /// every batch width must give the bit-identical reconstruction, history
     /// and solve accounting (per-column trajectories equal a width-1 solve).
+    /// The configuration fingerprint is what binds a checkpoint to its run:
+    /// these two values are what every earlier version folded for these two
+    /// configurations, so the checkpoints it wrote still resume.
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        let fold = |cfg: &DbimConfig| cfg.fold_fingerprint(Fingerprint::new()).finish();
+        assert_eq!(fold(&DbimConfig::default()), 0x8f09dfded370f5b9);
+        let cfg = DbimConfig {
+            iterations: 7,
+            positivity: true,
+            regularizer: Regularizer::WgcvLsqr {
+                steps: 6,
+                omega: 0.8,
+            },
+            initial: Some(vec![c64(0.25, -0.5), c64(-0.0, 1.0)]),
+            ..Default::default()
+        };
+        assert_eq!(fold(&cfg), 0x01bfa64e4add1016);
+    }
+
     #[test]
     fn batch_width_does_not_change_the_reconstruction() {
         let (setup, g0, measured) = small_problem();

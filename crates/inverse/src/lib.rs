@@ -20,7 +20,6 @@ pub use dbim::{
     dbim, dbim_hooked, dbim_loop, DbimConfig, DbimError, DbimResult, Flow, IterationHook,
     IterationRecord, LoopState, RankContext,
 };
-pub use ffw_solver::{BackendChoice, BackendError};
 pub use multifreq::{
     hop_stages, multi_frequency_dbim, multi_frequency_dbim_with, FrequencyHop, HopCheckpoint,
     HopSchedule, MultiFreqConfig, MultiFreqError, MultiFreqResult, StageResult,

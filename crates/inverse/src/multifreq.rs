@@ -231,7 +231,7 @@ pub struct MultiFreqConfig {
 /// Typed failure of a multi-frequency reconstruction.
 #[derive(Debug)]
 pub enum MultiFreqError {
-    /// A stage's DBIM run failed (backend rejection or compute corruption).
+    /// A stage's DBIM run failed (a solver breakdown or compute corruption).
     Dbim(DbimError),
     /// The checkpoint could not be loaded or saved.
     Checkpoint(CheckpointError),
@@ -278,8 +278,7 @@ fn validate_hops<G: BlockLinOp + ?Sized>(hops: &[FrequencyHop<'_, G>]) {
 
 /// Runs the hop schedule, lowest frequency first. `base` provides all DBIM
 /// settings except `iterations` and `initial`, which the driver manages.
-/// A backend rejection at any stage (e.g. the Born-series contrast bound)
-/// aborts the whole schedule with that stage's error.
+/// A failure at any stage aborts the whole schedule with that stage's error.
 pub fn multi_frequency_dbim<G: BlockLinOp + ?Sized>(
     hops: &[FrequencyHop<'_, G>],
     base: &DbimConfig,

@@ -129,16 +129,14 @@ pub fn synthesize_measurements<G: BlockLinOp + ?Sized>(
     let n_tx = setup.n_tx();
     let batch = n_tx.clamp(1, 8);
     let ws = ffw_solver::Workspace::new();
-    let krylov = ffw_solver::BackendChoice::Bicgstab;
-    let backend = ffw_solver::make_backend(krylov, g0, object, 0.0, None, None, &ws)
-        .expect("the Krylov backend admits every object");
+    let engine = ffw_solver::BicgstabBackend::new(g0, object, None, None, &ws);
     let mut out = Vec::with_capacity(n_tx);
     for t0 in (0..n_tx).step_by(batch) {
         let t1 = (t0 + batch).min(n_tx);
         let incs: Vec<&[C64]> = (t0..t1).map(|t| setup.incident(t)).collect();
         // cold starts: each column solved from zero, as the scalar loop did
         let mut phis = ws.lease_zeroed(n, t1 - t0);
-        let stats = backend
+        let stats = engine
             .solve_block(&incs, &mut phis, forward)
             .expect("synthesis forward solve broke down");
         let mut w = ws.lease(n, 1);

@@ -1,38 +1,26 @@
-//! Backend-parameterized DBIM invariance harness.
-//!
-//! Every property here is generated twice by `backend_suite!` — once per
-//! forward engine — so the Krylov and Born-series backends are held to the
-//! *same* metamorphic and determinism contracts, not just the ones they
-//! were developed against:
+//! DBIM invariance harness: the metamorphic and determinism contracts of a
+//! reconstruction, for the plain Tikhonov path and (`regularizer_suite!`)
+//! for the other regularizer families:
 //!
 //! * thread-count bit-identity (1 vs 4 workers), scalar and batched — the
-//!   fixed-point Richardson panels dispense (cluster × rhs) work exactly
-//!   like the Krylov panels, so worker count must not change a single bit;
+//!   worker count must not change a single bit;
 //! * the residual history never rises above its starting point and ends
 //!   well below it (the DBIM metamorphic invariant);
 //! * warm-starting each transmitter's solve from its previous field never
 //!   costs iterations over a cold start;
 //! * determinism: two identical runs are bit-identical end to end.
-//!
-//! Contrast is pinned at 0.03 (`kappa ≈ 0.24` at this geometry), far inside
-//! the Born-series admission bound even for overshooting mid-run iterates.
 
 use ffw_geometry::{Domain, Point2, TransducerArray};
 use ffw_inverse::{
-    dbim, synthesize_measurements, BackendChoice, DbimConfig, DbimResult, ImagingSetup, MlfmaG0,
-    Regularizer,
+    dbim, synthesize_measurements, DbimConfig, DbimResult, ImagingSetup, MlfmaG0, Regularizer,
 };
 use ffw_mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
 use ffw_par::Pool;
 use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
 use std::sync::Arc;
 
-/// Runs the pinned 32×32 workload on `threads` workers under `backend`.
-fn reconstruct(
-    backend: BackendChoice,
-    threads: usize,
-    cfg_edit: &dyn Fn(&mut DbimConfig),
-) -> DbimResult {
+/// Runs the pinned 32×32 workload on `threads` workers.
+fn reconstruct(threads: usize, cfg_edit: &dyn Fn(&mut DbimConfig)) -> DbimResult {
     let domain = Domain::new(32, 1.0);
     let ring = 2.0 * domain.side();
     let setup = ImagingSetup::new(
@@ -55,7 +43,6 @@ fn reconstruct(
     let measured = synthesize_measurements(&setup, &g0, &object, Default::default());
     let mut cfg = DbimConfig {
         iterations: 3,
-        backend,
         ..Default::default()
     };
     cfg_edit(&mut cfg);
@@ -85,77 +72,66 @@ fn assert_bit_identical(a: &DbimResult, b: &DbimResult, what: &str) {
     }
 }
 
-macro_rules! backend_suite {
-    ($name:ident, $choice:expr) => {
-        mod $name {
-            use super::*;
-
-            #[test]
-            fn reconstruction_is_bit_identical_across_thread_counts() {
-                let base = reconstruct($choice, 1, &|_| {});
-                let other = reconstruct($choice, 4, &|_| {});
-                assert_bit_identical(&other, &base, "1 vs 4 threads");
-            }
-
-            #[test]
-            fn batched_reconstruction_is_bit_identical_across_thread_counts() {
-                // batch 3 does not divide the transmitter count, so panel
-                // tails and odd (cluster × rhs) splits are exercised.
-                let base = reconstruct($choice, 1, &|c| c.batch = Some(3));
-                let other = reconstruct($choice, 4, &|c| c.batch = Some(3));
-                assert_bit_identical(&other, &base, "batched 1 vs 4 threads");
-            }
-
-            #[test]
-            fn repeated_runs_are_bit_identical() {
-                let a = reconstruct($choice, 2, &|_| {});
-                let b = reconstruct($choice, 2, &|_| {});
-                assert_bit_identical(&a, &b, "repeat run");
-            }
-
-            #[test]
-            fn residual_history_never_rises_and_ends_low() {
-                let r = reconstruct($choice, 2, &|c| c.iterations = 5);
-                let first = r.history.first().expect("history").rel_residual;
-                assert!(
-                    r.final_residual < 0.3 * first,
-                    "{first} -> {}",
-                    r.final_residual
-                );
-                for h in &r.history {
-                    assert!(h.rel_residual <= first * 1.0001);
-                }
-            }
-
-            #[test]
-            fn warm_start_never_costs_iterations() {
-                let warm = reconstruct($choice, 2, &|c| c.iterations = 4);
-                let cold = reconstruct($choice, 2, &|c| {
-                    c.iterations = 4;
-                    c.warm_start = false;
-                });
-                let wi: usize = warm.history.iter().map(|h| h.solver_iters).sum();
-                let ci: usize = cold.history.iter().map(|h| h.solver_iters).sum();
-                assert!(wi <= ci, "warm {wi} vs cold {ci}");
-            }
-        }
-    };
+#[test]
+fn reconstruction_is_bit_identical_across_thread_counts() {
+    let base = reconstruct(1, &|_| {});
+    let other = reconstruct(4, &|_| {});
+    assert_bit_identical(&other, &base, "1 vs 4 threads");
 }
 
-backend_suite!(bicgstab, BackendChoice::Bicgstab);
-backend_suite!(born_series, BackendChoice::BornSeries);
+#[test]
+fn batched_reconstruction_is_bit_identical_across_thread_counts() {
+    // batch 3 does not divide the transmitter count, so panel
+    // tails and odd (cluster × rhs) splits are exercised.
+    let base = reconstruct(1, &|c| c.batch = Some(3));
+    let other = reconstruct(4, &|c| c.batch = Some(3));
+    assert_bit_identical(&other, &base, "batched 1 vs 4 threads");
+}
+
+#[test]
+fn repeated_runs_are_bit_identical() {
+    let a = reconstruct(2, &|_| {});
+    let b = reconstruct(2, &|_| {});
+    assert_bit_identical(&a, &b, "repeat run");
+}
+
+#[test]
+fn residual_history_never_rises_and_ends_low() {
+    let r = reconstruct(2, &|c| c.iterations = 5);
+    let first = r.history.first().expect("history").rel_residual;
+    assert!(
+        r.final_residual < 0.3 * first,
+        "{first} -> {}",
+        r.final_residual
+    );
+    for h in &r.history {
+        assert!(h.rel_residual <= first * 1.0001);
+    }
+}
+
+#[test]
+fn warm_start_never_costs_iterations() {
+    let warm = reconstruct(2, &|c| c.iterations = 4);
+    let cold = reconstruct(2, &|c| {
+        c.iterations = 4;
+        c.warm_start = false;
+    });
+    let wi: usize = warm.history.iter().map(|h| h.solver_iters).sum();
+    let ci: usize = cold.history.iter().map(|h| h.solver_iters).sum();
+    assert!(wi <= ci, "warm {wi} vs cold {ci}");
+}
 
 /// The same determinism contracts, parameterized over the regularizer seam:
 /// the hybrid-projection wGCV-LSQR linear step and the seeded-smoothness
 /// spatial prior must be exactly as thread-invariant, repeatable, and
-/// warm-start-friendly as the plain Tikhonov path, under both backends.
+/// warm-start-friendly as the plain Tikhonov path.
 macro_rules! regularizer_suite {
-    ($name:ident, $choice:expr, $reg:expr) => {
+    ($name:ident, $reg:expr) => {
         mod $name {
             use super::*;
 
             fn with_reg(threads: usize, cfg_edit: &dyn Fn(&mut DbimConfig)) -> DbimResult {
-                reconstruct($choice, threads, &|c| {
+                reconstruct(threads, &|c| {
                     c.regularizer = $reg;
                     cfg_edit(c);
                 })
@@ -202,37 +178,19 @@ macro_rules! regularizer_suite {
 }
 
 regularizer_suite!(
-    bicgstab_wgcv_lsqr,
-    BackendChoice::Bicgstab,
+    wgcv_lsqr,
     Regularizer::WgcvLsqr {
         steps: 4,
         omega: 0.8
     }
 );
-regularizer_suite!(
-    bicgstab_smoothness,
-    BackendChoice::Bicgstab,
-    Regularizer::Smoothness { lambda: 1e-3 }
-);
-regularizer_suite!(
-    born_series_wgcv_lsqr,
-    BackendChoice::BornSeries,
-    Regularizer::WgcvLsqr {
-        steps: 4,
-        omega: 0.8
-    }
-);
-regularizer_suite!(
-    born_series_smoothness,
-    BackendChoice::BornSeries,
-    Regularizer::Smoothness { lambda: 1e-3 }
-);
+regularizer_suite!(smoothness, Regularizer::Smoothness { lambda: 1e-3 });
 
 /// wGCV must actually record one chosen lambda per outer iteration, and the
 /// non-adaptive paths must record none.
 #[test]
 fn lambda_trace_shape_matches_regularizer() {
-    let wgcv = reconstruct(BackendChoice::Bicgstab, 2, &|c| {
+    let wgcv = reconstruct(2, &|c| {
         c.regularizer = Regularizer::WgcvLsqr {
             steps: 4,
             omega: 0.8,
@@ -240,18 +198,6 @@ fn lambda_trace_shape_matches_regularizer() {
     });
     assert_eq!(wgcv.lambdas.len(), wgcv.history.len());
     assert!(wgcv.lambdas.iter().all(|l| l.is_finite() && *l >= 0.0));
-    let tik = reconstruct(BackendChoice::Bicgstab, 2, &|_| {});
+    let tik = reconstruct(2, &|_| {});
     assert!(tik.lambdas.is_empty());
-}
-
-/// The two backends must agree on *what* they computed even where they are
-/// free to differ on *how*: same solve count, same residual endpoint to the
-/// accuracy of the shared forward tolerance.
-#[test]
-fn backends_share_the_solve_accounting() {
-    let k = reconstruct(BackendChoice::Bicgstab, 2, &|_| {});
-    let b = reconstruct(BackendChoice::BornSeries, 2, &|_| {});
-    assert_eq!(k.forward_solves, b.forward_solves);
-    let gap = (k.final_residual - b.final_residual).abs() / k.final_residual.max(1e-300);
-    assert!(gap < 1e-2, "residual endpoints diverged: {gap:.3e}");
 }

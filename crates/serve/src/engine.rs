@@ -865,7 +865,6 @@ fn execute(inner: &Inner, spec: &JobSpec, control: JobControl) -> Result<Execute
     let ft = FtConfig {
         dbim: DbimConfig {
             iterations: spec.iterations,
-            backend: spec.backend,
             regularizer: spec.regularizer,
             ..Default::default()
         },

@@ -20,6 +20,12 @@
 //! well-formed file. Corruption *before* the last good frame also truncates
 //! there: the journal is a prefix log, and a conservative prefix is the
 //! only state whose every frame is known-good.
+//!
+//! A frame whose length and checksum are *valid* but whose payload does not
+//! decode is neither: it was written whole, by a version of the service
+//! whose events this one no longer reads. Truncating there would discard
+//! acknowledged history, so the open fails typed
+//! ([`JournalError::Undecodable`]) and leaves the file as it is.
 
 use crate::json::Json;
 use crate::spec::JobSpec;
@@ -42,6 +48,16 @@ pub enum JournalError {
     /// The file exists but does not start with the journal magic — it is
     /// not ours to truncate; the operator must move it aside.
     BadHeader,
+    /// A frame with a valid length and checksum whose payload this version
+    /// cannot decode — a version skew, not a torn write. The file is left
+    /// untouched; the operator drains it with the version that wrote it or
+    /// moves it aside.
+    Undecodable {
+        /// Byte offset of the frame in the file.
+        offset: u64,
+        /// Why the payload did not decode.
+        reason: String,
+    },
 }
 
 impl fmt::Display for JournalError {
@@ -54,6 +70,11 @@ impl fmt::Display for JournalError {
                     "journal file exists but has a foreign header (refusing to truncate)"
                 )
             }
+            JournalError::Undecodable { offset, reason } => write!(
+                f,
+                "journal frame at byte {offset} is intact but does not decode ({reason}); \
+                 it was written by another version — refusing to truncate"
+            ),
         }
     }
 }
@@ -238,7 +259,8 @@ pub struct Journal {
 impl Journal {
     /// Opens (creating if absent) the journal at `path` and recovers every
     /// intact frame. A torn or corrupt tail is truncated; a file with a
-    /// foreign header is a typed error, never a panic and never destroyed.
+    /// foreign header, or an intact frame this version cannot decode, is a
+    /// typed error, never a panic and never destroyed.
     pub fn open(path: &Path) -> Result<(Journal, Recovery), JournalError> {
         let io = |what: &str, e: std::io::Error| {
             JournalError::Io(format!("{what} {}: {e}", path.display()))
@@ -262,7 +284,7 @@ impl Journal {
                     None
                 } else {
                     let mut pos = MAGIC.len();
-                    while let Some((event, next)) = read_frame(bytes, pos) {
+                    while let Some((event, next)) = read_frame(bytes, pos)? {
                         recovery.events.push(event);
                         pos = next;
                     }
@@ -331,8 +353,27 @@ impl Journal {
     }
 }
 
-/// Parses the frame at `pos`; `None` if it is torn, corrupt, or absent.
-fn read_frame(bytes: &[u8], pos: usize) -> Option<(JobEvent, usize)> {
+/// Parses the frame at `pos`: `Ok(None)` if it is torn, corrupt, or absent
+/// (the end of the valid prefix), an error if it is intact — length and
+/// checksum hold — but its payload does not decode.
+fn read_frame(bytes: &[u8], pos: usize) -> Result<Option<(JobEvent, usize)>, JournalError> {
+    let Some((payload, frame_end)) = intact_payload(bytes, pos) else {
+        return Ok(None);
+    };
+    let event = std::str::from_utf8(payload)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(text).map_err(|e| e.to_string()))
+        .and_then(|j| JobEvent::from_json(&j))
+        .map_err(|reason| JournalError::Undecodable {
+            offset: pos as u64,
+            reason,
+        })?;
+    Ok(Some((event, frame_end)))
+}
+
+/// The payload of the frame at `pos` and the offset the frame ends at, if
+/// the whole frame is there, its length is sane and its checksum matches.
+fn intact_payload(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     let len_end = pos.checked_add(4)?;
     if len_end > bytes.len() {
         return None;
@@ -351,12 +392,7 @@ fn read_frame(bytes: &[u8], pos: usize) -> Option<(JobEvent, usize)> {
     let payload = &bytes[len_end..payload_end];
     let mut sum_buf = [0u8; 8];
     sum_buf.copy_from_slice(&bytes[payload_end..frame_end]);
-    if u64::from_le_bytes(sum_buf) != fnv1a64(payload) {
-        return None;
-    }
-    let text = std::str::from_utf8(payload).ok()?;
-    let event = JobEvent::from_json(&Json::parse(text).ok()?).ok()?;
-    Some((event, frame_end))
+    (u64::from_le_bytes(sum_buf) == fnv1a64(payload)).then_some((payload, frame_end))
 }
 
 fn sync_parent_dir(path: &Path) -> Result<(), JournalError> {

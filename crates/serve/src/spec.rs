@@ -11,7 +11,7 @@
 use crate::json::{obj, Json};
 use ffw_fault::Fingerprint;
 use ffw_geometry::Point2;
-use ffw_inverse::{BackendChoice, HopSchedule, Regularizer};
+use ffw_inverse::{HopSchedule, Regularizer};
 use ffw_mlfma::Accuracy;
 use ffw_phantom::{Annulus, Cylinder, Phantom, RandomBlobs, SheppLogan};
 use ffw_tomo::SceneConfig;
@@ -45,12 +45,6 @@ pub struct JobSpec {
     pub arc_deg: Option<f64>,
     /// MLFMA accuracy preset (`low` / `default` / `high`).
     pub accuracy: String,
-    /// Forward-solver backend (`bicgstab` / `born-series`). Parsed and
-    /// validated at admission: `born-series` runs on the 1 x 1 grid only
-    /// (its contrast admission is a max over the whole object), so a job
-    /// asking for it on a larger grid is rejected here rather than failing
-    /// mid-run.
-    pub backend: BackendChoice,
     /// Illumination groups for the fault-tolerant distributed driver.
     pub groups: usize,
     /// Sub-tree ranks per group.
@@ -106,6 +100,22 @@ impl JobSpec {
             .and_then(Json::as_str)
             .ok_or("'id' is required and must be a string")?
             .to_string();
+        // Clients and journals from before the forward-engine choice was
+        // removed still carry this key. The value naming the engine that
+        // remains is accepted and dropped; any other is refused, because
+        // ignoring it would run the job on a solver it did not ask for.
+        match j.get("backend") {
+            None | Some(Json::Null) => {}
+            Some(v) if v.as_str() == Some("bicgstab") => {}
+            Some(v) => {
+                return Err(format!(
+                    "'backend' {}: the forward-engine choice was removed — the \
+                     born-series engine is gone and every job runs on bicgstab; \
+                     drop the key",
+                    v.to_line()
+                ))
+            }
+        }
         let spec = JobSpec {
             id,
             size: field_u64(j, "size", 32)? as usize,
@@ -125,14 +135,6 @@ impl JobSpec {
                 .and_then(Json::as_str)
                 .unwrap_or("low")
                 .to_string(),
-            backend: match j.get("backend") {
-                None | Some(Json::Null) => BackendChoice::default(),
-                Some(v) => v
-                    .as_str()
-                    .ok_or("'backend' must be a string")?
-                    .parse()
-                    .map_err(|e| format!("'backend': {e}"))?,
-            },
             groups: field_u64(j, "groups", 1)? as usize,
             subtree: field_u64(j, "subtree", 1)? as usize,
             max_restarts: field_u64(j, "max_restarts", 1)? as u32,
@@ -232,14 +234,13 @@ impl JobSpec {
                 return Err("'max_flops' must be positive".into());
             }
         }
-        // The only two settings that do not run on every rank grid.
-        ffw_tomo::grid_admission(self.backend, self.regularizer, self.groups, self.subtree)
-            .map_err(|why| {
-                format!(
-                    "'groups' {} x 'subtree' {}: {why}",
-                    self.groups, self.subtree
-                )
-            })?;
+        // The only setting that does not run on every rank grid.
+        ffw_tomo::grid_admission(self.regularizer, self.subtree).map_err(|why| {
+            format!(
+                "'groups' {} x 'subtree' {}: {why}",
+                self.groups, self.subtree
+            )
+        })?;
         if let Some(schedule) = &self.hops {
             if self.iterations < schedule.len() {
                 return Err(format!(
@@ -268,7 +269,6 @@ impl JobSpec {
             ("noise_db", opt(self.noise_db)),
             ("arc_deg", opt(self.arc_deg)),
             ("accuracy", Json::Str(self.accuracy.clone())),
-            ("backend", Json::Str(self.backend.as_str().to_string())),
             ("groups", Json::Num(self.groups as f64)),
             ("subtree", Json::Num(self.subtree as f64)),
             ("max_restarts", Json::Num(self.max_restarts as f64)),
@@ -385,7 +385,6 @@ mod tests {
     fn defaults_and_roundtrip() {
         let spec = JobSpec::from_json(&base()).expect("valid");
         assert_eq!(spec.phantom, "cylinder");
-        assert_eq!(spec.backend, BackendChoice::Bicgstab);
         assert_eq!(spec.groups, 1);
         assert_eq!(spec.deadline_ms, None);
         assert_eq!(spec.hops, None);
@@ -428,9 +427,10 @@ mod tests {
             (r#"{"id":"a","phantom":"pineapple"}"#, "phantom"),
             (r#"{"id":"a","accuracy":"extreme"}"#, "accuracy"),
             (r#"{"id":"a","backend":"gmres"}"#, "'backend'"),
+            (r#"{"id":"a","backend":7}"#, "'backend'"),
             (
-                r#"{"id":"a","backend":"born-series","tx":4,"groups":2}"#,
-                "born-series requires groups = subtree = 1",
+                r#"{"id":"a","backend":"born-series"}"#,
+                "the forward-engine choice was removed",
             ),
             (r#"{"id":"a","tx":4,"groups":3}"#, "'groups'"),
             (r#"{"id":"a","subtree":3}"#, "'subtree'"),
@@ -462,7 +462,9 @@ mod tests {
     }
 
     /// What used to be pinned to the serial driver now runs on every grid:
-    /// admission only refuses the two settings a grid cannot reduce.
+    /// admission only refuses the one setting a grid cannot reduce. The
+    /// legacy `backend` key is accepted when it names the one engine, and
+    /// not written back.
     #[test]
     fn hops_and_regularizers_are_admitted_on_rank_grids() {
         for patch in [
@@ -471,10 +473,12 @@ mod tests {
             r#"{"id":"a","regularizer":"smoothness:1e-4","tx":4,"groups":2}"#,
             r#"{"id":"a","regularizer":"wgcv-lsqr","tx":4,"groups":2,"subtree":2}"#,
             r#"{"id":"a","regularizer":"tikhonov:1e-3","subtree":2}"#,
-            r#"{"id":"a","backend":"born-series"}"#,
+            r#"{"id":"a","backend":"bicgstab"}"#,
+            r#"{"id":"a","backend":null}"#,
         ] {
             let j = Json::parse(patch).expect(patch);
-            JobSpec::from_json(&j).unwrap_or_else(|e| panic!("{patch}: {e}"));
+            let spec = JobSpec::from_json(&j).unwrap_or_else(|e| panic!("{patch}: {e}"));
+            assert!(spec.to_json().get("backend").is_none(), "{patch}");
         }
     }
 

@@ -285,12 +285,13 @@ fn hop_regularizer_jobs_run_to_done_on_any_grid() {
     for (a, b) in serial.iter().zip(&grid) {
         assert!((a - b).abs() <= 1e-8 * scale, "{a} vs {b}");
     }
-    // The two grid pins are rejected at admission with the reason, not
-    // failed mid-run; their neighbours are admitted.
+    // The grid pin and the removed forward-engine value are rejected at
+    // admission with the reason, not failed mid-run (or run on another
+    // solver); their neighbours are admitted.
     for (extra, why) in [
         (
-            r#""backend":"born-series","groups":2"#,
-            "born-series requires groups = subtree = 1",
+            r#""backend":"born-series""#,
+            "the forward-engine choice was removed",
         ),
         (
             r#""regularizer":"smoothness:1e-4","subtree":2"#,

@@ -164,6 +164,49 @@ fn single_byte_corruption_never_panics_and_never_fabricates_events() {
     fs::remove_file(&path).ok();
 }
 
+/// One journal frame around `payload`: length, payload, FNV-1a 64 checksum.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+    f.extend_from_slice(payload);
+    f.extend_from_slice(&ffw_fault::fnv1a64(payload).to_le_bytes());
+    f
+}
+
+/// A frame written whole by the parent version — length and checksum valid
+/// — whose spec this version refuses (`"backend":"born-series"`) is a
+/// version skew, not a torn tail: the open fails typed at that frame's
+/// offset and the file, the acknowledged event after the frame included, is
+/// left byte for byte as it was.
+#[test]
+fn an_intact_frame_that_does_not_decode_is_a_typed_error_not_a_truncation() {
+    let path = tmp("version-skew");
+    fs::remove_file(&path).ok();
+    let (mut j, _) = Journal::open(&path).expect("fresh open");
+    j.append(&history()[0]).expect("append");
+    drop(j);
+    let mut bytes = fs::read(&path).expect("read");
+    let offset = bytes.len() as u64;
+    bytes.extend(frame(
+        br#"{"type":"accepted","id":"old","spec":{"id":"old","size":32,"tx":4,"rx":8,"iterations":2,"backend":"born-series"}}"#,
+    ));
+    bytes.extend(frame(history()[1].to_json().to_line().as_bytes()));
+    fs::write(&path, &bytes).expect("write");
+
+    match Journal::open(&path) {
+        Err(JournalError::Undecodable { offset: at, reason }) => {
+            assert_eq!(at, offset);
+            assert!(reason.contains("'backend'"), "{reason}");
+        }
+        other => panic!("expected Undecodable, got {other:?}"),
+    }
+    assert_eq!(
+        fs::read(&path).expect("read"),
+        bytes,
+        "the file was touched"
+    );
+    fs::remove_file(&path).ok();
+}
+
 /// Deleting the file entirely (crash before creation fsync reached the
 /// directory) is a fresh start, not an error.
 #[test]

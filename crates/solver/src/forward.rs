@@ -16,11 +16,17 @@
 //! sub-tree rank of the distributed one. The panel `G0` reads (`O . x`, or
 //! `conj x`) is on lease from the caller's [`Workspace`] for the length of
 //! one apply.
+//!
+//! [`BicgstabBackend`] is the pair bound to one `(G0, object)` with the one
+//! BiCGStab kernel: the forward engine every reconstruction solves through.
 
-use crate::block::bicgstab_block_with;
+use crate::block::{bicgstab_block_with, try_bicgstab_block};
 use crate::krylov::{width_one, IterConfig, SolveStats};
-use crate::op::{DistOp, LinOp};
+use crate::op::DistOp;
+use crate::precond::Precond;
+use crate::verify::DriftGuard;
 use crate::workspace::{Leased, Workspace};
+use ffw_fault::FaultError;
 use ffw_numerics::C64;
 use std::convert::Infallible;
 
@@ -117,17 +123,8 @@ impl<G: DistOp + ?Sized> DistOp for AdjointScatteringOp<'_, G> {
     }
 }
 
-/// Applies `G0^H x` using a symmetric `G0` (conjugation trick), standalone.
-pub fn g0_adjoint_apply<G: LinOp + ?Sized>(g0: &G, x: &[C64], y: &mut [C64]) {
-    let xc: Vec<C64> = x.iter().map(|v| v.conj()).collect();
-    g0.apply(&xc, y);
-    for v in y.iter_mut() {
-        *v = v.conj();
-    }
-}
-
-/// Block form of [`g0_adjoint_apply`]: `ys[b] = G0^H xs[b]` fused into one
-/// block apply of the symmetric `G0`.
+/// `ys[b] = G0^H xs[b]` for a symmetric `G0` (conjugation trick), fused into
+/// one block apply.
 pub fn g0_adjoint_apply_block<G: DistOp + ?Sized>(
     g0: &G,
     xs: &[&[C64]],
@@ -143,6 +140,85 @@ pub fn g0_adjoint_apply_block<G: DistOp + ?Sized>(
         }
     }
     Ok(())
+}
+
+/// A right preconditioner for the forward system `A` and one for its
+/// adjoint `A^H`, in that order.
+pub type PrecondPair<'a> = (&'a dyn Precond, &'a dyn Precond);
+
+/// The forward engine of a reconstruction: BiCGStab under its breakdown
+/// policy ([`crate::try_bicgstab_block`]) on the forward or the adjoint
+/// scattering operator of one `(G0, object)` pair. `object` is this rank's
+/// slice of the contrast function, so the same engine serves an in-process
+/// `G0` and a sub-tree rank of the distributed one; every N-vector a solve
+/// needs is on lease from `ws`, the run's workspace.
+///
+/// Both solves take `xs` as the initial guess (zero or a warm start) and
+/// overwrite it. All columns iterate against the one operator so applies
+/// fuse into panels, with per-column convergence masking; a column's
+/// trajectory is bit-identical at any panel width. A solve fails typed when
+/// the operator fails (a dead peer, a corrupted panel on a rank grid) or a
+/// Krylov breakdown survives its one retry.
+///
+/// With a `guard`, the kernel audits its recursive residual against the true
+/// `b - A x` every [`DriftGuard::period`] steps and at every would-be
+/// convergence, rolls back to the last verified iterate on divergence and
+/// escalates (column surfaced unconverged, guard counter bumped) once the
+/// rollback budget is spent; clean solves are bit-identical to unguarded ones.
+pub struct BicgstabBackend<'a, G: DistOp + ?Sized> {
+    g0: &'a G,
+    object: &'a [C64],
+    guard: Option<&'a DriftGuard>,
+    precond: Option<PrecondPair<'a>>,
+    ws: &'a Workspace,
+}
+
+impl<'a, G: DistOp + ?Sized> BicgstabBackend<'a, G>
+where
+    FaultError: From<G::Error>,
+{
+    /// Binds the engine to one `(G0, object)` pair, with the optional drift
+    /// guard and preconditioner pair riding into every solve.
+    pub fn new(
+        g0: &'a G,
+        object: &'a [C64],
+        guard: Option<&'a DriftGuard>,
+        precond: Option<PrecondPair<'a>>,
+        ws: &'a Workspace,
+    ) -> Self {
+        assert_eq!(g0.n_local(), object.len());
+        BicgstabBackend {
+            g0,
+            object,
+            guard,
+            precond,
+            ws,
+        }
+    }
+
+    /// Solves `A xs[c] = bs[c]` for a panel of columns in lockstep.
+    pub fn solve_block(
+        &self,
+        bs: &[&[C64]],
+        xs: &mut [Vec<C64>],
+        cfg: IterConfig,
+    ) -> Result<Vec<SolveStats>, FaultError> {
+        let a = ScatteringOp::new(self.g0, self.object, self.ws);
+        let precond = self.precond.map(|p| p.0);
+        try_bicgstab_block(&a, bs, xs, cfg, self.guard, precond, self.ws)
+    }
+
+    /// Solves `A^H xs[c] = bs[c]` for a panel of columns in lockstep.
+    pub fn solve_adjoint_block(
+        &self,
+        bs: &[&[C64]],
+        xs: &mut [Vec<C64>],
+        cfg: IterConfig,
+    ) -> Result<Vec<SolveStats>, FaultError> {
+        let a = AdjointScatteringOp::new(self.g0, self.object, self.ws);
+        let precond = self.precond.map(|p| p.1);
+        try_bicgstab_block(&a, bs, xs, cfg, self.guard, precond, self.ws)
+    }
 }
 
 /// Solves the forward problem `[I - G0 diag(O)] phi = phi_inc` with BiCGStab:
@@ -345,11 +421,11 @@ mod tests {
         let n = 15;
         let g0 = symmetric_g0(n, 30);
         let x = random_vec(n, 31);
-        let mut y = vec![C64::ZERO; n];
-        g0_adjoint_apply(&g0, &x, &mut y);
+        let mut y = vec![vec![C64::ZERO; n]];
+        let Ok(()) = g0_adjoint_apply_block(&g0, &[&x], &mut y, &Workspace::new());
         let gh = g0.adjoint();
         let mut y2 = vec![C64::ZERO; n];
         gh.matvec(&x, &mut y2);
-        assert!(rel_diff(&y, &y2) < 1e-13);
+        assert!(rel_diff(&y[0], &y2) < 1e-13);
     }
 }

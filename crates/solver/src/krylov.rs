@@ -16,9 +16,8 @@ use std::fmt;
 
 /// Outcome of an iterative solve.
 ///
-/// These semantics are shared by every engine in the workspace (block
-/// BiCGStab, the distributed solver, and the Born-series backend) so
-/// cross-backend comparisons are apples-to-apples:
+/// These semantics hold on every context the one kernel runs on (in-process
+/// or a rank of the grid):
 ///
 /// - `iterations` counts the update steps *reflected in the returned
 ///   iterate*. A step whose update is rolled back (e.g. a non-finite

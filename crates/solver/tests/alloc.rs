@@ -18,8 +18,7 @@ use ffw_numerics::{c64, C64};
 use ffw_par::Pool;
 use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
 use ffw_solver::{
-    BicgstabBackend, BlockLinOp, DriftGuard, ForwardBackend, IterConfig, VerifiedBlockOp,
-    VerifyConfig, Workspace,
+    BicgstabBackend, BlockLinOp, DriftGuard, IterConfig, VerifiedBlockOp, VerifyConfig, Workspace,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
