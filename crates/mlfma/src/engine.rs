@@ -99,11 +99,30 @@ impl ObsHooks {
 /// Bytes of one leaf spectrum.
 const SPECTRUM_BYTES: u64 = 8 * SPECTRUM_LEN as u64;
 
-/// Builds the per-stage cost model from the plan: complex multiply-adds
-/// counted as 8 flops, bytes as the pattern/field data each stage reads and
-/// writes (16 bytes per `C64`). Interpolation is modeled as one MAC per
-/// output sample per child — a lower bound for the band path, exact in
-/// spirit for the diagonal shift/translation work that dominates.
+/// Children per parent: what one band tap or one shift entry is applied to.
+const SIBLINGS: u64 = 4;
+
+/// Flops of one leaf operator on one leaf, either direction (`crate::local`):
+/// per sample and mirrored pixel pair four real products and four additions,
+/// plus the 64 complex additions that form the pair sums and differences
+/// (radiate) or split the four sums into the two pixels (receive).
+fn leaf_operator_flops(q_leaf: u64) -> u64 {
+    let pairs = LEAF_PIXELS as u64 / 2;
+    q_leaf * pairs * 8 + LEAF_PIXELS as u64 * 2
+}
+
+/// Flops of one upward or downward step for one parent (`crate::kernels`):
+/// per parent sample, `band` taps of one real weight on four complex
+/// siblings (two products and two additions each) and four complex
+/// multiply-adds by the shift diagonals — the downward pass spends the same
+/// eight flops per sibling on the product and the `alpha` scaling.
+fn band_step_flops(q_parent: u64, band: u64) -> u64 {
+    q_parent * SIBLINGS * (band * 4 + 8)
+}
+
+/// Builds the per-stage cost model from the plan, counting what the kernels
+/// execute: flops as above (a complex multiply-add is 8), bytes as the
+/// pattern/field data each stage reads and writes (16 bytes per `C64`).
 fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
     const C: u64 = 16; // bytes per C64
     let n_levels = plan.levels.len();
@@ -112,22 +131,28 @@ fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
     let q_leaf = leaf.q as u64;
     let npx = LEAF_PIXELS as u64;
 
-    // aggregate: leaf expansions + upward interp/shift per non-leaf level
+    // aggregate: leaf expansions + upward interp/shift per non-leaf level;
+    // disaggregate: its mirror (shift + anterpolate)
     let mut agg = StageCost {
-        flops: n_leaves * q_leaf * npx * 8,
+        flops: n_leaves * leaf_operator_flops(q_leaf),
         bytes: n_leaves * (npx + q_leaf) * C,
     };
-    for li in (0..n_levels.saturating_sub(1)).rev() {
+    let mut dis = StageCost::default();
+    for li in 0..n_levels.saturating_sub(1) {
         let lp = &plan.levels[li];
         let n_parents = (lp.n_side * lp.n_side) as u64;
         let q_parent = lp.q as u64;
         let q_child = plan.levels[li + 1].q as u64;
-        // 4 children: interpolate child->parent sampling, then shift-MAC
-        agg.flops += n_parents * 4 * (q_parent + q_parent) * 8;
-        agg.bytes += n_parents * (4 * q_child + q_parent) * C;
+        let band = lp.interp.as_ref().expect("non-leaf has interp").band() as u64;
+        let step_flops = n_parents * band_step_flops(q_parent, band);
+        agg.flops += step_flops;
+        dis.flops += step_flops;
+        agg.bytes += n_parents * (SIBLINGS * q_child + q_parent) * C;
+        dis.bytes += n_parents * (q_parent + SIBLINGS * q_child) * C;
     }
 
-    // translate: one diagonal MAC per interaction-list entry per sample
+    // translate: one diagonal MAC per interaction-list entry per sample, the
+    // observer's slot written once
     let mut tra = StageCost::default();
     for lp in &plan.levels {
         let q = lp.q as u64;
@@ -136,21 +161,11 @@ fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
         tra.bytes += (n_pairs * q + (lp.n_side * lp.n_side) as u64 * q) * C;
     }
 
-    // disaggregate: mirror of the upward pass (shift + anterpolate)
-    let mut dis = StageCost::default();
-    for li in 0..n_levels.saturating_sub(1) {
-        let lp = &plan.levels[li];
-        let n_parents = (lp.n_side * lp.n_side) as u64;
-        let q_parent = lp.q as u64;
-        let q_child = plan.levels[li + 1].q as u64;
-        dis.flops += n_parents * 4 * (q_parent + q_parent) * 8;
-        dis.bytes += n_parents * (q_parent + 4 * q_child) * C;
-    }
-
-    // near: adjoint leaf expansion, then per leaf one forward and one inverse
-    // 16 x 16 transform and one 256-sample diagonal product per neighbour
+    // near: leaf local expansion with its 64 products by the weight, then per
+    // leaf one forward and one inverse 16 x 16 transform and one 256-sample
+    // diagonal product per neighbour
     let mut near = StageCost {
-        flops: n_leaves * q_leaf * npx * 8,
+        flops: n_leaves * (leaf_operator_flops(q_leaf) + npx * 6),
         bytes: n_leaves * (q_leaf + npx) * C,
     };
     let leaf_side = plan.tree.clusters_per_side(plan.tree.leaf_level());
@@ -171,9 +186,10 @@ fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
     [agg, tra, dis, near]
 }
 
-/// Bytes of *operator* data (expansion matrices, interpolation weights
-/// modeled as one `f64` per output sample per child, shift and translation
-/// diagonals) streamed by one tree traversal.
+/// Bytes of *operator* data streamed by one tree traversal: the half of the
+/// leaf expansion matrix each leaf operator keeps, per parent sample the
+/// band row (`band` weights and its first column) and the four shift
+/// entries, one translation diagonal per interaction-list entry.
 ///
 /// This is the part of the cost model that does *not* scale with the panel
 /// width: one `apply_block` reads each operator once for all `B` columns,
@@ -181,19 +197,23 @@ fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
 fn operator_bytes(plan: &MlfmaPlan) -> [u64; 4] {
     const C: u64 = 16; // bytes per C64
     const W: u64 = 8; // bytes per interpolation weight (f64)
+    const START: u64 = 4; // bytes per band row's first column (u32)
     let n_levels = plan.levels.len();
     let leaf = plan.leaf_plan();
     let n_leaves = (leaf.n_side * leaf.n_side) as u64;
-    let q_leaf = leaf.q as u64;
-    let npx = LEAF_PIXELS as u64;
+    let leaf_matrix = leaf.q as u64 * (LEAF_PIXELS as u64 / 2) * C;
 
-    // aggregate: leaf expansion matrix per leaf + upward interp/shift ops
-    let mut agg = n_leaves * q_leaf * npx * C;
-    for li in (0..n_levels.saturating_sub(1)).rev() {
+    // aggregate: leaf expansion matrix per leaf + upward interp/shift ops;
+    // disaggregate: the same band rows, the conjugate shifts
+    let mut agg = n_leaves * leaf_matrix;
+    let mut dis = 0u64;
+    for li in 0..n_levels.saturating_sub(1) {
         let lp = &plan.levels[li];
         let n_parents = (lp.n_side * lp.n_side) as u64;
-        let q_parent = lp.q as u64;
-        agg += n_parents * 4 * q_parent * (W + C);
+        let band = lp.interp.as_ref().expect("non-leaf has interp").band() as u64;
+        let per_parent = lp.q as u64 * (band * W + START + SIBLINGS * C);
+        agg += n_parents * per_parent;
+        dis += n_parents * per_parent;
     }
 
     // translate: one diagonal translator per interaction-list entry
@@ -204,18 +224,9 @@ fn operator_bytes(plan: &MlfmaPlan) -> [u64; 4] {
         tra += n_pairs * q * C;
     }
 
-    // disaggregate: mirror of the upward pass (shift diag + anterp weights)
-    let mut dis = 0u64;
-    for li in 0..n_levels.saturating_sub(1) {
-        let lp = &plan.levels[li];
-        let n_parents = (lp.n_side * lp.n_side) as u64;
-        let q_parent = lp.q as u64;
-        dis += n_parents * 4 * q_parent * (W + C);
-    }
-
-    // near: adjoint expansion matrix per leaf (the kernel spectra are charged
+    // near: local expansion matrix per leaf (the kernel spectra are charged
     // per column in `apply_cost`)
-    let near = n_leaves * q_leaf * npx * C;
+    let near = n_leaves * leaf_matrix;
 
     [agg, tra, dis, near]
 }
@@ -461,22 +472,30 @@ mod tests {
     /// The `mlfma.flops.*` / `mlfma.bytes.*` charges are a pure function of
     /// the plan: per stage (aggregate, translate, disaggregate, near) the
     /// flops and pattern bytes of one column and the operator bytes of one
-    /// traversal, as charged before the pair counts came from the plan's
-    /// own table.
+    /// traversal. At 64 x 64 (64 leaves of q = 41 under 16 parents of q = 63,
+    /// band 16; 156 + 1116 translation pairs, 484 near pairs):
+    ///
+    /// * one leaf operator: 41 x 32 pairs x 8 + 64 x 2 = 10 624 flops over
+    ///   41 x 32 x 16 = 20 992 matrix bytes;
+    /// * one parent, either direction: 63 x 4 x (16 x 4 + 8) = 18 144 flops
+    ///   over 63 x (16 x 8 + 4 + 4 x 16) = 12 348 operator bytes;
+    /// * aggregate = 64 x 10 624 + 16 x 18 144, disaggregate = 16 x 18 144,
+    ///   translate = (156 x 63 + 1116 x 41) x 8 flops and x 16 bytes;
+    /// * near = 64 x (10 624 + 64 x 6) + 64 x (3744 + 4256) + 484 x 2048.
     #[test]
     fn per_apply_charges_are_pinned() {
         let pinned = [
             (
                 64,
-                [1_408_000u64, 444_672, 64_512, 2_846_720],
+                [970_240u64, 444_672, 290_304, 2_207_744],
                 [165_632u64, 947_456, 58_112, 4_531_200],
-                [2_783_744u64, 889_344, 96_768, 2_686_976],
+                [1_541_056u64, 889_344, 197_568, 1_343_488],
             ),
             (
                 256,
-                [23_104_512, 12_135_360, 1_608_704, 47_783_936],
+                [18_118_144, 12_135_360, 7_239_168, 37_560_320],
                 [3_153_664, 25_344_640, 1_433_344, 81_444_864],
-                [45_404_672, 24_270_720, 2_413_056, 42_991_616],
+                [26_422_464, 24_270_720, 4_926_656, 21_495_808],
             ),
         ];
         for (n_px, flops, bytes, op_bytes) in pinned {

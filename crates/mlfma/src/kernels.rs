@@ -5,8 +5,9 @@
 //! are [`crate::local`]):
 //!
 //! * **diagonal** ([`translate`]) — the `q` samples are the lanes. One
-//!   observer cluster at a time: each interaction pair's translator is
-//!   loaded once and swept over every column of the panel.
+//!   observer slot at a time, a register-sized block of its samples
+//!   accumulates over the observer's whole pair list and is stored once
+//!   (the translators of one level stay in cache across the clusters).
 //! * **band-diagonal** ([`interp_shift`], [`shift_anterp`]) — the four
 //!   siblings x (re, im) are the 8 lanes. A band row touches `band`
 //!   *consecutive* child samples with one real weight each, so along the
@@ -69,6 +70,39 @@ fn band_row(interp: &PeriodicBandMatrix, i: usize) -> (usize, &[f64]) {
     (first, &interp.weights()[i * band..(i + 1) * band])
 }
 
+/// Samples `i0..i0 + R` of one observer slot `out`: the accumulators stay in
+/// registers across the pair list, so `out` is written once, not read and
+/// written once per pair. `sources` starts at the observer's column of
+/// cluster 0, clusters being `cluster` words apart.
+#[inline(always)]
+fn translate_block<const R: usize>(
+    pairs: &[(u32, u32)],
+    translations: &[f64],
+    sources: &[f64],
+    cluster: usize,
+    i0: usize,
+    out_re: &mut [f64],
+    out_im: &mut [f64],
+) {
+    let q = out_re.len();
+    let mut acc_re = [0.0; R];
+    let mut acc_im = [0.0; R];
+    for &(src, slot) in pairs {
+        let t = &translations[slot as usize * 2 * q + i0..];
+        let s = &sources[src as usize * cluster + i0..];
+        let t_re: &[f64; R] = t[..R].try_into().expect("R samples");
+        let t_im: &[f64; R] = t[q..][..R].try_into().expect("R samples");
+        let s_re: &[f64; R] = s[..R].try_into().expect("R samples");
+        let s_im: &[f64; R] = s[q..][..R].try_into().expect("R samples");
+        for l in 0..R {
+            acc_re[l] += t_re[l] * s_re[l] - t_im[l] * s_im[l];
+            acc_im[l] += t_re[l] * s_im[l] + t_im[l] * s_re[l];
+        }
+    }
+    out_re[i0..i0 + R].copy_from_slice(&acc_re);
+    out_im[i0..i0 + R].copy_from_slice(&acc_im);
+}
+
 #[inline(always)]
 fn translate_body(
     pairs: &[(u32, u32)],
@@ -78,17 +112,25 @@ fn translate_body(
     out: &mut [f64],
 ) {
     let cluster = out.len();
-    out.fill(0.0);
-    for &(src, slot) in pairs {
-        let (t_re, t_im) = translations[slot as usize * 2 * q..][..2 * q].split_at(q);
-        let columns = sources[src as usize * cluster..][..cluster].chunks_exact(2 * q);
-        for (s, o) in columns.zip(out.chunks_exact_mut(2 * q)) {
-            let (s_re, s_im) = s.split_at(q);
-            let (o_re, o_im) = o.split_at_mut(q);
-            for i in 0..q {
-                o_re[i] += t_re[i] * s_re[i] - t_im[i] * s_im[i];
-                o_im[i] += t_re[i] * s_im[i] + t_im[i] * s_re[i];
-            }
+    for (b, slot) in out.chunks_exact_mut(2 * q).enumerate() {
+        let sources = &sources[b * 2 * q..];
+        let (o_re, o_im) = slot.split_at_mut(q);
+        let mut i0 = 0;
+        while i0 + 16 <= q {
+            translate_block::<16>(pairs, translations, sources, cluster, i0, o_re, o_im);
+            i0 += 16;
+        }
+        if i0 + 8 <= q {
+            translate_block::<8>(pairs, translations, sources, cluster, i0, o_re, o_im);
+            i0 += 8;
+        }
+        if i0 + 4 <= q {
+            translate_block::<4>(pairs, translations, sources, cluster, i0, o_re, o_im);
+            i0 += 4;
+        }
+        while i0 < q {
+            translate_block::<1>(pairs, translations, sources, cluster, i0, o_re, o_im);
+            i0 += 1;
         }
     }
 }
@@ -330,7 +372,14 @@ mod tests {
 
     #[test]
     fn translate_is_bit_identical_to_the_mul_add_chain_on_both_paths() {
-        for (q, n_pairs, width) in [(33, 1, 1), (52, 7, 3), (155, 27, 2), (33, 27, 9)] {
+        // every remainder of the 16 / 8 / 4 / 1 sample blocks, an empty pair list
+        for (q, n_pairs, width) in [
+            (41, 1, 1),
+            (63, 7, 3),
+            (99, 27, 8),
+            (167, 27, 3),
+            (41, 0, 3),
+        ] {
             let n_clusters = 30;
             let translators: Vec<Vec<C64>> = (0..49).map(|t| random(q, 100 + t)).collect();
             let translations: Vec<f64> = translators.iter().flat_map(|t| slot(t)).collect();

@@ -4,46 +4,82 @@
 //! incoming pattern back to the 64 pixel fields (the quadrature-weighted
 //! adjoint of the multipole expansion).
 //!
-//! Each keeps the `q x 64` matrix in the orientation that makes its output
-//! the contiguous lane dimension: [`MultipoleExpansion`] pixel-major
-//! (`[k][r]`), so one broadcast pixel updates a register-sized block of the
-//! `q` samples; [`LocalExpansion`] sample-major (`[r][k]`), so one pattern
-//! sample updates the 64 pixels. Either way the loop is plain elementwise
-//! arithmetic the compiler vectorises, with as many independent accumulators
-//! as there are lanes in the block, where an interleaved-complex sweep
-//! spends its time shuffling (and a one-column `Matrix::matvec` waits on a
-//! single accumulator chain). The expression per output element is exactly
-//! `E[r, k].mul_add(x[k], y[r])` in `k` order, resp.
-//! `conj(E[r, k]).mul_add(g[r], y[k])` in `r` order then one product with
-//! the weight, and nothing contracts to fused multiply-add, so the results
-//! are bit-identical to `Matrix::matvec` and to `Matrix::matvec_adjoint_acc`
-//! followed by the scaling, and the portable and the AVX2-compiled instance
-//! agree bit for bit.
+//! Both work on pixel *pairs*. The 64 pixels of a leaf sit symmetrically
+//! about its centre — pixel `63 - k` is pixel `k` mirrored through it — so
+//! the phase argument of `E[r, 63 - k]` is the exact negation of that of
+//! `E[r, k]`, and `cis(-t) = conj(cis(t))` bit for bit: `E[r, 63 - k] ==
+//! conj(E[r, k])`. The constructors check that on the matrix they are given
+//! and keep its first 32 columns only. With `e = E[r, k]`:
+//!
+//! * radiating, `e a + conj(e) b = e.re (a + b) + i e.im (a - b)`: the sum
+//!   and the difference of the two pixels are formed once per leaf and every
+//!   sample takes two real products from each;
+//! * receiving, `conj(e) g` and `e g` share the four real products
+//!   `e.re g.re`, `e.im g.im`, `e.re g.im`, `e.im g.re`: their four sums over
+//!   the samples give pixel `k` and pixel `63 - k` by one addition and one
+//!   subtraction each.
+//!
+//! Half the multiplies and half the operator bytes of the full `q x 64`
+//! products, at the price of a different association of each output's sum
+//! than `Matrix::matvec` / `Matrix::matvec_adjoint_acc` (agreement to a few
+//! ulp of the sum of magnitudes, not bit for bit).
+//!
+//! Each keeps its planes in the orientation that makes its output the
+//! contiguous lane dimension: [`MultipoleExpansion`] pair-major (`[k][r]`),
+//! so one broadcast pair updates a register-sized block of the `q` samples;
+//! [`LocalExpansion`] sample-major (`[r][k]`), so one pattern sample updates
+//! a register-sized block of the pairs. Either way the loop is plain
+//! elementwise arithmetic the compiler vectorises, every output element sees
+//! its terms in one fixed order (pairs ascending, resp. samples ascending)
+//! whatever the block it falls in, and nothing contracts to fused
+//! multiply-add, so the portable and the AVX2-compiled instance agree bit
+//! for bit.
 
 use ffw_geometry::LEAF_PIXELS;
 use ffw_numerics::linalg::Matrix;
 use ffw_numerics::{c64, C64};
 
+/// Mirrored pixel pairs `(k, 63 - k)` of one leaf.
+const PAIRS: usize = LEAF_PIXELS / 2;
+
+/// Panics unless `E[r, 63 - k] == conj(E[r, k])` bit for bit, which is what
+/// both kernels assume of the half they keep.
+fn assert_conjugate_symmetric(expansion: &Matrix) {
+    assert_eq!(expansion.cols(), LEAF_PIXELS);
+    for r in 0..expansion.rows() {
+        for k in 0..PAIRS {
+            let mirror = LEAF_PIXELS - 1 - k;
+            let (e, m) = (expansion.at(r, k), expansion.at(r, mirror));
+            assert!(
+                m.re.to_bits() == e.re.to_bits() && m.im.to_bits() == (-e.im).to_bits(),
+                "leaf expansion is not conjugate-symmetric about the leaf centre: \
+                 E[{r}, {mirror}] = {m:?} but E[{r}, {k}] = {e:?}"
+            );
+        }
+    }
+}
+
 /// Samples `r0..r0 + R` of one leaf's pattern: the accumulators stay in
-/// registers across the 64 pixels.
+/// registers across the 32 pairs.
 #[inline(always)]
 fn radiate_block<const R: usize>(
     re: &[f64],
     im: &[f64],
     r0: usize,
-    x: &[C64; LEAF_PIXELS],
+    sums: &[C64; PAIRS],
+    diffs: &[C64; PAIRS],
     out_re: &mut [f64],
     out_im: &mut [f64],
 ) {
     let q = out_re.len();
     let mut acc_re = [0.0; R];
     let mut acc_im = [0.0; R];
-    for (k, v) in x.iter().enumerate() {
+    for (k, (s, d)) in sums.iter().zip(diffs).enumerate() {
         let er: &[f64; R] = re[k * q + r0..][..R].try_into().expect("R samples");
         let ei: &[f64; R] = im[k * q + r0..][..R].try_into().expect("R samples");
         for l in 0..R {
-            acc_re[l] += er[l] * v.re - ei[l] * v.im;
-            acc_im[l] += er[l] * v.im + ei[l] * v.re;
+            acc_re[l] += er[l] * s.re - ei[l] * d.im;
+            acc_im[l] += er[l] * s.im + ei[l] * d.re;
         }
     }
     out_re[r0..r0 + R].copy_from_slice(&acc_re);
@@ -52,43 +88,70 @@ fn radiate_block<const R: usize>(
 
 #[inline(always)]
 fn radiate_body(re: &[f64], im: &[f64], x: &[C64; LEAF_PIXELS], out: &mut [f64]) {
+    let mut sums = [C64::ZERO; PAIRS];
+    let mut diffs = [C64::ZERO; PAIRS];
+    for k in 0..PAIRS {
+        sums[k] = x[k] + x[LEAF_PIXELS - 1 - k];
+        diffs[k] = x[k] - x[LEAF_PIXELS - 1 - k];
+    }
     let q = out.len() / 2;
     let (out_re, out_im) = out.split_at_mut(q);
     let mut r0 = 0;
     while r0 + 16 <= q {
-        radiate_block::<16>(re, im, r0, x, out_re, out_im);
+        radiate_block::<16>(re, im, r0, &sums, &diffs, out_re, out_im);
         r0 += 16;
     }
     if r0 + 8 <= q {
-        radiate_block::<8>(re, im, r0, x, out_re, out_im);
+        radiate_block::<8>(re, im, r0, &sums, &diffs, out_re, out_im);
         r0 += 8;
     }
     if r0 + 4 <= q {
-        radiate_block::<4>(re, im, r0, x, out_re, out_im);
+        radiate_block::<4>(re, im, r0, &sums, &diffs, out_re, out_im);
         r0 += 4;
     }
     while r0 < q {
-        radiate_block::<1>(re, im, r0, x, out_re, out_im);
+        radiate_block::<1>(re, im, r0, &sums, &diffs, out_re, out_im);
         r0 += 1;
     }
+}
+
+/// Pairs per block of [`receive_body`]: four sums of that many lanes stay in
+/// registers across the samples.
+const RECEIVE_BLOCK: usize = 16;
+
+/// The sums over the samples of `e.re g.re`, `e.im g.im`, `e.re g.im` and
+/// `e.im g.re`, one per pair.
+#[inline(always)]
+fn receive_sums(re: &[f64], im: &[f64], g_re: &[f64], g_im: &[f64]) -> [[f64; PAIRS]; 4] {
+    let mut sums = [[0.0; PAIRS]; 4];
+    for k0 in (0..PAIRS).step_by(RECEIVE_BLOCK) {
+        let mut acc = [[0.0; RECEIVE_BLOCK]; 4];
+        for (r, (gr, gi)) in g_re.iter().zip(g_im).enumerate() {
+            let at = r * PAIRS + k0;
+            let er: &[f64; RECEIVE_BLOCK] = re[at..][..RECEIVE_BLOCK].try_into().expect("block");
+            let ei: &[f64; RECEIVE_BLOCK] = im[at..][..RECEIVE_BLOCK].try_into().expect("block");
+            for l in 0..RECEIVE_BLOCK {
+                acc[0][l] += er[l] * gr;
+                acc[1][l] += ei[l] * gi;
+                acc[2][l] += er[l] * gi;
+                acc[3][l] += ei[l] * gr;
+            }
+        }
+        for (sum, acc) in sums.iter_mut().zip(&acc) {
+            sum[k0..k0 + RECEIVE_BLOCK].copy_from_slice(acc);
+        }
+    }
+    sums
 }
 
 #[inline(always)]
 fn receive_body(re: &[f64], im: &[f64], w: C64, pattern: &[f64], out: &mut [C64; LEAF_PIXELS]) {
     let (g_re, g_im) = pattern.split_at(pattern.len() / 2);
-    let mut acc_re = [0.0; LEAF_PIXELS];
-    let mut acc_im = [0.0; LEAF_PIXELS];
-    let rows = re
-        .chunks_exact(LEAF_PIXELS)
-        .zip(im.chunks_exact(LEAF_PIXELS));
-    for ((gr, gi), (er, ei)) in g_re.iter().zip(g_im).zip(rows) {
-        for j in 0..LEAF_PIXELS {
-            acc_re[j] += er[j] * gr + ei[j] * gi;
-            acc_im[j] += er[j] * gi - ei[j] * gr;
-        }
-    }
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = c64(acc_re[j], acc_im[j]) * w;
+    let [rr, ii, ri, ir] = receive_sums(re, im, g_re, g_im);
+    for k in 0..PAIRS {
+        // conj(e) g for pixel k, e g for its mirror image
+        out[k] = c64(rr[k] + ii[k], ri[k] - ir[k]) * w;
+        out[LEAF_PIXELS - 1 - k] = c64(rr[k] - ii[k], ri[k] + ir[k]) * w;
     }
 }
 
@@ -118,19 +181,26 @@ unsafe fn receive_avx2(
 
 /// The multipole expansion shared by all leaves.
 pub struct MultipoleExpansion {
-    /// Planes of the transposed `q x 64` expansion matrix: `[k * q + r]`.
+    /// Planes of the first 32 columns of the `q x 64` expansion matrix,
+    /// transposed: `[k * q + r]`.
     re: Vec<f64>,
     im: Vec<f64>,
 }
 
 impl MultipoleExpansion {
-    /// Transposes the leaf expansion matrix (`q x 64`) into planes.
+    /// Transposes the first 32 columns of the leaf expansion matrix
+    /// (`q x 64`) into planes.
+    ///
+    /// # Panics
+    ///
+    /// If the other 32 columns are not their mirrored conjugates,
+    /// `E[r, 63 - k] == conj(E[r, k])` bit for bit.
     pub fn new(expansion: &Matrix) -> Self {
-        assert_eq!(expansion.cols(), LEAF_PIXELS);
+        assert_conjugate_symmetric(expansion);
         let q = expansion.rows();
-        let mut re = Vec::with_capacity(q * LEAF_PIXELS);
-        let mut im = Vec::with_capacity(q * LEAF_PIXELS);
-        for k in 0..LEAF_PIXELS {
+        let mut re = Vec::with_capacity(q * PAIRS);
+        let mut im = Vec::with_capacity(q * PAIRS);
+        for k in 0..PAIRS {
             for r in 0..q {
                 re.push(expansion.at(r, k).re);
                 im.push(expansion.at(r, k).im);
@@ -141,18 +211,23 @@ impl MultipoleExpansion {
 
     /// Pattern samples per leaf.
     pub fn q(&self) -> usize {
-        self.re.len() / LEAF_PIXELS
+        self.re.len() / PAIRS
     }
 
     /// Entry `E[r, k]`: sample `r` of the pattern radiated by pixel `k`.
     pub fn at(&self, r: usize, k: usize) -> C64 {
-        c64(self.re[k * self.q() + r], self.im[k * self.q() + r])
+        let stored = |k: usize| c64(self.re[k * self.q() + r], self.im[k * self.q() + r]);
+        if k < PAIRS {
+            stored(k)
+        } else {
+            stored(LEAF_PIXELS - 1 - k).conj()
+        }
     }
 
     /// `out[r] = sum_k E[r, k] x[k]` for one leaf's 64 pixels, `out` being
     /// one pattern slot: `q` re samples, then `q` im samples.
     pub fn radiate(&self, x: &[C64], out: &mut [f64]) {
-        assert_eq!(out.len() * LEAF_PIXELS, 2 * self.re.len());
+        assert_eq!(out.len() * PAIRS, 2 * self.re.len());
         let x: &[C64; LEAF_PIXELS] = x.try_into().expect("one leaf of pixels");
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -166,7 +241,8 @@ impl MultipoleExpansion {
 
 /// The local expansion shared by all leaves.
 pub struct LocalExpansion {
-    /// Planes of the `q x 64` multipole expansion matrix, row-major.
+    /// Planes of the first 32 columns of the `q x 64` multipole expansion
+    /// matrix, row-major: `[r * 32 + k]`.
     re: Vec<f64>,
     im: Vec<f64>,
     /// `coupling / q`: the kernel constant times the quadrature weight.
@@ -174,12 +250,20 @@ pub struct LocalExpansion {
 }
 
 impl LocalExpansion {
-    /// Splits the leaf expansion matrix (`q x 64`) into planes.
+    /// Splits the first 32 columns of the leaf expansion matrix (`q x 64`)
+    /// into planes.
+    ///
+    /// # Panics
+    ///
+    /// If the other 32 columns are not their mirrored conjugates,
+    /// `E[r, 63 - k] == conj(E[r, k])` bit for bit.
     pub fn new(expansion: &Matrix, coupling: C64) -> Self {
-        assert_eq!(expansion.cols(), LEAF_PIXELS);
+        assert_conjugate_symmetric(expansion);
+        let rows = expansion.as_slice().chunks_exact(LEAF_PIXELS);
+        let kept = rows.flat_map(|row| &row[..PAIRS]);
         LocalExpansion {
-            re: expansion.as_slice().iter().map(|v| v.re).collect(),
-            im: expansion.as_slice().iter().map(|v| v.im).collect(),
+            re: kept.clone().map(|v| v.re).collect(),
+            im: kept.map(|v| v.im).collect(),
             weight: coupling * (1.0 / expansion.rows() as f64),
         }
     }
@@ -188,7 +272,7 @@ impl LocalExpansion {
     /// leaf's pattern slot (`q` re samples, then `q` im samples) and 64
     /// pixels.
     pub fn receive(&self, pattern: &[f64], out: &mut [C64]) {
-        assert_eq!(pattern.len() * LEAF_PIXELS, 2 * self.re.len());
+        assert_eq!(pattern.len() * PAIRS, 2 * self.re.len());
         let out: &mut [C64; LEAF_PIXELS] = out.try_into().expect("one leaf of pixels");
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -203,6 +287,7 @@ impl LocalExpansion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffw_numerics::vecops::rel_diff;
 
     fn random(n: usize, seed: u64) -> Vec<C64> {
         let mut s = seed;
@@ -215,6 +300,18 @@ mod tests {
         (0..n).map(|_| c64(next(), next())).collect()
     }
 
+    /// A random `q x 64` matrix with `E[r, 63 - k] == conj(E[r, k])`.
+    fn symmetric(q: usize, seed: u64) -> Matrix {
+        let half = random(q * PAIRS, seed);
+        Matrix::from_fn(q, LEAF_PIXELS, |r, k| {
+            if k < PAIRS {
+                half[r * PAIRS + k]
+            } else {
+                half[r * PAIRS + LEAF_PIXELS - 1 - k].conj()
+            }
+        })
+    }
+
     /// A pattern as one slot: the re plane, then the im plane.
     fn slot(pattern: &[C64]) -> Vec<f64> {
         let re = pattern.iter().map(|v| v.re);
@@ -222,19 +319,28 @@ mod tests {
     }
 
     #[test]
-    fn radiate_is_bit_identical_to_the_matvec_on_both_paths() {
+    fn radiate_matches_the_matvec_and_is_its_portable_body() {
         for q in [33, 41, 52] {
-            let expansion = Matrix::from_vec(q, LEAF_PIXELS, random(q * LEAF_PIXELS, 4));
+            let expansion = symmetric(q, 4);
             let multipole = MultipoleExpansion::new(&expansion);
             assert_eq!(multipole.q(), q);
-            assert_eq!(multipole.at(q - 2, 5), expansion.at(q - 2, 5));
+            for k in [5, 58] {
+                assert_eq!(multipole.at(q - 2, k), expansion.at(q - 2, k));
+            }
             let x = random(LEAF_PIXELS, 5);
 
             let mut want = vec![C64::ZERO; q];
             expansion.matvec(&x, &mut want);
             let mut got = slot(&random(q, 6)); // overwritten, not accumulated
             multipole.radiate(&x, &mut got);
-            assert_eq!(got, slot(&want), "q = {q}");
+            let (got_re, got_im) = got.split_at(q);
+            let pattern: Vec<C64> = got_re
+                .iter()
+                .zip(got_im)
+                .map(|(&a, &b)| c64(a, b))
+                .collect();
+            let err = rel_diff(&pattern, &want);
+            assert!(err <= 1e-14, "q = {q}: {err:e}");
 
             let mut portable = vec![1.0; 2 * q];
             let leaf = x.as_slice().try_into().unwrap();
@@ -244,25 +350,36 @@ mod tests {
     }
 
     #[test]
-    fn receive_is_bit_identical_to_the_adjoint_sweep_on_both_paths() {
-        let q = 41;
-        let expansion = Matrix::from_vec(q, LEAF_PIXELS, random(q * LEAF_PIXELS, 1));
-        let coupling = c64(0.3, -0.7);
-        let local = LocalExpansion::new(&expansion, coupling);
-        let pattern = random(q, 2);
+    fn receive_matches_the_adjoint_sweep_and_is_its_portable_body() {
+        for q in [33, 41, 52] {
+            let expansion = symmetric(q, 1);
+            let coupling = c64(0.3, -0.7);
+            let local = LocalExpansion::new(&expansion, coupling);
+            let pattern = random(q, 2);
 
-        let mut want = vec![C64::ZERO; LEAF_PIXELS];
-        expansion.matvec_adjoint_acc(&pattern, &mut want);
-        for v in want.iter_mut() {
-            *v *= coupling * (1.0 / q as f64);
+            let mut want = vec![C64::ZERO; LEAF_PIXELS];
+            expansion.matvec_adjoint_acc(&pattern, &mut want);
+            for v in want.iter_mut() {
+                *v *= coupling * (1.0 / q as f64);
+            }
+            let mut got = random(LEAF_PIXELS, 3); // overwritten, not accumulated
+            local.receive(&slot(&pattern), &mut got);
+            let err = rel_diff(&got, &want);
+            assert!(err <= 1e-14, "q = {q}: {err:e}");
+
+            let mut portable = [C64::ZERO; LEAF_PIXELS];
+            let planes = slot(&pattern);
+            receive_body(&local.re, &local.im, local.weight, &planes, &mut portable);
+            assert_eq!(got, portable, "q = {q}");
         }
-        let mut got = random(LEAF_PIXELS, 3); // overwritten, not accumulated
-        local.receive(&slot(&pattern), &mut got);
-        assert_eq!(got, want);
+    }
 
-        let mut portable = [C64::ZERO; LEAF_PIXELS];
-        let planes = slot(&pattern);
-        receive_body(&local.re, &local.im, local.weight, &planes, &mut portable);
-        assert_eq!(got, portable);
+    #[test]
+    #[should_panic(expected = "E[7, 43] = ")]
+    fn a_matrix_without_the_symmetry_is_refused_with_the_offending_entry() {
+        let mut expansion = symmetric(33, 9);
+        let mirrored = expansion.at(7, 43);
+        *expansion.at_mut(7, 43) = c64(mirrored.re, mirrored.im + f64::EPSILON);
+        MultipoleExpansion::new(&expansion);
     }
 }

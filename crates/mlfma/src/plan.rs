@@ -366,7 +366,13 @@ pub struct LevelStats {
     pub translation_pairs: usize,
 }
 
-/// Whole-plan work statistics (flops per MLFMA matvec, by phase).
+/// Whole-plan work statistics (flops per MLFMA matvec, by phase) in the
+/// paper's dense model: full `Q x 64` leaf products, eight flops per band tap,
+/// one `64 x 64` block per near pair. This is what `ffw-perf` scales to the
+/// paper's machines and what the complexity benchmarks plot; what this
+/// crate's kernels execute (half the leaf products by their conjugate
+/// symmetry, real band weights, the block-Toeplitz near field) is charged by
+/// the engine's `mlfma.flops.*` / `mlfma.bytes.*` counters instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanStats {
     /// Unknowns.
@@ -387,10 +393,8 @@ pub struct PlanStats {
     pub translation_flops: f64,
     /// Disaggregation flops.
     pub disaggregation_flops: f64,
-    /// Near-field flops of the paper's dense form (one 64 x 64 block per
-    /// neighbour pair): this feeds `ffw-perf`'s model of the GPU near field
-    /// and Table III, not the block-Toeplitz stage this crate executes — the
-    /// engine's `mlfma.flops.near` counter charges that.
+    /// Near-field flops (one 64 x 64 block per neighbour pair): `ffw-perf`'s
+    /// model of the GPU near field and Table III.
     pub nearfield_flops: f64,
 }
 
@@ -547,6 +551,25 @@ mod tests {
         for q in 0..e.q() {
             for j in 0..LEAF_PIXELS {
                 assert!((e.at(q, j).abs() - 1.0).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// The leaf kernels keep half the expansion matrix and rebuild the rest
+    /// from `E[r, 63 - k] == conj(E[r, k])`; their constructors panic on a
+    /// matrix without it. Every leaf operator the ladder and the hop stages
+    /// build gets past them, so a change to pixel centring fails at plan
+    /// build, not as a wrong image.
+    #[test]
+    fn every_leaf_expansion_is_conjugate_symmetric_about_the_leaf_centre() {
+        for n_px in [64, 128, 256, 512] {
+            for acc in [Accuracy::default(), Accuracy::low(), Accuracy::high()] {
+                for hop_factor in [1.0, 2.0] {
+                    let pixel = Domain::new(n_px, 1.0).pixel_size();
+                    let domain = Domain::with_pixel_size(n_px, hop_factor, pixel);
+                    let plan = MlfmaPlan::new(&domain, acc);
+                    assert_eq!(plan.expansion.q(), plan.leaf_plan().q);
+                }
             }
         }
     }

@@ -29,9 +29,7 @@ pub fn j0(x: f64) -> f64 {
     if x <= SERIES_CUTOFF {
         j0_series(x)
     } else {
-        let (p, q) = asymptotic_pq(0, x);
-        let chi = x - std::f64::consts::FRAC_PI_4;
-        (2.0 / (std::f64::consts::PI * x)).sqrt() * (p * chi.cos() - q * chi.sin())
+        asymptotic_jy(0, x).0
     }
 }
 
@@ -41,9 +39,7 @@ pub fn j1(x: f64) -> f64 {
     let v = if ax <= SERIES_CUTOFF {
         j1_series(ax)
     } else {
-        let (p, q) = asymptotic_pq(1, ax);
-        let chi = ax - 3.0 * std::f64::consts::FRAC_PI_4;
-        (2.0 / (std::f64::consts::PI * ax)).sqrt() * (p * chi.cos() - q * chi.sin())
+        asymptotic_jy(1, ax).0
     };
     if x < 0.0 {
         -v
@@ -54,26 +50,46 @@ pub fn j1(x: f64) -> f64 {
 
 /// Bessel function of the second kind, order 0. Requires `x > 0`.
 pub fn y0(x: f64) -> f64 {
-    assert!(x > 0.0, "y0 requires x > 0, got {x}");
-    if x <= SERIES_CUTOFF {
-        y0_series(x)
-    } else {
-        let (p, q) = asymptotic_pq(0, x);
-        let chi = x - std::f64::consts::FRAC_PI_4;
-        (2.0 / (std::f64::consts::PI * x)).sqrt() * (p * chi.sin() + q * chi.cos())
-    }
+    jy0(x).1
 }
 
 /// Bessel function of the second kind, order 1. Requires `x > 0`.
 pub fn y1(x: f64) -> f64 {
+    jy1(x).1
+}
+
+/// `(J0(x), Y0(x))` with what the two share evaluated once: the `J0` series
+/// inside the `Y0` series, or the whole large-argument form. Requires `x > 0`.
+fn jy0(x: f64) -> (f64, f64) {
+    assert!(x > 0.0, "y0 requires x > 0, got {x}");
+    if x <= SERIES_CUTOFF {
+        let j = j0_series(x);
+        (j, y0_series(x, j))
+    } else {
+        asymptotic_jy(0, x)
+    }
+}
+
+/// `(J1(x), Y1(x))`, as [`jy0`]. Requires `x > 0`.
+fn jy1(x: f64) -> (f64, f64) {
     assert!(x > 0.0, "y1 requires x > 0, got {x}");
     if x <= SERIES_CUTOFF {
-        y1_series(x)
+        let j = j1_series(x);
+        (j, y1_series(x, j))
     } else {
-        let (p, q) = asymptotic_pq(1, x);
-        let chi = x - 3.0 * std::f64::consts::FRAC_PI_4;
-        (2.0 / (std::f64::consts::PI * x)).sqrt() * (p * chi.sin() + q * chi.cos())
+        asymptotic_jy(1, x)
     }
+}
+
+/// `(J_nu(x), Y_nu(x))`, `nu` 0 or 1, from the Hankel asymptotic expansion:
+/// one modulus series, one amplitude and one sine and cosine of the phase
+/// serve both.
+fn asymptotic_jy(nu: u32, x: f64) -> (f64, f64) {
+    let (p, q) = asymptotic_pq(nu, x);
+    let chi = x - (2 * nu + 1) as f64 * std::f64::consts::FRAC_PI_4;
+    let (sin, cos) = chi.sin_cos();
+    let amp = (2.0 / (std::f64::consts::PI * x)).sqrt();
+    (amp * (p * cos - q * sin), amp * (p * sin + q * cos))
 }
 
 /// Ascending series for J0: sum_k (-1)^k (x^2/4)^k / (k!)^2.
@@ -111,8 +127,9 @@ fn j1_series(x: f64) -> f64 {
 }
 
 /// Ascending series for Y0 (Abramowitz & Stegun 9.1.13):
-/// Y0 = (2/pi) [ (ln(x/2) + gamma) J0(x) + sum_{k>=1} (-1)^{k+1} H_k q^k / (k!)^2 ].
-fn y0_series(x: f64) -> f64 {
+/// Y0 = (2/pi) [ (ln(x/2) + gamma) J0(x) + sum_{k>=1} (-1)^{k+1} H_k q^k / (k!)^2 ],
+/// given `j0 = j0_series(x)`.
+fn y0_series(x: f64, j0: f64) -> f64 {
     let q = 0.25 * x * x;
     let mut term = 1.0f64; // q^k / (k!)^2, starting at k=0 -> 1
     let mut hk = 0.0f64;
@@ -126,14 +143,14 @@ fn y0_series(x: f64) -> f64 {
             break;
         }
     }
-    std::f64::consts::FRAC_2_PI * (((0.5 * x).ln() + EULER_GAMMA) * j0_series(x) + sum)
+    std::f64::consts::FRAC_2_PI * (((0.5 * x).ln() + EULER_GAMMA) * j0 + sum)
 }
 
 /// Ascending series for Y1 (A&S 9.1.11 with n = 1):
 /// Y1 = (2/pi)(ln(x/2)) J1 - (2/(pi x))
 ///      - (x/(2 pi)) sum_{k>=0} (-1)^k [psi(k+1) + psi(k+2)] q^k / (k!(k+1)!)
-/// where psi(1) = -gamma, psi(m) = -gamma + H_{m-1}.
-fn y1_series(x: f64) -> f64 {
+/// where psi(1) = -gamma, psi(m) = -gamma + H_{m-1}, given `j1 = j1_series(x)`.
+fn y1_series(x: f64, j1: f64) -> f64 {
     let q = 0.25 * x * x;
     let mut term = 1.0f64; // q^k / (k! (k+1)!)
     let mut sum = 0.0f64;
@@ -156,7 +173,7 @@ fn y1_series(x: f64) -> f64 {
         hk += 1.0 / kk as f64;
         hk1 += 1.0 / (kk + 1) as f64;
     }
-    std::f64::consts::FRAC_2_PI * (0.5 * x).ln() * j1_series(x)
+    std::f64::consts::FRAC_2_PI * (0.5 * x).ln() * j1
         - 2.0 / (std::f64::consts::PI * x)
         - x / (2.0 * std::f64::consts::PI) * sum
 }
@@ -283,12 +300,14 @@ pub fn hankel1_array(n_max: usize, x: f64) -> Vec<C64> {
 
 /// `H_0^{(1)}(x)`.
 pub fn hankel1_0(x: f64) -> C64 {
-    c64(j0(x), y0(x))
+    let (j, y) = jy0(x);
+    c64(j, y)
 }
 
 /// `H_1^{(1)}(x)`.
 pub fn hankel1_1(x: f64) -> C64 {
-    c64(j1(x), y1(x))
+    let (j, y) = jy1(x);
+    c64(j, y)
 }
 
 #[cfg(test)]
@@ -425,6 +444,31 @@ mod tests {
         assert!((h[1] - hankel1_1(x)).abs() < 1e-14);
     }
 
+    /// The Hankel functions evaluate what J and Y share once; the bits are
+    /// those of the scalar functions, and in the large-argument branch those
+    /// of the textbook expressions with a sine and a cosine call each.
+    #[test]
+    fn hankel_is_bit_identical_to_the_pair_of_scalar_calls() {
+        let grid = (1..=500).map(|i| 0.05 * i as f64); // (0, 25]: both branches
+        let far = (0..60).map(|i| 200.0 + 5.0037 * i as f64);
+        for x in grid
+            .chain(far)
+            .chain([SERIES_CUTOFF, SERIES_CUTOFF + f64::EPSILON * 16.0])
+        {
+            assert_eq!(hankel1_0(x), c64(j0(x), y0(x)), "x = {x}");
+            assert_eq!(hankel1_1(x), c64(j1(x), y1(x)), "x = {x}");
+            if x > SERIES_CUTOFF {
+                let amp = (2.0 / (std::f64::consts::PI * x)).sqrt();
+                for (nu, h) in [(0, hankel1_0(x)), (1, hankel1_1(x))] {
+                    let (p, q) = asymptotic_pq(nu, x);
+                    let chi = x - (2 * nu + 1) as f64 * std::f64::consts::FRAC_PI_4;
+                    assert_eq!(h.re, amp * (p * chi.cos() - q * chi.sin()), "x = {x}");
+                    assert_eq!(h.im, amp * (p * chi.sin() + q * chi.cos()), "x = {x}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn series_asymptotic_crossover_continuous() {
         // Evaluate both regimes at exactly x = 12: they must agree to ~1e-10.
@@ -446,12 +490,12 @@ mod tests {
                 "j1",
             ),
             (
-                y0_series(x),
+                y0_series(x, j0_series(x)),
                 amp * (p0 * chi0.sin() + q0 * chi0.cos()),
                 "y0",
             ),
             (
-                y1_series(x),
+                y1_series(x, j1_series(x)),
                 amp * (p1 * chi1.sin() + q1 * chi1.cos()),
                 "y1",
             ),
