@@ -519,7 +519,7 @@ impl<'c> DistMlfma<'c> {
         };
         for (c, out) in leaf_range.clone().zip(y_local.chunks_mut(LEAF_PIXELS)) {
             out.fill(C64::ZERO);
-            near.accumulate_leaf(&plan.tree, c, spectrum_of, out);
+            near.accumulate(plan.near_pairs_of(c), spectrum_of, out);
         }
     }
 }

@@ -1,12 +1,16 @@
-//! Per-column milliseconds of the seven stages of one `G0` apply, each timed
-//! alone on one thread: `stage_times <n_px> <width>`.
+//! Per-column milliseconds of the stages of one `G0` apply, each timed alone
+//! on one thread: `stage_times <n_px> <width>`.
 //!
 //! The ladder's four stage spans (`benchmark/`) cannot separate the dense
 //! leaf operators from the band and FFT work they share a span with; this
 //! does, by running the traversal's own stages over one level at a time
 //! (`FarField`'s per-level cluster ranges) and the leaf loops of
-//! `MlfmaEngine::receive_and_near` one kernel at a time. Median of the
-//! repetitions that fit in about half a second per stage.
+//! `MlfmaEngine::receive_and_near` one kernel at a time. The near accumulate
+//! is timed twice, with every leaf's neighbours and with none (the transform
+//! back alone): the difference is its spectrum products. Minimum and median
+//! of the repetitions that fit in about half a second per stage: the minimum
+//! is what the code can do, the median what this host's slow phases and the
+//! heap's placement of the planes left of it.
 
 use ffw_geometry::{Domain, LEAF_PIXELS};
 use ffw_mlfma::near::SPECTRUM_LEN;
@@ -28,8 +32,8 @@ fn random_x(n: usize, seed: u64) -> Vec<C64> {
     (0..n).map(|_| c64(next(), next())).collect()
 }
 
-/// Median seconds of one call of `f`.
-fn median_secs(mut f: impl FnMut()) -> f64 {
+/// `(minimum, median)` seconds of one call of `f`.
+fn min_median_secs(mut f: impl FnMut()) -> (f64, f64) {
     f(); // first touch of the buffers
     let mut times = Vec::new();
     let started = Stopwatch::start();
@@ -39,7 +43,7 @@ fn median_secs(mut f: impl FnMut()) -> f64 {
         times.push(t.elapsed_secs());
     }
     times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    (times[0], times[times.len() / 2])
 }
 
 fn main() {
@@ -73,15 +77,15 @@ fn main() {
 
     let mut far = FarField::new(Arc::clone(&plan));
     far.begin(0..width);
-    let radiate = median_secs(|| far.aggregate(&pool, &leaf_only, &xs, 0));
-    let interp_shift = median_secs(|| far.aggregate(&pool, &above_leaves, &xs, 0));
-    let translate = median_secs(|| far.translate(&pool, &full));
+    let radiate = min_median_secs(|| far.aggregate(&pool, &leaf_only, &xs, 0));
+    let interp_shift = min_median_secs(|| far.aggregate(&pool, &above_leaves, &xs, 0));
+    let translate = min_median_secs(|| far.translate(&pool, &full));
     // adds onto the translated patterns again each repetition: the values grow
     // polynomially, the work does not change
-    let disaggregate = median_secs(|| far.disaggregate(&pool, &full));
+    let disaggregate = min_median_secs(|| far.disaggregate(&pool, &full));
 
     let mut y = vec![C64::ZERO; n];
-    let receive = median_secs(|| {
+    let receive = min_median_secs(|| {
         for col in 0..width {
             for (c, out) in y.chunks_exact_mut(LEAF_PIXELS).enumerate() {
                 far.receive(c, col, out);
@@ -92,7 +96,7 @@ fn main() {
 
     let near = &plan.near_field;
     let mut spectra = vec![0.0; n_leaves * SPECTRUM_LEN];
-    let near_forward = median_secs(|| {
+    let near_forward = min_median_secs(|| {
         for x in &xs {
             let leaves = x.chunks_exact(LEAF_PIXELS);
             for (leaf, spectrum) in leaves.zip(spectra.chunks_exact_mut(SPECTRUM_LEN)) {
@@ -101,15 +105,24 @@ fn main() {
         }
         black_box(&mut spectra);
     });
-    let near_accumulate = median_secs(|| {
-        for _ in 0..width {
-            let spectrum_of = |s: usize| &spectra[s * SPECTRUM_LEN..(s + 1) * SPECTRUM_LEN];
-            for (c, out) in y.chunks_exact_mut(LEAF_PIXELS).enumerate() {
-                near.accumulate_leaf(&plan.tree, c, spectrum_of, out);
+    let mut near_accumulate = |with_sources: bool| {
+        min_median_secs(|| {
+            for _ in 0..width {
+                let spectrum_of = |s: usize| &spectra[s * SPECTRUM_LEN..(s + 1) * SPECTRUM_LEN];
+                for (c, out) in y.chunks_exact_mut(LEAF_PIXELS).enumerate() {
+                    let pairs = if with_sources {
+                        plan.near_pairs_of(c)
+                    } else {
+                        &[]
+                    };
+                    near.accumulate(pairs, spectrum_of, out);
+                }
             }
-        }
-        black_box(&mut y);
-    });
+            black_box(&mut y);
+        })
+    };
+    let (accumulate, back) = (near_accumulate(true), near_accumulate(false));
+    let products = (accumulate.0 - back.0, accumulate.1 - back.1);
     let stages = [
         ("radiate", radiate),
         ("interp+shift", interp_shift),
@@ -117,18 +130,34 @@ fn main() {
         ("disaggregate", disaggregate),
         ("receive", receive),
         ("near forward", near_forward),
-        ("near accumulate", near_accumulate),
+        ("near products", products),
+        ("near back", back),
     ];
 
     println!(
         "{n_px} x {n_px}, width {width}, leaf q = {}: ms per column",
         plan.leaf_plan().q
     );
-    let mut total = 0.0;
-    for (name, secs) in &stages {
-        let ms = secs / width as f64 * 1e3;
-        total += ms;
-        println!("  {name:<16}{ms:>9.3}");
+    println!("  {:<16}{:>9}{:>9}", "", "min", "median");
+    let per_column = 1e3 / width as f64;
+    let mut total = (0.0, 0.0);
+    for (name, (min, median)) in &stages {
+        total = (total.0 + min, total.1 + median);
+        println!(
+            "  {name:<16}{:>9.3}{:>9.3}",
+            min * per_column,
+            median * per_column
+        );
     }
-    println!("  {:<16}{total:>9.3}", "sum");
+    println!(
+        "  {:<16}{:>9.3}{:>9.3}",
+        "sum",
+        total.0 * per_column,
+        total.1 * per_column
+    );
+    println!(
+        "  near products per source: {:.0} ns (min), {} sources",
+        products.0 / width as f64 / plan.near_pairs.len() as f64 * 1e9,
+        plan.near_pairs.len()
+    );
 }

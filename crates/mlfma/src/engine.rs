@@ -14,8 +14,11 @@
 //! per cluster (the paper's Section IV-C switches levels with few clusters
 //! to sample parallelism instead; see DESIGN.md §1 for why that schedule was
 //! retired). [`MlfmaEngine::apply`] is the same traversal at panel width 1.
-//! Columns never mix, so a column's output is bit-identical at every panel
-//! width; the near field ([`crate::near`]) runs one column at a time.
+//! Columns never mix and every kernel sums its terms in one fixed order by
+//! explicit `f64::mul_add` chains ([`crate::kernels`], [`crate::local`],
+//! [`crate::near`]), so a column's output is bit-identical at every panel
+//! width and thread count, with or without the `avx2,fma` instances; the
+//! near field runs one column at a time over the plan's neighbour table.
 //!
 //! `G0 0 = 0`: a column that is identically zero (the whole first DBIM
 //! iteration multiplies `G0` by `O x` with `O = 0`) gets `+0.0` written to
@@ -168,13 +171,7 @@ fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
         flops: n_leaves * (leaf_operator_flops(q_leaf) + npx * 6),
         bytes: n_leaves * (q_leaf + npx) * C,
     };
-    let leaf_side = plan.tree.clusters_per_side(plan.tree.leaf_level());
-    let mut n_near = 0u64;
-    for iy in 0..leaf_side {
-        for ix in 0..leaf_side {
-            n_near += plan.tree.near_list(ix, iy).len() as u64;
-        }
-    }
+    let n_near = plan.near_pairs.len() as u64;
     near.flops += n_leaves * (FORWARD_FLOPS + INVERSE_FLOPS) + n_near * PAIR_FLOPS;
     // pixels in and spectrum out per leaf; source and kernel spectrum in per
     // neighbour (the kernel spectra are read per column, not per panel);
@@ -349,7 +346,7 @@ impl MlfmaEngine {
             let c = start / LEAF_PIXELS;
             far.receive(c, col, out);
             let spectrum_of = |s: usize| &spectra[s * SPECTRUM_LEN..(s + 1) * SPECTRUM_LEN];
-            near.accumulate_leaf(&plan.tree, c, spectrum_of, out);
+            near.accumulate(plan.near_pairs_of(c), spectrum_of, out);
         });
     }
 }

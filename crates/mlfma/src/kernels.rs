@@ -20,14 +20,18 @@
 //!   two runs of rows, so no row falls back to a scalar path. The diagonal
 //!   shift of each sibling rides along per parent sample.
 //!
-//! The invariant everything downstream rests on: every output element
-//! undergoes exactly the IEEE operations of the interleaved-complex
-//! expressions these kernels replaced, in the same order —
-//! `C64::mul_add`'s `a.re * b.re - a.im * b.im + c.re` association, band
-//! sums in `j` order, pairs in list order, siblings in `pos` order — and
-//! nothing contracts to fused multiply-add. Lanes never mix, so a column is
-//! bit-identical at every panel width, and the portable and the
-//! AVX2-compiled instance of the same body agree bit for bit.
+//! The invariant everything downstream rests on: every output element sees
+//! its terms in one fixed order — band sums in `j` order, pairs in list
+//! order, siblings in `pos` order — and every term enters its sum by a fixed
+//! chain of `f64::mul_add`: a complex multiply-add `acc += t * s` is
+//! `acc_re = fma(-t_im, s_im, fma(t_re, s_re, acc_re))`, `acc_im = fma(t_im,
+//! s_re, fma(t_re, s_im, acc_im))` (four roundings where the unfused
+//! `C64::mul_add` — the solver's, untouched — takes eight), a band tap is
+//! `acc = fma(row, w, acc)`, and the shifted parent sample of the downward
+//! pass is `fma(-g_im, s_im, g_re * s_re) * alpha`. Lanes never mix, so a
+//! column is bit-identical at every panel width; a fused multiply-add is
+//! correctly rounded wherever it runs, so the portable body and its
+//! `avx2,fma` instance (`dispatch!`) agree bit for bit.
 
 use crate::plan::SIBLING_LANES;
 use ffw_numerics::linalg::PeriodicBandMatrix;
@@ -95,8 +99,8 @@ fn translate_block<const R: usize>(
         let s_re: &[f64; R] = s[..R].try_into().expect("R samples");
         let s_im: &[f64; R] = s[q..][..R].try_into().expect("R samples");
         for l in 0..R {
-            acc_re[l] += t_re[l] * s_re[l] - t_im[l] * s_im[l];
-            acc_im[l] += t_re[l] * s_im[l] + t_im[l] * s_re[l];
+            acc_re[l] = (-t_im[l]).mul_add(s_im[l], t_re[l].mul_add(s_re[l], acc_re[l]));
+            acc_im[l] = t_im[l].mul_add(s_re[l], t_re[l].mul_add(s_im[l], acc_im[l]));
         }
     }
     out_re[i0..i0 + R].copy_from_slice(&acc_re);
@@ -142,8 +146,8 @@ fn shift_sum(t: &Siblings, s: &Siblings) -> (f64, f64) {
     for pos in 0..4 {
         let (t_re, t_im) = (t[2 * pos], t[2 * pos + 1]);
         let (s_re, s_im) = (s[2 * pos], s[2 * pos + 1]);
-        o_re += t_re * s_re - t_im * s_im;
-        o_im += t_re * s_im + t_im * s_re;
+        o_re = (-t_im).mul_add(s_im, t_re.mul_add(s_re, o_re));
+        o_im = t_im.mul_add(s_re, t_re.mul_add(s_im, o_im));
     }
     (o_re, o_im)
 }
@@ -165,7 +169,7 @@ fn interp_shift_body(
         for w in weights {
             let row = &rows[r];
             for l in 0..SIBLING_LANES {
-                acc[l] += row[l] * w;
+                acc[l] = row[l].mul_add(*w, acc[l]);
             }
             r += 1;
             if r == rows.len() {
@@ -200,14 +204,14 @@ fn shift_anterp_body(
         let mut v = [0.0; SIBLING_LANES];
         for pos in 0..4 {
             let (s_re, s_im) = (shift[2 * pos], shift[2 * pos + 1]);
-            v[2 * pos] = (g_re[i] * s_re - g_im[i] * s_im) * alpha;
-            v[2 * pos + 1] = (g_re[i] * s_im + g_im[i] * s_re) * alpha;
+            v[2 * pos] = (-g_im[i]).mul_add(s_im, g_re[i] * s_re) * alpha;
+            v[2 * pos + 1] = g_im[i].mul_add(s_re, g_re[i] * s_im) * alpha;
         }
         let (mut r, weights) = band_row(interp, i);
         for w in weights {
             let row = &mut rows[r];
             for l in 0..SIBLING_LANES {
-                row[l] += v[l] * w;
+                row[l] = v[l].mul_add(*w, row[l]);
             }
             r += 1;
             if r == rows.len() {
@@ -216,51 +220,6 @@ fn shift_anterp_body(
         }
     }
     scatter(rows, [a, b, c, d]);
-}
-
-// The AVX2 instances are compiled out under Miri: the interpreter has no
-// cpuid, and the portable instances are the bit-identical reference anyway.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
-// single call site); the body is the safe portable code, recompiled.
-unsafe fn translate_avx2(
-    pairs: &[(u32, u32)],
-    translations: &[f64],
-    q: usize,
-    sources: &[f64],
-    out: &mut [f64],
-) {
-    translate_body(pairs, translations, q, sources, out);
-}
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
-// single call site); the body is the safe portable code, recompiled.
-unsafe fn interp_shift_avx2(
-    interp: &PeriodicBandMatrix,
-    shifts: &[f64],
-    children: [&[f64]; 4],
-    rows: &mut [Siblings],
-    parent: &mut [f64],
-) {
-    interp_shift_body(interp, shifts, children, rows, parent);
-}
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
-// single call site); the body is the safe portable code, recompiled.
-unsafe fn shift_anterp_avx2(
-    interp: &PeriodicBandMatrix,
-    shifts: &[f64],
-    alpha: f64,
-    parent: &[f64],
-    rows: &mut [Siblings],
-    children: [&mut [f64]; 4],
-) {
-    shift_anterp_body(interp, shifts, alpha, parent, rows, children);
 }
 
 /// Diagonal translations into one observer cluster, all columns of the
@@ -276,13 +235,13 @@ pub fn translate(
     out: &mut [f64],
 ) {
     assert!(out.len().is_multiple_of(2 * q), "whole slots");
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { translate_avx2(pairs, translations, q, sources, out) };
-        return;
-    }
-    translate_body(pairs, translations, q, sources, out);
+    dispatch!(translate_body(
+        pairs: &[(u32, u32)],
+        translations: &[f64],
+        q: usize,
+        sources: &[f64],
+        out: &mut [f64],
+    ));
 }
 
 /// One step of the upward pass for one parent column: interpolates the four
@@ -300,13 +259,13 @@ pub fn interp_shift(
     let scratch = interp.cols() + interp.rows();
     check_shapes(interp, shifts, children.map(<[f64]>::len), parent);
     assert_eq!(rows.len(), scratch, "one row per child and parent sample");
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { interp_shift_avx2(interp, shifts, children, rows, parent) };
-        return;
-    }
-    interp_shift_body(interp, shifts, children, rows, parent);
+    dispatch!(interp_shift_body(
+        interp: &PeriodicBandMatrix,
+        shifts: &[f64],
+        children: [&[f64]; 4],
+        rows: &mut [Siblings],
+        parent: &mut [f64],
+    ));
 }
 
 /// One step of the downward pass for one parent column, the mirror of
@@ -325,13 +284,14 @@ pub fn shift_anterp(
     let lens = [0, 1, 2, 3].map(|pos| children[pos].len());
     check_shapes(interp, shifts, lens, parent);
     assert_eq!(rows.len(), interp.cols(), "one row per child sample");
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { shift_anterp_avx2(interp, shifts, alpha, parent, rows, children) };
-        return;
-    }
-    shift_anterp_body(interp, shifts, alpha, parent, rows, children);
+    dispatch!(shift_anterp_body(
+        interp: &PeriodicBandMatrix,
+        shifts: &[f64],
+        alpha: f64,
+        parent: &[f64],
+        rows: &mut [Siblings],
+        children: [&mut [f64]; 4],
+    ));
 }
 
 fn check_shapes(interp: &PeriodicBandMatrix, shift: &[f64], children: [usize; 4], parent: &[f64]) {
@@ -370,8 +330,28 @@ mod tests {
             .collect()
     }
 
+    /// `acc + t * s` as the kernels accumulate it: one `f64::mul_add` per
+    /// real term, the `re * re` / `re * im` term first. Not `C64::mul_add`,
+    /// which rounds every product and every sum.
+    fn fused_mac(t: C64, s: C64, acc: C64) -> C64 {
+        c64(
+            f64::mul_add(-t.im, s.im, f64::mul_add(t.re, s.re, acc.re)),
+            f64::mul_add(t.im, s.re, f64::mul_add(t.re, s.im, acc.im)),
+        )
+    }
+
+    /// Scalar reference of a band row: `sum_j w[j] x[(first + j) mod cols]`
+    /// per component, one `f64::mul_add` per tap in `j` order from `acc`.
+    fn fused_band_row(interp: &PeriodicBandMatrix, i: usize, x: &[C64], acc: C64) -> C64 {
+        let (first, weights) = band_row(interp, i);
+        weights.iter().enumerate().fold(acc, |acc, (j, w)| {
+            let v = x[(first + j) % x.len()];
+            c64(v.re.mul_add(*w, acc.re), v.im.mul_add(*w, acc.im))
+        })
+    }
+
     #[test]
-    fn translate_is_bit_identical_to_the_mul_add_chain_on_both_paths() {
+    fn translate_is_bit_identical_to_the_fused_pair_order_chain_on_both_paths() {
         // every remainder of the 16 / 8 / 4 / 1 sample blocks, an empty pair list
         for (q, n_pairs, width) in [
             (41, 1, 1),
@@ -398,7 +378,7 @@ mod tests {
                 for &(src, t) in &pairs {
                     let s = &patterns[src as usize * width + b];
                     for i in 0..q {
-                        o[i] = translators[t as usize][i].mul_add(s[i], o[i]);
+                        o[i] = fused_mac(translators[t as usize][i], s[i], o[i]);
                     }
                 }
                 want.extend(slot(&o));
@@ -418,7 +398,7 @@ mod tests {
     const SHAPES: [(usize, usize, usize); 3] = [(33, 52, 6), (52, 155, 16), (41, 63, 16)];
 
     #[test]
-    fn interp_shift_is_bit_identical_to_apply_plus_shift_loop_on_both_paths() {
+    fn interp_shift_is_bit_identical_to_the_fused_tap_and_pos_order_chains_on_both_paths() {
         for (q_child, q, order) in SHAPES {
             let interp = lagrange_interp_matrix(q_child, q, order);
             let wraps = |i: usize| interp.start()[i] as usize + interp.band() > q_child;
@@ -426,14 +406,16 @@ mod tests {
             let children: Vec<Vec<C64>> = (0..4).map(|p| random(q_child, 10 + p)).collect();
             let shifts: Vec<Vec<C64>> = (0..4).map(|p| random(q, 20 + p)).collect();
 
-            let mut want = vec![C64::ZERO; q];
-            let mut tmp = vec![C64::ZERO; q];
-            for pos in 0..4 {
-                interp.apply(&children[pos], &mut tmp);
-                for ((o, t), s) in want.iter_mut().zip(&tmp).zip(&shifts[pos]) {
-                    *o = t.mul_add(*s, *o);
-                }
-            }
+            // per parent sample: each child's band sum in tap order, then
+            // the four shifted sums in `pos` order from zero
+            let want: Vec<C64> = (0..q)
+                .map(|i| {
+                    (0..4).fold(C64::ZERO, |o, pos| {
+                        let t = fused_band_row(&interp, i, &children[pos], C64::ZERO);
+                        fused_mac(t, shifts[pos][i], o)
+                    })
+                })
+                .collect();
 
             let slots: Vec<Vec<f64>> = children.iter().map(|c| slot(c)).collect();
             let slots = [0, 1, 2, 3].map(|pos| slots[pos].as_slice());
@@ -450,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn shift_anterp_is_bit_identical_to_shift_loop_plus_transpose_on_both_paths() {
+    fn shift_anterp_is_bit_identical_to_the_fused_shift_and_tap_order_chains_on_both_paths() {
         for (q_child, q, order) in SHAPES {
             let interp = lagrange_interp_matrix(q_child, q, order);
             let alpha = q_child as f64 / q as f64;
@@ -459,13 +441,23 @@ mod tests {
             // the children already hold their translated patterns
             let seeded: Vec<Vec<C64>> = (0..4).map(|p| random(q_child, 50 + p)).collect();
 
+            // per child: parent samples in order, each shifted (one fused
+            // product per component), scaled, then spread over its band row
+            // by one `f64::mul_add` per tap
             let mut want = seeded.clone();
-            let mut tmp = vec![C64::ZERO; q];
             for pos in 0..4 {
-                for ((t, g), s) in tmp.iter_mut().zip(&parent).zip(&shifts[pos]) {
-                    *t = *g * *s;
+                for i in 0..q {
+                    let (g, s) = (parent[i], shifts[pos][i]);
+                    let v = c64(
+                        f64::mul_add(-g.im, s.im, g.re * s.re) * alpha,
+                        f64::mul_add(g.im, s.re, g.re * s.im) * alpha,
+                    );
+                    let (first, weights) = band_row(&interp, i);
+                    for (j, w) in weights.iter().enumerate() {
+                        let o = &mut want[pos][(first + j) % q_child];
+                        *o = c64(v.re.mul_add(*w, o.re), v.im.mul_add(*w, o.im));
+                    }
                 }
-                interp.apply_transpose_scaled(&tmp, alpha, &mut want[pos]);
             }
             let want: Vec<Vec<f64>> = want.iter().map(|c| slot(c)).collect();
 

@@ -29,11 +29,14 @@
 //! so one broadcast pair updates a register-sized block of the `q` samples;
 //! [`LocalExpansion`] sample-major (`[r][k]`), so one pattern sample updates
 //! a register-sized block of the pairs. Either way the loop is plain
-//! elementwise arithmetic the compiler vectorises, every output element sees
-//! its terms in one fixed order (pairs ascending, resp. samples ascending)
-//! whatever the block it falls in, and nothing contracts to fused
-//! multiply-add, so the portable and the AVX2-compiled instance agree bit
-//! for bit.
+//! elementwise arithmetic the compiler vectorises, and every output element
+//! sees its terms in one fixed order (pairs ascending, resp. samples
+//! ascending) whatever the block it falls in. Every term enters its sum by
+//! one `f64::mul_add` — radiating, `acc_re = fma(-e.im, d.im, fma(e.re, s.re,
+//! acc_re))` and `acc_im = fma(e.im, d.re, fma(e.re, s.im, acc_im))`;
+//! receiving, `acc = fma(e, g, acc)` for each of the four sums — and a fused
+//! multiply-add is correctly rounded wherever it runs, so the portable body
+//! and its `avx2,fma` instance (`dispatch!`) agree bit for bit.
 
 use ffw_geometry::LEAF_PIXELS;
 use ffw_numerics::linalg::Matrix;
@@ -78,8 +81,8 @@ fn radiate_block<const R: usize>(
         let er: &[f64; R] = re[k * q + r0..][..R].try_into().expect("R samples");
         let ei: &[f64; R] = im[k * q + r0..][..R].try_into().expect("R samples");
         for l in 0..R {
-            acc_re[l] += er[l] * s.re - ei[l] * d.im;
-            acc_im[l] += er[l] * s.im + ei[l] * d.re;
+            acc_re[l] = (-ei[l]).mul_add(d.im, er[l].mul_add(s.re, acc_re[l]));
+            acc_im[l] = ei[l].mul_add(d.re, er[l].mul_add(s.im, acc_im[l]));
         }
     }
     out_re[r0..r0 + R].copy_from_slice(&acc_re);
@@ -131,10 +134,10 @@ fn receive_sums(re: &[f64], im: &[f64], g_re: &[f64], g_im: &[f64]) -> [[f64; PA
             let er: &[f64; RECEIVE_BLOCK] = re[at..][..RECEIVE_BLOCK].try_into().expect("block");
             let ei: &[f64; RECEIVE_BLOCK] = im[at..][..RECEIVE_BLOCK].try_into().expect("block");
             for l in 0..RECEIVE_BLOCK {
-                acc[0][l] += er[l] * gr;
-                acc[1][l] += ei[l] * gi;
-                acc[2][l] += er[l] * gi;
-                acc[3][l] += ei[l] * gr;
+                acc[0][l] = er[l].mul_add(*gr, acc[0][l]);
+                acc[1][l] = ei[l].mul_add(*gi, acc[1][l]);
+                acc[2][l] = er[l].mul_add(*gi, acc[2][l]);
+                acc[3][l] = ei[l].mul_add(*gr, acc[3][l]);
             }
         }
         for (sum, acc) in sums.iter_mut().zip(&acc) {
@@ -153,30 +156,6 @@ fn receive_body(re: &[f64], im: &[f64], w: C64, pattern: &[f64], out: &mut [C64;
         out[k] = c64(rr[k] + ii[k], ri[k] - ir[k]) * w;
         out[LEAF_PIXELS - 1 - k] = c64(rr[k] - ii[k], ri[k] + ir[k]) * w;
     }
-}
-
-// Compiled out under Miri: the interpreter has no cpuid, and the portable
-// instances are the bit-identical reference anyway.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
-// single call site); the body is the safe portable code, recompiled.
-unsafe fn radiate_avx2(re: &[f64], im: &[f64], x: &[C64; LEAF_PIXELS], out: &mut [f64]) {
-    radiate_body(re, im, x, out);
-}
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
-// single call site); the body is the safe portable code, recompiled.
-unsafe fn receive_avx2(
-    re: &[f64],
-    im: &[f64],
-    w: C64,
-    pattern: &[f64],
-    out: &mut [C64; LEAF_PIXELS],
-) {
-    receive_body(re, im, w, pattern, out);
 }
 
 /// The multipole expansion shared by all leaves.
@@ -229,13 +208,8 @@ impl MultipoleExpansion {
     pub fn radiate(&self, x: &[C64], out: &mut [f64]) {
         assert_eq!(out.len() * PAIRS, 2 * self.re.len());
         let x: &[C64; LEAF_PIXELS] = x.try_into().expect("one leaf of pixels");
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check above.
-            unsafe { radiate_avx2(&self.re, &self.im, x, out) };
-            return;
-        }
-        radiate_body(&self.re, &self.im, x, out);
+        let (re, im) = (self.re.as_slice(), self.im.as_slice());
+        dispatch!(radiate_body(re: &[f64], im: &[f64], x: &[C64; LEAF_PIXELS], out: &mut [f64]));
     }
 }
 
@@ -274,13 +248,14 @@ impl LocalExpansion {
     pub fn receive(&self, pattern: &[f64], out: &mut [C64]) {
         assert_eq!(pattern.len() * PAIRS, 2 * self.re.len());
         let out: &mut [C64; LEAF_PIXELS] = out.try_into().expect("one leaf of pixels");
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check above.
-            unsafe { receive_avx2(&self.re, &self.im, self.weight, pattern, out) };
-            return;
-        }
-        receive_body(&self.re, &self.im, self.weight, pattern, out);
+        let (re, im, w) = (self.re.as_slice(), self.im.as_slice(), self.weight);
+        dispatch!(receive_body(
+            re: &[f64],
+            im: &[f64],
+            w: C64,
+            pattern: &[f64],
+            out: &mut [C64; LEAF_PIXELS],
+        ));
     }
 }
 

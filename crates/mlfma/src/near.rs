@@ -22,12 +22,14 @@
 //! (decimation-in-frequency) pass leaves bit-reversed order and the inverse
 //! (decimation-in-time) pass consumes it, so no permutation pass exists; both
 //! are pruned for the zero half of the padded input and the discarded half of
-//! the output. Nothing here contracts to fused multiply-add, so the portable
-//! and the AVX2-compiled instance of the same code are bit-identical.
+//! the output. Every product that feeds a sum is one `f64::mul_add` — the
+//! spectrum product `acc += K * S` as `acc_re = fma(-k_im, s_im, fma(k_re,
+//! s_re, acc_re))`, `acc_im = fma(k_im, s_re, fma(k_re, s_im, acc_im))`, a
+//! general twiddle as `(fma(-im, wi, re * wr), fma(im, wr, re * wi))` — and a
+//! fused multiply-add is correctly rounded wherever it runs, so the portable
+//! bodies and their `avx2,fma` instances (`dispatch!`) are bit-identical.
 
-use ffw_geometry::{
-    morton_decode, morton_encode, Offset, QuadTree, LEAF_PIXELS, LEAF_SIDE, NEAR_OFFSETS,
-};
+use ffw_geometry::{Offset, LEAF_PIXELS, LEAF_SIDE, NEAR_OFFSETS};
 use ffw_greens::Kernel;
 use ffw_numerics::linalg::Matrix;
 use ffw_numerics::C64;
@@ -76,7 +78,7 @@ const TWIDDLE: [(f64, f64); 8] = [
 
 /// Position of a near offset in `NEAR_OFFSETS` order.
 #[inline]
-fn near_index(off: Offset) -> usize {
+pub(crate) fn near_index(off: Offset) -> usize {
     ((off.1 + 1) as usize) * 3 + (off.0 + 1) as usize
 }
 
@@ -90,7 +92,7 @@ fn twiddle<const K: usize, const INV: bool>(re: f64, im: f64) -> (f64, f64) {
         0 => (re, im),
         4 if INV => (-im, re),
         4 => (im, -re),
-        _ => (re * wr - im * wi, re * wi + im * wr),
+        _ => ((-im).mul_add(wi, re * wr), im.mul_add(wr, re * wi)),
     }
 }
 
@@ -250,25 +252,36 @@ fn forward_body(x: &[C64; LEAF_PIXELS], spectrum: &mut [f64; SPECTRUM_LEN]) {
     dif16::<N, true>(sre, sim); // along x: [kx][ky]
 }
 
+/// A spectrum as rows of 16 bins: the 16 rows of the re plane, then the 16
+/// of the im plane.
+type Rows = [[f64; N]; 2 * N];
+
+/// The rows of one leaf spectrum.
 #[inline(always)]
-fn accumulate_body(kernels: &[f64], sources: &[(Offset, &[f64])], out: &mut [C64; LEAF_PIXELS]) {
+fn rows_of(spectrum: &[f64]) -> &Rows {
+    let (rows, rest) = spectrum.as_chunks::<N>();
+    assert!(rest.is_empty(), "one leaf spectrum");
+    rows.try_into().expect("one leaf spectrum")
+}
+
+#[inline(always)]
+fn accumulate_body(sources: &[(&Rows, &Rows)], out: &mut [C64; LEAF_PIXELS]) {
     let mut re = [[0.0; N]; N];
     let mut im = [[0.0; N]; N];
     // One row of 16 bins at a time, summed in locals so the sums stay in
-    // registers across the neighbours.
-    for (r, (row_re, row_im)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
-        let row = r * N..(r + 1) * N;
+    // registers across the neighbours. `sources` holds each neighbour's
+    // kernel and spectrum as fixed-size rows, so nothing is looked up, sliced
+    // or bounds-checked in here.
+    for r in 0..N {
         let (mut acc_re, mut acc_im) = ([0.0; N], [0.0; N]);
-        for &(off, src) in sources {
-            let k = &kernels[near_index(off) * SPECTRUM_LEN..][..SPECTRUM_LEN];
-            let (kre, kim) = (&k[row.clone()], &k[BINS..][row.clone()]);
-            let (sre, sim) = (&src[row.clone()], &src[BINS..][row.clone()]);
+        for (k, s) in sources {
+            let (k_re, k_im, s_re, s_im) = (&k[r], &k[N + r], &s[r], &s[N + r]);
             for i in 0..N {
-                acc_re[i] += kre[i] * sre[i] - kim[i] * sim[i];
-                acc_im[i] += kre[i] * sim[i] + kim[i] * sre[i];
+                acc_re[i] = (-k_im[i]).mul_add(s_im[i], k_re[i].mul_add(s_re[i], acc_re[i]));
+                acc_im[i] = k_im[i].mul_add(s_re[i], k_re[i].mul_add(s_im[i], acc_im[i]));
             }
         }
-        (*row_re, *row_im) = (acc_re, acc_im);
+        (re[r], im[r]) = (acc_re, acc_im);
     }
     dit16::<N, true>(&mut re, &mut im); // along kx: rows ..8 = [x][ky]
     let mut wre = [[0.0; LEAF_SIDE]; N];
@@ -282,28 +295,6 @@ fn accumulate_body(kernels: &[f64], sources: &[(Offset, &[f64])], out: &mut [C64
     }
 }
 
-// The AVX2 instances are compiled out under Miri: the interpreter has no
-// cpuid, and the portable instance is the bit-identical reference anyway.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
-// single call site); the body is the safe portable code, recompiled.
-unsafe fn forward_avx2(x: &[C64; LEAF_PIXELS], spectrum: &mut [f64; SPECTRUM_LEN]) {
-    forward_body(x, spectrum);
-}
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller must ensure AVX2 is available (runtime-detected at the
-// single call site); the body is the safe portable code, recompiled.
-unsafe fn accumulate_avx2(
-    kernels: &[f64],
-    sources: &[(Offset, &[f64])],
-    out: &mut [C64; LEAF_PIXELS],
-) {
-    accumulate_body(kernels, sources, out);
-}
-
 /// The near-field operator of one plan: nine 15 x 15 tables of distinct
 /// block entries and their 16 x 16 spectra.
 pub struct NearField {
@@ -311,9 +302,9 @@ pub struct NearField {
     /// observer pixel with the source pixel `(dx, dy)` pixels *before* it in
     /// the leaf at offset `NEAR_OFFSETS[oi]`.
     table: Vec<C64>,
-    /// Per offset one spectrum ([`SPECTRUM_LEN`] words, the `1/256` of the
-    /// inverse transform folded in).
-    kernels: Vec<f64>,
+    /// Per offset one spectrum (the `1/256` of the inverse transform folded
+    /// in).
+    kernels: Vec<Rows>,
 }
 
 impl NearField {
@@ -322,7 +313,7 @@ impl NearField {
     pub fn new(kernel: &Kernel, px: f64) -> Self {
         let span = LEAF_SIDE as i32 - 1;
         let mut table = Vec::with_capacity(NEAR_OFFSETS.len() * TABLE_LEN);
-        let mut kernels = Vec::with_capacity(NEAR_OFFSETS.len() * SPECTRUM_LEN);
+        let mut kernels = Vec::with_capacity(NEAR_OFFSETS.len());
         for (ox, oy) in NEAR_OFFSETS {
             let mut re = [[0.0; N]; N];
             let mut im = [[0.0; N]; N];
@@ -341,9 +332,11 @@ impl NearField {
             }
             forward_full(&mut re, &mut im);
             let scale = 1.0 / BINS as f64;
-            for plane in [&re, &im] {
-                kernels.extend(plane.as_flattened().iter().map(|v| v * scale));
+            let mut spectrum = [[0.0; N]; 2 * N];
+            for (k, v) in spectrum.iter_mut().zip(re.iter().chain(&im)) {
+                *k = v.map(|v| v * scale);
             }
+            kernels.push(spectrum);
         }
         NearField { table, kernels }
     }
@@ -369,61 +362,37 @@ impl NearField {
     pub fn forward(&self, x: &[C64], spectrum: &mut [f64]) {
         let x: &[C64; LEAF_PIXELS] = x.try_into().expect("one leaf of pixels");
         let spectrum: &mut [f64; SPECTRUM_LEN] = spectrum.try_into().expect("one leaf spectrum");
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check above.
-            unsafe { forward_avx2(x, spectrum) };
-            return;
-        }
-        forward_body(x, spectrum);
+        dispatch!(forward_body(x: &[C64; LEAF_PIXELS], spectrum: &mut [f64; SPECTRUM_LEN]));
     }
 
     /// Phase B: adds onto `out` (one observer leaf's 64 pixels) the near
-    /// field of `sources` — each neighbour's offset and spectrum, summed in
-    /// the order given.
-    pub fn accumulate(&self, sources: &[(Offset, &[f64])], out: &mut [C64]) {
-        let out: &mut [C64; LEAF_PIXELS] = out.try_into().expect("one leaf of pixels");
-        for (_, s) in sources {
-            assert_eq!(s.len(), SPECTRUM_LEN, "one leaf spectrum");
-        }
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check above.
-            unsafe { accumulate_avx2(&self.kernels, sources, out) };
-            return;
-        }
-        accumulate_body(&self.kernels, sources, out);
-    }
-
-    /// Phase B for observer leaf `c` (Morton index) of `tree`: its in-bounds
-    /// neighbours in `near_list` order — the order every engine's
-    /// bit-identity rests on — each looked up by Morton index through
-    /// `spectrum_of`.
-    pub fn accumulate_leaf<'a>(
+    /// field of `pairs` — `(source leaf, near_index of its offset)`, the rows
+    /// of [`crate::MlfmaPlan::near_pairs_of`] — each source's spectrum looked
+    /// up through `spectrum_of` once, summed in the order given.
+    pub fn accumulate<'a>(
         &self,
-        tree: &QuadTree,
-        c: usize,
+        pairs: &[(u32, u32)],
         spectrum_of: impl Fn(usize) -> &'a [f64],
         out: &mut [C64],
     ) {
-        let (ix, iy) = morton_decode(c as u32);
-        let mut sources: [(Offset, &[f64]); NEAR_OFFSETS.len()] =
-            [((0, 0), &[]); NEAR_OFFSETS.len()];
-        let mut n = 0;
-        for (sx, sy, off) in tree.near_neighbours(ix as usize, iy as usize) {
-            let s = morton_encode(sx as u32, sy as u32) as usize;
-            sources[n] = (off, spectrum_of(s));
-            n += 1;
+        let out: &mut [C64; LEAF_PIXELS] = out.try_into().expect("one leaf of pixels");
+        let mut sources = [(&self.kernels[0], &self.kernels[0]); NEAR_OFFSETS.len()];
+        assert!(pairs.len() <= sources.len(), "at most nine neighbours");
+        for (source, &(leaf, off)) in sources.iter_mut().zip(pairs) {
+            *source = (
+                &self.kernels[off as usize],
+                rows_of(spectrum_of(leaf as usize)),
+            );
         }
-        let sources = &sources[..n];
-        self.accumulate(sources, out);
+        let sources = &sources[..pairs.len()];
+        dispatch!(accumulate_body(sources: &[(&Rows, &Rows)], out: &mut [C64; LEAF_PIXELS]));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffw_geometry::Domain;
+    use ffw_geometry::{morton_decode, morton_encode, Domain, QuadTree};
     use ffw_numerics::c64;
     use ffw_numerics::fft::dft_naive;
     use ffw_numerics::vecops::rel_diff;
@@ -489,7 +458,7 @@ mod tests {
         for off in NEAR_OFFSETS {
             let mut y = random_x(LEAF_PIXELS, 8);
             let mut y_ref = y.clone();
-            near.accumulate(&[(off, &spectrum)], &mut y);
+            near.accumulate(&[(0, near_index(off) as u32)], |_| &spectrum, &mut y);
             near.dense_block(off).matvec_acc(&x, &mut y_ref);
             let err = rel_diff(&y, &y_ref);
             assert!(err <= 1e-13, "offset {off:?}: {err:e}");
@@ -514,10 +483,14 @@ mod tests {
             let mut y = vec![C64::ZERO; LEAF_PIXELS];
             let mut y_ref = y.clone();
             let spectrum_of = |s: usize| &spectra[s * SPECTRUM_LEN..(s + 1) * SPECTRUM_LEN];
-            near.accumulate_leaf(&tree, c, spectrum_of, &mut y);
-            for (sx, sy, off) in list {
-                let s = morton_encode(sx as u32, sy as u32) as usize;
-                blocks[near_index(off)]
+            let pairs: Vec<(u32, u32)> = list
+                .iter()
+                .map(|&(sx, sy, off)| (morton_encode(sx as u32, sy as u32), near_index(off) as u32))
+                .collect();
+            near.accumulate(&pairs, spectrum_of, &mut y);
+            for &(s, off) in &pairs {
+                let s = s as usize;
+                blocks[off as usize]
                     .matvec_acc(&x[s * LEAF_PIXELS..(s + 1) * LEAF_PIXELS], &mut y_ref);
             }
             let err = rel_diff(&y, &y_ref);
@@ -554,33 +527,71 @@ mod tests {
 
         // A unit impulse at the origin has the all-ones spectrum: with it as
         // the (0, 0) kernel, accumulate is forward followed by inverse.
-        let mut kernels = vec![0.0; NEAR_OFFSETS.len() * SPECTRUM_LEN];
-        kernels[near_index((0, 0)) * SPECTRUM_LEN..][..BINS].fill(1.0 / BINS as f64);
+        let mut impulse = [[0.0; N]; 2 * N];
+        impulse[..N].fill([1.0 / BINS as f64; N]);
         let mut back = [C64::ZERO; LEAF_PIXELS];
-        accumulate_body(&kernels, &[((0, 0), &spectrum)], &mut back);
+        accumulate_body(&[(&impulse, rows_of(&spectrum))], &mut back);
         assert!(rel_diff(&back, &x) < 1e-15);
     }
 
     #[test]
     fn dispatched_path_is_bit_identical_to_portable() {
         let (_, _, near) = scene();
-        let x = random_x(3 * LEAF_PIXELS, 19);
-        let mut spectra = vec![0.0; 3 * SPECTRUM_LEN];
+        let x = random_x(9 * LEAF_PIXELS, 19);
+        let mut spectra = vec![0.0; 9 * SPECTRUM_LEN];
         for (leaf, spectrum) in x.chunks(LEAF_PIXELS).zip(spectra.chunks_mut(SPECTRUM_LEN)) {
             near.forward(leaf, spectrum);
             let mut portable = [0.0; SPECTRUM_LEN];
             forward_body(leaf.try_into().unwrap(), &mut portable);
             assert_eq!(spectrum, portable);
         }
-        let sources: Vec<_> = [(-1, 0), (0, 0), (1, 1)]
-            .into_iter()
-            .zip(spectra.chunks(SPECTRUM_LEN))
-            .collect();
-        let seed = random_x(LEAF_PIXELS, 23);
-        let mut y = seed.clone();
-        near.accumulate(&sources, &mut y);
-        let mut portable: [C64; LEAF_PIXELS] = seed.as_slice().try_into().unwrap();
-        accumulate_body(&near.kernels, &sources, &mut portable);
-        assert_eq!(y, portable);
+        let spectrum_of = |s: usize| &spectra[s * SPECTRUM_LEN..(s + 1) * SPECTRUM_LEN];
+        // `(source leaf, offset)`: one, three, four (a corner) and nine sources
+        let lists: [&[(u32, u32)]; 4] = [
+            &[(2, 4)],
+            &[(0, 3), (1, 4), (2, 8)],
+            &[(5, 4), (6, 5), (7, 7), (8, 8)],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8].map(|i| (8 - i, i)),
+        ];
+        for pairs in lists {
+            let seed = random_x(LEAF_PIXELS, 23);
+            let mut y = seed.clone();
+            near.accumulate(pairs, spectrum_of, &mut y);
+
+            let sources: Vec<(&Rows, &Rows)> = pairs
+                .iter()
+                .map(|&(s, off)| {
+                    (
+                        &near.kernels[off as usize],
+                        rows_of(spectrum_of(s as usize)),
+                    )
+                })
+                .collect();
+            let mut portable: [C64; LEAF_PIXELS] = seed.as_slice().try_into().unwrap();
+            accumulate_body(&sources, &mut portable);
+            assert_eq!(y, portable, "{} sources", pairs.len());
+
+            // The product loop, bin by bin: each source enters by one fused
+            // multiply-add per real term, in list order from zero. With the
+            // kernel `1 + 0i` the body's own product returns its source
+            // exactly, which leaves the transform back of these sums.
+            let mut sums = [[0.0; N]; 2 * N];
+            for r in 0..N {
+                for i in 0..N {
+                    let (mut acc_re, mut acc_im) = (0.0f64, 0.0f64);
+                    for (k, s) in &sources {
+                        let (k_re, k_im, s_re, s_im) = (k[r][i], k[N + r][i], s[r][i], s[N + r][i]);
+                        acc_re = f64::mul_add(-k_im, s_im, f64::mul_add(k_re, s_re, acc_re));
+                        acc_im = f64::mul_add(k_im, s_re, f64::mul_add(k_re, s_im, acc_im));
+                    }
+                    (sums[r][i], sums[N + r][i]) = (acc_re, acc_im);
+                }
+            }
+            let mut one = [[0.0; N]; 2 * N];
+            one[..N].fill([1.0; N]);
+            let mut want: [C64; LEAF_PIXELS] = seed.as_slice().try_into().unwrap();
+            accumulate_body(&[(&one, &sums)], &mut want);
+            assert_eq!(y, want, "{} sources", pairs.len());
+        }
     }
 }

@@ -27,10 +27,11 @@
 
 use crate::interp::lagrange_interp_matrix;
 use crate::local::{LocalExpansion, MultipoleExpansion};
-use crate::near::NearField;
+use crate::near::{near_index, NearField};
 use crate::params::Accuracy;
 use ffw_geometry::{
-    morton_decode, morton_encode, Domain, Offset, QuadTree, LEAF_PIXELS, LEAF_SIDE, TOP_LEVEL,
+    morton_decode, morton_encode, Domain, Offset, QuadTree, LEAF_PIXELS, LEAF_SIDE, NEAR_OFFSETS,
+    TOP_LEVEL,
 };
 use ffw_greens::Kernel;
 use ffw_numerics::bessel::hankel1_array;
@@ -118,6 +119,13 @@ pub struct MlfmaPlan {
     pub local_expansion: LocalExpansion,
     /// The near-field operator: one spectrum per neighbour offset.
     pub near_field: NearField,
+    /// CSR rows of `near_pairs`: observer leaf `c` (Morton) owns
+    /// `near_pairs[near_start[c]..near_start[c + 1]]`.
+    pub near_start: Vec<u32>,
+    /// Every in-bounds near-field neighbour as `(source leaf, position of
+    /// its offset in NEAR_OFFSETS)`, per observer in `QuadTree::near_list`
+    /// order — the order every engine's bit-identity rests on.
+    pub near_pairs: Vec<(u32, u32)>,
 }
 
 impl MlfmaPlan {
@@ -233,6 +241,20 @@ impl MlfmaPlan {
         let local_expansion = LocalExpansion::new(&expansion, kernel.coupling);
         let near_field = NearField::new(&kernel, px);
 
+        // --- near-field neighbours, once, in list order ---
+        let n_leaves = tree.n_leaves();
+        let mut near_start = Vec::with_capacity(n_leaves + 1);
+        let mut near_pairs = Vec::with_capacity(NEAR_OFFSETS.len() * n_leaves);
+        for c in 0..n_leaves as u32 {
+            near_start.push(near_pairs.len() as u32);
+            let (ix, iy) = morton_decode(c);
+            for (sx, sy, off) in tree.near_neighbours(ix as usize, iy as usize) {
+                let src = morton_encode(sx as u32, sy as u32);
+                near_pairs.push((src, near_index(off) as u32));
+            }
+        }
+        near_start.push(near_pairs.len() as u32);
+
         MlfmaPlan {
             domain: domain.clone(),
             tree,
@@ -242,7 +264,14 @@ impl MlfmaPlan {
             expansion: MultipoleExpansion::new(&expansion),
             local_expansion,
             near_field,
+            near_start,
+            near_pairs,
         }
+    }
+
+    /// The near-field neighbours of observer leaf `c`.
+    pub fn near_pairs_of(&self, c: usize) -> &[(u32, u32)] {
+        &self.near_pairs[self.near_start[c] as usize..self.near_start[c + 1] as usize]
     }
 
     /// The plan for a given tree level.
@@ -306,15 +335,8 @@ impl MlfmaPlan {
         let n_leaves = self.tree.n_leaves();
         let expansion_flops =
             n_leaves as f64 * self.leaf_plan().q as f64 * LEAF_PIXELS as f64 * cmul;
-        // near-field pairs (in-bounds)
-        let leaf_side = self.tree.clusters_per_side(self.tree.leaf_level());
-        let mut near_pairs = 0usize;
-        for iy in 0..leaf_side {
-            for ix in 0..leaf_side {
-                near_pairs += self.tree.near_list(ix, iy).len();
-            }
-        }
-        let nearfield_flops = near_pairs as f64 * (LEAF_PIXELS * LEAF_PIXELS) as f64 * cmul;
+        let nearfield_flops =
+            self.near_pairs.len() as f64 * (LEAF_PIXELS * LEAF_PIXELS) as f64 * cmul;
         PlanStats {
             n_pixels: self.n_pixels(),
             interp_band: self.accuracy.interp_order,
@@ -524,6 +546,27 @@ mod tests {
                 assert_eq!(lp.pairs_of(c), want, "level {} cluster {c}", lp.level);
             }
         }
+    }
+
+    /// Likewise the near table against `QuadTree::near_list`, leaf by leaf.
+    #[test]
+    fn near_table_is_the_tree_near_lists() {
+        let plan = MlfmaPlan::new(&Domain::new(128, 1.0), Accuracy::low());
+        assert_eq!(plan.near_start.len(), plan.tree.n_leaves() + 1);
+        for c in 0..plan.tree.n_leaves() {
+            let (ix, iy) = morton_decode(c as u32);
+            let want: Vec<(u32, u32)> = plan
+                .tree
+                .near_list(ix as usize, iy as usize)
+                .into_iter()
+                .map(|(sx, sy, off)| {
+                    let at = NEAR_OFFSETS.iter().position(|o| *o == off);
+                    (morton_encode(sx as u32, sy as u32), at.unwrap() as u32)
+                })
+                .collect();
+            assert_eq!(plan.near_pairs_of(c), want, "leaf {c}");
+        }
+        assert_eq!(plan.near_pairs_of(0).len(), 4, "a corner leaf");
     }
 
     #[test]
