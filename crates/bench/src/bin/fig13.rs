@@ -1,6 +1,13 @@
 //! Fig. 13: the large Shepp–Logan reconstruction. A real scaled-down run
 //! (laptop-feasible) plus the performance-model projection of the paper's
 //! 4M-unknown / 4,096-GPU configuration.
+//!
+//! `--quick` (64², T=16, 8 iterations, about a second) is also the
+//! repository's long-run convergence guard: every other gate stops at three
+//! outer iterations or fewer, which is too early for an error that builds up
+//! along the conjugate directions to show. Its final residual and image
+//! error must match [`QUICK_FINAL_RESIDUAL`] and [`QUICK_IMAGE_ERROR`] to
+//! three significant digits or the run exits 1.
 
 use ffw_bench::{write_json, Args};
 use ffw_obs::Stopwatch;
@@ -21,6 +28,16 @@ struct Record {
     forward_solves: usize,
     wall_seconds: f64,
     projection_seconds_4096_gpus: f64,
+}
+
+/// What `--quick` must end at. Re-record both when a change moves the
+/// trajectory on purpose, and say in the commit why it may.
+const QUICK_FINAL_RESIDUAL: f64 = 0.011594;
+const QUICK_IMAGE_ERROR: f64 = 0.311076;
+
+/// Whether `got` is `want` to three significant digits.
+fn agrees(got: f64, want: f64) -> bool {
+    (got - want).abs() <= 5e-4 * want.abs()
 }
 
 fn main() {
@@ -65,6 +82,15 @@ fn main() {
         "MLFMA multiplications per forward solve: {:.1}   (paper: 13.4)",
         result.mlfma_mults_per_solve()
     );
+    for (class, count) in result.solve_counts.named() {
+        println!(
+            "  {class:<9}{:>5.1}   ({} multiplications over {} solves, {} BiCGStab iterations)",
+            count.mults_per_solve(),
+            count.mults,
+            count.solves,
+            count.iters
+        );
+    }
     println!(
         "forward solves: {}   wall time: {wall:.1} s",
         result.forward_solves
@@ -126,4 +152,22 @@ fn main() {
         },
     )
     .expect("write results");
+
+    if args.quick {
+        let checks = [
+            (
+                "final residual",
+                result.final_residual,
+                QUICK_FINAL_RESIDUAL,
+            ),
+            ("image error", err, QUICK_IMAGE_ERROR),
+        ];
+        for (what, got, want) in checks {
+            println!("convergence guard: {what} {got:.6} (committed {want:.6})");
+        }
+        if checks.iter().any(|&(_, got, want)| !agrees(got, want)) {
+            eprintln!("error: the --quick run left its committed values (3 significant digits)");
+            std::process::exit(1);
+        }
+    }
 }

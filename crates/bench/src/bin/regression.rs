@@ -17,6 +17,19 @@
 //! The workload is small and fully seeded: a 32x32 cylinder scene solved
 //! serially (3 DBIM iterations) and on a 2x2 fault-tolerant rank grid
 //! (2 iterations), so every gated number is deterministic.
+//!
+//! Where the committed counts come from (4 transmitters): `solver_iters` 48
+//! = 12 synthesizing the data (3 steps a transmitter) + 16 in the four state
+//! passes (iterations 0-2 and the final one: one step a solve, the later
+//! ones from predicted fields) + 8 in the gradient solves (none in
+//! iteration 0, whose adjoint right-hand sides are zero; one step a solve
+//! after) + 12 in the step solves (one step a solve). `solver_matvecs` 120 =
+//! 24 + 40 + 24 + 32 in the same order, and `mlfma_applies` 144 adds the 24
+//! products outside the solves (`G0 w` and `G0^H z`, 4 x 3 x 2). While every
+//! solve ran to `1e-4` from the last field these were 72 / 160 / 184: in
+//! iterations 1 and 2 each of the three solves took two steps, not one. The
+//! rank-grid leg's 382 messages were 478 for the same reason (accounting
+//! per BiCGStab step: `tests/one_driver.rs`, `GRID_MESSAGES`).
 
 use ffw_dist::{run_dbim_ft, FtConfig};
 use ffw_inverse::DbimConfig;

@@ -11,7 +11,7 @@
 
 use ffw_dist::{FtConfig, JobControl};
 use ffw_geometry::Point2;
-use ffw_inverse::{BornConfig, DbimConfig};
+use ffw_inverse::{BornConfig, DbimConfig, SolveCounts};
 use ffw_mpi::FaultPlan;
 use ffw_phantom::{image_rel_error, Annulus, Cylinder, Phantom, RandomBlobs, SheppLogan};
 use ffw_solver::VerifyConfig;
@@ -567,6 +567,7 @@ fn main() {
         let snap = ffw_obs::snapshot();
         if cli.profile {
             eprint!("{}", snap.render_profile());
+            print_mults_per_solve(&snap);
         }
         if let Some(path) = &cli.metrics {
             match snap.write_to(path) {
@@ -577,5 +578,26 @@ fn main() {
                 }
             }
         }
+    }
+}
+
+/// Where the `G0` applies of the run went: MLFMA multiplications per
+/// forward-class solve by what the solve is for, next to the one figure the
+/// paper reports. Rank (0, 0) counts its own group's transmitters.
+fn print_mults_per_solve(snap: &ffw_obs::Snapshot) {
+    let counter = |name: String| {
+        snap.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    eprintln!("MLFMA multiplications per solve (paper, Fig. 13: 13.4 over all three)");
+    for (class, _) in SolveCounts::default().named() {
+        let solves = counter(format!("dbim.solves.{class}"));
+        let mults = counter(format!("dbim.mults.{class}"));
+        eprintln!(
+            "  {class:<9}{:>5.1}   ({mults} over {solves} solves)",
+            mults as f64 / solves as f64
+        );
     }
 }

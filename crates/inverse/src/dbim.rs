@@ -15,10 +15,27 @@
 //!    `alpha = -Re sum_t <r_t, F_t d> / sum_t ||F_t d||^2` (Eq. 5).
 //!
 //! That is three forward-class solutions per transmitter per iteration —
-//! exactly the paper's accounting. The paper's only regularization is early
-//! termination (Section V-B); [`DbimConfig::regularizer`] adds selectable
-//! penalties and a hybrid-projection update on the linearized step (see
-//! [`crate::regularize`]).
+//! exactly the paper's accounting — at two tolerances. The *state* solve of
+//! step 1 defines the residual the run reports and every later quantity is
+//! built on, so it runs to [`DbimConfig::forward`] (the paper's `1e-4`). The
+//! solves of steps 2 and 3 only steer: one gives a conjugate-gradient
+//! direction, the other a step length along it, both of a linearisation whose
+//! own error is `O(||delta O||)`, so they stop at [`LINEAR_STEP_TOL`].
+//!
+//! Step 3 also leaves the next iteration's warm start behind: `u_t` is the
+//! derivative of `phi_t` along `d`, so `phi_t + alpha u_t` is the field at
+//! the updated object to first order, and the next state solve starts from
+//! it instead of from `phi_t` (skipped, like the warm start itself, when
+//! [`DbimConfig::warm_start`] is off).
+//!
+//! The paper's only regularization is early termination (Section V-B);
+//! [`DbimConfig::regularizer`] adds selectable penalties and a
+//! hybrid-projection update on the linearized step (see
+//! [`crate::regularize`]). That update is exempt from both: Golub–Kahan
+//! bidiagonalization needs `F` and `F^H` to be adjoint to each other to the
+//! accuracy the projected problem is solved at, which two solves stopped at
+//! `1e-2` are not, and it takes no single step along one direction for the
+//! `u_t` to predict from. Its products keep [`DbimConfig::forward`].
 
 use crate::precond::LeafBlockJacobi;
 use crate::problem::ImagingSetup;
@@ -35,12 +52,24 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
+/// Relative residual the gradient and step solves of the nonlinear-CG path
+/// stop at (or [`DbimConfig::forward`]'s tolerance, if that is looser). They
+/// solve a linearisation that is itself only first-order accurate in the
+/// step, so accuracy beyond it buys BiCGStab iterations and no descent.
+/// There is margin on both sides: on `serial-hc-128` `3e-2` moves the final
+/// residual by 0.1% for another 3% of the `G0` applies, `1e-1` moves it by
+/// 0.6% (DESIGN.md, "The step at the accuracy it can use").
+pub const LINEAR_STEP_TOL: f64 = 1e-2;
+
 /// DBIM configuration.
 #[derive(Clone)]
 pub struct DbimConfig {
     /// Nonlinear CG iterations (the paper runs 50).
     pub iterations: usize,
-    /// Forward/adjoint solver settings (paper: BiCGStab at 1e-4).
+    /// Solver settings of the state solves — the fields that define the
+    /// residual — and of every product of the `wgcv-lsqr` update (paper:
+    /// BiCGStab at 1e-4). The gradient and step solves of the nonlinear-CG
+    /// path run at `max(forward.tol, LINEAR_STEP_TOL)`.
     pub forward: IterConfig,
     /// Constrain the object to be real (lossless dielectric phantoms).
     pub real_object: bool,
@@ -128,12 +157,16 @@ impl DbimConfig {
             Regularizer::Smoothness { lambda } => fp.u64(1).f64(lambda),
             Regularizer::WgcvLsqr { steps, omega } => fp.u64(2).u64(steps as u64).f64(omega),
         };
-        match &self.initial {
+        let fp = match &self.initial {
             None => fp.flag(false),
             Some(o) => o.iter().fold(fp.flag(true).u64(o.len() as u64), |fp, v| {
                 fp.f64(v.re).f64(v.im)
             }),
-        }
+        };
+        // Not a setting, but it changes the iterate like one: a checkpoint
+        // written when every solve ran to `forward.tol` folded nothing here
+        // and is refused, not resumed into another trajectory.
+        fp.f64(LINEAR_STEP_TOL)
     }
 }
 
@@ -209,8 +242,60 @@ pub struct IterationRecord {
     pub rel_residual: f64,
     /// Step length taken.
     pub step: f64,
-    /// Forward-solver iterations spent this DBIM iteration (all solves).
+    /// Forward-solver iterations spent this DBIM iteration (all solves):
+    /// the sum of the three classes below.
     pub solver_iters: usize,
+    /// ... by the state solves (pass 1).
+    pub state_iters: usize,
+    /// ... by the adjoint solves of the gradient pass (or of the `wgcv-lsqr`
+    /// update's `F^H` products).
+    pub gradient_iters: usize,
+    /// ... by the `A^{-1} G0 w` solves of the step pass (or of the
+    /// `wgcv-lsqr` update's `F` products).
+    pub step_iters: usize,
+}
+
+/// What one class of forward-class solve cost a run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SolveCount {
+    /// Solves (one per transmitter and pass).
+    pub solves: usize,
+    /// BiCGStab iterations.
+    pub iters: usize,
+    /// `G0` (MLFMA) multiplications: the solver's, plus the one product a
+    /// gradient or step solve has outside it (`G0^H z`, `G0 w`).
+    pub mults: usize,
+}
+
+impl SolveCount {
+    /// MLFMA multiplications per solve of this class — the paper reports
+    /// 13.4 over all three for the Fig. 13 run.
+    pub fn mults_per_solve(&self) -> f64 {
+        self.mults as f64 / self.solves as f64
+    }
+}
+
+/// The forward-class solves of a run by what they are for (module docs,
+/// steps 1–3): where the `G0` applies of a reconstruction went.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SolveCounts {
+    /// Pass 1 of every iteration and the final pass.
+    pub state: SolveCount,
+    /// The adjoint solves.
+    pub gradient: SolveCount,
+    /// The `A^{-1} G0 w` solves.
+    pub step: SolveCount,
+}
+
+impl SolveCounts {
+    /// The classes by the name their obs series and counters carry.
+    pub fn named(&self) -> [(&'static str, SolveCount); 3] {
+        [
+            ("state", self.state),
+            ("gradient", self.gradient),
+            ("step", self.step),
+        ]
+    }
 }
 
 /// Result of a DBIM reconstruction.
@@ -229,6 +314,10 @@ pub struct DbimResult {
     pub final_residual: f64,
     /// Total forward-class solves (3 per tx per iteration + final pass).
     pub forward_solves: usize,
+    /// The same solves by class, with their iterations and `G0`
+    /// multiplications (excluding verification applies). On a rank grid:
+    /// this rank's transmitters.
+    pub solve_counts: SolveCounts,
     /// Total `G0` (MLFMA) applications (counted by the serial context).
     pub g0_applies: usize,
     /// `Some(next_iter)` when an end-of-iteration hook stopped the run early.
@@ -499,25 +588,77 @@ fn run_serial<G: BlockLinOp + ?Sized>(
 
 /// The passes of one outer iteration: the rank, the forward engine bound to
 /// the current object iterate, and the solve accounting they share.
-struct Passes<'a, C: RankContext> {
+///
+/// [`dbim_loop`] is the only user; the type is public so that oracle tests
+/// can hold the operators the loop applies — `F` ([`Passes::frechet`]) and
+/// `F^H` ([`Passes::frechet_adjoint`]) at the tolerances the loop runs them
+/// at — against finite differences and against each other.
+pub struct Passes<'a, C: RankContext> {
     setup: &'a ImagingSetup,
     ctx: &'a C,
+    /// The object iterate on the owned pixels.
+    object: &'a [C64],
     engine: BicgstabBackend<'a, C::G0>,
+    /// Settings of the state solves.
     forward: IterConfig,
+    /// Settings of the two solves of the linearisation (`frechet`,
+    /// `frechet_adjoint`).
+    linear: IterConfig,
     /// Transmitters per fused multi-RHS solve.
     batch: usize,
-    /// `(forward-class solves, solver iterations)` so far.
-    solves: &'a Cell<(usize, usize)>,
+    /// The run's solves so far.
+    counts: &'a Cell<SolveCounts>,
 }
 
-impl<C: RankContext> Passes<'_, C>
+impl<'a, C: RankContext> Passes<'a, C>
 where
     FaultError: From<<C::G0 as DistOp>::Error>,
 {
-    fn count(&self, stats: &[SolveStats]) {
-        let (solves, iters) = self.solves.get();
-        let spent: usize = stats.iter().map(|s| s.iterations).sum();
-        self.solves.set((solves + stats.len(), iters + spent));
+    /// The passes of `cfg` at `object` (the owned pixels) on rank `ctx`,
+    /// booking their solves into `counts`. `guard` and `precond` ride into
+    /// every solve.
+    pub fn new(
+        setup: &'a ImagingSetup,
+        ctx: &'a C,
+        cfg: &DbimConfig,
+        object: &'a [C64],
+        guard: Option<&'a DriftGuard>,
+        precond: Option<PrecondPair<'a>>,
+        counts: &'a Cell<SolveCounts>,
+    ) -> Self {
+        Passes {
+            setup,
+            ctx,
+            object,
+            engine: BicgstabBackend::new(ctx.g0(), object, guard, precond, ctx.workspace()),
+            forward: cfg.forward,
+            // The Golub–Kahan products keep the state tolerance (module docs).
+            linear: match cfg.regularizer {
+                Regularizer::WgcvLsqr { .. } => cfg.forward,
+                _ => IterConfig {
+                    tol: cfg.forward.tol.max(LINEAR_STEP_TOL),
+                    ..cfg.forward
+                },
+            },
+            batch: cfg.batch.unwrap_or_else(|| ctx.txs().len().min(8)).max(1),
+            counts,
+        }
+    }
+
+    /// Books one batch of solves under `class`; `outside` is the number of
+    /// `G0` products per solve the pass makes outside the solver.
+    fn count(
+        &self,
+        class: impl FnOnce(&mut SolveCounts) -> &mut SolveCount,
+        stats: &[SolveStats],
+        outside: usize,
+    ) {
+        let mut counts = self.counts.get();
+        let c = class(&mut counts);
+        c.solves += stats.len();
+        c.iters += stats.iter().map(|s| s.iterations).sum::<usize>();
+        c.mults += stats.iter().map(|s| s.matvecs + outside).sum::<usize>();
+        self.counts.set(counts);
     }
 
     /// `sum_t ||v_t||^2` over the run's transmitters, for per-transmitter
@@ -565,12 +706,12 @@ where
     /// from their warm starts, batched, and form
     /// `r_t = GR (O . phi_t) - phi_mea_t`. Returns the residuals and the
     /// run-wide cost `sum_t ||r_t||^2`.
-    fn residuals(
+    pub fn residuals(
         &self,
         measured: &[Vec<C64>],
-        object: &[C64],
         fields: &mut [Vec<C64>],
     ) -> Result<(Vec<Vec<C64>>, f64), FaultError> {
+        let object = self.object;
         let cols = self.ctx.pixels();
         let mut residuals = Vec::with_capacity(fields.len());
         let txs = self.ctx.txs().chunks(self.batch);
@@ -579,7 +720,8 @@ where
                 .iter()
                 .map(|&t| &self.setup.incident(t)[cols.clone()])
                 .collect();
-            self.count(&self.engine.solve_block(&incs, fields_chunk, self.forward)?);
+            let stats = self.engine.solve_block(&incs, fields_chunk, self.forward)?;
+            self.count(|c| &mut c.state, &stats, 0);
             let scattered = self.to_receivers(chunk.len(), |k, w| {
                 for ((wi, o), p) in w.iter_mut().zip(object).zip(&fields_chunk[k]) {
                     *wi = *o * *p;
@@ -598,17 +740,20 @@ where
 
     /// `out[t] = F_t d` for the owned transmitters, batched exactly like the
     /// step pass: `w_t = phi_t . d`, `u_t = A^{-1} G0 w_t`,
-    /// `F_t d = GR (w_t + O u_t)` (E3, E5).
-    fn frechet(
+    /// `F_t d = GR (w_t + O u_t)` (E3, E5). A caller with a use for the
+    /// `u_t` — the derivative of `phi_t` along `d` — passes one vector per
+    /// field to `keep` them in; otherwise they live one batch at a time.
+    pub fn frechet(
         &self,
         fields: &[Vec<C64>],
-        object: &[C64],
         d: &[C64],
+        mut keep: Option<&mut [Vec<C64>]>,
     ) -> Result<Vec<Vec<C64>>, FaultError> {
+        let object = self.object;
         let n = object.len();
         let ws = self.ctx.workspace();
         let mut out = Vec::with_capacity(fields.len());
-        for fields_chunk in fields.chunks(self.batch) {
+        for (chunk, fields_chunk) in fields.chunks(self.batch).enumerate() {
             let nb = fields_chunk.len();
             let mut wds = ws.lease(n, nb);
             for (w, f) in wds.iter_mut().zip(fields_chunk) {
@@ -620,8 +765,17 @@ where
             let mut g0ws = ws.lease(n, nb);
             self.ctx.g0().try_apply_block_local(&w_refs, &mut g0ws)?;
             let g0w_refs: Vec<&[C64]> = g0ws.iter().map(|v| v.as_slice()).collect();
-            let mut us = ws.lease_zeroed(n, nb);
-            self.count(&self.engine.solve_block(&g0w_refs, &mut us, self.forward)?);
+            let mut scratch;
+            let us = match keep.as_deref_mut() {
+                Some(all) => &mut all[chunk * self.batch..][..nb],
+                None => {
+                    scratch = ws.lease(n, nb);
+                    &mut scratch[..]
+                }
+            };
+            us.iter_mut().for_each(|u| u.fill(C64::ZERO));
+            let stats = self.engine.solve_block(&g0w_refs, us, self.linear)?;
+            self.count(|c| &mut c.step, &stats, 1);
             // F_t d = GR (w + O u)
             out.extend(self.to_receivers(nb, |k, src| {
                 for (((si, wi), ui), oi) in src.iter_mut().zip(&wds[k]).zip(&us[k]).zip(object) {
@@ -637,13 +791,13 @@ where
     /// `F_t^H r_t = conj(phi_t) . (y_t + G0^H z_t)` (E3, E4), accumulated in
     /// ascending `t` order at every batch width, then summed over the
     /// groups.
-    fn frechet_adjoint(
+    pub fn frechet_adjoint(
         &self,
         fields: &[Vec<C64>],
-        object: &[C64],
         rs: &[Vec<C64>],
         grad: &mut [C64],
     ) -> Result<(), FaultError> {
+        let object = self.object;
         let cols = self.ctx.pixels();
         let n = object.len();
         let ws = self.ctx.workspace();
@@ -660,11 +814,10 @@ where
             }
             let rhs_refs: Vec<&[C64]> = rhss.iter().map(|v| v.as_slice()).collect();
             let mut zs = ws.lease_zeroed(n, nb);
-            self.count(
-                &self
-                    .engine
-                    .solve_adjoint_block(&rhs_refs, &mut zs, self.forward)?,
-            );
+            let stats = self
+                .engine
+                .solve_adjoint_block(&rhs_refs, &mut zs, self.linear)?;
+            self.count(|c| &mut c.gradient, &stats, 1);
             let z_refs: Vec<&[C64]> = zs.iter().map(|v| v.as_slice()).collect();
             let mut g0hzs = ws.lease(n, nb);
             g0_adjoint_apply_block(self.ctx.g0(), &z_refs, &mut g0hzs, ws)?;
@@ -686,12 +839,10 @@ where
     /// `(lambda, step_norm)`: the chosen regularization parameter and the
     /// norm of the projected solution (== `||delta||` for the orthonormal
     /// Krylov basis; reported as the iteration's step length).
-    #[allow(clippy::too_many_arguments)]
     fn wgcv_lsqr_update(
         &self,
         fields: &[Vec<C64>],
         residuals: &[Vec<C64>],
-        object: &[C64],
         real_object: bool,
         steps: usize,
         omega: f64,
@@ -721,9 +872,10 @@ where
         };
         // The Krylov basis v_1, v_2, ...: one vector per entry of `alphas`,
         // `steps` at most; the next one is built in place behind them.
-        let mut basis = self.ctx.workspace().lease(object.len(), steps.max(1));
+        let n = self.object.len();
+        let mut basis = self.ctx.workspace().lease(n, steps.max(1));
         // alpha_1 v_1 = P F^H u_1
-        self.frechet_adjoint(fields, object, &u, &mut basis[0])?;
+        self.frechet_adjoint(fields, &u, &mut basis[0])?;
         project(&mut basis[0]);
         let alpha1 = self.obj_norm(&basis[0])?;
         if alpha1 == 0.0 {
@@ -738,7 +890,7 @@ where
             let (built, next) = basis.split_at_mut(alphas.len());
             let v = &built[i];
             // beta_{i+1} u_{i+1} = F v_i - alpha_i u_i
-            let mut fu = self.frechet(fields, object, v)?;
+            let mut fu = self.frechet(fields, v, None)?;
             for (f, ui) in fu.iter_mut().zip(&u) {
                 for (fj, uj) in f.iter_mut().zip(ui) {
                     *fj -= alphas[i] * *uj;
@@ -757,7 +909,7 @@ where
             u = fu;
             // alpha_{i+1} v_{i+1} = P F^H u_{i+1} - beta_{i+1} v_i
             let w = &mut next[0];
-            self.frechet_adjoint(fields, object, &u, w)?;
+            self.frechet_adjoint(fields, &u, w)?;
             project(w);
             for (wj, vj) in w.iter_mut().zip(v) {
                 *wj -= beta * *vj;
@@ -843,8 +995,7 @@ where
     assert_eq!(st.object.len(), n, "start state dimension");
     assert_eq!(st.fields.len(), n_own, "start state transmitters");
     let mut history = Vec::with_capacity(cfg.iterations.saturating_sub(st.next_iter));
-    let solves = Cell::new((0usize, 0usize));
-    let batch = cfg.batch.unwrap_or_else(|| n_own.min(8)).max(1);
+    let counts = Cell::new(SolveCounts::default());
 
     // Measured norm over the run's transmitters only: losing a group
     // reweights the residual to what is actually still being fit.
@@ -873,7 +1024,7 @@ where
         if reports {
             ffw_obs::counter("dbim.outer_iters").inc();
         }
-        let iters_before = solves.get().1;
+        let before = counts.get();
         // (re)build the block-Jacobi preconditioners for the current object
         let preconds = cfg.precondition.as_ref().map(|plan| {
             (
@@ -884,14 +1035,7 @@ where
         let precond_pair = preconds.as_ref().map(|(m, mh)| -> PrecondPair { (m, mh) });
         // Bind the forward engine to the current object iterate. It borrows
         // the iterate, so the update is applied after the last pass.
-        let pass = Passes {
-            setup,
-            ctx,
-            engine: BicgstabBackend::new(ctx.g0(), &st.object, guard, precond_pair, ws),
-            forward: cfg.forward,
-            batch,
-            solves: &solves,
-        };
+        let pass = Passes::new(setup, ctx, cfg, &st.object, guard, precond_pair, &counts);
 
         // --- pass 1: fields and residuals ---
         let fields_span = span("fields");
@@ -900,16 +1044,27 @@ where
                 f.iter_mut().for_each(|v| *v = C64::ZERO);
             }
         }
-        let (residuals, cost) = pass.residuals(measured, &st.object, &mut st.fields)?;
+        let (residuals, cost) = pass.residuals(measured, &mut st.fields)?;
         drop(fields_span);
         let rel_residual = (cost / measured_norm_sqr).sqrt();
         st.residual_history.push(rel_residual);
         series("dbim.residual", rel_residual);
-        let record = |step: f64| IterationRecord {
-            cost,
-            rel_residual,
-            step,
-            solver_iters: solves.get().1 - iters_before,
+        let record = |step: f64| {
+            let (now, before) = (counts.get().named(), before.named());
+            let spent: [usize; 3] = std::array::from_fn(|k| now[k].1.iters - before[k].1.iters);
+            for ((name, _), iters) in now.iter().zip(spent) {
+                series(&format!("dbim.iters.{name}"), iters as f64);
+            }
+            let [state_iters, gradient_iters, step_iters] = spent;
+            IterationRecord {
+                cost,
+                rel_residual,
+                step,
+                solver_iters: state_iters + gradient_iters + step_iters,
+                state_iters,
+                gradient_iters,
+                step_iters,
+            }
         };
 
         let (step, delta) = if let Regularizer::WgcvLsqr { steps, omega } = cfg.regularizer {
@@ -921,7 +1076,6 @@ where
             let (lambda, step_norm) = pass.wgcv_lsqr_update(
                 &st.fields,
                 &residuals,
-                &st.object,
                 cfg.real_object,
                 steps,
                 omega,
@@ -935,7 +1089,7 @@ where
             let gradient_span = span("gradient");
             let mut grad_lease = ws.lease(n, 1);
             let grad = &mut grad_lease[0];
-            pass.frechet_adjoint(&st.fields, &st.object, &residuals, grad)?;
+            pass.frechet_adjoint(&st.fields, &residuals, grad)?;
             if tik_lambda > 0.0 {
                 for (g, o) in grad.iter_mut().zip(&st.object) {
                     *g += *o * tik_lambda;
@@ -983,7 +1137,10 @@ where
 
             // --- pass 3: step size via the Fréchet operator ---
             let _step_span = span("step");
-            let fds = pass.frechet(&st.fields, &st.object, &st.dir)?;
+            // The u_t stay out until alpha is known; the vectors the
+            // gradient pass returned cover them.
+            let mut us = ws.lease(n, n_own);
+            let fds = pass.frechet(&st.fields, &st.dir, Some(&mut us))?;
             let mut nd = [C64::ZERO; 2];
             if ctx.grid_pos().1 == 0 {
                 for (fd, r) in fds.iter().zip(&residuals) {
@@ -1008,6 +1165,15 @@ where
                 den += smooth_lambda * norm2_sqr(&ld);
             }
             let alpha = if den > 0.0 { num / den } else { 0.0 };
+            if cfg.warm_start {
+                // phi_t at O + alpha d is phi_t + alpha u_t to first order:
+                // the next state solve (and a checkpoint of this boundary)
+                // starts from there.
+                for (f, u) in st.fields.iter_mut().zip(us.iter()) {
+                    axpy_real(alpha, u, f);
+                }
+            }
+            drop(us);
             let mut delta = ws.lease(n, 1);
             for (dl, d) in delta[0].iter_mut().zip(&st.dir) {
                 *dl = alpha * *d;
@@ -1050,15 +1216,8 @@ where
         Some(_) => st.residual_history.last().copied().unwrap_or(f64::NAN),
         None => {
             let _final_span = span("final");
-            let pass = Passes {
-                setup,
-                ctx,
-                engine: BicgstabBackend::new(ctx.g0(), &st.object, guard, None, ws),
-                forward: cfg.forward,
-                batch,
-                solves: &solves,
-            };
-            let (_, cost) = pass.residuals(measured, &st.object, &mut st.fields)?;
+            let pass = Passes::new(setup, ctx, cfg, &st.object, guard, None, &counts);
+            let (_, cost) = pass.residuals(measured, &mut st.fields)?;
             check_integrity(guard, ctx, cfg, cfg.iterations as u64 + 1)?;
             let final_residual = (cost / measured_norm_sqr).sqrt();
             series("dbim.residual", final_residual);
@@ -1068,12 +1227,20 @@ where
             final_residual
         }
     };
+    let solve_counts = counts.get();
+    if reports && ffw_obs::enabled() {
+        for (name, c) in solve_counts.named() {
+            ffw_obs::counter(&format!("dbim.solves.{name}")).add(c.solves as u64);
+            ffw_obs::counter(&format!("dbim.mults.{name}")).add(c.mults as u64);
+        }
+    }
     Ok(DbimResult {
         object: st.object,
         history,
         residual_history: st.residual_history,
         final_residual,
-        forward_solves: solves.get().0,
+        forward_solves: solve_counts.named().iter().map(|(_, c)| c.solves).sum(),
+        solve_counts,
         g0_applies: 0,
         lambdas,
         stopped,
@@ -1138,16 +1305,18 @@ mod tests {
         (setup, g0, measured)
     }
 
-    /// Batching the per-transmitter solves is a pure scheduling change:
-    /// every batch width must give the bit-identical reconstruction, history
-    /// and solve accounting (per-column trajectories equal a width-1 solve).
-    /// The configuration fingerprint is what binds a checkpoint to its run:
-    /// these two values are what every earlier version folded for these two
-    /// configurations, so the checkpoints it wrote still resume.
+    /// The configuration fingerprint is what binds a checkpoint to its run.
+    /// Every slot but the last folds what every earlier version folded (the
+    /// removed forward-engine choice still folds its 0); the last is
+    /// [`LINEAR_STEP_TOL`], which changed the iterate. The versions that ran
+    /// every solve to `forward.tol` wrote `0x8f09dfded370f5b9` and
+    /// `0x01bfa64e4add1016` into their checkpoints for these two
+    /// configurations — one FNV word short of the values below — and those
+    /// checkpoints are now refused.
     #[test]
     fn config_fingerprint_is_pinned() {
         let fold = |cfg: &DbimConfig| cfg.fold_fingerprint(Fingerprint::new()).finish();
-        assert_eq!(fold(&DbimConfig::default()), 0x8f09dfded370f5b9);
+        assert_eq!(fold(&DbimConfig::default()), 0x4190c7a969c42caf);
         let cfg = DbimConfig {
             iterations: 7,
             positivity: true,
@@ -1158,9 +1327,12 @@ mod tests {
             initial: Some(vec![c64(0.25, -0.5), c64(-0.0, 1.0)]),
             ..Default::default()
         };
-        assert_eq!(fold(&cfg), 0x01bfa64e4add1016);
+        assert_eq!(fold(&cfg), 0x024ab15b63e736ec);
     }
 
+    /// Batching the per-transmitter solves is a pure scheduling change:
+    /// every batch width must give the bit-identical reconstruction, history
+    /// and solve accounting (per-column trajectories equal a width-1 solve).
     #[test]
     fn batch_width_does_not_change_the_reconstruction() {
         let (setup, g0, measured) = small_problem();
@@ -1173,10 +1345,25 @@ mod tests {
             dbim(&setup, &g0, &measured, &cfg).expect("dbim")
         };
         let base = run(Some(1));
+        // The accounting by class covers every solve and every `G0` apply
+        // of an unverified run: 3 transmitters, 2 iterations and the final
+        // pass.
+        let by_class = base.solve_counts.named().map(|(_, c)| c);
+        assert_eq!(by_class.map(|c| c.solves), [9, 6, 6]);
+        assert_eq!(
+            by_class.iter().map(|c| c.mults).sum::<usize>(),
+            base.g0_applies
+        );
+        for h in &base.history {
+            assert_eq!(
+                h.solver_iters,
+                h.state_iters + h.gradient_iters + h.step_iters
+            );
+        }
         for b in [2usize, 3, 8] {
             let r = run(Some(b));
             assert_eq!(r.object, base.object, "batch {b} changed the object");
-            assert_eq!(r.forward_solves, base.forward_solves);
+            assert_eq!(r.solve_counts, base.solve_counts);
             assert_eq!(r.g0_applies, base.g0_applies, "batch {b} applies");
             for (a, bb) in r.history.iter().zip(&base.history) {
                 assert_eq!(a.solver_iters, bb.solver_iters);

@@ -18,7 +18,7 @@ pub mod regularize;
 pub use born::{born_inversion, BornConfig, BornResult};
 pub use dbim::{
     dbim, dbim_hooked, dbim_loop, DbimConfig, DbimError, DbimResult, Flow, IterationHook,
-    IterationRecord, LoopState, RankContext,
+    IterationRecord, LoopState, RankContext, SolveCount, SolveCounts, LINEAR_STEP_TOL,
 };
 pub use multifreq::{
     hop_stages, multi_frequency_dbim, multi_frequency_dbim_with, FrequencyHop, HopCheckpoint,

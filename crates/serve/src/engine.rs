@@ -25,7 +25,7 @@ use crate::spec::JobSpec;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use ffw_check::{validate_job_log, JobTransition};
 use ffw_dist::{FtConfig, IterProgress, JobControl};
-use ffw_fault::fnv1a64;
+use ffw_fault::{fnv1a64, CheckpointError};
 use ffw_inverse::DbimConfig;
 use ffw_mpi::{FaultError, FaultPlan};
 use ffw_par::Pool;
@@ -868,7 +868,7 @@ fn execute(inner: &Inner, spec: &JobSpec, control: JobControl) -> Result<Execute
             regularizer: spec.regularizer,
             ..Default::default()
         },
-        checkpoint: Some(ckpt),
+        checkpoint: Some(ckpt.clone()),
         resume,
         max_restarts: spec.max_restarts,
         min_groups: spec.min_groups,
@@ -884,7 +884,23 @@ fn execute(inner: &Inner, spec: &JobSpec, control: JobControl) -> Result<Execute
         ..FtConfig::new(spec.groups, spec.subtree)
     };
     let stop = || control.stop_requested();
-    let result = reconstruct(&scene, &schedule, &stages, &measured, &ft, Some(&stop))?;
+    let run = |ft: &FtConfig| reconstruct(&scene, &schedule, &stages, &measured, ft, Some(&stop));
+    let result = match run(&ft) {
+        // The checkpoint is the service's own, written for this job id: a
+        // fingerprint that no longer matches means the build that wrote it
+        // computed another trajectory (the fingerprint folds the solver's
+        // fixed tolerances too). Its state is not a state of this run, so
+        // the job starts over rather than failing every retry on it.
+        Err(FaultError::Checkpoint(e @ CheckpointError::FingerprintMismatch { .. })) if resume => {
+            ffw_obs::event("serve.checkpoint_refused", &format!("{}: {e}", spec.id));
+            let _ = fs::remove_file(&ckpt);
+            run(&FtConfig {
+                resume: false,
+                ..ft
+            })
+        }
+        result => result,
+    }?;
     Ok(match result.interrupted {
         Some(completed) => Executed::Interrupted(completed),
         None => Executed::Done {

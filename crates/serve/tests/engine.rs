@@ -234,6 +234,57 @@ fn restart_recovers_unfinished_jobs_and_reproduces_outputs_bit_identically() {
     let _ = std::fs::remove_dir_all(&chaos_dir);
 }
 
+/// What a service restarted on a build with other solver arithmetic finds
+/// next to its journal: an accepted job and a checkpoint whose fingerprint
+/// is not the one this build computes for it (the fingerprint folds the
+/// solver's fixed tolerances, so a change to one re-keys every checkpoint).
+/// The resume is refused typed, the job starts over from iteration 0 and
+/// lands on the output of an uninterrupted run.
+#[test]
+fn a_checkpoint_under_another_fingerprint_is_refused_and_the_job_starts_over() {
+    use ffw_fault::{Checkpoint, CheckpointError};
+    let ref_dir = tmp_dir("stale-ref");
+    let dir = tmp_dir("stale");
+    let spec = || job("s1", r#""iterations":4"#);
+
+    let reference = Engine::open(cfg(ref_dir.clone())).expect("open ref");
+    assert!(submit(&reference, &spec()).contains("accepted"));
+    assert_eq!(wait_terminal(&reference, "s1"), JobState::Done);
+    reference.drain(false);
+    reference.join();
+    let want = std::fs::read(reference.output_path("s1")).expect("ref output");
+
+    // Park the job mid-run with its checkpoint, as a SIGTERM would.
+    {
+        let engine = Engine::open(cfg(dir.clone())).expect("open");
+        let (ack, rx) = submit_watched(&engine, &spec());
+        assert!(ack.contains("accepted"));
+        wait_line(&rx, r#""ev":"progress""#);
+        engine.drain(true);
+        engine.join();
+    }
+    // Re-key the checkpoint, and move its object where no iterate of this
+    // job is: resuming it could not reproduce the reference.
+    let path = dir.join("job-s1.ckpt");
+    let Err(CheckpointError::FingerprintMismatch { found, .. }) = Checkpoint::load(&path, 0) else {
+        panic!("the parked job must leave a checkpoint that loads");
+    };
+    let mut ckpt = Checkpoint::load(&path, found).expect("own fingerprint");
+    ckpt.fingerprint ^= 1;
+    ckpt.object.iter_mut().for_each(|v| v.0 += 1.0);
+    ckpt.save(&path).expect("re-keyed checkpoint");
+
+    let engine = Engine::open(cfg(dir.clone())).expect("reopen");
+    assert_eq!(engine.recovery.requeued, vec!["s1".to_string()]);
+    assert_eq!(wait_terminal(&engine, "s1"), JobState::Done);
+    engine.drain(false);
+    engine.join();
+    let got = std::fs::read(engine.output_path("s1")).expect("output");
+    assert_eq!(got, want, "the job must have run from iteration 0");
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A frequency-hopping job with the hybrid wGCV-LSQR regularizer runs
 /// end-to-end through the one execute path: accepted, per-stage progress
 /// streamed, done with an output file — and a rerun of the same spec

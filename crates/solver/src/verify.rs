@@ -658,6 +658,9 @@ impl DriftGuard {
     /// escalating after `max_rollbacks` rollbacks of the same column.
     pub fn new(period: usize, rel_tol: f64, max_rollbacks: u32) -> Self {
         assert!(period >= 1, "drift audit period must be >= 1");
+        // Registered here so that a guarded run without a rollback reads 0,
+        // not "no guard ran".
+        ffw_obs::counter("sdc.rolled_back");
         DriftGuard {
             period,
             rel_tol,
@@ -691,6 +694,7 @@ impl DriftGuard {
 
     pub(crate) fn record_rollback(&self, steps: u64) {
         self.rolled_back.fetch_add(steps, Ordering::SeqCst);
+        ffw_obs::counter("sdc.rolled_back").add(steps);
         ffw_obs::counter("sdc.recomputed").inc();
         ffw_obs::event(
             "sdc.recomputed",

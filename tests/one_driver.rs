@@ -7,8 +7,8 @@
 //! grid reproduces `dbim` bit for bit, larger grids agree with it to
 //! rounding for every regularizer / prior / preconditioner, a hop schedule
 //! runs and resumes on both, an unverified grid run sends exactly the
-//! messages it always did, and the kernel stays width-invariant on a
-//! multi-rank operator.
+//! messages its solves account for, and the kernel stays width-invariant on
+//! a multi-rank operator.
 
 use ffw::dist::{run_dbim_ft, FtConfig};
 use ffw::geometry::Point2;
@@ -325,14 +325,27 @@ fn resume_refuses_another_configuration_but_not_another_batch() {
 }
 
 /// Messages and bytes of the unverified 2×2 run of [`problem`], two
-/// iterations, recorded at the parent of the one-driver refactor (the
-/// distributed loop and recurrence it deleted). The kernel reduces every
-/// phase of the active panel in one call exactly as that code did, so the
-/// totals are equal, not close.
-const PARENT_MESSAGES: u64 = 422;
-const PARENT_BYTES: u64 = 1_497_248;
+/// iterations. While every solve ran to `1e-4` from the last field, this run
+/// sent 422 messages / 1 497 248 bytes, and so did the distributed loop and
+/// recurrence the one-driver refactor deleted: the kernel reduces every
+/// phase of the active panel in one call exactly as that code did.
+///
+/// A rank sends its sub-tree partner 2 messages per `G0` apply (halo and far
+/// field; 16 128 bytes for its two-column panel) and 1 per reduction (32
+/// bytes; 64 for the omega pair), so a whole BiCGStab step is 2·2 + 5 = 9
+/// messages and a step that leaves at the `s`-norm check 2 + 3 = 5 messages
+/// / 16 128 + 3·32 = 16 224 bytes — which is also what the second half of
+/// a step costs in bytes (16 128 + 64 + 32), in 4 messages. Stopping at
+/// `LINEAR_STEP_TOL` ends the gradient and the step solve of iteration 1
+/// after one whole step, where `1e-4` went on for half a step more: 2·5
+/// messages fewer per rank. From the predicted fields the state solves of
+/// iteration 1 and of the final pass converge at the `s`-norm check of
+/// their first step, not at its end: 2·4 fewer. Four ranks:
+/// 422 − 4·18 = 350 messages, 1 497 248 − 4·4·16 224 = 1 237 664 bytes.
+const GRID_MESSAGES: u64 = 350;
+const GRID_BYTES: u64 = 1_237_664;
 
-/// (d) The refactor changed who runs the loop, not what goes over the wire.
+/// (d) What goes over the wire is pinned to the message.
 #[test]
 fn an_unverified_grid_run_sends_the_messages_it_always_did() {
     let _lock = serial();
@@ -358,7 +371,7 @@ fn an_unverified_grid_run_sends_the_messages_it_always_did() {
     };
     assert_eq!(
         (counter("mpi.messages.total"), counter("mpi.bytes.total")),
-        (PARENT_MESSAGES, PARENT_BYTES)
+        (GRID_MESSAGES, GRID_BYTES)
     );
 }
 
