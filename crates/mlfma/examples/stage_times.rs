@@ -10,10 +10,13 @@
 //! back alone): the difference is its spectrum products. Minimum and median
 //! of the repetitions that fit in about half a second per stage: the minimum
 //! is what the code can do, the median what this host's slow phases and the
-//! heap's placement of the planes left of it.
+//! heap's placement of the planes left of it. The three near stages also
+//! print their throughput at the minimum, from the flop counts of
+//! `ffw_mlfma::near` (`FORWARD_FLOPS` per leaf, `PAIR_FLOPS` per source,
+//! `INVERSE_FLOPS` per leaf).
 
 use ffw_geometry::{Domain, LEAF_PIXELS};
-use ffw_mlfma::near::SPECTRUM_LEN;
+use ffw_mlfma::near::{self, SPECTRUM_LEN};
 use ffw_mlfma::{Accuracy, FarField, MlfmaPlan};
 use ffw_numerics::{c64, C64};
 use ffw_obs::Stopwatch;
@@ -94,13 +97,13 @@ fn main() {
         black_box(&mut y);
     });
 
-    let near = &plan.near_field;
+    let near_field = &plan.near_field;
     let mut spectra = vec![0.0; n_leaves * SPECTRUM_LEN];
     let near_forward = min_median_secs(|| {
         for x in &xs {
             let leaves = x.chunks_exact(LEAF_PIXELS);
             for (leaf, spectrum) in leaves.zip(spectra.chunks_exact_mut(SPECTRUM_LEN)) {
-                near.forward(leaf, spectrum);
+                near_field.forward(leaf, spectrum);
             }
         }
         black_box(&mut spectra);
@@ -115,7 +118,7 @@ fn main() {
                     } else {
                         &[]
                     };
-                    near.accumulate(pairs, spectrum_of, out);
+                    near_field.accumulate(pairs, spectrum_of, out);
                 }
             }
             black_box(&mut y);
@@ -123,28 +126,38 @@ fn main() {
     };
     let (accumulate, back) = (near_accumulate(true), near_accumulate(false));
     let products = (accumulate.0 - back.0, accumulate.1 - back.1);
+    // flops of one repetition of each near stage, for the rate at the minimum
+    let (leaves, sources) = (
+        (n_leaves * width) as u64,
+        (plan.near_pairs.len() * width) as u64,
+    );
     let stages = [
-        ("radiate", radiate),
-        ("interp+shift", interp_shift),
-        ("translate", translate),
-        ("disaggregate", disaggregate),
-        ("receive", receive),
-        ("near forward", near_forward),
-        ("near products", products),
-        ("near back", back),
+        ("radiate", radiate, None),
+        ("interp+shift", interp_shift, None),
+        ("translate", translate, None),
+        ("disaggregate", disaggregate, None),
+        ("receive", receive, None),
+        (
+            "near forward",
+            near_forward,
+            Some(near::FORWARD_FLOPS * leaves),
+        ),
+        ("near products", products, Some(near::PAIR_FLOPS * sources)),
+        ("near back", back, Some(near::INVERSE_FLOPS * leaves)),
     ];
 
     println!(
         "{n_px} x {n_px}, width {width}, leaf q = {}: ms per column",
         plan.leaf_plan().q
     );
-    println!("  {:<16}{:>9}{:>9}", "", "min", "median");
+    println!("  {:<16}{:>9}{:>9}{:>9}", "", "min", "median", "GFLOP/s");
     let per_column = 1e3 / width as f64;
     let mut total = (0.0, 0.0);
-    for (name, (min, median)) in &stages {
+    for (name, (min, median), flops) in &stages {
         total = (total.0 + min, total.1 + median);
+        let rate = flops.map_or(String::new(), |f| format!("{:.1}", f as f64 / min / 1e9));
         println!(
-            "  {name:<16}{:>9.3}{:>9.3}",
+            "  {name:<16}{:>9.3}{:>9.3}{rate:>9}",
             min * per_column,
             median * per_column
         );

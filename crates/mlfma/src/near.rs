@@ -16,18 +16,25 @@
 //!   and add the 8 x 8 window onto the output.
 //!
 //! Spectra are split re/im planes of 256 `f64` each. The 2-D transforms are
-//! two passes of a length-16 radix-2 FFT down the rows of a 16-row array
-//! whose other axis is 8 or 16 contiguous lanes — plain elementwise
-//! arithmetic that the compiler vectorises across the lanes. The forward
-//! (decimation-in-frequency) pass leaves bit-reversed order and the inverse
-//! (decimation-in-time) pass consumes it, so no permutation pass exists; both
-//! are pruned for the zero half of the padded input and the discarded half of
-//! the output. Every product that feeds a sum is one `f64::mul_add` — the
-//! spectrum product `acc += K * S` as `acc_re = fma(-k_im, s_im, fma(k_re,
-//! s_re, acc_re))`, `acc_im = fma(k_im, s_re, fma(k_re, s_im, acc_im))`, a
-//! general twiddle as `(fma(-im, wi, re * wr), fma(im, wr, re * wi))` — and a
-//! fused multiply-add is correctly rounded wherever it runs, so the portable
-//! bodies and their `avx2,fma` instances (`dispatch!`) are bit-identical.
+//! two passes of a length-16 FFT down the rows of a 16-row array whose other
+//! axis is 8 or 16 contiguous lanes. Each pass is two sweeps of radix-4
+//! groups: rows `j, j + 4, j + 8, j + 12`, then rows `4 q .. 4 q + 4`; a group
+//! loads a lane's four rows once, does both of its radix-2 levels in
+//! registers and stores once — elementwise arithmetic across the lanes that
+//! the compiler vectorises. The butterflies, their operations and their
+//! order are those of four radix-2 sweeps, so the results are the same bits.
+//! The forward (decimation-in-frequency) pass leaves bit-reversed order and
+//! the inverse (decimation-in-time) pass consumes it, so no permutation pass
+//! exists; both are pruned for the zero half of the padded input and the
+//! discarded half of the output. Between the passes the planes are
+//! transposed, in loops shaped so that the optimiser emits register
+//! transposes (see `transpose` and `transpose_tall`). Every product that
+//! feeds a sum is one `f64::mul_add` — the spectrum product `acc += K * S` as
+//! `acc_re = fma(-k_im, s_im, fma(k_re, s_re, acc_re))`, `acc_im = fma(k_im,
+//! s_re, fma(k_re, s_im, acc_im))`, a general twiddle as `(fma(-im, wi, re *
+//! wr), fma(im, wr, re * wi))` — and a fused multiply-add is correctly rounded
+//! wherever it runs, so the portable bodies and their `avx2,fma` instances
+//! (`dispatch!`) are bit-identical.
 
 use ffw_geometry::{Offset, LEAF_PIXELS, LEAF_SIDE, NEAR_OFFSETS};
 use ffw_greens::Kernel;
@@ -96,123 +103,166 @@ fn twiddle<const K: usize, const INV: bool>(re: f64, im: f64) -> (f64, f64) {
     }
 }
 
-/// Rows `i < j` of a plane, both mutable.
+/// A plane as four quads of rows: `[q][i]` is row `4 q + i`.
+type Quads<const L: usize> = [[[f64; L]; 4]; 4];
+
 #[inline(always)]
-fn rows<const L: usize>(
-    plane: &mut [[f64; L]; N],
-    i: usize,
-    j: usize,
-) -> (&mut [f64; L], &mut [f64; L]) {
-    let (lo, hi) = plane.split_at_mut(j);
-    (&mut lo[i], &mut hi[0])
+fn quads<const L: usize>(plane: &mut [[f64; L]; N]) -> &mut Quads<L> {
+    let (quads, _) = plane.as_chunks_mut::<4>();
+    quads.try_into().expect("16 rows are four quads")
 }
 
-/// Decimation-in-frequency butterfly on rows `i`, `j` across `L` lanes:
-/// `a' = a + b`, `b' = (a - b) w^K`. `PRUNED` takes `b = 0` and leaves `a`.
+/// Rows `j, j + 4, j + 8, j + 12` of a plane.
 #[inline(always)]
-fn dif<const L: usize, const K: usize, const PRUNED: bool>(
-    re: &mut [[f64; L]; N],
-    im: &mut [[f64; L]; N],
-    i: usize,
-    j: usize,
-) {
-    let (ar, br) = rows(re, i, j);
-    let (ai, bi) = rows(im, i, j);
-    for l in 0..L {
-        let (dr, di) = if PRUNED {
-            (ar[l], ai[l])
-        } else {
-            let d = (ar[l] - br[l], ai[l] - bi[l]);
-            ar[l] += br[l];
-            ai[l] += bi[l];
-            d
-        };
-        (br[l], bi[l]) = twiddle::<K, false>(dr, di);
+fn every_fourth<const L: usize>(quads: &mut Quads<L>, j: usize) -> [&mut [f64; L]; 4] {
+    quads.each_mut().map(|quad| &mut quad[j])
+}
+
+/// One complex sample as `(re, im)`.
+type Sample = (f64, f64);
+
+/// Decimation-in-frequency butterfly: `(a + b, (a - b) w^K)`. `PRUNED`
+/// takes `b = 0`: `(a, a w^K)`.
+#[inline(always)]
+fn dif<const K: usize, const PRUNED: bool>(a: Sample, b: Sample) -> (Sample, Sample) {
+    if PRUNED {
+        (a, twiddle::<K, false>(a.0, a.1))
+    } else {
+        let d = twiddle::<K, false>(a.0 - b.0, a.1 - b.1);
+        ((a.0 + b.0, a.1 + b.1), d)
     }
 }
 
-/// Decimation-in-time inverse butterfly: `t = b conj(w)^K`, `a' = a + t`,
-/// `b' = a - t`. `PRUNED` skips `b'`.
+/// Decimation-in-time inverse butterfly: with `t = b conj(w)^K`, `(a + t,
+/// a - t)`. `PRUNED` skips `a - t` and hands `b` back in its place.
 #[inline(always)]
-fn dit<const L: usize, const K: usize, const PRUNED: bool>(
-    re: &mut [[f64; L]; N],
-    im: &mut [[f64; L]; N],
-    i: usize,
-    j: usize,
+fn dit<const K: usize, const PRUNED: bool>(a: Sample, b: Sample) -> (Sample, Sample) {
+    let t = twiddle::<K, true>(b.0, b.1);
+    let sum = (a.0 + t.0, a.1 + t.1);
+    if PRUNED {
+        (sum, b)
+    } else {
+        (sum, (a.0 - t.0, a.1 - t.1))
+    }
+}
+
+/// Two radix-2 stages of the forward transform on four rows `r0, r1, r2,
+/// r3` of a plane, across `L` lanes: the butterflies `(r0, r2)` with
+/// `w^K0` and `(r1, r3)` with `w^K1`, then `(r0, r1)` and `(r2, r3)` with
+/// `w^K2`. Each lane's eight values are loaded once and stored once.
+/// `PRUNED`: rows `r2`, `r3` are zero (and are not read).
+#[inline(always)]
+fn dif4<const L: usize, const K0: usize, const K1: usize, const K2: usize, const PRUNED: bool>(
+    [r0, r1, r2, r3]: [&mut [f64; L]; 4],
+    [i0, i1, i2, i3]: [&mut [f64; L]; 4],
 ) {
-    let (ar, br) = rows(re, i, j);
-    let (ai, bi) = rows(im, i, j);
     for l in 0..L {
-        let (tr, ti) = twiddle::<K, true>(br[l], bi[l]);
+        let (a, b) = ((r0[l], i0[l]), (r1[l], i1[l]));
+        let (c, d) = if PRUNED {
+            ((0.0, 0.0), (0.0, 0.0))
+        } else {
+            ((r2[l], i2[l]), (r3[l], i3[l]))
+        };
+        let (a, c) = dif::<K0, PRUNED>(a, c);
+        let (b, d) = dif::<K1, PRUNED>(b, d);
+        ((r0[l], i0[l]), (r1[l], i1[l])) = dif::<K2, false>(a, b);
+        ((r2[l], i2[l]), (r3[l], i3[l])) = dif::<K2, false>(c, d);
+    }
+}
+
+/// Two radix-2 stages of the inverse transform, [`dif4`] backwards: the
+/// butterflies `(r0, r1)` and `(r2, r3)` with `conj(w)^K2`, then `(r0, r2)`
+/// with `conj(w)^K0` and `(r1, r3)` with `conj(w)^K1`. `PRUNED`: rows `r2`,
+/// `r3` are not stored.
+#[inline(always)]
+fn dit4<const L: usize, const K0: usize, const K1: usize, const K2: usize, const PRUNED: bool>(
+    [r0, r1, r2, r3]: [&mut [f64; L]; 4],
+    [i0, i1, i2, i3]: [&mut [f64; L]; 4],
+) {
+    for l in 0..L {
+        let (a, b) = dit::<K2, false>((r0[l], i0[l]), (r1[l], i1[l]));
+        let (c, d) = dit::<K2, false>((r2[l], i2[l]), (r3[l], i3[l]));
+        let (a, c) = dit::<K0, PRUNED>(a, c);
+        let (b, d) = dit::<K1, PRUNED>(b, d);
+        ((r0[l], i0[l]), (r1[l], i1[l])) = (a, b);
         if !PRUNED {
-            br[l] = ar[l] - tr;
-            bi[l] = ai[l] - ti;
+            ((r2[l], i2[l]), (r3[l], i3[l])) = (c, d);
         }
-        ar[l] += tr;
-        ai[l] += ti;
     }
 }
 
 /// Forward length-16 transform down the rows, natural order in, bit-reversed
-/// out. `PRUNED`: rows 8.. of the input are zero (and are not read).
+/// out, as two sweeps of radix-4 groups. `PRUNED`: rows 8.. of the input are
+/// zero (and are not read).
 #[inline(always)]
 fn dif16<const L: usize, const PRUNED: bool>(re: &mut [[f64; L]; N], im: &mut [[f64; L]; N]) {
-    dif::<L, 0, PRUNED>(re, im, 0, 8);
-    dif::<L, 1, PRUNED>(re, im, 1, 9);
-    dif::<L, 2, PRUNED>(re, im, 2, 10);
-    dif::<L, 3, PRUNED>(re, im, 3, 11);
-    dif::<L, 4, PRUNED>(re, im, 4, 12);
-    dif::<L, 5, PRUNED>(re, im, 5, 13);
-    dif::<L, 6, PRUNED>(re, im, 6, 14);
-    dif::<L, 7, PRUNED>(re, im, 7, 15);
-    for b in [0, 8] {
-        dif::<L, 0, false>(re, im, b, b + 4);
-        dif::<L, 2, false>(re, im, b + 1, b + 5);
-        dif::<L, 4, false>(re, im, b + 2, b + 6);
-        dif::<L, 6, false>(re, im, b + 3, b + 7);
-    }
-    for b in [0, 4, 8, 12] {
-        dif::<L, 0, false>(re, im, b, b + 2);
-        dif::<L, 4, false>(re, im, b + 1, b + 3);
-    }
-    for b in [0, 2, 4, 6, 8, 10, 12, 14] {
-        dif::<L, 0, false>(re, im, b, b + 1);
+    let (re, im) = (quads(re), quads(im));
+    // stages 1 and 2: rows j, j + 4, j + 8, j + 12 with w^j, w^{j+4}, then w^{2j}
+    dif4::<L, 0, 4, 0, PRUNED>(every_fourth(re, 0), every_fourth(im, 0));
+    dif4::<L, 1, 5, 2, PRUNED>(every_fourth(re, 1), every_fourth(im, 1));
+    dif4::<L, 2, 6, 4, PRUNED>(every_fourth(re, 2), every_fourth(im, 2));
+    dif4::<L, 3, 7, 6, PRUNED>(every_fourth(re, 3), every_fourth(im, 3));
+    // stages 3 and 4: the rows of each quad with w^0, w^4, then w^0
+    for (re, im) in re.iter_mut().zip(im) {
+        dif4::<L, 0, 4, 0, false>(re.each_mut(), im.each_mut());
     }
 }
 
 /// Unnormalised inverse of [`dif16`]: bit-reversed order in, natural order
-/// out. `PRUNED`: only rows ..8 of the output are produced.
+/// out, its two sweeps in the opposite order. `PRUNED`: only rows ..8 of the
+/// output are produced.
 #[inline(always)]
 fn dit16<const L: usize, const PRUNED: bool>(re: &mut [[f64; L]; N], im: &mut [[f64; L]; N]) {
-    for b in [0, 2, 4, 6, 8, 10, 12, 14] {
-        dit::<L, 0, false>(re, im, b, b + 1);
+    let (re, im) = (quads(re), quads(im));
+    // stages 4 and 3: the rows of each quad with conj(w)^0, then conj(w)^0 and conj(w)^4
+    for (re, im) in re.iter_mut().zip(im.iter_mut()) {
+        dit4::<L, 0, 4, 0, false>(re.each_mut(), im.each_mut());
     }
-    for b in [0, 4, 8, 12] {
-        dit::<L, 0, false>(re, im, b, b + 2);
-        dit::<L, 4, false>(re, im, b + 1, b + 3);
-    }
-    for b in [0, 8] {
-        dit::<L, 0, false>(re, im, b, b + 4);
-        dit::<L, 2, false>(re, im, b + 1, b + 5);
-        dit::<L, 4, false>(re, im, b + 2, b + 6);
-        dit::<L, 6, false>(re, im, b + 3, b + 7);
-    }
-    dit::<L, 0, PRUNED>(re, im, 0, 8);
-    dit::<L, 1, PRUNED>(re, im, 1, 9);
-    dit::<L, 2, PRUNED>(re, im, 2, 10);
-    dit::<L, 3, PRUNED>(re, im, 3, 11);
-    dit::<L, 4, PRUNED>(re, im, 4, 12);
-    dit::<L, 5, PRUNED>(re, im, 5, 13);
-    dit::<L, 6, PRUNED>(re, im, 6, 14);
-    dit::<L, 7, PRUNED>(re, im, 7, 15);
+    // stages 2 and 1: rows j, j + 4, j + 8, j + 12
+    dit4::<L, 0, 4, 0, PRUNED>(every_fourth(re, 0), every_fourth(im, 0));
+    dit4::<L, 1, 5, 2, PRUNED>(every_fourth(re, 1), every_fourth(im, 1));
+    dit4::<L, 2, 6, 4, PRUNED>(every_fourth(re, 2), every_fourth(im, 2));
+    dit4::<L, 3, 7, 6, PRUNED>(every_fourth(re, 3), every_fourth(im, 3));
 }
 
-/// `dst[c][r] = src[r][c]` for every row of `src`.
+/// `dst[c][r] = src[r][c]` for every row of `src`, one output row at a
+/// time. Where the source rows are 16 lanes wide (the transform back) the
+/// optimiser turns this into register transposes: full-width loads, unpack
+/// and 128-bit permute shuffles, full-width stores.
 #[inline(always)]
-fn transpose<const A: usize, const B: usize>(src: &[[f64; A]], dst: &mut [[f64; B]; N]) {
-    for (r, row) in src.iter().enumerate() {
-        for (c, v) in row.iter().enumerate() {
-            dst[c][r] = *v;
+fn transpose<const R: usize, const A: usize, const B: usize>(
+    src: &[[f64; A]; R],
+    dst: &mut [[f64; B]; N],
+) {
+    const { assert!(A <= N && R <= B) };
+    for c in 0..A {
+        for r in 0..R {
+            dst[c][r] = src[r][c];
+        }
+    }
+}
+
+/// [`transpose`] of the forward pass's 16 rows of 8 lanes into rows ..8 of
+/// `dst`. Transposed directly, 8-lane rows compile to scalar or pairwise
+/// moves, so the rows go in side by side as 8 rows of 16 — `pairs[k] =
+/// [src[2 k], src[2 k + 1]]` — whose transpose `t[8 h + c][k] = src[2 k +
+/// h][c]` holds each output row as its even and its odd samples, which one
+/// interleave puts together. The fixed-size view of `pairs` matters: through
+/// a slice the optimiser falls back to scalar moves.
+#[inline(always)]
+fn transpose_tall(src: &[[f64; LEAF_SIDE]; N], dst: &mut [[f64; N]; N]) {
+    let pairs: &[[f64; N]; LEAF_SIDE] = src
+        .as_flattened()
+        .as_chunks()
+        .0
+        .try_into()
+        .expect("16 rows of 8 are 8 rows of 16");
+    let mut t = [[0.0; LEAF_SIDE]; N];
+    transpose(pairs, &mut t);
+    for c in 0..LEAF_SIDE {
+        for k in 0..LEAF_SIDE {
+            dst[c][2 * k] = t[c][k];
+            dst[c][2 * k + 1] = t[LEAF_SIDE + c][k];
         }
     }
 }
@@ -231,8 +281,8 @@ fn plane_mut(plane: &mut [f64]) -> &mut [[f64; N]; N] {
 fn forward_full(re: &mut [[f64; N]; N], im: &mut [[f64; N]; N]) {
     dif16::<N, false>(re, im);
     let (src_re, src_im) = (*re, *im);
-    transpose(&src_re[..], re);
-    transpose(&src_im[..], im);
+    transpose(&src_re, re);
+    transpose(&src_im, im);
     dif16::<N, false>(re, im);
 }
 
@@ -240,15 +290,16 @@ fn forward_full(re: &mut [[f64; N]; N], im: &mut [[f64; N]; N]) {
 fn forward_body(x: &[C64; LEAF_PIXELS], spectrum: &mut [f64; SPECTRUM_LEN]) {
     let mut re = [[0.0; LEAF_SIDE]; N];
     let mut im = [[0.0; LEAF_SIDE]; N];
-    for (j, v) in x.iter().enumerate() {
-        re[j / LEAF_SIDE][j % LEAF_SIDE] = v.re;
-        im[j / LEAF_SIDE][j % LEAF_SIDE] = v.im;
+    for ((pixels, re), im) in x.chunks_exact(LEAF_SIDE).zip(&mut re).zip(&mut im) {
+        for ((v, re), im) in pixels.iter().zip(re).zip(im) {
+            (*re, *im) = (v.re, v.im);
+        }
     }
     dif16::<LEAF_SIDE, true>(&mut re, &mut im); // along y: [ky][x]
     let (sre, sim) = spectrum.split_at_mut(BINS);
     let (sre, sim) = (plane_mut(sre), plane_mut(sim));
-    transpose(&re[..], sre); // rows ..8 = [x][ky]
-    transpose(&im[..], sim);
+    transpose_tall(&re, sre); // rows ..8 = [x][ky]
+    transpose_tall(&im, sim);
     dif16::<N, true>(sre, sim); // along x: [kx][ky]
 }
 
@@ -286,12 +337,15 @@ fn accumulate_body(sources: &[(&Rows, &Rows)], out: &mut [C64; LEAF_PIXELS]) {
     dit16::<N, true>(&mut re, &mut im); // along kx: rows ..8 = [x][ky]
     let mut wre = [[0.0; LEAF_SIDE]; N];
     let mut wim = [[0.0; LEAF_SIDE]; N];
-    transpose(&re[..LEAF_SIDE], &mut wre); // [ky][x]
-    transpose(&im[..LEAF_SIDE], &mut wim);
+    let (re, im) = (re.first_chunk::<LEAF_SIDE>(), im.first_chunk::<LEAF_SIDE>());
+    transpose(re.expect("rows ..8"), &mut wre); // [ky][x]
+    transpose(im.expect("rows ..8"), &mut wim);
     dit16::<LEAF_SIDE, true>(&mut wre, &mut wim); // along ky: rows ..8 = [y][x]
-    for (j, o) in out.iter_mut().enumerate() {
-        o.re += wre[j / LEAF_SIDE][j % LEAF_SIDE];
-        o.im += wim[j / LEAF_SIDE][j % LEAF_SIDE];
+    for ((pixels, re), im) in out.chunks_exact_mut(LEAF_SIDE).zip(&wre).zip(&wim) {
+        for ((o, re), im) in pixels.iter_mut().zip(re).zip(im) {
+            o.re += re;
+            o.im += im;
+        }
     }
 }
 
@@ -417,6 +471,206 @@ mod tests {
 
     fn bit_reverse(k: usize) -> usize {
         (k as u8).reverse_bits() as usize >> 4
+    }
+
+    /// The transforms stage by stage: one radix-2 butterfly per call, each
+    /// loading and storing its two rows — the reference the register sweeps
+    /// must match bit for bit.
+    mod radix2 {
+        use super::super::{twiddle, N};
+
+        /// Rows `i < j` of a plane, both mutable.
+        fn rows<const L: usize>(
+            plane: &mut [[f64; L]; N],
+            i: usize,
+            j: usize,
+        ) -> (&mut [f64; L], &mut [f64; L]) {
+            let (lo, hi) = plane.split_at_mut(j);
+            (&mut lo[i], &mut hi[0])
+        }
+
+        /// `a' = a + b`, `b' = (a - b) w^K` on rows `i`, `j`. `PRUNED` takes
+        /// `b = 0` and leaves `a`.
+        fn dif<const L: usize, const K: usize, const PRUNED: bool>(
+            re: &mut [[f64; L]; N],
+            im: &mut [[f64; L]; N],
+            i: usize,
+            j: usize,
+        ) {
+            let (ar, br) = rows(re, i, j);
+            let (ai, bi) = rows(im, i, j);
+            for l in 0..L {
+                let (dr, di) = if PRUNED {
+                    (ar[l], ai[l])
+                } else {
+                    let d = (ar[l] - br[l], ai[l] - bi[l]);
+                    ar[l] += br[l];
+                    ai[l] += bi[l];
+                    d
+                };
+                (br[l], bi[l]) = twiddle::<K, false>(dr, di);
+            }
+        }
+
+        /// `t = b conj(w)^K`, `a' = a + t`, `b' = a - t` on rows `i`, `j`.
+        /// `PRUNED` skips `b'`.
+        fn dit<const L: usize, const K: usize, const PRUNED: bool>(
+            re: &mut [[f64; L]; N],
+            im: &mut [[f64; L]; N],
+            i: usize,
+            j: usize,
+        ) {
+            let (ar, br) = rows(re, i, j);
+            let (ai, bi) = rows(im, i, j);
+            for l in 0..L {
+                let (tr, ti) = twiddle::<K, true>(br[l], bi[l]);
+                if !PRUNED {
+                    br[l] = ar[l] - tr;
+                    bi[l] = ai[l] - ti;
+                }
+                ar[l] += tr;
+                ai[l] += ti;
+            }
+        }
+
+        pub(super) fn dif16<const L: usize, const PRUNED: bool>(
+            re: &mut [[f64; L]; N],
+            im: &mut [[f64; L]; N],
+        ) {
+            dif::<L, 0, PRUNED>(re, im, 0, 8);
+            dif::<L, 1, PRUNED>(re, im, 1, 9);
+            dif::<L, 2, PRUNED>(re, im, 2, 10);
+            dif::<L, 3, PRUNED>(re, im, 3, 11);
+            dif::<L, 4, PRUNED>(re, im, 4, 12);
+            dif::<L, 5, PRUNED>(re, im, 5, 13);
+            dif::<L, 6, PRUNED>(re, im, 6, 14);
+            dif::<L, 7, PRUNED>(re, im, 7, 15);
+            for b in [0, 8] {
+                dif::<L, 0, false>(re, im, b, b + 4);
+                dif::<L, 2, false>(re, im, b + 1, b + 5);
+                dif::<L, 4, false>(re, im, b + 2, b + 6);
+                dif::<L, 6, false>(re, im, b + 3, b + 7);
+            }
+            for b in [0, 4, 8, 12] {
+                dif::<L, 0, false>(re, im, b, b + 2);
+                dif::<L, 4, false>(re, im, b + 1, b + 3);
+            }
+            for b in [0, 2, 4, 6, 8, 10, 12, 14] {
+                dif::<L, 0, false>(re, im, b, b + 1);
+            }
+        }
+
+        pub(super) fn dit16<const L: usize, const PRUNED: bool>(
+            re: &mut [[f64; L]; N],
+            im: &mut [[f64; L]; N],
+        ) {
+            for b in [0, 2, 4, 6, 8, 10, 12, 14] {
+                dit::<L, 0, false>(re, im, b, b + 1);
+            }
+            for b in [0, 4, 8, 12] {
+                dit::<L, 0, false>(re, im, b, b + 2);
+                dit::<L, 4, false>(re, im, b + 1, b + 3);
+            }
+            for b in [0, 8] {
+                dit::<L, 0, false>(re, im, b, b + 4);
+                dit::<L, 2, false>(re, im, b + 1, b + 5);
+                dit::<L, 4, false>(re, im, b + 2, b + 6);
+                dit::<L, 6, false>(re, im, b + 3, b + 7);
+            }
+            dit::<L, 0, PRUNED>(re, im, 0, 8);
+            dit::<L, 1, PRUNED>(re, im, 1, 9);
+            dit::<L, 2, PRUNED>(re, im, 2, 10);
+            dit::<L, 3, PRUNED>(re, im, 3, 11);
+            dit::<L, 4, PRUNED>(re, im, 4, 12);
+            dit::<L, 5, PRUNED>(re, im, 5, 13);
+            dit::<L, 6, PRUNED>(re, im, 6, 14);
+            dit::<L, 7, PRUNED>(re, im, 7, 15);
+        }
+
+        /// `dst[c][r] = src[r][c]`, one element at a time.
+        pub(super) fn transpose<const A: usize, const B: usize>(
+            src: &[[f64; A]],
+            dst: &mut [[f64; B]; N],
+        ) {
+            for (r, row) in src.iter().enumerate() {
+                for (c, v) in row.iter().enumerate() {
+                    dst[c][r] = *v;
+                }
+            }
+        }
+    }
+
+    /// `R` seeded random rows of `L` lanes.
+    fn random_rows<const R: usize, const L: usize>(seed: u64) -> [[f64; L]; R] {
+        let v = random_x(R * L, seed);
+        std::array::from_fn(|r| std::array::from_fn(|l| v[r * L + l].re))
+    }
+
+    /// Both register sweeps against the radix-2 stages on `L` lanes, pruned
+    /// and unpruned. The pruned forward pass gets NaN in the rows it must not
+    /// read; the pruned inverse pass is compared on the rows it produces.
+    fn sweeps_match_the_radix2_stages<const L: usize>() {
+        for seed in 0..3 {
+            let (re, im) = (random_rows::<N, L>(seed), random_rows::<N, L>(seed + 100));
+
+            let (mut want_re, mut want_im) = (re, im);
+            radix2::dif16::<L, false>(&mut want_re, &mut want_im);
+            let (mut got_re, mut got_im) = (re, im);
+            dif16::<L, false>(&mut got_re, &mut got_im);
+            assert_eq!((got_re, got_im), (want_re, want_im), "dif16 L = {L}");
+
+            let (mut padded_re, mut padded_im) = (re, im);
+            padded_re[LEAF_SIDE..].fill([f64::NAN; L]);
+            padded_im[LEAF_SIDE..].fill([f64::NAN; L]);
+            let (mut want_re, mut want_im) = (padded_re, padded_im);
+            radix2::dif16::<L, true>(&mut want_re, &mut want_im);
+            let (mut got_re, mut got_im) = (padded_re, padded_im);
+            dif16::<L, true>(&mut got_re, &mut got_im);
+            assert_eq!((got_re, got_im), (want_re, want_im), "pruned dif16 L = {L}");
+
+            let (mut want_re, mut want_im) = (re, im);
+            radix2::dit16::<L, false>(&mut want_re, &mut want_im);
+            let (mut got_re, mut got_im) = (re, im);
+            dit16::<L, false>(&mut got_re, &mut got_im);
+            assert_eq!((got_re, got_im), (want_re, want_im), "dit16 L = {L}");
+
+            let (mut want_re, mut want_im) = (re, im);
+            radix2::dit16::<L, true>(&mut want_re, &mut want_im);
+            let (mut got_re, mut got_im) = (re, im);
+            dit16::<L, true>(&mut got_re, &mut got_im);
+            let produced = |p: [[f64; L]; N]| p[..LEAF_SIDE].to_vec();
+            assert_eq!(
+                (produced(got_re), produced(got_im)),
+                (produced(want_re), produced(want_im)),
+                "pruned dit16 L = {L}"
+            );
+        }
+    }
+
+    #[test]
+    fn register_sweeps_are_bit_identical_to_the_radix2_stages() {
+        sweeps_match_the_radix2_stages::<LEAF_SIDE>();
+        sweeps_match_the_radix2_stages::<N>();
+    }
+
+    /// A transpose of `R` rows of `A` lanes into `A` rows of `B` lanes
+    /// against the element loop, on a destination prefilled at random so
+    /// the entries it must not touch are compared too.
+    fn transpose_matches_the_element_loop<const R: usize, const A: usize, const B: usize>(
+        transpose: impl Fn(&[[f64; A]; R], &mut [[f64; B]; N]),
+    ) {
+        let src = random_rows::<R, A>(5);
+        let (mut got, mut want) = (random_rows::<N, B>(6), random_rows::<N, B>(6));
+        transpose(&src, &mut got);
+        radix2::transpose(&src, &mut want);
+        assert_eq!(got, want, "{R} x {A}");
+    }
+
+    #[test]
+    fn register_transposes_are_bit_identical_to_the_element_loop() {
+        transpose_matches_the_element_loop(transpose_tall); // 16 x 8
+        transpose_matches_the_element_loop(transpose::<LEAF_SIDE, N, LEAF_SIDE>); // 8 x 16
+        transpose_matches_the_element_loop(transpose::<N, N, N>);
     }
 
     #[test]

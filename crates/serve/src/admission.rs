@@ -95,7 +95,9 @@ impl AdmissionPolicy {
             None => self.flop_ceiling,
         };
         let estimated = spec.estimated_flops();
-        if estimated > budget {
+        // An estimate fits only when it compares `<=`: a `NaN` fits no budget.
+        let fits = estimated <= budget;
+        if !fits {
             return Err(RejectReason::BudgetInfeasible { estimated, budget });
         }
         if queued >= self.queue_capacity {
@@ -159,6 +161,25 @@ mod tests {
             tight.admit(&spec(), 0, false, false),
             Err(RejectReason::BudgetInfeasible { .. })
         ));
+    }
+
+    /// A size whose square overflows `usize`, and a transmitter count whose
+    /// solve count does, both pass validation and are both priced far over
+    /// any budget.
+    #[test]
+    fn overflowing_jobs_are_budget_infeasible() {
+        for patch in [
+            r#"{"id":"a","size":4294967296}"#,
+            r#"{"id":"a","tx":9007199254740992,"iterations":1000}"#,
+        ] {
+            let spec = JobSpec::from_json(&Json::parse(patch).expect(patch)).expect(patch);
+            match policy().admit(&spec, 0, false, false) {
+                Err(RejectReason::BudgetInfeasible { estimated, budget }) => {
+                    assert!(estimated > budget, "{patch}");
+                }
+                other => panic!("{patch}: expected BudgetInfeasible, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -361,14 +361,21 @@ impl JobSpec {
     /// O(N log N) MLFMA matvec cost and the workspace's BiCGStab iteration
     /// model — deliberately computed *without* building the (expensive)
     /// plan, so an over-budget job is rejected before any setup work.
+    ///
+    /// Computed in `f64` throughout: `size` and `tx` come from the client,
+    /// and a product of them in `usize` can wrap (`size = 2^32` squares to
+    /// zero on 64 bits), which would turn the estimate into `NaN`.
     pub fn estimated_flops(&self) -> f64 {
-        let n = (self.size * self.size) as f64;
+        let (size, tx) = (self.size as f64, self.tx as f64);
+        let n = size * size;
         let matvec = 150.0 * n * n.log2().max(1.0);
         // 3 forward-class solves per transmitter per outer iteration plus
         // the final residual pass (the paper's accounting, also asserted by
         // the core end-to-end test); ~2 matvecs per BiCGStab iteration.
-        let solves = (self.iterations * self.tx * 3 + self.tx) as f64;
-        let iters = ffw_perf::mean_bicgs_iters(self.size * self.size, self.tx);
+        let solves = self.iterations as f64 * tx * 3.0 + tx;
+        // The iteration model takes the logarithm of the pixel count, so a
+        // saturated count still gives a finite, huge estimate.
+        let iters = ffw_perf::mean_bicgs_iters(self.size.saturating_mul(self.size), self.tx);
         solves * iters * 2.0 * matvec
     }
 }
@@ -507,5 +514,25 @@ mod tests {
         big.iterations = 10;
         assert!(big.estimated_flops() > 10.0 * small.estimated_flops());
         assert!(small.estimated_flops() > 0.0);
+    }
+
+    /// Sizes and transmitter counts whose products overflow `usize` pass
+    /// validation; their estimates must stay finite and huge, never wrap to
+    /// zero or `NaN` (or panic in a debug build).
+    #[test]
+    fn flop_estimate_of_an_overflowing_job_is_finite_and_huge() {
+        for patch in [
+            // 2^32 = 8 * 2^29: a valid size whose square is 2^64
+            r#"{"id":"a","size":4294967296}"#,
+            // iterations * tx * 3 past 2^64, with tx at the JSON integer limit 2^53
+            r#"{"id":"a","tx":9007199254740992,"iterations":1000}"#,
+        ] {
+            let spec = JobSpec::from_json(&Json::parse(patch).expect(patch)).expect(patch);
+            let estimate = spec.estimated_flops();
+            assert!(
+                estimate.is_finite() && estimate > 1e20,
+                "{patch}: {estimate:e}"
+            );
+        }
     }
 }

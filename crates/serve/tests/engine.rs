@@ -4,7 +4,7 @@
 
 use crossbeam_channel::{unbounded, Receiver};
 use ffw_serve::json::Json;
-use ffw_serve::{Engine, JobState, ServeConfig};
+use ffw_serve::{Engine, JobState, Journal, ServeConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -121,6 +121,28 @@ fn admission_rejections_are_typed_end_to_end() {
     assert!(line.contains(r#""reason":"draining""#), "{line}");
     assert_eq!(wait_terminal(&engine, "long"), JobState::Cancelled);
     engine.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A size whose square overflows `usize` passes validation (`2^32 = 8 *
+/// 2^29`). Admission must price it out as `budget-infeasible`, and nothing
+/// may reach the journal: an accepted frame would re-queue the unbuildable
+/// job on every restart.
+#[test]
+fn an_overflowing_size_is_rejected_and_never_journaled() {
+    let dir = tmp_dir("overflow");
+    let engine = Engine::open(cfg(dir.clone())).expect("open");
+    let huge = Json::parse(r#"{"id":"huge","size":4294967296,"tx":2,"rx":4,"iterations":1}"#)
+        .expect("json");
+    let line = submit(&engine, &huge);
+    assert!(line.contains(r#""ev":"rejected""#), "{line}");
+    assert!(line.contains(r#""reason":"budget-infeasible""#), "{line}");
+    assert_eq!(engine.job_state("huge"), None);
+    engine.drain(false);
+    engine.join();
+    drop(engine);
+    let (_, recovered) = Journal::open(&dir.join("serve.journal")).expect("journal");
+    assert!(recovered.events.is_empty(), "{:?}", recovered.events);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
