@@ -167,9 +167,29 @@ fn run_hop() -> Leg {
     }
 }
 
+/// Runs one leg with the recorder on and returns it with the MLFMA
+/// multiplications its solves made (the `dbim.mults.*` counters of every
+/// class; verification applies excluded).
+fn counting_mults(leg: impl FnOnce() -> Leg) -> (Leg, u64) {
+    ffw_obs::reset();
+    ffw_obs::set_enabled(true);
+    let leg = leg();
+    ffw_obs::set_enabled(false);
+    let mults = ffw_obs::snapshot()
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("dbim.mults."))
+        .map(|(_, v)| *v)
+        .sum();
+    (leg, mults)
+}
+
 fn measure() -> HopQualityRecord {
-    let single = run_single();
-    let hop = run_hop();
+    let (single, single_mults) = counting_mults(run_single);
+    let (hop, hop_mults) = counting_mults(run_hop);
+    for (leg, mults) in [(&single, single_mults), (&hop, hop_mults)] {
+        println!("{:>6}: {mults} MLFMA multiplications", leg.mode);
+    }
     HopQualityRecord {
         schema: "ffw-bench-hop-quality/1".into(),
         size: SIZE as u64,

@@ -31,11 +31,13 @@
 //! The paper's only regularization is early termination (Section V-B);
 //! [`DbimConfig::regularizer`] adds selectable penalties and a
 //! hybrid-projection update on the linearized step (see
-//! [`crate::regularize`]). That update is exempt from both: Golub–Kahan
-//! bidiagonalization needs `F` and `F^H` to be adjoint to each other to the
-//! accuracy the projected problem is solved at, which two solves stopped at
-//! `1e-2` are not, and it takes no single step along one direction for the
-//! `u_t` to predict from. Its products keep [`DbimConfig::forward`].
+//! [`crate::regularize`]). Its Golub–Kahan products are the same two solves
+//! and run at the same [`LINEAR_STEP_TOL`]. What keeps the projected problem
+//! faithful at that accuracy is that both Krylov bases are reorthogonalized
+//! at every step ([`Passes::golub_kahan`]): the plain recurrence loses
+//! orthogonality within a few steps even with products at `1e-4`. The update
+//! takes no single step along one direction, so there are no `u_t` to
+//! predict the next fields from.
 
 use crate::precond::LeafBlockJacobi;
 use crate::problem::ImagingSetup;
@@ -52,10 +54,12 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Relative residual the gradient and step solves of the nonlinear-CG path
-/// stop at (or [`DbimConfig::forward`]'s tolerance, if that is looser). They
-/// solve a linearisation that is itself only first-order accurate in the
-/// step, so accuracy beyond it buys BiCGStab iterations and no descent.
+/// Relative residual the solves of the linearisation stop at — the gradient
+/// and step solves of the nonlinear-CG path and the Golub–Kahan products of
+/// the `wgcv-lsqr` update (or [`DbimConfig::forward`]'s tolerance, if that
+/// is looser). They solve a linearisation that is itself only first-order
+/// accurate in the step, so accuracy beyond it buys BiCGStab iterations and
+/// no descent.
 /// There is margin on both sides: on `serial-hc-128` `3e-2` moves the final
 /// residual by 0.1% for another 3% of the `G0` applies, `1e-1` moves it by
 /// 0.6% (DESIGN.md, "The step at the accuracy it can use").
@@ -67,9 +71,9 @@ pub struct DbimConfig {
     /// Nonlinear CG iterations (the paper runs 50).
     pub iterations: usize,
     /// Solver settings of the state solves — the fields that define the
-    /// residual — and of every product of the `wgcv-lsqr` update (paper:
-    /// BiCGStab at 1e-4). The gradient and step solves of the nonlinear-CG
-    /// path run at `max(forward.tol, LINEAR_STEP_TOL)`.
+    /// residual (paper: BiCGStab at 1e-4). The solves of the linearisation
+    /// (the gradient and step solves of the nonlinear-CG path, every product
+    /// of the `wgcv-lsqr` update) run at `max(forward.tol, LINEAR_STEP_TOL)`.
     pub forward: IterConfig,
     /// Constrain the object to be real (lossless dielectric phantoms).
     pub real_object: bool,
@@ -155,7 +159,11 @@ impl DbimConfig {
         let fp = match self.regularizer {
             Regularizer::Tikhonov { lambda } => fp.u64(0).f64(lambda),
             Regularizer::Smoothness { lambda } => fp.u64(1).f64(lambda),
-            Regularizer::WgcvLsqr { steps, omega } => fp.u64(2).u64(steps as u64).f64(omega),
+            // The last word is the recurrence, not a setting: 1 for
+            // Golub–Kahan with both bases reorthogonalized and its products
+            // at `LINEAR_STEP_TOL`. The plain recurrence at `forward.tol`
+            // folded nothing there, and its checkpoints are refused.
+            Regularizer::WgcvLsqr { steps, omega } => fp.u64(2).u64(steps as u64).f64(omega).u64(1),
         };
         let fp = match &self.initial {
             None => fp.flag(false),
@@ -632,13 +640,11 @@ where
             object,
             engine: BicgstabBackend::new(ctx.g0(), object, guard, precond, ctx.workspace()),
             forward: cfg.forward,
-            // The Golub–Kahan products keep the state tolerance (module docs).
-            linear: match cfg.regularizer {
-                Regularizer::WgcvLsqr { .. } => cfg.forward,
-                _ => IterConfig {
-                    tol: cfg.forward.tol.max(LINEAR_STEP_TOL),
-                    ..cfg.forward
-                },
+            // Both update paths: the nonlinear-CG step and the Golub–Kahan
+            // products of `wgcv-lsqr` (module docs).
+            linear: IterConfig {
+                tol: cfg.forward.tol.max(LINEAR_STEP_TOL),
+                ..cfg.forward
             },
             batch: cfg.batch.unwrap_or_else(|| ctx.txs().len().min(8)).max(1),
             counts,
@@ -831,34 +837,39 @@ where
         Ok(())
     }
 
-    /// One hybrid-projection update (the wgcv-lsqr regularizer's whole inner
-    /// step): `steps` Golub–Kahan bidiagonalization steps of the stacked
-    /// Fréchet operator seeded by the stacked residual, wGCV-selected lambda
-    /// on the projected bidiagonal problem, and the lift `delta = V y`.
-    /// Writes the object update on the owned pixels into `delta` and returns
-    /// `(lambda, step_norm)`: the chosen regularization parameter and the
-    /// norm of the projected solution (== `||delta||` for the orthonormal
-    /// Krylov basis; reported as the iteration's step length).
-    fn wgcv_lsqr_update(
+    /// `steps` Golub–Kahan bidiagonalization steps of the stacked Fréchet
+    /// operator (`F`, and `P F^H` with `P` the real projection under
+    /// `real_object`), seeded by the stacked right-hand side `-r`: the
+    /// recurrence of the `wgcv-lsqr` update, at the tolerance the loop runs
+    /// its products at. Both bases are kept orthonormal by two classical
+    /// Gram–Schmidt sweeps per step (CGS2) in the inner product the pair is
+    /// adjoint in: the real part of the Hermitian one under `real_object`,
+    /// so real vectors stay real, the Hermitian one otherwise. Without them
+    /// the products' inexactness and rounding cost the bases their
+    /// orthogonality within a few steps, and the projected problem no longer
+    /// describes the one it stands for.
+    ///
+    /// The right basis `v_1 .. v_k` is written into `right[..k]` (`right`
+    /// holds `steps` vectors of the owned pixels). `None` when `r` or
+    /// `P F^H r` vanishes: there is nothing to project.
+    pub fn golub_kahan(
         &self,
         fields: &[Vec<C64>],
         residuals: &[Vec<C64>],
         real_object: bool,
         steps: usize,
-        omega: f64,
-        delta: &mut [C64],
-    ) -> Result<(f64, f64), FaultError> {
-        delta.fill(C64::ZERO);
+        right: &mut [Vec<C64>],
+    ) -> Result<Option<GolubKahan>, FaultError> {
         // Linearized subproblem: min_d ||F d + r||^2, i.e. rhs b = -r
         // (stacked over transmitters). beta_1 u_1 = b.
         let beta1 = self.meas_norm_sqr(residuals)?.sqrt();
         if beta1 == 0.0 {
-            return Ok((0.0, 0.0));
+            return Ok(None);
         }
-        let mut u: Vec<Vec<C64>> = residuals
+        let mut left: Vec<Vec<Vec<C64>>> = vec![residuals
             .iter()
             .map(|r| r.iter().map(|v| -*v / beta1).collect())
-            .collect();
+            .collect()];
         // When the object is constrained real, the Fréchet operator acts on
         // real perturbations; its adjoint then carries the real projection
         // `P` — applying P inside the recurrence keeps (F, P F^H) an exact
@@ -870,32 +881,60 @@ where
                 }
             }
         };
-        // The Krylov basis v_1, v_2, ...: one vector per entry of `alphas`,
-        // `steps` at most; the next one is built in place behind them.
-        let n = self.object.len();
-        let mut basis = self.ctx.workspace().lease(n, steps.max(1));
+        let dot = |a: &[C64], b: &[C64]| {
+            let d = zdotc(a, b);
+            if real_object {
+                c64(d.re, 0.0)
+            } else {
+                d
+            }
+        };
+        let leads = self.ctx.grid_pos().1 == 0;
+        // Measurement-space coefficients: the group leaders contribute (every
+        // slot of a group holds the group's vectors in full), one sum over
+        // all ranks per sweep.
+        let left_dot = |u: &Vec<Vec<C64>>, f: &Vec<Vec<C64>>| {
+            if leads {
+                u.iter().zip(f).map(|(ut, ft)| dot(ut, ft)).sum()
+            } else {
+                C64::ZERO
+            }
+        };
+        let left_sub = |f: &mut Vec<Vec<C64>>, c: C64, u: &Vec<Vec<C64>>| {
+            for (ft, ut) in f.iter_mut().zip(u) {
+                for (fj, uj) in ft.iter_mut().zip(ut) {
+                    *fj -= c * *uj;
+                }
+            }
+        };
+        let left_sum = |c: &mut [C64]| self.ctx.sum_all(c);
+        // Object-space coefficients: one reduction over the group per sweep.
+        let right_dot = |v: &Vec<C64>, w: &Vec<C64>| dot(v, w);
+        let right_sub = |w: &mut Vec<C64>, c: C64, v: &Vec<C64>| {
+            for (wj, vj) in w.iter_mut().zip(v) {
+                *wj -= c * *vj;
+            }
+        };
+        let right_sum = |c: &mut [C64]| self.ctx.g0().reduce(c).map_err(FaultError::from);
+
         // alpha_1 v_1 = P F^H u_1
-        self.frechet_adjoint(fields, &u, &mut basis[0])?;
-        project(&mut basis[0]);
-        let alpha1 = self.obj_norm(&basis[0])?;
+        self.frechet_adjoint(fields, &left[0], &mut right[0])?;
+        project(&mut right[0]);
+        let alpha1 = self.obj_norm(&right[0])?;
         if alpha1 == 0.0 {
-            return Ok((0.0, 0.0));
+            return Ok(None);
         }
-        for x in basis[0].iter_mut() {
+        for x in right[0].iter_mut() {
             *x = *x / alpha1;
         }
         let mut alphas = vec![alpha1];
         let mut betas: Vec<f64> = Vec::with_capacity(steps);
         for i in 0..steps {
-            let (built, next) = basis.split_at_mut(alphas.len());
-            let v = &built[i];
-            // beta_{i+1} u_{i+1} = F v_i - alpha_i u_i
-            let mut fu = self.frechet(fields, v, None)?;
-            for (f, ui) in fu.iter_mut().zip(&u) {
-                for (fj, uj) in f.iter_mut().zip(ui) {
-                    *fj -= alphas[i] * *uj;
-                }
-            }
+            let (built, next) = right.split_at_mut(alphas.len());
+            // beta_{i+1} u_{i+1} = F v_i - alpha_i u_i, reorthogonalized
+            let mut fu = self.frechet(fields, &built[i], None)?;
+            left_sub(&mut fu, c64(alphas[i], 0.0), &left[i]);
+            cgs2(&left, &mut fu, left_dot, left_sub, left_sum)?;
             let beta = self.meas_norm_sqr(&fu)?.sqrt();
             betas.push(beta);
             if beta <= f64::EPSILON * alpha1 || i + 1 == steps {
@@ -906,14 +945,14 @@ where
                     *x = *x / beta;
                 }
             }
-            u = fu;
-            // alpha_{i+1} v_{i+1} = P F^H u_{i+1} - beta_{i+1} v_i
+            left.push(fu);
+            // alpha_{i+1} v_{i+1} = P F^H u_{i+1} - beta_{i+1} v_i,
+            // reorthogonalized
             let w = &mut next[0];
-            self.frechet_adjoint(fields, &u, w)?;
+            self.frechet_adjoint(fields, &left[i + 1], w)?;
             project(w);
-            for (wj, vj) in w.iter_mut().zip(v) {
-                *wj -= beta * *vj;
-            }
+            right_sub(w, c64(beta, 0.0), &built[i]);
+            cgs2(built, w, right_dot, right_sub, right_sum)?;
             let alpha = self.obj_norm(w)?;
             if alpha <= f64::EPSILON * alpha1 {
                 break;
@@ -923,17 +962,76 @@ where
             }
             alphas.push(alpha);
         }
-        let built = alphas.len();
-        let bidiag = Bidiag { alphas, betas };
-        let proj = ProjectedProblem::new(&bidiag, beta1);
+        Ok(Some(GolubKahan {
+            beta1,
+            bidiag: Bidiag { alphas, betas },
+            left,
+        }))
+    }
+
+    /// One hybrid-projection update (the wgcv-lsqr regularizer's whole inner
+    /// step): [`Passes::golub_kahan`], wGCV-selected lambda on the projected
+    /// bidiagonal problem, and the lift `delta = V y`. Writes the object
+    /// update on the owned pixels into `delta` and returns
+    /// `(lambda, step_norm)`: the chosen regularization parameter and the
+    /// norm of the projected solution (== `||delta||`, `V` being
+    /// orthonormal; reported as the iteration's step length).
+    fn wgcv_lsqr_update(
+        &self,
+        fields: &[Vec<C64>],
+        residuals: &[Vec<C64>],
+        real_object: bool,
+        steps: usize,
+        omega: f64,
+        delta: &mut [C64],
+    ) -> Result<(f64, f64), FaultError> {
+        delta.fill(C64::ZERO);
+        let mut basis = self.ctx.workspace().lease(self.object.len(), steps.max(1));
+        let Some(gk) = self.golub_kahan(fields, residuals, real_object, steps, &mut basis)? else {
+            return Ok((0.0, 0.0));
+        };
+        let proj = ProjectedProblem::new(&gk.bidiag, gk.beta1);
         let lambda = proj.wgcv_lambda(omega);
         let y = proj.solve(lambda);
-        for (yi, vi) in y.iter().zip(&basis[..built]) {
+        for (yi, vi) in y.iter().zip(basis.iter()) {
             axpy_real(*yi, vi, delta);
         }
         let step_norm = y.iter().map(|c| c * c).sum::<f64>().sqrt();
         Ok((lambda, step_norm))
     }
+}
+
+/// What [`Passes::golub_kahan`] built besides the right basis.
+pub struct GolubKahan {
+    /// `beta_1 = ||r||` over the run's transmitters.
+    pub beta1: f64,
+    /// The projected operator `B_k`.
+    pub bidiag: Bidiag,
+    /// The left basis `u_1, u_2, ...` (`k`, or `k + 1` when the recurrence
+    /// stopped at a vanishing `alpha`): each one vector per owned
+    /// transmitter, in receiver space.
+    pub left: Vec<Vec<Vec<C64>>>,
+}
+
+/// Two classical Gram–Schmidt sweeps of `x` against the orthonormal `basis`
+/// (CGS2): each sweep takes every coefficient `dot(b, x)` first, sums them
+/// over the ranks in one `sum`, then subtracts `sub(x, c, b)`. The second
+/// sweep removes what rounding and the first sweep's cancellation left.
+fn cgs2<T>(
+    basis: &[T],
+    x: &mut T,
+    dot: impl Fn(&T, &T) -> C64,
+    sub: impl Fn(&mut T, C64, &T),
+    sum: impl Fn(&mut [C64]) -> Result<(), FaultError>,
+) -> Result<(), FaultError> {
+    for _ in 0..2 {
+        let mut coefs: Vec<C64> = basis.iter().map(|b| dot(b, x)).collect();
+        sum(&mut coefs)?;
+        for (c, b) in coefs.iter().zip(basis) {
+            sub(x, *c, b);
+        }
+    }
+    Ok(())
 }
 
 /// The DBIM outer loop — the only one in the workspace — on the rank
@@ -1306,13 +1404,16 @@ mod tests {
     }
 
     /// The configuration fingerprint is what binds a checkpoint to its run.
-    /// Every slot but the last folds what every earlier version folded (the
-    /// removed forward-engine choice still folds its 0); the last is
-    /// [`LINEAR_STEP_TOL`], which changed the iterate. The versions that ran
-    /// every solve to `forward.tol` wrote `0x8f09dfded370f5b9` and
-    /// `0x01bfa64e4add1016` into their checkpoints for these two
-    /// configurations — one FNV word short of the values below — and those
-    /// checkpoints are now refused.
+    /// Two words were added when the arithmetic changed, so that checkpoints
+    /// of the old arithmetic are refused; everything else folds what every
+    /// earlier version folded (the removed forward-engine choice still folds
+    /// its 0). [`LINEAR_STEP_TOL`] comes last: the versions that ran every
+    /// solve to `forward.tol` wrote `0x8f09dfded370f5b9` and
+    /// `0x01bfa64e4add1016` for these two configurations, one FNV word short
+    /// of `0x4190c7a969c42caf` and `0x024ab15b63e736ec`. The `wgcv-lsqr` arm
+    /// ends in `1`, the reorthogonalized Golub–Kahan recurrence: the plain
+    /// one folded no such word and wrote `0x024ab15b63e736ec` for the second
+    /// configuration. The default folds no such arm.
     #[test]
     fn config_fingerprint_is_pinned() {
         let fold = |cfg: &DbimConfig| cfg.fold_fingerprint(Fingerprint::new()).finish();
@@ -1327,7 +1428,7 @@ mod tests {
             initial: Some(vec![c64(0.25, -0.5), c64(-0.0, 1.0)]),
             ..Default::default()
         };
-        assert_eq!(fold(&cfg), 0x024ab15b63e736ec);
+        assert_eq!(fold(&cfg), 0xcdaf02862e499ef1);
     }
 
     /// Batching the per-transmitter solves is a pure scheduling change:
