@@ -8,6 +8,12 @@
 //! along the conjugate directions to show. Its final residual and image
 //! error must match [`QUICK_FINAL_RESIDUAL`] and [`QUICK_IMAGE_ERROR`] to
 //! three significant digits or the run exits 1.
+//!
+//! The default mode (128², T=32, 20 iterations) writes `results/fig13.json`
+//! plus `fig13_truth.pgm`, `fig13_reconstruction.pgm` and
+//! `fig13_convergence.svg`, the committed record; `--quick` and `--full`
+//! write the same four under `fig13_quick*` and `fig13_full*`, so the CI
+//! gate never overwrites it.
 
 use ffw_bench::{write_json, Args};
 use ffw_obs::Stopwatch;
@@ -42,12 +48,12 @@ fn agrees(got: f64, want: f64) -> bool {
 
 fn main() {
     let args = Args::parse();
-    let (px, n_tx, n_rx, iters) = if args.quick {
-        (64, 16, 32, 8)
+    let (name, px, n_tx, n_rx, iters) = if args.quick {
+        ("fig13_quick", 64, 16, 32, 8)
     } else if args.full {
-        (256, 64, 128, 50)
+        ("fig13_full", 256, 64, 128, 50)
     } else {
-        (128, 32, 64, 20)
+        ("fig13", 128, 32, 64, 20)
     };
     println!(
         "Shepp-Logan reconstruction: {px}x{px} px ({:.1} lambda), T={n_tx}, R={n_rx}, {iters} DBIM iterations",
@@ -102,20 +108,20 @@ fn main() {
 
     let dir = std::env::var("FFW_RESULTS_DIR").unwrap_or_else(|_| "results".into());
     let _ = ffw_tomo::viz::write_pgm(
-        format!("{dir}/fig13_truth.pgm"),
+        format!("{dir}/{name}_truth.pgm"),
         &truth_raster,
         px,
         0.0,
         0.02,
     );
     let _ = ffw_tomo::viz::write_pgm(
-        format!("{dir}/fig13_reconstruction.pgm"),
+        format!("{dir}/{name}_reconstruction.pgm"),
         &image,
         px,
         0.0,
         0.02,
     );
-    println!("wrote results/fig13_truth.pgm and results/fig13_reconstruction.pgm");
+    println!("wrote {dir}/{name}_truth.pgm and {dir}/{name}_reconstruction.pgm");
     // convergence chart
     let mut pts: Vec<(f64, f64)> = result
         .history
@@ -125,7 +131,7 @@ fn main() {
         .collect();
     pts.push((result.history.len() as f64 + 1.0, result.final_residual));
     let _ = ffw_tomo::viz::write_svg_chart(
-        format!("{dir}/fig13_convergence.svg"),
+        format!("{dir}/{name}_convergence.svg"),
         "Fig 13: DBIM residual convergence (Shepp-Logan)",
         "DBIM iteration",
         "relative residual",
@@ -136,7 +142,7 @@ fn main() {
         }],
     );
     write_json(
-        "fig13",
+        name,
         &Record {
             n_pixels: px * px,
             n_tx,

@@ -21,6 +21,7 @@
 //! gated.
 
 use ffw_dist::FtConfig;
+use ffw_inverse::multifreq::stage_report;
 use ffw_inverse::{DbimConfig, HopSchedule, Regularizer};
 use ffw_serve::json::Json;
 use ffw_tomo::{reconstruct, HopPipeline, Reconstruction, SceneConfig};
@@ -167,29 +168,29 @@ fn run_hop() -> Leg {
     }
 }
 
-/// Runs one leg with the recorder on and returns it with the MLFMA
-/// multiplications its solves made (the `dbim.mults.*` counters of every
-/// class; verification applies excluded).
-fn counting_mults(leg: impl FnOnce() -> Leg) -> (Leg, u64) {
+/// Runs one leg with the recorder on and prints the MLFMA multiplications
+/// its solves made (the `dbim.mults.*` counters of every class; verification
+/// applies excluded), then those of each hop stage next to its grid.
+fn counting_mults(leg: impl FnOnce() -> Leg) -> Leg {
     ffw_obs::reset();
     ffw_obs::set_enabled(true);
     let leg = leg();
     ffw_obs::set_enabled(false);
-    let mults = ffw_obs::snapshot()
-        .counters
-        .iter()
+    let snap = ffw_obs::snapshot();
+    let mults: u64 = (snap.counters.iter())
         .filter(|(name, _)| name.starts_with("dbim.mults."))
         .map(|(_, v)| *v)
         .sum();
-    (leg, mults)
+    println!("{:>6}: {mults} MLFMA multiplications", leg.mode);
+    for line in stage_report(&snap, 0) {
+        println!("        {line}");
+    }
+    leg
 }
 
 fn measure() -> HopQualityRecord {
-    let (single, single_mults) = counting_mults(run_single);
-    let (hop, hop_mults) = counting_mults(run_hop);
-    for (leg, mults) in [(&single, single_mults), (&hop, hop_mults)] {
-        println!("{:>6}: {mults} MLFMA multiplications", leg.mode);
-    }
+    let single = counting_mults(run_single);
+    let hop = counting_mults(run_hop);
     HopQualityRecord {
         schema: "ffw-bench-hop-quality/1".into(),
         size: SIZE as u64,

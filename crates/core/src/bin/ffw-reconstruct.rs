@@ -11,6 +11,7 @@
 
 use ffw_dist::{FtConfig, JobControl};
 use ffw_geometry::Point2;
+use ffw_inverse::multifreq::stage_report;
 use ffw_inverse::{BornConfig, DbimConfig, SolveCounts};
 use ffw_mpi::FaultPlan;
 use ffw_phantom::{image_rel_error, Annulus, Cylinder, Phantom, RandomBlobs, SheppLogan};
@@ -289,9 +290,12 @@ fn parse_args() -> Result<Cli, String> {
                      a comma-separated list of wavelength factors, strictly \
                      descending and ending at 1.0 (e.g. \"2.0,1.5,1.0\" halves \
                      the frequency, then 1.5x wavelength, then the scene \
-                     frequency). All stages share one pixel grid; each stage's \
-                     reconstruction seeds the next (rescaled by the wavenumber \
-                     ratio). --iterations is the total budget, split across \
+                     frequency). Each stage runs on the coarsest grid that keeps \
+                     the scene's pixels per wavelength (--size / 2^k for the \
+                     largest 2^k <= factor, at least 32); each stage's \
+                     reconstruction seeds the next (prolonged onto its grid and \
+                     rescaled by the wavenumber ratio). --iterations is the \
+                     total budget, split across \
                      stages with the remainder on the later, higher-resolution \
                      stages. --checkpoint/--resume save and restore at hop \
                      boundaries and run on any --groups grid. Not compatible \
@@ -403,9 +407,9 @@ fn main() {
         let span = deg.to_radians();
         scene = scene.with_arc(-span / 2.0, span);
     }
-    // One pipeline per frequency stage (shared pool and pixel grid); a
-    // single-frequency run is the one-stage schedule "1.0". The factor-1.0
-    // stage doubles as the imaging pipeline.
+    // One pipeline per frequency stage (shared pool, each on its own grid);
+    // a single-frequency run is the one-stage schedule "1.0". The factor-1.0
+    // stage, on the scene grid, doubles as the imaging pipeline.
     let schedule = cli.hops.clone().unwrap_or_else(HopSchedule::single);
     let setup_span = ffw_obs::span("setup");
     let pipeline = HopPipeline::new(&scene, &schedule);
@@ -430,10 +434,10 @@ fn main() {
         println!("added {db} dB SNR noise");
     }
 
-    let (image, label) = if cli.born {
+    let (image, label, resumed) = if cli.born {
         let result = recon.run_born(&measured[0], &BornConfig::default());
         println!("Born (single scattering): {:?}", result.stats);
-        (recon.image(&result.object), "Born")
+        (recon.image(&result.object), "Born", 0)
     } else {
         // SIGTERM/SIGINT stop the run cooperatively at the next checkpoint
         // boundary (outer iteration; hop stage with --hops), *after* that
@@ -536,7 +540,7 @@ fn main() {
                 r.restarts
             );
         }
-        (recon.image(&result.object), "DBIM")
+        (recon.image(&result.object), "DBIM", result.resumed)
     };
     let err = image_rel_error(&image, &truth_raster);
     println!("{label} image relative error: {err:.4}");
@@ -568,6 +572,11 @@ fn main() {
         if cli.profile {
             eprint!("{}", snap.render_profile());
             print_mults_per_solve(&snap);
+            if schedule.len() > 1 {
+                for line in stage_report(&snap, resumed) {
+                    eprintln!("  {line}");
+                }
+            }
         }
         if let Some(path) = &cli.metrics {
             match snap.write_to(path) {

@@ -28,6 +28,7 @@ pub mod viz;
 use ffw_dist::{run_dbim_ft, run_dbim_local, FtConfig, FtDbimResult};
 use ffw_fault::{FaultError, Fingerprint};
 use ffw_geometry::{Domain, QuadTree, TransducerArray};
+use ffw_inverse::multifreq::{block_average, stage_side};
 use ffw_inverse::{
     add_noise, born_inversion, dbim, hop_stages, synthesize_measurements, BornConfig, DbimConfig,
     DbimError, DbimResult, HopCheckpoint, ImagingSetup, MlfmaG0, MultiFreqResult,
@@ -114,19 +115,21 @@ impl Reconstruction {
         Self::build(scene, Domain::new(scene.n_side_px, scene.wavelength), pool)
     }
 
-    /// Builds the pipeline for one stage of a hop schedule: the scene's
-    /// pixel grid (sized `lambda/10` at the scene wavelength) is kept, the
-    /// illumination wavelength is scaled by `factor >= 1`. All stages of a
-    /// schedule therefore share one grid — the invariant the hop carry
-    /// rescale relies on — and the transducer ring stays physically fixed.
+    /// Builds the pipeline for one stage of a hop schedule: the illumination
+    /// wavelength is scaled by `factor >= 1`, and the stage runs on the
+    /// coarsest grid that keeps the scene's pixels per wavelength
+    /// ([`ffw_inverse::multifreq::stage_side`]: `n / 2^k` for the largest
+    /// `2^k <= factor`, at least 32 pixels a side). The physical domain and
+    /// the transducer ring stay where the scene puts them; factors below 2
+    /// keep the scene grid itself.
     pub fn for_hop_stage(scene: &SceneConfig, factor: f64, pool: Arc<Pool>) -> Self {
         assert!(factor >= 1.0, "hop factor must be >= 1, got {factor}");
         let base = Domain::new(scene.n_side_px, scene.wavelength);
-        let domain = Domain::with_pixel_size(
-            scene.n_side_px,
-            factor * scene.wavelength,
-            base.pixel_size(),
-        );
+        let n_side = stage_side(scene.n_side_px, factor);
+        // A power-of-two multiple of the scene pixel: exact, so the stage
+        // covers the scene's side to the bit.
+        let pixel = base.pixel_size() * (scene.n_side_px / n_side) as f64;
+        let domain = Domain::with_pixel_size(n_side, factor * scene.wavelength, pixel);
         Self::build(scene, domain, pool)
     }
 
@@ -213,9 +216,10 @@ impl Reconstruction {
 }
 
 /// A prepared frequency-hopping pipeline: one [`Reconstruction`] per stage
-/// of a [`HopSchedule`], lowest frequency first, all sharing one pixel grid
-/// and one thread pool. This is the single entry point the CLI, the serve
-/// engine and the benches use for hop runs.
+/// of a [`HopSchedule`], lowest frequency first, each on its own grid
+/// ([`Reconstruction::for_hop_stage`]) over one physical domain, all on one
+/// thread pool. The last stage is the scene itself. This is the single entry
+/// point the CLI, the serve engine and the benches use for hop runs.
 pub struct HopPipeline {
     /// Per-stage pipelines, lowest frequency (largest wavelength factor)
     /// first; the last stage is the scene frequency itself.
@@ -259,7 +263,7 @@ impl HopPipeline {
 
     /// Synthesizes per-stage measurements for one physical phantom: the
     /// object is frequency-invariant contrast, so each stage solves its own
-    /// forward problem at its own wavenumber.
+    /// forward problem at its own wavenumber on its own grid.
     pub fn synthesize(&self, phantom: &dyn Phantom) -> Vec<Vec<Vec<C64>>> {
         synthesize_noisy(&self.stages, phantom, None)
     }
@@ -304,9 +308,10 @@ pub fn synthesize_noisy<S: Borrow<Reconstruction>>(
 
 /// The scene + schedule part of the fingerprint hop checkpoints are bound
 /// to: a resume against a different scene or schedule is rejected instead of
-/// silently mixing incompatible carries.
+/// silently mixing incompatible carries. Each stage's grid side is folded
+/// last, so a carry written under other stage grids is refused too.
 fn scene_fingerprint(scene: &SceneConfig, schedule: &HopSchedule) -> Fingerprint {
-    schedule.fold_fingerprint(
+    let fp = schedule.fold_fingerprint(
         Fingerprint::new()
             .u64(scene.n_side_px as u64)
             .u64(scene.n_tx as u64)
@@ -315,7 +320,8 @@ fn scene_fingerprint(scene: &SceneConfig, schedule: &HopSchedule) -> Fingerprint
             .f64(scene.ring_radius_factor)
             .f64(scene.arc.map_or(-1.0, |(s, _)| s))
             .f64(scene.arc.map_or(-1.0, |(_, sp)| sp)),
-    )
+    );
+    (schedule.factors().iter()).fold(fp, |fp, &f| fp.u64(stage_side(scene.n_side_px, f) as u64))
 }
 
 /// The one setting that does not run on every `groups x subtree` rank grid,
@@ -338,8 +344,12 @@ pub fn grid_admission(regularizer: Regularizer, subtree: usize) -> Result<(), St
 /// single-frequency job is the one-stage schedule `"1.0"`.
 ///
 /// `stages[h]` / `measured[h]` are the pipeline and data of stage `h`
-/// (lowest frequency first), `ft.dbim.iterations` the *total* budget, split
-/// by [`HopSchedule::split_iterations`]. This is the only place that maps
+/// (lowest frequency first, each on its own grid as [`HopPipeline`] builds
+/// them), `ft.dbim.iterations` the *total* budget, split by
+/// [`HopSchedule::split_iterations`]. An initial guess `ft.dbim.initial` is
+/// on the last stage's (the scene's) grid and seeds the first stage through
+/// [`block_average`]; the returned object is on the grid of the last
+/// completed stage. This is the only place that maps
 /// `(groups, subtree)` to a context: `1 x 1` runs the serial context on the
 /// stage's own `G0` engine with no rank launch
 /// ([`ffw_dist::run_dbim_local`]), anything larger launches the rank grid
@@ -365,10 +375,11 @@ pub fn reconstruct<S: Borrow<Reconstruction>>(
     assert_eq!(measured.len(), stages.len(), "one dataset per stage");
     let single = stages.len() == 1;
     let split = schedule.split_iterations(ft.dbim.iterations);
-    let k0s: Vec<f64> = stages
-        .iter()
-        .map(|s| s.borrow().setup.domain.k0())
-        .collect();
+    let setups: Vec<&ImagingSetup> = stages.iter().map(|s| &s.borrow().setup).collect();
+    let initial = ft.dbim.initial.as_ref().map(|init| {
+        let (first, last) = (setups[0], setups[setups.len() - 1]);
+        block_average(&last.tree, &first.tree, init)
+    });
     let hop_checkpoint = ft
         .checkpoint
         .as_deref()
@@ -383,13 +394,12 @@ pub fn reconstruct<S: Borrow<Reconstruction>>(
         });
     // Injected faults hit the first launch of the job only.
     let mut fault_plan = ft.fault_plan.clone();
-    let n_pixels = stages[0].borrow().setup.n_pixels();
-    hop_stages(&k0s, n_pixels, hop_checkpoint, stop, |h, carry| {
+    hop_stages(&setups, hop_checkpoint, stop, |h, carry| {
         let stage: &Reconstruction = stages[h].borrow();
         let stage_ft = FtConfig {
             dbim: DbimConfig {
                 iterations: split[h],
-                initial: carry.or_else(|| ft.dbim.initial.clone()),
+                initial: carry.or_else(|| initial.clone()),
                 ..ft.dbim.clone()
             },
             checkpoint: ft.checkpoint.clone().filter(|_| single),

@@ -39,10 +39,10 @@ impl Domain {
     }
 
     /// Domain with an explicit pixel size, decoupled from the wavelength —
-    /// used by the multi-frequency reconstruction, where one physical grid
-    /// (sized `lambda/10` at the *highest* frequency) is shared by all
-    /// frequencies. The pixel size must still resolve the field
-    /// (`pixel <= lambda/10` recommended).
+    /// used by the multi-frequency reconstruction, whose stages image one
+    /// physical domain at several wavelengths, each on a grid with at least
+    /// the scene's pixels per wavelength. The pixel size must still resolve
+    /// the field (`pixel <= lambda/10` recommended).
     pub fn with_pixel_size(n_side: usize, wavelength: f64, pixel: f64) -> Self {
         assert!(n_side >= 1);
         assert!(wavelength > 0.0 && pixel > 0.0);

@@ -102,6 +102,11 @@ impl QuadTree {
         self.n_clusters(self.leaf_level)
     }
 
+    /// Pixels per side of the grid.
+    pub fn n_side(&self) -> usize {
+        self.n_side_px
+    }
+
     /// Total number of pixels.
     pub fn n_pixels(&self) -> usize {
         self.n_side_px * self.n_side_px

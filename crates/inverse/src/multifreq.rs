@@ -7,35 +7,62 @@
 //! the recovered *permittivity contrast* as the initial guess at the next
 //! frequency, where resolution is higher but local minima abound.
 //!
-//! All frequencies share one pixel grid (sized `lambda/10` at the highest
-//! frequency, i.e. oversampled at the lower ones); the hop rescales the
-//! object function `O = k0^2 delta_eps` between wavenumbers, since the
-//! contrast `delta_eps` is the frequency-invariant unknown.
+//! Each stage resolves only what its wavelength can, as in
+//! Borges–Gillman–Greengard's recursive linearisation: the stage at
+//! wavelength factor `f` of an `n x n` scene runs on the coarsest grid that
+//! still has the scene's pixels per wavelength, `n / 2^k` for the largest
+//! `2^k <= f` that leaves at least the smallest tree ([`stage_side`]). The
+//! physical domain and the transducers stay where they are. Between stages
+//! [`hop_carry`] prolongs the object piecewise-constant onto the next grid
+//! ([`prolong`]) and rescales the object function `O = k0^2 delta_eps`
+//! between wavenumbers, since the contrast `delta_eps` is the
+//! frequency-invariant unknown; on equal grids the carry is the rescale
+//! alone.
 //!
-//! One stage loop, [`hop_stages`]: the carry, its rescale, per-hop obs
-//! spans/counters, crash-consistent checkpoints at hop boundaries (riding
-//! the [`ffw_fault::Checkpoint`] machinery), resume that skips completed
-//! stages bit-identically, and a cooperative stop poll between hops. "Run
-//! one stage from this initial object" is its only varying part, so a
-//! schedule runs on any driver and rank grid; [`multi_frequency_dbim_with`]
-//! is the loop over the serial [`dbim`], [`multi_frequency_dbim`] the same
-//! in memory. Schedules arriving from the CLI or serve spec are parsed and
-//! validated by [`HopSchedule`].
+//! One stage loop, [`hop_stages`]: the carry, per-hop obs spans, counters and
+//! series, crash-consistent checkpoints at hop boundaries (riding the
+//! [`ffw_fault::Checkpoint`] machinery; each holds the carry on the grid of
+//! the stage that wrote it), resume that skips completed stages
+//! bit-identically, and a cooperative stop poll between hops. "Run one stage
+//! from this initial object" is its only varying part, so a schedule runs on
+//! any driver and rank grid; [`multi_frequency_dbim_with`] is the loop over
+//! the serial [`dbim`], [`multi_frequency_dbim`] the same in memory.
+//! Schedules arriving from the CLI or serve spec are parsed and validated by
+//! [`HopSchedule`].
 
-use crate::dbim::{dbim, DbimConfig, DbimError, DbimResult};
+use crate::dbim::{dbim, DbimConfig, DbimError, DbimResult, SolveCounts};
 use crate::problem::ImagingSetup;
 use ffw_fault::{Checkpoint, CheckpointError, Fingerprint};
+use ffw_geometry::{QuadTree, LEAF_SIDE, TOP_LEVEL};
 use ffw_numerics::{c64, C64};
 use ffw_solver::BlockLinOp;
 use std::path::{Path, PathBuf};
 
 /// Maximum wavelength factor a hop schedule may start at. Beyond this the
-/// lowest-frequency grid is so oversampled that the stage carries no
-/// information (and `k0` underflows usability).
+/// lowest-frequency stage carries too little information to seed the next
+/// (and `k0` underflows usability).
 pub const MAX_HOP_FACTOR: f64 = 32.0;
 
 /// Maximum number of stages in a hop schedule.
 pub const MAX_HOPS: usize = 8;
+
+/// The coarsest grid a stage may run on: the smallest quad tree.
+const MIN_STAGE_SIDE: usize = LEAF_SIDE << TOP_LEVEL;
+
+/// Pixels per side of the stage at wavelength factor `factor` of an
+/// `n_side x n_side` scene: `n_side / 2^k` for the largest `k` with
+/// `2^k <= factor` and `n_side / 2^k >= MIN_STAGE_SIDE`. Its pixels are
+/// `2^k` scene pixels wide, so the stage keeps at least the scene's pixels
+/// per wavelength; factors below 2 keep the scene grid.
+pub fn stage_side(n_side: usize, factor: f64) -> usize {
+    let mut side = n_side;
+    let mut coarsening = 2.0;
+    while coarsening <= factor && side.is_multiple_of(2) && side / 2 >= MIN_STAGE_SIDE {
+        side /= 2;
+        coarsening *= 2.0;
+    }
+    side
+}
 
 /// A validated frequency-hop schedule, expressed as *wavelength factors*
 /// relative to the scene wavelength: `"2.0,1.5,1.0"` reconstructs at twice
@@ -155,7 +182,9 @@ impl std::str::FromStr for HopSchedule {
 
 /// One frequency stage of a hop schedule.
 pub struct FrequencyHop<'a, G: BlockLinOp + ?Sized> {
-    /// The imaging setup at this frequency (same grid, different wavelength).
+    /// The imaging setup at this frequency: the schedule's physical domain
+    /// and transducers on this stage's own grid, which the next stage's
+    /// grid refines by a power of two (or equals).
     pub setup: &'a ImagingSetup,
     /// The `G0` operator at this frequency.
     pub g0: &'a G,
@@ -167,7 +196,8 @@ pub struct FrequencyHop<'a, G: BlockLinOp + ?Sized> {
 
 /// What the stage loop reads off one stage's result.
 pub trait StageResult {
-    /// The stage's reconstructed object over the whole domain (tree order).
+    /// The stage's reconstructed object over the whole domain, on the
+    /// stage's grid (tree order).
     fn object(&self) -> &[C64];
     /// Relative residual after the stage's final update.
     fn final_residual(&self) -> f64;
@@ -191,7 +221,8 @@ impl StageResult for DbimResult {
 /// of whichever driver ran the stages.
 #[derive(Debug)]
 pub struct MultiFreqResult<R = DbimResult> {
-    /// Final object at the last completed frequency (tree order).
+    /// Final object at the last completed frequency, on that stage's grid
+    /// (tree order).
     pub object: Vec<C64>,
     /// Per-stage results for the stages *run in this process* (resumed
     /// stages were restored from the checkpoint and have no in-memory
@@ -220,8 +251,9 @@ pub struct MultiFreqConfig {
     pub checkpoint: Option<PathBuf>,
     /// Resume from `checkpoint` if it exists: completed stages are skipped
     /// and the carry object restored bit-identically (the checkpoint stores
-    /// the raw carry; the rescale to the next stage's `k0^2` happens in the
-    /// driver exactly as it would in-process).
+    /// the raw carry on the grid of the stage that wrote it; [`hop_carry`]
+    /// to the next stage happens in the driver exactly as it would
+    /// in-process).
     pub resume: bool,
     /// Scene/schedule fingerprint the checkpoint must match (build with
     /// [`Fingerprint`] and [`HopSchedule::fold_fingerprint`]).
@@ -260,22 +292,6 @@ impl From<CheckpointError> for MultiFreqError {
     }
 }
 
-fn validate_hops<G: BlockLinOp + ?Sized>(hops: &[FrequencyHop<'_, G>]) {
-    assert!(!hops.is_empty());
-    // frequencies must be sorted ascending (k0 grows)
-    for w in hops.windows(2) {
-        assert!(
-            w[0].setup.domain.k0() <= w[1].setup.domain.k0() + 1e-12,
-            "hops must be ordered from low to high frequency"
-        );
-        assert_eq!(
-            w[0].setup.n_pixels(),
-            w[1].setup.n_pixels(),
-            "hops must share one pixel grid"
-        );
-    }
-}
-
 /// Runs the hop schedule, lowest frequency first. `base` provides all DBIM
 /// settings except `iterations` and `initial`, which the driver manages.
 /// A failure at any stage aborts the whole schedule with that stage's error.
@@ -300,32 +316,148 @@ pub fn multi_frequency_dbim_with<G: BlockLinOp + ?Sized>(
     cfg: &MultiFreqConfig,
     stop: Option<&dyn Fn() -> bool>,
 ) -> Result<MultiFreqResult, MultiFreqError> {
-    validate_hops(hops);
     assert!(
         !cfg.resume || cfg.checkpoint.is_some(),
         "resume requires a checkpoint path"
     );
-    let k0s: Vec<f64> = hops.iter().map(|h| h.setup.domain.k0()).collect();
+    let setups: Vec<&ImagingSetup> = hops.iter().map(|h| h.setup).collect();
     let checkpoint = cfg.checkpoint.as_deref().map(|path| HopCheckpoint {
         path,
         resume: cfg.resume,
         fingerprint: cfg.fingerprint,
     });
-    hop_stages(
-        &k0s,
-        hops[0].setup.n_pixels(),
-        checkpoint,
-        stop,
-        |h, initial| {
-            let hop = &hops[h];
-            let stage_cfg = DbimConfig {
-                iterations: hop.iterations,
-                initial,
-                ..cfg.base.clone()
-            };
-            Ok(dbim(hop.setup, hop.g0, hop.measured, &stage_cfg)?)
-        },
-    )
+    hop_stages(&setups, checkpoint, stop, |h, initial| {
+        let hop = &hops[h];
+        let stage_cfg = DbimConfig {
+            iterations: hop.iterations,
+            initial,
+            ..cfg.base.clone()
+        };
+        Ok(dbim(hop.setup, hop.g0, hop.measured, &stage_cfg)?)
+    })
+}
+
+/// Piecewise-constant prolongation of a tree-order image from the `coarse`
+/// grid onto the `fine` one: every coarse pixel fills its `r x r` block,
+/// `r = fine side / coarse side` (a power of two). On equal grids the image
+/// is returned untouched.
+pub fn prolong(coarse: &QuadTree, fine: &QuadTree, image: Vec<C64>) -> Vec<C64> {
+    let r = refinement(coarse, fine);
+    if r == 1 {
+        return image;
+    }
+    let (nc, nf) = (coarse.n_side(), fine.n_side());
+    let grid = coarse.to_grid_order(&image);
+    let out: Vec<C64> = (0..nf * nf)
+        .map(|i| grid[(i / nf / r) * nc + (i % nf) / r])
+        .collect();
+    fine.to_tree_order(&out)
+}
+
+/// Block averaging, the restriction matching [`prolong`]: each pixel of the
+/// `coarse` grid is the mean of its `r x r` block of the `fine` one, taken
+/// as `log2 r` rounds of 2 x 2 means (pairwise sums, so
+/// `block_average(prolong(x)) == x` exactly). Brings a scene-grid initial
+/// guess down to a coarsened first stage.
+pub fn block_average(fine: &QuadTree, coarse: &QuadTree, image: &[C64]) -> Vec<C64> {
+    if refinement(coarse, fine) == 1 {
+        return image.to_vec();
+    }
+    let mut grid = fine.to_grid_order(image);
+    let mut n = fine.n_side();
+    while n > coarse.n_side() {
+        let h = n / 2;
+        grid = (0..h * h)
+            .map(|i| {
+                let at = |dx, dy| grid[(2 * (i / h) + dy) * n + 2 * (i % h) + dx];
+                ((at(0, 0) + at(1, 0)) + (at(0, 1) + at(1, 1))) * 0.25
+            })
+            .collect();
+        n = h;
+    }
+    coarse.to_tree_order(&grid)
+}
+
+/// `fine side / coarse side`, asserted to be a power of two.
+fn refinement(coarse: &QuadTree, fine: &QuadTree) -> usize {
+    let (nc, nf) = (coarse.n_side(), fine.n_side());
+    assert!(
+        nf.is_multiple_of(nc) && (nf / nc).is_power_of_two(),
+        "a {nf}-pixel grid does not refine a {nc}-pixel one by a power of two"
+    );
+    nf / nc
+}
+
+/// Carries stage `from`'s object to stage `to`: [`prolong`] onto `to`'s
+/// grid, then the rescale `O = k_from^2 delta_eps -> k_to^2 delta_eps`. On
+/// equal grids this is the rescale alone, `v * s` per pixel.
+pub fn hop_carry(from: &ImagingSetup, to: &ImagingSetup, object: Vec<C64>) -> Vec<C64> {
+    let s = to.domain.k0().powi(2) / from.domain.k0().powi(2);
+    prolong(&from.tree, &to.tree, object)
+        .into_iter()
+        .map(|v| v * s)
+        .collect()
+}
+
+/// Panics unless the stages run from low to high frequency over one
+/// physical domain, each grid refining the previous one (or equal to it).
+fn assert_stages(setups: &[&ImagingSetup]) {
+    assert!(!setups.is_empty());
+    for w in setups.windows(2) {
+        let (a, b) = (&w[0].domain, &w[1].domain);
+        assert!(
+            a.k0() <= b.k0() + 1e-12,
+            "hops must be ordered from low to high frequency"
+        );
+        assert!(
+            (a.side() - b.side()).abs() <= 1e-12 * b.side(),
+            "hops must image one physical domain: side {} then {}",
+            a.side(),
+            b.side()
+        );
+        refinement(&w[0].tree, &w[1].tree);
+    }
+}
+
+/// The `dbim.mults.*` counters, by class.
+fn mults_so_far() -> [(&'static str, u64); 3] {
+    SolveCounts::default().named().map(|(class, _)| {
+        (
+            class,
+            ffw_obs::counter(&format!("dbim.mults.{class}")).get(),
+        )
+    })
+}
+
+/// One line per stage run in this process, from the recorder's
+/// `multifreq.stage_side` and `multifreq.stage_mults.*` series: the stage's
+/// grid and the MLFMA multiplications of each solve class. `first` numbers
+/// the first line (the stages a resume skipped come before it).
+pub fn stage_report(snap: &ffw_obs::Snapshot, first: usize) -> Vec<String> {
+    let series = |name: &str| {
+        snap.series
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(&[][..], |(_, v)| &v[..])
+    };
+    let classes = SolveCounts::default().named().map(|(class, _)| class);
+    let mults = classes.map(|class| series(&format!("multifreq.stage_mults.{class}")));
+    series("multifreq.stage_side")
+        .iter()
+        .enumerate()
+        .map(|(i, side)| {
+            let by_class: Vec<String> = classes
+                .iter()
+                .zip(&mults)
+                .map(|(class, m)| format!("{class} {}", m.get(i).copied().unwrap_or(f64::NAN)))
+                .collect();
+            format!(
+                "stage {}: {side}x{side} grid, MLFMA multiplications {}",
+                first + i,
+                by_class.join(", ")
+            )
+        })
+        .collect()
 }
 
 /// Where [`hop_stages`] checkpoints the carry after every completed stage.
@@ -340,22 +472,29 @@ pub struct HopCheckpoint<'a> {
     pub fingerprint: u64,
 }
 
-/// The hop stage loop: runs stage `h` (wavenumber `k0s[h]`, ascending) from
-/// the rescaled carry of stage `h - 1` through `run_stage(h, initial)`, with
-/// per-hop obs, checkpoint/resume at hop boundaries, and a cooperative
-/// `stop` poll between stages (a pending stop returns the carry with
+/// The hop stage loop: runs stage `h` (on `setups[h]`, lowest frequency
+/// first) from the carry of stage `h - 1` ([`hop_carry`]) through
+/// `run_stage(h, initial)`, with per-hop obs, checkpoint/resume at hop
+/// boundaries, and a cooperative `stop` poll between stages (a pending stop
+/// returns the carry, on the grid of the last completed stage, with
 /// [`MultiFreqResult::interrupted`] set instead of discarding completed work
 /// — the checkpoint for every completed stage is already on disk). A stage
 /// that reports itself interrupted ends the loop the same way, without a hop
 /// checkpoint: its own runner checkpointed it.
+///
+/// Panics unless the stages ascend in frequency over one physical domain,
+/// each grid refining the previous one by a power of two (or equal to it).
+/// With the recorder on, every stage run pushes its grid side to the
+/// `multifreq.stage_side` series and the MLFMA multiplications its solves
+/// made (the growth of the `dbim.mults.*` counters) to
+/// `multifreq.stage_mults.*`; [`stage_report`] prints them.
 pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
-    k0s: &[f64],
-    n_pixels: usize,
+    setups: &[&ImagingSetup],
     checkpoint: Option<HopCheckpoint<'_>>,
     stop: Option<&dyn Fn() -> bool>,
     mut run_stage: impl FnMut(usize, Option<Vec<C64>>) -> Result<R, E>,
 ) -> Result<MultiFreqResult<R>, E> {
-    assert!(!k0s.is_empty());
+    assert_stages(setups);
     let _span = ffw_obs::span("multifreq");
     let mut start_stage = 0usize;
     let mut carry: Option<Vec<C64>> = None;
@@ -364,18 +503,21 @@ pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
         if ck.path.exists() {
             let ckpt = Checkpoint::load(ck.path, ck.fingerprint)?;
             let done = ckpt.next_iter as usize;
-            if done > k0s.len() {
+            if done > setups.len() {
                 return Err(CheckpointError::Malformed(format!(
                     "checkpoint covers {done} stages, schedule has {}",
-                    k0s.len()
+                    setups.len()
                 ))
                 .into());
             }
             if done > 0 {
+                // The carry is on the grid of the stage that wrote it.
+                let n_pixels = setups[done - 1].n_pixels();
                 if ckpt.object.len() != n_pixels {
                     return Err(CheckpointError::Malformed(format!(
-                        "checkpoint object has {} pixels, grid has {n_pixels}",
-                        ckpt.object.len()
+                        "checkpoint object has {} pixels, stage {} grid has {n_pixels}",
+                        ckpt.object.len(),
+                        done - 1
                     ))
                     .into());
                 }
@@ -387,8 +529,8 @@ pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
         }
     }
 
-    let mut stages = Vec::with_capacity(k0s.len().saturating_sub(start_stage));
-    for h in start_stage..k0s.len() {
+    let mut stages = Vec::with_capacity(setups.len().saturating_sub(start_stage));
+    for h in start_stage..setups.len() {
         if let Some(stop) = stop {
             if stop() {
                 return Ok(MultiFreqResult {
@@ -402,14 +544,18 @@ pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
         }
         let _hop_span = ffw_obs::span("hop");
         ffw_obs::counter("multifreq.hops").inc();
-        let initial = carry.take().map(|obj| {
-            // rescale O = k_prev^2 delta_eps  ->  k_new^2 delta_eps; the
-            // previous stage's k0 comes from the schedule itself, so a
-            // resumed carry rescales bit-identically to an in-process one
-            let s = k0s[h].powi(2) / k0s[h - 1].powi(2);
-            obj.into_iter().map(|v| v * s).collect::<Vec<C64>>()
-        });
+        ffw_obs::series_push("multifreq.stage_side", setups[h].domain.n_side() as f64);
+        // Both grids and wavenumbers come from the schedule itself, so a
+        // resumed carry arrives bit-identically to an in-process one.
+        let initial = carry
+            .take()
+            .map(|obj| hop_carry(setups[h - 1], setups[h], obj));
+        let mults_before = ffw_obs::enabled().then(mults_so_far);
         let result = run_stage(h, initial)?;
+        for ((class, before), (_, after)) in mults_before.iter().flatten().zip(mults_so_far()) {
+            let name = format!("multifreq.stage_mults.{class}");
+            ffw_obs::series_push(&name, (after - before) as f64);
+        }
         let object = result.object().to_vec();
         if let Some(done) = result.interrupted() {
             stages.push(result);
@@ -445,7 +591,7 @@ pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
     Ok(MultiFreqResult {
         object: carry.expect("non-empty schedule"),
         stages,
-        completed: k0s.len(),
+        completed: setups.len(),
         resumed: start_stage,
         interrupted: None,
     })

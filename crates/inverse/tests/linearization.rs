@@ -451,8 +451,8 @@ fn every_wgcv_lsqr_step_is_the_norm_of_its_object_change() {
             (ImagingSetup::new(domain, arc(8), arc(16)), engine(&plan))
         })
         .collect();
-    let k0s: Vec<f64> = stages.iter().map(|(s, _)| s.domain.k0()).collect();
-    hop_stages(&k0s, base.n_pixels(), None, None, |h, initial| {
+    let setups: Vec<&ImagingSetup> = stages.iter().map(|(s, _)| s).collect();
+    hop_stages(&setups, None, None, |h, initial| {
         let (setup, g0) = &stages[h];
         let object =
             object_from_contrast(&setup.domain, &setup.tree, &truth.rasterize(&setup.domain));

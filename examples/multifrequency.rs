@@ -8,6 +8,7 @@
 //! ```
 
 use ffw::geometry::{Domain, Point2, QuadTree, TransducerArray};
+use ffw::inverse::multifreq::stage_side;
 use ffw::inverse::{
     multi_frequency_dbim, synthesize_measurements, DbimConfig, FrequencyHop, ImagingSetup, MlfmaG0,
 };
@@ -19,8 +20,11 @@ use ffw::phantom::{
 use std::sync::Arc;
 
 fn stage(wavelength: f64, n_side: usize) -> (ImagingSetup, MlfmaG0) {
-    // one shared physical grid, sized lambda/10 at the highest frequency (1.0)
-    let domain = Domain::with_pixel_size(n_side, wavelength, 0.1);
+    // one physical domain, sized by n_side pixels of lambda/10 at the highest
+    // frequency (1.0); each stage on the coarsest grid with that many pixels
+    // per wavelength
+    let n = stage_side(n_side, wavelength);
+    let domain = Domain::with_pixel_size(n, wavelength, 0.1 * (n_side / n) as f64);
     let ring = 2.0 * domain.side();
     let setup = ImagingSetup::new(
         domain.clone(),
@@ -45,7 +49,11 @@ fn main() {
     };
     let truth_raster = truth.rasterize(&domain);
     let obj_hi = object_from_contrast(&domain, &tree, &truth_raster);
-    let obj_lo = object_from_contrast(&setup_lo.domain, &tree, &truth_raster);
+    let obj_lo = object_from_contrast(
+        &setup_lo.domain,
+        &setup_lo.tree,
+        &truth.rasterize(&setup_lo.domain),
+    );
     let mea_hi = synthesize_measurements(&setup_hi, &g0_hi, &obj_hi, Default::default());
     let mea_lo = synthesize_measurements(&setup_lo, &g0_lo, &obj_lo, Default::default());
 
@@ -81,7 +89,11 @@ fn main() {
     let err = |obj: &[ffw::numerics::C64]| {
         image_rel_error(&contrast_from_object(&domain, &tree, obj), &truth_raster)
     };
-    println!("contrast 0.3 cylinder, {n_side}x{n_side} px, 12 total DBIM iterations:");
+    println!(
+        "contrast 0.3 cylinder, {n_side}x{n_side} px (low-frequency stage at {0}x{0}), \
+         12 total DBIM iterations:",
+        setup_lo.domain.n_side()
+    );
     println!(
         "  single frequency:        image error {:.3}",
         err(&single.object)
