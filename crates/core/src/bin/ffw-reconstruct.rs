@@ -592,21 +592,33 @@ fn main() {
 
 /// Where the `G0` applies of the run went: MLFMA multiplications per
 /// forward-class solve by what the solve is for, next to the one figure the
-/// paper reports. Rank (0, 0) counts its own group's transmitters.
+/// paper reports, then the applies verification added on top of them. Rank
+/// (0, 0) counts its own group's transmitters.
 fn print_mults_per_solve(snap: &ffw_obs::Snapshot) {
-    let counter = |name: String| {
+    let counter = |name: &str| {
         snap.counters
             .iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
     };
     eprintln!("MLFMA multiplications per solve (paper, Fig. 13: 13.4 over all three)");
+    let mut all = 0;
     for (class, _) in SolveCounts::default().named() {
-        let solves = counter(format!("dbim.solves.{class}"));
-        let mults = counter(format!("dbim.mults.{class}"));
+        let solves = counter(&format!("dbim.solves.{class}"));
+        let mults = counter(&format!("dbim.mults.{class}"));
+        all += mults;
         eprintln!(
             "  {class:<9}{:>5.1}   ({mults} over {solves} solves)",
             mults as f64 / solves as f64
         );
     }
+    let audits = counter("sdc.audit_applies");
+    let checksums = counter("sdc.checksum_applies");
+    eprintln!(
+        "  verify   +{:.1}%   ({} applies: {audits} drift audits of {} columns, \
+         {checksums} checksums)",
+        100.0 * (audits + checksums) as f64 / all as f64,
+        audits + checksums,
+        counter("sdc.audits")
+    );
 }

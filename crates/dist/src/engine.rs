@@ -252,6 +252,9 @@ impl<'c> DistMlfma<'c> {
         let mut ys2: Vec<Vec<C64>> = ys_local.iter_mut().map(std::mem::take).collect();
         ys2.push(vec![C64::ZERO; n_local]);
         let applied = self.apply_block_inner(&xs2, &mut ys2);
+        if ffw_obs::enabled() {
+            ffw_obs::counter("sdc.checksum_applies").inc();
+        }
         let y_cs = ys2.pop().expect("checksum column");
         for (y, y2) in ys_local.iter_mut().zip(ys2) {
             *y = y2;

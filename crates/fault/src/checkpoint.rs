@@ -185,11 +185,20 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn len(&mut self, what: &str) -> Result<usize, CheckpointError> {
+    /// A `u32` field stored in a `u64` slot: a value past `u32::MAX` is
+    /// corruption, not a wrapped-around iteration or transmitter.
+    fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
+        let v = self.u64()?;
+        u32::try_from(v)
+            .map_err(|_| CheckpointError::Malformed(format!("{what} {v} does not fit in 32 bits")))
+    }
+
+    /// A count of entries that take at least `entry_bytes` each.
+    fn len(&mut self, what: &str, entry_bytes: usize) -> Result<usize, CheckpointError> {
         let n = self.u64()?;
-        // A length prefix larger than the remaining bytes is corruption,
-        // not a request to allocate.
-        if n > (self.bytes.len() - self.pos) as u64 {
+        // A count the remaining bytes cannot hold is corruption, not a
+        // request to allocate.
+        if n > ((self.bytes.len() - self.pos) / entry_bytes) as u64 {
             return Err(CheckpointError::Malformed(format!(
                 "{what} length {n} exceeds remaining payload"
             )));
@@ -198,7 +207,7 @@ impl<'a> Reader<'a> {
     }
 
     fn c64_vec(&mut self, what: &str) -> Result<Vec<(f64, f64)>, CheckpointError> {
-        let n = self.len(what)?;
+        let n = self.len(what, 16)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push((self.f64()?, self.f64()?));
@@ -263,13 +272,13 @@ impl Checkpoint {
             pos: 0,
         };
         let fingerprint = r.u64()?;
-        let next_iter = r.u64()? as u32;
-        let n_lost = r.len("lost_txs")?;
+        let next_iter = r.u32("next_iter")?;
+        let n_lost = r.len("lost_txs", 8)?;
         let mut lost_txs = Vec::with_capacity(n_lost);
         for _ in 0..n_lost {
-            lost_txs.push(r.u64()? as u32);
+            lost_txs.push(r.u32("lost tx")?);
         }
-        let n_res = r.len("residual_history")?;
+        let n_res = r.len("residual_history", 8)?;
         let mut residual_history = Vec::with_capacity(n_res);
         for _ in 0..n_res {
             residual_history.push(r.f64()?);
@@ -277,10 +286,10 @@ impl Checkpoint {
         let object = r.c64_vec("object")?;
         let grad_prev = r.c64_vec("grad_prev")?;
         let dir = r.c64_vec("dir")?;
-        let n_fields = r.len("fields")?;
+        let n_fields = r.len("fields", 16)?;
         let mut fields = Vec::with_capacity(n_fields);
         for _ in 0..n_fields {
-            let tx = r.u64()? as u32;
+            let tx = r.u32("field tx")?;
             fields.push((tx, r.c64_vec("field")?));
         }
         if r.pos != payload.len() {
@@ -454,6 +463,26 @@ mod tests {
         match Checkpoint::decode(&bytes) {
             Err(CheckpointError::Malformed(_)) => {}
             other => panic!("expected malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_u32_field_past_32_bits_is_malformed_not_truncated() {
+        // `sample()` payload offsets: next_iter at 8, the first lost tx at
+        // 24, the first field's tx after the residuals and three vectors.
+        let first_field = 8 + 8 + 8 + 16 + 8 + 24 + 3 * (8 + 3 * 16) + 8;
+        for (off, what) in [(8, "next_iter"), (24, "lost tx"), (first_field, "field tx")] {
+            let mut bytes = sample().encode();
+            let at = MAGIC.len() + off;
+            let v = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            bytes[at..at + 8].copy_from_slice(&(v | 1 << 32).to_le_bytes());
+            let payload_end = bytes.len() - 8;
+            let sum = fnv1a64(&bytes[8..payload_end]);
+            bytes[payload_end..].copy_from_slice(&sum.to_le_bytes());
+            match Checkpoint::decode(&bytes) {
+                Err(CheckpointError::Malformed(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: expected malformed, got {other:?}"),
+            }
         }
     }
 }

@@ -37,7 +37,9 @@ pub use integrity::{
     abft_lane_c64, abft_lane_f64, abft_verify_c64, abft_verify_f64, crc32, crc32_c64, crc32_f64,
     crc32_u64, crc32_update,
 };
-pub use plan::{ActiveFaults, ComputeFault, FaultPlan, OpAction, RetryPolicy, SendFault};
+pub use plan::{
+    splitmix64, ActiveFaults, ComputeFault, FaultPlan, OpAction, RetryPolicy, SendFault,
+};
 pub use shutdown::{
     install_shutdown_handler, request_shutdown, reset_shutdown, shutdown_requested,
 };

@@ -452,7 +452,9 @@ impl ActiveFaults {
     }
 }
 
-fn splitmix64(seed: u64) -> u64 {
+/// splitmix64 (Steele–Lea–Flood): the 64-bit mix every seeded schedule of
+/// the workspace draws from.
+pub fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

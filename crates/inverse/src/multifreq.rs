@@ -419,20 +419,32 @@ fn assert_stages(setups: &[&ImagingSetup]) {
     }
 }
 
-/// The `dbim.mults.*` counters, by class.
-fn mults_so_far() -> [(&'static str, u64); 3] {
-    SolveCounts::default().named().map(|(class, _)| {
-        (
+/// The `G0` applies a stage is charged with: the three solve classes, then
+/// `verify`, the applies verification added on top of them.
+fn stage_classes() -> [&'static str; 4] {
+    let [state, gradient, step] = SolveCounts::default().named().map(|(class, _)| class);
+    [state, gradient, step, "verify"]
+}
+
+/// The `dbim.mults.*` counters, by class, and `verify`: the drift audits'
+/// and checksum windows' applies (`sdc.audit_applies`,
+/// `sdc.checksum_applies`).
+fn mults_so_far() -> [(&'static str, u64); 4] {
+    let count = |name: &str| ffw_obs::counter(name).get();
+    stage_classes().map(|class| match class {
+        "verify" => (
             class,
-            ffw_obs::counter(&format!("dbim.mults.{class}")).get(),
-        )
+            count("sdc.audit_applies") + count("sdc.checksum_applies"),
+        ),
+        _ => (class, count(&format!("dbim.mults.{class}"))),
     })
 }
 
 /// One line per stage run in this process, from the recorder's
 /// `multifreq.stage_side` and `multifreq.stage_mults.*` series: the stage's
-/// grid and the MLFMA multiplications of each solve class. `first` numbers
-/// the first line (the stages a resume skipped come before it).
+/// grid, the MLFMA multiplications of each solve class and the applies
+/// verification added. `first` numbers the first line (the stages a resume
+/// skipped come before it).
 pub fn stage_report(snap: &ffw_obs::Snapshot, first: usize) -> Vec<String> {
     let series = |name: &str| {
         snap.series
@@ -440,7 +452,7 @@ pub fn stage_report(snap: &ffw_obs::Snapshot, first: usize) -> Vec<String> {
             .find(|(n, _)| n == name)
             .map_or(&[][..], |(_, v)| &v[..])
     };
-    let classes = SolveCounts::default().named().map(|(class, _)| class);
+    let classes = stage_classes();
     let mults = classes.map(|class| series(&format!("multifreq.stage_mults.{class}")));
     series("multifreq.stage_side")
         .iter()
@@ -487,7 +499,8 @@ pub struct HopCheckpoint<'a> {
 /// With the recorder on, every stage run pushes its grid side to the
 /// `multifreq.stage_side` series and the MLFMA multiplications its solves
 /// made (the growth of the `dbim.mults.*` counters) to
-/// `multifreq.stage_mults.*`; [`stage_report`] prints them.
+/// `multifreq.stage_mults.*`, with the applies its verification added as
+/// `multifreq.stage_mults.verify`; [`stage_report`] prints them.
 pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
     setups: &[&ImagingSetup],
     checkpoint: Option<HopCheckpoint<'_>>,

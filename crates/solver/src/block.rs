@@ -123,6 +123,106 @@ pub(crate) fn residual_drift<A: DistOp + ?Sized>(
     Ok(sum[0].re.sqrt() / b_norm)
 }
 
+/// The unit-modulus weight column `c` carries in the combined audit at its
+/// step `iter`: a phase from splitmix64, so it is the same on every rank and
+/// in every replay, and independent of the data it weighs.
+fn audit_weight(c: usize, iter: usize) -> C64 {
+    let bits = ffw_fault::splitmix64((c as u64) << 32 ^ iter as u64);
+    let (sin, cos) = (std::f64::consts::TAU * (bits >> 11) as f64 / (1u64 << 53) as f64).sin_cos();
+    c64(cos, sin)
+}
+
+/// `‖Σ g_c (b_c − r_rec_c − A x_c) / ‖b_c‖‖` over the columns `due`: the
+/// drifts of the whole set, each on its own relative scale and turned by
+/// its weight `g_c` ([`audit_weight`]), summed — with one operator apply
+/// (of `X = Σ g_c x_c / ‖b_c‖`) and one reduction.
+#[allow(clippy::too_many_arguments)]
+fn combined_drift<A: DistOp + ?Sized>(
+    a: &A,
+    bs: &[&[C64]],
+    xs: &[Vec<C64>],
+    r_rec: &[Vec<C64>],
+    b_norm: &[f64],
+    iters: &[usize],
+    due: &[usize],
+    ws: &Workspace,
+) -> Result<f64, A::Error> {
+    let mut mix = ws.lease(a.n_local(), 2);
+    let (mixed, applied) = mix.split_at_mut(1);
+    mixed[0].fill(C64::ZERO);
+    for &c in due {
+        axpy(audit_weight(c, iters[c]) / b_norm[c], &xs[c], &mut mixed[0]);
+    }
+    a.try_apply_block_local(&[&mixed[0]], applied)?;
+    // `mixed` now takes `T = Σ g_c (b_c − r_rec_c) / ‖b_c‖`.
+    mixed[0].fill(C64::ZERO);
+    for &c in due {
+        let w = audit_weight(c, iters[c]) / b_norm[c];
+        for (t, (bi, ri)) in mixed[0].iter_mut().zip(bs[c].iter().zip(&r_rec[c])) {
+            *t = w.mul_add(*bi - *ri, *t);
+        }
+    }
+    let diff2: f64 = mixed[0]
+        .iter()
+        .zip(&applied[0])
+        .map(|(t, y)| (*t - *y).norm_sqr())
+        .sum();
+    let mut sum = [c64(diff2, 0.0)];
+    a.reduce(&mut sum)?;
+    Ok(sum[0].re.sqrt())
+}
+
+/// Audits the columns `due` at one point of a lockstep step — iterates
+/// `xs`, recursive residuals `r_rec` — and returns those whose drift
+/// exceeds [`DriftGuard::rel_tol`], the ones to roll back.
+///
+/// A single column gets the exact audit, [`residual_drift`]. Several get
+/// Freivalds' randomised check of the Huang–Abraham identity first:
+/// [`combined_drift`] with one apply, passing at `rel_tol / 2`. One column
+/// past `rel_tol` next to siblings drifting by less than `rel_tol / 2` in
+/// all (clean ones read ~1e-13) fails it by the triangle inequality, and
+/// the random phases keep drifts of several columns from cancelling. Only
+/// when it fails does every column get its exact audit, and those alone
+/// decide: the combined check can spare audits, never roll a column back.
+/// The applies are charged to `verify_mv` — the combined one to the first
+/// column — so a panel's `verify_matvecs` add up to what the audits spent.
+#[allow(clippy::too_many_arguments)]
+fn audit<A: DistOp + ?Sized>(
+    a: &A,
+    g: &DriftGuard,
+    bs: &[&[C64]],
+    xs: &[Vec<C64>],
+    r_rec: &[Vec<C64>],
+    b_norm: &[f64],
+    iters: &[usize],
+    due: &[usize],
+    verify_mv: &mut [usize],
+    ws: &Workspace,
+) -> Result<Vec<usize>, A::Error> {
+    let within = |drift: f64, tol: f64| drift.is_finite() && drift <= tol;
+    let mut applies = 0;
+    if due.len() > 1 {
+        applies += 1;
+        verify_mv[due[0]] += 1;
+        let drift = combined_drift(a, bs, xs, r_rec, b_norm, iters, due, ws)?;
+        if within(drift, g.rel_tol / 2.0) {
+            g.record_audits(due.len(), applies);
+            return Ok(Vec::new());
+        }
+    }
+    let mut failed = Vec::new();
+    for &c in due {
+        applies += 1;
+        verify_mv[c] += 1;
+        let drift = residual_drift(a, bs[c], &xs[c], &r_rec[c], b_norm[c], ws)?;
+        if !within(drift, g.rel_tol) {
+            failed.push(c);
+        }
+    }
+    g.record_audits(due.len(), applies);
+    Ok(failed)
+}
+
 /// Per-column recurrence state of one sweep: everything the freeze, snapshot
 /// and rollback bookkeeping touches, so those are written once.
 struct Panel<'x, 'w> {
@@ -310,10 +410,12 @@ fn applied<'a>(
 /// corruption re-detects until [`DriftGuard::max_rollbacks`] is exhausted,
 /// at which point the guard escalates (`guard.escalated() > 0`) and the
 /// column is surfaced unconverged at its last verified iterate — never
-/// silently converged. On a clean run the audits touch no recurrence state,
-/// so every column's trajectory — iterates, residuals, `iterations`,
-/// `matvecs` — is bit-identical to the unguarded solve; the audit applies
-/// are reported in `verify_matvecs`.
+/// silently converged. The columns due at one point of a lockstep step are
+/// audited together, with one apply while none has drifted (`audit`). On a
+/// clean run the audits touch no recurrence state, so every column's
+/// trajectory — iterates, residuals, `iterations`, `matvecs` — is
+/// bit-identical to the unguarded solve; the audit applies are reported in
+/// `verify_matvecs` and counted by the guard.
 ///
 /// **`precond`** — right preconditioning in the form that updates `x`
 /// directly (Templates, ch. 2.3.8): the applies see `M p` and `M s`, the
@@ -586,6 +688,8 @@ fn sweep<A: DistOp + ?Sized>(
         }
         reduce_cols(a, &mut s_sq)?;
         let mut after_s = Vec::with_capacity(active.len());
+        // Would-be convergences a guard audits, all at once below.
+        let mut due = Vec::new();
         for (k, &c) in active.iter().enumerate() {
             s_norm[c] = s_sq[k].re.sqrt();
             let rel = s_norm[c] / b_norm[c];
@@ -598,20 +702,39 @@ fn sweep<A: DistOp + ?Sized>(
                 &applied(precond, &st.p, &p_hat)[c],
                 &mut st.xs[c],
             );
-            if let Some(g) = guard {
-                // Audit the would-be convergence: the recursive residual
-                // here is `s` and the candidate iterate is x + alpha p.
-                st.verify_mv[c] += 1;
-                let drift = residual_drift(a, bs[c], &st.xs[c], &s[c], b_norm[c], ws)?;
-                if !(drift.is_finite() && drift <= g.rel_tol) {
+            if guard.is_some() {
+                due.push(c);
+            } else {
+                ffw_obs::series_push("solver.bicgstab.residual", rel);
+                st.finish(c, rel, true);
+            }
+        }
+        if let Some(g) = guard.filter(|_| !due.is_empty()) {
+            // The recursive residual here is `s` and the candidate iterate
+            // is x + alpha p.
+            let failed = audit(
+                a,
+                g,
+                bs,
+                st.xs,
+                &s,
+                &b_norm,
+                &st.iters,
+                &due,
+                &mut st.verify_mv,
+                ws,
+            )?;
+            for c in due {
+                if failed.contains(&c) {
                     if st.recover(g, c) {
                         resumed.push(c);
                     }
                     continue;
                 }
+                let rel = s_norm[c] / b_norm[c];
+                ffw_obs::series_push("solver.bicgstab.residual", rel);
+                st.finish(c, rel, true);
             }
-            ffw_obs::series_push("solver.bicgstab.residual", rel);
-            st.finish(c, rel, true);
         }
         active = after_s;
 
@@ -676,6 +799,7 @@ fn sweep<A: DistOp + ?Sized>(
         }
         reduce_cols(a, &mut r_sq)?;
         let mut after_update = Vec::with_capacity(active.len());
+        let mut due = Vec::new();
         for (k, &c) in active.iter().enumerate() {
             let res_new = r_sq[k].re.sqrt() / b_norm[c];
             if !res_new.is_finite() {
@@ -703,32 +827,47 @@ fn sweep<A: DistOp + ?Sized>(
                 st.rho[c] = rho_new[c];
             }
             // Audits: every would-be convergence, and every `period` steps
-            // at a top-of-loop state. A pass at a periodic audit refreshes
-            // the rollback snapshot; a failure rolls back (or, with the
-            // budget exhausted, escalates and freezes).
-            if let Some(g) = guard {
-                if converged || st.iters[c].is_multiple_of(g.period) {
-                    st.verify_mv[c] += 1;
-                    let drift = residual_drift(a, bs[c], &st.xs[c], &st.r[c], b_norm[c], ws)?;
-                    if !(drift.is_finite() && drift <= g.rel_tol) {
-                        if st.recover(g, c) {
-                            resumed.push(c);
-                        }
-                        continue;
-                    }
-                    if !converged {
-                        st.snapshot(c);
-                    }
-                }
-            }
-            if converged {
+            // at a top-of-loop state.
+            if guard.is_some_and(|g| converged || st.iters[c].is_multiple_of(g.period)) {
+                due.push(c);
+            } else if converged {
                 st.finish(c, res_new, true);
             } else {
                 after_update.push(c);
             }
         }
+        if let Some(g) = guard.filter(|_| !due.is_empty()) {
+            // A pass at a periodic audit refreshes the rollback snapshot; a
+            // failure rolls back (or, with the budget exhausted, escalates
+            // and freezes).
+            let failed = audit(
+                a,
+                g,
+                bs,
+                st.xs,
+                &st.r,
+                &b_norm,
+                &st.iters,
+                &due,
+                &mut st.verify_mv,
+                ws,
+            )?;
+            for c in due {
+                if failed.contains(&c) {
+                    if st.recover(g, c) {
+                        resumed.push(c);
+                    }
+                } else if st.res[c] < cfg.tol {
+                    st.finish(c, st.res[c], true);
+                } else {
+                    st.snapshot(c);
+                    after_update.push(c);
+                }
+            }
+        }
         active = after_update;
-        if !resumed.is_empty() {
+        if guard.is_some() {
+            // Audited and rolled-back columns rejoin in column order.
             active.extend(resumed);
             active.sort_unstable();
         }
@@ -1050,38 +1189,273 @@ mod tests {
     fn guarded_clean_run_is_bit_identical_and_audited() {
         // Audits read state but never write it, so a corruption-free guarded
         // solve must reproduce the unguarded trajectory exactly — same
-        // iterate bits, same per-column iteration/matvec counts — while
-        // charging its audit applies to `verify_matvecs`.
+        // iterate bits, same per-column iteration/matvec counts — at every
+        // panel width, while its `verify_matvecs` add up to the applies the
+        // audits spent, fewer than the columns they audited.
         let n = 40;
         let a = random_mat(n, 101, 7.0);
-        let bs: Vec<Vec<C64>> = (0..3).map(|i| random_vec(n, 110 + i)).collect();
-        let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
+        let bs: Vec<Vec<C64>> = (0..8).map(|i| random_vec(n, 110 + i)).collect();
         let cfg = IterConfig {
             tol: 1e-9,
             max_iters: 300,
         };
-        let mut xs_plain = vec![vec![C64::ZERO; n]; 3];
-        let plain = bicgstab_block(&a, &b_refs, &mut xs_plain, cfg);
-        let guard = DriftGuard::new(4, 1e-8, 2);
-        let mut xs_guarded = vec![vec![C64::ZERO; n]; 3];
-        let guarded = bicgstab_block_with(
+        for width in 1..=8 {
+            let b_refs: Vec<&[C64]> = bs[..width].iter().map(|b| b.as_slice()).collect();
+            let mut xs_plain = vec![vec![C64::ZERO; n]; width];
+            let plain = bicgstab_block(&a, &b_refs, &mut xs_plain, cfg);
+            let guard = DriftGuard::new(4, 1e-8, 2);
+            let mut xs_guarded = vec![vec![C64::ZERO; n]; width];
+            let guarded = bicgstab_block_with(
+                &a,
+                &b_refs,
+                &mut xs_guarded,
+                cfg,
+                Some(&guard),
+                None,
+                &Workspace::new(),
+            );
+            assert_eq!(guard.detected(), 0, "clean run must not trip the guard");
+            for c in 0..width {
+                assert_eq!(xs_guarded[c], xs_plain[c], "column {c} iterate");
+                assert_eq!(guarded[c].iterations, plain[c].iterations);
+                assert_eq!(guarded[c].matvecs, plain[c].matvecs, "column {c}");
+                assert_eq!(guarded[c].rel_residual, plain[c].rel_residual);
+                assert!(guarded[c].converged);
+                assert_eq!(guarded[c].rolled_back, 0);
+            }
+            // Every column passes its periodic audits before the step it
+            // converges at, and its convergence.
+            let audits: usize = plain.iter().map(|s| (s.iterations - 1) / 4 + 1).sum();
+            assert_eq!(guard.audits(), audits as u64, "width {width}");
+            let spent: usize = guarded.iter().map(|s| s.verify_matvecs).sum();
+            assert_eq!(spent as u64, guard.audit_applies(), "width {width}");
+            if width > 1 {
+                assert!(guard.audit_applies() < guard.audits(), "width {width}");
+            } else {
+                assert_eq!(guard.audit_applies(), guard.audits());
+            }
+        }
+    }
+
+    /// `width` random right-hand sides, random iterates, their exact
+    /// residuals `b − A x`, and `‖b‖`.
+    #[allow(clippy::type_complexity)]
+    fn audited_panel(
+        a: &Matrix,
+        width: usize,
+    ) -> (Vec<Vec<C64>>, Vec<Vec<C64>>, Vec<Vec<C64>>, Vec<f64>) {
+        let n = a.rows();
+        let bs: Vec<Vec<C64>> = (0..width).map(|c| random_vec(n, 300 + c as u64)).collect();
+        let xs: Vec<Vec<C64>> = (0..width).map(|c| random_vec(n, 400 + c as u64)).collect();
+        let rs = bs
+            .iter()
+            .zip(&xs)
+            .map(|(b, x)| {
+                let mut ax = vec![C64::ZERO; n];
+                a.matvec(x, &mut ax);
+                b.iter().zip(&ax).map(|(bi, yi)| *bi - *yi).collect()
+            })
+            .collect();
+        let b_norm = bs.iter().map(|b| norm2_sqr(b).sqrt()).collect();
+        (bs, xs, rs, b_norm)
+    }
+
+    #[test]
+    fn combined_audit_traces_one_flipped_bit_to_its_column() {
+        // One bit of one iterate flipped, at every column of panels 2..=8
+        // wide: the combined check fails, the exact audits name that column
+        // alone, and it costs one apply more than the panel is wide.
+        let n = 40;
+        let a = random_mat(n, 201, 7.0);
+        let ws = Workspace::new();
+        for width in 2..=8 {
+            let (bs, xs, rs, b_norm) = audited_panel(&a, width);
+            let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
+            let due: Vec<usize> = (0..width).collect();
+            let iters = vec![1; width];
+            let guard = DriftGuard::new(4, 1e-8, 2);
+            let mut mv = vec![0; width];
+            let Ok(clean) = audit(
+                &a, &guard, &b_refs, &xs, &rs, &b_norm, &iters, &due, &mut mv, &ws,
+            );
+            assert!(clean.is_empty(), "width {width}: a clean panel passes");
+            assert_eq!((guard.audits(), guard.audit_applies()), (width as u64, 1));
+            for bad in 0..width {
+                for bit in [36, 44, 52, 56, 62] {
+                    let mut xs = xs.clone();
+                    let i = (7 * bad + bit as usize) % n;
+                    xs[bad][i].re = f64::from_bits(xs[bad][i].re.to_bits() ^ 1 << bit);
+                    let g = DriftGuard::new(4, 1e-8, 2);
+                    let mut mv = vec![0; width];
+                    let Ok(failed) = audit(
+                        &a, &g, &b_refs, &xs, &rs, &b_norm, &iters, &due, &mut mv, &ws,
+                    );
+                    assert_eq!(failed, [bad], "width {width}, bit {bit}");
+                    assert_eq!(g.audit_applies(), width as u64 + 1);
+                    assert_eq!(mv.iter().sum::<usize>(), width + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn combined_audit_fails_just_above_the_tolerance_and_rolls_back_by_the_exact_one() {
+        // A column drifting 1% past `rel_tol` next to clean siblings fails
+        // the combined check, and its exact audit rolls it back; one 1%
+        // inside `rel_tol` fails the combined check too (it passes at
+        // `rel_tol / 2`), but its exact audit keeps it — no false positive.
+        let n = 40;
+        let a = random_mat(n, 211, 7.0);
+        let ws = Workspace::new();
+        let tol = 1e-8;
+        for width in 2..=8 {
+            let (bs, xs, rs, b_norm) = audited_panel(&a, width);
+            let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
+            let due: Vec<usize> = (0..width).collect();
+            let iters: Vec<usize> = (0..width).map(|c| 3 + c).collect();
+            for bad in 0..width {
+                for (scale, rolled) in [(1.01, true), (0.99, false)] {
+                    let mut rs = rs.clone();
+                    let e = random_vec(n, 500 + bad as u64);
+                    let s = scale * tol * b_norm[bad] / norm2_sqr(&e).sqrt();
+                    axpy(c64(s, 0.0), &e, &mut rs[bad]);
+                    let Ok(combined) =
+                        combined_drift(&a, &b_refs, &xs, &rs, &b_norm, &iters, &due, &ws);
+                    assert!(combined > tol / 2.0, "width {width}: {combined:e}");
+                    let g = DriftGuard::new(4, tol, 2);
+                    let mut mv = vec![0; width];
+                    let Ok(failed) = audit(
+                        &a, &g, &b_refs, &xs, &rs, &b_norm, &iters, &due, &mut mv, &ws,
+                    );
+                    let want: &[usize] = if rolled { &[bad] } else { &[] };
+                    assert_eq!(failed, want, "width {width}, column {bad} at {scale}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn combined_audit_sees_drifts_a_plain_sum_cancels() {
+        // Two iterates moved by the same vector in opposite directions, each
+        // on its own column's scale: the unweighted combination is exactly
+        // clean, the phases are not, and both columns roll back.
+        let n = 40;
+        let a = random_mat(n, 231, 7.0);
+        let ws = Workspace::new();
+        let (bs, mut xs, rs, b_norm) = audited_panel(&a, 4);
+        let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
+        let e = random_vec(n, 700);
+        axpy(c64(1e-6 * b_norm[0], 0.0), &e, &mut xs[0]);
+        axpy(c64(-1e-6 * b_norm[2], 0.0), &e, &mut xs[2]);
+        let due = [0, 1, 2, 3];
+        let g = DriftGuard::new(4, 1e-8, 2);
+        let Ok(failed) = audit(
             &a,
+            &g,
             &b_refs,
-            &mut xs_guarded,
-            cfg,
-            Some(&guard),
-            None,
-            &Workspace::new(),
+            &xs,
+            &rs,
+            &b_norm,
+            &[5; 4],
+            &due,
+            &mut [0; 4],
+            &ws,
         );
-        assert_eq!(guard.detected(), 0, "clean run must not trip the guard");
-        for c in 0..3 {
-            assert_eq!(xs_guarded[c], xs_plain[c], "column {c} iterate");
-            assert_eq!(guarded[c].iterations, plain[c].iterations);
-            assert_eq!(guarded[c].matvecs, plain[c].matvecs, "column {c}");
-            assert_eq!(guarded[c].rel_residual, plain[c].rel_residual);
-            assert!(guarded[c].converged);
-            assert!(guarded[c].verify_matvecs > 0, "column {c} was audited");
-            assert_eq!(guarded[c].rolled_back, 0);
+        assert_eq!(failed, [0, 2]);
+    }
+
+    #[test]
+    fn combined_audit_rolls_back_one_column_and_replays_it_bit_identically() {
+        // One bit flipped in one column's `A p` on the second step. The
+        // periodic audit at step 4 finds it in a combined check over the
+        // whole panel; that column alone rolls back and replays, and every
+        // column — the corrupted one too — ends bit-identical to the clean
+        // solve, its siblings with their clean stats.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Flip<'m> {
+            m: &'m Matrix,
+            calls: AtomicUsize,
+            bad: usize,
+            bit: u32,
+        }
+        impl crate::op::LinOp for Flip<'_> {
+            fn dim_out(&self) -> usize {
+                self.m.rows()
+            }
+            fn dim_in(&self) -> usize {
+                self.m.cols()
+            }
+            fn apply(&self, x: &[C64], y: &mut [C64]) {
+                self.m.matvec(x, y);
+            }
+        }
+        impl crate::op::BlockLinOp for Flip<'_> {
+            fn apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) {
+                for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                    self.m.matvec(x, y);
+                }
+                // Block apply 4 is the panel's `A p` of step 2; the flip
+                // lands on the column's largest real part (at least 2, so
+                // no exponent flip can overflow it).
+                if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == 4 {
+                    let y = &mut ys[self.bad];
+                    let i = (0..y.len())
+                        .max_by(|&i, &j| y[i].re.abs().total_cmp(&y[j].re.abs()))
+                        .unwrap();
+                    assert!(y[i].re.abs() >= 2.0);
+                    y[i].re = f64::from_bits(y[i].re.to_bits() ^ 1 << self.bit);
+                }
+            }
+        }
+        let n = 40;
+        let m = random_mat(n, 221, 7.0);
+        let cfg = IterConfig {
+            tol: 1e-9,
+            max_iters: 300,
+        };
+        for width in 2..=8 {
+            let bs: Vec<Vec<C64>> = (0..width)
+                .map(|c| {
+                    random_vec(n, 600 + c as u64)
+                        .iter()
+                        .map(|v| *v * 10.0)
+                        .collect()
+                })
+                .collect();
+            let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
+            let mut x_clean = vec![vec![C64::ZERO; n]; width];
+            let clean = bicgstab_block(&m, &b_refs, &mut x_clean, cfg);
+            assert!(clean.iter().all(|s| s.converged && s.iterations > 4));
+            for bad in 0..width {
+                for bit in [36, 44, 52, 56, 62] {
+                    let op = Flip {
+                        m: &m,
+                        calls: AtomicUsize::new(0),
+                        bad,
+                        bit,
+                    };
+                    let guard = DriftGuard::new(4, 1e-8, 2);
+                    let mut xs = vec![vec![C64::ZERO; n]; width];
+                    let stats = bicgstab_block_with(
+                        &op,
+                        &b_refs,
+                        &mut xs,
+                        cfg,
+                        Some(&guard),
+                        None,
+                        &Workspace::new(),
+                    );
+                    let at = format!("width {width}, column {bad}, bit {bit}");
+                    assert_eq!((guard.detected(), guard.escalated()), (1, 0), "{at}");
+                    assert_eq!(xs, x_clean, "{at}");
+                    for c in 0..width {
+                        assert_eq!(stats[c].iterations, clean[c].iterations, "{at}");
+                        assert_eq!(stats[c].matvecs, clean[c].matvecs, "{at}");
+                        assert_eq!(stats[c].rel_residual, clean[c].rel_residual, "{at}");
+                        assert_eq!(stats[c].rolled_back > 0, c == bad, "{at}: column {c}");
+                    }
+                }
+            }
         }
     }
 

@@ -30,7 +30,10 @@ use std::fmt;
 ///   gates pin).
 /// - `verify_matvecs` counts operator applications spent on compute
 ///   integrity instead: drift-guard true-residual audits, plus the applies
-///   of iterations a [`crate::DriftGuard`] rollback discarded. Keeping them
+///   of iterations a [`crate::DriftGuard`] rollback discarded. One apply
+///   audits every column due at a lockstep point together and is charged
+///   to the first of them, so the columns of a panel add up to the applies
+///   its audits spent; a column's own count can be 0. Keeping them
 ///   out of `matvecs` preserves the per-solver `matvecs`/`iterations`
 ///   invariants (e.g. BiCGStab's `2 i + 1`) that the BENCH gates rely on.
 /// - `rolled_back` counts update steps discarded by drift-guard rollbacks

@@ -28,7 +28,9 @@
 //!   recompute the *true* residual `b - A x` every few iterations and treat
 //!   recursive-vs-true divergence beyond tolerance as detected corruption,
 //!   rolling back to the last verified iterate instead of silently
-//!   converging to a wrong answer.
+//!   converging to a wrong answer. The columns due at one step share one
+//!   apply: a random combination of them is audited (Freivalds' check of
+//!   the same identity), and the per-column audits run only when it fails.
 //!
 //! The window form exists for performance: a fused width-`B` panel costs far
 //! less than `B` single applies, so a per-panel ride-along checksum column
@@ -36,18 +38,19 @@
 //! odd width — measured ~36% at `B = 8` on a 32² workload. Amortizing one
 //! checksum apply over a `period`-panel window is what `ffw-bench --bin
 //! sdc_overhead` gates under 5% (it reads 1–2%) — for back-to-back width-8
-//! panels at 32², the checksum window alone. A reconstruction pays more,
-//! and the ladder says how much (EXPERIMENTS.md, PR 17): with the drift
-//! guard on as well, `recon_s` on `serial-256` (batch 4, one outer
-//! iteration) is 1.24–1.35× the unverified run — of the +0.08 s, 0.055 s are
-//! the six width-1 audit and checksum applies (of fourteen; the others are
-//! of zero columns) that traverse the tree — every would-be convergence is
-//! audited, and a window is closed at every iteration boundary however few
-//! panels it holds — and
-//! 0.025 s are the fold, snapshot and audit passes between the applies —
-//! and 1.12–1.21× on `hop-wgcv-64`. Short solves and short windows are what
-//! make it expensive: the price falls with the iterations per solve and the
-//! panels per window, not with the panel width.
+//! panels at 32², the checksum window alone. A reconstruction pays more: a
+//! window is closed at every iteration boundary however few panels it
+//! holds, and the drift guard audits every solve. Measured as verified /
+//! unverified pairs inside one process on a 2-vCPU AVX2 + FMA host
+//! (EXPERIMENTS.md, "One drift audit per lockstep point"), `recon_s` on
+//! `serial-256` (batch 4, one outer iteration) is 1.11–1.20× the
+//! unverified run and on `hop-wgcv-64` 1.09–1.10×. The guard audits all
+//! the columns due at one lockstep point with one apply ([`DriftGuard`]),
+//! so `hop-wgcv-64` spends 92 verification applies on top of its 2 066
+//! columns: 71 audit applies for 352 column audits, and 21 checksum
+//! windows. Short solves and short windows are what make the rest: the
+//! price falls with the iterations per solve and the panels per window,
+//! not with the panel width.
 //!
 //! The window's sums are walked once per panel, a cache block at a time,
 //! and the panel that closes a window is verified *in hand* — its outputs
@@ -78,7 +81,7 @@ pub const DEFAULT_CHECKSUM_REL_TOL: f64 = 1e-9;
 /// cost at 1–2% of back-to-back width-8 panels (`ffw-bench --bin
 /// sdc_overhead` gates it under 5%). That is not what a reconstruction
 /// pays: a DBIM run closes its window at every iteration boundary and
-/// audits every solve, and reads 1.24–1.35× on `serial-256` (module docs).
+/// audits every solve, and reads 1.11–1.20× on `serial-256` (module docs).
 /// Detection latency is bounded by the window: corruption in a consumed
 /// panel is caught at most `period - 1` panels later and escalated for
 /// rollback/retry recovery.
@@ -336,6 +339,9 @@ impl<'a, A: BlockLinOp + ?Sized> VerifiedBlockOp<'a, A> {
                 }
             }
             self.inner.apply(&w.x_cs, &mut w.y_cs);
+            if ffw_obs::enabled() {
+                ffw_obs::counter("sdc.checksum_applies").inc();
+            }
             let in_hand: &[Vec<C64>] = pending.as_ref().map_or(&[], |p| &*p.ys);
             match checksum_mismatch(&w.y_cs, &w.y_sum, &w.abs_acc, in_hand, &self.cfg) {
                 None => {
@@ -634,6 +640,13 @@ impl<A: BlockLinOp + ?Sized> BlockLinOp for VerifiedBlockOp<'_, A> {
 /// corruption replays clean; deterministic corruption re-detects and is
 /// bounded by `max_rollbacks`, after which the guard escalates and the
 /// solve is surfaced unconverged instead of silently wrong.
+///
+/// The columns of a panel due at one point of a lockstep step are audited
+/// together: one apply checks a random combination of them against
+/// `rel_tol / 2` (Freivalds), and only when that fails does each column get
+/// its own audit — which alone decides a rollback. [`Self::audits`] and
+/// [`Self::audit_applies`] say how many columns were audited with how many
+/// applies.
 #[derive(Debug)]
 pub struct DriftGuard {
     /// Update steps between true-residual audits.
@@ -645,6 +658,8 @@ pub struct DriftGuard {
     detected: AtomicU64,
     rolled_back: AtomicU64,
     escalated: AtomicU64,
+    audits: AtomicU64,
+    audit_applies: AtomicU64,
 }
 
 impl Default for DriftGuard {
@@ -668,7 +683,21 @@ impl DriftGuard {
             detected: AtomicU64::new(0),
             rolled_back: AtomicU64::new(0),
             escalated: AtomicU64::new(0),
+            audits: AtomicU64::new(0),
+            audit_applies: AtomicU64::new(0),
         }
+    }
+
+    /// Column audits so far: a column reaching an audit point counts once,
+    /// however many applies its audit took.
+    pub fn audits(&self) -> u64 {
+        self.audits.load(Ordering::SeqCst)
+    }
+
+    /// Operator applies the audits spent so far: one per audit point, plus
+    /// one per column at a point whose combined check failed.
+    pub fn audit_applies(&self) -> u64 {
+        self.audit_applies.load(Ordering::SeqCst)
     }
 
     /// Drift detections so far.
@@ -684,6 +713,16 @@ impl DriftGuard {
     /// Columns whose rollback budget was exhausted.
     pub fn escalated(&self) -> u64 {
         self.escalated.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn record_audits(&self, columns: usize, applies: usize) {
+        self.audits.fetch_add(columns as u64, Ordering::SeqCst);
+        self.audit_applies
+            .fetch_add(applies as u64, Ordering::SeqCst);
+        if ffw_obs::enabled() {
+            ffw_obs::counter("sdc.audits").add(columns as u64);
+            ffw_obs::counter("sdc.audit_applies").add(applies as u64);
+        }
     }
 
     pub(crate) fn record_detected(&self) {

@@ -121,6 +121,7 @@ fn second_and_later_solves_allocate_no_n_vector() {
     let mut solve = |adjoint: bool, width: usize| {
         xs.iter_mut().for_each(|x| x.fill(C64::ZERO));
         let (bs, xs) = (&b_refs[..width], &mut xs[..width]);
+        let audits = guard.audits();
         let stats = if adjoint {
             backend.solve_adjoint_block(bs, xs, cfg)
         } else {
@@ -129,9 +130,7 @@ fn second_and_later_solves_allocate_no_n_vector() {
         .expect("solve");
         assert!(stats.iter().all(|s| s.converged), "{stats:?}");
         assert!(
-            stats
-                .iter()
-                .all(|s| s.iterations > 4 && s.verify_matvecs > 2),
+            stats.iter().all(|s| s.iterations > 4) && guard.audits() - audits > 2 * width as u64,
             "the solve must reach its periodic audits: {stats:?}"
         );
     };
