@@ -607,10 +607,12 @@ fn print_mults_per_solve(snap: &ffw_obs::Snapshot) {
         let solves = counter(&format!("dbim.solves.{class}"));
         let mults = counter(&format!("dbim.mults.{class}"));
         all += mults;
-        eprintln!(
-            "  {class:<9}{:>5.1}   ({mults} over {solves} solves)",
-            mults as f64 / solves as f64
-        );
+        // `wgcv-lsqr` runs no step solve
+        let per_solve = match solves {
+            0 => "-".to_string(),
+            _ => format!("{:.1}", mults as f64 / solves as f64),
+        };
+        eprintln!("  {class:<9}{per_solve:>5}   ({mults} over {solves} solves)");
     }
     let audits = counter("sdc.audit_applies");
     let checksums = counter("sdc.checksum_applies");

@@ -31,16 +31,23 @@
 //! The paper's only regularization is early termination (Section V-B);
 //! [`DbimConfig::regularizer`] adds selectable penalties and a
 //! hybrid-projection update on the linearized step (see
-//! [`crate::regularize`]). Its Golub–Kahan products are the same two solves
-//! and run at the same [`LINEAR_STEP_TOL`]. What keeps the projected problem
-//! faithful at that accuracy is that both Krylov bases are reorthogonalized
-//! at every step ([`Passes::golub_kahan`]): the plain recurrence loses
-//! orthogonality within a few steps even with products at `1e-4`. The update
+//! [`crate::regularize`]). Its Golub–Kahan recurrence applies every `F_t`
+//! and `F_t^H` once per step, and all of them share one operator: with
+//! `A = I - G0 O` and `B = I - O G0`, the push-through identity gives
+//! `F_t = GR (I + O A^{-1} G0) diag(phi_t) = M diag(phi_t)`, `M = GR B^{-1}`.
+//! `M` has one row per receiver, and row `rx` is the adjoint solve of step 2
+//! with the receiver as its right-hand side (reciprocity: the receivers act
+//! as sources). So the update runs `R` adjoint solves per outer iteration
+//! at [`LINEAR_STEP_TOL`], booked as gradient solves, and every product
+//! after them is dense ([`ReceiverSide`]); it books no step solve. One
+//! matrix makes `F` and `F^H` an adjoint pair to rounding, and both Krylov
+//! bases are reorthogonalized at every step ([`Passes::golub_kahan`]): the
+//! plain recurrence loses orthogonality within a few steps. The update
 //! takes no single step along one direction, so there are no `u_t` to
 //! predict the next fields from.
 
 use crate::precond::LeafBlockJacobi;
-use crate::problem::ImagingSetup;
+use crate::problem::{rows_adjoint_apply, rows_apply, ImagingSetup};
 use crate::regularize::{laplacian_tree, Bidiag, ProjectedProblem, Regularizer};
 use ffw_fault::{Checkpoint, FaultError, Fingerprint};
 use ffw_mlfma::MlfmaPlan;
@@ -48,15 +55,15 @@ use ffw_numerics::vecops::{axpy_real, norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
 use ffw_solver::{
     g0_adjoint_apply_block, BicgstabBackend, BlockLinOp, CountingOp, DistOp, DriftGuard,
-    IterConfig, PrecondPair, SolveStats, VerifiedBlockOp, VerifyConfig, Workspace,
+    IterConfig, Leased, PrecondPair, SolveStats, VerifiedBlockOp, VerifyConfig, Workspace,
 };
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Relative residual the solves of the linearisation stop at — the gradient
-/// and step solves of the nonlinear-CG path and the Golub–Kahan products of
-/// the `wgcv-lsqr` update (or [`DbimConfig::forward`]'s tolerance, if that
+/// and step solves of the nonlinear-CG path and the receiver solves of the
+/// `wgcv-lsqr` update (or [`DbimConfig::forward`]'s tolerance, if that
 /// is looser). They solve a linearisation that is itself only first-order
 /// accurate in the step, so accuracy beyond it buys BiCGStab iterations and
 /// no descent.
@@ -72,8 +79,9 @@ pub struct DbimConfig {
     pub iterations: usize,
     /// Solver settings of the state solves — the fields that define the
     /// residual (paper: BiCGStab at 1e-4). The solves of the linearisation
-    /// (the gradient and step solves of the nonlinear-CG path, every product
-    /// of the `wgcv-lsqr` update) run at `max(forward.tol, LINEAR_STEP_TOL)`.
+    /// (the gradient and step solves of the nonlinear-CG path, the receiver
+    /// solves of the `wgcv-lsqr` update) run at
+    /// `max(forward.tol, LINEAR_STEP_TOL)`.
     pub forward: IterConfig,
     /// Constrain the object to be real (lossless dielectric phantoms).
     pub real_object: bool,
@@ -159,11 +167,12 @@ impl DbimConfig {
         let fp = match self.regularizer {
             Regularizer::Tikhonov { lambda } => fp.u64(0).f64(lambda),
             Regularizer::Smoothness { lambda } => fp.u64(1).f64(lambda),
-            // The last word is the recurrence, not a setting: 1 for
+            // The last word is the recurrence, not a setting: 2 for
             // Golub–Kahan with both bases reorthogonalized and its products
-            // at `LINEAR_STEP_TOL`. The plain recurrence at `forward.tol`
-            // folded nothing there, and its checkpoints are refused.
-            Regularizer::WgcvLsqr { steps, omega } => fp.u64(2).u64(steps as u64).f64(omega).u64(1),
+            // through the receiver map. Its checkpoints are refused by the
+            // per-transmitter products (1) and the plain recurrence at
+            // `forward.tol` (no word).
+            Regularizer::WgcvLsqr { steps, omega } => fp.u64(2).u64(steps as u64).f64(omega).u64(2),
         };
         let fp = match &self.initial {
             None => fp.flag(false),
@@ -255,18 +264,19 @@ pub struct IterationRecord {
     pub solver_iters: usize,
     /// ... by the state solves (pass 1).
     pub state_iters: usize,
-    /// ... by the adjoint solves of the gradient pass (or of the `wgcv-lsqr`
-    /// update's `F^H` products).
+    /// ... by the adjoint solves: of the gradient pass, or the receiver
+    /// solves that build the `wgcv-lsqr` update's receiver map.
     pub gradient_iters: usize,
-    /// ... by the `A^{-1} G0 w` solves of the step pass (or of the
-    /// `wgcv-lsqr` update's `F` products).
+    /// ... by the `A^{-1} G0 w` solves of the step pass (0 under
+    /// `wgcv-lsqr`, whose products are dense).
     pub step_iters: usize,
 }
 
 /// What one class of forward-class solve cost a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveCount {
-    /// Solves (one per transmitter and pass).
+    /// Solves (one per transmitter and pass, or per receiver and
+    /// `wgcv-lsqr` update).
     pub solves: usize,
     /// BiCGStab iterations.
     pub iters: usize,
@@ -289,9 +299,10 @@ impl SolveCount {
 pub struct SolveCounts {
     /// Pass 1 of every iteration and the final pass.
     pub state: SolveCount,
-    /// The adjoint solves.
+    /// The adjoint solves: one per transmitter of the gradient pass, or one
+    /// per receiver of the `wgcv-lsqr` receiver map ([`ReceiverSide`]).
     pub gradient: SolveCount,
-    /// The `A^{-1} G0 w` solves.
+    /// The `A^{-1} G0 w` solves of the step pass (none under `wgcv-lsqr`).
     pub step: SolveCount,
 }
 
@@ -320,7 +331,9 @@ pub struct DbimResult {
     /// Relative residual after the final update (on a stopped run: the last
     /// measured one).
     pub final_residual: f64,
-    /// Total forward-class solves (3 per tx per iteration + final pass).
+    /// Total forward-class solves: per iteration 3 per transmitter (under
+    /// `wgcv-lsqr`: 1 per transmitter and 1 per receiver), plus the final
+    /// pass.
     pub forward_solves: usize,
     /// The same solves by class, with their iterations and `G0`
     /// multiplications (excluding verification applies). On a rank grid:
@@ -599,18 +612,21 @@ fn run_serial<G: BlockLinOp + ?Sized>(
 ///
 /// [`dbim_loop`] is the only user; the type is public so that oracle tests
 /// can hold the operators the loop applies — `F` ([`Passes::frechet`]) and
-/// `F^H` ([`Passes::frechet_adjoint`]) at the tolerances the loop runs them
-/// at — against finite differences and against each other.
+/// `F^H` ([`Passes::frechet_adjoint`]) per transmitter, and both through the
+/// receiver map ([`Passes::receiver_side`]), at the tolerances the loop runs
+/// them at — against finite differences and against each other.
 pub struct Passes<'a, C: RankContext> {
     setup: &'a ImagingSetup,
     ctx: &'a C,
     /// The object iterate on the owned pixels.
     object: &'a [C64],
+    /// `GR` on the owned pixels, one row per receiver.
+    gr: Vec<&'a [C64]>,
     engine: BicgstabBackend<'a, C::G0>,
     /// Settings of the state solves.
     forward: IterConfig,
-    /// Settings of the two solves of the linearisation (`frechet`,
-    /// `frechet_adjoint`).
+    /// Settings of the solves of the linearisation (`frechet`,
+    /// `frechet_adjoint`, `receiver_side`).
     linear: IterConfig,
     /// Transmitters per fused multi-RHS solve.
     batch: usize,
@@ -638,10 +654,11 @@ where
             setup,
             ctx,
             object,
+            gr: setup.gr_rows(ctx.pixels()),
             engine: BicgstabBackend::new(ctx.g0(), object, guard, precond, ctx.workspace()),
             forward: cfg.forward,
-            // Both update paths: the nonlinear-CG step and the Golub–Kahan
-            // products of `wgcv-lsqr` (module docs).
+            // Both update paths: the nonlinear-CG step and the receiver
+            // solves of `wgcv-lsqr` (module docs).
             linear: IterConfig {
                 tol: cfg.forward.tol.max(LINEAR_STEP_TOL),
                 ..cfg.forward
@@ -649,6 +666,15 @@ where
             batch: cfg.batch.unwrap_or_else(|| ctx.txs().len().min(8)).max(1),
             counts,
         }
+    }
+
+    /// These passes with the solves of the linearisation run to `tol`
+    /// instead of `max(forward.tol, LINEAR_STEP_TOL)`: an oracle that holds
+    /// two forms of one operator against each other needs them beyond the
+    /// accuracy the loop buys.
+    pub fn with_linear_tol(mut self, tol: f64) -> Self {
+        self.linear.tol = tol;
+        self
     }
 
     /// Books one batch of solves under `class`; `outside` is the number of
@@ -688,21 +714,22 @@ where
         Ok(sum[0].re.sqrt())
     }
 
-    /// `GR` applied to one batch of `count` owned-pixel source vectors, the
-    /// whole batch's receiver data riding in one group reduction. `source`
-    /// writes source `k` into the scratch vector it is given.
+    /// `rows` (`GR` or the receiver map, on the owned pixels) applied to one
+    /// batch of `count` owned-pixel source vectors, the whole batch's
+    /// receiver data riding in one group reduction. `source` writes source
+    /// `k` into the scratch vector it is given.
     fn to_receivers(
         &self,
+        rows: &[&[C64]],
         count: usize,
         mut source: impl FnMut(usize, &mut [C64]),
     ) -> Result<Vec<Vec<C64>>, FaultError> {
         let n_rx = self.setup.n_rx();
-        let cols = self.ctx.pixels();
-        let mut w = self.ctx.workspace().lease(cols.len(), 1);
+        let mut w = self.ctx.workspace().lease(self.object.len(), 1);
         let mut data = vec![C64::ZERO; count * n_rx];
         for (k, rx) in data.chunks_mut(n_rx).enumerate() {
             source(k, &mut w[0]);
-            self.setup.gr_apply_cols(cols.clone(), &w[0], rx);
+            rows_apply(rows, &w[0], rx);
         }
         self.ctx.g0().reduce(&mut data)?;
         Ok(data.chunks(n_rx).map(|r| r.to_vec()).collect())
@@ -728,7 +755,7 @@ where
                 .collect();
             let stats = self.engine.solve_block(&incs, fields_chunk, self.forward)?;
             self.count(|c| &mut c.state, &stats, 0);
-            let scattered = self.to_receivers(chunk.len(), |k, w| {
+            let scattered = self.to_receivers(&self.gr, chunk.len(), |k, w| {
                 for ((wi, o), p) in w.iter_mut().zip(object).zip(&fields_chunk[k]) {
                     *wi = *o * *p;
                 }
@@ -746,20 +773,20 @@ where
 
     /// `out[t] = F_t d` for the owned transmitters, batched exactly like the
     /// step pass: `w_t = phi_t . d`, `u_t = A^{-1} G0 w_t`,
-    /// `F_t d = GR (w_t + O u_t)` (E3, E5). A caller with a use for the
-    /// `u_t` — the derivative of `phi_t` along `d` — passes one vector per
-    /// field to `keep` them in; otherwise they live one batch at a time.
+    /// `F_t d = GR (w_t + O u_t)` (E3, E5). The `u_t` — the derivative of
+    /// `phi_t` along `d` — are left in `us`, one vector per field.
     pub fn frechet(
         &self,
         fields: &[Vec<C64>],
         d: &[C64],
-        mut keep: Option<&mut [Vec<C64>]>,
+        us: &mut [Vec<C64>],
     ) -> Result<Vec<Vec<C64>>, FaultError> {
         let object = self.object;
         let n = object.len();
         let ws = self.ctx.workspace();
         let mut out = Vec::with_capacity(fields.len());
-        for (chunk, fields_chunk) in fields.chunks(self.batch).enumerate() {
+        let batches = fields.chunks(self.batch).zip(us.chunks_mut(self.batch));
+        for (fields_chunk, us) in batches {
             let nb = fields_chunk.len();
             let mut wds = ws.lease(n, nb);
             for (w, f) in wds.iter_mut().zip(fields_chunk) {
@@ -771,19 +798,11 @@ where
             let mut g0ws = ws.lease(n, nb);
             self.ctx.g0().try_apply_block_local(&w_refs, &mut g0ws)?;
             let g0w_refs: Vec<&[C64]> = g0ws.iter().map(|v| v.as_slice()).collect();
-            let mut scratch;
-            let us = match keep.as_deref_mut() {
-                Some(all) => &mut all[chunk * self.batch..][..nb],
-                None => {
-                    scratch = ws.lease(n, nb);
-                    &mut scratch[..]
-                }
-            };
             us.iter_mut().for_each(|u| u.fill(C64::ZERO));
             let stats = self.engine.solve_block(&g0w_refs, us, self.linear)?;
             self.count(|c| &mut c.step, &stats, 1);
             // F_t d = GR (w + O u)
-            out.extend(self.to_receivers(nb, |k, src| {
+            out.extend(self.to_receivers(&self.gr, nb, |k, src| {
                 for (((si, wi), ui), oi) in src.iter_mut().zip(&wds[k]).zip(&us[k]).zip(object) {
                     *si = *wi + *oi * *ui;
                 }
@@ -804,7 +823,6 @@ where
         grad: &mut [C64],
     ) -> Result<(), FaultError> {
         let object = self.object;
-        let cols = self.ctx.pixels();
         let n = object.len();
         let ws = self.ctx.workspace();
         grad.fill(C64::ZERO);
@@ -813,7 +831,7 @@ where
             let mut ys = ws.lease(n, nb);
             let mut rhss = ws.lease(n, nb);
             for ((y, rhs), r) in ys.iter_mut().zip(rhss.iter_mut()).zip(rs_chunk) {
-                self.setup.gr_adjoint_apply_cols(cols.clone(), r, y);
+                rows_adjoint_apply(&self.gr, r, y);
                 for ((ri, o), yi) in rhs.iter_mut().zip(object).zip(y.iter()) {
                     *ri = o.conj() * *yi;
                 }
@@ -837,17 +855,66 @@ where
         Ok(())
     }
 
+    /// The receiver map `M = GR B^{-1}` at this object, on the owned
+    /// pixels: the operator every `F_t` shares, `F_t = M diag(phi_t)`
+    /// (module docs). Row `rx` is `conj(psi_rx)`, `psi_rx = y + G0^H z`
+    /// with `y = GR^H e_rx` and `A^H z = conj(O) . y` — the adjoint solve of
+    /// [`Passes::frechet_adjoint`], one right-hand side per receiver. The
+    /// `R` solves run in panels as wide as the transmitter batches, at the
+    /// tolerance of the linearisation, and are booked as gradient solves.
+    /// A `z` whose solve never applied the operator is zero (its right-hand
+    /// side vanished on the whole group, as at `O = 0`), and a panel of
+    /// nothing else skips `G0^H z`: at `O = 0`, `M` is `GR` and costs no
+    /// `G0` traversal. Every group builds all of `M`.
+    pub fn receiver_side(&self) -> Result<ReceiverSide<'_, 'a, C>, FaultError> {
+        let object = self.object;
+        let n = object.len();
+        let ws = self.ctx.workspace();
+        let mut map = ws.lease(n, self.gr.len());
+        for (rows, gr_rows) in map.chunks_mut(self.batch).zip(self.gr.chunks(self.batch)) {
+            let nb = rows.len();
+            let mut rhss = ws.lease(n, nb);
+            for ((y, rhs), g) in rows.iter_mut().zip(rhss.iter_mut()).zip(gr_rows) {
+                for (((yi, ri), gi), o) in y.iter_mut().zip(rhs.iter_mut()).zip(*g).zip(object) {
+                    *yi = gi.conj();
+                    *ri = o.conj() * *yi;
+                }
+            }
+            let rhs_refs: Vec<&[C64]> = rhss.iter().map(|v| v.as_slice()).collect();
+            let mut zs = ws.lease_zeroed(n, nb);
+            let stats = self
+                .engine
+                .solve_adjoint_block(&rhs_refs, &mut zs, self.linear)?;
+            let live = stats.iter().any(|s| s.matvecs > 0);
+            self.count(|c| &mut c.gradient, &stats, usize::from(live));
+            if live {
+                let z_refs: Vec<&[C64]> = zs.iter().map(|v| v.as_slice()).collect();
+                let mut g0hzs = ws.lease(n, nb);
+                g0_adjoint_apply_block(self.ctx.g0(), &z_refs, &mut g0hzs, ws)?;
+                for (y, g0hz) in rows.iter_mut().zip(g0hzs.iter()) {
+                    for (yi, gi) in y.iter_mut().zip(g0hz) {
+                        *yi += *gi;
+                    }
+                }
+            }
+            for psi in rows.iter_mut() {
+                psi.iter_mut().for_each(|v| *v = v.conj());
+            }
+        }
+        Ok(ReceiverSide { pass: self, map })
+    }
+
     /// `steps` Golub–Kahan bidiagonalization steps of the stacked Fréchet
     /// operator (`F`, and `P F^H` with `P` the real projection under
     /// `real_object`), seeded by the stacked right-hand side `-r`: the
-    /// recurrence of the `wgcv-lsqr` update, at the tolerance the loop runs
-    /// its products at. Both bases are kept orthonormal by two classical
-    /// Gram–Schmidt sweeps per step (CGS2) in the inner product the pair is
-    /// adjoint in: the real part of the Hermitian one under `real_object`,
-    /// so real vectors stay real, the Hermitian one otherwise. Without them
-    /// the products' inexactness and rounding cost the bases their
-    /// orthogonality within a few steps, and the projected problem no longer
-    /// describes the one it stands for.
+    /// recurrence of the `wgcv-lsqr` update, its products through the
+    /// receiver map ([`Passes::receiver_side`]). Both bases are kept
+    /// orthonormal by two classical Gram–Schmidt sweeps per step (CGS2) in
+    /// the inner product the pair is adjoint in: the real part of the
+    /// Hermitian one under `real_object`, so real vectors stay real, the
+    /// Hermitian one otherwise. Without them
+    /// rounding costs the bases their orthogonality within a few steps, and
+    /// the projected problem no longer describes the one it stands for.
     ///
     /// The right basis `v_1 .. v_k` is written into `right[..k]` (`right`
     /// holds `steps` vectors of the owned pixels). `None` when `r` or
@@ -917,8 +984,9 @@ where
         };
         let right_sum = |c: &mut [C64]| self.ctx.g0().reduce(c).map_err(FaultError::from);
 
+        let rx = self.receiver_side()?;
         // alpha_1 v_1 = P F^H u_1
-        self.frechet_adjoint(fields, &left[0], &mut right[0])?;
+        rx.frechet_adjoint(fields, &left[0], &mut right[0])?;
         project(&mut right[0]);
         let alpha1 = self.obj_norm(&right[0])?;
         if alpha1 == 0.0 {
@@ -932,7 +1000,7 @@ where
         for i in 0..steps {
             let (built, next) = right.split_at_mut(alphas.len());
             // beta_{i+1} u_{i+1} = F v_i - alpha_i u_i, reorthogonalized
-            let mut fu = self.frechet(fields, &built[i], None)?;
+            let mut fu = rx.frechet(fields, &built[i])?;
             left_sub(&mut fu, c64(alphas[i], 0.0), &left[i]);
             cgs2(&left, &mut fu, left_dot, left_sub, left_sum)?;
             let beta = self.meas_norm_sqr(&fu)?.sqrt();
@@ -949,7 +1017,7 @@ where
             // alpha_{i+1} v_{i+1} = P F^H u_{i+1} - beta_{i+1} v_i,
             // reorthogonalized
             let w = &mut next[0];
-            self.frechet_adjoint(fields, &left[i + 1], w)?;
+            rx.frechet_adjoint(fields, &left[i + 1], w)?;
             project(w);
             right_sub(w, c64(beta, 0.0), &built[i]);
             cgs2(built, w, right_dot, right_sub, right_sum)?;
@@ -1011,6 +1079,61 @@ pub struct GolubKahan {
     /// stopped at a vanishing `alpha`): each one vector per owned
     /// transmitter, in receiver space.
     pub left: Vec<Vec<Vec<C64>>>,
+}
+
+/// The receiver map of one object iterate ([`Passes::receiver_side`]) and
+/// the `wgcv-lsqr` products through it: `F_t d = M (phi_t . d)` and
+/// `F_t^H r = conj(phi_t) . (M^H r)`, dense, with no solve. One matrix
+/// serves both, so they are an adjoint pair to rounding whatever tolerance
+/// built it.
+pub struct ReceiverSide<'p, 'a, C: RankContext> {
+    pass: &'p Passes<'a, C>,
+    /// `M` on the owned pixels, one row per receiver.
+    map: Leased<'a>,
+}
+
+impl<C: RankContext> ReceiverSide<'_, '_, C>
+where
+    FaultError: From<<C::G0 as DistOp>::Error>,
+{
+    /// `M` on the owned pixels, one row per receiver.
+    pub fn map(&self) -> &[Vec<C64>] {
+        &self.map
+    }
+
+    fn rows(&self) -> Vec<&[C64]> {
+        self.map.iter().map(|row| row.as_slice()).collect()
+    }
+
+    /// `out[t] = F_t d` for the owned transmitters, summed over the group
+    /// in one reduction.
+    pub fn frechet(&self, fields: &[Vec<C64>], d: &[C64]) -> Result<Vec<Vec<C64>>, FaultError> {
+        self.pass.to_receivers(&self.rows(), fields.len(), |k, w| {
+            for ((wi, fi), di) in w.iter_mut().zip(&fields[k]).zip(d) {
+                *wi = *fi * *di;
+            }
+        })
+    }
+
+    /// `grad = sum_t F_t^H r_t` on the owned pixels, accumulated in
+    /// ascending `t` order, then summed over the groups.
+    pub fn frechet_adjoint(
+        &self,
+        fields: &[Vec<C64>],
+        rs: &[Vec<C64>],
+        grad: &mut [C64],
+    ) -> Result<(), FaultError> {
+        let rows = self.rows();
+        let mut mhr = self.pass.ctx.workspace().lease(grad.len(), 1);
+        grad.fill(C64::ZERO);
+        for (f, r) in fields.iter().zip(rs) {
+            rows_adjoint_apply(&rows, r, &mut mhr[0]);
+            for ((g, fi), s) in grad.iter_mut().zip(f).zip(&mhr[0]) {
+                *g += fi.conj() * *s;
+            }
+        }
+        self.pass.ctx.sum_groups(grad)
+    }
 }
 
 /// Two classical Gram–Schmidt sweeps of `x` against the orthonormal `basis`
@@ -1238,7 +1361,7 @@ where
             // The u_t stay out until alpha is known; the vectors the
             // gradient pass returned cover them.
             let mut us = ws.lease(n, n_own);
-            let fds = pass.frechet(&st.fields, &st.dir, Some(&mut us))?;
+            let fds = pass.frechet(&st.fields, &st.dir, &mut us)?;
             let mut nd = [C64::ZERO; 2];
             if ctx.grid_pos().1 == 0 {
                 for (fd, r) in fds.iter().zip(&residuals) {
@@ -1411,9 +1534,11 @@ mod tests {
     /// solve to `forward.tol` wrote `0x8f09dfded370f5b9` and
     /// `0x01bfa64e4add1016` for these two configurations, one FNV word short
     /// of `0x4190c7a969c42caf` and `0x024ab15b63e736ec`. The `wgcv-lsqr` arm
-    /// ends in `1`, the reorthogonalized Golub–Kahan recurrence: the plain
-    /// one folded no such word and wrote `0x024ab15b63e736ec` for the second
-    /// configuration. The default folds no such arm.
+    /// ends in the recurrence: the plain one folded no such word and wrote
+    /// `0x024ab15b63e736ec` for the second configuration, the reorthogonalized
+    /// one with per-transmitter products folded `1` and wrote
+    /// `0xcdaf02862e499ef1`, and the one through the receiver map folds `2`.
+    /// The default folds no such arm.
     #[test]
     fn config_fingerprint_is_pinned() {
         let fold = |cfg: &DbimConfig| cfg.fold_fingerprint(Fingerprint::new()).finish();
@@ -1428,7 +1553,7 @@ mod tests {
             initial: Some(vec![c64(0.25, -0.5), c64(-0.0, 1.0)]),
             ..Default::default()
         };
-        assert_eq!(fold(&cfg), 0xcdaf02862e499ef1);
+        assert_eq!(fold(&cfg), 0xc59bbf508739dcea);
     }
 
     /// Batching the per-transmitter solves is a pure scheduling change:

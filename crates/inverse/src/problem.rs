@@ -180,71 +180,75 @@ pub fn add_noise(data: &mut [Vec<C64>], snr_db: f64, seed: u64) {
 }
 
 impl ImagingSetup {
-    /// `out = GR[:, cols] w_local`: the column-sliced receiver operator used
-    /// by the sub-tree-distributed solver (each rank contributes its pixel
-    /// range; the group reduces the partial receiver vectors).
-    ///
-    /// Four receivers share one pass over `w_local`: a receiver's sum is one
-    /// dependent chain of complex multiply-adds, so four chains in flight
-    /// hide the latency one alone is bound by. Each receiver still adds its
-    /// pixels in ascending order.
-    pub fn gr_apply_cols(&self, cols: std::ops::Range<usize>, w_local: &[C64], out: &mut [C64]) {
-        assert_eq!(w_local.len(), cols.len());
-        assert_eq!(out.len(), self.n_rx());
-        for (block, outs) in out.chunks_mut(GR_ROWS).enumerate() {
-            let row = |j: usize| &self.gr.row(block * GR_ROWS + j)[cols.clone()];
-            if let [o0, o1, o2, o3] = outs {
-                let rows = row(0).iter().zip(row(1)).zip(row(2)).zip(row(3));
-                let mut acc = [C64::ZERO; GR_ROWS];
-                for ((((g0, g1), g2), g3), w) in rows.zip(w_local) {
-                    acc[0] = g0.mul_add(*w, acc[0]);
-                    acc[1] = g1.mul_add(*w, acc[1]);
-                    acc[2] = g2.mul_add(*w, acc[2]);
-                    acc[3] = g3.mul_add(*w, acc[3]);
-                }
-                [*o0, *o1, *o2, *o3] = acc;
-            } else {
-                for (j, o) in outs.iter_mut().enumerate() {
-                    let sum = row(j).iter().zip(w_local);
-                    *o = sum.fold(C64::ZERO, |acc, (g, w)| g.mul_add(*w, acc));
-                }
+    /// The rows of `GR[:, cols]`, one per receiver: the column-sliced
+    /// receiver operator used by the sub-tree-distributed solver (each rank
+    /// contributes its pixel range; the group reduces the partial receiver
+    /// vectors).
+    pub fn gr_rows(&self, cols: std::ops::Range<usize>) -> Vec<&[C64]> {
+        (0..self.n_rx())
+            .map(|rx| &self.gr.row(rx)[cols.clone()])
+            .collect()
+    }
+}
+
+/// `out = K w` for an `R × n` operator `K` given by its rows, one per
+/// receiver: `GR` on a pixel range ([`ImagingSetup::gr_rows`]), or the
+/// receiver map the `wgcv-lsqr` products run through
+/// ([`crate::dbim::ReceiverSide`]).
+///
+/// Four receivers share one pass over `w`: a receiver's sum is one dependent
+/// chain of complex multiply-adds, so four chains in flight hide the latency
+/// one alone is bound by. Each receiver still adds its pixels in ascending
+/// order.
+pub(crate) fn rows_apply(rows: &[&[C64]], w: &[C64], out: &mut [C64]) {
+    assert_eq!(out.len(), rows.len());
+    assert!(rows.iter().all(|row| row.len() == w.len()));
+    for (outs, block) in out.chunks_mut(GR_ROWS).zip(rows.chunks(GR_ROWS)) {
+        if let ([o0, o1, o2, o3], [r0, r1, r2, r3]) = (&mut *outs, block) {
+            let rows = r0.iter().zip(*r1).zip(*r2).zip(*r3);
+            let mut acc = [C64::ZERO; GR_ROWS];
+            for ((((g0, g1), g2), g3), w) in rows.zip(w) {
+                acc[0] = g0.mul_add(*w, acc[0]);
+                acc[1] = g1.mul_add(*w, acc[1]);
+                acc[2] = g2.mul_add(*w, acc[2]);
+                acc[3] = g3.mul_add(*w, acc[3]);
+            }
+            [*o0, *o1, *o2, *o3] = acc;
+        } else {
+            for (o, row) in outs.iter_mut().zip(block) {
+                let sum = row.iter().zip(w);
+                *o = sum.fold(C64::ZERO, |acc, (g, w)| g.mul_add(*w, acc));
             }
         }
     }
+}
 
-    /// `out_local = (GR^H b)[cols]`: column-sliced adjoint. Four receivers
-    /// are added per pass over `out_local`, in ascending receiver order.
-    pub fn gr_adjoint_apply_cols(
-        &self,
-        cols: std::ops::Range<usize>,
-        b: &[C64],
-        out_local: &mut [C64],
-    ) {
-        assert_eq!(b.len(), self.n_rx());
-        assert_eq!(out_local.len(), cols.len());
-        out_local.iter_mut().for_each(|v| *v = C64::ZERO);
-        for (block, bs) in b.chunks(GR_ROWS).enumerate() {
-            let row = |j: usize| &self.gr.row(block * GR_ROWS + j)[cols.clone()];
-            if let [b0, b1, b2, b3] = bs {
-                let rows = row(0).iter().zip(row(1)).zip(row(2)).zip(row(3));
-                for (o, (((g0, g1), g2), g3)) in out_local.iter_mut().zip(rows) {
-                    let sum = g0.conj().mul_add(*b0, *o);
-                    let sum = g1.conj().mul_add(*b1, sum);
-                    let sum = g2.conj().mul_add(*b2, sum);
-                    *o = g3.conj().mul_add(*b3, sum);
-                }
-            } else {
-                for (j, br) in bs.iter().enumerate() {
-                    for (o, g) in out_local.iter_mut().zip(row(j)) {
-                        *o = g.conj().mul_add(*br, *o);
-                    }
+/// `out = K^H b` for the `K` of [`rows_apply`]. Four receivers are added
+/// per pass over `out`, in ascending receiver order.
+pub(crate) fn rows_adjoint_apply(rows: &[&[C64]], b: &[C64], out: &mut [C64]) {
+    assert_eq!(b.len(), rows.len());
+    assert!(rows.iter().all(|row| row.len() == out.len()));
+    out.fill(C64::ZERO);
+    for (bs, block) in b.chunks(GR_ROWS).zip(rows.chunks(GR_ROWS)) {
+        if let ([b0, b1, b2, b3], [r0, r1, r2, r3]) = (bs, block) {
+            let rows = r0.iter().zip(*r1).zip(*r2).zip(*r3);
+            for (o, (((g0, g1), g2), g3)) in out.iter_mut().zip(rows) {
+                let sum = g0.conj().mul_add(*b0, *o);
+                let sum = g1.conj().mul_add(*b1, sum);
+                let sum = g2.conj().mul_add(*b2, sum);
+                *o = g3.conj().mul_add(*b3, sum);
+            }
+        } else {
+            for (br, row) in bs.iter().zip(block) {
+                for (o, g) in out.iter_mut().zip(*row) {
+                    *o = g.conj().mul_add(*br, *o);
                 }
             }
         }
     }
 }
 
-/// Receivers per pass of the column-sliced receiver products.
+/// Receivers per pass of [`rows_apply`] and [`rows_adjoint_apply`].
 const GR_ROWS: usize = 4;
 
 #[cfg(test)]

@@ -1,14 +1,17 @@
 //! Oracles for the linearised step and the field predictor.
 //!
-//! Both update paths of the DBIM loop run the two solves of the
-//! linearisation at [`LINEAR_STEP_TOL`]: the nonlinear-CG path, which also
-//! starts each state solve from the fields the step pass predicted, and the
-//! `wgcv-lsqr` path, whose Golub–Kahan recurrence reorthogonalizes both
-//! bases. These tests hold that against things that do not depend on the
-//! loop: finite differences of the forward map, the adjoint pairing of `F`
-//! and `F^H` (on the serial context and on a 2×1 grid), the orthonormality
-//! of the Golub–Kahan bases and the step length it implies, the initial
-//! residual of the next state solve, and resumed / cold / re-batched runs.
+//! Both update paths of the DBIM loop run the solves of the linearisation
+//! at [`LINEAR_STEP_TOL`]: the nonlinear-CG path, whose gradient and step
+//! solves are per transmitter and which also starts each state solve from
+//! the fields the step pass predicted, and the `wgcv-lsqr` path, whose
+//! Golub–Kahan products run through the receiver map and whose recurrence
+//! reorthogonalizes both bases. These tests hold that against things that
+//! do not depend on the loop: finite differences of the forward map, the
+//! adjoint pairing of `F` and `F^H` (on the serial context and on a 2×1
+//! grid), the per-transmitter products against the receiver-side ones, the
+//! orthonormality of the Golub–Kahan bases and the step length it implies,
+//! the initial residual of the next state solve, and resumed / cold /
+//! re-batched runs.
 
 use ffw_fault::{fnv1a64, FaultError};
 use ffw_geometry::{Domain, Point2, TransducerArray};
@@ -22,7 +25,9 @@ use ffw_numerics::vecops::{norm2, norm2_sqr, rel_diff, zdotc};
 use ffw_numerics::{c64, C64};
 use ffw_par::Pool;
 use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
-use ffw_solver::{solve_forward_block, DistOp, IterConfig, ScatteringOp, Workspace};
+use ffw_solver::{
+    solve_forward_block, BlockLinOp, CountingOp, DistOp, IterConfig, ScatteringOp, Workspace,
+};
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::{Arc, Barrier, Mutex};
@@ -170,8 +175,11 @@ impl RankContext for GroupRank<'_> {
 
 /// The owned transmitters' fields at the passes' object, solved from zero
 /// the way pass 1 solves them, and the scattered data `GR (O . phi_t)`.
-fn state(pass: &Passes<'_, GroupRank<'_>>, ctx: &GroupRank<'_>) -> (Vec<Vec<C64>>, Vec<Vec<C64>>) {
-    let mut fields = vec![vec![C64::ZERO; ctx.n_pixels]; ctx.txs.len()];
+fn state<C: RankContext>(pass: &Passes<'_, C>, ctx: &C) -> (Vec<Vec<C64>>, Vec<Vec<C64>>)
+where
+    FaultError: From<<C::G0 as DistOp>::Error>,
+{
+    let mut fields = vec![vec![C64::ZERO; ctx.pixels().len()]; ctx.txs().len()];
     let nothing_measured = vec![vec![C64::ZERO; 8]; N_TX];
     let (scattered, _) = pass
         .residuals(&nothing_measured, &mut fields)
@@ -218,7 +226,8 @@ fn the_step_operator_is_the_derivative_of_the_forward_map() {
         &counts,
     );
     let (fields, _) = state(&pass, &ctx);
-    let f_delta = pass.frechet(&fields, &delta, None).expect("F delta");
+    let mut us = vec![vec![C64::ZERO; delta.len()]; fields.len()];
+    let f_delta = pass.frechet(&fields, &delta, &mut us).expect("F delta");
 
     // The forward map itself, far tighter than anything it is compared to.
     let tight = DbimConfig {
@@ -282,27 +291,51 @@ fn on_grid<R: Send>(
     })
 }
 
+/// Which form of `F` and `F^H` an oracle holds: the per-transmitter solves
+/// of the nonlinear-CG path, or the receiver map of `wgcv-lsqr`.
+#[derive(Clone, Copy, Debug)]
+enum Products {
+    PerTransmitter,
+    ReceiverSide,
+}
+
 /// `<F d, r>` and `<d, F^H r>` over the run's transmitters, as every rank of
-/// a `groups × 1` grid computes them, and `F^H r` itself.
-fn pairing(scene: &Scene, cfg: &DbimConfig, groups: usize) -> (C64, C64, Vec<C64>) {
+/// a `groups × 1` grid computes them through `products`, and `F^H r`
+/// itself. `d` is real when `real` is.
+fn pairing(scene: &Scene, products: Products, real: bool, groups: usize) -> (C64, C64, Vec<C64>) {
     let n = scene.setup.n_pixels();
-    let d = noise(n, 11);
+    let d: Vec<C64> = noise(n, 11)
+        .into_iter()
+        .map(|v| if real { c64(v.re, 0.0) } else { v })
+        .collect();
     let rs: Vec<Vec<C64>> = (0..N_TX).map(|t| noise(8, 100 + t as u64)).collect();
+    let cfg = DbimConfig::default();
     let mut per_rank = on_grid(scene, groups, |ctx| {
         let counts = Cell::new(SolveCounts::default());
-        let pass = Passes::new(&scene.setup, ctx, cfg, &scene.object, None, None, &counts);
+        let pass = Passes::new(&scene.setup, ctx, &cfg, &scene.object, None, None, &counts);
         let (fields, _) = state(&pass, ctx);
-        let fd = pass.frechet(&fields, &d, None).expect("F d");
         let own_rs: Vec<Vec<C64>> = ctx.txs.iter().map(|&t| rs[t].clone()).collect();
+        let mut fhr = vec![C64::ZERO; n];
+        let fd = match products {
+            Products::PerTransmitter => {
+                pass.frechet_adjoint(&fields, &own_rs, &mut fhr)
+                    .expect("F^H r");
+                let mut us = vec![vec![C64::ZERO; n]; fields.len()];
+                pass.frechet(&fields, &d, &mut us).expect("F d")
+            }
+            Products::ReceiverSide => {
+                let rx = pass.receiver_side().expect("M");
+                rx.frechet_adjoint(&fields, &own_rs, &mut fhr)
+                    .expect("F^H r");
+                rx.frechet(&fields, &d).expect("F d")
+            }
+        };
         let mut fd_r = [fd
             .iter()
             .zip(&own_rs)
             .map(|(f, r)| zdotc(r, f))
             .sum::<C64>()];
         ctx.sum_all(&mut fd_r).expect("sum");
-        let mut fhr = vec![C64::ZERO; n];
-        pass.frechet_adjoint(&fields, &own_rs, &mut fhr)
-            .expect("F^H r");
         (fd_r[0], zdotc(&fhr, &d), fhr)
     });
     let first = per_rank.swap_remove(0);
@@ -312,37 +345,157 @@ fn pairing(scene: &Scene, cfg: &DbimConfig, groups: usize) -> (C64, C64, Vec<C64
     first
 }
 
-/// `F` and `F^H` stay an adjoint pair to the accuracy their solves run at,
-/// `3 * LINEAR_STEP_TOL`, on both update paths — and no better: the solves
-/// did stop early. The same on a 2×1 grid, which computes the serial numbers
-/// to rounding.
+/// The per-transmitter `F` and `F^H` of the nonlinear-CG path stay an
+/// adjoint pair to the accuracy their solves run at, `3 * LINEAR_STEP_TOL` —
+/// and no better: the solves did stop early. The same on a 2×1 grid, which
+/// computes the serial numbers to rounding.
 #[test]
 fn the_step_and_gradient_operators_are_an_adjoint_pair() {
     let scene = scene();
-    let hybrid = DbimConfig {
-        regularizer: Regularizer::WgcvLsqr {
-            steps: 4,
-            omega: 0.8,
+    let bound = 3.0 * LINEAR_STEP_TOL;
+    let (fd_r, d_fhr, fhr) = pairing(&scene, Products::PerTransmitter, false, 1);
+    let gap = (fd_r - d_fhr).abs() / fd_r.abs();
+    println!("<F d, r> = {fd_r:?}, <d, F^H r> = {d_fhr:?}, gap {gap:.2e}");
+    assert!(gap <= bound, "adjoint gap {gap:e}");
+    assert!(gap > 1e-6, "the solves did stop early ({gap:e})");
+    let (grid_fd_r, grid_d_fhr, grid_fhr) = pairing(&scene, Products::PerTransmitter, false, 2);
+    let grid_gap = (grid_fd_r - grid_d_fhr).abs() / grid_fd_r.abs();
+    assert!(grid_gap <= bound, "2x1: adjoint gap {grid_gap:e}");
+    assert!((grid_fd_r - fd_r).abs() <= 1e-10 * fd_r.abs(), "F");
+    let err = rel_diff(&grid_fhr, &fhr);
+    assert!(err <= 1e-10, "F^H on 2x1 vs serial {err:e}");
+}
+
+/// The `wgcv-lsqr` products apply one receiver map, so `F` and `F^H` are an
+/// adjoint pair to rounding however early the solves that built it stopped:
+/// in the Hermitian inner product, and in its real part on real `d` (the
+/// one the recurrence uses under `real_object`). The same on a 2×1 grid,
+/// which computes the serial numbers to rounding.
+#[test]
+fn the_receiver_side_products_are_an_adjoint_pair_to_rounding() {
+    let scene = scene();
+    for real in [false, true] {
+        let serial = pairing(&scene, Products::ReceiverSide, real, 1);
+        let grid = pairing(&scene, Products::ReceiverSide, real, 2);
+        for (groups, (fd_r, d_fhr, _)) in [(1, &serial), (2, &grid)] {
+            let gap = if real {
+                (fd_r.re - d_fhr.re).abs()
+            } else {
+                (*fd_r - *d_fhr).abs()
+            } / fd_r.abs();
+            println!("real {real}, {groups}x1: <F d, r> = {fd_r:?}, gap {gap:.2e}");
+            assert!(gap <= 1e-12, "real {real}, {groups}x1: adjoint gap {gap:e}");
+        }
+        assert!((grid.0 - serial.0).abs() <= 1e-10 * serial.0.abs(), "F");
+        let err = rel_diff(&grid.2, &serial.2);
+        assert!(err <= 1e-10, "F^H on 2x1 vs serial {err:e}");
+    }
+}
+
+/// The serial context over any `G0`, counting its traversals.
+struct Counted<'g, G: BlockLinOp> {
+    g0: CountingOp<'g, G>,
+    ws: Workspace,
+    n_pixels: usize,
+    txs: Vec<usize>,
+}
+
+impl<'g, G: BlockLinOp> Counted<'g, G> {
+    fn new(scene: &Scene, g0: &'g G) -> Self {
+        Counted {
+            g0: CountingOp::new(g0),
+            ws: Workspace::new(),
+            n_pixels: scene.setup.n_pixels(),
+            txs: (0..N_TX).collect(),
+        }
+    }
+}
+
+impl<'g, G: BlockLinOp> RankContext for Counted<'g, G> {
+    type G0 = CountingOp<'g, G>;
+    fn g0(&self) -> &Self::G0 {
+        &self.g0
+    }
+    fn workspace(&self) -> &Workspace {
+        &self.ws
+    }
+    fn pixels(&self) -> Range<usize> {
+        0..self.n_pixels
+    }
+    fn txs(&self) -> &[usize] {
+        &self.txs
+    }
+    fn end_of_iteration(&self, _: &LoopState) -> Result<Flow, FaultError> {
+        Ok(Flow::Continue)
+    }
+}
+
+/// `F_t = M diag(phi_t)` is an identity, not an approximation: with every
+/// solve run to `1e-10`, the receiver-side products are the per-transmitter
+/// ones to 1e-7.
+#[test]
+fn the_receiver_side_products_are_the_per_transmitter_ones() {
+    let scene = scene();
+    let n = scene.setup.n_pixels();
+    let g0 = engine(&scene.plan);
+    let ctx = Counted::new(&scene, &g0);
+    let counts = Cell::new(SolveCounts::default());
+    let tight = DbimConfig {
+        forward: IterConfig {
+            tol: 1e-10,
+            max_iters: 1000,
         },
         ..Default::default()
     };
-    let bound = 3.0 * LINEAR_STEP_TOL;
-    for (path, cfg) in [
-        ("nonlinear-cg", DbimConfig::default()),
-        ("wgcv-lsqr", hybrid),
-    ] {
-        let (fd_r, d_fhr, fhr) = pairing(&scene, &cfg, 1);
-        let gap = (fd_r - d_fhr).abs() / fd_r.abs();
-        println!("{path}: <F d, r> = {fd_r:?}, <d, F^H r> = {d_fhr:?}, gap {gap:.2e}");
-        assert!(gap <= bound, "{path}: adjoint gap {gap:e}");
-        assert!(gap > 1e-6, "{path}: the solves did stop early ({gap:e})");
-        let (grid_fd_r, grid_d_fhr, grid_fhr) = pairing(&scene, &cfg, 2);
-        let grid_gap = (grid_fd_r - grid_d_fhr).abs() / grid_fd_r.abs();
-        assert!(grid_gap <= bound, "{path}, 2x1: adjoint gap {grid_gap:e}");
-        assert!((grid_fd_r - fd_r).abs() <= 1e-10 * fd_r.abs(), "{path}: F");
-        let err = rel_diff(&grid_fhr, &fhr);
-        assert!(err <= 1e-10, "{path}: F^H on 2x1 vs serial {err:e}");
+    let pass = Passes::new(
+        &scene.setup,
+        &ctx,
+        &tight,
+        &scene.object,
+        None,
+        None,
+        &counts,
+    )
+    .with_linear_tol(1e-10);
+    let (fields, _) = state(&pass, &ctx);
+    let d = noise(n, 12);
+    let rs: Vec<Vec<C64>> = (0..N_TX).map(|t| noise(8, 300 + t as u64)).collect();
+    let mut us = vec![vec![C64::ZERO; n]; N_TX];
+    let fd = pass.frechet(&fields, &d, &mut us).expect("F d");
+    let mut fhr = vec![C64::ZERO; n];
+    pass.frechet_adjoint(&fields, &rs, &mut fhr).expect("F^H r");
+    let rx = pass.receiver_side().expect("M");
+    let rx_fd = rx.frechet(&fields, &d).expect("M (phi . d)");
+    let mut rx_fhr = vec![C64::ZERO; n];
+    rx.frechet_adjoint(&fields, &rs, &mut rx_fhr)
+        .expect("conj(phi) . M^H r");
+    let (f_err, fh_err) = (stacked_rel_diff(&rx_fd, &fd), rel_diff(&rx_fhr, &fhr));
+    println!("receiver side vs per transmitter: F {f_err:.1e}, F^H {fh_err:.1e}");
+    assert!(f_err <= 1e-7, "F: {f_err:e}");
+    assert!(fh_err <= 1e-7, "F^H: {fh_err:e}");
+}
+
+/// At `O = 0`, `B = I`: the receiver map is `GR` itself, and building it
+/// spends no `G0` traversal, because every right-hand side vanishes.
+#[test]
+fn at_zero_contrast_the_receiver_map_is_gr_and_spends_no_traversal() {
+    let scene = scene();
+    let n = scene.setup.n_pixels();
+    let g0 = engine(&scene.plan);
+    let ctx = Counted::new(&scene, &g0);
+    let counts = Cell::new(SolveCounts::default());
+    let zero = vec![C64::ZERO; n];
+    let cfg = DbimConfig::default();
+    let pass = Passes::new(&scene.setup, &ctx, &cfg, &zero, None, None, &counts);
+    let rx = pass.receiver_side().expect("M");
+    assert_eq!(ctx.g0.count(), 0, "G0 traversals");
+    let gr = scene.setup.gr_rows(0..n);
+    assert_eq!(rx.map().len(), gr.len());
+    for (m, g) in rx.map().iter().zip(&gr) {
+        assert_eq!(m.as_slice(), *g);
     }
+    let gradient = counts.get().gradient;
+    assert_eq!((gradient.solves, gradient.mults), (gr.len(), 0));
 }
 
 /// `max |G - I|` over the Gram matrix `G[i][j] = ip(i, j)` of `k` vectors,

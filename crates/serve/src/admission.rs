@@ -163,14 +163,16 @@ mod tests {
         ));
     }
 
-    /// A size whose square overflows `usize`, and a transmitter count whose
-    /// solve count does, both pass validation and are both priced far over
-    /// any budget.
+    /// A size whose square overflows `usize`, a transmitter count whose
+    /// solve count does and a receiver count whose `GR` does all pass
+    /// validation and are all priced far over any budget.
     #[test]
     fn overflowing_jobs_are_budget_infeasible() {
         for patch in [
             r#"{"id":"a","size":4294967296}"#,
             r#"{"id":"a","tx":9007199254740992,"iterations":1000}"#,
+            r#"{"id":"a","rx":9007199254740992}"#,
+            r#"{"id":"a","rx":9007199254740992,"regularizer":"wgcv-lsqr"}"#,
         ] {
             let spec = JobSpec::from_json(&Json::parse(patch).expect(patch)).expect(patch);
             match policy().admit(&spec, 0, false, false) {

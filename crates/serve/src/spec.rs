@@ -20,6 +20,9 @@ use ffw_tomo::SceneConfig;
 const PHANTOMS: [&str; 4] = ["cylinder", "annulus", "shepp-logan", "blobs"];
 /// Accuracy presets a job may request.
 const ACCURACIES: [&str; 3] = ["low", "default", "high"];
+/// FLOPs the admission estimate charges per entry of `GR`: a distance and
+/// a Hankel function.
+const GR_ENTRY_FLOPS: f64 = 100.0;
 
 /// A fully validated reconstruction job.
 #[derive(Clone, Debug, PartialEq)]
@@ -137,7 +140,8 @@ impl JobSpec {
                 .to_string(),
             groups: field_u64(j, "groups", 1)? as usize,
             subtree: field_u64(j, "subtree", 1)? as usize,
-            max_restarts: field_u64(j, "max_restarts", 1)? as u32,
+            max_restarts: u32::try_from(field_u64(j, "max_restarts", 1)?)
+                .map_err(|_| format!("'max_restarts' must be at most {}", u32::MAX))?,
             min_groups: field_u64(j, "min_groups", 1)? as usize,
             deadline_ms: match field_u64(j, "deadline_ms", 0)? {
                 0 => None,
@@ -362,21 +366,29 @@ impl JobSpec {
     /// model — deliberately computed *without* building the (expensive)
     /// plan, so an over-budget job is rejected before any setup work.
     ///
-    /// Computed in `f64` throughout: `size` and `tx` come from the client,
-    /// and a product of them in `usize` can wrap (`size = 2^32` squares to
-    /// zero on 64 bits), which would turn the estimate into `NaN`.
+    /// Computed in `f64` throughout: `size`, `tx` and `rx` come from the
+    /// client, and a product of them in `usize` can wrap (`size = 2^32`
+    /// squares to zero on 64 bits), which would turn the estimate into
+    /// `NaN`.
     pub fn estimated_flops(&self) -> f64 {
-        let (size, tx) = (self.size as f64, self.tx as f64);
+        let (size, tx, rx) = (self.size as f64, self.tx as f64, self.rx as f64);
         let n = size * size;
         let matvec = 150.0 * n * n.log2().max(1.0);
-        // 3 forward-class solves per transmitter per outer iteration plus
-        // the final residual pass (the paper's accounting, also asserted by
-        // the core end-to-end test); ~2 matvecs per BiCGStab iteration.
-        let solves = self.iterations as f64 * tx * 3.0 + tx;
+        // Per outer iteration, one state solve per transmitter and either
+        // its gradient and step solves (the paper's accounting) or, under
+        // `wgcv-lsqr`, one solve per receiver for the receiver map; plus
+        // the final residual pass. ~2 matvecs per BiCGStab iteration.
+        let per_iteration = match self.regularizer {
+            Regularizer::WgcvLsqr { .. } => tx + rx,
+            _ => 3.0 * tx,
+        };
+        let solves = self.iterations as f64 * per_iteration + tx;
         // The iteration model takes the logarithm of the pixel count, so a
         // saturated count still gives a finite, huge estimate.
         let iters = ffw_perf::mean_bicgs_iters(self.size.saturating_mul(self.size), self.tx);
-        solves * iters * 2.0 * matvec
+        // The R × N receiver operator `GR`, a Hankel function per entry.
+        let gr = GR_ENTRY_FLOPS * rx * n;
+        solves * iters * 2.0 * matvec + gr
     }
 }
 
@@ -398,6 +410,19 @@ mod tests {
         assert_eq!(spec.regularizer, Regularizer::default());
         let again = JobSpec::from_json(&spec.to_json()).expect("roundtrip");
         assert_eq!(again, spec);
+    }
+
+    /// The largest restart budget `max_restarts` holds is read as itself,
+    /// and survives the journal's round trip.
+    #[test]
+    fn the_largest_restart_budget_roundtrips() {
+        let j = Json::parse(r#"{"id":"a","max_restarts":4294967295}"#).expect("parse");
+        let spec = JobSpec::from_json(&j).expect("valid");
+        assert_eq!(spec.max_restarts, u32::MAX);
+        assert_eq!(
+            JobSpec::from_json(&spec.to_json()).expect("roundtrip"),
+            spec
+        );
     }
 
     #[test]
@@ -446,6 +471,8 @@ mod tests {
                 "'min_groups'",
             ),
             (r#"{"id":"a","contrast":2.0}"#, "'contrast'"),
+            // 2^32 used to become 0 restarts through `as u32`
+            (r#"{"id":"a","max_restarts":4294967296}"#, "'max_restarts'"),
             (r#"{"id":"a","max_flops":-1}"#, "'max_flops'"),
             (r#"{"id":"a","size":"big"}"#, "'size'"),
             (r#"{"id":"a","hops":"1.0,2.0"}"#, "'hops'"),
@@ -514,11 +541,21 @@ mod tests {
         big.iterations = 10;
         assert!(big.estimated_flops() > 10.0 * small.estimated_flops());
         assert!(small.estimated_flops() > 0.0);
+        // Receivers cost `GR` on every job, and a solve each per outer
+        // iteration under `wgcv-lsqr`.
+        let mut more_rx = small.clone();
+        more_rx.rx = 64;
+        assert!(more_rx.estimated_flops() > small.estimated_flops());
+        let mut wgcv = small.clone();
+        wgcv.regularizer = "wgcv-lsqr".parse().expect("spec");
+        let mut wgcv_more_rx = wgcv.clone();
+        wgcv_more_rx.rx = 64;
+        assert!(wgcv_more_rx.estimated_flops() > 2.0 * wgcv.estimated_flops());
     }
 
-    /// Sizes and transmitter counts whose products overflow `usize` pass
-    /// validation; their estimates must stay finite and huge, never wrap to
-    /// zero or `NaN` (or panic in a debug build).
+    /// Sizes, transmitter and receiver counts whose products overflow
+    /// `usize` pass validation; their estimates must stay finite and huge,
+    /// never wrap to zero or `NaN` (or panic in a debug build).
     #[test]
     fn flop_estimate_of_an_overflowing_job_is_finite_and_huge() {
         for patch in [
@@ -526,6 +563,8 @@ mod tests {
             r#"{"id":"a","size":4294967296}"#,
             // iterations * tx * 3 past 2^64, with tx at the JSON integer limit 2^53
             r#"{"id":"a","tx":9007199254740992,"iterations":1000}"#,
+            // GR alone is 2^53 x 1024 entries
+            r#"{"id":"a","rx":9007199254740992}"#,
         ] {
             let spec = JobSpec::from_json(&Json::parse(patch).expect(patch)).expect(patch);
             let estimate = spec.estimated_flops();

@@ -125,19 +125,25 @@ fn admission_rejections_are_typed_end_to_end() {
 }
 
 /// A size whose square overflows `usize` passes validation (`2^32 = 8 *
-/// 2^29`). Admission must price it out as `budget-infeasible`, and nothing
-/// may reach the journal: an accepted frame would re-queue the unbuildable
-/// job on every restart.
+/// 2^29`), and so does a receiver count that would size the transducer ring
+/// and `GR`. Admission must price both out as `budget-infeasible`, and
+/// nothing may reach the journal: an accepted frame would re-queue the
+/// unbuildable job on every restart.
 #[test]
 fn an_overflowing_size_is_rejected_and_never_journaled() {
     let dir = tmp_dir("overflow");
     let engine = Engine::open(cfg(dir.clone())).expect("open");
-    let huge = Json::parse(r#"{"id":"huge","size":4294967296,"tx":2,"rx":4,"iterations":1}"#)
-        .expect("json");
-    let line = submit(&engine, &huge);
-    assert!(line.contains(r#""ev":"rejected""#), "{line}");
-    assert!(line.contains(r#""reason":"budget-infeasible""#), "{line}");
+    for huge in [
+        r#"{"id":"huge","size":4294967296,"tx":2,"rx":4,"iterations":1}"#,
+        r#"{"id":"many-rx","tx":2,"rx":9007199254740992,"iterations":1}"#,
+    ] {
+        let spec = Json::parse(huge).expect("json");
+        let line = submit(&engine, &spec);
+        assert!(line.contains(r#""ev":"rejected""#), "{line}");
+        assert!(line.contains(r#""reason":"budget-infeasible""#), "{line}");
+    }
     assert_eq!(engine.job_state("huge"), None);
+    assert_eq!(engine.job_state("many-rx"), None);
     engine.drain(false);
     engine.join();
     drop(engine);
