@@ -9,8 +9,10 @@
 //! termination as the only regularization (mirroring the DBIM setting).
 
 use crate::problem::ImagingSetup;
+use ffw_numerics::linalg::{rows_adjoint_panel, rows_panel};
 use ffw_numerics::C64;
 use ffw_solver::{cgnr, FnOp, IterConfig, SolveStats};
+use std::ops::Range;
 
 /// Configuration for the Born inversion.
 #[derive(Clone, Copy, Debug)]
@@ -42,39 +44,42 @@ pub struct BornResult {
 /// Runs the Born (single-scattering) reconstruction.
 pub fn born_inversion(setup: &ImagingSetup, measured: &[Vec<C64>], cfg: &BornConfig) -> BornResult {
     let n = setup.n_pixels();
-    let n_tx = setup.n_tx();
-    let n_rx = setup.n_rx();
-    assert_eq!(measured.len(), n_tx);
-    let m = n_tx * n_rx;
-
-    // Stacked forward map: B O = [GR (phi_inc_t . O)]_t
-    let b_op = FnOp::new(m, n, |o: &[C64], out: &mut [C64]| {
-        let mut w = vec![C64::ZERO; n];
-        for t in 0..n_tx {
-            let inc = setup.incident(t);
-            for i in 0..n {
-                w[i] = inc[i] * o[i];
-            }
-            setup.gr_apply(&w, &mut out[t * n_rx..(t + 1) * n_rx]);
-        }
-    });
-    // Adjoint: B^H b = sum_t conj(phi_inc_t) . (GR^H b_t)
+    assert_eq!(measured.len(), setup.n_tx());
+    let m = setup.n_tx() * setup.n_rx();
+    let b_op = FnOp::new(m, n, |o: &[C64], out: &mut [C64]| born_apply(setup, o, out));
     let bh_op = FnOp::new(n, m, |b: &[C64], out: &mut [C64]| {
-        out.iter_mut().for_each(|v| *v = C64::ZERO);
-        let mut y = vec![C64::ZERO; n];
-        for t in 0..n_tx {
-            setup.gr_adjoint_apply(&b[t * n_rx..(t + 1) * n_rx], &mut y);
-            let inc = setup.incident(t);
-            for i in 0..n {
-                out[i] += inc[i].conj() * y[i];
-            }
-        }
+        born_adjoint(setup, b, out)
     });
-
     let stacked: Vec<C64> = measured.iter().flat_map(|v| v.iter().copied()).collect();
     let mut object = vec![C64::ZERO; n];
     let stats = cgnr(&b_op, &bh_op, &stacked, &mut object, cfg.solver);
     BornResult { object, stats }
+}
+
+/// The stacked forward map `B O = [GR (phi_inc_t . O)]_t`, all
+/// transmitters in one panel.
+fn born_apply(setup: &ImagingSetup, o: &[C64], out: &mut [C64]) {
+    let source = |t: usize, px: Range<usize>, w: &mut [C64]| {
+        let inc = &setup.incident(t)[px.clone()];
+        for ((wi, p), oi) in w.iter_mut().zip(inc).zip(&o[px]) {
+            *wi = *p * *oi;
+        }
+    };
+    rows_panel(&setup.gr_rows(0..o.len()), setup.n_tx(), source, out);
+}
+
+/// Its adjoint `B^H b = sum_t conj(phi_inc_t) . (GR^H b_t)`, accumulated in
+/// ascending `t` at every pixel.
+fn born_adjoint(setup: &ImagingSetup, b: &[C64], out: &mut [C64]) {
+    let bs: Vec<&[C64]> = b.chunks(setup.n_rx()).collect();
+    out.fill(C64::ZERO);
+    let n = out.len();
+    rows_adjoint_panel(&setup.gr_rows(0..n), n, &bs, |t, px, y| {
+        let inc = &setup.incident(t)[px.clone()];
+        for ((o, p), yi) in out[px].iter_mut().zip(inc).zip(y) {
+            *o += p.conj() * *yi;
+        }
+    });
 }
 
 #[cfg(test)]
@@ -93,34 +98,14 @@ mod tests {
             ffw_geometry::TransducerArray::ring(5, r),
         );
         let n = setup.n_pixels();
-        let n_tx = setup.n_tx();
-        let n_rx = setup.n_rx();
-        let m = n_tx * n_rx;
+        let m = setup.n_tx() * setup.n_rx();
         let x: Vec<C64> = (0..n).map(|i| C64::cis(0.13 * i as f64)).collect();
         let y: Vec<C64> = (0..m).map(|i| C64::cis(0.7 * i as f64 + 1.0)).collect();
 
         let mut bx = vec![C64::ZERO; m];
-        {
-            let mut w = vec![C64::ZERO; n];
-            for t in 0..n_tx {
-                let inc = setup.incident(t);
-                for i in 0..n {
-                    w[i] = inc[i] * x[i];
-                }
-                setup.gr_apply(&w, &mut bx[t * n_rx..(t + 1) * n_rx]);
-            }
-        }
+        born_apply(&setup, &x, &mut bx);
         let mut bhy = vec![C64::ZERO; n];
-        {
-            let mut yy = vec![C64::ZERO; n];
-            for t in 0..n_tx {
-                setup.gr_adjoint_apply(&y[t * n_rx..(t + 1) * n_rx], &mut yy);
-                let inc = setup.incident(t);
-                for i in 0..n {
-                    bhy[i] += inc[i].conj() * yy[i];
-                }
-            }
-        }
+        born_adjoint(&setup, &y, &mut bhy);
         let lhs = zdotc(&bx, &y);
         let rhs = zdotc(&x, &bhy);
         assert!((lhs - rhs).abs() < 1e-10 * lhs.abs(), "{lhs:?} vs {rhs:?}");

@@ -47,10 +47,11 @@
 //! predict the next fields from.
 
 use crate::precond::LeafBlockJacobi;
-use crate::problem::{rows_adjoint_apply, rows_apply, ImagingSetup};
+use crate::problem::ImagingSetup;
 use crate::regularize::{laplacian_tree, Bidiag, ProjectedProblem, Regularizer};
 use ffw_fault::{Checkpoint, FaultError, Fingerprint};
 use ffw_mlfma::MlfmaPlan;
+use ffw_numerics::linalg::{rows_adjoint_panel, rows_panel};
 use ffw_numerics::vecops::{axpy_real, norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
 use ffw_solver::{
@@ -714,22 +715,28 @@ where
         Ok(sum[0].re.sqrt())
     }
 
+    /// The `receivers` span around one panel product, opened on rank
+    /// `(0, 0)` only, like the loop's other spans.
+    fn receivers_span(&self) -> Option<ffw_obs::SpanGuard> {
+        (self.ctx.grid_pos() == (0, 0)).then(|| ffw_obs::span("receivers"))
+    }
+
     /// `rows` (`GR` or the receiver map, on the owned pixels) applied to one
-    /// batch of `count` owned-pixel source vectors, the whole batch's
-    /// receiver data riding in one group reduction. `source` writes source
-    /// `k` into the scratch vector it is given.
+    /// panel of `count` owned-pixel sources in one pass over the rows, the
+    /// whole panel's receiver data riding in one group reduction.
+    /// `source(k, range, w)` writes source `k` on the owned pixels `range`
+    /// into `w` ([`rows_panel`]).
     fn to_receivers(
         &self,
         rows: &[&[C64]],
         count: usize,
-        mut source: impl FnMut(usize, &mut [C64]),
+        source: impl FnMut(usize, Range<usize>, &mut [C64]),
     ) -> Result<Vec<Vec<C64>>, FaultError> {
         let n_rx = self.setup.n_rx();
-        let mut w = self.ctx.workspace().lease(self.object.len(), 1);
         let mut data = vec![C64::ZERO; count * n_rx];
-        for (k, rx) in data.chunks_mut(n_rx).enumerate() {
-            source(k, &mut w[0]);
-            rows_apply(rows, &w[0], rx);
+        {
+            let _span = self.receivers_span();
+            rows_panel(rows, count, source, &mut data);
         }
         self.ctx.g0().reduce(&mut data)?;
         Ok(data.chunks(n_rx).map(|r| r.to_vec()).collect())
@@ -755,8 +762,9 @@ where
                 .collect();
             let stats = self.engine.solve_block(&incs, fields_chunk, self.forward)?;
             self.count(|c| &mut c.state, &stats, 0);
-            let scattered = self.to_receivers(&self.gr, chunk.len(), |k, w| {
-                for ((wi, o), p) in w.iter_mut().zip(object).zip(&fields_chunk[k]) {
+            let scattered = self.to_receivers(&self.gr, chunk.len(), |k, px, w| {
+                let phi = &fields_chunk[k][px.clone()];
+                for ((wi, o), p) in w.iter_mut().zip(&object[px]).zip(phi) {
                     *wi = *o * *p;
                 }
             })?;
@@ -802,8 +810,9 @@ where
             let stats = self.engine.solve_block(&g0w_refs, us, self.linear)?;
             self.count(|c| &mut c.step, &stats, 1);
             // F_t d = GR (w + O u)
-            out.extend(self.to_receivers(&self.gr, nb, |k, src| {
-                for (((si, wi), ui), oi) in src.iter_mut().zip(&wds[k]).zip(&us[k]).zip(object) {
+            out.extend(self.to_receivers(&self.gr, nb, |k, px, src| {
+                let (w, u) = (&wds[k][px.clone()], &us[k][px.clone()]);
+                for (((si, wi), ui), oi) in src.iter_mut().zip(w).zip(u).zip(&object[px]) {
                     *si = *wi + *oi * *ui;
                 }
             })?);
@@ -830,12 +839,15 @@ where
             let nb = rs_chunk.len();
             let mut ys = ws.lease(n, nb);
             let mut rhss = ws.lease(n, nb);
-            for ((y, rhs), r) in ys.iter_mut().zip(rhss.iter_mut()).zip(rs_chunk) {
-                rows_adjoint_apply(&self.gr, r, y);
-                for ((ri, o), yi) in rhs.iter_mut().zip(object).zip(y.iter()) {
+            let bs: Vec<&[C64]> = rs_chunk.iter().map(|r| r.as_slice()).collect();
+            let span = self.receivers_span();
+            rows_adjoint_panel(&self.gr, n, &bs, |k, px, y| {
+                ys[k][px.clone()].copy_from_slice(y);
+                for ((ri, o), yi) in rhss[k][px.clone()].iter_mut().zip(&object[px]).zip(y) {
                     *ri = o.conj() * *yi;
                 }
-            }
+            });
+            drop(span);
             let rhs_refs: Vec<&[C64]> = rhss.iter().map(|v| v.as_slice()).collect();
             let mut zs = ws.lease_zeroed(n, nb);
             let stats = self
@@ -1108,11 +1120,13 @@ where
     /// `out[t] = F_t d` for the owned transmitters, summed over the group
     /// in one reduction.
     pub fn frechet(&self, fields: &[Vec<C64>], d: &[C64]) -> Result<Vec<Vec<C64>>, FaultError> {
-        self.pass.to_receivers(&self.rows(), fields.len(), |k, w| {
-            for ((wi, fi), di) in w.iter_mut().zip(&fields[k]).zip(d) {
-                *wi = *fi * *di;
-            }
-        })
+        self.pass
+            .to_receivers(&self.rows(), fields.len(), |k, px, w| {
+                let phi = &fields[k][px.clone()];
+                for ((wi, fi), di) in w.iter_mut().zip(phi).zip(&d[px]) {
+                    *wi = *fi * *di;
+                }
+            })
     }
 
     /// `grad = sum_t F_t^H r_t` on the owned pixels, accumulated in
@@ -1123,15 +1137,15 @@ where
         rs: &[Vec<C64>],
         grad: &mut [C64],
     ) -> Result<(), FaultError> {
-        let rows = self.rows();
-        let mut mhr = self.pass.ctx.workspace().lease(grad.len(), 1);
+        let bs: Vec<&[C64]> = rs.iter().map(|r| r.as_slice()).collect();
         grad.fill(C64::ZERO);
-        for (f, r) in fields.iter().zip(rs) {
-            rows_adjoint_apply(&rows, r, &mut mhr[0]);
-            for ((g, fi), s) in grad.iter_mut().zip(f).zip(&mhr[0]) {
-                *g += fi.conj() * *s;
+        let span = self.pass.receivers_span();
+        rows_adjoint_panel(&self.rows(), grad.len(), &bs, |k, px, s| {
+            for ((g, fi), si) in grad[px.clone()].iter_mut().zip(&fields[k][px]).zip(s) {
+                *g += fi.conj() * *si;
             }
-        }
+        });
+        drop(span);
         self.pass.ctx.sum_groups(grad)
     }
 }

@@ -1,18 +1,24 @@
 //! The imaging problem setup: domain, transducers, incident fields and the
 //! receiver Green's operator (paper Fig. 3).
+//!
+//! `GR` is applied only through the panel kernels of `ffw-numerics`
+//! ([`rows_panel`], [`ffw_numerics::linalg::rows_adjoint_panel`]) on its
+//! rows ([`ImagingSetup::gr_rows`]): every product through it takes a whole
+//! panel of transmitters in one pass over the rows.
 
 use ffw_geometry::{Domain, Point2, QuadTree, TransducerArray};
 use ffw_greens::{incident_field, tree_positions, Kernel};
-use ffw_numerics::linalg::Matrix;
+use ffw_numerics::linalg::{rows_panel, Matrix};
 use ffw_numerics::C64;
 use ffw_solver::BlockLinOp;
+use std::ops::Range;
 
 /// Geometry + precomputed measurement operators for one imaging experiment.
 ///
 /// The receiver operator `GR` (`R x N`) is precomputed densely — it is tiny
-/// compared to `G0` (`R << N`) and is applied once per transmitter per
-/// forward solution. Incident fields `phi_inc_t` are precomputed per
-/// transmitter.
+/// compared to `G0` (`R << N`) and is applied once per panel of
+/// transmitters per forward solution. Incident fields `phi_inc_t` are
+/// precomputed per transmitter.
 pub struct ImagingSetup {
     /// The imaging domain.
     pub domain: Domain,
@@ -81,24 +87,6 @@ impl ImagingSetup {
         &self.phi_inc[t]
     }
 
-    /// `out = GR w` — fields at the receivers radiated by pixel sources `w`.
-    pub fn gr_apply(&self, w: &[C64], out: &mut [C64]) {
-        self.gr.matvec(w, out);
-    }
-
-    /// `out = GR^H b` — adjoint of the receiver operator.
-    pub fn gr_adjoint_apply(&self, b: &[C64], out: &mut [C64]) {
-        out.iter_mut().for_each(|v| *v = C64::ZERO);
-        self.gr.matvec_adjoint_acc(b, out);
-    }
-
-    /// Scattered field at the receivers for total internal field `phi` and
-    /// object `object`: `phi_sca = GR (O . phi)`.
-    pub fn scattered(&self, object: &[C64], phi: &[C64], out: &mut [C64]) {
-        let w: Vec<C64> = object.iter().zip(phi).map(|(o, p)| *o * *p).collect();
-        self.gr_apply(&w, out);
-    }
-
     /// Relative residual norm of a measurement-space residual set:
     /// `sqrt(sum_t ||r_t||^2 / sum_t ||m_t||^2)` — the paper's reported
     /// "relative residual norm (of the right-hand side)".
@@ -130,6 +118,8 @@ pub fn synthesize_measurements<G: BlockLinOp + ?Sized>(
     let batch = n_tx.clamp(1, 8);
     let ws = ffw_solver::Workspace::new();
     let engine = ffw_solver::BicgstabBackend::new(g0, object, None, None, &ws);
+    let gr = setup.gr_rows(0..n);
+    let n_rx = setup.n_rx();
     let mut out = Vec::with_capacity(n_tx);
     for t0 in (0..n_tx).step_by(batch) {
         let t1 = (t0 + batch).min(n_tx);
@@ -139,20 +129,22 @@ pub fn synthesize_measurements<G: BlockLinOp + ?Sized>(
         let stats = engine
             .solve_block(&incs, &mut phis, forward)
             .expect("synthesis forward solve broke down");
-        let mut w = ws.lease(n, 1);
         for (k, t) in (t0..t1).enumerate() {
             assert!(
                 stats[k].converged,
                 "synthesis forward solve failed for tx {t}: {:?}",
                 stats[k]
             );
-            for ((wi, o), p) in w[0].iter_mut().zip(object).zip(&phis[k]) {
+        }
+        // phi_sca_t = GR (O . phi_t)
+        let source = |k: usize, px: Range<usize>, w: &mut [C64]| {
+            for ((wi, o), p) in w.iter_mut().zip(&object[px.clone()]).zip(&phis[k][px]) {
                 *wi = *o * *p;
             }
-            let mut rx = vec![C64::ZERO; setup.n_rx()];
-            setup.gr_apply(&w[0], &mut rx);
-            out.push(rx);
-        }
+        };
+        let mut rx = vec![C64::ZERO; (t1 - t0) * n_rx];
+        rows_panel(&gr, t1 - t0, source, &mut rx);
+        out.extend(rx.chunks(n_rx).map(|r| r.to_vec()));
     }
     out
 }
@@ -184,77 +176,18 @@ impl ImagingSetup {
     /// receiver operator used by the sub-tree-distributed solver (each rank
     /// contributes its pixel range; the group reduces the partial receiver
     /// vectors).
-    pub fn gr_rows(&self, cols: std::ops::Range<usize>) -> Vec<&[C64]> {
+    pub fn gr_rows(&self, cols: Range<usize>) -> Vec<&[C64]> {
         (0..self.n_rx())
             .map(|rx| &self.gr.row(rx)[cols.clone()])
             .collect()
     }
 }
 
-/// `out = K w` for an `R × n` operator `K` given by its rows, one per
-/// receiver: `GR` on a pixel range ([`ImagingSetup::gr_rows`]), or the
-/// receiver map the `wgcv-lsqr` products run through
-/// ([`crate::dbim::ReceiverSide`]).
-///
-/// Four receivers share one pass over `w`: a receiver's sum is one dependent
-/// chain of complex multiply-adds, so four chains in flight hide the latency
-/// one alone is bound by. Each receiver still adds its pixels in ascending
-/// order.
-pub(crate) fn rows_apply(rows: &[&[C64]], w: &[C64], out: &mut [C64]) {
-    assert_eq!(out.len(), rows.len());
-    assert!(rows.iter().all(|row| row.len() == w.len()));
-    for (outs, block) in out.chunks_mut(GR_ROWS).zip(rows.chunks(GR_ROWS)) {
-        if let ([o0, o1, o2, o3], [r0, r1, r2, r3]) = (&mut *outs, block) {
-            let rows = r0.iter().zip(*r1).zip(*r2).zip(*r3);
-            let mut acc = [C64::ZERO; GR_ROWS];
-            for ((((g0, g1), g2), g3), w) in rows.zip(w) {
-                acc[0] = g0.mul_add(*w, acc[0]);
-                acc[1] = g1.mul_add(*w, acc[1]);
-                acc[2] = g2.mul_add(*w, acc[2]);
-                acc[3] = g3.mul_add(*w, acc[3]);
-            }
-            [*o0, *o1, *o2, *o3] = acc;
-        } else {
-            for (o, row) in outs.iter_mut().zip(block) {
-                let sum = row.iter().zip(w);
-                *o = sum.fold(C64::ZERO, |acc, (g, w)| g.mul_add(*w, acc));
-            }
-        }
-    }
-}
-
-/// `out = K^H b` for the `K` of [`rows_apply`]. Four receivers are added
-/// per pass over `out`, in ascending receiver order.
-pub(crate) fn rows_adjoint_apply(rows: &[&[C64]], b: &[C64], out: &mut [C64]) {
-    assert_eq!(b.len(), rows.len());
-    assert!(rows.iter().all(|row| row.len() == out.len()));
-    out.fill(C64::ZERO);
-    for (bs, block) in b.chunks(GR_ROWS).zip(rows.chunks(GR_ROWS)) {
-        if let ([b0, b1, b2, b3], [r0, r1, r2, r3]) = (bs, block) {
-            let rows = r0.iter().zip(*r1).zip(*r2).zip(*r3);
-            for (o, (((g0, g1), g2), g3)) in out.iter_mut().zip(rows) {
-                let sum = g0.conj().mul_add(*b0, *o);
-                let sum = g1.conj().mul_add(*b1, sum);
-                let sum = g2.conj().mul_add(*b2, sum);
-                *o = g3.conj().mul_add(*b3, sum);
-            }
-        } else {
-            for (br, row) in bs.iter().zip(block) {
-                for (o, g) in out.iter_mut().zip(*row) {
-                    *o = g.conj().mul_add(*br, *o);
-                }
-            }
-        }
-    }
-}
-
-/// Receivers per pass of [`rows_apply`] and [`rows_adjoint_apply`].
-const GR_ROWS: usize = 4;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ffw_greens::assemble_g0;
+    use ffw_numerics::linalg::rows_adjoint_panel;
 
     fn tiny_setup() -> ImagingSetup {
         let domain = Domain::new(32, 1.0);
@@ -295,10 +228,12 @@ mod tests {
         let b: Vec<C64> = (0..s.n_rx())
             .map(|i| C64::cis(1.1 * i as f64 + 0.2))
             .collect();
+        let gr = s.gr_rows(0..n);
         let mut grw = vec![C64::ZERO; s.n_rx()];
-        s.gr_apply(&w, &mut grw);
+        let source = |_: usize, px: Range<usize>, src: &mut [C64]| src.copy_from_slice(&w[px]);
+        rows_panel(&gr, 1, source, &mut grw);
         let mut ghb = vec![C64::ZERO; n];
-        s.gr_adjoint_apply(&b, &mut ghb);
+        rows_adjoint_panel(&gr, n, &[&b], |_, range, s| ghb[range].copy_from_slice(s));
         let lhs = ffw_numerics::vecops::zdotc(&grw, &b);
         let rhs = ffw_numerics::vecops::zdotc(&w, &ghb);
         assert!((lhs - rhs).abs() < 1e-10 * lhs.abs());

@@ -34,6 +34,7 @@
 //! `avx2,fma` instance (`dispatch!`) agree bit for bit.
 
 use crate::plan::SIBLING_LANES;
+use ffw_numerics::dispatch;
 use ffw_numerics::linalg::PeriodicBandMatrix;
 
 /// One sample of the four siblings: `[pos * 2 + {re, im}]`.

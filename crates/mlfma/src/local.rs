@@ -40,7 +40,7 @@
 
 use ffw_geometry::LEAF_PIXELS;
 use ffw_numerics::linalg::Matrix;
-use ffw_numerics::{c64, C64};
+use ffw_numerics::{c64, dispatch, C64};
 
 /// Mirrored pixel pairs `(k, 63 - k)` of one leaf.
 const PAIRS: usize = LEAF_PIXELS / 2;

@@ -39,7 +39,7 @@
 use ffw_geometry::{Offset, LEAF_PIXELS, LEAF_SIDE, NEAR_OFFSETS};
 use ffw_greens::Kernel;
 use ffw_numerics::linalg::Matrix;
-use ffw_numerics::C64;
+use ffw_numerics::{dispatch, C64};
 
 /// Side of the zero-padded transform.
 const N: usize = 2 * LEAF_SIDE;

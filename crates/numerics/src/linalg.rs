@@ -4,8 +4,18 @@
 //! local expansions and near-field interactions are *dense*, interpolation /
 //! anterpolation are *band-diagonal* with real weights, and shifts /
 //! translations are diagonal (stored as split re/im planes by the MLFMA crate).
+//!
+//! The receiver products of the inverse solver run through one pair of
+//! panel kernels over an operator given by its rows: [`rows_panel`]
+//! (`K w_k`) and [`rows_adjoint_panel`] (`K^H b_k`), for a whole panel of
+//! sources in one pass over the rows. Both run through [`crate::dispatch!`]:
+//! on x86-64 with AVX2 and FMA as an instance of the same safe body
+//! recompiled for both (the body has no multiply-add to fuse, and Rust never
+//! contracts one, so the instance answers bit for bit), and as the portable
+//! body anywhere else, Miri included.
 
-use crate::complex::C64;
+use crate::complex::{c64, C64};
+use std::ops::Range;
 
 /// Row-major dense complex matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,170 +116,19 @@ impl Matrix {
     /// `ys[b] += A xs[b]` for a panel of inputs, with the output panel
     /// column-blocked: column `b` occupies `ys[b * rows .. (b+1) * rows]`.
     ///
-    /// The inputs are first packed into split re/im planes laid out
-    /// column-adjacent (`plane[k * width + b]`), so the per-row sweep updates
-    /// `W` independent accumulator lanes with contiguous loads — plain
-    /// elementwise `f64` arithmetic the compiler vectorizes across the panel,
-    /// something the one-column `matvec_acc` chain can never expose. Per
-    /// column the expression evaluated each step is exactly
-    /// [`C64::mul_add`]'s (`a.re*x.re - a.im*x.im + acc.re`, same
-    /// association), the `k` order is the same, and the final single add into
-    /// `y` is the same — so every column of the panel is bit-identical to
-    /// its own `matvec_acc`.
+    /// The rows of `A` through [`rows_panel`]: every column of the panel is
+    /// bit-identical to its own `matvec_acc`.
     pub fn matvec_acc_panel(&self, xs: &[&[C64]], ys: &mut [C64]) {
-        let width = xs.len();
-        assert_eq!(ys.len(), self.rows * width);
-        for x in xs {
-            assert_eq!(x.len(), self.cols);
+        assert_eq!(ys.len(), self.rows * xs.len());
+        assert!(xs.iter().all(|x| x.len() == self.cols));
+        let rows: Vec<&[C64]> = (0..self.rows).map(|r| self.row(r)).collect();
+        let mut sums = vec![C64::ZERO; ys.len()];
+        let source =
+            |b: usize, range: Range<usize>, w: &mut [C64]| w.copy_from_slice(&xs[b][range]);
+        rows_panel(&rows, xs.len(), source, &mut sums);
+        for (y, s) in ys.iter_mut().zip(sums) {
+            *y += s;
         }
-        // Pack: O(cols * width) against the O(rows * cols * width) sweep.
-        let mut xre = vec![0.0f64; self.cols * width];
-        let mut xim = vec![0.0f64; self.cols * width];
-        for (b, x) in xs.iter().enumerate() {
-            for (k, v) in x.iter().enumerate() {
-                xre[k * width + b] = v.re;
-                xim[k * width + b] = v.im;
-            }
-        }
-        // The AVX2 path is compiled out under Miri: the interpreter has no
-        // cpuid, and the scalar sweep is the bit-identical reference anyway.
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check above.
-            unsafe { self.panel_sweep_avx2(&xre, &xim, width, ys) };
-            return;
-        }
-        self.panel_sweep_scalar(&xre, &xim, width, 0, ys);
-    }
-
-    /// Portable lane sweep of [`Self::matvec_acc_panel`], from column `col`
-    /// to the end of the panel.
-    fn panel_sweep_scalar(
-        &self,
-        xre: &[f64],
-        xim: &[f64],
-        width: usize,
-        col: usize,
-        ys: &mut [C64],
-    ) {
-        let rows = self.rows;
-        for b in col..width {
-            for r in 0..rows {
-                let row = self.row(r);
-                let mut acc_re = 0.0f64;
-                let mut acc_im = 0.0f64;
-                for (k, a) in row.iter().enumerate() {
-                    let vr = xre[k * width + b];
-                    let vi = xim[k * width + b];
-                    acc_re += a.re * vr - a.im * vi;
-                    acc_im += a.re * vi + a.im * vr;
-                }
-                let y = &mut ys[b * rows + r];
-                y.re += acc_re;
-                y.im += acc_im;
-            }
-        }
-    }
-
-    /// AVX2 lane sweep: 8 columns per pass (four 4-wide accumulator chains
-    /// per output row — enough independent chains to hide the add latency
-    /// that serializes the one-column path), then a 4-wide pass, then scalar
-    /// remainder lanes. Every vector op is an elementwise IEEE mul/sub/add in
-    /// the exact association of [`C64::mul_add`] — no fma contraction — so
-    /// each lane is bit-identical to the scalar sweep.
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: caller must ensure AVX2 is available (runtime-detected at the
-    // single call site); all pointer arithmetic is bounds-justified below.
-    unsafe fn panel_sweep_avx2(&self, xre: &[f64], xim: &[f64], width: usize, ys: &mut [C64]) {
-        use std::arch::x86_64::*;
-        let rows = self.rows;
-        let mut col = 0;
-        // SAFETY (whole body): lane loads below read `xre/xim[k*width+col ..
-        // +4/+8]` with `k < cols`, in bounds of the `cols * width` planes;
-        // `ys` stores index `(col+j) * rows + r` with `col+j < width`,
-        // `r < rows`, in bounds of the `rows * width` panel.
-        unsafe {
-            while col + 8 <= width {
-                for r in 0..rows {
-                    let row = self.row(r);
-                    let mut re0 = _mm256_setzero_pd();
-                    let mut im0 = _mm256_setzero_pd();
-                    let mut re1 = _mm256_setzero_pd();
-                    let mut im1 = _mm256_setzero_pd();
-                    for (k, a) in row.iter().enumerate() {
-                        let base = k * width + col;
-                        let are = _mm256_set1_pd(a.re);
-                        let aim = _mm256_set1_pd(a.im);
-                        let vr0 = _mm256_loadu_pd(xre.as_ptr().add(base));
-                        let vi0 = _mm256_loadu_pd(xim.as_ptr().add(base));
-                        let vr1 = _mm256_loadu_pd(xre.as_ptr().add(base + 4));
-                        let vi1 = _mm256_loadu_pd(xim.as_ptr().add(base + 4));
-                        re0 = _mm256_add_pd(
-                            _mm256_sub_pd(_mm256_mul_pd(are, vr0), _mm256_mul_pd(aim, vi0)),
-                            re0,
-                        );
-                        im0 = _mm256_add_pd(
-                            _mm256_add_pd(_mm256_mul_pd(are, vi0), _mm256_mul_pd(aim, vr0)),
-                            im0,
-                        );
-                        re1 = _mm256_add_pd(
-                            _mm256_sub_pd(_mm256_mul_pd(are, vr1), _mm256_mul_pd(aim, vi1)),
-                            re1,
-                        );
-                        im1 = _mm256_add_pd(
-                            _mm256_add_pd(_mm256_mul_pd(are, vi1), _mm256_mul_pd(aim, vr1)),
-                            im1,
-                        );
-                    }
-                    let mut lre = [0.0f64; 8];
-                    let mut lim = [0.0f64; 8];
-                    _mm256_storeu_pd(lre.as_mut_ptr(), re0);
-                    _mm256_storeu_pd(lre.as_mut_ptr().add(4), re1);
-                    _mm256_storeu_pd(lim.as_mut_ptr(), im0);
-                    _mm256_storeu_pd(lim.as_mut_ptr().add(4), im1);
-                    for j in 0..8 {
-                        let y = &mut ys[(col + j) * rows + r];
-                        y.re += lre[j];
-                        y.im += lim[j];
-                    }
-                }
-                col += 8;
-            }
-            while col + 4 <= width {
-                for r in 0..rows {
-                    let row = self.row(r);
-                    let mut re0 = _mm256_setzero_pd();
-                    let mut im0 = _mm256_setzero_pd();
-                    for (k, a) in row.iter().enumerate() {
-                        let base = k * width + col;
-                        let are = _mm256_set1_pd(a.re);
-                        let aim = _mm256_set1_pd(a.im);
-                        let vr0 = _mm256_loadu_pd(xre.as_ptr().add(base));
-                        let vi0 = _mm256_loadu_pd(xim.as_ptr().add(base));
-                        re0 = _mm256_add_pd(
-                            _mm256_sub_pd(_mm256_mul_pd(are, vr0), _mm256_mul_pd(aim, vi0)),
-                            re0,
-                        );
-                        im0 = _mm256_add_pd(
-                            _mm256_add_pd(_mm256_mul_pd(are, vi0), _mm256_mul_pd(aim, vr0)),
-                            im0,
-                        );
-                    }
-                    let mut lre = [0.0f64; 4];
-                    let mut lim = [0.0f64; 4];
-                    _mm256_storeu_pd(lre.as_mut_ptr(), re0);
-                    _mm256_storeu_pd(lim.as_mut_ptr(), im0);
-                    for j in 0..4 {
-                        let y = &mut ys[(col + j) * rows + r];
-                        y.re += lre[j];
-                        y.im += lim[j];
-                    }
-                }
-                col += 4;
-            }
-        }
-        self.panel_sweep_scalar(xre, xim, width, col, ys);
     }
 
     /// `y += A^T x` (plain transpose, no conjugation — `G0` is complex
@@ -336,6 +195,223 @@ impl Matrix {
     /// Frobenius norm.
     pub fn norm_fro(&self) -> f64 {
         self.data.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt()
+    }
+}
+
+/// Pixels per tile of [`rows_panel`] and [`rows_adjoint_panel`]: a tile of
+/// every row (128 KiB at 32 rows) stays in L2 while the lane groups of the
+/// panel pass over it.
+const TILE: usize = 256;
+
+/// Sources per lane group of the panel kernels, held as split re/im planes:
+/// one lane per source, two AVX2 registers per plane.
+const LANES: usize = 8;
+
+/// `out[k * R + r] = sum_n rows[r][n] w_k[n]` for a panel of `count`
+/// sources: the `R x n` operator `K` given by its rows, in one pass over them.
+///
+/// `source(k, range, w)` writes `w_k[range]` into `w`, one tile of pixels at
+/// a time in ascending order: no source is formed whole. Eight sources ride
+/// in lanes and two rows share each pass over a tile. Every `(k, r)` sum is
+/// the chain of [`C64::mul_add`]s over ascending pixels from zero that
+/// [`Matrix::matvec`] runs, unfused: bit-identical to it at every width.
+pub fn rows_panel<F>(rows: &[&[C64]], count: usize, source: F, out: &mut [C64])
+where
+    F: FnMut(usize, Range<usize>, &mut [C64]),
+{
+    dispatch!(rows_panel_body(
+        rows: &[&[C64]],
+        count: usize,
+        source: impl FnMut(usize, Range<usize>, &mut [C64]),
+        out: &mut [C64],
+    ));
+}
+
+#[inline(always)]
+fn rows_panel_body<F>(rows: &[&[C64]], count: usize, mut source: F, out: &mut [C64])
+where
+    F: FnMut(usize, Range<usize>, &mut [C64]),
+{
+    let n_rows = rows.len();
+    assert_eq!(out.len(), count * n_rows);
+    let n = rows.first().map_or(0, |row| row.len());
+    assert!(rows.iter().all(|row| row.len() == n));
+    // The running sums: lane group `g`, row `r`, lane `j` at
+    // `(g * R + r) * LANES + j`.
+    let groups = count.div_ceil(LANES);
+    let mut sum_re = vec![0.0f64; groups * n_rows * LANES];
+    let mut sum_im = vec![0.0f64; groups * n_rows * LANES];
+    // One tile of one lane group's sources: pixel `i`, lane `j` at
+    // `i * LANES + j`. Lanes past the panel's end carry stale values whose
+    // sums are never read.
+    let tile_len = n.min(TILE);
+    let mut w = vec![C64::ZERO; tile_len];
+    let mut w_re = vec![0.0f64; tile_len * LANES];
+    let mut w_im = vec![0.0f64; tile_len * LANES];
+    for p0 in (0..n).step_by(TILE) {
+        let tile = p0..n.min(p0 + TILE);
+        let len = tile.len();
+        for g in 0..groups {
+            for (j, k) in (g * LANES..count.min((g + 1) * LANES)).enumerate() {
+                source(k, tile.clone(), &mut w[..len]);
+                for (i, v) in w[..len].iter().enumerate() {
+                    w_re[i * LANES + j] = v.re;
+                    w_im[i * LANES + j] = v.im;
+                }
+            }
+            let planes = (&w_re[..len * LANES], &w_im[..len * LANES]);
+            let sums = g * n_rows * LANES..(g + 1) * n_rows * LANES;
+            let pairs = sum_re[sums.clone()].chunks_mut(2 * LANES);
+            let pairs = pairs.zip(sum_im[sums].chunks_mut(2 * LANES));
+            for ((s_re, s_im), block) in pairs.zip(rows.chunks(2)) {
+                if let [g0, g1] = block {
+                    let block = [&g0[tile.clone()], &g1[tile.clone()]];
+                    forward_rows(block, planes, s_re, s_im);
+                } else {
+                    forward_rows([&block[0][tile.clone()]], planes, s_re, s_im);
+                }
+            }
+        }
+    }
+    for (k, out) in out.chunks_mut(n_rows.max(1)).take(count).enumerate() {
+        let (g, j) = (k / LANES, k % LANES);
+        for (r, o) in out.iter_mut().enumerate() {
+            let at = (g * n_rows + r) * LANES + j;
+            *o = c64(sum_re[at], sum_im[at]);
+        }
+    }
+}
+
+/// The sums of `ROWS` rows over one tile, every lane of the group:
+/// `s_re` / `s_im` hold the rows' running sums, `LANES` apiece, on entry and
+/// on exit. Each step is [`C64::mul_add`]'s expression (`a += p` rounds as
+/// `p + a`: IEEE addition commutes).
+#[inline(always)]
+fn forward_rows<const ROWS: usize>(
+    g: [&[C64]; ROWS],
+    (w_re, w_im): (&[f64], &[f64]),
+    s_re: &mut [f64],
+    s_im: &mut [f64],
+) {
+    let mut acc_re = [[0.0f64; LANES]; ROWS];
+    let mut acc_im = [[0.0f64; LANES]; ROWS];
+    for b in 0..ROWS {
+        acc_re[b].copy_from_slice(&s_re[b * LANES..(b + 1) * LANES]);
+        acc_im[b].copy_from_slice(&s_im[b * LANES..(b + 1) * LANES]);
+    }
+    let planes = w_re.chunks_exact(LANES).zip(w_im.chunks_exact(LANES));
+    for (i, (vr, vi)) in planes.enumerate() {
+        for b in 0..ROWS {
+            let x = g[b][i];
+            for j in 0..LANES {
+                acc_re[b][j] += x.re * vr[j] - x.im * vi[j];
+                acc_im[b][j] += x.re * vi[j] + x.im * vr[j];
+            }
+        }
+    }
+    for b in 0..ROWS {
+        s_re[b * LANES..(b + 1) * LANES].copy_from_slice(&acc_re[b]);
+        s_im[b * LANES..(b + 1) * LANES].copy_from_slice(&acc_im[b]);
+    }
+}
+
+/// `s_k = K^H b_k` for a panel of vectors `bs`, `R` long each, with `K` the
+/// `R x n` operator of [`rows_panel`], in one pass over its rows.
+///
+/// `sink(k, range, s)` receives `s_k[range]`, one tile of pixels at a time
+/// in ascending order and, within a tile, in ascending `k`: a sum over the
+/// panel in the sink adds in the order a loop over whole `s_k` would. Eight
+/// vectors ride in lanes. Each pixel's sum is the [`C64::mul_add`] chain of
+/// the conjugated row entries over ascending receivers from zero that
+/// [`Matrix::matvec_adjoint_acc`] runs into zeros: bit-identical to it.
+pub fn rows_adjoint_panel<S>(rows: &[&[C64]], n: usize, bs: &[&[C64]], sink: S)
+where
+    S: FnMut(usize, Range<usize>, &[C64]),
+{
+    dispatch!(rows_adjoint_panel_body(
+        rows: &[&[C64]],
+        n: usize,
+        bs: &[&[C64]],
+        sink: impl FnMut(usize, Range<usize>, &[C64]),
+    ));
+}
+
+#[inline(always)]
+fn rows_adjoint_panel_body<S>(rows: &[&[C64]], n: usize, bs: &[&[C64]], mut sink: S)
+where
+    S: FnMut(usize, Range<usize>, &[C64]),
+{
+    let n_rows = rows.len();
+    assert!(rows.iter().all(|row| row.len() == n));
+    assert!(bs.iter().all(|b| b.len() == n_rows));
+    // The panel as split planes: lane group `g`, receiver `r`, lane `j` at
+    // `(g * R + r) * LANES + j`; lanes past the panel's end are zero.
+    let groups = bs.len().div_ceil(LANES);
+    let mut b_re = vec![0.0f64; groups * n_rows * LANES];
+    let mut b_im = vec![0.0f64; groups * n_rows * LANES];
+    for (k, b) in bs.iter().enumerate() {
+        let (g, j) = (k / LANES, k % LANES);
+        for (r, v) in b.iter().enumerate() {
+            b_re[(g * n_rows + r) * LANES + j] = v.re;
+            b_im[(g * n_rows + r) * LANES + j] = v.im;
+        }
+    }
+    // One tile of one lane group's sums: split planes, pixel `i`, lane `j`
+    // at `i * LANES + j`, then lane `j`'s as one vector for the sink.
+    let tile_len = n.min(TILE);
+    let mut t_re = vec![0.0f64; tile_len * LANES];
+    let mut t_im = vec![0.0f64; tile_len * LANES];
+    let mut s = vec![C64::ZERO; tile_len];
+    for p0 in (0..n).step_by(TILE) {
+        let tile = p0..n.min(p0 + TILE);
+        let len = tile.len();
+        for g in 0..groups {
+            let planes = g * n_rows * LANES..(g + 1) * n_rows * LANES;
+            let planes = (&b_re[planes.clone()], &b_im[planes]);
+            let sums = t_re.chunks_mut(2 * LANES).zip(t_im.chunks_mut(2 * LANES));
+            for ((s_re, s_im), i) in sums.zip((0..len).step_by(2)) {
+                if i + 2 <= len {
+                    adjoint_pixels::<2>(rows, p0 + i, planes, s_re, s_im);
+                } else {
+                    adjoint_pixels::<1>(rows, p0 + i, planes, s_re, s_im);
+                }
+            }
+            for (j, k) in (g * LANES..bs.len().min((g + 1) * LANES)).enumerate() {
+                for (i, v) in s[..len].iter_mut().enumerate() {
+                    *v = c64(t_re[i * LANES + j], t_im[i * LANES + j]);
+                }
+                sink(k, tile.clone(), &s[..len]);
+            }
+        }
+    }
+}
+
+/// The sums of `PIX` pixels from `p`, every lane of the group, written to
+/// `s_re` / `s_im` at `q * LANES + j` for pixel `p + q` and lane `j`. Each
+/// step is [`C64::mul_add`]'s expression of the conjugated row entry.
+#[inline(always)]
+fn adjoint_pixels<const PIX: usize>(
+    rows: &[&[C64]],
+    p: usize,
+    (b_re, b_im): (&[f64], &[f64]),
+    s_re: &mut [f64],
+    s_im: &mut [f64],
+) {
+    let mut acc_re = [[0.0f64; LANES]; PIX];
+    let mut acc_im = [[0.0f64; LANES]; PIX];
+    let planes = b_re.chunks_exact(LANES).zip(b_im.chunks_exact(LANES));
+    for (row, (vr, vi)) in rows.iter().zip(planes) {
+        for q in 0..PIX {
+            let x = row[p + q].conj();
+            for j in 0..LANES {
+                acc_re[q][j] += x.re * vr[j] - x.im * vi[j];
+                acc_im[q][j] += x.re * vi[j] + x.im * vr[j];
+            }
+        }
+    }
+    for q in 0..PIX {
+        s_re[q * LANES..(q + 1) * LANES].copy_from_slice(&acc_re[q]);
+        s_im[q * LANES..(q + 1) * LANES].copy_from_slice(&acc_im[q]);
     }
 }
 
@@ -532,6 +608,86 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Both panel kernels against `matvec` / `matvec_adjoint_acc` (the
+    /// `mul_add` chains) at every shape they branch on: widths into a second
+    /// lane group and its tail, odd row blocks, tile tails. Miri runs the
+    /// portable bodies on a corner of them.
+    #[test]
+    fn panel_kernels_are_the_mul_add_chain_of_every_sum() {
+        let (widths, row_counts, lens) = if cfg!(miri) {
+            (vec![1, 8, 9], vec![1, 3], vec![1, 257])
+        } else {
+            (
+                (1..=17).collect(),
+                vec![1, 2, 3, 5, 32],
+                vec![1, 255, 256, 257, 1000],
+            )
+        };
+        for (&n_rows, &n) in row_counts
+            .iter()
+            .flat_map(|r| lens.iter().map(move |n| (r, n)))
+        {
+            let k = mat(n_rows, n, (n_rows * n) as u64);
+            let rows: Vec<&[C64]> = (0..n_rows).map(|r| k.row(r)).collect();
+            for &count in &widths {
+                let ws: Vec<Vec<C64>> = (0..count).map(|b| vecc(n, 7 + b as u64)).collect();
+                let mut out = vec![C64::ONE; count * n_rows];
+                rows_panel(
+                    &rows,
+                    count,
+                    |b, px, w| w.copy_from_slice(&ws[b][px]),
+                    &mut out,
+                );
+                let bs: Vec<&[C64]> = out.chunks(n_rows).collect();
+                let mut ss = vec![vec![C64::ONE; n]; count];
+                rows_adjoint_panel(&rows, n, &bs, |b, px, s| ss[b][px].copy_from_slice(s));
+                for (b, (w, s)) in ws.iter().zip(&ss).enumerate() {
+                    let (mut y, mut z) = (vec![C64::ZERO; n_rows], vec![C64::ZERO; n]);
+                    k.matvec(w, &mut y);
+                    k.matvec_adjoint_acc(bs[b], &mut z);
+                    assert_eq!((bs[b], s), (&y[..], &z), "{n_rows}x{n}, {count} wide");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_adjoint_panel_sinks_ascending_tiles_then_ascending_sources() {
+        let k = mat(3, 600, 5);
+        let rows: Vec<&[C64]> = (0..3).map(|r| k.row(r)).collect();
+        let bs = vec![&k.row(0)[..3]; 11];
+        let mut calls = Vec::new();
+        rows_adjoint_panel(&rows, 600, &bs, |b, px, _| calls.push((px.start, b)));
+        let tiles = [0, 256, 512].into_iter();
+        let expected: Vec<_> = tiles.flat_map(|p| (0..11).map(move |b| (p, b))).collect();
+        assert_eq!(calls, expected);
+    }
+
+    #[test]
+    fn the_dispatched_panel_kernels_answer_as_the_portable_bodies() {
+        let (n, n_rows, count) = if cfg!(miri) {
+            (300, 3, 9)
+        } else {
+            (1000, 5, 17)
+        };
+        let k = mat(n_rows, n, 3);
+        let rows: Vec<&[C64]> = (0..n_rows).map(|r| k.row(r)).collect();
+        let ws: Vec<Vec<C64>> = (0..count).map(|b| vecc(n, 20 + b as u64)).collect();
+        let source = |b: usize, px: Range<usize>, w: &mut [C64]| w.copy_from_slice(&ws[b][px]);
+        let mut outs = [
+            vec![C64::ZERO; count * n_rows],
+            vec![C64::ONE; count * n_rows],
+        ];
+        rows_panel(&rows, count, source, &mut outs[0]);
+        rows_panel_body(&rows, count, source, &mut outs[1]);
+        assert_eq!(outs[0], outs[1]);
+        let bs: Vec<&[C64]> = ws.iter().map(|w| &w[..n_rows]).collect();
+        let mut sinks = [vec![], vec![]];
+        rows_adjoint_panel(&rows, n, &bs, |b, px, s| sinks[0].push((b, px, s.to_vec())));
+        rows_adjoint_panel_body(&rows, n, &bs, |b, px, s| sinks[1].push((b, px, s.to_vec())));
+        assert_eq!(sinks[0], sinks[1]);
     }
 
     #[test]

@@ -170,9 +170,9 @@ mod tests {
     fn overflowing_jobs_are_budget_infeasible() {
         for patch in [
             r#"{"id":"a","size":4294967296}"#,
-            r#"{"id":"a","tx":9007199254740992,"iterations":1000}"#,
-            r#"{"id":"a","rx":9007199254740992}"#,
-            r#"{"id":"a","rx":9007199254740992,"regularizer":"wgcv-lsqr"}"#,
+            r#"{"id":"a","tx":9007199254740991,"iterations":1000}"#,
+            r#"{"id":"a","rx":9007199254740991}"#,
+            r#"{"id":"a","rx":9007199254740991,"regularizer":"wgcv-lsqr"}"#,
         ] {
             let spec = JobSpec::from_json(&Json::parse(patch).expect(patch)).expect(patch);
             match policy().admit(&spec, 0, false, false) {

@@ -25,7 +25,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`; integers are exact to 2^53).
+    /// Any JSON number (parsed as `f64`; integers are exact below 2^53).
     Num(f64),
     /// A string.
     Str(String),
@@ -34,6 +34,10 @@ pub enum Json {
     /// An object.
     Obj(BTreeMap<String, Json>),
 }
+
+/// The largest integer [`Json::as_u64`] returns: `2^53 - 1`, below which
+/// every integer literal parses to itself.
+pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
 
 /// A parse failure: what went wrong and the byte offset where.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,10 +96,15 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one exactly.
+    /// The numeric payload as a non-negative integer, if it is one exactly
+    /// and at most [`MAX_EXACT_INT`]. 2^53 itself is refused: it is the
+    /// first value a longer literal rounds onto (`9007199254740993` parses
+    /// as 2^53), so it cannot be told from the literals it stands for.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -498,6 +507,21 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).to_line(), "null");
         // Overflowing literals are rejected, not turned into inf.
         assert!(Json::parse("1e999").is_err());
+    }
+
+    #[test]
+    fn integers_from_two_to_the_53_on_are_not_integers() {
+        let at = |s: &str| Json::parse(s).unwrap().as_u64();
+        assert_eq!(at("9007199254740991"), Some(MAX_EXACT_INT));
+        // 2^53, and the literals that round onto it or past it
+        for s in [
+            "9007199254740992",
+            "9007199254740993",
+            "9007199254740994",
+            "1e16",
+        ] {
+            assert_eq!(at(s), None, "{s}");
+        }
     }
 
     #[test]

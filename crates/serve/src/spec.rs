@@ -8,7 +8,7 @@
 //! admission time, so by the time a job reaches a worker every field is
 //! known-good and the run cannot fail on a bad parameter.
 
-use crate::json::{obj, Json};
+use crate::json::{obj, Json, MAX_EXACT_INT};
 use ffw_fault::Fingerprint;
 use ffw_geometry::Point2;
 use ffw_inverse::{HopSchedule, Regularizer};
@@ -78,7 +78,7 @@ fn field_u64(j: &Json, key: &str, default: u64) -> Result<u64, String> {
         None | Some(Json::Null) => Ok(default),
         Some(v) => v
             .as_u64()
-            .ok_or_else(|| format!("'{key}' must be a non-negative integer")),
+            .ok_or_else(|| format!("'{key}' must be an integer from 0 to {MAX_EXACT_INT}")),
     }
 }
 
@@ -150,10 +150,9 @@ impl JobSpec {
             max_flops: field_f64(j, "max_flops")?,
             chaos_seed: match j.get("chaos_seed") {
                 None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    v.as_u64()
-                        .ok_or("'chaos_seed' must be a non-negative integer")?,
-                ),
+                Some(v) => Some(v.as_u64().ok_or_else(|| {
+                    format!("'chaos_seed' must be an integer from 0 to {MAX_EXACT_INT}")
+                })?),
             },
             hops: match j.get("hops") {
                 None | Some(Json::Null) => None,
@@ -483,6 +482,17 @@ mod tests {
                 "'iterations'",
             ),
             (r#"{"id":"a","regularizer":"ridge"}"#, "'regularizer'"),
+            // 2^53 + 1 parses as 2^53: admitting it would run, and journal,
+            // another seed than the one asked for
+            (
+                r#"{"id":"a","chaos_seed":9007199254740993}"#,
+                "'chaos_seed' must be an integer from 0 to 9007199254740991",
+            ),
+            (
+                r#"{"id":"a","deadline_ms":9007199254740992}"#,
+                "'deadline_ms' must be an integer from 0 to 9007199254740991",
+            ),
+            (r#"{"id":"a","tx":9007199254740993}"#, "'tx'"),
             (r#"{"id":"a","regularizer":"wgcv-lsqr:0"}"#, "'regularizer'"),
             (
                 r#"{"id":"a","regularizer":"smoothness:1e-4","subtree":2}"#,
@@ -561,10 +571,11 @@ mod tests {
         for patch in [
             // 2^32 = 8 * 2^29: a valid size whose square is 2^64
             r#"{"id":"a","size":4294967296}"#,
-            // iterations * tx * 3 past 2^64, with tx at the JSON integer limit 2^53
-            r#"{"id":"a","tx":9007199254740992,"iterations":1000}"#,
-            // GR alone is 2^53 x 1024 entries
-            r#"{"id":"a","rx":9007199254740992}"#,
+            // iterations * tx * 3 past 2^64, with tx at the JSON integer
+            // limit 2^53 - 1
+            r#"{"id":"a","tx":9007199254740991,"iterations":1000}"#,
+            // GR alone is ~2^53 x 1024 entries
+            r#"{"id":"a","rx":9007199254740991}"#,
         ] {
             let spec = JobSpec::from_json(&Json::parse(patch).expect(patch)).expect(patch);
             let estimate = spec.estimated_flops();

@@ -135,7 +135,7 @@ fn an_overflowing_size_is_rejected_and_never_journaled() {
     let engine = Engine::open(cfg(dir.clone())).expect("open");
     for huge in [
         r#"{"id":"huge","size":4294967296,"tx":2,"rx":4,"iterations":1}"#,
-        r#"{"id":"many-rx","tx":2,"rx":9007199254740992,"iterations":1}"#,
+        r#"{"id":"many-rx","tx":2,"rx":9007199254740991,"iterations":1}"#,
     ] {
         let spec = Json::parse(huge).expect("json");
         let line = submit(&engine, &spec);
