@@ -90,10 +90,12 @@ fn main() {
     );
     for (class, count) in result.solve_counts.named() {
         println!(
-            "  {class:<9}{:>5.1}   ({} multiplications over {} solves, {} BiCGStab iterations)",
+            "  {class:<9}{:>5.1}   ({} multiplications over {} solves, {} of them the identity, \
+             {} BiCGStab iterations)",
             count.mults_per_solve(),
             count.mults,
             count.solves,
+            count.identity,
             count.iters
         );
     }

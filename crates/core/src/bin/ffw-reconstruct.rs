@@ -592,8 +592,10 @@ fn main() {
 
 /// Where the `G0` applies of the run went: MLFMA multiplications per
 /// forward-class solve by what the solve is for, next to the one figure the
-/// paper reports, then the applies verification added on top of them. Rank
-/// (0, 0) counts its own group's transmitters.
+/// paper reports, with how many of the solves were the identity of the zero
+/// background (no multiplication: they pull the figure down), then the
+/// applies verification added on top of them. Rank (0, 0) counts its own
+/// group's transmitters.
 fn print_mults_per_solve(snap: &ffw_obs::Snapshot) {
     let counter = |name: &str| {
         snap.counters
@@ -606,13 +608,16 @@ fn print_mults_per_solve(snap: &ffw_obs::Snapshot) {
     for (class, _) in SolveCounts::default().named() {
         let solves = counter(&format!("dbim.solves.{class}"));
         let mults = counter(&format!("dbim.mults.{class}"));
+        let identity = counter(&format!("dbim.identity.{class}"));
         all += mults;
         // `wgcv-lsqr` runs no step solve
         let per_solve = match solves {
             0 => "-".to_string(),
             _ => format!("{:.1}", mults as f64 / solves as f64),
         };
-        eprintln!("  {class:<9}{per_solve:>5}   ({mults} over {solves} solves)");
+        eprintln!(
+            "  {class:<9}{per_solve:>5}   ({mults} over {solves} solves, {identity} of them the identity)"
+        );
     }
     let audits = counter("sdc.audit_applies");
     let checksums = counter("sdc.checksum_applies");

@@ -22,6 +22,19 @@
 //! direction, the other a step length along it, both of a linearisation whose
 //! own error is `O(||delta O||)`, so they stop at [`LINEAR_STEP_TOL`].
 //!
+//! Iteration 0 from the zero background is the Born step. There `O = 0`,
+//! so `A = I - G0 O` and its adjoint are the identity: the state solves
+//! return the incident fields, the gradient's adjoint right-hand sides
+//! `conj(O) . y_t` vanish, and the step solves return `G0 w_t`. The loop
+//! tells the forward engine so ([`BicgstabBackend::at_zero_background`]),
+//! and each of those solves copies its right-hand side with no Krylov
+//! sweep — the answer the sweep reaches after one step, bit for bit. The
+//! decision rests on facts every rank holds, never on a scan of a rank's
+//! slice: the run was not resumed, [`DbimConfig::initial`] is `None` or
+//! all zero, and no update has been applied yet. The identity solves are
+//! still booked as solves, with no iteration and no multiplication
+//! ([`SolveCount::identity`]).
+//!
 //! Step 3 also leaves the next iteration's warm start behind: `u_t` is the
 //! derivative of `phi_t` along `d`, so `phi_t + alpha u_t` is the field at
 //! the updated object to first order, and the next state solve starts from
@@ -284,6 +297,9 @@ pub struct SolveCount {
     /// `G0` (MLFMA) multiplications: the solver's, plus the one product a
     /// gradient or step solve has outside it (`G0^H z`, `G0 w`).
     pub mults: usize,
+    /// Of `solves`, those at the zero background (module docs): the
+    /// identity, solved with no iteration and no multiplication.
+    pub identity: usize,
 }
 
 impl SolveCount {
@@ -678,6 +694,14 @@ where
         self
     }
 
+    /// These passes at the zero background when `zero` holds: the object is
+    /// zero on every rank and every solve starts from `x0 = 0`, so the
+    /// engine solves the identity ([`BicgstabBackend::at_zero_background`]).
+    pub fn at_zero_background(mut self, zero: bool) -> Self {
+        self.engine = self.engine.at_zero_background(zero);
+        self
+    }
+
     /// Books one batch of solves under `class`; `outside` is the number of
     /// `G0` products per solve the pass makes outside the solver.
     fn count(
@@ -691,6 +715,9 @@ where
         c.solves += stats.len();
         c.iters += stats.iter().map(|s| s.iterations).sum::<usize>();
         c.mults += stats.iter().map(|s| s.matvecs + outside).sum::<usize>();
+        if self.engine.is_identity() {
+            c.identity += stats.len();
+        }
         self.counts.set(counts);
     }
 
@@ -875,9 +902,10 @@ where
     /// `R` solves run in panels as wide as the transmitter batches, at the
     /// tolerance of the linearisation, and are booked as gradient solves.
     /// A `z` whose solve never applied the operator is zero (its right-hand
-    /// side vanished on the whole group, as at `O = 0`), and a panel of
-    /// nothing else skips `G0^H z`: at `O = 0`, `M` is `GR` and costs no
-    /// `G0` traversal. Every group builds all of `M`.
+    /// side vanished on the whole group, or the solve was the identity of
+    /// the zero background, where every right-hand side `conj(O) . y` is
+    /// zero), and a panel of nothing else skips `G0^H z`: at `O = 0`, `M` is
+    /// `GR` and costs no `G0` traversal. Every group builds all of `M`.
     pub fn receiver_side(&self) -> Result<ReceiverSide<'_, 'a, C>, FaultError> {
         let object = self.object;
         let n = object.len();
@@ -1213,6 +1241,7 @@ where
     let guard = cfg.verify.as_ref().map(|_| DriftGuard::default());
     let guard = guard.as_ref();
 
+    let resumed = init.is_some();
     let mut st = init.unwrap_or_else(|| LoopState {
         next_iter: 0,
         object: match &cfg.initial {
@@ -1231,6 +1260,14 @@ where
     assert_eq!(st.fields.len(), n_own, "start state transmitters");
     let mut history = Vec::with_capacity(cfg.iterations.saturating_sub(st.next_iter));
     let counts = Cell::new(SolveCounts::default());
+    // The zero background (module docs), decided from what every rank
+    // holds: a fresh run from a zero (or no) initial guess. It ends with the
+    // first update. The fields and the `u_t` start at zero until then.
+    let mut background = !resumed
+        && cfg
+            .initial
+            .as_ref()
+            .is_none_or(|o| o.iter().all(|v| *v == C64::ZERO));
 
     // Measured norm over the run's transmitters only: losing a group
     // reweights the residual to what is actually still being fit.
@@ -1270,7 +1307,8 @@ where
         let precond_pair = preconds.as_ref().map(|(m, mh)| -> PrecondPair { (m, mh) });
         // Bind the forward engine to the current object iterate. It borrows
         // the iterate, so the update is applied after the last pass.
-        let pass = Passes::new(setup, ctx, cfg, &st.object, guard, precond_pair, &counts);
+        let pass = Passes::new(setup, ctx, cfg, &st.object, guard, precond_pair, &counts)
+            .at_zero_background(background);
 
         // --- pass 1: fields and residuals ---
         let fields_span = span("fields");
@@ -1419,6 +1457,7 @@ where
         for (o, d) in st.object.iter_mut().zip(&delta[0]) {
             *o += *d;
         }
+        background = false;
         if cfg.real_object {
             for v in st.object.iter_mut() {
                 v.im = 0.0;
@@ -1451,7 +1490,8 @@ where
         Some(_) => st.residual_history.last().copied().unwrap_or(f64::NAN),
         None => {
             let _final_span = span("final");
-            let pass = Passes::new(setup, ctx, cfg, &st.object, guard, None, &counts);
+            let pass = Passes::new(setup, ctx, cfg, &st.object, guard, None, &counts)
+                .at_zero_background(background);
             let (_, cost) = pass.residuals(measured, &mut st.fields)?;
             check_integrity(guard, ctx, cfg, cfg.iterations as u64 + 1)?;
             let final_residual = (cost / measured_norm_sqr).sqrt();
@@ -1467,6 +1507,7 @@ where
         for (name, c) in solve_counts.named() {
             ffw_obs::counter(&format!("dbim.solves.{name}")).add(c.solves as u64);
             ffw_obs::counter(&format!("dbim.mults.{name}")).add(c.mults as u64);
+            ffw_obs::counter(&format!("dbim.identity.{name}")).add(c.identity as u64);
         }
     }
     Ok(DbimResult {

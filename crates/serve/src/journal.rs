@@ -193,10 +193,7 @@ impl JobEvent {
             }),
             Some("started") => Ok(JobEvent::Started {
                 id,
-                attempt: j
-                    .get("attempt")
-                    .and_then(Json::as_u64)
-                    .ok_or("started missing 'attempt'")? as u32,
+                attempt: u32_field(j, "started", "attempt")?,
             }),
             Some("done") => {
                 let hex = j
@@ -229,14 +226,34 @@ impl JobEvent {
             }),
             Some("cancelled") => Ok(JobEvent::Cancelled {
                 id,
-                next_iter: j
-                    .get("next_iter")
-                    .and_then(Json::as_u64)
-                    .ok_or("cancelled missing 'next_iter'")? as u32,
+                next_iter: u32_field(j, "cancelled", "next_iter")?,
             }),
             other => Err(format!("unknown event type {other:?}")),
         }
     }
+
+    /// The journal frame of this event: length, JSON payload, checksum
+    /// (module docs).
+    pub fn to_frame(&self) -> Vec<u8> {
+        let payload = self.to_json().to_line().into_bytes();
+        debug_assert!(payload.len() <= MAX_FRAME);
+        let mut frame = Vec::with_capacity(payload.len() + 12);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        frame
+    }
+}
+
+/// `j[key]` of a `kind` event as the `u32` it was written from. A larger
+/// value is a frame this version did not write, not one to wrap onto a
+/// small count.
+fn u32_field(j: &Json, kind: &str, key: &str) -> Result<u32, String> {
+    let v = j
+        .get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{kind} missing '{key}'"))?;
+    u32::try_from(v).map_err(|_| format!("{kind} '{key}' {v} exceeds u32::MAX ({})", u32::MAX))
 }
 
 /// What `Journal::open` recovered from an existing file.
@@ -247,6 +264,34 @@ pub struct Recovery {
     /// Bytes of torn/corrupt tail that were truncated away (0 on a clean
     /// open).
     pub truncated_bytes: u64,
+}
+
+impl Recovery {
+    /// What the journal bytes `bytes` hold: every intact frame's event and
+    /// the length of the torn or corrupt tail after them (all of a file
+    /// shorter than the header). A foreign header or an intact frame that
+    /// does not decode is a typed error. No length word is trusted beyond
+    /// the bytes there are, so nothing is allocated for a frame that is not.
+    pub fn scan(bytes: &[u8]) -> Result<Recovery, JournalError> {
+        if bytes.len() < MAGIC.len() {
+            // Torn during creation: only a header prefix made it out.
+            return Ok(Recovery {
+                events: Vec::new(),
+                truncated_bytes: bytes.len() as u64,
+            });
+        }
+        if &bytes[..MAGIC.len()] != MAGIC {
+            return Err(JournalError::BadHeader);
+        }
+        let mut recovery = Recovery::default();
+        let mut pos = MAGIC.len();
+        while let Some((event, next)) = read_frame(bytes, pos)? {
+            recovery.events.push(event);
+            pos = next;
+        }
+        recovery.truncated_bytes = (bytes.len() - pos) as u64;
+        Ok(recovery)
+    }
 }
 
 /// An open, append-only job journal.
@@ -265,33 +310,16 @@ impl Journal {
         let io = |what: &str, e: std::io::Error| {
             JournalError::Io(format!("{what} {}: {e}", path.display()))
         };
-        let mut recovery = Recovery::default();
-        let existing = match fs::read(path) {
-            Ok(bytes) => Some(bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(io("read", e)),
-        };
-
-        let good_len = match &existing {
-            None => None,
-            Some(bytes) => {
-                if bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] != MAGIC {
-                    return Err(JournalError::BadHeader);
-                }
-                if bytes.len() < MAGIC.len() {
-                    // Torn during creation: only a header prefix made it out.
-                    recovery.truncated_bytes = bytes.len() as u64;
-                    None
-                } else {
-                    let mut pos = MAGIC.len();
-                    while let Some((event, next)) = read_frame(bytes, pos)? {
-                        recovery.events.push(event);
-                        pos = next;
-                    }
-                    recovery.truncated_bytes = (bytes.len() - pos) as u64;
-                    Some(pos as u64)
-                }
+        let (recovery, good_len) = match fs::read(path) {
+            Ok(bytes) => {
+                let recovery = Recovery::scan(&bytes)?;
+                // A torn header is a fresh journal.
+                let good_len = (bytes.len() >= MAGIC.len())
+                    .then(|| bytes.len() as u64 - recovery.truncated_bytes);
+                (recovery, good_len)
             }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Recovery::default(), None),
+            Err(e) => return Err(io("read", e)),
         };
 
         match good_len {
@@ -339,12 +367,7 @@ impl Journal {
     /// before this returns, so an acknowledgement sent afterwards can never
     /// outlive the record.
     pub fn append(&mut self, event: &JobEvent) -> Result<(), JournalError> {
-        let payload = event.to_json().to_line().into_bytes();
-        debug_assert!(payload.len() <= MAX_FRAME);
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        let frame = event.to_frame();
         let io = |what: &str, e: std::io::Error| {
             JournalError::Io(format!("{what} {}: {e}", self.path.display()))
         };
@@ -500,6 +523,32 @@ mod tests {
         // The foreign file was not destroyed.
         assert_eq!(fs::read(&path).expect("read"), b"NOT-A-JOURNAL-FILE");
         fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn counts_past_u32_are_undecodable_not_wrapped() {
+        let big = u64::from(u32::MAX) + 1;
+        for (kind, key) in [("started", "attempt"), ("cancelled", "next_iter")] {
+            let line = format!(r#"{{"type":"{kind}","id":"j1","{key}":{big}}}"#);
+            let err = JobEvent::from_json(&Json::parse(&line).expect("parse"))
+                .expect_err("2^32 must not decode");
+            assert!(err.contains("u32::MAX") && err.contains(key), "{err}");
+            // Through a whole, checksummed frame it is a typed open error.
+            let payload = line.as_bytes();
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+            match Recovery::scan(&bytes) {
+                Err(JournalError::Undecodable { offset: 8, reason }) => {
+                    assert!(reason.contains("u32::MAX"), "{reason}")
+                }
+                other => panic!("{kind}: expected Undecodable, got {other:?}"),
+            }
+            // u32::MAX itself is a count this version writes.
+            let line = line.replace(&big.to_string(), &u32::MAX.to_string());
+            assert!(JobEvent::from_json(&Json::parse(&line).expect("parse")).is_ok());
+        }
     }
 
     #[test]

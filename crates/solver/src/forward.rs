@@ -165,12 +165,17 @@ pub type PrecondPair<'a> = (&'a dyn Precond, &'a dyn Precond);
 /// convergence, rolls back to the last verified iterate on divergence and
 /// escalates (column surfaced unconverged, guard counter bumped) once the
 /// rollback budget is spent; clean solves are bit-identical to unguarded ones.
+///
+/// At the zero background ([`BicgstabBackend::at_zero_background`]) `A` and
+/// `A^H` are the identity and every solve returns its right-hand side with
+/// no sweep.
 pub struct BicgstabBackend<'a, G: DistOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
     guard: Option<&'a DriftGuard>,
     precond: Option<PrecondPair<'a>>,
     ws: &'a Workspace,
+    identity: bool,
 }
 
 impl<'a, G: DistOp + ?Sized> BicgstabBackend<'a, G>
@@ -193,7 +198,33 @@ where
             guard,
             precond,
             ws,
+            identity: false,
         }
+    }
+
+    /// This engine, told whether the object is the untouched zero
+    /// background on every rank that shares its solves. There `A = A^H = I`:
+    /// each solve writes `+0 + b` into `x` and reports 0 iterations, 0
+    /// matvecs, converged at residual 0, with nothing leased, applied or
+    /// reduced. From `x0 = 0` that is the sweep's answer bit for bit: `r = b`,
+    /// `p = r`, `v = A p = p` (the `G0` product of a zero column is `+0`),
+    /// `alpha = <r_hat, r> / <r_hat, v> = 1`, `s = 0`, `x = x0 + p`; the
+    /// leaf-block Jacobi blocks at `O = 0` are the identity too, so a
+    /// preconditioned sweep reads the same vectors. The caller decides from
+    /// facts every rank holds, never from a scan of its own slice: ranks that
+    /// disagreed would leave a group waiting on reductions that never come.
+    pub fn at_zero_background(mut self, zero: bool) -> Self {
+        debug_assert!(
+            !zero || self.object.iter().all(|o| *o == C64::ZERO),
+            "the zero background with a non-zero object slice"
+        );
+        self.identity = zero;
+        self
+    }
+
+    /// Whether this engine solves at the zero background.
+    pub fn is_identity(&self) -> bool {
+        self.identity
     }
 
     /// Solves `A xs[c] = bs[c]` for a panel of columns in lockstep.
@@ -203,6 +234,9 @@ where
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Result<Vec<SolveStats>, FaultError> {
+        if self.identity {
+            return Ok(identity_solve(bs, xs));
+        }
         let a = ScatteringOp::new(self.g0, self.object, self.ws);
         let precond = self.precond.map(|p| p.0);
         try_bicgstab_block(&a, bs, xs, cfg, self.guard, precond, self.ws)
@@ -215,10 +249,39 @@ where
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Result<Vec<SolveStats>, FaultError> {
+        if self.identity {
+            return Ok(identity_solve(bs, xs));
+        }
         let a = AdjointScatteringOp::new(self.g0, self.object, self.ws);
         let precond = self.precond.map(|p| p.1);
         try_bicgstab_block(&a, bs, xs, cfg, self.guard, precond, self.ws)
     }
+}
+
+/// `xs[c] = +0 + bs[c]`: the solves of `I x = b`
+/// ([`BicgstabBackend::at_zero_background`]). Adding to `+0` leaves every
+/// non-zero word of `b` as it is and makes its zeros `+0`, as the sweep's
+/// `x0 + alpha p` and its zero-right-hand-side columns do.
+fn identity_solve(bs: &[&[C64]], xs: &mut [Vec<C64>]) -> Vec<SolveStats> {
+    assert_eq!(xs.len(), bs.len(), "solution block width mismatch");
+    for (x, b) in xs.iter_mut().zip(bs) {
+        assert_eq!(x.len(), b.len());
+        for (xi, bi) in x.iter_mut().zip(*b) {
+            *xi = C64::ZERO + *bi;
+        }
+    }
+    if ffw_obs::enabled() {
+        ffw_obs::counter("solver.identity_solves").add(bs.len() as u64);
+    }
+    let solved = SolveStats {
+        iterations: 0,
+        matvecs: 0,
+        verify_matvecs: 0,
+        rolled_back: 0,
+        rel_residual: 0.0,
+        converged: true,
+    };
+    vec![solved; bs.len()]
 }
 
 /// Solves the forward problem `[I - G0 diag(O)] phi = phi_inc` with BiCGStab:

@@ -7,18 +7,22 @@
 //! grid reproduces `dbim` bit for bit, larger grids agree with it to
 //! rounding for every regularizer / prior / preconditioner, a hop schedule
 //! runs and resumes on both, an unverified grid run sends exactly the
-//! messages its solves account for, and the kernel stays width-invariant on
-//! a multi-rank operator.
+//! messages its solves account for, the kernel stays width-invariant on
+//! a multi-rank operator, and the zero background's identity solves keep
+//! every digest and are decided alike on every rank.
 
 use ffw::dist::{run_dbim_ft, FtConfig};
+use ffw::fault::fnv1a64;
 use ffw::geometry::Point2;
-use ffw::inverse::{dbim, DbimConfig, Regularizer};
+use ffw::inverse::{dbim, dbim_hooked, DbimConfig, DbimResult, Flow, LoopState, Regularizer};
 use ffw::mlfma::Accuracy;
 use ffw::numerics::linalg::Matrix;
 use ffw::numerics::vecops::rel_diff;
 use ffw::numerics::{c64, C64};
 use ffw::phantom::Cylinder;
-use ffw::solver::{bicgstab_block, try_bicgstab_block, DistOp, IterConfig, Workspace};
+use ffw::solver::{
+    bicgstab_block, try_bicgstab_block, DistOp, IterConfig, VerifyConfig, Workspace,
+};
 use ffw::tomo::{reconstruct, HopPipeline, HopSchedule, Reconstruction, SceneConfig};
 use std::convert::Infallible;
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
@@ -50,6 +54,18 @@ fn problem() -> (Reconstruction, Vec<Vec<C64>>) {
     let recon = Reconstruction::new(&scene());
     let measured = recon.synthesize(&truth(recon.domain().side()));
     (recon, measured)
+}
+
+/// The object after one serial iteration from the zero background: a
+/// non-zero start for the runs that must not begin there.
+fn one_iteration(recon: &Reconstruction, measured: &[Vec<C64>]) -> Vec<C64> {
+    let cfg = DbimConfig {
+        iterations: 1,
+        ..Default::default()
+    };
+    dbim(&recon.setup, recon.g0(), measured, &cfg)
+        .expect("one iteration")
+        .object
 }
 
 fn assert_agree(what: &str, a: &[f64], b: &[f64], tol: f64) {
@@ -213,17 +229,7 @@ fn a_hop_schedule_runs_and_resumes_on_both_contexts() {
 fn an_initial_guess_is_honoured_on_a_rank_grid() {
     let _lock = serial();
     let (recon, measured) = problem();
-    let start = dbim(
-        &recon.setup,
-        recon.g0(),
-        &measured,
-        &DbimConfig {
-            iterations: 1,
-            ..Default::default()
-        },
-    )
-    .expect("start")
-    .object;
+    let start = one_iteration(&recon, &measured);
     let one_more = |initial: Option<Vec<C64>>| DbimConfig {
         iterations: 1,
         initial,
@@ -342,8 +348,17 @@ fn resume_refuses_another_configuration_but_not_another_batch() {
 /// iteration 1 and of the final pass converge at the `s`-norm check of
 /// their first step, not at its end: 2·4 fewer. Four ranks:
 /// 422 − 4·18 = 350 messages, 1 497 248 − 4·4·16 224 = 1 237 664 bytes.
-const GRID_MESSAGES: u64 = 350;
-const GRID_BYTES: u64 = 1_237_664;
+///
+/// Then the solves of iteration 0, at the zero background, became the
+/// identity and send nothing. The state and the step solve each sent the
+/// `‖b‖` reduction, the fresh-residual apply, the `‖r‖` reduction and one
+/// step leaving at the `s`-norm check: 1 + 2 + 1 + 5 = 9 messages,
+/// 2·16 128 + 5·32 = 32 416 bytes. The gradient solve, whose right-hand
+/// sides are zero, sent its `‖b‖` reduction alone: 1 message, 32 bytes. Four
+/// ranks: 350 − 4·19 = 274 messages,
+/// 1 237 664 − 4·(2·32 416 + 32) = 978 208 bytes.
+const GRID_MESSAGES: u64 = 274;
+const GRID_BYTES: u64 = 978_208;
 
 /// (d) What goes over the wire is pinned to the message.
 #[test]
@@ -506,4 +521,179 @@ fn the_kernel_is_width_invariant_on_a_two_rank_operator() {
         let err = rel_diff(&x8[c], &whole[c]);
         assert!(err <= 1e-12, "column {c}: split vs whole {err:e}");
     }
+}
+
+/// `fnv1a64` over an object's words, real part before imaginary.
+fn digest(object: &[C64]) -> u64 {
+    let bytes: Vec<u8> = object
+        .iter()
+        .flat_map(|v| [v.re.to_le_bytes(), v.im.to_le_bytes()])
+        .flatten()
+        .collect();
+    fnv1a64(&bytes)
+}
+
+/// Object digests of two iterations of [`problem`] from the zero
+/// background, as the sweeps wrote them before the first iteration's solves
+/// became the identity: plain on 1×1, 2×1 and 2×2, then positivity,
+/// leaf-block Jacobi and the drift guard with checksums on 1×1.
+const ZERO_BACKGROUND_DIGESTS: [u64; 6] = [
+    0xe9de97d40ded0a77,
+    0x9ceb0a1f145a031d,
+    0xc4efbbde3b988665,
+    0x302b8a4e6e5d326d,
+    0xf1ff485db505a2fa,
+    0xe9de97d40ded0a77,
+];
+
+/// (f) The zero background is the identity: the first iteration's solves
+/// return their right-hand sides with no sweep, and every digest is the one
+/// the sweeps wrote, on every grid and with every rider of the solves.
+#[test]
+fn the_zero_background_keeps_every_digest() {
+    let _lock = serial();
+    let (recon, measured) = problem();
+    let two = DbimConfig {
+        iterations: 2,
+        ..Default::default()
+    };
+    let serial_run =
+        |cfg: DbimConfig| dbim(&recon.setup, recon.g0(), &measured, &cfg).expect("dbim");
+    let grid = |groups: usize, subtree: usize| {
+        let ft = FtConfig {
+            dbim: two.clone(),
+            ..FtConfig::new(groups, subtree)
+        };
+        run_dbim_ft(&recon.setup, Arc::clone(&recon.plan), &measured, &ft)
+            .unwrap_or_else(|e| panic!("{groups}x{subtree}: {e}"))
+            .object
+    };
+    let plain = serial_run(two.clone());
+    // Iteration 0's four state, four gradient and four step solves.
+    let identity = plain.solve_counts.named().map(|(_, c)| c.identity);
+    assert_eq!(identity, [4, 4, 4]);
+    let digests = [
+        digest(&plain.object),
+        digest(&grid(2, 1)),
+        digest(&grid(2, 2)),
+        digest(
+            &serial_run(DbimConfig {
+                positivity: true,
+                ..two.clone()
+            })
+            .object,
+        ),
+        digest(
+            &serial_run(DbimConfig {
+                precondition: Some(Arc::clone(&recon.plan)),
+                ..two.clone()
+            })
+            .object,
+        ),
+        digest(
+            &serial_run(DbimConfig {
+                verify: Some(VerifyConfig::default()),
+                ..two.clone()
+            })
+            .object,
+        ),
+    ];
+    assert_eq!(digests, ZERO_BACKGROUND_DIGESTS);
+}
+
+/// BiCGStab iterations by class (state, gradient, step) of the two runs of
+/// [`a_start_or_a_resume_books_what_it_always_did`], as every solve sweeping
+/// booked them.
+const OFF_BACKGROUND_ITERS: [[usize; 3]; 2] = [[16, 8, 8], [8, 4, 4]];
+
+/// (g) The shortcut never fires off the zero background: a run from a
+/// non-zero start and a run resumed after its first update book exactly the
+/// iterations they booked when every solve swept, and no identity solve.
+#[test]
+fn a_start_or_a_resume_books_what_it_always_did() {
+    let _lock = serial();
+    let (recon, measured) = problem();
+    let iterations = |n: usize| DbimConfig {
+        iterations: n,
+        ..Default::default()
+    };
+    let start = one_iteration(&recon, &measured);
+    let from_start = dbim(
+        &recon.setup,
+        recon.g0(),
+        &measured,
+        &DbimConfig {
+            initial: Some(start),
+            ..iterations(2)
+        },
+    )
+    .expect("from a start");
+
+    let ws = Workspace::new();
+    let saved: Mutex<Option<LoopState>> = Mutex::new(None);
+    let stop_after_first = |st: &LoopState| {
+        *saved.lock().expect("state") = Some(st.clone());
+        Ok(Flow::Stop)
+    };
+    let run = |init: Option<LoopState>, hook: &dyn Fn(&LoopState) -> _| {
+        dbim_hooked(
+            &recon.setup,
+            recon.g0(),
+            &measured,
+            &iterations(2),
+            init,
+            hook,
+            &ws,
+        )
+        .expect("dbim")
+    };
+    let stopped = run(None, &stop_after_first);
+    assert_eq!(stopped.stopped, Some(1));
+    let state = saved.lock().expect("state").take();
+    let resumed = run(state, &|_: &LoopState| Ok(Flow::Continue));
+
+    let by_class = |r: &DbimResult| r.solve_counts.named().map(|(_, c)| c.iters);
+    assert_eq!(
+        [by_class(&from_start), by_class(&resumed)],
+        OFF_BACKGROUND_ITERS
+    );
+    for r in [&from_start, &resumed] {
+        assert!(r.solve_counts.named().iter().all(|(_, c)| c.identity == 0));
+    }
+}
+
+/// (h) The decision is collective without a message: a start that is zero
+/// on the first sub-tree rank's half of a 1×2 grid only is not the zero
+/// background on either rank. Had that rank decided from a scan of its
+/// slice, it would have skipped sweeps whose reductions its partner waits
+/// on. The run finishes and agrees with the serial run from that start.
+#[test]
+fn a_start_zero_on_one_half_only_runs_on_a_one_by_two_grid() {
+    let _lock = serial();
+    let (recon, measured) = problem();
+    let mut start = one_iteration(&recon, &measured);
+    let half = start.len() / 2;
+    start[..half].fill(C64::ZERO);
+    assert!(start[half..].iter().any(|v| *v != C64::ZERO));
+    let cfg = DbimConfig {
+        iterations: 2,
+        initial: Some(start),
+        ..Default::default()
+    };
+    let serial = dbim(&recon.setup, recon.g0(), &measured, &cfg).expect("serial");
+    assert!(serial
+        .solve_counts
+        .named()
+        .iter()
+        .all(|(_, c)| c.identity == 0));
+    let ft = FtConfig {
+        dbim: cfg,
+        ..FtConfig::new(1, 2)
+    };
+    let grid = run_dbim_ft(&recon.setup, Arc::clone(&recon.plan), &measured, &ft).expect("1x2");
+    let err = rel_diff(&grid.object, &serial.object);
+    assert!(
+        err <= 1e-10,
+        "1x2 from a half-zero start vs serial: {err:e}"
+    );
 }
