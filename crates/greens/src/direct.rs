@@ -4,10 +4,11 @@
 //! (Section V-B: "at most 1e-5 error, relative to naive direct O(N^2)
 //! multiplication") and the oracles for our accuracy tests.
 
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, QUARTER_I};
 use ffw_geometry::{Domain, Point2, QuadTree, TransducerArray};
+use ffw_numerics::bessel::hankel1_0_into;
 use ffw_numerics::linalg::Matrix;
-use ffw_numerics::C64;
+use ffw_numerics::{dispatch, C64};
 
 /// Pixel center positions in tree order.
 pub fn tree_positions(domain: &Domain, tree: &QuadTree) -> Vec<Point2> {
@@ -57,25 +58,63 @@ pub fn assemble_g0(kernel: &Kernel, positions: &[Point2]) -> Matrix {
     })
 }
 
-/// Assembles the dense receiver operator `GR` (`R x N`).
-pub fn assemble_gr(kernel: &Kernel, receivers: &TransducerArray, positions: &[Point2]) -> Matrix {
-    Matrix::from_fn(receivers.len(), positions.len(), |r, nn| {
-        kernel.gr_element(receivers.position(r).dist(positions[nn]))
-    })
+/// Columns per chunk of a Hankel row: a chunk's arguments and values stay
+/// in L1 between the distance pass and the Hankel pass.
+const ROW_CHUNK: usize = 256;
+
+/// The kernel body: `x[j] = k |p_j - src|`, one `mul_add` under the square
+/// root (not `hypot`).
+#[inline(always)]
+fn arguments_body(k: f64, src: Point2, points: &[Point2], x: &mut [f64]) {
+    for (x, p) in x.iter_mut().zip(points) {
+        let (dx, dy) = (p.x - src.x, p.y - src.y);
+        *x = k * dx.mul_add(dx, dy * dy).sqrt();
+    }
 }
 
-/// Incident field of transmitter `t` on all pixels (tree order).
+fn arguments(k: f64, src: Point2, points: &[Point2], x: &mut [f64]) {
+    dispatch!(arguments_body(k: f64, src: Point2, points: &[Point2], x: &mut [f64]));
+}
+
+/// Appends `scale * H0^(1)(k |p - src|)` for every `p` of `positions` to
+/// `out`, a chunk at a time: the arguments, then one call of the lane-wise
+/// Hankel function over them.
+fn extend_h0_row(k: f64, src: Point2, positions: &[Point2], scale: C64, out: &mut Vec<C64>) {
+    let mut x = [0.0; ROW_CHUNK];
+    let mut h = [C64::ZERO; ROW_CHUNK];
+    for chunk in positions.chunks(ROW_CHUNK) {
+        let (x, h) = (&mut x[..chunk.len()], &mut h[..chunk.len()]);
+        arguments(k, src, chunk, x);
+        hankel1_0_into(x, scale, h);
+        out.extend_from_slice(h);
+    }
+}
+
+/// Assembles the dense receiver operator `GR` (`R x N`), a row per
+/// receiver written straight into the matrix's storage:
+/// `GR[r, n] = coupling * H0^(1)(k |r - r_n|)`.
+pub fn assemble_gr(kernel: &Kernel, receivers: &TransducerArray, positions: &[Point2]) -> Matrix {
+    let (rows, cols) = (receivers.len(), positions.len());
+    let mut data = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        let src = receivers.position(r);
+        extend_h0_row(kernel.k, src, positions, kernel.coupling, &mut data);
+    }
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// Incident field of transmitter `t` on all pixels (tree order):
+/// `(i/4) H0^(1)(k |r_n - r_t|)`, as [`Kernel::incident_line_source`].
 pub fn incident_field(
     kernel: &Kernel,
     transmitters: &TransducerArray,
     t: usize,
     positions: &[Point2],
 ) -> Vec<C64> {
+    let mut field = Vec::with_capacity(positions.len());
     let src = transmitters.position(t);
-    positions
-        .iter()
-        .map(|p| kernel.incident_line_source(p.dist(src)))
-        .collect()
+    extend_h0_row(kernel.k, src, positions, QUARTER_I, &mut field);
+    field
 }
 
 /// Incident plane wave `e^{i k khat . r}` travelling at angle `theta`.
@@ -144,6 +183,31 @@ mod tests {
         let pw = incident_plane_wave(&kernel, 0.3, &pos);
         assert!(pw.iter().all(|v| (v.abs() - 1.0).abs() < 1e-12));
         let _ = domain;
+    }
+
+    /// Rows built a chunk at a time are the element functions at every
+    /// entry, to what one ulp of distance (`sqrt(fma(dx, dx, dy^2))`
+    /// against `hypot`) moves them: 1e-12 above the series cutoff, where the default
+    /// 2x-side ring keeps every argument, and the ascending series' own
+    /// rounding noise (~4e-12 near `k r = 12`) on a ring close enough to put
+    /// arguments below it.
+    #[test]
+    fn rows_are_the_element_functions() {
+        let (domain, tree, kernel) = setup();
+        let pos = tree_positions(&domain, &tree);
+        for (factor, tol) in [(2.0, 1e-12), (0.75, 2e-11)] {
+            let ring = TransducerArray::ring(5, factor * domain.side());
+            let gr = assemble_gr(&kernel, &ring, &pos);
+            for r in 0..ring.len() {
+                let field = incident_field(&kernel, &ring, r, &pos);
+                for (n, p) in pos.iter().enumerate() {
+                    let d = ring.position(r).dist(*p);
+                    let (g, v) = (kernel.gr_element(d), kernel.incident_line_source(d));
+                    assert!((gr.at(r, n) - g).abs() <= tol * g.abs(), "GR[{r}, {n}]");
+                    assert!((field[n] - v).abs() <= tol * v.abs(), "incident {r} at {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 use ffw_numerics::bessel::{hankel1_0, hankel1_1, j1};
 use ffw_numerics::{c64, C64};
 
+/// `i/4`: the free-space Green's function is `(i/4) H0^(1)(k r)`.
+pub(crate) const QUARTER_I: C64 = c64(0.0, 0.25);
+
 /// Precomputed per-problem kernel constants.
 #[derive(Clone, Copy, Debug)]
 pub struct Kernel {
@@ -73,7 +76,7 @@ impl Kernel {
     /// `(i/4) H0^(1)(k r)` (transmitters are Dirac deltas, Section VI-A).
     #[inline]
     pub fn incident_line_source(&self, r: f64) -> C64 {
-        c64(0.0, 0.25) * hankel1_0(self.k * r)
+        QUARTER_I * hankel1_0(self.k * r)
     }
 }
 

@@ -46,7 +46,10 @@ impl ImagingSetup {
             "transducers must surround the imaging domain"
         );
         let positions = tree_positions(&domain, &tree);
+        let gr_span = ffw_obs::span("setup.gr");
         let gr = ffw_greens::assemble_gr(&kernel, &receivers, &positions);
+        drop(gr_span);
+        let _incident_span = ffw_obs::span("setup.incident");
         let phi_inc = (0..transmitters.len())
             .map(|t| incident_field(&kernel, &transmitters, t, &positions))
             .collect();

@@ -36,6 +36,7 @@ use ffw_geometry::{
 use ffw_greens::Kernel;
 use ffw_numerics::bessel::hankel1_array;
 use ffw_numerics::linalg::{Matrix, PeriodicBandMatrix};
+use ffw_numerics::trig::cis_into;
 use ffw_numerics::C64;
 
 /// Maps a translation offset to its dense index in `0..49` (7x7 grid of
@@ -131,6 +132,7 @@ pub struct MlfmaPlan {
 impl MlfmaPlan {
     /// Builds the plan. The domain side must be `8 * 2^m` pixels, `m >= 2`.
     pub fn new(domain: &Domain, accuracy: Accuracy) -> Self {
+        let _span = ffw_obs::span("setup.plan");
         let tree = QuadTree::new(domain);
         let kernel = Kernel::new(domain.k0(), domain.equivalent_radius());
         let k = kernel.k;
@@ -192,14 +194,19 @@ impl MlfmaPlan {
                 let w_child = width * 0.5;
                 let mut shift_out = vec![0.0; q * SIBLING_LANES];
                 let mut shift_in = vec![0.0; q * SIBLING_LANES];
+                let khat = directions(q);
+                let mut phase = vec![0.0; q];
+                let mut shift = vec![C64::ZERO; q];
                 for pos in 0..4usize {
                     // Morton child position: bit 0 = x parity, bit 1 = y parity.
                     let cx = ((pos & 1) as f64 - 0.5) * w_child;
                     let cy = (((pos >> 1) & 1) as f64 - 0.5) * w_child;
-                    for qi in 0..q {
-                        let a = 2.0 * std::f64::consts::PI * qi as f64 / q as f64;
-                        // e^{-i k khat . (C_child - C_parent)}
-                        let out = C64::cis(-k * (a.cos() * cx + a.sin() * cy));
+                    // e^{-i k khat . (C_child - C_parent)}
+                    for (p, d) in phase.iter_mut().zip(&khat) {
+                        *p = -k * (d.re * cx + d.im * cy);
+                    }
+                    cis_into(&phase, &mut shift);
+                    for (qi, out) in shift.iter().enumerate() {
                         let at = qi * SIBLING_LANES + pos * 2;
                         (shift_out[at], shift_out[at + 1]) = (out.re, out.im);
                         (shift_in[at], shift_in[at + 1]) = (out.re, -out.im);
@@ -230,13 +237,20 @@ impl MlfmaPlan {
         let q_leaf = leaf.q;
         let px = domain.pixel_size();
         let half = LEAF_SIDE as f64 / 2.0;
-        let expansion = Matrix::from_fn(q_leaf, LEAF_PIXELS, |qi, j| {
-            let lx = (j % LEAF_SIDE) as f64 + 0.5 - half;
-            let ly = (j / LEAF_SIDE) as f64 + 0.5 - half;
-            let a = 2.0 * std::f64::consts::PI * qi as f64 / q_leaf as f64;
-            // e^{-i k khat . delta}
-            C64::cis(-k * (a.cos() * lx * px + a.sin() * ly * px))
-        });
+        let mut entries = Vec::with_capacity(q_leaf * LEAF_PIXELS);
+        let mut phase = [0.0; LEAF_PIXELS];
+        let mut row = [C64::ZERO; LEAF_PIXELS];
+        for d in directions(q_leaf) {
+            for (j, p) in phase.iter_mut().enumerate() {
+                let lx = (j % LEAF_SIDE) as f64 + 0.5 - half;
+                let ly = (j / LEAF_SIDE) as f64 + 0.5 - half;
+                // e^{-i k khat . delta}
+                *p = -k * (d.re * lx * px + d.im * ly * px);
+            }
+            cis_into(&phase, &mut row);
+            entries.extend_from_slice(&row);
+        }
+        let expansion = Matrix::from_vec(q_leaf, LEAF_PIXELS, entries);
 
         let local_expansion = LocalExpansion::new(&expansion, kernel.coupling);
         let near_field = NearField::new(&kernel, px);
@@ -437,18 +451,39 @@ impl PlanStats {
     }
 }
 
+/// The `q` plane-wave directions `khat(a) = cos a + i sin a`,
+/// `a = 2 pi qi / q`, through the lane-wise sine and cosine.
+fn directions(q: usize) -> Vec<C64> {
+    let angles: Vec<f64> = (0..q)
+        .map(|qi| 2.0 * std::f64::consts::PI * qi as f64 / q as f64)
+        .collect();
+    let mut khat = vec![C64::ZERO; q];
+    cis_into(&angles, &mut khat);
+    khat
+}
+
 /// Builds one translator diagonal (the plan's own; also exposed for the
 /// accuracy ablation benchmark, which sweeps L independently of the plan).
+/// Each sample's `L` cosines `cos(m theta)` come from one lane-wise
+/// [`cis_into`] call.
 pub fn translator(k: f64, x_vec: (f64, f64), l_trunc: usize, q: usize) -> Vec<C64> {
     let dist = x_vec.0.hypot(x_vec.1);
     let phi_x = x_vec.1.atan2(x_vec.0);
     let h = hankel1_array(l_trunc, k * dist);
+    // i^m H_m: the weight of 2 cos(m theta), m >= 1
+    let weights: Vec<C64> = (1..h.len()).map(|m| C64::i_pow(m as i64) * h[m]).collect();
+    let mut angles = vec![0.0; weights.len()];
+    let mut phasors = vec![C64::ZERO; weights.len()];
     (0..q)
         .map(|qi| {
             let theta = 2.0 * std::f64::consts::PI * qi as f64 / q as f64 - phi_x;
+            for (m, a) in (1..).zip(angles.iter_mut()) {
+                *a = m as f64 * theta;
+            }
+            cis_into(&angles, &mut phasors);
             let mut acc = h[0];
-            for (m, &hm) in h.iter().enumerate().skip(1) {
-                acc += C64::i_pow(m as i64) * hm * (2.0 * (m as f64 * theta).cos());
+            for (&w, p) in weights.iter().zip(&phasors) {
+                acc += w * (2.0 * p.re);
             }
             acc
         })

@@ -2,8 +2,8 @@
 //!
 //! Self-contained numerical foundation for the FFW-Tomo inverse-scattering
 //! stack: double-precision complex arithmetic, Bessel/Hankel special
-//! functions, FFTs of arbitrary length, dense complex matrix kernels and
-//! BLAS-1 vector operations.
+//! functions, a lane-wise sine and cosine, FFTs of arbitrary length, dense
+//! complex matrix kernels and BLAS-1 vector operations.
 //!
 //! Everything here is implemented from scratch (no `num-complex`, `rustfft`,
 //! or LAPACK bindings) so the reproduction is a single dependency-light
@@ -56,6 +56,7 @@ pub mod fft;
 pub mod linalg;
 pub mod lu;
 pub mod quadrature;
+pub mod trig;
 pub mod vecops;
 
 pub use complex::{c64, C64};

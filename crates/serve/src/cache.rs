@@ -9,9 +9,11 @@
 //! Concurrency: the first job for a geometry builds while *holding a
 //! per-key claim*, not the map lock — other geometries build concurrently,
 //! and a second job for the *same* geometry blocks on a condvar until the
-//! build lands instead of duplicating it. Eviction is LRU over completed
-//! entries once the capacity is exceeded; evicted entries only drop the
-//! cache's reference, so in-flight jobs keep theirs alive.
+//! build lands instead of duplicating it. A build that unwinds withdraws
+//! its claim and wakes the waiters, one of which then builds in its place.
+//! Eviction is LRU over completed entries once the capacity is exceeded;
+//! evicted entries only drop the cache's reference, so in-flight jobs keep
+//! theirs alive.
 
 use ffw_tomo::Reconstruction;
 use std::collections::HashMap;
@@ -88,7 +90,9 @@ impl PlanCache {
         // Claimed: build without holding the lock.
         self.misses.fetch_add(1, Ordering::Relaxed);
         ffw_obs::counter("serve.plan_cache.misses").inc();
+        let claim = Claim { cache: self, key };
         let recon = build();
+        std::mem::forget(claim);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.map.insert(key, Slot::Ready(Arc::clone(&recon)));
         inner.lru.push(key);
@@ -101,6 +105,14 @@ impl PlanCache {
         recon
     }
 
+    /// Withdraws `key`'s claim and wakes everyone waiting on it.
+    fn withdraw(&self, key: u64) {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.map.remove(&key);
+        drop(inner);
+        self.ready.notify_all();
+    }
+
     /// Cache hits so far (independent of the obs recorder being on).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -109,6 +121,20 @@ impl PlanCache {
     /// Cache misses (= builds) so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+}
+
+/// A build claim in flight. Forgotten once the build returns; dropped only
+/// if the build unwinds, and then it withdraws the claim — otherwise every
+/// later caller with the key would wait for a build that never lands.
+struct Claim<'a> {
+    cache: &'a PlanCache,
+    key: u64,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.cache.withdraw(self.key);
     }
 }
 
@@ -155,6 +181,48 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &again));
         cache.get_or_build(2, build); // rebuilt
         assert_eq!(cache.misses(), 4);
+    }
+
+    /// A build that panics leaves no claim behind: a caller that was
+    /// waiting on it builds the geometry itself and returns. The outcome
+    /// holds in every interleaving — a stale claim would block the second
+    /// caller whenever it arrives — and the pause before the failure only
+    /// makes it likely that the second caller is already on the condvar,
+    /// which is the path `notify_all` serves.
+    #[test]
+    fn a_panicking_build_hands_its_claim_to_a_waiter() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cache = Arc::new(PlanCache::new(4));
+        let (started_tx, started) = mpsc::channel();
+        let (fail_tx, fail) = mpsc::channel::<()>();
+        let first = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.get_or_build(5, || {
+                    started_tx.send(()).expect("test alive");
+                    let _ = fail.recv();
+                    panic!("plan build failed");
+                })
+            })
+        };
+        started.recv().expect("the first build starts");
+        let (done_tx, done) = mpsc::channel();
+        let second = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || done_tx.send(cache.get_or_build(5, build)))
+        };
+        // Let the second caller reach the condvar, then fail the build.
+        std::thread::sleep(Duration::from_millis(100));
+        fail_tx.send(()).expect("first build waiting");
+        assert!(first.join().is_err(), "the first build panics");
+        let recon = done
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the waiter builds instead of waiting forever");
+        let sent = second.join().expect("the waiter returns");
+        assert!(sent.is_ok());
+        assert_eq!(cache.misses(), 2);
+        assert!(Arc::ptr_eq(&recon, &cache.get_or_build(5, build)));
     }
 
     #[test]

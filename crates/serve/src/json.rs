@@ -371,13 +371,20 @@ impl<'a> Parser<'a> {
                 }
                 0x00..=0x1f => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries are
-                    // valid; find the char at this byte position).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote,
+                    // escape or control byte in one piece: those are ASCII,
+                    // so both ends of the run are char boundaries of the
+                    // `&str` input, and each byte is looked at once.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -466,6 +473,20 @@ mod tests {
             Json::parse(&line).expect("reparse").as_str(),
             Some("quote\" back\\ nl\n ctl\u{1}")
         );
+    }
+
+    /// A long string is copied a run at a time — the plain characters
+    /// between escapes, multi-byte ones included — in time linear in its
+    /// length (it used to revalidate the rest of the input at every
+    /// character, so a 1 MiB string took minutes).
+    #[test]
+    fn long_strings_decode_in_runs() {
+        let piece = r"abéc😀\n";
+        let v = Json::parse(&format!("\"{}\"", piece.repeat(1 << 16))).expect("parse");
+        assert_eq!(v.as_str(), Some("ab\u{e9}c😀\n".repeat(1 << 16).as_str()));
+        let raw = format!("\"{}\"", "x".repeat(1 << 20));
+        let v = Json::parse(&raw).expect("parse");
+        assert_eq!(v.as_str().map(str::len), Some(1 << 20));
     }
 
     #[test]
