@@ -17,6 +17,10 @@
 //!   flag so a worker touching the closure after the submitter freed it is a
 //!   use-after-free the explorer can observe. [`DispenserBug`] seeds known-bad
 //!   mutations that the exploration tests must catch.
+//! * [`DurableWriterModel`] — the `ffw-fault` durable checkpoint writer: a
+//!   loop enqueues boundaries of one path, flushes, then cancels and removes
+//!   the path, while the writer thread takes, lands and finishes them.
+//!   [`DurableBug`] seeds the mutations its exploration must catch.
 
 use crate::loom::Model;
 
@@ -462,6 +466,249 @@ impl Model for DispenserModel {
             return Err(format!(
                 "chunks_done = {} but total_chunks = {}",
                 self.chunks_done, self.total_chunks
+            ));
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Durable checkpoint writer (ffw-fault enqueue / supersede / flush / cancel)
+// ---------------------------------------------------------------------------
+
+/// Seeded mutations of the durable-writer protocol for the explorer to catch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DurableBug {
+    /// The correct protocol.
+    None,
+    /// A superseded boundary's callbacks are dropped with its tmp file: its
+    /// progress is never reported.
+    SupersedeDropsCallbacks,
+    /// `flush` waits for the queued boundary only, not the one in flight:
+    /// it can return before the latest boundary is on disk.
+    FlushIgnoresInFlight,
+    /// `cancel` drops the queued boundary but does not wait out the one in
+    /// flight: its rename can land after the caller removed the path.
+    CancelWithoutWait,
+}
+
+/// The loop's program for [`DurableWriterModel`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LoopOp {
+    /// Stream boundary `k` into its tmp file and queue it.
+    Enqueue(u32),
+    /// Wait until nothing is queued or in flight.
+    Flush,
+    /// Drop the queued boundary (and its tmp file).
+    CancelDrop,
+    /// Wait out the boundary in flight.
+    CancelWait,
+    /// Delete the published path.
+    Remove,
+}
+
+const LOOP_PROGRAM: [LoopOp; 8] = [
+    LoopOp::Enqueue(1),
+    LoopOp::Enqueue(2),
+    LoopOp::Enqueue(3),
+    LoopOp::Flush,
+    LoopOp::Enqueue(4),
+    LoopOp::CancelDrop,
+    LoopOp::CancelWait,
+    LoopOp::Remove,
+];
+
+/// Writer-thread phases for [`DurableWriterModel`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum WriterPhase {
+    /// Waiting for a queued boundary (takes it under the lock).
+    Take,
+    /// Holding the taken boundary: sync, rename, run its callbacks.
+    Land,
+    /// Clearing `busy` under the lock.
+    Finish,
+}
+
+/// Model of one path through `ffw-fault`'s durable writer.
+///
+/// Thread 0 is the loop running [`LOOP_PROGRAM`]: three boundaries, a flush
+/// (a stop, or the end of a run), a fourth boundary, then the service's
+/// removal of a terminal job's checkpoint (cancel, then delete). Thread 1 is
+/// the writer thread. Invariants: callbacks (progress) run in boundary
+/// order, only for boundaries on disk; a flush returns with the latest
+/// boundary on disk; nothing lands after the removal; no tmp file outlives
+/// the run, and the boundaries before the flush are all reported.
+#[derive(Clone, Debug)]
+pub struct DurableWriterModel {
+    bug: DurableBug,
+    pc: usize,
+    /// The newest boundary not yet taken, with its callbacks (its own and
+    /// those of the boundaries it superseded).
+    queued: Option<(u32, Vec<u32>)>,
+    /// The boundary the writer holds, with its callbacks.
+    in_flight: Option<(u32, Vec<u32>)>,
+    writer: WriterPhase,
+    /// The boundary at the published path.
+    disk: Option<u32>,
+    /// Boundaries whose tmp file exists.
+    tmp: Vec<u32>,
+    /// Callbacks run, in order.
+    reported: Vec<u32>,
+    /// Every boundary that ever landed.
+    landed: Vec<u32>,
+    removed: bool,
+    /// Set when a flush returned without the latest boundary on disk.
+    flush_short: Option<Option<u32>>,
+}
+
+impl DurableWriterModel {
+    /// Fresh model with `bug` seeded into the protocol.
+    pub fn new(bug: DurableBug) -> Self {
+        DurableWriterModel {
+            bug,
+            pc: 0,
+            queued: None,
+            in_flight: None,
+            writer: WriterPhase::Take,
+            disk: None,
+            tmp: Vec::new(),
+            reported: Vec::new(),
+            landed: Vec::new(),
+            removed: false,
+            flush_short: None,
+        }
+    }
+
+    fn loop_done(&self) -> bool {
+        self.pc == LOOP_PROGRAM.len()
+    }
+}
+
+impl Model for DurableWriterModel {
+    fn thread_count(&self) -> usize {
+        2
+    }
+
+    fn is_done(&self, tid: usize) -> bool {
+        match tid {
+            0 => self.loop_done(),
+            _ => {
+                self.loop_done()
+                    && self.queued.is_none()
+                    && self.in_flight.is_none()
+                    && self.writer == WriterPhase::Take
+            }
+        }
+    }
+
+    fn is_enabled(&self, tid: usize) -> bool {
+        if self.is_done(tid) {
+            return false;
+        }
+        if tid == 1 {
+            return match self.writer {
+                WriterPhase::Take => self.queued.is_some(),
+                WriterPhase::Land | WriterPhase::Finish => true,
+            };
+        }
+        match LOOP_PROGRAM[self.pc] {
+            LoopOp::Flush => {
+                self.queued.is_none()
+                    && (self.in_flight.is_none() || self.bug == DurableBug::FlushIgnoresInFlight)
+            }
+            LoopOp::CancelWait => {
+                self.in_flight.is_none() || self.bug == DurableBug::CancelWithoutWait
+            }
+            _ => true,
+        }
+    }
+
+    fn step(&mut self, tid: usize) {
+        if tid == 1 {
+            match self.writer {
+                WriterPhase::Take => {
+                    self.in_flight = self.queued.take();
+                    self.writer = WriterPhase::Land;
+                }
+                WriterPhase::Land => {
+                    let (k, callbacks) = self.in_flight.clone().expect("taken");
+                    self.tmp.retain(|&t| t != k);
+                    self.disk = Some(k);
+                    self.landed.push(k);
+                    self.reported.extend(callbacks);
+                    self.writer = WriterPhase::Finish;
+                }
+                WriterPhase::Finish => {
+                    self.in_flight = None;
+                    self.writer = WriterPhase::Take;
+                }
+            }
+            return;
+        }
+        match LOOP_PROGRAM[self.pc] {
+            LoopOp::Enqueue(k) => {
+                self.tmp.push(k);
+                let mut callbacks = Vec::new();
+                if let Some((old, old_callbacks)) = self.queued.take() {
+                    self.tmp.retain(|&t| t != old);
+                    if self.bug != DurableBug::SupersedeDropsCallbacks {
+                        callbacks = old_callbacks;
+                    }
+                }
+                callbacks.push(k);
+                self.queued = Some((k, callbacks));
+            }
+            LoopOp::Flush => {
+                if self.disk != Some(3) {
+                    self.flush_short = Some(self.disk);
+                }
+            }
+            LoopOp::CancelDrop => {
+                if let Some((k, _)) = self.queued.take() {
+                    self.tmp.retain(|&t| t != k);
+                }
+            }
+            LoopOp::CancelWait => {}
+            LoopOp::Remove => {
+                self.disk = None;
+                self.removed = true;
+            }
+        }
+        self.pc += 1;
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if let Some(disk) = self.flush_short {
+            return Err(format!(
+                "flush returned with boundary {disk:?} on disk, not the latest (3)"
+            ));
+        }
+        if self.removed && self.disk.is_some() {
+            return Err(format!(
+                "boundary {:?} landed after the checkpoint was removed",
+                self.disk
+            ));
+        }
+        if self.reported.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(format!("callbacks out of order: {:?}", self.reported));
+        }
+        if let Some(k) = self.reported.iter().find(|k| !self.landed.contains(k)) {
+            let newer = self.landed.iter().any(|l| l > k);
+            if !newer {
+                return Err(format!("boundary {k} reported before any newer one landed"));
+            }
+        }
+        Ok(())
+    }
+
+    fn check_final(&self) -> Result<(), String> {
+        if !self.tmp.is_empty() {
+            return Err(format!("tmp files left behind: {:?}", self.tmp));
+        }
+        if self.reported.get(..3) != Some(&[1, 2, 3][..]) {
+            return Err(format!(
+                "boundaries before the flush not all reported: {:?}",
+                self.reported
             ));
         }
         Ok(())

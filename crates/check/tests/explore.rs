@@ -5,7 +5,9 @@
 //! without truncation), the correct protocols must be clean on *every*
 //! schedule, and seeded bad mutations must be caught.
 
-use ffw_check::models::{AllreduceModel, DispenserBug, DispenserModel, TagMailboxModel};
+use ffw_check::models::{
+    AllreduceModel, DispenserBug, DispenserModel, DurableBug, DurableWriterModel, TagMailboxModel,
+};
 use ffw_check::Explorer;
 
 #[test]
@@ -113,4 +115,36 @@ fn allreduce_scales_with_rank_count() {
     let large = Explorer::default().explore(&AllreduceModel::new(4));
     assert!(small.is_clean() && large.is_clean());
     assert!(large.complete_schedules > small.complete_schedules);
+}
+
+#[test]
+fn durable_writer_all_schedules_clean() {
+    let report = Explorer::default().explore(&DurableWriterModel::new(DurableBug::None));
+    assert!(
+        report.is_clean(),
+        "deadlocks: {:?}\nviolations: {:?}",
+        report.deadlocks,
+        report.violations
+    );
+    assert!(!report.truncated);
+    assert!(
+        report.complete_schedules >= 20,
+        "expected >= 20 interleavings, got {}",
+        report.complete_schedules
+    );
+}
+
+#[test]
+fn durable_writer_mutations_are_caught() {
+    for bug in [
+        DurableBug::SupersedeDropsCallbacks,
+        DurableBug::FlushIgnoresInFlight,
+        DurableBug::CancelWithoutWait,
+    ] {
+        let report = Explorer::default().explore(&DurableWriterModel::new(bug));
+        assert!(
+            !report.violations.is_empty(),
+            "{bug:?} must be caught on some schedule"
+        );
+    }
 }

@@ -708,3 +708,38 @@ fn sigterm_flushes_checkpoint_and_resume_is_bit_identical() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--resume` from a checkpoint of format version 1 stops before any work
+/// with a message naming the file's version and the one this build reads.
+#[test]
+fn resume_from_a_version_1_checkpoint_names_both_versions() {
+    let dir = std::env::temp_dir().join(format!("ffw-cli-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create tmp dir");
+    let ckpt = dir.join("old.ckpt");
+    let mut bytes = b"FFWCKPT1".to_vec();
+    bytes.extend_from_slice(&[0u8; 64]);
+    std::fs::write(&ckpt, &bytes).expect("write v1 checkpoint");
+    let out = run(&[
+        "--size",
+        "32",
+        "--tx",
+        "4",
+        "--rx",
+        "8",
+        "--iterations",
+        "2",
+        "--checkpoint",
+        ckpt.to_str().expect("utf8 path"),
+        "--resume",
+        "--out",
+        dir.join("v1").to_str().expect("utf8 path"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("v1 (FFWCKPT1)") && stderr.contains("v2 (FFWCKPT2)"),
+        "{stderr}"
+    );
+    assert!(!dir.join("v1_reconstruction.pgm").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}

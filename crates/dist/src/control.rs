@@ -19,6 +19,7 @@
 //! boundary; the flag only marks intent.
 
 use crossbeam_channel::Sender;
+use ffw_inverse::LoopState;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,6 +90,14 @@ impl JobControl {
                 residual,
             });
         }
+    }
+
+    /// [`Self::progress`] for the boundary `st`, to run later: the durable
+    /// checkpoint writer calls it once that boundary is on disk.
+    pub(crate) fn boundary_progress(&self, st: &LoopState) -> Box<dyn FnOnce() + Send> {
+        let (ctl, completed) = (self.clone(), st.next_iter as u32);
+        let residual = st.residual_history.last().copied().unwrap_or(f64::NAN);
+        Box::new(move || ctl.progress(completed, residual))
     }
 }
 

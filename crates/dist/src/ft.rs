@@ -43,7 +43,7 @@
 use crate::control::JobControl;
 use crate::engine::DistMlfma;
 use crate::solver::try_allreduce_scalars;
-use ffw_fault::{Checkpoint, Fingerprint};
+use ffw_fault::{durable, Checkpoint, CheckpointFile, Fingerprint};
 use ffw_inverse::{
     dbim_loop, DbimConfig, DbimResult, Flow, ImagingSetup, LoopState, RankContext, Regularizer,
     StageResult,
@@ -215,6 +215,19 @@ fn lost_of(alive: &[Vec<usize>], n_tx: usize) -> Vec<usize> {
 /// `subtree_ranks == 1` (its Laplacian stencil crosses sub-tree boundaries
 /// and there is no pixel halo).
 pub fn run_dbim_ft(
+    setup: &ImagingSetup,
+    plan: Arc<MlfmaPlan>,
+    measured: &[Vec<C64>],
+    cfg: &FtConfig,
+) -> Result<FtDbimResult, FaultError> {
+    // The last boundary's checkpoint lands before the run returns.
+    durable::after_run(
+        cfg.checkpoint.as_deref(),
+        run_launches(setup, plan, measured, cfg),
+    )
+}
+
+fn run_launches(
     setup: &ImagingSetup,
     plan: Arc<MlfmaPlan>,
     measured: &[Vec<C64>],
@@ -473,16 +486,15 @@ pub fn run_dbim_ft(
                 ),
             );
         }
+        // No checkpoint yet (`None`): relaunch from scratch.
         state = match cfg.checkpoint.as_deref() {
-            Some(path) if path.exists() => {
-                let ckpt = Checkpoint::load(path, fingerprint)?;
+            Some(path) => Checkpoint::load_latest(path, fingerprint)?.inspect(|ckpt| {
                 ffw_obs::event(
                     "dist.checkpoint.load",
                     &format!("recovery from iter {} ({})", ckpt.next_iter, path.display()),
                 );
-                Some(ckpt)
-            }
-            _ => None, // no checkpoint yet: relaunch from scratch
+            }),
+            None => None,
         };
     }
 }
@@ -623,10 +635,13 @@ impl<'c> RankContext for GridContext<'_, 'c> {
     /// decision.
     fn end_of_iteration(&self, st: &LoopState) -> Result<Flow, FaultError> {
         let hook = &self.hook;
-        if let Some(path) = hook.ckpt_path {
-            // the gathered state and its encoding take the idle vectors' place
-            self.ws.release();
-            gather_and_save(
+        let rank = self.comm.rank();
+        // Rank 0 reports the boundary; with a checkpoint, once it has landed.
+        let progress = (hook.control)
+            .filter(|_| rank == 0)
+            .map(|ctl| ctl.boundary_progress(st));
+        match hook.ckpt_path {
+            Some(path) => gather_and_save(
                 self.comm,
                 path,
                 hook.fingerprint,
@@ -637,7 +652,9 @@ impl<'c> RankContext for GridContext<'_, 'c> {
                 self.g0.plan().n_pixels(),
                 st,
                 hook.lost_txs,
-            )?;
+                progress,
+            )?,
+            None => progress.into_iter().for_each(|p| p()),
         }
         // --- controlled stop (cancel / pause / shutdown drain) ---
         // The decision must be collective: ranks read the stop intent at
@@ -649,20 +666,16 @@ impl<'c> RankContext for GridContext<'_, 'c> {
         let Some(ctl) = hook.control else {
             return Ok(Flow::Continue);
         };
-        if self.comm.rank() == 0 {
-            ctl.progress(
-                st.next_iter as u32,
-                st.residual_history.last().copied().unwrap_or(f64::NAN),
-            );
-        }
         let intent = if ctl.stop_requested() { 1.0 } else { 0.0 };
         let mut flag = [c64(intent, 0.0)];
         self.sum_all(&mut flag)?;
-        Ok(if flag[0].re > 0.0 {
-            Flow::Stop
-        } else {
-            Flow::Continue
-        })
+        if flag[0].re <= 0.0 {
+            return Ok(Flow::Continue);
+        }
+        if let (0, Some(path)) = (rank, hook.ckpt_path) {
+            durable::flush(path)?;
+        }
+        Ok(Flow::Stop)
     }
 }
 
@@ -671,7 +684,10 @@ impl<'c> RankContext for GridContext<'_, 'c> {
 /// identical across groups, so only group 0's slots contribute them; the
 /// warm-start fields are per transmitter, so every rank contributes the
 /// slices of its own illumination block. All receives happen at rank 0 in a
-/// fixed (group, tx, slot) order, so the gather is deterministic.
+/// fixed (group, tx, slot) order, so the gather is deterministic; rank 0
+/// streams each field slice into the file as it arrives and holds only the
+/// other slots' shared-vector slices, which the file needs vector by vector.
+/// `then` runs once the checkpoint is durable.
 #[allow(clippy::too_many_arguments)]
 fn gather_and_save(
     comm: &Comm,
@@ -684,6 +700,7 @@ fn gather_and_save(
     n_pixels: usize,
     st: &LoopState,
     lost_txs: &[usize],
+    then: Option<Box<dyn FnOnce() + Send>>,
 ) -> Result<(), FaultError> {
     let LoopState {
         next_iter,
@@ -714,57 +731,162 @@ fn gather_and_save(
         return Ok(());
     }
 
-    // Rank 0: assemble the full vectors.
-    let mut full_object = vec![(0.0, 0.0); n_pixels];
-    let mut full_grad = vec![(0.0, 0.0); n_pixels];
-    let mut full_dir = vec![(0.0, 0.0); n_pixels];
-    full_object[cols.start..cols.end].copy_from_slice(&pack(object));
-    full_grad[cols.start..cols.end].copy_from_slice(&pack(grad_prev));
-    full_dir[cols.start..cols.end].copy_from_slice(&pack(dir));
+    let _span = ffw_obs::span("checkpoint.write");
+    let re_im = |v: &C64| (v.re, v.im);
+    let mut file = CheckpointFile::create(path)?;
+    file.header(
+        fingerprint,
+        *next_iter as u32,
+        lost_txs.iter().map(|&t| t as u32),
+        residual_history,
+    );
+    assert_eq!(*cols, 0..per, "rank 0 holds the first slot's pixels");
+    let mut slots = Vec::with_capacity(p - 1);
     for s in 1..p {
         let data = comm.recv_checked(s, TAG_CKPT)?.into_c64();
         assert_eq!(data.len(), 3 * per, "checkpoint gather slice length");
-        let lo = s * per;
-        full_object[lo..lo + per].copy_from_slice(&data[..per]);
-        full_grad[lo..lo + per].copy_from_slice(&data[per..2 * per]);
-        full_dir[lo..lo + per].copy_from_slice(&data[2 * per..]);
+        slots.push(data);
     }
+    for (k, own) in [object, grad_prev, dir].into_iter().enumerate() {
+        file.u64(n_pixels as u64);
+        file.pairs(own, re_im);
+        for data in &slots {
+            file.pairs(&data[k * per..(k + 1) * per], |&v| v);
+        }
+    }
+    drop(slots);
 
-    let mut ckpt_fields: Vec<(u32, Vec<(f64, f64)>)> = Vec::new();
     if warm_start {
+        file.u64(group_txs.iter().map(Vec::len).sum::<usize>() as u64);
         for (g, txs) in group_txs.iter().enumerate() {
             for (i, &t) in txs.iter().enumerate() {
-                let mut full = vec![(0.0, 0.0); n_pixels];
+                file.u64(t as u64);
+                file.u64(n_pixels as u64);
                 for s in 0..p {
                     let sender = g * p + s;
-                    let lo = s * per;
                     if sender == 0 {
-                        full[lo..lo + per].copy_from_slice(&pack(&fields[i]));
+                        file.pairs(&fields[i], re_im);
                     } else {
                         let data = comm.recv_checked(sender, TAG_CKPT)?.into_c64();
                         assert_eq!(data.len(), per, "checkpoint field slice length");
-                        full[lo..lo + per].copy_from_slice(&data);
+                        file.pairs(&data, |&v| v);
                     }
                 }
-                ckpt_fields.push((t as u32, full));
             }
         }
+    } else {
+        file.u64(0);
     }
-
-    let ckpt = Checkpoint {
-        fingerprint,
-        next_iter: *next_iter as u32,
-        lost_txs: lost_txs.iter().map(|&t| t as u32).collect(),
-        residual_history: residual_history.clone(),
-        object: full_object,
-        grad_prev: full_grad,
-        dir: full_dir,
-        fields: ckpt_fields,
-    };
-    ckpt.save(path)?;
+    file.commit(then)?;
     ffw_obs::event(
         "dist.checkpoint.save",
         &format!("iter {next_iter} -> {}", path.display()),
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ffw_fault::splitmix64;
+
+    /// Rank `r`'s loop state of a `groups x p` grid over `n_pixels`, with
+    /// `group_txs[r / p]`'s fields: any bit patterns, seeded by `r`.
+    fn random_state(seed: u64, per: usize, n_fields: usize) -> LoopState {
+        let mut s = seed;
+        let mut c64s = |n: usize| -> Vec<C64> {
+            (0..n)
+                .map(|_| {
+                    s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let re = f64::from_bits(splitmix64(s));
+                    s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    c64(re, f64::from_bits(splitmix64(s)))
+                })
+                .collect()
+        };
+        LoopState {
+            next_iter: 4,
+            object: c64s(per),
+            grad_prev: c64s(per),
+            dir: c64s(per),
+            fields: (0..n_fields).map(|_| c64s(per)).collect(),
+            residual_history: vec![0.5, 0.25, f64::NAN, 0.125],
+        }
+    }
+
+    /// Rank 0 streams the gather straight into the file: the bytes are the
+    /// encoding of the checkpoint the old assemble-then-encode path built —
+    /// shared vectors from group 0's slots, fields in (group, tx, slot)
+    /// order — on 1x2 and 2x1 grids, with and without warm-start fields.
+    #[test]
+    fn the_streamed_gather_is_the_encoded_checkpoint() {
+        let n_pixels = 4100;
+        for (groups, p) in [(1, 2), (2, 1)] {
+            for warm_start in [true, false] {
+                let group_txs: Vec<Vec<usize>> = (0..groups)
+                    .map(|g| (0..3).map(|i| 7 * g + i).collect())
+                    .collect();
+                let per = n_pixels / p;
+                let states: Vec<LoopState> = (0..groups * p)
+                    .map(|r| random_state(r as u64 * 1000 + 17, per, 3))
+                    .collect();
+                let path = std::env::temp_dir().join(format!(
+                    "ffw-dist-gather-{groups}x{p}-{warm_start}-{}.ckpt",
+                    std::process::id()
+                ));
+                let lost = [9usize];
+                let outcomes = Runtime::new(groups * p)
+                    .launch(|comm| {
+                        let r = comm.rank();
+                        let cols = (r % p) * per..(r % p + 1) * per;
+                        gather_and_save(
+                            &comm, &path, 0xfeed, &group_txs, p, warm_start, &cols, n_pixels,
+                            &states[r], &lost, None,
+                        )
+                    })
+                    .outcomes;
+                for out in outcomes {
+                    assert!(matches!(out, RankOutcome::Done(Ok(()))));
+                }
+                let joined = |pick: fn(&LoopState) -> &Vec<C64>, g: usize| -> Vec<(f64, f64)> {
+                    (0..p)
+                        .flat_map(|s| pack(pick(&states[g * p + s])))
+                        .collect()
+                };
+                let want = Checkpoint {
+                    fingerprint: 0xfeed,
+                    next_iter: 4,
+                    lost_txs: vec![9],
+                    residual_history: states[0].residual_history.clone(),
+                    object: joined(|st| &st.object, 0),
+                    grad_prev: joined(|st| &st.grad_prev, 0),
+                    dir: joined(|st| &st.dir, 0),
+                    fields: if warm_start {
+                        group_txs
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(g, txs)| {
+                                let states = &states;
+                                txs.iter().enumerate().map(move |(i, &t)| {
+                                    let full = (0..p)
+                                        .flat_map(|s| pack(&states[g * p + s].fields[i]))
+                                        .collect();
+                                    (t as u32, full)
+                                })
+                            })
+                            .collect()
+                    } else {
+                        Vec::new()
+                    },
+                };
+                durable::flush(&path).expect("flush");
+                let got = std::fs::read(&path).expect("read");
+                assert!(
+                    got == want.encode(),
+                    "{groups}x{p}, warm start {warm_start}"
+                );
+                std::fs::remove_file(&path).expect("remove");
+            }
+        }
+    }
 }

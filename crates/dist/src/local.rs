@@ -9,7 +9,7 @@
 //! separately from the caller.
 
 use crate::ft::{run_fingerprint, FtConfig, FtDbimResult};
-use ffw_fault::{Checkpoint, FaultError};
+use ffw_fault::{durable, Checkpoint, CheckpointFile, FaultError};
 use ffw_inverse::{dbim_hooked, Flow, ImagingSetup, LoopState};
 use ffw_numerics::C64;
 use ffw_solver::{BlockLinOp, Workspace};
@@ -47,33 +47,40 @@ pub fn run_dbim_local<G: BlockLinOp + ?Sized>(
         None
     };
     let ws = Workspace::new();
-    // The stop is taken *after* the iteration's checkpoint is on disk, so a
-    // stopped run always resumes bit-identically.
+    // A boundary's checkpoint is streamed from the loop state into the page
+    // cache and lands behind the next iteration; the boundary's progress is
+    // reported once it has landed, and a stop waits for it, so a stopped
+    // run always resumes bit-identically.
     let hook = |st: &LoopState| -> Result<Flow, FaultError> {
-        if let Some(path) = &cfg.checkpoint {
-            // the packed state and its encoding take the idle vectors' place
-            ws.release();
-            st.to_checkpoint(fingerprint, &txs, cfg.dbim.warm_start)
-                .save(path)?;
-            ffw_obs::event(
-                "dist.checkpoint.save",
-                &format!("iter {} -> {}", st.next_iter, path.display()),
-            );
+        let progress = cfg.control.as_ref().map(|ctl| ctl.boundary_progress(st));
+        match &cfg.checkpoint {
+            Some(path) => {
+                let span = ffw_obs::span("checkpoint.write");
+                let mut file = CheckpointFile::create(path)?;
+                st.write_checkpoint(&mut file, fingerprint, &txs, cfg.dbim.warm_start);
+                file.commit(progress)?;
+                drop(span);
+                ffw_obs::event(
+                    "dist.checkpoint.save",
+                    &format!("iter {} -> {}", st.next_iter, path.display()),
+                );
+            }
+            None => progress.into_iter().for_each(|p| p()),
         }
-        let Some(ctl) = &cfg.control else {
-            return Ok(Flow::Continue);
-        };
-        ctl.progress(
-            st.next_iter as u32,
-            st.residual_history.last().copied().unwrap_or(f64::NAN),
-        );
-        Ok(if ctl.stop_requested() {
-            Flow::Stop
-        } else {
-            Flow::Continue
-        })
+        match &cfg.control {
+            Some(ctl) if ctl.stop_requested() => {
+                if let Some(path) = &cfg.checkpoint {
+                    durable::flush(path)?;
+                }
+                Ok(Flow::Stop)
+            }
+            _ => Ok(Flow::Continue),
+        }
     };
-    let run = dbim_hooked(setup, g0, measured, &cfg.dbim, init, &hook, &ws)?;
+    let run = durable::after_run(
+        cfg.checkpoint.as_deref(),
+        dbim_hooked(setup, g0, measured, &cfg.dbim, init, &hook, &ws).map_err(FaultError::from),
+    )?;
     if let Some(next) = run.stopped {
         ffw_obs::event(
             "dist.stop",

@@ -14,7 +14,9 @@
 //!   a bad checkpoint. Ranks return these as values instead of panicking.
 //! * [`Checkpoint`] — a from-scratch, checksummed, atomically-renamed
 //!   on-disk snapshot of the DBIM outer-iteration state, enabling
-//!   `--resume` to continue a killed reconstruction bit-identically.
+//!   `--resume` to continue a killed reconstruction bit-identically. The
+//!   loops stream it straight from their state ([`CheckpointFile`]) and
+//!   [`durable`] makes it durable while the next iteration computes.
 //!
 //! The crate is dependency-free (a leaf) so both `ffw-mpi` and `ffw-dist`
 //! can share its types without cycles; the chaos-test harness in
@@ -24,13 +26,17 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod checkpoint;
+pub mod durable;
 mod error;
 mod heartbeat;
 mod integrity;
 mod plan;
 mod shutdown;
 
-pub use checkpoint::{fnv1a64, Checkpoint, CheckpointError, Fingerprint};
+pub use checkpoint::{
+    checkpoint_checksum, fnv1a64, Checkpoint, CheckpointError, CheckpointFile, CheckpointWriter,
+    Fingerprint,
+};
 pub use error::FaultError;
 pub use heartbeat::{PhiLite, DEFAULT_PHI_THRESHOLD};
 pub use integrity::{

@@ -3,14 +3,15 @@
 //! Valid checkpoints are mutated by a splitmix64 stream along the payload's
 //! own grain — every field is a little-endian `u64` word — by bit flips,
 //! hostile words (0, `u32::MAX + 1`, `u64::MAX`, counts one past what is
-//! left), truncation, and deleted, inserted and duplicated words. The FNV
-//! trailer is then re-sealed, so every mutation reaches the field parser
+//! left), truncation, and deleted, inserted and duplicated words. The
+//! trailer is then re-sealed with the format's lane checksum
+//! ([`checkpoint_checksum`]), so every mutation reaches the field parser
 //! instead of stopping at the checksum. The decoder may not panic, must
 //! answer every input with a typed [`CheckpointError`] or a checkpoint that
 //! re-encodes to the very same bytes, and may not allocate more than twice
 //! the input's size at once, whatever a length field says.
 
-use ffw_fault::{fnv1a64, splitmix64, Checkpoint, CheckpointError};
+use ffw_fault::{checkpoint_checksum, splitmix64, Checkpoint, CheckpointError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -149,7 +150,7 @@ fn mutate(payload: &mut Vec<u8>, rng: &mut Stream) {
 fn sealed(magic: &[u8], payload: &[u8]) -> Vec<u8> {
     let mut bytes = magic.to_vec();
     bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    bytes.extend_from_slice(&checkpoint_checksum(payload).to_le_bytes());
     bytes
 }
 

@@ -69,21 +69,37 @@ fn checkpoint_save_load_is_identity() {
 
 #[test]
 fn checkpoint_save_leaves_no_tempfile() {
-    // save() stages into `<path>.tmp` then renames and syncs the parent
-    // directory; the staging file must never survive a successful save.
+    // save() stages into `<path>.tmp.<seq>` then renames and syncs the
+    // parent directory; the staging file must never survive a successful
+    // save.
     let ckpt = rich_checkpoint();
     let path = tmp_path("no-tempfile");
+    let staging = || -> Vec<String> {
+        let prefix = format!(
+            "{}.tmp.",
+            path.file_name().expect("file name").to_string_lossy()
+        );
+        std::fs::read_dir(path.parent().expect("parent"))
+            .expect("list")
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&prefix))
+            .collect()
+    };
     ckpt.save(&path).expect("save checkpoint");
-    let tmp = path.with_extension("tmp");
-    assert!(
-        !tmp.exists(),
-        "staging file {} left behind after save",
-        tmp.display()
+    assert_eq!(
+        staging(),
+        Vec::<String>::new(),
+        "staging file left behind after save"
     );
     assert!(path.exists(), "checkpoint missing after save");
     // Saving over an existing checkpoint must also leave no staging file.
     ckpt.save(&path).expect("re-save checkpoint");
-    assert!(!tmp.exists(), "staging file left behind after re-save");
+    assert_eq!(
+        staging(),
+        Vec::<String>::new(),
+        "staging file left behind after re-save"
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -62,7 +62,7 @@
 use crate::precond::LeafBlockJacobi;
 use crate::problem::ImagingSetup;
 use crate::regularize::{laplacian_tree, Bidiag, ProjectedProblem, Regularizer};
-use ffw_fault::{Checkpoint, FaultError, Fingerprint};
+use ffw_fault::{Checkpoint, CheckpointWriter, FaultError, Fingerprint};
 use ffw_mlfma::MlfmaPlan;
 use ffw_numerics::linalg::{rows_adjoint_panel, rows_panel};
 use ffw_numerics::vecops::{axpy_real, norm2_sqr, zdotc};
@@ -72,6 +72,7 @@ use ffw_solver::{
     IterConfig, Leased, PrecondPair, SolveStats, VerifiedBlockOp, VerifyConfig, Workspace,
 };
 use std::cell::Cell;
+use std::io::Write;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -406,10 +407,6 @@ fn unpack(v: &[(f64, f64)]) -> Vec<C64> {
     v.iter().map(|&(re, im)| c64(re, im)).collect()
 }
 
-fn pack(v: &[C64]) -> Vec<(f64, f64)> {
-    v.iter().map(|c| (c.re, c.im)).collect()
-}
-
 impl LoopState {
     /// The slice of a whole-domain checkpoint owned by a rank holding
     /// `pixels` and `txs`. A transmitter the checkpoint has no field for
@@ -434,26 +431,35 @@ impl LoopState {
         }
     }
 
-    /// The checkpoint of a rank that owns the whole domain and the
-    /// transmitters `txs`; the warm-start fields are kept only if the run
-    /// uses them.
-    pub fn to_checkpoint(&self, fingerprint: u64, txs: &[usize], warm_start: bool) -> Checkpoint {
-        Checkpoint {
+    /// Streams the checkpoint of a rank that owns the whole domain and the
+    /// transmitters `txs` through `w`, straight from this state; the
+    /// warm-start fields are kept only if the run uses them.
+    pub fn write_checkpoint<W: Write>(
+        &self,
+        w: &mut CheckpointWriter<W>,
+        fingerprint: u64,
+        txs: &[usize],
+        warm_start: bool,
+    ) {
+        let re_im = |v: &C64| (v.re, v.im);
+        w.header(
             fingerprint,
-            next_iter: self.next_iter as u32,
-            lost_txs: Vec::new(),
-            residual_history: self.residual_history.clone(),
-            object: pack(&self.object),
-            grad_prev: pack(&self.grad_prev),
-            dir: pack(&self.dir),
-            fields: if warm_start {
-                txs.iter()
-                    .zip(&self.fields)
-                    .map(|(&t, f)| (t as u32, pack(f)))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            self.next_iter as u32,
+            std::iter::empty(),
+            &self.residual_history,
+        );
+        for v in [&self.object, &self.grad_prev, &self.dir] {
+            w.vector(v, re_im);
+        }
+        let fields = if warm_start {
+            txs.len().min(self.fields.len())
+        } else {
+            0
+        };
+        w.u64(fields as u64);
+        for (&t, f) in txs.iter().zip(&self.fields).take(fields) {
+            w.u64(t as u64);
+            w.vector(f, re_im);
         }
     }
 }
@@ -572,8 +578,7 @@ pub fn dbim<G: BlockLinOp + ?Sized>(
 /// [`dbim`] with what a supervised run adds: a start state (a resumed
 /// checkpoint), an end-of-iteration hook that sees the loop state and
 /// answers continue / stop, and the run's [`Workspace`] in the caller's
-/// hands — nothing is on lease while the hook runs, so a hook that is about
-/// to pack a checkpoint can [`Workspace::release`] it first.
+/// hands, so successive runs can share its vectors.
 pub fn dbim_hooked<G: BlockLinOp + ?Sized>(
     setup: &ImagingSetup,
     g0: &G,

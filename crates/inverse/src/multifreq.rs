@@ -32,7 +32,7 @@
 
 use crate::dbim::{dbim, DbimConfig, DbimError, DbimResult, SolveCounts};
 use crate::problem::ImagingSetup;
-use ffw_fault::{Checkpoint, CheckpointError, Fingerprint};
+use ffw_fault::{durable, Checkpoint, CheckpointError, CheckpointFile, Fingerprint};
 use ffw_geometry::{QuadTree, LEAF_SIDE, TOP_LEVEL};
 use ffw_numerics::{c64, C64};
 use ffw_solver::BlockLinOp;
@@ -501,7 +501,22 @@ pub struct HopCheckpoint<'a> {
 /// made (the growth of the `dbim.mults.*` counters) to
 /// `multifreq.stage_mults.*`, with the applies its verification added as
 /// `multifreq.stage_mults.verify`; [`stage_report`] prints them.
+///
+/// A hop checkpoint lands while the next stage runs; however the loop ends,
+/// the last one is durable before it returns.
 pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
+    setups: &[&ImagingSetup],
+    checkpoint: Option<HopCheckpoint<'_>>,
+    stop: Option<&dyn Fn() -> bool>,
+    run_stage: impl FnMut(usize, Option<Vec<C64>>) -> Result<R, E>,
+) -> Result<MultiFreqResult<R>, E> {
+    durable::after_run(
+        checkpoint.map(|ck| ck.path),
+        hop_stage_loop(setups, checkpoint, stop, run_stage),
+    )
+}
+
+fn hop_stage_loop<R: StageResult, E: From<CheckpointError>>(
     setups: &[&ImagingSetup],
     checkpoint: Option<HopCheckpoint<'_>>,
     stop: Option<&dyn Fn() -> bool>,
@@ -513,8 +528,7 @@ pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
     let mut carry: Option<Vec<C64>> = None;
     let mut residual_history: Vec<f64> = Vec::new();
     if let Some(ck) = checkpoint.filter(|ck| ck.resume) {
-        if ck.path.exists() {
-            let ckpt = Checkpoint::load(ck.path, ck.fingerprint)?;
+        if let Some(ckpt) = Checkpoint::load_latest(ck.path, ck.fingerprint)? {
             let done = ckpt.next_iter as usize;
             if done > setups.len() {
                 return Err(CheckpointError::Malformed(format!(
@@ -586,18 +600,20 @@ pub fn hop_stages<R: StageResult, E: From<CheckpointError>>(
         if let Some(ck) = checkpoint {
             // The carry is the entire cross-stage state; grad_prev/dir are
             // per-stage and restart fresh, but the decoder requires them to
-            // match the object length.
-            let zeros = vec![(0.0, 0.0); object.len()];
-            let ckpt = Checkpoint {
-                fingerprint: ck.fingerprint,
-                next_iter: (h + 1) as u32,
-                residual_history: residual_history.clone(),
-                object: object.iter().map(|v| (v.re, v.im)).collect(),
-                grad_prev: zeros.clone(),
-                dir: zeros,
-                ..Default::default()
-            };
-            ckpt.save(ck.path)?;
+            // match the object length. It lands while the next stage runs.
+            let _span = ffw_obs::span("checkpoint.write");
+            let mut file = CheckpointFile::create(ck.path)?;
+            file.header(
+                ck.fingerprint,
+                (h + 1) as u32,
+                [].into_iter(),
+                &residual_history,
+            );
+            file.vector(&object, |v| (v.re, v.im));
+            file.zeros(object.len());
+            file.zeros(object.len());
+            file.u64(0);
+            file.commit(None)?;
         }
         carry = Some(object);
     }

@@ -25,7 +25,7 @@ use crate::spec::JobSpec;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use ffw_check::{validate_job_log, JobTransition};
 use ffw_dist::{FtConfig, IterProgress, JobControl};
-use ffw_fault::{fnv1a64, CheckpointError};
+use ffw_fault::{durable, fnv1a64, CheckpointError};
 use ffw_inverse::DbimConfig;
 use ffw_mpi::{FaultError, FaultPlan};
 use ffw_par::Pool;
@@ -33,7 +33,7 @@ use ffw_tomo::{reconstruct, synthesize_noisy, HopPipeline, HopSchedule, Reconstr
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -218,6 +218,8 @@ impl Engine {
                 }
             }
         }
+
+        remove_stale_checkpoints(&cfg.dir, &specs, &terminal);
 
         let (queue_tx, queue_rx) = unbounded::<String>();
         let inner = Arc::new(Inner {
@@ -443,6 +445,8 @@ impl Engine {
                     next_iter: 0,
                 },
             );
+            // A job re-queued by recovery may have a checkpoint.
+            remove_checkpoint(inner, id);
             ffw_obs::counter("serve.jobs.cancelled").inc();
             let _ = reply.send(proto::cancelled(id, 0));
         }
@@ -578,7 +582,6 @@ fn watchdog(inner: &Inner) {
             return;
         }
         let now = ffw_obs::monotonic_ns();
-        let mut progress: Vec<(String, Sender<String>, u32, f64)> = Vec::new();
         {
             let mut jobs = lock(&inner.jobs);
             for (id, entry) in jobs.iter_mut() {
@@ -592,17 +595,10 @@ fn watchdog(inner: &Inner) {
                         ffw_obs::counter("serve.jobs.deadline_stops").inc();
                     }
                 }
-                if let (Some(rx), Some(reply)) = (&entry.progress_rx, &entry.reply) {
-                    while let Ok(p) = rx.try_recv() {
-                        progress.push((id.clone(), reply.clone(), p.completed, p.residual));
-                    }
-                }
+                forward_progress(id, entry);
             }
             ffw_obs::gauge("serve.queue_depth").set(inner.queued.load(Ordering::Relaxed) as f64);
             ffw_obs::gauge("serve.running").set(inner.running.load(Ordering::Relaxed) as f64);
-        }
-        for (id, reply, iter, residual) in progress {
-            let _ = reply.send(proto::progress(&id, iter, residual));
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -719,6 +715,7 @@ fn run_job(inner: &Inner, id: &str) {
                     detail: detail.clone(),
                 },
             );
+            remove_checkpoint(inner, id);
             ffw_obs::counter("serve.jobs.failed").inc();
             reply_line(inner, id, proto::failed(id, code, &detail));
         }
@@ -746,6 +743,7 @@ fn finish_interrupted(inner: &Inner, id: &str, completed: u32) {
                 next_iter: completed,
             },
         );
+        remove_checkpoint(inner, id);
         ffw_obs::counter("serve.jobs.cancelled").inc();
         reply_line(inner, id, proto::cancelled(id, completed));
     } else if deadline {
@@ -759,6 +757,7 @@ fn finish_interrupted(inner: &Inner, id: &str, completed: u32) {
                 detail: detail.clone(),
             },
         );
+        remove_checkpoint(inner, id);
         ffw_obs::counter("serve.jobs.failed").inc();
         reply_line(inner, id, proto::failed(id, "deadline-exceeded", &detail));
     } else {
@@ -782,9 +781,7 @@ fn finish_done(inner: &Inner, id: &str, residual: f64, image: &[f64]) {
                 },
             );
             ffw_obs::counter("serve.jobs.completed").inc();
-            // The job is complete and durably recorded; its checkpoint is
-            // no longer needed.
-            let _ = fs::remove_file(inner.cfg.dir.join(format!("job-{id}.ckpt")));
+            remove_checkpoint(inner, id);
             let out = inner.cfg.dir.join(format!("{id}.out"));
             reply_line(
                 inner,
@@ -803,14 +800,74 @@ fn finish_done(inner: &Inner, id: &str, residual: f64, image: &[f64]) {
                     detail: detail.clone(),
                 },
             );
+            remove_checkpoint(inner, id);
             reply_line(inner, id, proto::failed(id, "io", &detail));
         }
     }
 }
 
+fn checkpoint_path(dir: &Path, id: &str) -> PathBuf {
+    dir.join(format!("job-{id}.ckpt"))
+}
+
+/// A terminal job's checkpoint is no longer needed once its terminal frame
+/// is journaled. Its pending durability work is cancelled first, so no late
+/// rename brings the file back.
+fn remove_checkpoint(inner: &Inner, id: &str) {
+    let path = checkpoint_path(&inner.cfg.dir, id);
+    durable::cancel(&path);
+    let _ = fs::remove_file(&path);
+}
+
+/// What a crash can leave next to the journal: the checkpoint of a job that
+/// reached its terminal frame before the file was removed, and tmp files
+/// (`job-<id>.ckpt.tmp.<seq>`) no live writer will rename. Both go.
+fn remove_stale_checkpoints(
+    dir: &Path,
+    journaled: &HashMap<String, JobSpec>,
+    terminal: &HashMap<String, JobState>,
+) {
+    for id in terminal.keys() {
+        let _ = fs::remove_file(checkpoint_path(dir, id));
+    }
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(id) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("job-"))
+            .and_then(|n| n.rsplit_once(".ckpt.tmp."))
+            .map(|(id, _)| id)
+        else {
+            continue;
+        };
+        if journaled.contains_key(id) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
+}
+
+/// Sends the progress events waiting in `entry`'s channel to its client.
+/// Callers hold the jobs lock, so the watchdog and a state change cannot
+/// interleave their lines (the reply channel is unbounded: no blocking).
+fn forward_progress(id: &str, entry: &JobEntry) {
+    if let (Some(rx), Some(reply)) = (&entry.progress_rx, &entry.reply) {
+        while let Ok(p) = rx.try_recv() {
+            let _ = reply.send(proto::progress(id, p.completed, p.residual));
+        }
+    }
+}
+
+/// Leaves the running state. The run has returned, and with it every
+/// boundary's progress event (a run flushes its checkpoint before it
+/// returns, and the flush waits for the event); those the watchdog has not
+/// forwarded yet go out now, ahead of the terminal line the caller sends.
 fn set_state(inner: &Inner, id: &str, state: JobState) {
     let mut jobs = lock(&inner.jobs);
     if let Some(e) = jobs.get_mut(id) {
+        forward_progress(id, e);
         e.state = state;
         e.progress_rx = None;
     }
@@ -859,7 +916,7 @@ fn execute(inner: &Inner, spec: &JobSpec, control: JobControl) -> Result<Execute
     let last = stages.last().expect("schedules are never empty");
     let phantom = spec.build_phantom(last.domain().side());
     let measured = synthesize_noisy(&stages, phantom.as_ref(), spec.noise_db);
-    let ckpt = inner.cfg.dir.join(format!("job-{}.ckpt", spec.id));
+    let ckpt = checkpoint_path(&inner.cfg.dir, &spec.id);
     let resume = ckpt.exists();
     let ranks = spec.groups * spec.subtree;
     let ft = FtConfig {
@@ -889,10 +946,14 @@ fn execute(inner: &Inner, spec: &JobSpec, control: JobControl) -> Result<Execute
         // The checkpoint is the service's own, written for this job id: a
         // fingerprint that no longer matches means the build that wrote it
         // computed another trajectory (the fingerprint folds the solver's
-        // fixed tolerances too). Its state is not a state of this run, so
-        // the job starts over rather than failing every retry on it.
-        Err(FaultError::Checkpoint(e @ CheckpointError::FingerprintMismatch { .. })) if resume => {
+        // fixed tolerances too), and another format version means an older
+        // build wrote it. Its state is not a state of this run, so the job
+        // starts over rather than failing every retry on it.
+        Err(FaultError::Checkpoint(
+            e @ (CheckpointError::FingerprintMismatch { .. } | CheckpointError::Version { .. }),
+        )) if resume => {
             ffw_obs::event("serve.checkpoint_refused", &format!("{}: {e}", spec.id));
+            durable::cancel(&ckpt);
             let _ = fs::remove_file(&ckpt);
             run(&FtConfig {
                 resume: false,

@@ -117,7 +117,7 @@ pub enum JobEvent {
         /// Human-readable detail.
         detail: String,
     },
-    /// The job was cancelled; its checkpoint (if any) remains on disk.
+    /// The job was cancelled; its checkpoint (if any) is removed.
     Cancelled {
         /// Job id.
         id: String,

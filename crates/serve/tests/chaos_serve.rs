@@ -16,6 +16,13 @@ const THREE_JOBS: [&str; 3] = [
     r#"{"op":"submit","job":{"id":"j3","size":32,"tx":4,"rx":8,"iterations":2,"contrast":0.08}}"#,
 ];
 
+/// The job the SIGTERM test parks. It must still be computing when the
+/// signal lands, a few milliseconds after its first progress event. Three
+/// iterations of a 32x32 job can finish inside that window now that a
+/// boundary no longer waits for its `fsync`, so this one runs 40.
+const LONG_JOB: &str =
+    r#"{"op":"submit","job":{"id":"j1","size":32,"tx":2,"rx":4,"iterations":40}}"#;
+
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ffw-serve-chaos-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -165,7 +172,7 @@ fn sigterm_drains_and_restart_finishes() {
     let mut child = serve_cmd(&dir, &[]).spawn().expect("spawn daemon");
     {
         let mut stdin = child.stdin.take().expect("stdin");
-        writeln!(stdin, "{}", THREE_JOBS[0]).expect("write request");
+        writeln!(stdin, "{LONG_JOB}").expect("write request");
     }
     // Wait until the job is running (first progress line), then SIGTERM.
     let stdout = child.stdout.take().expect("stdout");
@@ -205,5 +212,55 @@ fn sigterm_drains_and_restart_finishes() {
         dir.join("j1.out").exists(),
         "parked job must complete on restart"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A SIGKILL after a job's `done` frame: whatever the crash left next to
+/// the journal — the checkpoint the removal never reached, tmp files no
+/// writer will rename — is gone once the service restarts.
+#[test]
+fn sigkill_after_done_leaves_no_checkpoint_after_restart() {
+    let dir = tmp_dir("after-done");
+    let mut child = serve_cmd(&dir, &[]).spawn().expect("spawn daemon");
+    {
+        let mut stdin = child.stdin.take().expect("stdin");
+        writeln!(stdin, "{}", THREE_JOBS[1]).expect("write request");
+    }
+    let stdout = child.stdout.take().expect("stdout");
+    let mut reader = BufReader::new(stdout);
+    let mut line = String::new();
+    loop {
+        line.clear();
+        assert!(
+            reader.read_line(&mut line).expect("read daemon stdout") > 0,
+            "daemon exited before done"
+        );
+        if line.contains(r#""ev":"done""#) {
+            break;
+        }
+    }
+    child.kill().expect("SIGKILL the daemon");
+    let _ = child.wait();
+    // The crash came between the journaled done frame and the removal.
+    let checkpoint = ffw_fault::Checkpoint {
+        next_iter: 1,
+        ..Default::default()
+    }
+    .encode();
+    std::fs::write(dir.join("job-j2.ckpt"), &checkpoint).expect("plant checkpoint");
+    std::fs::write(dir.join("job-j2.ckpt.tmp.7"), &checkpoint[..16]).expect("plant tmp");
+
+    run_once(&dir, &[]);
+    let left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.contains(".ckpt"))
+        .collect();
+    assert!(
+        left.is_empty(),
+        "terminal job's checkpoint files survived: {left:?}"
+    );
+    assert!(dir.join("j2.out").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -77,6 +77,37 @@ fn wait_line(rx: &Receiver<String>, needle: &str) -> String {
     }
 }
 
+/// A boundary's progress event reaches the engine once the checkpoint is on
+/// disk, so on a short job the last events arrive just before the run
+/// returns. The client must still see one progress line per iteration, in
+/// order, and all of them before the terminal line.
+#[test]
+fn every_progress_line_precedes_the_terminal_line() {
+    let dir = tmp_dir("progress-order");
+    let engine = Engine::open(cfg(dir.clone())).expect("open");
+    for (id, iterations) in [("p1", 1), ("p4", 4)] {
+        let (ack, rx) = submit_watched(&engine, &job(id, &format!(r#""iterations":{iterations}"#)));
+        assert!(ack.contains("accepted"), "{ack}");
+        let mut seen = Vec::new();
+        let done = loop {
+            let line = rx.recv().expect("event line");
+            if line.contains(r#""ev":"progress""#) {
+                seen.push(line);
+            } else if line.contains(r#""ev":"done""#) {
+                break line;
+            }
+        };
+        let want: Vec<String> = (1..=iterations).map(|i| format!(r#""iter":{i}"#)).collect();
+        assert_eq!(seen.len(), want.len(), "{id}: {seen:?} then {done}");
+        for (line, iter) in seen.iter().zip(&want) {
+            assert!(line.contains(iter), "{id}: {line} is not {iter}");
+        }
+    }
+    engine.drain(false);
+    engine.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn admission_rejections_are_typed_end_to_end() {
     let dir = tmp_dir("admission");
@@ -188,10 +219,15 @@ fn same_geometry_jobs_share_one_cached_plan() {
 fn restart_recovers_unfinished_jobs_and_reproduces_outputs_bit_identically() {
     let ref_dir = tmp_dir("restart-ref");
     let chaos_dir = tmp_dir("restart-chaos");
-    // Multi-iteration jobs so a drain has an outer-iteration boundary to
-    // stop at *before* completion.
-    let spec1 = || job("r1", r#""iterations":4"#);
-    let spec2 = || job("r2", r#""iterations":4,"phantom":"annulus""#);
+    // Jobs long enough that a drain raised at the first progress event still
+    // finds a boundary to stop at *before* completion. That event is sent
+    // once boundary 1 is on disk (an `fsync`, a rename and a directory
+    // `fsync` later) while the job computes on without waiting for it, so
+    // the drain lands one `fsync` plus a watchdog poll into the run — under
+    // other I/O on the disk, tens of milliseconds. Four 32x32 iterations
+    // (about a millisecond each) are often over by then, sixteen sometimes.
+    let spec1 = || job("r1", r#""iterations":64"#);
+    let spec2 = || job("r2", r#""iterations":64,"phantom":"annulus""#);
 
     // Reference: both jobs run to completion uninterrupted.
     let reference = Engine::open(cfg(ref_dir.clone())).expect("open ref");
@@ -273,7 +309,8 @@ fn a_checkpoint_under_another_fingerprint_is_refused_and_the_job_starts_over() {
     use ffw_fault::{Checkpoint, CheckpointError};
     let ref_dir = tmp_dir("stale-ref");
     let dir = tmp_dir("stale");
-    let spec = || job("s1", r#""iterations":4"#);
+    // Long enough to be parked mid-run (see the restart test).
+    let spec = || job("s1", r#""iterations":64"#);
 
     let reference = Engine::open(cfg(ref_dir.clone())).expect("open ref");
     assert!(submit(&reference, &spec()).contains("accepted"));
@@ -408,5 +445,106 @@ fn deadline_exceeded_is_a_typed_failure() {
     assert!(line.contains(r#""code":"deadline-exceeded""#), "{line}");
     engine.drain(false);
     engine.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Files a job's checkpoint left in `dir`: the checkpoint itself and any
+/// tmp file on its way to becoming it.
+fn checkpoint_files(dir: &std::path::Path, id: &str) -> Vec<String> {
+    let prefix = format!("job-{id}.ckpt");
+    std::fs::read_dir(dir)
+        .expect("list state dir")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with(&prefix))
+        .collect()
+}
+
+/// Cancelled and deadline-exceeded jobs are terminal: their checkpoints go
+/// with the terminal frame, and a restarted service finds none.
+#[test]
+fn cancelled_and_deadline_jobs_leave_no_checkpoint() {
+    let dir = tmp_dir("terminal-ckpt");
+    {
+        let engine = Engine::open(cfg(dir.clone())).expect("open");
+        let (ack, rx) = submit_watched(&engine, &job("c1", r#""iterations":1000"#));
+        assert!(ack.contains("accepted"));
+        wait_line(&rx, r#""ev":"progress""#);
+        assert!(
+            dir.join("job-c1.ckpt").exists(),
+            "progress means the boundary is on disk"
+        );
+        let (tx, cancel_rx) = unbounded();
+        engine.cancel("c1", &tx);
+        assert!(cancel_rx
+            .recv()
+            .expect("cancel reply")
+            .contains("cancelling"));
+        assert_eq!(wait_terminal(&engine, "c1"), JobState::Cancelled);
+
+        let (ack, rx) = submit_watched(
+            &engine,
+            &job("d1", r#""iterations":1000,"deadline_ms":200"#),
+        );
+        assert!(ack.contains("accepted"));
+        wait_line(&rx, r#""ev":"progress""#);
+        assert_eq!(wait_terminal(&engine, "d1"), JobState::Failed);
+        wait_line(&rx, r#""code":"deadline-exceeded""#);
+        engine.drain(false);
+        engine.join();
+        for id in ["c1", "d1"] {
+            assert_eq!(checkpoint_files(&dir, id), Vec::<String>::new(), "{id}");
+        }
+    }
+    let engine = Engine::open(cfg(dir.clone())).expect("reopen");
+    assert!(engine.recovery.requeued.is_empty());
+    assert_eq!(engine.recovery.terminal, 2);
+    engine.drain(false);
+    engine.join();
+    for id in ["c1", "d1"] {
+        assert_eq!(checkpoint_files(&dir, id), Vec::<String>::new(), "{id}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint of format version 1 is refused like one under another
+/// fingerprint: the job starts over and lands on the uninterrupted output.
+#[test]
+fn a_version_1_checkpoint_restarts_the_job() {
+    let ref_dir = tmp_dir("v1-ref");
+    let dir = tmp_dir("v1");
+    // Long enough to be parked mid-run (see the restart test).
+    let spec = || job("v1", r#""iterations":64"#);
+
+    let reference = Engine::open(cfg(ref_dir.clone())).expect("open ref");
+    assert!(submit(&reference, &spec()).contains("accepted"));
+    assert_eq!(wait_terminal(&reference, "v1"), JobState::Done);
+    reference.drain(false);
+    reference.join();
+    let want = std::fs::read(reference.output_path("v1")).expect("ref output");
+
+    {
+        let engine = Engine::open(cfg(dir.clone())).expect("open");
+        let (ack, rx) = submit_watched(&engine, &spec());
+        assert!(ack.contains("accepted"));
+        wait_line(&rx, r#""ev":"progress""#);
+        engine.drain(true);
+        engine.join();
+    }
+    // What an older build left: the same bytes under the v1 magic.
+    let path = dir.join("job-v1.ckpt");
+    let mut bytes = std::fs::read(&path).expect("parked checkpoint");
+    bytes[..8].copy_from_slice(b"FFWCKPT1");
+    std::fs::write(&path, &bytes).expect("rewrite as v1");
+
+    let engine = Engine::open(cfg(dir.clone())).expect("reopen");
+    assert_eq!(engine.recovery.requeued, vec!["v1".to_string()]);
+    assert_eq!(wait_terminal(&engine, "v1"), JobState::Done);
+    engine.drain(false);
+    engine.join();
+    let got = std::fs::read(engine.output_path("v1")).expect("output");
+    assert_eq!(got, want, "the job must have started over, not failed");
+    assert_eq!(checkpoint_files(&dir, "v1"), Vec::<String>::new());
+    let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }

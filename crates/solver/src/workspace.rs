@@ -13,11 +13,11 @@
 //!
 //! The list grows to the largest number of vectors ever out at one time and
 //! no further, which is what the same code held at its peak when it built
-//! them fresh. Idle vectors stay resident, though: an owner about to need
-//! memory for something else while nothing is on lease (a checkpoint of the
-//! loop state) calls [`Workspace::release`] first. One rank is one thread,
-//! so the list is a `RefCell`; an operator that must be `Sync`
-//! ([`crate::VerifiedBlockOp`]) keeps its own scratch instead.
+//! them fresh. Idle vectors stay resident between iterations: a checkpoint
+//! streams the loop state through one small block and needs none of their
+//! memory. One rank is one thread, so the list is a `RefCell`; an operator
+//! that must be `Sync` ([`crate::VerifiedBlockOp`]) keeps its own scratch
+//! instead.
 
 use ffw_numerics::C64;
 use std::cell::RefCell;
@@ -54,11 +54,6 @@ impl Workspace {
         let mut vecs = self.lease(n, width);
         vecs.iter_mut().for_each(|v| v.fill(C64::ZERO));
         vecs
-    }
-
-    /// Frees every vector not out on lease; later leases allocate afresh.
-    pub fn release(&self) {
-        self.free.borrow_mut().clear();
     }
 }
 
@@ -107,17 +102,6 @@ mod tests {
             .filter(|v| v.as_ptr() == first.0 || v.as_ptr() == first.1)
             .count();
         assert_eq!(reused, 2, "both returned vectors are handed out again");
-    }
-
-    #[test]
-    fn release_forgets_the_idle_vectors_only() {
-        let ws = Workspace::new();
-        let held = ws.lease(16, 1);
-        drop(ws.lease(16, 2));
-        ws.release();
-        assert!(ws.free.borrow().is_empty());
-        drop(held);
-        assert_eq!(ws.free.borrow().len(), 1, "a lease still returns");
     }
 
     #[test]
