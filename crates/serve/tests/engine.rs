@@ -57,6 +57,17 @@ fn wait_terminal(engine: &Engine, id: &str) -> JobState {
     panic!("job '{id}' never reached a terminal state");
 }
 
+/// Blocks until the worker has taken `id` off the queue.
+fn wait_dequeued(engine: &Engine, id: &str) {
+    for _ in 0..6000 {
+        if engine.job_state(id) != Some(JobState::Queued) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("job '{id}' never left the queue");
+}
+
 fn wait_running(engine: &Engine, id: &str) {
     for _ in 0..6000 {
         if engine.job_state(id) == Some(JobState::Running) {
@@ -191,6 +202,8 @@ fn same_geometry_jobs_share_one_cached_plan() {
     // are outside the fingerprint), one differs (other size).
     assert!(submit(&engine, &job("a1", "")).contains("accepted"));
     assert!(submit(&engine, &job("a2", r#""phantom":"annulus""#)).contains("accepted"));
+    // The queue holds two: the third submit must not meet a1 still queued.
+    wait_dequeued(&engine, "a1");
     assert!(submit(
         &engine,
         &Json::parse(r#"{"id":"b1","size":64,"tx":2,"rx":4,"iterations":1}"#).expect("json")
