@@ -3,7 +3,6 @@
 //! * nonlinear conjugate gradients vs naive steepest descent (paper
 //!   Section VI-B: "the steepest-descent iterations with (5) are naive");
 //! * warm-starting forward solves from the previous iteration's fields;
-//! * leaf-block Jacobi preconditioning (paper Section VIII future work);
 //! * the BiCGStab tolerance choice (paper Section V-B: 1e-4);
 //! * Tikhonov regularization under measurement noise (extension).
 
@@ -15,7 +14,6 @@ use ffw_phantom::{image_rel_error, Annulus, Phantom};
 use ffw_solver::IterConfig;
 use ffw_tomo::{Reconstruction, SceneConfig};
 use serde::Serialize;
-use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Row {
@@ -62,13 +60,6 @@ fn main() {
             "no warm start",
             DbimConfig {
                 warm_start: false,
-                ..base.clone()
-            },
-        ),
-        (
-            "block-Jacobi preconditioner",
-            DbimConfig {
-                precondition: Some(Arc::clone(&recon.plan)),
                 ..base.clone()
             },
         ),

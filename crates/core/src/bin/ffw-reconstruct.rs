@@ -18,10 +18,7 @@ use ffw_phantom::{image_rel_error, Annulus, Cylinder, Phantom, RandomBlobs, Shep
 use ffw_solver::VerifyConfig;
 use ffw_tomo::exit::{exit_code_for, EXIT_INTERRUPTED};
 use ffw_tomo::viz::write_pgm;
-use ffw_tomo::{
-    grid_admission, reconstruct, synthesize_noisy, HopPipeline, HopSchedule, Regularizer,
-    SceneConfig,
-};
+use ffw_tomo::{reconstruct, synthesize_noisy, HopPipeline, HopSchedule, Regularizer, SceneConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -46,7 +43,6 @@ struct Cli {
     noise_db: Option<f64>,
     arc_deg: Option<f64>,
     born: bool,
-    precondition: bool,
     positivity: bool,
     batch: Option<usize>,
     hops: Option<HopSchedule>,
@@ -108,10 +104,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
     } else if cli.chaos_seed.is_some() {
         return Err("--chaos-seed requires --groups (distributed mode)".into());
     }
-    // The only setting that does not run on every rank grid.
-    let (groups, subtree) = cli.grid();
-    grid_admission(cli.regularizer, subtree)
-        .map_err(|why| format!("--groups {groups} --subtree {subtree}: {why}"))?;
     if let Some(schedule) = &cli.hops {
         if cli.born {
             return Err(
@@ -128,13 +120,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
                 schedule.len()
             ));
         }
-        if cli.precondition {
-            return Err(
-                "--hops cannot be combined with --precondition (the leaf-block \
-                 Jacobi factorization is bound to one frequency's plan)"
-                    .into(),
-            );
-        }
     }
     if cli.resume && cli.checkpoint.is_none() {
         return Err("--resume requires --checkpoint (the path to resume from)".into());
@@ -143,13 +128,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
         return Err(
             "--regularizer has no effect on --born (the linear Born baseline \
              has its own truncated-SVD regularization)"
-                .into(),
-        );
-    }
-    if matches!(cli.regularizer, Regularizer::WgcvLsqr { .. }) && cli.precondition {
-        return Err(
-            "--regularizer wgcv-lsqr cannot be combined with --precondition (the \
-             hybrid-projection step builds its own Krylov basis)"
                 .into(),
         );
     }
@@ -190,7 +168,6 @@ fn parse_args() -> Result<Cli, String> {
         noise_db: None,
         arc_deg: None,
         born: false,
-        precondition: false,
         positivity: false,
         batch: None,
         hops: None,
@@ -232,7 +209,6 @@ fn parse_args() -> Result<Cli, String> {
                 cli.arc_deg = Some(val("--arc-deg")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--born" => cli.born = true,
-            "--precondition" => cli.precondition = true,
             "--positivity" => cli.positivity = true,
             "--batch" => cli.batch = Some(val("--batch")?.parse().map_err(|e| format!("{e}"))?),
             "--hops" => {
@@ -278,7 +254,7 @@ fn parse_args() -> Result<Cli, String> {
                     "usage: ffw-reconstruct [--size N] [--tx T] [--rx R] \
                      [--phantom cylinder|annulus|shepp-logan|blobs] [--contrast C] \
                      [--iterations K] [--noise-db D] [--arc-deg A] [--born] \
-                     [--precondition] [--positivity] [--batch B] \
+                     [--positivity] [--batch B] \
                      [--hops F1,F2,...,1.0] \
                      [--regularizer SPEC] [--out PREFIX] \
                      [--groups G [--subtree P] [--chaos-seed S] \
@@ -299,29 +275,24 @@ fn parse_args() -> Result<Cli, String> {
                      stages with the remainder on the later, higher-resolution \
                      stages. --checkpoint/--resume save and restore at hop \
                      boundaries and run on any --groups grid. Not compatible \
-                     with --born or --precondition.\n\n\
+                     with --born.\n\n\
                      --regularizer selects the DBIM linear-step regularizer: \
-                     'tikhonov[:lambda]' (default, lambda 0 = unregularized), \
-                     'smoothness[:lambda]' (seeded spatial prior penalizing the \
-                     image Laplacian, lambda relative to the measured data \
-                     power), or 'wgcv-lsqr[:steps[:omega]]' (hybrid-projection \
-                     LSQR with automatic weighted-GCV lambda selection on a \
+                     'tikhonov[:lambda]' (default, lambda 0 = unregularized) \
+                     or 'wgcv-lsqr[:steps[:omega]]' (hybrid-projection LSQR \
+                     with automatic weighted-GCV lambda selection on a \
                      projected bidiagonal problem; steps = Golub-Kahan \
                      dimension, default 4; omega in (0, 1.5], default 0.8). \
-                     Every family runs on every --groups grid except \
-                     smoothness, which needs --subtree 1 (its stencil crosses \
-                     sub-tree boundaries); wgcv-lsqr is incompatible with \
-                     --precondition.\n\n\
+                     Both run on every --groups grid and with every other \
+                     option.\n\n\
                      --batch B solves B transmitter systems per fused multi-RHS \
                      MLFMA traversal (1 <= B <= --tx; default min(tx, 8)); every \
-                     batch width gives the bit-identical reconstruction, \
-                     --precondition included.\n\n\
+                     batch width gives the bit-identical reconstruction.\n\n\
                      Every DBIM run is one loop on a G x P rank grid; without \
                      --groups that grid is 1 x 1 — the serial run, no ranks \
                      launched. --groups G launches the fault-tolerant distributed \
                      DBIM on G x P in-process ranks (G must divide --tx, P must \
-                     divide 16; --positivity, --precondition, --hops and the \
-                     regularizers apply on every grid): outer-iteration \
+                     divide 16; --positivity, --hops and the regularizers \
+                     apply on every grid): outer-iteration \
                      checkpoints (--checkpoint, hop boundaries with --hops), \
                      bit-identical restart (--resume), seeded fault injection \
                      (--chaos-seed), and \
@@ -449,7 +420,6 @@ fn main() {
             dbim: DbimConfig {
                 iterations: cli.iterations,
                 positivity: cli.positivity,
-                precondition: cli.precondition.then(|| Arc::clone(&recon.plan)),
                 batch: cli.batch,
                 regularizer: cli.regularizer,
                 // Every G0 panel carries the ABFT checksum. In process a

@@ -324,21 +324,6 @@ fn scene_fingerprint(scene: &SceneConfig, schedule: &HopSchedule) -> Fingerprint
     (schedule.factors().iter()).fold(fp, |fp, &f| fp.u64(stage_side(scene.n_side_px, f) as u64))
 }
 
-/// The one setting that does not run on every `groups x subtree` rank grid,
-/// with the reason — shared by the CLI and the service so both refuse the
-/// same configuration in the same words. Everything else (`--hops`, the
-/// other regularizers, positivity, preconditioning, an initial guess) runs
-/// on any grid.
-pub fn grid_admission(regularizer: Regularizer, subtree: usize) -> Result<(), String> {
-    if matches!(regularizer, Regularizer::Smoothness { .. }) && subtree != 1 {
-        return Err(format!(
-            "regularizer smoothness requires subtree = 1 (got {subtree}): its Laplacian \
-             stencil crosses sub-tree boundaries and there is no pixel halo"
-        ));
-    }
-    Ok(())
-}
-
 /// Runs one reconstruction job — the front door the CLI and the service
 /// share. A job is a hop schedule on a `groups x subtree` rank grid; a
 /// single-frequency job is the one-stage schedule `"1.0"`.

@@ -76,42 +76,6 @@ fn batch_must_not_exceed_tx() {
     );
 }
 
-/// The leaf-block Jacobi pair rides into the one batched kernel like every
-/// other solve, so the panel width cannot show in a preconditioned image.
-#[test]
-fn preconditioned_run_is_byte_identical_across_batch_widths() {
-    let dir = std::env::temp_dir().join(format!("ffw-cli-precond-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-    let image = |batch: &str| {
-        let prefix = dir.join(format!("batch{batch}"));
-        let out = Command::new(env!("CARGO_BIN_EXE_ffw-reconstruct"))
-            .args([
-                "--size",
-                "32",
-                "--tx",
-                "4",
-                "--rx",
-                "8",
-                "--iterations",
-                "2",
-            ])
-            .args(["--precondition", "--batch", batch])
-            .args(["--out", prefix.to_str().expect("utf8 path")])
-            .env("FFW_THREADS", "2")
-            .output()
-            .expect("spawn ffw-reconstruct");
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "--precondition --batch {batch} failed\nstderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        std::fs::read(format!("{}_reconstruction.pgm", prefix.display())).expect("image")
-    };
-    assert_eq!(image("1"), image("4"), "batch width changed the image");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn help_documents_batch() {
     let out = run(&["--help"]);
@@ -351,14 +315,6 @@ fn hops_reject_born_mode() {
 }
 
 #[test]
-fn hops_reject_preconditioned_mode() {
-    assert_cli_error(
-        &["--hops", "2.0,1.0", "--precondition"],
-        "--hops cannot be combined with --precondition",
-    );
-}
-
-#[test]
 fn hops_need_one_iteration_per_stage() {
     assert_cli_error(
         &["--hops", "3.0,2.0,1.0", "--iterations", "2"],
@@ -379,45 +335,35 @@ fn regularizer_rejects_bad_wgcv_parameters() {
 }
 
 #[test]
-fn wgcv_rejects_preconditioned_mode() {
-    assert_cli_error(
-        &["--regularizer", "wgcv-lsqr", "--precondition"],
-        "cannot be combined with --precondition",
-    );
-}
-
-#[test]
 fn regularizer_rejects_born_mode() {
     assert_cli_error(
-        &["--regularizer", "smoothness", "--born"],
+        &["--regularizer", "tikhonov:1e-3", "--born"],
         "--regularizer has no effect on --born",
     );
 }
 
-/// The only setting a rank grid refuses, with its reason. The forward engine
-/// is not a setting: `--backend`, whatever its value, is an unknown flag.
+/// Removed settings are usage errors. The forward engine and the leaf-block
+/// Jacobi preconditioner are not flags: `--backend`, whatever its value, and
+/// `--precondition` are unknown. The smoothness prior is not a family: the
+/// message names the two that remain.
 #[test]
-fn the_grid_pin_is_typed_and_the_engine_is_not_a_flag() {
+fn removed_solver_and_regularizer_settings_are_usage_errors() {
     for value in ["born-series", "bicgstab"] {
         assert_cli_error(&["--backend", value], "unknown flag --backend");
     }
-    assert_cli_error(
-        &[
-            "--regularizer",
-            "smoothness",
-            "--groups",
-            "1",
-            "--subtree",
-            "2",
-        ],
-        "smoothness requires subtree = 1",
-    );
+    assert_cli_error(&["--precondition"], "unknown flag --precondition");
+    for spec in ["smoothness", "smoothness:1e-4"] {
+        assert_cli_error(
+            &["--regularizer", spec],
+            "--regularizer: unknown regularizer 'smoothness' (one of tikhonov[:LAMBDA], \
+             wgcv-lsqr[:STEPS[:OMEGA]])",
+        );
+    }
 }
 
 /// One pinned 32x32 scene, run to a `.pgm` with extra flags. The scene is
-/// hard enough (Shepp-Logan at contrast 0.4, four iterations) that a
-/// preconditioner's different Krylov trajectory — the same solution to
-/// within the 1e-4 solver tolerance — still moves a few quantized pixels.
+/// hard enough (Shepp-Logan at contrast 0.4, four iterations) that the
+/// positivity projection moves quantized pixels.
 fn image_of(dir: &std::path::Path, name: &str, extra: &[&str]) -> Vec<u8> {
     let prefix = dir.join(name);
     let out = Command::new(env!("CARGO_BIN_EXE_ffw-reconstruct"))
@@ -449,45 +395,28 @@ fn image_of(dir: &std::path::Path, name: &str, extra: &[&str]) -> Vec<u8> {
     std::fs::read(format!("{}_reconstruction.pgm", prefix.display())).expect("image")
 }
 
-/// `--positivity` and `--precondition` used to be accepted with `--groups`
-/// and silently dropped: the distributed loop never read them. On a rank
-/// grid they must now write the image of their serial runs — and a different
-/// one from the run without the flag.
+/// `--positivity` used to be accepted with `--groups` and silently dropped:
+/// the distributed loop never read it. On a rank grid it must now write the
+/// image of its serial run — and a different one from the run without the
+/// flag.
 #[test]
-fn positivity_and_precondition_are_honoured_on_a_rank_grid() {
+fn positivity_is_honoured_on_a_rank_grid() {
     let dir = std::env::temp_dir().join(format!("ffw-cli-grid-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create tmp dir");
     let plain = image_of(&dir, "plain", &[]);
-    for (flag, grid) in [
-        ("--positivity", ["--groups", "2", "--subtree", "1"]),
-        ("--precondition", ["--groups", "1", "--subtree", "2"]),
-    ] {
-        let serial = image_of(&dir, &format!("serial{flag}"), &[flag]);
-        let on_grid = image_of(
-            &dir,
-            &format!("grid{flag}"),
-            &[flag, grid[0], grid[1], grid[2], grid[3]],
-        );
-        assert!(
-            on_grid == serial,
-            "{flag} on {grid:?} differs from its serial run"
-        );
-        assert!(serial != plain, "{flag} must change the image at all");
-    }
-    // Admitted where it used to be refused: a regularizer whose stencil
-    // stays inside a rank, and a hop schedule, on two illumination groups.
-    image_of(
+    let serial = image_of(&dir, "serial-positivity", &["--positivity"]);
+    let on_grid = image_of(
         &dir,
-        "smooth-2x1",
-        &[
-            "--regularizer",
-            "smoothness:1e-4",
-            "--groups",
-            "2",
-            "--subtree",
-            "1",
-        ],
+        "grid-positivity",
+        &["--positivity", "--groups", "2", "--subtree", "1"],
     );
+    assert!(
+        on_grid == serial,
+        "--positivity on 2x1 differs from its serial run"
+    );
+    assert!(serial != plain, "--positivity must change the image at all");
+    // Admitted where it used to be refused: a hop schedule on two
+    // illumination groups.
     image_of(
         &dir,
         "hop-2x1",
@@ -509,8 +438,11 @@ fn help_documents_hops_and_regularizer() {
     let out = run(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["--hops", "--regularizer", "wgcv-lsqr", "smoothness"] {
+    for needle in ["--hops", "--regularizer", "tikhonov", "wgcv-lsqr"] {
         assert!(stdout.contains(needle), "help does not document {needle}");
+    }
+    for removed in ["--precondition", "smoothness"] {
+        assert!(!stdout.contains(removed), "help still documents {removed}");
     }
 }
 

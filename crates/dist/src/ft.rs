@@ -45,8 +45,7 @@ use crate::engine::DistMlfma;
 use crate::solver::try_allreduce_scalars;
 use ffw_fault::{durable, Checkpoint, CheckpointFile, Fingerprint};
 use ffw_inverse::{
-    dbim_loop, DbimConfig, DbimResult, Flow, ImagingSetup, LoopState, RankContext, Regularizer,
-    StageResult,
+    dbim_loop, DbimConfig, DbimResult, Flow, ImagingSetup, LoopState, RankContext, StageResult,
 };
 use ffw_mlfma::MlfmaPlan;
 use ffw_mpi::{Comm, FaultError, FaultPlan, Payload, RankOutcome, Runtime};
@@ -208,12 +207,6 @@ fn lost_of(alive: &[Vec<usize>], n_tx: usize) -> Vec<usize> {
 /// budget is spent, every group is lost, the checkpoint is unusable, or a
 /// non-fault typed error (e.g. a Krylov breakdown that survived its restart)
 /// occurred.
-///
-/// One setting does not run on every grid and is refused typed (admission
-/// layers reject it before this point, so reaching here means a config was
-/// constructed by hand): the smoothness regularizer needs
-/// `subtree_ranks == 1` (its Laplacian stencil crosses sub-tree boundaries
-/// and there is no pixel halo).
 pub fn run_dbim_ft(
     setup: &ImagingSetup,
     plan: Arc<MlfmaPlan>,
@@ -239,14 +232,6 @@ fn run_launches(
     assert_eq!(measured.len(), n_tx);
     assert_eq!(n_tx % groups, 0, "transmitters must divide among groups");
     assert!(cfg.min_groups >= 1, "min_groups must be at least 1");
-    if matches!(cfg.dbim.regularizer, Regularizer::Smoothness { .. }) && p != 1 {
-        return Err(FaultError::Unrecoverable {
-            detail: format!(
-                "the smoothness regularizer needs subtree_ranks == 1, got {p}: its \
-                 stencil crosses sub-tree boundaries"
-            ),
-        });
-    }
     let tx_per_group = n_tx / groups;
     let fingerprint = run_fingerprint(setup, &cfg.dbim, groups, p, measured);
 

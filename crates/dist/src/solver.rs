@@ -218,7 +218,6 @@ mod tests {
                     max_iters: 500,
                 },
                 None,
-                None,
                 &ws,
             )
             .expect("solve");
@@ -278,12 +277,12 @@ mod tests {
                     bs_ref.iter().map(|b| &b[r * per..(r + 1) * per]).collect();
                 // batched solve
                 let mut xs = vec![vec![C64::ZERO; per]; width];
-                let stats = try_bicgstab_block(&a, &b_locals, &mut xs, cfg, None, None, &ws)
+                let stats = try_bicgstab_block(&a, &b_locals, &mut xs, cfg, None, &ws)
                     .expect("block solve");
                 // width-1 reference, one column at a time
                 for (c, b_local) in b_locals.iter().enumerate() {
                     let mut x1 = vec![vec![C64::ZERO; per]];
-                    let s1 = try_bicgstab_block(&a, &[b_local], &mut x1, cfg, None, None, &ws)
+                    let s1 = try_bicgstab_block(&a, &[b_local], &mut x1, cfg, None, &ws)
                         .expect("width-1 solve")
                         .remove(0);
                     assert_eq!(xs[c], x1[0], "column {c} of width {width} drifted");
@@ -370,7 +369,7 @@ mod tests {
         let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
         let solve = |op: &dyn DistOp<Error = FaultError>| {
             let mut xs = vec![vec![C64::ZERO; n]; 2];
-            let out = try_bicgstab_block(op, &b_refs, &mut xs, cfg, None, None, &Workspace::new());
+            let out = try_bicgstab_block(op, &b_refs, &mut xs, cfg, None, &Workspace::new());
             (out, xs)
         };
         let (clean, x_clean) = solve(&flaky(n, |_| false));

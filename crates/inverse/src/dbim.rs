@@ -59,22 +59,19 @@
 //! takes no single step along one direction, so there are no `u_t` to
 //! predict the next fields from.
 
-use crate::precond::LeafBlockJacobi;
 use crate::problem::ImagingSetup;
-use crate::regularize::{laplacian_tree, Bidiag, ProjectedProblem, Regularizer};
+use crate::regularize::{Bidiag, ProjectedProblem, Regularizer};
 use ffw_fault::{Checkpoint, CheckpointWriter, FaultError, Fingerprint};
-use ffw_mlfma::MlfmaPlan;
 use ffw_numerics::linalg::{rows_adjoint_panel, rows_panel};
 use ffw_numerics::vecops::{axpy_real, norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
 use ffw_solver::{
     g0_adjoint_apply_block, BicgstabBackend, BlockLinOp, CountingOp, DistOp, DriftGuard,
-    IterConfig, Leased, PrecondPair, SolveStats, VerifiedBlockOp, VerifyConfig, Workspace,
+    IterConfig, Leased, SolveStats, VerifiedBlockOp, VerifyConfig, Workspace,
 };
 use std::cell::Cell;
 use std::io::Write;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Relative residual the solves of the linearisation stop at — the gradient
 /// and step solves of the nonlinear-CG path and the receiver solves of the
@@ -107,10 +104,8 @@ pub struct DbimConfig {
     pub conjugate: bool,
     /// Regularization on the linearized step (the paper uses none — the
     /// default `tikhonov:0` reproduces it exactly). See [`Regularizer`] for
-    /// the Tikhonov / seeded-smoothness / hybrid wGCV-LSQR families.
-    /// `wgcv-lsqr` replaces the gradient and step passes with a
-    /// Golub–Kahan hybrid projection and is incompatible with
-    /// `precondition` (admission pins the two apart).
+    /// the Tikhonov and hybrid wGCV-LSQR families. `wgcv-lsqr` replaces
+    /// the gradient and step passes with a Golub–Kahan hybrid projection.
     pub regularizer: Regularizer,
     /// Project the reconstruction onto nonnegative real contrasts after each
     /// step (physical prior for lossless dielectrics).
@@ -118,15 +113,11 @@ pub struct DbimConfig {
     /// Initial guess for the object (tree order); `None` = zero background.
     /// Used by the multi-frequency driver to hop between frequencies.
     pub initial: Option<Vec<C64>>,
-    /// Leaf-block Jacobi preconditioning of the forward/adjoint solves
-    /// (paper Section VIII future work). Pass the plan whose tree matches the
-    /// setup; rebuilds the block factorizations whenever the object changes.
-    pub precondition: Option<Arc<MlfmaPlan>>,
     /// Transmitters per batched forward/adjoint solve: each batch shares one
     /// fused MLFMA traversal per Krylov iteration (the paper's illumination
     /// parallelism, Section IV-B, realized as multi-RHS blocking).
     /// `None` picks `min(n_tx, 8)`. Per-column results are bit-identical for
-    /// every batch size, preconditioned or not.
+    /// every batch size.
     pub batch: Option<usize>,
     /// End-to-end compute-integrity verification. `Some` wraps every `G0`
     /// apply in an ABFT checksum window ([`VerifiedBlockOp`], calibrate
@@ -152,7 +143,6 @@ impl std::fmt::Debug for DbimConfig {
             .field("regularizer", &self.regularizer)
             .field("positivity", &self.positivity)
             .field("initial", &self.initial.as_ref().map(|v| v.len()))
-            .field("precondition", &self.precondition.is_some())
             .field("batch", &self.batch)
             .field("verify", &self.verify)
             .finish()
@@ -178,10 +168,12 @@ impl DbimConfig {
             // wrote still resume.
             .u64(0)
             .flag(self.positivity)
-            .flag(self.precondition.is_some());
+            // The slot of the removed leaf-block Jacobi preconditioner:
+            // every run without it folded `false` here, so the checkpoints
+            // they wrote still resume.
+            .flag(false);
         let fp = match self.regularizer {
             Regularizer::Tikhonov { lambda } => fp.u64(0).f64(lambda),
-            Regularizer::Smoothness { lambda } => fp.u64(1).f64(lambda),
             // The last word is the recurrence, not a setting: 2 for
             // Golub–Kahan with both bases reorthogonalized and its products
             // through the receiver map. Its checkpoints are refused by the
@@ -213,7 +205,6 @@ impl Default for DbimConfig {
             regularizer: Regularizer::default(),
             positivity: false,
             initial: None,
-            precondition: None,
             batch: None,
             verify: None,
         }
@@ -362,8 +353,8 @@ pub struct DbimResult {
     /// `Some(next_iter)` when an end-of-iteration hook stopped the run early.
     pub stopped: Option<u32>,
     /// Per-iteration regularization parameter chosen by the hybrid
-    /// wGCV-LSQR update (empty for the Tikhonov/smoothness families, whose
-    /// lambda is fixed up front).
+    /// wGCV-LSQR update (empty for the Tikhonov family, whose lambda is
+    /// fixed up front).
     pub lambdas: Vec<f64>,
 }
 
@@ -661,15 +652,13 @@ where
     FaultError: From<<C::G0 as DistOp>::Error>,
 {
     /// The passes of `cfg` at `object` (the owned pixels) on rank `ctx`,
-    /// booking their solves into `counts`. `guard` and `precond` ride into
-    /// every solve.
+    /// booking their solves into `counts`. `guard` rides into every solve.
     pub fn new(
         setup: &'a ImagingSetup,
         ctx: &'a C,
         cfg: &DbimConfig,
         object: &'a [C64],
         guard: Option<&'a DriftGuard>,
-        precond: Option<PrecondPair<'a>>,
         counts: &'a Cell<SolveCounts>,
     ) -> Self {
         Passes {
@@ -677,7 +666,7 @@ where
             ctx,
             object,
             gr: setup.gr_rows(ctx.pixels()),
-            engine: BicgstabBackend::new(ctx.g0(), object, guard, precond, ctx.workspace()),
+            engine: BicgstabBackend::new(ctx.g0(), object, guard, ctx.workspace()),
             forward: cfg.forward,
             // Both update paths: the nonlinear-CG step and the receiver
             // solves of `wgcv-lsqr` (module docs).
@@ -1238,11 +1227,6 @@ where
     let n = cols.len();
     let n_own = ctx.txs().len();
     assert_eq!(measured.len(), setup.n_tx());
-    assert!(
-        cfg.precondition.is_none() || !matches!(cfg.regularizer, Regularizer::WgcvLsqr { .. }),
-        "the wgcv-lsqr hybrid projection replaces the nonlinear-CG passes and \
-         is incompatible with leaf-block Jacobi preconditioning"
-    );
     let guard = cfg.verify.as_ref().map(|_| DriftGuard::default());
     let guard = guard.as_ref();
 
@@ -1278,21 +1262,11 @@ where
     // reweights the residual to what is actually still being fit.
     let measured_norm_sqr: f64 = ctx.run_txs().iter().map(|&t| norm2_sqr(&measured[t])).sum();
 
-    // Fixed penalty weights for the closed-form families. The smoothness
-    // prior's relative weight is seeded from the measured-data power so one
-    // lambda transfers across scenes and noise levels.
+    // The fixed penalty weight of the closed-form family.
     let tik_lambda = match cfg.regularizer {
         Regularizer::Tikhonov { lambda } => lambda,
         _ => 0.0,
     };
-    let smooth_lambda = match cfg.regularizer {
-        Regularizer::Smoothness { lambda } => lambda * measured_norm_sqr,
-        _ => 0.0,
-    };
-    assert!(
-        smooth_lambda == 0.0 || n == setup.n_pixels(),
-        "the smoothness stencil crosses sub-tree boundaries: it needs the whole pixel range"
-    );
     let mut lambdas: Vec<f64> = Vec::new();
     let mut stopped = None;
 
@@ -1302,18 +1276,10 @@ where
             ffw_obs::counter("dbim.outer_iters").inc();
         }
         let before = counts.get();
-        // (re)build the block-Jacobi preconditioners for the current object
-        let preconds = cfg.precondition.as_ref().map(|plan| {
-            (
-                LeafBlockJacobi::new(plan, &st.object),
-                LeafBlockJacobi::new_adjoint(plan, &st.object),
-            )
-        });
-        let precond_pair = preconds.as_ref().map(|(m, mh)| -> PrecondPair { (m, mh) });
         // Bind the forward engine to the current object iterate. It borrows
         // the iterate, so the update is applied after the last pass.
-        let pass = Passes::new(setup, ctx, cfg, &st.object, guard, precond_pair, &counts)
-            .at_zero_background(background);
+        let pass =
+            Passes::new(setup, ctx, cfg, &st.object, guard, &counts).at_zero_background(background);
 
         // --- pass 1: fields and residuals ---
         let fields_span = span("fields");
@@ -1373,13 +1339,6 @@ where
                     *g += *o * tik_lambda;
                 }
             }
-            if smooth_lambda > 0.0 {
-                // gradient of lambda ||L O||^2 is lambda L^T L O = lambda L(L O)
-                let llo = laplacian_tree(&setup.tree, &laplacian_tree(&setup.tree, &st.object));
-                for (g, l) in grad.iter_mut().zip(&llo) {
-                    *g += *l * smooth_lambda;
-                }
-            }
             if cfg.real_object {
                 for v in grad.iter_mut() {
                     v.im = 0.0;
@@ -1435,13 +1394,6 @@ where
                 num -= tik_lambda * od[0].re;
                 den += tik_lambda * od[1].re;
             }
-            if smooth_lambda > 0.0 {
-                // minimize ||b + alpha F d||^2 + lambda ||L (O + alpha d)||^2
-                let lo = laplacian_tree(&setup.tree, &st.object);
-                let ld = laplacian_tree(&setup.tree, &st.dir);
-                num -= smooth_lambda * zdotc(&ld, &lo).re;
-                den += smooth_lambda * norm2_sqr(&ld);
-            }
             let alpha = if den > 0.0 { num / den } else { 0.0 };
             if cfg.warm_start {
                 // phi_t at O + alpha d is phi_t + alpha u_t to first order:
@@ -1489,13 +1441,13 @@ where
         }
     }
 
-    // --- final residual pass (always unpreconditioned, batched); a stopped
+    // --- final residual pass (batched); a stopped
     // run reports the last measured residual instead ---
     let final_residual = match stopped {
         Some(_) => st.residual_history.last().copied().unwrap_or(f64::NAN),
         None => {
             let _final_span = span("final");
-            let pass = Passes::new(setup, ctx, cfg, &st.object, guard, None, &counts)
+            let pass = Passes::new(setup, ctx, cfg, &st.object, guard, &counts)
                 .at_zero_background(background);
             let (_, cost) = pass.residuals(measured, &mut st.fields)?;
             check_integrity(guard, ctx, cfg, cfg.iterations as u64 + 1)?;
@@ -1598,7 +1550,9 @@ mod tests {
     /// `0x024ab15b63e736ec` for the second configuration, the reorthogonalized
     /// one with per-transmitter products folded `1` and wrote
     /// `0xcdaf02862e499ef1`, and the one through the receiver map folds `2`.
-    /// The default folds no such arm.
+    /// The default folds no such arm. The preconditioner flag is a constant
+    /// `false` since the preconditioner was removed: the default and the
+    /// benchmark's `wgcv-lsqr:6:0.8` read what they read before.
     #[test]
     fn config_fingerprint_is_pinned() {
         let fold = |cfg: &DbimConfig| cfg.fold_fingerprint(Fingerprint::new()).finish();
@@ -1614,6 +1568,11 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(fold(&cfg), 0xc59bbf508739dcea);
+        let wgcv = DbimConfig {
+            regularizer: "wgcv-lsqr:6:0.8".parse().expect("regularizer"),
+            ..Default::default()
+        };
+        assert_eq!(fold(&wgcv), 0x9404daaf74d4e9c4);
     }
 
     /// Batching the per-transmitter solves is a pure scheduling change:

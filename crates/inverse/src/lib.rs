@@ -11,7 +11,6 @@ pub mod born;
 pub mod dbim;
 pub mod multifreq;
 pub mod ops;
-pub mod precond;
 pub mod problem;
 pub mod regularize;
 
@@ -25,6 +24,5 @@ pub use multifreq::{
     HopSchedule, MultiFreqConfig, MultiFreqError, MultiFreqResult, StageResult,
 };
 pub use ops::MlfmaG0;
-pub use precond::LeafBlockJacobi;
 pub use problem::{add_noise, synthesize_measurements, ImagingSetup};
 pub use regularize::Regularizer;

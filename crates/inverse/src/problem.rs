@@ -120,7 +120,7 @@ pub fn synthesize_measurements<G: BlockLinOp + ?Sized>(
     let n_tx = setup.n_tx();
     let batch = n_tx.clamp(1, 8);
     let ws = ffw_solver::Workspace::new();
-    let engine = ffw_solver::BicgstabBackend::new(g0, object, None, None, &ws);
+    let engine = ffw_solver::BicgstabBackend::new(g0, object, None, &ws);
     let gr = setup.gr_rows(0..n);
     let n_rx = setup.n_rx();
     let mut out = Vec::with_capacity(n_tx);

@@ -8,10 +8,6 @@
 //! * [`Regularizer::Tikhonov`] — the scalar `lambda ||O||^2` penalty folded
 //!   into the nonlinear-CG gradient and step (the pre-existing behavior;
 //!   `lambda = 0` is the paper's unregularized method);
-//! * [`Regularizer::Smoothness`] — a spatial prior `lambda ||L O||^2` with
-//!   `L` the 5-point grid Laplacian. The weight is *seeded from the data
-//!   scale*: the effective absolute weight is `lambda * sum_t ||m_t||^2`,
-//!   so one relative `lambda` transfers across scenes and noise levels;
 //! * [`Regularizer::WgcvLsqr`] — hybrid-projection LSQR (Chung–Gazzola):
 //!   `k` steps of Golub–Kahan bidiagonalization of the Fréchet operator
 //!   project the linearized problem onto a small Krylov subspace, the
@@ -25,34 +21,21 @@
 //! minimizer is a fixed logarithmic grid scan — no randomness, so the
 //! thread-invariance and repeat-determinism suites hold bit-for-bit.
 
-use ffw_geometry::QuadTree;
-use ffw_numerics::C64;
-
 /// Default Golub–Kahan steps for the hybrid projection.
 pub const DEFAULT_WGCV_STEPS: usize = 4;
 /// Default wGCV weight `omega` (< 1 regularizes slightly more than plain
 /// GCV, the usual hybrid-projection recommendation).
 pub const DEFAULT_WGCV_OMEGA: f64 = 0.8;
-/// Default relative smoothness weight (scaled by the measured-data power).
-pub const DEFAULT_SMOOTHNESS_LAMBDA: f64 = 0.02;
 
 /// Regularization applied to the DBIM linearized step. See the module docs
-/// for the three families; parse from CLI/serve strings with [`std::str::FromStr`]
-/// (`"tikhonov[:LAMBDA]"`, `"smoothness[:LAMBDA]"`,
-/// `"wgcv-lsqr[:STEPS[:OMEGA]]"`).
+/// for the two families; parse from CLI/serve strings with [`std::str::FromStr`]
+/// (`"tikhonov[:LAMBDA]"`, `"wgcv-lsqr[:STEPS[:OMEGA]]"`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Regularizer {
     /// Scalar Tikhonov penalty `lambda ||O||^2` on the nonlinear-CG step
     /// (absolute weight; `0.0` = unregularized, the default).
     Tikhonov {
         /// Absolute penalty weight.
-        lambda: f64,
-    },
-    /// Smoothness spatial prior `lambda ||L O||^2` (`L` = grid Laplacian);
-    /// `lambda` is relative — the absolute weight is seeded from the data
-    /// scale as `lambda * sum_t ||m_t||^2` each run.
-    Smoothness {
-        /// Relative penalty weight (seeded by the measured-data power).
         lambda: f64,
     },
     /// Hybrid-projection LSQR with automatic weighted-GCV lambda selection
@@ -72,20 +55,10 @@ impl Default for Regularizer {
 }
 
 impl Regularizer {
-    /// Stable family tag (used in fingerprints and spec round-trips).
-    pub fn family(&self) -> &'static str {
-        match self {
-            Regularizer::Tikhonov { .. } => "tikhonov",
-            Regularizer::Smoothness { .. } => "smoothness",
-            Regularizer::WgcvLsqr { .. } => "wgcv-lsqr",
-        }
-    }
-
     /// Canonical spec string that [`std::str::FromStr`] parses back to `self`.
     pub fn to_spec_string(&self) -> String {
         match self {
             Regularizer::Tikhonov { lambda } => format!("tikhonov:{lambda}"),
-            Regularizer::Smoothness { lambda } => format!("smoothness:{lambda}"),
             Regularizer::WgcvLsqr { steps, omega } => format!("wgcv-lsqr:{steps}:{omega}"),
         }
     }
@@ -126,14 +99,6 @@ impl std::str::FromStr for Regularizer {
                     lambda: pos_f64(p1, "tikhonov lambda", 0.0)?,
                 })
             }
-            "smoothness" => {
-                if p2.is_some() {
-                    return Err("smoothness takes at most one parameter (lambda)".into());
-                }
-                Ok(Regularizer::Smoothness {
-                    lambda: pos_f64(p1, "smoothness lambda", DEFAULT_SMOOTHNESS_LAMBDA)?,
-                })
-            }
             "wgcv-lsqr" => {
                 let steps = match p1 {
                     None => DEFAULT_WGCV_STEPS,
@@ -154,42 +119,10 @@ impl std::str::FromStr for Regularizer {
             }
             other => Err(format!(
                 "unknown regularizer '{other}' (one of tikhonov[:LAMBDA], \
-                 smoothness[:LAMBDA], wgcv-lsqr[:STEPS[:OMEGA]])"
+                 wgcv-lsqr[:STEPS[:OMEGA]])"
             )),
         }
     }
-}
-
-/// Applies the 5-point grid Laplacian `L` to a *tree-order* vector:
-/// `(Lx)_{ij} = 4 x_{ij} - x_{i±1,j} - x_{i,j±1}` with zero-Dirichlet
-/// boundary (missing neighbors contribute 0). `L` is symmetric, so it is
-/// its own transpose and `L^T L x = L(Lx)`.
-pub fn laplacian_tree(tree: &QuadTree, x: &[C64]) -> Vec<C64> {
-    let n = x.len();
-    let n_side = (n as f64).sqrt().round() as usize;
-    assert_eq!(n_side * n_side, n, "laplacian needs a square grid");
-    let grid = tree.to_grid_order(x);
-    let mut out = vec![C64::ZERO; n];
-    for iy in 0..n_side {
-        for ix in 0..n_side {
-            let i = iy * n_side + ix;
-            let mut v = grid[i] * 4.0;
-            if ix > 0 {
-                v -= grid[i - 1];
-            }
-            if ix + 1 < n_side {
-                v -= grid[i + 1];
-            }
-            if iy > 0 {
-                v -= grid[i - n_side];
-            }
-            if iy + 1 < n_side {
-                v -= grid[i + n_side];
-            }
-            out[i] = v;
-        }
-    }
-    tree.to_tree_order(&out)
 }
 
 /// The lower-bidiagonal matrix `B_k` ((k+1) x k) produced by Golub–Kahan
@@ -386,16 +319,12 @@ impl ProjectedProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffw_geometry::Domain;
-    use ffw_numerics::c64;
 
     #[test]
     fn parse_roundtrip_and_defaults() {
         for s in [
             "tikhonov",
             "tikhonov:0.5",
-            "smoothness",
-            "smoothness:0.1",
             "wgcv-lsqr",
             "wgcv-lsqr:6",
             "wgcv-lsqr:6:1.0",
@@ -429,35 +358,11 @@ mod tests {
             "wgcv-lsqr:4:0",
             "wgcv-lsqr:4:2.0",
             "wgcv-lsqr:4:1:9",
-            "smoothness:nan",
+            "smoothness",
+            "smoothness:0.1",
         ] {
             assert!(bad.parse::<Regularizer>().is_err(), "{bad} should fail");
         }
-    }
-
-    #[test]
-    fn laplacian_of_constant_interior_is_zero() {
-        let domain = Domain::new(32, 1.0);
-        let tree = QuadTree::new(&domain);
-        let x = vec![c64(1.0, 0.0); 1024];
-        let lx = laplacian_tree(&tree, &x);
-        let grid = tree.to_grid_order(&lx);
-        // interior rows: 4 - 4 neighbors = 0; boundary sees the Dirichlet 0
-        assert!(grid[17 * 32 + 17].abs() < 1e-14);
-        assert!((grid[0].re - 2.0).abs() < 1e-14, "corner keeps 4-2");
-    }
-
-    #[test]
-    fn laplacian_is_symmetric() {
-        let domain = Domain::new(32, 1.0);
-        let tree = QuadTree::new(&domain);
-        let x: Vec<C64> = (0..1024).map(|i| C64::cis(0.37 * i as f64)).collect();
-        let y: Vec<C64> = (0..1024).map(|i| C64::cis(1.1 * i as f64 + 0.4)).collect();
-        let lx = laplacian_tree(&tree, &x);
-        let ly = laplacian_tree(&tree, &y);
-        let lhs = ffw_numerics::vecops::zdotc(&lx, &y);
-        let rhs = ffw_numerics::vecops::zdotc(&x, &ly);
-        assert!((lhs - rhs).abs() < 1e-10 * lhs.abs().max(1.0));
     }
 
     /// SVD sanity on a known bidiagonal: the identity-like system where

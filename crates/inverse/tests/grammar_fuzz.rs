@@ -31,8 +31,6 @@ const REGULARIZERS: &[&str] = &[
     "tikhonov",
     "tikhonov:0",
     "tikhonov:1e-3",
-    "smoothness",
-    "smoothness:0.02",
     "wgcv-lsqr",
     "wgcv-lsqr:6",
     "wgcv-lsqr:6:0.8",
@@ -193,7 +191,7 @@ fn mutated_hop_schedules_are_rejected_or_valid() {
 #[test]
 fn mutated_regularizer_specs_are_rejected_or_valid() {
     let (accepted, rejected) = fuzz::<Regularizer>(REGULARIZERS, 0x7e9, |r| match *r {
-        Regularizer::Tikhonov { lambda } | Regularizer::Smoothness { lambda } => {
+        Regularizer::Tikhonov { lambda } => {
             if lambda.is_finite() && lambda >= 0.0 {
                 Ok(())
             } else {

@@ -122,9 +122,9 @@ fn warm_start_never_costs_iterations() {
 }
 
 /// The same determinism contracts, parameterized over the regularizer seam:
-/// the hybrid-projection wGCV-LSQR linear step and the seeded-smoothness
-/// spatial prior must be exactly as thread-invariant, repeatable, and
-/// warm-start-friendly as the plain Tikhonov path.
+/// the hybrid-projection wGCV-LSQR linear step must be exactly as
+/// thread-invariant, repeatable, and warm-start-friendly as the plain
+/// Tikhonov path.
 macro_rules! regularizer_suite {
     ($name:ident, $reg:expr) => {
         mod $name {
@@ -184,7 +184,6 @@ regularizer_suite!(
         omega: 0.8
     }
 );
-regularizer_suite!(smoothness, Regularizer::Smoothness { lambda: 1e-3 });
 
 /// wGCV must actually record one chosen lambda per outer iteration, and the
 /// non-adaptive paths must record none.

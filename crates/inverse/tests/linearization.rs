@@ -216,15 +216,7 @@ fn the_step_operator_is_the_derivative_of_the_forward_map() {
     let delta: Vec<C64> = scene.object.iter().map(|o| 10.0 * *o).collect();
 
     let loop_cfg = DbimConfig::default();
-    let pass = Passes::new(
-        &scene.setup,
-        &ctx,
-        &loop_cfg,
-        &scene.object,
-        None,
-        None,
-        &counts,
-    );
+    let pass = Passes::new(&scene.setup, &ctx, &loop_cfg, &scene.object, None, &counts);
     let (fields, _) = state(&pass, &ctx);
     let mut us = vec![vec![C64::ZERO; delta.len()]; fields.len()];
     let f_delta = pass.frechet(&fields, &delta, &mut us).expect("F delta");
@@ -238,7 +230,7 @@ fn the_step_operator_is_the_derivative_of_the_forward_map() {
         ..Default::default()
     };
     let forward_map = |object: &[C64]| {
-        let pass = Passes::new(&scene.setup, &ctx, &tight, object, None, None, &counts);
+        let pass = Passes::new(&scene.setup, &ctx, &tight, object, None, &counts);
         state(&pass, &ctx).1
     };
     let base = forward_map(&scene.object);
@@ -312,7 +304,7 @@ fn pairing(scene: &Scene, products: Products, real: bool, groups: usize) -> (C64
     let cfg = DbimConfig::default();
     let mut per_rank = on_grid(scene, groups, |ctx| {
         let counts = Cell::new(SolveCounts::default());
-        let pass = Passes::new(&scene.setup, ctx, &cfg, &scene.object, None, None, &counts);
+        let pass = Passes::new(&scene.setup, ctx, &cfg, &scene.object, None, &counts);
         let (fields, _) = state(&pass, ctx);
         let own_rs: Vec<Vec<C64>> = ctx.txs.iter().map(|&t| rs[t].clone()).collect();
         let mut fhr = vec![C64::ZERO; n];
@@ -447,16 +439,8 @@ fn the_receiver_side_products_are_the_per_transmitter_ones() {
         },
         ..Default::default()
     };
-    let pass = Passes::new(
-        &scene.setup,
-        &ctx,
-        &tight,
-        &scene.object,
-        None,
-        None,
-        &counts,
-    )
-    .with_linear_tol(1e-10);
+    let pass = Passes::new(&scene.setup, &ctx, &tight, &scene.object, None, &counts)
+        .with_linear_tol(1e-10);
     let (fields, _) = state(&pass, &ctx);
     let d = noise(n, 12);
     let rs: Vec<Vec<C64>> = (0..N_TX).map(|t| noise(8, 300 + t as u64)).collect();
@@ -486,7 +470,7 @@ fn at_zero_contrast_the_receiver_map_is_gr_and_spends_no_traversal() {
     let counts = Cell::new(SolveCounts::default());
     let zero = vec![C64::ZERO; n];
     let cfg = DbimConfig::default();
-    let pass = Passes::new(&scene.setup, &ctx, &cfg, &zero, None, None, &counts);
+    let pass = Passes::new(&scene.setup, &ctx, &cfg, &zero, None, &counts);
     let rx = pass.receiver_side().expect("M");
     assert_eq!(ctx.g0.count(), 0, "G0 traversals");
     let gr = scene.setup.gr_rows(0..n);
@@ -545,7 +529,7 @@ fn the_golub_kahan_bases_stay_orthonormal() {
             on_grid(&scene, groups, |ctx| {
                 let counts = Cell::new(SolveCounts::default());
                 let cfg = DbimConfig::default();
-                let pass = Passes::new(&scene.setup, ctx, &cfg, &scene.object, None, None, &counts);
+                let pass = Passes::new(&scene.setup, ctx, &cfg, &scene.object, None, &counts);
                 let (fields, _) = state(&pass, ctx);
                 let own_rs: Vec<Vec<C64>> = ctx.txs.iter().map(|&t| rs[t].clone()).collect();
                 let mut right = vec![vec![C64::ZERO; n]; STEPS];

@@ -1,10 +1,8 @@
 //! Dense complex LU factorization with partial pivoting.
 //!
-//! Used for the leaf-block Jacobi preconditioner (the paper's Section VIII
-//! future-work item: "preconditioning of the system to address ... resonance
-//! and near-resonance frequencies") and as an exact-solve oracle in tests.
-//! The blocks are small (64 x 64 leaf self-interactions), so a
-//! straightforward `O(n^3)` factorization is the right tool.
+//! The exact-solve oracle of the tests: the systems it factors have about a
+//! thousand unknowns, so a straightforward `O(n^3)` factorization is the
+//! right tool.
 
 use crate::complex::C64;
 use crate::linalg::Matrix;

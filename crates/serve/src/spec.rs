@@ -67,9 +67,7 @@ pub struct JobSpec {
     /// checkpoint/resume at hop-stage boundaries.
     pub hops: Option<HopSchedule>,
     /// Regularizer on the DBIM linear step (`"tikhonov[:L]"`,
-    /// `"smoothness[:L]"`, `"wgcv-lsqr[:STEPS[:OMEGA]]"`). Every family runs
-    /// on every grid except `smoothness`, which needs `subtree == 1` (its
-    /// stencil crosses sub-tree boundaries).
+    /// `"wgcv-lsqr[:STEPS[:OMEGA]]"`). Both families run on every grid.
     pub regularizer: Regularizer,
 }
 
@@ -237,13 +235,6 @@ impl JobSpec {
                 return Err("'max_flops' must be positive".into());
             }
         }
-        // The only setting that does not run on every rank grid.
-        ffw_tomo::grid_admission(self.regularizer, self.subtree).map_err(|why| {
-            format!(
-                "'groups' {} x 'subtree' {}: {why}",
-                self.groups, self.subtree
-            )
-        })?;
         if let Some(schedule) = &self.hops {
             if self.iterations < schedule.len() {
                 return Err(format!(
@@ -494,9 +485,12 @@ mod tests {
             ),
             (r#"{"id":"a","tx":9007199254740993}"#, "'tx'"),
             (r#"{"id":"a","regularizer":"wgcv-lsqr:0"}"#, "'regularizer'"),
+            // The removed smoothness prior is an unknown family, named
+            // with the two that remain.
             (
-                r#"{"id":"a","regularizer":"smoothness:1e-4","subtree":2}"#,
-                "smoothness requires subtree = 1",
+                r#"{"id":"a","regularizer":"smoothness:1e-4"}"#,
+                "'regularizer': unknown regularizer 'smoothness' (one of tikhonov[:LAMBDA], \
+                 wgcv-lsqr[:STEPS[:OMEGA]])",
             ),
         ] {
             let j = Json::parse(patch).expect(patch);
@@ -506,15 +500,14 @@ mod tests {
     }
 
     /// What used to be pinned to the serial driver now runs on every grid:
-    /// admission only refuses the one setting a grid cannot reduce. The
-    /// legacy `backend` key is accepted when it names the one engine, and
-    /// not written back.
+    /// admission refuses no setting for its grid. The legacy `backend` key
+    /// is accepted when it names the one engine, and not written back.
     #[test]
     fn hops_and_regularizers_are_admitted_on_rank_grids() {
         for patch in [
             r#"{"id":"a","hops":"2.0,1.0","tx":4,"groups":2}"#,
             r#"{"id":"a","hops":"2.0,1.0","tx":4,"groups":2,"chaos_seed":7}"#,
-            r#"{"id":"a","regularizer":"smoothness:1e-4","tx":4,"groups":2}"#,
+            r#"{"id":"a","regularizer":"tikhonov:1e-3","tx":4,"groups":2,"subtree":2}"#,
             r#"{"id":"a","regularizer":"wgcv-lsqr","tx":4,"groups":2,"subtree":2}"#,
             r#"{"id":"a","regularizer":"tikhonov:1e-3","subtree":2}"#,
             r#"{"id":"a","backend":"bicgstab"}"#,

@@ -414,31 +414,72 @@ fn hop_regularizer_jobs_run_to_done_on_any_grid() {
     for (a, b) in serial.iter().zip(&grid) {
         assert!((a - b).abs() <= 1e-8 * scale, "{a} vs {b}");
     }
-    // The grid pin and the removed forward-engine value are rejected at
-    // admission with the reason, not failed mid-run (or run on another
-    // solver); their neighbours are admitted.
+    // The removed forward engine and the removed smoothness prior are
+    // rejected at admission with the reason, not failed mid-run (or run on
+    // another solver).
     for (extra, why) in [
         (
             r#""backend":"born-series""#,
             "the forward-engine choice was removed",
         ),
         (
-            r#""regularizer":"smoothness:1e-4","subtree":2"#,
-            "smoothness requires subtree = 1",
+            r#""regularizer":"smoothness:1e-4""#,
+            "unknown regularizer 'smoothness' (one of tikhonov[:LAMBDA], \
+             wgcv-lsqr[:STEPS[:OMEGA]])",
         ),
     ] {
         let line = submit(&engine, &job("pin", extra));
         assert!(line.contains(r#""reason":"invalid-spec""#), "{line}");
         assert!(line.contains(why), "{line}");
     }
-    let line = submit(
-        &engine,
-        &job("smooth", r#""regularizer":"smoothness:1e-4","groups":2"#),
-    );
-    assert!(line.contains("accepted"), "{line}");
-    assert_eq!(wait_terminal(&engine, "smooth"), JobState::Done);
     engine.drain(false);
     engine.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One journal frame around `payload`: length, payload, FNV-1a 64 checksum.
+fn frame(payload: &str) -> Vec<u8> {
+    let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+    f.extend_from_slice(payload.as_bytes());
+    f.extend_from_slice(&ffw_fault::fnv1a64(payload.as_bytes()).to_le_bytes());
+    f
+}
+
+/// A journal the service wrote while it still had the smoothness prior: an
+/// accepted smoothness job that had started when the service stopped. The
+/// payloads are the ones that version wrote. Opening the state directory
+/// fails typed at the accepted frame's offset, instead of panicking or
+/// re-queuing a job this version cannot run, and leaves the journal as it
+/// was.
+#[test]
+fn a_journal_holding_a_smoothness_job_is_refused_at_its_frame() {
+    let dir = tmp_dir("smoothness-journal");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    let mut bytes = b"FFWJRNL1".to_vec();
+    bytes.extend(frame(concat!(
+        r#"{"id":"smooth","spec":{"accuracy":"low","arc_deg":null,"chaos_seed":null,"#,
+        r#""contrast":0.05,"deadline_ms":null,"groups":1,"hops":null,"id":"smooth","#,
+        r#""iterations":1,"max_flops":null,"max_restarts":1,"min_groups":1,"noise_db":null,"#,
+        r#""phantom":"cylinder","regularizer":"smoothness:0.0001","rx":4,"size":32,"#,
+        r#""subtree":1,"tx":2},"type":"accepted"}"#
+    )));
+    bytes.extend(frame(r#"{"attempt":1,"id":"smooth","type":"started"}"#));
+    let path = dir.join("serve.journal");
+    std::fs::write(&path, &bytes).expect("write journal");
+
+    let err = Engine::open(cfg(dir.clone()))
+        .err()
+        .expect("the open must fail");
+    assert!(
+        err.contains("journal frame at byte 8 is intact but does not decode"),
+        "{err}"
+    );
+    assert!(err.contains("unknown regularizer 'smoothness'"), "{err}");
+    assert_eq!(
+        std::fs::read(&path).expect("read"),
+        bytes,
+        "the journal was touched"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

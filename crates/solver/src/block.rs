@@ -14,7 +14,7 @@
 //! of a phase — for the whole active panel — rides in ONE reduction, the
 //! paper's message fusion extended along the illumination dimension. A
 //! single right-hand side is a panel of width 1 ([`crate::bicgstab`]), and
-//! the drift guard and the right preconditioner are optional arguments.
+//! the drift guard is an optional argument.
 //!
 //! Numerics contract: columns never mix — per-column scalars, per-column
 //! inner products, same branch structure — so a column's trajectory
@@ -36,7 +36,6 @@
 
 use crate::krylov::{finite_c, BreakdownKind, IterConfig, SolveStats};
 use crate::op::DistOp;
-use crate::precond::Precond;
 use crate::verify::DriftGuard;
 use crate::workspace::{Leased, Workspace};
 use ffw_fault::FaultError;
@@ -379,24 +378,10 @@ pub fn bicgstab_block<A: DistOp<Error = Infallible> + ?Sized>(
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
 ) -> Vec<SolveStats> {
-    bicgstab_block_with(a, bs, xs, cfg, None, None, &Workspace::new())
+    bicgstab_block_with(a, bs, xs, cfg, None, &Workspace::new())
 }
 
-/// Picks the vectors an apply consumes: the preconditioned copies when a
-/// preconditioner is attached, the recurrence vectors themselves otherwise.
-fn applied<'a>(
-    precond: Option<&dyn Precond>,
-    plain: &'a [Vec<C64>],
-    hat: &'a [Vec<C64>],
-) -> &'a [Vec<C64>] {
-    if precond.is_some() {
-        hat
-    } else {
-        plain
-    }
-}
-
-/// [`bicgstab_block`] plus the kernel's two optional riders, on an operator
+/// [`bicgstab_block`] plus the kernel's optional drift guard, on an operator
 /// that cannot fail and in the caller's workspace. A broken-down column is
 /// frozen and reported unconverged; [`try_bicgstab_block`] adds the retry
 /// policy on top.
@@ -416,24 +401,15 @@ fn applied<'a>(
 /// trajectory — iterates, residuals, `iterations`, `matvecs` — is
 /// bit-identical to the unguarded solve; the audit applies are reported in
 /// `verify_matvecs` and counted by the guard.
-///
-/// **`precond`** — right preconditioning in the form that updates `x`
-/// directly (Templates, ch. 2.3.8): the applies see `M p` and `M s`, the
-/// residuals stay true residuals of `A x = b`, so convergence reporting,
-/// the non-finite/rho freezes and the drift audits are the same code as the
-/// plain solve. With `None` the applies read `p` and `s` by reference and
-/// the arithmetic is that of the unpreconditioned recurrence. On a rank
-/// grid the preconditioner acts on this rank's slice.
 pub fn bicgstab_block_with<A: DistOp<Error = Infallible> + ?Sized>(
     a: &A,
     bs: &[&[C64]],
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
     guard: Option<&DriftGuard>,
-    precond: Option<&dyn Precond>,
     ws: &Workspace,
 ) -> Vec<SolveStats> {
-    let Ok((stats, _broken)) = sweep(a, bs, xs, cfg, guard, precond, ws);
+    let Ok((stats, _broken)) = sweep(a, bs, xs, cfg, guard, ws);
     stats
 }
 
@@ -453,13 +429,12 @@ pub fn try_bicgstab_block<A: DistOp + ?Sized>(
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
     guard: Option<&DriftGuard>,
-    precond: Option<&dyn Precond>,
     ws: &Workspace,
 ) -> Result<Vec<SolveStats>, FaultError>
 where
     FaultError: From<A::Error>,
 {
-    let (mut stats, mut broken) = sweep(a, bs, xs, cfg, guard, precond, ws)?;
+    let (mut stats, mut broken) = sweep(a, bs, xs, cfg, guard, ws)?;
     broken.sort_by_key(|b| b.0);
     let breakdown =
         |st: &SolveStats, kind: BreakdownKind, restarts: u32| FaultError::KrylovBreakdown {
@@ -478,7 +453,7 @@ where
             max_iters: cfg.max_iters - first.iterations,
             ..cfg
         };
-        let (again, broken_again) = sweep(a, &bs[c..=c], &mut xs[c..=c], rest, guard, precond, ws)?;
+        let (again, broken_again) = sweep(a, &bs[c..=c], &mut xs[c..=c], rest, guard, ws)?;
         let total = SolveStats {
             iterations: first.iterations + again[0].iterations,
             matvecs: first.matvecs + again[0].matvecs,
@@ -511,7 +486,6 @@ fn sweep<A: DistOp + ?Sized>(
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
     guard: Option<&DriftGuard>,
-    precond: Option<&dyn Precond>,
     ws: &Workspace,
 ) -> Result<(Vec<SolveStats>, Vec<(usize, BreakdownKind)>), A::Error> {
     let nb = bs.len();
@@ -564,10 +538,6 @@ fn sweep<A: DistOp + ?Sized>(
     let mut moved = vec![false; nb];
     let mut s = ws.lease(n, held);
     let mut t = ws.lease(n, held);
-    // M p and M s: only a preconditioned solve owns (and fills) them.
-    let hat_cols = if precond.is_some() { held } else { 0 };
-    let mut p_hat = ws.lease(n, hat_cols);
-    let mut s_hat = ws.lease(n, hat_cols);
     for c in (0..nb).filter(|c| !live.contains(c)) {
         st.xs[c].fill(C64::ZERO);
         st.finish(c, 0.0, true);
@@ -662,14 +632,9 @@ fn sweep<A: DistOp + ?Sized>(
         }
         active = after_rho;
 
-        // v = A (M p), fused; then alpha, s = r - alpha v with ‖s‖² in the
-        // same pass, and the early s-norm exit.
-        if let Some(m) = precond {
-            for &c in &active {
-                m.apply(&st.p[c], &mut p_hat[c]);
-            }
-        }
-        apply_cols(a, &active, applied(precond, &st.p, &p_hat), &mut st.v)?;
+        // v = A p, fused; then alpha, s = r - alpha v with ‖s‖² in the same
+        // pass, and the early s-norm exit.
+        apply_cols(a, &active, &st.p, &mut st.v)?;
         let mut dots: Vec<C64> = active
             .iter()
             .map(|&c| zdotc(&st.r_hat[c], &st.v[c]))
@@ -697,11 +662,7 @@ fn sweep<A: DistOp + ?Sized>(
                 after_s.push(c);
                 continue;
             }
-            axpy(
-                st.alpha[c],
-                &applied(precond, &st.p, &p_hat)[c],
-                &mut st.xs[c],
-            );
+            axpy(st.alpha[c], &st.p[c], &mut st.xs[c]);
             if guard.is_some() {
                 due.push(c);
             } else {
@@ -738,15 +699,10 @@ fn sweep<A: DistOp + ?Sized>(
         }
         active = after_s;
 
-        // t = A (M s), fused; then omega (both dots of every column from one
+        // t = A s, fused; then omega (both dots of every column from one
         // pass, in one reduction), the residual update and check, and the x
         // update.
-        if let Some(m) = precond {
-            for &c in &active {
-                m.apply(&s[c], &mut s_hat[c]);
-            }
-        }
-        apply_cols(a, &active, applied(precond, &s, &s_hat), &mut t)?;
+        apply_cols(a, &active, &s, &mut t)?;
         let mut dots: Vec<C64> = Vec::with_capacity(2 * active.len());
         for &c in &active {
             let (mut ts, mut tt) = (C64::ZERO, C64::ZERO);
@@ -771,10 +727,7 @@ fn sweep<A: DistOp + ?Sized>(
             st.omega[c] = dots[2 * k] / dots[2 * k + 1];
             let (alpha, omega) = (st.alpha[c], st.omega[c]);
             moved[c] = s_norm[c] + omega.abs() * dots[2 * k + 1].re.sqrt() < SAFE_STEP_NORM;
-            let (dp, ds) = (
-                &applied(precond, &st.p, &p_hat)[c],
-                &applied(precond, &s, &s_hat)[c],
-            );
+            let (dp, ds) = (&st.p[c], &s[c]);
             let (mut sq, mut rho) = (0.0f64, C64::ZERO);
             let mut residual = |ri: &mut C64, si: &C64, ti: &C64, hi: &C64| {
                 *ri = *si - omega * *ti;
@@ -812,10 +765,7 @@ fn sweep<A: DistOp + ?Sized>(
                 continue;
             }
             if !moved[c] {
-                let (dp, ds) = (
-                    &applied(precond, &st.p, &p_hat)[c],
-                    &applied(precond, &s, &s_hat)[c],
-                );
+                let (dp, ds) = (&st.p[c], &s[c]);
                 for (xi, (pi, si)) in st.xs[c].iter_mut().zip(dp.iter().zip(ds)) {
                     *xi += st.alpha[c] * *pi + st.omega[c] * *si;
                 }
@@ -936,7 +886,7 @@ mod tests {
         let solve = |width: usize| {
             let b_refs: Vec<&[C64]> = bs[..width].iter().map(|b| b.as_slice()).collect();
             let mut xs = vec![vec![C64::ZERO; n]; width];
-            let stats = bicgstab_block_with(&a, &b_refs, &mut xs, cfg, None, None, &ws);
+            let stats = bicgstab_block_with(&a, &b_refs, &mut xs, cfg, None, &ws);
             (xs, stats)
         };
         let (x9, s9) = solve(9);
@@ -1132,7 +1082,7 @@ mod tests {
                 poison,
             };
             let mut xs = vec![vec![C64::ZERO; n]; 2];
-            let out = try_bicgstab_block(&op, &b_refs, &mut xs, cfg, None, None, &Workspace::new());
+            let out = try_bicgstab_block(&op, &b_refs, &mut xs, cfg, None, &Workspace::new());
             (out, xs)
         };
         let (clean, x_clean) = solve(|_| false);
@@ -1211,7 +1161,6 @@ mod tests {
                 &mut xs_guarded,
                 cfg,
                 Some(&guard),
-                None,
                 &Workspace::new(),
             );
             assert_eq!(guard.detected(), 0, "clean run must not trip the guard");
@@ -1442,7 +1391,6 @@ mod tests {
                         &mut xs,
                         cfg,
                         Some(&guard),
-                        None,
                         &Workspace::new(),
                     );
                     let at = format!("width {width}, column {bad}, bit {bit}");
@@ -1487,7 +1435,7 @@ mod tests {
         let guard = DriftGuard::new(4, 1e-8, 3);
         let ws = Workspace::new();
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), None, &ws);
+        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), &ws);
         assert!(guard.detected() >= 1, "corruption must be detected");
         assert!(guard.rolled_back() >= 1, "steps must be discarded");
         assert_eq!(guard.escalated(), 0, "transient fault must recover");
@@ -1503,7 +1451,7 @@ mod tests {
         // The workspace now holds a rolled-back column's vectors and its
         // snapshots: a clean guarded solve in it must not see them.
         let mut x_again = vec![vec![C64::ZERO; n]];
-        let again = bicgstab_block_with(&m, &[&b], &mut x_again, cfg, Some(&guard), None, &ws);
+        let again = bicgstab_block_with(&m, &[&b], &mut x_again, cfg, Some(&guard), &ws);
         assert_eq!(x_again[0], x_clean[0], "reused workspace leaked state");
         assert_eq!(again[0].iterations, clean[0].iterations);
         assert_eq!(again[0].rolled_back, 0);
@@ -1535,7 +1483,7 @@ mod tests {
         let guard = DriftGuard::new(4, 1e-8, 2);
         let ws = Workspace::new();
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), None, &ws);
+        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), &ws);
         assert_eq!(guard.escalated(), 1, "budget exhausted must escalate");
         assert!(
             !stats[0].converged,
@@ -1551,95 +1499,8 @@ mod tests {
         let mut x_clean = vec![vec![C64::ZERO; n]];
         let clean = bicgstab_block(&m, &[&b], &mut x_clean, cfg);
         let mut x_again = vec![vec![C64::ZERO; n]];
-        let again = bicgstab_block_with(&m, &[&b], &mut x_again, cfg, None, None, &ws);
+        let again = bicgstab_block_with(&m, &[&b], &mut x_again, cfg, None, &ws);
         assert_eq!(again, clean);
         assert_eq!(x_again, x_clean, "reused workspace leaked state");
-    }
-
-    #[test]
-    fn identity_preconditioner_is_bit_identical_to_none() {
-        // `precond = None` reads p and s by reference, `IdentityPrecond`
-        // copies them: the trajectories must not differ by a bit.
-        use crate::precond::IdentityPrecond;
-        let n = 40;
-        let a = random_mat(n, 171, 7.0);
-        let bs: Vec<Vec<C64>> = (0..3).map(|i| random_vec(n, 180 + i)).collect();
-        let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
-        let cfg = IterConfig {
-            tol: 1e-9,
-            max_iters: 300,
-        };
-        let mut xs_plain = vec![vec![C64::ZERO; n]; 3];
-        let plain = bicgstab_block(&a, &b_refs, &mut xs_plain, cfg);
-        let mut xs_id = vec![vec![C64::ZERO; n]; 3];
-        let id = bicgstab_block_with(
-            &a,
-            &b_refs,
-            &mut xs_id,
-            cfg,
-            None,
-            Some(&IdentityPrecond),
-            &Workspace::new(),
-        );
-        assert_eq!(id, plain);
-        assert_eq!(xs_id, xs_plain);
-        assert!(plain.iter().all(|s| s.converged && s.iterations > 0));
-    }
-
-    #[test]
-    fn preconditioned_breakdown_freezes_at_the_last_finite_iterate() {
-        // The preconditioned twin of
-        // `breakdown_iteration_count_reproduces_the_returned_iterate`: the
-        // separate preconditioned loop this kernel replaced had no
-        // non-finite guard, ran to `max_iters` and returned a NaN iterate.
-        use crate::precond::JacobiPrecond;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let n = 24;
-        let m = random_mat(n, 77, 6.0);
-        let b = random_vec(n, 79);
-        let jacobi = JacobiPrecond((0..n).map(|i| m.at(i, i)).collect());
-        let calls = AtomicUsize::new(0);
-        let poisoned = crate::op::FnOp::new(n, n, |v: &[C64], out: &mut [C64]| {
-            // Applies 1..=5 healthy; apply 6 (the `A M p` of iteration 3)
-            // poisons the step with NaN, forcing the phase-3 rollback.
-            if calls.fetch_add(1, Ordering::Relaxed) + 1 >= 6 {
-                out.iter_mut().for_each(|o| *o = c64(f64::NAN, f64::NAN));
-            } else {
-                m.matvec(v, out);
-            }
-        });
-        let cfg = IterConfig {
-            tol: 1e-14,
-            max_iters: 50,
-        };
-        let ws = Workspace::new();
-        let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_with(&poisoned, &[&b], &mut xs, cfg, None, Some(&jacobi), &ws);
-        assert!(!stats[0].converged);
-        assert_eq!(stats[0].iterations, 2, "rolled-back step must not count");
-        assert!(stats[0].rel_residual.is_finite());
-        assert!(
-            xs[0].iter().all(|v| finite_c(*v)),
-            "iterate must stay finite"
-        );
-
-        let replay_cfg = IterConfig {
-            tol: 1e-14,
-            max_iters: stats[0].iterations,
-        };
-        // The replay runs in the workspace the broken-down column left full
-        // of NaN: nothing of it may reach the clean solve.
-        let mut xs_replay = vec![vec![C64::ZERO; n]];
-        let replay = bicgstab_block_with(
-            &m,
-            &[&b],
-            &mut xs_replay,
-            replay_cfg,
-            None,
-            Some(&jacobi),
-            &ws,
-        );
-        assert_eq!(replay[0].iterations, stats[0].iterations);
-        assert_eq!(xs_replay[0], xs[0], "replay at the reported count differs");
     }
 }

@@ -23,7 +23,6 @@
 use crate::block::{bicgstab_block_with, try_bicgstab_block};
 use crate::krylov::{width_one, IterConfig, SolveStats};
 use crate::op::DistOp;
-use crate::precond::Precond;
 use crate::verify::DriftGuard;
 use crate::workspace::{Leased, Workspace};
 use ffw_fault::FaultError;
@@ -142,10 +141,6 @@ pub fn g0_adjoint_apply_block<G: DistOp + ?Sized>(
     Ok(())
 }
 
-/// A right preconditioner for the forward system `A` and one for its
-/// adjoint `A^H`, in that order.
-pub type PrecondPair<'a> = (&'a dyn Precond, &'a dyn Precond);
-
 /// The forward engine of a reconstruction: BiCGStab under its breakdown
 /// policy ([`crate::try_bicgstab_block`]) on the forward or the adjoint
 /// scattering operator of one `(G0, object)` pair. `object` is this rank's
@@ -173,7 +168,6 @@ pub struct BicgstabBackend<'a, G: DistOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
     guard: Option<&'a DriftGuard>,
-    precond: Option<PrecondPair<'a>>,
     ws: &'a Workspace,
     identity: bool,
 }
@@ -183,12 +177,11 @@ where
     FaultError: From<G::Error>,
 {
     /// Binds the engine to one `(G0, object)` pair, with the optional drift
-    /// guard and preconditioner pair riding into every solve.
+    /// guard riding into every solve.
     pub fn new(
         g0: &'a G,
         object: &'a [C64],
         guard: Option<&'a DriftGuard>,
-        precond: Option<PrecondPair<'a>>,
         ws: &'a Workspace,
     ) -> Self {
         assert_eq!(g0.n_local(), object.len());
@@ -196,7 +189,6 @@ where
             g0,
             object,
             guard,
-            precond,
             ws,
             identity: false,
         }
@@ -208,11 +200,10 @@ where
     /// matvecs, converged at residual 0, with nothing leased, applied or
     /// reduced. From `x0 = 0` that is the sweep's answer bit for bit: `r = b`,
     /// `p = r`, `v = A p = p` (the `G0` product of a zero column is `+0`),
-    /// `alpha = <r_hat, r> / <r_hat, v> = 1`, `s = 0`, `x = x0 + p`; the
-    /// leaf-block Jacobi blocks at `O = 0` are the identity too, so a
-    /// preconditioned sweep reads the same vectors. The caller decides from
-    /// facts every rank holds, never from a scan of its own slice: ranks that
-    /// disagreed would leave a group waiting on reductions that never come.
+    /// `alpha = <r_hat, r> / <r_hat, v> = 1`, `s = 0`, `x = x0 + p`. The
+    /// caller decides from facts every rank holds, never from a scan of its
+    /// own slice: ranks that disagreed would leave a group waiting on
+    /// reductions that never come.
     pub fn at_zero_background(mut self, zero: bool) -> Self {
         debug_assert!(
             !zero || self.object.iter().all(|o| *o == C64::ZERO),
@@ -238,8 +229,7 @@ where
             return Ok(identity_solve(bs, xs));
         }
         let a = ScatteringOp::new(self.g0, self.object, self.ws);
-        let precond = self.precond.map(|p| p.0);
-        try_bicgstab_block(&a, bs, xs, cfg, self.guard, precond, self.ws)
+        try_bicgstab_block(&a, bs, xs, cfg, self.guard, self.ws)
     }
 
     /// Solves `A^H xs[c] = bs[c]` for a panel of columns in lockstep.
@@ -253,8 +243,7 @@ where
             return Ok(identity_solve(bs, xs));
         }
         let a = AdjointScatteringOp::new(self.g0, self.object, self.ws);
-        let precond = self.precond.map(|p| p.1);
-        try_bicgstab_block(&a, bs, xs, cfg, self.guard, precond, self.ws)
+        try_bicgstab_block(&a, bs, xs, cfg, self.guard, self.ws)
     }
 }
 
@@ -328,7 +317,7 @@ pub fn solve_forward_block<G: DistOp<Error = Infallible> + ?Sized>(
 ) -> Vec<SolveStats> {
     let ws = Workspace::new();
     let a = ScatteringOp::new(g0, object, &ws);
-    bicgstab_block_with(&a, phi_incs, phis, cfg, None, None, &ws)
+    bicgstab_block_with(&a, phi_incs, phis, cfg, None, &ws)
 }
 
 /// Batched adjoint solve `A^H zs[b] = rhss[b]`, lockstep across columns.
@@ -341,7 +330,7 @@ pub fn solve_adjoint_block<G: DistOp<Error = Infallible> + ?Sized>(
 ) -> Vec<SolveStats> {
     let ws = Workspace::new();
     let a = AdjointScatteringOp::new(g0, object, &ws);
-    bicgstab_block_with(&a, rhss, zs, cfg, None, None, &ws)
+    bicgstab_block_with(&a, rhss, zs, cfg, None, &ws)
 }
 
 #[cfg(test)]

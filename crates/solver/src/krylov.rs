@@ -112,7 +112,7 @@ pub(crate) fn width_one<E>(
     Ok(stats)
 }
 
-/// Unpreconditioned BiCGStab: solves `A x = b`, starting from the provided
+/// BiCGStab: solves `A x = b`, starting from the provided
 /// `x` (commonly zero) — [`bicgstab_block`] at panel width 1. Two matvecs
 /// per iteration, the dominant cost the MLFMA accelerates (paper Fig. 4).
 ///

@@ -15,18 +15,16 @@ pub mod block;
 pub mod forward;
 pub mod krylov;
 pub mod op;
-pub mod precond;
 pub mod verify;
 pub mod workspace;
 
 pub use block::{bicgstab_block, bicgstab_block_with, try_bicgstab_block};
 pub use forward::{
     g0_adjoint_apply_block, solve_adjoint, solve_adjoint_block, solve_forward, solve_forward_block,
-    AdjointScatteringOp, BicgstabBackend, PrecondPair, ScatteringOp,
+    AdjointScatteringOp, BicgstabBackend, ScatteringOp,
 };
 pub use krylov::{bicgstab, cgnr, IterConfig, SolveStats};
 pub use op::{BlockLinOp, CountingOp, DiagonalOp, DistOp, FnOp, IdentityOp, LinOp};
-pub use precond::{IdentityPrecond, JacobiPrecond, Precond};
 pub use verify::{
     flip_panel_bit, flip_panel_bit_detectable, ComputeInjector, DriftGuard, VerifiedBlockOp,
     VerifyConfig, DEFAULT_CHECKSUM_REL_TOL, DEFAULT_DRIFT_PERIOD, DEFAULT_DRIFT_REL_TOL,

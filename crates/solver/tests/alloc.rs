@@ -110,7 +110,7 @@ fn second_and_later_solves_allocate_no_n_vector() {
     // audit every other step: periodic audits, snapshot refreshes and the
     // convergence audit all happen inside one solve
     let guard = DriftGuard::new(2, 1e-8, 2);
-    let backend = BicgstabBackend::new(&g0, &object, Some(&guard), None, &ws);
+    let backend = BicgstabBackend::new(&g0, &object, Some(&guard), &ws);
     let cfg = IterConfig {
         tol: 1e-8,
         max_iters: 200,
@@ -151,7 +151,7 @@ fn a_zero_right_hand_side_touches_no_workspace() {
     let Scene { g0, object, .. } = scene();
     let ws = Workspace::new();
     let guard = DriftGuard::default();
-    let backend = BicgstabBackend::new(&g0, &object, Some(&guard), None, &ws);
+    let backend = BicgstabBackend::new(&g0, &object, Some(&guard), &ws);
     let bs = vec![vec![C64::ZERO; N]; 4];
     let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
     let mut xs = panel(4);

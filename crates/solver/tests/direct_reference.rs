@@ -88,7 +88,7 @@ fn worst_gap<G: BlockLinOp>(
     cfg: IterConfig,
 ) -> f64 {
     let ws = Workspace::new();
-    let engine = BicgstabBackend::new(g0, object, None, None, &ws);
+    let engine = BicgstabBackend::new(g0, object, None, &ws);
     let mut worst = 0.0f64;
     for (t0, chunk) in incs.chunks(width).enumerate() {
         let mut xs = vec![vec![C64::ZERO; object.len()]; chunk.len()];

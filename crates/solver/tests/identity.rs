@@ -2,17 +2,17 @@
 //! forward engine told so (`BicgstabBackend::at_zero_background`) returns
 //! what the BiCGStab sweep returns, bit for bit, signed zeros included:
 //! forward and adjoint, at every panel width from 1 to 8, with and without
-//! the drift guard and the leaf-block Jacobi preconditioner. And it gets
-//! there with no apply, no reduction and no Krylov step.
+//! the drift guard. And it gets there with no apply, no reduction and no
+//! Krylov step.
 
 use ffw_geometry::Domain;
-use ffw_inverse::{LeafBlockJacobi, MlfmaG0};
+use ffw_inverse::MlfmaG0;
 use ffw_mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
 use ffw_numerics::{c64, C64};
 use ffw_par::Pool;
 use ffw_solver::{
     try_bicgstab_block, AdjointScatteringOp, BicgstabBackend, DistOp, DriftGuard, IterConfig,
-    Precond, ScatteringOp, SolveStats, Workspace,
+    ScatteringOp, SolveStats, Workspace,
 };
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,11 +94,6 @@ fn the_zero_background_returns_what_the_sweep_returns_with_no_work() {
     };
     let n = g0.n_local();
     let object = vec![C64::ZERO; n];
-    let jacobi = (
-        LeafBlockJacobi::new(&plan, &object),
-        LeafBlockJacobi::new_adjoint(&plan, &object),
-    );
-    assert_eq!(jacobi.0.active_blocks() + jacobi.1.active_blocks(), 0);
     let cfg = IterConfig::default();
     let ws = Workspace::new();
     let mut sweeps = 0;
@@ -108,50 +103,42 @@ fn the_zero_background_returns_what_the_sweep_returns_with_no_work() {
         for guarded in [false, true] {
             let guard = DriftGuard::default();
             let guard = guarded.then_some(&guard);
-            for preconditioned in [false, true] {
-                let pair = preconditioned
-                    .then_some((&jacobi.0 as &dyn Precond, &jacobi.1 as &dyn Precond));
-                let engine =
-                    BicgstabBackend::new(&g0, &object, guard, pair, &ws).at_zero_background(true);
-                for adjoint in [false, true] {
-                    let case = format!(
-                        "width {width}, guard {guarded}, precond {preconditioned}, adjoint {adjoint}"
-                    );
-                    let mut shortcut = vec![vec![C64::ZERO; n]; width];
-                    let stats = if adjoint {
-                        engine.solve_adjoint_block(&b_refs, &mut shortcut, cfg)
-                    } else {
-                        engine.solve_block(&b_refs, &mut shortcut, cfg)
-                    }
-                    .expect("identity solve");
-                    assert_eq!(g0.taken(), (0, 0), "{case}: the identity touched G0");
-                    let identity = SolveStats {
-                        iterations: 0,
-                        matvecs: 0,
-                        verify_matvecs: 0,
-                        rolled_back: 0,
-                        rel_residual: 0.0,
-                        converged: true,
-                    };
-                    assert!(stats.iter().all(|s| *s == identity), "{case}: {stats:?}");
-
-                    let mut swept = vec![vec![C64::ZERO; n]; width];
-                    let precond = pair.map(|p| if adjoint { p.1 } else { p.0 });
-                    let swept_stats = if adjoint {
-                        let a = AdjointScatteringOp::new(&g0, &object, &ws);
-                        try_bicgstab_block(&a, &b_refs, &mut swept, cfg, guard, precond, &ws)
-                    } else {
-                        let a = ScatteringOp::new(&g0, &object, &ws);
-                        try_bicgstab_block(&a, &b_refs, &mut swept, cfg, guard, precond, &ws)
-                    }
-                    .expect("sweep");
-                    assert!(
-                        swept_stats.iter().all(|s| s.converged && s.iterations <= 1),
-                        "{case}: {swept_stats:?}"
-                    );
-                    sweeps += g0.taken().0;
-                    assert_eq!(bits(&shortcut), bits(&swept), "{case}");
+            let engine = BicgstabBackend::new(&g0, &object, guard, &ws).at_zero_background(true);
+            for adjoint in [false, true] {
+                let case = format!("width {width}, guard {guarded}, adjoint {adjoint}");
+                let mut shortcut = vec![vec![C64::ZERO; n]; width];
+                let stats = if adjoint {
+                    engine.solve_adjoint_block(&b_refs, &mut shortcut, cfg)
+                } else {
+                    engine.solve_block(&b_refs, &mut shortcut, cfg)
                 }
+                .expect("identity solve");
+                assert_eq!(g0.taken(), (0, 0), "{case}: the identity touched G0");
+                let identity = SolveStats {
+                    iterations: 0,
+                    matvecs: 0,
+                    verify_matvecs: 0,
+                    rolled_back: 0,
+                    rel_residual: 0.0,
+                    converged: true,
+                };
+                assert!(stats.iter().all(|s| *s == identity), "{case}: {stats:?}");
+
+                let mut swept = vec![vec![C64::ZERO; n]; width];
+                let swept_stats = if adjoint {
+                    let a = AdjointScatteringOp::new(&g0, &object, &ws);
+                    try_bicgstab_block(&a, &b_refs, &mut swept, cfg, guard, &ws)
+                } else {
+                    let a = ScatteringOp::new(&g0, &object, &ws);
+                    try_bicgstab_block(&a, &b_refs, &mut swept, cfg, guard, &ws)
+                }
+                .expect("sweep");
+                assert!(
+                    swept_stats.iter().all(|s| s.converged && s.iterations <= 1),
+                    "{case}: {swept_stats:?}"
+                );
+                sweeps += g0.taken().0;
+                assert_eq!(bits(&shortcut), bits(&swept), "{case}");
             }
         }
     }
@@ -160,7 +147,7 @@ fn the_zero_background_returns_what_the_sweep_returns_with_no_work() {
     // The engine books its identity solves with the recorder on.
     ffw_obs::reset();
     ffw_obs::set_enabled(true);
-    let engine = BicgstabBackend::new(&g0, &object, None, None, &ws).at_zero_background(true);
+    let engine = BicgstabBackend::new(&g0, &object, None, &ws).at_zero_background(true);
     let bs = panel(n, 3);
     let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
     let mut xs = vec![vec![C64::ZERO; n]; 3];

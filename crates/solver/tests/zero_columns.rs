@@ -118,7 +118,7 @@ fn a_guarded_solve_on_the_zero_object_returns_the_right_hand_side() {
     let mut xs = vec![vec![C64::ZERO; n]; 3];
     let guard = DriftGuard::default();
     let cfg = IterConfig::default();
-    let stats = bicgstab_block_with(&a, &b_refs, &mut xs, cfg, Some(&guard), None, &ws);
+    let stats = bicgstab_block_with(&a, &b_refs, &mut xs, cfg, Some(&guard), &ws);
     assert!(stats.iter().all(|s| s.converged && s.iterations == 1));
     assert_eq!(xs, bs);
     assert!(verified.flush().is_ok());

@@ -69,7 +69,7 @@ fn distributed_forward_solve_matches_serial() {
             let inc = &setup_ref.incident(0)[rank * per..(rank + 1) * per];
             // one system is a panel of width 1
             let mut phi = vec![vec![C64::ZERO; per]];
-            let stats = try_bicgstab_block(&a, &[inc], &mut phi, cfg, None, None, &ws)
+            let stats = try_bicgstab_block(&a, &[inc], &mut phi, cfg, None, &ws)
                 .expect("distributed solve");
             assert!(stats[0].converged);
             phi.remove(0)

@@ -8,7 +8,6 @@ use ffw::mlfma::Accuracy;
 use ffw::phantom::{image_rel_error, Annulus, Phantom};
 use ffw::solver::VerifyConfig;
 use ffw::tomo::{Reconstruction, SceneConfig};
-use std::sync::Arc;
 
 fn scene() -> (Reconstruction, Annulus, Vec<f64>) {
     let scene = SceneConfig {
@@ -86,75 +85,36 @@ fn conjugate_directions_converge_no_slower_than_steepest_descent() {
     );
 }
 
-#[test]
-fn preconditioned_dbim_matches_unpreconditioned_image() {
-    let (recon, truth, _) = scene();
-    let measured = recon.synthesize(&truth);
-    let plain = recon.run_dbim(&measured, 3).expect("dbim");
-    let pre = recon
-        .run_dbim_with(
-            &measured,
-            &DbimConfig {
-                iterations: 3,
-                precondition: Some(Arc::clone(&recon.plan)),
-                ..Default::default()
-            },
-        )
-        .expect("dbim");
-    // Preconditioning changes the Krylov path but not the solution each solve
-    // converges to, so the reconstructions must agree to solver tolerance.
-    let a = recon.image(&plain.object);
-    let b = recon.image(&pre.object);
-    let diff: f64 = a
-        .iter()
-        .zip(&b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
-        / a.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-30);
-    assert!(diff < 0.05, "images agree to solver tolerance: {diff}");
-    // ... while spending fewer BiCGStab iterations in total
-    let plain_iters: usize = plain.history.iter().map(|h| h.solver_iters).sum();
-    let pre_iters: usize = pre.history.iter().map(|h| h.solver_iters).sum();
-    assert!(
-        pre_iters <= plain_iters,
-        "preconditioner must not increase iterations: {pre_iters} vs {plain_iters}"
-    );
-}
-
 /// Batching is scheduling, not arithmetic: one transmitter per solve, four,
-/// or all of them give the bit-equal object — plain and preconditioned, with
-/// compute verification on and off (there is one BiCGStab kernel and a
+/// or all of them give the bit-equal object, with compute verification on
+/// and off (there is one BiCGStab kernel and a
 /// single system is its width-1 panel, so no mode has a path of its own).
 #[test]
 fn batch_width_never_changes_the_object() {
     let (recon, truth, _) = scene();
     let measured = recon.synthesize(&truth);
     let n_tx = measured.len();
-    for precondition in [None, Some(Arc::clone(&recon.plan))] {
-        for verify in [
-            None,
-            Some(VerifyConfig::with_rel_tol(
-                recon.plan.accuracy.checksum_rel_tol(),
-            )),
-        ] {
-            let run = |batch: usize| {
-                let cfg = DbimConfig {
-                    iterations: 2,
-                    batch: Some(batch),
-                    precondition: precondition.clone(),
-                    verify: verify.clone(),
-                    ..Default::default()
-                };
-                recon.run_dbim_with(&measured, &cfg).expect("dbim")
+    for verify in [
+        None,
+        Some(VerifyConfig::with_rel_tol(
+            recon.plan.accuracy.checksum_rel_tol(),
+        )),
+    ] {
+        let run = |batch: usize| {
+            let cfg = DbimConfig {
+                iterations: 2,
+                batch: Some(batch),
+                verify: verify.clone(),
+                ..Default::default()
             };
-            let one = run(1);
-            for batch in [4, n_tx] {
-                let r = run(batch);
-                let mode = (precondition.is_some(), verify.is_some());
-                assert_eq!(r.object, one.object, "batch {batch}, {mode:?}");
-                assert_eq!(r.final_residual, one.final_residual, "{mode:?}");
-            }
+            recon.run_dbim_with(&measured, &cfg).expect("dbim")
+        };
+        let one = run(1);
+        for batch in [4, n_tx] {
+            let r = run(batch);
+            let mode = verify.is_some();
+            assert_eq!(r.object, one.object, "batch {batch}, verify {mode}");
+            assert_eq!(r.final_residual, one.final_residual, "verify {mode}");
         }
     }
 }
