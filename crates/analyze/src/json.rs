@@ -1,65 +1,42 @@
-//! Zero-dependency JSON report writer.
+//! The JSON report, written through the workspace codec (`ffw_obs::json`).
 //!
 //! The report schema is versioned (`"schema": "ffw-analyze/1"`) so CI
 //! consumers can evolve independently of the tool. Output is deterministic:
-//! diagnostics arrive pre-sorted and key order is fixed.
+//! diagnostics arrive pre-sorted and keys come out sorted.
 
 use crate::diag::{Diag, RULES};
-
-/// Escapes a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use ffw_obs::json::{obj, Json};
 
 /// Renders the full report: tool metadata, the rule catalog, and every
 /// diagnostic with its span.
 pub fn report(diags: &[Diag], files_scanned: usize) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"ffw-analyze/1\",\n");
-    s.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
-    s.push_str(&format!("  \"diagnostic_count\": {},\n", diags.len()));
-    s.push_str("  \"rules\": [\n");
-    for (i, r) in RULES.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"code\": \"{}\", \"rule\": \"{}\", \"waiver\": \"{}\", \"summary\": \"{}\"}}{}\n",
-            r.code,
-            r.rule,
-            esc(r.waiver),
-            esc(r.summary),
-            if i + 1 < RULES.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"diagnostics\": [\n");
-    for (i, d) in diags.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"code\": \"{}\", \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"col\": {}, \"message\": \"{}\"}}{}\n",
-            d.code,
-            d.rule,
-            esc(&d.file),
-            d.line,
-            d.col,
-            esc(&d.message),
-            if i + 1 < diags.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    let text = |s: &str| Json::Str(s.to_string());
+    let rules = RULES.iter().map(|r| {
+        obj(vec![
+            ("code", text(r.code)),
+            ("rule", text(r.rule)),
+            ("waiver", text(r.waiver)),
+            ("summary", text(r.summary)),
+        ])
+    });
+    let diagnostics = diags.iter().map(|d| {
+        obj(vec![
+            ("code", text(d.code)),
+            ("rule", text(d.rule)),
+            ("file", text(&d.file)),
+            ("line", Json::Num(d.line.into())),
+            ("col", Json::Num(d.col.into())),
+            ("message", text(&d.message)),
+        ])
+    });
+    let doc = obj(vec![
+        ("schema", text("ffw-analyze/1")),
+        ("files_scanned", Json::Num(files_scanned as f64)),
+        ("diagnostic_count", Json::Num(diags.len() as f64)),
+        ("rules", Json::Arr(rules.collect())),
+        ("diagnostics", Json::Arr(diagnostics.collect())),
+    ]);
+    doc.to_pretty() + "\n"
 }
 
 #[cfg(test)]
@@ -67,34 +44,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn report_shape() {
-        let diags = vec![Diag {
+    fn report_carries_the_catalog_and_every_diagnostic() {
+        let diag = Diag {
             code: "FFW003",
             rule: "R3",
             file: "crates/par/src/lib.rs".into(),
             line: 7,
             col: 9,
-            message: "msg with \"quotes\"".into(),
-        }];
-        let r = report(&diags, 42);
-        assert!(r.contains("\"schema\": \"ffw-analyze/1\""));
-        assert!(r.contains("\"files_scanned\": 42"));
-        assert!(r.contains("\"diagnostic_count\": 1"));
-        assert!(r.contains("\"line\": 7"));
-        assert!(r.contains("msg with \\\"quotes\\\""));
-        // Every catalog entry present.
-        assert_eq!(r.matches("\"summary\"").count(), RULES.len());
+            message: "msg with \"quotes\"\n".into(),
+        };
+        let r = Json::parse(&report(&[diag], 42)).expect("valid JSON");
+        assert_eq!(
+            r.get("schema").and_then(Json::as_str),
+            Some("ffw-analyze/1")
+        );
+        assert_eq!(r.get("files_scanned").and_then(Json::as_u64), Some(42));
+        assert_eq!(r.get("diagnostic_count").and_then(Json::as_u64), Some(1));
+        let diags = r
+            .get("diagnostics")
+            .and_then(Json::as_arr)
+            .expect("diagnostics");
+        assert_eq!(
+            diags[0].to_line(),
+            r#"{"code":"FFW003","col":9,"file":"crates/par/src/lib.rs","line":7,"message":"msg with \"quotes\"\n","rule":"R3"}"#
+        );
+        let rules = r.get("rules").and_then(Json::as_arr).expect("rules");
+        assert_eq!(rules.len(), RULES.len());
+        for (row, rule) in rules.iter().zip(RULES) {
+            let fields = ["code", "rule", "waiver", "summary"].map(|k| row.get(k)?.as_str());
+            assert_eq!(
+                fields,
+                [rule.code, rule.rule, rule.waiver, rule.summary].map(Some)
+            );
+        }
     }
 
     #[test]
     fn empty_report_is_valid() {
-        let r = report(&[], 0);
-        assert!(r.contains("\"diagnostics\": [\n  ]"));
+        let r = Json::parse(&report(&[], 0)).expect("valid JSON");
+        assert_eq!(r.get("diagnostics").and_then(Json::as_arr), Some(&[][..]));
+        assert_eq!(r.get("diagnostic_count").and_then(Json::as_u64), Some(0));
     }
 }

@@ -5,6 +5,7 @@
 //! ledger entry from R12).
 
 use ffw_analyze::{check_workspace, Diag, Workspace};
+use ffw_obs::json::Json;
 
 fn run(files: &[(&str, &str)], ledger: Option<&str>) -> Vec<Diag> {
     check_workspace(&Workspace::from_memory(files, ledger))
@@ -183,8 +184,13 @@ fn r12_clean_fixture_roundtrip() {
 fn json_report_carries_spans_and_codes() {
     let publisher = "fn done(s: &S) { s.ready.store(true, Ordering::Release); }\n";
     let diags = run(&[("crates/a/src/lib.rs", publisher)], None);
-    let report = ffw_analyze::json::report(&diags, 1);
-    assert!(report.contains("\"schema\": \"ffw-analyze/1\""));
-    assert!(report.contains("\"code\": \"FFW009\""));
-    assert!(report.contains("\"file\": \"crates/a/src/lib.rs\""));
+    let report = Json::parse(&ffw_analyze::json::report(&diags, 1)).expect("valid JSON");
+    let first = &report
+        .get("diagnostics")
+        .and_then(Json::as_arr)
+        .expect("array")[0];
+    let field = |v: &Json, k: &str| v.get(k).and_then(Json::as_str).map(String::from);
+    assert_eq!(field(&report, "schema").as_deref(), Some("ffw-analyze/1"));
+    assert_eq!(field(first, "code").as_deref(), Some("FFW009"));
+    assert_eq!(field(first, "file").as_deref(), Some("crates/a/src/lib.rs"));
 }

@@ -37,6 +37,7 @@
 
 use ffw_dist::{run_dbim_ft, FtConfig};
 use ffw_inverse::DbimConfig;
+use ffw_obs::json::Json;
 use ffw_tomo::{Reconstruction, SceneConfig};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -269,50 +270,29 @@ fn baseline_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pr3.json")
 }
 
-// --- Minimal baseline reader ------------------------------------------------
-// The vendored serde stand-in serializes but does not deserialize, so the
-// committed baseline is re-read with a scalar-by-key scan. That is enough
-// because `BenchRecord` is flat and every gated field is a number or an array
-// of numbers.
-
-/// Extracts the number following `"key":` in `text`.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = text[start..].trim_start();
-    let len = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '+' | '-' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..len].parse().ok()
-}
-
-/// Extracts the `[u64, ...]` array following `"key":` in `text`.
-fn json_u64_array(text: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = text[start..].trim_start().strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    body.split(',')
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| s.trim().parse().ok())
-        .collect()
-}
-
+/// Reads the committed baseline back through the workspace JSON codec.
 fn parse_baseline(text: &str) -> Option<BenchRecord> {
-    let num = |key: &str| json_number(text, key);
+    let doc = Json::parse(text).ok()?;
+    let num = |key: &str| doc.get(key)?.as_f64();
+    let int = |key: &str| doc.get(key)?.as_u64();
     Some(BenchRecord {
         schema: "ffw-bench-regression/1".into(),
         share_aggregate: num("share_aggregate")?,
         share_translate: num("share_translate")?,
         share_disaggregate: num("share_disaggregate")?,
         share_near: num("share_near")?,
-        solver_iters: num("solver_iters")? as u64,
-        solver_matvecs: num("solver_matvecs")? as u64,
-        mlfma_applies: num("mlfma_applies")? as u64,
-        dbim_outer_iters: num("dbim_outer_iters")? as u64,
-        comm_bytes_total: num("comm_bytes_total")? as u64,
-        comm_messages_total: num("comm_messages_total")? as u64,
-        comm_bytes_per_rank: json_u64_array(text, "comm_bytes_per_rank")?,
+        solver_iters: int("solver_iters")?,
+        solver_matvecs: int("solver_matvecs")?,
+        mlfma_applies: int("mlfma_applies")?,
+        dbim_outer_iters: int("dbim_outer_iters")?,
+        comm_bytes_total: int("comm_bytes_total")?,
+        comm_messages_total: int("comm_messages_total")?,
+        comm_bytes_per_rank: doc
+            .get("comm_bytes_per_rank")?
+            .as_arr()?
+            .iter()
+            .map(Json::as_u64)
+            .collect::<Option<_>>()?,
         final_residual_serial: num("final_residual_serial")?,
         final_residual_dist: num("final_residual_dist")?,
         wall_seconds_serial: num("wall_seconds_serial")?,

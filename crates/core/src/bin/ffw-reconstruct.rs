@@ -311,10 +311,10 @@ fn parse_args() -> Result<Cli, String> {
                      reconstruction. --chaos-compute S injects the seeded bit-flip \
                      from FaultPlan::seeded_compute(S, 1) to exercise that ladder \
                      end to end (serial only, requires --verify-compute on).\n\n\
-                     --metrics writes the run's spans, counters, series and events \
-                     as JSON (JSONL when PATH ends in .jsonl); --profile prints a \
-                     flamegraph-style span breakdown to stderr. Either flag turns \
-                     the recorder on.\n\n\
+                     --metrics writes the run's spans, counters, gauges, histograms, \
+                     series and events as one JSON document (schema ffw-obs/1); \
+                     --profile prints a flamegraph-style span breakdown to stderr. \
+                     Either flag turns the recorder on.\n\n\
                      exit codes: 0 success; 1 generic failure; 2 invalid usage; \
                      3 Krylov breakdown; 4 recovery budget exhausted; 5 interrupted \
                      by SIGTERM/SIGINT with the checkpoint flushed (runs stop at \

@@ -1,13 +1,11 @@
-//! Snapshots and serialization (JSON / JSONL).
+//! Snapshots and their `ffw-obs/1` JSON document.
 //!
-//! The JSON schema (`ffw-obs/1`, documented in DESIGN.md section 9) is
-//! emitted with a hand-rolled writer: this crate sits below everything else
-//! in the workspace and stays dependency-free. Keys are sorted (the registry
-//! is BTreeMap-backed) so output is diffable.
+//! The document (documented in DESIGN.md section 9) is built as a
+//! [`Json`] tree, so keys come out sorted and the output is diffable.
 
+use crate::json::{obj, Json};
 use crate::metrics::{registry, HIST_BUCKETS};
 use crate::span::span_table;
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
@@ -127,283 +125,69 @@ pub(crate) fn take_snapshot() -> Snapshot {
     }
 }
 
-/// Escapes a string for a JSON string literal (quotes not included).
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Formats an `f64` as a JSON number (`null` for NaN/infinite).
-fn json_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-        // bare integers like `3` are valid JSON numbers; keep them as-is
-    } else {
-        out.push_str("null");
-    }
-}
-
 impl Snapshot {
-    /// Serializes the snapshot as one pretty-ish JSON document
-    /// (schema `ffw-obs/1`).
-    pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        o.push_str("{\n  \"schema\": \"ffw-obs/1\",\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"path\": \"");
-            esc(&s.path, &mut o);
-            let _ = write!(
-                o,
-                "\", \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                s.count, s.total_ns, s.min_ns, s.max_ns
-            );
-        }
-        o.push_str("\n  ],\n  \"counters\": {");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    \"");
-            esc(n, &mut o);
-            let _ = write!(o, "\": {v}");
-        }
-        o.push_str("\n  },\n  \"gauges\": {");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    \"");
-            esc(n, &mut o);
-            o.push_str("\": ");
-            json_f64(*v, &mut o);
-        }
-        o.push_str("\n  },\n  \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    \"");
-            esc(&h.name, &mut o);
-            let _ = write!(
-                o,
-                "\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                h.count, h.sum
-            );
-            for (j, (lo, c)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                let _ = write!(o, "[{lo}, {c}]");
-            }
-            o.push_str("]}");
-        }
-        o.push_str("\n  },\n  \"series\": {");
-        for (i, (n, vals)) in self.series.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    \"");
-            esc(n, &mut o);
-            o.push_str("\": [");
-            for (j, v) in vals.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                json_f64(*v, &mut o);
-            }
-            o.push(']');
-        }
-        o.push_str("\n  },\n  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(o, "    {{\"t_ns\": {}, \"name\": \"", e.t_ns);
-            esc(&e.name, &mut o);
-            o.push_str("\", \"detail\": \"");
-            esc(&e.detail, &mut o);
-            o.push_str("\"}");
-        }
-        o.push_str("\n  ]\n}\n");
-        o
+    /// The snapshot as one `ffw-obs/1` document. Integers are JSON numbers,
+    /// exact up to 2^53 (104 days, in nanoseconds).
+    pub fn to_json(&self) -> Json {
+        let num = |v: u64| Json::Num(v as f64);
+        let text = |s: &str| Json::Str(s.to_string());
+        let spans = self.spans.iter().map(|s| {
+            obj(vec![
+                ("path", text(&s.path)),
+                ("count", num(s.count)),
+                ("total_ns", num(s.total_ns)),
+                ("min_ns", num(s.min_ns)),
+                ("max_ns", num(s.max_ns)),
+            ])
+        });
+        let counters = self.counters.iter().map(|(n, v)| (n.clone(), num(*v)));
+        let gauges = self.gauges.iter().map(|(n, v)| (n.clone(), Json::Num(*v)));
+        let histograms = self.histograms.iter().map(|h| {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|&(lo, c)| Json::Arr(vec![num(lo), num(c)]));
+            let row = obj(vec![
+                ("count", num(h.count)),
+                ("sum", num(h.sum)),
+                ("buckets", Json::Arr(buckets.collect())),
+            ]);
+            (h.name.clone(), row)
+        });
+        let series = self.series.iter().map(|(n, vals)| {
+            let vals = vals.iter().copied().map(Json::Num);
+            (n.clone(), Json::Arr(vals.collect()))
+        });
+        let events = self.events.iter().map(|e| {
+            obj(vec![
+                ("t_ns", num(e.t_ns)),
+                ("name", text(&e.name)),
+                ("detail", text(&e.detail)),
+            ])
+        });
+        obj(vec![
+            ("schema", text("ffw-obs/1")),
+            ("spans", Json::Arr(spans.collect())),
+            ("counters", Json::Obj(counters.collect())),
+            ("gauges", Json::Obj(gauges.collect())),
+            ("histograms", Json::Obj(histograms.collect())),
+            ("series", Json::Obj(series.collect())),
+            ("events", Json::Arr(events.collect())),
+        ])
     }
 
-    /// Serializes the snapshot as JSONL: one self-describing object per line
-    /// (`{"kind": "span" | "counter" | ..., ...}`), append-friendly for log
-    /// collectors.
-    pub fn to_jsonl(&self) -> String {
-        let mut o = String::with_capacity(4096);
-        for s in &self.spans {
-            o.push_str("{\"kind\": \"span\", \"path\": \"");
-            esc(&s.path, &mut o);
-            let _ = writeln!(
-                o,
-                "\", \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                s.count, s.total_ns, s.min_ns, s.max_ns
-            );
-        }
-        for (n, v) in &self.counters {
-            o.push_str("{\"kind\": \"counter\", \"name\": \"");
-            esc(n, &mut o);
-            let _ = writeln!(o, "\", \"value\": {v}}}");
-        }
-        for (n, v) in &self.gauges {
-            o.push_str("{\"kind\": \"gauge\", \"name\": \"");
-            esc(n, &mut o);
-            o.push_str("\", \"value\": ");
-            json_f64(*v, &mut o);
-            o.push_str("}\n");
-        }
-        for (n, vals) in &self.series {
-            o.push_str("{\"kind\": \"series\", \"name\": \"");
-            esc(n, &mut o);
-            o.push_str("\", \"values\": [");
-            for (j, v) in vals.iter().enumerate() {
-                if j > 0 {
-                    o.push_str(", ");
-                }
-                json_f64(*v, &mut o);
-            }
-            o.push_str("]}\n");
-        }
-        for e in &self.events {
-            let _ = write!(
-                o,
-                "{{\"kind\": \"event\", \"t_ns\": {}, \"name\": \"",
-                e.t_ns
-            );
-            esc(&e.name, &mut o);
-            o.push_str("\", \"detail\": \"");
-            esc(&e.detail, &mut o);
-            o.push_str("\"}\n");
-        }
-        o
-    }
-
-    /// Writes [`Snapshot::to_json`] to `path` (`.jsonl` extension selects
-    /// the JSONL form).
+    /// Writes [`Snapshot::to_json`] to `path`, pretty-printed.
     pub fn write_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let body = if path.extension().is_some_and(|e| e == "jsonl") {
-            self.to_jsonl()
-        } else {
-            self.to_json()
-        };
-        std::fs::write(path, body)
+        std::fs::write(path, self.to_json().to_pretty() + "\n")
     }
 }
 
 #[cfg(test)]
 mod tests {
-
-    /// Minimal structural JSON validator: objects/arrays/strings/numbers/
-    /// literals, enough to prove the hand-rolled writer emits valid JSON.
-    fn validate_json(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        fn ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && (b[*i] as char).is_ascii_whitespace() {
-                *i += 1;
-            }
-        }
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => {
-                    *i += 1;
-                    ws(b, i);
-                    if b.get(*i) == Some(&b'}') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        value(b, i)?; // key (validated as a value: must be string)
-                        ws(b, i);
-                        if b.get(*i) != Some(&b':') {
-                            return Err(format!("expected ':' at {i}"));
-                        }
-                        *i += 1;
-                        value(b, i)?;
-                        ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b'}') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected ',' or '}}' at {i}")),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    *i += 1;
-                    ws(b, i);
-                    if b.get(*i) == Some(&b']') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        value(b, i)?;
-                        ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b']') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected ',' or ']' at {i}")),
-                        }
-                    }
-                }
-                Some(b'"') => {
-                    *i += 1;
-                    while *i < b.len() {
-                        match b[*i] {
-                            b'\\' => *i += 2,
-                            b'"' => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => *i += 1,
-                        }
-                    }
-                    Err("unterminated string".into())
-                }
-                Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                    while *i < b.len()
-                        && (b[*i].is_ascii_digit()
-                            || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-                    {
-                        *i += 1;
-                    }
-                    Ok(())
-                }
-                _ => {
-                    for lit in ["true", "false", "null"] {
-                        if s_from(b, *i).starts_with(lit) {
-                            *i += lit.len();
-                            return Ok(());
-                        }
-                    }
-                    Err(format!("unexpected token at {i}"))
-                }
-            }
-        }
-        fn s_from(b: &[u8], i: usize) -> &str {
-            std::str::from_utf8(&b[i..]).unwrap_or("")
-        }
-        value(b, &mut i)?;
-        ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing garbage at {i}"));
-        }
-        Ok(())
-    }
+    use crate::json::Json;
 
     #[test]
-    fn snapshot_json_is_valid_and_complete() {
+    fn written_document_parses_back_to_every_recorded_value() {
         let _guard = crate::tests_lock();
         crate::reset();
         crate::set_enabled(true);
@@ -420,35 +204,43 @@ mod tests {
         crate::set_enabled(false);
 
         let snap = crate::snapshot();
-        let json = snap.to_json();
-        validate_json(&json).expect("valid JSON");
-        assert!(json.contains("\"test.export.counter\": 7"));
-        assert!(json.contains("test-export-root/leaf \\\"quoted\\\""));
-        assert!(json.contains("\"test.export.nan\": null"));
-
-        for line in snap.to_jsonl().lines() {
-            validate_json(line).unwrap_or_else(|e| panic!("invalid JSONL line {line:?}: {e}"));
+        let path = std::env::temp_dir().join(format!("ffw-obs-test-{}.json", std::process::id()));
+        snap.write_to(&path).expect("write");
+        let text = std::fs::read_to_string(&path).expect("read");
+        let _ = std::fs::remove_file(&path);
+        let doc = Json::parse(&text).expect("valid JSON");
+        let line = |keys: &[&str]| {
+            keys.iter()
+                .try_fold(&doc, |v, k| v.get(k))
+                .map(Json::to_line)
+        };
+        let (leaf, t_ns) = (&snap.spans[1], snap.events[0].t_ns);
+        for (keys, want) in [
+            (&["schema"][..], r#""ffw-obs/1""#.to_string()),
+            (&["counters", "test.export.counter"], "7".into()),
+            (&["gauges", "test.export.gauge"], "1.5".into()),
+            (&["gauges", "test.export.nan"], "null".into()),
+            (
+                &["histograms", "test.export.hist"],
+                r#"{"buckets":[[64,1]],"count":1,"sum":100}"#.into(),
+            ),
+            (&["series", "test.export.series"], "[0.25]".into()),
+            (
+                &["events"],
+                format!(
+                    r#"[{{"detail":"line1\nline2","name":"test.export.event","t_ns":{t_ns}}}]"#
+                ),
+            ),
+        ] {
+            assert_eq!(line(keys), Some(want), "{keys:?}");
         }
-    }
-
-    #[test]
-    fn write_to_selects_format_by_extension() {
-        let _guard = crate::tests_lock();
-        crate::reset();
-        crate::set_enabled(true);
-        crate::counter("test.export.file").inc();
-        crate::set_enabled(false);
-        let snap = crate::snapshot();
-        let dir = std::env::temp_dir();
-        let j = dir.join("ffw-obs-test.json");
-        let l = dir.join("ffw-obs-test.jsonl");
-        snap.write_to(&j).expect("write json");
-        snap.write_to(&l).expect("write jsonl");
-        let json = std::fs::read_to_string(&j).expect("read");
-        assert!(json.starts_with('{'));
-        let jsonl = std::fs::read_to_string(&l).expect("read");
-        assert!(jsonl.lines().all(|ln| ln.starts_with('{')));
-        let _ = std::fs::remove_file(j);
-        let _ = std::fs::remove_file(l);
+        let spans = doc.get("spans").and_then(Json::as_arr).expect("spans");
+        assert_eq!(
+            spans[1].to_line(),
+            format!(
+                r#"{{"count":1,"max_ns":{},"min_ns":{},"path":"test-export-root/leaf \"quoted\"","total_ns":{}}}"#,
+                leaf.max_ns, leaf.min_ns, leaf.total_ns
+            )
+        );
     }
 }

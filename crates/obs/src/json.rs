@@ -1,14 +1,17 @@
-//! Minimal line-oriented JSON: a recursive-descent parser plus a compact
-//! writer.
+//! The workspace's one JSON codec: a recursive-descent parser, a compact
+//! writer for the serve wire and journal, and a pretty writer for documents
+//! on disk.
 //!
-//! The workspace's vendored `serde_json` stand-in can only *serialize*; the
-//! serve protocol needs to parse client requests too, so this module carries
-//! a small self-contained implementation. It accepts exactly RFC 8259 JSON
-//! (objects, arrays, strings with full escape handling including surrogate
-//! pairs, numbers, booleans, null), enforces a nesting-depth limit so a
-//! hostile request cannot blow the stack, and reports typed errors with the
-//! byte offset of the problem — a malformed request must become a `rejected`
-//! response, never a panic.
+//! Every JSON the workspace reads or writes by hand goes through here: the
+//! `ffw-serve` requests, responses and journal frames, this crate's
+//! `ffw-obs/1` recorder document, the `ffw-analyze` report and the
+//! `regression` bench's baseline reader. It lives in `ffw-obs` because that
+//! crate sits below every other one and has no dependencies. It accepts
+//! exactly RFC 8259 JSON (objects, arrays, strings with full escape handling
+//! including surrogate pairs, numbers, booleans, null), enforces a
+//! nesting-depth limit so a hostile request cannot blow the stack, and
+//! reports typed errors with the byte offset of the problem — a malformed
+//! request must become a `rejected` response, never a panic.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -129,11 +132,23 @@ impl Json {
     /// format. Non-finite numbers render as `null`, like real serde_json.
     pub fn to_line(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Serializes with two-space indentation and `": "` after each key, for
+    /// documents written to disk. Scalars are spelled exactly as
+    /// [`Json::to_line`] spells them; empty arrays and objects stay `[]` and
+    /// `{}`.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// `indent` is `None` for the compact form, else the nesting depth of
+    /// this value in the pretty form.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -150,28 +165,51 @@ impl Json {
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
+                write_items(out, indent, ['[', ']'], items.iter().map(|v| (None, v)))
             }
-            Json::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Json::Obj(map) => write_items(
+                out,
+                indent,
+                ['{', '}'],
+                map.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
+    }
+}
+
+/// Writes the members of an array (no keys) or an object between
+/// `brackets`, one per line in the pretty form.
+fn write_items<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let inner = indent.map(|d| d + 1);
+    out.push(brackets[0]);
+    let mut empty = true;
+    for (key, v) in items {
+        out.push_str(if empty { "" } else { "," });
+        empty = false;
+        newline(out, inner);
+        if let Some(k) = key {
+            write_escaped(k, out);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        v.write(out, inner);
+    }
+    if !empty {
+        newline(out, indent);
+    }
+    out.push(brackets[1]);
+}
+
+/// Starts a line at `indent` levels in the pretty form; nothing in the
+/// compact one.
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
     }
 }
 
@@ -446,35 +484,6 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrips_typical_request() {
-        let text = r#"{"op":"submit","job":{"id":"a-1","size":32,"tx":4,"noise_db":-30.5,"resume":true,"tags":["x","y"],"note":null}}"#;
-        let v = Json::parse(text).expect("parse");
-        assert_eq!(v.get("op").and_then(Json::as_str), Some("submit"));
-        let job = v.get("job").expect("job");
-        assert_eq!(job.get("size").and_then(Json::as_u64), Some(32));
-        assert_eq!(job.get("noise_db").and_then(Json::as_f64), Some(-30.5));
-        assert_eq!(job.get("resume").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            job.get("tags").and_then(Json::as_arr).map(|a| a.len()),
-            Some(2)
-        );
-        // serialize -> reparse is identity
-        let again = Json::parse(&v.to_line()).expect("reparse");
-        assert_eq!(again, v);
-    }
-
-    #[test]
-    fn escapes_and_surrogates() {
-        let v = Json::parse(r#""a\"\\\n\t\u00e9\ud83d\ude00b""#).expect("parse");
-        assert_eq!(v.as_str(), Some("a\"\\\n\t\u{e9}\u{1F600}b"));
-        let line = Json::Str("quote\" back\\ nl\n ctl\u{1}".into()).to_line();
-        assert_eq!(
-            Json::parse(&line).expect("reparse").as_str(),
-            Some("quote\" back\\ nl\n ctl\u{1}")
-        );
-    }
-
     /// A long string is copied a run at a time — the plain characters
     /// between escapes, multi-byte ones included — in time linear in its
     /// length (it used to revalidate the rest of the input at every
@@ -546,9 +555,128 @@ mod tests {
     }
 
     #[test]
-    fn object_serialization_is_deterministic() {
-        let a = Json::parse(r#"{"b":1,"a":2}"#).unwrap();
-        let b = Json::parse(r#"{"a":2,"b":1}"#).unwrap();
-        assert_eq!(a.to_line(), b.to_line());
+    fn pretty_output_indents_and_spells_scalars_as_the_line_form() {
+        let v = Json::parse(r#"{"b":[1,0.5,[],{}],"a":{"k":"v\n"},"c":null}"#).unwrap();
+        let want = "{\n  \"a\": {\n    \"k\": \"v\\n\"\n  },\n  \"b\": [\n    1,\n    0.5,\n    [],\n    {}\n  ],\n  \"c\": null\n}";
+        assert_eq!(v.to_pretty(), want);
+    }
+
+    /// The compact form is what journal frames and job fingerprints hash, so
+    /// its bytes are pinned: the expected text is the codec's output from
+    /// before it moved into this crate.
+    #[test]
+    fn line_bytes_are_pinned() {
+        let v = Json::parse(
+            r#"{"id":"job-1","esc":"q\"b\\s\/\n\r\t\u0001\u001F \u00e9 \ud83d\ude00","B":1.0,
+                "ints":[0,-0,-7e0,9007199254740991,9007199254740992],
+                "floats":[0.1,-2.5e-8,1e21],"flags":[true,false,null],"empty":{"arr":[],"obj":{}}}"#,
+        )
+        .expect("parse");
+        let flags = v.get("flags").and_then(Json::as_arr).expect("array");
+        let flags = flags.iter().map(Json::as_bool).collect::<Vec<_>>();
+        assert_eq!(flags, [Some(true), Some(false), None]);
+        assert_eq!(
+            v.to_line(),
+            r#"{"B":1,"empty":{"arr":[],"obj":{}},"esc":"q\"b\\s/\n\r\t\u0001\u001f é 😀","flags":[true,false,null],"floats":[0.1,-0.000000025,1000000000000000000000],"id":"job-1","ints":[0,0,-7,9007199254740991,9007199254740992]}"#
+        );
+    }
+
+    /// SplitMix64: the property tests' seeded generator, local so this crate
+    /// keeps no dev-dependencies.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// Quotes, backslashes, control, BMP-edge and non-BMP characters,
+        /// letters, and any scalar value.
+        fn string(&mut self) -> String {
+            let picks = [
+                '"', '\\', '/', '\n', '\0', '\u{1f}', '\u{7f}', '\u{ffff}', '😀',
+            ];
+            (0..self.below(8))
+                .filter_map(|_| match self.below(3) {
+                    0 => Some(picks[self.below(picks.len() as u64) as usize]),
+                    1 => Some((b'a' + self.below(26) as u8) as char),
+                    _ => char::from_u32(self.below(0x11_0000) as u32),
+                })
+                .collect()
+        }
+
+        /// A random tree at most `depth` containers deep; half its nodes are
+        /// containers until about `budget` nodes are made. Numbers are
+        /// integers up to `MAX_EXACT_INT`, subnormals, ±0 and any finite
+        /// double.
+        fn tree(&mut self, depth: u32, budget: &mut usize) -> Json {
+            *budget = budget.saturating_sub(1);
+            let sign = if self.below(2) == 0 { 1.0 } else { -1.0 };
+            match self.below(if depth == 0 || *budget == 0 { 6 } else { 10 }) {
+                0 => Json::Null,
+                1 => Json::Bool(sign > 0.0),
+                2 => Json::Num(sign * self.below(MAX_EXACT_INT + 1) as f64),
+                3 => Json::Num(sign * f64::from_bits(self.below(1 << 52) * self.below(2))),
+                4 => Json::Num(
+                    Some(f64::from_bits(self.below(u64::MAX)))
+                        .filter(|x| x.is_finite())
+                        .unwrap_or(sign * 0.0),
+                ),
+                5 => Json::Str(self.string()),
+                6 | 7 => Json::Arr(
+                    (0..self.below(5))
+                        .map(|_| self.tree(depth - 1, budget))
+                        .collect(),
+                ),
+                _ => Json::Obj(
+                    (0..self.below(5))
+                        .map(|_| (self.string(), self.tree(depth - 1, budget)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn random_trees_round_trip_through_both_forms() {
+        let mut rng = SplitMix(0x5eed_0001);
+        for _ in 0..1000 {
+            let v = rng.tree(6, &mut 200);
+            for text in [v.to_line(), v.to_pretty()] {
+                assert_eq!(Json::parse(&text).as_ref(), Ok(&v), "{text}");
+            }
+        }
+    }
+
+    /// Every truncation and single-byte change of a serialized tree parses
+    /// or fails with a typed error inside the input; none panics. Changes
+    /// that leave invalid UTF-8 are skipped: the parser takes `&str`, and
+    /// its callers reject such bytes before it sees them.
+    #[test]
+    fn truncations_and_byte_flips_are_typed_errors_or_values() {
+        let check = |text: &str| {
+            if let Err(e) = Json::parse(text) {
+                assert!(e.offset <= text.len(), "{e} in {text:?}");
+            }
+        };
+        let mut rng = SplitMix(0x5eed_0002);
+        for _ in 0..64 {
+            let v = rng.tree(6, &mut 40);
+            for text in [v.to_line(), v.to_pretty()] {
+                (0..text.len())
+                    .filter(|&k| text.is_char_boundary(k))
+                    .for_each(|k| check(&text[..k]));
+                let mut bytes = text.into_bytes();
+                for i in 0..bytes.len() {
+                    let was = bytes[i];
+                    bytes[i] ^= 1 + rng.below(255) as u8;
+                    std::str::from_utf8(&bytes).map(check).ok();
+                    bytes[i] = was;
+                }
+            }
+        }
     }
 }

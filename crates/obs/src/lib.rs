@@ -21,19 +21,25 @@
 //! The recorder is **off by default**: every entry point checks one relaxed
 //! atomic load and becomes a no-op, so instrumented hot paths cost nothing
 //! measurable until a driver opts in with [`set_enabled`]. Snapshots
-//! ([`snapshot`]) serialize to JSON / JSONL ([`Snapshot::to_json`],
-//! [`Snapshot::to_jsonl`]) and render as a text profile
-//! ([`Snapshot::render_profile`]).
+//! ([`snapshot`]) become one `ffw-obs/1` JSON document
+//! ([`Snapshot::to_json`], written by [`Snapshot::write_to`]) and render as
+//! a text profile ([`Snapshot::render_profile`]).
+//!
+//! The [`json`] module is the workspace's one JSON codec: `ffw-serve` speaks
+//! its wire protocol and writes its journal through it, and `ffw-analyze`
+//! writes its report through it.
 //!
 //! This crate is dependency-free by design (it sits below every other crate
 //! in the workspace, including the substrate crates) and is the only crate
-//! allowed to touch `std::time::Instant` — xtask lint R6 enforces that all
-//! timing goes through [`Stopwatch`] / spans so it is aggregated here.
+//! allowed to touch `std::time::Instant` — `ffw-analyze` rule R6 enforces
+//! that all timing goes through [`Stopwatch`] / spans so it is aggregated
+//! here.
 
 #![warn(missing_docs)]
 
 mod clock;
 mod export;
+pub mod json;
 mod metrics;
 mod report;
 mod span;

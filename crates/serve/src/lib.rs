@@ -18,8 +18,8 @@
 //!
 //! Module map:
 //!
-//! * [`json`] — self-contained JSON parser/writer (the vendored
-//!   `serde_json` shim is serialize-only).
+//! * [`json`] — the workspace's JSON codec, re-exported from `ffw-obs`:
+//!   requests, responses and journal frames all parse and print through it.
 //! * [`spec`] — job validation, cost model, geometry fingerprint.
 //! * [`admission`] — typed accept/reject policy.
 //! * [`journal`] — the append-only checksummed job journal.
@@ -37,7 +37,6 @@ pub mod admission;
 pub mod cache;
 pub mod engine;
 pub mod journal;
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod spec;
@@ -45,6 +44,7 @@ pub mod spec;
 pub use admission::{AdmissionPolicy, RejectReason};
 pub use cache::PlanCache;
 pub use engine::{Engine, JobState, RecoverySummary, ServeConfig};
+pub use ffw_obs::json;
 pub use journal::{JobEvent, Journal, JournalError, Recovery};
 pub use json::Json;
 pub use proto::{parse_request, Request};
