@@ -7,7 +7,7 @@ use ffw_greens::{tree_positions, DirectG0, Kernel};
 use ffw_mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
 use ffw_numerics::{c64, C64};
 use ffw_par::Pool;
-use ffw_solver::{solve_forward, IterConfig};
+use ffw_solver::{BicgstabBackend, IterConfig, Workspace};
 use std::sync::Arc;
 
 fn random_x(n: usize, seed: u64) -> Vec<C64> {
@@ -88,11 +88,13 @@ fn bench_forward_solve(c: &mut Criterion) {
             }
         })
         .collect();
-    let mut phi = vec![C64::ZERO; n];
+    let mut phi = vec![vec![C64::ZERO; n]];
+    let ws = Workspace::new();
+    let engine = BicgstabBackend::new(&op, &object, None, &ws);
     c.bench_function("forward_solve_4096px_contrast0.02", |b| {
         b.iter(|| {
-            phi.iter_mut().for_each(|v| *v = C64::ZERO);
-            solve_forward(&op, &object, &phi_inc, &mut phi, IterConfig::default())
+            phi[0].iter_mut().for_each(|v| *v = C64::ZERO);
+            engine.solve_block(&[&phi_inc], &mut phi, IterConfig::default())
         });
     });
 }

@@ -96,7 +96,6 @@ pub struct FaultPlan {
     corrupts: Vec<CorruptRule>,
     computes: Vec<ComputeRule>,
     straggles: Vec<StraggleRule>,
-    retry: RetryPolicy,
 }
 
 impl FaultPlan {
@@ -183,15 +182,9 @@ impl FaultPlan {
         self
     }
 
-    /// Override the retry policy used when sends are dropped.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// The retry policy the runtime should apply to dropped sends.
     pub fn retry(&self) -> RetryPolicy {
-        self.retry
+        RetryPolicy::default()
     }
 
     /// True when the plan injects nothing.

@@ -26,7 +26,7 @@ use ffw_numerics::{c64, C64};
 use ffw_par::Pool;
 use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
 use ffw_solver::{
-    solve_forward_block, BlockLinOp, CountingOp, DistOp, IterConfig, ScatteringOp, Workspace,
+    BicgstabBackend, BlockLinOp, CountingOp, DistOp, IterConfig, ScatteringOp, Workspace,
 };
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
@@ -690,7 +690,10 @@ fn the_next_state_solve_starts_from_the_predicted_fields() {
     for st in &states {
         let incs: Vec<&[C64]> = (0..N_TX).map(|t| scene.setup.incident(t)).collect();
         let mut converged = start.clone();
-        solve_forward_block(&g0, &old_object, &incs, &mut converged, cfg.forward);
+        let ws = Workspace::new();
+        BicgstabBackend::new(&g0, &old_object, None, &ws)
+            .solve_block(&incs, &mut converged, cfg.forward)
+            .expect("state solve");
         let unpredicted = initial_residuals(&scene, &g0, &st.object, &converged);
         let predicted = initial_residuals(&scene, &g0, &st.object, &st.fields);
         println!(

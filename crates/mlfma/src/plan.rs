@@ -288,11 +288,6 @@ impl MlfmaPlan {
         &self.near_pairs[self.near_start[c] as usize..self.near_start[c + 1] as usize]
     }
 
-    /// The plan for a given tree level.
-    pub fn level_plan(&self, level: u8) -> &LevelPlan {
-        &self.levels[(level - TOP_LEVEL) as usize]
-    }
-
     /// Leaf-level plan.
     pub fn leaf_plan(&self) -> &LevelPlan {
         self.levels.last().expect("non-empty")
@@ -443,11 +438,6 @@ impl PlanStats {
             + self.translation_flops
             + self.disaggregation_flops
             + self.nearfield_flops
-    }
-
-    /// Far-field pattern storage in complex words.
-    pub fn pattern_words(&self) -> usize {
-        self.levels.iter().map(|l| 2 * l.n_clusters * l.q).sum()
     }
 }
 

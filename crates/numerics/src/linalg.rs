@@ -459,11 +459,6 @@ impl PeriodicBandMatrix {
         self.band
     }
 
-    /// Number of stored nonzero coefficients.
-    pub fn nnz(&self) -> usize {
-        self.weights.len()
-    }
-
     /// First column of every row's band.
     pub fn start(&self) -> &[u32] {
         &self.start

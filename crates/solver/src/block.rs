@@ -13,8 +13,10 @@
 //! distributed `G0` the vectors are slices and every norm and inner product
 //! of a phase — for the whole active panel — rides in ONE reduction, the
 //! paper's message fusion extended along the illumination dimension. A
-//! single right-hand side is a panel of width 1 ([`crate::bicgstab`]), and
-//! the drift guard is an optional argument.
+//! single right-hand side is a panel of width 1, and the drift guard is an
+//! optional argument. Every solve runs it under one breakdown policy,
+//! [`try_bicgstab_block`]; [`crate::BicgstabBackend`] binds that to one
+//! `(G0, object)` pair.
 //!
 //! Numerics contract: columns never mix — per-column scalars, per-column
 //! inner products, same branch structure — so a column's trajectory
@@ -41,7 +43,6 @@ use crate::workspace::{Leased, Workspace};
 use ffw_fault::FaultError;
 use ffw_numerics::vecops::{axpy, norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
-use std::convert::Infallible;
 
 /// Applies `a` to the selected columns of `input`, writing the matching
 /// columns of `output`, via one fused block apply.
@@ -270,10 +271,7 @@ impl Panel<'_, '_> {
     fn break_down(&mut self, c: usize, kind: BreakdownKind) {
         ffw_obs::event(
             "solver.breakdown",
-            &format!(
-                "bicgstab_block column {c}: {kind} at iter {}",
-                self.iters[c]
-            ),
+            &format!("sweep column {c}: {kind} at iter {}", self.iters[c]),
         );
         self.broken.push((c, kind));
         self.finish(c, self.res[c], false);
@@ -352,7 +350,7 @@ impl Panel<'_, '_> {
         ffw_obs::event(
             "solver.breakdown",
             &format!(
-                "bicgstab_block column {c}: residual drift persisted through \
+                "sweep column {c}: residual drift persisted through \
                  {} rollback(s); surfacing unconverged",
                 self.rollbacks[c]
             ),
@@ -363,28 +361,21 @@ impl Panel<'_, '_> {
 }
 
 /// Solves `A xs[c] = bs[c]` for all `B` columns with lockstep BiCGStab and
-/// per-column convergence masking. Each `xs[c]` carries its initial guess
-/// (zero, or a warm start) and is overwritten with that column's solution.
+/// per-column convergence masking, in the caller's workspace. Each `xs[c]`
+/// carries its initial guess (zero, or a warm start) and is overwritten with
+/// that column's solution.
 ///
-/// A breakdown (rho underflow, NaN/Inf iterate) freezes *only* that column,
-/// which reports honest unconverged [`SolveStats`] with its iterate left at
-/// the last finite value; sibling columns are unaffected and keep iterating.
-///
-/// The solve runs in a [`Workspace`] of its own; callers with more than one
-/// solve to do hold one and call [`bicgstab_block_with`].
-pub fn bicgstab_block<A: DistOp<Error = Infallible> + ?Sized>(
-    a: &A,
-    bs: &[&[C64]],
-    xs: &mut [Vec<C64>],
-    cfg: IterConfig,
-) -> Vec<SolveStats> {
-    bicgstab_block_with(a, bs, xs, cfg, None, &Workspace::new())
-}
-
-/// [`bicgstab_block`] plus the kernel's optional drift guard, on an operator
-/// that cannot fail and in the caller's workspace. A broken-down column is
-/// frozen and reported unconverged; [`try_bicgstab_block`] adds the retry
-/// policy on top.
+/// The kernel runs under the one breakdown policy every solve has, on any
+/// [`DistOp`]: a column that breaks down (rho underflow, NaN/Inf) freezes at
+/// its last finite iterate, siblings unaffected, and is retried once from
+/// there after the lockstep sweep — a fresh width-1 sweep on the remaining
+/// iteration budget, which re-derives `r` and `r_hat` from the current `x`
+/// and so leaves the degenerate Krylov directions behind while keeping the
+/// progress made; a column whose retry breaks down too surfaces
+/// [`FaultError::KrylovBreakdown`] (rank 0; a rank grid stamps its own). The
+/// broken set derives from reduced scalars, so the retries stay collective
+/// across the ranks sharing the vectors. An operator failure aborts the
+/// whole panel with the originating error.
 ///
 /// **`guard`** — a [`DriftGuard`] audits every column: the true residual
 /// `b - A x` is recomputed every [`DriftGuard::period`] update steps *and*
@@ -401,28 +392,6 @@ pub fn bicgstab_block<A: DistOp<Error = Infallible> + ?Sized>(
 /// trajectory — iterates, residuals, `iterations`, `matvecs` — is
 /// bit-identical to the unguarded solve; the audit applies are reported in
 /// `verify_matvecs` and counted by the guard.
-pub fn bicgstab_block_with<A: DistOp<Error = Infallible> + ?Sized>(
-    a: &A,
-    bs: &[&[C64]],
-    xs: &mut [Vec<C64>],
-    cfg: IterConfig,
-    guard: Option<&DriftGuard>,
-    ws: &Workspace,
-) -> Vec<SolveStats> {
-    let Ok((stats, _broken)) = sweep(a, bs, xs, cfg, guard, ws);
-    stats
-}
-
-/// The kernel under the breakdown policy every DBIM solve runs with, on any
-/// [`DistOp`]: a column that breaks down (rho underflow, NaN/Inf) is
-/// retried once from its last finite iterate after the lockstep sweep — a
-/// fresh width-1 sweep on the remaining iteration budget, which re-derives
-/// `r` and `r_hat` from the current `x` and so leaves the degenerate Krylov
-/// directions behind while keeping the progress made; a column whose retry
-/// breaks down too surfaces [`FaultError::KrylovBreakdown`] (rank 0; a rank
-/// grid stamps its own). The broken set derives from reduced scalars, so the
-/// retries stay collective across the ranks sharing the vectors. An operator
-/// failure aborts the whole panel with the originating error.
 pub fn try_bicgstab_block<A: DistOp + ?Sized>(
     a: &A,
     bs: &[&[C64]],
@@ -842,10 +811,10 @@ fn sweep<A: DistOp + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::krylov::bicgstab;
     use crate::op::DiagonalOp;
     use ffw_numerics::c64;
     use ffw_numerics::linalg::Matrix;
+    use std::convert::Infallible;
 
     fn random_mat(n: usize, seed: u64, diag_boost: f64) -> Matrix {
         let mut s = seed;
@@ -869,6 +838,18 @@ mod tests {
         (0..n).map(|i| m.at(0, i)).collect()
     }
 
+    /// [`try_bicgstab_block`] on a panel that must not break down.
+    fn solve<A: DistOp<Error = Infallible> + ?Sized>(
+        a: &A,
+        bs: &[&[C64]],
+        xs: &mut [Vec<C64>],
+        cfg: IterConfig,
+        guard: Option<&DriftGuard>,
+        ws: &Workspace,
+    ) -> Vec<SolveStats> {
+        try_bicgstab_block(a, bs, xs, cfg, guard, ws).expect("no breakdown")
+    }
+
     #[test]
     fn a_column_is_bit_identical_at_every_panel_width() {
         // Width 1 is a panel like any other: column `b` solved alone, in a
@@ -883,15 +864,15 @@ mod tests {
         };
         let bs: Vec<Vec<C64>> = (0..9).map(|i| random_vec(n, 11 + i)).collect();
         let ws = Workspace::new();
-        let solve = |width: usize| {
+        let panel = |width: usize| {
             let b_refs: Vec<&[C64]> = bs[..width].iter().map(|b| b.as_slice()).collect();
             let mut xs = vec![vec![C64::ZERO; n]; width];
-            let stats = bicgstab_block_with(&a, &b_refs, &mut xs, cfg, None, &ws);
+            let stats = solve(&a, &b_refs, &mut xs, cfg, None, &ws);
             (xs, stats)
         };
-        let (x9, s9) = solve(9);
+        let (x9, s9) = panel(9);
         for width in [1usize, 3, 8, 9, 1, 8, 3] {
-            let (xs, stats) = solve(width);
+            let (xs, stats) = panel(width);
             assert_eq!(stats.len(), width);
             for c in 0..width {
                 assert_eq!(stats[c], s9[c], "column {c} stats at width {width}");
@@ -899,7 +880,7 @@ mod tests {
             }
         }
         let mut fresh = vec![vec![C64::ZERO; n]];
-        let alone = bicgstab_block(&a, &[&bs[0]], &mut fresh, cfg);
+        let alone = solve(&a, &[&bs[0]], &mut fresh, cfg, None, &Workspace::new());
         assert_eq!(alone[0], s9[0]);
         assert_eq!(fresh[0], x9[0], "a fresh workspace gives the same bits");
     }
@@ -929,20 +910,16 @@ mod tests {
             max_iters: 50,
         };
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block(&poisoned, &[&b], &mut xs, cfg);
+        let Ok((stats, _)) = sweep(&poisoned, &[&b], &mut xs, cfg, None, &Workspace::new());
         assert!(!stats[0].converged);
         assert_eq!(stats[0].iterations, 2, "rolled-back step must not count");
 
         let mut xs_replay = vec![vec![C64::ZERO; n]];
-        let replay = bicgstab_block(
-            &m,
-            &[&b],
-            &mut xs_replay,
-            IterConfig {
-                tol: 1e-14,
-                max_iters: stats[0].iterations,
-            },
-        );
+        let cfg = IterConfig {
+            max_iters: stats[0].iterations,
+            ..cfg
+        };
+        let replay = solve(&m, &[&b], &mut xs_replay, cfg, None, &Workspace::new());
         assert_eq!(replay[0].iterations, stats[0].iterations);
         assert_eq!(xs_replay[0], xs[0], "replay at the reported count differs");
     }
@@ -958,12 +935,13 @@ mod tests {
         let bs: Vec<Vec<C64>> = (0..5).map(|i| random_vec(n, 100 + i)).collect();
         let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
         let mut xs = vec![vec![C64::ZERO; n]; 5];
-        let block = bicgstab_block(&a, &b_refs, &mut xs, cfg);
-        for (c, b) in bs.iter().enumerate() {
-            let mut x_scalar = vec![C64::ZERO; n];
-            let scalar = bicgstab(&a, b, &mut x_scalar, cfg);
-            assert_eq!(block[c], scalar, "column {c} stats");
-            assert_eq!(xs[c], x_scalar, "column {c} iterate");
+        let ws = Workspace::new();
+        let block = solve(&a, &b_refs, &mut xs, cfg, None, &ws);
+        for (c, b) in b_refs.iter().enumerate() {
+            let mut x_scalar = vec![vec![C64::ZERO; n]];
+            let scalar = solve(&a, &[b], &mut x_scalar, cfg, None, &ws);
+            assert_eq!(block[c], scalar[0], "column {c} stats");
+            assert_eq!(xs[c], x_scalar[0], "column {c} iterate");
         }
     }
 
@@ -984,7 +962,8 @@ mod tests {
         a.matvec(&x_true, &mut b_easy);
         let b_hard = random_vec(n, 23);
         let mut xs = vec![x_true.clone(), vec![C64::ZERO; n]];
-        let stats = bicgstab_block(&a, &[&b_easy, &b_hard], &mut xs, cfg);
+        let ws = Workspace::new();
+        let Ok((stats, _)) = sweep(&a, &[&b_easy, &b_hard], &mut xs, cfg, None, &ws);
         assert!(stats[0].converged);
         assert_eq!(stats[0].iterations, 0, "easy column converges up front");
         assert_eq!(xs[0], x_true, "frozen column must not be touched");
@@ -1015,16 +994,48 @@ mod tests {
             *v = c64(0.3 * i as f64, -0.1);
         }
         let mut xs = vec![vec![C64::ZERO; n], vec![C64::ZERO; n]];
-        let stats = bicgstab_block(&a, &[&b_bad, &b_good], &mut xs, cfg);
+        let ws = Workspace::new();
+        let Ok((stats, _)) = sweep(&a, &[&b_bad, &b_good], &mut xs, cfg, None, &ws);
         assert!(!stats[0].converged, "{:?}", stats[0]);
         assert!(
             xs[0].iter().all(|v| v.re.is_finite() && v.im.is_finite()),
             "broken column's iterate must be rolled back to a finite value"
         );
-        let mut x_scalar = vec![C64::ZERO; n];
-        let scalar = bicgstab(&a, &b_good, &mut x_scalar, cfg);
-        assert_eq!(stats[1], scalar, "sibling stats unaffected by breakdown");
-        assert_eq!(xs[1], x_scalar, "sibling iterate unaffected by breakdown");
+        let mut x_scalar = vec![vec![C64::ZERO; n]];
+        let scalar = solve(&a, &[&b_good], &mut x_scalar, cfg, None, &ws);
+        assert_eq!(stats[1..], scalar, "sibling stats unaffected by breakdown");
+        assert_eq!(xs[1..], x_scalar, "sibling iterate unaffected by breakdown");
+    }
+
+    #[test]
+    fn breakdown_on_singular_operator_is_honest_not_silent() {
+        // Regression test for the silent-divergence bug: with a singular
+        // operator, alpha = rho / <r_hat, A p> divides by zero and poisons
+        // the iterate with NaN. NaN fails every `<` comparison, so the old
+        // loop ran on and "reported the iterate" even though the residual
+        // was NaN. The zero operator is maximally singular: the kernel must
+        // freeze the column with honest unconverged stats, a finite residual
+        // and iterate, and the policy must retry it once and then fail typed,
+        // its iterate still finite.
+        let n = 8;
+        let zero_op = crate::op::FnOp::new(n, n, |_v: &[C64], out: &mut [C64]| {
+            out.iter_mut().for_each(|o| *o = C64::ZERO);
+        });
+        let b = vec![c64(1.0, 0.5); n];
+        let cfg = IterConfig::default();
+        let mut xs = vec![vec![C64::ZERO; n]];
+        let Ok((stats, _)) = sweep(&zero_op, &[&b], &mut xs, cfg, None, &Workspace::new());
+        assert!(!stats[0].converged);
+        assert!(stats[0].rel_residual.is_finite());
+        assert!(xs[0].iter().all(|v| finite_c(*v)));
+        let mut xs = vec![vec![C64::ZERO; n]];
+        match try_bicgstab_block(&zero_op, &[&b], &mut xs, cfg, None, &Workspace::new()) {
+            Err(FaultError::KrylovBreakdown { detail, .. }) => {
+                assert!(detail.contains("1 restart(s) attempted"), "{detail}")
+            }
+            other => panic!("expected KrylovBreakdown, got {other:?}"),
+        }
+        assert!(xs[0].iter().all(|v| finite_c(*v)));
     }
 
     /// The breakdown policy on an in-process operator (the serial context):
@@ -1120,7 +1131,8 @@ mod tests {
         let b_zero = vec![C64::ZERO; n];
         let b_live = random_vec(n, 17);
         let mut xs = vec![random_vec(n, 19), vec![C64::ZERO; n]];
-        let stats = bicgstab_block(&a, &[&b_zero, &b_live], &mut xs, IterConfig::default());
+        let (cfg, ws) = (IterConfig::default(), Workspace::new());
+        let stats = solve(&a, &[&b_zero, &b_live], &mut xs, cfg, None, &ws);
         assert!(stats[0].converged);
         assert_eq!(stats[0].iterations, 0);
         assert_eq!(stats[0].matvecs, 0);
@@ -1131,7 +1143,8 @@ mod tests {
     #[test]
     fn empty_block_is_a_noop() {
         let a = random_mat(4, 1, 5.0);
-        let stats = bicgstab_block(&a, &[], &mut [], IterConfig::default());
+        let (cfg, ws) = (IterConfig::default(), Workspace::new());
+        let stats = solve(&a, &[], &mut [], cfg, None, &ws);
         assert!(stats.is_empty());
     }
 
@@ -1152,10 +1165,10 @@ mod tests {
         for width in 1..=8 {
             let b_refs: Vec<&[C64]> = bs[..width].iter().map(|b| b.as_slice()).collect();
             let mut xs_plain = vec![vec![C64::ZERO; n]; width];
-            let plain = bicgstab_block(&a, &b_refs, &mut xs_plain, cfg);
+            let plain = solve(&a, &b_refs, &mut xs_plain, cfg, None, &Workspace::new());
             let guard = DriftGuard::new(4, 1e-8, 2);
             let mut xs_guarded = vec![vec![C64::ZERO; n]; width];
-            let guarded = bicgstab_block_with(
+            let guarded = solve(
                 &a,
                 &b_refs,
                 &mut xs_guarded,
@@ -1373,7 +1386,7 @@ mod tests {
                 .collect();
             let b_refs: Vec<&[C64]> = bs.iter().map(|b| b.as_slice()).collect();
             let mut x_clean = vec![vec![C64::ZERO; n]; width];
-            let clean = bicgstab_block(&m, &b_refs, &mut x_clean, cfg);
+            let clean = solve(&m, &b_refs, &mut x_clean, cfg, None, &Workspace::new());
             assert!(clean.iter().all(|s| s.converged && s.iterations > 4));
             for bad in 0..width {
                 for bit in [36, 44, 52, 56, 62] {
@@ -1385,14 +1398,7 @@ mod tests {
                     };
                     let guard = DriftGuard::new(4, 1e-8, 2);
                     let mut xs = vec![vec![C64::ZERO; n]; width];
-                    let stats = bicgstab_block_with(
-                        &op,
-                        &b_refs,
-                        &mut xs,
-                        cfg,
-                        Some(&guard),
-                        &Workspace::new(),
-                    );
+                    let stats = solve(&op, &b_refs, &mut xs, cfg, Some(&guard), &Workspace::new());
                     let at = format!("width {width}, column {bad}, bit {bit}");
                     assert_eq!((guard.detected(), guard.escalated()), (1, 0), "{at}");
                     assert_eq!(xs, x_clean, "{at}");
@@ -1422,7 +1428,7 @@ mod tests {
             max_iters: 300,
         };
         let mut x_clean = vec![vec![C64::ZERO; n]];
-        let clean = bicgstab_block(&m, &[&b], &mut x_clean, cfg);
+        let clean = solve(&m, &[&b], &mut x_clean, cfg, None, &Workspace::new());
         assert!(clean[0].converged);
 
         let calls = AtomicUsize::new(0);
@@ -1435,7 +1441,7 @@ mod tests {
         let guard = DriftGuard::new(4, 1e-8, 3);
         let ws = Workspace::new();
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), &ws);
+        let stats = solve(&corrupting, &[&b], &mut xs, cfg, Some(&guard), &ws);
         assert!(guard.detected() >= 1, "corruption must be detected");
         assert!(guard.rolled_back() >= 1, "steps must be discarded");
         assert_eq!(guard.escalated(), 0, "transient fault must recover");
@@ -1451,7 +1457,7 @@ mod tests {
         // The workspace now holds a rolled-back column's vectors and its
         // snapshots: a clean guarded solve in it must not see them.
         let mut x_again = vec![vec![C64::ZERO; n]];
-        let again = bicgstab_block_with(&m, &[&b], &mut x_again, cfg, Some(&guard), &ws);
+        let again = solve(&m, &[&b], &mut x_again, cfg, Some(&guard), &ws);
         assert_eq!(x_again[0], x_clean[0], "reused workspace leaked state");
         assert_eq!(again[0].iterations, clean[0].iterations);
         assert_eq!(again[0].rolled_back, 0);
@@ -1483,7 +1489,7 @@ mod tests {
         let guard = DriftGuard::new(4, 1e-8, 2);
         let ws = Workspace::new();
         let mut xs = vec![vec![C64::ZERO; n]];
-        let stats = bicgstab_block_with(&corrupting, &[&b], &mut xs, cfg, Some(&guard), &ws);
+        let stats = solve(&corrupting, &[&b], &mut xs, cfg, Some(&guard), &ws);
         assert_eq!(guard.escalated(), 1, "budget exhausted must escalate");
         assert!(
             !stats[0].converged,
@@ -1497,9 +1503,9 @@ mod tests {
 
         // An escalated column's workspace serves the next solve unchanged.
         let mut x_clean = vec![vec![C64::ZERO; n]];
-        let clean = bicgstab_block(&m, &[&b], &mut x_clean, cfg);
+        let clean = solve(&m, &[&b], &mut x_clean, cfg, None, &Workspace::new());
         let mut x_again = vec![vec![C64::ZERO; n]];
-        let again = bicgstab_block_with(&m, &[&b], &mut x_again, cfg, None, &ws);
+        let again = solve(&m, &[&b], &mut x_again, cfg, None, &ws);
         assert_eq!(again, clean);
         assert_eq!(x_again, x_clean, "reused workspace leaked state");
     }

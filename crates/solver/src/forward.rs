@@ -20,14 +20,13 @@
 //! [`BicgstabBackend`] is the pair bound to one `(G0, object)` with the one
 //! BiCGStab kernel: the forward engine every reconstruction solves through.
 
-use crate::block::{bicgstab_block_with, try_bicgstab_block};
-use crate::krylov::{width_one, IterConfig, SolveStats};
+use crate::block::try_bicgstab_block;
+use crate::krylov::{IterConfig, SolveStats};
 use crate::op::DistOp;
 use crate::verify::DriftGuard;
 use crate::workspace::{Leased, Workspace};
 use ffw_fault::FaultError;
 use ffw_numerics::C64;
-use std::convert::Infallible;
 
 /// `A = I - G0 diag(O)`: the forward-scattering operator.
 pub struct ScatteringOp<'a, G: DistOp + ?Sized> {
@@ -273,74 +272,29 @@ fn identity_solve(bs: &[&[C64]], xs: &mut [Vec<C64>]) -> Vec<SolveStats> {
     vec![solved; bs.len()]
 }
 
-/// Solves the forward problem `[I - G0 diag(O)] phi = phi_inc` with BiCGStab:
-/// [`solve_forward_block`] at panel width 1. `phi` should carry the initial
-/// guess (zero, or a previous field for warm starts); it is overwritten with
-/// the solution.
-pub fn solve_forward<G: DistOp<Error = Infallible> + ?Sized>(
-    g0: &G,
-    object: &[C64],
-    phi_inc: &[C64],
-    phi: &mut [C64],
-    cfg: IterConfig,
-) -> SolveStats {
-    let Ok(stats) = width_one(phi_inc, phi, |bs, xs| {
-        Ok::<_, Infallible>(solve_forward_block(g0, object, bs, xs, cfg))
-    });
-    stats
-}
-
-/// Solves the adjoint problem `A^H z = rhs`: [`solve_adjoint_block`] at
-/// panel width 1.
-pub fn solve_adjoint<G: DistOp<Error = Infallible> + ?Sized>(
-    g0: &G,
-    object: &[C64],
-    rhs: &[C64],
-    z: &mut [C64],
-    cfg: IterConfig,
-) -> SolveStats {
-    let Ok(stats) = width_one(rhs, z, |bs, xs| {
-        Ok::<_, Infallible>(solve_adjoint_block(g0, object, bs, xs, cfg))
-    });
-    stats
-}
-
-/// Batched forward solve: all transmitter systems share the same scattering
-/// operator and iterate in lockstep (one fused `G0` block apply per Krylov
-/// step). `phis[b]` carries each column's initial guess and is overwritten.
-pub fn solve_forward_block<G: DistOp<Error = Infallible> + ?Sized>(
-    g0: &G,
-    object: &[C64],
-    phi_incs: &[&[C64]],
-    phis: &mut [Vec<C64>],
-    cfg: IterConfig,
-) -> Vec<SolveStats> {
-    let ws = Workspace::new();
-    let a = ScatteringOp::new(g0, object, &ws);
-    bicgstab_block_with(&a, phi_incs, phis, cfg, None, &ws)
-}
-
-/// Batched adjoint solve `A^H zs[b] = rhss[b]`, lockstep across columns.
-pub fn solve_adjoint_block<G: DistOp<Error = Infallible> + ?Sized>(
-    g0: &G,
-    object: &[C64],
-    rhss: &[&[C64]],
-    zs: &mut [Vec<C64>],
-    cfg: IterConfig,
-) -> Vec<SolveStats> {
-    let ws = Workspace::new();
-    let a = AdjointScatteringOp::new(g0, object, &ws);
-    bicgstab_block_with(&a, rhss, zs, cfg, None, &ws)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ffw_numerics::c64;
+    use std::convert::Infallible;
 
     /// `y = A x` through the seam, for an operator that cannot fail.
     fn apply<A: DistOp<Error = Infallible>>(a: &A, x: &[C64], y: &mut Vec<C64>) {
         let Ok(()) = a.try_apply_block_local(&[x], std::slice::from_mut(y));
+    }
+
+    /// `[I - G0 diag(O)] phi = phi_inc` through the reconstruction's engine.
+    fn solve_one(
+        g0: &Matrix,
+        o: &[C64],
+        phi_inc: &[C64],
+        phi: &mut Vec<C64>,
+        cfg: IterConfig,
+    ) -> SolveStats {
+        let ws = Workspace::new();
+        let engine = BicgstabBackend::new(g0, o, None, &ws);
+        let stats = engine.solve_block(&[phi_inc], std::slice::from_mut(phi), cfg);
+        stats.expect("no breakdown").remove(0)
     }
     use ffw_numerics::linalg::Matrix;
     use ffw_numerics::vecops::{rel_diff, zdotc};
@@ -440,7 +394,7 @@ mod tests {
         let mut phi_inc = vec![C64::ZERO; n];
         apply(&a, &phi_true, &mut phi_inc);
         let mut phi = vec![C64::ZERO; n];
-        let stats = solve_forward(
+        let stats = solve_one(
             &g0,
             &o,
             &phi_inc,
@@ -462,7 +416,7 @@ mod tests {
         let o = vec![C64::ZERO; n];
         let phi_inc = random_vec(n, 21);
         let mut phi = vec![C64::ZERO; n];
-        let stats = solve_forward(&g0, &o, &phi_inc, &mut phi, IterConfig::default());
+        let stats = solve_one(&g0, &o, &phi_inc, &mut phi, IterConfig::default());
         assert!(stats.converged);
         assert!(rel_diff(&phi, &phi_inc) < 1e-10);
         assert!(stats.iterations <= 1);

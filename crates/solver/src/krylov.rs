@@ -2,22 +2,21 @@
 //!
 //! The paper's forward solver is the biconjugate gradient stabilized method
 //! (BiCGStab, Section III-A), terminated at 1e-4 relative residual
-//! (Section V-B); its one recurrence lives in [`crate::block`] and
-//! [`bicgstab`] here is that kernel at panel width 1. CGNR (CG on the normal
-//! equations) solves the least-squares problems of the linear Born inversion
-//! baseline.
+//! (Section V-B); its one recurrence lives in [`crate::block`], reached
+//! through [`crate::try_bicgstab_block`] or [`crate::BicgstabBackend`]. CGNR
+//! (CG on the normal equations) solves the least-squares problems of the
+//! linear Born inversion baseline.
 
-use crate::block::bicgstab_block;
-use crate::op::{DistOp, LinOp};
+use crate::op::LinOp;
 use ffw_numerics::vecops::{norm2, sub_into, zdotc};
 use ffw_numerics::C64;
-use std::convert::Infallible;
 use std::fmt;
 
 /// Outcome of an iterative solve.
 ///
 /// These semantics hold on every context the one kernel runs on (in-process
-/// or a rank of the grid):
+/// or a rank of the grid). A column that [`crate::try_bicgstab_block`]
+/// retried after a breakdown reports each count summed over both sweeps.
 ///
 /// - `iterations` counts the update steps *reflected in the returned
 ///   iterate*. A step whose update is rolled back (e.g. a non-finite
@@ -99,37 +98,6 @@ impl Default for IterConfig {
     }
 }
 
-/// Runs a block solve as a width-1 panel around `x`: the scalar entry points
-/// of this crate are this call and nothing else.
-pub(crate) fn width_one<E>(
-    b: &[C64],
-    x: &mut [C64],
-    solve: impl FnOnce(&[&[C64]], &mut [Vec<C64>]) -> Result<Vec<SolveStats>, E>,
-) -> Result<SolveStats, E> {
-    let mut xs = [x.to_vec()];
-    let stats = solve(&[b], &mut xs)?.pop().expect("one column");
-    x.copy_from_slice(&xs[0]);
-    Ok(stats)
-}
-
-/// BiCGStab: solves `A x = b`, starting from the provided
-/// `x` (commonly zero) — [`bicgstab_block`] at panel width 1. Two matvecs
-/// per iteration, the dominant cost the MLFMA accelerates (paper Fig. 4).
-///
-/// On a rho-underflow or NaN/Inf breakdown this returns honest unconverged
-/// stats with `x` left at the last *finite* iterate (never NaN).
-pub fn bicgstab<A: DistOp<Error = Infallible> + ?Sized>(
-    a: &A,
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-) -> SolveStats {
-    let Ok(stats) = width_one(b, x, |bs, xs| {
-        Ok::<_, Infallible>(bicgstab_block(a, bs, xs, cfg))
-    });
-    stats
-}
-
 /// CGNR: least-squares `min ||A x - b||` via conjugate gradients on the
 /// Hermitian positive-semidefinite normal equations `A^H A x = A^H b`.
 ///
@@ -198,6 +166,7 @@ pub fn cgnr<A: LinOp + ?Sized, AH: LinOp + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{try_bicgstab_block, Workspace};
     use ffw_numerics::linalg::Matrix;
     use ffw_numerics::{c64, vecops::rel_diff};
 
@@ -223,6 +192,14 @@ mod tests {
         m.as_slice().to_vec()
     }
 
+    /// `a x = b` as a panel of width 1 through the kernel under its
+    /// breakdown policy.
+    fn solve(a: &Matrix, b: &[C64], x: &mut Vec<C64>, cfg: IterConfig) -> SolveStats {
+        let xs = std::slice::from_mut(x);
+        let stats = try_bicgstab_block(a, &[b], xs, cfg, None, &Workspace::new());
+        stats.expect("no breakdown").remove(0)
+    }
+
     #[test]
     fn bicgstab_solves_diagonally_dominant_system() {
         let n = 60;
@@ -231,7 +208,7 @@ mod tests {
         let mut b = vec![C64::ZERO; n];
         a.matvec(&x_true, &mut b);
         let mut x = vec![C64::ZERO; n];
-        let stats = bicgstab(
+        let stats = solve(
             &a,
             &b,
             &mut x,
@@ -255,7 +232,7 @@ mod tests {
         let a = random_mat(n, n, 13, 6.0);
         let b = random_vec(n, 17);
         let mut x = vec![C64::ZERO; n];
-        let stats = bicgstab(
+        let stats = solve(
             &a,
             &b,
             &mut x,
@@ -285,7 +262,7 @@ mod tests {
         let a = random_mat(10, 10, 1, 4.0);
         let b = vec![C64::ZERO; 10];
         let mut x = random_vec(10, 2);
-        let stats = bicgstab(&a, &b, &mut x, IterConfig::default());
+        let stats = solve(&a, &b, &mut x, IterConfig::default());
         assert!(stats.converged);
         assert!(x.iter().all(|v| v.abs() == 0.0));
     }
@@ -328,7 +305,7 @@ mod tests {
         let a = random_mat(n, n, 23, 0.3); // poorly conditioned
         let b = random_vec(n, 29);
         let mut x = vec![C64::ZERO; n];
-        let stats = bicgstab(
+        let stats = solve(
             &a,
             &b,
             &mut x,
@@ -342,26 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_on_singular_operator_is_honest_not_silent() {
-        // Regression test for the silent-divergence bug: with a singular
-        // operator, alpha = rho / <r_hat, A p> divides by zero and poisons
-        // the iterate with NaN. NaN fails every `<` comparison, so the old
-        // loop ran on and "reported the iterate" even though the residual
-        // was NaN. The zero operator is maximally singular: the solve must
-        // report honest unconverged stats with a finite residual and iterate.
-        let n = 8;
-        let zero_op = crate::op::FnOp::new(n, n, |_v: &[C64], out: &mut [C64]| {
-            out.iter_mut().for_each(|o| *o = C64::ZERO);
-        });
-        let b = vec![c64(1.0, 0.5); n];
-        let mut x = vec![C64::ZERO; n];
-        let stats = bicgstab(&zero_op, &b, &mut x, IterConfig::default());
-        assert!(!stats.converged);
-        assert!(stats.rel_residual.is_finite());
-        assert!(x.iter().all(|v| v.re.is_finite() && v.im.is_finite()));
-    }
-
-    #[test]
     fn warm_start_reduces_iterations() {
         let n = 40;
         let a = random_mat(n, n, 31, 6.0);
@@ -369,7 +326,7 @@ mod tests {
         let mut b = vec![C64::ZERO; n];
         a.matvec(&x_true, &mut b);
         let mut cold = vec![C64::ZERO; n];
-        let cold_stats = bicgstab(
+        let cold_stats = solve(
             &a,
             &b,
             &mut cold,
@@ -380,7 +337,7 @@ mod tests {
         );
         // warm start from a slightly perturbed solution
         let mut warm: Vec<C64> = x_true.iter().map(|v| *v * 1.001).collect();
-        let warm_stats = bicgstab(
+        let warm_stats = solve(
             &a,
             &b,
             &mut warm,

@@ -96,23 +96,6 @@ impl<A: BlockLinOp + ?Sized> DistOp for A {
     }
 }
 
-/// The identity operator.
-pub struct IdentityOp(pub usize);
-
-impl LinOp for IdentityOp {
-    fn dim_out(&self) -> usize {
-        self.0
-    }
-    fn dim_in(&self) -> usize {
-        self.0
-    }
-    fn apply(&self, x: &[C64], y: &mut [C64]) {
-        y.copy_from_slice(x);
-    }
-}
-
-impl BlockLinOp for IdentityOp {}
-
 /// A diagonal operator `y = diag(d) x`.
 pub struct DiagonalOp(pub Vec<C64>);
 
@@ -213,11 +196,9 @@ mod tests {
     use ffw_numerics::c64;
 
     #[test]
-    fn identity_and_diagonal() {
+    fn diagonal_scales_each_entry() {
         let x = vec![c64(1.0, 2.0), c64(-3.0, 0.5)];
         let mut y = vec![C64::ZERO; 2];
-        IdentityOp(2).apply(&x, &mut y);
-        assert_eq!(x, y);
         let d = DiagonalOp(vec![c64(2.0, 0.0), c64(0.0, 1.0)]);
         d.apply(&x, &mut y);
         assert_eq!(y[0], c64(2.0, 4.0));

@@ -284,11 +284,6 @@ impl<'a, A: BlockLinOp + ?Sized> VerifiedBlockOp<'a, A> {
         self.corruption.lock().unwrap().take()
     }
 
-    /// True if an escalated error is pending.
-    pub fn is_tainted(&self) -> bool {
-        self.corruption.lock().unwrap().is_some()
-    }
-
     /// Verifies a partially-filled window (one checksum apply, bounded
     /// recomputes of the checksum apply itself). Call at the end of a
     /// logical unit of work, before trusting its outputs.

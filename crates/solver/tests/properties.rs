@@ -5,7 +5,7 @@ use ffw_numerics::linalg::Matrix;
 use ffw_numerics::vecops::rel_diff;
 use ffw_numerics::{c64, C64};
 use ffw_solver::{
-    bicgstab, solve_adjoint, solve_forward, DistOp, IterConfig, ScatteringOp, Workspace,
+    try_bicgstab_block, BicgstabBackend, DistOp, IterConfig, ScatteringOp, Workspace,
 };
 use proptest::prelude::*;
 
@@ -39,10 +39,11 @@ proptest! {
         let x_true = random_vec(n, seed ^ 0xabcd);
         let mut b = vec![C64::ZERO; n];
         a.matvec(&x_true, &mut b);
-        let mut x = vec![C64::ZERO; n];
-        let stats = bicgstab(&a, &b, &mut x, IterConfig { tol: 1e-10, max_iters: 400 });
-        prop_assert!(stats.converged);
-        prop_assert!(rel_diff(&x, &x_true) < 1e-7, "err {}", rel_diff(&x, &x_true));
+        let mut x = vec![vec![C64::ZERO; n]];
+        let cfg = IterConfig { tol: 1e-10, max_iters: 400 };
+        let stats = try_bicgstab_block(&a, &[&b], &mut x, cfg, None, &Workspace::new());
+        prop_assert!(stats.expect("no breakdown")[0].converged);
+        prop_assert!(rel_diff(&x[0], &x_true) < 1e-7, "err {}", rel_diff(&x[0], &x_true));
     }
 
     #[test]
@@ -64,13 +65,14 @@ proptest! {
         };
         let object: Vec<C64> = random_vec(n, seed ^ 0x77).iter().map(|v| v.scale(0.5)).collect();
         let phi_inc = random_vec(n, seed ^ 0x99);
-        let mut phi = vec![C64::ZERO; n];
-        let stats = solve_forward(&g0, &object, &phi_inc, &mut phi, IterConfig { tol: 1e-10, max_iters: 500 });
-        prop_assert!(stats.converged);
-        let ws = Workspace::new();
+        let (mut phi, ws) = (vec![vec![C64::ZERO; n]], Workspace::new());
+        let cfg = IterConfig { tol: 1e-10, max_iters: 500 };
+        let engine = BicgstabBackend::new(&g0, &object, None, &ws);
+        let stats = engine.solve_block(&[&phi_inc], &mut phi, cfg);
+        prop_assert!(stats.expect("no breakdown")[0].converged);
         let a = ScatteringOp::new(&g0, &object, &ws);
         let mut back = vec![C64::ZERO; n];
-        let Ok(()) = a.try_apply_block_local(&[&phi], std::slice::from_mut(&mut back));
+        let Ok(()) = a.try_apply_block_local(&[&phi[0]], std::slice::from_mut(&mut back));
         prop_assert!(rel_diff(&back, &phi_inc) < 1e-8);
     }
 
@@ -92,12 +94,14 @@ proptest! {
         let b = random_vec(n, seed ^ 0x8);
         let c = random_vec(n, seed ^ 0x9);
         let cfg = IterConfig { tol: 1e-12, max_iters: 600 };
-        let mut x = vec![C64::ZERO; n];
-        prop_assert!(solve_forward(&g0, &object, &b, &mut x, cfg).converged);
-        let mut z = vec![C64::ZERO; n];
-        prop_assert!(solve_adjoint(&g0, &object, &c, &mut z, cfg).converged);
-        let lhs = ffw_numerics::vecops::zdotc(&x, &c);
-        let rhs = ffw_numerics::vecops::zdotc(&b, &z);
+        let ws = Workspace::new();
+        let engine = BicgstabBackend::new(&g0, &object, None, &ws);
+        let mut x = vec![vec![C64::ZERO; n]];
+        prop_assert!(engine.solve_block(&[&b], &mut x, cfg).expect("forward")[0].converged);
+        let mut z = vec![vec![C64::ZERO; n]];
+        prop_assert!(engine.solve_adjoint_block(&[&c], &mut z, cfg).expect("adjoint")[0].converged);
+        let lhs = ffw_numerics::vecops::zdotc(&x[0], &c);
+        let rhs = ffw_numerics::vecops::zdotc(&b, &z[0]);
         prop_assert!((lhs - rhs).abs() < 1e-6 * (1.0 + lhs.abs()), "{lhs:?} vs {rhs:?}");
     }
 }

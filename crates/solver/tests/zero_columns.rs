@@ -10,7 +10,7 @@ use ffw_mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
 use ffw_numerics::{c64, C64};
 use ffw_par::Pool;
 use ffw_solver::{
-    bicgstab_block_with, BlockLinOp, DriftGuard, IterConfig, ScatteringOp, VerifiedBlockOp,
+    try_bicgstab_block, BlockLinOp, DriftGuard, IterConfig, ScatteringOp, VerifiedBlockOp,
     VerifyConfig, Workspace,
 };
 use std::sync::Arc;
@@ -118,7 +118,7 @@ fn a_guarded_solve_on_the_zero_object_returns_the_right_hand_side() {
     let mut xs = vec![vec![C64::ZERO; n]; 3];
     let guard = DriftGuard::default();
     let cfg = IterConfig::default();
-    let stats = bicgstab_block_with(&a, &b_refs, &mut xs, cfg, Some(&guard), &ws);
+    let stats = try_bicgstab_block(&a, &b_refs, &mut xs, cfg, Some(&guard), &ws).unwrap();
     assert!(stats.iter().all(|s| s.converged && s.iterations == 1));
     assert_eq!(xs, bs);
     assert!(verified.flush().is_ok());

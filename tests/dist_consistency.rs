@@ -13,7 +13,7 @@ use ffw::numerics::vecops::rel_diff;
 use ffw::numerics::C64;
 use ffw::par::Pool;
 use ffw::phantom::{object_from_contrast, Cylinder, Phantom};
-use ffw::solver::{solve_forward, try_bicgstab_block, IterConfig, ScatteringOp, Workspace};
+use ffw::solver::{try_bicgstab_block, BicgstabBackend, IterConfig, ScatteringOp, Workspace};
 use std::sync::Arc;
 
 fn scene() -> (Domain, QuadTree, Arc<MlfmaPlan>, ImagingSetup, Vec<C64>) {
@@ -46,14 +46,11 @@ fn distributed_forward_solve_matches_serial() {
         tol: 1e-8,
         max_iters: 500,
     };
-    let mut phi_serial = vec![C64::ZERO; object.len()];
-    solve_forward(
-        &serial_engine,
-        &object,
-        setup.incident(0),
-        &mut phi_serial,
-        cfg,
-    );
+    let mut phi_serial = vec![vec![C64::ZERO; object.len()]];
+    let ws = Workspace::new();
+    BicgstabBackend::new(&serial_engine, &object, None, &ws)
+        .solve_block(&[setup.incident(0)], &mut phi_serial, cfg)
+        .expect("serial solve");
 
     for n_ranks in [2usize, 4] {
         let per = object.len() / n_ranks;
@@ -75,7 +72,7 @@ fn distributed_forward_solve_matches_serial() {
             phi.remove(0)
         });
         let phi_dist: Vec<C64> = slices.into_iter().flatten().collect();
-        let err = rel_diff(&phi_dist, &phi_serial);
+        let err = rel_diff(&phi_dist, &phi_serial[0]);
         assert!(err < 1e-7, "ranks={n_ranks}: {err:e}");
     }
 }

@@ -10,8 +10,24 @@ use ffw::numerics::vecops::rel_diff;
 use ffw::numerics::C64;
 use ffw::par::Pool;
 use ffw::phantom::{object_from_contrast, Cylinder, Phantom};
-use ffw::solver::{solve_forward, IterConfig};
+use ffw::solver::{BicgstabBackend, DistOp, IterConfig, SolveStats, Workspace};
+use std::convert::Infallible;
 use std::sync::Arc;
+
+/// `A phi = phi_inc` from zero through the engine every reconstruction
+/// solves with.
+fn forward_field<G: DistOp<Error = Infallible>>(
+    g0: &G,
+    object: &[C64],
+    phi_inc: &[C64],
+    cfg: IterConfig,
+) -> (Vec<C64>, SolveStats) {
+    let ws = Workspace::new();
+    let mut phi = vec![vec![C64::ZERO; object.len()]];
+    let engine = BicgstabBackend::new(g0, object, None, &ws);
+    let stats = engine.solve_block(&[phi_inc], &mut phi, cfg);
+    (phi.remove(0), stats.expect("no breakdown").remove(0))
+}
 
 /// Total internal field vs the Mie series, moderate contrast.
 #[test]
@@ -34,12 +50,10 @@ fn forward_solver_matches_mie_series() {
     let positions = tree_positions(&domain, &tree);
     let phi_inc = incident_plane_wave(&kernel, 0.0, &positions);
 
-    let mut phi = vec![C64::ZERO; object.len()];
-    let stats = solve_forward(
+    let (phi, stats) = forward_field(
         &engine,
         &object,
         &phi_inc,
-        &mut phi,
         IterConfig {
             tol: 1e-8,
             max_iters: 2000,
@@ -90,8 +104,7 @@ fn weak_contrast_converges_in_few_iterations() {
     let kernel = Kernel::new(domain.k0(), domain.equivalent_radius());
     let positions = tree_positions(&domain, &tree);
     let phi_inc = incident_plane_wave(&kernel, 0.5, &positions);
-    let mut phi = vec![C64::ZERO; object.len()];
-    let stats = solve_forward(&engine, &object, &phi_inc, &mut phi, IterConfig::default());
+    let (_, stats) = forward_field(&engine, &object, &phi_inc, IterConfig::default());
     assert!(stats.converged);
     assert!(
         stats.iterations <= 10,
@@ -121,10 +134,8 @@ fn mlfma_and_dense_forward_agree() {
         tol: 1e-9,
         max_iters: 1000,
     };
-    let mut phi_fast = vec![C64::ZERO; object.len()];
-    let mut phi_dense = vec![C64::ZERO; object.len()];
-    let s1 = solve_forward(&engine, &object, &phi_inc, &mut phi_fast, cfg);
-    let s2 = solve_forward(&dense, &object, &phi_inc, &mut phi_dense, cfg);
+    let (phi_fast, s1) = forward_field(&engine, &object, &phi_inc, cfg);
+    let (phi_dense, s2) = forward_field(&dense, &object, &phi_inc, cfg);
     assert!(s1.converged && s2.converged);
     let err = rel_diff(&phi_fast, &phi_dense);
     assert!(err < 1e-4, "MLFMA vs dense forward solution: {err:e}");
