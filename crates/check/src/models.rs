@@ -531,7 +531,7 @@ enum WriterPhase {
 
 /// Model of one path through `ffw-fault`'s durable writer.
 ///
-/// Thread 0 is the loop running [`LOOP_PROGRAM`]: three boundaries, a flush
+/// Thread 0 is the loop running `LOOP_PROGRAM`: three boundaries, a flush
 /// (a stop, or the end of a run), a fourth boundary, then the service's
 /// removal of a terminal job's checkpoint (cancel, then delete). Thread 1 is
 /// the writer thread. Invariants: callbacks (progress) run in boundary

@@ -79,7 +79,7 @@ fn main() {
     above_leaves[leaf_li] = 0..0;
 
     let mut far = FarField::new(Arc::clone(&plan));
-    far.begin(0..width);
+    far.begin(&full, &xs, 0, true);
     let radiate = min_median_secs(|| far.aggregate(&pool, &leaf_only, &xs, 0));
     let interp_shift = min_median_secs(|| far.aggregate(&pool, &above_leaves, &xs, 0));
     let translate = min_median_secs(|| far.translate(&pool, &full));

@@ -22,13 +22,18 @@
 //!
 //! `G0 0 = 0`: a column that is identically zero (the whole first DBIM
 //! iteration multiplies `G0` by `O x` with `O = 0`) gets `+0.0` written to
-//! its output and stays out of the traversal. The scan that finds such
-//! columns stops at a column's first non-zero word.
+//! its output and stays out of the traversal. So does a leaf that is zero in
+//! every column (`O x` outside the scatterer): it is not radiated and has no
+//! spectrum, a cluster with four such children is not interpolated, their
+//! slots are `+0.0`, and no translation or near-field product reads them.
+//! The bits hold: every accumulator starts at `+0.0` and sums by
+//! `f64::mul_add` chains, which a `±0` term leaves as they are. One scan per
+//! panel, each leaf up to its first non-zero word, finds both.
 
 use crate::farfield::FarField;
 use crate::near::{FORWARD_FLOPS, INVERSE_FLOPS, PAIR_FLOPS, SPECTRUM_LEN};
 use crate::plan::MlfmaPlan;
-use ffw_geometry::LEAF_PIXELS;
+use ffw_geometry::{LEAF_PIXELS, NEAR_OFFSETS};
 use ffw_numerics::C64;
 use ffw_par::Pool;
 use parking_lot::Mutex;
@@ -36,28 +41,30 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-apply work model for one MLFMA stage: flops (8 per complex
-/// multiply-add) and bytes of pattern/field data moved. Computed once from
-/// the plan at engine construction, charged to `ffw_obs` counters per apply.
+/// multiply-add), bytes of pattern/field data moved per column and bytes of
+/// operator data streamed per traversal. Computed from the plan and the live
+/// clusters, charged to `ffw_obs` counters per apply.
 #[derive(Clone, Copy, Default)]
 struct StageCost {
     flops: u64,
     bytes: u64,
+    /// Bytes of *operator* data — charged once per apply whatever its width,
+    /// which is where the panel path's arithmetic-intensity win shows up in
+    /// the model.
+    op_bytes: u64,
 }
 
-/// Cached observability handles + the per-apply cost model (so the hot path
-/// is a handful of relaxed atomic adds, no registry lookups).
+/// Cached observability handles + the cost of an all-live apply (so the
+/// hot path is a handful of relaxed atomic adds, no registry lookups).
 struct ObsHooks {
     applies: ffw_obs::Counter,
     block_applies: ffw_obs::Counter,
     zero_columns: ffw_obs::Counter,
+    leaves_skipped: ffw_obs::Counter,
     panel_width: ffw_obs::Histogram,
     flops: [ffw_obs::Counter; 4],
     bytes: [ffw_obs::Counter; 4],
-    cost: [StageCost; 4],
-    /// Bytes of *operator* data streamed by one traversal, per stage —
-    /// charged once per apply whatever its width, which is where the panel
-    /// path's arithmetic-intensity win shows up in the model.
-    op_bytes: [u64; 4],
+    all_live: [StageCost; 4],
 }
 
 const STAGES: [&str; 4] = ["aggregate", "translate", "disaggregate", "near"];
@@ -68,23 +75,26 @@ impl ObsHooks {
             applies: ffw_obs::counter("mlfma.applies"),
             block_applies: ffw_obs::counter("mlfma.block_applies"),
             zero_columns: ffw_obs::counter("mlfma.zero_columns"),
+            leaves_skipped: ffw_obs::counter("mlfma.leaves_skipped"),
             panel_width: ffw_obs::histogram("mlfma.panel_width"),
             flops: STAGES.map(|s| ffw_obs::counter(&format!("mlfma.flops.{s}"))),
             bytes: STAGES.map(|s| ffw_obs::counter(&format!("mlfma.bytes.{s}"))),
-            cost: apply_cost(plan),
-            op_bytes: operator_bytes(plan),
+            all_live: apply_cost(plan, |_, _| true),
         }
     }
 
-    /// Charges a `width`-column apply of which `live` columns are
+    /// Charges a `width`-column apply of which the panel of `far` is
     /// traversed: `mlfma.applies` advances by one *per column asked for* (so
     /// "applies" counts matvecs at any batching, as callers count them from
-    /// outside), pattern flops/bytes scale with the traversed columns only,
-    /// and operator bytes are charged once per traversal — that is the fused
-    /// traversal's whole point. No-op (a handful of branch-predicted loads)
-    /// while the recorder is off.
-    #[inline]
-    fn charge_apply(&self, width: u64, live: u64) {
+    /// outside), pattern flops/bytes scale with the traversed columns and
+    /// the live clusters, and operator bytes are charged once per traversal
+    /// — that is the fused traversal's whole point. No-op while the recorder
+    /// is off.
+    fn charge_apply(&self, plan: &MlfmaPlan, width: u64, far: &FarField) {
+        if !ffw_obs::enabled() {
+            return;
+        }
+        let live = far.columns().len() as u64;
         self.applies.add(width);
         self.block_applies.inc();
         self.panel_width.record(width);
@@ -92,9 +102,16 @@ impl ObsHooks {
         if live == 0 {
             return;
         }
-        for i in 0..4 {
-            self.flops[i].add(self.cost[i].flops * live);
-            self.bytes[i].add(self.cost[i].bytes * live + self.op_bytes[i]);
+        let leaves = far.live(plan.levels.len() - 1);
+        let skipped = leaves.iter().filter(|&&l| !l).count() as u64;
+        self.leaves_skipped.add(skipped);
+        let cost = match skipped {
+            0 => self.all_live,
+            _ => apply_cost(plan, |li, c| far.live(li)[c]),
+        };
+        for (i, cost) in cost.iter().enumerate() {
+            self.flops[i].add(cost.flops * live);
+            self.bytes[i].add(cost.bytes * live + cost.op_bytes);
         }
     }
 }
@@ -123,107 +140,91 @@ fn band_step_flops(q_parent: u64, band: u64) -> u64 {
     q_parent * SIBLINGS * (band * 4 + 8)
 }
 
-/// Builds the per-stage cost model from the plan, counting what the kernels
-/// execute: flops as above (a complex multiply-add is 8), bytes as the
-/// pattern/field data each stage reads and writes (16 bytes per `C64`).
-fn apply_cost(plan: &MlfmaPlan) -> [StageCost; 4] {
-    const C: u64 = 16; // bytes per C64
-    let n_levels = plan.levels.len();
-    let leaf = plan.leaf_plan();
-    let n_leaves = (leaf.n_side * leaf.n_side) as u64;
-    let q_leaf = leaf.q as u64;
-    let npx = LEAF_PIXELS as u64;
-
-    // aggregate: leaf expansions + upward interp/shift per non-leaf level;
-    // disaggregate: its mirror (shift + anterpolate)
-    let mut agg = StageCost {
-        flops: n_leaves * leaf_operator_flops(q_leaf),
-        bytes: n_leaves * (npx + q_leaf) * C,
-    };
-    let mut dis = StageCost::default();
-    for li in 0..n_levels.saturating_sub(1) {
-        let lp = &plan.levels[li];
-        let n_parents = (lp.n_side * lp.n_side) as u64;
-        let q_parent = lp.q as u64;
-        let q_child = plan.levels[li + 1].q as u64;
-        let band = lp.interp.as_ref().expect("non-leaf has interp").band() as u64;
-        let step_flops = n_parents * band_step_flops(q_parent, band);
-        agg.flops += step_flops;
-        dis.flops += step_flops;
-        agg.bytes += n_parents * (SIBLINGS * q_child + q_parent) * C;
-        dis.bytes += n_parents * (q_parent + SIBLINGS * q_child) * C;
-    }
-
-    // translate: one diagonal MAC per interaction-list entry per sample, the
-    // observer's slot written once
-    let mut tra = StageCost::default();
-    for lp in &plan.levels {
-        let q = lp.q as u64;
-        let n_pairs = lp.pairs.len() as u64;
-        tra.flops += n_pairs * q * 8;
-        tra.bytes += (n_pairs * q + (lp.n_side * lp.n_side) as u64 * q) * C;
-    }
-
-    // near: leaf local expansion with its 64 products by the weight, then per
-    // leaf one forward and one inverse 16 x 16 transform and one 256-sample
-    // diagonal product per neighbour
-    let mut near = StageCost {
-        flops: n_leaves * (leaf_operator_flops(q_leaf) + npx * 6),
-        bytes: n_leaves * (q_leaf + npx) * C,
-    };
-    let n_near = plan.near_pairs.len() as u64;
-    near.flops += n_leaves * (FORWARD_FLOPS + INVERSE_FLOPS) + n_near * PAIR_FLOPS;
-    // pixels in and spectrum out per leaf; source and kernel spectrum in per
-    // neighbour (the kernel spectra are read per column, not per panel);
-    // window added onto the pixels per leaf
-    near.bytes += n_leaves * (npx * C + SPECTRUM_BYTES)
-        + n_near * 2 * SPECTRUM_BYTES
-        + n_leaves * 2 * npx * C;
-
-    [agg, tra, dis, near]
-}
-
-/// Bytes of *operator* data streamed by one tree traversal: the half of the
-/// leaf expansion matrix each leaf operator keeps, per parent sample the
-/// band row (`band` weights and its first column) and the four shift
-/// entries, one translation diagonal per interaction-list entry.
+/// Builds the per-stage cost model from the plan and `live(li, c)`, whether
+/// cluster `c` at level index `li` is live, counting what the kernels
+/// execute: flops as above (a complex multiply-add is 8), pattern bytes as
+/// the data each stage reads and writes (16 bytes per `C64`), operator bytes
+/// as the half of the leaf expansion matrix each leaf operator keeps, per
+/// parent sample the band row (`band` weights and its first column) and the
+/// four shift entries, one translation diagonal per interaction-list entry.
 ///
-/// This is the part of the cost model that does *not* scale with the panel
-/// width: one `apply_block` reads each operator once for all `B` columns,
-/// while `B` width-1 applies read them `B` times.
-fn operator_bytes(plan: &MlfmaPlan) -> [u64; 4] {
+/// Aggregation runs for live clusters only, translation for the pairs from
+/// a live source, the near field's spectra and products for live source
+/// leaves; every observer is written and every leaf receives.
+fn apply_cost(plan: &MlfmaPlan, live: impl Fn(usize, usize) -> bool) -> [StageCost; 4] {
     const C: u64 = 16; // bytes per C64
     const W: u64 = 8; // bytes per interpolation weight (f64)
     const START: u64 = 4; // bytes per band row's first column (u32)
     let n_levels = plan.levels.len();
     let leaf = plan.leaf_plan();
     let n_leaves = (leaf.n_side * leaf.n_side) as u64;
-    let leaf_matrix = leaf.q as u64 * (LEAF_PIXELS as u64 / 2) * C;
+    let n_live = |li: usize| {
+        (0..plan.levels[li].n_side.pow(2))
+            .filter(|&c| live(li, c))
+            .count()
+    };
+    let live_leaves = n_live(n_levels - 1) as u64;
+    let live_pairs = |li: usize, pairs: &[(u32, u32)]| {
+        pairs.iter().filter(|(s, _)| live(li, *s as usize)).count() as u64
+    };
+    let q_leaf = leaf.q as u64;
+    let npx = LEAF_PIXELS as u64;
+    let leaf_matrix = q_leaf * (npx / 2) * C;
 
-    // aggregate: leaf expansion matrix per leaf + upward interp/shift ops;
-    // disaggregate: the same band rows, the conjugate shifts
-    let mut agg = n_leaves * leaf_matrix;
-    let mut dis = 0u64;
+    // aggregate: leaf expansions + upward interp/shift per non-leaf level;
+    // disaggregate: its mirror (shift + anterpolate)
+    let mut agg = StageCost {
+        flops: live_leaves * leaf_operator_flops(q_leaf),
+        bytes: live_leaves * (npx + q_leaf) * C,
+        op_bytes: live_leaves * leaf_matrix,
+    };
+    let mut dis = StageCost::default();
     for li in 0..n_levels.saturating_sub(1) {
         let lp = &plan.levels[li];
         let n_parents = (lp.n_side * lp.n_side) as u64;
+        let live_parents = n_live(li) as u64;
+        let q_parent = lp.q as u64;
+        let q_child = plan.levels[li + 1].q as u64;
         let band = lp.interp.as_ref().expect("non-leaf has interp").band() as u64;
-        let per_parent = lp.q as u64 * (band * W + START + SIBLINGS * C);
-        agg += n_parents * per_parent;
-        dis += n_parents * per_parent;
+        let step_flops = band_step_flops(q_parent, band);
+        let per_parent = q_parent * (band * W + START + SIBLINGS * C);
+        agg.flops += live_parents * step_flops;
+        agg.bytes += live_parents * (SIBLINGS * q_child + q_parent) * C;
+        agg.op_bytes += live_parents * per_parent;
+        dis.flops += n_parents * step_flops;
+        dis.bytes += n_parents * (q_parent + SIBLINGS * q_child) * C;
+        dis.op_bytes += n_parents * per_parent;
     }
 
-    // translate: one diagonal translator per interaction-list entry
-    let mut tra = 0u64;
-    for lp in &plan.levels {
+    // translate: one diagonal MAC per interaction-list entry per sample, the
+    // observer's slot written once
+    let mut tra = StageCost::default();
+    for (li, lp) in plan.levels.iter().enumerate() {
         let q = lp.q as u64;
-        let n_pairs = lp.pairs.len() as u64;
-        tra += n_pairs * q * C;
+        let n_pairs = live_pairs(li, &lp.pairs);
+        tra.flops += n_pairs * q * 8;
+        tra.bytes += (n_pairs * q + (lp.n_side * lp.n_side) as u64 * q) * C;
+        tra.op_bytes += n_pairs * q * C;
     }
 
-    // near: local expansion matrix per leaf (the kernel spectra are charged
-    // per column in `apply_cost`)
-    let near = n_leaves * leaf_matrix;
+    // near: leaf local expansion with its 64 products by the weight, then per
+    // live leaf one forward and per leaf one inverse 16 x 16 transform and
+    // one 256-sample diagonal product per live neighbour
+    let n_near = live_pairs(n_levels - 1, &plan.near_pairs);
+    let mut near = StageCost {
+        flops: n_leaves * (leaf_operator_flops(q_leaf) + npx * 6),
+        bytes: n_leaves * (q_leaf + npx) * C,
+        // the local expansion matrix per leaf (the kernel spectra are
+        // charged per column)
+        op_bytes: n_leaves * leaf_matrix,
+    };
+    near.flops += live_leaves * FORWARD_FLOPS + n_leaves * INVERSE_FLOPS + n_near * PAIR_FLOPS;
+    // pixels in and spectrum out per live leaf; source and kernel spectrum
+    // in per live neighbour (the kernel spectra are read per column, not per
+    // panel); window added onto the pixels per leaf
+    near.bytes += live_leaves * (npx * C + SPECTRUM_BYTES)
+        + n_near * 2 * SPECTRUM_BYTES
+        + n_leaves * 2 * npx * C;
 
     [agg, tra, dis, near]
 }
@@ -300,11 +301,10 @@ impl MlfmaEngine {
             assert_eq!(y.len(), n);
         }
         let _apply = ffw_obs::span("mlfma.apply");
-        let is_zero = |x: &[C64]| x.iter().all(|v| v.re == 0.0 && v.im == 0.0);
         let mut far = self.far.lock();
-        far.begin((0..width).filter(|&b| !is_zero(xs[b])));
+        far.begin(&self.ranges, xs, 0, false);
+        self.obs.charge_apply(&self.plan, width as u64, &far);
         let live = far.columns();
-        self.obs.charge_apply(width as u64, live.len() as u64);
         for (b, y) in ys.iter_mut().enumerate() {
             if !live.contains(&b) {
                 y.fill(C64::ZERO);
@@ -332,13 +332,17 @@ impl MlfmaEngine {
     fn receive_and_near(&self, x: &[C64], far: &FarField, col: usize, y: &mut [C64]) {
         let plan = &self.plan;
         let near = &plan.near_field;
+        let leaf_li = plan.levels.len() - 1;
+        let live = far.live(leaf_li);
         let mut spectra = self.near_spectra.lock();
         self.pool
             .for_each_chunk_mut(&mut spectra, 8 * SPECTRUM_LEN, |start, chunk| {
                 let first_leaf = start / SPECTRUM_LEN;
                 for (i, spectrum) in chunk.chunks_mut(SPECTRUM_LEN).enumerate() {
                     let c = first_leaf + i;
-                    near.forward(&x[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS], spectrum);
+                    if live[c] {
+                        near.forward(&x[c * LEAF_PIXELS..(c + 1) * LEAF_PIXELS], spectrum);
+                    }
                 }
             });
         let spectra = &*spectra;
@@ -346,7 +350,9 @@ impl MlfmaEngine {
             let c = start / LEAF_PIXELS;
             far.receive(c, col, out);
             let spectrum_of = |s: usize| &spectra[s * SPECTRUM_LEN..(s + 1) * SPECTRUM_LEN];
-            near.accumulate(plan.near_pairs_of(c), spectrum_of, out);
+            let mut kept = [(0, 0); NEAR_OFFSETS.len()];
+            let pairs = far.live_pairs(leaf_li, plan.near_pairs_of(c), &mut kept);
+            near.accumulate(pairs, spectrum_of, out);
         });
     }
 }
@@ -467,10 +473,11 @@ mod tests {
     }
 
     /// The `mlfma.flops.*` / `mlfma.bytes.*` charges are a pure function of
-    /// the plan: per stage (aggregate, translate, disaggregate, near) the
-    /// flops and pattern bytes of one column and the operator bytes of one
-    /// traversal. At 64 x 64 (64 leaves of q = 41 under 16 parents of q = 63,
-    /// band 16; 156 + 1116 translation pairs, 484 near pairs):
+    /// the plan and the live clusters: per stage (aggregate, translate,
+    /// disaggregate, near) the flops and pattern bytes of one column and the
+    /// operator bytes of one traversal. At 64 x 64 (64 leaves of q = 41 under
+    /// 16 parents of q = 63, band 16; 156 + 1116 translation pairs, 484 near
+    /// pairs), all live:
     ///
     /// * one leaf operator: 41 x 32 pairs x 8 + 64 x 2 = 10 624 flops over
     ///   41 x 32 x 16 = 20 992 matrix bytes;
@@ -479,6 +486,12 @@ mod tests {
     /// * aggregate = 64 x 10 624 + 16 x 18 144, disaggregate = 16 x 18 144,
     ///   translate = (156 x 63 + 1116 x 41) x 8 flops and x 16 bytes;
     /// * near = 64 x (10 624 + 64 x 6) + 64 x (3744 + 4256) + 484 x 2048.
+    ///
+    /// With only corner leaf 0 live (and so its parent): aggregate = 10 624 +
+    /// 18 144, translate = (12 x 63 + 12 x 41) x 8 for the top and leaf pairs
+    /// that read cluster 0, disaggregate as before, and near = 64 x (10 624 +
+    /// 384 + 4256) + 3744 + 4 x 2048 for its one spectrum and the 4 pairs
+    /// that read it.
     #[test]
     fn per_apply_charges_are_pinned() {
         let pinned = [
@@ -495,13 +508,22 @@ mod tests {
                 [26_422_464, 24_270_720, 4_926_656, 21_495_808],
             ),
         ];
+        let costs = |plan: &MlfmaPlan, live: fn(usize, usize) -> bool| {
+            let cost = apply_cost(plan, live);
+            [0, 1, 2].map(|k| cost.map(|c| [c.flops, c.bytes, c.op_bytes][k]))
+        };
         for (n_px, flops, bytes, op_bytes) in pinned {
             let plan = MlfmaPlan::new(&Domain::new(n_px, 1.0), Accuracy::default());
-            let cost = apply_cost(&plan);
-            assert_eq!(cost.map(|c| c.flops), flops, "{n_px}");
-            assert_eq!(cost.map(|c| c.bytes), bytes, "{n_px}");
-            assert_eq!(operator_bytes(&plan), op_bytes, "{n_px}");
+            let want = [flops, bytes, op_bytes];
+            assert_eq!(costs(&plan, |_, _| true), want, "{n_px}");
         }
+        let plan = MlfmaPlan::new(&Domain::new(64, 1.0), Accuracy::default());
+        let sparse = [
+            [28_768u64, 9_984, 290_304, 988_832],
+            [5_312, 78_080, 58_112, 276_480],
+            [33_340, 19_968, 197_568, 1_343_488],
+        ];
+        assert_eq!(costs(&plan, |_, c| c == 0), sparse);
     }
 
     /// The column map of a panel with zero columns, at the smallest tree the

@@ -20,7 +20,7 @@
 //! bit-identical at every panel width, thread count and rank count.
 
 use crate::kernels;
-use crate::plan::{MlfmaPlan, SIBLING_LANES};
+use crate::plan::{MlfmaPlan, OFFSET_SLOTS, SIBLING_LANES};
 use ffw_geometry::LEAF_PIXELS;
 use ffw_numerics::C64;
 use ffw_par::Pool;
@@ -70,6 +70,24 @@ fn for_each_cluster(
     });
 }
 
+/// [`FarField::live_pairs`] over the mask `live` of the pairs' level.
+fn keep_live<'a>(
+    all_live: bool,
+    live: &[bool],
+    pairs: &'a [(u32, u32)],
+    kept: &'a mut [(u32, u32)],
+) -> &'a [(u32, u32)] {
+    if all_live {
+        return pairs;
+    }
+    let mut n = 0;
+    for &pair in pairs.iter().filter(|(s, _)| live[*s as usize]) {
+        kept[n] = pair;
+        n += 1;
+    }
+    &kept[..n]
+}
+
 /// The far-field workspace of one engine and the four stages over it.
 ///
 /// One outgoing and one incoming pattern array per computed level. Buffers
@@ -82,12 +100,21 @@ fn for_each_cluster(
 /// (`workspace_reuse_across_widths_is_bit_identical` pins that).
 ///
 /// The panel need not be every column the caller holds: [`Self::begin`]
-/// names the caller's columns that ride in it, so an engine that knows a
-/// column's answer (`G0 0 = 0`) leaves it out of the traversal altogether.
+/// picks the caller's columns that ride in it, so an engine may leave a
+/// column it knows the answer of (`G0 0 = 0`) out of the traversal.
+/// The same rule holds per cluster: [`Self::begin`] marks the clusters whose
+/// input vanishes in every column *dead*, and the stages neither radiate,
+/// interpolate nor translate from them (their outgoing slots hold `+0.0`).
 pub struct FarField {
     plan: Arc<MlfmaPlan>,
     /// The caller's column behind each column of the panel being traversed.
     columns: Vec<usize>,
+    /// live[li][c]: cluster `c` at level index `li` may radiate something —
+    /// a scanned leaf with a non-zero pixel in some column of the panel, a
+    /// parent with a live child, or a cluster the scan does not cover.
+    live: Vec<Vec<bool>>,
+    /// Whether every leaf, and so every cluster, is live.
+    all_live: bool,
     /// outgoing[li]: radiated patterns, `n_clusters * width` slots in use.
     outgoing: Vec<Vec<f64>>,
     /// incoming[li]: translated local patterns, same layout.
@@ -98,7 +125,10 @@ impl FarField {
     /// An empty workspace: nothing is allocated until the first panel.
     pub fn new(plan: Arc<MlfmaPlan>) -> Self {
         let empty = vec![Vec::new(); plan.levels.len()];
+        let live = plan.levels.iter();
         FarField {
+            live: live.map(|lp| vec![true; lp.n_side * lp.n_side]).collect(),
+            all_live: true,
             plan,
             columns: Vec::new(),
             outgoing: empty.clone(),
@@ -113,12 +143,49 @@ impl FarField {
         levels.map(|lp| 0..lp.n_side * lp.n_side).collect()
     }
 
-    /// Starts a panel of the caller's columns `columns` (ascending indices
-    /// into the `xs` later given to [`Self::aggregate`]): grows the buffers
-    /// if they do not hold a panel that wide already.
-    pub fn begin(&mut self, columns: impl IntoIterator<Item = usize>) {
+    /// Starts a panel of `xs` (whose pixel 0 is tree pixel `first_pixel`):
+    /// scans the leaves of `ranges` for a non-zero pixel in any column, each
+    /// leaf up to its first one, and marks the clusters of `ranges` live as
+    /// above. The panel is every column of `xs` with `every_column`, else
+    /// the columns with a live leaf (`G0 0 = 0`). Grows the buffers if they
+    /// do not hold a panel that wide already.
+    pub fn begin(
+        &mut self,
+        ranges: &[Range<usize>],
+        xs: &[&[C64]],
+        first_pixel: usize,
+        every_column: bool,
+    ) {
+        let leaf_li = self.plan.levels.len() - 1;
+        let leaves = &mut self.live[leaf_li];
+        let scanned = ranges[leaf_li].clone();
+        leaves[scanned.clone()].fill(false);
         self.columns.clear();
-        self.columns.extend(columns);
+        for (b, x) in xs.iter().enumerate() {
+            let mut column_live = false;
+            for c in scanned.clone() {
+                if leaves[c] && column_live {
+                    continue;
+                }
+                let at = c * LEAF_PIXELS - first_pixel;
+                if x[at..at + LEAF_PIXELS]
+                    .iter()
+                    .any(|v| v.re != 0.0 || v.im != 0.0)
+                {
+                    (leaves[c], column_live) = (true, true);
+                }
+            }
+            if column_live || every_column {
+                self.columns.push(b);
+            }
+        }
+        self.all_live = leaves.iter().all(|&l| l);
+        for li in (0..leaf_li).rev() {
+            let (parents, children) = self.live.split_at_mut(li + 1);
+            for p in ranges[li].clone() {
+                parents[li][p] = children[0][4 * p..4 * p + 4].contains(&true);
+            }
+        }
         let width = self.columns.len();
         for bufs in [&mut self.outgoing, &mut self.incoming] {
             for (buf, lp) in bufs.iter_mut().zip(&self.plan.levels) {
@@ -133,6 +200,23 @@ impl FarField {
     /// The caller's column behind each panel column, in panel order.
     pub fn columns(&self) -> &[usize] {
         &self.columns
+    }
+
+    /// Which clusters at level index `li` are live in this panel.
+    pub fn live(&self, li: usize) -> &[bool] {
+        &self.live[li]
+    }
+
+    /// The rows of a pair list at level index `li` — `(source cluster, _)`,
+    /// in list order — whose source is live: `pairs` itself when every
+    /// cluster is, else those rows copied into `kept`.
+    pub fn live_pairs<'a>(
+        &self,
+        li: usize,
+        pairs: &'a [(u32, u32)],
+        kept: &'a mut [(u32, u32)],
+    ) -> &'a [(u32, u32)] {
+        keep_live(self.all_live, &self.live[li], pairs, kept)
     }
 
     /// Words of one cluster (all columns) at level index `li`.
@@ -179,8 +263,12 @@ impl FarField {
         let leaf_li = plan.levels.len() - 1;
         let slot = 2 * plan.leaf_plan().q;
         let leaf_len = self.cluster_len(leaf_li);
+        let live = &self.live;
         let leaves = &mut self.outgoing[leaf_li];
         for_each_cluster(pool, leaves, leaf_len, &ranges[leaf_li], 8, |c, slots| {
+            if !live[leaf_li][c] {
+                return slots.fill(0.0);
+            }
             let at = c * LEAF_PIXELS - first_pixel;
             for (&b, out) in columns.iter().zip(slots.chunks_exact_mut(slot)) {
                 plan.expansion.radiate(&xs[b][at..at + LEAF_PIXELS], out);
@@ -201,6 +289,9 @@ impl FarField {
                 &ranges[li],
                 1,
                 |p, slots| {
+                    if !live[li][p] {
+                        return slots.fill(0.0);
+                    }
                     // Morton: the four children are contiguous
                     let siblings = &children[4 * p * child_len..][..4 * child_len];
                     with_sibling_rows(interp.cols() + interp.rows(), |rows| {
@@ -225,10 +316,12 @@ impl FarField {
         for (li, lp) in plan.levels.iter().enumerate() {
             let _lvl = ffw_obs::span(LEVEL_SPANS[lp.level as usize]);
             let cluster_len = self.cluster_len(li);
-            let sources = &self.outgoing[li];
-            let observers = &mut self.incoming[li];
+            let (sources, live) = (&self.outgoing[li], &self.live[li]);
+            let (observers, all_live) = (&mut self.incoming[li], self.all_live);
             for_each_cluster(pool, observers, cluster_len, &ranges[li], 1, |c, out| {
-                kernels::translate(lp.pairs_of(c), &lp.translations, lp.q, sources, out);
+                let mut kept = [(0, 0); OFFSET_SLOTS];
+                let pairs = keep_live(all_live, live, lp.pairs_of(c), &mut kept);
+                kernels::translate(pairs, &lp.translations, lp.q, sources, out);
             });
         }
     }

@@ -48,7 +48,7 @@ pub fn offset_index(off: Offset) -> usize {
 }
 
 /// Number of [`offset_index`] slots.
-const OFFSET_SLOTS: usize = 49;
+pub(crate) const OFFSET_SLOTS: usize = 49;
 
 /// Lanes of the sample-major shift tables: four child positions x (re, im).
 pub const SIBLING_LANES: usize = 8;

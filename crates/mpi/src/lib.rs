@@ -1730,8 +1730,8 @@ impl Runtime {
 /// Launches `n_ranks` ranks running `f` concurrently and returns their
 /// results in rank order, along with the communication statistics.
 ///
-/// The run is verified: blocked ranks are watched for deadlock (see
-/// [`resolve_timeout`]'s `FFW_DEADLOCK_TIMEOUT_MS` knob), and on normal exit
+/// The run is verified: blocked ranks are watched for deadlock (every
+/// 1000 ms, or `FFW_DEADLOCK_TIMEOUT_MS` when that is set), and on normal exit
 /// the recorded communication traces are statically validated — undelivered
 /// messages, self-sends, reserved-tag misuse, and cross-rank
 /// collective-ordering mismatches all fail the run with a report. If any rank
