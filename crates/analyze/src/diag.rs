@@ -1,7 +1,8 @@
 //! Diagnostics and the stable rule catalog.
 //!
 //! Every rule has a stable machine code (`FFW001`…`FFW012`) that tooling
-//! can match on, plus the historical `R`-number the workspace docs use.
+//! can match on, plus the historical `R`-number the workspace docs use. A
+//! retired rule leaves a gap (FFW007/R7): its code is never reused.
 //! Diagnostic ordering is deterministic: file, then line, then column, then
 //! code — so reports diff cleanly across runs.
 
@@ -52,7 +53,7 @@ pub struct RuleInfo {
 }
 
 /// The full rule catalog, in rule order.
-pub const RULES: [RuleInfo; 12] = [
+pub const RULES: [RuleInfo; 11] = [
     RuleInfo {
         code: "FFW001",
         rule: "R1",
@@ -90,12 +91,6 @@ pub const RULES: [RuleInfo; 12] = [
         summary: "std::time::Instant only inside ffw-obs",
     },
     RuleInfo {
-        code: "FFW007",
-        rule: "R7",
-        waiver: "lint:unchecked-ok",
-        summary: "no raw .send(/.recv( in ffw-dist src — use the checked paths",
-    },
-    RuleInfo {
         code: "FFW008",
         rule: "R8",
         waiver: "lint:single-rhs-ok",
@@ -118,7 +113,7 @@ pub const RULES: [RuleInfo; 12] = [
         code: "FFW011",
         rule: "R11",
         waiver: "lint:tag-ok",
-        summary: "every message tag has a sender and a receiver, and never the reserved bit",
+        summary: "every message tag has a sender and a receiver, and no two tags share a value",
     },
     RuleInfo {
         code: "FFW012",

@@ -1,6 +1,6 @@
 //! Per-line view derived from the token stream.
 //!
-//! The original `xtask` lints were line-oriented, and most rule conditions
+//! The original textual lints were line-oriented, and most rule conditions
 //! ("a `SAFETY` comment in the contiguous comment block above", "waiver on
 //! the same or previous line") are genuinely properties of *lines*. The
 //! index reconstructs that view from the lexer's tokens, which removes the

@@ -1,8 +1,8 @@
 //! ffw-analyze — token-level static analyzer for the ffw workspace.
 //!
 //! The workspace's discipline rules (SAFETY comments, ordering hygiene,
-//! checked communication, multi-RHS hot paths, …) started life as textual
-//! lints inside `xtask`. This crate re-implements them on a real token
+//! multi-RHS hot paths, …) started life as line-oriented textual lints.
+//! This crate re-implements them on a real token
 //! stream — a hand-written Rust lexer that understands strings, raw
 //! strings, char literals and nested block comments — which removes the
 //! masking false-positive class entirely, and adds the cross-file rules
@@ -16,16 +16,17 @@
 //! | FFW004 | R4  | `thread::spawn` confined to ffw-par/ffw-mpi |
 //! | FFW005 | R5  | no `.unwrap()` on the fault-tolerant path |
 //! | FFW006 | R6  | `Instant` only inside ffw-obs |
-//! | FFW007 | R7  | checked communication only in ffw-dist |
+//! | FFW007 | R7  | retired: the checked calls are `Comm`'s only send/receive |
 //! | FFW008 | R8  | no single-RHS operator applies on the hot path |
 //! | FFW009 | R9  | release stores need workspace-wide acquire loads |
 //! | FFW010 | R10 | no scheduling-order-dependent float reductions |
-//! | FFW011 | R11 | message tags: paired, reserved-bit-free, collision-free |
+//! | FFW011 | R11 | message tags: paired and collision-free |
 //! | FFW012 | R12 | waiver ledger: registered, justified, not stale |
 //!
-//! Diagnostics carry file/line/column spans and stable codes; `xtask lint`
-//! is a thin wrapper over [`check_workspace`], and CI consumes the JSON
-//! report (`ffw-analyze -- check --json report.json`).
+//! Diagnostics carry file/line/column spans and stable codes; CI runs
+//! [`check_workspace`] through the CLI and consumes its JSON report
+//! (`ffw-analyze check --json report.json`). A retired rule's code is never
+//! reused.
 
 pub mod diag;
 pub mod index;

@@ -1,5 +1,5 @@
-//! R1–R8: the original `xtask` lint rules, re-implemented on the token
-//! stream. Verdicts are identical on all the old engine's fixtures; the
+//! R1–R6 and R8: the original line-oriented lint rules, re-implemented on
+//! the token stream. Verdicts are identical on all the old engine's fixtures; the
 //! difference is that string interiors, char literals and nested block
 //! comments can no longer produce false positives (or mask true
 //! positives), and `#[cfg(test)]` exemption is brace-matched instead of
@@ -76,8 +76,8 @@ pub fn r1_safety_comments(f: &SourceFile, out: &mut Vec<Diag>) {
 /// a non-root module also triggers the requirement.
 pub fn r2_unsafe_fn_attr(ws: &Workspace, out: &mut Vec<Diag>) {
     use std::collections::BTreeMap;
-    // crate key = first two path segments (`crates/par`), or one for
-    // single-segment members (`xtask`).
+    // crate key = first two path segments (`crates/par`), or the first
+    // one elsewhere (the root package's `src`).
     let crate_key = |path: &str| -> String {
         let segs: Vec<&str> = path.split('/').collect();
         if segs.len() >= 3 && (segs[0] == "crates" || segs[0] == "third_party") {
@@ -234,34 +234,6 @@ pub fn r6_instant_outside_obs(f: &SourceFile, out: &mut Vec<Diag>) {
     }
 }
 
-/// R7: no raw `.send(` / `.recv(` in `crates/dist/src` non-test code.
-pub fn r7_unchecked_comm(f: &SourceFile, out: &mut Vec<Diag>) {
-    if !f.rel_path.starts_with("crates/dist/src/") {
-        return;
-    }
-    let code = code_tokens(f);
-    for w in code.windows(3) {
-        if w[0].is_punct(".")
-            && (w[1].is_ident("send") || w[1].is_ident("recv"))
-            && w[2].is_punct("(")
-        {
-            let li = (w[1].line as usize) - 1;
-            if !f.is_test_line(li) && !f.index.waived(li, "lint:unchecked-ok") {
-                out.push(diag(
-                    "R7",
-                    f,
-                    w[1].line,
-                    w[1].col,
-                    "raw `.send(`/`.recv(` in ffw-dist — use `send_checked`/`recv_checked` (or \
-                     the `_laned` ABFT variants) so faults propagate as typed errors; waive with \
-                     `// lint:unchecked-ok`"
-                        .into(),
-                ));
-            }
-        }
-    }
-}
-
 /// R8: no single-RHS Green's operator applies on the inversion hot path.
 pub fn r8_single_rhs_apply(f: &SourceFile, out: &mut Vec<Diag>) {
     if !(f.rel_path.starts_with("crates/inverse/src/")
@@ -332,9 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn r7_multiline_call_is_caught() {
-        let src = "comm\n    .send(1, TAG, payload);\n";
-        let diags = run_one("crates/dist/src/x.rs", src, r7_unchecked_comm);
+    fn r8_multiline_call_is_caught() {
+        let src = "g0\n    .apply(&w, &mut g0w);\n";
+        let diags = run_one("crates/dist/src/x.rs", src, r8_single_rhs_apply);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 2);
     }

@@ -12,7 +12,7 @@ use crate::workspace::Workspace;
 
 pub use waivers::known_waiver_tags;
 
-/// Runs all rules (R1–R12) over the workspace.
+/// Runs all rules (R1–R12; R7 is retired) over the workspace.
 pub fn check_workspace(ws: &Workspace) -> Vec<Diag> {
     let mut diags = Vec::new();
     for f in &ws.files {
@@ -21,7 +21,6 @@ pub fn check_workspace(ws: &Workspace) -> Vec<Diag> {
         local::r4_thread_spawn(f, &mut diags);
         local::r5_unwrap_on_fault_path(f, &mut diags);
         local::r6_instant_outside_obs(f, &mut diags);
-        local::r7_unchecked_comm(f, &mut diags);
         local::r8_single_rhs_apply(f, &mut diags);
     }
     local::r2_unsafe_fn_attr(ws, &mut diags);

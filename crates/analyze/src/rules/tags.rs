@@ -1,26 +1,22 @@
 //! R11: static message-tag protocol extraction.
 //!
-//! The PR-1 trace validator proves at *runtime* that no message leaks and
-//! no reserved tag is used — but only on the schedules a test happens to
-//! run. R11 is the compile-time complement: it collects every
-//! `send*`/`recv*` call's tag expression across the workspace `src` trees
-//! and checks the protocol shape statically:
+//! The trace validator proves at *runtime* that no message leaks — but only
+//! on the schedules a test happens to run. R11 is the compile-time
+//! complement: it collects every `send_checked*`/`recv_checked*` call's tag
+//! expression across the workspace `src` trees and checks the protocol
+//! shape statically:
 //!
 //! * every tag (keyed by the `TAG_*` constant it references, or its literal
 //!   value) must have at least one send site **and** one receive site —
 //!   a tag with only one side is a protocol hole that deadlocks or leaks;
-//! * no tag constant or literal tag may set the reserved collective bit
-//!   (read from `ffw-check`'s `RESERVED_BIT` declaration, so the two layers
-//!   can never drift apart);
 //! * two different `TAG_*` constants must not share a value (a silent
 //!   cross-protocol collision the mailbox cannot detect).
 //!
-//! Channel endpoints are excluded by arity: mailbox sends carry
-//! `(dst, tag, payload)` and receives `(src, tag)`, while channel
-//! `send(v)`/`recv()` have no tag position. Calls whose tag expression is
-//! symbolic (a plain parameter like `tag`) are generic forwarders and are
-//! skipped. Waive an intentionally one-sided call (e.g. a deliberate
-//! deadlock demo) with `// lint:tag-ok`.
+//! The tag is the second argument of every checked call. Channel
+//! endpoints (`send(v)` / `recv()`) are not mailbox calls and never match.
+//! Calls whose tag expression is symbolic (a plain parameter like `tag`)
+//! are generic forwarders and are skipped. Waive an intentionally one-sided
+//! call (e.g. a deliberate deadlock demo) with `// lint:tag-ok`.
 
 use std::collections::BTreeMap;
 
@@ -29,11 +25,8 @@ use crate::lexer::{Tok, TokKind};
 use crate::rules::local::code_tokens;
 use crate::workspace::{SourceFile, Workspace};
 
-const SEND_METHODS: [&str; 3] = ["send", "send_checked", "send_checked_laned"];
-const RECV_METHODS: [&str; 4] = ["recv", "recv_checked", "recv_checked_laned", "try_recv"];
-
-/// Fallback when `ffw-check` is absent (fixture workspaces).
-const DEFAULT_RESERVED_BIT: u64 = 0x8000_0000;
+const SEND_METHODS: [&str; 2] = ["send_checked", "send_checked_laned"];
+const RECV_METHODS: [&str; 2] = ["recv_checked", "recv_checked_laned"];
 
 struct CallSite {
     file: String,
@@ -105,22 +98,6 @@ fn tag_key(expr: &[&Tok]) -> Option<String> {
     None
 }
 
-/// Reads `const RESERVED_BIT: u32 = …;` out of the `ffw-check` sources.
-fn reserved_bit(ws: &Workspace) -> u64 {
-    for f in &ws.files {
-        if !f.rel_path.starts_with("crates/check/") {
-            continue;
-        }
-        if let Some((_, v)) = const_decls(f)
-            .into_iter()
-            .find(|(n, _)| n == "RESERVED_BIT")
-        {
-            return v.value;
-        }
-    }
-    DEFAULT_RESERVED_BIT
-}
-
 /// Extracts `const NAME: … = <int>;` declarations from a file.
 fn const_decls(f: &SourceFile) -> Vec<(String, ConstDecl)> {
     let code = code_tokens(f);
@@ -158,7 +135,6 @@ fn const_decls(f: &SourceFile) -> Vec<(String, ConstDecl)> {
 /// R11 over the whole workspace.
 pub fn r11_tag_protocol(ws: &Workspace, out: &mut Vec<Diag>) {
     let info = rule_info("R11");
-    let reserved = reserved_bit(ws);
     let mut uses: BTreeMap<String, TagUse> = BTreeMap::new();
     let mut tag_consts: BTreeMap<String, ConstDecl> = BTreeMap::new();
 
@@ -166,24 +142,10 @@ pub fn r11_tag_protocol(ws: &Workspace, out: &mut Vec<Diag>) {
         if f.member_dir != "crates" || !f.in_src() {
             continue;
         }
-        // Tag constant declarations (reserved bit + collisions).
+        // Tag constant declarations (collisions).
         for (name, decl) in const_decls(f) {
             if !name.starts_with("TAG_") {
                 continue;
-            }
-            if decl.value & reserved != 0 {
-                out.push(Diag {
-                    code: info.code,
-                    rule: info.rule,
-                    file: decl.file.clone(),
-                    line: decl.line,
-                    col: decl.col,
-                    message: format!(
-                        "tag constant `{name}` = {:#x} sets the reserved collective bit \
-                         ({reserved:#x}, from ffw-check) — user tags must stay below it",
-                        decl.value
-                    ),
-                });
             }
             if let Some(prev) = tag_consts.get(&name) {
                 // Same name re-declared (e.g. in a sibling module) with the
@@ -238,35 +200,11 @@ pub fn r11_tag_protocol(ws: &Workspace, out: &mut Vec<Diag>) {
             if f.is_test_line(li) {
                 continue;
             }
-            let Some(args) = call_args(&code, i + 2) else {
+            let Some(key) =
+                call_args(&code, i + 2).and_then(|args| args.get(1).and_then(|tag| tag_key(tag)))
+            else {
                 continue;
             };
-            // Arity separates mailbox calls from channel endpoints.
-            if (is_send && args.len() < 3) || (is_recv && args.len() < 2) {
-                continue;
-            }
-            let Some(key) = tag_key(&args[1]) else {
-                continue;
-            };
-            // Literal tags get the reserved-bit check at the call site.
-            if let Some(v) = key
-                .strip_prefix("literal:")
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                if v & reserved != 0 {
-                    out.push(Diag {
-                        code: info.code,
-                        rule: info.rule,
-                        file: f.rel_path.clone(),
-                        line: m.line,
-                        col: m.col,
-                        message: format!(
-                            "literal tag {v:#x} sets the reserved collective bit \
-                             ({reserved:#x}, from ffw-check)"
-                        ),
-                    });
-                }
-            }
             let site = CallSite {
                 file: f.rel_path.clone(),
                 line: m.line,
@@ -333,22 +271,17 @@ mod tests {
         out
     }
 
-    const CHECK: (&str, &str) = (
-        "crates/check/src/trace.rs",
-        "const RESERVED_BIT: u32 = 0x8000_0000;\n",
-    );
-
     #[test]
     fn paired_tag_across_files_is_clean() {
         let a = "const TAG_HALO: u32 = 0x100;\nfn s(c: &C) { c.send_checked(1, TAG_HALO, p)?; }\n";
         let b = "fn r(c: &C) { let m = c.recv_checked(0, TAG_HALO)?; }\n";
-        assert!(run(&[CHECK, ("crates/d/src/a.rs", a), ("crates/d/src/b.rs", b)]).is_empty());
+        assert!(run(&[("crates/d/src/a.rs", a), ("crates/d/src/b.rs", b)]).is_empty());
     }
 
     #[test]
     fn send_without_recv_fires() {
         let a = "const TAG_X: u32 = 0x7;\nfn s(c: &C) { c.send_checked(1, TAG_X, p)?; }\n";
-        let diags = run(&[CHECK, ("crates/d/src/a.rs", a)]);
+        let diags = run(&[("crates/d/src/a.rs", a)]);
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("never received"));
     }
@@ -356,69 +289,57 @@ mod tests {
     #[test]
     fn recv_without_send_fires() {
         let a = "fn r(c: &C) { let m = c.recv_checked(0, TAG_GHOST)?; }\n";
-        let diags = run(&[CHECK, ("crates/d/src/a.rs", a)]);
+        let diags = run(&[("crates/d/src/a.rs", a)]);
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("never sent"));
     }
 
     #[test]
-    fn reserved_bit_comes_from_ffw_check() {
-        // A stricter reserved mask in ffw-check must propagate.
-        let check = (
-            "crates/check/src/trace.rs",
-            "const RESERVED_BIT: u32 = 0x100;\n",
-        );
-        let a = "const TAG_HALO: u32 = 0x100;\nfn s(c: &C) { c.send_checked(1, TAG_HALO, p)?; }\nfn r(c: &C) { let m = c.recv_checked(0, TAG_HALO)?; }\n";
-        let diags = run(&[check, ("crates/d/src/a.rs", a)]);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("reserved collective bit"));
-    }
-
-    #[test]
     fn value_collision_between_distinct_names_fires() {
         let a = "const TAG_A: u32 = 0x100;\nconst TAG_B: u32 = 0x100;\nfn s(c: &C) { c.send_checked(1, TAG_A, p)?; c.send_checked(1, TAG_B, q)?; }\nfn r(c: &C) { c.recv_checked(0, TAG_A)?; c.recv_checked(0, TAG_B)?; }\n";
-        let diags = run(&[CHECK, ("crates/d/src/a.rs", a)]);
+        let diags = run(&[("crates/d/src/a.rs", a)]);
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("collides"));
     }
 
     #[test]
-    fn channel_endpoints_are_excluded_by_arity() {
+    fn channel_endpoints_are_excluded() {
         let a = "fn f(tx: &Sender<J>, rx: &Receiver<J>) { tx.send(job); let j = rx.recv(); let t = rx.try_recv(); }\n";
-        assert!(run(&[CHECK, ("crates/par/src/a.rs", a)]).is_empty());
+        assert!(run(&[("crates/par/src/a.rs", a)]).is_empty());
     }
 
     #[test]
     fn symbolic_forwarders_are_skipped() {
         let a = "fn fwd(c: &C, tag: u32) { c.send_checked(1, tag, p)?; }\n";
-        assert!(run(&[CHECK, ("crates/mpi/src/a.rs", a)]).is_empty());
+        assert!(run(&[("crates/mpi/src/a.rs", a)]).is_empty());
     }
 
     #[test]
     fn derived_tag_expressions_key_on_the_constant() {
         let a = "const TAG_LVL: u32 = 0x110;\nfn s(c: &C, li: usize) { c.send_checked(1, TAG_LVL + li as u32, p)?; }\nfn r(c: &C, li: usize) { c.recv_checked(0, TAG_LVL + li as u32)?; }\n";
-        assert!(run(&[CHECK, ("crates/d/src/a.rs", a)]).is_empty());
+        assert!(run(&[("crates/d/src/a.rs", a)]).is_empty());
     }
 
     #[test]
-    fn literal_tags_pair_and_check_reserved() {
-        let ok = "fn f(c: &C) { c.send(1, 7, p); c.recv(0, 7); }\n";
-        assert!(run(&[CHECK, ("crates/m/src/a.rs", ok)]).is_empty());
-        let bad = "fn f(c: &C) { c.send(1, 0x8000_0001, p); c.recv(0, 0x8000_0001); }\n";
-        let diags = run(&[CHECK, ("crates/m/src/a.rs", bad)]);
-        assert_eq!(diags.len(), 2, "reserved literal flagged at both sites");
+    fn literal_tags_pair() {
+        let ok = "fn f(c: &C) { c.send_checked(1, 7, p)?; c.recv_checked(0, 7)?; }\n";
+        assert!(run(&[("crates/m/src/a.rs", ok)]).is_empty());
+        let one_sided = "fn f(c: &C) { c.send_checked(1, 9, p)?; }\n";
+        let diags = run(&[("crates/m/src/a.rs", one_sided)]);
+        assert_eq!(diags.len(), 1);
+        assert!(diags[0].message.contains("`tag 9` is sent here"));
     }
 
     #[test]
     fn waiver_suppresses_one_sided_tag() {
         let a = "fn demo(c: &C) {\n    // deliberate deadlock demo: lint:tag-ok\n    let m = c.recv_checked(0, TAG_NEVER)?;\n}\n";
-        assert!(run(&[CHECK, ("crates/d/src/a.rs", a)]).is_empty());
+        assert!(run(&[("crates/d/src/a.rs", a)]).is_empty());
     }
 
     #[test]
     fn examples_and_tests_are_out_of_scope() {
-        let a = "fn demo(c: &C) { let m = c.recv(0, 7); }\n";
-        assert!(run(&[CHECK, ("crates/mpi/examples/demo.rs", a)]).is_empty());
-        assert!(run(&[CHECK, ("crates/mpi/tests/t.rs", a)]).is_empty());
+        let a = "fn demo(c: &C) { let m = c.recv_checked(0, 7)?; }\n";
+        assert!(run(&[("crates/mpi/examples/demo.rs", a)]).is_empty());
+        assert!(run(&[("crates/mpi/tests/t.rs", a)]).is_empty());
     }
 }

@@ -341,6 +341,6 @@ mod tests {
         assert!(tags.contains(&"lint:single-rhs-ok"));
         assert!(tags.contains(&"lint:atomic-ok"));
         assert!(tags.contains(&"lint:tag-ok"));
-        assert_eq!(tags.len(), 9);
+        assert_eq!(tags.len(), 8);
     }
 }

@@ -15,7 +15,7 @@ use crate::lexer::{lex, Tok};
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel_path: String,
-    /// First path segment: `crates`, `third_party`, `xtask`, ….
+    /// First path segment: `crates`, `third_party`, `src`, ….
     pub member_dir: String,
     /// True for files under a `tests/` or `benches/` directory (whole-file
     /// test exemption; `#[cfg(test)]` regions are tracked per line).

@@ -91,16 +91,11 @@ fn r10_clean_fixture() {
 
 // ---- R11: tag protocol ---------------------------------------------------
 
-const CHECK_SRC: (&str, &str) = (
-    "crates/check/src/trace.rs",
-    "const RESERVED_BIT: u32 = 0x8000_0000;\n",
-);
-
 #[test]
 fn r11_violating_fixture() {
     let send_only =
         "const TAG_ORPHAN: u32 = 0x7;\nfn s(c: &C) { c.send_checked(1, TAG_ORPHAN, p)?; }\n";
-    let diags = run(&[CHECK_SRC, ("crates/dist/src/proto.rs", send_only)], None);
+    let diags = run(&[("crates/dist/src/proto.rs", send_only)], None);
     assert_eq!(rule_count(&diags, "R11"), 1);
     assert!(diags.iter().any(|d| d.message.contains("never received")));
 }
@@ -109,11 +104,7 @@ fn r11_violating_fixture() {
 fn r11_waived_fixture() {
     let demo = "fn hang(c: &C) {\n    // lint:tag-ok — deliberate deadlock probe\n    let m = c.recv_checked(0, TAG_NOBODY)?;\n}\n";
     let ledger = "- `crates/dist/src/probe.rs` lint:tag-ok — deliberate deadlock probe\n";
-    assert!(run(
-        &[CHECK_SRC, ("crates/dist/src/probe.rs", demo)],
-        Some(ledger)
-    )
-    .is_empty());
+    assert!(run(&[("crates/dist/src/probe.rs", demo)], Some(ledger)).is_empty());
 }
 
 #[test]
@@ -121,24 +112,10 @@ fn r11_clean_fixture() {
     let a = "const TAG_HALO: u32 = 0x100;\nfn s(c: &C) { c.send_checked(1, TAG_HALO, p)?; }\n";
     let b = "fn r(c: &C) { let m = c.recv_checked(0, TAG_HALO)?; }\n";
     assert!(run(
-        &[
-            CHECK_SRC,
-            ("crates/dist/src/a.rs", a),
-            ("crates/dist/src/b.rs", b)
-        ],
+        &[("crates/dist/src/a.rs", a), ("crates/dist/src/b.rs", b)],
         None
     )
     .is_empty());
-}
-
-#[test]
-fn r11_reserved_bit_fixture() {
-    let bad = "const TAG_BAD: u32 = 0x8000_0001;\nfn s(c: &C) { c.send_checked(1, TAG_BAD, p)?; }\nfn r(c: &C) { let m = c.recv_checked(0, TAG_BAD)?; }\n";
-    let diags = run(&[CHECK_SRC, ("crates/dist/src/proto.rs", bad)], None);
-    assert_eq!(rule_count(&diags, "R11"), 1);
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("reserved collective bit")));
 }
 
 // ---- R12: waiver ledger --------------------------------------------------

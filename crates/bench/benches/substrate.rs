@@ -2,6 +2,7 @@
 //! thread pool and message-passing runtime.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ffw_dist::try_allreduce_scalars;
 use ffw_mpi::Payload;
 use ffw_numerics::bessel::hankel1_array;
 use ffw_numerics::fft::Fft;
@@ -46,9 +47,9 @@ fn bench_mpi_allreduce(c: &mut Criterion) {
     c.bench_function("mpi_allreduce_4ranks_4k", |b| {
         b.iter(|| {
             let (r, _) = ffw_mpi::run(4, |comm| {
-                let mut v = vec![(comm.rank() as f64, 1.0); 4096];
-                comm.allreduce_sum_c64(&mut v);
-                v[0].0
+                let mut v = vec![c64(comm.rank() as f64, 1.0); 4096];
+                try_allreduce_scalars(&comm, &[0, 1, 2, 3], &mut v).expect("allreduce");
+                v[0].re
             });
             r
         });
@@ -57,11 +58,12 @@ fn bench_mpi_allreduce(c: &mut Criterion) {
         b.iter(|| {
             let (r, _) = ffw_mpi::run(2, |comm| {
                 if comm.rank() == 0 {
-                    comm.send(1, 0, Payload::C64(vec![(1.0, 2.0); 16384]));
-                    comm.recv(1, 1).n_bytes()
+                    let ping = Payload::C64(vec![(1.0, 2.0); 16384]);
+                    comm.send_checked(1, 0, ping).expect("send");
+                    comm.recv_checked(1, 1).expect("recv").n_bytes()
                 } else {
-                    let p = comm.recv(0, 0);
-                    comm.send(0, 1, p);
+                    let p = comm.recv_checked(0, 0).expect("recv");
+                    comm.send_checked(0, 1, p).expect("send");
                     0
                 }
             });

@@ -7,8 +7,8 @@
 //!
 //! * [`trace`] — event types for an always-on, low-overhead per-rank
 //!   communication trace recorded by `ffw-mpi`, plus the post-run static
-//!   validator that detects undelivered messages (message leaks), cross-rank
-//!   collective-ordering mismatches, reserved-tag misuse, and self-sends.
+//!   validator that detects undelivered messages (message leaks), self-sends
+//!   and fault protocols left unresolved.
 //! * [`waitgraph`] — the runtime deadlock watchdog's analysis: given a
 //!   snapshot of what every rank is blocked on, reconstruct the global
 //!   wait-for graph, find the cycle (or the dependency on a finished/panicked
@@ -38,7 +38,6 @@ pub mod waitgraph;
 pub use jobs::{validate_job_log, JobLogViolation, JobTransition};
 pub use loom::{ExploreReport, Explorer, Model};
 pub use trace::{
-    validate_traces, validate_traces_faulty, CollectiveKind, Event, FaultEvent, LeakedMessage,
-    Violation,
+    validate_traces, validate_traces_faulty, Event, FaultEvent, LeakedMessage, Violation,
 };
 pub use waitgraph::{diagnose_deadlock, DeadlockReport, WaitState};

@@ -7,9 +7,9 @@
 //! * [`TagMailboxModel`] — the `ffw-mpi` per-edge tag-matched mailbox:
 //!   senders append `(tag, value)` to a queue; the receiver extracts by tag,
 //!   possibly out of order relative to arrival.
-//! * [`AllreduceModel`] — the root-based allreduce used by every `ffw-mpi`
-//!   collective: non-root ranks send their contribution to rank 0, rank 0
-//!   reduces and sends the result back.
+//! * [`AllreduceModel`] — the root-based allreduce of
+//!   `ffw_dist::try_allreduce_scalars`: non-root members send their
+//!   contribution to the root, the root reduces and sends the result back.
 //! * [`DispenserModel`] — the `ffw-par` claim-then-deref protocol: workers
 //!   claim chunk indices from an atomic `dispenser`, run the borrowed
 //!   closure, then bump `chunks_done`; the submitting thread frees the job
@@ -143,7 +143,8 @@ impl Model for TagMailboxModel {
 // Root-based allreduce
 // ---------------------------------------------------------------------------
 
-/// The root-based allreduce protocol behind every `ffw-mpi` collective.
+/// The root-based allreduce protocol of `ffw_dist::try_allreduce_scalars`
+/// (the sub-tree inner products and illumination-group reductions).
 ///
 /// Each non-root rank sends its contribution to rank 0 (the "up" message),
 /// then blocks until the reduced result comes back ("down"). Rank 0 collects

@@ -1,44 +1,11 @@
 //! Per-rank communication events and the post-run static trace validator.
 //!
-//! `ffw-mpi` records one [`Event`] per runtime operation (consecutive failed
-//! `try_recv` polls on the same edge are coalesced so overlap pipelines cannot
-//! blow up the trace), and calls [`validate_traces`] when `run()` exits
-//! normally. Validation is static: it never blocks, and it sees the complete
+//! `ffw-mpi` records one [`Event`] per runtime operation and calls
+//! [`validate_traces`] when `run()` exits normally. Validation is static: it never blocks, and it sees the complete
 //! history of every rank plus whatever messages were left undelivered in the
 //! mailboxes.
 
 use std::fmt;
-
-/// Which collective a rank executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CollectiveKind {
-    /// `Comm::barrier`.
-    Barrier,
-    /// `Comm::allreduce_sum_c64`.
-    AllreduceSumC64,
-    /// `Comm::allreduce_sum_f64`.
-    AllreduceSumF64,
-    /// `Comm::allreduce_max_f64`.
-    AllreduceMaxF64,
-    /// `Comm::broadcast_c64`.
-    BroadcastC64,
-    /// `Comm::gather_c64`.
-    GatherC64,
-}
-
-impl fmt::Display for CollectiveKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            CollectiveKind::Barrier => "barrier",
-            CollectiveKind::AllreduceSumC64 => "allreduce_sum_c64",
-            CollectiveKind::AllreduceSumF64 => "allreduce_sum_f64",
-            CollectiveKind::AllreduceMaxF64 => "allreduce_max_f64",
-            CollectiveKind::BroadcastC64 => "broadcast_c64",
-            CollectiveKind::GatherC64 => "gather_c64",
-        };
-        f.write_str(name)
-    }
-}
 
 /// One traced runtime operation, recorded by the rank that performed it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,32 +27,6 @@ pub enum Event {
         tag: u32,
         /// Payload size in bytes.
         bytes: u64,
-    },
-    /// A `try_recv` that returned a message.
-    TryRecvHit {
-        /// Source rank.
-        src: usize,
-        /// User tag.
-        tag: u32,
-        /// Payload size in bytes.
-        bytes: u64,
-    },
-    /// One or more consecutive `try_recv` polls on `(src, tag)` that found
-    /// nothing (coalesced to keep overlap pipelines from growing the trace).
-    TryRecvMiss {
-        /// Source rank.
-        src: usize,
-        /// User tag.
-        tag: u32,
-        /// Number of consecutive failed polls.
-        polls: u64,
-    },
-    /// A collective operation (traced once per rank per call).
-    Collective {
-        /// Which collective.
-        kind: CollectiveKind,
-        /// The root rank (0 for rootless collectives like barrier/allreduce).
-        root: usize,
     },
     /// A fault-injection or fault-handling event (see [`FaultEvent`]).
     Fault(FaultEvent),
@@ -215,14 +156,6 @@ pub enum Violation {
         /// The tag it used.
         tag: u32,
     },
-    /// A traced user-level operation used a tag with the reserved collective
-    /// bit set (defense in depth: the runtime also asserts this at call time).
-    ReservedTagUse {
-        /// The offending rank.
-        rank: usize,
-        /// The reserved tag.
-        tag: u32,
-    },
     /// A rank detected a corrupted receive but its trace shows neither a
     /// later clean delivery on that edge+tag nor an exhausted retry budget:
     /// the corruption protocol was abandoned mid-recovery.
@@ -258,20 +191,6 @@ pub enum Violation {
         /// The suspected peer that was never declared dead.
         peer: usize,
     },
-    /// Two ranks disagree about the sequence of collectives they executed.
-    CollectiveMismatch {
-        /// Position in the per-rank collective sequence.
-        index: usize,
-        /// Reference rank (always rank 0).
-        rank_a: usize,
-        /// The collective rank_a executed at `index` (`None` = its sequence
-        /// ended before `index`).
-        op_a: Option<(CollectiveKind, usize)>,
-        /// The divergent rank.
-        rank_b: usize,
-        /// The collective rank_b executed at `index`.
-        op_b: Option<(CollectiveKind, usize)>,
-    },
 }
 
 impl fmt::Display for Violation {
@@ -304,28 +223,6 @@ impl fmt::Display for Violation {
                 "dangling suspicion: rank {rank} suspected rank {peer} via heartbeat but never \
                  declared it dead"
             ),
-            Violation::ReservedTagUse { rank, tag } => write!(
-                f,
-                "reserved tag misuse: rank {rank} used tag {tag:#x} (high bit is reserved for collectives)"
-            ),
-            Violation::CollectiveMismatch {
-                index,
-                rank_a,
-                op_a,
-                rank_b,
-                op_b,
-            } => {
-                let show = |op: &Option<(CollectiveKind, usize)>| match op {
-                    Some((kind, root)) => format!("{kind} (root {root})"),
-                    None => "no collective (sequence ended)".to_string(),
-                };
-                write!(
-                    f,
-                    "collective order mismatch at call #{index}: rank {rank_a} executed {} but rank {rank_b} executed {}",
-                    show(op_a),
-                    show(op_b)
-                )
-            }
         }
     }
 }
@@ -343,10 +240,8 @@ pub fn validate_traces(traces: &[Vec<Event>], leaked: &[LeakedMessage]) -> Vec<V
 /// exhausted send retries).
 ///
 /// A dead rank legitimately leaves messages undelivered (peers had already
-/// sent to it) and truncates its collective sequence, so this mode skips
-/// message-leak checks and only flags collective sequences that *diverge*
-/// (both ranks executed a collective at the same position but disagree on
-/// which). Self-sends and reserved-tag misuse are still hard errors.
+/// sent to it), so this mode skips the message-leak check. Self-sends and
+/// unresolved fault protocols are still hard errors.
 pub fn validate_traces_faulty(traces: &[Vec<Event>], leaked: &[LeakedMessage]) -> Vec<Violation> {
     validate_impl(traces, leaked, true)
 }
@@ -360,26 +255,12 @@ fn validate_impl(traces: &[Vec<Event>], leaked: &[LeakedMessage], faulty: bool) 
         }
     }
 
-    const RESERVED_BIT: u32 = 0x8000_0000;
     for (rank, trace) in traces.iter().enumerate() {
         for event in trace {
-            match *event {
-                Event::Send { dst, tag, .. } => {
-                    if dst == rank {
-                        violations.push(Violation::SelfSend { rank, tag });
-                    }
-                    if tag & RESERVED_BIT != 0 {
-                        violations.push(Violation::ReservedTagUse { rank, tag });
-                    }
+            if let Event::Send { dst, tag, .. } = *event {
+                if dst == rank {
+                    violations.push(Violation::SelfSend { rank, tag });
                 }
-                Event::Recv { tag, .. }
-                | Event::TryRecvHit { tag, .. }
-                | Event::TryRecvMiss { tag, .. } => {
-                    if tag & RESERVED_BIT != 0 {
-                        violations.push(Violation::ReservedTagUse { rank, tag });
-                    }
-                }
-                Event::Collective { .. } | Event::Fault(_) => {}
             }
         }
     }
@@ -393,8 +274,7 @@ fn validate_impl(traces: &[Vec<Event>], leaked: &[LeakedMessage], faulty: bool) 
             match *event {
                 Event::Fault(FaultEvent::CorruptRecv { src, tag, .. }) => {
                     let resolved = trace[i + 1..].iter().any(|e| match *e {
-                        Event::Recv { src: s, tag: t, .. }
-                        | Event::TryRecvHit { src: s, tag: t, .. } => s == src && t == tag,
+                        Event::Recv { src: s, tag: t, .. } => s == src && t == tag,
                         Event::Fault(FaultEvent::CorruptionRetriesExhausted {
                             src: s,
                             tag: t,
@@ -437,47 +317,6 @@ fn validate_impl(traces: &[Vec<Event>], leaked: &[LeakedMessage], faulty: bool) 
         }
     }
 
-    // Cross-rank collective ordering: every rank must execute the same
-    // sequence of (kind, root). Payload lengths legitimately differ by rank
-    // (gather chunks, broadcast receivers), so they are not compared.
-    let collectives: Vec<Vec<(CollectiveKind, usize)>> = traces
-        .iter()
-        .map(|trace| {
-            trace
-                .iter()
-                .filter_map(|e| match *e {
-                    Event::Collective { kind, root } => Some((kind, root)),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
-    if let Some(reference) = collectives.first() {
-        for (rank_b, seq) in collectives.iter().enumerate().skip(1) {
-            let n = reference.len().max(seq.len());
-            for index in 0..n {
-                let op_a = reference.get(index).copied();
-                let op_b = seq.get(index).copied();
-                if op_a == op_b {
-                    continue;
-                }
-                // A dead rank truncates its collective sequence; that is not
-                // a divergence in a fault run.
-                if faulty && (op_a.is_none() || op_b.is_none()) {
-                    break;
-                }
-                violations.push(Violation::CollectiveMismatch {
-                    index,
-                    rank_a: 0,
-                    op_a,
-                    rank_b,
-                    op_b,
-                });
-                break; // one divergence per rank pair is enough signal
-            }
-        }
-    }
-
     violations
 }
 
@@ -499,28 +338,16 @@ mod tests {
     #[test]
     fn clean_trace_passes() {
         let traces = vec![
-            vec![
-                Event::Send {
-                    dst: 1,
-                    tag: 7,
-                    bytes: 16,
-                },
-                Event::Collective {
-                    kind: CollectiveKind::Barrier,
-                    root: 0,
-                },
-            ],
-            vec![
-                Event::Recv {
-                    src: 0,
-                    tag: 7,
-                    bytes: 16,
-                },
-                Event::Collective {
-                    kind: CollectiveKind::Barrier,
-                    root: 0,
-                },
-            ],
+            vec![Event::Send {
+                dst: 1,
+                tag: 7,
+                bytes: 16,
+            }],
+            vec![Event::Recv {
+                src: 0,
+                tag: 7,
+                bytes: 16,
+            }],
         ];
         assert!(validate_traces(&traces, &[]).is_empty());
     }
@@ -554,62 +381,28 @@ mod tests {
     }
 
     #[test]
-    fn collective_divergence_detected() {
-        let barrier = Event::Collective {
-            kind: CollectiveKind::Barrier,
-            root: 0,
-        };
-        let reduce = Event::Collective {
-            kind: CollectiveKind::AllreduceSumF64,
-            root: 0,
-        };
-        let traces = vec![vec![barrier.clone(), reduce], vec![barrier]];
-        let violations = validate_traces(&traces, &[]);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].to_string().contains("call #1"));
-    }
-
-    #[test]
-    fn faulty_mode_tolerates_leaks_and_truncation_but_not_divergence() {
-        let barrier = Event::Collective {
-            kind: CollectiveKind::Barrier,
-            root: 0,
-        };
-        let reduce = Event::Collective {
-            kind: CollectiveKind::AllreduceSumF64,
-            root: 0,
-        };
+    fn faulty_mode_tolerates_leaks() {
         let leaked = vec![LeakedMessage {
             src: 0,
             dst: 1,
             tag: 9,
             bytes: 48,
         }];
-        // Rank 1 died after one collective: leak + truncation tolerated.
+        // Rank 1 died before receiving: the leak is tolerated.
         let traces = vec![
             vec![
-                barrier.clone(),
-                reduce.clone(),
+                Event::Send {
+                    dst: 1,
+                    tag: 9,
+                    bytes: 48,
+                },
                 Event::Fault(FaultEvent::PeerDeclaredDead { peer: 1 }),
             ],
-            vec![
-                barrier.clone(),
-                Event::Fault(FaultEvent::InjectedCrash { op: 2 }),
-            ],
+            vec![Event::Fault(FaultEvent::InjectedCrash { op: 1 })],
         ];
         assert!(validate_traces_faulty(&traces, &leaked).is_empty());
         // The strict validator still flags the same run.
         assert!(!validate_traces(&traces, &leaked).is_empty());
-        // True divergence (different collective at the same position) is a
-        // violation even in faulty mode.
-        let diverged = vec![
-            vec![barrier.clone(), reduce],
-            vec![barrier.clone(), barrier],
-        ];
-        assert!(matches!(
-            validate_traces_faulty(&diverged, &[]).as_slice(),
-            [Violation::CollectiveMismatch { .. }]
-        ));
     }
 
     #[test]
@@ -693,20 +486,6 @@ mod tests {
         assert!(matches!(
             validate_traces_faulty(&dangling, &[]).as_slice(),
             [Violation::SuspectWithoutVerdict { rank: 0, peer: 1 }]
-        ));
-    }
-
-    #[test]
-    fn reserved_tag_flagged() {
-        let traces = vec![vec![Event::Recv {
-            src: 0,
-            tag: 0x8000_0001,
-            bytes: 0,
-        }]];
-        let violations = validate_traces(&traces, &[]);
-        assert!(matches!(
-            violations.as_slice(),
-            [Violation::ReservedTagUse { .. }]
         ));
     }
 }

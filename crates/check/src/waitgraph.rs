@@ -15,17 +15,12 @@ use std::fmt;
 pub enum WaitState {
     /// Executing user code (not blocked in the runtime).
     Running,
-    /// Blocked in `recv` waiting for a message.
+    /// Blocked in a receive waiting for a message.
     RecvWait {
         /// The source rank it expects the message from.
         src: usize,
         /// The tag it is matching.
         tag: u32,
-    },
-    /// Blocked in `barrier`.
-    BarrierWait {
-        /// Barrier generation the rank is waiting to complete.
-        generation: u64,
     },
     /// Returned from the rank closure normally.
     Finished,
@@ -39,9 +34,6 @@ impl fmt::Display for WaitState {
             WaitState::Running => f.write_str("running"),
             WaitState::RecvWait { src, tag } => {
                 write!(f, "waiting for message (src={src}, tag={tag:#x})")
-            }
-            WaitState::BarrierWait { generation } => {
-                write!(f, "waiting at barrier (generation {generation})")
             }
             WaitState::Finished => f.write_str("finished"),
             WaitState::Panicked => f.write_str("panicked"),
@@ -100,44 +92,20 @@ pub fn diagnose_deadlock(
     states: &[WaitState],
     mut has_matching: impl FnMut(usize, usize, u32) -> bool,
 ) -> Option<DeadlockReport> {
-    let n = states.len();
-
-    // Effective blocked set and outgoing wait-for edges.
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut blocked = vec![false; n];
-    for (rank, state) in states.iter().enumerate() {
-        match state {
-            WaitState::RecvWait { src, tag } => {
-                if !has_matching(*src, rank, *tag) {
-                    blocked[rank] = true;
-                    edges[rank].push(*src);
-                }
-            }
-            WaitState::BarrierWait { generation } => {
-                blocked[rank] = true;
-                for (other, other_state) in states.iter().enumerate() {
-                    if other == rank {
-                        continue;
-                    }
-                    let arrived = matches!(
-                        other_state,
-                        WaitState::BarrierWait { generation: g } if g == generation
-                    );
-                    if !arrived {
-                        edges[rank].push(other);
-                    }
-                }
-            }
-            WaitState::Running | WaitState::Finished | WaitState::Panicked => {}
-        }
-    }
+    // A blocked rank waits on exactly one source, so the wait-for graph has
+    // at most one outgoing edge per rank: `waits_on[rank]`.
+    let waits_on: Vec<Option<usize>> = states
+        .iter()
+        .enumerate()
+        .map(|(rank, state)| match *state {
+            WaitState::RecvWait { src, tag } if !has_matching(src, rank, tag) => Some(src),
+            _ => None,
+        })
+        .collect();
 
     // Dead dependency: a blocked rank waiting on a rank that can never act.
-    for rank in 0..n {
-        if !blocked[rank] {
-            continue;
-        }
-        for &target in &edges[rank] {
+    for (rank, target) in waits_on.iter().enumerate() {
+        if let Some(target) = *target {
             if matches!(states[target], WaitState::Finished | WaitState::Panicked) {
                 return Some(DeadlockReport {
                     states: states.to_vec(),
@@ -148,58 +116,22 @@ pub fn diagnose_deadlock(
         }
     }
 
-    // Cycle among blocked ranks (edges into non-blocked ranks cannot be part
-    // of a deadlock: a running rank can still make progress).
-    let mut color = vec![0u8; n]; // 0 = white, 1 = on stack, 2 = done
-    let mut stack: Vec<usize> = Vec::new();
-    for start in 0..n {
-        if !blocked[start] || color[start] != 0 {
-            continue;
-        }
-        // Iterative DFS keeping the current path in `stack`.
-        let mut frames: Vec<(usize, usize)> = vec![(start, 0)];
-        color[start] = 1;
-        stack.push(start);
-        while !frames.is_empty() {
-            let (node, next) = {
-                let frame = frames.last_mut().expect("non-empty");
-                let node = frame.0;
-                let mut found = None;
-                while frame.1 < edges[node].len() {
-                    let target = edges[node][frame.1];
-                    frame.1 += 1;
-                    if blocked[target] {
-                        found = Some(target);
-                        break;
-                    }
-                }
-                (node, found)
-            };
-            match next {
-                Some(target) if color[target] == 1 => {
-                    // Found a cycle: slice the current path from `target`.
-                    let pos = stack
-                        .iter()
-                        .position(|&r| r == target)
-                        .expect("on-stack node is in path");
-                    return Some(DeadlockReport {
-                        states: states.to_vec(),
-                        cycle: Some(stack[pos..].to_vec()),
-                        dead_dependency: None,
-                    });
-                }
-                Some(target) if color[target] == 0 => {
-                    color[target] = 1;
-                    stack.push(target);
-                    frames.push((target, 0));
-                }
-                Some(_) => {} // already fully explored
-                None => {
-                    color[node] = 2;
-                    stack.pop();
-                    frames.pop();
-                }
+    // Cycle among blocked ranks: follow each chain of waits. A chain that
+    // reaches a rank not blocked ends (a running rank can still make
+    // progress); one that returns to a rank already on it closes a cycle.
+    for start in 0..states.len() {
+        let mut path = vec![start];
+        let mut node = start;
+        while let Some(next) = waits_on[node] {
+            if let Some(pos) = path.iter().position(|&r| r == next) {
+                return Some(DeadlockReport {
+                    states: states.to_vec(),
+                    cycle: Some(path[pos..].to_vec()),
+                    dead_dependency: None,
+                });
             }
+            path.push(next);
+            node = next;
         }
     }
 
@@ -247,37 +179,6 @@ mod tests {
     fn running_peer_is_not_a_deadlock() {
         let states = vec![WaitState::Running, WaitState::RecvWait { src: 0, tag: 7 }];
         assert!(diagnose_deadlock(&states, no_messages).is_none());
-    }
-
-    #[test]
-    fn barrier_vs_recv_cycle() {
-        // rank 0 at barrier; rank 1 waiting on a message from rank 0.
-        let states = vec![
-            WaitState::BarrierWait { generation: 0 },
-            WaitState::RecvWait { src: 0, tag: 5 },
-        ];
-        let report = diagnose_deadlock(&states, no_messages).expect("deadlock");
-        assert!(report.cycle.is_some());
-    }
-
-    #[test]
-    fn barrier_with_running_straggler_is_fine() {
-        let states = vec![
-            WaitState::BarrierWait { generation: 2 },
-            WaitState::BarrierWait { generation: 2 },
-            WaitState::Running,
-        ];
-        assert!(diagnose_deadlock(&states, no_messages).is_none());
-    }
-
-    #[test]
-    fn barrier_with_finished_straggler_is_deadlock() {
-        let states = vec![
-            WaitState::BarrierWait { generation: 0 },
-            WaitState::Finished,
-        ];
-        let report = diagnose_deadlock(&states, no_messages).expect("deadlock");
-        assert_eq!(report.dead_dependency, Some((0, 1)));
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl JobControl {
     /// door reports a schedule — and the residual measured there.
     pub fn progress(&self, completed: u32, residual: f64) {
         if let Some(tx) = &self.progress {
-            // lint:unchecked-ok in-process progress channel, not rank comm; a dropped receiver just mutes progress
+            // A dropped receiver just mutes progress.
             let _ = tx.send(IterProgress {
                 completed,
                 residual,

@@ -14,12 +14,13 @@ use ffw_solver::DistOp;
 /// surfaces as a typed [`FaultError`], so fault-tolerant drivers can unwind
 /// the rank cleanly and relaunch.
 ///
-/// Misuse is diagnosed rather than hung: the member list is validated up
-/// front (every caller must appear in its own list, members must be valid
-/// and distinct), and if the member lists *across* ranks disagree — so some
-/// rank waits for a contribution that never comes — the `ffw-mpi` deadlock
-/// watchdog reconstructs the wait-for graph and fails the run with a report
-/// naming the stuck ranks.
+/// Misuse is diagnosed rather than hung or truncated: the member list is
+/// validated up front (every caller must appear in its own list, members
+/// must be valid and distinct), the root asserts that every contribution is
+/// as long as its own vector, and if the member lists *across* ranks
+/// disagree — so some rank waits for a contribution that never comes — the
+/// `ffw-mpi` deadlock watchdog reconstructs the wait-for graph and fails the
+/// run with a report naming the stuck ranks.
 pub fn try_allreduce_scalars(
     comm: &Comm,
     members: &[usize],
@@ -59,6 +60,16 @@ pub fn try_allreduce_scalars(
         for &peer in &members[1..] {
             let (part, part_lane) = comm.recv_checked_laned(peer, TAG_UP)?;
             let part = part.into_c64();
+            // Every member's vector has the root's length, so the result the
+            // root sends down has each receiver's length too.
+            assert_eq!(
+                part.len(),
+                packed.len(),
+                "allreduce_scalars: rank {peer} contributed {} elements but rank {me} \
+                 holds {} — all ranks must pass equal-length buffers",
+                part.len(),
+                packed.len()
+            );
             if let Some((lr, li)) = part_lane {
                 lane.0 += lr;
                 lane.1 += li;
@@ -189,6 +200,73 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("does not include itself"), "got: {msg}");
+    }
+
+    #[test]
+    fn mismatched_allreduce_lengths_fail_with_diagnostic() {
+        // Rank 1 contributes a shorter buffer: the root's length check must
+        // fire (and propagate out of `run`) instead of the sum being
+        // silently truncated.
+        let result = std::panic::catch_unwind(|| {
+            let _ = ffw_mpi::run_with_timeout(2, std::time::Duration::from_millis(80), |comm| {
+                let mut data = vec![c64(1.0, 0.0); 4 - comm.rank()];
+                allreduce(&comm, &[0, 1], &mut data);
+            });
+        });
+        let msg = result
+            .expect_err("must panic")
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("allreduce_scalars"), "got: {msg}");
+        assert!(msg.contains("equal-length"), "got: {msg}");
+    }
+
+    #[test]
+    fn allreduce_equals_sequential_sum() {
+        // Seeded cases: every member count 1..=7, lengths 1..=63, and both a
+        // contiguous member list and a strided one (every other rank of a
+        // communicator twice as large, the non-members idle).
+        let mut state = 0x5EED;
+        let mut next = || {
+            state = ffw_fault::splitmix64(state);
+            state
+        };
+        for case in 0..28usize {
+            let n_members = 1 + case % 7;
+            let stride = 1 + case / 7 % 2;
+            let len = 1 + (next() % 63) as usize;
+            let seed = next() % 10_000;
+            let value = |r: usize, i: usize| {
+                let v =
+                    (seed.wrapping_mul(31).wrapping_add(r as u64 * 17 + i as u64) % 1000) as f64;
+                c64(v, -v * 0.5)
+            };
+            let members: Vec<usize> = (0..n_members).map(|m| m * stride + stride - 1).collect();
+            let (results, _) = ffw_mpi::run(n_members * stride, |comm| {
+                if !members.contains(&comm.rank()) {
+                    return None;
+                }
+                let mut data: Vec<C64> = (0..len).map(|i| value(comm.rank(), i)).collect();
+                allreduce(&comm, &members, &mut data);
+                Some(data)
+            });
+            // sequential reference
+            let expect: Vec<C64> = (0..len)
+                .map(|i| {
+                    members
+                        .iter()
+                        .fold(c64(0.0, 0.0), |acc, &r| acc + value(r, i))
+                })
+                .collect();
+            assert_eq!(results.iter().flatten().count(), n_members);
+            for res in results.iter().flatten() {
+                assert_eq!(
+                    res, &expect,
+                    "case {case}: {n_members} members, stride {stride}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub enum FaultError {
         /// 1-based index of the MPI operation at which the crash fired.
         op: u64,
     },
-    /// A blocking receive (or barrier) can never complete because the peer
+    /// A blocking receive can never complete because the peer
     /// rank has died (finished or panicked without sending).
     PeerDead {
         /// Rank whose wait was abandoned.

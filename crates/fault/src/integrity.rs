@@ -1,6 +1,6 @@
 //! End-to-end message integrity: a from-scratch CRC-32 (IEEE 802.3
 //! polynomial, reflected) used by `ffw-mpi` to frame every payload, plus
-//! the ABFT-style checksum-lane verifier used by the allreduce paths.
+//! the ABFT-style checksum-lane verifier used by the allreduce.
 //!
 //! No dependencies: the 256-entry table is computed at first use and cached
 //! behind a `OnceLock`, and the checksum is the standard reflected CRC-32
@@ -58,24 +58,6 @@ pub fn crc32_c64(data: &[(f64, f64)]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// CRC-32 over a real buffer's raw bit patterns.
-pub fn crc32_f64(data: &[f64]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &x in data {
-        c = crc32_update(c, &x.to_bits().to_le_bytes());
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// CRC-32 over a u64 buffer (little-endian bytes).
-pub fn crc32_u64(data: &[u64]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &x in data {
-        c = crc32_update(c, &x.to_le_bytes());
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 /// ABFT checksum lane for a complex vector: the element sum, carried next
 /// to the data so a receiver can re-derive it and detect corruption that a
 /// per-message CRC cannot see (e.g. a fault *inside* a reduction).
@@ -87,22 +69,6 @@ pub fn abft_lane_c64(data: &[(f64, f64)]) -> (f64, f64) {
         im += i;
     }
     (re, im)
-}
-
-/// ABFT checksum lane for a real vector: the element sum.
-pub fn abft_lane_f64(data: &[f64]) -> f64 {
-    data.iter().sum()
-}
-
-/// Verify a real-vector ABFT lane (see [`abft_verify_c64`] for semantics).
-pub fn abft_verify_f64(data: &[f64], lane: f64, tol: f64) -> bool {
-    let got = abft_lane_f64(data);
-    if !got.is_finite() || !lane.is_finite() {
-        return got.to_bits() == lane.to_bits();
-    }
-    let norm1: f64 = data.iter().map(|x| x.abs()).sum();
-    let scale = norm1.max(lane.abs()).max(1.0);
-    (got - lane).abs() <= tol * scale
 }
 
 /// Verify an ABFT checksum lane against the received data. The lane is a
@@ -168,7 +134,7 @@ mod tests {
         // -0.0 == 0.0 under PartialEq but has a different bit pattern; the
         // CRC must distinguish them (payloads travel as raw bits).
         assert_ne!(crc32_c64(&[(0.0, 0.0)]), crc32_c64(&[(-0.0, 0.0)]));
-        assert_eq!(crc32_f64(&[1.5, 2.5]), crc32_f64(&[1.5, 2.5]));
+        assert_eq!(crc32_c64(&[(1.5, 2.5)]), crc32_c64(&[(1.5, 2.5)]));
     }
 
     #[test]

@@ -39,10 +39,7 @@ pub use checkpoint::{
 };
 pub use error::FaultError;
 pub use heartbeat::{PhiLite, DEFAULT_PHI_THRESHOLD};
-pub use integrity::{
-    abft_lane_c64, abft_lane_f64, abft_verify_c64, abft_verify_f64, crc32, crc32_c64, crc32_f64,
-    crc32_u64, crc32_update,
-};
+pub use integrity::{abft_lane_c64, abft_verify_c64, crc32, crc32_c64, crc32_update};
 pub use plan::{
     splitmix64, ActiveFaults, ComputeFault, FaultPlan, OpAction, RetryPolicy, SendFault,
 };

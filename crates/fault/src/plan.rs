@@ -105,7 +105,8 @@ impl FaultPlan {
     }
 
     /// Crash `rank` when it begins its `at_op`-th runtime operation
-    /// (1-based; sends, recvs, barriers and collectives all count).
+    /// (1-based; every `send_checked` / `recv_checked` call, laned or not,
+    /// counts as one operation).
     pub fn crash_at(mut self, rank: usize, at_op: u64) -> Self {
         self.crashes.push(CrashRule { rank, at_op });
         self

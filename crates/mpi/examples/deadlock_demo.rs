@@ -13,7 +13,7 @@ fn main() {
     ffw_mpi::run(2, |comm| {
         let peer = 1 - comm.rank();
         // Both ranks block here; neither ever sends.
-        let _ = comm.recv(peer, 7);
+        let _ = comm.recv_checked(peer, 7);
     });
     unreachable!("the watchdog should have diagnosed the cycle");
 }

@@ -2,17 +2,22 @@
 //!
 //! An in-process message-passing runtime standing in for MPI in the paper's
 //! two-dimensional parallelization (Section IV). Ranks are OS threads; each
-//! directed rank pair has a tag-matched mailbox; collectives are built on the
-//! point-to-point layer. Every message is accounted per edge (count + bytes),
-//! so the distributed solver can report exactly the communication volumes the
-//! performance model consumes, and ablations can show the effect of the
-//! paper's buffer-aggregation optimization (Section IV-B).
+//! directed rank pair has a tag-matched mailbox. Every message is accounted
+//! per edge (count + bytes), so the distributed solver can report exactly the
+//! communication volumes the performance model consumes, and ablations can
+//! show the effect of the paper's buffer-aggregation optimization (Section
+//! IV-B).
 //!
-//! Semantics match the subset of MPI the paper's solver needs:
-//! * `send` is buffered and non-blocking (like `MPI_Isend` + eager protocol);
-//! * `recv(src, tag)` blocks until a matching message arrives, with
-//!   out-of-order messages held back per (source, tag);
-//! * `barrier`, `allreduce`, `gather`/`broadcast` collectives.
+//! The runtime is point-to-point only, and every call is fallible:
+//! * [`Comm::send_checked`] is buffered and non-blocking (like `MPI_Isend` +
+//!   eager protocol);
+//! * [`Comm::recv_checked`] blocks until a message with the given source and
+//!   tag arrives, with out-of-order messages held back per (source, tag);
+//! * the `_laned` forms carry an ABFT checksum lane next to the payload.
+//!
+//! The three kinds of rank traffic the solver needs are built on these in
+//! `ffw-dist`: boundary exchanges, the sum-allreduce over a member list
+//! (`ffw_dist::try_allreduce_scalars`) and the checkpoint gather.
 //!
 //! ## Verification (ffw-check integration)
 //!
@@ -28,12 +33,10 @@
 //!   *definite* deadlocks are reported — a slow peer never trips the
 //!   watchdog.
 //! * **Post-run trace validation.** Each rank records a low-overhead
-//!   [`ffw_check::Event`] trace of its user-level sends, receives, polls
-//!   (coalesced), and collectives. When [`run`] exits normally, the traces
-//!   plus any undelivered messages are handed to
-//!   [`ffw_check::validate_traces`]; message leaks, self-sends, reserved-tag
-//!   misuse, and cross-rank collective-ordering mismatches fail the run with
-//!   a report.
+//!   [`ffw_check::Event`] trace of its sends, receives and fault events.
+//!   When [`run`] exits normally, the traces plus any undelivered messages
+//!   are handed to [`ffw_check::validate_traces`]; message leaks, self-sends
+//!   and fault protocols left unresolved fail the run with a report.
 //!
 //! A panicking rank is marked [`ffw_check::WaitState::Panicked`] rather than
 //! silently disappearing, so peers blocked on it get a diagnosed error
@@ -60,12 +63,11 @@
 
 #![warn(missing_docs)]
 
-use ffw_check::trace::{render_report, CollectiveKind, Event, LeakedMessage};
+use ffw_check::trace::{render_report, Event, LeakedMessage};
 use ffw_check::waitgraph::WaitState;
 use ffw_check::{diagnose_deadlock, validate_traces, validate_traces_faulty, DeadlockReport};
 use ffw_fault::{
-    abft_lane_c64, abft_lane_f64, abft_verify_c64, abft_verify_f64, crc32_c64, crc32_f64,
-    crc32_u64, ActiveFaults, OpAction, PhiLite, DEFAULT_PHI_THRESHOLD,
+    abft_verify_c64, crc32_c64, ActiveFaults, OpAction, PhiLite, DEFAULT_PHI_THRESHOLD,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -82,93 +84,45 @@ pub use ffw_fault::{ComputeFault, FaultError, FaultPlan, RetryPolicy};
 /// while a flipped payload bit moves it by many orders of magnitude more.
 const ABFT_TOL: f64 = 1e-9;
 
-/// Message payloads: the solver moves complex fields, real scalars for
-/// reductions, and occasional integer bookkeeping.
+/// Message payloads: every rank exchange (boundary fields, reduction
+/// vectors, checkpoint slices) moves complex doubles as `(re, im)` pairs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
     /// Complex doubles as `(re, im)` pairs.
     C64(Vec<(f64, f64)>),
-    /// Real doubles.
-    F64(Vec<f64>),
-    /// Unsigned 64-bit integers.
-    U64(Vec<u64>),
 }
 
 impl Payload {
     /// Payload size in bytes (as it would travel on a wire).
     pub fn n_bytes(&self) -> u64 {
-        match self {
-            Payload::C64(v) => 16 * v.len() as u64,
-            Payload::F64(v) => 8 * v.len() as u64,
-            Payload::U64(v) => 8 * v.len() as u64,
-        }
+        let Payload::C64(v) = self;
+        16 * v.len() as u64
     }
 
-    /// Unwraps a complex payload.
+    /// Unwraps the complex payload.
     pub fn into_c64(self) -> Vec<(f64, f64)> {
-        match self {
-            Payload::C64(v) => v,
-            other => panic!("expected C64 payload, got {other:?}"),
-        }
-    }
-
-    /// Unwraps a real payload.
-    pub fn into_f64(self) -> Vec<f64> {
-        match self {
-            Payload::F64(v) => v,
-            other => panic!("expected F64 payload, got {other:?}"),
-        }
-    }
-
-    /// Unwraps an integer payload.
-    pub fn into_u64(self) -> Vec<u64> {
-        match self {
-            Payload::U64(v) => v,
-            other => panic!("expected U64 payload, got {other:?}"),
-        }
+        let Payload::C64(v) = self;
+        v
     }
 
     /// CRC-32 of the payload's raw bit patterns (the integrity frame every
     /// message travels with).
     pub fn crc32(&self) -> u32 {
-        match self {
-            Payload::C64(v) => crc32_c64(v),
-            Payload::F64(v) => crc32_f64(v),
-            Payload::U64(v) => crc32_u64(v),
-        }
+        let Payload::C64(v) = self;
+        crc32_c64(v)
     }
 
     /// A copy with one payload bit flipped (deterministically chosen from
     /// `salt`), used by fault injection to model in-flight corruption. An
     /// empty payload has no bits to flip and is returned unchanged.
     fn bit_flipped(&self, salt: u32) -> Payload {
-        let flip = |bits: u64| bits ^ (1u64 << (11 + (salt as u64 % 40)));
-        match self {
-            Payload::C64(v) => {
-                let mut v = v.clone();
-                let idx = salt as usize % v.len().max(1);
-                if let Some(first) = v.get_mut(idx) {
-                    first.0 = f64::from_bits(flip(first.0.to_bits()));
-                }
-                Payload::C64(v)
-            }
-            Payload::F64(v) => {
-                let mut v = v.clone();
-                let idx = salt as usize % v.len().max(1);
-                if let Some(first) = v.get_mut(idx) {
-                    *first = f64::from_bits(flip(first.to_bits()));
-                }
-                Payload::F64(v)
-            }
-            Payload::U64(v) => {
-                let mut v = v.clone();
-                let idx = salt as usize % v.len().max(1);
-                if let Some(first) = v.get_mut(idx) {
-                    *first = flip(*first);
-                }
-                Payload::U64(v)
-            }
+        let Payload::C64(v) = self;
+        let mut v = v.clone();
+        let idx = salt as usize % v.len().max(1);
+        if let Some(first) = v.get_mut(idx) {
+            first.0 = f64::from_bits(first.0.to_bits() ^ (1u64 << (11 + (salt as u64 % 40))));
         }
+        Payload::C64(v)
     }
 }
 
@@ -303,19 +257,6 @@ impl CommStats {
     }
 }
 
-/// Diagnosable replacement for `std::sync::Barrier`: waiters can time out,
-/// inspect the global state, and resume — and the generation they are stuck
-/// on is visible to the deadlock analysis.
-struct Barrier {
-    state: Mutex<BarrierState>,
-    cond: Condvar,
-}
-
-struct BarrierState {
-    generation: u64,
-    arrived: usize,
-}
-
 /// Per-launch heartbeat machinery: one companion beater thread per rank
 /// stamps a shared timestamp while the rank closure runs; a monitor thread
 /// maintains a [`PhiLite`] suspicion score per rank and, when a panicked
@@ -362,7 +303,6 @@ struct Shared {
     /// mailboxes[src * size + dst]
     mailboxes: Vec<Mailbox>,
     stats: CommStats,
-    barrier: Barrier,
     /// What each rank is currently blocked on (the watchdog's input).
     registry: Mutex<Vec<WaitState>>,
     /// Per-rank event traces for post-run validation.
@@ -395,13 +335,6 @@ impl Shared {
         self.heartbeat.as_ref()?.suspect_phi_milli(peer)
     }
 
-    /// True when any rank is currently heartbeat-suspected.
-    fn hb_any_suspect(&self) -> bool {
-        self.heartbeat
-            .as_ref()
-            .is_some_and(|hb| (0..self.size).any(|r| hb.suspect_phi_milli(r).is_some()))
-    }
-
     /// Watchdog invoked by `rank` when a blocking wait times out. Every
     /// positive diagnosis is re-confirmed against a second snapshot taken
     /// after a short delay, so a transient state observed mid-transition can
@@ -412,9 +345,8 @@ impl Shared {
     ///   waiting. (Another rank's doomed wait is its own to report: every
     ///   blocking wait polls, so errors cascade rank by rank.)
     /// * `Err(PeerDead)` — this rank's wait depends on a rank that already
-    ///   finished or panicked and can never satisfy it. The caller turns
-    ///   this into a typed error value (checked receives) or a panic
-    ///   (legacy receives, collectives).
+    ///   finished or panicked and can never satisfy it. The receive returns
+    ///   it as a typed error value.
     /// * panic — a confirmed cycle of live ranks: a protocol bug, not a
     ///   survivable fault. The first verdict is stored so every stuck rank
     ///   re-raises the *original* diagnosis.
@@ -469,29 +401,12 @@ impl Shared {
     /// [`ffw_check::diagnose_deadlock`] but checks only `rank`'s own wait.
     fn dead_dependency_of(&self, rank: usize) -> Option<usize> {
         let snapshot = self.registry.lock().clone();
-        match snapshot[rank] {
-            WaitState::RecvWait { src, tag } => {
-                let dead = matches!(snapshot[src], WaitState::Finished | WaitState::Panicked);
-                let queued = self.mailboxes[src * self.size + rank].has_matching(tag);
-                (dead && !queued).then_some(src)
-            }
-            WaitState::BarrierWait { generation } => {
-                snapshot.iter().enumerate().find_map(|(other, state)| {
-                    if other == rank {
-                        return None;
-                    }
-                    let arrived = matches!(
-                        state,
-                        WaitState::BarrierWait { generation: g } if *g == generation
-                    );
-                    if arrived {
-                        return None;
-                    }
-                    matches!(state, WaitState::Finished | WaitState::Panicked).then_some(other)
-                })
-            }
-            _ => None,
-        }
+        let WaitState::RecvWait { src, tag } = snapshot[rank] else {
+            return None;
+        };
+        let dead = matches!(snapshot[src], WaitState::Finished | WaitState::Panicked);
+        let queued = self.mailboxes[src * self.size + rank].has_matching(tag);
+        (dead && !queued).then_some(src)
     }
 
     fn diagnose_once(&self) -> Option<ffw_check::DeadlockReport> {
@@ -511,9 +426,6 @@ pub struct Comm {
     rank: usize,
     shared: Arc<Shared>,
 }
-
-/// Tags with the high bit set are reserved for collectives.
-const COLLECTIVE_TAG: u32 = 0x8000_0000;
 
 impl Comm {
     /// This rank's index.
@@ -575,19 +487,9 @@ impl Comm {
         self.shared.trace(self.rank, Event::Fault(event));
     }
 
-    /// Buffered, non-blocking send. User tags must not set the high bit.
-    ///
-    /// Panics if fault injection makes the send unrecoverable; fault-aware
-    /// callers use [`Comm::send_checked`] instead.
-    pub fn send(&self, dst: usize, tag: u32, payload: Payload) {
-        if let Err(e) = self.send_checked(dst, tag, payload) {
-            panic!("ffw-mpi: {e}");
-        }
-    }
-
-    /// Fallible send: retries delivery with bounded exponential backoff when
-    /// fault injection drops the message, and returns
-    /// [`FaultError::SendLost`] (declaring `dst` dead) once the retry
+    /// Buffered, non-blocking send: retries delivery with bounded
+    /// exponential backoff when fault injection drops the message, and
+    /// returns [`FaultError::SendLost`] (declaring `dst` dead) once the retry
     /// budget is exhausted. Without an active fault plan this always
     /// succeeds.
     pub fn send_checked(&self, dst: usize, tag: u32, payload: Payload) -> Result<(), FaultError> {
@@ -624,11 +526,6 @@ impl Comm {
             dst < self.shared.size,
             "send: invalid destination rank {dst} (communicator has {} ranks)",
             self.shared.size
-        );
-        assert_eq!(
-            tag & COLLECTIVE_TAG,
-            0,
-            "send: user tag {tag:#x} sets the reserved collective bit"
         );
         self.fault_tick();
         let mut corrupts = 0;
@@ -696,34 +593,15 @@ impl Comm {
         });
     }
 
-    fn send_raw(&self, dst: usize, tag: u32, payload: Payload) {
-        self.send_frame(dst, tag, payload, None, 0);
-    }
-
-    /// Blocking receive of the message with the given source and tag.
-    ///
-    /// Panics (with the watchdog's report) if `src` dies before sending;
-    /// fault-aware callers use [`Comm::recv_checked`] instead.
-    pub fn recv(&self, src: usize, tag: u32) -> Payload {
-        match self.recv_checked(src, tag) {
-            Ok(payload) => payload,
-            Err(e) => panic!("ffw-mpi: {e}"),
-        }
-    }
-
-    /// Fallible blocking receive: returns [`FaultError::PeerDead`] (with
-    /// the watchdog's wait-for-graph report) if `src` finishes or panics
-    /// without having sent a matching message, instead of panicking.
+    /// Blocking receive of the message with the given source and tag:
+    /// returns [`FaultError::PeerDead`] (with the watchdog's wait-for-graph
+    /// report) if `src` finishes or panics without having sent a matching
+    /// message.
     pub fn recv_checked(&self, src: usize, tag: u32) -> Result<Payload, FaultError> {
         assert!(
             src < self.shared.size,
             "recv: invalid source rank {src} (communicator has {} ranks)",
             self.shared.size
-        );
-        assert_eq!(
-            tag & COLLECTIVE_TAG,
-            0,
-            "recv: user tag {tag:#x} sets the reserved collective bit"
         );
         self.fault_tick();
         let payload = self.recv_frame_verified(src, tag)?.payload;
@@ -740,10 +618,9 @@ impl Comm {
 
     /// Fallible blocking receive that additionally verifies the frame's
     /// ABFT checksum lane (when the sender stamped one via
-    /// [`Comm::send_checked_laned`]) against the received data, with the
-    /// same tolerance the collectives use. Returns the payload together
-    /// with the carried lane so reduction roots can fold contribution
-    /// lanes into the lane of the reduced result.
+    /// [`Comm::send_checked_laned`]) against the received data. Returns the
+    /// payload together with the carried lane so reduction roots can fold
+    /// contribution lanes into the lane of the reduced result.
     ///
     /// A lane mismatch *after* a clean CRC means the data was damaged
     /// before it was framed — retransmitting the same bytes cannot help —
@@ -759,22 +636,11 @@ impl Comm {
             "recv: invalid source rank {src} (communicator has {} ranks)",
             self.shared.size
         );
-        assert_eq!(
-            tag & COLLECTIVE_TAG,
-            0,
-            "recv: user tag {tag:#x} sets the reserved collective bit"
-        );
         self.fault_tick();
         let msg = self.recv_frame_verified(src, tag)?;
         if let Some(lane) = msg.lane {
-            let ok = match &msg.payload {
-                Payload::C64(v) => abft_verify_c64(v, lane, ABFT_TOL),
-                Payload::F64(v) => abft_verify_f64(v, lane.0, ABFT_TOL),
-                // Lanes are floating-point sums; integer payloads carry
-                // none worth verifying beyond the CRC.
-                Payload::U64(_) => true,
-            };
-            if !ok {
+            let Payload::C64(v) = &msg.payload;
+            if !abft_verify_c64(v, lane, ABFT_TOL) {
                 self.shared.trace(
                     self.rank,
                     Event::Fault(FaultEvent::CorruptRecv {
@@ -813,21 +679,6 @@ impl Comm {
             },
         );
         Ok((msg.payload, msg.lane))
-    }
-
-    /// Infallible receive for the collective implementations: a dead peer
-    /// mid-collective is not recoverable in-band, so it panics with the
-    /// watchdog report.
-    fn recv_raw(&self, src: usize, tag: u32) -> Payload {
-        self.recv_frame_raw(src, tag).payload
-    }
-
-    /// Infallible framed receive (payload + lane) for collectives.
-    fn recv_frame_raw(&self, src: usize, tag: u32) -> Msg {
-        match self.recv_frame_verified(src, tag) {
-            Ok(msg) => msg,
-            Err(e) => panic!("ffw-mpi: {e}"),
-        }
     }
 
     /// Blocking verified receive: pops frames via [`Comm::recv_msg_blocking`]
@@ -943,318 +794,6 @@ impl Comm {
             }
         }
     }
-
-    /// Non-blocking receive: returns `None` if no matching message has
-    /// arrived yet (used by the communication/computation overlap pipeline).
-    pub fn try_recv(&self, src: usize, tag: u32) -> Option<Payload> {
-        assert!(
-            src < self.shared.size,
-            "try_recv: invalid source rank {src} (communicator has {} ranks)",
-            self.shared.size
-        );
-        assert_eq!(
-            tag & COLLECTIVE_TAG,
-            0,
-            "try_recv: user tag {tag:#x} sets the reserved collective bit"
-        );
-        self.fault_tick();
-        let mailbox = &self.shared.mailboxes[src * self.shared.size + self.rank];
-        let mut got = mailbox.try_pop_matching(tag);
-        if let Some(msg) = &mut got {
-            let clean = if msg.corrupt_left > 0 {
-                msg.corrupt_left -= 1;
-                msg.payload.bit_flipped(msg.corrupt_seen).crc32() == msg.crc
-            } else {
-                msg.payload.crc32() == msg.crc
-            };
-            if !clean {
-                // NACK and requeue: the poller's next call is the retry, so
-                // the retransmit budget is the poll loop itself (bounded by
-                // the scheduled corruption count, which on_send fixed).
-                msg.corrupt_seen += 1;
-                let attempt = msg.corrupt_seen;
-                self.shared.trace(
-                    self.rank,
-                    Event::Fault(FaultEvent::CorruptRecv { src, tag, attempt }),
-                );
-                self.shared.trace(
-                    self.rank,
-                    Event::Fault(FaultEvent::RetransmitRequested { src, tag, attempt }),
-                );
-                ffw_obs::counter("mpi.integrity.corrupt_recvs").add(1);
-                ffw_obs::counter("mpi.integrity.retransmits").add(1);
-                mailbox.requeue_front(got.take().expect("corrupt frame present"));
-            }
-        }
-        let got = got.map(|m| m.payload);
-        let mut trace = self.shared.traces[self.rank].lock();
-        match &got {
-            Some(payload) => trace.push(Event::TryRecvHit {
-                src,
-                tag,
-                bytes: payload.n_bytes(),
-            }),
-            None => {
-                // Coalesce consecutive misses on the same edge so polling
-                // loops cannot grow the trace without bound.
-                if let Some(Event::TryRecvMiss {
-                    src: s,
-                    tag: t,
-                    polls,
-                }) = trace.last_mut()
-                {
-                    if *s == src && *t == tag {
-                        *polls += 1;
-                        return got;
-                    }
-                }
-                trace.push(Event::TryRecvMiss { src, tag, polls: 1 });
-            }
-        }
-        drop(trace);
-        got
-    }
-
-    /// Synchronizes all ranks.
-    pub fn barrier(&self) {
-        self.fault_tick();
-        self.shared.trace(
-            self.rank,
-            Event::Collective {
-                kind: CollectiveKind::Barrier,
-                root: 0,
-            },
-        );
-        let barrier = &self.shared.barrier;
-        let mut st = barrier.state.lock();
-        let generation = st.generation;
-        st.arrived += 1;
-        if st.arrived == self.shared.size {
-            st.arrived = 0;
-            st.generation += 1;
-            drop(st);
-            barrier.cond.notify_all();
-            return;
-        }
-        self.shared
-            .set_state(self.rank, WaitState::BarrierWait { generation });
-        loop {
-            if st.generation != generation {
-                break;
-            }
-            let result = barrier.cond.wait_for(&mut st, self.shared.timeout);
-            if (result.timed_out() || self.shared.hb_any_suspect()) && st.generation == generation {
-                drop(st);
-                // A dead peer can never arrive at the barrier: that is not
-                // recoverable in-band, so surface it as a panic.
-                if let Err(e) = self.shared.watchdog_poll(self.rank) {
-                    panic!("ffw-mpi: {e}");
-                }
-                st = barrier.state.lock();
-            }
-        }
-        drop(st);
-        self.shared.set_state(self.rank, WaitState::Running);
-    }
-
-    /// Panics with a typed corruption error when an ABFT lane disagrees
-    /// with the data it arrived with. The per-message CRC already rejects
-    /// in-flight bit flips, so a lane mismatch means the data was damaged
-    /// *between* checksum and reduction — a logic fault, not recoverable by
-    /// retransmit.
-    fn abft_panic(&self, src: usize, tag: u32) -> ! {
-        panic!(
-            "ffw-mpi: ABFT checksum-lane mismatch — {}",
-            FaultError::Corruption {
-                rank: self.rank,
-                src,
-                tag,
-                attempts: 1,
-            }
-        );
-    }
-
-    /// Element-wise sum-allreduce over complex data (in place; all ranks end
-    /// with the global sum). Root-based: gather to rank 0, reduce, broadcast.
-    /// Every hop carries an ABFT checksum lane (the element sum) that the
-    /// receiving side re-derives and verifies.
-    pub fn allreduce_sum_c64(&self, data: &mut [(f64, f64)]) {
-        self.trace_collective(CollectiveKind::AllreduceSumC64, 0);
-        if self.rank == 0 {
-            for src in 1..self.size() {
-                let frame = self.recv_frame_raw(src, COLLECTIVE_TAG | 1);
-                let part = frame.payload.into_c64();
-                assert_eq!(
-                    part.len(),
-                    data.len(),
-                    "allreduce_sum_c64: rank {src} contributed {} elements but rank 0 \
-                     holds {} — all ranks must pass equal-length buffers",
-                    part.len(),
-                    data.len()
-                );
-                if let Some(lane) = frame.lane {
-                    if !abft_verify_c64(&part, lane, ABFT_TOL) {
-                        self.abft_panic(src, COLLECTIVE_TAG | 1);
-                    }
-                }
-                for (d, p) in data.iter_mut().zip(part) {
-                    d.0 += p.0;
-                    d.1 += p.1;
-                }
-            }
-            let lane = abft_lane_c64(data);
-            for dst in 1..self.size() {
-                self.send_frame(
-                    dst,
-                    COLLECTIVE_TAG | 2,
-                    Payload::C64(data.to_vec()),
-                    Some(lane),
-                    0,
-                );
-            }
-        } else {
-            let lane = abft_lane_c64(data);
-            self.send_frame(
-                0,
-                COLLECTIVE_TAG | 1,
-                Payload::C64(data.to_vec()),
-                Some(lane),
-                0,
-            );
-            let frame = self.recv_frame_raw(0, COLLECTIVE_TAG | 2);
-            let result = frame.payload.into_c64();
-            if let Some(lane) = frame.lane {
-                if !abft_verify_c64(&result, lane, ABFT_TOL) {
-                    self.abft_panic(0, COLLECTIVE_TAG | 2);
-                }
-            }
-            data.copy_from_slice(&result);
-        }
-    }
-
-    /// Sum-allreduce over real data, ABFT-lane-verified like
-    /// [`Comm::allreduce_sum_c64`].
-    pub fn allreduce_sum_f64(&self, data: &mut [f64]) {
-        self.trace_collective(CollectiveKind::AllreduceSumF64, 0);
-        if self.rank == 0 {
-            for src in 1..self.size() {
-                let frame = self.recv_frame_raw(src, COLLECTIVE_TAG | 3);
-                let part = frame.payload.into_f64();
-                assert_eq!(
-                    part.len(),
-                    data.len(),
-                    "allreduce_sum_f64: rank {src} contributed {} elements but rank 0 \
-                     holds {} — all ranks must pass equal-length buffers",
-                    part.len(),
-                    data.len()
-                );
-                if let Some((lane, _)) = frame.lane {
-                    if !abft_verify_f64(&part, lane, ABFT_TOL) {
-                        self.abft_panic(src, COLLECTIVE_TAG | 3);
-                    }
-                }
-                for (d, p) in data.iter_mut().zip(part) {
-                    *d += p;
-                }
-            }
-            let lane = abft_lane_f64(data);
-            for dst in 1..self.size() {
-                self.send_frame(
-                    dst,
-                    COLLECTIVE_TAG | 4,
-                    Payload::F64(data.to_vec()),
-                    Some((lane, 0.0)),
-                    0,
-                );
-            }
-        } else {
-            let lane = abft_lane_f64(data);
-            self.send_frame(
-                0,
-                COLLECTIVE_TAG | 3,
-                Payload::F64(data.to_vec()),
-                Some((lane, 0.0)),
-                0,
-            );
-            let frame = self.recv_frame_raw(0, COLLECTIVE_TAG | 4);
-            let result = frame.payload.into_f64();
-            if let Some((lane, _)) = frame.lane {
-                if !abft_verify_f64(&result, lane, ABFT_TOL) {
-                    self.abft_panic(0, COLLECTIVE_TAG | 4);
-                }
-            }
-            data.copy_from_slice(&result);
-        }
-    }
-
-    /// Max-allreduce over a single value.
-    pub fn allreduce_max_f64(&self, value: f64) -> f64 {
-        self.trace_collective(CollectiveKind::AllreduceMaxF64, 0);
-        let mut buf = [value];
-        if self.rank == 0 {
-            for src in 1..self.size() {
-                let part = self.recv_raw(src, COLLECTIVE_TAG | 5).into_f64();
-                buf[0] = buf[0].max(part[0]);
-            }
-            for dst in 1..self.size() {
-                self.send_raw(dst, COLLECTIVE_TAG | 6, Payload::F64(buf.to_vec()));
-            }
-        } else {
-            self.send_raw(0, COLLECTIVE_TAG | 5, Payload::F64(buf.to_vec()));
-            buf[0] = self.recv_raw(0, COLLECTIVE_TAG | 6).into_f64()[0];
-        }
-        buf[0]
-    }
-
-    /// Broadcast from `root` to all ranks (in place).
-    pub fn broadcast_c64(&self, root: usize, data: &mut Vec<(f64, f64)>) {
-        assert!(
-            root < self.shared.size,
-            "broadcast_c64: root {root} out of range (communicator has {} ranks)",
-            self.shared.size
-        );
-        self.trace_collective(CollectiveKind::BroadcastC64, root);
-        if self.rank == root {
-            for dst in 0..self.size() {
-                if dst != root {
-                    self.send_raw(dst, COLLECTIVE_TAG | 7, Payload::C64(data.clone()));
-                }
-            }
-        } else {
-            *data = self.recv_raw(root, COLLECTIVE_TAG | 7).into_c64();
-        }
-    }
-
-    /// Gathers variable-length complex chunks to `root`; returns
-    /// `Some(chunks by rank)` on the root, `None` elsewhere.
-    pub fn gather_c64(&self, root: usize, chunk: &[(f64, f64)]) -> Option<Vec<Vec<(f64, f64)>>> {
-        assert!(
-            root < self.shared.size,
-            "gather_c64: root {root} out of range (communicator has {} ranks)",
-            self.shared.size
-        );
-        self.trace_collective(CollectiveKind::GatherC64, root);
-        if self.rank == root {
-            let mut out = vec![Vec::new(); self.size()];
-            out[root] = chunk.to_vec();
-            for (src, slot) in out.iter_mut().enumerate() {
-                if src != root {
-                    *slot = self.recv_raw(src, COLLECTIVE_TAG | 8).into_c64();
-                }
-            }
-            Some(out)
-        } else {
-            self.send_raw(root, COLLECTIVE_TAG | 8, Payload::C64(chunk.to_vec()));
-            None
-        }
-    }
-
-    fn trace_collective(&self, kind: CollectiveKind, root: usize) {
-        // Every collective counts as one operation for fault injection.
-        self.fault_tick();
-        self.shared
-            .trace(self.rank, Event::Collective { kind, root });
-    }
 }
 
 /// Opaque handle exposing post-run communication statistics.
@@ -1351,7 +890,7 @@ fn heartbeat_beater(shared: Arc<Shared>, rank: usize) {
 /// Body of the heartbeat monitor thread: maintains a [`PhiLite`] suspicion
 /// score per rank from the beat timestamps; when a panicked rank's score
 /// crosses [`DEFAULT_PHI_THRESHOLD`], marks it suspect and wakes every
-/// blocked waiter (mailboxes and barrier) so dead-peer detection costs
+/// blocked receive so dead-peer detection costs
 /// O(heartbeat interval) instead of O(deadlock timeout).
 fn heartbeat_monitor(shared: Arc<Shared>) {
     let hb = shared
@@ -1406,8 +945,6 @@ fn heartbeat_monitor(shared: Arc<Shared>) {
                     let _guard = mailbox.queue.lock();
                     mailbox.cond.notify_all();
                 }
-                let _guard = shared.barrier.state.lock();
-                shared.barrier.cond.notify_all();
             }
         }
     }
@@ -1543,8 +1080,8 @@ impl Runtime {
     /// can observe which ranks died and degrade gracefully. Organic (non-
     /// injected) panics are still re-raised, lowest rank first. Post-run
     /// trace validation runs in a fault-tolerant mode when ranks died
-    /// (message leaks and truncated collective sequences are expected
-    /// consequences of a death) and in strict mode otherwise.
+    /// (message leaks are an expected consequence of a death) and in strict
+    /// mode otherwise.
     pub fn launch<F, T>(self, f: F) -> Launch<T>
     where
         F: Fn(Comm) -> T + Send + Sync,
@@ -1564,13 +1101,6 @@ impl Runtime {
             size: n_ranks,
             mailboxes: (0..n_ranks * n_ranks).map(|_| Mailbox::new()).collect(),
             stats: CommStats::new(n_ranks),
-            barrier: Barrier {
-                state: Mutex::new(BarrierState {
-                    generation: 0,
-                    arrived: 0,
-                }),
-                cond: Condvar::new(),
-            },
             registry: Mutex::new(vec![WaitState::Running; n_ranks]),
             traces: (0..n_ranks).map(|_| Mutex::new(Vec::new())).collect(),
             timeout,
@@ -1669,9 +1199,8 @@ impl Runtime {
         // Statically validate the complete traces plus whatever was left
         // undelivered in the mailboxes. Runs in which a rank died (injected
         // crash, exhausted send retries, or a peer declared dead) use the
-        // fault-tolerant validator: leaks and truncated collective
-        // sequences are expected fallout of a death, while self-sends,
-        // reserved tags and true collective divergence remain hard errors.
+        // fault-tolerant validator: leaks are expected fallout of a death,
+        // while self-sends and unresolved fault protocols remain hard errors.
         let mut leaked = Vec::new();
         for src in 0..n_ranks {
             for dst in 0..n_ranks {
@@ -1733,9 +1262,8 @@ impl Runtime {
 /// The run is verified: blocked ranks are watched for deadlock (every
 /// 1000 ms, or `FFW_DEADLOCK_TIMEOUT_MS` when that is set), and on normal exit
 /// the recorded communication traces are statically validated — undelivered
-/// messages, self-sends, reserved-tag misuse, and cross-rank
-/// collective-ordering mismatches all fail the run with a report. If any rank
-/// panics, the lowest-ranked panic is re-raised after every rank has stopped.
+/// messages and self-sends fail the run with a report. If any rank panics,
+/// the lowest-ranked panic is re-raised after every rank has stopped.
 pub fn run<F, T>(n_ranks: usize, f: F) -> (Vec<T>, RunStats)
 where
     F: Fn(Comm) -> T + Send + Sync,
@@ -1763,16 +1291,35 @@ where
 mod tests {
     use super::*;
 
+    /// Real values travel as the real parts of a complex payload.
+    fn reals(v: &[f64]) -> Payload {
+        Payload::C64(v.iter().map(|&x| (x, 0.0)).collect())
+    }
+
+    fn into_reals(p: Payload) -> Vec<f64> {
+        p.into_c64().into_iter().map(|(re, _)| re).collect()
+    }
+
+    fn send(comm: &Comm, dst: usize, tag: u32, payload: Payload) {
+        comm.send_checked(dst, tag, payload).expect("send");
+    }
+
+    /// A receive whose dead peer fails the run with the watchdog's report.
+    fn recv(comm: &Comm, src: usize, tag: u32) -> Payload {
+        comm.recv_checked(src, tag)
+            .unwrap_or_else(|e| panic!("ffw-mpi: {e}"))
+    }
+
     #[test]
     fn point_to_point_roundtrip() {
         let (results, _) = run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 7, Payload::F64(vec![1.0, 2.0, 3.0]));
-                comm.recv(1, 8).into_f64()
+                send(&comm, 1, 7, reals(&[1.0, 2.0, 3.0]));
+                into_reals(recv(&comm, 1, 8))
             } else {
-                let got = comm.recv(0, 7).into_f64();
+                let got = into_reals(recv(&comm, 0, 7));
                 let doubled: Vec<f64> = got.iter().map(|v| v * 2.0).collect();
-                comm.send(0, 8, Payload::F64(doubled.clone()));
+                send(&comm, 0, 8, reals(&doubled));
                 doubled
             }
         });
@@ -1784,13 +1331,13 @@ mod tests {
     fn tag_matching_out_of_order() {
         let (results, _) = run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 1, Payload::U64(vec![111]));
-                comm.send(1, 2, Payload::U64(vec![222]));
+                send(&comm, 1, 1, reals(&[111.0]));
+                send(&comm, 1, 2, reals(&[222.0]));
                 0
             } else {
                 // Receive in the opposite order of sending.
-                let b = comm.recv(0, 2).into_u64()[0];
-                let a = comm.recv(0, 1).into_u64()[0];
+                let b = into_reals(recv(&comm, 0, 2))[0] as u64;
+                let a = into_reals(recv(&comm, 0, 1))[0] as u64;
                 assert_eq!((a, b), (111, 222));
                 1
             }
@@ -1799,78 +1346,12 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sums_across_ranks() {
-        let n = 5;
-        let (results, _) = run(n, |comm| {
-            let mut data = vec![(comm.rank() as f64, 1.0); 3];
-            comm.allreduce_sum_c64(&mut data);
-            data
-        });
-        let expect_re = (0..n).sum::<usize>() as f64;
-        for r in results {
-            for (re, im) in r {
-                assert_eq!(re, expect_re);
-                assert_eq!(im, n as f64);
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_f64_and_max() {
-        let (results, _) = run(4, |comm| {
-            let mut v = vec![comm.rank() as f64];
-            comm.allreduce_sum_f64(&mut v);
-            let m = comm.allreduce_max_f64(comm.rank() as f64 * 10.0);
-            (v[0], m)
-        });
-        for (s, m) in results {
-            assert_eq!(s, 6.0);
-            assert_eq!(m, 30.0);
-        }
-    }
-
-    #[test]
-    fn broadcast_and_gather() {
-        let (results, _) = run(3, |comm| {
-            let mut data = if comm.rank() == 1 {
-                vec![(9.0, -1.0); 4]
-            } else {
-                Vec::new()
-            };
-            comm.broadcast_c64(1, &mut data);
-            assert_eq!(data.len(), 4);
-            let chunk = vec![(comm.rank() as f64, 0.0); comm.rank() + 1];
-            let gathered = comm.gather_c64(0, &chunk);
-            if comm.rank() == 0 {
-                let g = gathered.expect("root gathers");
-                assert_eq!(g[2].len(), 3);
-                assert_eq!(g[1][0].0, 1.0);
-            }
-            data[0].0
-        });
-        assert!(results.iter().all(|&v| v == 9.0));
-    }
-
-    #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let (results, _) = run(4, |comm| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            comm.barrier();
-            // After the barrier, every rank must observe all 4 increments.
-            counter.load(Ordering::SeqCst)
-        });
-        assert!(results.iter().all(|&v| v == 4));
-    }
-
-    #[test]
     fn stats_account_messages_and_bytes() {
         let (_, handle) = run(2, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 0, Payload::C64(vec![(1.0, 2.0); 10]));
+                send(&comm, 1, 0, Payload::C64(vec![(1.0, 2.0); 10]));
             } else {
-                let _ = comm.recv(0, 0);
+                let _ = recv(&comm, 0, 0);
             }
         });
         let stats = handle.stats();
@@ -1878,37 +1359,6 @@ mod tests {
         assert_eq!(stats.edge_bytes(0, 1), 160);
         assert_eq!(stats.edge_messages(1, 0), 0);
         assert_eq!(stats.total_bytes(), 160);
-    }
-
-    #[test]
-    fn try_recv_nonblocking() {
-        let (results, _) = run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.barrier();
-                comm.send(1, 3, Payload::U64(vec![5]));
-                comm.barrier();
-                true
-            } else {
-                assert!(comm.try_recv(0, 3).is_none(), "nothing sent yet");
-                comm.barrier();
-                comm.barrier();
-                // Now it must be there (sent before the second barrier).
-                comm.try_recv(0, 3).is_some()
-            }
-        });
-        assert!(results[1]);
-    }
-
-    #[test]
-    fn single_rank_collectives_are_identity() {
-        let (results, _) = run(1, |comm| {
-            let mut v = vec![(1.0, 2.0)];
-            comm.allreduce_sum_c64(&mut v);
-            let m = comm.allreduce_max_f64(3.5);
-            comm.barrier();
-            (v[0], m)
-        });
-        assert_eq!(results[0], ((1.0, 2.0), 3.5));
     }
 
     // ---- verification-layer tests ------------------------------------------
@@ -1931,7 +1381,7 @@ mod tests {
         let msg = panic_message(|| {
             let _ = run_with_timeout(2, FAST, |comm| {
                 if comm.rank() == 0 {
-                    let _ = comm.recv(1, 5);
+                    let _ = recv(&comm, 1, 5);
                 }
             });
         });
@@ -1948,7 +1398,7 @@ mod tests {
         let msg = panic_message(|| {
             let _ = run_with_timeout(2, FAST, |comm| {
                 let peer = 1 - comm.rank();
-                let _ = comm.recv(peer, 9);
+                let _ = recv(&comm, peer, 9);
             });
         });
         assert!(msg.contains("deadlock detected"), "got: {msg}");
@@ -1960,95 +1410,13 @@ mod tests {
         let msg = panic_message(|| {
             let _ = run(2, |comm| {
                 if comm.rank() == 0 {
-                    comm.send(1, 9, Payload::U64(vec![1, 2, 3]));
+                    send(&comm, 1, 9, reals(&[1.0, 2.0, 3.0]));
                 }
             });
         });
         assert!(msg.contains("message leak"), "got: {msg}");
         assert!(
             msg.contains("src=0") && msg.contains("dst=1") && msg.contains("0x9"),
-            "got: {msg}"
-        );
-    }
-
-    #[test]
-    fn mismatched_allreduce_lengths_fail_with_diagnostic() {
-        // Rank 1 contributes a shorter buffer: the root's length check must
-        // fire (and propagate out of `run`) instead of the ranks hanging.
-        let msg = panic_message(|| {
-            let _ = run_with_timeout(2, FAST, |comm| {
-                let mut data = vec![1.0; 4 - comm.rank()];
-                comm.allreduce_sum_f64(&mut data);
-            });
-        });
-        assert!(msg.contains("allreduce_sum_f64"), "got: {msg}");
-        assert!(msg.contains("equal-length"), "got: {msg}");
-    }
-
-    #[test]
-    fn wrong_root_gather_fails_with_diagnostic() {
-        // Both ranks believe they are the gather root: each waits for the
-        // other's chunk — a cycle the watchdog must report.
-        let msg = panic_message(|| {
-            let _ = run_with_timeout(2, FAST, |comm| {
-                let chunk = [(comm.rank() as f64, 0.0)];
-                let _ = comm.gather_c64(comm.rank(), &chunk);
-            });
-        });
-        assert!(msg.contains("deadlock detected"), "got: {msg}");
-        assert!(msg.contains("cycle"), "got: {msg}");
-    }
-
-    #[test]
-    fn traces_record_and_coalesce() {
-        let (_, handle) = run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.barrier();
-                comm.send(1, 4, Payload::U64(vec![7]));
-            } else {
-                // Three misses back-to-back must coalesce into one event.
-                assert!(comm.try_recv(0, 4).is_none());
-                assert!(comm.try_recv(0, 4).is_none());
-                assert!(comm.try_recv(0, 4).is_none());
-                comm.barrier();
-                let _ = comm.recv(0, 4);
-            }
-        });
-        let events = handle.events(1);
-        let misses: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::TryRecvMiss { polls, .. } => Some(*polls),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(misses, vec![3], "consecutive misses must coalesce");
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, Event::Recv { src: 0, tag: 4, .. })));
-        assert!(handle
-            .events(0)
-            .iter()
-            .any(|e| matches!(e, Event::Send { dst: 1, tag: 4, .. })));
-    }
-
-    #[test]
-    fn barrier_straggler_panic_is_diagnosed() {
-        // Rank 1 panics before ever reaching the barrier: rank 0's watchdog
-        // must observe the Panicked dependency and abort its wait, so the run
-        // terminates with a diagnosis instead of hanging. (`run` re-raises
-        // the lowest-ranked panic, which here is rank 0's deadlock report.)
-        let msg = panic_message(|| {
-            let _ = run_with_timeout(2, FAST, |comm| {
-                if comm.rank() == 0 {
-                    comm.barrier();
-                } else {
-                    panic!("rank 1 exploded");
-                }
-            });
-        });
-        assert!(
-            msg.contains("deadlock detected") || msg.contains("rank 1 exploded"),
             "got: {msg}"
         );
     }
@@ -2062,7 +1430,7 @@ mod tests {
         let msg = panic_message(|| {
             let _ = Runtime::new(2).deadlock_timeout(FAST).launch(|comm| {
                 if comm.rank() == 0 {
-                    let _ = comm.recv(1, 5);
+                    let _ = recv(&comm, 1, 5);
                 }
             });
         });
@@ -2079,7 +1447,7 @@ mod tests {
                     comm.recv_checked(1, 5).map(|_| ())
                 } else {
                     // First op: crashed by the plan before delivery.
-                    comm.send_checked(0, 5, Payload::U64(vec![1]))
+                    comm.send_checked(0, 5, reals(&[1.0]))
                 }
             });
         match launch.outcomes[1].crash() {
@@ -2106,9 +1474,9 @@ mod tests {
             .fault_plan(FaultPlan::new().drop_send(0, 1, 1, 2))
             .launch(|comm| {
                 if comm.rank() == 0 {
-                    comm.send_checked(1, 5, Payload::U64(vec![42])).is_ok() as u64
+                    comm.send_checked(1, 5, reals(&[42.0])).is_ok() as u64
                 } else {
-                    comm.recv_checked(0, 5).expect("delivered").into_u64()[0]
+                    into_reals(comm.recv_checked(0, 5).expect("delivered"))[0] as u64
                 }
             });
         let values: Vec<u64> = launch
@@ -2136,9 +1504,9 @@ mod tests {
             .fault_plan(FaultPlan::new().drop_send(0, 1, 1, 10))
             .launch(|comm| {
                 if comm.rank() == 0 {
-                    comm.send_checked(1, 5, Payload::U64(vec![42])).map(|_| 0)
+                    comm.send_checked(1, 5, reals(&[42.0])).map(|_| 0)
                 } else {
-                    comm.recv_checked(0, 5).map(|p| p.into_u64()[0])
+                    comm.recv_checked(0, 5).map(|p| into_reals(p)[0] as u64)
                 }
             });
         match &launch.outcomes[0] {
@@ -2165,10 +1533,10 @@ mod tests {
             .fault_plan(FaultPlan::new().corrupt_send(0, 1, 1, 2))
             .launch(|comm| {
                 if comm.rank() == 0 {
-                    comm.send_checked(1, 5, Payload::F64(vec![3.25, -0.0, 1e-300]))
+                    comm.send_checked(1, 5, reals(&[3.25, -0.0, 1e-300]))
                         .map(|_| Vec::new())
                 } else {
-                    comm.recv_checked(0, 5).map(Payload::into_f64)
+                    comm.recv_checked(0, 5).map(into_reals)
                 }
             });
         match &launch.outcomes[1] {
@@ -2203,9 +1571,9 @@ mod tests {
             .fault_plan(FaultPlan::new().corrupt_send(0, 1, 1, 10))
             .launch(|comm| {
                 if comm.rank() == 0 {
-                    comm.send_checked(1, 5, Payload::U64(vec![42])).map(|_| 0)
+                    comm.send_checked(1, 5, reals(&[42.0])).map(|_| 0)
                 } else {
-                    comm.recv_checked(0, 5).map(|p| p.into_u64()[0])
+                    comm.recv_checked(0, 5).map(|p| into_reals(p)[0] as u64)
                 }
             });
         match &launch.outcomes[1] {
@@ -2237,7 +1605,7 @@ mod tests {
                 if comm.rank() == 0 {
                     comm.recv_checked(1, 5).map(|_| ())
                 } else {
-                    comm.send_checked(0, 5, Payload::U64(vec![1]))
+                    comm.send_checked(0, 5, reals(&[1.0]))
                 }
             });
         let elapsed_ms = (ffw_obs::monotonic_ns() - t0) / 1_000_000;
@@ -2261,10 +1629,22 @@ mod tests {
 
     #[test]
     fn straggler_delays_but_does_not_change_results() {
+        // Every rank's value reaches rank 0, which sends the sum back.
         let body = |comm: &Comm| {
-            let mut v = vec![comm.rank() as f64];
-            comm.allreduce_sum_f64(&mut v);
-            v[0]
+            let mine = comm.rank() as f64;
+            if comm.rank() == 0 {
+                let mut sum = mine;
+                for src in 1..comm.size() {
+                    sum += into_reals(recv(comm, src, 3))[0];
+                }
+                for dst in 1..comm.size() {
+                    send(comm, dst, 4, reals(&[sum]));
+                }
+                sum
+            } else {
+                send(comm, 0, 3, reals(&[mine]));
+                into_reals(recv(comm, 0, 4))[0]
+            }
         };
         let (clean, _) = run(3, |comm| body(&comm));
         let launch = Runtime::new(3)

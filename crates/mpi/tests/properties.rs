@@ -1,5 +1,5 @@
-//! Property-based tests for the message-passing runtime: collectives must
-//! equal their sequential definitions for arbitrary rank counts and payloads.
+//! Property-based test for the message-passing runtime: a token passed
+//! around a ring of any size accumulates every rank's id.
 
 use ffw_mpi::{run, Payload};
 use proptest::prelude::*;
@@ -8,77 +8,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn allreduce_equals_sequential_sum(
-        n_ranks in 1usize..8,
-        len in 1usize..64,
-        seed in 0u64..10_000,
-    ) {
-        let (results, _) = run(n_ranks, |comm| {
-            let r = comm.rank() as u64;
-            let mut data: Vec<(f64, f64)> = (0..len)
-                .map(|i| {
-                    let v = ((seed.wrapping_mul(31).wrapping_add(r * 17 + i as u64)) % 1000) as f64;
-                    (v, -v * 0.5)
-                })
-                .collect();
-            comm.allreduce_sum_c64(&mut data);
-            data
-        });
-        // sequential reference
-        let mut expect = vec![(0.0f64, 0.0f64); len];
-        for r in 0..n_ranks as u64 {
-            for (i, e) in expect.iter_mut().enumerate() {
-                let v = ((seed.wrapping_mul(31).wrapping_add(r * 17 + i as u64)) % 1000) as f64;
-                e.0 += v;
-                e.1 -= v * 0.5;
-            }
-        }
-        for res in &results {
-            prop_assert_eq!(res, &expect);
-        }
-    }
-
-    #[test]
     fn ring_pass_accumulates(
         n_ranks in 2usize..8,
         start in 0u64..100,
     ) {
         // token passed around the ring, each rank adds its id
+        let token = |v: u64| Payload::C64(vec![(v as f64, 0.0)]);
         let (results, _) = run(n_ranks, move |comm| {
             let me = comm.rank();
             let next = (me + 1) % comm.size();
             let prev = (me + comm.size() - 1) % comm.size();
+            let recv = |src| comm.recv_checked(src, 1).expect("recv").into_c64()[0].0 as u64;
             if me == 0 {
-                comm.send(next, 1, Payload::U64(vec![start]));
-                comm.recv(prev, 1).into_u64()[0]
+                comm.send_checked(next, 1, token(start)).expect("send");
+                recv(prev)
             } else {
-                let v = comm.recv(prev, 1).into_u64()[0] + me as u64;
-                comm.send(next, 1, Payload::U64(vec![v]));
+                let v = recv(prev) + me as u64;
+                comm.send_checked(next, 1, token(v)).expect("send");
                 v
             }
         });
         let total: u64 = start + (1..n_ranks as u64).sum::<u64>();
         prop_assert_eq!(results[0], total);
-    }
-
-    #[test]
-    fn gather_broadcast_roundtrip(
-        n_ranks in 1usize..6,
-        len in 1usize..32,
-    ) {
-        let (results, _) = run(n_ranks, |comm| {
-            let chunk: Vec<(f64, f64)> = (0..len)
-                .map(|i| ((comm.rank() * 100 + i) as f64, 0.0))
-                .collect();
-            let gathered = comm.gather_c64(0, &chunk);
-            let mut flat = if comm.rank() == 0 {
-                gathered.expect("root").into_iter().flatten().collect()
-            } else {
-                Vec::new()
-            };
-            comm.broadcast_c64(0, &mut flat);
-            flat.len()
-        });
-        prop_assert!(results.iter().all(|&l| l == n_ranks * len));
     }
 }

@@ -185,8 +185,7 @@ fn pump(engine: &Engine, lines: &Receiver<Input>, reply: &Sender<String>, once: 
                 handle(engine, input, reply);
                 continue;
             }
-            Err(crossbeam_channel::TryRecvError::Empty) => {}
-            Err(crossbeam_channel::TryRecvError::Disconnected) => input_done = true,
+            Err(e) => input_done |= e.is_disconnected(),
         }
         if input_done && once && engine.idle() {
             engine.drain(false);
