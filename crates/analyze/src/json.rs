@@ -1,6 +1,6 @@
 //! The JSON report, written through the workspace codec (`ffw_obs::json`).
 //!
-//! The report schema is versioned (`"schema": "ffw-analyze/1"`) so CI
+//! The report schema is versioned (`"schema": "ffw-analyze/2"`) so CI
 //! consumers can evolve independently of the tool. Output is deterministic:
 //! diagnostics arrive pre-sorted and keys come out sorted.
 
@@ -15,7 +15,6 @@ pub fn report(diags: &[Diag], files_scanned: usize) -> String {
         obj(vec![
             ("code", text(r.code)),
             ("rule", text(r.rule)),
-            ("waiver", text(r.waiver)),
             ("summary", text(r.summary)),
         ])
     });
@@ -30,7 +29,7 @@ pub fn report(diags: &[Diag], files_scanned: usize) -> String {
         ])
     });
     let doc = obj(vec![
-        ("schema", text("ffw-analyze/1")),
+        ("schema", text("ffw-analyze/2")),
         ("files_scanned", Json::Num(files_scanned as f64)),
         ("diagnostic_count", Json::Num(diags.len() as f64)),
         ("rules", Json::Arr(rules.collect())),
@@ -56,7 +55,7 @@ mod tests {
         let r = Json::parse(&report(&[diag], 42)).expect("valid JSON");
         assert_eq!(
             r.get("schema").and_then(Json::as_str),
-            Some("ffw-analyze/1")
+            Some("ffw-analyze/2")
         );
         assert_eq!(r.get("files_scanned").and_then(Json::as_u64), Some(42));
         assert_eq!(r.get("diagnostic_count").and_then(Json::as_u64), Some(1));
@@ -71,11 +70,8 @@ mod tests {
         let rules = r.get("rules").and_then(Json::as_arr).expect("rules");
         assert_eq!(rules.len(), RULES.len());
         for (row, rule) in rules.iter().zip(RULES) {
-            let fields = ["code", "rule", "waiver", "summary"].map(|k| row.get(k)?.as_str());
-            assert_eq!(
-                fields,
-                [rule.code, rule.rule, rule.waiver, rule.summary].map(Some)
-            );
+            let fields = ["code", "rule", "summary"].map(|k| row.get(k)?.as_str());
+            assert_eq!(fields, [rule.code, rule.rule, rule.summary].map(Some));
         }
     }
 

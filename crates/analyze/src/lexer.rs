@@ -4,10 +4,9 @@
 //! This is deliberately *not* a full Rust grammar — the rules only need the
 //! token boundaries the textual engine could not see: string literal
 //! interiors (including raw strings with arbitrary `#` fences and byte
-//! strings), character literals vs. lifetimes, nested block comments, and
-//! doc vs. plain comments. Everything the rules match (`.unwrap(`,
-//! `thread::spawn`, `Ordering::Release`, tag expressions) is a short token
-//! sequence, so a lossless stream of `Ident`/`Punct`/`Literal`/`Comment`
+//! strings), character literals vs. lifetimes, and nested block comments.
+//! Everything the rules match (`Ordering::Release`, `g0.apply(`, tag
+//! expressions) is a short token sequence, so a lossless stream of `Ident`/`Punct`/`Literal`/`Comment`
 //! tokens with positions is exactly enough.
 
 /// What a token is. `Int` carries the parsed value when the literal is a
@@ -28,15 +27,8 @@ pub enum TokKind {
     Str,
     /// Char or byte-char literal: `'x'`, `b'\n'`.
     Char,
-    /// A comment. `doc` distinguishes `///`/`//!`/`/**`/`/*!` from plain
-    /// `//`/`/* */` — waivers must be plain comments so that *documenting*
-    /// a waiver tag never registers one.
-    Comment {
-        /// True for doc comments.
-        doc: bool,
-        /// True for block (`/* */`) comments.
-        block: bool,
-    },
+    /// A line or (nested) block comment, doc or plain.
+    Comment,
     /// Punctuation / operator, possibly multi-character (`::`, `+=`, `..`).
     Punct,
 }
@@ -52,10 +44,6 @@ pub struct Tok {
     pub line: u32,
     /// 1-based column (in characters) of the first character.
     pub col: u32,
-    /// 1-based line of the last character.
-    pub end_line: u32,
-    /// 1-based column (in characters) of the last character.
-    pub end_col: u32,
 }
 
 impl Tok {
@@ -71,7 +59,7 @@ impl Tok {
 
     /// True for any comment token.
     pub fn is_comment(&self) -> bool {
-        matches!(self.kind, TokKind::Comment { .. })
+        self.kind == TokKind::Comment
     }
 }
 
@@ -181,12 +169,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
             lex_punct(&mut cur)
         };
         let text: String = cur.chars[start..cur.i].iter().collect();
-        // Position of the last character consumed (newline-aware).
-        let (end_line, end_col) = if cur.col > 1 {
-            (cur.line, cur.col - 1)
-        } else {
-            (cur.line.saturating_sub(1), 1)
-        };
         let kind = match kind {
             TokKind::Int(_) => TokKind::Int(parse_int(&text)),
             k => k,
@@ -196,38 +178,22 @@ pub fn lex(src: &str) -> Vec<Tok> {
             text,
             line,
             col,
-            end_line,
-            end_col,
         });
     }
     toks
 }
 
 fn lex_line_comment(cur: &mut Cursor) -> TokKind {
-    // `///` (but not `////…`) and `//!` are doc comments.
-    let doc = match (cur.peek(2), cur.peek(3)) {
-        (Some('!'), _) => true,
-        (Some('/'), Some('/')) => false,
-        (Some('/'), _) => true,
-        _ => false,
-    };
     while let Some(c) = cur.peek(0) {
         if c == '\n' {
             break;
         }
         cur.bump();
     }
-    TokKind::Comment { doc, block: false }
+    TokKind::Comment
 }
 
 fn lex_block_comment(cur: &mut Cursor) -> TokKind {
-    let doc = match (cur.peek(2), cur.peek(3)) {
-        (Some('!'), _) => true,
-        // `/**/` is an empty plain comment, `/**x` is doc.
-        (Some('*'), Some('/')) => false,
-        (Some('*'), _) => true,
-        _ => false,
-    };
     cur.bump(); // '/'
     cur.bump(); // '*'
     let mut depth = 1usize;
@@ -249,7 +215,7 @@ fn lex_block_comment(cur: &mut Cursor) -> TokKind {
             (None, _) => break,
         }
     }
-    TokKind::Comment { doc, block: true }
+    TokKind::Comment
 }
 
 fn lex_string(cur: &mut Cursor) {
@@ -502,13 +468,7 @@ mod tests {
     fn nested_block_comments() {
         let ts = kinds("a /* outer /* inner */ still comment */ b");
         assert_eq!(ts.len(), 3);
-        assert!(
-            ts[1].0
-                == TokKind::Comment {
-                    doc: false,
-                    block: true
-                }
-        );
+        assert_eq!(ts[1].0, TokKind::Comment);
         assert!(ts[1].1.contains("inner"));
         assert_eq!(ts[2].1, "b");
     }
@@ -528,19 +488,6 @@ mod tests {
             .map(|(_, s)| s.as_str())
             .collect();
         assert_eq!(lifetimes, ["'a", "'a"]);
-    }
-
-    #[test]
-    fn doc_vs_plain_comments() {
-        let ts = lex("/// doc\n//! inner\n// plain\n//// many slashes\n/** docblock */\n/*! inner block */\n/* plain block */\n/**/");
-        let docs: Vec<bool> = ts
-            .iter()
-            .filter_map(|t| match t.kind {
-                TokKind::Comment { doc, .. } => Some(doc),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(docs, [true, true, false, false, true, true, false, false]);
     }
 
     #[test]
@@ -580,7 +527,6 @@ mod tests {
         let ts = lex("ab\n  cd");
         assert_eq!((ts[0].line, ts[0].col), (1, 1));
         assert_eq!((ts[1].line, ts[1].col), (2, 3));
-        assert_eq!((ts[1].end_line, ts[1].end_col), (2, 4));
     }
 
     #[test]
@@ -589,7 +535,6 @@ mod tests {
         let s = &ts[3];
         assert_eq!(s.kind, TokKind::Str);
         assert_eq!(s.line, 1);
-        assert_eq!(s.end_line, 2);
         let next = ts.last().unwrap();
         assert_eq!(next.line, 3);
     }

@@ -1,32 +1,30 @@
 //! ffw-analyze — token-level static analyzer for the ffw workspace.
 //!
-//! The workspace's discipline rules (SAFETY comments, ordering hygiene,
-//! multi-RHS hot paths, …) started life as line-oriented textual lints.
-//! This crate re-implements them on a real token
-//! stream — a hand-written Rust lexer that understands strings, raw
-//! strings, char literals and nested block comments — which removes the
-//! masking false-positive class entirely, and adds the cross-file rules
-//! that textual scanning could never express:
+//! A hand-written Rust lexer that understands strings, raw strings, char
+//! literals and nested block comments feeds the rules that police the
+//! paper's synchronisation protocol — properties no compiler lint can
+//! express, several of them joined across files:
 //!
 //! | code  | rule | scope |
 //! |-------|------|-------|
-//! | FFW001 | R1  | SAFETY comment above every `unsafe` |
-//! | FFW002 | R2  | `#![deny(unsafe_op_in_unsafe_fn)]` in unsafe crates |
 //! | FFW003 | R3  | no `Relaxed` on completion/panic flags |
-//! | FFW004 | R4  | `thread::spawn` confined to ffw-par/ffw-mpi |
-//! | FFW005 | R5  | no `.unwrap()` on the fault-tolerant path |
-//! | FFW006 | R6  | `Instant` only inside ffw-obs |
-//! | FFW007 | R7  | retired: the checked calls are `Comm`'s only send/receive |
 //! | FFW008 | R8  | no single-RHS operator applies on the hot path |
 //! | FFW009 | R9  | release stores need workspace-wide acquire loads |
 //! | FFW010 | R10 | no scheduling-order-dependent float reductions |
 //! | FFW011 | R11 | message tags: paired and collision-free |
-//! | FFW012 | R12 | waiver ledger: registered, justified, not stale |
+//!
+//! The generic rules went to the toolchain, configured once in the root
+//! `Cargo.toml` (`[workspace.lints]`) and `clippy.toml`: SAFETY comments
+//! (R1, `clippy::undocumented_unsafe_blocks`), `unsafe_op_in_unsafe_fn`
+//! (R2), the thread-spawn and `Instant` bans (R4, R6,
+//! `clippy::disallowed_methods` / `disallowed_types`), `.unwrap()` on the
+//! fault path (R5, `clippy::unwrap_used`) and the waiver ledger (R12, a
+//! reasoned `#[expect]` at each exception). R7 was retired when `Comm` kept
+//! only its checked calls. A retired rule's code is never reused.
 //!
 //! Diagnostics carry file/line/column spans and stable codes; CI runs
 //! [`check_workspace`] through the CLI and consumes its JSON report
-//! (`ffw-analyze check --json report.json`). A retired rule's code is never
-//! reused.
+//! (`ffw-analyze check --json report.json`).
 
 pub mod diag;
 pub mod index;
@@ -36,7 +34,7 @@ pub mod rules;
 pub mod workspace;
 
 pub use diag::{Diag, RuleInfo, RULES};
-pub use rules::{check_workspace, known_waiver_tags};
+pub use rules::check_workspace;
 pub use workspace::{SourceFile, Workspace};
 
 use std::path::Path;

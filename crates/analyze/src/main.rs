@@ -20,12 +20,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("rules") => {
             for r in &RULES {
-                let waiver = if r.waiver.is_empty() {
-                    String::new()
-                } else {
-                    format!("  (waiver: // {})", r.waiver)
-                };
-                println!("{}/{:4} {}{}", r.code, r.rule, r.summary, waiver);
+                println!("{}/{:4} {}", r.code, r.rule, r.summary);
             }
             ExitCode::SUCCESS
         }

@@ -154,15 +154,6 @@ pub fn r9_atomic_pairing(ws: &Workspace, out: &mut Vec<Diag>) {
             continue;
         }
         for s in sites {
-            // Per-site waiver check needs the file's index back.
-            let waived = ws
-                .files
-                .iter()
-                .find(|f| f.rel_path == s.file)
-                .is_some_and(|f| f.index.waived((s.line as usize) - 1, "lint:atomic-ok"));
-            if waived {
-                continue;
-            }
             out.push(Diag {
                 code: info.code,
                 rule: info.rule,
@@ -172,8 +163,7 @@ pub fn r9_atomic_pairing(ws: &Workspace, out: &mut Vec<Diag>) {
                 message: format!(
                     "`{name}.store(_, Ordering::{})` has no matching acquire-class load of \
                      `{name}` anywhere in the workspace — the release fence publishes nothing; \
-                     pair it with `load(Acquire)`/`SeqCst` (or an acquire RMW), or waive with \
-                     `// lint:atomic-ok`",
+                     pair it with `load(Acquire)`/`SeqCst` (or an acquire RMW)",
                     s.ordering
                 ),
             });
@@ -187,7 +177,7 @@ mod tests {
     use crate::workspace::Workspace;
 
     fn run(files: &[(&str, &str)]) -> Vec<Diag> {
-        let ws = Workspace::from_memory(files, None);
+        let ws = Workspace::from_memory(files);
         let mut out = Vec::new();
         r9_atomic_pairing(&ws, &mut out);
         out
@@ -226,12 +216,6 @@ mod tests {
     #[test]
     fn relaxed_store_needs_no_pairing() {
         let a = "fn p(s: &S) { s.counter.store(0, Ordering::Relaxed); }\n";
-        assert!(run(&[("crates/a/src/lib.rs", a)]).is_empty());
-    }
-
-    #[test]
-    fn waiver_suppresses() {
-        let a = "// lint:atomic-ok — single-threaded init, no consumer yet\ns.flag.store(true, Ordering::Release);\n";
         assert!(run(&[("crates/a/src/lib.rs", a)]).is_empty());
     }
 

@@ -16,10 +16,6 @@
 //!    accumulation (`+=`, `-=`, `*=`) or an `add_assign` call;
 //! 2. a `fetch_add`/`fetch_update` whose arguments go through `to_bits`
 //!    (the float-as-bits atomic accumulator idiom).
-//!
-//! Waive a justified use (e.g. an accumulator that is provably
-//! commutative-exact, like integer counters behind a float-typed API) with
-//! `// lint:reduce-ok`.
 
 use crate::diag::{rule_info, Diag};
 use crate::rules::local::code_tokens;
@@ -55,7 +51,7 @@ pub fn r10_reduction_discipline(ws: &Workspace, out: &mut Vec<Diag>) {
                         t.is_punct(".") && j + 1 < code.len() && code[j + 1].is_ident("add_assign");
                     if compound || add_assign {
                         let li = (t.line as usize) - 1;
-                        if !f.is_test_line(li) && !f.index.waived(li, "lint:reduce-ok") {
+                        if !f.is_test_line(li) {
                             out.push(Diag {
                                 code: info.code,
                                 rule: info.rule,
@@ -65,8 +61,7 @@ pub fn r10_reduction_discipline(ws: &Workspace, out: &mut Vec<Diag>) {
                                 message: "accumulation into a lock-guarded shared accumulator — \
                                           merge order depends on thread scheduling, breaking the \
                                           thread-invariance guarantee; use `Pool::map_reduce` \
-                                          (chunk-ordered fold) or disjoint slots, or waive with \
-                                          `// lint:reduce-ok`"
+                                          (chunk-ordered fold) or disjoint slots"
                                     .into(),
                             });
                         }
@@ -94,7 +89,7 @@ pub fn r10_reduction_discipline(ws: &Workspace, out: &mut Vec<Diag>) {
                     } else if code[j].is_ident("to_bits") {
                         let t = code[i + 1];
                         let li = (t.line as usize) - 1;
-                        if !f.is_test_line(li) && !f.index.waived(li, "lint:reduce-ok") {
+                        if !f.is_test_line(li) {
                             out.push(Diag {
                                 code: info.code,
                                 rule: info.rule,
@@ -104,7 +99,7 @@ pub fn r10_reduction_discipline(ws: &Workspace, out: &mut Vec<Diag>) {
                                 message: "float accumulation through an integer atomic \
                                           (`to_bits` inside `fetch_add`) — accumulation order \
                                           depends on thread scheduling; use a chunk-ordered \
-                                          reduction, or waive with `// lint:reduce-ok`"
+                                          reduction"
                                     .into(),
                             });
                         }
@@ -124,7 +119,7 @@ mod tests {
     use crate::workspace::Workspace;
 
     fn run(path: &str, src: &str) -> Vec<Diag> {
-        let ws = Workspace::from_memory(&[(path, src)], None);
+        let ws = Workspace::from_memory(&[(path, src)]);
         let mut out = Vec::new();
         r10_reduction_discipline(&ws, &mut out);
         out
@@ -168,11 +163,5 @@ mod tests {
     fn out_of_scope_crate_is_ignored() {
         let src = "fn merge(acc: &Mutex<f64>, x: f64) { *acc.lock() += x; }\n";
         assert!(run("crates/obs/src/metrics.rs", src).is_empty());
-    }
-
-    #[test]
-    fn waiver_suppresses() {
-        let src = "// lint:reduce-ok — integer-exact accumulation\nfn merge(acc: &Mutex<u64>, x: u64) { *acc.lock() += x; }\n";
-        assert!(run("crates/par/src/lib.rs", src).is_empty());
     }
 }

@@ -15,8 +15,7 @@
 //! The tag is the second argument of every checked call. Channel
 //! endpoints (`send(v)` / `recv()`) are not mailbox calls and never match.
 //! Calls whose tag expression is symbolic (a plain parameter like `tag`)
-//! are generic forwarders and are skipped. Waive an intentionally one-sided
-//! call (e.g. a deliberate deadlock demo) with `// lint:tag-ok`.
+//! are generic forwarders and are skipped.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +31,6 @@ struct CallSite {
     file: String,
     line: u32,
     col: u32,
-    waived: bool,
 }
 
 #[derive(Default)]
@@ -209,7 +207,6 @@ pub fn r11_tag_protocol(ws: &Workspace, out: &mut Vec<Diag>) {
                 file: f.rel_path.clone(),
                 line: m.line,
                 col: m.col,
-                waived: f.index.waived(li, "lint:tag-ok"),
             };
             let entry = uses.entry(key).or_default();
             if is_send {
@@ -226,7 +223,7 @@ pub fn r11_tag_protocol(ws: &Workspace, out: &mut Vec<Diag>) {
             .strip_prefix("literal:")
             .map_or(key.clone(), |v| format!("tag {v}"));
         if u.sends.is_empty() {
-            for s in u.recvs.iter().filter(|s| !s.waived) {
+            for s in &u.recvs {
                 out.push(Diag {
                     code: info.code,
                     rule: info.rule,
@@ -235,13 +232,12 @@ pub fn r11_tag_protocol(ws: &Workspace, out: &mut Vec<Diag>) {
                     col: s.col,
                     message: format!(
                         "`{pretty}` is received here but never sent anywhere in the \
-                         workspace — a receive with no sender deadlocks; add the send side \
-                         or waive with `// lint:tag-ok`"
+                         workspace — a receive with no sender deadlocks; add the send side"
                     ),
                 });
             }
         } else if u.recvs.is_empty() {
-            for s in u.sends.iter().filter(|s| !s.waived) {
+            for s in &u.sends {
                 out.push(Diag {
                     code: info.code,
                     rule: info.rule,
@@ -251,7 +247,7 @@ pub fn r11_tag_protocol(ws: &Workspace, out: &mut Vec<Diag>) {
                     message: format!(
                         "`{pretty}` is sent here but never received anywhere in the \
                          workspace — an unreceived send is a guaranteed message leak; add \
-                         the receive side or waive with `// lint:tag-ok`"
+                         the receive side"
                     ),
                 });
             }
@@ -265,7 +261,7 @@ mod tests {
     use crate::workspace::Workspace;
 
     fn run(files: &[(&str, &str)]) -> Vec<Diag> {
-        let ws = Workspace::from_memory(files, None);
+        let ws = Workspace::from_memory(files);
         let mut out = Vec::new();
         r11_tag_protocol(&ws, &mut out);
         out
@@ -328,12 +324,6 @@ mod tests {
         let diags = run(&[("crates/m/src/a.rs", one_sided)]);
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("`tag 9` is sent here"));
-    }
-
-    #[test]
-    fn waiver_suppresses_one_sided_tag() {
-        let a = "fn demo(c: &C) {\n    // deliberate deadlock demo: lint:tag-ok\n    let m = c.recv_checked(0, TAG_NEVER)?;\n}\n";
-        assert!(run(&[("crates/d/src/a.rs", a)]).is_empty());
     }
 
     #[test]

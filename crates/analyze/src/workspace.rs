@@ -8,10 +8,10 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::index::FileIndex;
+use crate::index::test_lines;
 use crate::lexer::{lex, Tok};
 
-/// One analyzed source file: token stream plus the line-indexed view.
+/// One analyzed source file: its token stream and which lines are test code.
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel_path: String,
@@ -22,17 +22,16 @@ pub struct SourceFile {
     pub is_test_file: bool,
     /// Lexed tokens.
     pub tokens: Vec<Tok>,
-    /// Line-indexed view.
-    pub index: FileIndex,
+    /// Per line (index 0 is line 1): inside a `#[cfg(test)]` item.
+    pub test_lines: Vec<bool>,
 }
 
 impl SourceFile {
-    /// Lexes and indexes one file.
+    /// Lexes one file and marks its test lines.
     pub fn new(rel_path: &str, text: &str) -> SourceFile {
         let rel_path = rel_path.replace('\\', "/");
         let tokens = lex(text);
-        let n_lines = text.lines().count().max(1);
-        let index = FileIndex::build(&tokens, n_lines);
+        let test_lines = test_lines(&tokens, text.lines().count().max(1));
         let member_dir = rel_path.split('/').next().unwrap_or("").to_string();
         let is_test_file = rel_path.contains("/tests/")
             || rel_path.contains("/benches/")
@@ -43,14 +42,14 @@ impl SourceFile {
             member_dir,
             is_test_file,
             tokens,
-            index,
+            test_lines,
         }
     }
 
     /// True when the 0-based line is test code: the file lives in a test
     /// tree, or the line is inside a `#[cfg(test)]` item.
     pub fn is_test_line(&self, li: usize) -> bool {
-        self.is_test_file || self.index.is_test.get(li).copied().unwrap_or(false)
+        self.is_test_file || self.test_lines.get(li).copied().unwrap_or(false)
     }
 
     /// True for files under a `src/` directory (the non-test compilation
@@ -66,28 +65,22 @@ pub struct Workspace {
     pub root: PathBuf,
     /// All source files, sorted by path.
     pub files: Vec<SourceFile>,
-    /// `WAIVERS.md` content, if present.
-    pub ledger: Option<String>,
 }
 
 impl Workspace {
-    /// Walks the workspace at `root`, reading the member list from the root
-    /// `Cargo.toml`.
+    /// Walks the source trees of every member of the workspace at `root`.
     pub fn from_root(root: &Path) -> std::io::Result<Workspace> {
-        let manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
         let mut files = Vec::new();
-        let mut members = workspace_members(&manifest);
-        // The root manifest may also define a package (the `ffw` facade
-        // re-export); its own source trees are members too.
-        if manifest.lines().any(|l| l.trim() == "[package]") {
-            for dir in ["src", "tests", "examples", "benches"] {
-                if root.join(dir).is_dir() {
-                    members.push(dir.to_string());
-                }
-            }
-        }
-        for member in members {
-            for path in rust_files(&root.join(&member)) {
+        for member in member_dirs(root)? {
+            // The root package's trees; any other member is walked whole.
+            let trees = if member == root {
+                ["src", "tests", "examples", "benches"]
+                    .map(|d| root.join(d))
+                    .to_vec()
+            } else {
+                vec![member]
+            };
+            for path in trees.iter().flat_map(|t| rust_files(t)) {
                 let text = std::fs::read_to_string(&path)?;
                 let rel = path
                     .strip_prefix(root)
@@ -98,31 +91,53 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        let ledger = std::fs::read_to_string(root.join("WAIVERS.md")).ok();
         Ok(Workspace {
             root: root.to_path_buf(),
             files,
-            ledger,
         })
     }
 
     /// Builds a workspace from in-memory `(path, text)` pairs — the fixture
     /// corpus entry point.
-    pub fn from_memory(files: &[(&str, &str)], ledger: Option<&str>) -> Workspace {
+    pub fn from_memory(files: &[(&str, &str)]) -> Workspace {
         let mut files: Vec<SourceFile> = files.iter().map(|(p, t)| SourceFile::new(p, t)).collect();
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         Workspace {
             root: PathBuf::from("<memory>"),
             files,
-            ledger: ledger.map(str::to_string),
         }
     }
 }
 
+/// The directory of every member package of the workspace at `root`: the
+/// root itself when its manifest also defines a package (the `ffw` facade),
+/// then each `[workspace] members` entry, a trailing `/*` expanded to the
+/// subdirectories it names.
+pub fn member_dirs(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
+    let mut dirs = Vec::new();
+    if manifest.lines().any(|l| l.trim() == "[package]") {
+        dirs.push(root.to_path_buf());
+    }
+    for member in manifest_members(&manifest) {
+        let Some(parent) = member.strip_suffix("/*") else {
+            dirs.push(root.join(member));
+            continue;
+        };
+        let mut sub: Vec<PathBuf> = std::fs::read_dir(root.join(parent))?
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.is_dir())
+            .collect();
+        sub.sort();
+        dirs.extend(sub);
+    }
+    Ok(dirs)
+}
+
 /// Extracts the `members` array from the root manifest's `[workspace]`
-/// table and expands one-level `*` globs against the filesystem-free parse
-/// (the caller expands against disk). Returned entries are directory paths
-/// relative to the root; glob entries keep their `*`.
+/// table. Returned entries are directory paths relative to the root; glob
+/// entries keep their `*`.
 fn manifest_members(manifest: &str) -> Vec<String> {
     let mut members = Vec::new();
     let mut in_workspace = false;
@@ -163,37 +178,10 @@ fn manifest_members(manifest: &str) -> Vec<String> {
     members
 }
 
-/// Expands the manifest's member globs against the filesystem.
-fn workspace_members(manifest: &str) -> Vec<String> {
-    // The expansion needs the root; the caller joins, so expansion happens
-    // lazily in `from_root` via this closure-free two-step: entries with a
-    // trailing `/*` are expanded there.
-    manifest_members(manifest)
-}
-
-fn rust_files(member: &Path) -> Vec<PathBuf> {
+/// Every `.rs` file under `dir` (skipping `target/`), sorted.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    // `crates/*`-style globs: expand the last segment.
-    if member
-        .file_name()
-        .is_some_and(|n| n.to_string_lossy() == "*")
-    {
-        if let Some(parent) = member.parent() {
-            if let Ok(entries) = std::fs::read_dir(parent) {
-                let mut dirs: Vec<PathBuf> = entries
-                    .flatten()
-                    .map(|e| e.path())
-                    .filter(|p| p.is_dir())
-                    .collect();
-                dirs.sort();
-                for d in dirs {
-                    out.extend(rust_files(&d));
-                }
-            }
-        }
-        return out;
-    }
-    let mut stack = vec![member.to_path_buf()];
+    let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&d) else {
             continue;

@@ -5,8 +5,6 @@
 //! Each binary prints the paper's reported values next to the reproduced
 //! ones and writes a machine-readable JSON record under `results/`.
 
-#![warn(missing_docs)]
-
 use std::io::Write;
 use std::path::PathBuf;
 

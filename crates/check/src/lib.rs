@@ -27,8 +27,6 @@
 //! analysis; the schedule explorer is self-contained and model-based, so it
 //! needs no instrumentation of the real runtimes.
 
-#![warn(missing_docs)]
-
 pub mod jobs;
 pub mod loom;
 pub mod models;

@@ -20,8 +20,6 @@
 //! # let _ = image;
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod exit;
 pub mod viz;
 

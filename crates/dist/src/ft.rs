@@ -673,7 +673,10 @@ impl<'c> RankContext for GridContext<'_, 'c> {
 /// streams each field slice into the file as it arrives and holds only the
 /// other slots' shared-vector slices, which the file needs vector by vector.
 /// `then` runs once the checkpoint is durable.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the gather needs the grid's layout and the loop state it writes, each its own value"
+)]
 fn gather_and_save(
     comm: &Comm,
     path: &Path,

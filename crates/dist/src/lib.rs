@@ -5,7 +5,9 @@
 //! group, communication buffer aggregation, and overlap of communication with
 //! computation — all over the `ffw-mpi` message-passing runtime.
 
-#![warn(missing_docs)]
+// The fault-tolerant path: a failure is a typed `FaultError`, never an
+// unwrap panic (tests may unwrap; see the root clippy.toml).
+#![deny(clippy::unwrap_used)]
 
 pub mod control;
 pub mod engine;

@@ -88,9 +88,12 @@ fn wait(q: MutexGuard<'static, Queue>) -> MutexGuard<'static, Queue> {
 /// Queues `p` for `path`; reports a failure of the path's previous file.
 pub(crate) fn enqueue(path: &Path, p: Pending) -> Result<(), CheckpointError> {
     START.call_once(|| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one per-process I/O thread makes checkpoints durable off the solver's critical path; compute stays on the pool"
+        )]
         std::thread::Builder::new()
             .name("ffw-ckpt-durable".into())
-            // lint:spawn-ok one per-process I/O thread that makes checkpoints durable off the solver's critical path; compute stays on the pool
             .spawn(writer)
             .expect("spawn the checkpoint durable writer");
     });

@@ -22,9 +22,6 @@
 //! can share its types without cycles; the chaos-test harness in
 //! `tests/chaos.rs` exercises the whole stack end-to-end.
 
-#![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
-
 mod checkpoint;
 pub mod durable;
 mod error;

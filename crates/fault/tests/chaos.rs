@@ -457,6 +457,10 @@ fn cancel_mid_iteration_checkpoint_resumes_bit_identically() {
     let control = JobControl::new().with_progress(ptx);
     let stopper = {
         let control = control.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test plays the client: it must stop the run from outside the solver's threads"
+        )]
         std::thread::spawn(move || {
             let first = prx.recv().expect("first progress event");
             assert_eq!(first.completed, 1);

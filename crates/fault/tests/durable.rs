@@ -137,6 +137,10 @@ fn boundaries_land_in_order_and_load_waits_for_the_latest() {
     let fresh = d.join("fresh.ckpt");
     let release = hold_writer(&d);
     commit(&fresh, &state(3), None);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test must observe a load blocked on the writer from another thread"
+    )]
     let loader = std::thread::spawn(move || Checkpoint::load(&fresh, state(3).fingerprint));
     std::thread::sleep(std::time::Duration::from_millis(20));
     assert!(

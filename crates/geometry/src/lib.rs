@@ -5,8 +5,6 @@
 //! the MLFMA quad-tree cluster hierarchy (leaf = `0.8 lambda` = 8x8 pixels,
 //! 16 sub-trees at the top computed level), and transmitter/receiver arrays.
 
-#![warn(missing_docs)]
-
 pub mod domain;
 pub mod morton;
 pub mod point;

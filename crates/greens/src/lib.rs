@@ -6,8 +6,6 @@
 //! `O(N^2)` reference operators, and the analytic Mie-series oracle used to
 //! validate the forward solver against exact physics.
 
-#![warn(missing_docs)]
-
 pub mod direct;
 pub mod kernel;
 pub mod mie;

@@ -596,7 +596,10 @@ pub fn dbim_hooked<G: BlockLinOp + ?Sized>(
 
 /// Runs the loop on the serial context over `g0` (the raw Green's operator
 /// or its checksum-verified wrapper).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the serial arm of the one DBIM loop: the loop's inputs plus its resume, poll and hook seams"
+)]
 fn run_serial<G: BlockLinOp + ?Sized>(
     setup: &ImagingSetup,
     g0: &G,

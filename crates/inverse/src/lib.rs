@@ -5,8 +5,6 @@
 //! nonlinear conjugate-gradient optimization, and the linear Born
 //! (single-scattering) baseline it is compared against in Figs. 1–2.
 
-#![warn(missing_docs)]
-
 pub mod born;
 pub mod dbim;
 pub mod multifreq;

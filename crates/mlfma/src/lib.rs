@@ -14,9 +14,6 @@
 //! The kernel bodies run through `ffw_numerics::dispatch!`: the `avx2,fma`
 //! instance where the CPU has both, the portable body elsewhere.
 
-#![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod engine;
 pub mod farfield;
 pub mod interp;

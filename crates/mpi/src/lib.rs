@@ -61,7 +61,13 @@
 //! variable (if set) overrides [`Runtime::deadlock_timeout`], which
 //! overrides the 1000 ms default.
 
-#![warn(missing_docs)]
+// The fault-tolerant path: a failure is a typed `FaultError`, never an
+// unwrap panic (tests may unwrap; see the root clippy.toml).
+#![deny(clippy::unwrap_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "rank threads and the heartbeat beater / monitor are the message-passing runtime's own"
+)]
 
 use ffw_check::trace::{render_report, Event, LeakedMessage};
 use ffw_check::waitgraph::WaitState;

@@ -9,9 +9,6 @@
 //! or LAPACK bindings) so the reproduction is a single dependency-light
 //! workspace whose numerical behaviour is fully auditable.
 
-#![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
-
 /// Whether the `avx2,fma` instances of the kernel bodies may run on this
 /// CPU. They are compiled out under Miri: the interpreter has no cpuid, and
 /// the portable bodies are the bit-identical reference anyway.

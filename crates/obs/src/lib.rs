@@ -31,11 +31,14 @@
 //!
 //! This crate is dependency-free by design (it sits below every other crate
 //! in the workspace, including the substrate crates) and is the only crate
-//! allowed to touch `std::time::Instant` — `ffw-analyze` rule R6 enforces
-//! that all timing goes through [`Stopwatch`] / spans so it is aggregated
-//! here.
+//! allowed to touch `std::time::Instant` — the root `clippy.toml` bans the
+//! type everywhere else, so all timing goes through [`Stopwatch`] / spans
+//! and is aggregated here.
 
-#![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the workspace's one clock: every other crate times through Stopwatch / monotonic_ns"
+)]
 
 mod clock;
 mod export;

@@ -155,6 +155,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the property under test is a fresh OS thread's empty span stack"
+    )]
     fn stack_is_per_thread() {
         let _guard = crate::tests_lock();
         crate::reset();

@@ -16,8 +16,10 @@
 //! by an atomic chunk counter), so the borrow can never dangle. Worker panics
 //! are caught and re-raised on the caller thread.
 
-#![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the pool's workers are the workspace's compute threads"
+)]
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::ops::Range;

@@ -12,8 +12,6 @@
 //! the *rates* are modeled, with a single global constant calibrated to the
 //! paper's 64-GPU-node baseline.
 
-#![warn(missing_docs)]
-
 pub mod app;
 pub mod experiments;
 pub mod machine;

@@ -9,8 +9,6 @@
 //! `delta_eps_r(r)`; the solver's object function is
 //! `O(r) = k0^2 delta_eps_r(r)` (paper Section VI-A).
 
-#![warn(missing_docs)]
-
 pub mod scenario;
 
 pub use scenario::{

@@ -198,6 +198,10 @@ mod tests {
         let (fail_tx, fail) = mpsc::channel::<()>();
         let first = {
             let cache = Arc::clone(&cache);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "two service callers racing for one plan, as the engine's worker threads do"
+            )]
             std::thread::spawn(move || {
                 cache.get_or_build(5, || {
                     started_tx.send(()).expect("test alive");
@@ -210,6 +214,10 @@ mod tests {
         let (done_tx, done) = mpsc::channel();
         let second = {
             let cache = Arc::clone(&cache);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "two service callers racing for one plan, as the engine's worker threads do"
+            )]
             std::thread::spawn(move || done_tx.send(cache.get_or_build(5, build)))
         };
         // Let the second caller reach the condvar, then fail the build.

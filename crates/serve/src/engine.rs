@@ -291,10 +291,13 @@ impl Engine {
         let mut threads = Vec::new();
         for i in 0..inner.cfg.workers.max(1) {
             let inner = Arc::clone(&inner);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "long-lived service workers, not data parallelism; each job inside runs on the shared ffw-par pool"
+            )]
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ffw-serve-worker-{i}"))
-                    // lint:spawn-ok long-lived service workers, not data parallelism; each job inside runs on the shared ffw-par pool
                     .spawn(move || {
                         while let Ok(id) = inner.queue_rx.recv() {
                             inner.queued.fetch_sub(1, Ordering::Relaxed);
@@ -306,10 +309,13 @@ impl Engine {
         }
         {
             let inner = Arc::clone(&inner);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the deadline/progress watchdog must run even while every worker is blocked inside a solve"
+            )]
             threads.push(
                 std::thread::Builder::new()
                     .name("ffw-serve-watchdog".into())
-                    // lint:spawn-ok the deadline/progress watchdog must run even while every worker is blocked inside a solve
                     .spawn(move || watchdog(&inner))
                     .map_err(|e| format!("spawn watchdog: {e}"))?,
             );

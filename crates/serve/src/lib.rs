@@ -28,11 +28,6 @@
 //! * [`engine`] — workers, watchdog, retry, recovery.
 //! * [`server`] — stdin and TCP front ends.
 
-#![warn(missing_docs)]
-// The crate itself has no unsafe code; `tests/journal_fuzz.rs` wraps the
-// global allocator.
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod admission;
 pub mod cache;
 pub mod engine;

@@ -131,8 +131,11 @@ fn handle(engine: &Engine, input: Input, reply: &Sender<String>) {
 /// quickstart use (`ffw-serve --once < jobs.jsonl`).
 pub fn serve_stdio(engine: Arc<Engine>, once: bool) -> ServeExit {
     let (reply_tx, reply_rx) = unbounded::<String>();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an I/O thread, not compute: the single writer serializing response lines to stdout"
+    )]
     let writer = {
-        // lint:spawn-ok single writer thread serializing response lines to stdout
         std::thread::spawn(move || {
             let stdout = std::io::stdout();
             while let Ok(line) = reply_rx.recv() {
@@ -148,7 +151,10 @@ pub fn serve_stdio(engine: Arc<Engine>, once: bool) -> ServeExit {
     // signal, so the main loop polls the shutdown flag independently.
     let (line_tx, line_rx) = unbounded::<Input>();
     {
-        // lint:spawn-ok blocking stdin reader; the main loop must stay free to observe SIGTERM
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an I/O thread, not compute: stdin cannot be woken portably, and the main loop must stay free to observe SIGTERM"
+        )]
         std::thread::spawn(move || {
             let stdin = std::io::stdin();
             let (mut reader, mut buf) = (BufReader::new(stdin.lock()), Vec::new());
@@ -212,7 +218,10 @@ pub fn serve_tcp(engine: Arc<Engine>, listener: TcpListener) -> ServeExit {
         match listener.accept() {
             Ok((stream, _addr)) => {
                 let engine = Arc::clone(&engine);
-                // lint:spawn-ok one session thread per client connection
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "an I/O thread, not compute: one blocking session per client connection"
+                )]
                 std::thread::spawn(move || session(engine, stream));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -229,7 +238,10 @@ fn session(engine: Arc<Engine>, stream: TcpStream) {
         Ok(s) => s,
         Err(_) => return,
     };
-    // lint:spawn-ok single writer thread per connection
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an I/O thread, not compute: the single writer serializing a connection's response lines"
+    )]
     let writer = std::thread::spawn(move || {
         let mut out = write_half;
         while let Ok(line) = reply_rx.recv() {

@@ -136,7 +136,10 @@ fn audit_weight(c: usize, iter: usize) -> C64 {
 /// drifts of the whole set, each on its own relative scale and turned by
 /// its weight `g_c` ([`audit_weight`]), summed — with one operator apply
 /// (of `X = Σ g_c x_c / ‖b_c‖`) and one reduction.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the panel's per-column state, passed as the sweep holds it"
+)]
 fn combined_drift<A: DistOp + ?Sized>(
     a: &A,
     bs: &[&[C64]],
@@ -186,7 +189,10 @@ fn combined_drift<A: DistOp + ?Sized>(
 /// decide: the combined check can spare audits, never roll a column back.
 /// The applies are charged to `verify_mv` — the combined one to the first
 /// column — so a panel's `verify_matvecs` add up to what the audits spent.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the panel's per-column state, passed as the sweep holds it"
+)]
 fn audit<A: DistOp + ?Sized>(
     a: &A,
     g: &DriftGuard,
@@ -448,7 +454,10 @@ const SAFE_STEP_NORM: f64 = 1e150;
 /// then iterate until every column has converged, spent the budget in `cfg`,
 /// or broken down. Returns the per-column stats and the broken columns with
 /// the reason; a broken column's `xs[c]` is left at its last finite iterate.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "per-column stats and the broken columns, destructured at the driver's two call sites"
+)]
 fn sweep<A: DistOp + ?Sized>(
     a: &A,
     bs: &[&[C64]],
@@ -1201,7 +1210,10 @@ mod tests {
 
     /// `width` random right-hand sides, random iterates, their exact
     /// residuals `b − A x`, and `‖b‖`.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a test fixture's four panels, destructured at every call"
+    )]
     fn audited_panel(
         a: &Matrix,
         width: usize,

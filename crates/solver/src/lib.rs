@@ -11,10 +11,6 @@
 //! solve of a reconstruction goes through, and [`try_bicgstab_block`], the
 //! kernel on any [`DistOp`].
 
-#![warn(missing_docs)]
-// The crate itself has no unsafe code; `tests/alloc.rs` wraps the global allocator.
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod block;
 pub mod forward;
 pub mod krylov;
