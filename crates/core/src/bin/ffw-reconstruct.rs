@@ -465,6 +465,11 @@ fn main() {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("fault-tolerant DBIM failed: {e}");
+                ffw_obs::event("run.failed", &e.to_string());
+                drop(run_span);
+                if observing {
+                    write_observations(&cli, &schedule, 0);
+                }
                 std::process::exit(exit_code_for(&e));
             }
         };
@@ -482,6 +487,10 @@ fn main() {
                     None => String::new(),
                 }
             );
+            drop(run_span);
+            if observing {
+                write_observations(&cli, &schedule, result.resumed);
+            }
             std::process::exit(EXIT_INTERRUPTED);
         }
         // A single-frequency run is the schedule "1.0": "DBIM (1 stage: 1; ...)".
@@ -537,27 +546,33 @@ fn main() {
     }
 
     drop(run_span);
-    if observing {
-        let snap = ffw_obs::snapshot();
-        if cli.profile {
-            eprint!("{}", snap.render_profile());
-            print_mults_per_solve(&snap);
-            if schedule.len() > 1 {
-                for line in stage_report(&snap, resumed) {
-                    eprintln!("  {line}");
-                }
-            }
-        }
-        if let Some(path) = &cli.metrics {
-            match snap.write_to(path) {
-                Ok(()) => println!("wrote metrics to {}", path.display()),
-                Err(e) => {
-                    eprintln!("error: could not write metrics to {}: {e}", path.display());
-                    std::process::exit(1);
-                }
+    if observing && !write_observations(&cli, &schedule, resumed) {
+        std::process::exit(1);
+    }
+}
+
+/// Prints `--profile` and writes `--metrics` from the recorder, at the end
+/// of a run and on the way out of a failed or interrupted one. Returns
+/// false if the metrics document could not be written.
+fn write_observations(cli: &Cli, schedule: &HopSchedule, resumed: usize) -> bool {
+    let snap = ffw_obs::snapshot();
+    if cli.profile {
+        eprint!("{}", snap.render_profile());
+        print_mults_per_solve(&snap);
+        if schedule.len() > 1 {
+            for line in stage_report(&snap, resumed) {
+                eprintln!("  {line}");
             }
         }
     }
+    if let Some(path) = &cli.metrics {
+        if let Err(e) = snap.write_to(path) {
+            eprintln!("error: could not write metrics to {}: {e}", path.display());
+            return false;
+        }
+        println!("wrote metrics to {}", path.display());
+    }
+    true
 }
 
 /// Where the `G0` applies of the run went: MLFMA multiplications per

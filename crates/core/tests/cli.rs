@@ -189,12 +189,15 @@ fn help_documents_compute_integrity_flags() {
 /// consecutive recompute attempts than the budget allows, so the run must
 /// abort with the documented exit code 4 — and, critically, must NOT write
 /// any `.pgm`: a corrupted reconstruction on disk is exactly the silent
-/// failure the integrity layer exists to prevent.
+/// failure the integrity layer exists to prevent. The evidence of the
+/// failure is written all the same: `--profile` and the `--metrics`
+/// document, whose events end with `run.failed` carrying the error.
 #[test]
 fn unrecoverable_compute_corruption_exits_4_without_writing_images() {
     let dir = std::env::temp_dir().join(format!("ffw-cli-sdc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create tmp dir");
     let prefix = dir.join("corrupted");
+    let metrics = dir.join("metrics.json");
     let out = Command::new(env!("CARGO_BIN_EXE_ffw-reconstruct"))
         .args([
             "--size",
@@ -208,6 +211,11 @@ fn unrecoverable_compute_corruption_exits_4_without_writing_images() {
         ])
         .args(["--chaos-compute", "1"])
         .args(["--out", prefix.to_str().expect("utf8 path")])
+        .args([
+            "--metrics",
+            metrics.to_str().expect("utf8 path"),
+            "--profile",
+        ])
         .env("FFW_THREADS", "2")
         .output()
         .expect("spawn ffw-reconstruct");
@@ -221,6 +229,20 @@ fn unrecoverable_compute_corruption_exits_4_without_writing_images() {
         stderr.contains("compute corruption"),
         "stderr must name the corruption: {stderr}"
     );
+    assert!(
+        stderr.contains("MLFMA multiplications per solve"),
+        "the failed run must print its profile: {stderr}"
+    );
+    let doc = std::fs::read_to_string(&metrics).expect("the failed run writes --metrics");
+    let doc = ffw_obs::json::Json::parse(&doc).expect("metrics JSON");
+    let events = doc.get("events").and_then(|e| e.as_arr()).expect("events");
+    let last = events.last().expect("at least the failure event");
+    assert_eq!(
+        last.get("name").and_then(|n| n.as_str()),
+        Some("run.failed")
+    );
+    let detail = last.get("detail").and_then(|d| d.as_str()).expect("detail");
+    assert!(detail.contains("compute corruption"), "{detail}");
     for suffix in ["truth", "reconstruction"] {
         let path = format!("{}_{suffix}.pgm", prefix.display());
         assert!(
@@ -543,14 +565,16 @@ fn hop_run_is_byte_identical_across_reruns_and_resume() {
 }
 
 /// SIGTERM mid-run must flush the in-flight checkpoint, exit with the
-/// documented code 5, and leave a state from which `--resume` finishes and
-/// produces the bit-identical image of an uninterrupted run.
+/// documented code 5 (writing `--metrics` on the way out), and leave a
+/// state from which `--resume` finishes and produces the bit-identical
+/// image of an uninterrupted run.
 #[test]
 fn sigterm_flushes_checkpoint_and_resume_is_bit_identical() {
     use std::time::Duration;
     let dir = std::env::temp_dir().join(format!("ffw-cli-sigterm-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create tmp dir");
     let ckpt = dir.join("run.ckpt");
+    let metrics = dir.join("interrupted.json");
     let scene_args = [
         "--size",
         "32",
@@ -580,6 +604,7 @@ fn sigterm_flushes_checkpoint_and_resume_is_bit_identical() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ffw-reconstruct"))
         .args(scene_args)
         .args(["--checkpoint", ckpt.to_str().expect("utf8 path")])
+        .args(["--metrics", metrics.to_str().expect("utf8 path")])
         .env("FFW_THREADS", "2")
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -613,6 +638,7 @@ fn sigterm_flushes_checkpoint_and_resume_is_bit_identical() {
         "stderr must say the checkpoint was flushed and how to resume: {stderr}"
     );
     assert!(ckpt.exists(), "interrupted run must leave its checkpoint");
+    assert!(metrics.exists(), "interrupted run must write --metrics");
 
     // Resume must finish cleanly and reproduce the reference bit-for-bit.
     let res_out = dir.join("resumed");

@@ -14,21 +14,16 @@
 //! `(re, im)` pairs whatever the workspace layout.
 
 use crate::partition::{ExchangePlan, SubtreePartition};
+use crate::tag::Tag;
 use ffw_geometry::{LEAF_PIXELS, NEAR_OFFSETS};
 use ffw_mlfma::near::SPECTRUM_LEN;
 use ffw_mlfma::{FarField, MlfmaPlan};
 use ffw_mpi::{Comm, ComputeFault, FaultError, FaultEvent, Payload};
 use ffw_numerics::{c64, C64};
 use ffw_par::Pool;
-use ffw_solver::flip_panel_bit_detectable;
+use ffw_solver::{checksum_mismatch, flip_panel_bit_detectable};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Message tags used by one matvec. Sequencing guarantees of the mailbox
-/// (FIFO per source/tag) make reuse across matvecs safe.
-const TAG_HALO: u32 = 0x100;
-const TAG_FARFIELD: u32 = 0x101;
-const TAG_FARFIELD_LEVEL_BASE: u32 = 0x110;
 
 /// Distributed MLFMA engine bound to one rank of a sub-tree communicator.
 pub struct DistMlfma<'c> {
@@ -273,39 +268,33 @@ impl<'c> DistMlfma<'c> {
             }
         }
 
-        // Elementwise check of this rank's output slice. Non-finite
-        // residuals fail explicitly (`NaN > tol` is false).
-        for i in 0..n_local {
-            let mut sum = C64::ZERO;
-            let mut abs = 0.0f64;
-            for y in ys_local.iter() {
-                sum += y[i];
-                abs += y[i].re.abs() + y[i].im.abs();
-            }
-            let d = (y_cs[i] - sum).abs();
-            let scale = v.abs_floor + y_cs[i].re.abs() + y_cs[i].im.abs() + abs;
-            if !d.is_finite() || d > v.rel_tol * scale {
-                let rank = self.comm.rank();
-                ffw_obs::counter("sdc.detected").inc();
-                ffw_obs::counter("sdc.escalated").inc();
-                ffw_obs::event(
-                    "sdc.detected",
-                    &format!(
-                        "dist.apply_block: rank {rank} panel #{panel} element {i} \
-                         residual {d:.3e} exceeds tol"
-                    ),
-                );
-                self.comm
-                    .trace_fault(FaultEvent::ComputeCorrupt { panel, attempt: 1 });
-                self.comm
-                    .trace_fault(FaultEvent::ComputeRetriesExhausted { panel, attempts: 1 });
-                return Err(FaultError::ComputeCorruption {
-                    rank,
-                    stage: "dist.apply_block".into(),
-                    panel,
-                    attempts: 1,
-                });
-            }
+        // Elementwise check of this rank's output slice.
+        let expected = |i: usize| {
+            ys_local.iter().fold((C64::ZERO, 0.0), |(sum, abs), y| {
+                (sum + y[i], abs + (y[i].re.abs() + y[i].im.abs()))
+            })
+        };
+        if let Some((i, d)) = checksum_mismatch(&y_cs, expected, v.rel_tol, v.abs_floor) {
+            let rank = self.comm.rank();
+            ffw_obs::counter("sdc.detected").inc();
+            ffw_obs::counter("sdc.escalated").inc();
+            ffw_obs::event(
+                "sdc.detected",
+                &format!(
+                    "dist.apply_block: rank {rank} panel #{panel} element {i} \
+                     residual {d:.3e} exceeds tol"
+                ),
+            );
+            self.comm
+                .trace_fault(FaultEvent::ComputeCorrupt { panel, attempt: 1 });
+            self.comm
+                .trace_fault(FaultEvent::ComputeRetriesExhausted { panel, attempts: 1 });
+            return Err(FaultError::ComputeCorruption {
+                rank,
+                stage: "dist.apply_block".into(),
+                panel,
+                attempts: 1,
+            });
         }
         Ok(())
     }
@@ -353,7 +342,7 @@ impl<'c> DistMlfma<'c> {
                 }
                 self.comm.send_checked(
                     self.members[peer_slot],
-                    TAG_HALO,
+                    Tag::Halo as u32,
                     Payload::C64(pack(&buf)),
                 )?;
             }
@@ -381,7 +370,7 @@ impl<'c> DistMlfma<'c> {
                         if !self.aggregate_buffers {
                             self.comm.send_checked(
                                 self.members[peer_slot],
-                                TAG_FARFIELD_LEVEL_BASE + li as u32,
+                                Tag::farfield_level(li),
                                 Payload::C64(std::mem::take(&mut buf)),
                             )?;
                         }
@@ -389,8 +378,11 @@ impl<'c> DistMlfma<'c> {
                 }
             }
             if !buf.is_empty() {
-                self.comm
-                    .send_checked(self.members[peer_slot], TAG_FARFIELD, Payload::C64(buf))?;
+                self.comm.send_checked(
+                    self.members[peer_slot],
+                    Tag::Farfield as u32,
+                    Payload::C64(buf),
+                )?;
             }
         }
 
@@ -404,7 +396,7 @@ impl<'c> DistMlfma<'c> {
             for group in x_halos.chunks_mut(halo_cols) {
                 let data = self
                     .comm
-                    .recv_checked(self.members[peer_slot], TAG_HALO)?
+                    .recv_checked(self.members[peer_slot], Tag::Halo as u32)?
                     .into_c64();
                 assert_eq!(data.len(), group.len() * leaves.len() * LEAF_PIXELS);
                 for (k, halo) in group.iter_mut().enumerate() {
@@ -439,7 +431,7 @@ impl<'c> DistMlfma<'c> {
             let fused = if self.aggregate_buffers {
                 let data = self
                     .comm
-                    .recv_checked(self.members[peer_slot], TAG_FARFIELD)?
+                    .recv_checked(self.members[peer_slot], Tag::Farfield as u32)?
                     .into_c64();
                 assert_eq!(data.len(), width * expect_col);
                 data
@@ -456,10 +448,9 @@ impl<'c> DistMlfma<'c> {
                             unpack_pattern(&fused[cursor..cursor + q], dst);
                             cursor += q;
                         } else {
-                            let data = self.comm.recv_checked(
-                                self.members[peer_slot],
-                                TAG_FARFIELD_LEVEL_BASE + li as u32,
-                            )?;
+                            let data = self
+                                .comm
+                                .recv_checked(self.members[peer_slot], Tag::farfield_level(li))?;
                             unpack_pattern(&data.into_c64(), dst);
                         }
                     }

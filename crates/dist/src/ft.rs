@@ -43,6 +43,7 @@
 use crate::control::JobControl;
 use crate::engine::DistMlfma;
 use crate::solver::try_allreduce_scalars;
+use crate::tag::Tag;
 use ffw_fault::{durable, Checkpoint, CheckpointFile, Fingerprint};
 use ffw_inverse::{
     dbim_loop, DbimConfig, DbimResult, Flow, ImagingSetup, LoopState, RankContext, StageResult,
@@ -56,10 +57,6 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Tag for the per-iteration checkpoint state gather (distinct from the
-/// engine's 0x100–0x1xx matvec tags and the 0x200–0x201 reduction tags).
-const TAG_CKPT: u32 = 0x300;
 
 /// Configuration of a fault-tolerant distributed reconstruction.
 #[derive(Clone, Debug)]
@@ -709,11 +706,11 @@ fn gather_and_save(
             buf.extend_from_slice(object);
             buf.extend_from_slice(grad_prev);
             buf.extend_from_slice(dir);
-            comm.send_checked(0, TAG_CKPT, Payload::C64(pack(&buf)))?;
+            comm.send_checked(0, Tag::Ckpt as u32, Payload::C64(pack(&buf)))?;
         }
         if warm_start {
             for (i, _t) in group_txs[rank / p].iter().enumerate() {
-                comm.send_checked(0, TAG_CKPT, Payload::C64(pack(&fields[i])))?;
+                comm.send_checked(0, Tag::Ckpt as u32, Payload::C64(pack(&fields[i])))?;
             }
         }
         return Ok(());
@@ -731,7 +728,7 @@ fn gather_and_save(
     assert_eq!(*cols, 0..per, "rank 0 holds the first slot's pixels");
     let mut slots = Vec::with_capacity(p - 1);
     for s in 1..p {
-        let data = comm.recv_checked(s, TAG_CKPT)?.into_c64();
+        let data = comm.recv_checked(s, Tag::Ckpt as u32)?.into_c64();
         assert_eq!(data.len(), 3 * per, "checkpoint gather slice length");
         slots.push(data);
     }
@@ -755,7 +752,7 @@ fn gather_and_save(
                     if sender == 0 {
                         file.pairs(&fields[i], re_im);
                     } else {
-                        let data = comm.recv_checked(sender, TAG_CKPT)?.into_c64();
+                        let data = comm.recv_checked(sender, Tag::Ckpt as u32)?.into_c64();
                         assert_eq!(data.len(), per, "checkpoint field slice length");
                         file.pairs(&data, |&v| v);
                     }

@@ -15,6 +15,7 @@ pub mod ft;
 pub mod local;
 pub mod partition;
 pub mod solver;
+mod tag;
 
 pub use control::{IterProgress, JobControl};
 pub use engine::DistMlfma;

@@ -5,6 +5,7 @@
 //! communicator-wide inner products through [`try_allreduce_scalars`].
 
 use crate::engine::DistMlfma;
+use crate::tag::Tag;
 use ffw_mpi::{Comm, FaultError};
 use ffw_numerics::{c64, C64};
 use ffw_solver::DistOp;
@@ -47,8 +48,6 @@ pub fn try_allreduce_scalars(
         );
     }
     let mut packed: Vec<(f64, f64)> = vals.iter().map(|v| (v.re, v.im)).collect();
-    const TAG_UP: u32 = 0x200;
-    const TAG_DOWN: u32 = 0x201;
     // Every hop carries an ABFT checksum lane (the element sum) next to the
     // data. The per-message CRC already rejects in-flight bit flips; the
     // lane additionally lets the *result* of the reduction be verified: the
@@ -58,7 +57,7 @@ pub fn try_allreduce_scalars(
     if me == members[0] {
         let mut lane = ffw_fault::abft_lane_c64(&packed);
         for &peer in &members[1..] {
-            let (part, part_lane) = comm.recv_checked_laned(peer, TAG_UP)?;
+            let (part, part_lane) = comm.recv_checked_laned(peer, Tag::Up as u32)?;
             let part = part.into_c64();
             // Every member's vector has the root's length, so the result the
             // root sends down has each receiver's length too.
@@ -80,17 +79,22 @@ pub fn try_allreduce_scalars(
             }
         }
         for &peer in &members[1..] {
-            comm.send_checked_laned(peer, TAG_DOWN, ffw_mpi::Payload::C64(packed.clone()), lane)?;
+            comm.send_checked_laned(
+                peer,
+                Tag::Down as u32,
+                ffw_mpi::Payload::C64(packed.clone()),
+                lane,
+            )?;
         }
     } else {
         let lane = ffw_fault::abft_lane_c64(&packed);
         comm.send_checked_laned(
             members[0],
-            TAG_UP,
+            Tag::Up as u32,
             ffw_mpi::Payload::C64(packed.clone()),
             lane,
         )?;
-        let (down, _lane) = comm.recv_checked_laned(members[0], TAG_DOWN)?;
+        let (down, _lane) = comm.recv_checked_laned(members[0], Tag::Down as u32)?;
         packed = down.into_c64();
     }
     for (v, p) in vals.iter_mut().zip(packed) {

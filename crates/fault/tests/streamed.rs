@@ -155,6 +155,10 @@ fn a_stopped_run_returns_with_its_boundary_on_disk() {
         control: Some(control),
         ..FtConfig::new(1, 1)
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test watches the run from outside it: a run that returns before its boundary lands is the failure under test"
+    )]
     let result = std::thread::scope(|s| {
         let run = s.spawn(|| run_dbim_local(&setup, &g0, &measured, &cfg));
         // The boundary's tmp file appears; the run must still be waiting.

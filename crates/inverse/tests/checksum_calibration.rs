@@ -37,7 +37,8 @@ fn unit(h: u64) -> f64 {
 }
 
 /// A seeded cylinder phantom rasterized onto the domain: seeded center,
-/// radius and contrast, so 200 seeds cover 200 distinct scenes.
+/// radius and contrast (0.01 to 1.0, the strong scatterers included), so
+/// 200 seeds cover 200 distinct scenes.
 fn phantom_object(domain: &Domain, tree: &QuadTree, seed: u64) -> Vec<C64> {
     let h0 = splitmix64(seed);
     let h1 = splitmix64(h0);
@@ -47,7 +48,7 @@ fn phantom_object(domain: &Domain, tree: &QuadTree, seed: u64) -> Vec<C64> {
     let truth = Cylinder {
         center: pt(half * (unit(h0) - 0.5), half * (unit(h1) - 0.5)),
         radius: (0.05 + 0.3 * unit(h2)) * domain.side(),
-        contrast: 0.01 + 0.2 * unit(h3),
+        contrast: 0.01 + 0.99 * unit(h3),
     };
     object_from_contrast(domain, tree, &truth.rasterize(domain))
 }

@@ -267,6 +267,10 @@ fn the_step_operator_is_the_derivative_of_the_forward_map() {
 
 /// `on_rank` on every rank of a `groups × 1` grid of `scene`, one thread
 /// each: the ranks' answers in group order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the ranks of the hand-built grid exchange through barriers, so each needs a thread of its own"
+)]
 fn on_grid<R: Send>(
     scene: &Scene,
     groups: usize,

@@ -1,8 +1,8 @@
 //! The workspace's single monotonic-clock access point.
 //!
 //! Everything in `crates/` that wants wall time goes through [`Stopwatch`]
-//! or [`monotonic_ns`]; lint rule R6 (`ffw-analyze`) bans
-//! `std::time::Instant` elsewhere so no timing can bypass the observability
+//! or [`monotonic_ns`]; the root `clippy.toml` bans `std::time::Instant`
+//! elsewhere (`disallowed_types`) so no timing can bypass the observability
 //! layer.
 
 use std::sync::OnceLock;

@@ -4,8 +4,8 @@
 //!
 //! Every JSON the workspace reads or writes by hand goes through here: the
 //! `ffw-serve` requests, responses and journal frames, this crate's
-//! `ffw-obs/1` recorder document, the `ffw-analyze` report and the
-//! `regression` bench's baseline reader. It lives in `ffw-obs` because that
+//! `ffw-obs/1` recorder document and the `regression` bench's baseline
+//! reader. It lives in `ffw-obs` because that
 //! crate sits below every other one and has no dependencies. It accepts
 //! exactly RFC 8259 JSON (objects, arrays, strings with full escape handling
 //! including surrogate pairs, numbers, booleans, null), enforces a

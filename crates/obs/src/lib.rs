@@ -26,8 +26,7 @@
 //! a text profile ([`Snapshot::render_profile`]).
 //!
 //! The [`json`] module is the workspace's one JSON codec: `ffw-serve` speaks
-//! its wire protocol and writes its journal through it, and `ffw-analyze`
-//! writes its report through it.
+//! its wire protocol and writes its journal through it.
 //!
 //! This crate is dependency-free by design (it sits below every other crate
 //! in the workspace, including the substrate crates) and is the only crate

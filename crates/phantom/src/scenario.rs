@@ -309,6 +309,10 @@ mod tests {
         // Four threads, rows interleaved — any partition must agree.
         for n_threads in [1usize, 2, 4] {
             let mut par = base.clone();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the property under test is agreement across OS threads that each noise a partition of the rows"
+            )]
             std::thread::scope(|s| {
                 for (chunk_id, chunk) in par.chunks_mut(base.len().div_ceil(n_threads)).enumerate()
                 {

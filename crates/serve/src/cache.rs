@@ -236,6 +236,10 @@ mod tests {
     #[test]
     fn concurrent_same_key_builds_once() {
         let cache = Arc::new(PlanCache::new(4));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "four service callers racing for one plan, as the engine's worker threads do"
+        )]
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let cache = Arc::clone(&cache);

@@ -23,8 +23,8 @@ pub use forward::{g0_adjoint_apply_block, AdjointScatteringOp, BicgstabBackend, 
 pub use krylov::{cgnr, IterConfig, SolveStats};
 pub use op::{BlockLinOp, CountingOp, DiagonalOp, DistOp, FnOp, LinOp};
 pub use verify::{
-    flip_panel_bit, flip_panel_bit_detectable, ComputeInjector, DriftGuard, VerifiedBlockOp,
-    VerifyConfig, DEFAULT_CHECKSUM_REL_TOL, DEFAULT_DRIFT_PERIOD, DEFAULT_DRIFT_REL_TOL,
-    DEFAULT_VERIFY_PERIOD,
+    checksum_mismatch, flip_panel_bit, flip_panel_bit_detectable, ComputeInjector, DriftGuard,
+    VerifiedBlockOp, VerifyConfig, DEFAULT_CHECKSUM_REL_TOL, DEFAULT_DRIFT_PERIOD,
+    DEFAULT_DRIFT_REL_TOL, DEFAULT_VERIFY_PERIOD,
 };
 pub use workspace::{Leased, Workspace};

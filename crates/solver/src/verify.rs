@@ -337,8 +337,19 @@ impl<'a, A: BlockLinOp + ?Sized> VerifiedBlockOp<'a, A> {
             if ffw_obs::enabled() {
                 ffw_obs::counter("sdc.checksum_applies").inc();
             }
+            // The panel in hand joins the expected sum and the scale here,
+            // in panel order, exactly as a fold into the window would have
+            // added it.
             let in_hand: &[Vec<C64>] = pending.as_ref().map_or(&[], |p| &*p.ys);
-            match checksum_mismatch(&w.y_cs, &w.y_sum, &w.abs_acc, in_hand, &self.cfg) {
+            let expected = |i: usize| {
+                let (mut sum, mut abs) = (w.y_sum[i], w.abs_acc[i]);
+                for y in in_hand {
+                    sum += y[i];
+                    abs += y[i].re.abs() + y[i].im.abs();
+                }
+                (sum, abs)
+            };
+            match checksum_mismatch(&w.y_cs, expected, self.cfg.rel_tol, self.cfg.abs_floor) {
                 None => {
                     if attempt > 0 {
                         repaired = true;
@@ -453,29 +464,48 @@ fn fold_panel(xs: &[&[C64]], ys: &[Vec<C64>], w: &mut Window) {
     }
 }
 
-/// Elementwise checksum check of the window plus the panel still in hand
-/// (`pending`, empty when there is none): returns the first failing element
-/// and its residual, or `None` if the window verifies. The pending outputs
-/// join the expected sum and the scale here, in panel order, exactly as a
-/// fold into the window would have added them. Non-finite residuals fail
-/// explicitly (`NaN > tol` is false, so the comparison alone cannot be
-/// trusted to catch them).
-fn checksum_mismatch(
+/// Share of the peak elementwise scale added to every element's own scale
+/// once one element fails against its own: the lane floor
+/// [`flip_panel_bit_detectable`] puts the detection contract on.
+const PEAK_SCALE_FLOOR: f64 = 1e-2;
+
+/// Elementwise checksum check: returns the first element whose residual
+/// exceeds its tolerance, and that residual, or `None` if the identity
+/// holds. `expected(i)` gives element `i`'s expected sum `Σ_b y_b[i]` and
+/// its scale `Σ_b ‖y_b[i]‖₁`; the checksum output's own magnitude and
+/// `abs_floor` join the scale, and the tolerance is `rel_tol` of it.
+///
+/// An element far below the largest one can fail its own scale on rounding
+/// alone: `G0`'s global sums leave a residual of a few ulps of the largest
+/// terms in every element, and cancellation can leave an element at `1e-4`
+/// of the peak. So an element that fails its own scale is judged again with
+/// `1e-2` times the peak scale of the slice added, and only a residual
+/// beyond that fails. The peak is computed at the first such element, so a
+/// clean slice pays nothing for it. Non-finite residuals fail explicitly
+/// (`NaN > tol` is false, so the comparison alone cannot be trusted to
+/// catch them).
+pub fn checksum_mismatch(
     y_cs: &[C64],
-    y_sum: &[C64],
-    abs_acc: &[f64],
-    pending: &[Vec<C64>],
-    cfg: &VerifyConfig,
+    expected: impl Fn(usize) -> (C64, f64),
+    rel_tol: f64,
+    abs_floor: f64,
 ) -> Option<(usize, f64)> {
+    let scale = |i: usize, abs: f64| abs_floor + y_cs[i].re.abs() + y_cs[i].im.abs() + abs;
+    let mut floor = None;
     for i in 0..y_cs.len() {
-        let (mut sum, mut abs) = (y_sum[i], abs_acc[i]);
-        for y in pending {
-            sum += y[i];
-            abs += y[i].re.abs() + y[i].im.abs();
-        }
+        let (sum, abs) = expected(i);
         let d = (y_cs[i] - sum).abs();
-        let scale = cfg.abs_floor + y_cs[i].re.abs() + y_cs[i].im.abs() + abs;
-        if !d.is_finite() || d > cfg.rel_tol * scale {
+        let own = scale(i, abs);
+        if d <= rel_tol * own {
+            continue;
+        }
+        let floor = *floor.get_or_insert_with(|| {
+            let peak = (0..y_cs.len())
+                .map(|j| scale(j, expected(j).1))
+                .fold(0.0, f64::max);
+            PEAK_SCALE_FLOOR * peak
+        });
+        if !d.is_finite() || d > rel_tol * (own + floor) {
             return Some((i, d));
         }
     }
@@ -989,6 +1019,24 @@ mod tests {
         v.apply_block(&refs, &mut ys);
         assert_eq!(v.detected(), 1);
         assert!(ys[0].iter().all(|v| v.re.is_finite() && v.im.is_finite()));
+    }
+
+    #[test]
+    fn a_small_element_is_judged_against_the_peak_scale() {
+        // Element 0 sits at 1e-6 of the peak and is off by 1e-14 of it:
+        // rounding of the largest terms, 5x over the element's own
+        // tolerance, 2000x under the peak's floor.
+        let sums = [c64(1e-6, 0.0), c64(1.0, 0.0)];
+        let expected = |i: usize| (sums[i], sums[i].re);
+        let y_cs = [c64(1e-6 + 1e-14, 0.0), c64(1.0, 0.0)];
+        assert_eq!(checksum_mismatch(&y_cs, expected, 1e-9, 0.0), None);
+        // A residual beyond the floor is still a mismatch, NaN too.
+        let y_cs = [c64(1e-6 + 1e-9, 0.0), c64(1.0, 0.0)];
+        let hit = checksum_mismatch(&y_cs, expected, 1e-9, 0.0);
+        assert_eq!(hit.map(|(i, _)| i), Some(0));
+        let y_cs = [c64(1e-6, 0.0), c64(f64::NAN, 0.0)];
+        let hit = checksum_mismatch(&y_cs, expected, 1e-9, 0.0);
+        assert_eq!(hit.map(|(i, _)| i), Some(1));
     }
 
     #[test]

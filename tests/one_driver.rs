@@ -467,6 +467,10 @@ fn the_kernel_is_width_invariant_on_a_two_rank_operator() {
             panels: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
             sums: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the two halves of a hand-built two-rank operator meet at a barrier, so each needs a thread of its own"
+        )]
         let halves: Vec<Vec<Vec<C64>>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..2)
                 .map(|half| {
