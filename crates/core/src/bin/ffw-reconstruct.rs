@@ -373,20 +373,30 @@ fn main() {
         }
     }
     let run_span = ffw_obs::span("reconstruct");
+    // A single-frequency run is the one-stage schedule "1.0".
+    let schedule = cli.hops.clone().unwrap_or_else(HopSchedule::single);
+    let code = run(&cli, &schedule);
+    drop(run_span);
+    let unwritten = observing && !write_observations(&cli, &schedule);
+    std::process::exit(if code == 0 && unwritten { 1 } else { code });
+}
+
+/// Synthesizes the measurements and reconstructs them. Returns the exit
+/// code: 0, or that of a DBIM run that failed or was interrupted.
+fn run(cli: &Cli, schedule: &HopSchedule) -> i32 {
     let mut scene = SceneConfig::new(cli.size, cli.tx, cli.rx);
     if let Some(deg) = cli.arc_deg {
         let span = deg.to_radians();
         scene = scene.with_arc(-span / 2.0, span);
     }
-    // One pipeline per frequency stage (shared pool, each on its own grid);
-    // a single-frequency run is the one-stage schedule "1.0". The factor-1.0
-    // stage, on the scene grid, doubles as the imaging pipeline.
-    let schedule = cli.hops.clone().unwrap_or_else(HopSchedule::single);
+    // One pipeline per frequency stage (shared pool, each on its own grid).
+    // The factor-1.0 stage, on the scene grid, doubles as the imaging
+    // pipeline.
     let setup_span = ffw_obs::span("setup");
-    let pipeline = HopPipeline::new(&scene, &schedule);
+    let pipeline = HopPipeline::new(&scene, schedule);
     drop(setup_span);
     let recon = pipeline.final_stage();
-    let phantom = build_phantom(&cli, recon.domain().side());
+    let phantom = build_phantom(cli, recon.domain().side());
     let truth_raster = phantom.rasterize(recon.domain());
 
     println!(
@@ -405,10 +415,10 @@ fn main() {
         println!("added {db} dB SNR noise");
     }
 
-    let (image, label, resumed) = if cli.born {
+    let (image, label) = if cli.born {
         let result = recon.run_born(&measured[0], &BornConfig::default());
         println!("Born (single scattering): {:?}", result.stats);
-        (recon.image(&result.object), "Born", 0)
+        (recon.image(&result.object), "Born")
     } else {
         // SIGTERM/SIGINT stop the run cooperatively at the next checkpoint
         // boundary (outer iteration; hop stage with --hops), *after* that
@@ -456,7 +466,7 @@ fn main() {
         let stop = ffw_fault::shutdown_requested;
         let result = match reconstruct(
             &scene,
-            &schedule,
+            schedule,
             &pipeline.stages,
             &measured,
             &ft,
@@ -466,11 +476,7 @@ fn main() {
             Err(e) => {
                 eprintln!("fault-tolerant DBIM failed: {e}");
                 ffw_obs::event("run.failed", &e.to_string());
-                drop(run_span);
-                if observing {
-                    write_observations(&cli, &schedule, 0);
-                }
-                std::process::exit(exit_code_for(&e));
+                return exit_code_for(&e);
             }
         };
         if let Some(done) = result.interrupted {
@@ -487,11 +493,7 @@ fn main() {
                     None => String::new(),
                 }
             );
-            drop(run_span);
-            if observing {
-                write_observations(&cli, &schedule, result.resumed);
-            }
-            std::process::exit(EXIT_INTERRUPTED);
+            return EXIT_INTERRUPTED;
         }
         // A single-frequency run is the schedule "1.0": "DBIM (1 stage: 1; ...)".
         println!(
@@ -519,7 +521,7 @@ fn main() {
                 r.restarts
             );
         }
-        (recon.image(&result.object), "DBIM", result.resumed)
+        (recon.image(&result.object), "DBIM")
     };
     let err = image_rel_error(&image, &truth_raster);
     println!("{label} image relative error: {err:.4}");
@@ -544,22 +546,20 @@ fn main() {
         .expect("write reconstruction image");
         println!("wrote {prefix}_truth.pgm and {prefix}_reconstruction.pgm");
     }
-
-    drop(run_span);
-    if observing && !write_observations(&cli, &schedule, resumed) {
-        std::process::exit(1);
-    }
+    0
 }
 
 /// Prints `--profile` and writes `--metrics` from the recorder, at the end
-/// of a run and on the way out of a failed or interrupted one. Returns
-/// false if the metrics document could not be written.
-fn write_observations(cli: &Cli, schedule: &HopSchedule, resumed: usize) -> bool {
+/// of a run, a failed one and an interrupted one alike. The stage report
+/// counts from the stage a `--resume` started at. Returns false if the
+/// metrics document could not be written.
+fn write_observations(cli: &Cli, schedule: &HopSchedule) -> bool {
     let snap = ffw_obs::snapshot();
     if cli.profile {
         eprint!("{}", snap.render_profile());
         print_mults_per_solve(&snap);
         if schedule.len() > 1 {
+            let resumed = counter(&snap, "multifreq.resumed_stages") as usize;
             for line in stage_report(&snap, resumed) {
                 eprintln!("  {line}");
             }
@@ -582,12 +582,7 @@ fn write_observations(cli: &Cli, schedule: &HopSchedule, resumed: usize) -> bool
 /// applies verification added on top of them. Rank (0, 0) counts its own
 /// group's transmitters.
 fn print_mults_per_solve(snap: &ffw_obs::Snapshot) {
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
+    let counter = |name: &str| counter(snap, name);
     eprintln!("MLFMA multiplications per solve (paper, Fig. 13: 13.4 over all three)");
     let mut all = 0;
     for (class, _) in SolveCounts::default().named() {
@@ -606,11 +601,23 @@ fn print_mults_per_solve(snap: &ffw_obs::Snapshot) {
     }
     let audits = counter("sdc.audit_applies");
     let checksums = counter("sdc.checksum_applies");
+    // a run that failed before any solve finished has no share to give
+    let share = match all {
+        0 => "-".to_string(),
+        _ => format!("+{:.1}%", 100.0 * (audits + checksums) as f64 / all as f64),
+    };
     eprintln!(
-        "  verify   +{:.1}%   ({} applies: {audits} drift audits of {} columns, \
+        "  verify   {share}   ({} applies: {audits} drift audits of {} columns, \
          {checksums} checksums)",
-        100.0 * (audits + checksums) as f64 / all as f64,
         audits + checksums,
         counter("sdc.audits")
     );
+}
+
+/// A counter's value in `snap`, 0 if the run never touched it.
+fn counter(snap: &ffw_obs::Snapshot, name: &str) -> u64 {
+    snap.counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
 }

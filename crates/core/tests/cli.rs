@@ -233,6 +233,11 @@ fn unrecoverable_compute_corruption_exits_4_without_writing_images() {
         stderr.contains("MLFMA multiplications per solve"),
         "the failed run must print its profile: {stderr}"
     );
+    // No solve finished, so verification's share of the work is undefined.
+    assert!(
+        stderr.contains("\n  verify   -   ("),
+        "a run with no finished solve prints no verify share: {stderr}"
+    );
     let doc = std::fs::read_to_string(&metrics).expect("the failed run writes --metrics");
     let doc = ffw_obs::json::Json::parse(&doc).expect("metrics JSON");
     let events = doc.get("events").and_then(|e| e.as_arr()).expect("events");

@@ -481,9 +481,9 @@ const PEAK_SCALE_FLOOR: f64 = 1e-2;
 /// of the peak. So an element that fails its own scale is judged again with
 /// `1e-2` times the peak scale of the slice added, and only a residual
 /// beyond that fails. The peak is computed at the first such element, so a
-/// clean slice pays nothing for it. Non-finite residuals fail explicitly
-/// (`NaN > tol` is false, so the comparison alone cannot be trusted to
-/// catch them).
+/// clean slice pays nothing for it. Non-finite residuals fail explicitly:
+/// `NaN > tol` is false, and an infinite residual carries an infinite own
+/// scale with it, so the comparison alone cannot be trusted to catch them.
 pub fn checksum_mismatch(
     y_cs: &[C64],
     expected: impl Fn(usize) -> (C64, f64),
@@ -496,7 +496,7 @@ pub fn checksum_mismatch(
         let (sum, abs) = expected(i);
         let d = (y_cs[i] - sum).abs();
         let own = scale(i, abs);
-        if d <= rel_tol * own {
+        if d.is_finite() && d <= rel_tol * own {
             continue;
         }
         let floor = *floor.get_or_insert_with(|| {
@@ -1030,12 +1030,19 @@ mod tests {
         let expected = |i: usize| (sums[i], sums[i].re);
         let y_cs = [c64(1e-6 + 1e-14, 0.0), c64(1.0, 0.0)];
         assert_eq!(checksum_mismatch(&y_cs, expected, 1e-9, 0.0), None);
-        // A residual beyond the floor is still a mismatch, NaN too.
+        // A residual beyond the floor is still a mismatch, NaN and inf too:
+        // an infinite lane or sum makes its own scale infinite as well.
         let y_cs = [c64(1e-6 + 1e-9, 0.0), c64(1.0, 0.0)];
         let hit = checksum_mismatch(&y_cs, expected, 1e-9, 0.0);
         assert_eq!(hit.map(|(i, _)| i), Some(0));
-        let y_cs = [c64(1e-6, 0.0), c64(f64::NAN, 0.0)];
-        let hit = checksum_mismatch(&y_cs, expected, 1e-9, 0.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let y_cs = [c64(1e-6, 0.0), c64(bad, 0.0)];
+            let hit = checksum_mismatch(&y_cs, expected, 1e-9, 0.0);
+            assert_eq!(hit.map(|(i, _)| i), Some(1), "lane {bad}");
+        }
+        let inf_sums = [c64(1e-6, 0.0), c64(f64::INFINITY, 0.0)];
+        let y_cs = [c64(1e-6, 0.0), c64(1.0, 0.0)];
+        let hit = checksum_mismatch(&y_cs, |i| (inf_sums[i], inf_sums[i].re), 1e-9, 0.0);
         assert_eq!(hit.map(|(i, _)| i), Some(1));
     }
 
