@@ -98,14 +98,6 @@ pub enum FaultEvent {
         /// Total verification attempts made.
         attempts: u32,
     },
-    /// The heartbeat monitor's phi-accrual score crossed the suspicion
-    /// threshold for `peer`, and this rank's blocked wait observed it.
-    HeartbeatSuspect {
-        /// The suspected (beat-silent) peer.
-        peer: usize,
-        /// The suspicion score at detection time, in thousandths.
-        phi_milli: u64,
-    },
     /// A checksum-verified compute panel failed verification on this rank
     /// (a seeded bit flip, or genuine silent data corruption).
     ComputeCorrupt {
@@ -114,15 +106,9 @@ pub enum FaultEvent {
         /// 1-based verification attempt that failed.
         attempt: u32,
     },
-    /// A corrupted compute panel verified clean after bounded recomputation.
-    ComputeRecovered {
-        /// 1-based logical panel apply on this rank.
-        panel: u64,
-        /// Total compute attempts (initial + recomputes) spent.
-        attempts: u32,
-    },
-    /// Every recompute of a corrupted panel failed verification; the apply
-    /// fails with a typed compute-corruption error.
+    /// A corrupted panel was escalated: the apply fails with a typed
+    /// compute-corruption error (the halo data a recompute would need is
+    /// already consumed).
     ComputeRetriesExhausted {
         /// 1-based logical panel apply on this rank.
         panel: u64,
@@ -167,29 +153,14 @@ pub enum Violation {
         /// Message tag.
         tag: u32,
     },
-    /// A rank detected compute corruption in a panel but recorded neither a
-    /// recovery nor an exhausted recompute budget for it: the
-    /// detect→recompute→escalate protocol was abandoned mid-recovery.
+    /// A rank detected compute corruption in a panel but never recorded the
+    /// escalation (`ComputeRetriesExhausted`) for it: the detect→escalate
+    /// protocol was abandoned.
     UnresolvedComputeCorruption {
         /// The detecting rank.
         rank: usize,
         /// 1-based logical panel apply that was corrupted.
         panel: u64,
-    },
-    /// A rank's heartbeat evidence suspected the rank itself — the monitor
-    /// must only ever suspect peers.
-    SelfSuspect {
-        /// The offending rank.
-        rank: usize,
-    },
-    /// A rank recorded heartbeat suspicion of a peer but never followed it
-    /// with a `PeerDeclaredDead` verdict for that peer: suspicion is
-    /// evidence, and evidence must lead to an attributed outcome.
-    SuspectWithoutVerdict {
-        /// The rank holding the dangling suspicion.
-        rank: usize,
-        /// The suspected peer that was never declared dead.
-        peer: usize,
     },
 }
 
@@ -212,16 +183,7 @@ impl fmt::Display for Violation {
             Violation::UnresolvedComputeCorruption { rank, panel } => write!(
                 f,
                 "unresolved compute corruption: rank {rank} detected a corrupt compute panel \
-                 #{panel} but neither recovered it nor exhausted its recompute budget"
-            ),
-            Violation::SelfSuspect { rank } => write!(
-                f,
-                "self-suspect: rank {rank} recorded heartbeat suspicion of itself"
-            ),
-            Violation::SuspectWithoutVerdict { rank, peer } => write!(
-                f,
-                "dangling suspicion: rank {rank} suspected rank {peer} via heartbeat but never \
-                 declared it dead"
+                 #{panel} but never escalated it"
             ),
         }
     }
@@ -265,10 +227,9 @@ fn validate_impl(traces: &[Vec<Event>], leaked: &[LeakedMessage], faulty: bool) 
         }
     }
 
-    // Corruption-protocol and heartbeat-evidence rules (both modes): a
-    // detected corrupt receive must end in a clean delivery or an exhausted
-    // budget, and heartbeat suspicion must target a peer and be followed by
-    // a dead-peer verdict on the same rank.
+    // Corruption-protocol rules (both modes): a detected corrupt receive
+    // must end in a clean delivery or an exhausted budget, and a corrupt
+    // compute panel in its escalation.
     for (rank, trace) in traces.iter().enumerate() {
         for (i, event) in trace.iter().enumerate() {
             match *event {
@@ -289,27 +250,11 @@ fn validate_impl(traces: &[Vec<Event>], leaked: &[LeakedMessage], faulty: bool) 
                 Event::Fault(FaultEvent::ComputeCorrupt { panel, .. }) => {
                     let resolved = trace[i + 1..].iter().any(|e| {
                         matches!(*e,
-                            Event::Fault(FaultEvent::ComputeRecovered { panel: p, .. })
-                            | Event::Fault(FaultEvent::ComputeRetriesExhausted { panel: p, .. })
+                            Event::Fault(FaultEvent::ComputeRetriesExhausted { panel: p, .. })
                             if p == panel)
                     });
                     if !resolved {
                         violations.push(Violation::UnresolvedComputeCorruption { rank, panel });
-                    }
-                }
-                Event::Fault(FaultEvent::HeartbeatSuspect { peer, .. }) => {
-                    if peer == rank {
-                        violations.push(Violation::SelfSuspect { rank });
-                    } else {
-                        let verdict = trace[i + 1..].iter().any(|e| {
-                            matches!(
-                                *e,
-                                Event::Fault(FaultEvent::PeerDeclaredDead { peer: p }) if p == peer
-                            )
-                        });
-                        if !verdict {
-                            violations.push(Violation::SuspectWithoutVerdict { rank, peer });
-                        }
                     }
                 }
                 _ => {}
@@ -450,42 +395,5 @@ mod tests {
             }]
         ));
         assert!(!validate_traces_faulty(&dangling, &[]).is_empty());
-    }
-
-    #[test]
-    fn heartbeat_suspicion_rules() {
-        // Suspicion followed by the verdict: clean.
-        let good = vec![vec![
-            Event::Fault(FaultEvent::HeartbeatSuspect {
-                peer: 1,
-                phi_milli: 9500,
-            }),
-            Event::Fault(FaultEvent::PeerDeclaredDead { peer: 1 }),
-        ]];
-        assert!(validate_traces_faulty(&good, &[]).is_empty());
-        // Self-suspicion is always a violation.
-        let selfish = vec![vec![
-            Event::Fault(FaultEvent::HeartbeatSuspect {
-                peer: 0,
-                phi_milli: 9500,
-            }),
-            Event::Fault(FaultEvent::PeerDeclaredDead { peer: 0 }),
-        ]];
-        assert!(matches!(
-            validate_traces_faulty(&selfish, &[]).as_slice(),
-            [Violation::SelfSuspect { rank: 0 }]
-        ));
-        // Suspicion with no verdict for that peer dangles.
-        let dangling = vec![vec![
-            Event::Fault(FaultEvent::HeartbeatSuspect {
-                peer: 1,
-                phi_milli: 9500,
-            }),
-            Event::Fault(FaultEvent::PeerDeclaredDead { peer: 2 }),
-        ]];
-        assert!(matches!(
-            validate_traces_faulty(&dangling, &[]).as_slice(),
-            [Violation::SuspectWithoutVerdict { rank: 0, peer: 1 }]
-        ));
     }
 }

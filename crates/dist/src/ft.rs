@@ -16,11 +16,12 @@
 //!    (contrast vector, conjugate-direction state, warm-start fields,
 //!    residual history) is gathered to rank 0 and written to an atomic,
 //!    checksummed checkpoint ([`ffw_fault::Checkpoint`]).
-//! 2. When a rank dies, its peers detect the death (heartbeat suspicion,
-//!    watchdog, or retry exhaustion), unwind, and the launch collapses into
-//!    per-rank [`ffw_mpi::RankOutcome`]s. The driver attributes the death
-//!    (heartbeat evidence and crashes are primary; watchdog `PeerDead`
-//!    reports are symptoms), then **redistributes** the dead groups'
+//! 2. When a rank dies, its peers detect the death (the dead rank's wake-up
+//!    of the receives waiting on it, the watchdog, or retry exhaustion),
+//!    unwind, and the launch collapses into per-rank
+//!    [`ffw_mpi::RankOutcome`]s. The driver attributes the death (crashes
+//!    and exhausted retries are primary; watchdog `PeerDead` reports are
+//!    symptoms), then **redistributes** the dead groups'
 //!    transmitters across the surviving illumination groups — a
 //!    deterministic round-robin over a stable ordering, so a resumed run
 //!    stays bit-identical — reloads the last checkpoint, and relaunches.
@@ -300,18 +301,15 @@ fn run_launches(
         launch.stats.stats().record_obs();
 
         // Which ranks of this launch are gone? Crashes, exhausted-retry
-        // send losses, exhausted-retransmit corruption and heartbeat
-        // suspicions are primary evidence (the heartbeat monitor only ever
-        // suspects ranks whose closure has actually exited). Watchdog
-        // `PeerDead` reports are only symptoms — a rank blocked on an
+        // send losses, exhausted-retransmit corruption and escalated compute
+        // corruption are primary evidence (a panicked rank is always
+        // `Crashed` here: an organic panic is re-raised by the launch).
+        // Watchdog `PeerDead` reports are only symptoms — a rank blocked on an
         // alive-but-itself-blocked peer misattributes the death — so they
         // are trusted only when no primary evidence exists (a pure-timeout
         // stall).
         let mut primary: BTreeSet<usize> = BTreeSet::new();
         let mut secondary: BTreeSet<usize> = BTreeSet::new();
-        for (peer, _phi) in launch.stats.heartbeat_suspects() {
-            primary.insert(peer);
-        }
         for (r, out) in launch.outcomes.iter().enumerate() {
             match out {
                 RankOutcome::Crashed(_) => {

@@ -25,7 +25,6 @@
 mod checkpoint;
 pub mod durable;
 mod error;
-mod heartbeat;
 mod integrity;
 mod plan;
 mod shutdown;
@@ -35,7 +34,6 @@ pub use checkpoint::{
     Fingerprint,
 };
 pub use error::FaultError;
-pub use heartbeat::{PhiLite, DEFAULT_PHI_THRESHOLD};
 pub use integrity::{abft_lane_c64, abft_verify_c64, crc32, crc32_c64, crc32_update};
 pub use plan::{
     splitmix64, ActiveFaults, ComputeFault, FaultPlan, OpAction, RetryPolicy, SendFault,

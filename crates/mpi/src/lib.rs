@@ -39,8 +39,12 @@
 //!   and fault protocols left unresolved fail the run with a report.
 //!
 //! A panicking rank is marked [`ffw_check::WaitState::Panicked`] rather than
-//! silently disappearing, so peers blocked on it get a diagnosed error
-//! instead of a hang; [`run`] then re-raises the lowest-ranked panic.
+//! silently disappearing, and the launch wakes every receive waiting on it,
+//! so a peer blocked on it gets a diagnosed error at once instead of after
+//! the watchdog timeout (or a hang); [`run`] then re-raises the
+//! lowest-ranked panic. A rank that *finishes* cleanly wakes nobody: a
+//! receive still waiting on it is a protocol bug the watchdog diagnoses on
+//! its timeout.
 //!
 //! ## Fault injection and fault-aware launches
 //!
@@ -66,15 +70,13 @@
 #![deny(clippy::unwrap_used)]
 #![expect(
     clippy::disallowed_methods,
-    reason = "rank threads and the heartbeat beater / monitor are the message-passing runtime's own"
+    reason = "the scoped rank threads are the message-passing runtime's own"
 )]
 
 use ffw_check::trace::{render_report, Event, LeakedMessage};
 use ffw_check::waitgraph::WaitState;
 use ffw_check::{diagnose_deadlock, validate_traces, validate_traces_faulty, DeadlockReport};
-use ffw_fault::{
-    abft_verify_c64, crc32_c64, ActiveFaults, OpAction, PhiLite, DEFAULT_PHI_THRESHOLD,
-};
+use ffw_fault::{abft_verify_c64, crc32_c64, ActiveFaults, OpAction};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
@@ -263,47 +265,6 @@ impl CommStats {
     }
 }
 
-/// Per-launch heartbeat machinery: one companion beater thread per rank
-/// stamps a shared timestamp while the rank closure runs; a monitor thread
-/// maintains a [`PhiLite`] suspicion score per rank and, when a panicked
-/// rank's beats stop, marks it suspect and wakes every blocked waiter so
-/// dead-peer detection costs O(heartbeat interval), not O(deadlock timeout).
-struct Heartbeat {
-    interval: Duration,
-    /// beats[r] = monotonic ns of rank r's most recent beat.
-    beats: Vec<AtomicU64>,
-    /// suspects[r] = phi (in thousandths) at detection time; 0 = alive.
-    suspects: Vec<AtomicU64>,
-    /// rank_done[r] set when rank r's closure returned or panicked; stops
-    /// its beater within one condvar wake.
-    rank_done: Vec<AtomicBool>,
-    /// Launch-teardown signal for the beater and monitor threads.
-    shutdown: Mutex<bool>,
-    shutdown_cond: Condvar,
-}
-
-impl Heartbeat {
-    fn new(n_ranks: usize, interval: Duration) -> Self {
-        let now = ffw_obs::monotonic_ns();
-        Heartbeat {
-            interval,
-            beats: (0..n_ranks).map(|_| AtomicU64::new(now)).collect(),
-            suspects: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
-            rank_done: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
-            shutdown: Mutex::new(false),
-            shutdown_cond: Condvar::new(),
-        }
-    }
-
-    /// phi (in thousandths) at which `rank` was suspected, if it was.
-    fn suspect_phi_milli(&self, rank: usize) -> Option<u64> {
-        match self.suspects[rank].load(Ordering::SeqCst) {
-            0 => None,
-            phi => Some(phi),
-        }
-    }
-}
-
 struct Shared {
     size: usize,
     /// mailboxes[src * size + dst]
@@ -321,9 +282,11 @@ struct Shared {
     verdict: Mutex<Option<String>>,
     /// Activated fault plan, if this launch injects faults.
     faults: Option<ActiveFaults>,
-    /// Heartbeat failure detection (absent for single-rank launches or when
-    /// explicitly disabled).
-    heartbeat: Option<Heartbeat>,
+    /// panicked[r] is set when rank r's closure panicked, after the
+    /// registry shows `Panicked`; a receive reads it under its queue lock
+    /// before every wait. An atomic, so that read never nests the registry
+    /// lock inside a mailbox lock.
+    panicked: Vec<AtomicBool>,
 }
 
 impl Shared {
@@ -334,11 +297,6 @@ impl Shared {
     /// The retry policy active for this launch (default when no fault plan).
     fn retry(&self) -> RetryPolicy {
         self.faults.as_ref().map(|f| f.retry()).unwrap_or_default()
-    }
-
-    /// phi-milli at which `peer` was suspected by the heartbeat monitor.
-    fn hb_suspect(&self, peer: usize) -> Option<u64> {
-        self.heartbeat.as_ref()?.suspect_phi_milli(peer)
     }
 
     /// Watchdog invoked by `rank` when a blocking wait times out. Every
@@ -753,10 +711,10 @@ impl Comm {
     /// Blocking framed receive with the deadlock watchdog. The fast path
     /// (message already queued) touches only the mailbox lock; the slow path
     /// publishes a `RecvWait` state and waits with a timeout, diagnosing the
-    /// global wait-for graph whenever the timeout fires — or as soon as the
-    /// heartbeat monitor suspects the source, which wakes this wait early so
-    /// a dead peer is detected in O(heartbeat interval). Returns an error if
-    /// this wait can never be satisfied because the peer died.
+    /// global wait-for graph whenever the timeout fires — or at once when
+    /// the source has panicked, which the launch signals on this mailbox.
+    /// Returns an error if this wait can never be satisfied because the
+    /// peer died.
     fn recv_msg_blocking(&self, src: usize, tag: u32) -> Result<Msg, FaultError> {
         let mailbox = &self.shared.mailboxes[src * self.shared.size + self.rank];
         if let Some(msg) = mailbox.try_pop_matching(tag) {
@@ -772,32 +730,30 @@ impl Comm {
                 self.shared.set_state(self.rank, WaitState::Running);
                 return Ok(msg);
             }
-            let result = mailbox.cond.wait_for(&mut q, self.shared.timeout);
-            if result.timed_out() || self.shared.hb_suspect(src).is_some() {
-                // Diagnose without holding the queue lock (the analysis
-                // inspects other mailboxes; never hold two mailbox locks).
-                drop(q);
-                if let Err(e) = self.shared.watchdog_poll(self.rank) {
-                    self.shared.set_state(self.rank, WaitState::Running);
-                    if let FaultError::PeerDead { peer, .. } = &e {
-                        if let Some(phi_milli) = self.shared.hb_suspect(*peer) {
-                            self.shared.trace(
-                                self.rank,
-                                Event::Fault(FaultEvent::HeartbeatSuspect {
-                                    peer: *peer,
-                                    phi_milli,
-                                }),
-                            );
-                        }
-                        self.shared.trace(
-                            self.rank,
-                            Event::Fault(FaultEvent::PeerDeclaredDead { peer: *peer }),
-                        );
-                    }
-                    return Err(e);
+            // Read under the queue lock: the panicking rank sets the flag
+            // before it takes this lock to notify, so the flag is seen here
+            // or the notify wakes the wait below.
+            if !self.shared.panicked[src].load(Ordering::Acquire) {
+                let result = mailbox.cond.wait_for(&mut q, self.shared.timeout);
+                if !result.timed_out() {
+                    continue;
                 }
-                q = mailbox.queue.lock();
             }
+            // The source panicked or the wait timed out. Diagnose without
+            // holding the queue lock (the analysis inspects other
+            // mailboxes; never hold two mailbox locks).
+            drop(q);
+            if let Err(e) = self.shared.watchdog_poll(self.rank) {
+                self.shared.set_state(self.rank, WaitState::Running);
+                if let FaultError::PeerDead { peer, .. } = &e {
+                    self.shared.trace(
+                        self.rank,
+                        Event::Fault(FaultEvent::PeerDeclaredDead { peer: *peer }),
+                    );
+                }
+                return Err(e);
+            }
+            q = mailbox.queue.lock();
         }
     }
 }
@@ -818,20 +774,6 @@ impl RunStats {
     pub fn events(&self, rank: usize) -> Vec<Event> {
         self.inner.traces[rank].lock().clone()
     }
-
-    /// Heartbeat evidence: the ranks the phi-accrual monitor suspected
-    /// (beats stopped while the rank was panicked), with the suspicion
-    /// score at detection time. Empty when the heartbeat was disabled or
-    /// no rank died. Recovery drivers use this as *primary* evidence when
-    /// attributing deaths.
-    pub fn heartbeat_suspects(&self) -> Vec<(usize, f64)> {
-        let Some(hb) = &self.inner.heartbeat else {
-            return Vec::new();
-        };
-        (0..self.inner.size)
-            .filter_map(|r| hb.suspect_phi_milli(r).map(|phi| (r, phi as f64 / 1000.0)))
-            .collect()
-    }
 }
 
 /// Resolves the watchdog timeout. Precedence (highest first):
@@ -849,110 +791,6 @@ fn resolve_timeout(programmatic: Option<Duration>) -> Duration {
             ),
         },
         Err(_) => programmatic.unwrap_or(Duration::from_millis(1000)),
-    }
-}
-
-/// Resolves the heartbeat interval. Precedence (highest first): the
-/// `FFW_HEARTBEAT_MS` environment variable (0 disables), the programmatic
-/// value from [`Runtime::heartbeat_interval`] (`Duration::ZERO` disables),
-/// the 5 ms default. `None` means "no heartbeat".
-fn resolve_heartbeat(programmatic: Option<Duration>) -> Option<Duration> {
-    match std::env::var("FFW_HEARTBEAT_MS") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(0) => None,
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(_) => panic!(
-                "FFW_HEARTBEAT_MS={raw:?} is invalid: expected a non-negative \
-                 integer number of milliseconds"
-            ),
-        },
-        Err(_) => {
-            let interval = programmatic.unwrap_or(Duration::from_millis(5));
-            (!interval.is_zero()).then_some(interval)
-        }
-    }
-}
-
-/// Body of a per-rank companion beater thread: stamps the rank's beat
-/// timestamp every interval until the rank's closure ends (or the launch
-/// tears down). Beats come from a companion thread rather than the rank
-/// body so a rank blocked in a long receive or compute keeps beating —
-/// suspicion can only ever mean the rank actually died.
-fn heartbeat_beater(shared: Arc<Shared>, rank: usize) {
-    let hb = shared.heartbeat.as_ref().expect("beater without heartbeat");
-    loop {
-        hb.beats[rank].store(ffw_obs::monotonic_ns(), Ordering::SeqCst);
-        let mut done = hb.shutdown.lock();
-        if *done || hb.rank_done[rank].load(Ordering::SeqCst) {
-            break;
-        }
-        let _ = hb.shutdown_cond.wait_for(&mut done, hb.interval);
-        if *done || hb.rank_done[rank].load(Ordering::SeqCst) {
-            break;
-        }
-    }
-}
-
-/// Body of the heartbeat monitor thread: maintains a [`PhiLite`] suspicion
-/// score per rank from the beat timestamps; when a panicked rank's score
-/// crosses [`DEFAULT_PHI_THRESHOLD`], marks it suspect and wakes every
-/// blocked receive so dead-peer detection costs
-/// O(heartbeat interval) instead of O(deadlock timeout).
-fn heartbeat_monitor(shared: Arc<Shared>) {
-    let hb = shared
-        .heartbeat
-        .as_ref()
-        .expect("monitor without heartbeat");
-    let interval_ns = hb.interval.as_nanos() as u64;
-    let start = ffw_obs::monotonic_ns();
-    let mut phis: Vec<PhiLite> = (0..shared.size)
-        .map(|_| PhiLite::new(interval_ns, start))
-        .collect();
-    let mut last_seen: Vec<u64> = hb.beats.iter().map(|b| b.load(Ordering::SeqCst)).collect();
-    loop {
-        {
-            let mut done = hb.shutdown.lock();
-            if *done {
-                break;
-            }
-            let _ = hb.shutdown_cond.wait_for(&mut done, hb.interval);
-            if *done {
-                break;
-            }
-        }
-        let now = ffw_obs::monotonic_ns();
-        for rank in 0..shared.size {
-            if hb.suspects[rank].load(Ordering::SeqCst) != 0 {
-                continue;
-            }
-            let beat = hb.beats[rank].load(Ordering::SeqCst);
-            if beat != last_seen[rank] {
-                last_seen[rank] = beat;
-                phis[rank].beat(beat);
-                continue;
-            }
-            let phi = phis[rank].phi(now);
-            // Beats stop for both panicked and cleanly-finished ranks; only
-            // a panicked rank is *evidence of death* (a finished rank that
-            // a peer still waits on is a protocol bug the slow watchdog
-            // diagnoses). The phi score supplies the detection timing.
-            let panicked = matches!(shared.registry.lock()[rank], WaitState::Panicked);
-            if phi > DEFAULT_PHI_THRESHOLD && panicked {
-                let phi_milli = ((phi * 1000.0) as u64).max(1);
-                hb.suspects[rank].store(phi_milli, Ordering::SeqCst);
-                ffw_obs::event(
-                    "mpi.heartbeat.suspect",
-                    &format!("rank {rank} suspected at phi {phi:.1}"),
-                );
-                // Wake every blocked waiter. Notifying under each lock
-                // closes the race with a waiter that is between its
-                // predicate check and its wait.
-                for mailbox in &shared.mailboxes {
-                    let _guard = mailbox.queue.lock();
-                    mailbox.cond.notify_all();
-                }
-            }
-        }
     }
 }
 
@@ -1042,7 +880,6 @@ pub struct Runtime {
     n_ranks: usize,
     timeout: Option<Duration>,
     fault_plan: Option<FaultPlan>,
-    heartbeat: Option<Duration>,
 }
 
 impl Runtime {
@@ -1052,7 +889,6 @@ impl Runtime {
             n_ranks,
             timeout: None,
             fault_plan: None,
-            heartbeat: None,
         }
     }
 
@@ -1067,15 +903,6 @@ impl Runtime {
     /// Injects the given seeded fault plan into the launch.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the heartbeat interval for failure detection (default 5 ms;
-    /// `Duration::ZERO` disables the heartbeat). The `FFW_HEARTBEAT_MS`
-    /// environment variable, if set, takes precedence (0 disables).
-    /// Single-rank launches never run a heartbeat.
-    pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.heartbeat = Some(interval);
         self
     }
 
@@ -1112,42 +939,18 @@ impl Runtime {
             timeout,
             verdict: Mutex::new(None),
             faults: self.fault_plan.map(|plan| plan.activate(n_ranks)),
-            heartbeat: (n_ranks >= 2)
-                .then(|| resolve_heartbeat(self.heartbeat))
-                .flatten()
-                .map(|interval| Heartbeat::new(n_ranks, interval)),
+            panicked: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
         });
-        // Companion beater threads + the phi-accrual monitor. These are
-        // plain (non-scoped) threads over Arc clones; they are signalled
-        // and joined before `launch` returns.
-        let mut hb_threads = Vec::new();
-        if shared.heartbeat.is_some() {
-            for rank in 0..n_ranks {
-                let sh = Arc::clone(&shared);
-                hb_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("ffw-hb-beat-{rank}"))
-                        .spawn(move || heartbeat_beater(sh, rank))
-                        .expect("spawn heartbeat beater"),
-                );
-            }
-            let sh = Arc::clone(&shared);
-            hb_threads.push(
-                std::thread::Builder::new()
-                    .name("ffw-hb-monitor".into())
-                    .spawn(move || heartbeat_monitor(sh))
-                    .expect("spawn heartbeat monitor"),
-            );
-        }
         let results: Vec<Mutex<Option<T>>> = (0..n_ranks).map(|_| Mutex::new(None)).collect();
         let crashes: Vec<Mutex<Option<FaultError>>> =
             (0..n_ranks).map(|_| Mutex::new(None)).collect();
         let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
 
         // Each rank runs under catch_unwind so a panic marks it Panicked in
-        // the registry instead of silently vanishing: peers blocked on it
-        // then get a diagnosed dead-dependency error rather than hanging
-        // forever. An injected crash (typed FaultError payload) becomes
+        // the registry instead of silently vanishing, and wakes every
+        // receive waiting on it: peers blocked on it then get a diagnosed
+        // dead-dependency error at once rather than after the watchdog
+        // timeout. An injected crash (typed FaultError payload) becomes
         // data; any other panic is a genuine failure to re-raise.
         let run_rank = |rank: usize| {
             let comm = Comm {
@@ -1161,18 +964,19 @@ impl Runtime {
                 }
                 Err(payload) => {
                     shared.set_state(rank, WaitState::Panicked);
+                    shared.panicked[rank].store(true, Ordering::Release);
+                    // Notifying under each lock closes the race with a
+                    // waiter between its flag check and its wait.
+                    for dst in 0..n_ranks {
+                        let mailbox = &shared.mailboxes[rank * n_ranks + dst];
+                        let _guard = mailbox.queue.lock();
+                        mailbox.cond.notify_all();
+                    }
                     match payload.downcast::<FaultError>() {
                         Ok(fault) => *crashes[rank].lock() = Some(*fault),
                         Err(other) => panics.lock().push((rank, other)),
                     }
                 }
-            }
-            // The registry state is set before beats stop, so by the time
-            // the monitor suspects this rank its Finished/Panicked verdict
-            // is already visible.
-            if let Some(hb) = &shared.heartbeat {
-                hb.rank_done[rank].store(true, Ordering::SeqCst);
-                hb.shutdown_cond.notify_all();
             }
         };
 
@@ -1186,15 +990,6 @@ impl Runtime {
             }
             run_rank(0);
         });
-
-        // Tear down the heartbeat machinery before validation.
-        if let Some(hb) = &shared.heartbeat {
-            *hb.shutdown.lock() = true;
-            hb.shutdown_cond.notify_all();
-        }
-        for handle in hb_threads {
-            handle.join().expect("heartbeat thread panicked");
-        }
 
         let mut panics = panics.into_inner();
         if !panics.is_empty() {
@@ -1598,14 +1393,13 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_detects_dead_peer_without_waiting_for_watchdog() {
+    fn a_dead_peer_is_reported_without_waiting_for_the_watchdog() {
         // Rank 1 crashes at its first op while rank 0 blocks in a receive.
         // The deadlock watchdog alone would need the full 30 s timeout; the
-        // heartbeat monitor must surface the death in well under that.
+        // panicking rank's wake-up must surface the death in well under that.
         let t0 = ffw_obs::monotonic_ns();
         let launch = Runtime::new(2)
             .deadlock_timeout(Duration::from_secs(30))
-            .heartbeat_interval(Duration::from_millis(2))
             .fault_plan(FaultPlan::new().crash_at(1, 1))
             .launch(|comm| {
                 if comm.rank() == 0 {
@@ -1617,20 +1411,47 @@ mod tests {
         let elapsed_ms = (ffw_obs::monotonic_ns() - t0) / 1_000_000;
         assert!(
             elapsed_ms < 5_000,
-            "heartbeat detection took {elapsed_ms} ms — watchdog-timeout latency"
+            "dead-peer detection took {elapsed_ms} ms — watchdog-timeout latency"
         );
         match &launch.outcomes[0] {
             RankOutcome::Done(Err(FaultError::PeerDead { peer: 1, .. })) => {}
             other => panic!("expected PeerDead on rank 0, got {other:?}"),
         }
-        let suspects = launch.stats.heartbeat_suspects();
-        assert_eq!(suspects.len(), 1, "exactly the dead rank is suspected");
-        assert_eq!(suspects[0].0, 1);
-        assert!(suspects[0].1 > DEFAULT_PHI_THRESHOLD);
-        assert!(launch.stats.events(0).iter().any(|e| matches!(
-            e,
-            Event::Fault(FaultEvent::HeartbeatSuspect { peer: 1, .. })
-        )));
+    }
+
+    #[test]
+    fn a_receive_begun_after_its_source_panicked_fails_at_once() {
+        // Rank 1 delivers one message, then crashes at its second op. Rank
+        // 0 takes the message and starts its next receive from rank 1 only
+        // after the crash: that wait must see the panic before it sleeps,
+        // not after the 30 s watchdog timeout.
+        let t0 = ffw_obs::monotonic_ns();
+        let launch = Runtime::new(2)
+            .deadlock_timeout(Duration::from_secs(30))
+            .fault_plan(FaultPlan::new().crash_at(1, 2))
+            .launch(|comm| {
+                if comm.rank() == 0 {
+                    comm.recv_checked(1, 5)?;
+                    std::thread::sleep(Duration::from_millis(300));
+                    comm.recv_checked(1, 6).map(|_| ())
+                } else {
+                    comm.send_checked(0, 5, reals(&[1.0]))?;
+                    comm.send_checked(0, 6, reals(&[2.0]))
+                }
+            });
+        let elapsed_ms = (ffw_obs::monotonic_ns() - t0) / 1_000_000;
+        assert!(
+            elapsed_ms < 5_000,
+            "a receive after the panic took {elapsed_ms} ms — watchdog-timeout latency"
+        );
+        match launch.outcomes[1].crash() {
+            Some(FaultError::InjectedCrash { rank: 1, op: 2 }) => {}
+            other => panic!("expected injected crash at op 2 on rank 1, got {other:?}"),
+        }
+        match &launch.outcomes[0] {
+            RankOutcome::Done(Err(FaultError::PeerDead { peer: 1, .. })) => {}
+            other => panic!("expected PeerDead on rank 0, got {other:?}"),
+        }
     }
 
     #[test]
