@@ -8,7 +8,7 @@
 //! * [`trace`] — event types for an always-on, low-overhead per-rank
 //!   communication trace recorded by `ffw-mpi`, plus the post-run static
 //!   validator that detects undelivered messages (message leaks), self-sends
-//!   and fault protocols left unresolved.
+//!   and detected compute corruption left unescalated.
 //! * [`waitgraph`] — the runtime deadlock watchdog's analysis: given a
 //!   snapshot of what every rank is blocked on, reconstruct the global
 //!   wait-for graph, find the cycle (or the dependency on a finished/panicked

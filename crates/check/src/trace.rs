@@ -32,71 +32,23 @@ pub enum Event {
     Fault(FaultEvent),
 }
 
-/// A fault observed (or injected) by the runtime, recorded in the trace so
-/// fault runs remain fully auditable after the fact.
+/// A fault observed by the runtime, recorded in the trace so fault runs
+/// remain fully auditable after the fact.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultEvent {
-    /// A seeded fault plan crashed this rank at its `op`-th operation.
-    InjectedCrash {
-        /// 1-based operation index at which the crash fired.
-        op: u64,
-    },
-    /// A delivery attempt of a send was dropped by fault injection.
-    SendDropped {
-        /// Destination rank.
-        dst: usize,
-        /// Message tag.
-        tag: u32,
-        /// 1-based delivery attempt that was dropped.
-        attempt: u32,
-    },
-    /// All delivery attempts of a send were dropped; the destination is
-    /// declared dead by the sender.
-    SendRetriesExhausted {
-        /// Destination rank, now considered dead.
-        dst: usize,
-        /// Message tag.
-        tag: u32,
-        /// Total attempts made.
-        attempts: u32,
-    },
-    /// Fault injection delayed this rank's operation (straggler model).
-    Straggle {
-        /// Injected delay in milliseconds.
-        delay_ms: u64,
-    },
-    /// The watchdog abandoned a wait because the peer rank had died.
+    /// The watchdog abandoned a wait because the peer rank had ended.
     PeerDeclaredDead {
         /// The dead peer.
         peer: usize,
     },
-    /// A received delivery attempt failed its CRC-32 integrity check.
+    /// A received payload disagreed with its ABFT checksum lane: the
+    /// sender's data was corrupted before it was sent, and the receive
+    /// fails with a typed compute-corruption error naming the sender.
     CorruptRecv {
         /// Source rank of the corrupted message.
         src: usize,
         /// Message tag.
         tag: u32,
-        /// 1-based verification attempt that failed.
-        attempt: u32,
-    },
-    /// The receiver NACKed a corrupted delivery and requested a retransmit.
-    RetransmitRequested {
-        /// Source rank being asked to retransmit.
-        src: usize,
-        /// Message tag.
-        tag: u32,
-        /// 1-based retransmit request (matches the failed attempt).
-        attempt: u32,
-    },
-    /// Every verification attempt of a receive failed; the receive fails
-    /// with a typed corruption error.
-    CorruptionRetriesExhausted {
-        /// Source rank of the persistently-corrupt message.
-        src: usize,
-        /// Message tag.
-        tag: u32,
-        /// Total verification attempts made.
-        attempts: u32,
     },
     /// A checksum-verified compute panel failed verification on this rank
     /// (a seeded bit flip, or genuine silent data corruption).
@@ -142,17 +94,6 @@ pub enum Violation {
         /// The tag it used.
         tag: u32,
     },
-    /// A rank detected a corrupted receive but its trace shows neither a
-    /// later clean delivery on that edge+tag nor an exhausted retry budget:
-    /// the corruption protocol was abandoned mid-recovery.
-    UnresolvedCorruption {
-        /// The receiving rank.
-        rank: usize,
-        /// Source of the corrupted message.
-        src: usize,
-        /// Message tag.
-        tag: u32,
-    },
     /// A rank detected compute corruption in a panel but never recorded the
     /// escalation (`ComputeRetriesExhausted`) for it: the detect→escalate
     /// protocol was abandoned.
@@ -175,11 +116,6 @@ impl fmt::Display for Violation {
             Violation::SelfSend { rank, tag } => {
                 write!(f, "self-send: rank {rank} sent to itself (tag={tag:#x})")
             }
-            Violation::UnresolvedCorruption { rank, src, tag } => write!(
-                f,
-                "unresolved corruption: rank {rank} detected a corrupt receive from rank {src} \
-                 (tag={tag:#x}) but neither recovered a clean copy nor exhausted its retry budget"
-            ),
             Violation::UnresolvedComputeCorruption { rank, panel } => write!(
                 f,
                 "unresolved compute corruption: rank {rank} detected a corrupt compute panel \
@@ -198,12 +134,12 @@ pub fn validate_traces(traces: &[Vec<Event>], leaked: &[LeakedMessage]) -> Vec<V
     validate_impl(traces, leaked, false)
 }
 
-/// Validates the traces of a run in which ranks died (injected crashes or
-/// exhausted send retries).
+/// Validates the traces of a run in which a rank ended early (a typed
+/// error, so its peers declared it dead) or a corruption was detected.
 ///
-/// A dead rank legitimately leaves messages undelivered (peers had already
-/// sent to it), so this mode skips the message-leak check. Self-sends and
-/// unresolved fault protocols are still hard errors.
+/// A rank that ended early legitimately leaves messages undelivered (peers
+/// had already sent to it), so this mode skips the message-leak check.
+/// Self-sends and unescalated compute corruption are still hard errors.
 pub fn validate_traces_faulty(traces: &[Vec<Event>], leaked: &[LeakedMessage]) -> Vec<Violation> {
     validate_impl(traces, leaked, true)
 }
@@ -227,37 +163,19 @@ fn validate_impl(traces: &[Vec<Event>], leaked: &[LeakedMessage], faulty: bool) 
         }
     }
 
-    // Corruption-protocol rules (both modes): a detected corrupt receive
-    // must end in a clean delivery or an exhausted budget, and a corrupt
-    // compute panel in its escalation.
+    // Compute-corruption rule (both modes): a corrupt panel must end in its
+    // escalation.
     for (rank, trace) in traces.iter().enumerate() {
         for (i, event) in trace.iter().enumerate() {
-            match *event {
-                Event::Fault(FaultEvent::CorruptRecv { src, tag, .. }) => {
-                    let resolved = trace[i + 1..].iter().any(|e| match *e {
-                        Event::Recv { src: s, tag: t, .. } => s == src && t == tag,
-                        Event::Fault(FaultEvent::CorruptionRetriesExhausted {
-                            src: s,
-                            tag: t,
-                            ..
-                        }) => s == src && t == tag,
-                        _ => false,
-                    });
-                    if !resolved {
-                        violations.push(Violation::UnresolvedCorruption { rank, src, tag });
-                    }
+            if let Event::Fault(FaultEvent::ComputeCorrupt { panel, .. }) = *event {
+                let resolved = trace[i + 1..].iter().any(|e| {
+                    matches!(*e,
+                        Event::Fault(FaultEvent::ComputeRetriesExhausted { panel: p, .. })
+                        if p == panel)
+                });
+                if !resolved {
+                    violations.push(Violation::UnresolvedComputeCorruption { rank, panel });
                 }
-                Event::Fault(FaultEvent::ComputeCorrupt { panel, .. }) => {
-                    let resolved = trace[i + 1..].iter().any(|e| {
-                        matches!(*e,
-                            Event::Fault(FaultEvent::ComputeRetriesExhausted { panel: p, .. })
-                            if p == panel)
-                    });
-                    if !resolved {
-                        violations.push(Violation::UnresolvedComputeCorruption { rank, panel });
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -333,7 +251,7 @@ mod tests {
             tag: 9,
             bytes: 48,
         }];
-        // Rank 1 died before receiving: the leak is tolerated.
+        // Rank 1 ended before receiving: the leak is tolerated.
         let traces = vec![
             vec![
                 Event::Send {
@@ -343,7 +261,7 @@ mod tests {
                 },
                 Event::Fault(FaultEvent::PeerDeclaredDead { peer: 1 }),
             ],
-            vec![Event::Fault(FaultEvent::InjectedCrash { op: 1 })],
+            Vec::new(),
         ];
         assert!(validate_traces_faulty(&traces, &leaked).is_empty());
         // The strict validator still flags the same run.
@@ -351,48 +269,32 @@ mod tests {
     }
 
     #[test]
-    fn corruption_must_resolve_to_delivery_or_exhaustion() {
-        let corrupt = Event::Fault(FaultEvent::CorruptRecv {
-            src: 0,
-            tag: 5,
+    fn compute_corruption_must_be_escalated() {
+        let corrupt = Event::Fault(FaultEvent::ComputeCorrupt {
+            panel: 5,
             attempt: 1,
         });
-        let nack = Event::Fault(FaultEvent::RetransmitRequested {
-            src: 0,
-            tag: 5,
-            attempt: 1,
-        });
-        // Resolved by a later clean receive on the same edge+tag: clean.
-        let recovered = vec![vec![
+        // Resolved by the escalation of the same panel: clean.
+        let escalated = vec![vec![
             corrupt.clone(),
-            nack.clone(),
-            Event::Recv {
-                src: 0,
-                tag: 5,
-                bytes: 8,
-            },
-        ]];
-        assert!(validate_traces(&recovered, &[]).is_empty());
-        // Resolved by an exhausted budget: also clean (the error is typed).
-        let exhausted = vec![vec![
-            corrupt.clone(),
-            nack.clone(),
-            Event::Fault(FaultEvent::CorruptionRetriesExhausted {
-                src: 0,
-                tag: 5,
-                attempts: 4,
+            Event::Fault(FaultEvent::ComputeRetriesExhausted {
+                panel: 5,
+                attempts: 1,
             }),
         ]];
-        assert!(validate_traces_faulty(&exhausted, &[]).is_empty());
-        // Abandoned mid-protocol: a violation in both modes.
-        let dangling = vec![vec![corrupt, nack]];
+        assert!(validate_traces_faulty(&escalated, &[]).is_empty());
+        // Abandoned, or escalated for another panel: a violation in both
+        // modes.
+        let dangling = vec![vec![
+            corrupt,
+            Event::Fault(FaultEvent::ComputeRetriesExhausted {
+                panel: 6,
+                attempts: 1,
+            }),
+        ]];
         assert!(matches!(
             validate_traces(&dangling, &[]).as_slice(),
-            [Violation::UnresolvedCorruption {
-                rank: 0,
-                src: 0,
-                tag: 5
-            }]
+            [Violation::UnresolvedComputeCorruption { rank: 0, panel: 5 }]
         ));
         assert!(!validate_traces_faulty(&dangling, &[]).is_empty());
     }

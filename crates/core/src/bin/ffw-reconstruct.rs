@@ -13,7 +13,6 @@ use ffw_dist::{FtConfig, JobControl};
 use ffw_geometry::Point2;
 use ffw_inverse::multifreq::stage_report;
 use ffw_inverse::{BornConfig, DbimConfig, SolveCounts};
-use ffw_mpi::FaultPlan;
 use ffw_phantom::{image_rel_error, Annulus, Cylinder, Phantom, RandomBlobs, SheppLogan};
 use ffw_solver::VerifyConfig;
 use ffw_tomo::exit::{exit_code_for, EXIT_INTERRUPTED};
@@ -52,11 +51,9 @@ struct Cli {
     subtree: usize,
     checkpoint: Option<PathBuf>,
     resume: bool,
-    chaos_seed: Option<u64>,
     verify_compute: bool,
     chaos_compute: Option<u64>,
     max_restarts: u32,
-    min_groups: usize,
     metrics: Option<PathBuf>,
     profile: bool,
 }
@@ -95,14 +92,6 @@ fn validate(cli: &Cli) -> Result<(), String> {
                 cli.subtree
             ));
         }
-        if cli.min_groups == 0 || cli.min_groups > groups {
-            return Err(format!(
-                "--min-groups {} must be between 1 and --groups {groups}",
-                cli.min_groups
-            ));
-        }
-    } else if cli.chaos_seed.is_some() {
-        return Err("--chaos-seed requires --groups (distributed mode)".into());
     }
     if let Some(schedule) = &cli.hops {
         if cli.born {
@@ -142,7 +131,8 @@ fn validate(cli: &Cli) -> Result<(), String> {
         if cli.groups.is_some() {
             return Err(
                 "--chaos-compute is the serial compute-corruption injector; \
-                 distributed runs inject faults with --chaos-seed"
+                 on a rank grid a checksum mismatch relaunches the grid, which \
+                 the library's chaos tests drive"
                     .into(),
             );
         }
@@ -177,11 +167,9 @@ fn parse_args() -> Result<Cli, String> {
         subtree: 2,
         checkpoint: None,
         resume: false,
-        chaos_seed: None,
         verify_compute: true,
         chaos_compute: None,
         max_restarts: 1,
-        min_groups: 1,
         metrics: None,
         profile: false,
     };
@@ -224,9 +212,6 @@ fn parse_args() -> Result<Cli, String> {
             "--subtree" => cli.subtree = val("--subtree")?.parse().map_err(|e| format!("{e}"))?,
             "--checkpoint" => cli.checkpoint = Some(PathBuf::from(val("--checkpoint")?)),
             "--resume" => cli.resume = true,
-            "--chaos-seed" => {
-                cli.chaos_seed = Some(val("--chaos-seed")?.parse().map_err(|e| format!("{e}"))?)
-            }
             "--verify-compute" => {
                 cli.verify_compute = match val("--verify-compute")?.as_str() {
                     "on" => true,
@@ -244,9 +229,6 @@ fn parse_args() -> Result<Cli, String> {
             "--max-restarts" => {
                 cli.max_restarts = val("--max-restarts")?.parse().map_err(|e| format!("{e}"))?
             }
-            "--min-groups" => {
-                cli.min_groups = val("--min-groups")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--metrics" => cli.metrics = Some(PathBuf::from(val("--metrics")?)),
             "--profile" => cli.profile = true,
             "--help" | "-h" => {
@@ -257,8 +239,7 @@ fn parse_args() -> Result<Cli, String> {
                      [--positivity] [--batch B] \
                      [--hops F1,F2,...,1.0] \
                      [--regularizer SPEC] [--out PREFIX] \
-                     [--groups G [--subtree P] [--chaos-seed S] \
-                     [--max-restarts N] [--min-groups M]] \
+                     [--groups G [--subtree P] [--max-restarts N]] \
                      [--checkpoint PATH] [--resume] \
                      [--verify-compute on|off] [--chaos-compute S] \
                      [--metrics PATH] [--profile]\n\n\
@@ -294,19 +275,18 @@ fn parse_args() -> Result<Cli, String> {
                      divide 16; --positivity, --hops and the regularizers \
                      apply on every grid): outer-iteration \
                      checkpoints (--checkpoint, hop boundaries with --hops), \
-                     bit-identical restart (--resume), seeded fault injection \
-                     (--chaos-seed), and \
-                     elastic recovery when ranks die (up to --max-restarts \
-                     relaunches; dead groups' transmitters are redistributed over \
-                     the survivors while at least --min-groups groups remain, and \
-                     dropped only below that).\n\n\
+                     bit-identical restart (--resume), and a relaunch of the same \
+                     grid from the last checkpoint when a rank's arithmetic is \
+                     found corrupted (up to --max-restarts relaunches, default 1; \
+                     then exit code 4).\n\n\
                      --verify-compute (default on) guards DBIM runs against \
                      silent data corruption: every MLFMA panel apply is checked \
                      against an ABFT checksum column and the Krylov recurrences \
-                     are audited against the true residual (on a rank grid a \
-                     checksum mismatch retires the detecting rank instead). A detected flip is \
-                     recomputed (checksum) or rolled back (drift) bit-identically; \
-                     corruption that survives the recovery budget aborts with exit \
+                     are audited against the true residual. A detected flip is \
+                     recomputed (checksum) or rolled back (drift) bit-identically \
+                     (on a rank grid, where a panel's halo inputs are consumed, a \
+                     checksum mismatch relaunches the grid instead); corruption \
+                     that survives the recovery budget aborts with exit \
                      code 4 before any image is written — never a silently wrong \
                      reconstruction. --chaos-compute S injects the seeded bit-flip \
                      from FaultPlan::seeded_compute(S, 1) to exercise that ladder \
@@ -435,8 +415,8 @@ fn run(cli: &Cli, schedule: &HopSchedule) -> i32 {
                 // Every G0 panel carries the ABFT checksum. In process a
                 // mismatch is recomputed; a grid rank that detects one
                 // escalates (its halo inputs are consumed, so there is
-                // nothing local to recompute) and the driver recovers
-                // through checkpoint-restart.
+                // nothing local to recompute) and the driver relaunches the
+                // grid from the last checkpoint.
                 verify: cli.verify_compute.then(|| {
                     let mut vc = VerifyConfig::with_rel_tol(recon.plan.accuracy.checksum_rel_tol());
                     if let Some(seed) = cli.chaos_compute {
@@ -455,11 +435,6 @@ fn run(cli: &Cli, schedule: &HopSchedule) -> i32 {
             checkpoint: cli.checkpoint.clone(),
             resume: cli.resume,
             max_restarts: cli.max_restarts,
-            min_groups: cli.min_groups,
-            fault_plan: cli
-                .chaos_seed
-                .filter(|_| groups * subtree >= 2)
-                .map(|s| FaultPlan::seeded(s, groups * subtree)),
             control: Some(JobControl::new().with_shutdown()),
             ..FtConfig::new(groups, subtree)
         };
@@ -512,12 +487,10 @@ fn run(cli: &Cli, schedule: &HopSchedule) -> i32 {
                 .map(|l| format!(", lambda {l:.3e}"))
                 .unwrap_or_default();
             println!(
-                "  stage {}: residual {:.2}% -> {:.3}%{lambda}, lost illuminations {:?}, \
-                 restarts {}",
+                "  stage {}: residual {:.2}% -> {:.3}%{lambda}, restarts {}",
                 result.resumed + stage,
                 100.0 * r.residual_history.first().copied().unwrap_or(f64::NAN),
                 100.0 * r.final_residual,
-                r.lost_txs,
                 r.restarts
             );
         }

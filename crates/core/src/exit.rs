@@ -12,7 +12,7 @@ use ffw_fault::FaultError;
 
 /// Success.
 pub const EXIT_OK: i32 = 0;
-/// Generic, unclassified failure (I/O errors, lost sends, corruption…).
+/// Generic, unclassified failure (I/O errors, a peer that ended early, …).
 pub const EXIT_FAILURE: i32 = 1;
 /// Invalid command-line usage, rejected before any work started.
 pub const EXIT_USAGE: i32 = 2;
@@ -21,8 +21,9 @@ pub const EXIT_USAGE: i32 = 2;
 /// automatic restart. The scene is too hard for the solver as configured —
 /// perturb it, or loosen the tolerance.
 pub const EXIT_BREAKDOWN: i32 = 3;
-/// A recovery budget was exhausted: the relaunch/retry budget was spent or
-/// no further recovery is possible (e.g. every illumination group lost).
+/// A recovery budget was exhausted: detected compute corruption outlasted
+/// the in-place recompute or the relaunch budget (`--max-restarts`), or no
+/// further recovery is possible.
 pub const EXIT_BUDGET: i32 = 4;
 /// The run was interrupted (SIGTERM/SIGINT or a cancel request) and stopped
 /// cleanly at an outer-iteration boundary with its checkpoint flushed;
@@ -57,7 +58,10 @@ mod tests {
             detail: "rho underflow".into(),
         };
         let budget = FaultError::Unrecoverable {
-            detail: "rank(s) {1} died and the restart budget (1) is exhausted".into(),
+            detail: "rank 1: compute corruption in dist.apply_block at panel #5 persisted \
+                     after 1 attempts; recompute budget exhausted; the relaunch budget (1) \
+                     is exhausted"
+                .into(),
         };
         assert_eq!(exit_code_for(&breakdown), EXIT_BREAKDOWN);
         assert_eq!(exit_code_for(&budget), EXIT_BUDGET);
@@ -81,12 +85,11 @@ mod tests {
 
     #[test]
     fn unclassified_faults_stay_generic() {
-        let lost = FaultError::SendLost {
+        let dead = FaultError::PeerDead {
             rank: 0,
-            dst: 1,
-            tag: 0x100,
-            attempts: 4,
+            peer: 1,
+            detail: String::new(),
         };
-        assert_eq!(exit_code_for(&lost), EXIT_FAILURE);
+        assert_eq!(exit_code_for(&dead), EXIT_FAILURE);
     }
 }

@@ -392,8 +392,6 @@ pub fn reconstruct<S: Borrow<Reconstruction>>(
             groups: ft.groups,
             subtree_ranks: ft.subtree_ranks,
             max_restarts: ft.max_restarts,
-            min_groups: ft.min_groups,
-            deadlock_timeout: ft.deadlock_timeout,
         };
         let result = if (ft.groups, ft.subtree_ranks) == (1, 1) {
             run_dbim_local(&stage.setup, stage.g0(), &measured[h], &stage_ft)

@@ -139,9 +139,9 @@ impl<'c> DistMlfma<'c> {
     /// Detection is purely local; recomputation is not (the halo and
     /// far-field exchanges are consumed by the apply), so a mismatch
     /// escalates immediately as [`FaultError::ComputeCorruption`] — the
-    /// fault-tolerant driver treats the detecting rank as compromised and
-    /// recovers through checkpoint-restart. Opt-in because the extra column
-    /// costs one lane of compute and bandwidth per panel.
+    /// fault-tolerant driver relaunches the grid from its last checkpoint.
+    /// Opt-in because the extra column costs one lane of compute and
+    /// bandwidth per panel.
     pub fn with_verify(mut self, rel_tol: f64, abs_floor: f64) -> Self {
         self.verify = Some(DistVerify {
             rel_tol,

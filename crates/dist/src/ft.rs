@@ -1,40 +1,31 @@
-//! Fault-tolerant distributed DBIM: checkpoint/restart plus zero-data-loss
-//! elastic recovery on rank death.
+//! Fault-tolerant distributed DBIM: checkpoint/restart, and a relaunch on
+//! the same grid when a rank's arithmetic is found corrupted.
 //!
 //! The driver [`run_dbim_ft`] runs the paper's two-dimensional parallel DBIM
 //! (illumination groups x MLFMA sub-trees): every rank runs the one DBIM
 //! loop, [`ffw_inverse::dbim_loop`], on its `GridContext` — the same code
 //! the serial `ffw_inverse::dbim` runs on the 1×1 grid — over the *checked*
-//! communication paths, so a dead peer, a message lost beyond the retry
-//! budget, a payload that fails integrity verification, or a Krylov
-//! breakdown unwinds the rank with a typed [`FaultError`] instead of a panic
-//! or a hang. This module holds the grid context, its end-of-iteration hook
-//! (checkpoint gather + collective stop) and the recovery loop; it contains
-//! no reconstruction arithmetic. Recovery happens at launch granularity:
+//! communication paths, so a peer that ended early, a detected compute
+//! corruption or a Krylov breakdown unwinds the rank with a typed
+//! [`FaultError`] instead of a panic or a hang. This module holds the grid
+//! context, its end-of-iteration hook (checkpoint gather + collective stop)
+//! and the relaunch loop; it contains no reconstruction arithmetic.
 //!
 //! 1. After every completed outer iteration the full reconstruction state
 //!    (contrast vector, conjugate-direction state, warm-start fields,
 //!    residual history) is gathered to rank 0 and written to an atomic,
 //!    checksummed checkpoint ([`ffw_fault::Checkpoint`]).
-//! 2. When a rank dies, its peers detect the death (the dead rank's wake-up
-//!    of the receives waiting on it, the watchdog, or retry exhaustion),
-//!    unwind, and the launch collapses into per-rank
-//!    [`ffw_mpi::RankOutcome`]s. The driver attributes the death (crashes
-//!    and exhausted retries are primary; watchdog `PeerDead` reports are
-//!    symptoms), then **redistributes** the dead groups'
-//!    transmitters across the surviving illumination groups — a
-//!    deterministic round-robin over a stable ordering, so a resumed run
-//!    stays bit-identical — reloads the last checkpoint, and relaunches.
-//!    No illumination is lost as long as at least
-//!    [`FtConfig::min_groups`] groups survive; warm-start fields for the
-//!    adopted transmitters are restored from the checkpoint (keyed by
-//!    transmitter id) or re-solved from zero.
-//! 3. Only when the survivors fall *below* `min_groups` does the driver
-//!    fall back to the legacy degraded mode: dropping every group that
-//!    contained a dead rank and reporting the dropped transmitters in
-//!    [`FtDbimResult::lost_txs`] (the residual assembly reweights
-//!    automatically because the measured norm is recomputed over the
-//!    surviving transmitters only).
+//! 2. When a rank's panel fails its ABFT checksum, or a reduction's
+//!    checksum lane disagrees with its payload, that rank's output cannot be
+//!    recomputed in place: the halo data it consumed is gone, and a peer may
+//!    already hold its contribution. The rank returns
+//!    [`FaultError::ComputeCorruption`], the ranks waiting on it return
+//!    [`FaultError::PeerDead`] (a symptom, never the cause), and the driver
+//!    relaunches **the same grid** from the last checkpoint — or from
+//!    scratch without one — up to [`FtConfig::max_restarts`] times. Past
+//!    that the run fails with [`FaultError::Unrecoverable`].
+//! 3. Any other typed error (a Krylov breakdown that survived its restart,
+//!    checkpoint I/O) ends the run with that error.
 //!
 //! A `--resume` style restart (pass `resume: true` with the same scene and
 //! config) restarts bit-identically from the last completed outer iteration:
@@ -50,14 +41,12 @@ use ffw_inverse::{
     dbim_loop, DbimConfig, DbimResult, Flow, ImagingSetup, LoopState, RankContext, StageResult,
 };
 use ffw_mlfma::MlfmaPlan;
-use ffw_mpi::{Comm, FaultError, FaultPlan, Payload, RankOutcome, Runtime};
+use ffw_mpi::{Comm, FaultError, FaultPlan, Payload, Runtime};
 use ffw_numerics::{c64, C64};
 use ffw_solver::{VerifyConfig, Workspace};
-use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of a fault-tolerant distributed reconstruction.
 #[derive(Clone, Debug)]
@@ -68,23 +57,16 @@ pub struct FtConfig {
     pub groups: usize,
     /// Sub-tree ranks per group (must divide 16).
     pub subtree_ranks: usize,
-    /// Checkpoint file path; `None` disables checkpointing (a crash then
-    /// degrades to a from-scratch relaunch on the surviving ranks).
+    /// Checkpoint file path; `None` disables checkpointing (a relaunch then
+    /// starts from scratch).
     pub checkpoint: Option<PathBuf>,
     /// Resume from `checkpoint` instead of starting fresh. The checkpoint's
     /// config fingerprint must match this run.
     pub resume: bool,
-    /// How many times the driver may relaunch after losing ranks before
-    /// giving up with [`FaultError::Unrecoverable`].
+    /// How many times the driver may relaunch the grid after a persistent
+    /// compute corruption before giving up with
+    /// [`FaultError::Unrecoverable`].
     pub max_restarts: u32,
-    /// Minimum number of surviving illumination groups required for elastic
-    /// redistribution. While at least this many groups survive a rank
-    /// death, the dead groups' transmitters are redistributed across the
-    /// survivors and nothing is lost; below it the driver falls back to the
-    /// legacy degraded mode that drops the dead groups' illuminations.
-    /// Must be at least 1; the default is 1 (always redistribute while any
-    /// group survives).
-    pub min_groups: usize,
     /// External control: cooperative cancel/pause plus per-iteration
     /// progress streaming. When the stop intent is raised (directly or via
     /// the process-wide shutdown flag), every rank agrees collectively at
@@ -93,12 +75,9 @@ pub struct FtConfig {
     /// [`FtDbimResult::interrupted`] set. Resuming from the checkpoint
     /// continues bit-identically with an uninterrupted run.
     pub control: Option<JobControl>,
-    /// Seeded fault plan injected into the *first* launch (test harness
-    /// hook); relaunches after a failure run fault-free.
+    /// Seeded compute-fault plan injected into the *first* launch (test
+    /// harness hook); relaunches after a failure run fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// Programmatic deadlock-watchdog timeout for the underlying runtime
-    /// (the `FFW_DEADLOCK_TIMEOUT_MS` environment variable still wins).
-    pub deadlock_timeout: Option<Duration>,
 }
 
 impl FtConfig {
@@ -112,10 +91,8 @@ impl FtConfig {
             checkpoint: None,
             resume: false,
             max_restarts: 1,
-            min_groups: 1,
             control: None,
             fault_plan: None,
-            deadlock_timeout: None,
         }
     }
 }
@@ -125,18 +102,15 @@ impl FtConfig {
 pub struct FtDbimResult {
     /// Reconstructed object over the full domain (tree order).
     pub object: Vec<C64>,
-    /// Relative residual after each completed outer iteration. Residuals are
-    /// always measured against the *surviving* transmitters of the launch
-    /// that produced them.
+    /// Relative residual after each completed outer iteration.
     pub residual_history: Vec<f64>,
-    /// Final relative residual over the surviving transmitters.
+    /// Final relative residual.
     pub final_residual: f64,
-    /// Transmitter indices lost to dead ranks. Empty on a clean run *and*
-    /// on any faulty run where at least [`FtConfig::min_groups`] groups
-    /// survived — their illuminations are redistributed, not dropped.
-    /// Non-empty only after the below-minimum fallback dropped groups.
+    /// Transmitter indices left out of the reconstruction: always empty,
+    /// since every relaunch keeps every illumination. Kept for the
+    /// benchmark's clean-run check.
     pub lost_txs: Vec<usize>,
-    /// How many times the driver relaunched after losing ranks.
+    /// How many times the driver relaunched the grid.
     pub restarts: u32,
     /// `Some(next_iter)` when the run was stopped early by its
     /// [`FtConfig::control`] (cancel, pause, or process shutdown): outer
@@ -191,20 +165,14 @@ pub fn run_fingerprint(
     fp.finish()
 }
 
-fn lost_of(alive: &[Vec<usize>], n_tx: usize) -> Vec<usize> {
-    let kept: BTreeSet<usize> = alive.iter().flatten().copied().collect();
-    (0..n_tx).filter(|t| !kept.contains(t)).collect()
-}
-
 /// Runs the fault-tolerant distributed DBIM reconstruction.
 ///
 /// On a clean run this is the serial `ffw_inverse::dbim` — the same loop on
 /// another context — and matches it to near machine precision (bit for bit
-/// on the 1×1 grid). Under faults it recovers per the module docs, and
-/// returns [`FaultError`] only when no recovery is possible: the restart
-/// budget is spent, every group is lost, the checkpoint is unusable, or a
-/// non-fault typed error (e.g. a Krylov breakdown that survived its restart)
-/// occurred.
+/// on the 1×1 grid). Under a compute corruption it relaunches per the
+/// module docs, and returns [`FaultError`] when it cannot: the relaunch
+/// budget is spent, the checkpoint is unusable, or another typed error
+/// (e.g. a Krylov breakdown that survived its restart) occurred.
 pub fn run_dbim_ft(
     setup: &ImagingSetup,
     plan: Arc<MlfmaPlan>,
@@ -229,19 +197,14 @@ fn run_launches(
     let n_tx = setup.n_tx();
     assert_eq!(measured.len(), n_tx);
     assert_eq!(n_tx % groups, 0, "transmitters must divide among groups");
-    assert!(cfg.min_groups >= 1, "min_groups must be at least 1");
     let tx_per_group = n_tx / groups;
     let fingerprint = run_fingerprint(setup, &cfg.dbim, groups, p, measured);
-
-    // Transmitter sets per surviving group. Initially one contiguous block
-    // per group; as ranks die the dead groups' transmitters are
-    // redistributed across the survivors (or, below min_groups, dropped),
-    // so entries may grow beyond their original block.
-    let mut alive: Vec<Vec<usize>> = (0..groups)
+    // One contiguous transmitter block per group.
+    let group_txs: Vec<Vec<usize>> = (0..groups)
         .map(|g| (g * tx_per_group..(g + 1) * tx_per_group).collect())
         .collect();
-    let mut state: Option<Checkpoint> = None;
 
+    let mut state: Option<Checkpoint> = None;
     if cfg.resume {
         let path = cfg
             .checkpoint
@@ -250,33 +213,32 @@ fn run_launches(
                 detail: "resume requested but no checkpoint path configured".into(),
             })?;
         let ckpt = Checkpoint::load(path, fingerprint)?;
+        if !ckpt.lost_txs.is_empty() {
+            return Err(FaultError::Unrecoverable {
+                detail: format!(
+                    "checkpoint {} was written after transmitters {:?} were dropped; \
+                     runs that drop illuminations were removed, so it cannot be resumed \
+                     — start the run over",
+                    path.display(),
+                    ckpt.lost_txs
+                ),
+            });
+        }
         ffw_obs::event(
             "dist.checkpoint.load",
             &format!("resume from iter {} ({})", ckpt.next_iter, path.display()),
         );
-        let lost: BTreeSet<usize> = ckpt.lost_txs.iter().map(|&t| t as usize).collect();
-        alive.retain(|txs| !txs.iter().any(|t| lost.contains(t)));
         state = Some(ckpt);
     }
 
     let mut fault_plan = cfg.fault_plan.clone();
     let mut restarts = 0u32;
     loop {
-        if alive.is_empty() {
-            return Err(FaultError::Unrecoverable {
-                detail: "every illumination group has been lost".into(),
-            });
-        }
-        let n_ranks = alive.len() * p;
-        let mut rt = Runtime::new(n_ranks);
-        if let Some(t) = cfg.deadlock_timeout {
-            rt = rt.deadlock_timeout(t);
-        }
+        let mut rt = Runtime::new(groups * p);
         if let Some(fp) = fault_plan.take() {
             rt = rt.fault_plan(fp);
         }
-        let lost_txs = lost_of(&alive, n_tx);
-        let (alive_ref, state_ref, lost_ref) = (&alive, state.as_ref(), &lost_txs);
+        let (group_txs_ref, state_ref) = (&group_txs, state.as_ref());
         let control_ref = cfg.control.as_ref();
         let plan2 = Arc::clone(&plan);
         let ckpt_path = cfg.checkpoint.as_deref();
@@ -285,13 +247,12 @@ fn run_launches(
             let ctx = GridContext::new(
                 &comm,
                 Arc::clone(&plan2),
-                alive_ref,
+                group_txs_ref,
                 p,
                 &cfg.dbim,
                 GridHook {
                     ckpt_path,
                     fingerprint,
-                    lost_txs: lost_ref,
                     control: control_ref,
                 },
             );
@@ -300,182 +261,70 @@ fn run_launches(
         drop(launch_span);
         launch.stats.stats().record_obs();
 
-        // Which ranks of this launch are gone? Crashes, exhausted-retry
-        // send losses, exhausted-retransmit corruption and escalated compute
-        // corruption are primary evidence (a panicked rank is always
-        // `Crashed` here: an organic panic is re-raised by the launch).
-        // Watchdog `PeerDead` reports are only symptoms — a rank blocked on an
-        // alive-but-itself-blocked peer misattributes the death — so they
-        // are trusted only when no primary evidence exists (a pure-timeout
-        // stall).
-        let mut primary: BTreeSet<usize> = BTreeSet::new();
-        let mut secondary: BTreeSet<usize> = BTreeSet::new();
-        for (r, out) in launch.outcomes.iter().enumerate() {
-            match out {
-                RankOutcome::Crashed(_) => {
-                    primary.insert(r);
+        // The cause of a failed launch is a rank's own error: a `PeerDead`
+        // is what the ranks waiting on that rank saw of it.
+        let cause = (launch.outcomes.iter())
+            .filter_map(|out| out.as_ref().err())
+            .min_by_key(|e| matches!(e, FaultError::PeerDead { .. }));
+        match cause {
+            None => {}
+            Some(e @ FaultError::ComputeCorruption { .. }) => {
+                if restarts >= cfg.max_restarts {
+                    return Err(FaultError::Unrecoverable {
+                        detail: format!(
+                            "{e}; the relaunch budget ({}) is exhausted",
+                            cfg.max_restarts
+                        ),
+                    });
                 }
-                RankOutcome::Done(Err(FaultError::SendLost { dst, .. })) => {
-                    primary.insert(*dst);
-                }
-                RankOutcome::Done(Err(FaultError::Corruption { src, .. })) => {
-                    // A peer whose messages can no longer be delivered
-                    // intact is as lost as a crashed one.
-                    primary.insert(*src);
-                }
-                RankOutcome::Done(Err(FaultError::ComputeCorruption { rank, .. })) => {
-                    // The detecting rank is the corrupted one: its local
-                    // panel output failed the ABFT checksum, and the halo
-                    // data needed to recompute it is already consumed. The
-                    // rank's exit is the death; the typed error is the
-                    // primary evidence attributing it.
-                    primary.insert(*rank);
-                }
-                RankOutcome::Done(Err(FaultError::PeerDead { peer, .. })) => {
-                    secondary.insert(*peer);
-                }
-                RankOutcome::Done(_) => {}
-            }
-        }
-        let dead = if primary.is_empty() {
-            secondary
-        } else {
-            primary
-        };
-
-        if dead.is_empty() {
-            // No rank died: either full success, or a typed non-fault error
-            // (Krylov breakdown, checkpoint I/O) that recovery cannot fix.
-            let mut outs: Vec<Option<DbimResult>> = Vec::with_capacity(n_ranks);
-            let mut first_err: Option<FaultError> = None;
-            for out in launch.outcomes {
-                match out {
-                    RankOutcome::Done(Ok(o)) => outs.push(Some(o)),
-                    RankOutcome::Done(Err(e)) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        outs.push(None);
-                    }
-                    RankOutcome::Crashed(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        outs.push(None);
-                    }
-                }
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            // Assemble the object from group 0 (slots 0..p own contiguous
-            // pixel ranges covering the whole domain, in slot order).
-            let mut slots = outs
-                .into_iter()
-                .take(p)
-                .map(|o| o.expect("checked above: every rank returned Ok"));
-            let lead = slots.next().expect("at least one slot");
-            let mut object = lead.object;
-            for o in slots {
-                object.extend_from_slice(&o.object);
-            }
-            if let Some(next) = lead.stopped {
+                restarts += 1;
                 ffw_obs::event(
-                    "dist.stop",
-                    &format!("run stopped at outer-iteration boundary {next}"),
+                    "dist.relaunch",
+                    &format!("{e}; relaunch {restarts} on the same grid"),
                 );
+                // No checkpoint yet (`None`): relaunch from scratch.
+                state = match cfg.checkpoint.as_deref() {
+                    Some(path) => Checkpoint::load_latest(path, fingerprint)?.inspect(|ckpt| {
+                        ffw_obs::event(
+                            "dist.checkpoint.load",
+                            &format!("recovery from iter {} ({})", ckpt.next_iter, path.display()),
+                        );
+                    }),
+                    None => None,
+                };
+                continue;
             }
-            if ffw_obs::enabled() {
-                ffw_obs::counter("dist.restarts").add(restarts as u64);
-            }
-            return Ok(FtDbimResult {
-                object,
-                residual_history: lead.residual_history,
-                final_residual: lead.final_residual,
-                lost_txs,
-                restarts,
-                interrupted: lead.stopped,
-                lambdas: lead.lambdas,
-            });
+            Some(e) => return Err(e.clone()),
         }
 
-        // Elastic recovery: redistribute the dead groups' transmitters
-        // across the survivors, restore the last checkpointed state, and
-        // relaunch. Only below min_groups does the driver fall back to
-        // dropping the dead groups' illuminations.
-        if restarts >= cfg.max_restarts {
-            return Err(FaultError::Unrecoverable {
-                detail: format!(
-                    "rank(s) {dead:?} died and the restart budget ({}) is exhausted",
-                    cfg.max_restarts
-                ),
-            });
+        // Assemble the object from group 0 (slots 0..p own contiguous pixel
+        // ranges covering the whole domain, in slot order).
+        let mut slots = (launch.outcomes.into_iter())
+            .take(p)
+            .map(|o| o.expect("checked above: every rank returned Ok"));
+        let lead = slots.next().expect("at least one slot");
+        let mut object = lead.object;
+        for o in slots {
+            object.extend_from_slice(&o.object);
         }
-        restarts += 1;
-        ffw_obs::event(
-            "dist.relaunch",
-            &format!("rank(s) {dead:?} dead; relaunch {restarts} on surviving groups"),
-        );
-        let dead_groups: BTreeSet<usize> = dead.iter().map(|r| r / p).collect();
-        // Orphaned transmitters in a stable (sorted) order, collected
-        // before the dead groups are removed.
-        let mut orphaned: Vec<usize> = dead_groups
-            .iter()
-            .filter_map(|&g| alive.get(g))
-            .flatten()
-            .copied()
-            .collect();
-        orphaned.sort_unstable();
-        let mut gi = 0usize;
-        alive.retain(|_| {
-            let keep = !dead_groups.contains(&gi);
-            gi += 1;
-            keep
+        if let Some(next) = lead.stopped {
+            ffw_obs::event(
+                "dist.stop",
+                &format!("run stopped at outer-iteration boundary {next}"),
+            );
+        }
+        if ffw_obs::enabled() {
+            ffw_obs::counter("dist.restarts").add(restarts as u64);
+        }
+        return Ok(FtDbimResult {
+            object,
+            residual_history: lead.residual_history,
+            final_residual: lead.final_residual,
+            lost_txs: Vec::new(),
+            restarts,
+            interrupted: lead.stopped,
+            lambdas: lead.lambdas,
         });
-        if alive.len() >= cfg.min_groups && !alive.is_empty() {
-            // Deterministic round-robin over the surviving groups in their
-            // stable order: the same deaths always produce the same
-            // assignment, so a resumed run stays bit-identical.
-            let n_alive = alive.len();
-            for (i, &tx) in orphaned.iter().enumerate() {
-                alive[i % n_alive].push(tx);
-            }
-            for txs in &mut alive {
-                txs.sort_unstable();
-            }
-            ffw_obs::event(
-                "ft.redistribute",
-                &format!(
-                    "{} orphaned tx(s) {:?} round-robined over {} surviving group(s)",
-                    orphaned.len(),
-                    orphaned,
-                    alive.len()
-                ),
-            );
-            if ffw_obs::enabled() {
-                ffw_obs::counter("ft.redistributed_txs").add(orphaned.len() as u64);
-            }
-        } else if !orphaned.is_empty() {
-            ffw_obs::event(
-                "ft.drop_groups",
-                &format!(
-                    "{} surviving group(s) below min_groups {}; dropping tx(s) {:?}",
-                    alive.len(),
-                    cfg.min_groups,
-                    orphaned
-                ),
-            );
-        }
-        // No checkpoint yet (`None`): relaunch from scratch.
-        state = match cfg.checkpoint.as_deref() {
-            Some(path) => Checkpoint::load_latest(path, fingerprint)?.inspect(|ckpt| {
-                ffw_obs::event(
-                    "dist.checkpoint.load",
-                    &format!("recovery from iter {} ({})", ckpt.next_iter, path.display()),
-                );
-            }),
-            None => None,
-        };
     }
 }
 
@@ -483,7 +332,6 @@ fn run_launches(
 struct GridHook<'a> {
     ckpt_path: Option<&'a Path>,
     fingerprint: u64,
-    lost_txs: &'a [usize],
     control: Option<&'a JobControl>,
 }
 
@@ -553,8 +401,8 @@ impl<'a, 'c> GridContext<'a, 'c> {
         });
         let rank = self.comm.rank();
         // Escalations the loop raises on this rank's behalf (a drift guard
-        // out of rollbacks) must name this rank: the driver reads the rank
-        // of a `ComputeCorruption` as primary death evidence.
+        // out of rollbacks) must name this rank, the one whose arithmetic
+        // failed.
         let own;
         let cfg = match &cfg.verify {
             Some(vc) if vc.rank != rank => {
@@ -631,7 +479,6 @@ impl<'c> RankContext for GridContext<'_, 'c> {
                 &self.pixels(),
                 self.g0.plan().n_pixels(),
                 st,
-                hook.lost_txs,
                 progress,
             )?,
             None => progress.into_iter().for_each(|p| p()),
@@ -682,7 +529,6 @@ fn gather_and_save(
     cols: &Range<usize>,
     n_pixels: usize,
     st: &LoopState,
-    lost_txs: &[usize],
     then: Option<Box<dyn FnOnce() + Send>>,
 ) -> Result<(), FaultError> {
     let LoopState {
@@ -720,7 +566,7 @@ fn gather_and_save(
     file.header(
         fingerprint,
         *next_iter as u32,
-        lost_txs.iter().map(|&t| t as u32),
+        std::iter::empty(),
         residual_history,
     );
     assert_eq!(*cols, 0..per, "rank 0 holds the first slot's pixels");
@@ -817,19 +663,18 @@ mod tests {
                     "ffw-dist-gather-{groups}x{p}-{warm_start}-{}.ckpt",
                     std::process::id()
                 ));
-                let lost = [9usize];
                 let outcomes = Runtime::new(groups * p)
                     .launch(|comm| {
                         let r = comm.rank();
                         let cols = (r % p) * per..(r % p + 1) * per;
                         gather_and_save(
                             &comm, &path, 0xfeed, &group_txs, p, warm_start, &cols, n_pixels,
-                            &states[r], &lost, None,
+                            &states[r], None,
                         )
                     })
                     .outcomes;
                 for out in outcomes {
-                    assert!(matches!(out, RankOutcome::Done(Ok(()))));
+                    assert!(matches!(out, Ok(())));
                 }
                 let joined = |pick: fn(&LoopState) -> &Vec<C64>, g: usize| -> Vec<(f64, f64)> {
                     (0..p)
@@ -839,7 +684,7 @@ mod tests {
                 let want = Checkpoint {
                     fingerprint: 0xfeed,
                     next_iter: 4,
-                    lost_txs: vec![9],
+                    lost_txs: Vec::new(),
                     residual_history: states[0].residual_history.clone(),
                     object: joined(|st| &st.object, 0),
                     grad_prev: joined(|st| &st.grad_prev, 0),

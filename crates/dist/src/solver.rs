@@ -11,9 +11,10 @@ use ffw_numerics::{c64, C64};
 use ffw_solver::DistOp;
 
 /// Sum-allreduce of complex scalars among an explicit member list (global
-/// rank ids; `members[0]` acts as the root). A dead or unreachable peer
-/// surfaces as a typed [`FaultError`], so fault-tolerant drivers can unwind
-/// the rank cleanly and relaunch.
+/// rank ids; `members[0]` acts as the root). A peer that ended early, or a
+/// contribution that disagrees with its checksum lane, surfaces as a typed
+/// [`FaultError`], so fault-tolerant drivers can unwind the rank cleanly and
+/// relaunch.
 ///
 /// Misuse is diagnosed rather than hung or truncated: the member list is
 /// validated up front (every caller must appear in its own list, members
@@ -49,11 +50,10 @@ pub fn try_allreduce_scalars(
     }
     let mut packed: Vec<(f64, f64)> = vals.iter().map(|v| (v.re, v.im)).collect();
     // Every hop carries an ABFT checksum lane (the element sum) next to the
-    // data. The per-message CRC already rejects in-flight bit flips; the
-    // lane additionally lets the *result* of the reduction be verified: the
-    // root folds the contribution lanes into the lane of the reduced vector,
-    // so a receiver of the DOWN broadcast re-derives the sum and catches
-    // corruption inside the reduction arithmetic itself.
+    // data, and the root folds the contribution lanes into the lane of the
+    // reduced vector, so a receiver of the DOWN broadcast re-derives the sum
+    // and catches corruption inside the reduction arithmetic itself, as a
+    // `ComputeCorruption` naming the rank that sent the bad sum.
     if me == members[0] {
         let mut lane = ffw_fault::abft_lane_c64(&packed);
         for &peer in &members[1..] {
@@ -76,6 +76,14 @@ pub fn try_allreduce_scalars(
             for (p, q) in packed.iter_mut().zip(part) {
                 p.0 += q.0;
                 p.1 += q.1;
+            }
+        }
+        // Deterministic fault injection (test harness): a flipped exponent
+        // bit in the largest element of the sum, after its lane was folded,
+        // is corruption inside the reduction arithmetic.
+        if comm.reduce_fault() {
+            if let Some(v) = (packed.iter_mut()).max_by(|a, b| a.0.abs().total_cmp(&b.0.abs())) {
+                v.0 = f64::from_bits(v.0.to_bits() ^ (1 << 62));
             }
         }
         for &peer in &members[1..] {

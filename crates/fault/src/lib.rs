@@ -1,22 +1,25 @@
-//! # ffw-fault — seeded fault injection and crash-consistent recovery
+//! # ffw-fault — compute-fault injection and crash-consistent recovery
 //!
-//! The paper's production runs (4,096 GPUs on Blue Waters) operate in a
-//! regime where rank crashes, dropped messages and stragglers are routine.
-//! This crate provides the three ingredients the rest of the workspace uses
-//! to survive them:
+//! The paper's production runs (4,096 GPUs on Blue Waters) run for hours,
+//! long enough for a process to be killed and for an arithmetic unit to
+//! flip a bit. This crate provides the ingredients the rest of the
+//! workspace uses to survive both:
 //!
-//! * [`FaultPlan`] — a deterministic, seeded schedule of injected faults
-//!   (crash rank N at its K-th MPI op, drop the J-th send on an edge,
-//!   slow a rank down). `ffw-mpi` consults an activated plan at every
-//!   runtime operation, so a given seed replays bit-identically.
-//! * [`FaultError`] — the typed error surfaced when a fault (injected or
-//!   organic) is observed: a dead peer, a lost send, a Krylov breakdown,
-//!   a bad checkpoint. Ranks return these as values instead of panicking.
+//! * [`FaultPlan`] — a deterministic, seeded schedule of bit flips in
+//!   checksum-verified panel applies (silent data corruption). A given seed
+//!   replays bit-identically. The checksum lanes of reductions
+//!   ([`abft_lane_c64`], [`abft_verify_c64`]) catch the same damage on a
+//!   value that was sent.
+//! * [`FaultError`] — the typed error surfaced when a fault is observed: a
+//!   peer that ended early, persistent compute corruption, a Krylov
+//!   breakdown, a bad checkpoint. Ranks return these as values instead of
+//!   panicking.
 //! * [`Checkpoint`] — a from-scratch, checksummed, atomically-renamed
 //!   on-disk snapshot of the DBIM outer-iteration state, enabling
 //!   `--resume` to continue a killed reconstruction bit-identically. The
 //!   loops stream it straight from their state ([`CheckpointFile`]) and
 //!   [`durable`] makes it durable while the next iteration computes.
+//!   SIGTERM/SIGINT stop a run at its next boundary ([`shutdown_requested`]).
 //!
 //! The crate is dependency-free (a leaf) so both `ffw-mpi` and `ffw-dist`
 //! can share its types without cycles; the chaos-test harness in
@@ -34,10 +37,8 @@ pub use checkpoint::{
     Fingerprint,
 };
 pub use error::FaultError;
-pub use integrity::{abft_lane_c64, abft_verify_c64, crc32, crc32_c64, crc32_update};
-pub use plan::{
-    splitmix64, ActiveFaults, ComputeFault, FaultPlan, OpAction, RetryPolicy, SendFault,
-};
+pub use integrity::{abft_lane_c64, abft_verify_c64};
+pub use plan::{splitmix64, ActiveFaults, ComputeFault, FaultPlan, MAX_RECOMPUTES};
 pub use shutdown::{
     install_shutdown_handler, request_shutdown, reset_shutdown, shutdown_requested,
 };

@@ -1,20 +1,16 @@
-//! Chaos-test harness: small distributed phantom reconstructions under a
-//! grid of seeded fault schedules.
+//! Chaos-test harness: small distributed phantom reconstructions under
+//! seeded compute-fault schedules, stops and resumes.
 //!
 //! Every test drives the full fault-tolerant stack
-//! (`ffw_dist::run_dbim_ft` over the `ffw_mpi` runtime with injected
-//! faults) and asserts the contract from the fault model:
+//! (`ffw_dist::run_dbim_ft` over the `ffw_mpi` runtime) and asserts the
+//! contract from the fault model:
 //!
 //! * a fault-free run matches the serial DBIM to near machine precision;
-//! * recoverable faults (stragglers, dropped-then-retried sends, corrupted
-//!   frames retransmitted within budget) leave the result bit-identical;
-//! * unrecoverable faults recover elastically — the dead groups'
-//!   transmitters are redistributed over the survivors, nothing is lost
-//!   (`lost_txs == []`) and the reconstruction matches the fault-free run
-//!   within [`REDISTRIBUTE_TOL`] — or, below `min_groups`, degrade
-//!   gracefully with the dropped illuminations reported, or surface a
-//!   typed [`FaultError`] naming the failing rank;
-//! * a run killed mid-flight resumes from its checkpoint bit-identically;
+//! * a detected compute corruption — a panel that fails its checksum, or a
+//!   reduction whose sum disagrees with its lane — relaunches the same grid
+//!   within the relaunch budget and matches the fault-free run, or, with
+//!   the budget spent, surfaces a typed [`FaultError`];
+//! * a run stopped mid-flight resumes from its checkpoint bit-identically;
 //! * nothing ever hangs, nothing silently returns a wrong answer, and
 //!   nothing ever dies on an `unwrap` panic.
 
@@ -30,18 +26,14 @@ use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
 use ffw_solver::VerifyConfig;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 const GROUPS: usize = 2;
 const SUBTREE: usize = 2;
 const N_RANKS: usize = GROUPS * SUBTREE;
 const ITERATIONS: usize = 3;
-/// Short watchdog so dead-peer detection doesn't dominate test time.
-const WATCHDOG: Duration = Duration::from_millis(250);
-/// Tolerance for a redistributed reconstruction against the fault-free
-/// run. Redistribution regroups the transmitters, which reassociates the
-/// cost/gradient reductions; the iterates drift at accumulated-rounding
-/// level, far below the phantom contrast, but not bit-identically.
+/// Tolerance the relaunch tests allow against the fault-free run: the
+/// contract's floor. A relaunch reruns the same grid from the same state,
+/// so it in fact lands bit for bit.
 const REDISTRIBUTE_TOL: f64 = 1e-6;
 
 struct Scene {
@@ -88,7 +80,6 @@ fn dbim_cfg() -> DbimConfig {
 fn ft_cfg() -> FtConfig {
     FtConfig {
         dbim: dbim_cfg(),
-        deadlock_timeout: Some(WATCHDOG),
         ..FtConfig::new(GROUPS, SUBTREE)
     }
 }
@@ -122,294 +113,39 @@ fn fault_free_run_matches_serial_dbim() {
 }
 
 #[test]
-fn straggler_run_is_bit_identical_to_fault_free() {
-    let sc = scene();
-    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &ft_cfg())
-        .expect("fault-free run");
-    let mut cfg = ft_cfg();
-    cfg.fault_plan = Some(FaultPlan::new().straggler(1, 5, 60, 1));
-    let slow = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("a straggler must not fail the run");
-    assert_eq!(slow.restarts, 0);
-    assert!(slow.lost_txs.is_empty());
-    assert_eq!(clean.object, slow.object, "straggler changed the result");
-    assert_eq!(clean.residual_history, slow.residual_history);
-}
-
-#[test]
-fn recoverable_dropped_send_is_bit_identical_to_fault_free() {
-    let sc = scene();
-    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &ft_cfg())
-        .expect("fault-free run");
-    // Drop the 3rd send on the 0 -> 1 edge twice: within the default retry
-    // budget, so the runtime retries and the run completes untouched.
-    let mut cfg = ft_cfg();
-    cfg.fault_plan = Some(FaultPlan::new().drop_send(0, 1, 3, 2));
-    let retried = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("a retried send must not fail the run");
-    assert_eq!(retried.restarts, 0);
-    assert!(retried.lost_txs.is_empty());
-    assert_eq!(clean.object, retried.object, "retried send changed result");
-}
-
-#[test]
-fn lost_send_redistributes_the_dead_groups_transmitters() {
-    let sc = scene();
-    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &ft_cfg())
-        .expect("fault-free run");
-    // Drop a send on the 2 -> 3 edge (inside group 1) past the retry
-    // budget: rank 2 declares rank 3 dead and group 1 dies — but its
-    // transmitters 2..4 are redistributed onto group 0, so nothing is lost
-    // and every illumination is still reconstructed.
-    let mut cfg = ft_cfg();
-    cfg.fault_plan = Some(FaultPlan::new().drop_send(2, 3, 2, 10));
-    let r = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("survivors must finish after losing a group");
-    assert_eq!(r.restarts, 1);
-    assert_eq!(
-        r.lost_txs,
-        Vec::<usize>::new(),
-        "no illumination may be lost"
-    );
-    let d = rel_diff(&r.object, &clean.object);
-    assert!(
-        d <= REDISTRIBUTE_TOL,
-        "redistributed run must match fault-free run: rel diff {d:.3e}"
-    );
-}
-
-#[test]
-fn crash_mid_iteration_redistributes_to_surviving_group() {
-    let sc = scene();
-    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &ft_cfg())
-        .expect("fault-free run");
-    // Kill rank 1 (group 0) at its 30th runtime operation — mid forward
-    // solve of the first iteration. Group 0's transmitters 0..2 move to
-    // group 1 on relaunch.
-    let mut cfg = ft_cfg();
-    cfg.fault_plan = Some(FaultPlan::new().crash_at(1, 30));
-    let r = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("survivors must finish after a crash");
-    assert_eq!(r.restarts, 1);
-    assert_eq!(
-        r.lost_txs,
-        Vec::<usize>::new(),
-        "no illumination may be lost"
-    );
-    let d = rel_diff(&r.object, &clean.object);
-    assert!(
-        d <= REDISTRIBUTE_TOL,
-        "redistributed run must match fault-free run: rel diff {d:.3e}"
-    );
-}
-
-#[test]
-fn below_min_groups_falls_back_to_dropping_illuminations() {
-    let sc = scene();
-    // With min_groups == GROUPS, losing any group leaves too few survivors
-    // for redistribution; the driver must take the documented fallback and
-    // drop the dead group's illuminations instead.
-    let mut cfg = ft_cfg();
-    cfg.min_groups = GROUPS;
-    cfg.fault_plan = Some(FaultPlan::new().crash_at(1, 30));
-    let r = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("survivors must finish after a crash");
-    assert_eq!(r.restarts, 1);
-    assert_eq!(r.lost_txs, vec![0, 1]);
-    assert!(
-        r.final_residual.is_finite() && r.final_residual < 0.5,
-        "degraded run must still fit the surviving data: {:.3e}",
-        r.final_residual
-    );
-}
-
-#[test]
-fn recoverable_corruption_is_bit_identical_to_fault_free() {
-    let sc = scene();
-    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &ft_cfg())
-        .expect("fault-free run");
-    // Corrupt the 3rd send on the 0 -> 1 edge twice: the CRC catches both
-    // deliveries, the NACK/retransmit protocol recovers within the retry
-    // budget, and the run completes untouched.
-    let mut cfg = ft_cfg();
-    cfg.fault_plan = Some(FaultPlan::new().corrupt_send(0, 1, 3, 2));
-    let r = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("a retransmitted frame must not fail the run");
-    assert_eq!(r.restarts, 0);
-    assert!(r.lost_txs.is_empty());
-    assert_eq!(
-        clean.object, r.object,
-        "recovered corruption changed result"
-    );
-    assert_eq!(clean.residual_history, r.residual_history);
-}
-
-#[test]
-fn unrecoverable_corruption_recovers_by_redistribution() {
-    let sc = scene();
-    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &ft_cfg())
-        .expect("fault-free run");
-    // Corrupt every delivery of the 2nd send on the 2 -> 3 edge: rank 3's
-    // retransmit budget exhausts with a typed Corruption error naming rank
-    // 2 as the source. The driver treats the edge's source as lost,
-    // redistributes group 1's transmitters and finishes with nothing lost.
-    let mut cfg = ft_cfg();
-    cfg.fault_plan = Some(FaultPlan::new().corrupt_send(2, 3, 2, 10));
-    let r = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("survivors must finish after unrecoverable corruption");
-    assert_eq!(r.restarts, 1);
-    assert_eq!(
-        r.lost_txs,
-        Vec::<usize>::new(),
-        "no illumination may be lost"
-    );
-    let d = rel_diff(&r.object, &clean.object);
-    assert!(
-        d <= REDISTRIBUTE_TOL,
-        "redistributed run must match fault-free run: rel diff {d:.3e}"
-    );
-}
-
-#[test]
-fn combined_corruption_crash_and_straggler_recovers() {
-    let sc = scene();
-    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &ft_cfg())
-        .expect("fault-free run");
-    // All three fault classes in one run: a recoverable corruption on the
-    // 0 -> 1 edge, a straggler on rank 1, and a crash of rank 3 (group 1).
-    // The corruption and straggler are absorbed in place; the crash costs a
-    // relaunch with group 1's transmitters redistributed onto group 0.
-    let mut cfg = ft_cfg();
-    cfg.max_restarts = 2;
-    cfg.fault_plan = Some(
-        FaultPlan::new()
-            .corrupt_send(0, 1, 3, 2)
-            .straggler(1, 5, 30, 1)
-            .crash_at(3, 40),
-    );
-    let r = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("survivors must finish under combined faults");
-    assert!(r.restarts >= 1, "the crash must cost at least one relaunch");
-    assert_eq!(
-        r.lost_txs,
-        Vec::<usize>::new(),
-        "no illumination may be lost"
-    );
-    let d = rel_diff(&r.object, &clean.object);
-    assert!(
-        d <= REDISTRIBUTE_TOL,
-        "combined-fault run must match fault-free run: rel diff {d:.3e}"
-    );
-}
-
-#[test]
-fn crash_with_no_restart_budget_is_a_typed_error_not_a_hang() {
-    let sc = scene();
-    let mut cfg = ft_cfg();
-    cfg.max_restarts = 0;
-    cfg.fault_plan = Some(FaultPlan::new().crash_at(0, 25));
-    let err = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect_err("no restart budget: the crash must surface");
-    assert!(
-        matches!(err, FaultError::Unrecoverable { .. }),
-        "expected Unrecoverable, got {err}"
-    );
-}
-
-#[test]
-fn seeded_fault_matrix_never_hangs_or_silently_corrupts() {
-    let sc = scene();
-    let mut cfg = ft_cfg();
-    cfg.dbim.iterations = 2;
-    // Fault-free reference at the same iteration count, for the
-    // no-silent-wrong-answer check below.
-    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
-        .expect("fault-free reference run");
-    // Seeds cycle through all six fault classes (crash, recoverable drop,
-    // lost drop, straggler, recoverable corruption, unrecoverable
-    // corruption); 0..12 covers each class twice.
-    for seed in 0..12u64 {
-        let mut c = cfg.clone();
-        c.max_restarts = 2;
-        c.fault_plan = Some(FaultPlan::seeded(seed, N_RANKS));
-        // The contract under arbitrary seeded faults: the run returns —
-        // either recovered (finite residual, no silent deviation from the
-        // fault-free answer) or a typed error. Reaching the match at all
-        // proves no hang and no panic.
-        match run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &c) {
-            Ok(r) => {
-                assert!(
-                    r.final_residual.is_finite(),
-                    "seed {seed}: non-finite residual"
-                );
-                assert!(r.restarts <= 2, "seed {seed}: restart budget exceeded");
-                // No silent wrong answers: an Ok run that claims to have
-                // reconstructed every illumination must actually match the
-                // fault-free result — bit-identically when no relaunch was
-                // needed (in-place recovery), within REDISTRIBUTE_TOL when
-                // transmitters were redistributed.
-                if r.lost_txs.is_empty() {
-                    let d = rel_diff(&r.object, &clean.object);
-                    if r.restarts == 0 {
-                        assert_eq!(
-                            clean.object, r.object,
-                            "seed {seed}: in-place recovery not bit-identical (rel diff {d:.3e})"
-                        );
-                    } else {
-                        assert!(
-                            d <= REDISTRIBUTE_TOL,
-                            "seed {seed}: redistributed run deviates: rel diff {d:.3e}"
-                        );
-                    }
-                }
-            }
-            Err(e) => {
-                // Must be one of the typed fault errors, with enough
-                // context to name what went wrong.
-                let msg = e.to_string();
-                assert!(!msg.is_empty(), "seed {seed}: empty error");
-            }
-        }
-    }
-}
-
-#[test]
 fn killed_then_resumed_run_is_bit_identical_to_uninterrupted() {
     let sc = scene();
 
     // Reference: an uninterrupted checkpointed run.
     let full_path = ckpt_path("full");
     let _ = std::fs::remove_file(&full_path);
-    let mut full_cfg = ft_cfg();
+    let mut full_cfg = verified_ft_cfg();
     full_cfg.checkpoint = Some(full_path.clone());
     let full = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &full_cfg)
         .expect("uninterrupted checkpointed run");
 
-    // Kill a rank mid-run, after at least one checkpoint has been written.
-    // Operation counts are deterministic, so probe crash sites until one
-    // lands between the first checkpoint write and run completion.
+    // Kill the run mid-flight, after at least one checkpoint has been
+    // written: a compute corruption with no relaunch budget ends it. Apply
+    // counts are deterministic, so probe panels until one lands between
+    // the first checkpoint write and run completion.
     let kill_path = ckpt_path("killed");
     let mut killed = false;
-    // Batched forward solves fuse messages, so a full run is only a few
-    // hundred comm ops per rank — probe densely at the low end.
-    for crash_op in [
-        150u64, 250, 400, 600, 1200, 2500, 5000, 10_000, 20_000, 40_000,
-    ] {
+    for nth_apply in [8u64, 12, 16, 24, 32, 48, 64, 96, 128] {
         let _ = std::fs::remove_file(&kill_path);
-        let mut cfg = ft_cfg();
+        let mut cfg = verified_ft_cfg();
         cfg.checkpoint = Some(kill_path.clone());
-        cfg.max_restarts = 0; // die instead of recovering in-process
-        cfg.fault_plan = Some(FaultPlan::new().crash_at(1, crash_op));
+        cfg.max_restarts = 0; // die instead of relaunching in-process
+        cfg.fault_plan = Some(FaultPlan::new().corrupt_compute(1, nth_apply, 7, 55));
         let out = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg);
         if out.is_err() && kill_path.exists() {
             killed = true;
             break;
         }
     }
-    assert!(killed, "no probed crash site left a usable checkpoint");
+    assert!(killed, "no probed corruption site left a usable checkpoint");
 
-    // Resume from the survivor's checkpoint, fault-free this time.
-    let mut resume_cfg = ft_cfg();
+    // Resume from the killed run's checkpoint, fault-free this time.
+    let mut resume_cfg = verified_ft_cfg();
     resume_cfg.checkpoint = Some(kill_path.clone());
     resume_cfg.resume = true;
     let resumed = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &resume_cfg)
@@ -544,9 +280,8 @@ fn verified_clean_run_is_bit_identical_to_unverified() {
 
 /// A bit flip in one rank's panel output is detected locally by the ABFT
 /// check; the detecting rank escalates (its halo inputs are consumed, so
-/// there is nothing local to recompute), the driver treats it as the
-/// primary death evidence, and recovery proceeds through relaunch with the
-/// dead group's transmitters redistributed — nothing lost, no silent
+/// there is nothing local to recompute), the ranks waiting on it report it
+/// dead, and the driver relaunches the same grid — nothing lost, no silent
 /// corruption of the reconstruction.
 #[test]
 fn compute_corruption_escalates_to_restart_and_recovers() {
@@ -597,10 +332,10 @@ fn compute_corruption_without_verification_is_silent() {
 
 /// The seeded silent-data-corruption matrix over the full distributed
 /// stack: bit flips at exponent and mantissa granularity, alone and
-/// composed with a crash or a straggler on another rank. The contract is
-/// the fault model's: every run returns (no hang, no unwrap panic), a
-/// detected corruption never silently survives into an Ok result, and
-/// recovery without redistribution is bit-identical.
+/// composed with a flip on another rank. The contract is the fault
+/// model's: every run returns (no hang, no unwrap panic), a detected
+/// corruption never silently survives into an Ok result, and a run without
+/// a relaunch is bit-identical.
 #[test]
 fn seeded_compute_corruption_matrix_never_hangs_or_silently_corrupts() {
     let sc = scene();
@@ -641,6 +376,82 @@ fn seeded_compute_corruption_matrix_never_hangs_or_silently_corrupts() {
             }
         }
     }
+}
+
+/// A bit flipped inside a reduction, after its checksum lane was folded,
+/// reaches the ranks the root sends the sum to. Their lane check fails with
+/// a `ComputeCorruption` naming the root, and the driver relaunches the
+/// grid within its budget and lands on the clean run bit for bit; with no
+/// budget left the run is a typed error that names the lane.
+#[test]
+fn a_reduction_lane_mismatch_relaunches_within_the_budget() {
+    let sc = scene();
+    let clean = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &ft_cfg())
+        .expect("fault-free run");
+    let mut cfg = ft_cfg();
+    cfg.fault_plan = Some(FaultPlan::new().corrupt_reduction(0, 3));
+    let r = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
+        .expect("the relaunch must finish");
+    assert_eq!(r.restarts, 1, "the lane mismatch must cost one relaunch");
+    assert_eq!(clean.object, r.object);
+    assert_eq!(clean.residual_history, r.residual_history);
+
+    cfg.max_restarts = 0;
+    let err = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
+        .expect_err("no relaunch budget: the corruption must surface");
+    match &err {
+        FaultError::Unrecoverable { detail } => {
+            assert!(
+                detail.contains("rank 0") && detail.contains("mpi.lane"),
+                "{detail}"
+            )
+        }
+        other => panic!("expected Unrecoverable, got {other}"),
+    }
+}
+
+/// With no relaunch budget a detected panel corruption is a typed error,
+/// not a hang.
+#[test]
+fn compute_corruption_with_no_restart_budget_is_a_typed_error_not_a_hang() {
+    let sc = scene();
+    let mut cfg = verified_ft_cfg();
+    cfg.max_restarts = 0;
+    cfg.fault_plan = Some(FaultPlan::new().corrupt_compute(0, 5, 7, 55));
+    let err = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
+        .expect_err("no restart budget: the corruption must surface");
+    assert!(
+        matches!(err, FaultError::Unrecoverable { .. }),
+        "expected Unrecoverable, got {err}"
+    );
+}
+
+/// A checkpoint written after a run dropped transmitters holds a state no
+/// run of this build can continue: the resume is refused, typed.
+#[test]
+fn resume_from_a_checkpoint_that_dropped_transmitters_is_refused() {
+    let sc = scene();
+    let path = ckpt_path("dropped");
+    let _ = std::fs::remove_file(&path);
+    let mut cfg = ft_cfg();
+    cfg.checkpoint = Some(path.clone());
+    run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg).expect("seed the checkpoint");
+    let fingerprint =
+        ffw_dist::run_fingerprint(&sc.setup, &cfg.dbim, GROUPS, SUBTREE, &sc.measured);
+    let mut ckpt = ffw_fault::Checkpoint::load(&path, fingerprint).expect("load");
+    ckpt.lost_txs = vec![2, 3];
+    ckpt.save(&path).expect("rewrite");
+
+    cfg.resume = true;
+    let err = run_dbim_ft(&sc.setup, Arc::clone(&sc.plan), &sc.measured, &cfg)
+        .expect_err("a dropped-transmitter checkpoint must refuse to resume");
+    match &err {
+        FaultError::Unrecoverable { detail } => {
+            assert!(detail.contains("[2, 3]"), "{detail}")
+        }
+        other => panic!("expected Unrecoverable, got {other}"),
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

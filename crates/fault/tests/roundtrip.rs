@@ -1,8 +1,7 @@
-//! Round-trip regression tests for the PR-2 serialization surfaces:
-//! [`Checkpoint`] encode/decode and save/load must be bit-identical, and
-//! [`FaultPlan::seeded`] must be a pure function of `(seed, n_ranks)`.
+//! Round-trip regression tests for the checkpoint serialization surface:
+//! [`Checkpoint`] encode/decode and save/load must be bit-identical.
 
-use ffw_fault::{Checkpoint, CheckpointError, FaultPlan};
+use ffw_fault::{Checkpoint, CheckpointError};
 use std::path::PathBuf;
 
 /// A checkpoint exercising every field, including float values whose bit
@@ -136,40 +135,4 @@ fn checkpoint_decode_rejects_corruption() {
         Checkpoint::decode(&flipped),
         Err(CheckpointError::ChecksumMismatch { .. })
     ));
-}
-
-#[test]
-fn seeded_fault_plans_are_deterministic() {
-    // Same (seed, n_ranks) -> identical plan, across repeated derivations.
-    // FaultPlan is a plain data schedule, so the Debug form captures every
-    // rule; equal Debug forms mean the runtime replays identical faults.
-    for n_ranks in [2usize, 4, 7] {
-        for seed in 0u64..32 {
-            let a = format!("{:?}", FaultPlan::seeded(seed, n_ranks));
-            let b = format!("{:?}", FaultPlan::seeded(seed, n_ranks));
-            assert_eq!(a, b, "seed {seed} n_ranks {n_ranks} not reproducible");
-        }
-    }
-}
-
-#[test]
-fn seeded_fault_plans_cover_every_fault_class() {
-    // Seeds cycle crash / recoverable drop / lost drop / straggler; a seed
-    // sweep must produce non-empty plans of more than one shape.
-    let reprs: Vec<String> = (0..8)
-        .map(|seed| format!("{:?}", FaultPlan::seeded(seed, 4)))
-        .collect();
-    for (seed, r) in reprs.iter().enumerate() {
-        assert!(
-            !FaultPlan::seeded(seed as u64, 4).is_empty(),
-            "seed {seed} produced an empty plan"
-        );
-        assert!(!r.is_empty());
-    }
-    let distinct: std::collections::BTreeSet<&String> = reprs.iter().collect();
-    assert!(
-        distinct.len() >= 4,
-        "seed sweep produced only {} distinct plans",
-        distinct.len()
-    );
 }

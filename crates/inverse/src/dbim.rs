@@ -401,7 +401,7 @@ fn unpack(v: &[(f64, f64)]) -> Vec<C64> {
 impl LoopState {
     /// The slice of a whole-domain checkpoint owned by a rank holding
     /// `pixels` and `txs`. A transmitter the checkpoint has no field for
-    /// (adopted after a redistribution) restarts its solve from zero.
+    /// (it was written without warm starts) restarts its solve from zero.
     pub fn from_checkpoint(c: &Checkpoint, pixels: Range<usize>, txs: &[usize]) -> Self {
         let slice = |v: &[(f64, f64)]| unpack(&v[pixels.clone()]);
         LoopState {
@@ -1709,7 +1709,6 @@ mod tests {
         use std::sync::Arc;
         let (setup, g0, measured) = small_problem();
         let vc = VerifyConfig {
-            max_recomputes: 2,
             injector: Some(Arc::new(|panel| {
                 (panel == 5).then_some(ComputeFault {
                     slot: 3,
@@ -1730,7 +1729,11 @@ mod tests {
                 stage, attempts, ..
             }) => {
                 assert_eq!(stage, "mlfma.apply_block");
-                assert_eq!(attempts, 3, "initial compute + max_recomputes");
+                assert_eq!(
+                    attempts,
+                    ffw_fault::MAX_RECOMPUTES + 1,
+                    "initial compute + recomputes"
+                );
             }
             other => panic!("expected ComputeCorruption, got {other:?}"),
         }

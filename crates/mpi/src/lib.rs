@@ -1,12 +1,12 @@
 //! # ffw-mpi
 //!
 //! An in-process message-passing runtime standing in for MPI in the paper's
-//! two-dimensional parallelization (Section IV). Ranks are OS threads; each
-//! directed rank pair has a tag-matched mailbox. Every message is accounted
-//! per edge (count + bytes), so the distributed solver can report exactly the
-//! communication volumes the performance model consumes, and ablations can
-//! show the effect of the paper's buffer-aggregation optimization (Section
-//! IV-B).
+//! two-dimensional parallelization (Section IV). Ranks are OS threads of one
+//! process; each directed rank pair has a tag-matched mailbox. Every message
+//! is accounted per edge (count + bytes), so the distributed solver can
+//! report exactly the communication volumes the performance model consumes,
+//! and ablations can show the effect of the paper's buffer-aggregation
+//! optimization (Section IV-B).
 //!
 //! The runtime is point-to-point only, and every call is fallible:
 //! * [`Comm::send_checked`] is buffered and non-blocking (like `MPI_Isend` +
@@ -19,6 +19,22 @@
 //! `ffw-dist`: boundary exchanges, the sum-allreduce over a member list
 //! (`ffw_dist::try_allreduce_scalars`) and the checkpoint gather.
 //!
+//! ## What can fail
+//!
+//! The wire is a mutex-guarded queue: it cannot drop, delay or flip a
+//! message, so there is no transport check and no retransmit. What can go
+//! wrong is what a thread can do:
+//! * **a rank ends early.** It returns (on a typed error, say) or panics
+//!   while a peer still waits on it. The launch marks it
+//!   [`ffw_check::WaitState::Finished`] or `Panicked` and wakes every
+//!   receive waiting on it, and that receive returns
+//!   [`ffw_fault::FaultError::PeerDead`] at once. [`run`] re-raises the
+//!   lowest-ranked panic after every rank has stopped;
+//! * **a rank computed a wrong value.** A laned receive whose payload
+//!   disagrees with its checksum lane returns
+//!   [`ffw_fault::FaultError::ComputeCorruption`] naming the sender;
+//! * **the ranks deadlock.** That is a protocol bug, diagnosed below.
+//!
 //! ## Verification (ffw-check integration)
 //!
 //! The runtime is self-checking, in two tiers:
@@ -27,39 +43,21 @@
 //!   [`ffw_check::WaitState`]) in a shared registry. Blocking waits use a
 //!   timeout (`FFW_DEADLOCK_TIMEOUT_MS`, default 1000 ms); on timeout the
 //!   waiter snapshots the registry, reconstructs the global wait-for graph
-//!   with [`ffw_check::diagnose_deadlock`], confirms the diagnosis against a
+//!   with [`ffw_check::diagnose_deadlock`], confirms a cycle against a
 //!   second snapshot, and panics with a readable report naming every rank and
-//!   the cycle (or the dependency on a finished/panicked rank). Only
-//!   *definite* deadlocks are reported — a slow peer never trips the
-//!   watchdog.
+//!   the cycle. Only *definite* deadlocks are reported — a slow peer never
+//!   trips the watchdog.
 //! * **Post-run trace validation.** Each rank records a low-overhead
 //!   [`ffw_check::Event`] trace of its sends, receives and fault events.
 //!   When [`run`] exits normally, the traces plus any undelivered messages
 //!   are handed to [`ffw_check::validate_traces`]; message leaks, self-sends
-//!   and fault protocols left unresolved fail the run with a report.
-//!
-//! A panicking rank is marked [`ffw_check::WaitState::Panicked`] rather than
-//! silently disappearing, and the launch wakes every receive waiting on it,
-//! so a peer blocked on it gets a diagnosed error at once instead of after
-//! the watchdog timeout (or a hang); [`run`] then re-raises the
-//! lowest-ranked panic. A rank that *finishes* cleanly wakes nobody: a
-//! receive still waiting on it is a protocol bug the watchdog diagnoses on
-//! its timeout.
-//!
-//! ## Fault injection and fault-aware launches
+//!   and an unescalated compute corruption fail the run with a report.
 //!
 //! [`Runtime`] is the builder behind [`run`]: it adds a programmatic
-//! deadlock-timeout knob and accepts a seeded [`ffw_fault::FaultPlan`] that
-//! can crash a rank at its N-th runtime operation, drop a specific send
-//! (the runtime retries with bounded backoff before declaring the peer dead
-//! with [`ffw_fault::FaultError::SendLost`]), or delay a rank's operations
-//! (straggler model). Every injected fault is recorded in the event trace
-//! ([`ffw_check::FaultEvent`]). [`Runtime::launch`] returns per-rank
-//! [`RankOutcome`]s instead of panicking, so a crashed rank is data, not an
-//! abort; the fallible `send_checked`/`recv_checked` operations let rank
-//! code observe a dead peer as a typed [`ffw_fault::FaultError`] value and
-//! degrade gracefully (the fault-tolerant DBIM driver in `ffw-dist` builds
-//! on exactly this).
+//! deadlock-timeout knob and accepts a seeded [`ffw_fault::FaultPlan`] of
+//! compute corruption, which the verified operators and the sum-allreduce of
+//! `ffw-dist` consult through [`Comm::compute_fault`] and
+//! [`Comm::reduce_fault`].
 //!
 //! Watchdog timeout precedence: the `FFW_DEADLOCK_TIMEOUT_MS` environment
 //! variable (if set) overrides [`Runtime::deadlock_timeout`], which
@@ -76,16 +74,16 @@
 use ffw_check::trace::{render_report, Event, LeakedMessage};
 use ffw_check::waitgraph::WaitState;
 use ffw_check::{diagnose_deadlock, validate_traces, validate_traces_faulty, DeadlockReport};
-use ffw_fault::{abft_verify_c64, crc32_c64, ActiveFaults, OpAction};
+use ffw_fault::{abft_verify_c64, ActiveFaults};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 pub use ffw_check::trace::FaultEvent;
-pub use ffw_fault::{ComputeFault, FaultError, FaultPlan, RetryPolicy};
+pub use ffw_fault::{ComputeFault, FaultError, FaultPlan};
 
 /// Relative tolerance for ABFT checksum-lane verification: legitimate
 /// floating-point reassociation moves an element sum by ~1e-16 of its norm,
@@ -112,41 +110,15 @@ impl Payload {
         let Payload::C64(v) = self;
         v
     }
-
-    /// CRC-32 of the payload's raw bit patterns (the integrity frame every
-    /// message travels with).
-    pub fn crc32(&self) -> u32 {
-        let Payload::C64(v) = self;
-        crc32_c64(v)
-    }
-
-    /// A copy with one payload bit flipped (deterministically chosen from
-    /// `salt`), used by fault injection to model in-flight corruption. An
-    /// empty payload has no bits to flip and is returned unchanged.
-    fn bit_flipped(&self, salt: u32) -> Payload {
-        let Payload::C64(v) = self;
-        let mut v = v.clone();
-        let idx = salt as usize % v.len().max(1);
-        if let Some(first) = v.get_mut(idx) {
-            first.0 = f64::from_bits(first.0.to_bits() ^ (1u64 << (11 + (salt as u64 % 40))));
-        }
-        Payload::C64(v)
-    }
 }
 
-/// A framed message as it sits in a mailbox: the payload plus integrity
-/// metadata. The CRC and optional ABFT lane are frame metadata, not wire
-/// payload — `CommStats` byte accounting is unchanged by framing.
+/// A message as it sits in a mailbox: the payload plus an optional ABFT
+/// lane. The lane is metadata, not payload — `CommStats` counts payload
+/// bytes only.
 struct Msg {
     tag: u32,
-    /// CRC-32 of the payload computed by the sender.
-    crc: u32,
     /// ABFT checksum lane (element sum) for reduction payloads.
     lane: Option<(f64, f64)>,
-    /// Remaining delivery attempts fault injection corrupts in flight.
-    corrupt_left: u32,
-    /// Corrupted delivery attempts already observed by the receiver.
-    corrupt_seen: u32,
     payload: Payload,
 }
 
@@ -166,14 +138,6 @@ impl Mailbox {
     fn push(&self, msg: Msg) {
         let mut q = self.queue.lock();
         q.push_back(msg);
-        self.cond.notify_all();
-    }
-
-    /// Requeue a NACKed frame at the front (a retransmit must not reorder
-    /// against other messages on the same edge+tag).
-    fn requeue_front(&self, msg: Msg) {
-        let mut q = self.queue.lock();
-        q.push_front(msg);
         self.cond.notify_all();
     }
 
@@ -280,13 +244,13 @@ struct Shared {
     /// one, so every stuck rank fails with the *original* diagnosis rather
     /// than a cascade of "peer panicked" follow-ups.
     verdict: Mutex<Option<String>>,
-    /// Activated fault plan, if this launch injects faults.
+    /// Activated compute-fault plan, if this launch injects faults.
     faults: Option<ActiveFaults>,
-    /// panicked[r] is set when rank r's closure panicked, after the
-    /// registry shows `Panicked`; a receive reads it under its queue lock
-    /// before every wait. An atomic, so that read never nests the registry
-    /// lock inside a mailbox lock.
-    panicked: Vec<AtomicBool>,
+    /// ended[r] is set when rank r's closure returned or panicked, after the
+    /// registry shows `Finished` or `Panicked`; a receive reads it under its
+    /// queue lock before every wait. An atomic, so that read never nests the
+    /// registry lock inside a mailbox lock.
+    ended: Vec<AtomicBool>,
 }
 
 impl Shared {
@@ -294,52 +258,58 @@ impl Shared {
         self.registry.lock()[rank] = state;
     }
 
-    /// The retry policy active for this launch (default when no fault plan).
-    fn retry(&self) -> RetryPolicy {
-        self.faults.as_ref().map(|f| f.retry()).unwrap_or_default()
+    /// Marks `rank` ended in `state` and wakes every receive waiting on it.
+    /// Notifying under each lock closes the race with a waiter between its
+    /// flag check and its wait.
+    fn end(&self, rank: usize, state: WaitState) {
+        self.set_state(rank, state);
+        self.ended[rank].store(true, Ordering::Release);
+        for dst in 0..self.size {
+            let mailbox = &self.mailboxes[rank * self.size + dst];
+            let _guard = mailbox.queue.lock();
+            mailbox.cond.notify_all();
+        }
     }
 
-    /// Watchdog invoked by `rank` when a blocking wait times out. Every
-    /// positive diagnosis is re-confirmed against a second snapshot taken
-    /// after a short delay, so a transient state observed mid-transition can
-    /// never produce a report.
+    /// Watchdog invoked by `rank` when its source has ended or a blocking
+    /// wait timed out.
     ///
     /// Outcomes:
+    /// * `Err(PeerDead)` — this rank's wait depends on a rank that already
+    ///   finished or panicked and can never satisfy it. Both states are
+    ///   terminal: such a rank can queue nothing more, so one snapshot
+    ///   decides. The receive returns it as a typed error value.
     /// * `Ok(())` — no confirmed problem with *this rank's* wait; keep
     ///   waiting. (Another rank's doomed wait is its own to report: every
     ///   blocking wait polls, so errors cascade rank by rank.)
-    /// * `Err(PeerDead)` — this rank's wait depends on a rank that already
-    ///   finished or panicked and can never satisfy it. The receive returns
-    ///   it as a typed error value.
-    /// * panic — a confirmed cycle of live ranks: a protocol bug, not a
-    ///   survivable fault. The first verdict is stored so every stuck rank
-    ///   re-raises the *original* diagnosis.
+    /// * panic — a cycle of live ranks, re-confirmed against a second
+    ///   snapshot taken after a short delay (the registry and the mailboxes
+    ///   are locked separately, so one snapshot may catch a rank
+    ///   mid-transition): a protocol bug, not a survivable fault. The first
+    ///   verdict is stored so every stuck rank re-raises the *original*
+    ///   diagnosis.
     fn watchdog_poll(&self, rank: usize) -> Result<(), FaultError> {
         if let Some(report) = self.verdict.lock().clone() {
             panic!("{report}");
         }
-        const CONFIRM: Duration = Duration::from_millis(50);
-        // This rank's own wait first: a dependency on a dead rank is a
+        // This rank's own wait first: a dependency on an ended rank is a
         // recoverable fault surfaced as a value.
         if let Some(peer) = self.dead_dependency_of(rank) {
-            std::thread::sleep(CONFIRM);
-            if self.dead_dependency_of(rank) == Some(peer) {
-                let report = DeadlockReport {
-                    states: self.registry.lock().clone(),
-                    cycle: None,
-                    dead_dependency: Some((rank, peer)),
-                };
-                return Err(FaultError::PeerDead {
-                    rank,
-                    peer,
-                    detail: format!("ffw-mpi: {report}"),
-                });
-            }
-            return Ok(());
+            let report = DeadlockReport {
+                states: self.registry.lock().clone(),
+                cycle: None,
+                dead_dependency: Some((rank, peer)),
+            };
+            return Err(FaultError::PeerDead {
+                rank,
+                peer,
+                detail: format!("ffw-mpi: {report}"),
+            });
         }
         let Some(first) = self.diagnose_once() else {
             return Ok(());
         };
+        const CONFIRM: Duration = Duration::from_millis(50);
         std::thread::sleep(CONFIRM);
         let confirmed = match self.diagnose_once() {
             Some(second) if first == second => second,
@@ -407,32 +377,6 @@ impl Comm {
         &self.shared.stats
     }
 
-    /// Consults the active fault plan (if any) at the start of a runtime
-    /// operation: may delay the rank (straggler model) or crash it with a
-    /// typed [`FaultError::InjectedCrash`], recording the fault in the
-    /// trace first. A no-op (one `Option` check) when no plan is active.
-    fn fault_tick(&self) {
-        let Some(faults) = &self.shared.faults else {
-            return;
-        };
-        match faults.on_op(self.rank) {
-            OpAction::Proceed => {}
-            OpAction::Delay { delay_ms, .. } => {
-                self.shared
-                    .trace(self.rank, Event::Fault(FaultEvent::Straggle { delay_ms }));
-                std::thread::sleep(Duration::from_millis(delay_ms));
-            }
-            OpAction::Crash { op } => {
-                self.shared
-                    .trace(self.rank, Event::Fault(FaultEvent::InjectedCrash { op }));
-                panic_any(FaultError::InjectedCrash {
-                    rank: self.rank,
-                    op,
-                });
-            }
-        }
-    }
-
     /// Consults the active fault plan for a compute-corruption injection
     /// scheduled on this rank's next operator apply. Counts one apply per
     /// call; returns the fault to inject into the apply's output, if any.
@@ -444,31 +388,33 @@ impl Comm {
             .and_then(|f| f.on_apply(self.rank))
     }
 
+    /// Consults the active fault plan for a corruption scheduled in the sum
+    /// of the next reduction this rank roots. Counts one reduction per call.
+    /// A no-op (one `Option` check) when no plan is active.
+    pub fn reduce_fault(&self) -> bool {
+        (self.shared.faults.as_ref()).is_some_and(|f| f.on_reduce(self.rank))
+    }
+
     /// Records a compute-integrity fault event in this rank's trace so the
     /// post-run `ffw-check` validation can verify every detected corruption
-    /// was resolved (recovered or escalated as a typed error).
+    /// was escalated as a typed error.
     pub fn trace_fault(&self, event: FaultEvent) {
         self.shared.trace(self.rank, Event::Fault(event));
     }
 
-    /// Buffered, non-blocking send: retries delivery with bounded
-    /// exponential backoff when fault injection drops the message, and
-    /// returns [`FaultError::SendLost`] (declaring `dst` dead) once the retry
-    /// budget is exhausted. Without an active fault plan this always
-    /// succeeds.
+    /// Buffered, non-blocking send. It cannot fail on this runtime; the
+    /// `Result` keeps rank code written against a fallible transport.
     pub fn send_checked(&self, dst: usize, tag: u32, payload: Payload) -> Result<(), FaultError> {
-        self.send_checked_framed(dst, tag, payload, None)
+        self.send_framed(dst, tag, payload, None)
     }
 
-    /// Checked send that additionally stamps an explicit ABFT checksum lane
-    /// into the integrity frame. The lane travels as frame metadata (it is
-    /// not counted as payload bytes) and is verified by
-    /// [`Comm::recv_checked_laned`] against the data it arrives with, so a
-    /// higher-level reduction can carry the *expected element sum* through a
-    /// hop and have the receiver detect corruption the per-message CRC
-    /// cannot see — damage that happened before framing, e.g. inside the
-    /// reduction arithmetic. Injected drop/corruption faults apply exactly
-    /// as in [`Comm::send_checked`].
+    /// Checked send that additionally carries an explicit ABFT checksum
+    /// lane. The lane travels as metadata (it is not counted as payload
+    /// bytes) and is verified by [`Comm::recv_checked_laned`] against the
+    /// data it arrives with, so a higher-level reduction can carry the
+    /// *expected element sum* through a hop and have the receiver detect
+    /// damage that happened before the send, e.g. inside the reduction
+    /// arithmetic.
     pub fn send_checked_laned(
         &self,
         dst: usize,
@@ -476,10 +422,10 @@ impl Comm {
         payload: Payload,
         lane: (f64, f64),
     ) -> Result<(), FaultError> {
-        self.send_checked_framed(dst, tag, payload, Some(lane))
+        self.send_framed(dst, tag, payload, Some(lane))
     }
 
-    fn send_checked_framed(
+    fn send_framed(
         &self,
         dst: usize,
         tag: u32,
@@ -491,70 +437,12 @@ impl Comm {
             "send: invalid destination rank {dst} (communicator has {} ranks)",
             self.shared.size
         );
-        self.fault_tick();
-        let mut corrupts = 0;
-        if let Some(faults) = &self.shared.faults {
-            let fault = faults.on_send(self.rank, dst);
-            corrupts = fault.corrupts;
-            let retry = faults.retry();
-            for attempt in 0..fault.drops {
-                if attempt >= retry.max_retries {
-                    let attempts = attempt + 1;
-                    self.shared.trace(
-                        self.rank,
-                        Event::Fault(FaultEvent::SendRetriesExhausted { dst, tag, attempts }),
-                    );
-                    return Err(FaultError::SendLost {
-                        rank: self.rank,
-                        dst,
-                        tag,
-                        attempts,
-                    });
-                }
-                self.shared.trace(
-                    self.rank,
-                    Event::Fault(FaultEvent::SendDropped {
-                        dst,
-                        tag,
-                        attempt: attempt + 1,
-                    }),
-                );
-                std::thread::sleep(Duration::from_millis(retry.backoff_ms(attempt)));
-            }
-        }
-        self.shared.trace(
-            self.rank,
-            Event::Send {
-                dst,
-                tag,
-                bytes: payload.n_bytes(),
-            },
-        );
-        self.send_frame(dst, tag, payload, lane, corrupts);
+        let bytes = payload.n_bytes();
+        self.shared
+            .trace(self.rank, Event::Send { dst, tag, bytes });
+        self.shared.stats.record(self.rank, dst, bytes);
+        self.shared.mailboxes[self.rank * self.shared.size + dst].push(Msg { tag, lane, payload });
         Ok(())
-    }
-
-    /// Stamps the integrity frame (CRC-32 + optional ABFT lane) and delivers
-    /// to the destination mailbox. `corrupts` schedules that many delivery
-    /// attempts to arrive bit-flipped (fault injection).
-    fn send_frame(
-        &self,
-        dst: usize,
-        tag: u32,
-        payload: Payload,
-        lane: Option<(f64, f64)>,
-        corrupts: u32,
-    ) {
-        self.shared.stats.record(self.rank, dst, payload.n_bytes());
-        let crc = payload.crc32();
-        self.shared.mailboxes[self.rank * self.shared.size + dst].push(Msg {
-            tag,
-            crc,
-            lane,
-            corrupt_left: corrupts,
-            corrupt_seen: 0,
-            payload,
-        });
     }
 
     /// Blocking receive of the message with the given source and tag:
@@ -562,34 +450,19 @@ impl Comm {
     /// report) if `src` finishes or panics without having sent a matching
     /// message.
     pub fn recv_checked(&self, src: usize, tag: u32) -> Result<Payload, FaultError> {
-        assert!(
-            src < self.shared.size,
-            "recv: invalid source rank {src} (communicator has {} ranks)",
-            self.shared.size
-        );
-        self.fault_tick();
-        let payload = self.recv_frame_verified(src, tag)?.payload;
-        self.shared.trace(
-            self.rank,
-            Event::Recv {
-                src,
-                tag,
-                bytes: payload.n_bytes(),
-            },
-        );
-        Ok(payload)
+        self.recv_checked_laned(src, tag)
+            .map(|(payload, _)| payload)
     }
 
-    /// Fallible blocking receive that additionally verifies the frame's
+    /// Fallible blocking receive that additionally verifies the message's
     /// ABFT checksum lane (when the sender stamped one via
     /// [`Comm::send_checked_laned`]) against the received data. Returns the
     /// payload together with the carried lane so reduction roots can fold
     /// contribution lanes into the lane of the reduced result.
     ///
-    /// A lane mismatch *after* a clean CRC means the data was damaged
-    /// before it was framed — retransmitting the same bytes cannot help —
-    /// so it surfaces immediately as [`FaultError::Corruption`] rather
-    /// than a NACK.
+    /// A lane mismatch means the sender's data was damaged before it was
+    /// sent — receiving the same bytes again cannot help — so it surfaces
+    /// at once as [`FaultError::ComputeCorruption`] naming the sender.
     pub fn recv_checked_laned(
         &self,
         src: usize,
@@ -600,36 +473,24 @@ impl Comm {
             "recv: invalid source rank {src} (communicator has {} ranks)",
             self.shared.size
         );
-        self.fault_tick();
-        let msg = self.recv_frame_verified(src, tag)?;
+        let msg = self.recv_msg_blocking(src, tag)?;
         if let Some(lane) = msg.lane {
             let Payload::C64(v) = &msg.payload;
             if !abft_verify_c64(v, lane, ABFT_TOL) {
                 self.shared.trace(
                     self.rank,
-                    Event::Fault(FaultEvent::CorruptRecv {
-                        src,
-                        tag,
-                        attempt: 1,
-                    }),
+                    Event::Fault(FaultEvent::CorruptRecv { src, tag }),
                 );
-                self.shared.trace(
-                    self.rank,
-                    Event::Fault(FaultEvent::CorruptionRetriesExhausted {
-                        src,
-                        tag,
-                        attempts: 1,
-                    }),
-                );
+                let stage = format!("mpi.lane (tag {tag:#x}, checked by rank {})", self.rank);
                 ffw_obs::counter("mpi.integrity.corrupt_recvs").add(1);
                 ffw_obs::event(
                     "mpi.integrity.lane_mismatch",
-                    &format!("rank {} <- rank {src} tag {tag:#x}", self.rank),
+                    &format!("rank {src}: {stage}"),
                 );
-                return Err(FaultError::Corruption {
-                    rank: self.rank,
-                    src,
-                    tag,
+                return Err(FaultError::ComputeCorruption {
+                    rank: src,
+                    stage,
+                    panel: 0,
                     attempts: 1,
                 });
             }
@@ -645,76 +506,13 @@ impl Comm {
         Ok((msg.payload, msg.lane))
     }
 
-    /// Blocking verified receive: pops frames via [`Comm::recv_msg_blocking`]
-    /// and runs the CRC-32 integrity check on every delivery attempt. A
-    /// corrupted attempt is NACKed — the frame is requeued for retransmit
-    /// (the in-process model of asking the sender to resend) with bounded
-    /// backoff under the launch's [`RetryPolicy`] — and when the budget is
-    /// exhausted the receive fails with [`FaultError::Corruption`]. Every
-    /// detection and retransmit is traced and mirrored to `ffw-obs`.
-    fn recv_frame_verified(&self, src: usize, tag: u32) -> Result<Msg, FaultError> {
-        let retry = self.shared.retry();
-        loop {
-            let mut msg = self.recv_msg_blocking(src, tag)?;
-            let clean = if msg.corrupt_left > 0 {
-                // This delivery attempt arrives bit-flipped: verify the
-                // receiver would genuinely have seen the corruption.
-                msg.corrupt_left -= 1;
-                let corrupted = msg.payload.bit_flipped(msg.corrupt_seen);
-                corrupted.crc32() == msg.crc
-            } else {
-                msg.payload.crc32() == msg.crc
-            };
-            if clean {
-                return Ok(msg);
-            }
-            msg.corrupt_seen += 1;
-            let attempt = msg.corrupt_seen;
-            self.shared.trace(
-                self.rank,
-                Event::Fault(FaultEvent::CorruptRecv { src, tag, attempt }),
-            );
-            ffw_obs::counter("mpi.integrity.corrupt_recvs").add(1);
-            if attempt > retry.max_retries {
-                self.shared.trace(
-                    self.rank,
-                    Event::Fault(FaultEvent::CorruptionRetriesExhausted {
-                        src,
-                        tag,
-                        attempts: attempt,
-                    }),
-                );
-                ffw_obs::event(
-                    "mpi.integrity.exhausted",
-                    &format!(
-                        "rank {} <- rank {src} tag {tag:#x} after {attempt} attempts",
-                        self.rank
-                    ),
-                );
-                return Err(FaultError::Corruption {
-                    rank: self.rank,
-                    src,
-                    tag,
-                    attempts: attempt,
-                });
-            }
-            self.shared.trace(
-                self.rank,
-                Event::Fault(FaultEvent::RetransmitRequested { src, tag, attempt }),
-            );
-            ffw_obs::counter("mpi.integrity.retransmits").add(1);
-            self.shared.mailboxes[src * self.shared.size + self.rank].requeue_front(msg);
-            std::thread::sleep(Duration::from_millis(retry.backoff_ms(attempt - 1)));
-        }
-    }
-
-    /// Blocking framed receive with the deadlock watchdog. The fast path
-    /// (message already queued) touches only the mailbox lock; the slow path
+    /// Blocking receive with the deadlock watchdog. The fast path (message
+    /// already queued) touches only the mailbox lock; the slow path
     /// publishes a `RecvWait` state and waits with a timeout, diagnosing the
     /// global wait-for graph whenever the timeout fires — or at once when
-    /// the source has panicked, which the launch signals on this mailbox.
+    /// the source has ended, which the launch signals on this mailbox.
     /// Returns an error if this wait can never be satisfied because the
-    /// peer died.
+    /// peer ended.
     fn recv_msg_blocking(&self, src: usize, tag: u32) -> Result<Msg, FaultError> {
         let mailbox = &self.shared.mailboxes[src * self.shared.size + self.rank];
         if let Some(msg) = mailbox.try_pop_matching(tag) {
@@ -730,16 +528,16 @@ impl Comm {
                 self.shared.set_state(self.rank, WaitState::Running);
                 return Ok(msg);
             }
-            // Read under the queue lock: the panicking rank sets the flag
+            // Read under the queue lock: the ending rank sets the flag
             // before it takes this lock to notify, so the flag is seen here
             // or the notify wakes the wait below.
-            if !self.shared.panicked[src].load(Ordering::Acquire) {
+            if !self.shared.ended[src].load(Ordering::Acquire) {
                 let result = mailbox.cond.wait_for(&mut q, self.shared.timeout);
                 if !result.timed_out() {
                     continue;
                 }
             }
-            // The source panicked or the wait timed out. Diagnose without
+            // The source ended or the wait timed out. Diagnose without
             // holding the queue lock (the analysis inspects other
             // mailboxes; never hold two mailbox locks).
             drop(q);
@@ -794,77 +592,16 @@ fn resolve_timeout(programmatic: Option<Duration>) -> Duration {
     }
 }
 
-/// How one rank of a [`Runtime::launch`] ended.
-#[derive(Debug)]
-pub enum RankOutcome<T> {
-    /// The rank closure returned normally.
-    Done(T),
-    /// The rank was crashed by fault injection.
-    Crashed(FaultError),
-}
-
-impl<T> RankOutcome<T> {
-    /// The rank's result, if it completed.
-    pub fn into_done(self) -> Option<T> {
-        match self {
-            RankOutcome::Done(value) => Some(value),
-            RankOutcome::Crashed(_) => None,
-        }
-    }
-
-    /// The crash that killed the rank, if any.
-    pub fn crash(&self) -> Option<&FaultError> {
-        match self {
-            RankOutcome::Done(_) => None,
-            RankOutcome::Crashed(e) => Some(e),
-        }
-    }
-}
-
-/// Result of a [`Runtime::launch`]: per-rank outcomes plus statistics.
+/// Result of a [`Runtime::launch`]: per-rank results plus statistics.
 pub struct Launch<T> {
-    /// One outcome per rank, in rank order.
-    pub outcomes: Vec<RankOutcome<T>>,
+    /// What each rank's closure returned, in rank order.
+    pub outcomes: Vec<T>,
     /// Communication statistics and event traces of the run.
     pub stats: RunStats,
 }
 
-impl<T> Launch<T> {
-    /// Unwraps a launch that cannot have crashed ranks (no fault plan).
-    fn into_unfaulted(self) -> (Vec<T>, RunStats) {
-        let out = self
-            .outcomes
-            .into_iter()
-            .map(|outcome| match outcome {
-                RankOutcome::Done(value) => value,
-                RankOutcome::Crashed(e) => {
-                    panic!("ffw-mpi: rank crashed without a fault plan: {e}")
-                }
-            })
-            .collect();
-        (out, self.stats)
-    }
-}
-
-/// Injected crashes unwind via `panic_any(FaultError)` and are caught by
-/// the launch — they are data, not failures — so the default panic hook's
-/// "thread panicked" report and backtrace are just noise. Replace the hook
-/// once, process-wide, with one that stays silent for `FaultError` payloads
-/// and delegates every other panic to the previous hook unchanged.
-fn install_quiet_crash_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<FaultError>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
 /// Builder for a verified multi-rank launch: programmatic watchdog timeout
-/// and optional seeded fault injection.
+/// and optional seeded compute-fault injection.
 ///
 /// ```
 /// use ffw_mpi::Runtime;
@@ -873,7 +610,7 @@ fn install_quiet_crash_hook() {
 /// let launch = Runtime::new(2)
 ///     .deadlock_timeout(Duration::from_millis(200))
 ///     .launch(|comm| comm.rank() * 10);
-/// assert_eq!(launch.outcomes.len(), 2);
+/// assert_eq!(launch.outcomes, vec![0, 10]);
 /// ```
 #[derive(Debug, Default)]
 pub struct Runtime {
@@ -900,21 +637,19 @@ impl Runtime {
         self
     }
 
-    /// Injects the given seeded fault plan into the launch.
+    /// Injects the given seeded compute-fault plan into the launch.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
     }
 
-    /// Launches the ranks and collects per-rank [`RankOutcome`]s.
+    /// Launches the ranks and collects what each returned, in rank order.
     ///
-    /// Unlike [`run`], a rank crashed by fault injection becomes
-    /// [`RankOutcome::Crashed`] instead of a re-raised panic, so drivers
-    /// can observe which ranks died and degrade gracefully. Organic (non-
-    /// injected) panics are still re-raised, lowest rank first. Post-run
-    /// trace validation runs in a fault-tolerant mode when ranks died
-    /// (message leaks are an expected consequence of a death) and in strict
-    /// mode otherwise.
+    /// If any rank panics, the lowest-ranked panic is re-raised after every
+    /// rank has stopped. Post-run trace validation runs in a fault-tolerant
+    /// mode when a peer was declared dead or a corruption was detected
+    /// (message leaks are an expected consequence of a rank that ended
+    /// early) and in strict mode otherwise.
     pub fn launch<F, T>(self, f: F) -> Launch<T>
     where
         F: Fn(Comm) -> T + Send + Sync,
@@ -922,9 +657,6 @@ impl Runtime {
     {
         let n_ranks = self.n_ranks;
         let timeout = resolve_timeout(self.timeout);
-        if self.fault_plan.is_some() {
-            install_quiet_crash_hook();
-        }
         assert!(n_ranks >= 1);
         assert!(
             timeout >= Duration::from_millis(1),
@@ -939,19 +671,16 @@ impl Runtime {
             timeout,
             verdict: Mutex::new(None),
             faults: self.fault_plan.map(|plan| plan.activate(n_ranks)),
-            panicked: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
+            ended: (0..n_ranks).map(|_| AtomicBool::new(false)).collect(),
         });
         let results: Vec<Mutex<Option<T>>> = (0..n_ranks).map(|_| Mutex::new(None)).collect();
-        let crashes: Vec<Mutex<Option<FaultError>>> =
-            (0..n_ranks).map(|_| Mutex::new(None)).collect();
         let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
 
         // Each rank runs under catch_unwind so a panic marks it Panicked in
-        // the registry instead of silently vanishing, and wakes every
-        // receive waiting on it: peers blocked on it then get a diagnosed
-        // dead-dependency error at once rather than after the watchdog
-        // timeout. An injected crash (typed FaultError payload) becomes
-        // data; any other panic is a genuine failure to re-raise.
+        // the registry instead of silently vanishing. Either way a rank
+        // ends, it wakes every receive waiting on it: peers blocked on it
+        // then get a diagnosed dead-dependency error at once rather than
+        // after the watchdog timeout.
         let run_rank = |rank: usize| {
             let comm = Comm {
                 rank,
@@ -959,23 +688,12 @@ impl Runtime {
             };
             match catch_unwind(AssertUnwindSafe(|| f(comm))) {
                 Ok(value) => {
-                    shared.set_state(rank, WaitState::Finished);
                     *results[rank].lock() = Some(value);
+                    shared.end(rank, WaitState::Finished);
                 }
                 Err(payload) => {
-                    shared.set_state(rank, WaitState::Panicked);
-                    shared.panicked[rank].store(true, Ordering::Release);
-                    // Notifying under each lock closes the race with a
-                    // waiter between its flag check and its wait.
-                    for dst in 0..n_ranks {
-                        let mailbox = &shared.mailboxes[rank * n_ranks + dst];
-                        let _guard = mailbox.queue.lock();
-                        mailbox.cond.notify_all();
-                    }
-                    match payload.downcast::<FaultError>() {
-                        Ok(fault) => *crashes[rank].lock() = Some(*fault),
-                        Err(other) => panics.lock().push((rank, other)),
-                    }
+                    shared.end(rank, WaitState::Panicked);
+                    panics.lock().push((rank, payload));
                 }
             }
         };
@@ -998,10 +716,10 @@ impl Runtime {
         }
 
         // Statically validate the complete traces plus whatever was left
-        // undelivered in the mailboxes. Runs in which a rank died (injected
-        // crash, exhausted send retries, or a peer declared dead) use the
-        // fault-tolerant validator: leaks are expected fallout of a death,
-        // while self-sends and unresolved fault protocols remain hard errors.
+        // undelivered in the mailboxes. Runs in which a peer was declared
+        // dead or a corruption was detected use the fault-tolerant
+        // validator: leaks are expected fallout of a rank that ended early,
+        // while self-sends and an unescalated corruption remain hard errors.
         let mut leaked = Vec::new();
         for src in 0..n_ranks {
             for dst in 0..n_ranks {
@@ -1017,19 +735,17 @@ impl Runtime {
             }
         }
         let traces: Vec<Vec<Event>> = shared.traces.iter().map(|t| t.lock().clone()).collect();
-        let any_crashed = crashes.iter().any(|c| c.lock().is_some());
-        let any_death_event = traces.iter().flatten().any(|e| {
+        let faulty = traces.iter().flatten().any(|e| {
             matches!(
                 e,
                 Event::Fault(
-                    FaultEvent::SendRetriesExhausted { .. }
-                        | FaultEvent::PeerDeclaredDead { .. }
-                        | FaultEvent::CorruptionRetriesExhausted { .. }
+                    FaultEvent::PeerDeclaredDead { .. }
+                        | FaultEvent::CorruptRecv { .. }
                         | FaultEvent::ComputeRetriesExhausted { .. }
                 )
             )
         });
-        let violations = if any_crashed || any_death_event {
+        let violations = if faulty {
             validate_traces_faulty(&traces, &leaked)
         } else {
             validate_traces(&traces, &leaked)
@@ -1040,15 +756,7 @@ impl Runtime {
 
         let outcomes = results
             .into_iter()
-            .zip(crashes)
-            .enumerate()
-            .map(
-                |(rank, (result, crash))| match (result.into_inner(), crash.into_inner()) {
-                    (Some(value), None) => RankOutcome::Done(value),
-                    (None, Some(fault)) => RankOutcome::Crashed(fault),
-                    _ => panic!("ffw-mpi: rank {rank} produced neither result nor crash"),
-                },
-            )
+            .map(|result| result.into_inner().expect("every rank returned"))
             .collect();
         Launch {
             outcomes,
@@ -1070,7 +778,8 @@ where
     F: Fn(Comm) -> T + Send + Sync,
     T: Send,
 {
-    Runtime::new(n_ranks).launch(f).into_unfaulted()
+    let launch = Runtime::new(n_ranks).launch(f);
+    (launch.outcomes, launch.stats)
 }
 
 /// [`run`] with an explicit deadlock-watchdog timeout (tests use short
@@ -1082,10 +791,8 @@ where
     F: Fn(Comm) -> T + Send + Sync,
     T: Send,
 {
-    Runtime::new(n_ranks)
-        .deadlock_timeout(timeout)
-        .launch(f)
-        .into_unfaulted()
+    let launch = Runtime::new(n_ranks).deadlock_timeout(timeout).launch(f);
+    (launch.outcomes, launch.stats)
 }
 
 #[cfg(test)]
@@ -1239,173 +946,20 @@ mod tests {
     }
 
     #[test]
-    fn injected_crash_becomes_outcome_and_peer_gets_typed_error() {
-        let launch = Runtime::new(2)
-            .deadlock_timeout(FAST)
-            .fault_plan(FaultPlan::new().crash_at(1, 1))
-            .launch(|comm| {
-                if comm.rank() == 0 {
-                    comm.recv_checked(1, 5).map(|_| ())
-                } else {
-                    // First op: crashed by the plan before delivery.
-                    comm.send_checked(0, 5, reals(&[1.0]))
-                }
-            });
-        match launch.outcomes[1].crash() {
-            Some(FaultError::InjectedCrash { rank: 1, op: 1 }) => {}
-            other => panic!("expected injected crash on rank 1, got {other:?}"),
-        }
-        match &launch.outcomes[0] {
-            RankOutcome::Done(Err(FaultError::PeerDead {
-                rank: 0,
-                peer: 1,
-                detail,
-            })) => {
-                assert!(detail.contains("deadlock detected"), "got: {detail}");
-            }
-            other => panic!("expected typed PeerDead on rank 0, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dropped_send_is_retried_and_delivered() {
-        // Dropped twice, the retry budget is 3: delivery succeeds and the
-        // attempts are visible in the trace.
-        let launch = Runtime::new(2)
-            .fault_plan(FaultPlan::new().drop_send(0, 1, 1, 2))
-            .launch(|comm| {
-                if comm.rank() == 0 {
-                    comm.send_checked(1, 5, reals(&[42.0])).is_ok() as u64
-                } else {
-                    into_reals(comm.recv_checked(0, 5).expect("delivered"))[0] as u64
-                }
-            });
-        let values: Vec<u64> = launch
-            .outcomes
-            .into_iter()
-            .map(|o| o.into_done().expect("no rank crashed"))
-            .collect();
-        assert_eq!(values, vec![1, 42]);
-        let drops = launch
-            .stats
-            .events(0)
-            .iter()
-            .filter(|e| matches!(e, Event::Fault(FaultEvent::SendDropped { .. })))
-            .count();
-        assert_eq!(drops, 2, "both forced drops must be traced");
-    }
-
-    #[test]
-    fn exhausted_send_retries_surface_send_lost() {
-        // Dropped more times than the retry budget allows: the sender gets
-        // a typed SendLost, the receiver a typed PeerDead — no panics, no
-        // hangs, and the post-run validation tolerates the fallout.
-        let launch = Runtime::new(2)
-            .deadlock_timeout(FAST)
-            .fault_plan(FaultPlan::new().drop_send(0, 1, 1, 10))
-            .launch(|comm| {
-                if comm.rank() == 0 {
-                    comm.send_checked(1, 5, reals(&[42.0])).map(|_| 0)
-                } else {
-                    comm.recv_checked(0, 5).map(|p| into_reals(p)[0] as u64)
-                }
-            });
-        match &launch.outcomes[0] {
-            RankOutcome::Done(Err(FaultError::SendLost {
-                rank: 0,
-                dst: 1,
-                attempts,
-                ..
-            })) => assert_eq!(*attempts, 4, "initial try + 3 retries"),
-            other => panic!("expected SendLost on rank 0, got {other:?}"),
-        }
-        match &launch.outcomes[1] {
-            RankOutcome::Done(Err(FaultError::PeerDead { peer: 0, .. })) => {}
-            other => panic!("expected PeerDead on rank 1, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupted_send_is_nacked_and_retransmitted() {
-        // Corrupted twice, budget 3: the CRC rejects both corrupt delivery
-        // attempts, the NACK/retransmit protocol recovers a clean copy, and
-        // the delivered value is bit-exact.
-        let launch = Runtime::new(2)
-            .fault_plan(FaultPlan::new().corrupt_send(0, 1, 1, 2))
-            .launch(|comm| {
-                if comm.rank() == 0 {
-                    comm.send_checked(1, 5, reals(&[3.25, -0.0, 1e-300]))
-                        .map(|_| Vec::new())
-                } else {
-                    comm.recv_checked(0, 5).map(into_reals)
-                }
-            });
-        match &launch.outcomes[1] {
-            RankOutcome::Done(Ok(v)) => {
-                assert_eq!(v.len(), 3);
-                assert_eq!(v[0], 3.25);
-                assert_eq!(v[1].to_bits(), (-0.0f64).to_bits(), "bit-exact delivery");
-                assert_eq!(v[2], 1e-300);
-            }
-            other => panic!("expected recovered receive, got {other:?}"),
-        }
-        let events = launch.stats.events(1);
-        let corrupt = events
-            .iter()
-            .filter(|e| matches!(e, Event::Fault(FaultEvent::CorruptRecv { .. })))
-            .count();
-        let nacks = events
-            .iter()
-            .filter(|e| matches!(e, Event::Fault(FaultEvent::RetransmitRequested { .. })))
-            .count();
-        assert_eq!(corrupt, 2, "both corrupt attempts must be detected");
-        assert_eq!(nacks, 2, "each detection must NACK for a retransmit");
-    }
-
-    #[test]
-    fn persistent_corruption_surfaces_typed_error() {
-        // Corrupted past the retry budget: the receiver gets a typed
-        // Corruption error naming edge, tag and attempts — no hang, no
-        // silent wrong answer.
-        let launch = Runtime::new(2)
-            .deadlock_timeout(FAST)
-            .fault_plan(FaultPlan::new().corrupt_send(0, 1, 1, 10))
-            .launch(|comm| {
-                if comm.rank() == 0 {
-                    comm.send_checked(1, 5, reals(&[42.0])).map(|_| 0)
-                } else {
-                    comm.recv_checked(0, 5).map(|p| into_reals(p)[0] as u64)
-                }
-            });
-        match &launch.outcomes[1] {
-            RankOutcome::Done(Err(FaultError::Corruption {
-                rank: 1,
-                src: 0,
-                tag: 5,
-                attempts,
-            })) => assert_eq!(*attempts, 4, "initial receive + 3 retransmits"),
-            other => panic!("expected Corruption on rank 1, got {other:?}"),
-        }
-        assert!(launch.stats.events(1).iter().any(|e| matches!(
-            e,
-            Event::Fault(FaultEvent::CorruptionRetriesExhausted { src: 0, tag: 5, .. })
-        )));
-    }
-
-    #[test]
     fn a_dead_peer_is_reported_without_waiting_for_the_watchdog() {
-        // Rank 1 crashes at its first op while rank 0 blocks in a receive.
+        // Rank 1 ends early on a typed error while rank 0 receives from it.
         // The deadlock watchdog alone would need the full 30 s timeout; the
-        // panicking rank's wake-up must surface the death in well under that.
+        // ending rank's wake-up must surface the death in well under that.
         let t0 = ffw_obs::monotonic_ns();
         let launch = Runtime::new(2)
             .deadlock_timeout(Duration::from_secs(30))
-            .fault_plan(FaultPlan::new().crash_at(1, 1))
             .launch(|comm| {
                 if comm.rank() == 0 {
                     comm.recv_checked(1, 5).map(|_| ())
                 } else {
-                    comm.send_checked(0, 5, reals(&[1.0]))
+                    Err(FaultError::Unrecoverable {
+                        detail: "rank 1 gives up before sending".into(),
+                    })
                 }
             });
         let elapsed_ms = (ffw_obs::monotonic_ns() - t0) / 1_000_000;
@@ -1414,79 +968,110 @@ mod tests {
             "dead-peer detection took {elapsed_ms} ms — watchdog-timeout latency"
         );
         match &launch.outcomes[0] {
-            RankOutcome::Done(Err(FaultError::PeerDead { peer: 1, .. })) => {}
+            Err(FaultError::PeerDead { peer: 1, .. }) => {}
             other => panic!("expected PeerDead on rank 0, got {other:?}"),
         }
     }
 
     #[test]
     fn a_receive_begun_after_its_source_panicked_fails_at_once() {
-        // Rank 1 delivers one message, then crashes at its second op. Rank
-        // 0 takes the message and starts its next receive from rank 1 only
-        // after the crash: that wait must see the panic before it sleeps,
-        // not after the 30 s watchdog timeout.
+        // Rank 1 delivers one message, then panics. Rank 0 takes the
+        // message and starts its next receive from rank 1 only after the
+        // panic: that wait must see it before it sleeps, not after the 30 s
+        // watchdog timeout. The launch re-raises the panic, so rank 0's
+        // result goes out through a cell.
+        let seen: Mutex<Option<Result<(), FaultError>>> = Mutex::new(None);
         let t0 = ffw_obs::monotonic_ns();
-        let launch = Runtime::new(2)
-            .deadlock_timeout(Duration::from_secs(30))
-            .fault_plan(FaultPlan::new().crash_at(1, 2))
-            .launch(|comm| {
-                if comm.rank() == 0 {
-                    comm.recv_checked(1, 5)?;
-                    std::thread::sleep(Duration::from_millis(300));
-                    comm.recv_checked(1, 6).map(|_| ())
-                } else {
-                    comm.send_checked(0, 5, reals(&[1.0]))?;
-                    comm.send_checked(0, 6, reals(&[2.0]))
-                }
-            });
+        let msg = panic_message(AssertUnwindSafe(|| {
+            Runtime::new(2)
+                .deadlock_timeout(Duration::from_secs(30))
+                .launch(|comm| {
+                    if comm.rank() == 0 {
+                        let got = comm.recv_checked(1, 5).and_then(|_| {
+                            std::thread::sleep(Duration::from_millis(300));
+                            comm.recv_checked(1, 6).map(|_| ())
+                        });
+                        *seen.lock() = Some(got);
+                    } else {
+                        send(&comm, 0, 5, reals(&[1.0]));
+                        panic!("rank 1 fails after its first send");
+                    }
+                });
+        }));
         let elapsed_ms = (ffw_obs::monotonic_ns() - t0) / 1_000_000;
         assert!(
             elapsed_ms < 5_000,
             "a receive after the panic took {elapsed_ms} ms — watchdog-timeout latency"
         );
-        match launch.outcomes[1].crash() {
-            Some(FaultError::InjectedCrash { rank: 1, op: 2 }) => {}
-            other => panic!("expected injected crash at op 2 on rank 1, got {other:?}"),
-        }
-        match &launch.outcomes[0] {
-            RankOutcome::Done(Err(FaultError::PeerDead { peer: 1, .. })) => {}
+        assert!(msg.contains("rank 1 fails"), "got: {msg}");
+        match seen.into_inner() {
+            Some(Err(FaultError::PeerDead { peer: 1, .. })) => {}
             other => panic!("expected PeerDead on rank 0, got {other:?}"),
         }
     }
 
     #[test]
-    fn straggler_delays_but_does_not_change_results() {
-        // Every rank's value reaches rank 0, which sends the sum back.
-        let body = |comm: &Comm| {
-            let mine = comm.rank() as f64;
+    fn a_receive_on_a_finished_rank_fails_within_a_second() {
+        // Rank 1 returns at once without sending while rank 0 receives from
+        // it. A finished rank can queue nothing more: the receive needs no
+        // watchdog timeout (30 s here) and no confirmation sleep, whether it
+        // began before or after the finish.
+        let launch = Runtime::new(2)
+            .deadlock_timeout(Duration::from_secs(30))
+            .launch(|comm| {
+                if comm.rank() == 0 {
+                    let t0 = ffw_obs::monotonic_ns();
+                    let got = comm.recv_checked(1, 5).map(|_| ());
+                    (got, (ffw_obs::monotonic_ns() - t0) / 1_000_000)
+                } else {
+                    (Ok(()), 0)
+                }
+            });
+        let (got, elapsed_ms) = &launch.outcomes[0];
+        assert!(
+            *elapsed_ms < 1_000,
+            "a receive on a finished rank took {elapsed_ms} ms"
+        );
+        match got {
+            Err(FaultError::PeerDead { peer: 1, .. }) => {}
+            other => panic!("expected PeerDead on rank 0, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_lane_mismatch_is_compute_corruption_naming_the_sender() {
+        // Rank 1 sends a payload under a lane that is not its element sum —
+        // what a bit flipped in the reduction arithmetic before the send
+        // looks like to the receiver.
+        let (results, handle) = run(2, |comm| {
             if comm.rank() == 0 {
-                let mut sum = mine;
-                for src in 1..comm.size() {
-                    sum += into_reals(recv(comm, src, 3))[0];
-                }
-                for dst in 1..comm.size() {
-                    send(comm, dst, 4, reals(&[sum]));
-                }
-                sum
+                comm.recv_checked_laned(1, 5).map(|_| ())
             } else {
-                send(comm, 0, 3, reals(&[mine]));
-                into_reals(recv(comm, 0, 4))[0]
+                comm.send_checked_laned(0, 5, reals(&[1.0, 2.0]), (3.0 + 1e3, 0.0))
             }
-        };
-        let (clean, _) = run(3, |comm| body(&comm));
-        let launch = Runtime::new(3)
-            .fault_plan(FaultPlan::new().straggler(1, 1, 4, 2))
-            .launch(|comm| body(&comm));
-        let slowed: Vec<f64> = launch
-            .outcomes
-            .into_iter()
-            .map(|o| o.into_done().expect("no rank crashed"))
-            .collect();
-        assert_eq!(clean, slowed);
-        assert!(launch
-            .stats
-            .events(1)
-            .iter()
-            .any(|e| matches!(e, Event::Fault(FaultEvent::Straggle { .. }))));
+        });
+        match &results[0] {
+            Err(FaultError::ComputeCorruption {
+                rank: 1,
+                panel: 0,
+                attempts: 1,
+                stage,
+            }) => assert!(stage.contains("mpi.lane"), "{stage}"),
+            other => panic!("expected ComputeCorruption naming rank 1, got {other:?}"),
+        }
+        assert!(handle
+            .events(0)
+            .contains(&Event::Fault(FaultEvent::CorruptRecv { src: 1, tag: 5 })));
+        // The same lane over its own payload verifies.
+        let (results, _) = run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.recv_checked_laned(1, 5)
+                    .map(|(p, lane)| (into_reals(p), lane))
+            } else {
+                comm.send_checked_laned(0, 5, reals(&[1.0, 2.0]), (3.0, 0.0))
+                    .map(|()| (Vec::new(), None))
+            }
+        });
+        assert_eq!(results[0], Ok((vec![1.0, 2.0], Some((3.0, 0.0)))));
     }
 }

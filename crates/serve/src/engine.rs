@@ -27,7 +27,7 @@ use ffw_check::{validate_job_log, JobTransition};
 use ffw_dist::{FtConfig, IterProgress, JobControl};
 use ffw_fault::{durable, fnv1a64, CheckpointError};
 use ffw_inverse::DbimConfig;
-use ffw_mpi::{FaultError, FaultPlan};
+use ffw_mpi::FaultError;
 use ffw_par::Pool;
 use ffw_tomo::{reconstruct, synthesize_noisy, HopPipeline, HopSchedule, Reconstruction};
 use std::collections::HashMap;
@@ -924,7 +924,6 @@ fn execute(inner: &Inner, spec: &JobSpec, control: JobControl) -> Result<Execute
     let measured = synthesize_noisy(&stages, phantom.as_ref(), spec.noise_db);
     let ckpt = checkpoint_path(&inner.cfg.dir, &spec.id);
     let resume = ckpt.exists();
-    let ranks = spec.groups * spec.subtree;
     let ft = FtConfig {
         dbim: DbimConfig {
             iterations: spec.iterations,
@@ -934,15 +933,6 @@ fn execute(inner: &Inner, spec: &JobSpec, control: JobControl) -> Result<Execute
         checkpoint: Some(ckpt.clone()),
         resume,
         max_restarts: spec.max_restarts,
-        min_groups: spec.min_groups,
-        // Injected faults apply to the first fresh launch only; a resumed
-        // attempt must run clean or it could never make progress. Seeded
-        // plans need >= 2 ranks; a single-rank job ignores the seed rather
-        // than panicking.
-        fault_plan: spec
-            .chaos_seed
-            .filter(|_| !resume && ranks >= 2)
-            .map(|s| FaultPlan::seeded(s, ranks)),
         control: Some(control.clone()),
         ..FtConfig::new(spec.groups, spec.subtree)
     };
@@ -1008,12 +998,6 @@ mod tests {
 
     #[test]
     fn retry_classification_matches_error_taxonomy() {
-        assert!(should_retry(&FaultError::SendLost {
-            rank: 0,
-            dst: 1,
-            tag: 7,
-            attempts: 3
-        }));
         assert!(should_retry(&FaultError::PeerDead {
             rank: 0,
             peer: 1,

@@ -52,16 +52,12 @@ pub struct JobSpec {
     pub groups: usize,
     /// Sub-tree ranks per group.
     pub subtree: usize,
-    /// Relaunch budget on rank death.
+    /// Relaunch budget of a rank grid on persistent compute corruption.
     pub max_restarts: u32,
-    /// Minimum surviving groups for elastic redistribution.
-    pub min_groups: usize,
     /// Wall-clock deadline in milliseconds, measured from job start.
     pub deadline_ms: Option<u64>,
     /// Per-job FLOP budget; the admission estimate must fit under it.
     pub max_flops: Option<f64>,
-    /// Seeded fault injection into the first launch (test harness hook).
-    pub chaos_seed: Option<u64>,
     /// Frequency-hop schedule as a wavelength-factor string (`"2.0,1.0"`);
     /// `None` = single-frequency. Hop jobs run on any grid and
     /// checkpoint/resume at hop-stage boundaries.
@@ -117,6 +113,33 @@ impl JobSpec {
                 ))
             }
         }
+        // Every journal from before the wire-fault injector and the
+        // group-drop floor were removed wrote `"chaos_seed":null` and
+        // `"min_groups":1`. Those values ask for nothing that is gone, so
+        // they are accepted and dropped; any other is refused, because
+        // running the job without it would not be the run it asked for.
+        match j.get("chaos_seed") {
+            None | Some(Json::Null) => {}
+            Some(v) => {
+                return Err(format!(
+                    "'chaos_seed' {}: seeded fault injection into jobs was removed — \
+                     ranks are threads, whose messages cannot be lost or flipped; \
+                     drop the key",
+                    v.to_line()
+                ))
+            }
+        }
+        match j.get("min_groups") {
+            None | Some(Json::Null) => {}
+            Some(v) if v.as_u64() == Some(1) => {}
+            Some(v) => {
+                return Err(format!(
+                    "'min_groups' {}: dropping illumination groups was removed — a \
+                     job keeps every group and relaunches its grid; drop the key",
+                    v.to_line()
+                ))
+            }
+        }
         let spec = JobSpec {
             id,
             size: field_u64(j, "size", 32)? as usize,
@@ -140,18 +163,11 @@ impl JobSpec {
             subtree: field_u64(j, "subtree", 1)? as usize,
             max_restarts: u32::try_from(field_u64(j, "max_restarts", 1)?)
                 .map_err(|_| format!("'max_restarts' must be at most {}", u32::MAX))?,
-            min_groups: field_u64(j, "min_groups", 1)? as usize,
             deadline_ms: match field_u64(j, "deadline_ms", 0)? {
                 0 => None,
                 ms => Some(ms),
             },
             max_flops: field_f64(j, "max_flops")?,
-            chaos_seed: match j.get("chaos_seed") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| {
-                    format!("'chaos_seed' must be an integer from 0 to {MAX_EXACT_INT}")
-                })?),
-            },
             hops: match j.get("hops") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(
@@ -219,12 +235,6 @@ impl JobSpec {
         if self.subtree == 0 || 16 % self.subtree != 0 {
             return Err(format!("'subtree' {} must divide 16", self.subtree));
         }
-        if self.min_groups == 0 || self.min_groups > self.groups {
-            return Err(format!(
-                "'min_groups' {} must be between 1 and 'groups' {}",
-                self.min_groups, self.groups
-            ));
-        }
         if let Some(d) = self.arc_deg {
             if !(1.0..=360.0).contains(&d) {
                 return Err("'arc_deg' must be in 1..=360".into());
@@ -266,15 +276,8 @@ impl JobSpec {
             ("groups", Json::Num(self.groups as f64)),
             ("subtree", Json::Num(self.subtree as f64)),
             ("max_restarts", Json::Num(self.max_restarts as f64)),
-            ("min_groups", Json::Num(self.min_groups as f64)),
             ("deadline_ms", opt(self.deadline_ms.map(|v| v as f64))),
             ("max_flops", opt(self.max_flops)),
-            (
-                "chaos_seed",
-                self.chaos_seed
-                    .map(|v| Json::Num(v as f64))
-                    .unwrap_or(Json::Null),
-            ),
             (
                 "hops",
                 self.hops
@@ -457,8 +460,13 @@ mod tests {
             (r#"{"id":"a","tx":4,"groups":3}"#, "'groups'"),
             (r#"{"id":"a","subtree":3}"#, "'subtree'"),
             (
-                r#"{"id":"a","groups":2,"tx":4,"min_groups":3}"#,
-                "'min_groups'",
+                r#"{"id":"a","groups":2,"tx":4,"min_groups":2}"#,
+                "dropping illumination groups was removed",
+            ),
+            (r#"{"id":"a","min_groups":"1"}"#, "'min_groups'"),
+            (
+                r#"{"id":"a","groups":2,"tx":4,"chaos_seed":7}"#,
+                "seeded fault injection into jobs was removed",
             ),
             (r#"{"id":"a","contrast":2.0}"#, "'contrast'"),
             // 2^32 used to become 0 restarts through `as u32`
@@ -473,12 +481,6 @@ mod tests {
                 "'iterations'",
             ),
             (r#"{"id":"a","regularizer":"ridge"}"#, "'regularizer'"),
-            // 2^53 + 1 parses as 2^53: admitting it would run, and journal,
-            // another seed than the one asked for
-            (
-                r#"{"id":"a","chaos_seed":9007199254740993}"#,
-                "'chaos_seed' must be an integer from 0 to 9007199254740991",
-            ),
             (
                 r#"{"id":"a","deadline_ms":9007199254740992}"#,
                 "'deadline_ms' must be an integer from 0 to 9007199254740991",
@@ -500,13 +502,14 @@ mod tests {
     }
 
     /// What used to be pinned to the serial driver now runs on every grid:
-    /// admission refuses no setting for its grid. The legacy `backend` key
-    /// is accepted when it names the one engine, and not written back.
+    /// admission refuses no setting for its grid. The legacy `backend`,
+    /// `chaos_seed` and `min_groups` keys are accepted at the values that
+    /// ask for nothing removed, and not written back.
     #[test]
     fn hops_and_regularizers_are_admitted_on_rank_grids() {
         for patch in [
             r#"{"id":"a","hops":"2.0,1.0","tx":4,"groups":2}"#,
-            r#"{"id":"a","hops":"2.0,1.0","tx":4,"groups":2,"chaos_seed":7}"#,
+            r#"{"id":"a","hops":"2.0,1.0","tx":4,"groups":2,"chaos_seed":null,"min_groups":1}"#,
             r#"{"id":"a","regularizer":"tikhonov:1e-3","tx":4,"groups":2,"subtree":2}"#,
             r#"{"id":"a","regularizer":"wgcv-lsqr","tx":4,"groups":2,"subtree":2}"#,
             r#"{"id":"a","regularizer":"tikhonov:1e-3","subtree":2}"#,
@@ -515,7 +518,10 @@ mod tests {
         ] {
             let j = Json::parse(patch).expect(patch);
             let spec = JobSpec::from_json(&j).unwrap_or_else(|e| panic!("{patch}: {e}"));
-            assert!(spec.to_json().get("backend").is_none(), "{patch}");
+            let json = spec.to_json();
+            for key in ["backend", "chaos_seed", "min_groups"] {
+                assert!(json.get(key).is_none(), "{patch}: {key}");
+            }
         }
     }
 

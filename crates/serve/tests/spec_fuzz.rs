@@ -95,10 +95,12 @@ const SEEDS: &[&str] = &[
     r#"{"id":"job-1","size":32,"tx":4,"rx":8,"iterations":3}"#,
     r#"{"id":"hop","size":64,"tx":8,"rx":16,"iterations":4,"hops":"2.0,1.0","regularizer":"wgcv-lsqr:8:0.8"}"#,
     r#"{"id":"arc.7","size":32,"tx":4,"rx":8,"iterations":2,"arc_deg":90,"noise_db":30,"groups":2,"subtree":2,"min_groups":1,"deadline_ms":60000,"max_flops":1e15}"#,
-    r#"{"id":"all_keys","size":128,"tx":6,"rx":12,"phantom":"shepp-logan","contrast":-0.25,"iterations":5,"noise_db":20.5,"arc_deg":270,"accuracy":"high","groups":3,"subtree":4,"max_restarts":4294967295,"min_groups":2,"deadline_ms":9007199254740991,"max_flops":1.5e18,"chaos_seed":9007199254740991,"hops":"4.0,2.0,1.0","regularizer":"tikhonov:0.001","backend":"bicgstab"}"#,
+    r#"{"id":"all_keys","size":128,"tx":6,"rx":12,"phantom":"shepp-logan","contrast":-0.25,"iterations":5,"noise_db":20.5,"arc_deg":270,"accuracy":"high","groups":3,"subtree":4,"max_restarts":4294967295,"min_groups":1,"deadline_ms":9007199254740991,"max_flops":1.5e18,"chaos_seed":null,"hops":"4.0,2.0,1.0","regularizer":"tikhonov:0.001","backend":"bicgstab"}"#,
 ];
 
-/// Every key the decoder reads, and two it does not.
+/// Every key the decoder reads (`backend`, `chaos_seed` and `min_groups`
+/// only to accept their one legacy value and refuse the rest), and two it
+/// does not.
 const KEYS: &[&str] = &[
     "id",
     "size",
@@ -261,6 +263,8 @@ fn hostile(rng: &mut Stream, key: &str) -> String {
             "backend" => rng
                 .pick(&["\"bicgstab\"", "\"born-series\"", "\"gmres\""])
                 .to_string(),
+            "chaos_seed" => rng.pick(&["null", "0", "7"]).to_string(),
+            "min_groups" => rng.pick(&["1", "1.0", "2"]).to_string(),
             _ => rng.pick(NAMES).to_string(),
         },
     }

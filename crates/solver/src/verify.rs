@@ -58,7 +58,7 @@
 //! recompute has nothing to undo and a boundary keeps no copy of the sums.
 
 use crate::op::{BlockLinOp, LinOp};
-use ffw_fault::{ComputeFault, FaultError, RetryPolicy};
+use ffw_fault::{ComputeFault, FaultError, MAX_RECOMPUTES};
 use ffw_numerics::C64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -115,9 +115,6 @@ pub struct VerifyConfig {
     /// Panels per checksum verification; `1` verifies (and can recompute)
     /// every panel before its outputs are released.
     pub period: usize,
-    /// Recompute budget per verification (initial compute + this many
-    /// recomputes before escalating).
-    pub max_recomputes: u32,
     /// Stage label carried by escalated errors (e.g. `mlfma.apply_block`).
     pub stage: String,
     /// Rank carried by escalated errors (0 in serial runs).
@@ -133,7 +130,6 @@ impl std::fmt::Debug for VerifyConfig {
             .field("rel_tol", &self.rel_tol)
             .field("abs_floor", &self.abs_floor)
             .field("period", &self.period)
-            .field("max_recomputes", &self.max_recomputes)
             .field("stage", &self.stage)
             .field("rank", &self.rank)
             .field("injector", &self.injector.as_ref().map(|_| "<hook>"))
@@ -147,7 +143,6 @@ impl Default for VerifyConfig {
             rel_tol: DEFAULT_CHECKSUM_REL_TOL,
             abs_floor: 1e-300,
             period: DEFAULT_VERIFY_PERIOD,
-            max_recomputes: RetryPolicy::default().max_retries,
             stage: "mlfma.apply_block".into(),
             rank: 0,
             injector: None,
@@ -324,7 +319,7 @@ impl<'a, A: BlockLinOp + ?Sized> VerifiedBlockOp<'a, A> {
         mut pending: Option<PendingPanel<'_, '_>>,
     ) -> WindowOutcome {
         let mut repaired = false;
-        let attempts = self.cfg.max_recomputes + 1;
+        let attempts = MAX_RECOMPUTES + 1;
         for attempt in 0..attempts {
             if attempt > 0 {
                 // Recompute whatever is still in hand: always the checksum
@@ -881,7 +876,7 @@ mod tests {
     fn persistent_flip_escalates_a_typed_error() {
         let a = test_matrix(10);
         let mut cfg = VerifyConfig::default().immediate();
-        let budget = cfg.max_recomputes;
+        let budget = MAX_RECOMPUTES;
         cfg.injector = Some(injector_at(
             1,
             ComputeFault {
